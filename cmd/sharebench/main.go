@@ -483,8 +483,7 @@ func runScenarioIII(ctx context.Context) {
 	}
 	fmt.Println("\nexpected shape: at low concurrency the GQP's bitmap bookkeeping keeps it below")
 	fmt.Println("query-centric operators across the sweep; the join-template lines sit below their")
-	fmt.Println("no-join counterparts (extra supplier join), with the columnar join lines strictly")
-	fmt.Println("above the row-materializing join-rows ablation.")
+	fmt.Println("no-join counterparts (extra supplier join).")
 }
 
 func runScenarioIV(ctx context.Context) {

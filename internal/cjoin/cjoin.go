@@ -385,6 +385,10 @@ type subscription struct {
 	// (sort, push-model satellite copies) asks.
 	pendCols *vec.ColBatch
 	pendN    int
+	// cut records that a delivery was dropped because the operator was
+	// closing (distributor-owned): a query that lost rows to the shutdown
+	// must not retire clean even if its finish tick was already in flight.
+	cut bool
 }
 
 // fail marks the subscription failed with cause, exactly once. Safe from any
@@ -1876,6 +1880,7 @@ func (d *distributor) deliver(sub *subscription) {
 		b.Done()
 	case <-d.op.closeCh:
 		b.Done()
+		sub.cut = true
 	}
 }
 
@@ -1941,6 +1946,11 @@ func (d *distributor) finish(sub *subscription) {
 		// behind every page a worker forwarded for this query, so the
 		// worker's fail() — cause write, then flag — is visible here.
 		sub.err = sub.failCause
+	}
+	if sub.err == nil && sub.cut {
+		// The sweep outran Close: the scanner queued this finish before it
+		// saw the shutdown, but rows were already being dropped.
+		sub.err = d.op.shutdownCause()
 	}
 	if sub.err != nil {
 		// Typed failure (quarantined page, deadline, recovered panic, …)

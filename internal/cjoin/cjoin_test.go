@@ -471,18 +471,24 @@ func TestCloseFailsActiveQueries(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	started := make(chan struct{})
+	closed := make(chan struct{})
 	go func() {
 		var once sync.Once
 		errCh <- op.Run(context.Background(), &plan.StarQuery{
 			Fact: cat.MustTable("lo"), FactCols: []int{0},
 			Dims: []plan.DimJoin{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}},
 		}, func(*batch.Batch) error {
+			// Hold the query open until Close has landed: the result is many
+			// times the output buffer, so the sweep stalls behind this
+			// callback instead of finishing before Close on a fast machine.
 			once.Do(func() { close(started) })
+			<-closed
 			return nil
 		})
 	}()
 	<-started
 	op.Close()
+	close(closed)
 	select {
 	case err := <-errCh:
 		if err != ErrClosed {

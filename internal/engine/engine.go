@@ -54,11 +54,6 @@ type Config struct {
 	// pruning-on/off ablation toggle; pruning is on by default).
 	NoPrune bool
 
-	// RowJoin forces the row-materializing hash join instead of the columnar
-	// build/probe operator (the rows-vs-cols ablation toggle; columnar is the
-	// default).
-	RowJoin bool
-
 	// ResultCache enables the bounded materialized result cache: plans are
 	// fingerprinted and exact repeat templates answered from the previous
 	// materialization, until any table they read changes. Results served

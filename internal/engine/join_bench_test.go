@@ -25,15 +25,19 @@ func (w *drainWriter) Put(ctx context.Context, b *batch.Batch) error {
 
 func (w *drainWriter) Close(err error) {}
 
-// runJoin drives opHashJoin over in-memory batch streams (the engine's
-// RowJoin config selects the row-materializing baseline vs the columnar
-// build/probe operator).
-func runJoin(t testing.TB, e *Engine, n *plan.HashJoin, left, right []*batch.Batch) int {
+// runJoin drives a hash join operator — the columnar opHashJoin, or the
+// row-materializing reference when rowRef is set — over in-memory batch
+// streams.
+func runJoin(t testing.TB, e *Engine, rowRef bool, n *plan.HashJoin, left, right []*batch.Batch) int {
 	t.Helper()
 	st := newStage(plan.KindHashJoin, false)
 	w := &drainWriter{}
-	if err := e.opHashJoin(context.Background(), n, &sliceReader{batches: left}, &sliceReader{batches: right}, w, st); err != nil {
-		t.Fatalf("opHashJoin: %v", err)
+	op := e.opHashJoin
+	if rowRef {
+		op = e.opHashJoinRows
+	}
+	if err := op(context.Background(), n, &sliceReader{batches: left}, &sliceReader{batches: right}, w, st); err != nil {
+		t.Fatalf("hash join: %v", err)
 	}
 	return w.n
 }
@@ -43,7 +47,7 @@ func runJoin(t testing.TB, e *Engine, n *plan.HashJoin, left, right []*batch.Bat
 // (64 = a tiny dimension, 4096 = an SSB-sized dimension) and probe match
 // rates:
 //
-//   - line=rows: the retained row-materializing operator (map of boxed Row
+//   - line=rows: the row-materializing reference operator (map of boxed Row
 //     slices, per-row Datum hashing, Concat per output row) — the baseline
 //     the acceptance criterion compares against.
 //   - line=cols: the columnar joinTable build/probe with AppendGather
@@ -130,14 +134,14 @@ func BenchmarkHashJoin(b *testing.B) {
 			}{{"rows", true}, {"cols", false}} {
 				name := fmt.Sprintf("line=%s/build=%d/hit=%d", line.name, build, hit)
 				b.Run(name, func(b *testing.B) {
-					e := &Engine{cfg: (&Config{RowJoin: line.rowJoin}).withDefaults()}
+					e := &Engine{cfg: (&Config{}).withDefaults()}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
 						l, rr := views(probeCBs), views(buildCBs)
 						b.StartTimer()
-						runJoin(b, e, node, l, rr)
+						runJoin(b, e, line.rowJoin, node, l, rr)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
 				})

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -135,49 +136,100 @@ func buildJoinCase(t *testing.T, r *rand.Rand) joinCase {
 		leftP: lp, rightP: rp, lrows: lref, rrows: rref}
 }
 
-// naiveJoin is the row-at-a-time reference: nested loop with Datum equality
-// and NULL-never-matches, independent of any hash machinery.
-func naiveJoin(lrows, rrows []types.Row, lkey, rkey int) []types.Row {
+// naiveJoin is the row-at-a-time reference for a join node over already
+// filtered inputs: nested loop with Datum equality and NULL-never-matches,
+// independent of any hash machinery, emitting the node's output lists.
+func naiveJoin(n *plan.HashJoin, lrows, rrows []types.Row) []types.Row {
 	var out []types.Row
 	for _, l := range lrows {
-		k := l[lkey]
+		k := l[n.LeftCol]
 		if k.IsNull() {
 			continue
 		}
 		for _, rr := range rrows {
-			if !rr[rkey].IsNull() && rr[rkey].Equal(k) {
-				out = append(out, l.Concat(rr))
+			if rr[n.RightCol].IsNull() || !rr[n.RightCol].Equal(k) {
+				continue
 			}
+			row := make(types.Row, 0, len(n.LeftOut)+len(n.RightOut))
+			for _, c := range n.LeftOut {
+				row = append(row, l[c])
+			}
+			for _, c := range n.RightOut {
+				row = append(row, rr[c])
+			}
+			out = append(out, row)
 		}
 	}
 	return out
 }
 
+// refJoin runs the row-materializing reference operator over row batches.
+func refJoin(t *testing.T, n *plan.HashJoin, lrows, rrows []types.Row) []types.Row {
+	t.Helper()
+	e := &Engine{cfg: (&Config{BatchSize: 32}).withDefaults()}
+	w := &collectWriter{}
+	err := e.opHashJoinRows(context.Background(), n,
+		&sliceReader{batches: []*batch.Batch{batch.Of(lrows...)}},
+		&sliceReader{batches: []*batch.Batch{batch.Of(rrows...)}},
+		w, newStage(plan.KindHashJoin, false))
+	if err != nil {
+		t.Fatalf("reference join: %v", err)
+	}
+	return w.rows
+}
+
+// randOutList draws an output list over width columns: a random subset in
+// random order — possibly empty, possibly without the key column, a quarter
+// of the time the identity.
+func randOutList(r *rand.Rand, width int) []int {
+	if r.Intn(4) == 0 {
+		out := make([]int, width)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	return r.Perm(width)[:r.Intn(width+1)]
+}
+
 // The columnar hash join must agree with a naive nested-loop join — and with
-// the retained row-materializing operator — over random plans covering
+// the row-materializing reference operator — over random plans covering
 // duplicate build keys, NULL keys on both sides, empty build sides,
-// int/float/string/dict/mixed key columns and random selections.
+// int/float/string/dict/mixed key columns, random selections, row-batch
+// inputs on either side, and random output lists: full width, narrowed,
+// empty (an existence probe, which must still emit one row per match) and
+// lists that drop the key column.
 func TestColumnarJoinEquivRandom(t *testing.T) {
 	ctx := context.Background()
+	base := vec.LiveBatches()
 	for round := 0; round < 200; round++ {
 		r := rand.New(rand.NewSource(int64(round)*7919 + 1))
 		jc := buildJoinCase(t, r)
-		join := plan.NewHashJoin(jc.leftP, jc.rightP, jc.lkey, jc.rkey)
-		want := naiveJoin(jc.lrows, jc.rrows, jc.lkey, jc.rkey)
+		join := plan.NewHashJoinOut(jc.leftP, jc.rightP, jc.lkey, jc.rkey,
+			randOutList(r, 3), randOutList(r, 3))
+		want := naiveJoin(join, jc.lrows, jc.rrows)
 
 		cols := New(jc.cat, Config{BatchSize: 32})
 		got, err := cols.Execute(ctx, join)
 		if err != nil {
 			t.Fatalf("round %d: columnar join: %v", round, err)
 		}
-		mustEqualRows(t, got.Rows, want)
-
-		rows := New(jc.cat, Config{BatchSize: 32, RowJoin: true})
-		gotRows, err := rows.Execute(ctx, join)
-		if err != nil {
-			t.Fatalf("round %d: row join: %v", round, err)
+		if len(want) > 0 && len(join.Schema().Cols) == 0 {
+			// Zero-width rows carry only their count.
+			if len(got.Rows) != len(want) {
+				t.Fatalf("round %d: %d zero-width rows, want %d", round, len(got.Rows), len(want))
+			}
+		} else {
+			mustEqualRows(t, got.Rows, want)
 		}
-		mustEqualRows(t, gotRows.Rows, want)
+		mustEqualRows(t, refJoin(t, join, jc.lrows, jc.rrows), want)
+		// Drop the page-frame caches so only leaked refs move the gauge.
+		waitStagesIdle(t, cols)
+		jc.cat.Pool().EvictFile(jc.left.File.ID())
+		jc.cat.Pool().EvictFile(jc.right.File.ID())
+	}
+	if live := vec.LiveBatches(); live != base {
+		t.Fatalf("LiveBatches = %d after the battery, want baseline %d", live, base)
 	}
 }
 
@@ -196,7 +248,7 @@ func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 	build.Seal(4)
 	defer build.Release()
 
-	jt := newJoinTable(2, 0)
+	jt := newJoinTable(0, []int{0, 1})
 	var scr joinScratch
 	jt.buildCols(build, build.AllSel(), &scr)
 	if jt.n != 2 {
@@ -218,7 +270,7 @@ func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 	}
 
 	// The row-batch paths must agree.
-	jt2 := newJoinTable(2, 0)
+	jt2 := newJoinTable(0, []int{0, 1})
 	jt2.buildRows([]types.Row{
 		{types.NewInt(1), types.NewString("x")},
 		{types.Null, types.NewString("y")},

@@ -8,9 +8,11 @@ import (
 // joinTable is the build side of the columnar hash join: the same
 // open-addressing, power-of-two, linear-probing slot design as groupTable,
 // over flat per-entry stores — but where a group table keeps accumulators,
-// the join table keeps the whole build row as appended typed columns
-// (entry e is row e of every arena column), so the probe's output gathers
-// payloads straight from the arenas with no Row materialization.
+// the join table keeps the build row as appended typed columns (entry e is
+// row e of every arena column), so the probe's output gathers payloads
+// straight from the arenas with no Row materialization. Only the join key
+// and the columns the join emits (plan.HashJoin.RightOut) are kept: a build
+// side that emits nothing is an existence probe holding one key column.
 //
 // Distinct keys own one slot each; duplicate build keys chain through
 // next (entry → next entry with an equal key, -1 ends the chain), appended
@@ -19,7 +21,8 @@ import (
 // inserted — NULL never matches, on either side (the NULL→false semantics
 // expr predicates and zone maps use).
 type joinTable struct {
-	keyCol int
+	keyCol  int   // join key position in the build input
+	outCols []int // build-input columns kept for the output (RightOut)
 
 	slots []int32 // entry index+1 of a distinct key's chain head; 0 = empty
 	mask  uint32
@@ -29,17 +32,20 @@ type joinTable struct {
 	next   []int32  // per-entry duplicate chain link (-1 = end)
 	tail   []int32  // per-entry chain tail; meaningful for head entries only
 
-	cols []vec.Vec // build arenas, one per right column; entry e = row e
-	n    int
+	// Build arenas; entry e is row e of each.
+	key vec.Vec   // the join key
+	out []vec.Vec // one per outCols column
+	n   int
 }
 
-func newJoinTable(ncols, keyCol int) *joinTable {
+func newJoinTable(keyCol int, outCols []int) *joinTable {
 	const initSlots = 64
 	return &joinTable{
-		keyCol: keyCol,
-		slots:  make([]int32, initSlots),
-		mask:   initSlots - 1,
-		cols:   make([]vec.Vec, ncols),
+		keyCol:  keyCol,
+		outCols: outCols,
+		slots:   make([]int32, initSlots),
+		mask:    initSlots - 1,
+		out:     make([]vec.Vec, len(outCols)),
 	}
 }
 
@@ -85,14 +91,13 @@ func (t *joinTable) link(e int32, h uint64) {
 }
 
 // entryKeyEqual compares the keys of two arena entries (slot-collision
-// disambiguation during the build).
+// disambiguation during the build). Float keys take the Datum path: its
+// NaN and int-vs-float rules are Compare's, not =='s.
 func (t *joinTable) entryKeyEqual(a, b int32) bool {
-	bk := &t.cols[t.keyCol]
+	bk := &t.key
 	switch {
 	case bk.AllInt():
 		return bk.I[a] == bk.I[b]
-	case bk.AllFloat():
-		return bk.F[a] == bk.F[b]
 	case bk.AllStr():
 		return bk.S[a] == bk.S[b]
 	default:
@@ -102,32 +107,39 @@ func (t *joinTable) entryKeyEqual(a, b int32) bool {
 
 // buildCols folds one right-side view batch into the table: hash the key
 // column with the shared HashFold kernel (bit-identical to the row fold, so
-// mixed row/view build streams feed one table), skip NULL keys explicitly,
-// and append every column of each surviving row into the arenas with typed
-// copies.
+// mixed row/view build streams feed one table), drop NULL keys explicitly,
+// gather the key and the kept columns of the surviving rows into the arenas
+// in one typed bulk copy each, then link the new entries.
 func (t *joinTable) buildCols(cb *vec.ColBatch, sel []int32, scr *joinScratch) {
-	nrows := len(sel)
-	if nrows == 0 {
+	if len(sel) == 0 {
 		return
 	}
 	kc := cb.Col(t.keyCol)
-	h := scr.hashes(nrows)
+	h := scr.hashes(len(sel))
 	scr.lut = vec.HashFold(kc, sel, h, scr.lut)
-	kinds := kc.Kinds
-	checkNull := !(kc.AllInt() || kc.AllFloat() || kc.AllStr())
-	for i, r := range sel {
-		if checkNull && kinds[r] == types.KindNull {
-			continue // NULL join keys never match; never inserted
+	if !(kc.AllInt() || kc.AllFloat() || kc.AllStr()) {
+		// NULL join keys never match; never inserted. The probe's match
+		// arena is idle during the build and holds the surviving rows.
+		keep := scr.ml[:0]
+		for i, r := range sel {
+			if kc.Kinds[r] != types.KindNull {
+				h[len(keep)] = h[i]
+				keep = append(keep, r)
+			}
 		}
+		scr.ml, sel, h = keep, keep, h[:len(keep)]
+	}
+	t.key.AppendGather(kc, sel)
+	for c, oc := range t.outCols {
+		t.out[c].AppendGather(cb.Col(oc), sel)
+	}
+	t.hashes = append(t.hashes, h...)
+	for _, hv := range h {
 		e := int32(t.n)
-		t.hashes = append(t.hashes, h[i])
 		t.next = append(t.next, -1)
 		t.tail = append(t.tail, e)
-		for c := range t.cols {
-			t.cols[c].AppendFrom(cb.Col(c), int(r))
-		}
 		t.n++
-		t.link(e, h[i])
+		t.link(e, hv)
 	}
 }
 
@@ -144,8 +156,9 @@ func (t *joinTable) buildRows(rows []types.Row) {
 		t.hashes = append(t.hashes, h)
 		t.next = append(t.next, -1)
 		t.tail = append(t.tail, e)
-		for c := range t.cols {
-			t.cols[c].AppendDatum(row[c])
+		t.key.AppendDatum(k)
+		for c, oc := range t.outCols {
+			t.out[c].AppendDatum(row[oc])
 		}
 		t.n++
 		t.link(e, h)
@@ -157,14 +170,12 @@ func (t *joinTable) buildRows(rows []types.Row) {
 // typed payloads, mirroring groupTable.rowMatches. Callers have already
 // excluded NULL probe rows.
 func (t *joinTable) keyMatchesView(kc *vec.Vec, r int32, e int32) bool {
-	bk := &t.cols[t.keyCol]
+	bk := &t.key
 	switch {
 	case kc.AllInt() && bk.AllInt():
 		return kc.I[r] == bk.I[e]
 	case kc.AllStr() && bk.AllStr():
 		return kc.S[r] == bk.S[e]
-	case kc.AllFloat() && bk.AllFloat():
-		return kc.F[r] == bk.F[e]
 	default:
 		return kc.Datum(int(r)).Equal(bk.Datum(int(e)))
 	}
@@ -184,7 +195,7 @@ func (t *joinTable) probeCols(kc *vec.Vec, sel []int32, scr *joinScratch) {
 	}
 	h := scr.hashes(nrows)
 	scr.lut = vec.HashFold(kc, sel, h, scr.lut)
-	bk := &t.cols[t.keyCol]
+	bk := &t.key
 	ml, me := scr.ml, scr.me
 	if kc.AllInt() && bk.AllInt() {
 		ki, bi := kc.I, bk.I
@@ -241,7 +252,7 @@ func (t *joinTable) probeRow(k types.Datum, r int32, scr *joinScratch) {
 		return
 	}
 	hv := (hashSeed ^ k.HashKey()) * vec.HashPrime
-	bk := &t.cols[t.keyCol]
+	bk := &t.key
 	s := uint32(hv) & t.mask
 	for {
 		se := t.slots[s]

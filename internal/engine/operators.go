@@ -293,23 +293,19 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 
 // opHashJoin is the columnar hash join (single-column equi-join): the right
 // input builds into a joinTable — key hashes from the shared HashFold
-// kernel, payload columns appended as typed arenas — and each left batch
-// probes in a vectorized loop that resolves matches as (probe row, build
-// entry) pairs. Output is a pooled ColBatch whose columns gather typed
-// payloads from the left batch and the build arenas (vec.AppendGather); no
-// Row is materialized on either side, duplicate build keys chain in the
-// arena, and NULL join keys never match. Row batches on either input (sort
-// and aggregate outputs, push-model clones) run through the same table via
-// per-datum paths with identical hashing, so mixed streams join
-// consistently. Config.RowJoin selects the row-at-a-time baseline instead
-// (the perf ablation).
+// kernel, the key and the emitted build columns appended as typed arenas —
+// and each left batch probes in a vectorized loop that resolves matches as
+// (probe row, build entry) pairs. Output is a pooled ColBatch of exactly the
+// node's output lists: LeftOut gathered from the left batch, RightOut from
+// the build arenas (vec.AppendGather). Columns nothing above the join reads
+// are never copied; a full-width join is the identity lists through the same
+// path. No Row is materialized on either side, duplicate build keys chain in
+// the arena, and NULL join keys never match. Row batches on either input
+// (sort and aggregate outputs, push-model clones) run through the same table
+// via per-datum paths with identical hashing, so mixed streams join
+// consistently.
 func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
-	if e.cfg.RowJoin {
-		return e.opHashJoinRows(ctx, n, left, right, w, st)
-	}
-	leftW := n.Left.Schema().Len()
-	rightW := n.Right.Schema().Len()
-	jt := newJoinTable(rightW, n.RightCol)
+	jt := newJoinTable(n.RightCol, n.RightOut)
 	var scr joinScratch
 	// Build phase.
 	for {
@@ -332,9 +328,10 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
-	// Probe phase. Matches accumulate into a pending output batch that is
-	// sealed and published at the configured batch size, like the CJOIN
-	// distributor's pending columns.
+	// Probe phase. Matches accumulate into a pending output batch reserved
+	// for, and published at, exactly the configured batch size — like the
+	// CJOIN distributor's pending columns — so no output column ever regrows.
+	nl, size := len(n.LeftOut), e.cfg.BatchSize
 	var pend *vec.ColBatch
 	pendN := 0
 	// A faulted probe-side read (or a detached consumer) returns mid-loop;
@@ -346,7 +343,7 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 		}
 	}()
 	flush := func() error {
-		if pend == nil || pendN == 0 {
+		if pendN == 0 {
 			return nil
 		}
 		cb := pend
@@ -369,105 +366,51 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			continue
 		}
 		cb, sel, isView := b.Cols()
+		var rows []types.Row
 		if isView {
 			if sel == nil {
 				sel = cb.AllSel()
 			}
 			jt.probeCols(cb.Col(n.LeftCol), sel, &scr)
 		} else {
+			rows = b.RowsView()
 			scr.ml, scr.me = scr.ml[:0], scr.me[:0]
-			for i, l := range b.RowsView() {
+			for i, l := range rows {
 				jt.probeRow(l[n.LeftCol], int32(i), &scr)
 			}
 		}
-		if len(scr.ml) > 0 {
+		for ml, me := scr.ml, scr.me; len(ml) > 0; {
 			if pend == nil {
-				pend = vec.Get(leftW + rightW)
+				pend = vec.Get(nl + len(n.RightOut))
+				pend.Reserve(size)
 			}
-			if isView {
-				for c := 0; c < leftW; c++ {
-					pend.Col(c).AppendGather(cb.Col(c), scr.ml)
+			k := min(len(ml), size-pendN)
+			for c, lc := range n.LeftOut {
+				if isView {
+					pend.Col(c).AppendGather(cb.Col(lc), ml[:k])
+					continue
 				}
-			} else {
-				rows := b.RowsView()
-				for _, li := range scr.ml {
-					l := rows[li]
-					for c := 0; c < leftW; c++ {
-						pend.Col(c).AppendDatum(l[c])
-					}
+				dst := pend.Col(c)
+				for _, li := range ml[:k] {
+					dst.AppendDatum(rows[li][lc])
 				}
 			}
-			for c := 0; c < rightW; c++ {
-				pend.Col(leftW+c).AppendGather(&jt.cols[c], scr.me)
+			for c := range n.RightOut {
+				pend.Col(nl+c).AppendGather(&jt.out[c], me[:k])
 			}
-			pendN += len(scr.ml)
-		}
-		b.Done()
-		st.addBusy(time.Since(t0))
-		if pendN >= e.cfg.BatchSize {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// opHashJoinRows is the row-materializing hash join the columnar operator
-// replaced, kept behind Config.RowJoin as the rows-vs-cols ablation baseline
-// (BenchmarkHashJoin, sharebench's join-rows line).
-func (e *Engine) opHashJoinRows(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
-	// Build phase.
-	ht := make(map[uint64][]types.Row)
-	for {
-		b, err := right.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		for _, r := range b.RowsView() {
-			k := r[n.RightCol]
-			if k.IsNull() {
-				continue
-			}
-			h := k.Hash(hashSeed)
-			ht[h] = append(ht[h], r)
-		}
-		b.Done()
-		st.addBusy(time.Since(t0))
-	}
-	// Probe phase.
-	em := newEmitter(w, e.cfg.BatchSize)
-	for {
-		b, err := left.Next(ctx)
-		if err == io.EOF {
-			return em.flush(ctx)
-		}
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		var joined []types.Row
-		for _, l := range b.RowsView() {
-			k := l[n.LeftCol]
-			if k.IsNull() {
-				continue
-			}
-			for _, r := range ht[k.Hash(hashSeed)] {
-				if r[n.RightCol].Equal(k) {
-					joined = append(joined, l.Concat(r))
+			pendN += k
+			ml, me = ml[k:], me[k:]
+			if pendN == size {
+				st.addBusy(time.Since(t0))
+				if err := flush(); err != nil {
+					b.Done()
+					return err
 				}
+				t0 = time.Now()
 			}
 		}
 		b.Done()
 		st.addBusy(time.Since(t0))
-		for _, r := range joined {
-			if err := em.add(ctx, r); err != nil {
-				return err
-			}
-		}
 	}
 }
 

@@ -3,6 +3,8 @@ package plan
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/types"
 )
 
 // Explain renders the plan tree in an indented, pg-style format. Example:
@@ -10,6 +12,11 @@ import (
 //	Sort [0 asc, 1 asc]
 //	└─ Aggregate group=[d_year p_brand1] aggs=[sum(revenue)]
 //	   └─ CJoin star(lineorder, dims=[date part supplier])
+//
+// A hash join names its keys and the columns it carries up, left | right, so
+// the plan says what each stage ships:
+//
+//	HashJoin lo_orderdate = d_datekey → [lo_revenue lo_partkey lo_suppkey | d_year]
 //
 // The output is for humans (examples, demo server, debugging); plan
 // identity for SP uses Signature, not Explain.
@@ -38,6 +45,15 @@ func explain(sb *strings.Builder, n Node, prefix string, isLast, isRoot bool) {
 	}
 }
 
+// colNames renders the named columns of a schema, space-separated.
+func colNames(s *types.Schema, cols []int) string {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = s.Cols[c].Name
+	}
+	return strings.Join(names, " ")
+}
+
 // describe renders a single node.
 func describe(n Node) string {
 	switch v := n.(type) {
@@ -55,7 +71,10 @@ func describe(n Node) string {
 		}
 		return "Project [" + strings.Join(names, " ") + "]"
 	case *HashJoin:
-		return fmt.Sprintf("HashJoin left[%d] = right[%d]", v.LeftCol, v.RightCol)
+		ls, rs := v.Left.Schema(), v.Right.Schema()
+		return fmt.Sprintf("HashJoin %s = %s → [%s | %s]",
+			ls.Cols[v.LeftCol].Name, rs.Cols[v.RightCol].Name,
+			colNames(ls, v.LeftOut), colNames(rs, v.RightOut))
 	case *Aggregate:
 		groups := make([]string, len(v.GroupBy))
 		for i, g := range v.GroupBy {

@@ -40,6 +40,8 @@ func addNode(h *expr.FpHasher, n Node) {
 	case *HashJoin:
 		h.U64(uint64(v.LeftCol))
 		h.U64(uint64(v.RightCol))
+		addCols(h, v.LeftOut)
+		addCols(h, v.RightOut)
 		addNode(h, v.Left)
 		addNode(h, v.Right)
 	case *Aggregate:
@@ -82,23 +84,25 @@ func addNode(h *expr.FpHasher, n Node) {
 	}
 }
 
+// addCols hashes a length-prefixed column list.
+func addCols(h *expr.FpHasher, cols []int) {
+	h.U64(uint64(len(cols)))
+	for _, c := range cols {
+		h.U64(uint64(c))
+	}
+}
+
 func addStar(h *expr.FpHasher, q *StarQuery) {
 	h.Str(q.Fact.Name)
 	h.AddExpr(q.FactPred)
-	h.U64(uint64(len(q.FactCols)))
-	for _, c := range q.FactCols {
-		h.U64(uint64(c))
-	}
+	addCols(h, q.FactCols)
 	h.U64(uint64(len(q.Dims)))
 	for _, d := range q.Dims {
 		h.Str(d.Table.Name)
 		h.U64(uint64(d.FactKeyCol))
 		h.U64(uint64(d.DimKeyCol))
 		h.AddExpr(d.Pred)
-		h.U64(uint64(len(d.PayloadCols)))
-		for _, c := range d.PayloadCols {
-			h.U64(uint64(c))
-		}
+		addCols(h, d.PayloadCols)
 	}
 }
 

@@ -193,35 +193,86 @@ func (p *Project) Signature() string {
 // hash table, the left input streams and probes. (Star joins with multiple
 // dimensions are chains of these; the multi-query shared variant is the
 // CJOIN operator.)
+//
+// LeftOut and RightOut list the input columns the join emits — its schema is
+// exactly those columns, left then right — so a join ships only what
+// something above it reads. A right side with an empty RightOut is an
+// existence probe: it filters (and multiplies, on duplicate build keys) the
+// left rows and contributes no column.
 type HashJoin struct {
 	Left, Right Node
-	LeftCol     int // join key position in the left schema
-	RightCol    int // join key position in the right schema
+	LeftCol     int   // join key position in the left schema
+	RightCol    int   // join key position in the right schema
+	LeftOut     []int // left columns carried to the output, in output order
+	RightOut    []int // right columns carried to the output, after the left ones
 	schema      *types.Schema
 }
 
-// NewHashJoin builds an equi-join node.
+// NewHashJoin builds an equi-join node that carries every column of both
+// inputs (schema left ++ right).
 func NewHashJoin(left, right Node, leftCol, rightCol int) *HashJoin {
+	return NewHashJoinOut(left, right, leftCol, rightCol,
+		identityCols(left.Schema().Len()), identityCols(right.Schema().Len()))
+}
+
+// NewHashJoinOut builds an equi-join node that carries only the listed
+// columns of each input (each list names distinct columns, in any order).
+func NewHashJoinOut(left, right Node, leftCol, rightCol int, leftOut, rightOut []int) *HashJoin {
 	return &HashJoin{
 		Left: left, Right: right,
 		LeftCol: leftCol, RightCol: rightCol,
-		schema: left.Schema().Concat(right.Schema()),
+		LeftOut: leftOut, RightOut: rightOut,
+		schema: left.Schema().Project(leftOut).Concat(right.Schema().Project(rightOut)),
 	}
+}
+
+func identityCols(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // Kind returns KindHashJoin.
 func (j *HashJoin) Kind() Kind { return KindHashJoin }
 
-// Schema is left ++ right.
+// Schema is the LeftOut columns of the left input followed by the RightOut
+// columns of the right input.
 func (j *HashJoin) Schema() *types.Schema { return j.schema }
 
 // Children returns left and right inputs.
 func (j *HashJoin) Children() []Node { return []Node{j.Left, j.Right} }
 
-// Signature encodes key positions and both subtrees.
+// Signature encodes key positions, the carried columns and both subtrees:
+// two joins that differ only in what they emit produce different streams and
+// must not share.
 func (j *HashJoin) Signature() string {
-	return "join(" + strconv.Itoa(j.LeftCol) + "=" + strconv.Itoa(j.RightCol) +
-		"," + j.Left.Signature() + "," + j.Right.Signature() + ")"
+	var sb strings.Builder
+	sb.WriteString("join(")
+	sb.WriteString(strconv.Itoa(j.LeftCol))
+	sb.WriteByte('=')
+	sb.WriteString(strconv.Itoa(j.RightCol))
+	sb.WriteString(",[")
+	writeCols(&sb, j.LeftOut)
+	sb.WriteByte('|')
+	writeCols(&sb, j.RightOut)
+	sb.WriteString("],")
+	sb.WriteString(j.Left.Signature())
+	sb.WriteByte(',')
+	sb.WriteString(j.Right.Signature())
+	sb.WriteByte(')')
+	return sb.String()
+}
+
+// writeCols writes column positions separated by ';'.
+func writeCols(sb *strings.Builder, cols []int) {
+	for i, c := range cols {
+		if i > 0 {
+			sb.WriteByte(';')
+		}
+		sb.WriteString(strconv.Itoa(c))
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -117,6 +117,90 @@ func TestSignatureIncorporatesEveryParameter(t *testing.T) {
 	}
 }
 
+// Two joins that differ only in what they carry up produce different
+// streams: both the SP key and the result-cache key must tell them apart,
+// and the all-columns constructor is exactly the identity lists.
+func TestJoinOutputListsAreIdentity(t *testing.T) {
+	fact, dim := testTables(t)
+	mk := func(leftOut, rightOut []int) *HashJoin {
+		return NewHashJoinOut(NewScan(fact), NewScan(dim), 1, 0, leftOut, rightOut)
+	}
+	base := mk([]int{0, 2}, []int{1})
+	same := mk([]int{0, 2}, []int{1})
+	if base.Signature() != same.Signature() || Fingerprint(base) != Fingerprint(same) {
+		t.Error("identical output lists must give identical signature and fingerprint")
+	}
+	if got := base.Schema().String(); got != "(id:int,v:float,name:string)" {
+		t.Errorf("narrowed join schema = %s", got)
+	}
+	for name, v := range map[string]*HashJoin{
+		"left list":        mk([]int{0}, []int{1}),
+		"left order":       mk([]int{2, 0}, []int{1}),
+		"right list":       mk([]int{0, 2}, nil),
+		"moved across '|'": mk([]int{0}, []int{0, 1}),
+	} {
+		if v.Signature() == base.Signature() {
+			t.Errorf("%s: signature did not change", name)
+		}
+		if Fingerprint(v) == Fingerprint(base) {
+			t.Errorf("%s: fingerprint did not change", name)
+		}
+	}
+	full := NewHashJoin(NewScan(fact), NewScan(dim), 1, 0)
+	ident := mk([]int{0, 1, 2}, []int{0, 1})
+	if full.Signature() != ident.Signature() || Fingerprint(full) != Fingerprint(ident) ||
+		full.Schema().String() != ident.Schema().String() {
+		t.Error("NewHashJoin must be the identity output lists")
+	}
+}
+
+// QueryCentric narrows the chain at build time: each join carries the output
+// fact columns, the keys of the joins still to come and the payloads gathered
+// so far — nothing else — and a dimension that only filters is an existence
+// probe.
+func TestQueryCentricCarriesOnlyLiveColumns(t *testing.T) {
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	mkTable := func(name string, cols ...string) *storage.Table {
+		sc := make([]types.Column, len(cols))
+		for i, c := range cols {
+			sc[i] = types.Column{Name: c, Kind: types.KindInt}
+		}
+		tab, err := cat.CreateTable(name, types.NewSchema(sc...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	fact := mkTable("fact", "f_id", "f_a", "f_b", "f_c", "f_rev", "f_pad")
+	da := mkTable("da", "a_key", "a_year", "a_pad")
+	db := mkTable("db", "b_key", "b_brand")
+	dc := mkTable("dc", "c_key", "c_region")
+	q := &StarQuery{
+		Fact:     fact,
+		FactCols: []int{4},
+		Dims: []DimJoin{
+			{Table: da, FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}},
+			{Table: db, FactKeyCol: 2, DimKeyCol: 0, PayloadCols: []int{1}},
+			{Table: dc, FactKeyCol: 3, DimKeyCol: 0, Pred: expr.Eq(expr.C(1, "c_region"), expr.Int(1))},
+		},
+	}
+	n := q.QueryCentric()
+	if n.Schema().String() != q.OutputSchema().String() {
+		t.Fatalf("query-centric schema %s != star schema %s", n.Schema(), q.OutputSchema())
+	}
+	ex := Explain(n)
+	for _, want := range []string{
+		"HashJoin f_a = a_key → [f_rev f_b f_c | a_year]",
+		"HashJoin f_b = b_key → [f_rev f_c a_year | b_brand]",
+		"HashJoin f_c = c_key → [f_rev a_year b_brand | ]", // existence probe
+		"Project [f_rev a_year b_brand]",
+	} {
+		if !strings.Contains(ex, want) {
+			t.Errorf("Explain missing %q:\n%s", want, ex)
+		}
+	}
+}
+
 func TestStarQuerySignatureAndSchema(t *testing.T) {
 	fact, dim := testTables(t)
 	mk := func(pred expr.Expr) *StarQuery {

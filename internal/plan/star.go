@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,12 +61,7 @@ func (q *StarQuery) Signature() string {
 		sb.WriteString(q.FactPred.Signature())
 	}
 	sb.WriteString(",[")
-	for i, c := range q.FactCols {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(strconv.Itoa(c))
-	}
+	writeCols(&sb, q.FactCols)
 	sb.WriteByte(']')
 	for _, d := range q.Dims {
 		sb.WriteString(",dim(")
@@ -79,12 +75,7 @@ func (q *StarQuery) Signature() string {
 			sb.WriteString(d.Pred.Signature())
 		}
 		sb.WriteString(",[")
-		for i, c := range d.PayloadCols {
-			if i > 0 {
-				sb.WriteByte(';')
-			}
-			sb.WriteString(strconv.Itoa(c))
-		}
+		writeCols(&sb, d.PayloadCols)
 		sb.WriteString("])")
 	}
 	sb.WriteByte(')')
@@ -117,50 +108,70 @@ func (c *CJoin) Signature() string { return "cjoin(" + c.Star.Signature() + ")" 
 // QueryCentric expands the star query into the equivalent query-centric
 // plan: scan(fact) → filter → chain of hash-joins against filtered dimension
 // scans → projection to OutputSchema's layout.
+//
+// The chain is narrowed at build time: each join emits only the columns
+// something above it reads — the FactCols, the fact foreign keys of the joins
+// still to come, and the dimension payloads gathered so far — so a join's
+// output width is what the query keeps, not what its inputs hold. A
+// dimension with no PayloadCols (one that only filters) becomes an existence
+// probe. Scans and filters are full-width and untouched, so page views stay
+// zero-copy and scan-level SP sharing is unaffected.
 func (q *StarQuery) QueryCentric() Node {
 	var n Node = NewScan(q.Fact)
 	if q.FactPred != nil {
 		n = NewFilter(n, q.FactPred)
 	}
-	// Track where each needed output column lives as joins widen the row.
-	factWidth := q.Fact.Schema.Len()
-	type payloadRef struct{ pos int }
-	var payloadPos [][]payloadRef
-	offset := factWidth
-	for _, d := range q.Dims {
+	// n's schema is always: the fact columns listed in fact (fact[p] is the
+	// fact-schema column at position p), then npay dimension payload columns
+	// in declaration order.
+	fact := identityCols(q.Fact.Schema.Len())
+	npay := 0
+	for i, d := range q.Dims {
 		var dn Node = NewScan(d.Table)
 		if d.Pred != nil {
 			dn = NewFilter(dn, d.Pred)
 		}
-		n = NewHashJoin(n, dn, d.FactKeyCol, d.DimKeyCol)
-		refs := make([]payloadRef, len(d.PayloadCols))
-		for i, pc := range d.PayloadCols {
-			refs[i] = payloadRef{pos: offset + pc}
+		// Live above this join: the output fact columns and later joins' keys.
+		live := appendDistinct(nil, q.FactCols...)
+		for _, later := range q.Dims[i+1:] {
+			live = appendDistinct(live, later.FactKeyCol)
 		}
-		payloadPos = append(payloadPos, refs)
-		offset += d.Table.Schema.Len()
+		leftOut := make([]int, 0, len(live)+npay)
+		for _, fc := range live {
+			leftOut = append(leftOut, slices.Index(fact, fc))
+		}
+		for p := 0; p < npay; p++ {
+			leftOut = append(leftOut, len(fact)+p)
+		}
+		n = NewHashJoinOut(n, dn, slices.Index(fact, d.FactKeyCol), d.DimKeyCol, leftOut, d.PayloadCols)
+		fact = live
+		npay += len(d.PayloadCols)
 	}
 	// Final projection to the star output layout.
 	out := q.OutputSchema()
-	cols := make([]ProjCol, 0, out.Len())
-	ci := 0
-	for _, fc := range q.FactCols {
-		cols = append(cols, ProjCol{
+	cols := make([]ProjCol, out.Len())
+	for ci := range cols {
+		var pos int
+		if ci < len(q.FactCols) {
+			pos = slices.Index(fact, q.FactCols[ci])
+		} else {
+			pos = len(fact) + ci - len(q.FactCols) // payloads follow the fact part
+		}
+		cols[ci] = ProjCol{
 			Name: out.Cols[ci].Name,
 			Kind: out.Cols[ci].Kind,
-			Expr: expr.C(fc, out.Cols[ci].Name),
-		})
-		ci++
-	}
-	for di := range q.Dims {
-		for _, ref := range payloadPos[di] {
-			cols = append(cols, ProjCol{
-				Name: out.Cols[ci].Name,
-				Kind: out.Cols[ci].Kind,
-				Expr: expr.C(ref.pos, out.Cols[ci].Name),
-			})
-			ci++
+			Expr: expr.C(pos, out.Cols[ci].Name),
 		}
 	}
 	return NewProject(n, cols)
+}
+
+// appendDistinct appends each of cols not already in dst.
+func appendDistinct(dst []int, cols ...int) []int {
+	for _, c := range cols {
+		if !slices.Contains(dst, c) {
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }

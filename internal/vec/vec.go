@@ -34,19 +34,22 @@ package vec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/types"
 )
 
-// Uniformity flags. A flag is set while every row appended so far is of the
-// corresponding kind class; NULL clears all three.
+// Non-uniformity flags. A flag is set once some appended row is outside the
+// corresponding kind class; NULL sets all three. The zero value means "no
+// row has broken uniformity", so a zero Vec — a fresh make([]Vec, n) element
+// as much as a pooled one — is valid and takes the typed paths.
 const (
-	flagAllInt uint8 = 1 << iota // every row is int-class (int, date, bool)
-	flagAllFloat
-	flagAllStr
-	flagAllUniform = flagAllInt | flagAllFloat | flagAllStr
+	flagNonInt uint8 = 1 << iota // some row is not int-class (int, date, bool)
+	flagNonFloat
+	flagNonStr
+	flagMixed = flagNonInt | flagNonFloat | flagNonStr
 )
 
 // Vec is one typed column: per-row kind tags plus payload arrays allocated
@@ -79,13 +82,13 @@ func (v *Vec) Len() int { return len(v.Kinds) }
 
 // AllInt reports whether every row is integer-class (int, date or bool) —
 // the precondition for the int64 kernels. Implies no NULLs.
-func (v *Vec) AllInt() bool { return v.flags&flagAllInt != 0 }
+func (v *Vec) AllInt() bool { return v.flags&flagNonInt == 0 }
 
 // AllFloat reports whether every row is a float. Implies no NULLs.
-func (v *Vec) AllFloat() bool { return v.flags&flagAllFloat != 0 }
+func (v *Vec) AllFloat() bool { return v.flags&flagNonFloat == 0 }
 
 // AllStr reports whether every row is a string. Implies no NULLs.
-func (v *Vec) AllStr() bool { return v.flags&flagAllStr != 0 }
+func (v *Vec) AllStr() bool { return v.flags&flagNonStr == 0 }
 
 // reset empties the vector for reuse, retaining payload capacity. Strings
 // and dictionary entries are cleared so a pooled vector does not pin page
@@ -98,7 +101,7 @@ func (v *Vec) reset() {
 	v.S = v.S[:0]
 	clear(v.Dict)
 	v.Dict = v.Dict[:0]
-	v.flags = flagAllUniform
+	v.flags = 0
 }
 
 // pad grows s with zero values to length n (no-op on homogeneous columns,
@@ -131,16 +134,16 @@ func (v *Vec) AppendDatum(d types.Datum) {
 	v.Kinds = append(v.Kinds, d.K)
 	switch d.K {
 	case types.KindInt, types.KindDate, types.KindBool:
-		v.flags &^= flagAllFloat | flagAllStr
+		v.flags |= flagNonFloat | flagNonStr
 		v.I = append(padI(v.I, i), d.I)
 	case types.KindFloat:
-		v.flags &^= flagAllInt | flagAllStr
+		v.flags |= flagNonInt | flagNonStr
 		v.F = append(padF(v.F, i), d.F)
 	case types.KindString:
-		v.flags &^= flagAllInt | flagAllFloat
+		v.flags |= flagNonInt | flagNonFloat
 		v.S = append(padS(v.S, i), d.S)
 	default: // NULL
-		v.flags = 0
+		v.flags = flagMixed
 	}
 }
 
@@ -158,13 +161,13 @@ func (v *Vec) AppendKindRun(k types.Kind, n int) {
 	}
 	switch k {
 	case types.KindInt, types.KindDate, types.KindBool:
-		v.flags &^= flagAllFloat | flagAllStr
+		v.flags |= flagNonFloat | flagNonStr
 	case types.KindFloat:
-		v.flags &^= flagAllInt | flagAllStr
+		v.flags |= flagNonInt | flagNonStr
 	case types.KindString:
-		v.flags &^= flagAllInt | flagAllFloat
+		v.flags |= flagNonInt | flagNonFloat
 	default: // NULL
-		v.flags = 0
+		v.flags = flagMixed
 	}
 	for i := 0; i < n; i++ {
 		v.Kinds = append(v.Kinds, k)
@@ -225,54 +228,63 @@ func (v *Vec) AppendFrom(src *Vec, i int) {
 	v.Kinds = append(v.Kinds, k)
 	switch k {
 	case types.KindInt, types.KindDate, types.KindBool:
-		v.flags &^= flagAllFloat | flagAllStr
+		v.flags |= flagNonFloat | flagNonStr
 		v.I = append(padI(v.I, n), src.I[i])
 	case types.KindFloat:
-		v.flags &^= flagAllInt | flagAllStr
+		v.flags |= flagNonInt | flagNonStr
 		v.F = append(padF(v.F, n), src.F[i])
 	case types.KindString:
-		v.flags &^= flagAllInt | flagAllFloat
+		v.flags |= flagNonInt | flagNonFloat
 		v.S = append(padS(v.S, n), src.S[i])
 	default: // NULL
-		v.flags = 0
+		v.flags = flagMixed
 	}
 }
 
 // AppendGather appends rows idxs of src to v in order: the bulk form of
 // AppendFrom with the kind dispatch hoisted out of the loop. Homogeneous
-// source columns (the common case — a join's key-verified build arena or a
-// scanned page column) copy payloads in one tight typed loop; mixed or
-// NULL-bearing columns fall back to per-row AppendFrom. Dictionary coding
-// does not propagate, exactly as in AppendFrom.
+// source columns (the common case — a join's build arena or a scanned page
+// column) copy payloads in one tight typed loop; mixed or NULL-bearing
+// columns fall back to per-row AppendFrom. Dictionary coding does not
+// propagate, exactly as in AppendFrom.
+//
+// Room for the whole gather is reserved once up front, and the payload array
+// is sized to the tag array's capacity, so a batch whose tags were reserved
+// for its final row count (ColBatch.Reserve) never regrows a column.
 func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 	if len(idxs) == 0 {
 		return
 	}
 	n := len(v.Kinds)
+	end := n + len(idxs)
+	v.Kinds = slices.Grow(v.Kinds, len(idxs))
 	switch {
 	case src.AllInt():
-		v.flags &^= flagAllFloat | flagAllStr
-		v.I = padI(v.I, n)
-		sk, si := src.Kinds, src.I
-		for _, r := range idxs {
-			v.Kinds = append(v.Kinds, sk[r])
-			v.I = append(v.I, si[r])
+		v.flags |= flagNonFloat | flagNonStr
+		v.I = slices.Grow(padI(v.I, n), cap(v.Kinds)-n)[:end]
+		v.Kinds = v.Kinds[:end]
+		dk, di, sk, si := v.Kinds[n:], v.I[n:], src.Kinds, src.I
+		for j, r := range idxs {
+			dk[j] = sk[r] // int, date and bool share the payload, not the tag
+			di[j] = si[r]
 		}
 	case src.AllFloat():
-		v.flags &^= flagAllInt | flagAllStr
-		v.F = padF(v.F, n)
-		sf := src.F
-		for _, r := range idxs {
-			v.Kinds = append(v.Kinds, types.KindFloat)
-			v.F = append(v.F, sf[r])
+		v.flags |= flagNonInt | flagNonStr
+		v.F = slices.Grow(padF(v.F, n), cap(v.Kinds)-n)[:end]
+		v.Kinds = v.Kinds[:end]
+		dk, df, sf := v.Kinds[n:], v.F[n:], src.F
+		for j, r := range idxs {
+			dk[j] = types.KindFloat
+			df[j] = sf[r]
 		}
 	case src.AllStr():
-		v.flags &^= flagAllInt | flagAllFloat
-		v.S = padS(v.S, n)
-		ss := src.S
-		for _, r := range idxs {
-			v.Kinds = append(v.Kinds, types.KindString)
-			v.S = append(v.S, ss[r])
+		v.flags |= flagNonInt | flagNonFloat
+		v.S = slices.Grow(padS(v.S, n), cap(v.Kinds)-n)[:end]
+		v.Kinds = v.Kinds[:end]
+		dk, ds, ss := v.Kinds[n:], v.S[n:], src.S
+		for j, r := range idxs {
+			dk[j] = types.KindString
+			ds[j] = ss[r]
 		}
 	default:
 		for _, r := range idxs {
@@ -335,9 +347,6 @@ func Get(ncols int) *ColBatch {
 	}
 	if cap(b.cols) < ncols {
 		b.cols = make([]Vec, ncols)
-		for i := range b.cols {
-			b.cols[i].flags = flagAllUniform
-		}
 	} else {
 		b.cols = b.cols[:ncols]
 	}
@@ -360,7 +369,7 @@ func (b *ColBatch) Release() {
 			// Derived batch: the Vec payload arrays belong to the parent, so
 			// drop the struct references without clearing the arrays.
 			for i := range b.cols {
-				b.cols[i] = Vec{flags: flagAllUniform}
+				b.cols[i] = Vec{}
 			}
 			b.cols = b.cols[:0]
 			b.allSel = nil // shared with the parent
@@ -415,6 +424,16 @@ func (b *ColBatch) Len() int { return b.n }
 
 // Col returns column i.
 func (b *ColBatch) Col(i int) *Vec { return &b.cols[i] }
+
+// Reserve makes room for n rows in every column's tag array. Gathers size a
+// payload array to its tag array (Vec.AppendGather), so this one call sizes a
+// fresh output batch for its final row count whatever kinds arrive.
+func (b *ColBatch) Reserve(n int) {
+	for i := range b.cols {
+		v := &b.cols[i]
+		v.Kinds = slices.Grow(v.Kinds, max(0, n-len(v.Kinds)))
+	}
+}
 
 // AppendRow appends one row column-wise (bulk decode uses per-column
 // AppendDatum directly; this is the convenience form).

@@ -33,8 +33,7 @@ func randDatum(r *rand.Rand) types.Datum {
 func TestAppendDatumRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		var v Vec
-		v.reset()
+		var v Vec // the zero value is a valid empty column
 		n := 1 + r.Intn(200)
 		in := make([]types.Datum, n)
 		for i := range in {
@@ -62,6 +61,55 @@ func TestAppendDatumRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: flags (%v,%v,%v), want (%v,%v,%v)",
 				trial, v.AllInt(), v.AllFloat(), v.AllStr(), allInt, allFloat, allStr)
 		}
+	}
+}
+
+// TestAppendGatherMatchesAppendFrom checks the bulk gather against the
+// per-row form over homogeneous and mixed sources, into fresh and non-empty
+// destinations, and that a batch reserved for its final row count is filled
+// without regrowing a column.
+func TestAppendGatherMatchesAppendFrom(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	srcs := map[string]func(i int) types.Datum{
+		"int":   func(i int) types.Datum { return types.NewInt(int64(i)) },
+		"date":  func(i int) types.Datum { return types.NewDate(int64(i)) },
+		"float": func(i int) types.Datum { return types.NewFloat(float64(i) / 2) },
+		"str":   func(i int) types.Datum { return types.NewString(string(rune('a' + i%26))) },
+		"mixed": func(int) types.Datum { return randDatum(r) },
+	}
+	for name, gen := range srcs {
+		var src Vec
+		for i := 0; i < 300; i++ {
+			src.AppendDatum(gen(i))
+		}
+		idxs := make([]int32, 500)
+		for i := range idxs {
+			idxs[i] = int32(r.Intn(300))
+		}
+		b := Get(2)
+		b.Reserve(len(idxs) + 1)
+		got, want := b.Col(0), b.Col(1)
+		got.AppendDatum(types.Null) // a non-empty, NULL-bearing destination
+		want.AppendDatum(types.Null)
+		got.AppendGather(&src, idxs[:100])
+		capK, capI, capF, capS := cap(got.Kinds), cap(got.I), cap(got.F), cap(got.S)
+		got.AppendGather(&src, idxs[100:])
+		if name != "mixed" && (cap(got.Kinds) != capK || cap(got.I) != capI || cap(got.F) != capF || cap(got.S) != capS) {
+			t.Errorf("%s: a reserved column regrew during the gather", name)
+		}
+		for _, i := range idxs {
+			want.AppendFrom(&src, int(i))
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: gathered %d rows, want %d", name, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if g, w := got.Datum(i), want.Datum(i); g.K != w.K || !g.Equal(w) {
+				t.Fatalf("%s: row %d = %v (%v), want %v (%v)", name, i, g, g.K, w, w.K)
+			}
+		}
+		b.Seal(got.Len())
+		b.Release()
 	}
 }
 

@@ -18,12 +18,9 @@ const (
 
 	// Scenario III join-template lines: ParametricWindowJoin puts a
 	// supplier hash join above the exchange in both plan flavors, so these
-	// lines measure the engine join stage under the scenario mix. The -rows
-	// line forces the row-materializing join (the pre-columnar baseline the
-	// acceptance criterion compares against).
-	LineJoinQPipe = "qpipe+sp+join"      // columnar join, query-centric plans
-	LineJoinGQP   = "gqp+join"           // columnar join above the CJOIN output
-	LineJoinRows  = "qpipe+sp+join-rows" // row-materializing join ablation
+	// lines measure the engine join stage under the scenario mix.
+	LineJoinQPipe = "qpipe+sp+join" // supplier join above query-centric plans
+	LineJoinGQP   = "gqp+join"      // supplier join above the CJOIN output
 )
 
 // allStages enables SP for every stage except the listed exclusions.
@@ -239,7 +236,7 @@ func RunScenarioIII(ctx context.Context, cfg ScenarioIIIConfig) (*ScenarioIIIRes
 	defer env.Close()
 
 	res := &ScenarioIIIResult{Config: cfg, Lines: []string{LineQPipeSP, LineGQP,
-		LineJoinQPipe, LineJoinGQP, LineJoinRows}}
+		LineJoinQPipe, LineJoinGQP}}
 	for _, sel := range cfg.Selectivities {
 		width := int64(sel*50 + 0.5)
 		if width < 1 {
@@ -257,12 +254,11 @@ func RunScenarioIII(ctx context.Context, cfg ScenarioIIIConfig) (*ScenarioIIIRes
 		}
 		for _, line := range res.Lines {
 			useGQP := line == LineGQP || line == LineJoinGQP
-			joinTpl := line == LineJoinQPipe || line == LineJoinGQP || line == LineJoinRows
+			joinTpl := line == LineJoinQPipe || line == LineJoinGQP
 			ecfg := qpipeSPConfig()
 			if useGQP {
 				ecfg = gqpConfig()
 			}
-			ecfg.RowJoin = line == LineJoinRows
 			e := env.Engine(ecfg)
 			src := func(r *rand.Rand) plan.Node {
 				start := r.Int63n(50 - width + 1)

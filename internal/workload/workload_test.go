@@ -3,14 +3,17 @@ package workload
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/ssb"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 func canon(rows []types.Row) []string {
@@ -60,6 +63,93 @@ func TestGQPMatchesQueryCentricAcrossTemplates(t *testing.T) {
 			t.Fatalf("%s: query-centric %d rows, gqp %d rows", tpl, len(qc.Rows), len(gqp.Rows))
 		}
 		mustEqualRows(t, gqp.Rows, qc.Rows)
+	}
+}
+
+// fullWidthChain is the query-centric expansion without column pruning:
+// every join carries every column of both inputs (plan.NewHashJoin), and one
+// final projection picks the star output — the twin the narrowed chain of
+// StarQuery.QueryCentric is checked against.
+func fullWidthChain(q *plan.StarQuery) plan.Node {
+	var n plan.Node = plan.NewScan(q.Fact)
+	if q.FactPred != nil {
+		n = plan.NewFilter(n, q.FactPred)
+	}
+	pos := append([]int(nil), q.FactCols...)
+	for _, d := range q.Dims {
+		var dn plan.Node = plan.NewScan(d.Table)
+		if d.Pred != nil {
+			dn = plan.NewFilter(dn, d.Pred)
+		}
+		offset := n.Schema().Len()
+		n = plan.NewHashJoin(n, dn, d.FactKeyCol, d.DimKeyCol)
+		for _, pc := range d.PayloadCols {
+			pos = append(pos, offset+pc)
+		}
+	}
+	out := q.OutputSchema()
+	cols := make([]plan.ProjCol, out.Len())
+	for i, c := range out.Cols {
+		cols[i] = plan.ProjCol{Name: c.Name, Kind: c.Kind, Expr: expr.C(pos[i], c.Name)}
+	}
+	return plan.NewProject(n, cols)
+}
+
+// Column pruning must be invisible in results: for every SSB template and
+// the join-above-the-star template, the narrowed query-centric chain, its
+// full-width twin and the CJOIN plan return the same rows — submitted as one
+// batch, so with SP on the three share what they legitimately can (scans,
+// filters) and nothing they cannot (joins of different widths) — under SP
+// off, push and pull. Batch refs return to baseline.
+func TestNarrowedChainMatchesFullWidthAndCJoin(t *testing.T) {
+	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	evictAll := func() {
+		for _, name := range env.Cat.Tables() {
+			env.Cat.Pool().EvictFile(env.Cat.MustTable(name).File.ID())
+		}
+	}
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(13))
+	var instances []ssb.Instance
+	for _, tpl := range ssb.AllTemplates {
+		instances = append(instances, ssb.Instantiate(env.SSB, tpl, r))
+	}
+	instances = append(instances, ssb.ParametricWindowJoin(env.SSB, 25, 10))
+
+	evictAll()
+	base := vec.LiveBatches()
+	for _, cfg := range []engine.Config{
+		{},
+		{SP: true, Model: engine.SPPush},
+		{SP: true, Model: engine.SPPull},
+	} {
+		e := env.Engine(cfg)
+		nonEmpty := 0
+		for _, in := range instances {
+			res, err := e.ExecuteBatch(ctx, []plan.Node{
+				in.Plan(false), in.Build(fullWidthChain(in.Star)), in.Plan(true)})
+			if err != nil {
+				t.Fatalf("%s (sp=%v %v): %v", in.Name, cfg.SP, cfg.Model, err)
+			}
+			if len(res[0].Rows) > 0 {
+				nonEmpty++
+			}
+			mustEqualRows(t, res[0].Rows, res[1].Rows)
+			mustEqualRows(t, res[0].Rows, res[2].Rows)
+		}
+		// The most selective templates match nothing at this scale; the
+		// battery is only evidence if most of them return rows.
+		if nonEmpty < 10 {
+			t.Errorf("only %d of %d instances returned rows", nonEmpty, len(instances))
+		}
+	}
+	evictAll()
+	if live := vec.LiveBatches(); live != base {
+		t.Errorf("LiveBatches = %d after the battery, want baseline %d", live, base)
 	}
 }
 
@@ -288,5 +378,44 @@ func TestEnvRejectsBadScaleFactor(t *testing.T) {
 	}
 	if _, err := NewTPCHEnv(0, MemoryResident, 0, 1); err == nil {
 		t.Error("sf=0 must fail")
+	}
+}
+
+// BenchmarkStarChainBytes runs the join chain of one Q2.1 instance (three
+// dimension joins, the first over every fact row) as the narrowed
+// query-centric chain and as its full-width twin over the sf=0.01 database.
+// The perf-smoke CI job gates the B/op ratio: the narrowed chain must allocate
+// at most a third of the twin's bytes, so a regression to wide gathers fails
+// a PR. Output batches are pooled, so a warm pool would hide a join's width
+// behind its hit rate; two collections before each run empty the pool, and
+// B/op is then what one query needs in flight — the quantity a lagging SP
+// consumer multiplies.
+func BenchmarkStarChainBytes(b *testing.B) {
+	env, err := NewSSBEnv(0.01, MemoryResident, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	in := ssb.Instantiate(env.SSB, ssb.Q2_1, rand.New(rand.NewSource(1)))
+	e := env.Engine(engine.Config{})
+	for _, line := range []struct {
+		name string
+		root plan.Node
+	}{
+		{"narrow", in.Star.QueryCentric()},
+		{"full", fullWidthChain(in.Star)},
+	} {
+		b.Run("line="+line.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC() // a sync.Pool survives one collection in its victim cache
+				runtime.GC()
+				b.StartTimer()
+				if _, err := e.Execute(context.Background(), line.root); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
