@@ -265,7 +265,8 @@ type Config struct {
 	// Profile overrides the simulated disk profile (nil = HDD profile when
 	// DiskResident, zero-latency otherwise).
 	Profile *DiskProfile
-	// BufferPoolPages sizes the buffer pool (0 = 2048 pages = 64 MiB).
+	// BufferPoolPages caps the buffer pool (0 = 2048 pages = at most 64 MiB;
+	// a frame is allocated when a page is first fetched into it).
 	BufferPoolPages int
 	// CJoin tunes the CJOIN Global Query Plan started by LoadSSB; the zero
 	// value selects every default (notably Workers = GOMAXPROCS parallel

@@ -289,14 +289,14 @@ func TestAggregateColsSteadyStateZeroAlloc(t *testing.T) {
 		{Func: plan.AggSum, Arg: expr.C(2, "v"), Name: "s"},
 		{Func: plan.AggCount, Name: "c"},
 	}
-	argCols := []int{2, -1}
+	args := []*vec.Vec{cb.Col(2), nil}
 	groupIdx := []int{0, 1}
 	gt := newGroupTable(len(aggs))
 	var scr aggScratch
 	key := make(types.Row, len(groupIdx))
-	aggregateCols(gt, aggs, argCols, groupIdx, cb, sel, key, &scr) // warm
+	aggregateCols(gt, aggs, args, groupIdx, cb, sel, key, &scr) // warm
 	allocs := testing.AllocsPerRun(100, func() {
-		aggregateCols(gt, aggs, argCols, groupIdx, cb, sel, key, &scr)
+		aggregateCols(gt, aggs, args, groupIdx, cb, sel, key, &scr)
 	})
 	if allocs != 0 {
 		t.Fatalf("aggregateCols steady state allocates %v per run, want 0", allocs)

@@ -23,11 +23,15 @@ import (
 //   - line=rows: the same row batches through the open-addressing
 //     groupTable.
 //   - line=cols: view batches through the vectorized path (aggregateCols).
+//   - line=cols-arith: the same with an arithmetic argument, SUM(v*g) — the
+//     SSB Q1.x / Q4.x shape, evaluated by the expr.CompileNum kernel.
 //
 // The ns/tuple metric is the acceptance number: cols must be >= 2x better
 // than legacyMap. The perf-smoke CI job additionally gates line=cols
-// allocs/op (a per-batch budget — the vectorized path allocates only while
-// the table and scratch warm up, nothing per row).
+// allocs/op, and line=cols-arith under the same budget (a per-batch budget —
+// the vectorized path allocates only while the table and scratch warm up,
+// nothing per row; an argument that fell back to boxed rows would allocate
+// one per row).
 func BenchmarkGroupedAggregate(b *testing.B) {
 	const nrows, nbatches = 1024, 32
 	shapes := []struct {
@@ -46,6 +50,8 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 			groupBy[i] = plan.GroupCol{Name: fmt.Sprintf("g%d", i), Kind: types.KindInt, Expr: expr.C(g, "g")}
 		}
 		node := plan.NewAggregate(nil, groupBy, aggs)
+		arithNode := plan.NewAggregate(nil, groupBy, []plan.AggSpec{{Func: plan.AggSum,
+			Arg: expr.NewArith(expr.Mul, expr.C(valCol, "v"), expr.C(0, "g")), Name: "s"}})
 
 		// One shared data set; fresh batch shells per iteration are built
 		// outside the timer.
@@ -93,16 +99,22 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
 		})
-		b.Run(fmt.Sprintf("line=cols/%s", shape.name), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				in := mkColBatches()
-				b.StartTimer()
-				runAggregate(b, node, in)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
-		})
+		for _, line := range []struct {
+			name string
+			node *plan.Aggregate
+		}{{"cols", node}, {"cols-arith", arithNode}} {
+			line := line
+			b.Run(fmt.Sprintf("line=%s/%s", line.name, shape.name), func(b *testing.B) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					in := mkColBatches()
+					b.StartTimer()
+					runAggregate(b, line.node, in)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
+			})
+		}
 	}
 }
 

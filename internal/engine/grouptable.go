@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -188,12 +189,31 @@ type aggScratch struct {
 	lut    []uint64
 }
 
+// evalArgs evaluates every aggregate's argument kernel over the selection
+// into args (nil stays nil: COUNT(*)). It reports false, before any
+// accumulator has been touched, when some argument cannot be evaluated
+// columnar for this batch.
+func evalArgs(kernels []*expr.VecNum, cb *vec.ColBatch, sel []int32, args []*vec.Vec) bool {
+	for j, k := range kernels {
+		if k == nil {
+			continue
+		}
+		v, ok := k.Eval(cb, sel)
+		if !ok {
+			return false
+		}
+		args[j] = v
+	}
+	return true
+}
+
 // aggregateCols is the vectorized grouped-aggregation kernel: fold the
 // group-by columns into per-row hashes (multiply-shift over int payloads,
 // per-dictionary-entry hashing for dictionary-coded strings), resolve each
 // row's group through the open-addressing table with a consecutive-run
-// shortcut, then fold each aggregate argument column-wise.
-func aggregateCols(gt *groupTable, aggs []plan.AggSpec, argCols, groupIdx []int, cb *vec.ColBatch, sel []int32, key types.Row, scr *aggScratch) {
+// shortcut, then fold each aggregate's argument vector (args[j], indexed like
+// cb's columns; nil for COUNT(*)) column-wise.
+func aggregateCols(gt *groupTable, aggs []plan.AggSpec, args []*vec.Vec, groupIdx []int, cb *vec.ColBatch, sel []int32, key types.Row, scr *aggScratch) {
 	nrows := len(sel)
 	if nrows == 0 {
 		return
@@ -204,11 +224,11 @@ func aggregateCols(gt *groupTable, aggs []plan.AggSpec, argCols, groupIdx []int,
 		e := gt.findOrAdd(hashSeed, key)
 		accs := gt.entryAccs(e)
 		for j, spec := range aggs {
-			if argCols[j] < 0 {
+			if args[j] == nil {
 				accs[j].count += int64(nrows)
 				continue
 			}
-			accs[j].updateCol(spec, cb.Col(argCols[j]), sel)
+			accs[j].updateCol(spec, args[j], sel)
 		}
 		return
 	}
@@ -237,13 +257,13 @@ func aggregateCols(gt *groupTable, aggs []plan.AggSpec, argCols, groupIdx []int,
 		prevEnt, prevH = ent, hi
 	}
 	for j, spec := range aggs {
-		if argCols[j] < 0 {
+		if args[j] == nil {
 			accs := gt.accs
 			for _, ent := range ents {
 				accs[int(ent)*naggs+j].count++
 			}
 			continue
 		}
-		gt.updateColGrouped(spec, j, cb.Col(argCols[j]), sel, ents)
+		gt.updateColGrouped(spec, j, args[j], sel, ents)
 	}
 }

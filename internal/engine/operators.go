@@ -154,11 +154,17 @@ type emitter struct {
 	cur  *batch.Batch
 }
 
+// newEmitter allocates nothing: the batch under construction exists from the
+// first add to the next flush, so an operator that republishes views (or
+// emits nothing) never pays for a row slice.
 func newEmitter(w Writer, size int) *emitter {
-	return &emitter{w: w, size: size, cur: batch.New(size)}
+	return &emitter{w: w, size: size}
 }
 
 func (em *emitter) add(ctx context.Context, r types.Row) error {
+	if em.cur == nil {
+		em.cur = batch.New(em.size)
+	}
 	em.cur.Append(r)
 	if em.cur.Len() >= em.size {
 		return em.flush(ctx)
@@ -167,11 +173,11 @@ func (em *emitter) add(ctx context.Context, r types.Row) error {
 }
 
 func (em *emitter) flush(ctx context.Context) error {
-	if em.cur.Len() == 0 {
+	if em.cur == nil {
 		return nil
 	}
 	b := em.cur
-	em.cur = batch.New(em.size)
+	em.cur = nil
 	return em.w.Put(ctx, b)
 }
 
@@ -423,16 +429,8 @@ type aggAcc struct {
 	seen  bool
 }
 
-func (a *aggAcc) update(spec plan.AggSpec, r types.Row) {
-	if spec.Func == plan.AggCount && spec.Arg == nil {
-		a.count++
-		return
-	}
-	a.updateDatum(spec, spec.Arg.Eval(r))
-}
-
-// updateDatum folds one evaluated argument into the accumulator (the
-// post-Eval half of update, shared with the columnar path).
+// updateDatum folds one evaluated argument into the accumulator (shared by
+// the row path and the columnar path's per-row arms).
 func (a *aggAcc) updateDatum(spec plan.AggSpec, v types.Datum) {
 	if v.IsNull() {
 		return
@@ -512,34 +510,39 @@ func (a *aggAcc) result(spec plan.AggSpec) types.Datum {
 
 // opAggregate is a hash group-by over the open-addressing groupTable.
 // Output group order is unspecified; plans that need an order add a Sort
-// node above. When every aggregate argument and group-by key is a plain
-// column reference (or COUNT(*)), view batches run fully vectorized
-// (aggregateCols): column-wise key hashing, in-place group resolution and
-// batched accumulator folds — and dictionary-coded group columns hash each
-// distinct string once per page instead of once per row. Row batches take
-// the same table through per-row paths with identical hashing, so mixed
-// streams (SPL satellites see materialized rows) accumulate consistently.
+// node above. When every aggregate argument is a Col / Const / Arith tree (or
+// COUNT(*)) and every group-by key a plain column reference, view batches run
+// fully vectorized (aggregateCols): the argument kernels (expr.CompileNum)
+// evaluate into reusable vectors — a plain column is its own result —
+// followed by column-wise key hashing, in-place group resolution and batched
+// accumulator folds, and dictionary-coded group columns hash each distinct
+// string once per page instead of once per row. Row batches, and view batches
+// whose operand columns are not uniform, take the same table row by row with
+// identical hashing, so mixed streams (SPL satellites see materialized rows)
+// accumulate consistently.
 func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, w Writer, st *Stage) error {
 	naggs := len(n.Aggs)
 	gt := newGroupTable(naggs)
-	argCols := make([]int, naggs)
-	argsAreCols := true
-	for i, spec := range n.Aggs {
-		switch arg := spec.Arg.(type) {
-		case nil:
-			argCols[i] = -1
-		case expr.Col:
-			argCols[i] = arg.Idx
-		default:
-			argsAreCols = false
-		}
-	}
+	kernels := make([]*expr.VecNum, naggs) // nil for COUNT(*)
+	args := make([]*vec.Vec, naggs)
+	argCol := make([]int, naggs) // a plain column argument's position, else -1
 	groupExprs := make([]expr.Expr, len(n.GroupBy))
 	for i, g := range n.GroupBy {
 		groupExprs[i] = g.Expr
 	}
-	groupIdx, groupsAreCols := expr.ColRefs(groupExprs)
-	fast := argsAreCols && groupsAreCols
+	groupIdx, columnar := expr.ColRefs(groupExprs)
+	for i, spec := range n.Aggs {
+		argCol[i] = -1
+		if spec.Arg == nil {
+			continue
+		}
+		if c, ok := spec.Arg.(expr.Col); ok {
+			argCol[i] = c.Idx
+		}
+		k, ok := expr.CompileNum(spec.Arg)
+		columnar = columnar && ok
+		kernels[i] = k
+	}
 	var scr aggScratch
 	// One scratch key reused across rows; it is cloned only when a new group
 	// materializes, so grouping allocates per group, not per row.
@@ -552,44 +555,35 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 		if err != nil {
 			return err
 		}
-		if fast {
-			if cb, sel, ok := b.Cols(); ok {
-				t0 := time.Now()
-				if sel == nil {
-					sel = cb.AllSel()
-				}
-				aggregateCols(gt, n.Aggs, argCols, groupIdx, cb, sel, key, &scr)
-				b.Done()
-				st.addBusy(time.Since(t0))
-				continue
-			}
-		}
 		t0 := time.Now()
-		rows := b.RowsView()
-		if fast {
-			for _, r := range rows {
+		cb, sel, isView := b.Cols()
+		if isView && sel == nil {
+			sel = cb.AllSel()
+		}
+		if columnar && isView && evalArgs(kernels, cb, sel, args) {
+			aggregateCols(gt, n.Aggs, args, groupIdx, cb, sel, key, &scr)
+		} else {
+			// Row by row; plain column references are read in place.
+			for _, r := range b.RowsView() {
 				h := hashSeed
-				for i, gi := range groupIdx {
-					key[i] = r[gi]
+				for i := range key {
+					if groupIdx != nil {
+						key[i] = r[groupIdx[i]]
+					} else {
+						key[i] = n.GroupBy[i].Expr.Eval(r)
+					}
 					h = (h ^ key[i].HashKey()) * vec.HashPrime
 				}
 				accs := gt.entryAccs(gt.findOrAdd(h, key))
 				for i := range n.Aggs {
-					if argCols[i] < 0 {
+					switch c := argCol[i]; {
+					case n.Aggs[i].Arg == nil:
 						accs[i].count++
-					} else {
-						accs[i].updateDatum(n.Aggs[i], r[argCols[i]])
+					case c >= 0:
+						accs[i].updateDatum(n.Aggs[i], r[c])
+					default:
+						accs[i].updateDatum(n.Aggs[i], n.Aggs[i].Arg.Eval(r))
 					}
-				}
-			}
-		} else {
-			for _, r := range rows {
-				for i, g := range n.GroupBy {
-					key[i] = g.Expr.Eval(r)
-				}
-				accs := gt.entryAccs(gt.findOrAdd(key.Hash(hashSeed), key))
-				for i := range n.Aggs {
-					accs[i].update(n.Aggs[i], r)
 				}
 			}
 		}
@@ -597,8 +591,8 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 		st.addBusy(time.Since(t0))
 	}
 	// A global aggregate over empty input still yields one row. The empty
-	// key hashes to the bare seed on every path (the fast fold and Row.Hash
-	// both reduce to it), so this resolves to the same single group.
+	// key hashes to the bare seed on both paths, so this resolves to the same
+	// single group.
 	if gt.len() == 0 && len(n.GroupBy) == 0 {
 		gt.findOrAdd(hashSeed, nil)
 	}

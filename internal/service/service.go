@@ -372,6 +372,10 @@ type Stats struct {
 	Engine        *engine.EngineStats  `json:"engine,omitempty"`
 	CJoin         *cjoin.Stats         `json:"cjoin,omitempty"`
 	Storage       *storage.DecodeStats `json:"storage,omitempty"`
+	// PoolPages is the buffer pool's capacity and PoolFrames how many of its
+	// frames (PageSize bytes each) have been materialised so far.
+	PoolPages  int `json:"pool_pages,omitempty"`
+	PoolFrames int `json:"pool_frames,omitempty"`
 }
 
 // snapshotClass renders one class's counters.
@@ -425,6 +429,8 @@ func (g *Gateway) Stats() Stats {
 	if g.cfg.Pool != nil {
 		ds := g.cfg.Pool.DecodeStats()
 		st.Storage = &ds
+		st.PoolPages = g.cfg.Pool.Size()
+		st.PoolFrames = g.cfg.Pool.Stats().Frames
 	}
 	return st
 }

@@ -431,7 +431,11 @@ func TestStatsAccounting(t *testing.T) {
 func TestGatewayWithRealEngine(t *testing.T) {
 	cat := testCatalog(t, 4000)
 	e := engine.New(cat, engine.Config{})
-	g := NewGateway(e, Config{})
+	g := NewGateway(e, Config{Pool: cat.Pool()})
+	if st := g.Stats(); st.PoolPages != cat.Pool().Size() || st.PoolFrames != 0 {
+		t.Fatalf("before any fetch: pool_pages = %d, pool_frames = %d, want %d and 0",
+			st.PoolPages, st.PoolFrames, cat.Pool().Size())
+	}
 
 	res, err := g.Submit(context.Background(), narrowScan(cat))
 	if err != nil {
@@ -451,6 +455,13 @@ func TestGatewayWithRealEngine(t *testing.T) {
 	}
 	if rows != 4000 {
 		t.Fatalf("streamed %d rows, want 4000", rows)
+	}
+	// The full scan touched every page once: the pool holds that many
+	// frames, not its capacity.
+	pages := cat.MustTable("facts").File.NumPages()
+	if st := g.Stats(); st.PoolFrames != pages || st.PoolFrames >= st.PoolPages {
+		t.Fatalf("after a full scan of %d pages: pool_frames = %d of pool_pages = %d",
+			pages, st.PoolFrames, st.PoolPages)
 	}
 }
 

@@ -171,11 +171,14 @@ func (fr *Frame) DecodedRows(ncols int) ([]types.Row, error) {
 	return rows, nil
 }
 
-// PoolStats are cumulative buffer pool counters.
+// PoolStats are cumulative buffer pool counters, plus one gauge: Frames is
+// the number of frames materialised so far (each holds PageSize bytes), at
+// most the capacity Size reports.
 type PoolStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
+	Frames    int
 }
 
 // DecodeStats count page decodes per on-disk format plus v1→v2 migrations,
@@ -202,16 +205,21 @@ type DecodeStats struct {
 	MigrateFailed int64
 }
 
-// BufferPool caches disk pages in a fixed number of frames with clock
-// eviction. It is safe for concurrent use; a page requested by several
-// scanners at once is read from disk exactly once (single-flight loading) —
-// this is the mechanism through which circular shared scans turn k concurrent
-// table scans into roughly one disk sweep.
+// BufferPool caches disk pages in at most a fixed number of frames with clock
+// eviction. The capacity is a cap, not a reservation: a frame (and its
+// PageSize bytes) is materialised by the first miss that needs one, so a pool
+// sized generously for a small database holds only what was fetched. It is
+// safe for concurrent use; a page requested by several scanners at once is
+// read from disk exactly once (single-flight loading) — this is the mechanism
+// through which circular shared scans turn k concurrent table scans into
+// roughly one disk sweep.
 type BufferPool struct {
-	disk Disk
+	disk     Disk
+	capacity int
 
 	mu     sync.Mutex
-	frames []*Frame
+	frames []*Frame // materialised frames, in the order the clock visits them
+	free   []*Frame // the invalid frames (every frame with valid == false)
 	table  map[pageKey]*Frame
 	hand   int
 
@@ -255,28 +263,25 @@ type BufferPool struct {
 	prefetchGate chan struct{}
 }
 
-// NewBufferPool creates a pool of npages frames over the given disk.
+// NewBufferPool creates a pool of at most npages frames over the given disk.
+// No frame is allocated until a fetch needs it.
 func NewBufferPool(disk Disk, npages int) *BufferPool {
 	if npages < 1 {
 		npages = 1
 	}
-	p := &BufferPool{
+	return &BufferPool{
 		disk:         disk,
-		frames:       make([]*Frame, npages),
-		table:        make(map[pageKey]*Frame, npages),
+		capacity:     npages,
+		table:        make(map[pageKey]*Frame),
 		zones:        make(map[pageKey][]ZoneMap),
 		prefetchGate: make(chan struct{}, 4),
 		retryMax:     DefaultFetchRetries,
 		retryBase:    DefaultRetryBackoff,
 	}
-	for i := range p.frames {
-		p.frames[i] = &Frame{pool: p, data: make([]byte, PageSize)}
-	}
-	return p
 }
 
 // Size returns the pool capacity in pages.
-func (p *BufferPool) Size() int { return len(p.frames) }
+func (p *BufferPool) Size() int { return p.capacity }
 
 // Fetch returns a pinned frame holding page (f, idx), reading it from disk on
 // a miss. Concurrent fetches of the same missing page coalesce into a single
@@ -329,17 +334,8 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	fr.ref = true
 	fr.loadErr = nil
 	// The frame was unpinned when victimLocked picked it, so no decode
-	// call can be in flight; dropping the caches here is race-free. The
-	// frame's reference on the columnar batch is released — readers that
-	// retained their own keep the batch alive until they release it.
-	if fr.cb != nil {
-		fr.cb.Release()
-		fr.cb = nil
-	}
-	fr.rows = nil
-	fr.decoded = false
-	fr.rowsDone = false
-	fr.decErr = nil
+	// call can be in flight; dropping the caches here is race-free.
+	fr.dropDecoded()
 	ch := make(chan struct{})
 	fr.loading = ch
 	p.table[key] = fr
@@ -360,8 +356,8 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	fr.loading = nil
 	if pageErr != nil {
 		fr.pins--
-		fr.valid = false
 		delete(p.table, key)
+		p.invalidateLocked(fr)
 		pageErr = p.quarantineLocked(key, pageErr)
 	}
 	p.mu.Unlock()
@@ -453,19 +449,34 @@ func (p *BufferPool) ClearQuarantine() {
 	for key := range p.quar {
 		if fr, ok := p.table[key]; ok && fr.pins == 0 && fr.loading == nil {
 			delete(p.table, key)
-			fr.valid = false
-			if fr.cb != nil {
-				fr.cb.Release()
-				fr.cb = nil
-			}
-			fr.rows = nil
-			fr.decoded = false
-			fr.rowsDone = false
-			fr.decErr = nil
+			p.invalidateLocked(fr)
 		}
 	}
 	p.quar = nil
 	p.mu.Unlock()
+}
+
+// invalidateLocked retires a frame that has just left the page table without
+// being handed to a new page: its decode caches are dropped and it joins the
+// free list, which victimLocked drains before the pool grows or evicts.
+func (p *BufferPool) invalidateLocked(fr *Frame) {
+	fr.valid = false
+	fr.dropDecoded()
+	p.free = append(p.free, fr)
+}
+
+// dropDecoded forgets the frame's decode caches. The frame's reference on the
+// columnar batch is released — readers that retained their own keep the batch
+// alive until they release it.
+func (fr *Frame) dropDecoded() {
+	if fr.cb != nil {
+		fr.cb.Release()
+		fr.cb = nil
+	}
+	fr.rows = nil
+	fr.decoded = false
+	fr.rowsDone = false
+	fr.decErr = nil
 }
 
 // EvictFile drops every unpinned resident frame of file f so subsequent
@@ -479,15 +490,7 @@ func (p *BufferPool) EvictFile(f FileID) {
 			continue
 		}
 		delete(p.table, key)
-		fr.valid = false
-		if fr.cb != nil {
-			fr.cb.Release()
-			fr.cb = nil
-		}
-		fr.rows = nil
-		fr.decoded = false
-		fr.rowsDone = false
-		fr.decErr = nil
+		p.invalidateLocked(fr)
 	}
 	p.mu.Unlock()
 }
@@ -513,14 +516,29 @@ func (p *BufferPool) Unpin(fr *Frame) {
 	fr.pins--
 }
 
-// victimLocked runs the clock hand to find an evictable frame. Two full
-// sweeps guarantee every unpinned frame has had its reference bit cleared
-// once before we give up.
+// victimLocked finds the frame a missing page is loaded into: an invalidated
+// frame if one is unpinned (the waiters of a failed load still hold theirs
+// for a moment), else a new frame while the pool is below capacity, else the
+// clock hand's choice among the valid frames. Two full sweeps guarantee every
+// unpinned frame has had its reference bit cleared once before we give up.
 func (p *BufferPool) victimLocked() (*Frame, error) {
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if fr := p.free[i]; fr.pins == 0 {
+			last := len(p.free) - 1
+			p.free[i], p.free[last] = p.free[last], nil
+			p.free = p.free[:last]
+			return fr, nil
+		}
+	}
+	if len(p.frames) < p.capacity {
+		fr := &Frame{pool: p, data: make([]byte, PageSize)}
+		p.frames = append(p.frames, fr)
+		return fr, nil
+	}
 	for sweep := 0; sweep < 2*len(p.frames); sweep++ {
 		fr := p.frames[p.hand]
 		p.hand = (p.hand + 1) % len(p.frames)
-		if fr.pins > 0 || fr.loading != nil {
+		if fr.pins > 0 || fr.loading != nil || !fr.valid {
 			continue
 		}
 		if fr.ref {
@@ -616,10 +634,14 @@ func (p *BufferPool) NotePruned() { p.pruned.Add(1) }
 
 // Stats returns cumulative counters.
 func (p *BufferPool) Stats() PoolStats {
+	p.mu.Lock()
+	frames := len(p.frames)
+	p.mu.Unlock()
 	return PoolStats{
 		Hits:      p.hits.Load(),
 		Misses:    p.misses.Load(),
 		Evictions: p.evictions.Load(),
+		Frames:    frames,
 	}
 }
 

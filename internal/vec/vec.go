@@ -169,8 +169,10 @@ func (v *Vec) AppendKindRun(k types.Kind, n int) {
 	default: // NULL
 		v.flags = flagMixed
 	}
-	for i := 0; i < n; i++ {
-		v.Kinds = append(v.Kinds, k)
+	n0 := len(v.Kinds)
+	v.Kinds = slices.Grow(v.Kinds, n)[:n0+n]
+	for i := n0; i < n0+n; i++ {
+		v.Kinds[i] = k
 	}
 }
 
@@ -215,6 +217,26 @@ func (v *Vec) BulkDict(n int) []string {
 		v.Dict = v.Dict[:n]
 	}
 	return v.Dict
+}
+
+// ResetRun makes v a column of n rows all tagged with the numeric kind k,
+// reusing capacity, with the kind's payload array sized to n for direct fills
+// (contents unspecified until written) — the shape of a kernel's reusable
+// result vector. A fill need only cover the rows its consumer reads.
+func (v *Vec) ResetRun(k types.Kind, n int) {
+	v.reset()
+	v.AppendKindRun(k, n)
+	if k == types.KindFloat {
+		v.BulkF(n)
+	} else {
+		v.BulkI(n)
+	}
+}
+
+// SetNull overwrites row i with NULL; the column stops being uniform.
+func (v *Vec) SetNull(i int) {
+	v.Kinds[i] = types.KindNull
+	v.flags = flagMixed
 }
 
 // AppendFrom appends row i of src as the next row of v: a typed payload

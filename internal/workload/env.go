@@ -58,16 +58,20 @@ type Env struct {
 }
 
 // estimatePages over-approximates the page count of a generated database so
-// the buffer pool can be sized before generation.
+// the buffer pool can be sized before generation. v2 pages hold an SSB
+// lineorder row in 25.4-25.7 bytes and a TPC-H lineitem row in 29.2-29.5
+// (measured at sf 0.01 and 0.1; TestEstimatePagesTracksGenerator pins both),
+// and the SSB dimensions add about 2% to the fact table.
 func estimatePages(factRows int) int {
-	// ~80 encoded bytes per fact row plus dimension slack.
-	return factRows*80/storage.PageSize + 256
+	return factRows*30/storage.PageSize + 16
 }
 
-// newCatalog builds the disk+catalog pair for the residency mode. For
-// memory-resident databases the pool covers the whole database; for
-// disk-resident ones it covers poolFraction of it and every miss pays the
-// HDD-profile latency.
+// newCatalog builds the disk+catalog pair for the residency mode. The pool
+// size is a cap on frames that are allocated as pages are fetched: for
+// memory-resident databases it is twice the estimate, so the whole database
+// fits whatever the generator wrote; for disk-resident ones it is a quarter of
+// the estimate (at least 32 frames, so concurrent scans cannot pin them all)
+// and every miss pays the HDD-profile latency.
 func newCatalog(factRows int, res Residency, poolPages int, fault bool) (*storage.Catalog, *storage.MemDisk, *storage.FaultDisk, int) {
 	est := estimatePages(factRows)
 	var disk *storage.MemDisk
@@ -75,12 +79,12 @@ func newCatalog(factRows int, res Residency, poolPages int, fault bool) (*storag
 	case DiskResident:
 		disk = storage.NewMemDisk(storage.HDDProfile)
 		if poolPages <= 0 {
-			poolPages = est/8 + 32
+			poolPages = max(est/4, 32)
 		}
 	default:
 		disk = storage.NewMemDisk(storage.DiskProfile{})
 		if poolPages <= 0 {
-			poolPages = est*2 + 256
+			poolPages = est * 2
 		}
 	}
 	var fd *storage.FaultDisk

@@ -438,19 +438,11 @@ func RunScenarioIVPrune(ctx context.Context, cfg ScenarioIVPruneConfig) (*Scenar
 			ZoneSkips:    make(map[string]int64),
 		}
 	}
-	poolPages := cfg.BufferPoolPages
-	if poolPages == 0 {
-		// The generic disk-resident default (est/8+32) keeps small scale
-		// factors entirely pool-resident because v2 encoding is ~4x denser
-		// than the estimate; size to roughly half the real fact table so
-		// full sweeps genuinely touch the disk while selective windows fit.
-		poolPages = estimatePages(int(float64(ssb.LineorderRowsPerSF)*cfg.SF))/16 + 8
-	}
 	for _, line := range res.Lines {
 		// One environment per line: pruning is fixed at CJOIN construction.
 		// Identical seed → bit-identical data either way.
 		env, err := NewSSBEnvCfg(EnvConfig{SF: cfg.SF, Residency: DiskResident,
-			PoolPages: poolPages, Seed: cfg.Seed, Workers: cfg.Workers,
+			PoolPages: cfg.BufferPoolPages, Seed: cfg.Seed, Workers: cfg.Workers,
 			DateClustered: true, NoPrune: line == LineNoPrune})
 		if err != nil {
 			return nil, err

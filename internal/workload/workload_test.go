@@ -2,9 +2,12 @@ package workload
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +66,80 @@ func TestGQPMatchesQueryCentricAcrossTemplates(t *testing.T) {
 			t.Fatalf("%s: query-centric %d rows, gqp %d rows", tpl, len(qc.Rows), len(gqp.Rows))
 		}
 		mustEqualRows(t, gqp.Rows, qc.Rows)
+	}
+}
+
+// The aggregate above the exchange changed how it evaluates arithmetic
+// arguments (columnar kernels instead of boxed rows); the results must not
+// have. The digests are sha256 prefixes of the sorted result rows of every SSB
+// template, recorded from the commit before that change (860214b) on the same
+// data and instance seeds — byte-identical there between the CJOIN plan and
+// the query-centric plan, and so they must be here.
+func TestTemplateResultsMatchRecordedDigests(t *testing.T) {
+	want := map[ssb.Template]string{
+		ssb.Q1_1: "1:e1fee134a34081a5", ssb.Q1_2: "1:54107c1acf47ea17", ssb.Q1_3: "1:0fd7764348bf9602",
+		ssb.Q2_1: "216:b679cb5d35d3984b", ssb.Q2_2: "42:dfd82468626f5eaf", ssb.Q2_3: "2:55ad8c80c322374b",
+		ssb.Q3_1: "100:3d37dac6946bd478", ssb.Q3_2: "31:babe27a150f54277",
+		ssb.Q3_3: "0:e3b0c44298fc1c14", ssb.Q3_4: "0:e3b0c44298fc1c14",
+		ssb.Q4_1: "35:bef39c482d25131e", ssb.Q4_2: "38:a1052ca1ac578495", ssb.Q4_3: "0:e3b0c44298fc1c14",
+	}
+	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	e := env.Engine(engine.Config{})
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(13))
+	for _, tpl := range ssb.AllTemplates {
+		in := ssb.Instantiate(env.SSB, tpl, r)
+		for _, gqp := range []bool{true, false} {
+			res, err := e.Execute(ctx, in.Plan(gqp))
+			if err != nil {
+				t.Fatalf("%s gqp=%v: %v", tpl, gqp, err)
+			}
+			sum := sha256.Sum256([]byte(strings.Join(canon(res.Rows), "\n")))
+			if got := fmt.Sprintf("%d:%x", len(res.Rows), sum[:8]); got != want[tpl] {
+				t.Errorf("%s gqp=%v: rows:digest = %s, recorded %s", tpl, gqp, got, want[tpl])
+			}
+		}
+	}
+}
+
+// The pool is sized before the generator runs, from estimatePages. The
+// estimate must cover what the generator writes (memory-resident means
+// resident) without drifting far above it (disk-resident means a quarter of
+// the database, not all of it), for both schemas at both scales the scenarios
+// and the benchmark use.
+func TestEstimatePagesTracksGenerator(t *testing.T) {
+	check := func(name string, env *Env, factRows int) {
+		t.Helper()
+		pages := 0
+		for _, tbl := range env.Cat.Tables() {
+			pages += env.Cat.MustTable(tbl).File.NumPages()
+		}
+		est := estimatePages(factRows)
+		if est < pages || 2*est > 3*pages {
+			t.Errorf("%s: estimatePages(%d) = %d, generator wrote %d pages; want within [1, 1.5]x",
+				name, factRows, est, pages)
+		}
+		if env.PoolPages < pages {
+			t.Errorf("%s: memory-resident pool of %d frames does not cover %d pages", name, env.PoolPages, pages)
+		}
+	}
+	for _, sf := range []float64{0.01, 0.1} {
+		env, err := NewSSBEnv(sf, MemoryResident, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("ssb sf=%v", sf), env, env.SSB.Lineorder.NumRows())
+		env.Close()
+		env, err = NewTPCHEnv(sf, MemoryResident, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("tpch sf=%v", sf), env, env.Lineitem.NumRows())
+		env.Close()
 	}
 }
 
