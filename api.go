@@ -270,13 +270,10 @@ type Config struct {
 	BufferPoolPages int
 	// CJoin tunes the CJOIN Global Query Plan started by LoadSSB; the zero
 	// value selects every default (notably Workers = GOMAXPROCS parallel
-	// probe pipelines). Invalid values surface as a LoadSSB error.
+	// probe pipelines; CJoin.DisableFold turns off predicate-subsumption
+	// query folding at admission, which is on by default). Invalid values
+	// surface as a LoadSSB error.
 	CJoin CJoinConfig
-	// DisableFold disables predicate-subsumption query folding at CJOIN
-	// admission (folding is on by default: a star query implied by one
-	// already sweeping shares its bitmap slot and applies only the
-	// residual predicate).
-	DisableFold bool
 	// DisableResultCache disables the materialized result cache in engines
 	// built by NewEngine (on by default: exact repeat templates answer
 	// from the previous materialization until a base table changes).
@@ -310,12 +307,8 @@ func NewSystem(cfg Config) *System {
 		pool = 2048
 	}
 	disk := storage.NewMemDisk(profile)
-	gqpCfg := cfg.CJoin
-	if cfg.DisableFold {
-		gqpCfg.DisableFold = true
-	}
 	return &System{cat: storage.NewCatalog(disk, pool, true), disk: disk,
-		gqpCfg: gqpCfg, noCache: cfg.DisableResultCache}
+		gqpCfg: cfg.CJoin, noCache: cfg.DisableResultCache}
 }
 
 // Catalog exposes the underlying catalog (table creation, buffer pool

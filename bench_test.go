@@ -368,9 +368,11 @@ func BenchmarkSharedScan(b *testing.B) {
 						cur := tbl.Attach()
 						defer cur.Close()
 						for {
-							if _, ok, err := cur.NextRows(); err != nil || !ok {
+							cb, _, ok, err := cur.NextCols()
+							if err != nil || !ok {
 								return
 							}
+							cb.Release()
 						}
 					}(time.Duration(s) * 2 * time.Millisecond)
 				}
@@ -499,11 +501,13 @@ func BenchmarkScanPrefetch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cur := tbl.Attach()
 				for {
-					if _, ok, err := cur.NextRows(); err != nil {
+					cb, _, ok, err := cur.NextCols()
+					if err != nil {
 						b.Fatal(err)
 					} else if !ok {
 						break
 					}
+					cb.Release()
 				}
 				cur.Close()
 			}

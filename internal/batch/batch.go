@@ -16,9 +16,10 @@
 // narrows the selection and republishes the same page batch, a projection
 // republishes a zero-copy column remap, and the CJOIN distributor publishes
 // its routed output columns directly — no rows are built anywhere on that
-// path. Row materialization is lazy (RowsView) and happens at most once per
-// batch, only for consumers that genuinely need rows (sort, hash join, the
-// root drain, push-model clones).
+// path. Row materialization is lazy (RowsView), reads the batch's own columns,
+// and happens at most once per batch, only for consumers that genuinely need
+// rows (sort, the root drain, row-path fallbacks). A push-model Clone builds
+// its private rows straight from the columns.
 //
 // View batches are reference-counted so the underlying ColBatch recycles
 // deterministically: the creator's reference transfers downstream with the
@@ -46,18 +47,10 @@ type view struct {
 	cb  *vec.ColBatch // the batch owns references counted by refs
 	sel []int32       // rows of the batch within cb; nil = every row of cb
 
-	// back optionally supplies a shared full-width row view of cb (row i of
-	// back is row i of cb) for lazy materialization — scans pass the buffer
-	// pool's per-frame row cache so row-consuming plans keep amortizing row
-	// materialization across sweeps and queries. May return nil, in which
-	// case rows materialize from cb directly.
-	back func() []types.Row
-
 	refs atomic.Int32 // outstanding batch references
 
 	mu   sync.Mutex // guards lazy row materialization
 	rows []types.Row
-	mat  bool
 }
 
 // Batch is a page of rows. Once a producer hands a batch downstream the
@@ -87,10 +80,8 @@ func Of(rows ...types.Row) *Batch { return &Batch{Rows: rows} }
 // nil means row i is row i of cb). Ownership of the caller's reference on cb
 // moves into the batch; the batch releases cb when its own reference count
 // (the implicit creator reference plus any Retains) drops to zero via Done.
-// back, when non-nil, supplies a shared full-width row view of cb for lazy
-// materialization (may return nil on failure; rows then come from cb).
-func FromView(cb *vec.ColBatch, sel []int32, back func() []types.Row) *Batch {
-	v := &view{cb: cb, sel: sel, back: back}
+func FromView(cb *vec.ColBatch, sel []int32) *Batch {
+	v := &view{cb: cb, sel: sel}
 	v.refs.Store(1)
 	return &Batch{view: v}
 }
@@ -131,15 +122,6 @@ func (b *Batch) Cols() (cb *vec.ColBatch, sel []int32, ok bool) {
 	return b.view.cb, b.view.sel, true
 }
 
-// Backing returns the batch's backing-row provider (see FromView), for
-// operators that republish a narrowed view of the same column batch.
-func (b *Batch) Backing() func() []types.Row {
-	if b.view == nil {
-		return nil
-	}
-	return b.view.back
-}
-
 // RowsView returns the batch's rows, materializing them from the columnar
 // view on first use (at most once per batch, shared by all consumers). The
 // caller must hold a reference. The returned rows are immutable and remain
@@ -152,34 +134,23 @@ func (b *Batch) RowsView() []types.Row {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.mat {
-		return v.rows
+	if v.rows == nil {
+		v.rows = v.materialize() // non-nil even when empty
 	}
-	var back []types.Row
-	if v.back != nil {
-		back = v.back()
-	}
-	sel := v.sel
-	switch {
-	case back != nil && sel != nil:
-		rows := make([]types.Row, len(sel))
-		for i, r := range sel {
-			rows[i] = back[r]
-		}
-		v.rows = rows
-	case back != nil:
-		v.rows = back
-	case sel != nil:
-		rows := make([]types.Row, len(sel))
-		for i, r := range sel {
-			rows[i] = v.cb.Row(int(r))
-		}
-		v.rows = rows
-	default:
-		v.rows = v.cb.Rows()
-	}
-	v.mat = true
 	return v.rows
+}
+
+// materialize builds fresh rows from the view's columns: the selected rows,
+// or every row of cb without a selection.
+func (v *view) materialize() []types.Row {
+	if v.sel == nil {
+		return v.cb.Rows()
+	}
+	rows := make([]types.Row, len(v.sel))
+	for i, r := range v.sel {
+		rows[i] = v.cb.Row(int(r))
+	}
+	return rows
 }
 
 // Len returns the number of rows in the batch.
@@ -205,12 +176,16 @@ func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
 
 // Clone returns a deep row-batch copy of the batch (fresh row slices; datum
 // payloads copied). This is the per-consumer copy the push-based SP model
-// performs — its cost is exactly the overhead Scenario I measures. The
-// caller must hold a reference on a view batch while cloning.
+// performs — its cost is exactly the overhead Scenario I measures. A view
+// batch is copied once, straight from its columns into the clone's rows;
+// nothing is shared with the batch or with another clone. The caller must
+// hold a reference on a view batch while cloning.
 func (b *Batch) Clone() *Batch {
-	src := b.RowsView()
-	c := &Batch{Rows: make([]types.Row, len(src))}
-	for i, r := range src {
+	if b.view != nil {
+		return &Batch{Rows: b.view.materialize()}
+	}
+	c := &Batch{Rows: make([]types.Row, len(b.Rows))}
+	for i, r := range b.Rows {
 		c.Rows[i] = r.Clone()
 	}
 	return c

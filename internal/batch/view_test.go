@@ -22,7 +22,7 @@ func viewFixture(t *testing.T, nrows int) *vec.ColBatch {
 func TestViewBatchColsAndLen(t *testing.T) {
 	cb := viewFixture(t, 8)
 	sel := []int32{1, 3, 5}
-	b := FromView(cb, sel, nil)
+	b := FromView(cb, sel)
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())
 	}
@@ -36,7 +36,7 @@ func TestViewBatchColsAndLen(t *testing.T) {
 	}
 	// Identity selection covers every row.
 	cb2 := viewFixture(t, 4)
-	b2 := FromView(cb2, nil, nil)
+	b2 := FromView(cb2, nil)
 	if b2.Len() != 4 || len(b2.RowsView()) != 4 {
 		t.Fatalf("identity view: len=%d rows=%d", b2.Len(), len(b2.RowsView()))
 	}
@@ -44,41 +44,60 @@ func TestViewBatchColsAndLen(t *testing.T) {
 	b2.Done()
 }
 
-func TestViewBatchBackingRows(t *testing.T) {
-	cb := viewFixture(t, 4)
-	shared := cb.Rows()
-	calls := 0
-	b := FromView(cb, []int32{0, 2}, func() []types.Row {
-		calls++
-		return shared
-	})
+// TestRowsViewOnNarrowedView: a view narrowed by a selection materializes
+// exactly the selected rows of its own columns, once.
+func TestRowsViewOnNarrowedView(t *testing.T) {
+	cb := viewFixture(t, 8)
+	sel := []int32{0, 2, 7}
+	b := FromView(cb, sel)
 	r1 := b.RowsView()
-	r2 := b.RowsView()
-	if calls != 1 {
-		t.Fatalf("backing called %d times, want 1 (materialize once)", calls)
+	if len(r1) != len(sel) {
+		t.Fatalf("RowsView has %d rows, want %d", len(r1), len(sel))
 	}
-	if &r1[0][0] != &r2[0][0] {
+	for i, r := range sel {
+		if !r1[i].Equal(cb.Row(int(r))) {
+			t.Fatalf("row %d = %v, want cb.Row(%d) = %v", i, r1[i], r, cb.Row(int(r)))
+		}
+	}
+	if r2 := b.RowsView(); &r1[0][0] != &r2[0][0] {
 		t.Fatal("RowsView must return the same materialization")
-	}
-	if r1[1][0].I != 2 || &r1[1][0] != &shared[2][0] {
-		t.Fatal("materialized rows must pick from the backing view")
 	}
 	b.Done()
 }
 
-func TestViewBatchBackingFailureFallsBack(t *testing.T) {
-	cb := viewFixture(t, 4)
-	b := FromView(cb, []int32{1}, func() []types.Row { return nil })
-	rows := b.RowsView()
-	if len(rows) != 1 || rows[0][0].I != 1 {
-		t.Fatalf("fallback rows = %v", rows)
+// TestCloneOutlivesColumnsAndIsPrivate: a push-model clone is built from the
+// columns, so it must survive the column batch being recycled, and two
+// satellites' clones must share no row storage.
+func TestCloneOutlivesColumnsAndIsPrivate(t *testing.T) {
+	for _, sel := range [][]int32{nil, {1, 3}} {
+		cb := viewFixture(t, 4)
+		b := FromView(cb, sel)
+		want := b.RowsView()
+		c1, c2 := b.Clone(), b.Clone()
+		if &c1.Rows[0][0] == &c2.Rows[0][0] || &c1.Rows[0][0] == &want[0][0] {
+			t.Fatal("clones alias each other or the batch's own materialization")
+		}
+		b.Done() // last reference: cb goes back to the pool
+		// Recycle the columns under the clones.
+		reuse := vec.Get(2)
+		for i := 0; i < 4; i++ {
+			reuse.Col(0).AppendDatum(types.NewInt(-1))
+			reuse.Col(1).AppendDatum(types.NewString("overwritten"))
+		}
+		reuse.Seal(4)
+		c1.Rows[0][0] = types.NewInt(99) // a satellite scribbling on its copy
+		for i := range want {
+			if !c2.Rows[i].Equal(want[i]) {
+				t.Fatalf("sel=%v: clone row %d = %v after recycle, want %v", sel, i, c2.Rows[i], want[i])
+			}
+		}
+		reuse.Release()
 	}
-	b.Done()
 }
 
 func TestViewBatchRefcount(t *testing.T) {
 	cb := viewFixture(t, 2)
-	b := FromView(cb, nil, nil)
+	b := FromView(cb, nil)
 	b.Retain()
 	b.Retain()
 	b.Done()
@@ -98,7 +117,7 @@ func TestViewBatchRefcount(t *testing.T) {
 
 func TestViewBatchConcurrentRowsView(t *testing.T) {
 	cb := viewFixture(t, 64)
-	b := FromView(cb, nil, nil)
+	b := FromView(cb, nil)
 	var wg sync.WaitGroup
 	rows := make([][]types.Row, 8)
 	for i := range rows {
@@ -121,7 +140,7 @@ func TestViewBatchConcurrentRowsView(t *testing.T) {
 
 func TestViewBatchCloneIsRowBatch(t *testing.T) {
 	cb := viewFixture(t, 4)
-	b := FromView(cb, []int32{0, 3}, nil)
+	b := FromView(cb, []int32{0, 3})
 	c := b.Clone()
 	if len(c.Rows) != 2 || c.Rows[1][0].I != 3 {
 		t.Fatalf("clone rows = %v", c.Rows)
@@ -140,9 +159,6 @@ func TestRowBatchViewAccessors(t *testing.T) {
 	b := Of(types.Row{types.NewInt(9)})
 	if _, _, ok := b.Cols(); ok {
 		t.Fatal("row batch reports a columnar view")
-	}
-	if b.Backing() != nil {
-		t.Fatal("row batch reports a backing provider")
 	}
 	if got := b.RowsView(); len(got) != 1 || got[0][0].I != 9 {
 		t.Fatalf("RowsView = %v", got)

@@ -1,7 +1,6 @@
 package cjoin
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -59,7 +58,7 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 			ds := newDimStateFor(t, di, spec, op)
 			ds.admitQuery(sub)
 			if !sub.dimRef[di] {
-				for i := range ds.tab.rows {
+				for i := 0; i < ds.tab.cb.Len(); i++ {
 					if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
 						t.Fatalf("query %d dim %d: bit set on unreferenced dimension", qi, di)
 					}
@@ -74,7 +73,7 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 					pred = expr.Compile(d.Pred)
 				}
 			}
-			for i, r := range ds.tab.rows {
+			for i, r := range ds.tab.cb.Rows() {
 				want := pred == nil || pred(r)
 				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id)
 				if got != want {
@@ -84,7 +83,7 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 			}
 			// Retirement must clear exactly this query's bits.
 			ds.finishQuery(sub)
-			for i := range ds.tab.rows {
+			for i := 0; i < ds.tab.cb.Len(); i++ {
 				if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
 					t.Fatalf("query %d dim %d entry %d: bit survives retirement", qi, di, i)
 				}
@@ -106,46 +105,10 @@ func TestVectorizedAdmissionEndToEnd(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Cold-decode benchmark: pool-miss → decode → annotate, the path the v2
-// column-major format targets. The v1 variant packs the same logical rows
-// into legacy row-major pages and decodes them through the compatibility
-// path — the before/after pair for the format change.
+// Cold-decode benchmark: pool-miss → decode → annotate.
 
-// v1Pages re-encodes every row of the table into legacy row-major pages.
-func v1Pages(b *testing.B, tbl *storage.Table) [][]byte {
-	b.Helper()
-	rows, err := tbl.File.AllRows()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var pages [][]byte
-	buf := make([]byte, 2, storage.PageSize)
-	n := 0
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		binary.LittleEndian.PutUint16(buf[0:2], uint16(n))
-		page := make([]byte, storage.PageSize)
-		copy(page, buf)
-		pages = append(pages, page)
-		buf = buf[:2]
-		n = 0
-	}
-	for _, r := range rows {
-		enc := storage.EncodeRow(nil, r)
-		if len(buf)+len(enc) > storage.PageSize {
-			flush()
-		}
-		buf = append(buf, enc...)
-		n++
-	}
-	flush()
-	return pages
-}
-
-// v2PagesRaw reads the table's (v2) pages straight from the disk.
-func v2PagesRaw(b *testing.B, cat *storage.Catalog, tbl *storage.Table) [][]byte {
+// rawPages reads the table's pages straight from the disk.
+func rawPages(b *testing.B, cat *storage.Catalog, tbl *storage.Table) [][]byte {
 	b.Helper()
 	np := tbl.File.NumPages()
 	pages := make([][]byte, np)
@@ -161,8 +124,7 @@ func v2PagesRaw(b *testing.B, cat *storage.Catalog, tbl *storage.Table) [][]byte
 // BenchmarkColdDecodeAnnotate measures one full cold sweep of the fact
 // table per op: every page is decoded from raw bytes (as on a pool miss)
 // and annotated with two active queries' vectorized fact predicates. ns/op
-// is per whole table (4000 tuples), so the v1 and v2 lines are directly
-// comparable even though v2 packs pages denser.
+// is per whole table (4000 tuples).
 func BenchmarkColdDecodeAnnotate(b *testing.B) {
 	cat := starDB(b, 4000)
 	op := bareOp(b, cat)
@@ -170,35 +132,31 @@ func BenchmarkColdDecodeAnnotate(b *testing.B) {
 	subs := testSubs(b, op, cat)
 	ncols := op.fact.Schema.Len()
 
-	run := func(b *testing.B, pages [][]byte) {
-		it := &item{}
-		total := 0
+	pages := rawPages(b, cat, op.fact)
+	it := &item{}
+	total := 0
+	for _, page := range pages {
+		cb, err := storage.DecodePageCols(page, ncols)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += cb.Len()
+		cb.Release()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		for _, page := range pages {
 			cb, err := storage.DecodePageCols(page, ncols)
 			if err != nil {
 				b.Fatal(err)
 			}
-			total += cb.Len()
+			it.cols = cb
+			w.annotate(it, subs, len(subs))
+			it.cols = nil
 			cb.Release()
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, page := range pages {
-				cb, err := storage.DecodePageCols(page, ncols)
-				if err != nil {
-					b.Fatal(err)
-				}
-				it.cols = cb
-				w.annotate(it, subs, len(subs))
-				it.cols = nil
-				cb.Release()
-			}
-		}
-		b.ReportMetric(float64(total), "tuples/op")
-		b.ReportMetric(float64(len(pages)), "pages/op")
 	}
-
-	b.Run("fmt=v2", func(b *testing.B) { run(b, v2PagesRaw(b, cat, op.fact)) })
-	b.Run("fmt=v1", func(b *testing.B) { run(b, v1Pages(b, op.fact)) })
+	b.ReportMetric(float64(total), "tuples/op")
+	b.ReportMetric(float64(len(pages)), "pages/op")
 }

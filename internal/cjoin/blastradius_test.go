@@ -40,8 +40,32 @@ func windowQuery(cat *storage.Catalog, lo, hi int64) *plan.StarQuery {
 // blast-radius containment: one fact page is permanently faulted under a
 // 16-query clustered-window sweep, and only the queries whose windows cover
 // that page fail — each with a typed PageError — while every other query
-// returns results identical to the fault-free run.
+// returns results identical to the fault-free run. The page is faulted two
+// ways: unreadable (a poisoned read), and readable with a rotten header (a
+// zeroed page magic, which must reject the page — under the retired
+// row-major format those two bytes were a row count, and the page read as
+// empty, silently dropping its rows from the covering queries).
 func TestBlastRadiusOnlyCoveringQueriesFail(t *testing.T) {
+	t.Run("poisoned", func(t *testing.T) {
+		testBlastRadius(t, func(fd *storage.FaultDisk, f storage.FileID, page int) {
+			fd.PoisonPage(f, page)
+		})
+	})
+	t.Run("corrupt-magic", func(t *testing.T) {
+		testBlastRadius(t, func(fd *storage.FaultDisk, f storage.FileID, page int) {
+			buf := make([]byte, storage.PageSize)
+			if err := fd.ReadPage(f, page, buf); err != nil {
+				t.Fatal(err)
+			}
+			buf[0], buf[1] = 0, 0
+			if err := fd.WritePage(f, page, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+}
+
+func testBlastRadius(t *testing.T, fault func(fd *storage.FaultDisk, f storage.FileID, page int)) {
 	const n, nq = 20000, 16
 	cat, fd := faultStar(t, n)
 	lo := cat.MustTable("lo")
@@ -87,7 +111,7 @@ func TestBlastRadiusOnlyCoveringQueriesFail(t *testing.T) {
 	if nCovering == 0 || nCovering == nq {
 		t.Fatalf("degenerate blast radius: %d of %d queries cover page %d", nCovering, nq, poisoned)
 	}
-	fd.PoisonPage(lo.File.ID(), poisoned)
+	fault(fd, lo.File.ID(), poisoned)
 	cat.Pool().EvictFile(lo.File.ID())
 
 	stBefore := op.Stats()

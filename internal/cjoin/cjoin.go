@@ -305,11 +305,10 @@ type routeCol struct {
 
 // subscription is one admitted query.
 type subscription struct {
-	q        *plan.StarQuery
-	factPred func(types.Row) bool // nil means all fact rows qualify
-	factVec  expr.VecPred         // vectorized form of factPred (nil iff factPred is)
-	prune    expr.PruneCheck      // page-level can-match check (nil = every page)
-	dimIdx   []int                // operator dim index per q.Dims entry
+	q       *plan.StarQuery
+	factVec expr.VecPred    // vectorized fact predicate (nil = every fact row qualifies)
+	prune   expr.PruneCheck // page-level can-match check (nil = every page)
+	dimIdx  []int           // operator dim index per q.Dims entry
 
 	// Per-operator-dimension admission plan, compiled once at subscription
 	// time and then applied by every worker replica: dimRef[d] reports
@@ -676,7 +675,6 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 		}
 	}
 	if q.FactPred != nil {
-		sub.factPred = expr.Compile(q.FactPred)
 		sub.factVec = expr.CompileVec(q.FactPred)
 		if !op.cfg.DisablePrune {
 			sub.prune = expr.CompilePrune(q.FactPred)
@@ -1184,8 +1182,8 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 
 // dimTable is the shared half of one dimension of the chain: an
 // open-addressing, power-of-two, linear-probing probe index over flat
-// parallel entry stores. keys[i]/rows[i] hold entry i, and slots maps a
-// probed hash to an entry index (+1; 0 means empty). Duplicate join keys
+// parallel entry stores. keys[i] and row i of cb hold entry i, and slots maps
+// a probed hash to an entry index (+1; 0 means empty). Duplicate join keys
 // keep the first inserted entry reachable, matching chained-map first-match
 // semantics. The table is built once and read concurrently by every probe
 // worker; it is never mutated after construction.
@@ -1200,7 +1198,6 @@ type dimTable struct {
 	spec DimSpec
 
 	keys     []types.Datum // entry join keys
-	rows     []types.Row   // entry dimension rows
 	slots    []int32       // open-addressing slots: entry index+1, 0 = empty
 	slotMask uint32        // len(slots)-1 (power of two)
 
@@ -1216,10 +1213,11 @@ type dimTable struct {
 	directMin int64
 	directMax int64
 
-	// cb is the table's rows in columnar form, entry-aligned with keys/rows.
-	// Admission evaluates each query's vectorized dimension predicate over
-	// this batch instead of walking rows one at a time. Built once, never
-	// released (the index pins the rows for the operator's lifetime anyway).
+	// cb is the table's rows in columnar form, entry-aligned with keys and
+	// gathered straight from the dimension's pages (rows with a NULL join key
+	// are left out). Admission evaluates each query's vectorized dimension
+	// predicate over this batch and the distributor routes payload columns
+	// out of it. Built once, held for the operator's lifetime.
 	cb *vec.ColBatch
 }
 
@@ -1228,33 +1226,39 @@ type dimTable struct {
 const directSpanFactor = 4
 
 func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
-	all, err := spec.Table.File.AllRows()
-	if err != nil {
-		return nil, fmt.Errorf("cjoin: build hash table for %q: %w", spec.Table.Name, err)
-	}
-	dt := &dimTable{idx: idx, spec: spec}
+	hf := spec.Table.File
+	dt := &dimTable{idx: idx, spec: spec, cb: vec.Get(spec.Table.Schema.Len())}
 	allStr := true
-	for _, r := range all {
-		k := r[spec.DimKeyCol]
-		if k.IsNull() {
-			continue
+	var live []int32 // rows of the current page whose join key is not NULL
+	for p, np := 0, hf.NumPages(); p < np; p++ {
+		page, err := hf.PageCols(p)
+		if err != nil {
+			dt.cb.Release()
+			return nil, fmt.Errorf("cjoin: build hash table for %q: %w", spec.Table.Name, err)
 		}
-		if k.K != types.KindString {
-			allStr = false
+		kv := page.Col(spec.DimKeyCol)
+		live = live[:0]
+		for i := 0; i < page.Len(); i++ {
+			k := kv.Datum(i)
+			if k.IsNull() {
+				continue
+			}
+			if k.K != types.KindString {
+				allStr = false
+			}
+			dt.keys = append(dt.keys, k)
+			live = append(live, int32(i))
 		}
-		dt.keys = append(dt.keys, k)
-		dt.rows = append(dt.rows, r)
+		for c := 0; c < page.NumCols(); c++ {
+			dt.cb.Col(c).AppendGather(page.Col(c), live)
+		}
+		page.Release()
 	}
 	n := len(dt.keys)
+	dt.cb.Seal(n)
 	if n >= 1<<30 {
+		dt.cb.Release()
 		return nil, fmt.Errorf("cjoin: dimension %q too large (%d rows)", spec.Table.Name, n)
-	}
-	if n > 0 {
-		dt.cb = vec.Get(spec.Table.Schema.Len())
-		for _, r := range dt.rows {
-			dt.cb.AppendRow(r)
-		}
-		dt.cb.Seal(n)
 	}
 	if allStr && n > 0 {
 		dt.strDict = make(map[string]int32, n)
@@ -1482,7 +1486,7 @@ func newDimState(tab *dimTable, op *Operator) dimState {
 		tab:     tab,
 		op:      op,
 		estride: 1,
-		ebits:   make([]uint64, len(tab.rows)),
+		ebits:   make([]uint64, tab.cb.Len()),
 		mask:    make([]uint64, 1),
 	}
 }
@@ -1492,7 +1496,7 @@ func newDimState(tab *dimTable, op *Operator) dimState {
 func (ds *dimState) growTo(id int) {
 	need := id/64 + 1
 	if need > ds.estride {
-		n := len(ds.tab.rows)
+		n := ds.tab.cb.Len()
 		nb := make([]uint64, n*need)
 		for i := 0; i < n; i++ {
 			copy(nb[i*need:], ds.ebits[i*ds.estride:(i+1)*ds.estride])
@@ -1517,7 +1521,7 @@ func (ds *dimState) admitQuery(sub *subscription) {
 	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
 	ds.mask[w] |= bit
 	es := ds.estride
-	if vp := sub.dimPredVec[ds.tab.idx]; vp != nil && ds.tab.cb != nil {
+	if vp := sub.dimPredVec[ds.tab.idx]; vp != nil {
 		all := ds.tab.cb.AllSel()
 		if cap(ds.admitSel) < len(all) {
 			ds.admitSel = make([]int32, len(all))
@@ -1527,7 +1531,7 @@ func (ds *dimState) admitQuery(sub *subscription) {
 		}
 		return
 	}
-	for i := range ds.tab.rows {
+	for i := 0; i < ds.tab.cb.Len(); i++ {
 		ds.ebits[i*es+w] |= bit
 	}
 }
@@ -1555,7 +1559,7 @@ func (ds *dimState) finishQuery(sub *subscription) {
 	bitvec.ClearWord(ds.mask, sub.id)
 	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
 	es := ds.estride
-	for i := range ds.tab.rows {
+	for i := 0; i < ds.tab.cb.Len(); i++ {
 		ds.ebits[i*es+w] &^= bit
 	}
 }
@@ -1873,7 +1877,7 @@ func (d *distributor) deliver(sub *subscription) {
 	cb := sub.pendCols
 	cb.Seal(sub.pendN)
 	sub.pendCols, sub.pendN = nil, 0
-	b := batch.FromView(cb, nil, nil)
+	b := batch.FromView(cb, nil)
 	select {
 	case sub.out <- b:
 	case <-sub.cancelCh:

@@ -10,13 +10,10 @@ import (
 
 // BenchmarkDistributorRoute measures the distributor's per-tuple output
 // assembly — the route loop that copies two fact columns and two dimension
-// payload columns for every joined tuple of a page:
-//
-//   - line=typed: the shipped path — AppendFrom against the page batch and
-//     the dimension table's entry-aligned ColBatch at the tuple's joined
-//     entry (item.dimEnt), typed end to end.
-//   - line=boxed: the pre-PR route — materialized dimension Rows per joined
-//     tuple, each payload boxed through a Datum append.
+// payload columns for every joined tuple of a page (line=typed): AppendFrom
+// against the page batch and the dimension table's entry-aligned ColBatch at
+// the tuple's joined entry (item.dimEnt), typed end to end. The final numbers
+// of the retired boxed-Datum baseline are in CHANGES.md, PR 15.
 //
 // Output batches recycle through the vec pool, so steady-state cost is the
 // copy loop itself.
@@ -34,8 +31,7 @@ func BenchmarkDistributorRoute(b *testing.B) {
 	page.Seal(nrows)
 	defer page.Release()
 
-	// Dimension table in both forms: entry-aligned columns (typed route)
-	// and materialized rows (boxed route). Payloads: dict string + int.
+	// Dimension table as entry-aligned columns. Payloads: dict string + int.
 	dimCB := vec.Get(2)
 	dict := dimCB.Col(0).BulkDict(25)
 	for d := range dict {
@@ -44,12 +40,10 @@ func BenchmarkDistributorRoute(b *testing.B) {
 	dimCB.Col(0).AppendKindRun(types.KindString, dimEntries)
 	codes := dimCB.Col(0).BulkI(dimEntries)
 	strs := dimCB.Col(0).BulkS(dimEntries)
-	dimRows := make([]types.Row, dimEntries)
 	for e := 0; e < dimEntries; e++ {
 		codes[e] = int64(e % 25)
 		strs[e] = dict[codes[e]]
 		dimCB.Col(1).AppendDatum(types.NewInt(int64(e)))
-		dimRows[e] = types.Row{types.NewString(strs[e]), types.NewInt(int64(e))}
 	}
 	dimCB.Seal(dimEntries)
 	defer dimCB.Release()
@@ -74,26 +68,6 @@ func BenchmarkDistributorRoute(b *testing.B) {
 						out.Col(ci).AppendFrom(page.Col(rc.col), r)
 					} else {
 						out.Col(ci).AppendFrom(dimCB.Col(rc.col), int(dimEnt[dimBase+rc.dim]))
-					}
-				}
-			}
-			out.Seal(nrows)
-			out.Release()
-		}
-		b.ReportMetric(float64(nrows), "tuples/op")
-	})
-	b.Run("line=boxed", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out := vec.Get(len(route))
-			for r := 0; r < nrows; r++ {
-				dimBase := r * ndims
-				for ci, rc := range route {
-					if rc.dim < 0 {
-						out.Col(ci).AppendDatum(page.Col(rc.col).Datum(r))
-					} else {
-						out.Col(ci).AppendDatum(dimRows[dimEnt[dimBase+rc.dim]][rc.col])
 					}
 				}
 			}

@@ -211,7 +211,7 @@ func TestGroupedAggregateColsMatchesRows(t *testing.T) {
 			} else {
 				rows = cb.Rows()
 			}
-			colBatches = append(colBatches, batch.FromView(cb, sel, nil))
+			colBatches = append(colBatches, batch.FromView(cb, sel))
 			rowBatches = append(rowBatches, batch.Of(rows...))
 		}
 
@@ -314,7 +314,7 @@ func TestColumnarEmitterConstantAllocs(t *testing.T) {
 	sel := cb.AllSel()
 	allocs := testing.AllocsPerRun(100, func() {
 		cb.Retain()
-		nb := batch.FromView(cb, sel, nil)
+		nb := batch.FromView(cb, sel)
 		if _, _, ok := nb.Cols(); !ok {
 			t.Fatal("view lost")
 		}

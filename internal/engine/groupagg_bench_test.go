@@ -17,18 +17,14 @@ import (
 // low-cardinality key) and on a two-key variant with a dictionary-coded
 // string key:
 //
-//   - line=legacyMap: the pre-PR5 row path — map[uint64][]*aggGroup chains
-//     with per-row HashKey folds and per-row accumulator updates (the
-//     baseline the acceptance criterion compares against).
-//   - line=rows: the same row batches through the open-addressing
-//     groupTable.
+//   - line=rows: row batches through the open-addressing groupTable.
 //   - line=cols: view batches through the vectorized path (aggregateCols).
 //   - line=cols-arith: the same with an arithmetic argument, SUM(v*g) — the
 //     SSB Q1.x / Q4.x shape, evaluated by the expr.CompileNum kernel.
 //
-// The ns/tuple metric is the acceptance number: cols must be >= 2x better
-// than legacyMap. The perf-smoke CI job additionally gates line=cols
-// allocs/op, and line=cols-arith under the same budget (a per-batch budget —
+// ns/tuple is the comparison metric (the final numbers of the retired
+// pre-groupTable map baseline are in CHANGES.md, PR 15). The perf-smoke CI job
+// gates line=cols allocs/op, and line=cols-arith under the same budget (a per-batch budget —
 // the vectorized path allocates only while the table and scratch warm up,
 // nothing per row; an argument that fell back to boxed rows would allocate
 // one per row).
@@ -75,20 +71,11 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 			out := make([]*batch.Batch, nbatches)
 			for i := range out {
 				cbs[i].Retain()
-				out[i] = batch.FromView(cbs[i], nil, nil)
+				out[i] = batch.FromView(cbs[i], nil)
 			}
 			return out
 		}
 
-		b.Run(fmt.Sprintf("line=legacyMap/%s", shape.name), func(b *testing.B) {
-			argCols := []int{valCol}
-			groupIdx := shape.groups
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				legacyMapAggregate(rowSets, groupBy, aggs, argCols, groupIdx)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
-		})
 		b.Run(fmt.Sprintf("line=rows/%s", shape.name), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -116,45 +103,4 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 			})
 		}
 	}
-}
-
-// legacyMapAggregate reproduces the pre-PR5 fast row path verbatim:
-// map[uint64][]*aggGroup chains keyed by the HashKey fold.
-func legacyMapAggregate(rowSets [][]types.Row, groupBy []plan.GroupCol, aggs []plan.AggSpec, argCols, groupIdx []int) int {
-	type aggGroup struct {
-		key  types.Row
-		accs []aggAcc
-	}
-	groups := make(map[uint64][]*aggGroup)
-	ngroups := 0
-	key := make(types.Row, len(groupBy))
-	for _, rows := range rowSets {
-		for _, r := range rows {
-			h := hashSeed
-			for i, gi := range groupIdx {
-				key[i] = r[gi]
-				h = (h ^ key[i].HashKey()) * 1099511628211
-			}
-			var grp *aggGroup
-			for _, cand := range groups[h] {
-				if cand.key.Equal(key) {
-					grp = cand
-					break
-				}
-			}
-			if grp == nil {
-				grp = &aggGroup{key: key.Clone(), accs: make([]aggAcc, len(aggs))}
-				groups[h] = append(groups[h], grp)
-				ngroups++
-			}
-			for i := range aggs {
-				if argCols[i] < 0 {
-					grp.accs[i].count++
-				} else {
-					grp.accs[i].updateDatum(aggs[i], r[argCols[i]])
-				}
-			}
-		}
-	}
-	return ngroups
 }

@@ -122,7 +122,7 @@ func BenchmarkHashJoin(b *testing.B) {
 				out := make([]*batch.Batch, len(cbs))
 				for i, cb := range cbs {
 					cb.Retain()
-					out[i] = batch.FromView(cb, nil, nil)
+					out[i] = batch.FromView(cb, nil)
 				}
 				return out
 			}

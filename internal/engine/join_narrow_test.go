@@ -52,7 +52,7 @@ func joinInputs(rows []types.Row, width int, asRows bool) []*batch.Batch {
 		cb.AppendRow(r)
 	}
 	cb.Seal(len(rows))
-	return []*batch.Batch{batch.FromView(cb, nil, nil)}
+	return []*batch.Batch{batch.FromView(cb, nil)}
 }
 
 // Operator cases under narrowed output lists, over view and row inputs on

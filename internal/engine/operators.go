@@ -47,12 +47,11 @@ func (e *Engine) runOperator(ctx context.Context, p *Packet, inputs []Reader, w 
 // stage (as QPipe's tscan does). Predicates are evaluated vectorized over
 // the page's columnar cache into a selection vector, and the page is
 // published as a view batch — (column batch, surviving selection) — with no
-// row materialization; rows are built lazily from the buffer pool's shared
-// per-frame row cache only if a row-consuming operator asks.
+// row materialization; a row-consuming operator builds the rows it asks for
+// from the batch's own columns.
 func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) error {
 	cur := n.Table.Attach()
 	defer cur.Close()
-	hf := n.Table.File
 	var vpred expr.VecPred
 	var prune expr.PruneCheck
 	var scr vec.Scratch
@@ -67,7 +66,7 @@ func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) 
 			return err
 		}
 		t0 := time.Now()
-		cb, idx, ok, err := cur.NextColsPruned(prune)
+		cb, _, ok, err := cur.NextColsPruned(prune)
 		if err != nil {
 			st.addBusy(time.Since(t0))
 			return err
@@ -93,15 +92,7 @@ func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) 
 			continue
 		}
 		st.addBusy(time.Since(t0))
-		pageIdx := idx
-		b := batch.FromView(cb, sel, func() []types.Row {
-			rows, err := hf.Page(pageIdx)
-			if err != nil {
-				return nil // fall back to materializing from the batch
-			}
-			return rows
-		})
-		if err := w.Put(ctx, b); err != nil {
+		if err := w.Put(ctx, batch.FromView(cb, sel)); err != nil {
 			return err
 		}
 	}
@@ -128,7 +119,7 @@ func (e *Engine) opLimit(ctx context.Context, n *plan.Limit, in Reader, w Writer
 					sel = cb.AllSel()
 				}
 				cb.Retain()
-				nb := batch.FromView(cb, sel[:remaining], b.Backing())
+				nb := batch.FromView(cb, sel[:remaining])
 				b.Done()
 				b = nb
 			} else {
@@ -217,7 +208,7 @@ func (e *Engine) opFilter(ctx context.Context, n *plan.Filter, in Reader, w Writ
 				return err
 			}
 			cb.Retain()
-			nb := batch.FromView(cb, out, b.Backing())
+			nb := batch.FromView(cb, out)
 			b.Done()
 			if err := w.Put(ctx, nb); err != nil {
 				return err
@@ -264,7 +255,7 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 			if cb, sel, ok := b.Cols(); ok {
 				t0 := time.Now()
 				pcb := vec.ProjectCols(cb, colIdx)
-				nb := batch.FromView(pcb, sel, nil)
+				nb := batch.FromView(pcb, sel)
 				b.Done()
 				st.addBusy(time.Since(t0))
 				if err := em.flush(ctx); err != nil {
@@ -355,7 +346,7 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 		cb := pend
 		cb.Seal(pendN)
 		pend, pendN = nil, 0
-		return w.Put(ctx, batch.FromView(cb, nil, nil))
+		return w.Put(ctx, batch.FromView(cb, nil))
 	}
 	for {
 		b, err := left.Next(ctx)

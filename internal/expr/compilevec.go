@@ -176,7 +176,7 @@ func cmpIntLoop(op CmpOp, vi []int64, ki int64, sel, out []int32) []int32 {
 
 // ---------------------------------------------------------------------------
 // Dictionary-code kernels: the encoded-data fast path for string columns of
-// the v2 page format. A dictionary column stores sorted unique strings in
+// the page format. A dictionary column stores sorted unique strings in
 // Dict and per-row codes in I, so code order is string order; a string
 // constant is translated to a code bound once per page (two binary searches
 // at most) and the per-row work is an int compare — the string payloads are

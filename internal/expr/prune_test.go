@@ -104,6 +104,17 @@ func randPred(r *rand.Rand, depth int) expr.Expr {
 	}
 }
 
+// pageRows materializes one page of hf as rows.
+func pageRows(t *testing.T, hf *storage.HeapFile, idx int) []types.Row {
+	t.Helper()
+	cb, err := hf.PageCols(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Release()
+	return cb.Rows()
+}
+
 // TestPruningEquivalenceProperty is the pruning ≡ no-pruning property: for
 // random predicates over pages with NULL-run, all-NULL and mixed-class
 // columns, a page whose zone check fails must contribute zero surviving
@@ -118,10 +129,7 @@ func TestPruningEquivalenceProperty(t *testing.T) {
 		prune := expr.CompilePrune(pred)
 		var withPrune, withoutPrune int
 		for idx := 0; idx < hf.NumPages(); idx++ {
-			rows, err := hf.Page(idx)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rows := pageRows(t, hf, idx)
 			surviving := 0
 			for _, row := range rows {
 				if rowPred(row) {
@@ -158,12 +166,9 @@ func TestZoneBoundsSound(t *testing.T) {
 	for idx := 0; idx < hf.NumPages(); idx++ {
 		zones := hf.PageZones(idx)
 		if zones == nil {
-			t.Fatalf("page %d: no zone maps on a freshly built v2 page", idx)
+			t.Fatalf("page %d: no zone maps on a freshly built page", idx)
 		}
-		rows, err := hf.Page(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := pageRows(t, hf, idx)
 		for col, z := range zones {
 			allNull, mixed := true, false
 			kinds := map[types.Kind]bool{}

@@ -52,63 +52,10 @@ func randSchemaRows(r *rand.Rand) (*types.Schema, []types.Row) {
 	return schema, rows
 }
 
-// TestColumnarDecodeMatchesRowDecode is the decode round-trip property: for
-// random schemas and pages, DecodePageCols and DecodePage agree exactly —
-// same row count, and every materialized datum identical (kind and payload)
-// to its row-decoded counterpart.
-func TestColumnarDecodeMatchesRowDecode(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 60; trial++ {
-		schema, rows := randSchemaRows(r)
-		b := newPageBuilder()
-		var inPage []types.Row
-		for _, row := range rows {
-			if !b.tryAppend(row) {
-				break // page full: the prefix is the property's input
-			}
-			inPage = append(inPage, row)
-		}
-		page := b.finish()
-
-		rowDec, err := DecodePage(page, schema.Len())
-		if err != nil {
-			t.Fatalf("trial %d: DecodePage: %v", trial, err)
-		}
-		cb, err := DecodePageCols(page, schema.Len())
-		if err != nil {
-			t.Fatalf("trial %d: DecodePageCols: %v", trial, err)
-		}
-		if cb.Len() != len(rowDec) || len(rowDec) != len(inPage) {
-			t.Fatalf("trial %d: row counts: cols=%d rows=%d in=%d", trial, cb.Len(), len(rowDec), len(inPage))
-		}
-		if cb.NumCols() != schema.Len() {
-			t.Fatalf("trial %d: NumCols = %d, want %d", trial, cb.NumCols(), schema.Len())
-		}
-		for i := range rowDec {
-			for c := 0; c < schema.Len(); c++ {
-				want := rowDec[i][c]
-				got := cb.Col(c).Datum(i)
-				if got.K != want.K || !got.Equal(want) {
-					t.Fatalf("trial %d: row %d col %d: columnar %v (%v), row %v (%v)",
-						trial, i, c, got, got.K, want, want.K)
-				}
-			}
-		}
-		// And both agree with what was encoded.
-		for i := range inPage {
-			if !rowDec[i].Equal(inPage[i]) {
-				t.Fatalf("trial %d: row %d: decode mismatch: %v vs %v", trial, i, rowDec[i], inPage[i])
-			}
-		}
-		cb.Release()
-	}
-}
-
-// TestFrameViewsShareOneDecode checks the per-frame columnar cache: the row
-// view and the columnar view of a page come from one decode, the columnar
-// view survives its frame's reference being dropped, and rows materialized
-// from it remain valid after the batch is recycled.
-func TestFrameViewsShareOneDecode(t *testing.T) {
+// TestFrameSharesOneDecode checks the per-frame columnar cache: every reader
+// of one residency gets the same batch from one decode, and the batch
+// survives the reader's own reference being dropped (the frame holds one).
+func TestFrameSharesOneDecode(t *testing.T) {
 	disk := NewMemDisk(DiskProfile{})
 	cat := NewCatalog(disk, 8, true)
 	tbl, err := cat.CreateTable("t", types.NewSchema(
@@ -131,18 +78,6 @@ func TestFrameViewsShareOneDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tbl.File.Page(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cb.Len() != len(rows) {
-		t.Fatalf("views disagree: cols=%d rows=%d", cb.Len(), len(rows))
-	}
-	for i, r := range rows {
-		if !r.Equal(cb.Row(i)) {
-			t.Fatalf("row %d: views disagree: %v vs %v", i, r, cb.Row(i))
-		}
-	}
 	cb2, err := tbl.File.PageCols(0)
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +85,18 @@ func TestFrameViewsShareOneDecode(t *testing.T) {
 	if cb2 != cb {
 		t.Fatal("two PageCols calls returned different batches for one residency")
 	}
+	if d := cat.Pool().DecodeStats().Decoded; d != 1 {
+		t.Fatalf("Decoded = %d, want 1 for one residency", d)
+	}
 	cb2.Release()
-	saved := rows[10].Clone()
 	cb.Release()
-	// The frame still holds its own reference; rows stay valid regardless.
-	if !rows[10].Equal(saved) {
-		t.Fatal("row view corrupted after reader released its reference")
+	// The frame still holds its own reference: a third reader sees the data.
+	cb3, err := tbl.File.PageCols(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb3.Release()
+	if cb3.Len() != 100 || cb3.Col(0).I[10] != 10 {
+		t.Fatalf("cached batch corrupted after readers released: len=%d", cb3.Len())
 	}
 }

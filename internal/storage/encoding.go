@@ -18,27 +18,22 @@ import (
 // PageSize is the size of every on-disk page in bytes.
 const PageSize = 32 * 1024
 
-// v1 pages are row-major: a uint16 row count followed by per-datum encoded
-// rows. v2 pages (the only format the builder writes) are column-major and
-// identified by a magic row count no legal v1 page can carry, followed by a
-// format-version byte:
+// Pages are column-major. Every page starts with the page magic and a format
+// byte; a page whose header does not carry exactly these is corrupt and never
+// decodes:
 //
-//	[0:2]  0xFFFF page magic (v1 pages store the row count here; a v1 page
-//	       can never hold 65535 rows — each row costs at least one byte and
-//	       the page body is under 32767 bytes)
-//	[2]    format version (2, or 3 when a zone-map directory follows the
-//	       segment offsets — see zonemap.go; the builder writes 3)
+//	[0:2]  0xFFFF page magic
+//	[2]    format byte (3)
 //	[3:5]  uint16 row count
 //	[5:7]  uint16 column count
 //	[7:..] column count × uint32 segment offsets (from the page start)
-//	then (version 3) one zone-map entry per column, then one self-contained
-//	segment per column, zero-padded to PageSize. The segment decoder reads
-//	both versions identically — it follows the absolute offsets.
+//	then one zone-map entry per column (see zonemap.go), then one
+//	self-contained segment per column, zero-padded to PageSize.
 //
 // Each segment starts with an encoding tag:
 //
-//	encRaw:   per-datum kind tag + payload, exactly the v1 datum stream —
-//	          the fallback for columns mixing value classes.
+//	encRaw:   the raw datum stream — per-datum kind tag + payload — the
+//	          fallback for columns mixing value classes.
 //	encInt:   kind runs, int64 min, delta width ∈ {0,1,2,4,8}, then one
 //	          little-endian unsigned delta of that width per row
 //	          (frame-of-reference; NULL rows store delta 0). Covers int,
@@ -54,19 +49,13 @@ const PageSize = 32 * 1024
 // followed by (kind byte, uvarint length) pairs covering every row. A
 // homogeneous column — the overwhelmingly common case — is one run.
 const (
-	pageMagicV2  = 0xFFFF
-	pageVersion2 = 2
+	pageMagic  = 0xFFFF
+	pageFormat = 3
 
-	// pageVersion3 marks a v2-layout page that carries a per-column
-	// zone-map directory between the segment offsets and the first
-	// segment. The segment decoder is identical for both versions (it
-	// follows absolute offsets); only the zone reader cares.
-	pageVersion3 = 3
+	// pageFixedHeader is magic (2) + format (1) + nrows (2) + ncols (2).
+	pageFixedHeader = 7
 
-	// pageV2FixedHeader is magic (2) + version (1) + nrows (2) + ncols (2).
-	pageV2FixedHeader = 7
-
-	// maxPageRows keeps the row count below the v2 magic.
+	// maxPageRows is the largest row count a page may carry.
 	maxPageRows = 0xFFFE
 )
 
@@ -78,10 +67,7 @@ const (
 	encDict
 )
 
-// pageHeaderSize holds the v1 uint16 row count.
-const pageHeaderSize = 2
-
-// appendDatum appends the v1 encoding of one datum: a kind tag byte, then a
+// appendDatum appends the raw encoding of one datum: a kind tag byte, then a
 // kind-specific payload (varint for int/date, 8-byte LE for float, 1 byte
 // for bool, uvarint length + bytes for string, nothing for NULL).
 func appendDatum(buf []byte, d types.Datum) []byte {
@@ -140,21 +126,11 @@ func varintSize(v int64) int {
 	return uvarintSize(uint64(v)<<1 ^ uint64(v>>63))
 }
 
-// EncodeRow appends the binary encoding of row r to buf and returns the
-// extended buffer (the v1 row-major datum stream; retained for the v1
-// compatibility path and the row-level tests).
-func EncodeRow(buf []byte, r types.Row) []byte {
-	for _, d := range r {
-		buf = appendDatum(buf, d)
-	}
-	return buf
-}
-
 // decodeDatum decodes one datum from data, returning it and the remaining
 // bytes.
-func decodeDatum(data []byte, col int) (types.Datum, []byte, error) {
+func decodeDatum(data []byte) (types.Datum, []byte, error) {
 	if len(data) == 0 {
-		return types.Null, nil, fmt.Errorf("storage: truncated row at column %d", col)
+		return types.Null, nil, fmt.Errorf("truncated datum")
 	}
 	k := types.Kind(data[0])
 	data = data[1:]
@@ -164,46 +140,32 @@ func decodeDatum(data []byte, col int) (types.Datum, []byte, error) {
 	case types.KindInt, types.KindDate:
 		v, n := binary.Varint(data)
 		if n <= 0 {
-			return types.Null, nil, fmt.Errorf("storage: bad varint at column %d", col)
+			return types.Null, nil, fmt.Errorf("bad varint")
 		}
 		return types.Datum{K: k, I: v}, data[n:], nil
 	case types.KindBool:
 		if len(data) < 1 {
-			return types.Null, nil, fmt.Errorf("storage: truncated bool at column %d", col)
+			return types.Null, nil, fmt.Errorf("truncated bool")
 		}
 		return types.NewBool(data[0] != 0), data[1:], nil
 	case types.KindFloat:
 		if len(data) < 8 {
-			return types.Null, nil, fmt.Errorf("storage: truncated float at column %d", col)
+			return types.Null, nil, fmt.Errorf("truncated float")
 		}
 		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data))), data[8:], nil
 	case types.KindString:
 		l, n := binary.Uvarint(data)
 		if n <= 0 || uint64(len(data)-n) < l {
-			return types.Null, nil, fmt.Errorf("storage: truncated string at column %d", col)
+			return types.Null, nil, fmt.Errorf("truncated string")
 		}
 		return types.NewString(string(data[n : n+int(l)])), data[n+int(l):], nil
 	default:
-		return types.Null, nil, fmt.Errorf("storage: unknown kind tag %d at column %d", k, col)
+		return types.Null, nil, fmt.Errorf("unknown kind tag %d", k)
 	}
-}
-
-// DecodeRow decodes one row of ncols columns from data, returning the row and
-// the remaining bytes.
-func DecodeRow(data []byte, ncols int) (types.Row, []byte, error) {
-	r := make(types.Row, ncols)
-	for i := 0; i < ncols; i++ {
-		var err error
-		r[i], data, err = decodeDatum(data, i)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return r, data, nil
 }
 
 // ---------------------------------------------------------------------------
-// v2 page builder
+// Page builder
 
 // forWidth returns the frame-of-reference delta width for an unsigned span.
 func forWidth(span uint64) int {
@@ -263,7 +225,7 @@ type colBuilder struct {
 	nruns    int // kind runs so far
 	lastKind types.Kind
 
-	rawBytes int // exact v1 datum-stream size of every row so far
+	rawBytes int // exact raw datum-stream size of every row so far
 }
 
 func (c *colBuilder) reset() {
@@ -508,7 +470,7 @@ func (c *colBuilder) encode(buf []byte) []byte {
 	}
 }
 
-// pageBuilder accumulates rows column-wise and packs them into a v2
+// pageBuilder accumulates rows column-wise and packs them into a
 // column-major page. Row admission is governed by an incremental size upper
 // bound, so finish() always fits in PageSize.
 type pageBuilder struct {
@@ -542,7 +504,7 @@ func (b *pageBuilder) tryAppend(r types.Row) bool {
 		b.prospects = make([]colProspect, len(r))
 	}
 	prospects := b.prospects[:len(r)]
-	total := pageV2FixedHeader + 4*len(r)
+	total := pageFixedHeader + 4*len(r)
 	n := b.rows + 1
 	for i, d := range r {
 		prospects[i] = b.cols[i].prospect(d)
@@ -563,8 +525,8 @@ func (b *pageBuilder) tryAppend(r types.Row) bool {
 func (b *pageBuilder) finish() []byte {
 	ncols := len(b.cols)
 	buf := b.buf[:0]
-	buf = binary.LittleEndian.AppendUint16(buf, pageMagicV2)
-	buf = append(buf, pageVersion3)
+	buf = binary.LittleEndian.AppendUint16(buf, pageMagic)
+	buf = append(buf, pageFormat)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(b.rows))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(ncols))
 	dirOff := len(buf)
@@ -593,105 +555,62 @@ func (b *pageBuilder) finish() []byte {
 
 func (b *pageBuilder) empty() bool { return b.rows == 0 }
 
-// reencodePageV2 re-encodes a decoded page as a v2 column-major page — the
-// migrate-on-load half of the v1 compat path's aging: hot v1 pages are
-// rewritten in the current format the first time they are decoded, so they
-// never pay the transposing decoder twice. ok is false when the rows do not
-// fit one v2 page (possible in principle, since the v2 size accounting is
-// an upper bound); the caller then keeps the v1 bytes.
-func reencodePageV2(cb *vec.ColBatch) (page []byte, ok bool) {
-	b := newPageBuilder()
-	row := make(types.Row, cb.NumCols())
-	for i := 0; i < cb.Len(); i++ {
-		cb.MaterializeRow(i, row)
-		if !b.tryAppend(row) {
-			return nil, false
-		}
-	}
-	return b.finish(), true
-}
-
 // ---------------------------------------------------------------------------
 // Page decoding
 
-// pageVersion classifies a page by its header: 1 for legacy row-major pages,
-// 2 for column-major pages.
-func pageVersion(page []byte) (int, error) {
-	if len(page) < pageHeaderSize {
-		return 0, fmt.Errorf("storage: short page (%d bytes)", len(page))
+// checkPageHeader validates the fixed header: anything but the page magic
+// followed by the one format byte the builder writes is a corrupt page.
+func checkPageHeader(page []byte) error {
+	if len(page) < pageFixedHeader {
+		return fmt.Errorf("storage: short page (%d bytes)", len(page))
 	}
-	if binary.LittleEndian.Uint16(page[0:2]) != pageMagicV2 {
-		return 1, nil
+	if m := binary.LittleEndian.Uint16(page[0:2]); m != pageMagic {
+		return fmt.Errorf("storage: bad page magic %#04x", m)
 	}
-	if len(page) < pageV2FixedHeader {
-		return 0, fmt.Errorf("storage: short v2 page (%d bytes)", len(page))
+	if f := page[2]; f != pageFormat {
+		return fmt.Errorf("storage: unknown page format %d", f)
 	}
-	if v := page[2]; v != pageVersion2 && v != pageVersion3 {
-		return 0, fmt.Errorf("storage: unknown page format version %d", v)
-	}
-	return 2, nil
-}
-
-// DecodePage decodes every row of a page (either format) into rows of ncols
-// columns.
-func DecodePage(page []byte, ncols int) ([]types.Row, error) {
-	v, err := pageVersion(page)
-	if err != nil {
-		return nil, err
-	}
-	if v == 2 {
-		cb, err := decodePageColsV2(page, ncols)
-		if err != nil {
-			return nil, err
-		}
-		rows := cb.Rows()
-		cb.Release()
-		return rows, nil
-	}
-	n := int(binary.LittleEndian.Uint16(page[0:2]))
-	data := page[pageHeaderSize:]
-	rows := make([]types.Row, 0, n)
-	for i := 0; i < n; i++ {
-		var r types.Row
-		var err error
-		r, data, err = DecodeRow(data, ncols)
-		if err != nil {
-			return nil, fmt.Errorf("storage: page row %d: %w", i, err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	return nil
 }
 
 // DecodePageCols decodes every row of a page column-wise into a pooled
-// ColBatch of ncols columns, with one reference held by the caller. v2
-// pages decode segment-at-a-time — near-memcpy bulk reads per column, with
-// string columns copied once into a shared per-page buffer whose dictionary
-// entries back the string headers (no per-string allocation). v1 row-major
-// pages are transposed datum-by-datum (the compatibility path).
+// ColBatch of ncols columns, with one reference held by the caller. Pages
+// decode segment-at-a-time — near-memcpy bulk reads per column, with string
+// columns copied once into a shared per-page buffer whose dictionary entries
+// back the string headers (no per-string allocation).
 func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
-	v, err := pageVersion(page)
-	if err != nil {
+	if err := checkPageHeader(page); err != nil {
 		return nil, err
 	}
-	if v == 2 {
-		return decodePageColsV2(page, ncols)
+	nrows := int(binary.LittleEndian.Uint16(page[3:5]))
+	if nrows == 0 {
+		// An empty page carries no column segments (and no fixed width).
+		b := vec.Get(ncols)
+		b.Seal(0)
+		return b, nil
 	}
-	n := int(binary.LittleEndian.Uint16(page[0:2]))
-	data := page[pageHeaderSize:]
+	if pn := int(binary.LittleEndian.Uint16(page[5:7])); pn != ncols {
+		return nil, fmt.Errorf("storage: page has %d columns, schema has %d", pn, ncols)
+	}
+	dirEnd := pageFixedHeader + 4*ncols
+	if len(page) < dirEnd {
+		return nil, fmt.Errorf("storage: page directory truncated")
+	}
 	b := vec.Get(ncols)
-	for i := 0; i < n; i++ {
-		for c := 0; c < ncols; c++ {
-			d, rest, err := decodeDatum(data, c)
-			if err != nil {
-				b.Release()
-				return nil, fmt.Errorf("storage: page row %d: %w", i, err)
-			}
-			b.Col(c).AppendDatum(d)
-			data = rest
+	fail := func(c int, err error) (*vec.ColBatch, error) {
+		b.Release()
+		return nil, fmt.Errorf("storage: page column %d: %w", c, err)
+	}
+	for c := 0; c < ncols; c++ {
+		off := int(binary.LittleEndian.Uint32(page[pageFixedHeader+4*c:]))
+		if off < dirEnd || off >= len(page) {
+			return fail(c, fmt.Errorf("segment offset %d out of range", off))
+		}
+		if err := decodeSegment(page[off:], nrows, b.Col(c)); err != nil {
+			return fail(c, err)
 		}
 	}
-	b.Seal(n)
+	b.Seal(nrows)
 	return b, nil
 }
 
@@ -744,40 +663,6 @@ const (
 	kindsStr   = 1<<types.KindNull | 1<<types.KindString
 )
 
-// decodePageColsV2 is the column-major bulk decoder.
-func decodePageColsV2(page []byte, ncols int) (*vec.ColBatch, error) {
-	nrows := int(binary.LittleEndian.Uint16(page[3:5]))
-	if nrows == 0 {
-		// An empty page carries no column segments (and no fixed width).
-		b := vec.Get(ncols)
-		b.Seal(0)
-		return b, nil
-	}
-	if pn := int(binary.LittleEndian.Uint16(page[5:7])); pn != ncols {
-		return nil, fmt.Errorf("storage: page has %d columns, schema has %d", pn, ncols)
-	}
-	dirEnd := pageV2FixedHeader + 4*ncols
-	if len(page) < dirEnd {
-		return nil, fmt.Errorf("storage: v2 page directory truncated")
-	}
-	b := vec.Get(ncols)
-	fail := func(c int, err error) (*vec.ColBatch, error) {
-		b.Release()
-		return nil, fmt.Errorf("storage: page column %d: %w", c, err)
-	}
-	for c := 0; c < ncols; c++ {
-		off := int(binary.LittleEndian.Uint32(page[pageV2FixedHeader+4*c:]))
-		if off < dirEnd || off >= len(page) {
-			return fail(c, fmt.Errorf("segment offset %d out of range", off))
-		}
-		if err := decodeSegment(page[off:], nrows, b.Col(c)); err != nil {
-			return fail(c, err)
-		}
-	}
-	b.Seal(nrows)
-	return b, nil
-}
-
 // decodeSegment decodes one column segment into v.
 func decodeSegment(data []byte, nrows int, v *vec.Vec) error {
 	if len(data) < 1 {
@@ -787,7 +672,7 @@ func decodeSegment(data []byte, nrows int, v *vec.Vec) error {
 	data = data[1:]
 	if enc == encRaw {
 		for i := 0; i < nrows; i++ {
-			d, rest, err := decodeDatum(data, 0)
+			d, rest, err := decodeDatum(data)
 			if err != nil {
 				return err
 			}

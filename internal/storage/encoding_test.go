@@ -40,14 +40,27 @@ func (rowGen) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(rowGen{R: randRow(r, 1+r.Intn(8))})
 }
 
-func TestEncodeDecodeRowRoundTrip(t *testing.T) {
+// The raw datum stream is what encRaw segments (columns mixing value
+// classes) are made of; these tests pin it datum by datum.
+
+func TestRawDatumStreamRoundTrip(t *testing.T) {
 	f := func(g rowGen) bool {
-		buf := EncodeRow(nil, g.R)
-		got, rest, err := DecodeRow(buf, len(g.R))
-		if err != nil || len(rest) != 0 {
-			return false
+		var buf []byte
+		for _, d := range g.R {
+			n := len(buf)
+			buf = appendDatum(buf, d)
+			if len(buf)-n != datumEncSize(d) {
+				return false
+			}
 		}
-		return reflect.DeepEqual(got, g.R)
+		for _, want := range g.R {
+			got, rest, err := decodeDatum(buf)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				return false
+			}
+			buf = rest
+		}
+		return len(buf) == 0
 	}
 	cfg := &quick.Config{MaxCount: 2000}
 	if err := quick.Check(f, cfg); err != nil {
@@ -55,18 +68,19 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRowTruncated(t *testing.T) {
-	row := types.Row{types.NewString("hello"), types.NewInt(42)}
-	buf := EncodeRow(nil, row)
-	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeRow(buf[:cut], 2); err == nil {
-			t.Errorf("decode of %d/%d bytes must fail", cut, len(buf))
+func TestRawDatumTruncated(t *testing.T) {
+	for _, d := range []types.Datum{types.NewString("hello"), types.NewInt(1 << 40), types.NewFloat(1.5), types.NewBool(true)} {
+		buf := appendDatum(nil, d)
+		for cut := 0; cut < len(buf); cut++ {
+			if _, _, err := decodeDatum(buf[:cut]); err == nil {
+				t.Errorf("%v: decode of %d/%d bytes must fail", d, cut, len(buf))
+			}
 		}
 	}
 }
 
-func TestDecodeRowBadKindTag(t *testing.T) {
-	if _, _, err := DecodeRow([]byte{0xEE}, 1); err == nil {
+func TestRawDatumBadKindTag(t *testing.T) {
+	if _, _, err := decodeDatum([]byte{0xEE}); err == nil {
 		t.Error("unknown kind tag must fail")
 	}
 }
@@ -89,11 +103,12 @@ func TestPageBuilderPacksAndDecodes(t *testing.T) {
 	if len(page) != PageSize {
 		t.Fatalf("page size = %d", len(page))
 	}
-	got, err := DecodePage(page, 4)
+	cb, err := DecodePageCols(page, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	defer cb.Release()
+	if got := cb.Rows(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded %d rows, want %d (or content mismatch)", len(got), len(want))
 	}
 	if !b.empty() {
@@ -104,11 +119,9 @@ func TestPageBuilderPacksAndDecodes(t *testing.T) {
 func TestDecodePageEmpty(t *testing.T) {
 	b := newPageBuilder()
 	page := b.finish()
-	rows, err := DecodePage(page, 3)
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("empty page: rows=%d err=%v", len(rows), err)
+	cb, err := DecodePageCols(page, 3)
+	if err != nil || cb.Len() != 0 {
+		t.Fatalf("empty page: cb=%v err=%v", cb, err)
 	}
-	if _, err := DecodePage([]byte{1}, 3); err == nil {
-		t.Error("short page must fail")
-	}
+	cb.Release()
 }

@@ -205,11 +205,9 @@ func (f *FaultDisk) ReadPage(file FileID, idx int, buf []byte) error {
 	}
 	if f.cArmed.Load() {
 		if c := f.creads.Add(1) - 1; c >= f.corruptAfter.Load() {
-			// Flip header bytes past the 2-byte page magic so the page fails
-			// version/format validation — a clean model of bit rot that read
-			// "successfully". (Flipping the magic itself would demote a v2
-			// page to an empty-looking v1 page instead of a decode error.)
-			for i := 2; i < len(buf) && i < 18; i++ {
+			// Flip the page header so the page fails header validation — a
+			// clean model of bit rot that read "successfully".
+			for i := 0; i < len(buf) && i < 18; i++ {
 				buf[i] ^= 0xFF
 			}
 			f.corrupted.Add(1)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"strconv"
 	"strings"
@@ -143,13 +144,17 @@ func TestPermanentFaultSkipsRetries(t *testing.T) {
 func TestCorruptPageQuarantinesPermanently(t *testing.T) {
 	c, fd, tbl := faultCatalog(t, 4, 3000)
 
-	// The read "succeeds" but the bytes are rotten: the decode fails, and the
-	// page is quarantined exactly like an unreadable one.
+	// The read "succeeds" but the bytes are rotten from the page magic on:
+	// the decode fails, and the page is quarantined exactly like an
+	// unreadable one.
 	fd.CorruptReadsAfter(0)
 	_, err := tbl.File.PageCols(0)
 	var pe *PageError
 	if !errors.As(err, &pe) {
 		t.Fatalf("corrupt decode err = %v, want *PageError", err)
+	}
+	if !strings.Contains(err.Error(), "bad page magic") {
+		t.Errorf("corruption did not reach the page magic: %v", err)
 	}
 	if IsTransient(err) {
 		t.Error("corrupt-page error classified transient")
@@ -178,28 +183,107 @@ func TestCorruptPageQuarantinesPermanently(t *testing.T) {
 	cb.Release()
 }
 
-func TestWriteFaultFailsMigrationAndIsCounted(t *testing.T) {
+// TestWriteFaultFailsFlushAndIsCounted: the only page writes are the heap
+// file's flushes, and a failed one surfaces to the loader instead of leaving
+// a hole in the file.
+func TestWriteFaultFailsFlushAndIsCounted(t *testing.T) {
 	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
 	c := NewCatalog(fd, 2, true)
-	tbl, pages := migrateFixture(t, c, 3, 0)
-
-	// All write-backs fail: decodes still succeed (best-effort contract) but
-	// every failed migration is counted, on both sides of the fault layer.
+	tbl, err := c.CreateTable("w", types.NewSchema(types.Column{Name: "v", Kind: types.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.File.Append(types.Row{types.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
 	fd.FailWritesAfter(0)
-	readAllPages(t, tbl, pages)
-	s := c.Pool().DecodeStats()
-	if s.Migrated != 0 || s.MigrateFailed != 3 {
-		t.Fatalf("armed: Migrated=%d MigrateFailed=%d, want 0/3", s.Migrated, s.MigrateFailed)
+	if err := tbl.File.Seal(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Seal over a failing disk: err = %v, want injected", err)
 	}
-	if fd.InjectedWrites() != 3 {
-		t.Errorf("InjectedWrites = %d, want 3", fd.InjectedWrites())
+	if fd.InjectedWrites() != 1 {
+		t.Errorf("InjectedWrites = %d, want 1", fd.InjectedWrites())
 	}
+	if n := tbl.File.NumPages(); n != 0 {
+		t.Errorf("NumPages = %d after a failed flush, want 0", n)
+	}
+}
 
-	// Healed: the next sweep converges the file to v2.
-	fd.Heal()
-	readAllPages(t, tbl, pages)
-	if s := c.Pool().DecodeStats(); s.Migrated != 3 {
-		t.Errorf("healed: Migrated = %d, want 3", s.Migrated)
+// TestRejectedHeaderNeverYieldsRows is the one-format contract: a page whose
+// header is not exactly (magic, format byte 3) is corrupt. It never decodes
+// to rows — not even to an empty batch — and never publishes zone maps, and
+// read through the pool it is a permanent, quarantined PageError.
+func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
+	c, _, tbl := faultCatalog(t, 4, 3000)
+	good := make([]byte, PageSize)
+	if err := c.Disk().ReadPage(tbl.File.ID(), 1, good); err != nil {
+		t.Fatal(err)
+	}
+	if cb, err := DecodePageCols(good, 2); err != nil || cb.Len() == 0 {
+		t.Fatalf("fixture page does not decode: %v", err)
+	} else {
+		cb.Release()
+	}
+	with := func(edit func(p []byte)) []byte {
+		p := append([]byte(nil), good...)
+		edit(p)
+		return p
+	}
+	// A row-major page as format 1 laid it out: a uint16 row count, then the
+	// raw datum stream.
+	rowMajor := binary.LittleEndian.AppendUint16(nil, 2)
+	for _, d := range []types.Datum{types.NewInt(7), types.NewString("a"), types.NewInt(8), types.NewString("b")} {
+		rowMajor = appendDatum(rowMajor, d)
+	}
+	cases := map[string][]byte{
+		"empty":           {},
+		"short":           good[:pageFixedHeader-1],
+		"magic-low-byte":  with(func(p []byte) { p[0] ^= 0x01 }),
+		"magic-high-byte": with(func(p []byte) { p[1] ^= 0x80 }),
+		"magic-zero":      with(func(p []byte) { p[0], p[1] = 0, 0 }),
+		"format-0":        with(func(p []byte) { p[2] = 0 }),
+		"format-1":        with(func(p []byte) { p[2] = 1 }),
+		"format-2":        with(func(p []byte) { p[2] = 2 }),
+		"format-4":        with(func(p []byte) { p[2] = 4 }),
+		"format-255":      with(func(p []byte) { p[2] = 0xFF }),
+		"row-major":       append(rowMajor, make([]byte, PageSize-len(rowMajor))...),
+		"all-zero":        make([]byte, PageSize),
+	}
+	for name, page := range cases {
+		t.Run(name, func(t *testing.T) {
+			if cb, err := DecodePageCols(page, 2); err == nil {
+				t.Fatalf("decoded %d rows from a rejected header", cb.Len())
+			}
+			if z := ReadPageZones(page); z != nil {
+				t.Fatalf("rejected header published zones %+v", z)
+			}
+			if len(page) != PageSize {
+				return // not a whole page: cannot sit on a disk
+			}
+			// Through the pool: overwrite page 1 on disk, drop it from the
+			// pool, fetch.
+			if err := c.Disk().WritePage(tbl.File.ID(), 1, page); err != nil {
+				t.Fatal(err)
+			}
+			c.Pool().ClearQuarantine()
+			c.Pool().EvictFile(tbl.File.ID())
+			before := c.Pool().DecodeStats()
+			_, err := tbl.File.PageCols(1)
+			var pe *PageError
+			if !errors.As(err, &pe) || pe.Page != 1 || IsTransient(err) {
+				t.Fatalf("err = %v, want a permanent *PageError for page 1", err)
+			}
+			after := c.Pool().DecodeStats()
+			if after.Quarantined != before.Quarantined+1 || after.Decoded != before.Decoded {
+				t.Fatalf("Quarantined %d→%d Decoded %d→%d, want +1 / +0",
+					before.Quarantined, after.Quarantined, before.Decoded, after.Decoded)
+			}
+			// The sibling pages are untouched.
+			cb, err := tbl.File.PageCols(0)
+			if err != nil {
+				t.Fatalf("healthy sibling page: %v", err)
+			}
+			cb.Release()
+		})
 	}
 }
 

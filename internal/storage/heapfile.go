@@ -145,18 +145,6 @@ func (h *HeapFile) PageResident(idx int) bool { return h.pool.Contains(h.id, idx
 // NotePruned forwards a pruned-page event to the pool's counters.
 func (h *HeapFile) NotePruned() { h.pool.NotePruned() }
 
-// Page fetches page idx through the buffer pool and returns its decoded
-// rows. Rows are decoded once per pool residency and shared between callers;
-// they are immutable and safe to retain.
-func (h *HeapFile) Page(idx int) ([]types.Row, error) {
-	fr, err := h.pool.Fetch(h.id, idx)
-	if err != nil {
-		return nil, err
-	}
-	defer h.pool.Unpin(fr)
-	return fr.DecodedRows(h.schema.Len())
-}
-
 // PageCols fetches page idx through the buffer pool and returns its
 // columnar batch, decoded once per pool residency and shared between
 // callers. The caller owns one reference on the batch and must Release it.
@@ -169,17 +157,19 @@ func (h *HeapFile) PageCols(idx int) (*vec.ColBatch, error) {
 	return fr.DecodedCols(h.schema.Len())
 }
 
-// AllRows reads the whole file (testing and bulk-build convenience; query
-// execution uses ScanCursor instead).
+// AllRows reads the whole file as freshly materialized rows (testing and
+// bulk-build convenience; query execution uses ScanCursor instead). Nothing
+// is retained on the frames.
 func (h *HeapFile) AllRows() ([]types.Row, error) {
 	n := h.NumPages()
 	var out []types.Row
 	for i := 0; i < n; i++ {
-		rows, err := h.Page(i)
+		cb, err := h.PageCols(i)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rows...)
+		out = append(out, cb.Rows()...)
+		cb.Release()
 	}
 	return out, nil
 }

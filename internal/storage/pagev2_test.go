@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,24 +10,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/vec"
 )
-
-// buildV1Page packs rows into a legacy row-major page (the format every
-// pre-v2 file on disk uses): a uint16 row count followed by the encoded
-// rows. It fails the test if the rows do not fit one page.
-func buildV1Page(t testing.TB, rows []types.Row) []byte {
-	t.Helper()
-	buf := make([]byte, pageHeaderSize, PageSize)
-	for _, r := range rows {
-		buf = EncodeRow(buf, r)
-	}
-	if len(buf) > PageSize {
-		t.Fatalf("v1 page overflow: %d bytes for %d rows", len(buf), len(rows))
-	}
-	binary.LittleEndian.PutUint16(buf[0:2], uint16(len(rows)))
-	page := make([]byte, PageSize)
-	copy(page, buf)
-	return page
-}
 
 // buildV2Page packs rows through the production builder, failing if any row
 // is rejected.
@@ -43,28 +24,19 @@ func buildV2Page(t testing.TB, rows []types.Row) []byte {
 	return b.finish()
 }
 
-// decodeBoth decodes a page through both entry points and checks they agree
-// with each other and with want.
-func decodeBoth(t *testing.T, page []byte, want []types.Row, ncols int) {
+// decodeCheck decodes a page and checks it against want, kind and payload.
+func decodeCheck(t *testing.T, page []byte, want []types.Row, ncols int) {
 	t.Helper()
-	rows, err := DecodePage(page, ncols)
-	if err != nil {
-		t.Fatalf("DecodePage: %v", err)
-	}
 	cb, err := DecodePageCols(page, ncols)
 	if err != nil {
 		t.Fatalf("DecodePageCols: %v", err)
 	}
 	defer cb.Release()
-	if len(rows) != len(want) || cb.Len() != len(want) {
-		t.Fatalf("row counts: rows=%d cols=%d want=%d", len(rows), cb.Len(), len(want))
+	if cb.Len() != len(want) {
+		t.Fatalf("row count %d, want %d", cb.Len(), len(want))
 	}
 	for i := range want {
 		for c := 0; c < ncols; c++ {
-			if got := rows[i][c]; got.K != want[i][c].K || !got.Equal(want[i][c]) {
-				t.Fatalf("row %d col %d: DecodePage %v (%v), want %v (%v)",
-					i, c, got, got.K, want[i][c], want[i][c].K)
-			}
 			if got := cb.Col(c).Datum(i); got.K != want[i][c].K || !got.Equal(want[i][c]) {
 				t.Fatalf("row %d col %d: DecodePageCols %v (%v), want %v (%v)",
 					i, c, got, got.K, want[i][c], want[i][c].K)
@@ -89,10 +61,10 @@ func TestPageV2RoundTripProperty(t *testing.T) {
 			inPage = append(inPage, row)
 		}
 		page := b.finish()
-		if v, err := pageVersion(page); err != nil || v != 2 {
-			t.Fatalf("trial %d: builder wrote version %d (%v)", trial, v, err)
+		if err := checkPageHeader(page); err != nil {
+			t.Fatalf("trial %d: builder wrote a bad header: %v", trial, err)
 		}
-		decodeBoth(t, page, inPage, schema.Len())
+		decodeCheck(t, page, inPage, schema.Len())
 	}
 }
 
@@ -179,36 +151,8 @@ func TestPageV2TargetedShapes(t *testing.T) {
 	}
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
-			decodeBoth(t, buildV2Page(t, rows), rows, len(rows[0]))
+			decodeCheck(t, buildV2Page(t, rows), rows, len(rows[0]))
 		})
-	}
-}
-
-// TestPageV1BackwardCompat verifies that legacy row-major pages decode
-// through both entry points exactly as before the format change.
-func TestPageV1BackwardCompat(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
-		_, rows := randSchemaRows(r)
-		// Keep the page within bounds: take a prefix that fits v1.
-		var inPage []types.Row
-		size := pageHeaderSize
-		for _, row := range rows {
-			size += len(EncodeRow(nil, row))
-			if size > PageSize {
-				break
-			}
-			inPage = append(inPage, row)
-		}
-		if len(inPage) == 0 {
-			continue
-		}
-		ncols := len(inPage[0])
-		page := buildV1Page(t, inPage)
-		if v, err := pageVersion(page); err != nil || v != 1 {
-			t.Fatalf("trial %d: v1 page classified as version %d (%v)", trial, v, err)
-		}
-		decodeBoth(t, page, inPage, ncols)
 	}
 }
 
@@ -275,70 +219,6 @@ func TestPageV2CorruptionNoPanic(t *testing.T) {
 		_ = cb.Rows() // must not panic on any surviving decode
 		cb.Release()
 	}
-}
-
-// TestHeapFileV1PagesReadable is the file-level backward-compat check: a
-// heap file whose on-disk pages are v1 (written before the format change)
-// reads back through the buffer pool, the columnar cache and scans.
-func TestHeapFileV1PagesReadable(t *testing.T) {
-	c := newTestCatalog(t, 8)
-	tbl, err := c.CreateTable("legacy", types.NewSchema(
-		types.Column{Name: "k", Kind: types.KindInt},
-		types.Column{Name: "s", Kind: types.KindString},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write v1 pages straight to disk, bypassing the (v2) builder.
-	var want []types.Row
-	const perPage = 200
-	for p := 0; p < 3; p++ {
-		rows := make([]types.Row, perPage)
-		for i := range rows {
-			id := p*perPage + i
-			rows[i] = types.Row{types.NewInt(int64(id)), types.NewString(strings.Repeat("v", id%13))}
-		}
-		if err := c.Disk().WritePage(tbl.File.ID(), p, buildV1Page(t, rows)); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rows...)
-	}
-	// Reading goes through HeapFile page accounting, so mirror the pages by
-	// decoding them through the pool directly.
-	for p := 0; p < 3; p++ {
-		cb, err := tbl.File.PageCols(p)
-		if err != nil {
-			t.Fatalf("page %d: %v", p, err)
-		}
-		rows, err := tbl.File.Page(p)
-		if err != nil {
-			t.Fatalf("page %d rows: %v", p, err)
-		}
-		for i := 0; i < cb.Len(); i++ {
-			wantRow := want[p*perPage+i]
-			if !rows[i].Equal(wantRow) || !cb.Row(i).Equal(wantRow) {
-				t.Fatalf("page %d row %d: got %v / %v, want %v", p, i, rows[i], cb.Row(i), wantRow)
-			}
-		}
-		cb.Release()
-	}
-}
-
-// TestPageBuilderMixedFilesCoexist interleaves v1 and v2 pages in one file:
-// the per-page version byte, not file state, selects the decode path.
-func TestPageBuilderMixedFilesCoexist(t *testing.T) {
-	rowsA := make([]types.Row, 50)
-	for i := range rowsA {
-		rowsA[i] = types.Row{types.NewInt(int64(i))}
-	}
-	rowsB := make([]types.Row, 50)
-	for i := range rowsB {
-		rowsB[i] = types.Row{types.NewInt(int64(100 + i))}
-	}
-	v1 := buildV1Page(t, rowsA)
-	v2 := buildV2Page(t, rowsB)
-	decodeBoth(t, v1, rowsA, 1)
-	decodeBoth(t, v2, rowsB, 1)
 }
 
 var sinkCB *vec.ColBatch
@@ -418,40 +298,4 @@ func BenchmarkDecodePageColsV2Strings(b *testing.B) {
 		cb.Release()
 	}
 	b.ReportMetric(float64(n), "tuples/op")
-}
-
-// BenchmarkDecodePageColsV1 is the legacy transposing decode of the same
-// logical rows as the Strings benchmark — the before/after baseline for the
-// format change.
-func BenchmarkDecodePageColsV1(b *testing.B) {
-	cities := make([]string, 40)
-	for i := range cities {
-		cities[i] = fmt.Sprintf("CITY-%02d-%s", i, strings.Repeat("x", 10))
-	}
-	var rows []types.Row
-	size := pageHeaderSize
-	for i := 0; ; i++ {
-		r := types.Row{
-			types.NewInt(int64(i)),
-			types.NewString(cities[i%len(cities)]),
-			types.NewString(cities[(i*13)%len(cities)]),
-		}
-		size += len(EncodeRow(nil, r))
-		if size > PageSize {
-			break
-		}
-		rows = append(rows, r)
-	}
-	page := buildV1Page(b, rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cb, err := DecodePageCols(page, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkCB = cb
-		cb.Release()
-	}
-	b.ReportMetric(float64(len(rows)), "tuples/op")
 }

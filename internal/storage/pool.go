@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/types"
 	"repro/internal/vec"
 )
 
@@ -34,7 +33,7 @@ type pageKey struct {
 // frames from Fetch and must Unpin them when done; the page bytes must not
 // be accessed after Unpin.
 type Frame struct {
-	pool    *BufferPool // owning pool (migrate-on-load and decode stats)
+	pool    *BufferPool // owning pool (quarantine and decode stats)
 	key     pageKey
 	data    []byte
 	pins    int
@@ -43,93 +42,19 @@ type Frame struct {
 	loading chan struct{} // non-nil while the page is being read from disk
 	loadErr error
 
-	// Columnar decode cache: a page is decoded at most once per residency
-	// into a pooled ColBatch (circular scans re-read the same resident
-	// pages every sweep, so re-decoding dominated their allocation
-	// profile). The frame owns one reference; eviction drops it and the
-	// batch returns to the pool once the last reader releases its own. The
-	// row view is materialized lazily from the columnar cache — the datums
-	// it copies out do not alias the batch's recyclable arrays (string
-	// bytes are independent heap objects), so rows remain valid, as
-	// immutable data, after the frame is recycled.
-	decMu    sync.Mutex
-	cb       *vec.ColBatch
-	rows     []types.Row
-	decoded  bool
-	rowsDone bool
-	decErr   error // sticky decode failure (corrupt page) for this residency
+	// Columnar decode cache, the frame's one decoded form: a page is decoded
+	// at most once per residency into a pooled ColBatch (circular scans
+	// re-read the same resident pages every sweep, so re-decoding dominated
+	// their allocation profile). The frame owns one reference; eviction drops
+	// it and the batch returns to the pool once the last reader releases its
+	// own.
+	decMu  sync.Mutex
+	cb     *vec.ColBatch
+	decErr error // sticky decode failure (corrupt page) for this residency
 }
 
 // Data returns the page bytes. Valid only while the frame is pinned.
 func (fr *Frame) Data() []byte { return fr.data }
-
-// decodeLocked populates the columnar cache on first use per residency,
-// aging v1 pages as a side effect: a page that still decodes through the
-// v1 transposing loop is re-encoded as a v2 column-major page and installed
-// in the frame, so hot data pays the compat decoder at most once. The
-// returned writeBack page, when non-nil, must be flushed to disk by the
-// caller after releasing decMu — the write (real I/O, or a charged latency
-// sleep on the simulated disk) must not stall concurrent readers of the
-// already-decoded frame.
-func (fr *Frame) decodeLocked(ncols int) (writeBack []byte, err error) {
-	if fr.decoded {
-		return nil, nil
-	}
-	if fr.decErr != nil {
-		return nil, fr.decErr
-	}
-	ver, err := pageVersion(fr.data)
-	if err != nil {
-		fr.decErr = err
-		return nil, err
-	}
-	cb, err := DecodePageCols(fr.data, ncols)
-	if err != nil {
-		fr.decErr = err
-		return nil, err
-	}
-	fr.cb = cb
-	fr.decoded = true
-	if p := fr.pool; p != nil {
-		if ver == 1 {
-			p.decodedV1.Add(1)
-			if page, ok := reencodePageV2(cb); ok {
-				copy(fr.data, page)
-				// The re-encode went through the builder, so the new
-				// page carries zone maps; publish them now rather than
-				// waiting for the write-back to land.
-				p.backfillZones(fr.key, ReadPageZones(page), cb)
-				return page, nil
-			}
-		} else {
-			p.decodedV2.Add(1)
-		}
-		// Pages that predate the zone directory (v1 pages that did not
-		// re-encode, version-2 pages) get bounds computed once per
-		// residency from the decoded columns, so they stop defeating
-		// pruning while they await migration.
-		p.backfillZones(fr.key, ReadPageZones(fr.data), cb)
-	}
-	return nil, nil
-}
-
-// migrate flushes a re-encoded v2 page back to disk (mixed v1/v2 files
-// converge to all-v2). Best-effort: on failure the on-disk page stays v1
-// and the next residency simply migrates again — but the failure is counted
-// (DecodeStats.MigrateFailed), so silently rotting write paths are
-// observable instead of presenting as a migration that never converges.
-func (fr *Frame) migrate(writeBack []byte) {
-	if writeBack == nil {
-		return
-	}
-	if p := fr.pool; p != nil {
-		if p.disk.WritePage(fr.key.file, fr.key.idx, writeBack) == nil {
-			p.migrated.Add(1)
-		} else {
-			p.migrateFailed.Add(1)
-		}
-	}
-}
 
 // DecodedCols returns the frame's page decoded into a columnar batch,
 // decoding on first use per residency. Must be called with the frame
@@ -137,8 +62,12 @@ func (fr *Frame) migrate(writeBack []byte) {
 // batch may be retained past Unpin.
 func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 	fr.decMu.Lock()
-	writeBack, err := fr.decodeLocked(ncols)
-	if err != nil {
+	if fr.cb == nil && fr.decErr == nil {
+		if fr.cb, fr.decErr = DecodePageCols(fr.data, ncols); fr.decErr == nil {
+			fr.pool.decoded.Add(1)
+		}
+	}
+	if err := fr.decErr; err != nil {
 		fr.decMu.Unlock()
 		// A page that read fine but fails to decode is corrupt on disk:
 		// permanent, quarantined alongside unreadable pages.
@@ -146,29 +75,7 @@ func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 	}
 	fr.cb.Retain()
 	fr.decMu.Unlock()
-	fr.migrate(writeBack)
 	return fr.cb, nil
-}
-
-// DecodedRows returns the frame's page as rows of ncols columns,
-// materialized once per residency from the columnar cache. Must be called
-// with the frame pinned. The returned rows are shared and immutable; they
-// may be retained after Unpin.
-func (fr *Frame) DecodedRows(ncols int) ([]types.Row, error) {
-	fr.decMu.Lock()
-	writeBack, err := fr.decodeLocked(ncols)
-	if err != nil {
-		fr.decMu.Unlock()
-		return nil, fr.pool.quarantine(fr.key, MarkPermanent(err))
-	}
-	if !fr.rowsDone {
-		fr.rows = fr.cb.Rows()
-		fr.rowsDone = true
-	}
-	rows := fr.rows
-	fr.decMu.Unlock()
-	fr.migrate(writeBack)
-	return rows, nil
 }
 
 // PoolStats are cumulative buffer pool counters, plus one gauge: Frames is
@@ -181,28 +88,21 @@ type PoolStats struct {
 	Frames    int
 }
 
-// DecodeStats count page decodes per on-disk format plus v1→v2 migrations,
-// the observability hook for the compat path's aging: on a converged system
-// DecodedV1 stops growing. Fetched/Pruned/Decoded are the zone-map pruning
-// counters: Pruned pages were ruled out by zone maps before any fetch, so
-// on a selective clustered sweep Fetched+Pruned ≈ pages touched logically
-// while Fetched (and Decoded) stay proportional to the relevant pages only.
+// DecodeStats are the pool's page-level counters. Fetched/Pruned/Decoded are
+// the zone-map pruning counters: Pruned pages were ruled out by zone maps
+// before any fetch, so on a selective clustered sweep Fetched+Pruned ≈ pages
+// touched logically while Fetched (and Decoded) stay proportional to the
+// relevant pages only.
 type DecodeStats struct {
-	DecodedV1 int64 // pages decoded through the v1 transposing loop
-	DecodedV2 int64 // pages decoded through the v2 bulk column decoder
-	Migrated  int64 // v1 pages re-encoded as v2 and written back
-	Fetched   int64 // demand fetches served (pool hits + disk reads)
-	Pruned    int64 // page fetches avoided by zone-map pruning
-	Decoded   int64 // DecodedV1 + DecodedV2
+	Fetched int64 // demand fetches served (pool hits + disk reads)
+	Pruned  int64 // page fetches avoided by zone-map pruning
+	Decoded int64 // pages decoded (at most once per pool residency)
 
 	// Fault-handling counters. Retries counts transient read errors that
 	// were retried (with backoff) before the page loaded or quarantined;
-	// Quarantined counts pages settled into a permanent PageError;
-	// MigrateFailed counts best-effort v1→v2 write-backs that failed (the
-	// on-disk page stays v1 — silent only in effect, never in the stats).
-	Retries       int64
-	Quarantined   int64
-	MigrateFailed int64
+	// Quarantined counts pages settled into a permanent PageError.
+	Retries     int64
+	Quarantined int64
 }
 
 // BufferPool caches disk pages in at most a fixed number of frames with clock
@@ -228,15 +128,11 @@ type BufferPool struct {
 	evictions  atomic.Int64
 	prefetched atomic.Int64
 
-	decodedV1 atomic.Int64
-	decodedV2 atomic.Int64
-	migrated  atomic.Int64
+	decoded   atomic.Int64
 	fetched   atomic.Int64
 	pruned    atomic.Int64
-
-	migrateFailed atomic.Int64
-	retries       atomic.Int64
-	quarCount     atomic.Int64
+	retries   atomic.Int64
+	quarCount atomic.Int64
 
 	// Retry policy for transient read errors (SetRetryPolicy overrides).
 	retryMax  int
@@ -254,9 +150,8 @@ type BufferPool struct {
 
 	// Per-page zone maps, keyed like the frame table but never evicted
 	// (a few dozen bytes per page versus a 32KiB frame). Populated by the
-	// heap-file writer at flush time and backfilled by the first decode of
-	// pages that predate the zone directory. Page contents are immutable
-	// after flush, so entries never go stale.
+	// heap-file writer at flush time. Page contents are immutable after
+	// flush, so entries never go stale.
 	zmu   sync.RWMutex
 	zones map[pageKey][]ZoneMap
 
@@ -334,7 +229,7 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	fr.ref = true
 	fr.loadErr = nil
 	// The frame was unpinned when victimLocked picked it, so no decode
-	// call can be in flight; dropping the caches here is race-free.
+	// call can be in flight; dropping the cache here is race-free.
 	fr.dropDecoded()
 	ch := make(chan struct{})
 	fr.loading = ch
@@ -457,7 +352,7 @@ func (p *BufferPool) ClearQuarantine() {
 }
 
 // invalidateLocked retires a frame that has just left the page table without
-// being handed to a new page: its decode caches are dropped and it joins the
+// being handed to a new page: its decode cache is dropped and it joins the
 // free list, which victimLocked drains before the pool grows or evicts.
 func (p *BufferPool) invalidateLocked(fr *Frame) {
 	fr.valid = false
@@ -465,7 +360,7 @@ func (p *BufferPool) invalidateLocked(fr *Frame) {
 	p.free = append(p.free, fr)
 }
 
-// dropDecoded forgets the frame's decode caches. The frame's reference on the
+// dropDecoded forgets the frame's decode cache. The frame's reference on the
 // columnar batch is released — readers that retained their own keep the batch
 // alive until they release it.
 func (fr *Frame) dropDecoded() {
@@ -473,9 +368,6 @@ func (fr *Frame) dropDecoded() {
 		fr.cb.Release()
 		fr.cb = nil
 	}
-	fr.rows = nil
-	fr.decoded = false
-	fr.rowsDone = false
 	fr.decErr = nil
 }
 
@@ -608,26 +500,6 @@ func (p *BufferPool) Zones(f FileID, idx int) []ZoneMap {
 	return z
 }
 
-// backfillZones publishes zone maps for a page first seen without them,
-// computing bounds from the decoded columns when the page bytes carry no
-// zone directory. No-op when the page's zones are already known.
-func (p *BufferPool) backfillZones(key pageKey, zones []ZoneMap, cb *vec.ColBatch) {
-	p.zmu.RLock()
-	_, known := p.zones[key]
-	p.zmu.RUnlock()
-	if known {
-		return
-	}
-	if zones == nil {
-		zones = ZonesFromBatch(cb)
-	}
-	p.zmu.Lock()
-	if _, known := p.zones[key]; !known {
-		p.zones[key] = zones
-	}
-	p.zmu.Unlock()
-}
-
 // NotePruned counts a page fetch avoided by zone-map pruning (the scan
 // layers report these; the pool never sees the page).
 func (p *BufferPool) NotePruned() { p.pruned.Add(1) }
@@ -645,18 +517,13 @@ func (p *BufferPool) Stats() PoolStats {
 	}
 }
 
-// DecodeStats returns cumulative per-format decode and migration counters.
+// DecodeStats returns the cumulative fetch, prune, decode and fault counters.
 func (p *BufferPool) DecodeStats() DecodeStats {
-	v1, v2 := p.decodedV1.Load(), p.decodedV2.Load()
 	return DecodeStats{
-		DecodedV1:     v1,
-		DecodedV2:     v2,
-		Migrated:      p.migrated.Load(),
-		Fetched:       p.fetched.Load(),
-		Pruned:        p.pruned.Load(),
-		Decoded:       v1 + v2,
-		Retries:       p.retries.Load(),
-		Quarantined:   p.quarCount.Load(),
-		MigrateFailed: p.migrateFailed.Load(),
+		Fetched:     p.fetched.Load(),
+		Pruned:      p.pruned.Load(),
+		Decoded:     p.decoded.Load(),
+		Retries:     p.retries.Load(),
+		Quarantined: p.quarCount.Load(),
 	}
 }

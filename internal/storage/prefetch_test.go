@@ -91,11 +91,13 @@ func TestPrefetchHidesDiskLatency(t *testing.T) {
 		cur := tbl.Attach()
 		defer cur.Close()
 		for {
-			if _, ok, err := cur.NextRows(); err != nil {
+			cb, _, ok, err := cur.NextCols()
+			if err != nil {
 				t.Fatal(err)
 			} else if !ok {
 				break
 			}
+			cb.Release()
 		}
 		return time.Since(start)
 	}

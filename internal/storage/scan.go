@@ -3,7 +3,6 @@ package storage
 import (
 	"sync"
 
-	"repro/internal/types"
 	"repro/internal/vec"
 )
 
@@ -144,31 +143,10 @@ func (c *ScanCursor) Next() (idx int, ok bool) {
 	return idx, true
 }
 
-// NextRows fetches the next page's shared row view, or ok=false at end of
-// sweep. With readahead enabled the cursor's following page is requested in
-// the background before this one is decoded. Rows materialize once per pool
-// residency from the frame's columnar cache (the row-only convenience for
-// tests and the shared-scan ablation; query execution uses NextCols).
-func (c *ScanCursor) NextRows() (rows []types.Row, ok bool, err error) {
-	idx, ok := c.Next()
-	if !ok {
-		return nil, false, nil
-	}
-	if c.numPages > 1 && c.group.prefetchOn() {
-		c.group.hf.Prefetch((idx + 1) % c.numPages)
-	}
-	rows, err = c.group.hf.Page(idx)
-	if err != nil {
-		return nil, false, err
-	}
-	return rows, true, nil
-}
-
-// NextCols fetches the next page's columnar batch — without materializing
-// the row view — and reports the page index, or ok=false at end of sweep.
-// The caller owns one reference on the batch and must Release it. This is
-// the columnar-exchange scan path: rows for the page, if a downstream
-// consumer ever needs them, come later from HeapFile.Page's shared cache.
+// NextCols fetches the next page's columnar batch and reports the page
+// index, or ok=false at end of sweep. With readahead enabled the cursor's
+// following page is requested in the background before this one is decoded.
+// The caller owns one reference on the batch and must Release it.
 func (c *ScanCursor) NextCols() (cb *vec.ColBatch, idx int, ok bool, err error) {
 	idx, ok = c.Next()
 	if !ok {

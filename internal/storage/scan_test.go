@@ -42,16 +42,17 @@ func collectScan(t *testing.T, cur *ScanCursor) map[int64]int {
 	t.Helper()
 	seen := map[int64]int{}
 	for {
-		rows, ok, err := cur.NextRows()
+		cb, _, ok, err := cur.NextCols()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		for _, r := range rows {
-			seen[r[0].I]++
+		for _, k := range cb.Col(0).I[:cb.Len()] {
+			seen[k]++
 		}
+		cb.Release()
 	}
 	return seen
 }
@@ -193,9 +194,11 @@ func TestSharedScansSaveDiskReads(t *testing.T) {
 			cur := tbl.Attach()
 			defer cur.Close()
 			for {
-				if _, ok, err := cur.NextRows(); err != nil || !ok {
+				cb, _, ok, err := cur.NextCols()
+				if err != nil || !ok {
 					return
 				}
+				cb.Release()
 			}
 		}()
 	}

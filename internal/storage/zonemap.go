@@ -1,15 +1,10 @@
 package storage
 
-import (
-	"encoding/binary"
-
-	"repro/internal/types"
-	"repro/internal/vec"
-)
+import "encoding/binary"
 
 // Zone maps are per-column min-max summaries persisted in the page header
-// region of version-3 pages (the v2 column-major layout plus a zone
-// directory), readable without decoding any segment:
+// region, between the segment offsets and the first segment, readable
+// without decoding any segment:
 //
 //	[dirEnd:..] one entry per column: a flags byte, then — when ZoneInt is
 //	            set — int64 min and max (8 bytes LE each), then — when
@@ -21,8 +16,8 @@ import (
 // entries. Bounds span only non-NULL rows — under the engine's NULL→false
 // predicate semantics a NULL row can never satisfy a pushed-down predicate,
 // so bounds over the non-NULL rows are exactly what a can-match check needs.
-// A column with no flag set is unknown (mixed value classes, floats, or a
-// pre-zone-map page) and must never prune.
+// A column with no flag set is unknown (mixed value classes or floats) and
+// must never prune.
 
 // ZoneMap flag bits.
 const (
@@ -149,14 +144,11 @@ func readZoneStr(data []byte) (string, []byte, bool) {
 	return string(data[n : n+int(l)]), data[n+int(l):], true
 }
 
-// ReadPageZones extracts the per-column zone maps persisted in a version-3
-// page. It returns nil — "unknown, never prune" — for v1 pages, pre-zone-map
-// v2 pages, empty pages, and anything malformed; a nil result is always a
-// safe answer.
+// ReadPageZones extracts the per-column zone maps persisted in a page. It
+// returns nil — "unknown, never prune" — for empty pages and anything
+// malformed; a nil result is always a safe answer.
 func ReadPageZones(page []byte) []ZoneMap {
-	if len(page) < pageV2FixedHeader ||
-		binary.LittleEndian.Uint16(page[0:2]) != pageMagicV2 ||
-		page[2] != pageVersion3 {
+	if checkPageHeader(page) != nil {
 		return nil
 	}
 	nrows := int(binary.LittleEndian.Uint16(page[3:5]))
@@ -164,14 +156,14 @@ func ReadPageZones(page []byte) []ZoneMap {
 	if nrows == 0 || ncols == 0 {
 		return nil
 	}
-	dirEnd := pageV2FixedHeader + 4*ncols
+	dirEnd := pageFixedHeader + 4*ncols
 	if len(page) < dirEnd {
 		return nil
 	}
 	// The zone directory must end before the first segment starts.
 	limit := len(page)
 	for c := 0; c < ncols; c++ {
-		off := int(binary.LittleEndian.Uint32(page[pageV2FixedHeader+4*c:]))
+		off := int(binary.LittleEndian.Uint32(page[pageFixedHeader+4*c:]))
 		if off < dirEnd || off > len(page) {
 			return nil
 		}
@@ -188,82 +180,4 @@ func ReadPageZones(page []byte) []ZoneMap {
 		}
 	}
 	return zones
-}
-
-// ZonesFromBatch computes the zone maps a version-3 encode of the batch
-// would carry — the backfill path for pages that predate zone maps (v1
-// pages awaiting migration, or v2 pages written before the zone directory
-// existed). Bounds are derived once per pool residency from the already
-// decoded columns, so pre-migration pages stop defeating pruning.
-func ZonesFromBatch(cb *vec.ColBatch) []ZoneMap {
-	if cb.Len() == 0 {
-		return nil
-	}
-	zones := make([]ZoneMap, cb.NumCols())
-	for c := range zones {
-		zones[c] = zoneFromVec(cb.Col(c), cb.Len())
-	}
-	return zones
-}
-
-// zoneFromVec derives one column's zone map from decoded data.
-func zoneFromVec(v *vec.Vec, n int) ZoneMap {
-	var z ZoneMap
-	intOK, strOK := true, true
-	haveInt, haveStr := false, false
-	nonNull := 0
-	for i := 0; i < n; i++ {
-		switch v.Kinds[i] {
-		case types.KindNull:
-			continue
-		case types.KindInt, types.KindDate, types.KindBool:
-			strOK = false
-			if !intOK {
-				continue
-			}
-			val := v.I[i]
-			if !haveInt {
-				haveInt, z.MinI, z.MaxI = true, val, val
-			} else {
-				if val < z.MinI {
-					z.MinI = val
-				}
-				if val > z.MaxI {
-					z.MaxI = val
-				}
-			}
-		case types.KindString:
-			intOK = false
-			if !strOK {
-				continue
-			}
-			s := v.S[i]
-			if !haveStr {
-				haveStr, z.MinS, z.MaxS = true, s, s
-			} else {
-				if s < z.MinS {
-					z.MinS = s
-				}
-				if s > z.MaxS {
-					z.MaxS = s
-				}
-			}
-		default:
-			intOK, strOK = false, false
-		}
-		nonNull++
-	}
-	switch {
-	case nonNull == 0:
-		z.Flags = ZoneNullOnly
-	case intOK && haveInt:
-		z.Flags = ZoneInt
-	case strOK && haveStr:
-		z.Flags = ZoneStr
-		return z
-	default:
-		z = ZoneMap{}
-	}
-	z.MinS, z.MaxS = "", ""
-	return z
 }

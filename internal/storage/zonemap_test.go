@@ -76,34 +76,6 @@ func TestZoneMapsPersistedOnFlush(t *testing.T) {
 	}
 }
 
-// TestZoneBackfillOnDecode checks the v1 gap fix: legacy pages carry no zone
-// region, so their zones appear (computed from the decoded columns) on first
-// residency and stay sound.
-func TestZoneBackfillOnDecode(t *testing.T) {
-	c := newTestCatalog(t, 4)
-	tbl, pages := migrateFixture(t, c, 3, 0)
-	for p := range pages {
-		if z := tbl.File.PageZones(p); z != nil {
-			t.Fatalf("page %d: zones before any decode", p)
-		}
-	}
-	for p, want := range pages {
-		cb, err := tbl.File.PageCols(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb.Release()
-		zones := tbl.File.PageZones(p)
-		if zones == nil {
-			t.Fatalf("page %d: no zones after decode", p)
-		}
-		lo, hi := want[0][0].I, want[len(want)-1][0].I
-		if z := zones[0]; z.Flags&ZoneInt == 0 || z.MinI != lo || z.MaxI != hi {
-			t.Fatalf("page %d: backfilled int zone %+v, want [%d,%d]", p, z, lo, hi)
-		}
-	}
-}
-
 // TestNextColsPrunedExactlyOnce checks that a pruning sweep delivers exactly
 // the non-pruned pages, each once, and counts the pruned ones.
 func TestNextColsPrunedExactlyOnce(t *testing.T) {

@@ -26,7 +26,7 @@
 // drops. Strings are stored as Go string headers ([]string), not offsets
 // into recyclable buffers, so rows materialized from a batch stay valid
 // after the batch is recycled — the string contents are immutable heap
-// objects (for columns decoded from a v2 page, substrings of one shared
+// objects (for columns decoded from a page, substrings of one shared
 // per-page dictionary buffer). Dictionary-coded columns additionally carry
 // the page's sorted dictionary in Dict with per-row codes in I, enabling
 // predicate kernels that compare ints instead of strings.
@@ -62,7 +62,7 @@ type Vec struct {
 	F     []float64
 	S     []string
 
-	// Dict, when non-empty, marks a dictionary-coded string column (the v2
+	// Dict, when non-empty, marks a dictionary-coded string column (the
 	// on-disk page format decodes string columns this way): Dict is the
 	// page's sorted, duplicate-free dictionary, I[i] holds row i's code and
 	// S[i] == Dict[I[i]] for every string row. Because the dictionary is

@@ -58,7 +58,7 @@ type Env struct {
 }
 
 // estimatePages over-approximates the page count of a generated database so
-// the buffer pool can be sized before generation. v2 pages hold an SSB
+// the buffer pool can be sized before generation. Pages hold an SSB
 // lineorder row in 25.4-25.7 bytes and a TPC-H lineitem row in 29.2-29.5
 // (measured at sf 0.01 and 0.1; TestEstimatePagesTracksGenerator pins both),
 // and the SSB dimensions add about 2% to the fact table.

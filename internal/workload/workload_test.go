@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/ssb"
+	"repro/internal/tpch"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
@@ -362,6 +364,78 @@ func TestScenarioIProducesAllSeries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScenarioILinesAgreeOnQ1: the three Scenario I lines return the same
+// TPC-H Q1 result for a host and four satellites. Under push-SP every
+// satellite aggregates rows cloned straight from the scan's column batches;
+// under pull-SP all five read the same view batches.
+func TestScenarioILinesAgreeOnQ1(t *testing.T) {
+	env, err := NewTPCHEnv(0.005, MemoryResident, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ctx := context.Background()
+	const k = 5
+	var want []types.Row
+	for _, m := range scenarioIModes() {
+		e := env.Engine(m.cfg)
+		roots := make([]plan.Node, k)
+		for i := range roots {
+			roots[i] = tpch.Q1Plan(env.Lineitem, 90)
+		}
+		results, err := e.ExecuteBatch(ctx, roots)
+		if err != nil {
+			t.Fatalf("%s: %v", m.label, err)
+		}
+		scan := e.StageStatsFor(plan.KindScan)
+		switch m.label {
+		case LineQueryCentric:
+			want = results[0].Rows
+			if len(want) < 3 {
+				t.Fatalf("reference Q1 has %d groups", len(want))
+			}
+		case LinePushSP:
+			if scan.SPAttached != k-1 || scan.Copies == 0 {
+				t.Fatalf("push-SP: %d satellites, %d copies; want %d satellites fed by clones", scan.SPAttached, scan.Copies, k-1)
+			}
+		case LinePullSP:
+			if scan.SPAttached != k-1 || scan.Copies != 0 {
+				t.Fatalf("pull-SP: %d satellites, %d copies; want %d satellites and no copies", scan.SPAttached, scan.Copies, k-1)
+			}
+		}
+		for i, res := range results {
+			if !rowsEqualUpToRounding(res.Rows, want) {
+				t.Fatalf("%s query %d:\n got  %v\n want %v", m.label, i, res.Rows, want)
+			}
+		}
+	}
+}
+
+// rowsEqualUpToRounding compares two Q1 results, both ordered by the plan's
+// Sort: circular scans start wherever the sweep is, so float sums agree only
+// up to the rounding of a different addition order.
+func rowsEqualUpToRounding(got, want []types.Row) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			return false
+		}
+		for c, g := range got[i] {
+			w := want[i][c]
+			if g.K == types.KindFloat && w.K == types.KindFloat {
+				if math.Abs(g.F-w.F) > 1e-9*math.Abs(w.F) {
+					return false
+				}
+			} else if g.K != w.K || !g.Equal(w) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestScenarioIIProducesAllSeries(t *testing.T) {
