@@ -5,7 +5,8 @@
 // Lists), the CJOIN operator evaluating a Global Query Plan with shared
 // scans / selections / hash-joins (proactive sharing), their integration
 // (SP applied on top of the GQP), and the storage and workload substrates
-// required to regenerate the paper's four demonstration scenarios.
+// required to regenerate the paper's demonstration as curves over its five
+// protected lines (query-centric, push-SP, pull-SP, GQP, GQP+SP).
 //
 // This package is the facade: it re-exports the building blocks and offers
 // System, a convenience wrapper that assembles a database instance
@@ -21,7 +22,9 @@
 //	internal/expr      predicates and scalar expressions
 //	internal/ssb       Star Schema Benchmark generator and templates
 //	internal/tpch      TPC-H lineitem generator and Q1
-//	internal/workload  Scenario I-IV runners
+//	internal/workload  environments, the five lines, the curve registry
+//	                   (Scenarios I-IV, reuse, pruning, overload, faults)
+//	                   and the one runner that measures a curve into a table
 package repro
 
 import (
@@ -155,7 +158,7 @@ var (
 	SSBPool = ssb.Pool
 	// GenerateTPCH loads the TPC-H lineitem table into a catalog.
 	GenerateTPCH = tpch.Generate
-	// Q1Plan builds the TPC-H Q1 plan (Scenario I's query).
+	// Q1Plan builds the TPC-H Q1 plan (curve I's query).
 	Q1Plan = tpch.Q1Plan
 )
 
@@ -176,80 +179,19 @@ const (
 	Q4_3 = ssb.Q4_3
 )
 
-// Scenario runners and their configurations (the paper's §4 experiments).
-type (
-	// Residency selects memory- vs disk-resident databases.
-	Residency = workload.Residency
-	// ScenarioIConfig parameterizes Scenario I (push vs pull SP).
-	ScenarioIConfig = workload.ScenarioIConfig
-	// ScenarioIResult holds Scenario I series.
-	ScenarioIResult = workload.ScenarioIResult
-	// ScenarioIIConfig parameterizes Scenario II (impact of concurrency).
-	ScenarioIIConfig = workload.ScenarioIIConfig
-	// ScenarioIIResult holds Scenario II series.
-	ScenarioIIResult = workload.ScenarioIIResult
-	// ScenarioIIIConfig parameterizes Scenario III (impact of selectivity).
-	ScenarioIIIConfig = workload.ScenarioIIIConfig
-	// ScenarioIIIResult holds Scenario III series.
-	ScenarioIIIResult = workload.ScenarioIIIResult
-	// ScenarioIVConfig parameterizes Scenario IV (impact of similarity).
-	ScenarioIVConfig = workload.ScenarioIVConfig
-	// ScenarioIVResult holds Scenario IV series.
-	ScenarioIVResult = workload.ScenarioIVResult
-	// ScenarioIVPruneConfig parameterizes the Scenario IV pruning axis
-	// (date-clustered fact table, zone-map pruning on vs off).
-	ScenarioIVPruneConfig = workload.ScenarioIVPruneConfig
-	// ScenarioIVPruneResult holds the pruning-axis series.
-	ScenarioIVPruneResult = workload.ScenarioIVPruneResult
-	// ScenarioIIRepeatConfig parameterizes the Scenario II repeat-template
-	// axis (query folding + result cache vs both disabled).
-	ScenarioIIRepeatConfig = workload.ScenarioIIRepeatConfig
-	// ScenarioIIRepeatResult holds the repeat-axis series.
-	ScenarioIIRepeatResult = workload.ScenarioIIRepeatResult
-	// ScenarioFConfig parameterizes the Scenario F fault axis (goodput vs
-	// poisoned-page rate under blast-radius containment).
-	ScenarioFConfig = workload.ScenarioFConfig
-	// ScenarioFResult holds the fault-axis points.
-	ScenarioFResult = workload.ScenarioFResult
-	// ScenarioFPoint is one fault-rate measurement.
-	ScenarioFPoint = workload.ScenarioFPoint
-	// ScenarioVConfig parameterizes the Scenario V overload axis (open-loop
-	// Poisson arrivals through the service tier, offered load past capacity).
-	ScenarioVConfig = workload.ScenarioVConfig
-	// ScenarioVResult holds the offered-load points plus the calibrated
-	// capacity they scale.
-	ScenarioVResult = workload.ScenarioVResult
-	// ScenarioVPoint is one offered-load measurement.
-	ScenarioVPoint = workload.ScenarioVPoint
-)
-
-// Scenario entry points.
+// The demonstration's curves (the paper's §4 experiments): Curves is the
+// registry, RunCurve measures one into a table of (x, line) cells with
+// counter deltas and checks its orderings.
 var (
-	// RunScenarioI reproduces §4.3 (Figure 4).
-	RunScenarioI = workload.RunScenarioI
-	// RunScenarioII reproduces §4.4 scenario II.
-	RunScenarioII = workload.RunScenarioII
-	// RunScenarioIII reproduces §4.4 scenario III.
-	RunScenarioIII = workload.RunScenarioIII
-	// RunScenarioIV reproduces §4.4 scenario IV.
-	RunScenarioIV = workload.RunScenarioIV
-	// RunScenarioIVPrune runs the Scenario IV pruning axis: date-window
-	// queries on a date-clustered fact table, pruning on vs off.
-	RunScenarioIVPrune = workload.RunScenarioIVPrune
-	// RunScenarioIIRepeat runs the Scenario II repeat-template axis:
-	// subsumption folding + materialized result cache vs both disabled.
-	RunScenarioIIRepeat = workload.RunScenarioIIRepeat
-	// RunScenarioF runs the fault axis: a rising fraction of fact pages is
-	// permanently poisoned and goodput must degrade proportionally (only
-	// queries whose date windows cover a quarantined page fail).
-	RunScenarioF = workload.RunScenarioF
-	// RunScenarioV runs the overload axis: open-loop Poisson arrivals of a
-	// short/long query mix through the admission-controlled gateway, offered
-	// load swept past calibrated capacity — goodput must degrade gracefully.
-	RunScenarioV = workload.RunScenarioV
+	Curves   = workload.Curves
+	RunCurve = workload.Run
 )
 
-// Residency values.
+// CurveParams is what a caller may set about a run (scale, window, seed,
+// workers, residency, pool pages, x values, client count).
+type CurveParams = workload.Params
+
+// Residency values for CurveParams.
 const (
 	// MemoryResident databases fit entirely in the buffer pool.
 	MemoryResident = workload.MemoryResident
@@ -325,12 +267,7 @@ func (s *System) LoadSSB(sf float64, seed int64) (*SSBDatabase, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := cjoin.NewOperator(db.Lineorder, []cjoin.DimSpec{
-		{Table: db.Date, FactKeyCol: ssb.LOOrderDate, DimKeyCol: ssb.DDateKey},
-		{Table: db.Customer, FactKeyCol: ssb.LOCustKey, DimKeyCol: ssb.CCustKey},
-		{Table: db.Supplier, FactKeyCol: ssb.LOSuppKey, DimKeyCol: ssb.SSuppKey},
-		{Table: db.Part, FactKeyCol: ssb.LOPartKey, DimKeyCol: ssb.PPartKey},
-	}, s.gqpCfg)
+	op, err := cjoin.NewOperator(db.Lineorder, workload.SSBChain(db), s.gqpCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +275,7 @@ func (s *System) LoadSSB(sf float64, seed int64) (*SSBDatabase, error) {
 	return db, nil
 }
 
-// LoadTPCH generates the TPC-H lineitem table (Scenario I's data).
+// LoadTPCH generates the TPC-H lineitem table (curve I's data).
 func (s *System) LoadTPCH(sf float64, seed int64) (*Table, error) {
 	if s.lineitem != nil {
 		return nil, fmt.Errorf("repro: TPC-H already loaded")

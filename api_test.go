@@ -60,7 +60,7 @@ func TestSystemCJoinWorkersConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.GQP().Workers(); got != 3 {
+	if got := sys.GQP().Config().Workers; got != 3 {
 		t.Errorf("GQP workers = %d, want 3", got)
 	}
 	e := sys.NewEngine(EngineConfig{})

@@ -1,7 +1,9 @@
 // Command demoserver is the interactive front-end of the demonstration: a
-// stdlib net/http server with one parameter form per scenario and inline-SVG
-// charts of the resulting series — the reproduction of the demo's web GUI
-// (Figures 3-5). Experiments run in-process on the generated databases.
+// stdlib net/http server that lists the registered curves of
+// internal/workload, offers one parameter form for all of them, and renders a
+// run as inline-SVG charts, the result table and the verdict of the curve's
+// orderings — the reproduction of the demo's web GUI (Figures 3-5).
+// Experiments run in-process on the generated databases.
 //
 // Run with: go run ./cmd/demoserver -addr :8080
 package main
@@ -19,8 +21,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
-	"repro/internal/ssb"
 	"repro/internal/workload"
 )
 
@@ -28,16 +28,16 @@ var addr = flag.String("addr", ":8080", "listen address")
 
 // page is the template payload.
 type page struct {
-	Title    string
-	Scenario int
-	Params   map[string]string
-	Chart    template.HTML
-	Chart2   template.HTML
-	Table    [][]string
-	Header   []string
-	Note     string
-	Err      string
-	Elapsed  time.Duration
+	Curves  []*workload.Curve
+	Curve   *workload.Curve
+	Params  map[string]string
+	Charts  []template.HTML
+	Header  []string
+	Table   [][]string
+	Setup   string
+	Verdict string
+	Err     string
+	Elapsed time.Duration
 }
 
 var tmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
@@ -56,52 +56,50 @@ td, th { border: 1px solid #bbb; padding: 4px 10px; font-size: 13px; text-align:
 <h1>Reactive and Proactive Sharing Across Concurrent Analytical Queries</h1>
 <p>Interactive reproduction of the SIGMOD'14 demonstration: Simultaneous
 Pipelining (reactive) vs CJOIN Global Query Plans (proactive) on a QPipe-style
-engine. Pick a scenario, adjust parameters, run.</p>
-<nav>
-  <a href="/?scenario=1">Scenario I: push vs pull SP</a>
-  <a href="/?scenario=2">II: concurrency</a>
-  <a href="/?scenario=3">III: selectivity</a>
-  <a href="/?scenario=4">IV: similarity</a>
-</nav>
-<h2>{{.Title}}</h2>
+engine. Pick a curve, adjust parameters, run.</p>
+<nav>{{range .Curves}}<a href="/?curve={{.Name}}">{{.Name}}: {{.Axis}}</a>{{end}}</nav>
+<h2>Curve {{.Curve.Name}}: {{.Curve.Title}}</h2>
 <form method="GET" action="/run">
-  <input type="hidden" name="scenario" value="{{.Scenario}}">
+  <input type="hidden" name="curve" value="{{.Curve.Name}}">
   {{range $k, $v := .Params}}
     <label>{{$k}} <input name="{{$k}}" value="{{$v}}"></label>
   {{end}}
   <button type="submit">Run</button>
 </form>
 {{if .Err}}<p class="err">{{.Err}}</p>{{end}}
-{{if .Chart}}<div>{{.Chart}}</div>{{end}}
-{{if .Chart2}}<div>{{.Chart2}}</div>{{end}}
+{{range .Charts}}<div>{{.}}</div>{{end}}
 {{if .Table}}
 <table><tr>{{range .Header}}<th>{{.}}</th>{{end}}</tr>
 {{range .Table}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>{{end}}</table>
 {{end}}
-{{if .Elapsed}}<p class="note">measured in {{.Elapsed}}</p>{{end}}
-{{if .Note}}<p class="note">{{.Note}}</p>{{end}}
+{{if .Verdict}}<p class="note">{{.Setup}} — measured in {{.Elapsed}} — {{.Verdict}}</p>{{end}}
 </body></html>`))
 
-// scenarioDefaults returns the parameter form for each scenario.
-func scenarioDefaults(s int) (string, map[string]string) {
-	switch s {
-	case 2:
-		return "Scenario II: impact of concurrency (throughput, disk-resident)", map[string]string{
-			"sf": "0.01", "clients": "1,2,4,8,16", "duration_ms": "1000", "template": "Q2.1",
-		}
-	case 3:
-		return "Scenario III: impact of selectivity (throughput, memory-resident, low concurrency)", map[string]string{
-			"sf": "0.01", "selectivity": "0.02,0.1,0.25,0.5,0.75,1.0", "clients": "2", "duration_ms": "1000",
-		}
-	case 4:
-		return "Scenario IV: impact of similarity (throughput + SP counters, batched)", map[string]string{
-			"sf": "0.01", "plans": "1,2,4,8,16", "clients": "16", "duration_ms": "1000", "template": "Q2.1",
-		}
-	default:
-		return "Scenario I: push-based vs pull-based SP (response time, TPC-H Q1)", map[string]string{
-			"sf": "0.01", "concurrency": "1,2,4,8,16,32", "cores": "8", "residency": "memory",
+// curveOf resolves the request's curve, defaulting to the first registered.
+func curveOf(r *http.Request) *workload.Curve {
+	if c := workload.CurveByName(r.FormValue("curve")); c != nil {
+		return c
+	}
+	return workload.Curves[0]
+}
+
+// formParams is the one parameter form: the curve's own x values and client
+// count as defaults, submitted values echoed back.
+func formParams(r *http.Request, c *workload.Curve) map[string]string {
+	xs := make([]string, len(c.X))
+	for i, x := range c.X {
+		xs[i] = strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	out := map[string]string{"sf": "0.01", "duration_ms": "1000", "x": strings.Join(xs, ",")}
+	if c.Clients > 0 {
+		out["clients"] = strconv.Itoa(c.Clients)
+	}
+	for k := range out {
+		if got := r.FormValue(k); got != "" {
+			out[k] = got
 		}
 	}
+	return out
 }
 
 func main() {
@@ -143,12 +141,8 @@ func main() {
 }
 
 func handleIndex(w http.ResponseWriter, r *http.Request) {
-	s, _ := strconv.Atoi(r.FormValue("scenario"))
-	if s < 1 || s > 4 {
-		s = 1
-	}
-	title, params := scenarioDefaults(s)
-	render(w, page{Title: title, Scenario: s, Params: params})
+	c := curveOf(r)
+	render(w, page{Curves: workload.Curves, Curve: c, Params: formParams(r, c)})
 }
 
 func render(w http.ResponseWriter, p page) {
@@ -157,254 +151,63 @@ func render(w http.ResponseWriter, p page) {
 	}
 }
 
-// formParams echoes submitted values back into the form.
-func formParams(r *http.Request, defaults map[string]string) map[string]string {
-	out := make(map[string]string, len(defaults))
-	for k, v := range defaults {
-		if got := r.FormValue(k); got != "" {
-			out[k] = got
-		} else {
-			out[k] = v
+// parseParams turns the submitted form into run parameters.
+func parseParams(form map[string]string) (workload.Params, error) {
+	var p workload.Params
+	var err error
+	if p.X, err = workload.ParseX(form["x"]); err != nil {
+		return p, err
+	}
+	if p.SF, err = strconv.ParseFloat(form["sf"], 64); err != nil {
+		return p, fmt.Errorf("bad sf %q", form["sf"])
+	}
+	ms, err := strconv.Atoi(form["duration_ms"])
+	if err != nil {
+		return p, fmt.Errorf("bad duration_ms %q", form["duration_ms"])
+	}
+	p.Duration = time.Duration(ms) * time.Millisecond
+	if s, ok := form["clients"]; ok {
+		if p.Clients, err = strconv.Atoi(s); err != nil {
+			return p, fmt.Errorf("bad clients %q", s)
 		}
 	}
-	return out
-}
-
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q", s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloatList(s string) ([]float64, error) {
-	var out []float64
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float list %q", s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseTpl(s string) (ssb.Template, error) {
-	for _, t := range ssb.AllTemplates {
-		if strings.EqualFold(t.String(), s) {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown template %q", s)
+	return p, nil
 }
 
 func handleRun(w http.ResponseWriter, r *http.Request) {
-	s, _ := strconv.Atoi(r.FormValue("scenario"))
-	title, defaults := scenarioDefaults(s)
-	params := formParams(r, defaults)
-	p := page{Title: title, Scenario: s, Params: params}
-
+	c := curveOf(r)
+	p := page{Curves: workload.Curves, Curve: c, Params: formParams(r, c)}
+	defer func() { render(w, p) }()
+	params, err := parseParams(p.Params)
+	if err != nil {
+		p.Err = err.Error()
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Minute)
 	defer cancel()
 	start := time.Now()
-	var err error
-	switch s {
-	case 2:
-		err = runII(ctx, params, &p)
-	case 3:
-		err = runIII(ctx, params, &p)
-	case 4:
-		err = runIV(ctx, params, &p)
-	default:
-		err = runI(ctx, params, &p)
-	}
+	t, err := workload.Run(ctx, c, params)
 	p.Elapsed = time.Since(start).Round(time.Millisecond)
 	if err != nil {
 		p.Err = err.Error()
+		return
 	}
-	render(w, p)
-}
-
-func runI(ctx context.Context, params map[string]string, p *page) error {
-	conc, err := parseIntList(params["concurrency"])
-	if err != nil {
-		return err
+	xt := make([]string, len(t.X))
+	qps := make([]chartSeries, len(t.Lines))
+	lat := make([]chartSeries, len(t.Lines))
+	for j, line := range t.Lines {
+		qps[j].Label, lat[j].Label = line, line
 	}
-	sf, _ := strconv.ParseFloat(params["sf"], 64)
-	cores, _ := strconv.Atoi(params["cores"])
-	res := repro.MemoryResident
-	if params["residency"] == "disk" {
-		res = repro.DiskResident
-	}
-	out, err := repro.RunScenarioI(ctx, repro.ScenarioIConfig{
-		SF: sf, Cores: cores, Concurrency: conc, Residency: res,
-	})
-	if err != nil {
-		return err
-	}
-	var xt []string
-	resp := map[string][]float64{}
-	util := map[string][]float64{}
-	for _, pt := range out.Points {
-		xt = append(xt, strconv.Itoa(pt.Concurrency))
-		for _, l := range out.Lines {
-			resp[l] = append(resp[l], pt.Response[l].Seconds()*1000)
-			util[l] = append(util[l], pt.CPUUtil[l]*100)
+	for i, x := range t.X {
+		xt[i] = strconv.FormatFloat(x, 'g', -1, 64)
+		for j, cell := range t.Cells[i] {
+			qps[j].Values = append(qps[j].Values, cell.QPS)
+			lat[j].Values = append(lat[j].Values, cell.LatencyNs/1e6)
 		}
 	}
-	var s1, s2 []chartSeries
-	for _, l := range out.Lines {
-		s1 = append(s1, chartSeries{Label: l, Values: resp[l]})
-		s2 = append(s2, chartSeries{Label: l, Values: util[l]})
+	p.Charts = []template.HTML{
+		template.HTML(renderSVG("Throughput vs "+t.Axis, "queries/s", xt, qps)),
+		template.HTML(renderSVG("Mean response time vs "+t.Axis, "ms", xt, lat)),
 	}
-	p.Chart = template.HTML(renderSVG("Workload response time", "ms", xt, s1))
-	p.Chart2 = template.HTML(renderSVG("CPU utilisation", "%", xt, s2))
-	p.Header = append([]string{"concurrency"}, out.Lines...)
-	for _, pt := range out.Points {
-		row := []string{strconv.Itoa(pt.Concurrency)}
-		for _, l := range out.Lines {
-			row = append(row, pt.Response[l].Round(100*time.Microsecond).String())
-		}
-		p.Table = append(p.Table, row)
-	}
-	p.Note = "Push-SP serializes on copying pages to satellites; the SPL removes the bottleneck (§4.3)."
-	return nil
-}
-
-func runII(ctx context.Context, params map[string]string, p *page) error {
-	clients, err := parseIntList(params["clients"])
-	if err != nil {
-		return err
-	}
-	sf, _ := strconv.ParseFloat(params["sf"], 64)
-	durMS, _ := strconv.Atoi(params["duration_ms"])
-	tpl, err := parseTpl(params["template"])
-	if err != nil {
-		return err
-	}
-	out, err := repro.RunScenarioII(ctx, repro.ScenarioIIConfig{
-		SF: sf, Clients: clients, Template: tpl, Duration: time.Duration(durMS) * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	var xt []string
-	tp := map[string][]float64{}
-	for _, pt := range out.Points {
-		xt = append(xt, strconv.Itoa(pt.Clients))
-		for _, l := range out.Lines {
-			tp[l] = append(tp[l], pt.Throughput[l])
-		}
-	}
-	var series []chartSeries
-	for _, l := range out.Lines {
-		series = append(series, chartSeries{Label: l, Values: tp[l]})
-	}
-	p.Chart = template.HTML(renderSVG("Throughput vs concurrent clients", "queries/s", xt, series))
-	p.Header = append([]string{"clients"}, out.Lines...)
-	for _, pt := range out.Points {
-		row := []string{strconv.Itoa(pt.Clients)}
-		for _, l := range out.Lines {
-			row = append(row, fmt.Sprintf("%.1f", pt.Throughput[l]))
-		}
-		p.Table = append(p.Table, row)
-	}
-	p.Note = "Shared GQP operators win under high concurrency (§4.4, Scenario II)."
-	return nil
-}
-
-func runIII(ctx context.Context, params map[string]string, p *page) error {
-	sels, err := parseFloatList(params["selectivity"])
-	if err != nil {
-		return err
-	}
-	sf, _ := strconv.ParseFloat(params["sf"], 64)
-	clients, _ := strconv.Atoi(params["clients"])
-	durMS, _ := strconv.Atoi(params["duration_ms"])
-	out, err := repro.RunScenarioIII(ctx, repro.ScenarioIIIConfig{
-		SF: sf, Selectivities: sels, Clients: clients,
-		Duration: time.Duration(durMS) * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	var xt []string
-	tp := map[string][]float64{}
-	for _, pt := range out.Points {
-		xt = append(xt, fmt.Sprintf("%.0f%%", pt.Selectivity*100))
-		for _, l := range out.Lines {
-			tp[l] = append(tp[l], pt.Throughput[l])
-		}
-	}
-	var series []chartSeries
-	for _, l := range out.Lines {
-		series = append(series, chartSeries{Label: l, Values: tp[l]})
-	}
-	p.Chart = template.HTML(renderSVG("Throughput vs selectivity", "queries/s", xt, series))
-	p.Header = append([]string{"selectivity"}, out.Lines...)
-	for _, pt := range out.Points {
-		row := []string{fmt.Sprintf("%.2f", pt.Selectivity)}
-		for _, l := range out.Lines {
-			row = append(row, fmt.Sprintf("%.1f", pt.Throughput[l]))
-		}
-		p.Table = append(p.Table, row)
-	}
-	p.Note = "At low concurrency the GQP's bitmap bookkeeping loses to query-centric operators (§4.4, Scenario III)."
-	return nil
-}
-
-func runIV(ctx context.Context, params map[string]string, p *page) error {
-	plans, err := parseIntList(params["plans"])
-	if err != nil {
-		return err
-	}
-	sf, _ := strconv.ParseFloat(params["sf"], 64)
-	clients, _ := strconv.Atoi(params["clients"])
-	durMS, _ := strconv.Atoi(params["duration_ms"])
-	tpl, err := parseTpl(params["template"])
-	if err != nil {
-		return err
-	}
-	out, err := repro.RunScenarioIV(ctx, repro.ScenarioIVConfig{
-		SF: sf, Plans: plans, Clients: clients, Template: tpl,
-		Duration: time.Duration(durMS) * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	var xt []string
-	tp := map[string][]float64{}
-	var sat []float64
-	for _, pt := range out.Points {
-		xt = append(xt, strconv.Itoa(pt.Plans))
-		for _, l := range out.Lines {
-			tp[l] = append(tp[l], pt.Throughput[l])
-		}
-		sat = append(sat, float64(pt.SPAttachedCJoin[workload.LineGQPSP]))
-	}
-	var series []chartSeries
-	for _, l := range out.Lines {
-		series = append(series, chartSeries{Label: l, Values: tp[l]})
-	}
-	p.Chart = template.HTML(renderSVG("Throughput vs distinct plans", "queries/s", xt, series))
-	p.Chart2 = template.HTML(renderSVG("CJOIN-stage SP satellites (gqp+sp)", "satellites", xt,
-		[]chartSeries{{Label: "satellites", Values: sat}}))
-	p.Header = append([]string{"plans"}, append(append([]string{}, out.Lines...), "gqp+sp admits", "cjoin satellites")...)
-	for _, pt := range out.Points {
-		row := []string{strconv.Itoa(pt.Plans)}
-		for _, l := range out.Lines {
-			row = append(row, fmt.Sprintf("%.1f", pt.Throughput[l]))
-		}
-		row = append(row,
-			strconv.FormatInt(pt.Admitted[workload.LineGQPSP], 10),
-			strconv.FormatInt(pt.SPAttachedCJoin[workload.LineGQPSP], 10))
-		p.Table = append(p.Table, row)
-	}
-	p.Note = "SP on the CJOIN stage admits one query per identical star sub-plan (§3, Figure 2)."
-	return nil
+	p.Header, p.Table, p.Setup, p.Verdict = t.Header(), t.Rows(), t.Setup, t.Verdict()
 }

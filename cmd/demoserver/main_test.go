@@ -5,26 +5,36 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
-func TestIndexRendersEveryScenarioForm(t *testing.T) {
-	for _, s := range []string{"1", "2", "3", "4", "", "9"} {
-		req := httptest.NewRequest(http.MethodGet, "/?scenario="+s, nil)
+func TestIndexListsEveryRegisteredCurve(t *testing.T) {
+	names := []string{"", "9"} // no or an unknown curve falls back to the first
+	for _, c := range workload.Curves {
+		names = append(names, c.Name)
+	}
+	for _, name := range names {
+		req := httptest.NewRequest(http.MethodGet, "/?curve="+name, nil)
 		rec := httptest.NewRecorder()
 		handleIndex(rec, req)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("scenario %q: status %d", s, rec.Code)
+			t.Fatalf("curve %q: status %d", name, rec.Code)
 		}
 		body := rec.Body.String()
 		if !strings.Contains(body, "<form") || !strings.Contains(body, "Run") {
-			t.Errorf("scenario %q: form missing", s)
+			t.Errorf("curve %q: form missing", name)
+		}
+		for _, c := range workload.Curves {
+			if !strings.Contains(body, `href="/?curve=`+c.Name+`"`) {
+				t.Errorf("curve %q: navigation does not list curve %s", name, c.Name)
+			}
 		}
 	}
 }
 
-func TestRunScenarioIEndpoint(t *testing.T) {
-	req := httptest.NewRequest(http.MethodGet,
-		"/run?scenario=1&sf=0.001&concurrency=1,2&cores=2&residency=memory", nil)
+func TestRunCurveIEndpoint(t *testing.T) {
+	req := httptest.NewRequest(http.MethodGet, "/run?curve=I&sf=0.001&x=1,2&duration_ms=50", nil)
 	rec := httptest.NewRecorder()
 	handleRun(rec, req)
 	if rec.Code != http.StatusOK {
@@ -35,39 +45,37 @@ func TestRunScenarioIEndpoint(t *testing.T) {
 		t.Fatalf("run returned an error page:\n%s", body)
 	}
 	if strings.Count(body, "<svg") != 2 {
-		t.Errorf("want 2 charts (response time + CPU), got %d", strings.Count(body, "<svg"))
+		t.Errorf("want 2 charts (throughput + response time), got %d", strings.Count(body, "<svg"))
 	}
-	if !strings.Contains(body, "<table>") {
-		t.Error("data table missing")
+	if !strings.Contains(body, "<table>") || !strings.Contains(body, "shape: ") {
+		t.Error("data table or verdict missing")
 	}
 }
 
-func TestRunScenarioIIIEndpoint(t *testing.T) {
-	req := httptest.NewRequest(http.MethodGet,
-		"/run?scenario=3&sf=0.001&selectivity=0.5&clients=2&duration_ms=100", nil)
+func TestRunCurveIIIEndpoint(t *testing.T) {
+	req := httptest.NewRequest(http.MethodGet, "/run?curve=III&sf=0.001&x=0.5&clients=2&duration_ms=100", nil)
 	rec := httptest.NewRecorder()
 	handleRun(rec, req)
 	body := rec.Body.String()
 	if strings.Contains(body, `class="err"`) {
 		t.Fatalf("run returned an error page:\n%s", body)
 	}
-	if !strings.Contains(body, "qpipe+sp") || !strings.Contains(body, "gqp") {
-		t.Error("line labels missing from output")
+	if !strings.Contains(body, "pull-sp+join") || !strings.Contains(body, "gqp") || !strings.Contains(body, "admits") {
+		t.Error("line labels or counter columns missing from output")
 	}
 }
 
 func TestRunRejectsBadParams(t *testing.T) {
-	req := httptest.NewRequest(http.MethodGet, "/run?scenario=2&clients=nope", nil)
-	rec := httptest.NewRecorder()
-	handleRun(rec, req)
-	if !strings.Contains(rec.Body.String(), `class="err"`) {
-		t.Error("bad parameter must render an error, not crash")
-	}
-	req = httptest.NewRequest(http.MethodGet, "/run?scenario=2&clients=1&template=QX.Y&duration_ms=50&sf=0.001", nil)
-	rec = httptest.NewRecorder()
-	handleRun(rec, req)
-	if !strings.Contains(rec.Body.String(), `class="err"`) {
-		t.Error("unknown template must render an error")
+	for _, url := range []string{
+		"/run?curve=II&x=nope",
+		"/run?curve=II&x=1&duration_ms=soon&sf=0.001",
+		"/run?curve=IV&x=1&clients=many&duration_ms=50&sf=0.001",
+	} {
+		rec := httptest.NewRecorder()
+		handleRun(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if !strings.Contains(rec.Body.String(), `class="err"`) {
+			t.Errorf("%s must render an error, not crash or run", url)
+		}
 	}
 }
 

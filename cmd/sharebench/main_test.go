@@ -1,47 +1,10 @@
 package main
 
 import (
-	"reflect"
 	"testing"
 
-	"repro/internal/ssb"
 	"repro/internal/workload"
 )
-
-func TestParseIntList(t *testing.T) {
-	got, err := parseIntList("1, 2,8")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 2, 8}) {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	if _, err := parseIntList("1,x"); err == nil {
-		t.Error("bad element must fail")
-	}
-}
-
-func TestParseFloatList(t *testing.T) {
-	got, err := parseFloatList("0.02, 1")
-	if err != nil || !reflect.DeepEqual(got, []float64{0.02, 1}) {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	if _, err := parseFloatList("0.1,?"); err == nil {
-		t.Error("bad element must fail")
-	}
-}
-
-func TestParseTemplate(t *testing.T) {
-	for _, tpl := range ssb.AllTemplates {
-		got, err := parseTemplate(tpl.String())
-		if err != nil || got != tpl {
-			t.Errorf("round-trip of %s failed: %v %v", tpl, got, err)
-		}
-	}
-	if got, err := parseTemplate("q4.3"); err != nil || got != ssb.Q4_3 {
-		t.Errorf("case-insensitive parse failed: %v %v", got, err)
-	}
-	if _, err := parseTemplate("Q9.9"); err == nil {
-		t.Error("unknown template must fail")
-	}
-}
 
 func TestParseResidency(t *testing.T) {
 	cases := map[string]workload.Residency{
@@ -58,5 +21,31 @@ func TestParseResidency(t *testing.T) {
 	}
 	if _, err := parseResidency("tape"); err == nil {
 		t.Error("unknown residency must fail")
+	}
+}
+
+func TestSelectCurves(t *testing.T) {
+	all, err := selectCurves("all")
+	if err != nil || len(all) != len(workload.Curves) {
+		t.Fatalf("all = %d curves, %v", len(all), err)
+	}
+	got, err := selectCurves("IV, IVp")
+	if err != nil || len(got) != 2 || got[0].Name != "IV" || got[1].Name != "IVp" {
+		t.Fatalf("got %v, %v", got, err)
+	}
+	if _, err := selectCurves("9"); err == nil {
+		t.Error("an unknown curve must fail, not print nothing")
+	}
+}
+
+func TestCheckMode(t *testing.T) {
+	var m checkMode
+	for in, want := range map[string]checkMode{"true": "all", "all": "all", "counters": "counters", "false": ""} {
+		if err := m.Set(in); err != nil || m != want {
+			t.Errorf("Set(%q) = %q, %v; want %q", in, m, err, want)
+		}
+	}
+	if err := m.Set("time"); err == nil {
+		t.Error("unknown mode must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -231,5 +232,53 @@ func TestString(t *testing.T) {
 	}
 	if got := New(0).String(); got != "{}" {
 		t.Errorf("empty String = %q", got)
+	}
+}
+
+// Ablation: bitmap AND cost per CJOIN probe as the admitted-query population
+// grows (the GQP bookkeeping curve III measures) — growable Bits against the
+// flat word kernels on inline arenas, the CJOIN steady-state representation.
+func BenchmarkCJoinBitmapAnd(b *testing.B) {
+	for _, queries := range []int{16, 256, 4096} {
+		tuple, entry, mask := New(queries), New(queries), New(queries)
+		var tupleW, entryW, maskW []uint64
+		for i := 0; i < queries; i++ {
+			if i%2 == 0 {
+				tuple.Set(i)
+				tupleW = SetWord(tupleW, i)
+			}
+			if i%3 == 0 {
+				entry.Set(i)
+				entryW = SetWord(entryW, i)
+			}
+			if i%5 != 0 {
+				mask.Set(i)
+				maskW = SetWord(maskW, i)
+			}
+		}
+		b.Run(fmt.Sprintf("impl=bits/queries=%d", queries), func(b *testing.B) {
+			work := tuple.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				work.CopyFrom(tuple)
+				work.AndMasked(entry, mask)
+				if !work.Any() {
+					b.Fatal("bitmap unexpectedly empty")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("impl=words/queries=%d", queries), func(b *testing.B) {
+			work := make([]uint64, len(tupleW))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work, tupleW)
+				AndMaskedWords(work, entryW, maskW)
+				if !AnyWords(work) {
+					b.Fatal("bitmap unexpectedly empty")
+				}
+			}
+		})
 	}
 }

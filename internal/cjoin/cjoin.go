@@ -578,9 +578,9 @@ func (op *Operator) shutdownCause() error {
 	return ErrClosed
 }
 
-// Workers returns the number of parallel probe pipelines (the resolved
-// Config.Workers).
-func (op *Operator) Workers() int { return op.cfg.Workers }
+// Config returns the operator's configuration with every default resolved
+// (Workers is the number of parallel probe pipelines actually running).
+func (op *Operator) Config() Config { return op.cfg }
 
 // addBusy accounts pipeline processing time.
 func (op *Operator) addBusy(d time.Duration) { op.stats.busyNanos.Add(int64(d)) }
@@ -1182,7 +1182,7 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 
 // dimTable is the shared half of one dimension of the chain: an
 // open-addressing, power-of-two, linear-probing probe index over flat
-// parallel entry stores. keys[i] and row i of cb hold entry i, and slots maps
+// the entry store. Row i of cb holds entry i, and slots maps
 // a probed hash to an entry index (+1; 0 means empty). Duplicate join keys
 // keep the first inserted entry reachable, matching chained-map first-match
 // semantics. The table is built once and read concurrently by every probe
@@ -1197,9 +1197,8 @@ type dimTable struct {
 	idx  int
 	spec DimSpec
 
-	keys     []types.Datum // entry join keys
-	slots    []int32       // open-addressing slots: entry index+1, 0 = empty
-	slotMask uint32        // len(slots)-1 (power of two)
+	slots    []int32 // open-addressing slots: entry index+1, 0 = empty
+	slotMask uint32  // len(slots)-1 (power of two)
 
 	strDict map[string]int32 // string key → code; nil unless all keys are strings
 	codes   []int32          // per-entry dictionary code (strDict tables only)
@@ -1213,12 +1212,15 @@ type dimTable struct {
 	directMin int64
 	directMax int64
 
-	// cb is the table's rows in columnar form, entry-aligned with keys and
+	// cb is the table's rows in columnar form, row i holding entry i,
 	// gathered straight from the dimension's pages (rows with a NULL join key
 	// are left out). Admission evaluates each query's vectorized dimension
 	// predicate over this batch and the distributor routes payload columns
-	// out of it. Built once, held for the operator's lifetime.
+	// out of it. Built once, held for the operator's lifetime. kv is its
+	// join-key column: the entry keys the index is built from and the hashed
+	// probes compare against.
 	cb *vec.ColBatch
+	kv *vec.Vec
 }
 
 // directSpanFactor bounds the memory of the dense index relative to the
@@ -1228,6 +1230,7 @@ const directSpanFactor = 4
 func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 	hf := spec.Table.File
 	dt := &dimTable{idx: idx, spec: spec, cb: vec.Get(spec.Table.Schema.Len())}
+	dt.kv = dt.cb.Col(spec.DimKeyCol)
 	allStr := true
 	var live []int32 // rows of the current page whose join key is not NULL
 	for p, np := 0, hf.NumPages(); p < np; p++ {
@@ -1236,17 +1239,14 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 			dt.cb.Release()
 			return nil, fmt.Errorf("cjoin: build hash table for %q: %w", spec.Table.Name, err)
 		}
-		kv := page.Col(spec.DimKeyCol)
 		live = live[:0]
-		for i := 0; i < page.Len(); i++ {
-			k := kv.Datum(i)
-			if k.IsNull() {
+		for i, k := range page.Col(spec.DimKeyCol).Kinds {
+			if k == types.KindNull {
 				continue
 			}
-			if k.K != types.KindString {
+			if k != types.KindString {
 				allStr = false
 			}
-			dt.keys = append(dt.keys, k)
 			live = append(live, int32(i))
 		}
 		for c := 0; c < page.NumCols(); c++ {
@@ -1254,7 +1254,7 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 		}
 		page.Release()
 	}
-	n := len(dt.keys)
+	n := dt.kv.Len()
 	dt.cb.Seal(n)
 	if n >= 1<<30 {
 		dt.cb.Release()
@@ -1263,11 +1263,11 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 	if allStr && n > 0 {
 		dt.strDict = make(map[string]int32, n)
 		dt.codes = make([]int32, n)
-		for i, k := range dt.keys {
-			c, ok := dt.strDict[k.S]
+		for i, k := range dt.kv.S {
+			c, ok := dt.strDict[k]
 			if !ok {
 				c = int32(i)
-				dt.strDict[k.S] = c
+				dt.strDict[k] = c
 			}
 			dt.codes[i] = c
 		}
@@ -1303,23 +1303,14 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 // buildDirect installs the dense direct index when every key is
 // integer-class and the key range is tight enough.
 func (dt *dimTable) buildDirect() {
-	n := len(dt.keys)
-	if n == 0 {
+	n := dt.kv.Len()
+	if n == 0 || !dt.kv.AllInt() {
 		return
 	}
-	lo, hi := int64(0), int64(0)
-	for i, k := range dt.keys {
-		switch k.K {
-		case types.KindInt, types.KindDate, types.KindBool:
-		default:
-			return
-		}
-		if i == 0 || k.I < lo {
-			lo = k.I
-		}
-		if i == 0 || k.I > hi {
-			hi = k.I
-		}
+	keys := dt.kv.I
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
 	}
 	// Unsigned difference is overflow-safe for any int64 pair; the span
 	// bound keeps the index allocation proportional to the entry count.
@@ -1329,9 +1320,9 @@ func (dt *dimTable) buildDirect() {
 	}
 	dt.direct = make([]int32, span+1)
 	dt.directMin, dt.directMax = lo, hi
-	for i, k := range dt.keys {
-		if dt.direct[k.I-lo] == 0 {
-			dt.direct[k.I-lo] = int32(i + 1) // duplicates: first entry wins
+	for i, k := range keys {
+		if dt.direct[k-lo] == 0 {
+			dt.direct[k-lo] = int32(i + 1) // duplicates: first entry wins
 		}
 	}
 }
@@ -1350,7 +1341,7 @@ func (dt *dimTable) entryHash(i int) uint64 {
 	if dt.strDict != nil {
 		return types.NewInt(int64(dt.codes[i])).HashKey()
 	}
-	return dt.keys[i].HashKey()
+	return dt.kv.Datum(i).HashKey()
 }
 
 // entryEqual reports key equality of two entries (code compare on
@@ -1359,7 +1350,7 @@ func (dt *dimTable) entryEqual(i, j int) bool {
 	if dt.strDict != nil {
 		return dt.codes[i] == dt.codes[j]
 	}
-	return dt.keys[i].Equal(dt.keys[j])
+	return dt.kv.Datum(i).Equal(dt.kv.Datum(j))
 }
 
 // lookup returns the entry index joining key k, or -1. Integer keys — the
@@ -1400,12 +1391,11 @@ func (dt *dimTable) lookup(k types.Datum) int {
 		if s == 0 {
 			return -1
 		}
-		ek := dt.keys[s-1]
 		var eq bool
-		if ek.K == types.KindInt && k.K == types.KindInt {
-			eq = ek.I == k.I
+		if dt.kv.Kinds[s-1] == types.KindInt && k.K == types.KindInt {
+			eq = dt.kv.I[s-1] == k.I
 		} else {
-			eq = ek.Equal(k)
+			eq = dt.kv.Datum(int(s - 1)).Equal(k)
 		}
 		if eq {
 			return int(s - 1)
@@ -1446,13 +1436,12 @@ func (dt *dimTable) lookupInt(k int64) int {
 		if s == 0 {
 			return -1
 		}
-		ek := dt.keys[s-1]
 		var eq bool
-		switch ek.K {
+		switch dt.kv.Kinds[s-1] {
 		case types.KindInt, types.KindDate, types.KindBool:
-			eq = ek.I == k
+			eq = dt.kv.I[s-1] == k
 		case types.KindFloat:
-			eq = ek.F == float64(k)
+			eq = dt.kv.F[s-1] == float64(k)
 		}
 		if eq {
 			return int(s - 1)

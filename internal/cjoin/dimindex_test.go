@@ -48,7 +48,7 @@ func TestDenseDirectIndex(t *testing.T) {
 	if tab.direct == nil {
 		t.Fatal("dense int keys did not build a direct index")
 	}
-	ref := newRefLookup(tab.keys)
+	ref := newRefLookup(tab)
 	for i := int64(50); i < 350; i++ {
 		k := types.NewInt(i)
 		if got, want := tab.lookup(k), ref.lookup(k); got != want {
@@ -81,7 +81,7 @@ func TestSparseKeysFallBackToHash(t *testing.T) {
 	if tab.direct != nil {
 		t.Fatal("sparse keys unexpectedly built a direct index")
 	}
-	ref := newRefLookup(tab.keys)
+	ref := newRefLookup(tab)
 	for i := int64(0); i < 70; i++ {
 		k := types.NewInt(i * 1_000_003)
 		if got, want := tab.lookupInt(i*1_000_003), ref.lookup(k); got != want {
@@ -113,7 +113,7 @@ func TestStringDictionaryEncoding(t *testing.T) {
 			t.Fatalf("entry %d: code %d disagrees with dictionary %d", i, tab.codes[i], want)
 		}
 	}
-	ref := newRefLookup(tab.keys)
+	ref := newRefLookup(tab)
 	for i := 0; i < 60; i++ {
 		k := types.NewString(fmt.Sprintf("key-%d", i))
 		if got, want := tab.lookup(k), ref.lookup(k); got != want {

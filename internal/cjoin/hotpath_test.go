@@ -50,8 +50,12 @@ type refLookup struct {
 	keys   []types.Datum
 }
 
-func newRefLookup(keys []types.Datum) *refLookup {
+func newRefLookup(tab *dimTable) *refLookup {
 	const seed uint64 = 14695981039346656037
+	keys := make([]types.Datum, tab.kv.Len())
+	for i := range keys {
+		keys[i] = tab.kv.Datum(i)
+	}
 	r := &refLookup{chains: make(map[uint64][]int), keys: keys}
 	for i, k := range keys {
 		h := k.Hash(seed)
@@ -101,7 +105,7 @@ func TestOpenAddressingMatchesChainedMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefLookup(tab.keys)
+	ref := newRefLookup(tab)
 
 	for i := 0; i < 160; i++ {
 		k := types.NewString(fmt.Sprintf("key-%d", i)) // 140..159 are misses
@@ -120,7 +124,7 @@ func TestOpenAddressingMatchesChainedMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2 := newRefLookup(tab2.keys)
+	ref2 := newRefLookup(tab2)
 	for i := -5; i < 30; i++ {
 		k := types.NewInt(int64(i))
 		if got, want := tab2.lookup(k), ref2.lookup(k); got != want {

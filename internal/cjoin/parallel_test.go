@@ -49,7 +49,7 @@ func TestParallelMatchesSerialAllTemplates(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(op4.Close)
-	if got := op4.Workers(); got != 4 {
+	if got := op4.Config().Workers; got != 4 {
 		t.Fatalf("Workers() = %d, want 4", got)
 	}
 

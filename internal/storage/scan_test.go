@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +15,7 @@ import (
 // table spans many pages (~300 rows per 32 KiB page). The pad is unique per
 // row so the columnar page format cannot dictionary-compress it away — these
 // tests are about multi-page scan mechanics, not about packing.
-func loadNumbered(t *testing.T, c *Catalog, name string, n int) *Table {
+func loadNumbered(t testing.TB, c *Catalog, name string, n int) *Table {
 	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
@@ -208,5 +209,34 @@ func TestSharedScansSaveDiskReads(t *testing.T) {
 	// k*npages. Require meaningful sharing: < half of independent cost.
 	if reads >= int64(k*npages/2) {
 		t.Errorf("shared scans issued %d reads for %d pages x %d scanners (no sharing evident)", reads, npages, k)
+	}
+}
+
+// drain sweeps the cursor to the end, releasing every page.
+func drain(cur *ScanCursor) error {
+	defer cur.Close()
+	for {
+		cb, _, ok, err := cur.NextCols()
+		if err != nil || !ok {
+			return err
+		}
+		cb.Release()
+	}
+}
+
+// Ablation: scan readahead — prefetching the next page while the current one
+// decodes hides disk latency on a sequential sweep.
+func BenchmarkScanPrefetch(b *testing.B) {
+	for _, prefetch := range []bool{false, true} {
+		disk := NewMemDisk(DiskProfile{ReadLatency: 100 * time.Microsecond, MaxConcurrent: 4})
+		tbl := loadNumbered(b, NewCatalog(disk, 16, true), "t", 10000)
+		tbl.ScanGroup().SetPrefetch(prefetch)
+		b.Run(fmt.Sprintf("prefetch=%v", prefetch), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := drain(tbl.Attach()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,8 @@
-// Package workload drives the paper's four demonstration scenarios: it owns
-// database environments (memory- or disk-resident), closed-loop and batched
-// clients, throughput / response-time measurement, and one runner per
-// scenario producing the series the demo GUI plots (Figures 4 and 5).
+// Package workload drives the paper's demonstration: it owns database
+// environments (memory- or disk-resident), the five protected comparison
+// lines, a registry of curves over them (Scenarios I-IV of the paper's §4 and
+// this repository's reuse, pruning, overload and fault axes), and the one
+// runner that measures any curve into a Table.
 package workload
 
 import (
@@ -19,8 +20,8 @@ import (
 // the (simulated) disk.
 type Residency int
 
-// Residency values. DefaultResidency lets each scenario pick its demo
-// default (memory-resident for I and III, disk-resident for II and IV).
+// Residency values. DefaultResidency lets each curve pick its demo default
+// (memory-resident for I and III, disk-resident for II and IV).
 const (
 	DefaultResidency Residency = iota
 	MemoryResident
@@ -43,8 +44,8 @@ type Env struct {
 	Disk *storage.MemDisk
 
 	// Fault is the fault-injection layer between the catalog and the disk;
-	// set only when EnvConfig.FaultInjection was requested (Scenario F and
-	// the chaos batteries).
+	// set only when EnvConfig.FaultInjection was requested (curve F and the
+	// chaos batteries).
 	Fault *storage.FaultDisk
 
 	SSB      *ssb.DB        // set by NewSSBEnv
@@ -54,7 +55,6 @@ type Env struct {
 
 	Residency Residency
 	PoolPages int
-	NoPrune   bool
 }
 
 // estimatePages over-approximates the page count of a generated database so
@@ -106,7 +106,7 @@ type EnvConfig struct {
 	PoolPages int
 	Seed      int64
 	// Workers is the number of parallel CJOIN probe pipelines
-	// (0 = GOMAXPROCS); it is the scenarios' workers=N axis.
+	// (0 = GOMAXPROCS).
 	Workers int
 	// DateClustered generates the fact table with monotone lo_orderdate
 	// (time-ordered ingest layout) so date windows map to page ranges.
@@ -119,14 +119,24 @@ type EnvConfig struct {
 	NoFold bool
 	// FaultInjection interposes a storage.FaultDisk (initially disarmed)
 	// between the catalog and the disk, exposed as Env.Fault — the hook
-	// Scenario F and the chaos batteries use to inject read/write faults,
+	// curve F and the chaos batteries use to inject read/write faults,
 	// corrupt bytes and poisoned pages.
 	FaultInjection bool
 }
 
+// SSBChain is the CJOIN dimension chain over a generated SSB database:
+// date → customer → supplier → part.
+func SSBChain(db *ssb.DB) []cjoin.DimSpec {
+	return []cjoin.DimSpec{
+		{Table: db.Date, FactKeyCol: ssb.LOOrderDate, DimKeyCol: ssb.DDateKey},
+		{Table: db.Customer, FactKeyCol: ssb.LOCustKey, DimKeyCol: ssb.CCustKey},
+		{Table: db.Supplier, FactKeyCol: ssb.LOSuppKey, DimKeyCol: ssb.SSuppKey},
+		{Table: db.Part, FactKeyCol: ssb.LOPartKey, DimKeyCol: ssb.PPartKey},
+	}
+}
+
 // NewSSBEnv generates an SSB database and starts the CJOIN operator over
-// the chain date → customer → supplier → part, with the default degree of
-// probe parallelism.
+// SSBChain, with the default degree of probe parallelism.
 func NewSSBEnv(sf float64, res Residency, poolPages int, seed int64) (*Env, error) {
 	return NewSSBEnvCfg(EnvConfig{SF: sf, Residency: res, PoolPages: poolPages, Seed: seed})
 }
@@ -139,12 +149,8 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: generate ssb: %w", err)
 	}
-	op, err := cjoin.NewOperator(db.Lineorder, []cjoin.DimSpec{
-		{Table: db.Date, FactKeyCol: ssb.LOOrderDate, DimKeyCol: ssb.DDateKey},
-		{Table: db.Customer, FactKeyCol: ssb.LOCustKey, DimKeyCol: ssb.CCustKey},
-		{Table: db.Supplier, FactKeyCol: ssb.LOSuppKey, DimKeyCol: ssb.SSuppKey},
-		{Table: db.Part, FactKeyCol: ssb.LOPartKey, DimKeyCol: ssb.PPartKey},
-	}, cjoin.Config{Workers: cfg.Workers, DisablePrune: cfg.NoPrune, DisableFold: cfg.NoFold})
+	op, err := cjoin.NewOperator(db.Lineorder, SSBChain(db),
+		cjoin.Config{Workers: cfg.Workers, DisablePrune: cfg.NoPrune, DisableFold: cfg.NoFold})
 	if err != nil {
 		return nil, fmt.Errorf("workload: start cjoin: %w", err)
 	}
@@ -154,10 +160,10 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 		db.Lineorder.ScanGroup().SetDemandFirst(true)
 	}
 	return &Env{Cat: cat, Disk: disk, Fault: fd, SSB: db, CJoin: op,
-		Residency: cfg.Residency, PoolPages: pool, NoPrune: cfg.NoPrune}, nil
+		Residency: cfg.Residency, PoolPages: pool}, nil
 }
 
-// NewTPCHEnv generates the lineitem table for Scenario I.
+// NewTPCHEnv generates the lineitem table for curve I.
 func NewTPCHEnv(sf float64, res Residency, poolPages int, seed int64) (*Env, error) {
 	factRows := int(float64(tpch.LineitemRowsPerSF) * sf)
 	cat, disk, _, pool := newCatalog(factRows, res, poolPages, false)
@@ -169,13 +175,16 @@ func NewTPCHEnv(sf float64, res Residency, poolPages int, seed int64) (*Env, err
 }
 
 // Engine builds an execution engine over the environment, wiring the CJOIN
-// operator as the engine's StarRunner when present.
+// operator as the engine's StarRunner when present; EnvConfig.NoPrune, which
+// the operator carries, turns pruning off in the engine's scans too.
 func (env *Env) Engine(cfg engine.Config) *engine.Engine {
-	if cfg.Star == nil && env.CJoin != nil {
-		cfg.Star = env.CJoin
-	}
-	if env.NoPrune {
-		cfg.NoPrune = true
+	if env.CJoin != nil {
+		if cfg.Star == nil {
+			cfg.Star = env.CJoin
+		}
+		if env.CJoin.Config().DisablePrune {
+			cfg.NoPrune = true
+		}
 	}
 	return engine.New(env.Cat, cfg)
 }
@@ -197,11 +206,4 @@ func (env *Env) Close() {
 	if env.Disk != nil {
 		_ = env.Disk.Close()
 	}
-}
-
-// Series is one plotted line: a label and one value per x-axis point (the
-// shape consumed by cmd/sharebench tables and cmd/demoserver charts).
-type Series struct {
-	Label  string
-	Values []float64
 }

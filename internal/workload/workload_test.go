@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/expr"
@@ -293,7 +292,7 @@ func TestIntegrationSPOnCJoinAdmitsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	e := env.Engine(gqpSPConfig())
+	e := env.Engine(GQPSP.Engine)
 	ctx := context.Background()
 
 	in := ssb.Instantiate(env.SSB, ssb.Q2_1, rand.New(rand.NewSource(3)))
@@ -323,12 +322,10 @@ func TestIntegrationNoSPOnCJoinAdmitsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	e := env.Engine(gqpConfig())
+	e := env.Engine(GQP.Engine)
 	ctx := context.Background()
 
 	before := env.CJoin.Stats()
-	// Identical plans would still share at the aggregation stage above the
-	// CJOIN node; submit three *distinct* instances to count admissions.
 	pool := ssb.Pool(env.SSB, ssb.Q2_1, 3, 19)
 	roots := []plan.Node{pool[0].Plan(true), pool[1].Plan(true), pool[2].Plan(true)}
 	if _, err := e.ExecuteBatch(ctx, roots); err != nil {
@@ -340,37 +337,11 @@ func TestIntegrationNoSPOnCJoinAdmitsAll(t *testing.T) {
 	}
 }
 
-func TestScenarioIProducesAllSeries(t *testing.T) {
-	res, err := RunScenarioI(context.Background(), ScenarioIConfig{
-		SF:          0.002,
-		Cores:       4,
-		Concurrency: []int{1, 4},
-		Seed:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 || len(res.Lines) != 3 {
-		t.Fatalf("points=%d lines=%d", len(res.Points), len(res.Lines))
-	}
-	for _, pt := range res.Points {
-		for _, line := range res.Lines {
-			if pt.Response[line] <= 0 {
-				t.Errorf("k=%d line=%s: response %v", pt.Concurrency, line, pt.Response[line])
-			}
-			u := pt.CPUUtil[line]
-			if u <= 0 || u > 1.0 {
-				t.Errorf("k=%d line=%s: cpu util %v out of range", pt.Concurrency, line, u)
-			}
-		}
-	}
-}
-
-// TestScenarioILinesAgreeOnQ1: the three Scenario I lines return the same
+// TestCurveILinesAgreeOnQ1: the three lines of curve I return the same
 // TPC-H Q1 result for a host and four satellites. Under push-SP every
 // satellite aggregates rows cloned straight from the scan's column batches;
 // under pull-SP all five read the same view batches.
-func TestScenarioILinesAgreeOnQ1(t *testing.T) {
+func TestCurveILinesAgreeOnQ1(t *testing.T) {
 	env, err := NewTPCHEnv(0.005, MemoryResident, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -379,35 +350,36 @@ func TestScenarioILinesAgreeOnQ1(t *testing.T) {
 	ctx := context.Background()
 	const k = 5
 	var want []types.Row
-	for _, m := range scenarioIModes() {
-		e := env.Engine(m.cfg)
+	curve := CurveByName("I")
+	for _, m := range curve.Lines {
+		e := env.Engine(curve.engineConfig(m))
 		roots := make([]plan.Node, k)
 		for i := range roots {
 			roots[i] = tpch.Q1Plan(env.Lineitem, 90)
 		}
 		results, err := e.ExecuteBatch(ctx, roots)
 		if err != nil {
-			t.Fatalf("%s: %v", m.label, err)
+			t.Fatalf("%s: %v", m.Label, err)
 		}
 		scan := e.StageStatsFor(plan.KindScan)
-		switch m.label {
-		case LineQueryCentric:
+		switch m.Label {
+		case QueryCentric.Label:
 			want = results[0].Rows
 			if len(want) < 3 {
 				t.Fatalf("reference Q1 has %d groups", len(want))
 			}
-		case LinePushSP:
+		case PushSP.Label:
 			if scan.SPAttached != k-1 || scan.Copies == 0 {
 				t.Fatalf("push-SP: %d satellites, %d copies; want %d satellites fed by clones", scan.SPAttached, scan.Copies, k-1)
 			}
-		case LinePullSP:
+		case PullSP.Label:
 			if scan.SPAttached != k-1 || scan.Copies != 0 {
 				t.Fatalf("pull-SP: %d satellites, %d copies; want %d satellites and no copies", scan.SPAttached, scan.Copies, k-1)
 			}
 		}
 		for i, res := range results {
 			if !rowsEqualUpToRounding(res.Rows, want) {
-				t.Fatalf("%s query %d:\n got  %v\n want %v", m.label, i, res.Rows, want)
+				t.Fatalf("%s query %d:\n got  %v\n want %v", m.Label, i, res.Rows, want)
 			}
 		}
 	}
@@ -436,91 +408,6 @@ func rowsEqualUpToRounding(got, want []types.Row) bool {
 		}
 	}
 	return true
-}
-
-func TestScenarioIIProducesAllSeries(t *testing.T) {
-	res, err := RunScenarioII(context.Background(), ScenarioIIConfig{
-		SF:       0.002,
-		Clients:  []int{1, 2},
-		Duration: 150 * time.Millisecond,
-		PoolSize: 8,
-		Seed:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Config.Residency != DiskResident {
-		t.Errorf("scenario II default residency = %v, want disk", res.Config.Residency)
-	}
-	for _, pt := range res.Points {
-		for _, line := range res.Lines {
-			if pt.Throughput[line] <= 0 {
-				t.Errorf("clients=%d line=%s: throughput %v", pt.Clients, line, pt.Throughput[line])
-			}
-		}
-	}
-}
-
-func TestScenarioIIIProducesAllSeries(t *testing.T) {
-	res, err := RunScenarioIII(context.Background(), ScenarioIIIConfig{
-		SF:            0.002,
-		Selectivities: []float64{0.1, 0.5},
-		Clients:       2,
-		Duration:      150 * time.Millisecond,
-		Seed:          2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Config.Residency != MemoryResident {
-		t.Errorf("scenario III default residency = %v, want memory", res.Config.Residency)
-	}
-	for _, pt := range res.Points {
-		for _, line := range res.Lines {
-			if pt.Throughput[line] <= 0 {
-				t.Errorf("sel=%v line=%s: throughput %v", pt.Selectivity, line, pt.Throughput[line])
-			}
-		}
-	}
-}
-
-func TestScenarioIVSharingCounters(t *testing.T) {
-	res, err := RunScenarioIV(context.Background(), ScenarioIVConfig{
-		SF:       0.002,
-		Plans:    []int{1, 4},
-		Clients:  8,
-		Duration: 200 * time.Millisecond,
-		Seed:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := res.Points[0]
-	if p1.Plans != 1 {
-		t.Fatalf("first point plans = %d", p1.Plans)
-	}
-	// With a single distinct plan and batched submission, SP on the CJOIN
-	// stage must attach satellites; without it there must be none.
-	if p1.SPAttachedCJoin[LineGQPSP] == 0 {
-		t.Errorf("gqp+sp at plans=1: no CJOIN-stage satellites")
-	}
-	if p1.SPAttachedCJoin[LineGQP] != 0 {
-		t.Errorf("gqp at plans=1: unexpected CJOIN-stage satellites %d", p1.SPAttachedCJoin[LineGQP])
-	}
-	// SP saves admissions: the gqp+sp line must admit fewer queries per
-	// executed query than plain gqp at plans=1.
-	if p1.Admitted[LineGQPSP] >= p1.Admitted[LineGQP] &&
-		p1.Throughput[LineGQPSP] >= p1.Throughput[LineGQP] {
-		// Only flag when both admissions and throughput contradict sharing.
-		t.Logf("admissions gqp+sp=%d gqp=%d (informational)", p1.Admitted[LineGQPSP], p1.Admitted[LineGQP])
-	}
-	for _, pt := range res.Points {
-		for _, line := range res.Lines {
-			if pt.Throughput[line] <= 0 {
-				t.Errorf("plans=%d line=%s: throughput %v", pt.Plans, line, pt.Throughput[line])
-			}
-		}
-	}
 }
 
 func TestEnvRejectsBadScaleFactor(t *testing.T) {
@@ -568,5 +455,29 @@ func BenchmarkStarChainBytes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// Ablation: zone-map pruning on the date-clustered fact table. One
+// 10%-selectivity date window per iteration through CJOIN, pruning on vs off,
+// with 24 pool pages against a 45-page fact table: the window stays resident,
+// a full sweep cannot. Curve IVp is the same contrast under concurrency.
+func BenchmarkPrunedSweep(b *testing.B) {
+	for _, noPrune := range []bool{false, true} {
+		env, err := NewSSBEnvCfg(EnvConfig{SF: 0.01, Residency: DiskResident, PoolPages: 24, Seed: 1,
+			DateClustered: true, NoPrune: noPrune})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := env.Engine(GQP.Engine)
+		in := ssb.DateWindow(env.SSB, 10, 500)
+		b.Run(fmt.Sprintf("noprune=%v", noPrune), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Execute(context.Background(), in.Plan(true)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		env.Close()
 	}
 }
