@@ -341,7 +341,7 @@ func TestChaosBatteryFaultScheduleTypedOrComplete(t *testing.T) {
 	}
 	cat.Pool().EvictFile(lo.File.ID())
 	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
-	liveBefore := vec.LiveBatches()
+	liveBefore, bytesBefore := vec.LiveBatches(), vec.PoolStats().BytesOut
 
 	const clients, perClient = 6, 8
 	var wg sync.WaitGroup
@@ -430,6 +430,9 @@ func TestChaosBatteryFaultScheduleTypedOrComplete(t *testing.T) {
 	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
 	if live := vec.LiveBatches(); live != liveBefore {
 		t.Errorf("leaked batch refs: LiveBatches = %d, baseline %d", live, liveBefore)
+	}
+	if out := vec.PoolStats().BytesOut; out != bytesBefore {
+		t.Errorf("leaked payload arrays: %d bytes out, baseline %d", out, bytesBefore)
 	}
 
 	// No leaked goroutines: the pipeline's workers all exited.

@@ -1889,6 +1889,7 @@ func (d *distributor) route(sub *subscription, it *item, ti int) {
 	}
 	if sub.pendCols == nil {
 		sub.pendCols = vec.Get(sub.outWidth)
+		sub.pendCols.Reserve(d.op.cfg.BatchSize) // delivered at exactly this size
 	}
 	r := int(it.rowIdx[ti])
 	dimBase := r * it.ndims

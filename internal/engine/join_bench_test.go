@@ -155,3 +155,125 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 	}
 }
+
+// footprintWriter keeps every output batch, as an SPL or a slow consumer
+// would, and adds up what the batches hold against what their rows fill.
+type footprintWriter struct {
+	held           []*batch.Batch
+	bytes, filled  int64
+	bytesPerRowCol int64
+}
+
+func (w *footprintWriter) Put(ctx context.Context, b *batch.Batch) error {
+	cb, _, ok := b.Cols()
+	if !ok {
+		return fmt.Errorf("join output is not a view batch")
+	}
+	w.held = append(w.held, b)
+	w.bytes += cb.Bytes()
+	w.filled += int64(cb.Len()*cb.NumCols()) * w.bytesPerRowCol
+	return nil
+}
+
+func (w *footprintWriter) Close(err error) {}
+
+// BenchmarkJoinOutputFootprint pins what a join output batch retains: after a
+// 3 000-row dimension page of string columns has been decoded and released —
+// the shape that used to ratchet every recycled batch to (widest column
+// count) × (longest page) × (int + string) — a 32-batch Q2.1-shaped probe
+// (four int fact columns out, one int dimension column) must hold about what
+// it fills. retained/filled is the gated metric (perf-smoke: <= 1.25).
+func BenchmarkJoinOutputFootprint(b *testing.B) {
+	const nrows, nbatches, build = 1024, 32, 2556
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	dim, err := cat.CreateTable("dim", types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindInt},
+		types.Column{Name: "s1", Kind: types.KindString},
+		types.Column{Name: "s2", Kind: types.KindString},
+		types.Column{Name: "s3", Kind: types.KindString},
+		types.Column{Name: "s4", Kind: types.KindString},
+	))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		s := types.NewString(fmt.Sprintf("v%d", i%25))
+		if err := dim.File.Append(types.Row{types.NewInt(int64(i)), s, s, s, s}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := dim.File.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	fact, err := cat.CreateTable("fact", types.NewSchema(
+		types.Column{Name: "date", Kind: types.KindInt},
+		types.Column{Name: "part", Kind: types.KindInt},
+		types.Column{Name: "supp", Kind: types.KindInt},
+		types.Column{Name: "rev", Kind: types.KindInt},
+	))
+	if err != nil {
+		b.Fatal(err)
+	}
+	node := plan.NewHashJoin(plan.NewScan(fact), plan.NewScan(dim), 0, 0)
+	node.LeftOut, node.RightOut = []int{0, 1, 2, 3}, []int{0}
+
+	r := rand.New(rand.NewSource(21))
+	buildCB := vec.Get(5)
+	for i := 0; i < build; i++ {
+		buildCB.AppendRow(types.Row{types.NewInt(int64(i)), types.NewString("a"), types.NewString("b"), types.NewString("c"), types.NewString("d")})
+	}
+	buildCB.Seal(build)
+	probeCBs := make([]*vec.ColBatch, nbatches)
+	for bi := range probeCBs {
+		cb := vec.Get(4)
+		for i := 0; i < nrows; i++ {
+			cb.AppendRow(types.Row{types.NewInt(int64(r.Intn(build))), types.NewInt(int64(i)), types.NewInt(int64(bi)), types.NewInt(int64(i * bi))})
+		}
+		cb.Seal(nrows)
+		probeCBs[bi] = cb
+	}
+	e := &Engine{cfg: (&Config{}).withDefaults()}
+	var ratio float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		page, err := dim.File.PageCols(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if page.Len() < 2500 {
+			b.Fatalf("dimension page holds %d rows, want a long page", page.Len())
+		}
+		_ = page.Rows() // every column decoded
+		page.Release()
+		cat.Pool().EvictFile(dim.File.ID()) // the frame's reference: arrays back to the recycler
+		left := make([]*batch.Batch, nbatches)
+		for j, cb := range probeCBs {
+			cb.Retain()
+			left[j] = batch.FromView(cb, nil)
+		}
+		buildCB.Retain()
+		w := &footprintWriter{bytesPerRowCol: 8 + 1}
+		b.StartTimer()
+		st := newStage(plan.KindHashJoin, false)
+		if err := e.opHashJoin(context.Background(), node, &sliceReader{batches: left},
+			&sliceReader{batches: []*batch.Batch{batch.FromView(buildCB, nil)}}, w, st); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if len(w.held) != nbatches {
+			b.Fatalf("%d output batches, want %d", len(w.held), nbatches)
+		}
+		ratio = max(ratio, float64(w.bytes)/float64(w.filled))
+		for _, ob := range w.held {
+			ob.Done()
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(ratio, "retained/filled")
+	buildCB.Release()
+	for _, cb := range probeCBs {
+		cb.Release()
+	}
+}

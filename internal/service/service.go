@@ -368,7 +368,7 @@ type Stats struct {
 	TotalQueued   int                  `json:"total_queued"`
 	HighWater     int                  `json:"high_water"`
 	QueueDepth    int                  `json:"queue_depth"`
-	LiveBatches   int64                `json:"live_batches"`
+	Batches       vec.PoolSnapshot     `json:"batches"`
 	Engine        *engine.EngineStats  `json:"engine,omitempty"`
 	CJoin         *cjoin.Stats         `json:"cjoin,omitempty"`
 	Storage       *storage.DecodeStats `json:"storage,omitempty"`
@@ -416,7 +416,7 @@ func (g *Gateway) Stats() Stats {
 		TotalQueued:   g.totalQueued(),
 		HighWater:     g.cfg.HighWater,
 		QueueDepth:    g.cfg.QueueDepth,
-		LiveBatches:   vec.LiveBatches(),
+		Batches:       vec.PoolStats(),
 	}
 	if e, ok := g.exec.(*engine.Engine); ok {
 		es := e.Stats()

@@ -100,3 +100,76 @@ func TestFrameSharesOneDecode(t *testing.T) {
 		t.Fatalf("cached batch corrupted after readers released: len=%d", cb3.Len())
 	}
 }
+
+// TestLazyColumnsSurviveEviction: a batch retained past Unpin keeps decoding
+// its untouched columns to the right bytes after its frame was evicted and
+// refilled with another page — the frame leaves the page buffer to a batch
+// that readers still hold — while a batch nobody else holds gives the buffer
+// back to the frame.
+func TestLazyColumnsSurviveEviction(t *testing.T) {
+	disk := NewMemDisk(DiskProfile{})
+	cat := NewCatalog(disk, 1, true) // one frame: every other page evicts
+	tbl, err := cat.CreateTable("t", types.NewSchema(
+		types.Column{Name: "a", Kind: types.KindInt},
+		types.Column{Name: "b", Kind: types.KindInt},
+		types.Column{Name: "f", Kind: types.KindFloat},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	for i := 0; i < n; i++ {
+		row := types.Row{types.NewInt(int64(i)), types.NewInt(int64(3 * i)), types.NewFloat(float64(i) / 2)}
+		if err := tbl.File.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.File.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	np := tbl.File.NumPages()
+	if np < 3 {
+		t.Fatalf("want at least 3 pages, have %d", np)
+	}
+	before := cat.Pool().DecodeStats()
+	held, err := tbl.File.PageCols(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := held.Col(0).I[0] // touch one column; b and f stay in the source
+	rows := held.Len()
+	for p := 1; p < np; p++ { // evict and refill the only frame, repeatedly
+		cb, err := tbl.File.PageCols(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cb.Col(1).I[0]; got != 3*cb.Col(0).I[0] {
+			t.Fatalf("page %d: b[0] = %d, a[0] = %d", p, got, cb.Col(0).I[0])
+		}
+		cb.Release()
+	}
+	if cat.Pool().Contains(tbl.File.ID(), 0) {
+		t.Fatal("page 0 still resident; the test did not evict it")
+	}
+	if first != 0 {
+		t.Fatalf("page 0 a[0] = %d", first)
+	}
+	b, f := held.Col(1), held.Col(2)
+	for i := 0; i < rows; i++ {
+		if b.I[i] != int64(3*i) || f.F[i] != float64(i)/2 {
+			t.Fatalf("row %d decoded after eviction: b=%d f=%v", i, b.I[i], f.F[i])
+		}
+	}
+	held.Release()
+	after := cat.Pool().DecodeStats()
+	if d := after.Decoded - before.Decoded; d != int64(np) {
+		t.Errorf("pages opened = %d, want %d", d, np)
+	}
+	// Page 0: three columns; every other page: the two its reader touched.
+	if d := after.ColsDecoded - before.ColsDecoded; d != int64(3+2*(np-1)) {
+		t.Errorf("columns decoded = %d, want %d", d, 3+2*(np-1))
+	}
+	if fr := cat.Pool().Stats().Frames; fr != 1 {
+		t.Errorf("pool materialised %d frames, want 1", fr)
+	}
+}

@@ -9,7 +9,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -574,11 +577,61 @@ func checkPageHeader(page []byte) error {
 }
 
 // DecodePageCols decodes every row of a page column-wise into a pooled
-// ColBatch of ncols columns, with one reference held by the caller. Pages
-// decode segment-at-a-time — near-memcpy bulk reads per column, with string
-// columns copied once into a shared per-page buffer whose dictionary entries
-// back the string headers (no per-string allocation).
+// ColBatch of ncols columns, with one reference held by the caller: the
+// eager form of openPage, every column touched before it returns (so the
+// caller may reuse page). Pages decode segment-at-a-time — near-memcpy bulk
+// reads per column, with string columns copied once into a shared per-page
+// buffer whose dictionary entries back the string headers (no per-string
+// allocation).
 func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
+	b, err := openPage(page, ncols, &uncounted)
+	if err != nil {
+		return nil, err
+	}
+	for c := 0; c < ncols; c++ {
+		b.Col(c)
+	}
+	return b, nil
+}
+
+// pageSource is the column source of an opened page: the validated segments
+// the batch has not decoded yet, and the page bytes they read. It must not
+// outlive a rewrite of those bytes — a frame that evicts a page whose batch
+// other readers still hold leaves the buffer to the source (dropDecoded).
+type pageSource struct {
+	nrows   int
+	segs    []segment
+	decoded *atomic.Int64 // the pool's ColsDecoded counter
+}
+
+var sourcePool = sync.Pool{New: func() any { return new(pageSource) }}
+
+// uncounted takes the column counts of pages decoded outside a pool.
+var uncounted atomic.Int64
+
+// DecodeCol implements vec.ColSource.
+func (s *pageSource) DecodeCol(i int, v *vec.Vec) {
+	if err := s.segs[i].decode(s.nrows, v); err != nil {
+		panic(fmt.Sprintf("storage: validated segment of column %d failed to decode: %v", i, err))
+	}
+	s.decoded.Add(1)
+}
+
+// Close implements vec.ColSource: the batch is being recycled.
+func (s *pageSource) Close() {
+	clear(s.segs) // drop the page bytes
+	*s = pageSource{segs: s.segs[:0]}
+	sourcePool.Put(s)
+}
+
+// openPage validates a whole page — header, directory and, per segment, the
+// encoding tag, kind runs, fixed header and payload length — and returns a
+// pooled batch of its rows with one reference held by the caller. Segments
+// whose decode checks every row (encDict, encRaw) are decoded here, so a
+// corrupt page fails now; encInt and encFloat segments cannot fail once
+// their length is known and are decoded by the first ColBatch.Col that asks
+// (counted in decoded). The batch reads page until its last Release.
+func openPage(page []byte, ncols int, decoded *atomic.Int64) (*vec.ColBatch, error) {
 	if err := checkPageHeader(page); err != nil {
 		return nil, err
 	}
@@ -597,28 +650,44 @@ func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
 		return nil, fmt.Errorf("storage: page directory truncated")
 	}
 	b := vec.Get(ncols)
+	src := sourcePool.Get().(*pageSource)
+	src.nrows, src.decoded = nrows, decoded
+	src.segs = slices.Grow(src.segs[:0], ncols)[:ncols]
 	fail := func(c int, err error) (*vec.ColBatch, error) {
 		b.Release()
+		src.Close()
 		return nil, fmt.Errorf("storage: page column %d: %w", c, err)
 	}
+	var lazy uint64
 	for c := 0; c < ncols; c++ {
 		off := int(binary.LittleEndian.Uint32(page[pageFixedHeader+4*c:]))
 		if off < dirEnd || off >= len(page) {
 			return fail(c, fmt.Errorf("segment offset %d out of range", off))
 		}
-		if err := decodeSegment(page[off:], nrows, b.Col(c)); err != nil {
+		seg, err := checkSegment(page[off:], nrows)
+		if err != nil {
 			return fail(c, err)
 		}
+		src.segs[c] = seg
+		if seg.fixedWidth() && c < vec.MaxLazyCols {
+			lazy |= 1 << uint(c)
+			continue
+		}
+		if err := seg.decode(nrows, b.Col(c)); err != nil {
+			return fail(c, err)
+		}
+		decoded.Add(1)
 	}
-	b.Seal(nrows)
+	b.SealSource(nrows, src, lazy)
 	return b, nil
 }
 
-// decodeKindRuns applies a column's kind/null run header to v and returns
-// the remaining bytes. Runs must cover exactly nrows rows, and every run's
-// kind must be in the allowed set (a bit per Kind value) — the typed
-// segment payloads only cover their own value class, so a foreign kind in
-// the header would break the Vec payload invariant.
+// decodeKindRuns checks a column's kind/null run header and, when v is not
+// nil, applies it to v; it returns the remaining bytes. Runs must cover
+// exactly nrows rows, and every run's kind must be in the allowed set (a bit
+// per Kind value) — the typed segment payloads only cover their own value
+// class, so a foreign kind in the header would break the Vec payload
+// invariant.
 func decodeKindRuns(data []byte, nrows int, v *vec.Vec, allowed uint8) ([]byte, error) {
 	nruns, n := binary.Uvarint(data)
 	if n <= 0 {
@@ -646,7 +715,9 @@ func decodeKindRuns(data []byte, nrows int, v *vec.Vec, allowed uint8) ([]byte, 
 		if total += int(cnt); total > nrows {
 			return nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
 		}
-		v.AppendKindRun(k, int(cnt))
+		if v != nil {
+			v.AppendKindRun(k, int(cnt))
+		}
 	}
 	if total != nrows {
 		return nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
@@ -663,14 +734,76 @@ const (
 	kindsStr   = 1<<types.KindNull | 1<<types.KindString
 )
 
-// decodeSegment decodes one column segment into v.
-func decodeSegment(data []byte, nrows int, v *vec.Vec) error {
-	if len(data) < 1 {
-		return fmt.Errorf("truncated segment")
+// segment is one column segment of a page whose encoding tag checkSegment
+// has accepted: data is the bytes after the tag, to the end of the page.
+type segment struct {
+	enc  byte
+	data []byte
+}
+
+// fixedWidth reports whether every row of the segment has the same payload
+// width, so that a length check is all its decode can fail on.
+func (s segment) fixedWidth() bool { return s.enc == encInt || s.enc == encFloat }
+
+// allowed is the segment's kind set (zero for encRaw, which has no runs).
+func (s segment) allowed() uint8 {
+	switch s.enc {
+	case encInt:
+		return kindsInt
+	case encFloat:
+		return kindsFloat
+	case encDict:
+		return kindsStr
 	}
-	enc := data[0]
-	data = data[1:]
-	if enc == encRaw {
+	return 0
+}
+
+// checkSegment validates what can be validated of a segment without
+// decoding it: the encoding tag, for the typed encodings the kind runs, and
+// for the fixed-width ones the header and the payload length — after which
+// decode cannot fail on them.
+func checkSegment(data []byte, nrows int) (segment, error) {
+	if len(data) < 1 {
+		return segment{}, fmt.Errorf("truncated segment")
+	}
+	s := segment{enc: data[0], data: data[1:]}
+	if s.enc == encRaw {
+		return s, nil
+	}
+	if s.enc > encDict {
+		return s, fmt.Errorf("unknown segment encoding %d", s.enc)
+	}
+	body, err := decodeKindRuns(s.data, nrows, nil, s.allowed())
+	if err != nil {
+		return s, err
+	}
+	switch s.enc {
+	case encInt:
+		if len(body) < 9 {
+			return s, fmt.Errorf("truncated int segment header")
+		}
+		switch width := int(body[8]); width {
+		case 0, 1, 2, 4, 8:
+			if len(body)-9 < nrows*width {
+				return s, fmt.Errorf("truncated int segment payload")
+			}
+		default:
+			return s, fmt.Errorf("bad frame-of-reference width %d", width)
+		}
+	case encFloat:
+		if len(body) < nrows*8 {
+			return s, fmt.Errorf("truncated float segment payload")
+		}
+	}
+	return s, nil
+}
+
+// decode decodes the segment into v, an empty column: the one decoder behind
+// the open-time and the first-touch path. On a fixed-width segment that
+// passed checkSegment it does not fail.
+func (s segment) decode(nrows int, v *vec.Vec) error {
+	data := s.data
+	if s.enc == encRaw {
 		for i := 0; i < nrows; i++ {
 			d, rest, err := decodeDatum(data)
 			if err != nil {
@@ -681,32 +814,15 @@ func decodeSegment(data []byte, nrows int, v *vec.Vec) error {
 		}
 		return nil
 	}
-	var allowed uint8
-	switch enc {
-	case encInt:
-		allowed = kindsInt
-	case encFloat:
-		allowed = kindsFloat
-	case encDict:
-		allowed = kindsStr
-	default:
-		return fmt.Errorf("unknown segment encoding %d", enc)
-	}
-	data, err := decodeKindRuns(data, nrows, v, allowed)
+	data, err := decodeKindRuns(data, nrows, v, s.allowed())
 	if err != nil {
 		return err
 	}
-	switch enc {
+	switch s.enc {
 	case encInt:
-		if len(data) < 9 {
-			return fmt.Errorf("truncated int segment header")
-		}
 		min := int64(binary.LittleEndian.Uint64(data))
 		width := int(data[8])
 		data = data[9:]
-		if len(data) < nrows*width {
-			return fmt.Errorf("truncated int segment payload")
-		}
 		vi := v.BulkI(nrows)
 		switch width {
 		case 0:
@@ -729,20 +845,15 @@ func decodeSegment(data []byte, nrows int, v *vec.Vec) error {
 			for i := range vi {
 				vi[i] = min + int64(binary.LittleEndian.Uint64(data[8*i:]))
 			}
-		default:
-			return fmt.Errorf("bad frame-of-reference width %d", width)
 		}
 		return nil
 	case encFloat:
-		if len(data) < nrows*8 {
-			return fmt.Errorf("truncated float segment payload")
-		}
 		vf := v.BulkF(nrows)
 		for i := range vf {
 			vf[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
 		return nil
-	case encDict:
+	default: // encDict
 		dictLen, n := binary.Uvarint(data)
 		if n <= 0 {
 			return fmt.Errorf("bad dictionary byte length")
@@ -762,7 +873,7 @@ func decodeSegment(data []byte, nrows int, v *vec.Vec) error {
 		raw := data[:dictLen] // page bytes, only read during this decode
 		// One copy of the whole dictionary region: entries become substrings
 		// sharing this immutable buffer, so a page's strings cost one
-		// allocation plus the (pooled) dictionary slice — not one per row,
+		// allocation plus the (recycled) dictionary slice — not one per row,
 		// and nothing references the recyclable frame bytes afterwards.
 		region := string(raw)
 		data = data[dictLen:]
@@ -816,7 +927,5 @@ func decodeSegment(data []byte, nrows int, v *vec.Vec) error {
 			vs[i] = dict[code]
 		}
 		return nil
-	default:
-		return fmt.Errorf("unknown segment encoding %d", enc)
 	}
 }

@@ -383,3 +383,132 @@ func BenchmarkFetchRetryDisarmed(b *testing.B) {
 		pool.Unpin(fr)
 	}
 }
+
+// TestSegmentFaultInUnreadColumnFailsAtFetch: first-touch decode must not
+// move a fault. A segment corrupted in a column the reader never asks for —
+// truncated fixed-width payload, bad width byte, a kind run of a foreign
+// kind, an out-of-range dictionary code — still fails the fetch, for every
+// reader, with the page's one permanent, quarantined PageError; nothing is
+// opened or decoded, and the sibling pages are untouched. (CorruptReadsAfter
+// flips the header, so these rewrite the stored page at the segment's
+// directory offset instead.)
+func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
+	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
+	c := NewCatalog(fd, 4, true)
+	tbl, err := c.CreateTable("orders", types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "pad", Kind: types.KindString},
+		types.Column{Name: "tail", Kind: types.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("p", 120)
+	for i := 0; i < 3000; i++ {
+		row := types.Row{types.NewInt(int64(i)), types.NewString(pad + strconv.Itoa(i)), types.NewInt(int64(7 * i))}
+		if err := tbl.File.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.File.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	const ncols, victim = 3, 1
+	good := make([]byte, PageSize)
+	if err := c.Disk().ReadPage(tbl.File.ID(), victim, good); err != nil {
+		t.Fatal(err)
+	}
+	nrows := int(binary.LittleEndian.Uint16(good[3:5]))
+	// segAt returns column col's segment offset and the offset of what
+	// follows its kind runs.
+	segAt := func(p []byte, col int, allowed uint8) (off, body int) {
+		off = int(binary.LittleEndian.Uint32(p[pageFixedHeader+4*col:]))
+		rest, err := decodeKindRuns(p[off+1:], nrows, nil, allowed)
+		if err != nil {
+			t.Fatalf("fixture column %d: %v", col, err)
+		}
+		return off, len(p) - len(rest)
+	}
+	cases := []struct {
+		name, want string
+		reads      int // the column the reader asks for: never the corrupted one
+		edit       func(p []byte)
+	}{
+		{"truncated-fixed-width-payload", "truncated int segment payload", 0, func(p []byte) {
+			// tail is the page's last segment: slide it until the page end
+			// cuts five bytes off its payload.
+			off, body := segAt(p, 2, kindsInt)
+			segLen := body - off + 9 + nrows*int(p[body+8])
+			newOff := PageSize - segLen + 5
+			copy(p[newOff:], p[off:off+segLen-5])
+			binary.LittleEndian.PutUint32(p[pageFixedHeader+4*2:], uint32(newOff))
+		}},
+		{"bad-width-byte", "bad frame-of-reference width 3", 0, func(p []byte) {
+			_, body := segAt(p, 2, kindsInt)
+			p[body+8] = 3
+		}},
+		{"foreign-kind-run", "not valid for this segment encoding", 2, func(p []byte) {
+			off, _ := segAt(p, 0, kindsInt)
+			_, n := binary.Uvarint(p[off+1:]) // run count, then the first run's kind byte
+			p[off+1+n] = byte(types.KindString)
+		}},
+		{"dictionary-code-out-of-range", "out of range", 0, func(p []byte) {
+			_, body := segAt(p, 1, kindsStr)
+			dictLen, n1 := binary.Uvarint(p[body:])
+			ndict, n2 := binary.Uvarint(p[body+n1:])
+			codes := body + n1 + n2 + int(dictLen)
+			if width := int(p[codes]); width != 1 || ndict >= 0xFF {
+				t.Fatalf("fixture dictionary: %d entries at code width %d", ndict, width)
+			}
+			p[codes+1] = 0xFF
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			page := append([]byte(nil), good...)
+			tc.edit(page)
+			if err := c.Disk().WritePage(tbl.File.ID(), victim, page); err != nil {
+				t.Fatal(err)
+			}
+			c.Pool().ClearQuarantine()
+			c.Pool().EvictFile(tbl.File.ID())
+			before := c.Pool().DecodeStats()
+			var first *PageError
+			for reader := 0; reader < 3; reader++ {
+				cb, err := tbl.File.PageCols(victim)
+				if err == nil {
+					_ = cb.Col(tc.reads)
+					cb.Release()
+					t.Fatalf("reader %d of column %d fetched a page corrupt elsewhere", reader, tc.reads)
+				}
+				var pe *PageError
+				if !errors.As(err, &pe) || pe.Page != victim || pe.Table != "orders" || IsTransient(err) {
+					t.Fatalf("reader %d: err = %v, want a permanent *PageError for page %d", reader, err, victim)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("reader %d: err = %v, want cause %q", reader, err, tc.want)
+				}
+				if first == nil {
+					first = pe
+				} else if pe != first {
+					t.Fatalf("reader %d got a different PageError value", reader)
+				}
+			}
+			after := c.Pool().DecodeStats()
+			if after.Quarantined != before.Quarantined+1 || after.Decoded != before.Decoded {
+				t.Fatalf("Quarantined %d→%d Decoded %d→%d, want +1 / +0",
+					before.Quarantined, after.Quarantined, before.Decoded, after.Decoded)
+			}
+			for _, sibling := range []int{0, 2} {
+				cb, err := tbl.File.PageCols(sibling)
+				if err != nil {
+					t.Fatalf("healthy sibling page %d: %v", sibling, err)
+				}
+				if cb.Col(tc.reads).Len() != cb.Len() {
+					t.Fatalf("sibling page %d column %d short", sibling, tc.reads)
+				}
+				cb.Release()
+			}
+		})
+	}
+}

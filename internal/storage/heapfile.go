@@ -146,8 +146,11 @@ func (h *HeapFile) PageResident(idx int) bool { return h.pool.Contains(h.id, idx
 func (h *HeapFile) NotePruned() { h.pool.NotePruned() }
 
 // PageCols fetches page idx through the buffer pool and returns its
-// columnar batch, decoded once per pool residency and shared between
-// callers. The caller owns one reference on the batch and must Release it.
+// columnar batch, opened once per pool residency and shared between callers:
+// the page is validated in full (a corrupt one fails here, with its
+// quarantined PageError), and a fixed-width column is decoded when a caller's
+// Col first asks for it. The caller owns one reference on the batch, must
+// Release it, and may hold it after the page has left the pool.
 func (h *HeapFile) PageCols(idx int) (*vec.ColBatch, error) {
 	fr, err := h.pool.Fetch(h.id, idx)
 	if err != nil {

@@ -3,8 +3,11 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/types"
@@ -45,9 +48,78 @@ func decodeCheck(t *testing.T, page []byte, want []types.Row, ncols int) {
 	}
 }
 
+// sameVec reports whether two decoded columns are the same vector: tags,
+// uniformity, dictionary, and the payload of every row's own kind.
+func sameVec(a, b *vec.Vec) bool {
+	if !slices.Equal(a.Kinds, b.Kinds) || !slices.Equal(a.Dict, b.Dict) ||
+		a.AllInt() != b.AllInt() || a.AllFloat() != b.AllFloat() || a.AllStr() != b.AllStr() {
+		return false
+	}
+	for i := range a.Kinds {
+		if da, db := a.Datum(i), b.Datum(i); da.K != db.K || !da.Equal(db) {
+			return false
+		}
+		if a.HasDict() && a.Kinds[i] == types.KindString && a.I[i] != b.I[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lazyMatchesEager opens page the way a frame does — fixed-width columns
+// left to their first reader — and lets several goroutines touch random
+// column subsets in random order through Col: each must see exactly the
+// vector the eager DecodePageCols built.
+func lazyMatchesEager(t *testing.T, page []byte, ncols int, seed int64) {
+	t.Helper()
+	eager, err := DecodePageCols(page, ncols)
+	if err != nil {
+		t.Fatalf("DecodePageCols: %v", err)
+	}
+	defer eager.Release()
+	var touched atomic.Int64
+	lazy, err := openPage(page, ncols, &touched)
+	if err != nil {
+		t.Fatalf("openPage: %v", err)
+	}
+	defer lazy.Release()
+	if lazy.Len() != eager.Len() {
+		t.Fatalf("lazy batch has %d rows, eager %d", lazy.Len(), eager.Len())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed*31 + int64(g)))
+			for _, c := range r.Perm(ncols)[:1+r.Intn(ncols)] {
+				if !sameVec(lazy.Col(c), eager.Col(c)) {
+					t.Errorf("reader %d: first-touch column %d differs from the eager decode", g, c)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := touched.Load(); n > int64(ncols) {
+		t.Errorf("%d columns materialised for a %d-column page", n, ncols)
+	}
+	rows := lazy.Rows() // the full-row path touches the rest
+	if lazy.Len() > 0 && touched.Load() != int64(ncols) {
+		t.Errorf("Rows left %d of %d columns undecoded", int64(ncols)-touched.Load(), ncols)
+	}
+	for i, want := range eager.Rows() {
+		for c := range want {
+			if rows[i][c].K != want[c].K || !rows[i][c].Equal(want[c]) {
+				t.Fatalf("row %d col %d: lazy %v, eager %v", i, c, rows[i][c], want[c])
+			}
+		}
+	}
+}
+
 // TestPageV2RoundTripProperty is the v2 encode→decode round trip over random
 // schemas and pages: mixed kinds, NULLs, and string columns from single-value
-// to fully unique all decode back exactly.
+// to fully unique all decode back exactly — eagerly, and column by column on
+// first touch under contention (run with -race).
 func TestPageV2RoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
@@ -65,6 +137,7 @@ func TestPageV2RoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: builder wrote a bad header: %v", trial, err)
 		}
 		decodeCheck(t, page, inPage, schema.Len())
+		lazyMatchesEager(t, page, schema.Len(), int64(trial))
 	}
 }
 
@@ -151,7 +224,9 @@ func TestPageV2TargetedShapes(t *testing.T) {
 	}
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
-			decodeCheck(t, buildV2Page(t, rows), rows, len(rows[0]))
+			page := buildV2Page(t, rows)
+			decodeCheck(t, page, rows, len(rows[0]))
+			lazyMatchesEager(t, page, len(rows[0]), 1)
 		})
 	}
 }

@@ -42,12 +42,14 @@ type Frame struct {
 	loading chan struct{} // non-nil while the page is being read from disk
 	loadErr error
 
-	// Columnar decode cache, the frame's one decoded form: a page is decoded
-	// at most once per residency into a pooled ColBatch (circular scans
-	// re-read the same resident pages every sweep, so re-decoding dominated
-	// their allocation profile). The frame owns one reference; eviction drops
-	// it and the batch returns to the pool once the last reader releases its
-	// own.
+	// The frame's one decoded form: a page is opened at most once per
+	// residency into a pooled ColBatch that every reader of the residency
+	// shares (circular scans re-read the same resident pages every sweep).
+	// Opening validates the whole page and decodes its dictionary and raw
+	// segments; a fixed-width column is decoded, once, by the first reader
+	// that asks the batch for it, straight from data. The frame owns one
+	// reference; eviction drops it, and leaves data to the batch when other
+	// readers still hold it with columns undecoded (dropDecoded).
 	decMu  sync.Mutex
 	cb     *vec.ColBatch
 	decErr error // sticky decode failure (corrupt page) for this residency
@@ -56,14 +58,17 @@ type Frame struct {
 // Data returns the page bytes. Valid only while the frame is pinned.
 func (fr *Frame) Data() []byte { return fr.data }
 
-// DecodedCols returns the frame's page decoded into a columnar batch,
-// decoding on first use per residency. Must be called with the frame
+// DecodedCols returns the frame's page as a columnar batch, opening it
+// (openPage: validate everything, decode what can fail) on first use per
+// residency; a corrupt page fails here, whichever column is corrupt and
+// whichever columns the caller will read. Must be called with the frame
 // pinned. The caller receives its own reference and must Release it; the
-// batch may be retained past Unpin.
+// batch may be retained past Unpin and past the frame's eviction, and decodes
+// a column nobody has read yet whenever its Col is first called.
 func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 	fr.decMu.Lock()
 	if fr.cb == nil && fr.decErr == nil {
-		if fr.cb, fr.decErr = DecodePageCols(fr.data, ncols); fr.decErr == nil {
+		if fr.cb, fr.decErr = openPage(fr.data, ncols, &fr.pool.colsDecoded); fr.decErr == nil {
 			fr.pool.decoded.Add(1)
 		}
 	}
@@ -96,7 +101,12 @@ type PoolStats struct {
 type DecodeStats struct {
 	Fetched int64 // demand fetches served (pool hits + disk reads)
 	Pruned  int64 // page fetches avoided by zone-map pruning
-	Decoded int64 // pages decoded (at most once per pool residency)
+	Decoded int64 // pages opened (at most once per pool residency)
+
+	// ColsDecoded counts columns materialised: at open for dictionary and
+	// raw segments, on first touch for fixed-width ones. Decode cost per
+	// decoded column is read against this, not against Decoded × width.
+	ColsDecoded int64
 
 	// Fault-handling counters. Retries counts transient read errors that
 	// were retried (with backoff) before the page loaded or quarantined;
@@ -128,11 +138,12 @@ type BufferPool struct {
 	evictions  atomic.Int64
 	prefetched atomic.Int64
 
-	decoded   atomic.Int64
-	fetched   atomic.Int64
-	pruned    atomic.Int64
-	retries   atomic.Int64
-	quarCount atomic.Int64
+	decoded     atomic.Int64
+	colsDecoded atomic.Int64
+	fetched     atomic.Int64
+	pruned      atomic.Int64
+	retries     atomic.Int64
+	quarCount   atomic.Int64
 
 	// Retry policy for transient read errors (SetRetryPolicy overrides).
 	retryMax  int
@@ -362,9 +373,15 @@ func (p *BufferPool) invalidateLocked(fr *Frame) {
 
 // dropDecoded forgets the frame's decode cache. The frame's reference on the
 // columnar batch is released — readers that retained their own keep the batch
-// alive until they release it.
+// alive until they release it, and may yet ask it for a column it decodes
+// from the page bytes: then those bytes stay with the batch and the frame
+// takes a fresh buffer rather than load the next page over them. The frame
+// is unpinned here, so nobody can be taking a new reference.
 func (fr *Frame) dropDecoded() {
 	if fr.cb != nil {
+		if fr.cb.SourceShared() {
+			fr.data = make([]byte, PageSize)
+		}
 		fr.cb.Release()
 		fr.cb = nil
 	}
@@ -523,6 +540,7 @@ func (p *BufferPool) DecodeStats() DecodeStats {
 		Fetched:     p.fetched.Load(),
 		Pruned:      p.pruned.Load(),
 		Decoded:     p.decoded.Load(),
+		ColsDecoded: p.colsDecoded.Load(),
 		Retries:     p.retries.Load(),
 		Quarantined: p.quarCount.Load(),
 	}

@@ -18,23 +18,40 @@
 // surviving subset into a caller-provided output slice (which may alias the
 // input — kernels only ever write at or before their read position), so
 // predicate chains evaluate with zero allocation. ColBatch.AllSel returns
-// the cached identity selection for "every row".
+// the identity selection for "every row": a prefix of one slice shared by
+// the whole process, never to be written (or passed as a kernel's output).
 //
-// ColBatches are pooled and reference-counted: the storage layer caches one
-// per resident page frame (one ref), hands extra refs to readers
-// (HeapFile.PageCols), and the batch returns to the pool when the last ref
-// drops. Strings are stored as Go string headers ([]string), not offsets
-// into recyclable buffers, so rows materialized from a batch stay valid
-// after the batch is recycled — the string contents are immutable heap
-// objects (for columns decoded from a page, substrings of one shared
-// per-page dictionary buffer). Dictionary-coded columns additionally carry
-// the page's sorted dictionary in Dict with per-row codes in I, enabling
-// predicate kernels that compare ints instead of strings.
+// ColBatches are reference-counted: the storage layer caches one per
+// resident page frame (one ref), hands extra refs to readers
+// (HeapFile.PageCols), and the last Release empties the batch. What is
+// pooled is the parts, not the batch as it grew: every payload array goes
+// back to a recycler that files it by element type and size class
+// (recycle.go), the empty shell to a pool of shells, and the next use of
+// either — any width, any row count — takes arrays of exactly the classes it
+// fills. A column holds only the arrays its current use wrote, Get(ncols)
+// hides no columns behind the ones asked for, Reserve and AppendGather size
+// to the rows reserved for this use, and refilling the same shape allocates
+// nothing. ColBatch.Bytes is the footprint of one batch, PoolStats the
+// process totals.
+//
+// A batch may be sealed with columns still in their source (SealSource): the
+// storage layer validates a whole page when it opens it but decodes a
+// fixed-width column only when the first reader's Col asks, so a batch holds
+// the columns its readers read. Col tests one bit with an atomic load; the
+// decode runs once, under the batch's lock.
+//
+// Strings are stored as Go string headers ([]string), not offsets into
+// recyclable buffers, so rows materialized from a batch stay valid after the
+// batch is recycled — the string contents are immutable heap objects (for
+// columns decoded from a page, substrings of one shared per-page dictionary
+// buffer), and a parked string array is cleared so it pins none of them.
+// Dictionary-coded columns additionally carry the page's sorted dictionary
+// in Dict with per-row codes in I, enabling predicate kernels that compare
+// ints instead of strings.
 package vec
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,6 +73,11 @@ const (
 // lazily for the kinds the column holds. For row i, Kinds[i] selects the
 // payload: I[i] for int-class kinds, F[i] for floats, S[i] for strings,
 // nothing for NULL.
+//
+// A Vec is either a column of a pooled ColBatch, whose arrays come from and
+// go back to the recycler (recycle.go), or free-standing (a join's build
+// arena, a kernel's result vector), whose arrays live on the heap and are
+// reused by reset.
 type Vec struct {
 	Kinds []types.Kind
 	I     []int64
@@ -70,7 +92,8 @@ type Vec struct {
 	// string constant to a code bound once per page and compare ints.
 	Dict []string
 
-	flags uint8
+	flags  uint8
+	pooled bool // column of a pooled batch: arrays are the recycler's
 }
 
 // HasDict reports whether the column is dictionary-coded (codes in I, sorted
@@ -90,9 +113,9 @@ func (v *Vec) AllFloat() bool { return v.flags&flagNonFloat == 0 }
 // AllStr reports whether every row is a string. Implies no NULLs.
 func (v *Vec) AllStr() bool { return v.flags&flagNonStr == 0 }
 
-// reset empties the vector for reuse, retaining payload capacity. Strings
-// and dictionary entries are cleared so a pooled vector does not pin page
-// data alive.
+// reset empties a free-standing vector for reuse, retaining payload
+// capacity. Strings and dictionary entries are cleared so the vector does
+// not pin page data alive.
 func (v *Vec) reset() {
 	v.Kinds = v.Kinds[:0]
 	v.I = v.I[:0]
@@ -104,44 +127,73 @@ func (v *Vec) reset() {
 	v.flags = 0
 }
 
-// pad grows s with zero values to length n (no-op on homogeneous columns,
-// where every payload write lands at the end of its array).
-func padI(s []int64, n int) []int64 {
-	for len(s) < n {
-		s = append(s, 0)
-	}
-	return s
+// release hands a pooled column's arrays back to the recycler and leaves the
+// zero Vec.
+func (v *Vec) release() {
+	kindPark.put(v.Kinds)
+	intPark.put(v.I)
+	floatPark.put(v.F)
+	strPark.put(v.S)
+	strPark.put(v.Dict)
+	*v = Vec{}
 }
 
-func padF(s []float64, n int) []float64 {
-	for len(s) < n {
-		s = append(s, 0)
-	}
-	return s
+// bytes is the capacity-based footprint of the column's arrays.
+func (v *Vec) bytes() int64 {
+	return kindPark.elem*int64(cap(v.Kinds)) + intPark.elem*int64(cap(v.I)) +
+		floatPark.elem*int64(cap(v.F)) + strPark.elem*int64(cap(v.S)+cap(v.Dict))
 }
 
-func padS(s []string, n int) []string {
-	for len(s) < n {
-		s = append(s, "")
-	}
-	return s
+// room makes the tag array (roomK) or a payload array (roomI, roomF, roomS)
+// exactly n long with capacity for row n, so the append that follows stays in
+// place: the slow path of the per-row appends, which test for it inline. It
+// pads a payload the column has not used for a while (no-op on homogeneous
+// columns, where every payload write lands at the end of its array) and
+// grows a pooled column's payload to the rows its tag array has room for, so
+// a reserved batch never regrows a column.
+func (v *Vec) roomK(n int) {
+	v.Kinds = extend(&kindPark, v.Kinds, n, n+1, 0, v.pooled)[:n]
+}
+
+func (v *Vec) roomI(n int) {
+	v.I = extend(&intPark, v.I, n, n+1, cap(v.Kinds), v.pooled)[:n]
+}
+
+func (v *Vec) roomF(n int) {
+	v.F = extend(&floatPark, v.F, n, n+1, cap(v.Kinds), v.pooled)[:n]
+}
+
+func (v *Vec) roomS(n int) {
+	v.S = extend(&strPark, v.S, n, n+1, cap(v.Kinds), v.pooled)[:n]
 }
 
 // AppendDatum appends one value, routing the payload to its typed array and
 // updating the uniformity flags.
 func (v *Vec) AppendDatum(d types.Datum) {
 	i := len(v.Kinds)
+	if i == cap(v.Kinds) {
+		v.roomK(i)
+	}
 	v.Kinds = append(v.Kinds, d.K)
 	switch d.K {
 	case types.KindInt, types.KindDate, types.KindBool:
 		v.flags |= flagNonFloat | flagNonStr
-		v.I = append(padI(v.I, i), d.I)
+		if len(v.I) != i || i == cap(v.I) {
+			v.roomI(i)
+		}
+		v.I = append(v.I, d.I)
 	case types.KindFloat:
 		v.flags |= flagNonInt | flagNonStr
-		v.F = append(padF(v.F, i), d.F)
+		if len(v.F) != i || i == cap(v.F) {
+			v.roomF(i)
+		}
+		v.F = append(v.F, d.F)
 	case types.KindString:
 		v.flags |= flagNonInt | flagNonFloat
-		v.S = append(padS(v.S, i), d.S)
+		if len(v.S) != i || i == cap(v.S) {
+			v.roomS(i)
+		}
+		v.S = append(v.S, d.S)
 	default: // NULL
 		v.flags = flagMixed
 	}
@@ -170,7 +222,7 @@ func (v *Vec) AppendKindRun(k types.Kind, n int) {
 		v.flags = flagMixed
 	}
 	n0 := len(v.Kinds)
-	v.Kinds = slices.Grow(v.Kinds, n)[:n0+n]
+	v.Kinds = extend(&kindPark, v.Kinds, n0, n0+n, 0, v.pooled)
 	for i := n0; i < n0+n; i++ {
 		v.Kinds[i] = k
 	}
@@ -180,42 +232,26 @@ func (v *Vec) AppendKindRun(k types.Kind, n int) {
 // for direct fills. Every row must be covered by the fill, so the Vec
 // invariant — the payload array for a row's kind covers its index — holds.
 func (v *Vec) BulkI(n int) []int64 {
-	if cap(v.I) < n {
-		v.I = make([]int64, n)
-	} else {
-		v.I = v.I[:n]
-	}
+	v.I = sized(&intPark, v.I, n, v.pooled)
 	return v.I
 }
 
 // BulkF is BulkI for the float payload.
 func (v *Vec) BulkF(n int) []float64 {
-	if cap(v.F) < n {
-		v.F = make([]float64, n)
-	} else {
-		v.F = v.F[:n]
-	}
+	v.F = sized(&floatPark, v.F, n, v.pooled)
 	return v.F
 }
 
 // BulkS is BulkI for the string payload.
 func (v *Vec) BulkS(n int) []string {
-	if cap(v.S) < n {
-		v.S = make([]string, n)
-	} else {
-		v.S = v.S[:n]
-	}
+	v.S = sized(&strPark, v.S, n, v.pooled)
 	return v.S
 }
 
 // BulkDict resizes the dictionary to n entries (reusing capacity) and
 // returns it for direct fills.
 func (v *Vec) BulkDict(n int) []string {
-	if cap(v.Dict) < n {
-		v.Dict = make([]string, n)
-	} else {
-		v.Dict = v.Dict[:n]
-	}
+	v.Dict = sized(&strPark, v.Dict, n, v.pooled)
 	return v.Dict
 }
 
@@ -247,17 +283,29 @@ func (v *Vec) SetNull(i int) {
 func (v *Vec) AppendFrom(src *Vec, i int) {
 	k := src.Kinds[i]
 	n := len(v.Kinds)
+	if n == cap(v.Kinds) {
+		v.roomK(n)
+	}
 	v.Kinds = append(v.Kinds, k)
 	switch k {
 	case types.KindInt, types.KindDate, types.KindBool:
 		v.flags |= flagNonFloat | flagNonStr
-		v.I = append(padI(v.I, n), src.I[i])
+		if len(v.I) != n || n == cap(v.I) {
+			v.roomI(n)
+		}
+		v.I = append(v.I, src.I[i])
 	case types.KindFloat:
 		v.flags |= flagNonInt | flagNonStr
-		v.F = append(padF(v.F, n), src.F[i])
+		if len(v.F) != n || n == cap(v.F) {
+			v.roomF(n)
+		}
+		v.F = append(v.F, src.F[i])
 	case types.KindString:
 		v.flags |= flagNonInt | flagNonFloat
-		v.S = append(padS(v.S, n), src.S[i])
+		if len(v.S) != n || n == cap(v.S) {
+			v.roomS(n)
+		}
+		v.S = append(v.S, src.S[i])
 	default: // NULL
 		v.flags = flagMixed
 	}
@@ -279,12 +327,11 @@ func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 	}
 	n := len(v.Kinds)
 	end := n + len(idxs)
-	v.Kinds = slices.Grow(v.Kinds, len(idxs))
 	switch {
 	case src.AllInt():
 		v.flags |= flagNonFloat | flagNonStr
-		v.I = slices.Grow(padI(v.I, n), cap(v.Kinds)-n)[:end]
-		v.Kinds = v.Kinds[:end]
+		v.Kinds = extend(&kindPark, v.Kinds, n, end, 0, v.pooled)
+		v.I = extend(&intPark, v.I, n, end, cap(v.Kinds), v.pooled)
 		dk, di, sk, si := v.Kinds[n:], v.I[n:], src.Kinds, src.I
 		for j, r := range idxs {
 			dk[j] = sk[r] // int, date and bool share the payload, not the tag
@@ -292,8 +339,8 @@ func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 		}
 	case src.AllFloat():
 		v.flags |= flagNonInt | flagNonStr
-		v.F = slices.Grow(padF(v.F, n), cap(v.Kinds)-n)[:end]
-		v.Kinds = v.Kinds[:end]
+		v.Kinds = extend(&kindPark, v.Kinds, n, end, 0, v.pooled)
+		v.F = extend(&floatPark, v.F, n, end, cap(v.Kinds), v.pooled)
 		dk, df, sf := v.Kinds[n:], v.F[n:], src.F
 		for j, r := range idxs {
 			dk[j] = types.KindFloat
@@ -301,8 +348,8 @@ func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 		}
 	case src.AllStr():
 		v.flags |= flagNonInt | flagNonFloat
-		v.S = slices.Grow(padS(v.S, n), cap(v.Kinds)-n)[:end]
-		v.Kinds = v.Kinds[:end]
+		v.Kinds = extend(&kindPark, v.Kinds, n, end, 0, v.pooled)
+		v.S = extend(&strPark, v.S, n, end, cap(v.Kinds), v.pooled)
 		dk, ds, ss := v.Kinds[n:], v.S[n:], src.S
 		for j, r := range idxs {
 			dk[j] = types.KindString
@@ -330,11 +377,35 @@ func (v *Vec) Datum(i int) types.Datum {
 	}
 }
 
+// ColSource materialises the columns a batch did not decode when it was
+// built. The storage layer opens a page by validating all of it and decoding
+// only the segments whose decode can fail; the fixed-width segments are left
+// to the first reader that asks for the column, through this interface (vec
+// cannot import storage). The source must stay able to decode until Close.
+type ColSource interface {
+	// DecodeCol fills v, an empty pooled column, with column i. It cannot
+	// fail: whatever could was checked before the batch was sealed.
+	DecodeCol(i int, v *Vec)
+	// Close tells the source the batch is done with it (last Release).
+	Close()
+}
+
 // ColBatch is a page of rows in columnar form. Batches are pooled: obtain
 // one with Get, share it with Retain, and drop it with Release — the last
-// Release returns it to the pool. A sealed batch is immutable and safe for
-// concurrent readers.
+// Release hands every payload array back to the recycler and pools the empty
+// shell. A sealed batch is immutable and safe for concurrent readers; a
+// column sealed undecoded (SealSource) is decoded once, by the first reader
+// whose Col asks for it.
 type ColBatch struct {
+	// First-touch decode: bit i of pending is set while column i (i < 64)
+	// still waits for src. Readers test it with one atomic load; the decode
+	// itself, and clearing the bit after it, happen under mu. (A plain word
+	// with sync/atomic calls, first in the struct for alignment: the typed
+	// form puts Col over the inlining budget.)
+	pending uint64
+	src     ColSource
+	mu      sync.Mutex
+
 	cols   []Vec
 	n      int
 	allSel []int32
@@ -348,7 +419,13 @@ type ColBatch struct {
 	refs atomic.Int32
 }
 
-var batchPool sync.Pool
+// MaxLazyCols is how many leading columns SealSource's mask can name; a
+// wider batch decodes the rest when it is built.
+const MaxLazyCols = 64
+
+// shellPool holds released batches with nothing in them: a column slice of
+// zero Vecs.
+var shellPool sync.Pool
 
 // liveBatches gauges batches checked out of the pool (Get/ProjectCols minus
 // final Releases) — the refcount-leak oracle the fault batteries assert on:
@@ -359,11 +436,11 @@ var liveBatches atomic.Int64
 // LiveBatches returns the number of pooled batches currently checked out.
 func LiveBatches() int64 { return liveBatches.Load() }
 
-// Get takes a recycled batch from the pool (or allocates one) sized for
-// ncols columns, with one reference held by the caller.
-func Get(ncols int) *ColBatch {
+// getShell checks out an empty batch of ncols zero columns with one
+// reference held by the caller.
+func getShell(ncols int) *ColBatch {
 	liveBatches.Add(1)
-	b, _ := batchPool.Get().(*ColBatch)
+	b, _ := shellPool.Get().(*ColBatch)
 	if b == nil {
 		b = &ColBatch{}
 	}
@@ -372,40 +449,52 @@ func Get(ncols int) *ColBatch {
 	} else {
 		b.cols = b.cols[:ncols]
 	}
-	b.n = 0
-	b.allSel = b.allSel[:0]
 	b.refs.Store(1)
+	return b
+}
+
+// Get checks out an empty batch of ncols columns with one reference held by
+// the caller. The columns hold no arrays; each takes from the recycler what
+// its fill asks for.
+func Get(ncols int) *ColBatch {
+	b := getShell(ncols)
+	for i := range b.cols {
+		b.cols[i].pooled = true
+	}
 	return b
 }
 
 // Retain adds a reference; every Retain must be paired with a Release.
 func (b *ColBatch) Retain() { b.refs.Add(1) }
 
-// Release drops a reference; the last one resets the batch and returns it
-// to the pool. Dropping a reference that was never taken panics.
+// Release drops a reference; the last one empties the batch — arrays to the
+// recycler, the column source closed — and pools the shell. Dropping a
+// reference that was never taken panics.
 func (b *ColBatch) Release() {
 	switch n := b.refs.Add(-1); {
 	case n == 0:
 		liveBatches.Add(-1)
-		if p := b.parent; p != nil {
-			// Derived batch: the Vec payload arrays belong to the parent, so
-			// drop the struct references without clearing the arrays.
-			for i := range b.cols {
-				b.cols[i] = Vec{}
-			}
-			b.cols = b.cols[:0]
-			b.allSel = nil // shared with the parent
-			b.parent = nil
-			b.n = 0
-			batchPool.Put(b)
-			p.Release()
-			return
-		}
+		p := b.parent
 		for i := range b.cols {
-			b.cols[i].reset()
+			if p != nil {
+				b.cols[i] = Vec{} // the arrays are the parent's
+			} else {
+				b.cols[i].release()
+			}
 		}
+		if b.src != nil {
+			b.src.Close()
+			b.src = nil
+		}
+		atomic.StoreUint64(&b.pending, 0)
+		b.cols = b.cols[:0]
+		b.allSel = nil
+		b.parent = nil
 		b.n = 0
-		batchPool.Put(b)
+		shellPool.Put(b)
+		if p != nil {
+			p.Release()
+		}
 	case n < 0:
 		panic("vec: ColBatch over-released")
 	}
@@ -413,28 +502,19 @@ func (b *ColBatch) Release() {
 
 // ProjectCols returns a derived batch whose column j is b's column idxs[j],
 // sharing b's payload arrays and identity selection — the zero-copy form of
-// a column-reference-only projection. The derived batch holds one reference
-// on b (released when the derived batch's last reference drops) and one
+// a column-reference-only projection (the projected columns are decoded
+// here if nobody read them yet). The derived batch holds one reference on b
+// (released when the derived batch's last reference drops) and one
 // caller-owned reference on itself. b must be sealed.
 func ProjectCols(b *ColBatch, idxs []int) *ColBatch {
-	liveBatches.Add(1)
-	d, _ := batchPool.Get().(*ColBatch)
-	if d == nil {
-		d = &ColBatch{}
-	}
-	if cap(d.cols) < len(idxs) {
-		d.cols = make([]Vec, len(idxs))
-	} else {
-		d.cols = d.cols[:len(idxs)]
-	}
+	d := getShell(len(idxs))
 	for j, idx := range idxs {
-		d.cols[j] = b.cols[idx] // struct copy: payload arrays are shared
+		d.cols[j] = *b.Col(idx) // struct copy: payload arrays are shared
 	}
 	d.n = b.n
 	d.allSel = b.allSel
 	b.Retain()
 	d.parent = b
-	d.refs.Store(1)
 	return d
 }
 
@@ -444,16 +524,32 @@ func (b *ColBatch) NumCols() int { return len(b.cols) }
 // Len returns the number of rows (valid after Seal).
 func (b *ColBatch) Len() int { return b.n }
 
-// Col returns column i.
-func (b *ColBatch) Col(i int) *Vec { return &b.cols[i] }
+// Col returns column i, decoding it first if the batch was sealed with the
+// column still in its source.
+func (b *ColBatch) Col(i int) *Vec {
+	if atomic.LoadUint64(&b.pending)&(1<<uint(i)) != 0 {
+		b.decode(i)
+	}
+	return &b.cols[i]
+}
 
-// Reserve makes room for n rows in every column's tag array. Gathers size a
-// payload array to its tag array (Vec.AppendGather), so this one call sizes a
+func (b *ColBatch) decode(i int) {
+	b.mu.Lock()
+	if p, bit := atomic.LoadUint64(&b.pending), uint64(1)<<uint(i); p&bit != 0 {
+		b.src.DecodeCol(i, &b.cols[i])
+		atomic.StoreUint64(&b.pending, p&^bit) // writers all hold mu
+	}
+	b.mu.Unlock()
+}
+
+// Reserve makes room for n rows in every column's tag array. Appends and
+// gathers size a payload array to its tag array, so this one call sizes a
 // fresh output batch for its final row count whatever kinds arrive.
 func (b *ColBatch) Reserve(n int) {
 	for i := range b.cols {
 		v := &b.cols[i]
-		v.Kinds = slices.Grow(v.Kinds, max(0, n-len(v.Kinds)))
+		l := len(v.Kinds)
+		v.Kinds = extend(&kindPark, v.Kinds, l, max(l, n), 0, v.pooled)[:l]
 	}
 }
 
@@ -465,35 +561,98 @@ func (b *ColBatch) AppendRow(r types.Row) {
 	}
 }
 
-// Seal fixes the row count, validates that every column covers it, and
-// builds the cached identity selection. A batch must be sealed before it is
-// shared: the lazy structures are built here, not on first concurrent read.
-func (b *ColBatch) Seal(n int) {
+// Seal fixes the row count and validates that every column covers it. A
+// batch must be sealed before it is shared.
+func (b *ColBatch) Seal(n int) { b.SealSource(n, nil, 0) }
+
+// SealSource is Seal for a batch some of whose columns are still in src:
+// bit i of lazy names column i (i < MaxLazyCols) as undecoded, to be filled
+// by src.DecodeCol on the first Col(i). The batch closes src at its last
+// Release.
+func (b *ColBatch) SealSource(n int, src ColSource, lazy uint64) {
 	for i := range b.cols {
-		if b.cols[i].Len() != n {
+		if lazy>>uint(i)&1 == 0 && b.cols[i].Len() != n {
 			panic(fmt.Sprintf("vec: column %d has %d rows, batch has %d", i, b.cols[i].Len(), n))
 		}
 	}
 	b.n = n
-	if cap(b.allSel) < n {
-		b.allSel = make([]int32, n)
-	} else {
-		b.allSel = b.allSel[:n]
+	b.allSel = identitySel(n)
+	b.src = src
+	atomic.StoreUint64(&b.pending, lazy)
+}
+
+// SourceShared reports whether a holder other than the caller may still ask
+// the column source for an undecoded column. The caller must hold a
+// reference and be the only way to obtain new ones (a page frame deciding,
+// unpinned, whether its page bytes can be overwritten).
+func (b *ColBatch) SourceShared() bool {
+	return b.refs.Load() > 1 && atomic.LoadUint64(&b.pending) != 0
+}
+
+// Bytes is the batch's footprint: the capacity, in bytes, of the arrays its
+// columns hold now (undecoded columns hold none; string contents and the
+// column source's page are not counted). A derived batch holds nothing of
+// its own.
+func (b *ColBatch) Bytes() int64 {
+	if b.parent != nil {
+		return 0
 	}
-	for i := range b.allSel {
-		b.allSel[i] = int32(i)
+	b.mu.Lock() // a first-touch decode may be growing a column
+	defer b.mu.Unlock()
+	var n int64
+	for i := range b.cols {
+		n += b.cols[i].bytes()
 	}
+	return n
+}
+
+// maxSharedSel is the length of the shared identity selection: every page
+// (at most 0xFFFE rows) and every BatchSize-row operator output fits.
+const maxSharedSel = 1 << 16
+
+// sharedSel is the process's one identity selection [0, 1, …), built on
+// first use and never written again.
+var sharedSel = sync.OnceValue(func() []int32 { return newIdentity(maxSharedSel) })
+
+func newIdentity(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+// identitySel returns [0, 1, …, n-1]: a prefix of the shared selection, or a
+// private slice for a batch longer than it (a whole dimension gathered into
+// one batch).
+func identitySel(n int) []int32 {
+	if n <= maxSharedSel {
+		return sharedSel()[:n:n]
+	}
+	return newIdentity(n)
+}
+
+// CheckIdentity verifies that nothing has written through an AllSel slice:
+// the shared identity selection must still map every index to itself. Test
+// batteries call it after driving the kernels.
+func CheckIdentity() error {
+	for i, r := range sharedSel() {
+		if r != int32(i) {
+			return fmt.Errorf("vec: shared identity selection overwritten: sel[%d] = %d", i, r)
+		}
+	}
+	return nil
 }
 
 // AllSel returns the identity selection [0, 1, …, Len-1]. The slice is
-// shared and must not be written.
+// shared by every batch in the process and must not be written.
 func (b *ColBatch) AllSel() []int32 { return b.allSel }
 
 // MaterializeRow writes row i into dst (one datum per column). dst must
 // have NumCols entries.
 func (b *ColBatch) MaterializeRow(i int, dst types.Row) {
 	for c := range b.cols {
-		dst[c] = b.cols[c].Datum(i)
+		dst[c] = b.Col(c).Datum(i)
 	}
 }
 

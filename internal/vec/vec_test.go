@@ -2,7 +2,11 @@ package vec
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -144,10 +148,9 @@ func TestDiffUnion(t *testing.T) {
 	}
 }
 
-// TestColBatchRefcountRecycle locks in the pooled recycle contract: a batch
-// released by its last holder is reset (strings dropped) and reusable, and
-// re-decoding into a warm recycled batch allocates nothing beyond the
-// strings themselves.
+// TestColBatchRefcountRecycle locks in the refcount contract: a batch keeps
+// its data while any holder remains, the last Release recycles it, and one
+// Release too many panics.
 func TestColBatchRefcountRecycle(t *testing.T) {
 	b := Get(2)
 	b.Col(0).AppendDatum(types.NewInt(1))
@@ -158,7 +161,7 @@ func TestColBatchRefcountRecycle(t *testing.T) {
 	if got := b.Col(1).Datum(0); got.S != "x" {
 		t.Fatalf("batch reset while still referenced: %v", got)
 	}
-	b.Release() // last ref: resets and pools
+	b.Release() // last ref: arrays to the recycler, shell to the pool
 
 	defer func() {
 		if recover() == nil {
@@ -215,5 +218,278 @@ func TestScratchReuse(t *testing.T) {
 	use() // warm-up
 	if allocs := testing.AllocsPerRun(100, use); allocs != 0 {
 		t.Errorf("warm Scratch allocates %v objects per use, want 0", allocs)
+	}
+}
+
+// fillShape fills b — a fresh batch — with rows rows of the given column
+// kinds the way a page decode (bulk fills, dictionary-coded strings) or a
+// join output (Reserve + AppendGather) would, seals it, and returns the
+// bytes the fill wrote: what the batch has to hold.
+func fillShape(b *ColBatch, rows int, kinds []types.Kind, gather bool, r *rand.Rand) int64 {
+	var filled int64
+	if gather {
+		b.Reserve(rows)
+	}
+	idxs := make([]int32, rows)
+	for c, k := range kinds {
+		v := b.Col(c)
+		switch {
+		case gather:
+			var src Vec
+			switch k {
+			case types.KindString:
+				src.AppendDatum(types.NewString("s"))
+				filled += int64(rows) * (1 + 16)
+			case types.KindFloat:
+				src.AppendDatum(types.NewFloat(1.5))
+				filled += int64(rows) * (1 + 8)
+			default:
+				src.AppendDatum(types.NewInt(7))
+				filled += int64(rows) * (1 + 8)
+			}
+			v.AppendGather(&src, idxs)
+		case k == types.KindString:
+			ndict := 1 + r.Intn(40)
+			v.AppendKindRun(k, rows)
+			dict, codes, strs := v.BulkDict(ndict), v.BulkI(rows), v.BulkS(rows)
+			for i := range dict {
+				dict[i] = string(rune('a' + i))
+			}
+			for i := range strs {
+				codes[i] = int64(i % ndict)
+				strs[i] = dict[i%ndict]
+			}
+			filled += int64(rows)*(1+8+16) + int64(ndict)*16
+		case k == types.KindFloat:
+			v.AppendKindRun(k, rows)
+			clear(v.BulkF(rows))
+			filled += int64(rows) * (1 + 8)
+		default:
+			v.AppendKindRun(k, rows)
+			clear(v.BulkI(rows))
+			filled += int64(rows) * (1 + 8)
+		}
+	}
+	b.Seal(rows)
+	return filled
+}
+
+// TestColBatchRecycleKeepsShape pins the recycler's contract: a batch holds
+// what its current use fills, whatever the pool has seen before. A
+// 3 000-row page of four string columns, released, leaves nothing on a
+// 1 024-row join output of four int columns; and across 1 000 random shape
+// alternations the live batches together never hold more than 1.5 × what
+// their uses fill.
+func TestColBatchRecycleKeepsShape(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	str4 := []types.Kind{types.KindString, types.KindString, types.KindString, types.KindString}
+	int4 := []types.Kind{types.KindInt, types.KindDate, types.KindInt, types.KindInt}
+
+	page := Get(4)
+	fillShape(page, 3000, str4, false, r)
+	page.Release()
+	out := Get(4)
+	fillShape(out, 1024, int4, true, r)
+	if got, limit := out.Bytes(), int64(1.25*1024*(8+1)*4); got > limit {
+		t.Errorf("1 024-row 4-int join output after a 3 000-row string page holds %d bytes, want <= %d", got, limit)
+	}
+	out.Release()
+
+	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindDate}
+	type live struct {
+		b      *ColBatch
+		filled int64
+	}
+	var held []live
+	for step := 0; step < 1000; step++ {
+		if len(held) == 8 || (len(held) > 0 && r.Intn(3) == 0) {
+			i := r.Intn(len(held))
+			held[i].b.Release()
+			held[i] = held[len(held)-1]
+			held = held[:len(held)-1]
+		}
+		shape := make([]types.Kind, 1+r.Intn(12))
+		for c := range shape {
+			shape[c] = kinds[r.Intn(len(kinds))]
+		}
+		rows := minClassRows + r.Intn(4000)
+		if r.Intn(4) == 0 {
+			rows = 1024 // the operators' output size
+		}
+		b := Get(len(shape))
+		held = append(held, live{b, fillShape(b, rows, shape, r.Intn(2) == 0, r)})
+		var bytes, filled int64
+		for _, l := range held {
+			bytes += l.b.Bytes()
+			filled += l.filled
+		}
+		if float64(bytes) > 1.5*float64(filled) {
+			t.Fatalf("step %d: %d live batches hold %d bytes for %d filled (%.2fx)",
+				step, len(held), bytes, filled, float64(bytes)/float64(filled))
+		}
+	}
+	for _, l := range held {
+		l.b.Release()
+	}
+}
+
+// TestPoolStatsBalance checks the recycler's gauges: bytes out is exactly
+// the capacity of the arrays checked-out batches hold and returns to its
+// baseline when they are released; what they held is parked, and two
+// collection cycles without a taker drop it.
+func TestPoolStatsBalance(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	base := PoolStats()
+	b := Get(3)
+	fillShape(b, 2000, []types.Kind{types.KindInt, types.KindString, types.KindFloat}, false, r)
+	if got := PoolStats(); got.BytesOut-base.BytesOut != b.Bytes() || got.BatchesOut != base.BatchesOut+1 {
+		t.Fatalf("one batch of %d bytes out: stats moved from %+v to %+v", b.Bytes(), base, got)
+	}
+	b.Release()
+	if got := PoolStats(); got.BytesOut != base.BytesOut || got.BatchesOut != base.BatchesOut {
+		t.Fatalf("after release: %+v, want the baseline %+v", got, base)
+	}
+	if PoolStats().BytesParked == 0 {
+		t.Fatal("a released batch parked nothing")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for PoolStats().BytesParked != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d bytes still parked after repeated collections", PoolStats().BytesParked)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAllSelSharedAndWriteCaught: every batch's identity selection is a
+// prefix of one shared slice, capped so an append cannot reach the rest, and
+// a kernel that writes through it is caught by CheckIdentity.
+func TestAllSelSharedAndWriteCaught(t *testing.T) {
+	a, b := Get(1), Get(1)
+	defer a.Release()
+	defer b.Release()
+	for i := 0; i < 100; i++ {
+		a.Col(0).AppendDatum(types.NewInt(int64(i)))
+		if i < 40 {
+			b.Col(0).AppendDatum(types.NewInt(int64(i)))
+		}
+	}
+	a.Seal(100)
+	b.Seal(40)
+	sa, sb := a.AllSel(), b.AllSel()
+	if len(sa) != 100 || cap(sa) != 100 || len(sb) != 40 || &sa[0] != &sb[0] {
+		t.Fatalf("AllSel: len/cap %d/%d and %d/%d, shared=%v; want capped prefixes of one slice",
+			len(sa), cap(sa), len(sb), cap(sb), &sa[0] == &sb[0])
+	}
+	for i, r := range sa {
+		if r != int32(i) {
+			t.Fatalf("AllSel()[%d] = %d", i, r)
+		}
+	}
+	if err := CheckIdentity(); err != nil {
+		t.Fatal(err)
+	}
+	// A kernel compacting survivors into its input selection — legal for a
+	// private selection, a bug through AllSel.
+	Diff(sa, []int32{0, 1, 2}, sa)
+	if CheckIdentity() == nil {
+		t.Error("CheckIdentity missed a write through AllSel")
+	}
+	for i := range sa {
+		sa[i] = int32(i) // repair for the rest of the process
+	}
+	if err := CheckIdentity(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Above the shared length a batch gets a private selection.
+	big := Get(1)
+	defer big.Release()
+	big.Col(0).AppendKindRun(types.KindInt, maxSharedSel+5)
+	big.Col(0).BulkI(maxSharedSel + 5)
+	big.Seal(maxSharedSel + 5)
+	if s := big.AllSel(); len(s) != maxSharedSel+5 || s[maxSharedSel+4] != maxSharedSel+4 {
+		t.Fatalf("private identity selection wrong: len %d", len(s))
+	}
+}
+
+// countingSource decodes column i as n rows of the int i, counting calls.
+type countingSource struct {
+	n       int
+	decodes [8]atomic.Int32
+	closed  atomic.Int32
+}
+
+func (s *countingSource) DecodeCol(i int, v *Vec) {
+	s.decodes[i].Add(1)
+	v.AppendKindRun(types.KindInt, s.n)
+	for j, vi := 0, v.BulkI(s.n); j < s.n; j++ {
+		vi[j] = int64(i)
+	}
+}
+
+func (s *countingSource) Close() { s.closed.Add(1) }
+
+// TestFirstTouchDecodesOncePerColumn drives a lazily sealed batch from many
+// goroutines: every column is decoded exactly once however many readers race
+// for it, untouched columns never are, eager columns are left alone, the
+// footprint counts only what was decoded, and the source is closed by the
+// last Release.
+func TestFirstTouchDecodesOncePerColumn(t *testing.T) {
+	const rows, readers = 500, 8
+	src := &countingSource{n: rows}
+	b := Get(8)
+	for _, c := range []int{0, 7} { // eager columns
+		b.Col(c).AppendKindRun(types.KindInt, rows)
+		clear(b.Col(c).BulkI(rows))
+	}
+	b.SealSource(rows, src, 0b0111_1110)
+	if got := b.Bytes(); got > 2*1.125*rows*9 {
+		t.Fatalf("batch with two decoded columns holds %d bytes", got)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		b.Retain()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer b.Release()
+			r := rand.New(rand.NewSource(int64(g)))
+			for k := 0; k < 200; k++ {
+				c := r.Intn(6) // column 6 is never asked for
+				v := b.Col(c)
+				want := int64(c)
+				if c == 0 {
+					want = 0
+				}
+				if v.Len() != rows || v.I[r.Intn(rows)] != want {
+					t.Errorf("reader %d: column %d has %d rows, sample != %d", g, c, v.Len(), want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for c := 1; c <= 5; c++ {
+		if n := src.decodes[c].Load(); n != 1 {
+			t.Errorf("column %d decoded %d times, want 1", c, n)
+		}
+	}
+	for _, c := range []int{0, 6, 7} {
+		if n := src.decodes[c].Load(); n != 0 {
+			t.Errorf("column %d decoded %d times, want 0", c, n)
+		}
+	}
+	if src.closed.Load() != 0 {
+		t.Fatal("source closed while the batch is still held")
+	}
+	// Full-row paths touch everything.
+	if row := b.Row(3); row[6].I != 6 {
+		t.Fatalf("Row did not decode column 6: %v", row)
+	}
+	b.Release()
+	if src.closed.Load() != 1 {
+		t.Fatalf("source closed %d times at the last release, want 1", src.closed.Load())
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 // Source draws a client's next query; gqp picks the CJOIN form of a star
@@ -416,7 +417,10 @@ func snapshot(env *Env, e *engine.Engine, gw *service.Gateway) map[string]float6
 	m["cjoin_pages_pruned"], m["zone_skips"] = float64(cs.PagesPruned), float64(cs.ZoneSkips)
 	ds := env.Cat.Pool().DecodeStats()
 	m["pages_fetched"], m["pages_pruned"], m["pages_decoded"] = float64(ds.Fetched), float64(ds.Pruned), float64(ds.Decoded)
+	m["cols_decoded"] = float64(ds.ColsDecoded)
 	m["quarantined"], m["retries"] = float64(ds.Quarantined), float64(ds.Retries)
+	ps := vec.PoolStats() // gauges, not counters: a diff is the window's net change
+	m["batches_out"], m["batch_bytes_out"], m["batch_bytes_parked"] = float64(ps.BatchesOut), float64(ps.BytesOut), float64(ps.BytesParked)
 	if env.Fault != nil {
 		m["injected_reads"] = float64(env.Fault.Injected())
 	}

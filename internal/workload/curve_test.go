@@ -214,14 +214,19 @@ func TestCurveVOverloadChaos(t *testing.T) {
 	src := CurveByName("V").Source(env, 1, 7)
 	e := env.Engine(GQP.Engine)
 
-	// Warm every page into the pool so pool residency is part of the
-	// LiveBatches baseline.
+	// Warm every page into the pool, every column decoded, so pool residency
+	// is part of the LiveBatches and bytes-out baselines.
 	if _, err := e.Execute(context.Background(), ssb.DateWindow(env.SSB, 95, 0).Plan(true)); err != nil {
 		t.Fatal(err)
 	}
+	for _, name := range env.Cat.Tables() {
+		if _, err := env.Cat.MustTable(name).File.AllRows(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	goroutinesBefore := runtime.NumGoroutine()
-	liveBefore := vec.LiveBatches()
+	liveBefore, bytesBefore := vec.LiveBatches(), vec.PoolStats().BytesOut
 
 	// Deliberately tiny tier: 1+1 slots, 4-deep queues, high-water 2 — the
 	// storm must hit every shedding and rejection path.
@@ -301,6 +306,9 @@ func TestCurveVOverloadChaos(t *testing.T) {
 	})
 	waitSettled(t, "live batches", func() bool {
 		return vec.LiveBatches() <= liveBefore
+	})
+	waitSettled(t, "payload bytes out", func() bool {
+		return vec.PoolStats().BytesOut <= bytesBefore
 	})
 }
 

@@ -481,3 +481,58 @@ func BenchmarkPrunedSweep(b *testing.B) {
 		env.Close()
 	}
 }
+
+// TestFirstTouchDecodesWhatQueriesRead counts what a scan materialises: a
+// query-centric Q2.1 reads lo_orderdate, lo_partkey, lo_suppkey and
+// lo_revenue, so it decodes at most four of lineorder's columns per page
+// (fewer on a page the join chain empties early); and a date predicate that a
+// page's zone map cannot rule out but no row satisfies decodes exactly the
+// date column.
+func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
+	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ctx := context.Background()
+	pool, fact := env.Cat.Pool(), env.SSB.Lineorder
+	// Dimension pages resident and fully decoded, so that the counters below
+	// move for lineorder alone.
+	for _, name := range env.Cat.Tables() {
+		if tbl := env.Cat.MustTable(name); tbl != fact {
+			if _, err := tbl.File.AllRows(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e := env.Engine(engine.Config{})
+	run := func(p plan.Node) (pages, cols int64, rows int) {
+		pool.EvictFile(fact.File.ID())
+		before := pool.DecodeStats()
+		res, err := e.Execute(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := pool.DecodeStats()
+		return after.Decoded - before.Decoded, after.ColsDecoded - before.ColsDecoded, len(res.Rows)
+	}
+
+	q21 := ssb.Instantiate(env.SSB, ssb.Q2_1, rand.New(rand.NewSource(13)))
+	pages, cols, _ := run(q21.Plan(false))
+	if np := int64(fact.File.NumPages()); pages != np {
+		t.Fatalf("Q2.1 opened %d lineorder pages, the table has %d", pages, np)
+	}
+	if cols == 0 || cols > 4*pages {
+		t.Errorf("Q2.1 decoded %d lineorder columns over %d pages, want at most 4 per page", cols, pages)
+	}
+
+	// 30 February 1995 is inside every page's date range and in no row.
+	noDay := expr.NewBetween(expr.C(ssb.LOOrderDate, "lo_orderdate"), expr.Int(19950230), expr.Int(19950230))
+	pages, cols, rows := run(plan.NewScanFiltered(fact, noDay))
+	if rows != 0 || pages != int64(fact.File.NumPages()) {
+		t.Fatalf("empty date window: %d rows from %d pages opened", rows, pages)
+	}
+	if cols != pages {
+		t.Errorf("empty date window decoded %d columns over %d pages, want exactly 1 per page", cols, pages)
+	}
+}
