@@ -327,12 +327,15 @@ func (s *System) NewEngine(cfg EngineConfig) *Engine {
 	return engine.New(s.cat, cfg)
 }
 
-// Close shuts the CJOIN pipeline down and releases the simulated disk.
+// Close shuts the CJOIN pipeline down, then closes the buffer pool and the
+// simulated disk, which give their pages back to the arena. Queries must have
+// finished: a frame still pinned is released by its holder's Unpin.
 func (s *System) Close() {
 	if s.gqp != nil {
 		s.gqp.Close()
 		s.gqp = nil
 	}
+	_ = s.cat.Pool().Close() // reports pinned frames; they free themselves on Unpin
 	if s.disk != nil {
 		_ = s.disk.Close()
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/arena"
 )
 
 func TestSystemSSBRoundTrip(t *testing.T) {
@@ -104,5 +106,30 @@ func TestSystemDiskResidentProfile(t *testing.T) {
 	}
 	if got := sys.Catalog().Pool().Size(); got != 64 {
 		t.Errorf("pool size = %d, want 64", got)
+	}
+}
+
+// TestSystemCloseReturnsArena: Close gives the buffer pool's frames and the
+// simulated disk's pages back to the arena, from their owners rather than from
+// finalizers.
+func TestSystemCloseReturnsArena(t *testing.T) {
+	arena.Settle()
+	before := arena.Snapshot()
+	sys := NewSystem(Config{})
+	db, err := sys.LoadSSB(0.005, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := InstantiateSSB(db, Q2_1, rand.New(rand.NewSource(3)))
+	if _, err := sys.NewEngine(EngineConfig{}).Execute(context.Background(), in.Plan(true)); err != nil {
+		t.Fatal(err)
+	}
+	if mid := arena.Snapshot(); mid.PagesInUse == before.PagesInUse {
+		t.Fatal("a loaded system holds no arena pages")
+	}
+	sys.Close()
+	sys.Close()
+	if after := arena.Snapshot(); after.PagesInUse != before.PagesInUse || after.Reclaimed != before.Reclaimed {
+		t.Errorf("arena after Close: %+v, before the system %+v", after, before)
 	}
 }

@@ -67,6 +67,7 @@ func TestBlastRadiusOnlyCoveringQueriesFail(t *testing.T) {
 
 func testBlastRadius(t *testing.T, fault func(fd *storage.FaultDisk, f storage.FileID, page int)) {
 	const n, nq = 20000, 16
+	balanced := arenaBalance(t)
 	cat, fd := faultStar(t, n)
 	lo := cat.MustTable("lo")
 	op, err := NewOperator(lo, []DimSpec{
@@ -75,7 +76,18 @@ func testBlastRadius(t *testing.T, fault func(fd *storage.FaultDisk, f storage.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer op.Close()
+	// The operator's dimension batches are part of the baseline; page
+	// batches are not, once the pool is closed.
+	cat.Pool().EvictFile(lo.File.ID())
+	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
+	liveBefore := vec.LiveBatches()
+	defer func() {
+		op.Close()
+		balanced(cat)
+		if live := vec.LiveBatches(); live != liveBefore {
+			t.Errorf("leaked batch refs: LiveBatches = %d, baseline %d", live, liveBefore)
+		}
+	}()
 
 	queries := make([]*plan.StarQuery, nq)
 	win := int64(n / nq)
@@ -124,6 +136,7 @@ func testBlastRadius(t *testing.T, fault func(fd *storage.FaultDisk, f storage.F
 			defer wg.Done()
 			errs[i] = op.Run(context.Background(), q, func(b *batch.Batch) error {
 				rows[i] = append(rows[i], b.RowsView()...)
+				b.Done()
 				return nil
 			})
 		}(i, q)
@@ -320,6 +333,7 @@ func chaosTyped(err error) bool {
 func TestChaosBatteryFaultScheduleTypedOrComplete(t *testing.T) {
 	const n = 20000
 	goroutinesBefore := runtime.NumGoroutine()
+	balanced := arenaBalance(t)
 	cat, fd := faultStar(t, n)
 	lo := cat.MustTable("lo")
 	npages := lo.File.NumPages()
@@ -434,6 +448,7 @@ func TestChaosBatteryFaultScheduleTypedOrComplete(t *testing.T) {
 	if out := vec.PoolStats().BytesOut; out != bytesBefore {
 		t.Errorf("leaked payload arrays: %d bytes out, baseline %d", out, bytesBefore)
 	}
+	balanced(cat)
 
 	// No leaked goroutines: the pipeline's workers all exited.
 	deadline := time.Now().Add(5 * time.Second)

@@ -156,6 +156,7 @@ func runStar(t *testing.T, op *Operator, q *plan.StarQuery) []types.Row {
 	var rows []types.Row
 	err := op.Run(context.Background(), q, func(b *batch.Batch) error {
 		rows = append(rows, b.RowsView()...)
+		b.Done() // the rows outlive the batch
 		return nil
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/batch"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -17,6 +18,27 @@ import (
 // faultStar builds a star schema whose fact table sits behind a FaultDisk
 // and a deliberately tiny buffer pool so the circular scan keeps hitting the
 // disk.
+// arenaBalance settles the finalizers of what earlier tests dropped, notes
+// the arena's gauges, and returns the check a battery runs once its operator
+// is shut down: closing the pool finds no frame pinned, and with the disk
+// closed too every page is back — from its owner, not from a finalizer.
+func arenaBalance(t *testing.T) (check func(cat *storage.Catalog)) {
+	arena.Settle()
+	before := arena.Snapshot()
+	return func(cat *storage.Catalog) {
+		t.Helper()
+		if err := cat.Pool().Close(); err != nil {
+			t.Error(err)
+		}
+		if err := cat.Disk().Close(); err != nil {
+			t.Error(err)
+		}
+		if now := arena.Snapshot(); now.PagesInUse != before.PagesInUse || now.Reclaimed != before.Reclaimed {
+			t.Errorf("arena after the battery: %+v, before it %+v", now, before)
+		}
+	}
+}
+
 func faultStar(t *testing.T, n int) (*storage.Catalog, *storage.FaultDisk) {
 	return faultStarProf(t, n, storage.DiskProfile{})
 }

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/batch"
 	"repro/internal/cjoin"
 	"repro/internal/engine"
@@ -369,6 +370,7 @@ type Stats struct {
 	HighWater     int                  `json:"high_water"`
 	QueueDepth    int                  `json:"queue_depth"`
 	Batches       vec.PoolSnapshot     `json:"batches"`
+	Arena         arena.Stats          `json:"arena"` // buffer memory: no byte is in both this and Batches
 	Engine        *engine.EngineStats  `json:"engine,omitempty"`
 	CJoin         *cjoin.Stats         `json:"cjoin,omitempty"`
 	Storage       *storage.DecodeStats `json:"storage,omitempty"`
@@ -417,6 +419,7 @@ func (g *Gateway) Stats() Stats {
 		HighWater:     g.cfg.HighWater,
 		QueueDepth:    g.cfg.QueueDepth,
 		Batches:       vec.PoolStats(),
+		Arena:         arena.Snapshot(),
 	}
 	if e, ok := g.exec.(*engine.Engine); ok {
 		es := e.Stats()

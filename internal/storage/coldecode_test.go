@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/types"
 )
 
@@ -103,10 +104,11 @@ func TestFrameSharesOneDecode(t *testing.T) {
 
 // TestLazyColumnsSurviveEviction: a batch retained past Unpin keeps decoding
 // its untouched columns to the right bytes after its frame was evicted and
-// refilled with another page — the frame leaves the page buffer to a batch
-// that readers still hold — while a batch nobody else holds gives the buffer
-// back to the frame.
+// refilled with another page, and after the pool and the disk were closed —
+// the frame leaves the page buffer to a batch that readers still hold — while
+// a batch nobody else holds gives the buffer back to the frame.
 func TestLazyColumnsSurviveEviction(t *testing.T) {
+	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
 	cat := NewCatalog(disk, 1, true) // one frame: every other page evicts
 	tbl, err := cat.CreateTable("t", types.NewSchema(
@@ -154,13 +156,26 @@ func TestLazyColumnsSurviveEviction(t *testing.T) {
 	if first != 0 {
 		t.Fatalf("page 0 a[0] = %d", first)
 	}
-	b, f := held.Col(1), held.Col(2)
+	if st := arena.Snapshot(); st.PagesHeld-base.PagesHeld != 1 || st.PagesFrames-base.PagesFrames != 1 {
+		t.Errorf("one held page buffer and one frame expected: %+v, baseline %+v", st, base)
+	}
+	b := held.Col(1)
+	if err := cat.Pool().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f := held.Col(2) // decoded from the held buffer, after the pool is gone
 	for i := 0; i < rows; i++ {
 		if b.I[i] != int64(3*i) || f.F[i] != float64(i)/2 {
 			t.Fatalf("row %d decoded after eviction: b=%d f=%v", i, b.I[i], f.F[i])
 		}
 	}
 	held.Release()
+	if st := arena.Snapshot(); st.PagesInUse != base.PagesInUse || st.Reclaimed != base.Reclaimed {
+		t.Errorf("arena after the last Release: %+v, baseline %+v", st, base)
+	}
 	after := cat.Pool().DecodeStats()
 	if d := after.Decoded - before.Decoded; d != int64(np) {
 		t.Errorf("pages opened = %d, want %d", d, np)

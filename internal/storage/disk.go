@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/arena"
 )
 
 // FileID identifies a heap file on a Disk.
@@ -61,7 +64,9 @@ var HDDProfile = DiskProfile{
 }
 
 // MemDisk is an in-memory Disk with an optional latency/bandwidth model.
-// With the zero profile it doubles as "memory-resident" storage.
+// With the zero profile it doubles as "memory-resident" storage. Its pages are
+// arena pages (arena.Device) that WritePage takes and Close frees; reads and
+// writes copy, so nothing outside the disk ever points into them.
 type MemDisk struct {
 	profile DiskProfile
 	sem     chan struct{}
@@ -77,6 +82,7 @@ type MemDisk struct {
 // NewMemDisk returns an empty in-memory disk with the given profile.
 func NewMemDisk(profile DiskProfile) *MemDisk {
 	d := &MemDisk{profile: profile}
+	runtime.SetFinalizer(d, func(d *MemDisk) { d.release(arena.Reclaim) })
 	if profile.MaxConcurrent > 0 {
 		d.sem = make(chan struct{}, profile.MaxConcurrent)
 	}
@@ -140,7 +146,7 @@ func (d *MemDisk) WritePage(f FileID, idx int, data []byte) error {
 	pages := d.files[f]
 	switch {
 	case idx == len(pages):
-		cp := make([]byte, PageSize)
+		cp := arena.Take(arena.Device)
 		copy(cp, data)
 		d.files[f] = append(pages, cp)
 	case idx >= 0 && idx < len(pages):
@@ -157,12 +163,21 @@ func (d *MemDisk) Stats() DiskStats {
 	return DiskStats{PageReads: d.reads.Load(), PageWrites: d.writes.Load()}
 }
 
-// Close releases the in-memory pages.
+// Close frees the in-memory pages; reads and writes fail afterwards.
 func (d *MemDisk) Close() error {
+	d.release(arena.Free)
+	return nil
+}
+
+func (d *MemDisk) release(free func([]byte)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for _, pages := range d.files {
+		for _, pg := range pages {
+			free(pg)
+		}
+	}
 	d.files = nil
-	return nil
 }
 
 // FileDisk stores each heap file as one file in a directory. It exists so

@@ -3,23 +3,35 @@
 // (an in-memory disk with a latency/bandwidth model for repeatable
 // experiments, and a real-file disk), and circular shared scans — the
 // storage-layer sharing primitive both QPipe and CJOIN rely on.
+//
+// Buffer memory — the in-memory disk's pages, the pool's frame buffers and
+// the fixed-width columns decoded from them — is pages of internal/arena, each
+// with one owner that takes it and frees it: MemDisk (WritePage, Close), a
+// Frame (first load, BufferPool.Close) and the pageSource of an opened page
+// (decode, the batch's last Release). A frame buffer changes owner, without a
+// copy, when its frame is evicted or its pool closed while readers still hold
+// the page's batch with columns undecoded; that is what lets a batch outlive
+// both.
 package storage
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
 
-// PageSize is the size of every on-disk page in bytes.
-const PageSize = 32 * 1024
+// PageSize is the size of every on-disk page in bytes: one page of the arena
+// that the device, the pool's frames and the decoded columns take theirs from.
+const PageSize = arena.PageSize
 
 // Pages are column-major. Every page starts with the page magic and a format
 // byte; a page whose header does not carry exactly these is corrupt and never
@@ -524,7 +536,8 @@ func (b *pageBuilder) tryAppend(r types.Row) bool {
 }
 
 // finish encodes the staged columns into a PageSize page and resets the
-// builder.
+// builder. The page is the builder's scratch: it is the caller's until the
+// next finish (every Disk.WritePage copies what it is given).
 func (b *pageBuilder) finish() []byte {
 	ncols := len(b.cols)
 	buf := b.buf[:0]
@@ -546,9 +559,9 @@ func (b *pageBuilder) finish() []byte {
 	if len(buf) > PageSize {
 		panic(fmt.Sprintf("storage: page overflow (%d bytes, %d rows) — size accounting bug", len(buf), b.rows))
 	}
+	page := buf[:PageSize]
+	clear(page[len(buf):]) // what a longer page left behind
 	b.buf = buf
-	page := make([]byte, PageSize)
-	copy(page, buf)
 	for i := range b.cols {
 		b.cols[i].reset()
 	}
@@ -584,7 +597,7 @@ func checkPageHeader(page []byte) error {
 // buffer whose dictionary entries back the string headers (no per-string
 // allocation).
 func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
-	b, err := openPage(page, ncols, &uncounted)
+	b, _, err := openPage(page, ncols, &uncounted)
 	if err != nil {
 		return nil, err
 	}
@@ -595,33 +608,98 @@ func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
 }
 
 // pageSource is the column source of an opened page: the validated segments
-// the batch has not decoded yet, and the page bytes they read. It must not
-// outlive a rewrite of those bytes — a frame that evicts a page whose batch
-// other readers still hold leaves the buffer to the source (dropDecoded).
+// the batch has not decoded yet, the page bytes they read, and the memory of
+// the fixed-width columns decoded so far. It owns arena pages and frees them in
+// Close, at the batch's last Release:
+//
+//   - pages hold the decoded encInt and encFloat columns — payload, and tags
+//     when the column has NULLs or several kinds — bump-allocated one after
+//     another; the batch's columns borrow them (vec.Vec) and never outlive them;
+//   - held is the page buffer itself, once the frame that read it has been
+//     evicted, or its pool closed, while readers of the batch could still ask
+//     for an undecoded column (dropDecoded). Until then the buffer is the
+//     frame's, and the source must not outlive a rewrite of it.
+//
+// A source the collector finds before its batch was released gives the pages
+// back from its finalizer.
 type pageSource struct {
 	nrows   int
 	segs    []segment
 	decoded *atomic.Int64 // the pool's ColsDecoded counter
+
+	held  []byte
+	pages [][]byte
+	used  int // bytes taken of the last of pages
 }
 
-var sourcePool = sync.Pool{New: func() any { return new(pageSource) }}
+var sourcePool = sync.Pool{New: func() any {
+	s := new(pageSource)
+	runtime.SetFinalizer(s, (*pageSource).reclaim)
+	return s
+}}
 
 // uncounted takes the column counts of pages decoded outside a pool.
 var uncounted atomic.Int64
 
 // DecodeCol implements vec.ColSource.
 func (s *pageSource) DecodeCol(i int, v *vec.Vec) {
-	if err := s.segs[i].decode(s.nrows, v); err != nil {
+	if err := s.segs[i].decode(s.nrows, v, s); err != nil {
 		panic(fmt.Sprintf("storage: validated segment of column %d failed to decode: %v", i, err))
 	}
 	s.decoded.Add(1)
 }
 
-// Close implements vec.ColSource: the batch is being recycled.
+// alloc returns n bytes, at most a page and rounded up to a multiple of 8, of
+// the source's decoded pages.
+func (s *pageSource) alloc(n int) []byte {
+	n = (n + 7) &^ 7
+	if len(s.pages) == 0 || s.used+n > PageSize {
+		s.pages = append(s.pages, arena.Take(arena.Decoded))
+		s.used = 0
+	}
+	b := s.pages[len(s.pages)-1][s.used : s.used+n]
+	s.used += n
+	return b
+}
+
+// ints gives v, an empty column, its int payload of n rows: a range of the
+// source's pages that v borrows or, on a nil source, an array of the batch
+// recycler's.
+func (s *pageSource) ints(v *vec.Vec, n int) []int64 {
+	if s == nil {
+		return v.BulkI(n)
+	}
+	return v.BorrowI(arena.As[int64](s.alloc(8 * n)))
+}
+
+// floats is ints for the float payload.
+func (s *pageSource) floats(v *vec.Vec, n int) []float64 {
+	if s == nil {
+		return v.BulkF(n)
+	}
+	return v.BorrowF(arena.As[float64](s.alloc(8 * n)))
+}
+
+// Close implements vec.ColSource: the batch is being recycled and its columns
+// are cleared, so nothing reads the source's pages any more.
 func (s *pageSource) Close() {
-	clear(s.segs) // drop the page bytes
-	*s = pageSource{segs: s.segs[:0]}
+	s.free(arena.Free)
 	sourcePool.Put(s)
+}
+
+// reclaim is the finalizer: nobody released the batch.
+func (s *pageSource) reclaim() { s.free(arena.Reclaim) }
+
+func (s *pageSource) free(free func([]byte)) {
+	if s.held != nil {
+		free(s.held)
+	}
+	for _, pg := range s.pages {
+		free(pg)
+	}
+	clear(s.segs) // drop the page bytes
+	clear(s.pages)
+	*s = pageSource{segs: s.segs[:0], pages: s.pages[:0]}
 }
 
 // openPage validates a whole page — header, directory and, per segment, the
@@ -630,33 +708,34 @@ func (s *pageSource) Close() {
 // whose decode checks every row (encDict, encRaw) are decoded here, so a
 // corrupt page fails now; encInt and encFloat segments cannot fail once
 // their length is known and are decoded by the first ColBatch.Col that asks
-// (counted in decoded). The batch reads page until its last Release.
-func openPage(page []byte, ncols int, decoded *atomic.Int64) (*vec.ColBatch, error) {
+// (counted in decoded). The batch reads page until its last Release; the
+// source is returned for the frame that may have to leave page to it.
+func openPage(page []byte, ncols int, decoded *atomic.Int64) (*vec.ColBatch, *pageSource, error) {
 	if err := checkPageHeader(page); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nrows := int(binary.LittleEndian.Uint16(page[3:5]))
 	if nrows == 0 {
 		// An empty page carries no column segments (and no fixed width).
 		b := vec.Get(ncols)
 		b.Seal(0)
-		return b, nil
+		return b, nil, nil
 	}
 	if pn := int(binary.LittleEndian.Uint16(page[5:7])); pn != ncols {
-		return nil, fmt.Errorf("storage: page has %d columns, schema has %d", pn, ncols)
+		return nil, nil, fmt.Errorf("storage: page has %d columns, schema has %d", pn, ncols)
 	}
 	dirEnd := pageFixedHeader + 4*ncols
 	if len(page) < dirEnd {
-		return nil, fmt.Errorf("storage: page directory truncated")
+		return nil, nil, fmt.Errorf("storage: page directory truncated")
 	}
 	b := vec.Get(ncols)
 	src := sourcePool.Get().(*pageSource)
 	src.nrows, src.decoded = nrows, decoded
 	src.segs = slices.Grow(src.segs[:0], ncols)[:ncols]
-	fail := func(c int, err error) (*vec.ColBatch, error) {
+	fail := func(c int, err error) (*vec.ColBatch, *pageSource, error) {
 		b.Release()
 		src.Close()
-		return nil, fmt.Errorf("storage: page column %d: %w", c, err)
+		return nil, nil, fmt.Errorf("storage: page column %d: %w", c, err)
 	}
 	var lazy uint64
 	for c := 0; c < ncols; c++ {
@@ -673,27 +752,33 @@ func openPage(page []byte, ncols int, decoded *atomic.Int64) (*vec.ColBatch, err
 			lazy |= 1 << uint(c)
 			continue
 		}
-		if err := seg.decode(nrows, b.Col(c)); err != nil {
+		if err := seg.decode(nrows, b.Col(c), src); err != nil {
 			return fail(c, err)
 		}
 		decoded.Add(1)
 	}
 	b.SealSource(nrows, src, lazy)
-	return b, nil
+	return b, src, nil
 }
 
 // decodeKindRuns checks a column's kind/null run header and, when v is not
-// nil, applies it to v; it returns the remaining bytes. Runs must cover
-// exactly nrows rows, and every run's kind must be in the allowed set (a bit
-// per Kind value) — the typed segment payloads only cover their own value
-// class, so a foreign kind in the header would break the Vec payload
-// invariant.
-func decodeKindRuns(data []byte, nrows int, v *vec.Vec, allowed uint8) ([]byte, error) {
+// nil, applies it to v, an empty column; it returns the remaining bytes. Runs
+// must cover exactly nrows rows, and every run's kind must be in the allowed
+// set (a bit per Kind value) — the typed segment payloads only cover their own
+// value class, so a foreign kind in the header would break the Vec payload
+// invariant. A header of one run — the common case — gives v no tag array of
+// its own (vec.SetKindRun); several runs are written into tags borrowed from
+// src when it is not nil, else into an array of the recycler's.
+func decodeKindRuns(data []byte, nrows int, v *vec.Vec, allowed uint8, src *pageSource) ([]byte, error) {
 	nruns, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, fmt.Errorf("bad kind-run count")
 	}
 	data = data[n:]
+	var tags []types.Kind
+	if v != nil && nruns > 1 && src != nil {
+		tags = arena.As[types.Kind](src.alloc(nrows))
+	}
 	total := 0
 	for i := uint64(0); i < nruns; i++ {
 		if len(data) < 1 {
@@ -715,12 +800,23 @@ func decodeKindRuns(data []byte, nrows int, v *vec.Vec, allowed uint8) ([]byte, 
 		if total += int(cnt); total > nrows {
 			return nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
 		}
-		if v != nil {
+		switch {
+		case v == nil:
+		case nruns == 1:
+			v.SetKindRun(k, int(cnt))
+		case tags != nil:
+			for i := total - int(cnt); i < total; i++ {
+				tags[i] = k
+			}
+		default:
 			v.AppendKindRun(k, int(cnt))
 		}
 	}
 	if total != nrows {
 		return nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
+	}
+	if tags != nil {
+		v.BorrowKinds(tags[:nrows])
 	}
 	return data, nil
 }
@@ -773,7 +869,7 @@ func checkSegment(data []byte, nrows int) (segment, error) {
 	if s.enc > encDict {
 		return s, fmt.Errorf("unknown segment encoding %d", s.enc)
 	}
-	body, err := decodeKindRuns(s.data, nrows, nil, s.allowed())
+	body, err := decodeKindRuns(s.data, nrows, nil, s.allowed(), nil)
 	if err != nil {
 		return s, err
 	}
@@ -798,10 +894,12 @@ func checkSegment(data []byte, nrows int) (segment, error) {
 	return s, nil
 }
 
-// decode decodes the segment into v, an empty column: the one decoder behind
-// the open-time and the first-touch path. On a fixed-width segment that
-// passed checkSegment it does not fail.
-func (s segment) decode(nrows int, v *vec.Vec) error {
+// decode decodes the segment into v, an empty column of a batch whose source
+// is src: the one decoder behind the open-time and the first-touch path. A
+// fixed-width segment decodes into pages of src that v borrows, the others
+// into arrays of the batch recycler. On a fixed-width segment that passed
+// checkSegment it does not fail.
+func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 	data := s.data
 	if s.enc == encRaw {
 		for i := 0; i < nrows; i++ {
@@ -814,7 +912,10 @@ func (s segment) decode(nrows int, v *vec.Vec) error {
 		}
 		return nil
 	}
-	data, err := decodeKindRuns(data, nrows, v, s.allowed())
+	if !s.fixedWidth() || 8*nrows > PageSize {
+		src = nil // the column's arrays are the recycler's: only what fits a page borrows
+	}
+	data, err := decodeKindRuns(data, nrows, v, s.allowed(), src)
 	if err != nil {
 		return err
 	}
@@ -823,7 +924,7 @@ func (s segment) decode(nrows int, v *vec.Vec) error {
 		min := int64(binary.LittleEndian.Uint64(data))
 		width := int(data[8])
 		data = data[9:]
-		vi := v.BulkI(nrows)
+		vi := src.ints(v, nrows)
 		switch width {
 		case 0:
 			for i := range vi {
@@ -848,7 +949,7 @@ func (s segment) decode(nrows int, v *vec.Vec) error {
 		}
 		return nil
 	case encFloat:
-		vf := v.BulkF(nrows)
+		vf := src.floats(v, nrows)
 		for i := range vf {
 			vf[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}

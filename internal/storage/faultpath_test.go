@@ -423,7 +423,7 @@ func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 	// follows its kind runs.
 	segAt := func(p []byte, col int, allowed uint8) (off, body int) {
 		off = int(binary.LittleEndian.Uint32(p[pageFixedHeader+4*col:]))
-		rest, err := decodeKindRuns(p[off+1:], nrows, nil, allowed)
+		rest, err := decodeKindRuns(p[off+1:], nrows, nil, allowed, nil)
 		if err != nil {
 			t.Fatalf("fixture column %d: %v", col, err)
 		}

@@ -1,4 +1,4 @@
-package cjoin
+package storage
 
 import (
 	"flag"
@@ -10,12 +10,10 @@ import (
 	"repro/internal/vec"
 )
 
-// TestMain fails the package if any kernel the tests drove wrote through
-// ColBatch.AllSel or through the tags of a single-kind column: the identity
-// selection and the kind runs are shared by every batch. Freed arena pages are
-// poisoned for the whole run, so a page or a decoded column read after its
-// owner let go fails a decode or a result check instead of passing on stale
-// bytes.
+// TestMain poisons freed arena pages for the whole run, so a page or a decoded
+// column read after its owner let go fails a decode or a comparison instead
+// of passing on stale bytes, and fails the package if anything wrote through
+// the identity selection or the kind runs that every batch shares.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	arena.SetPoison(flag.Lookup("test.bench").Value.String() == "") // benchmarks time the real Free

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
@@ -69,16 +71,24 @@ func sameVec(a, b *vec.Vec) bool {
 // lazyMatchesEager opens page the way a frame does — fixed-width columns
 // left to their first reader — and lets several goroutines touch random
 // column subsets in random order through Col: each must see exactly the
-// vector the eager DecodePageCols built.
+// vector the eager DecodePageCols built. Both batches give every arena page
+// and recycler byte back.
 func lazyMatchesEager(t *testing.T, page []byte, ncols int, seed int64) {
 	t.Helper()
+	a0, p0 := arena.Snapshot(), vec.PoolStats()
+	defer func() {
+		if a, p := arena.Snapshot(), vec.PoolStats(); a.PagesInUse != a0.PagesInUse || p.BytesOut != p0.BytesOut {
+			t.Errorf("page not given back: %d arena pages and %d recycler bytes still out",
+				a.PagesInUse-a0.PagesInUse, p.BytesOut-p0.BytesOut)
+		}
+	}()
 	eager, err := DecodePageCols(page, ncols)
 	if err != nil {
 		t.Fatalf("DecodePageCols: %v", err)
 	}
 	defer eager.Release()
 	var touched atomic.Int64
-	lazy, err := openPage(page, ncols, &touched)
+	lazy, _, err := openPage(page, ncols, &touched)
 	if err != nil {
 		t.Fatalf("openPage: %v", err)
 	}
@@ -119,10 +129,12 @@ func lazyMatchesEager(t *testing.T, page []byte, ncols int, seed int64) {
 // TestPageV2RoundTripProperty is the v2 encode→decode round trip over random
 // schemas and pages: mixed kinds, NULLs, and string columns from single-value
 // to fully unique all decode back exactly — eagerly, and column by column on
-// first touch under contention (run with -race).
+// first touch under contention at GOMAXPROCS 1, 2 and 4 (run with -race).
 func TestPageV2RoundTripProperty(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
+		runtime.GOMAXPROCS(1 << (trial % 3))
 		schema, rows := randSchemaRows(r)
 		b := newPageBuilder()
 		var inPage []types.Row

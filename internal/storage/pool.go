@@ -2,17 +2,23 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/vec"
 )
 
 // ErrNoFreeFrames is returned when every frame in the pool is pinned and a
 // new page must be brought in.
 var ErrNoFreeFrames = errors.New("storage: buffer pool exhausted (all frames pinned)")
+
+// ErrPoolClosed is returned by fetches from a pool after its Close.
+var ErrPoolClosed = errors.New("storage: buffer pool closed")
 
 // Fetch retry policy defaults: a transient read error is retried up to
 // DefaultFetchRetries times with jittered exponential backoff starting at
@@ -32,10 +38,18 @@ type pageKey struct {
 // Frame is a buffer-pool slot holding one page. Callers receive pinned
 // frames from Fetch and must Unpin them when done; the page bytes must not
 // be accessed after Unpin.
+//
+// The buffer is an arena page the frame takes when it first loads a page and
+// keeps across evictions. It leaves the frame in two ways: the pool's Close
+// frees it, and an eviction (or Close) that finds readers still holding the
+// page's batch with columns undecoded hands it to the batch's source, which
+// frees it at the batch's last Release; the frame takes a fresh buffer for its
+// next page.
 type Frame struct {
 	pool    *BufferPool // owning pool (quarantine and decode stats)
+	slot    int         // index in pool.frames and pool.bufs.pages
 	key     pageKey
-	data    []byte
+	data    []byte // nil between giving the buffer away and the next load
 	pins    int
 	ref     bool
 	valid   bool
@@ -52,7 +66,28 @@ type Frame struct {
 	// readers still hold it with columns undecoded (dropDecoded).
 	decMu  sync.Mutex
 	cb     *vec.ColBatch
-	decErr error // sticky decode failure (corrupt page) for this residency
+	src    *pageSource // cb's column source (nil for an empty page)
+	decErr error       // sticky decode failure (corrupt page) for this residency
+}
+
+// frameBufs lists the arena pages under a pool's frames, one per frame (nil
+// while the frame has none), for the one purpose of giving them back when the
+// pool is collected without Close: frames point at their pool, so a finalizer
+// on the pool itself would never run.
+type frameBufs struct{ pages [][]byte }
+
+func (b *frameBufs) reclaim() {
+	for _, pg := range b.pages {
+		if pg != nil {
+			arena.Reclaim(pg)
+		}
+	}
+}
+
+// setData gives the frame a buffer, or none.
+func (fr *Frame) setData(page []byte) {
+	fr.data = page
+	fr.pool.bufs.pages[fr.slot] = page
 }
 
 // Data returns the page bytes. Valid only while the frame is pinned.
@@ -63,12 +98,13 @@ func (fr *Frame) Data() []byte { return fr.data }
 // residency; a corrupt page fails here, whichever column is corrupt and
 // whichever columns the caller will read. Must be called with the frame
 // pinned. The caller receives its own reference and must Release it; the
-// batch may be retained past Unpin and past the frame's eviction, and decodes
-// a column nobody has read yet whenever its Col is first called.
+// batch may be retained past Unpin, past the frame's eviction and past the
+// pool's Close, and decodes a column nobody has read yet whenever its Col is
+// first called.
 func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 	fr.decMu.Lock()
 	if fr.cb == nil && fr.decErr == nil {
-		if fr.cb, fr.decErr = openPage(fr.data, ncols, &fr.pool.colsDecoded); fr.decErr == nil {
+		if fr.cb, fr.src, fr.decErr = openPage(fr.data, ncols, fr.pool.colsDecoded); fr.decErr == nil {
 			fr.pool.decoded.Add(1)
 		}
 	}
@@ -118,7 +154,10 @@ type DecodeStats struct {
 // BufferPool caches disk pages in at most a fixed number of frames with clock
 // eviction. The capacity is a cap, not a reservation: a frame (and its
 // PageSize bytes) is materialised by the first miss that needs one, so a pool
-// sized generously for a small database holds only what was fetched. It is
+// sized generously for a small database holds only what was fetched. Frame
+// buffers are arena pages (arena.Frame): Close gives back every one the pool
+// still owns and drops the frames' references on their batches; batches that
+// readers retained live on, with the page buffers they still decode from. It is
 // safe for concurrent use; a page requested by several scanners at once is
 // read from disk exactly once (single-flight loading) — this is the mechanism
 // through which circular shared scans turn k concurrent table scans into
@@ -128,18 +167,23 @@ type BufferPool struct {
 	capacity int
 
 	mu     sync.Mutex
-	frames []*Frame // materialised frames, in the order the clock visits them
-	free   []*Frame // the invalid frames (every frame with valid == false)
+	frames []*Frame   // materialised frames, in the order the clock visits them
+	bufs   *frameBufs // frames[i]'s buffer
+	free   []*Frame   // the invalid frames (every frame with valid == false)
 	table  map[pageKey]*Frame
 	hand   int
+	closed bool
 
 	hits       atomic.Int64
 	misses     atomic.Int64
 	evictions  atomic.Int64
 	prefetched atomic.Int64
 
-	decoded     atomic.Int64
-	colsDecoded atomic.Int64
+	decoded atomic.Int64
+	// colsDecoded is its own object: page sources count into it, and a source
+	// pointing into the pool would close a cycle (pool, frame, batch, source)
+	// through an object with a finalizer, which the collector never frees.
+	colsDecoded *atomic.Int64
 	fetched     atomic.Int64
 	pruned      atomic.Int64
 	retries     atomic.Int64
@@ -175,9 +219,13 @@ func NewBufferPool(disk Disk, npages int) *BufferPool {
 	if npages < 1 {
 		npages = 1
 	}
+	bufs := new(frameBufs)
+	runtime.SetFinalizer(bufs, (*frameBufs).reclaim)
 	return &BufferPool{
 		disk:         disk,
 		capacity:     npages,
+		bufs:         bufs,
+		colsDecoded:  new(atomic.Int64),
 		table:        make(map[pageKey]*Frame),
 		zones:        make(map[pageKey][]ZoneMap),
 		prefetchGate: make(chan struct{}, 4),
@@ -199,6 +247,10 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	p.fetched.Add(1)
 	key := pageKey{file: f, idx: idx}
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, ErrPoolClosed
+	}
 	if len(p.quar) != 0 {
 		if pe, ok := p.quar[key]; ok {
 			p.mu.Unlock()
@@ -242,6 +294,9 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	// The frame was unpinned when victimLocked picked it, so no decode
 	// call can be in flight; dropping the cache here is race-free.
 	fr.dropDecoded()
+	if fr.data == nil { // a new frame, or one whose buffer went with its batch
+		fr.setData(arena.Take(arena.Frame))
+	}
 	ch := make(chan struct{})
 	fr.loading = ch
 	p.table[key] = fr
@@ -261,9 +316,9 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	}
 	fr.loading = nil
 	if pageErr != nil {
-		fr.pins--
 		delete(p.table, key)
 		p.invalidateLocked(fr)
+		p.unpinLocked(fr)
 		pageErr = p.quarantineLocked(key, pageErr)
 	}
 	p.mu.Unlock()
@@ -374,16 +429,19 @@ func (p *BufferPool) invalidateLocked(fr *Frame) {
 // dropDecoded forgets the frame's decode cache. The frame's reference on the
 // columnar batch is released — readers that retained their own keep the batch
 // alive until they release it, and may yet ask it for a column it decodes
-// from the page bytes: then those bytes stay with the batch and the frame
-// takes a fresh buffer rather than load the next page over them. The frame
-// is unpinned here, so nobody can be taking a new reference.
+// from the page bytes: then the buffer goes to the batch's source, which frees
+// it with the batch, and the frame is left without one rather than load the
+// next page over those bytes. The frame is unpinned here, so nobody can be
+// taking a new reference.
 func (fr *Frame) dropDecoded() {
 	if fr.cb != nil {
 		if fr.cb.SourceShared() {
-			fr.data = make([]byte, PageSize)
+			arena.Retag(fr.data, arena.Held)
+			fr.src.held = fr.data // read by the source's Close, after our Release
+			fr.setData(nil)
 		}
 		fr.cb.Release()
-		fr.cb = nil
+		fr.cb, fr.src = nil, nil
 	}
 	fr.decErr = nil
 }
@@ -419,10 +477,58 @@ func (p *BufferPool) RegisterFileName(f FileID, name string) {
 func (p *BufferPool) Unpin(fr *Frame) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.unpinLocked(fr)
+}
+
+// unpinLocked drops one pin. The last pin on a frame of a closed pool gives
+// up what Close could not take from under its holder.
+func (p *BufferPool) unpinLocked(fr *Frame) {
 	if fr.pins <= 0 {
 		panic("storage: Unpin of unpinned frame")
 	}
 	fr.pins--
+	if p.closed && fr.pins == 0 {
+		fr.close()
+	}
+}
+
+// close releases an unpinned frame's batch reference and buffer for good.
+func (fr *Frame) close() {
+	fr.dropDecoded()
+	if fr.data != nil {
+		arena.Free(fr.data)
+		fr.setData(nil)
+	}
+}
+
+// Close releases every frame: its reference on its page's batch and its
+// buffer (to the batch's source when readers still hold the batch with columns
+// undecoded, to the arena otherwise). Fetches fail with ErrPoolClosed
+// afterwards; batches handed out earlier stay valid until their holders
+// release them. A frame that is pinned is released by its last Unpin instead,
+// and reported: the pool's users are expected to have stopped. Close is
+// idempotent.
+func (p *BufferPool) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
+	p.closed = true
+	pinned := 0
+	for _, fr := range p.frames {
+		if fr.pins > 0 {
+			pinned++
+			continue
+		}
+		fr.close()
+	}
+	clear(p.table)
+	p.free = nil
+	if pinned > 0 {
+		return fmt.Errorf("storage: buffer pool closed with %d frames pinned", pinned)
+	}
+	return nil
 }
 
 // victimLocked finds the frame a missing page is loaded into: an invalidated
@@ -440,8 +546,9 @@ func (p *BufferPool) victimLocked() (*Frame, error) {
 		}
 	}
 	if len(p.frames) < p.capacity {
-		fr := &Frame{pool: p, data: make([]byte, PageSize)}
+		fr := &Frame{pool: p, slot: len(p.frames)}
 		p.frames = append(p.frames, fr)
+		p.bufs.pages = append(p.bufs.pages, nil)
 		return fr, nil
 	}
 	for sweep := 0; sweep < 2*len(p.frames); sweep++ {

@@ -93,17 +93,18 @@ func (p *park[T]) take(n int) []T {
 	return s
 }
 
-// put takes back an array a pooled column held. Arrays that are not cut to a
-// class (none that take returned) are left to the collector.
+// put takes back an array a pooled column held. An array that is not cut to
+// a class is none that take returned: it was never counted out, and is left to
+// whoever owns it.
 func (p *park[T]) put(s []T) {
 	c := cap(s)
-	if c == 0 {
+	idx, size := classOf(c)
+	if size != c {
 		return
 	}
 	bytesOut.Add(-int64(c) * p.elem)
-	idx, size := classOf(c)
-	if idx < 0 || size != c {
-		return
+	if idx < 0 {
+		return // above the classes: the collector's
 	}
 	s = s[:c]
 	if p.wipe {
@@ -170,6 +171,18 @@ func extend[T any](p *park[T], s []T, from, n, rows int, pooled bool) []T {
 		clear(s[old:from])
 	}
 	return s
+}
+
+// owned returns a copy of s in an array of the column's own.
+func owned[T any](p *park[T], s []T, pooled bool) []T {
+	var ns []T
+	if pooled {
+		ns = p.take(len(s))[:len(s)]
+	} else {
+		ns = make([]T, len(s))
+	}
+	copy(ns, s)
+	return ns
 }
 
 // sized returns s at length n with unspecified contents, swapping it for a

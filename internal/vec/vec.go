@@ -40,6 +40,19 @@
 // the columns its readers read. Col tests one bit with an atomic load; the
 // decode runs once, under the batch's lock.
 //
+// Not every array of a column is the column's own. The source may lend a
+// column its tags and payload (BorrowKinds, BorrowI, BorrowF): storage decodes
+// fixed-width page columns into memory it owns outside the recycler, and frees
+// it when the batch closes the source at its last Release — after the columns
+// are cleared, so nothing of the shell that goes back to the pool points
+// there. And a single-kind column has no tag array at all: Kinds is a prefix
+// of one read-only run per kind that the whole process shares (SetKindRun,
+// CheckKindRuns). Borrowed and shared arrays are never grown in place, never
+// handed to the recycler and not counted in PoolStats; a column that is
+// written (an append, SetNull) copies them first. The rule for readers is the
+// one that already held: a column's arrays are valid while a reference on its
+// batch is.
+//
 // Strings are stored as Go string headers ([]string), not offsets into
 // recyclable buffers, so rows materialized from a batch stay valid after the
 // batch is recycled — the string contents are immutable heap objects (for
@@ -74,10 +87,15 @@ const (
 // payload: I[i] for int-class kinds, F[i] for floats, S[i] for strings,
 // nothing for NULL.
 //
-// A Vec is either a column of a pooled ColBatch, whose arrays come from and
-// go back to the recycler (recycle.go), or free-standing (a join's build
-// arena, a kernel's result vector), whose arrays live on the heap and are
-// reused by reset.
+// A Vec is a column of a pooled ColBatch, whose arrays come from and go back
+// to the recycler (recycle.go), or free-standing (a join's build arena, a
+// kernel's result vector), whose arrays live on the heap and are reused by
+// reset. Either may hold arrays that are not its own (ext): the tag array of a
+// single-kind column is a prefix of one read-only run the process shares, and
+// a fixed-width column decoded from a page borrows its tags and payload from
+// memory the batch's ColSource owns and frees when the batch is released. A
+// foreign array is never grown in place and never recycled; a column about to
+// be written copies it first.
 type Vec struct {
 	Kinds []types.Kind
 	I     []int64
@@ -93,8 +111,17 @@ type Vec struct {
 	Dict []string
 
 	flags  uint8
-	pooled bool // column of a pooled batch: arrays are the recycler's
+	ext    uint8 // which arrays are foreign (ext* bits)
+	pooled bool  // column of a pooled batch: its own arrays are the recycler's
 }
+
+// Foreign-array bits of Vec.ext.
+const (
+	extKindRun uint8 = 1 << iota // Kinds is a prefix of the shared run of its kind
+	extKinds                     // Kinds is borrowed from the batch's source
+	extI                         // I is borrowed
+	extF                         // F is borrowed
+)
 
 // HasDict reports whether the column is dictionary-coded (codes in I, sorted
 // dictionary in Dict).
@@ -117,6 +144,7 @@ func (v *Vec) AllStr() bool { return v.flags&flagNonStr == 0 }
 // capacity. Strings and dictionary entries are cleared so the vector does
 // not pin page data alive.
 func (v *Vec) reset() {
+	v.dropForeign()
 	v.Kinds = v.Kinds[:0]
 	v.I = v.I[:0]
 	v.F = v.F[:0]
@@ -130,6 +158,7 @@ func (v *Vec) reset() {
 // release hands a pooled column's arrays back to the recycler and leaves the
 // zero Vec.
 func (v *Vec) release() {
+	v.dropForeign()
 	kindPark.put(v.Kinds)
 	intPark.put(v.I)
 	floatPark.put(v.F)
@@ -138,10 +167,47 @@ func (v *Vec) release() {
 	*v = Vec{}
 }
 
-// bytes is the capacity-based footprint of the column's arrays.
+// dropForeign forgets the arrays that are not the column's own.
+func (v *Vec) dropForeign() {
+	if v.ext&(extKindRun|extKinds) != 0 {
+		v.Kinds = nil
+	}
+	if v.ext&extI != 0 {
+		v.I = nil
+	}
+	if v.ext&extF != 0 {
+		v.F = nil
+	}
+	v.ext = 0
+}
+
+// own replaces every foreign array by a copy of the column's own: the slow
+// path of whatever is about to write the column.
+func (v *Vec) own() {
+	if v.ext == 0 {
+		return
+	}
+	if v.ext&(extKindRun|extKinds) != 0 {
+		v.Kinds = owned(&kindPark, v.Kinds, v.pooled)
+	}
+	if v.ext&extI != 0 {
+		v.I = owned(&intPark, v.I, v.pooled)
+	}
+	if v.ext&extF != 0 {
+		v.F = owned(&floatPark, v.F, v.pooled)
+	}
+	v.ext = 0
+}
+
+// bytes is the capacity-based footprint of the arrays the column holds, its
+// own and borrowed; the shared kind runs are nobody's.
 func (v *Vec) bytes() int64 {
-	return kindPark.elem*int64(cap(v.Kinds)) + intPark.elem*int64(cap(v.I)) +
-		floatPark.elem*int64(cap(v.F)) + strPark.elem*int64(cap(v.S)+cap(v.Dict))
+	n := intPark.elem*int64(cap(v.I)) + floatPark.elem*int64(cap(v.F)) +
+		strPark.elem*int64(cap(v.S)+cap(v.Dict))
+	if v.ext&extKindRun == 0 {
+		n += kindPark.elem * int64(cap(v.Kinds))
+	}
+	return n
 }
 
 // room makes the tag array (roomK) or a payload array (roomI, roomF, roomS)
@@ -152,14 +218,17 @@ func (v *Vec) bytes() int64 {
 // grows a pooled column's payload to the rows its tag array has room for, so
 // a reserved batch never regrows a column.
 func (v *Vec) roomK(n int) {
+	v.own()
 	v.Kinds = extend(&kindPark, v.Kinds, n, n+1, 0, v.pooled)[:n]
 }
 
 func (v *Vec) roomI(n int) {
+	v.own()
 	v.I = extend(&intPark, v.I, n, n+1, cap(v.Kinds), v.pooled)[:n]
 }
 
 func (v *Vec) roomF(n int) {
+	v.own()
 	v.F = extend(&floatPark, v.F, n, n+1, cap(v.Kinds), v.pooled)[:n]
 }
 
@@ -211,6 +280,17 @@ func (v *Vec) AppendKindRun(k types.Kind, n int) {
 	if n <= 0 {
 		return
 	}
+	v.noteKind(k)
+	v.own()
+	n0 := len(v.Kinds)
+	v.Kinds = extend(&kindPark, v.Kinds, n0, n0+n, 0, v.pooled)
+	for i := n0; i < n0+n; i++ {
+		v.Kinds[i] = k
+	}
+}
+
+// noteKind folds one row's kind into the uniformity flags.
+func (v *Vec) noteKind(k types.Kind) {
 	switch k {
 	case types.KindInt, types.KindDate, types.KindBool:
 		v.flags |= flagNonFloat | flagNonStr
@@ -221,23 +301,65 @@ func (v *Vec) AppendKindRun(k types.Kind, n int) {
 	default: // NULL
 		v.flags = flagMixed
 	}
-	n0 := len(v.Kinds)
-	v.Kinds = extend(&kindPark, v.Kinds, n0, n0+n, 0, v.pooled)
-	for i := n0; i < n0+n; i++ {
-		v.Kinds[i] = k
+}
+
+// SetKindRun tags every one of n rows of v, an empty column, with kind k
+// without giving the column a tag array of its own: Kinds becomes a prefix of
+// the run of k's that every single-kind column in the process shares. Nothing
+// may write through it (CheckKindRuns); a column that is appended to or has a
+// row set NULL copies its tags first. A column longer than the shared runs
+// gets its own array.
+func (v *Vec) SetKindRun(k types.Kind, n int) {
+	if n <= 0 {
+		return
 	}
+	if len(v.Kinds) != 0 || n > maxSharedSel || int(k) >= len(kindRuns) {
+		v.AppendKindRun(k, n)
+		return
+	}
+	v.noteKind(k)
+	v.Kinds = kindRuns[k]()[:n:n]
+	v.ext |= extKindRun
+}
+
+// BorrowKinds makes tags, which the caller has filled, the tag array of v, an
+// empty column, without copying. The array stays the lender's: the batch's
+// ColSource, which must keep it until the batch closes it.
+func (v *Vec) BorrowKinds(tags []types.Kind) {
+	for _, k := range tags {
+		v.noteKind(k)
+	}
+	v.Kinds = tags[:len(tags):len(tags)]
+	v.ext |= extKinds
+}
+
+// BorrowI makes p the int payload of v, on BorrowKinds's terms, and returns
+// it for the caller to fill.
+func (v *Vec) BorrowI(p []int64) []int64 {
+	v.I = p[:len(p):len(p)]
+	v.ext |= extI
+	return v.I
+}
+
+// BorrowF is BorrowI for the float payload.
+func (v *Vec) BorrowF(p []float64) []float64 {
+	v.F = p[:len(p):len(p)]
+	v.ext |= extF
+	return v.F
 }
 
 // BulkI resizes the int payload to n rows (reusing capacity) and returns it
 // for direct fills. Every row must be covered by the fill, so the Vec
 // invariant — the payload array for a row's kind covers its index — holds.
 func (v *Vec) BulkI(n int) []int64 {
+	v.own()
 	v.I = sized(&intPark, v.I, n, v.pooled)
 	return v.I
 }
 
 // BulkF is BulkI for the float payload.
 func (v *Vec) BulkF(n int) []float64 {
+	v.own()
 	v.F = sized(&floatPark, v.F, n, v.pooled)
 	return v.F
 }
@@ -271,6 +393,7 @@ func (v *Vec) ResetRun(k types.Kind, n int) {
 
 // SetNull overwrites row i with NULL; the column stops being uniform.
 func (v *Vec) SetNull(i int) {
+	v.own()
 	v.Kinds[i] = types.KindNull
 	v.flags = flagMixed
 }
@@ -325,6 +448,7 @@ func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 	if len(idxs) == 0 {
 		return
 	}
+	v.own()
 	n := len(v.Kinds)
 	end := n + len(idxs)
 	switch {
@@ -384,9 +508,12 @@ func (v *Vec) Datum(i int) types.Datum {
 // cannot import storage). The source must stay able to decode until Close.
 type ColSource interface {
 	// DecodeCol fills v, an empty pooled column, with column i. It cannot
-	// fail: whatever could was checked before the batch was sealed.
+	// fail: whatever could was checked before the batch was sealed. It may
+	// lend v arrays of its own (Vec.Borrow*), which must stay valid until
+	// Close.
 	DecodeCol(i int, v *Vec)
-	// Close tells the source the batch is done with it (last Release).
+	// Close tells the source the batch is done with it (last Release): the
+	// columns are cleared, and what the source lent them is its to free.
 	Close()
 }
 
@@ -548,6 +675,7 @@ func (b *ColBatch) decode(i int) {
 func (b *ColBatch) Reserve(n int) {
 	for i := range b.cols {
 		v := &b.cols[i]
+		v.own()
 		l := len(v.Kinds)
 		v.Kinds = extend(&kindPark, v.Kinds, l, max(l, n), 0, v.pooled)[:l]
 	}
@@ -639,6 +767,35 @@ func CheckIdentity() error {
 	for i, r := range sharedSel() {
 		if r != int32(i) {
 			return fmt.Errorf("vec: shared identity selection overwritten: sel[%d] = %d", i, r)
+		}
+	}
+	return nil
+}
+
+// kindRuns are the process's read-only runs of one kind each, maxSharedSel
+// long and built on first use: the tag arrays of single-kind columns.
+var kindRuns = func() (runs [types.KindBool + 1]func() []types.Kind) {
+	for k := range runs {
+		runs[k] = sync.OnceValue(func() []types.Kind {
+			run := make([]types.Kind, maxSharedSel)
+			for i := range run {
+				run[i] = types.Kind(k)
+			}
+			return run
+		})
+	}
+	return runs
+}()
+
+// CheckKindRuns verifies that nothing has written through the Kinds of a
+// single-kind column: every shared run must still hold its one kind. Test
+// batteries call it after driving the kernels.
+func CheckKindRuns() error {
+	for k, run := range kindRuns {
+		for i, got := range run() {
+			if got != types.Kind(k) {
+				return fmt.Errorf("vec: shared run of kind %v overwritten: tag[%d] = %v", types.Kind(k), i, got)
+			}
 		}
 	}
 	return nil

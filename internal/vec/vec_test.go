@@ -493,3 +493,83 @@ func TestFirstTouchDecodesOncePerColumn(t *testing.T) {
 		t.Fatalf("source closed %d times at the last release, want 1", src.closed.Load())
 	}
 }
+
+// TestKindRunSharedAndWriteCaught: single-kind columns share one read-only
+// run of their kind, cut so that an append cannot reach the rest of it; a
+// column that is written copies its tags first; the recycler neither counts
+// nor parks the shared run; and a kernel that writes through Kinds of such a
+// column is caught by CheckKindRuns.
+func TestKindRunSharedAndWriteCaught(t *testing.T) {
+	base := PoolStats()
+	a, b := Get(1), Get(1)
+	a.Col(0).SetKindRun(types.KindDate, 1000)
+	b.Col(0).SetKindRun(types.KindDate, 40)
+	ka, kb := a.Col(0).Kinds, b.Col(0).Kinds
+	if len(ka) != 1000 || cap(ka) != 1000 || len(kb) != 40 || &ka[0] != &kb[0] || ka[999] != types.KindDate {
+		t.Fatalf("kind runs: len/cap %d/%d and %d/%d, shared=%v", len(ka), cap(ka), len(kb), cap(kb), &ka[0] == &kb[0])
+	}
+	if !a.Col(0).AllInt() || a.Col(0).AllFloat() {
+		t.Fatal("uniformity flags not set by SetKindRun")
+	}
+	if got := PoolStats().BytesOut; got != base.BytesOut {
+		t.Fatalf("shared runs counted as %d recycler bytes", got-base.BytesOut)
+	}
+	if got := a.Col(0).bytes(); got != 0 {
+		t.Fatalf("a column holding only the shared run reports %d bytes", got)
+	}
+	for i, vi := 0, a.Col(0).BulkI(1000); i < 1000; i++ {
+		vi[i] = int64(i)
+	}
+	a.Seal(1000)
+
+	// Writers copy first.
+	b.Col(0).AppendDatum(types.NewDate(7))
+	if k := b.Col(0).Kinds; len(k) != 41 || &k[0] == &kb[0] || k[40] != types.KindDate {
+		t.Fatal("append to a shared-run column did not copy its tags")
+	}
+	c := Get(1)
+	c.Col(0).SetKindRun(types.KindInt, 8)
+	c.Col(0).SetNull(2)
+	if c.Col(0).Kinds[2] != types.KindNull || c.Col(0).Kinds[3] != types.KindInt || c.Col(0).AllInt() {
+		t.Fatal("SetNull on a shared-run column")
+	}
+	if err := CheckKindRuns(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A kernel writing through the tags of a sealed column is a bug.
+	ka[5] = types.KindNull
+	if CheckKindRuns() == nil {
+		t.Error("CheckKindRuns missed a write through a shared run")
+	}
+	ka[5] = types.KindDate // repair for the rest of the process
+	if err := CheckKindRuns(); err != nil {
+		t.Fatal(err)
+	}
+
+	a.Release()
+	b.Release()
+	c.Release()
+	if got := PoolStats(); got.BytesOut != base.BytesOut || got.BatchesOut != base.BatchesOut {
+		t.Fatalf("after the releases: %+v, baseline %+v", got, base)
+	}
+	// The run was not parked: the next column of that class gets its own array.
+	d := Get(1)
+	defer d.Release()
+	d.Col(0).AppendKindRun(types.KindDate, 1000)
+	if &d.Col(0).Kinds[0] == &ka[0] {
+		t.Fatal("the shared run came back out of the recycler")
+	}
+}
+
+// TestPutIgnoresForeignArrays: an array that is not cut to a class is none
+// that take handed out; put neither parks it nor subtracts it from the bytes
+// counted out.
+func TestPutIgnoresForeignArrays(t *testing.T) {
+	base := PoolStats()
+	intPark.put(make([]int64, 100))
+	kindPark.put(make([]types.Kind, 1000)[:10:999])
+	if got := PoolStats(); got.BytesOut != base.BytesOut || got.BytesParked != base.BytesParked {
+		t.Fatalf("put of a non-class array moved the gauges: %+v, baseline %+v", got, base)
+	}
+}

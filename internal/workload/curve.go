@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/cjoin"
 	"repro/internal/engine"
 	"repro/internal/expr"
@@ -421,6 +422,13 @@ func snapshot(env *Env, e *engine.Engine, gw *service.Gateway) map[string]float6
 	m["quarantined"], m["retries"] = float64(ds.Quarantined), float64(ds.Retries)
 	ps := vec.PoolStats() // gauges, not counters: a diff is the window's net change
 	m["batches_out"], m["batch_bytes_out"], m["batch_bytes_parked"] = float64(ps.BatchesOut), float64(ps.BytesOut), float64(ps.BytesParked)
+	// Buffer memory, gauges too: every byte is in one of the arena (pages by
+	// role), batch_bytes_out and batch_bytes_parked.
+	as := arena.Snapshot()
+	m["arena_mapped_bytes"], m["arena_pages_in_use"] = float64(as.MappedBytes), float64(as.PagesInUse)
+	m["arena_pages_device"], m["arena_pages_frames"] = float64(as.PagesDevice), float64(as.PagesFrames)
+	m["arena_pages_held"], m["arena_pages_decoded"] = float64(as.PagesHeld), float64(as.PagesDecoded)
+	m["arena_reclaimed"] = float64(as.Reclaimed)
 	if env.Fault != nil {
 		m["injected_reads"] = float64(env.Fault.Injected())
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/service"
@@ -124,16 +125,38 @@ func TestCurveIVSharingCounters(t *testing.T) {
 	}
 }
 
+// arenaBalance settles the finalizers of what earlier tests dropped, notes the
+// arena's gauges and the live-batch count, and returns the check to run once
+// the test has closed the envs environments it opened: every page is back,
+// from its owner and not from a finalizer, and the only batch references out
+// are the dimension tables of the closed CJOIN operators, which Operator.Close
+// leaves to the collector.
+func arenaBalance(t *testing.T) (check func(envs int)) {
+	arena.Settle()
+	before, live := arena.Snapshot(), vec.LiveBatches()
+	return func(envs int) {
+		t.Helper()
+		if now := arena.Snapshot(); now.PagesInUse != before.PagesInUse || now.Reclaimed != before.Reclaimed {
+			t.Errorf("arena after the battery: %+v, before it %+v", now, before)
+		}
+		if now, want := vec.LiveBatches(), live+int64(envs*len(SSBChain(&ssb.DB{}))); now != want {
+			t.Errorf("LiveBatches = %d after the battery, want %d", now, want)
+		}
+	}
+}
+
 // TestCurveFSmoke runs a tiny fault axis end to end and asserts the
 // containment invariant the curve exists to demonstrate: every query
 // finishes as either a success or a typed fault — never an untyped error —
 // and the fault-free point actually does work.
 func TestCurveFSmoke(t *testing.T) {
+	balanced := arenaBalance(t)
 	tab, err := Run(context.Background(), CurveByName("F"), Params{
 		SF: 0.001, X: []float64{0, 0.25}, Clients: 2, Duration: 150 * time.Millisecond, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	balanced(1) // Run closed the environment it opened
 	if len(tab.Cells) != 2 {
 		t.Fatalf("points = %d, want 2", len(tab.Cells))
 	}
@@ -164,11 +187,13 @@ func TestCurveFSmoke(t *testing.T) {
 // excess.
 func TestOverloadSmoke(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
+	balanced := arenaBalance(t)
 	tab, err := Run(context.Background(), CurveByName("V"), Params{
 		SF: 0.002, X: []float64{1, 2}, Duration: time.Second, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
+	balanced(1)
 	if len(tab.Cells) != 2 {
 		t.Fatalf("got %d points, want 2", len(tab.Cells))
 	}
@@ -204,6 +229,8 @@ func TestOverloadSmoke(t *testing.T) {
 // error, no goroutines outlive the drain, and every pooled batch reference
 // is returned.
 func TestCurveVOverloadChaos(t *testing.T) {
+	balanced := arenaBalance(t)
+	defer balanced(1)
 	env, err := NewSSBEnvCfg(EnvConfig{SF: 0.002, Residency: MemoryResident,
 		Seed: 7, DateClustered: true})
 	if err != nil {
@@ -227,6 +254,7 @@ func TestCurveVOverloadChaos(t *testing.T) {
 
 	goroutinesBefore := runtime.NumGoroutine()
 	liveBefore, bytesBefore := vec.LiveBatches(), vec.PoolStats().BytesOut
+	pagesBefore := arena.Snapshot().PagesInUse // everything resident and decoded: the storm adds nothing
 
 	// Deliberately tiny tier: 1+1 slots, 4-deep queues, high-water 2 — the
 	// storm must hit every shedding and rejection path.
@@ -309,6 +337,9 @@ func TestCurveVOverloadChaos(t *testing.T) {
 	})
 	waitSettled(t, "payload bytes out", func() bool {
 		return vec.PoolStats().BytesOut <= bytesBefore
+	})
+	waitSettled(t, "arena pages in use", func() bool {
+		return arena.Snapshot().PagesInUse == pagesBefore
 	})
 }
 

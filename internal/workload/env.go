@@ -198,11 +198,14 @@ func (env *Env) CJoinBusy() time.Duration {
 	return env.CJoin.Stats().Busy
 }
 
-// Close shuts down the CJOIN pipeline and releases the disk.
+// Close shuts down the CJOIN pipeline, then closes the buffer pool and the
+// disk, which give their pages back to the arena. Queries must have finished:
+// a frame still pinned is released by its holder's Unpin.
 func (env *Env) Close() {
 	if env.CJoin != nil {
 		env.CJoin.Close()
 	}
+	_ = env.Cat.Pool().Close() // reports pinned frames; they free themselves on Unpin
 	if env.Disk != nil {
 		_ = env.Disk.Close()
 	}

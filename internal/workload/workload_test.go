@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -534,5 +535,40 @@ func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 	}
 	if cols != pages {
 		t.Errorf("empty date window decoded %d columns over %d pages, want exactly 1 per page", cols, pages)
+	}
+}
+
+// TestEnvCloseLeavesArenaEmpty loads SSB, runs one shared sweep and one
+// query-centric plan, and closes: every page the disk, the pool and the opened
+// batches took is back in the arena, none of them through a finalizer, and —
+// when nothing else in the process holds pages, as in the perf-smoke step that
+// runs this test alone — the arena is empty and down to one mapped chunk.
+func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
+	arena.Settle()
+	before := arena.Snapshot()
+	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := env.Engine(engine.Config{})
+	in := ssb.Instantiate(env.SSB, ssb.Q3_2, rand.New(rand.NewSource(2)))
+	for _, gqp := range []bool{true, false} {
+		if _, err := e.Execute(context.Background(), in.Plan(gqp)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := arena.Snapshot()
+	if np := int64(env.SSB.Lineorder.File.NumPages()); mid.PagesDevice-before.PagesDevice < np ||
+		mid.PagesFrames-before.PagesFrames < np || mid.PagesDecoded == before.PagesDecoded {
+		t.Errorf("a loaded, swept database should hold device, frame and decoded pages: %+v", mid)
+	}
+	env.Close()
+	env.Close() // idempotent
+	after := arena.Snapshot()
+	if after.PagesInUse != before.PagesInUse || after.Reclaimed != before.Reclaimed {
+		t.Errorf("arena after Close: %+v, before the environment %+v", after, before)
+	}
+	if before.PagesInUse == 0 && after.MappedBytes > 2<<20 {
+		t.Errorf("an empty arena keeps %d bytes mapped, want at most one 2 MiB chunk", after.MappedBytes)
 	}
 }
