@@ -26,9 +26,9 @@ func TestViewBatchColsAndLen(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())
 	}
-	gcb, gsel, ok := b.Cols()
-	if !ok || gcb != cb || len(gsel) != 3 {
-		t.Fatalf("Cols() = %v sel=%v ok=%v", gcb, gsel, ok)
+	gcb, gsel := b.Cols()
+	if gcb != cb || len(gsel) != 3 {
+		t.Fatalf("Cols() = %v sel=%v", gcb, gsel)
 	}
 	rows := b.RowsView()
 	if len(rows) != 3 || rows[1][0].I != 3 {
@@ -65,17 +65,26 @@ func TestRowsViewOnNarrowedView(t *testing.T) {
 	b.Done()
 }
 
-// TestCloneOutlivesColumnsAndIsPrivate: a push-model clone is built from the
-// columns, so it must survive the column batch being recycled, and two
-// satellites' clones must share no row storage.
+// TestCloneOutlivesColumnsAndIsPrivate: a push-model clone is a column copy,
+// so it must survive the column batch being recycled, and two satellites'
+// clones must share no payload array with each other or with the batch.
 func TestCloneOutlivesColumnsAndIsPrivate(t *testing.T) {
 	for _, sel := range [][]int32{nil, {1, 3}} {
 		cb := viewFixture(t, 4)
 		b := FromView(cb, sel)
 		want := b.RowsView()
 		c1, c2 := b.Clone(), b.Clone()
-		if &c1.Rows[0][0] == &c2.Rows[0][0] || &c1.Rows[0][0] == &want[0][0] {
-			t.Fatal("clones alias each other or the batch's own materialization")
+		cb1, _ := c1.Cols()
+		cb2, _ := c2.Cols()
+		for i := 0; i < cb.NumCols(); i++ {
+			src, v1, v2 := cb.Col(i), cb1.Col(i), cb2.Col(i)
+			if &v1.Kinds[0] == &v2.Kinds[0] || &v1.Kinds[0] == &src.Kinds[0] {
+				t.Fatalf("column %d: clones alias each other's or the batch's tags", i)
+			}
+		}
+		if &cb1.Col(0).I[0] == &cb2.Col(0).I[0] || &cb1.Col(0).I[0] == &cb.Col(0).I[0] ||
+			&cb1.Col(1).S[0] == &cb2.Col(1).S[0] || &cb1.Col(1).S[0] == &cb.Col(1).S[0] {
+			t.Fatal("clones alias each other's or the batch's payload")
 		}
 		b.Done() // last reference: cb goes back to the pool
 		// Recycle the columns under the clones.
@@ -85,13 +94,16 @@ func TestCloneOutlivesColumnsAndIsPrivate(t *testing.T) {
 			reuse.Col(1).AppendDatum(types.NewString("overwritten"))
 		}
 		reuse.Seal(4)
-		c1.Rows[0][0] = types.NewInt(99) // a satellite scribbling on its copy
+		cb1.Col(0).I[0] = 99 // a satellite scribbling on its copy
+		got := c2.RowsView()
 		for i := range want {
-			if !c2.Rows[i].Equal(want[i]) {
-				t.Fatalf("sel=%v: clone row %d = %v after recycle, want %v", sel, i, c2.Rows[i], want[i])
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("sel=%v: clone row %d = %v after recycle, want %v", sel, i, got[i], want[i])
 			}
 		}
 		reuse.Release()
+		c1.Done()
+		c2.Done()
 	}
 }
 
@@ -138,27 +150,36 @@ func TestViewBatchConcurrentRowsView(t *testing.T) {
 	b.Done()
 }
 
-func TestViewBatchCloneIsRowBatch(t *testing.T) {
+// TestViewBatchCloneIsColumnCopy: a clone holds exactly the selected rows in
+// a pooled batch of its own, released by its last Done.
+func TestViewBatchCloneIsColumnCopy(t *testing.T) {
+	live := vec.LiveBatches()
 	cb := viewFixture(t, 4)
 	b := FromView(cb, []int32{0, 3})
 	c := b.Clone()
-	if len(c.Rows) != 2 || c.Rows[1][0].I != 3 {
-		t.Fatalf("clone rows = %v", c.Rows)
+	ccb, csel := c.Cols()
+	if ccb == cb || ccb.Len() != 2 || len(csel) != 2 {
+		t.Fatalf("clone: %d rows over %d selected, same batch %v", ccb.Len(), len(csel), ccb == cb)
 	}
-	if _, _, ok := c.Cols(); ok {
-		t.Fatal("clone must be a plain row batch")
+	if rows := c.RowsView(); rows[1][0].I != 3 {
+		t.Fatalf("clone rows = %v", rows)
+	}
+	if vec.LiveBatches() != live+2 {
+		t.Fatalf("LiveBatches = %d, want %d: the clone is pooled", vec.LiveBatches(), live+2)
 	}
 	b.Done()
-	c.Done() // no-op on row batches
-	if c.Rows[1][0].I != 3 {
-		t.Fatal("row batch mutated by Done")
+	c.Done()
+	if vec.LiveBatches() != live {
+		t.Fatalf("LiveBatches = %d after both Dones, want %d", vec.LiveBatches(), live)
 	}
 }
 
+// TestRowBatchViewAccessors: a batch built from rows (a literal) is a view
+// like any other, and its Retain/Done are no-ops.
 func TestRowBatchViewAccessors(t *testing.T) {
 	b := Of(types.Row{types.NewInt(9)})
-	if _, _, ok := b.Cols(); ok {
-		t.Fatal("row batch reports a columnar view")
+	if cb, sel := b.Cols(); cb.Len() != 1 || len(sel) != 1 || cb.Col(0).I[0] != 9 {
+		t.Fatal("literal's columns do not hold its row")
 	}
 	if got := b.RowsView(); len(got) != 1 || got[0][0].I != 9 {
 		t.Fatalf("RowsView = %v", got)
@@ -166,4 +187,7 @@ func TestRowBatchViewAccessors(t *testing.T) {
 	b.Retain()
 	b.Done()
 	b.Done() // all no-ops
+	if got := b.RowsView(); got[0][0].I != 9 {
+		t.Fatal("literal changed by Done")
+	}
 }

@@ -70,17 +70,18 @@ func testBlastRadius(t *testing.T, fault func(fd *storage.FaultDisk, f storage.F
 	balanced := arenaBalance(t)
 	cat, fd := faultStar(t, n)
 	lo := cat.MustTable("lo")
+	// The baseline is taken before the operator exists, with no page batch
+	// cached: Close gives the dimension batches back, closing the pool the
+	// page batches.
+	cat.Pool().EvictFile(lo.File.ID())
+	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
+	liveBefore := vec.LiveBatches()
 	op, err := NewOperator(lo, []DimSpec{
 		{Table: cat.MustTable("d"), FactKeyCol: 1, DimKeyCol: 0},
 	}, Config{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The operator's dimension batches are part of the baseline; page
-	// batches are not, once the pool is closed.
-	cat.Pool().EvictFile(lo.File.ID())
-	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
-	liveBefore := vec.LiveBatches()
 	defer func() {
 		op.Close()
 		balanced(cat)
@@ -337,6 +338,11 @@ func TestChaosBatteryFaultScheduleTypedOrComplete(t *testing.T) {
 	cat, fd := faultStar(t, n)
 	lo := cat.MustTable("lo")
 	npages := lo.File.NumPages()
+	// Freeze the live-batch baseline before the operator exists, with the
+	// tables evicted: Close gives the operator's dimension batch back.
+	cat.Pool().EvictFile(lo.File.ID())
+	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
+	liveBefore, bytesBefore := vec.LiveBatches(), vec.PoolStats().BytesOut
 	op, err := NewOperator(lo, []DimSpec{
 		{Table: cat.MustTable("d"), FactKeyCol: 1, DimKeyCol: 0},
 	}, Config{BatchSize: 128})
@@ -344,8 +350,7 @@ func TestChaosBatteryFaultScheduleTypedOrComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Settle a healthy sweep, then freeze the live-batch baseline with the
-	// table evicted (dimension-table batches owned by the operator remain).
+	// Settle a healthy sweep.
 	full := &plan.StarQuery{
 		Fact: lo, FactCols: []int{0},
 		Dims: []plan.DimJoin{{Table: cat.MustTable("d"), FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}},
@@ -353,9 +358,6 @@ func TestChaosBatteryFaultScheduleTypedOrComplete(t *testing.T) {
 	if rows := countStar(t, op, full); rows != n {
 		t.Fatalf("healthy sweep rows = %d", rows)
 	}
-	cat.Pool().EvictFile(lo.File.ID())
-	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
-	liveBefore, bytesBefore := vec.LiveBatches(), vec.PoolStats().BytesOut
 
 	const clients, perClient = 6, 8
 	var wg sync.WaitGroup

@@ -39,10 +39,10 @@
 // over the batch into a selection vector and scattering the query's bit into
 // the flat inline bitmap arena; the probe loop reads the join-key column as
 // a raw []int64 (the star-schema common case) instead of boxing datums; and
-// the distributor routes surviving tuples by reading fact columns straight
-// from the batch, materializing output rows only at the delivery boundary,
-// carved out of a per-batch datum arena. Each pipeline item owns flat arenas
-// (one []uint64 bitmap arena where tuple i holds words
+// the distributor routes surviving tuples by appending fact columns straight
+// from the batch, and dimension payloads from the tables' batches, to each
+// query's pooled output batch — no row is built. Each pipeline item owns
+// flat arenas (one []uint64 bitmap arena where tuple i holds words
 // [i*stride,(i+1)*stride), one joined-dimension-row arena, one live-row
 // index array) recycled through a sync.Pool; dimension tables with string
 // join keys are dictionary-encoded at build time so probe-side equality is
@@ -378,10 +378,9 @@ type subscription struct {
 	failCause error
 
 	// Distributor-side accumulation: routed tuples are appended column-wise
-	// into a pooled ColBatch and delivered as a columnar view batch, so the
+	// into a pooled ColBatch and delivered as a batch over it, so the
 	// engine's grouped aggregation above the CJOIN stage consumes the GQP's
-	// output vectorized — no rows are built unless a row-bound consumer
-	// (sort, push-model satellite copies) asks.
+	// output vectorized.
 	pendCols *vec.ColBatch
 	pendN    int
 	// cut records that a delivery was dropped because the operator was
@@ -421,12 +420,13 @@ type Operator struct {
 	tables  []*dimTable // shared immutable probe indexes
 	workers []*worker
 
-	admitCh   chan *subscription
-	freeCh    chan int
-	closeCh   chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	prodWG    sync.WaitGroup // scanner + workers; gates the fan-in close
+	admitCh     chan *subscription
+	freeCh      chan int
+	closeCh     chan struct{}
+	closeOnce   sync.Once
+	releaseOnce sync.Once // the dimension tables' batches, after wg
+	wg          sync.WaitGroup
+	prodWG      sync.WaitGroup // scanner + workers; gates the fan-in close
 
 	// stragglers are the subscriptions still active when the scanner shut
 	// down; published before the fan-in closes so the distributor's
@@ -483,6 +483,7 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 	for i, d := range dims {
 		t, err := newDimTable(i, d)
 		if err != nil {
+			releaseTables(op.tables[:i])
 			return nil, err
 		}
 		op.tables[i] = t
@@ -520,10 +521,22 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 	return op, nil
 }
 
-// Close shuts the pipeline down. Active queries receive ErrClosed.
+// Close shuts the pipeline down. Active queries receive ErrClosed. Every
+// reader of a dimension table's batch is a pipeline goroutine (admission on
+// the workers' replicas, payload routing in the distributor; a Run past
+// admission only reads its delivery channel), so once they have all exited
+// the batches are released, exactly once.
 func (op *Operator) Close() {
 	op.closeOnce.Do(func() { close(op.closeCh) })
 	op.wg.Wait()
+	op.releaseOnce.Do(func() { releaseTables(op.tables) })
+}
+
+// releaseTables drops the dimension tables' batch references.
+func releaseTables(tables []*dimTable) {
+	for _, t := range tables {
+		t.cb.Release()
+	}
 }
 
 // Stats snapshots the operator counters.
@@ -1216,7 +1229,7 @@ type dimTable struct {
 	// gathered straight from the dimension's pages (rows with a NULL join key
 	// are left out). Admission evaluates each query's vectorized dimension
 	// predicate over this batch and the distributor routes payload columns
-	// out of it. Built once, held for the operator's lifetime. kv is its
+	// out of it. Built once, released by Operator.Close. kv is its
 	// join-key column: the entry keys the index is built from and the hashed
 	// probes compare against.
 	cb *vec.ColBatch

@@ -11,6 +11,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/plan"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // Stress: many concurrent queries with random predicates, random dim
@@ -232,5 +233,60 @@ func TestOperatorQuiescentAfterStress(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("operator wedged after stress")
+	}
+}
+
+// TestOperatorCloseReleasesDimensionBatches: Close gives back every batch the
+// operator took — its dimension tables' included — so after 16 concurrent
+// Runs, some cancelled mid-sweep, LiveBatches is back where it was before
+// NewOperator (with the pool's page batches evicted on both sides).
+func TestOperatorCloseReleasesDimensionBatches(t *testing.T) {
+	cat := starDB(t, 4000)
+	evict := func() {
+		for _, name := range []string{"lo", "cust", "part"} {
+			cat.Pool().EvictFile(cat.MustTable(name).File.ID())
+		}
+	}
+	evict()
+	before := vec.LiveBatches()
+	op, err := NewOperator(cat.MustTable("lo"), []DimSpec{
+		{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0},
+		{Table: cat.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0},
+	}, Config{BatchSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(i)*97 + 5))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cancelAfter := -1
+			if r.Intn(2) == 0 {
+				cancelAfter = r.Intn(400)
+			}
+			seen := 0
+			err := op.Run(ctx, asiaEuropeQuery(cat, int64(1+r.Intn(4)), float64(r.Intn(80))), func(b *batch.Batch) error {
+				seen += b.Len()
+				b.Done()
+				if cancelAfter >= 0 && seen > cancelAfter {
+					cancel()
+				}
+				return nil
+			})
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("query %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	op.Close()
+	op.Close() // idempotent: the tables are released once
+	evict()
+	if live := vec.LiveBatches(); live != before {
+		t.Fatalf("LiveBatches = %d after Close, want %d (before NewOperator)", live, before)
 	}
 }

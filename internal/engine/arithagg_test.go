@@ -26,11 +26,11 @@ func (w *discardWriter) Put(ctx context.Context, b *batch.Batch) error {
 
 func (w *discardWriter) Close(err error) {}
 
-// The row emitter allocates its batch on the first add, not at construction
-// and not again after a flush: a filter that republishes views never
-// allocates a row slice, and an aggregate that emits one group allocates
-// exactly one. Pinned as allocation counts per run and, because the defect
-// was a BatchSize slice per emitter (~24 KB), as bytes.
+// Output batches are reserved for exactly the rows they carry: a filter that
+// republishes views fills no batch of its own, and an aggregate that emits
+// one group fills a one-row pooled batch. Pinned as allocation counts per run
+// and, because the defect was a BatchSize row slice per emitter (~24 KB), as
+// bytes.
 func TestEmitterConstantAllocs(t *testing.T) {
 	const nbatches, nrows = 8, 64
 	r := rand.New(rand.NewSource(21))
@@ -49,7 +49,7 @@ func TestEmitterConstantAllocs(t *testing.T) {
 	}
 	e := &Engine{cfg: (&Config{}).withDefaults()}
 	ctx := context.Background()
-	rowSlice := int64(e.cfg.BatchSize) * 24 // one emitter batch's row slice
+	rowSlice := int64(e.cfg.BatchSize) * 24 // the BatchSize row slice emitters used to allocate
 
 	filter := plan.NewFilter(nil, expr.NewCmp(expr.LT, expr.C(0, "a"), expr.Int(4)))
 	runFilter := func() {
@@ -81,8 +81,8 @@ func TestEmitterConstantAllocs(t *testing.T) {
 		// Per view: the shell and its view going in, the selection, the shell
 		// and its view going out; no row slice at all.
 		{"filter over views", runFilter, 6*nbatches + 16, rowSlice / 2},
-		// One emitter batch (its row slice is most of the bytes), one group.
-		{"one-group aggregate", runAgg, 2*nbatches + 32, rowSlice + rowSlice/2},
+		// One one-row output batch, one group.
+		{"one-group aggregate", runAgg, 2*nbatches + 32, rowSlice / 4},
 	} {
 		tc.run() // warm the batch pool
 		if allocs := testing.AllocsPerRun(20, tc.run); allocs > tc.maxAllocs {
@@ -95,7 +95,7 @@ func TestEmitterConstantAllocs(t *testing.T) {
 			}
 		})
 		if got := res.AllocedBytesPerOp(); got > tc.maxBytes {
-			t.Errorf("%s: %d B per run, want <= %d (an emitter batch's row slice is %d B)",
+			t.Errorf("%s: %d B per run, want <= %d (a BatchSize row slice is %d B)",
 				tc.name, got, tc.maxBytes, rowSlice)
 		}
 	}
@@ -211,7 +211,7 @@ func TestAggregateArithStaysColumnar(t *testing.T) {
 		}
 		for vi, v := range variants {
 			got := runAggregate(t, v, views())
-			want := canonical(runAggregate(t, v, rowBatches()))
+			want := canonical(runAggregate(t, rowPath(v), rowBatches()))
 			if g := canonical(got); len(g) != len(want) {
 				t.Fatalf("%s variant %d: %d groups columnar, %d by rows", tc.name, vi, len(g), len(want))
 			} else {

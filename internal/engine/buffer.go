@@ -15,7 +15,9 @@ import (
 // has detached; the producer aborts the rest of its work.
 var ErrCanceled = errors.New("engine: all consumers canceled")
 
-// Writer is the producer side of an inter-packet buffer.
+// Writer is the producer side of an inter-packet buffer: one producer's
+// batches go to every consumer — the same batch to all of them over an SPL,
+// a column copy per satellite over push FIFOs.
 type Writer interface {
 	// Put publishes a batch. The batch must not be modified afterwards. Put
 	// consumes the producer's batch reference whether it succeeds or fails
@@ -29,7 +31,8 @@ type Writer interface {
 // Reader is the consumer side of an inter-packet buffer.
 type Reader interface {
 	// Next returns the next batch, io.EOF at a normal end of stream, or the
-	// producer's error.
+	// producer's error. The consumer owns one reference on the batch (the
+	// original, or a satellite's private column copy) and calls Done on it.
 	Next(ctx context.Context) (*batch.Batch, error)
 	// Close detaches the consumer; producers with no remaining consumers
 	// abort.
@@ -126,7 +129,7 @@ func (f *fifo) Close() {
 
 // ---------------------------------------------------------------------------
 // multiFIFO: push-based SP. One producer copies every batch into every
-// consumer's FIFO — the serialization point Scenario I demonstrates.
+// satellite's FIFO — the serialization point Scenario I demonstrates.
 
 type multiFIFO struct {
 	capacity int
@@ -136,8 +139,8 @@ type multiFIFO struct {
 	closed   bool
 	closeErr error
 
-	// copies counts deep batch copies performed for satellites; it points at
-	// the owning stage's counter.
+	// copies counts the batch copies made for satellites; it points at the
+	// owning stage's counter.
 	copies *atomic.Int64
 }
 
@@ -163,8 +166,9 @@ func (m *multiFIFO) addConsumer() *fifo {
 }
 
 // Put forwards the batch to every live consumer. The first consumer receives
-// the original; each satellite receives a deep copy, performed serially by
-// the producer — this loop is the push-model bottleneck.
+// the original; each satellite receives a column copy (batch.Clone: a pooled
+// ColBatch sharing no array with the original), made serially by the
+// producer — this loop is the push-model bottleneck.
 func (m *multiFIFO) Put(ctx context.Context, b *batch.Batch) error {
 	m.mu.Lock()
 	outs := make([]*fifo, len(m.outs))

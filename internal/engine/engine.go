@@ -229,7 +229,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, roots []plan.Node) ([]*Result
 	return results, nil
 }
 
-// drain materializes a root reader.
+// drain materializes a root reader: where a query's rows are built, once.
 func drain(ctx context.Context, root plan.Node, r Reader) (*Result, error) {
 	defer r.Close()
 	res := &Result{Schema: root.Schema()}

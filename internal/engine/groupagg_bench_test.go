@@ -17,8 +17,9 @@ import (
 // low-cardinality key) and on a two-key variant with a dictionary-coded
 // string key:
 //
-//   - line=rows: row batches through the open-addressing groupTable.
-//   - line=cols: view batches through the vectorized path (aggregateCols).
+//   - line=rows: the row-by-row path (each row read into a scratch row)
+//     through the open-addressing groupTable.
+//   - line=cols: the vectorized path (aggregateCols).
 //   - line=cols-arith: the same with an arithmetic argument, SUM(v*g) — the
 //     SSB Q1.x / Q4.x shape, evaluated by the expr.CompileNum kernel.
 //
@@ -53,20 +54,11 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 		// outside the timer.
 		r := rand.New(rand.NewSource(11))
 		cbs := make([]*vec.ColBatch, nbatches)
-		rowSets := make([][]types.Row, nbatches)
 		for i := range cbs {
 			cbs[i] = buildRandomBatch(r, nrows, len(shape.styles), shape.styles)
-			rowSets[i] = cbs[i].Rows()
 		}
 		tuples := float64(nrows * nbatches)
 
-		mkRowBatches := func() []*batch.Batch {
-			out := make([]*batch.Batch, nbatches)
-			for i := range out {
-				out[i] = batch.Of(rowSets[i]...)
-			}
-			return out
-		}
 		mkColBatches := func() []*batch.Batch {
 			out := make([]*batch.Batch, nbatches)
 			for i := range out {
@@ -76,20 +68,10 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 			return out
 		}
 
-		b.Run(fmt.Sprintf("line=rows/%s", shape.name), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				in := mkRowBatches()
-				b.StartTimer()
-				runAggregate(b, node, in)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
-		})
 		for _, line := range []struct {
 			name string
 			node *plan.Aggregate
-		}{{"cols", node}, {"cols-arith", arithNode}} {
+		}{{"rows", rowPath(node)}, {"cols", node}, {"cols-arith", arithNode}} {
 			line := line
 			b.Run(fmt.Sprintf("line=%s/%s", line.name, shape.name), func(b *testing.B) {
 				b.ResetTimer()

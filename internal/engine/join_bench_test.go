@@ -165,10 +165,7 @@ type footprintWriter struct {
 }
 
 func (w *footprintWriter) Put(ctx context.Context, b *batch.Batch) error {
-	cb, _, ok := b.Cols()
-	if !ok {
-		return fmt.Errorf("join output is not a view batch")
-	}
+	cb, _ := b.Cols()
 	w.held = append(w.held, b)
 	w.bytes += cb.Bytes()
 	w.filled += int64(cb.Len()*cb.NumCols()) * w.bytesPerRowCol

@@ -42,9 +42,10 @@ func TestJoinTableTypedPathsLive(t *testing.T) {
 	}
 }
 
-// joinInputs is one side of an operator-level join case, in both batch forms.
-func joinInputs(rows []types.Row, width int, asRows bool) []*batch.Batch {
-	if asRows {
+// joinInputs is one side of an operator-level join case: a literal, or a
+// pooled batch.
+func joinInputs(rows []types.Row, width int, literal bool) []*batch.Batch {
+	if literal {
 		return []*batch.Batch{batch.Of(rows...)}
 	}
 	cb := vec.Get(width)
@@ -55,8 +56,8 @@ func joinInputs(rows []types.Row, width int, asRows bool) []*batch.Batch {
 	return []*batch.Batch{batch.FromView(cb, nil)}
 }
 
-// Operator cases under narrowed output lists, over view and row inputs on
-// either side: NULL keys on both sides never match; duplicate build keys
+// Operator cases under narrowed output lists, over pooled and literal
+// inputs on either side: NULL keys on both sides never match; duplicate build keys
 // multiply the probe row even when the build side emits nothing (an existence
 // probe is a semi-join only on unique keys); the key column need not be
 // carried; an empty build side yields nothing. Batch refs balance.
@@ -93,12 +94,12 @@ func TestHashJoinNarrowedLists(t *testing.T) {
 	base := vec.LiveBatches()
 	for _, tc := range cases {
 		n := plan.NewHashJoinOut(scanL, scanR, 0, 0, tc.leftOut, tc.rightOut)
-		for _, form := range []struct{ leftRows, rightRows bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		for _, form := range []struct{ leftLit, rightLit bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 			e := &Engine{cfg: (&Config{BatchSize: 3}).withDefaults()}
 			w := &collectWriter{}
 			err := e.opHashJoin(context.Background(), n,
-				&sliceReader{batches: joinInputs(left, 2, form.leftRows)},
-				&sliceReader{batches: joinInputs(tc.right, 2, form.rightRows)},
+				&sliceReader{batches: joinInputs(left, 2, form.leftLit)},
+				&sliceReader{batches: joinInputs(tc.right, 2, form.rightLit)},
 				w, newStage(plan.KindHashJoin, false))
 			if err != nil {
 				t.Fatalf("%s %+v: %v", tc.name, form, err)

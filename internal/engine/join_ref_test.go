@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -39,11 +40,10 @@ func (e *Engine) opHashJoinRows(ctx context.Context, n *plan.HashJoin, left, rig
 	}
 	// Probe phase.
 	leftW := n.Left.Schema().Len()
-	em := newEmitter(w, e.cfg.BatchSize)
 	for {
 		b, err := left.Next(ctx)
 		if err == io.EOF {
-			return em.flush(ctx)
+			return nil
 		}
 		if err != nil {
 			return err
@@ -71,10 +71,11 @@ func (e *Engine) opHashJoinRows(ctx context.Context, n *plan.HashJoin, left, rig
 		}
 		b.Done()
 		st.addBusy(time.Since(t0))
-		for _, r := range joined {
-			if err := em.add(ctx, r); err != nil {
-				return err
-			}
+		if len(joined) == 0 {
+			continue
+		}
+		if err := w.Put(ctx, batch.Of(joined...)); err != nil {
+			return err
 		}
 	}
 }

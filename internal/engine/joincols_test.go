@@ -69,7 +69,8 @@ type joinCase struct {
 // buildJoinCase materializes one random join case: random key class, random
 // cardinalities (including empty build sides), random payload columns, and
 // optional filters so scans publish view batches under real selections.
-// Sorts are mixed in on either side so the operator also sees row batches.
+// Sorts are mixed in on either side so the operator also sees a sort's own
+// output batches.
 func buildJoinCase(t *testing.T, r *rand.Rand) joinCase {
 	t.Helper()
 	class := r.Intn(4)
@@ -125,7 +126,7 @@ func buildJoinCase(t *testing.T, r *rand.Rand) joinCase {
 			rows = kept
 		}
 		if r.Intn(5) == 0 {
-			// A sort forces row batches into the join on this side.
+			// A sort feeds its own output batches to the join on this side.
 			n = plan.NewSort(n, []plan.SortKey{{Col: 2}})
 		}
 		return n, rows
@@ -163,7 +164,7 @@ func naiveJoin(n *plan.HashJoin, lrows, rrows []types.Row) []types.Row {
 	return out
 }
 
-// refJoin runs the row-materializing reference operator over row batches.
+// refJoin runs the row-materializing reference operator over literals.
 func refJoin(t *testing.T, n *plan.HashJoin, lrows, rrows []types.Row) []types.Row {
 	t.Helper()
 	e := &Engine{cfg: (&Config{BatchSize: 32}).withDefaults()}
@@ -195,7 +196,7 @@ func randOutList(r *rand.Rand, width int) []int {
 // The columnar hash join must agree with a naive nested-loop join — and with
 // the row-materializing reference operator — over random plans covering
 // duplicate build keys, NULL keys on both sides, empty build sides,
-// int/float/string/dict/mixed key columns, random selections, row-batch
+// int/float/string/dict/mixed key columns, random selections, sorted
 // inputs on either side, and random output lists: full width, narrowed,
 // empty (an existence probe, which must still emit one row per match) and
 // lists that drop the key column.
@@ -267,21 +268,6 @@ func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 	jt.probeCols(probe.Col(0), probe.AllSel(), &scr)
 	if len(scr.ml) != 1 || scr.ml[0] != 1 {
 		t.Fatalf("probe matches = %v (rows) %v (entries), want exactly row 1", scr.ml, scr.me)
-	}
-
-	// The row-batch paths must agree.
-	jt2 := newJoinTable(0, []int{0, 1})
-	jt2.buildRows([]types.Row{
-		{types.NewInt(1), types.NewString("x")},
-		{types.Null, types.NewString("y")},
-	})
-	if jt2.n != 1 {
-		t.Fatalf("buildRows inserted NULL key: %d entries, want 1", jt2.n)
-	}
-	scr.ml, scr.me = scr.ml[:0], scr.me[:0]
-	jt2.probeRow(types.Null, 0, &scr)
-	if len(scr.ml) != 0 {
-		t.Fatalf("NULL probe key matched %d entries", len(scr.ml))
 	}
 }
 

@@ -105,11 +105,10 @@ func (t *joinTable) entryKeyEqual(a, b int32) bool {
 	}
 }
 
-// buildCols folds one right-side view batch into the table: hash the key
-// column with the shared HashFold kernel (bit-identical to the row fold, so
-// mixed row/view build streams feed one table), drop NULL keys explicitly,
-// gather the key and the kept columns of the surviving rows into the arenas
-// in one typed bulk copy each, then link the new entries.
+// buildCols folds one right-side batch into the table: hash the key column
+// with the shared HashFold kernel, drop NULL keys explicitly, gather the key
+// and the kept columns of the surviving rows into the arenas in one typed
+// bulk copy each, then link the new entries.
 func (t *joinTable) buildCols(cb *vec.ColBatch, sel []int32, scr *joinScratch) {
 	if len(sel) == 0 {
 		return
@@ -143,28 +142,6 @@ func (t *joinTable) buildCols(cb *vec.ColBatch, sel []int32, scr *joinScratch) {
 	}
 }
 
-// buildRows is the row-batch form of buildCols (sort and aggregate outputs
-// arrive as rows): same hash fold, same NULL skip, per-datum appends.
-func (t *joinTable) buildRows(rows []types.Row) {
-	for _, row := range rows {
-		k := row[t.keyCol]
-		if k.IsNull() {
-			continue
-		}
-		h := (hashSeed ^ k.HashKey()) * vec.HashPrime
-		e := int32(t.n)
-		t.hashes = append(t.hashes, h)
-		t.next = append(t.next, -1)
-		t.tail = append(t.tail, e)
-		t.key.AppendDatum(k)
-		for c, oc := range t.outCols {
-			t.out[c].AppendDatum(row[oc])
-		}
-		t.n++
-		t.link(e, h)
-	}
-}
-
 // keyMatchesView reports whether probe row r of key column kc equals build
 // entry e's key — Datum.Compare equality evaluated in place against the
 // typed payloads, mirroring groupTable.rowMatches. Callers have already
@@ -181,7 +158,7 @@ func (t *joinTable) keyMatchesView(kc *vec.Vec, r int32, e int32) bool {
 	}
 }
 
-// probeCols probes one left view batch: per-row key hashes from the shared
+// probeCols probes one left batch: per-row key hashes from the shared
 // fold kernel, then a typed resolve loop that walks each hit's duplicate
 // chain and records (probe row, build entry) match pairs into the scratch
 // arenas. Integer keys against an all-integer build arena — the star-schema
@@ -243,31 +220,6 @@ func (t *joinTable) probeCols(kc *vec.Vec, sel []int32, scr *joinScratch) {
 		}
 	}
 	scr.ml, scr.me = ml, me
-}
-
-// probeRow resolves one materialized probe key (row-batch inputs), appending
-// its matches to the scratch arenas. Returns the updated match count.
-func (t *joinTable) probeRow(k types.Datum, r int32, scr *joinScratch) {
-	if k.IsNull() || t.n == 0 {
-		return
-	}
-	hv := (hashSeed ^ k.HashKey()) * vec.HashPrime
-	bk := &t.key
-	s := uint32(hv) & t.mask
-	for {
-		se := t.slots[s]
-		if se == 0 {
-			return
-		}
-		if e := se - 1; t.hashes[e] == hv && k.Equal(bk.Datum(int(e))) {
-			for ; e >= 0; e = t.next[e] {
-				scr.ml = append(scr.ml, r)
-				scr.me = append(scr.me, e)
-			}
-			return
-		}
-		s = (s + 1) & t.mask
-	}
 }
 
 // joinScratch holds the operator-lifetime temporaries of the columnar join:

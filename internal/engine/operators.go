@@ -46,9 +46,8 @@ func (e *Engine) runOperator(ctx context.Context, p *Packet, inputs []Reader, w 
 // batch per storage page, applying any pushed-down predicate inside the
 // stage (as QPipe's tscan does). Predicates are evaluated vectorized over
 // the page's columnar cache into a selection vector, and the page is
-// published as a view batch — (column batch, surviving selection) — with no
-// row materialization; a row-consuming operator builds the rows it asks for
-// from the batch's own columns.
+// published as (column batch, surviving selection) with no row
+// materialization.
 func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) error {
 	cur := n.Table.Attach()
 	defer cur.Close()
@@ -99,9 +98,8 @@ func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) 
 }
 
 // opLimit forwards the first N rows, then detaches from its input, which
-// cancels the upstream sub-plan (unless other queries share it). A view
-// batch crossing the cap is forwarded as a truncated view — the columnar
-// form survives the limit.
+// cancels the upstream sub-plan (unless other queries share it). A batch
+// crossing the cap is forwarded as a truncated view of the same columns.
 func (e *Engine) opLimit(ctx context.Context, n *plan.Limit, in Reader, w Writer, st *Stage) error {
 	remaining := n.N
 	for remaining > 0 {
@@ -114,19 +112,11 @@ func (e *Engine) opLimit(ctx context.Context, n *plan.Limit, in Reader, w Writer
 		}
 		t0 := time.Now()
 		if b.Len() > remaining {
-			if cb, sel, ok := b.Cols(); ok {
-				if sel == nil {
-					sel = cb.AllSel()
-				}
-				cb.Retain()
-				nb := batch.FromView(cb, sel[:remaining])
-				b.Done()
-				b = nb
-			} else {
-				nb := &batch.Batch{Rows: b.RowsView()[:remaining]}
-				b.Done()
-				b = nb
-			}
+			cb, sel := b.Cols()
+			cb.Retain()
+			nb := batch.FromView(cb, sel[:remaining])
+			b.Done()
+			b = nb
 		}
 		remaining -= b.Len()
 		st.addBusy(time.Since(t0))
@@ -137,153 +127,103 @@ func (e *Engine) opLimit(ctx context.Context, n *plan.Limit, in Reader, w Writer
 	return nil
 }
 
-// emitter accumulates rows into batches of the configured size and flushes
-// them downstream.
-type emitter struct {
-	w    Writer
-	size int
-	cur  *batch.Batch
-}
-
-// newEmitter allocates nothing: the batch under construction exists from the
-// first add to the next flush, so an operator that republishes views (or
-// emits nothing) never pays for a row slice.
-func newEmitter(w Writer, size int) *emitter {
-	return &emitter{w: w, size: size}
-}
-
-func (em *emitter) add(ctx context.Context, r types.Row) error {
-	if em.cur == nil {
-		em.cur = batch.New(em.size)
-	}
-	em.cur.Append(r)
-	if em.cur.Len() >= em.size {
-		return em.flush(ctx)
+// emit publishes n rows of ncols columns in pooled batches of at most size
+// rows, each reserved for exactly the rows it carries: fill appends rows
+// [lo, hi) to cb's columns. A one-row result is a one-row batch.
+func emit(ctx context.Context, w Writer, ncols, n, size int, fill func(cb *vec.ColBatch, lo, hi int)) error {
+	for lo := 0; lo < n; lo += size {
+		hi := min(lo+size, n)
+		cb := vec.Get(ncols)
+		cb.Reserve(hi - lo)
+		fill(cb, lo, hi)
+		cb.Seal(hi - lo)
+		if err := w.Put(ctx, batch.FromView(cb, nil)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func (em *emitter) flush(ctx context.Context) error {
-	if em.cur == nil {
-		return nil
-	}
-	b := em.cur
-	em.cur = nil
-	return em.w.Put(ctx, b)
-}
-
-// opFilter keeps rows satisfying the predicate, compiled once per packet.
-// A view batch is filtered entirely in columnar form: the vectorized
-// predicate narrows the batch's selection and the same column batch is
-// republished under the narrowed selection — no rows are touched. Row
-// batches fall back to the compiled scalar predicate and the row emitter.
+// opFilter keeps rows satisfying the predicate, compiled once per packet
+// into a vectorized kernel: it narrows the batch's selection and the same
+// column batch is republished under the narrowed selection — no rows are
+// touched.
 func (e *Engine) opFilter(ctx context.Context, n *plan.Filter, in Reader, w Writer, st *Stage) error {
-	em := newEmitter(w, e.cfg.BatchSize)
-	pred := expr.Compile(n.Pred)
 	vpred := expr.CompileVec(n.Pred)
 	var scr vec.Scratch
-	var kept []types.Row
 	for {
 		b, err := in.Next(ctx)
 		if err == io.EOF {
-			return em.flush(ctx)
+			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if cb, sel, ok := b.Cols(); ok {
-			t0 := time.Now()
-			if sel == nil {
-				sel = cb.AllSel()
-			}
-			// The output selection is handed downstream; allocated per batch.
-			out := vpred(cb, sel, make([]int32, len(sel)), &scr)
-			st.addBusy(time.Since(t0))
-			if len(out) == 0 {
-				b.Done()
-				continue
-			}
-			if err := em.flush(ctx); err != nil { // keep row order across mixed streams
-				b.Done()
-				return err
-			}
-			cb.Retain()
-			nb := batch.FromView(cb, out)
+		t0 := time.Now()
+		cb, sel := b.Cols()
+		// The output selection is handed downstream; allocated per batch.
+		out := vpred(cb, sel, make([]int32, len(sel)), &scr)
+		st.addBusy(time.Since(t0))
+		if len(out) == 0 {
 			b.Done()
-			if err := w.Put(ctx, nb); err != nil {
-				return err
-			}
 			continue
 		}
-		t0 := time.Now()
-		kept = kept[:0]
-		for _, r := range b.RowsView() {
-			if pred(r) {
-				kept = append(kept, r)
-			}
-		}
-		st.addBusy(time.Since(t0))
+		cb.Retain()
+		nb := batch.FromView(cb, out)
 		b.Done()
-		for _, r := range kept {
-			if err := em.add(ctx, r); err != nil {
-				return err
-			}
+		if err := w.Put(ctx, nb); err != nil {
+			return err
 		}
 	}
 }
 
 // opProject computes the output expressions for every row. When every
-// output is a plain column reference and the input is a view batch, the
-// projection is zero-copy: a derived column batch remaps the columns in
-// place (vec.ProjectCols) and is republished under the input's selection.
+// output is a plain column reference the projection is zero-copy: a derived
+// column batch remaps the columns in place (vec.ProjectCols) and is
+// republished under the input's selection. Otherwise each selected row is
+// read into one reused scratch row, evaluated, and appended to a pooled
+// batch of the input's row count.
 func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Writer, st *Stage) error {
-	em := newEmitter(w, e.cfg.BatchSize)
 	exprs := make([]expr.Expr, len(n.Cols))
 	for i, c := range n.Cols {
 		exprs[i] = c.Expr
 	}
 	colIdx, colsOnly := expr.ColRefs(exprs)
+	var scr vec.Scratch
 	for {
 		b, err := in.Next(ctx)
 		if err == io.EOF {
-			return em.flush(ctx)
+			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if colsOnly {
-			if cb, sel, ok := b.Cols(); ok {
-				t0 := time.Now()
-				pcb := vec.ProjectCols(cb, colIdx)
-				nb := batch.FromView(pcb, sel)
-				b.Done()
-				st.addBusy(time.Since(t0))
-				if err := em.flush(ctx); err != nil {
-					nb.Done()
-					return err
-				}
-				if err := w.Put(ctx, nb); err != nil {
-					return err
-				}
-				continue
-			}
-		}
 		t0 := time.Now()
-		rows := b.RowsView()
-		outRows := make([]types.Row, len(rows))
-		for i, r := range rows {
-			out := make(types.Row, len(n.Cols))
-			for j, c := range n.Cols {
-				out[j] = c.Expr.Eval(r)
+		cb, sel := b.Cols()
+		var nb *batch.Batch
+		switch {
+		case colsOnly:
+			nb = batch.FromView(vec.ProjectCols(cb, colIdx), sel)
+		case len(sel) > 0:
+			out := vec.Get(len(n.Cols))
+			out.Reserve(len(sel))
+			row := scr.Row(cb.NumCols())
+			for _, r := range sel {
+				cb.MaterializeRow(int(r), row)
+				for j, c := range n.Cols {
+					out.Col(j).AppendDatum(c.Expr.Eval(row))
+				}
 			}
-			outRows[i] = out
+			out.Seal(len(sel))
+			nb = batch.FromView(out, nil)
 		}
-		st.addBusy(time.Since(t0))
 		b.Done()
-		for _, r := range outRows {
-			if err := em.add(ctx, r); err != nil {
-				return err
-			}
+		st.addBusy(time.Since(t0))
+		if nb == nil {
+			continue
+		}
+		if err := w.Put(ctx, nb); err != nil {
+			return err
 		}
 	}
 }
@@ -297,10 +237,7 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 // the build arenas (vec.AppendGather). Columns nothing above the join reads
 // are never copied; a full-width join is the identity lists through the same
 // path. No Row is materialized on either side, duplicate build keys chain in
-// the arena, and NULL join keys never match. Row batches on either input
-// (sort and aggregate outputs, push-model clones) run through the same table
-// via per-datum paths with identical hashing, so mixed streams join
-// consistently.
+// the arena, and NULL join keys never match.
 func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
 	jt := newJoinTable(n.RightCol, n.RightOut)
 	var scr joinScratch
@@ -314,14 +251,8 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			return err
 		}
 		t0 := time.Now()
-		if cb, sel, ok := b.Cols(); ok {
-			if sel == nil {
-				sel = cb.AllSel()
-			}
-			jt.buildCols(cb, sel, &scr)
-		} else {
-			jt.buildRows(b.RowsView())
-		}
+		cb, sel := b.Cols()
+		jt.buildCols(cb, sel, &scr)
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
@@ -362,20 +293,8 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			st.addBusy(time.Since(t0))
 			continue
 		}
-		cb, sel, isView := b.Cols()
-		var rows []types.Row
-		if isView {
-			if sel == nil {
-				sel = cb.AllSel()
-			}
-			jt.probeCols(cb.Col(n.LeftCol), sel, &scr)
-		} else {
-			rows = b.RowsView()
-			scr.ml, scr.me = scr.ml[:0], scr.me[:0]
-			for i, l := range rows {
-				jt.probeRow(l[n.LeftCol], int32(i), &scr)
-			}
-		}
+		cb, sel := b.Cols()
+		jt.probeCols(cb.Col(n.LeftCol), sel, &scr)
 		for ml, me := scr.ml, scr.me; len(ml) > 0; {
 			if pend == nil {
 				pend = vec.Get(nl + len(n.RightOut))
@@ -383,14 +302,7 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			}
 			k := min(len(ml), size-pendN)
 			for c, lc := range n.LeftOut {
-				if isView {
-					pend.Col(c).AppendGather(cb.Col(lc), ml[:k])
-					continue
-				}
-				dst := pend.Col(c)
-				for _, li := range ml[:k] {
-					dst.AppendDatum(rows[li][lc])
-				}
+				pend.Col(c).AppendGather(cb.Col(lc), ml[:k])
 			}
 			for c := range n.RightOut {
 				pend.Col(nl+c).AppendGather(&jt.out[c], me[:k])
@@ -507,10 +419,11 @@ func (a *aggAcc) result(spec plan.AggSpec) types.Datum {
 // evaluate into reusable vectors — a plain column is its own result —
 // followed by column-wise key hashing, in-place group resolution and batched
 // accumulator folds, and dictionary-coded group columns hash each distinct
-// string once per page instead of once per row. Row batches, and view batches
-// whose operand columns are not uniform, take the same table row by row with
-// identical hashing, so mixed streams (SPL satellites see materialized rows)
-// accumulate consistently.
+// string once per page instead of once per row. Other plans, and batches
+// whose operand columns are not uniform, take the same table row by row —
+// each selected row read into one reused scratch row — with identical
+// hashing, so the two paths accumulate consistently. Groups are emitted as
+// pooled batches of at most BatchSize rows.
 func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, w Writer, st *Stage) error {
 	naggs := len(n.Aggs)
 	gt := newGroupTable(naggs)
@@ -538,6 +451,7 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 	// One scratch key reused across rows; it is cloned only when a new group
 	// materializes, so grouping allocates per group, not per row.
 	key := make(types.Row, len(n.GroupBy))
+	var rowScr vec.Scratch
 	for {
 		b, err := in.Next(ctx)
 		if err == io.EOF {
@@ -547,15 +461,14 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 			return err
 		}
 		t0 := time.Now()
-		cb, sel, isView := b.Cols()
-		if isView && sel == nil {
-			sel = cb.AllSel()
-		}
-		if columnar && isView && evalArgs(kernels, cb, sel, args) {
+		cb, sel := b.Cols()
+		if columnar && evalArgs(kernels, cb, sel, args) {
 			aggregateCols(gt, n.Aggs, args, groupIdx, cb, sel, key, &scr)
 		} else {
 			// Row by row; plain column references are read in place.
-			for _, r := range b.RowsView() {
+			r := rowScr.Row(cb.NumCols())
+			for _, ri := range sel {
+				cb.MaterializeRow(int(ri), r)
 				h := hashSeed
 				for i := range key {
 					if groupIdx != nil {
@@ -587,24 +500,30 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 	if gt.len() == 0 && len(n.GroupBy) == 0 {
 		gt.findOrAdd(hashSeed, nil)
 	}
-	em := newEmitter(w, e.cfg.BatchSize)
-	for g := 0; g < gt.len(); g++ {
-		out := make(types.Row, 0, len(n.GroupBy)+naggs)
-		out = append(out, gt.keys[g]...)
-		accs := gt.entryAccs(int32(g))
-		for i := range n.Aggs {
-			out = append(out, accs[i].result(n.Aggs[i]))
+	nkeys := len(n.GroupBy)
+	return emit(ctx, w, nkeys+naggs, gt.len(), e.cfg.BatchSize, func(cb *vec.ColBatch, lo, hi int) {
+		for g := lo; g < hi; g++ {
+			for j, k := range gt.keys[g] {
+				cb.Col(j).AppendDatum(k)
+			}
+			for i, a := range gt.entryAccs(int32(g)) {
+				cb.Col(nkeys + i).AppendDatum(a.result(n.Aggs[i]))
+			}
 		}
-		if err := em.add(ctx, out); err != nil {
-			return err
-		}
-	}
-	return em.flush(ctx)
+	})
 }
 
-// opSort materializes the input and emits it ordered by the sort keys.
+// opSort gathers its input into one column batch and emits it ordered by the
+// sort keys: a stable sort of a row permutation (ties keep arrival order),
+// gathered out batch by batch.
 func (e *Engine) opSort(ctx context.Context, n *plan.Sort, in Reader, w Writer, st *Stage) error {
-	var rows []types.Row
+	var all *vec.ColBatch
+	rows := 0
+	defer func() {
+		if all != nil {
+			all.Release()
+		}
+	}()
 	for {
 		b, err := in.Next(ctx)
 		if err == io.EOF {
@@ -613,13 +532,28 @@ func (e *Engine) opSort(ctx context.Context, n *plan.Sort, in Reader, w Writer, 
 		if err != nil {
 			return err
 		}
-		rows = append(rows, b.RowsView()...)
+		cb, sel := b.Cols()
+		if all == nil {
+			all = vec.Get(cb.NumCols())
+		}
+		for c := range all.NumCols() {
+			all.Col(c).AppendGather(cb.Col(c), sel)
+		}
+		rows += len(sel)
 		b.Done()
 	}
+	if rows == 0 {
+		return nil
+	}
 	t0 := time.Now()
-	sort.SliceStable(rows, func(i, j int) bool {
+	perm := make([]int32, rows)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.SliceStable(perm, func(i, j int) bool {
 		for _, k := range n.Keys {
-			c := rows[i][k.Col].Compare(rows[j][k.Col])
+			v := all.Col(k.Col)
+			c := v.Datum(int(perm[i])).Compare(v.Datum(int(perm[j])))
 			if c == 0 {
 				continue
 			}
@@ -631,13 +565,11 @@ func (e *Engine) opSort(ctx context.Context, n *plan.Sort, in Reader, w Writer, 
 		return false
 	})
 	st.addBusy(time.Since(t0))
-	em := newEmitter(w, e.cfg.BatchSize)
-	for _, r := range rows {
-		if err := em.add(ctx, r); err != nil {
-			return err
+	return emit(ctx, w, all.NumCols(), rows, e.cfg.BatchSize, func(cb *vec.ColBatch, lo, hi int) {
+		for c := range cb.NumCols() {
+			cb.Col(c).AppendGather(all.Col(c), perm[lo:hi])
 		}
-	}
-	return em.flush(ctx)
+	})
 }
 
 // opCJoin hands the star query to the shared Global Query Plan runner and

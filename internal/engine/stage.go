@@ -24,7 +24,7 @@ type Stage struct {
 	executed   atomic.Int64 // packets run by this stage
 	spAttached atomic.Int64 // satellites attached to a host packet
 	spMissed   atomic.Int64 // matching sub-plan found but window closed
-	copies     atomic.Int64 // push-model deep batch copies for satellites
+	copies     atomic.Int64 // push-model batch copies (column copies) for satellites
 	busyNanos  atomic.Int64 // time spent processing (not blocked)
 	active     atomic.Int64 // currently running packets
 	panics     atomic.Int64 // operator panics recovered at the packet boundary

@@ -108,7 +108,7 @@ func (f sleepExec) Stream(ctx context.Context, root plan.Node) (engine.Reader, e
 	return nil, errors.New("sleepExec: no stream")
 }
 
-// sliceReader is a canned engine.Reader over row batches.
+// sliceReader is a canned engine.Reader over literal batches.
 type sliceReader struct {
 	batches []*batch.Batch
 	pos     int
@@ -343,9 +343,7 @@ func TestStreamDeliversAndPropagatesEmitError(t *testing.T) {
 	mk := func(n int) []*batch.Batch {
 		out := make([]*batch.Batch, n)
 		for i := range out {
-			b := batch.New(4)
-			b.Append(types.Row{types.NewInt(int64(i))})
-			out[i] = b
+			out[i] = batch.Of(types.Row{types.NewInt(int64(i))})
 		}
 		return out
 	}

@@ -36,9 +36,7 @@ func TestSPLPropertyRandomSchedules(t *testing.T) {
 
 		pages := make([]*batch.Batch, nPages)
 		for i := range pages {
-			b := batch.New(1)
-			b.Append(types.Row{types.NewInt(int64(i))})
-			pages[i] = b
+			pages[i] = batch.Of(types.Row{types.NewInt(int64(i))})
 		}
 
 		list := New(maxPages)

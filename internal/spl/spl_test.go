@@ -26,7 +26,7 @@ func readAll(t *testing.T, r *Reader) []int64 {
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		out = append(out, b.Rows[0][0].I)
+		out = append(out, b.RowsView()[0][0].I)
 	}
 }
 
@@ -250,7 +250,7 @@ func TestCloseNilThenDrainThenEOF(t *testing.T) {
 	l.Append(page(7))
 	l.Close(nil)
 	b, err := r.Next()
-	if err != nil || b.Rows[0][0].I != 7 {
+	if err != nil || b.RowsView()[0][0].I != 7 {
 		t.Fatalf("drain after close: %v %v", b, err)
 	}
 	if _, err := r.Next(); err != io.EOF {

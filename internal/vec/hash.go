@@ -7,9 +7,8 @@ import "repro/internal/types"
 //
 //	h = (h ^ key[i].HashKey()) * HashPrime
 //
-// because a grouped aggregate may consume a mix of columnar and row batches
-// (SPL sharing materializes rows for some consumers) and both paths feed one
-// group table.
+// because a grouped aggregate folds some batches row by row (operand columns
+// that are not uniform) and both paths feed one group table.
 const HashPrime uint64 = 1099511628211
 
 // HashFold folds one group-by key column into the per-row hash accumulator:

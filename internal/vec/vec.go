@@ -591,6 +591,20 @@ func Get(ncols int) *ColBatch {
 	return b
 }
 
+// FromRows builds a sealed batch of ncols columns holding rows, outside the
+// pool: its arrays are the collector's, LiveBatches does not count it, and the
+// reference it is born with is never dropped, so Retain/Release pairs taken
+// on it never empty it. It backs batch literals (batch.Of).
+func FromRows(ncols int, rows []types.Row) *ColBatch {
+	b := &ColBatch{cols: make([]Vec, ncols)}
+	b.refs.Store(1)
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	b.Seal(len(rows))
+	return b
+}
+
 // Retain adds a reference; every Retain must be paired with a Release.
 func (b *ColBatch) Retain() { b.refs.Add(1) }
 
