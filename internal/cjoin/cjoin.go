@@ -14,11 +14,14 @@
 //	scanner ────┼→ worker 1 (annotate → probe dim₁..dimₖ) ─┼→ distributor
 //	            └→ …                                       ─┘   (seq merge)
 //
-// The dimension hash tables are split in two: the probe index (keys, rows,
-// open-addressing slots) is built once and shared immutably by every worker,
-// while the per-entry query bitmaps — the only state that changes as queries
-// come and go — are replicated per worker so the probe hot path never takes
-// a lock.
+// Each dimension is split in two. Its rows and their join index are one
+// dimtab.Table — the index the query-centric hash join builds too — built
+// once at NewOperator and probed immutably by every worker (a direct array
+// over dense integer keys, hashed slots otherwise); a dimension whose join
+// key repeats is refused with a DuplicateKeyError, since CJOIN joins a fact
+// tuple to one entry. The per-entry query bitmaps — the only state that
+// changes as queries come and go — are replicated per worker so the probe
+// hot path never takes a lock.
 //
 // Queries are admitted and retired through an epoch protocol: every logical
 // tick of the scanner is either one fact page (sent to exactly one worker)
@@ -44,16 +47,13 @@
 // query's pooled output batch — no row is built. Each pipeline item owns
 // flat arenas (one []uint64 bitmap arena where tuple i holds words
 // [i*stride,(i+1)*stride), one joined-dimension-row arena, one live-row
-// index array) recycled through a sync.Pool; dimension tables with string
-// join keys are dictionary-encoded at build time so probe-side equality is
-// an int compare.
+// index array) recycled through a sync.Pool.
 package cjoin
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	mathbits "math/bits"
 	"runtime"
 	"sync"
@@ -62,6 +62,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/bitvec"
+	"repro/internal/dimtab"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -456,8 +457,9 @@ type Operator struct {
 }
 
 // NewOperator validates cfg, builds the shared dimension probe indexes (one
-// scan of each dimension table) and starts the scanner, the probe workers
-// and the distributor.
+// scan of each dimension table; a repeated join key fails with a
+// DuplicateKeyError) and starts the scanner, the probe workers and the
+// distributor.
 func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, error) {
 	ncfg, err := cfg.normalize()
 	if err != nil {
@@ -535,7 +537,7 @@ func (op *Operator) Close() {
 // releaseTables drops the dimension tables' batch references.
 func releaseTables(tables []*dimTable) {
 	for _, t := range tables {
-		t.cb.Release()
+		t.tab.Release()
 	}
 }
 
@@ -1193,274 +1195,61 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 	}
 }
 
-// dimTable is the shared half of one dimension of the chain: an
-// open-addressing, power-of-two, linear-probing probe index over flat
-// the entry store. Row i of cb holds entry i, and slots maps
-// a probed hash to an entry index (+1; 0 means empty). Duplicate join keys
-// keep the first inserted entry reachable, matching chained-map first-match
-// semantics. The table is built once and read concurrently by every probe
-// worker; it is never mutated after construction.
-//
-// Tables whose join keys are all strings are dictionary-encoded at build
-// time: equal keys share an int32 code (the index of their first entry), the
-// slots hash over the code, and a probe resolves the fact-side string to a
-// code once (one map lookup) after which slot equality is an int compare —
-// no per-slot string comparisons.
+// dimTable is the shared half of one dimension of the chain: the
+// dimension's rows as a dimtab.Table keeping every column, built once by
+// NewOperator and probed concurrently by every worker through Find. cb is
+// the table's entry batch (row e is entry e, columns in schema order):
+// admission evaluates each query's vectorized dimension predicate over it,
+// and the distributor routes payload columns out of it. Operator.Close
+// releases it.
 type dimTable struct {
 	idx  int
 	spec DimSpec
-
-	slots    []int32 // open-addressing slots: entry index+1, 0 = empty
-	slotMask uint32  // len(slots)-1 (power of two)
-
-	strDict map[string]int32 // string key → code; nil unless all keys are strings
-	codes   []int32          // per-entry dictionary code (strDict tables only)
-
-	// Dense direct index, built when every key is integer-class and the key
-	// range is at most directSpanFactor times the entry count (star-schema
-	// surrogate keys and date keys are dense): direct[k-directMin] holds
-	// entry index+1, so a probe is one bounds check and one array load — no
-	// hashing. nil when the keys are not dense ints.
-	direct    []int32
-	directMin int64
-	directMax int64
-
-	// cb is the table's rows in columnar form, row i holding entry i,
-	// gathered straight from the dimension's pages (rows with a NULL join key
-	// are left out). Admission evaluates each query's vectorized dimension
-	// predicate over this batch and the distributor routes payload columns
-	// out of it. Built once, released by Operator.Close. kv is its
-	// join-key column: the entry keys the index is built from and the hashed
-	// probes compare against.
-	cb *vec.ColBatch
-	kv *vec.Vec
+	tab  *dimtab.Table
+	cb   *vec.ColBatch
 }
 
-// directSpanFactor bounds the memory of the dense index relative to the
-// entry count.
-const directSpanFactor = 4
+// DuplicateKeyError is NewOperator's refusal of a dimension whose join key
+// repeats: CJOIN joins a fact tuple to one dimension entry, while the
+// query-centric hash join emits a row per equal entry, so the two lines
+// would answer the star differently.
+type DuplicateKeyError struct {
+	Table  string      // dimension table
+	Column string      // its join key column
+	Key    types.Datum // a repeated key
+}
+
+func (e *DuplicateKeyError) Error() string {
+	return fmt.Sprintf("cjoin: dimension %q repeats join key %s = %v", e.Table, e.Column, e.Key)
+}
 
 func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
-	hf := spec.Table.File
-	dt := &dimTable{idx: idx, spec: spec, cb: vec.Get(spec.Table.Schema.Len())}
-	dt.kv = dt.cb.Col(spec.DimKeyCol)
-	allStr := true
-	var live []int32 // rows of the current page whose join key is not NULL
+	hf, schema := spec.Table.File, spec.Table.Schema
+	all := make([]int, schema.Len())
+	for i := range all {
+		all[i] = i
+	}
+	tab := dimtab.New(spec.DimKeyCol, all)
 	for p, np := 0, hf.NumPages(); p < np; p++ {
 		page, err := hf.PageCols(p)
 		if err != nil {
-			dt.cb.Release()
+			tab.Release()
 			return nil, fmt.Errorf("cjoin: build hash table for %q: %w", spec.Table.Name, err)
 		}
-		live = live[:0]
-		for i, k := range page.Col(spec.DimKeyCol).Kinds {
-			if k == types.KindNull {
-				continue
-			}
-			if k != types.KindString {
-				allStr = false
-			}
-			live = append(live, int32(i))
-		}
-		for c := 0; c < page.NumCols(); c++ {
-			dt.cb.Col(c).AppendGather(page.Col(c), live)
-		}
+		tab.Append(page, page.AllSel())
 		page.Release()
 	}
-	n := dt.kv.Len()
-	dt.cb.Seal(n)
-	if n >= 1<<30 {
-		dt.cb.Release()
-		return nil, fmt.Errorf("cjoin: dimension %q too large (%d rows)", spec.Table.Name, n)
+	if err := tab.Seal(); err != nil {
+		tab.Release()
+		return nil, fmt.Errorf("cjoin: dimension %q: %w", spec.Table.Name, err)
 	}
-	if allStr && n > 0 {
-		dt.strDict = make(map[string]int32, n)
-		dt.codes = make([]int32, n)
-		for i, k := range dt.kv.S {
-			c, ok := dt.strDict[k]
-			if !ok {
-				c = int32(i)
-				dt.strDict[k] = c
-			}
-			dt.codes[i] = c
-		}
+	if e := tab.Dup(); e >= 0 {
+		err := &DuplicateKeyError{Table: spec.Table.Name, Column: schema.Cols[spec.DimKeyCol].Name,
+			Key: tab.Batch().Col(spec.DimKeyCol).Datum(int(e))}
+		tab.Release()
+		return nil, err
 	}
-	dt.buildDirect()
-	if dt.direct == nil {
-		// Every lookup path on a direct-indexed table answers from the
-		// dense array, so the slot table is only built when it is probed.
-		size := uint32(16)
-		for int(size) < 2*n {
-			size <<= 1
-		}
-		dt.slots = make([]int32, size)
-		dt.slotMask = size - 1
-		for i := 0; i < n; i++ {
-			h := uint32(dt.entryHash(i)) & dt.slotMask
-			for {
-				s := dt.slots[h]
-				if s == 0 {
-					dt.slots[h] = int32(i + 1)
-					break
-				}
-				if dt.entryEqual(int(s-1), i) {
-					break // duplicate key: the first inserted entry stays reachable
-				}
-				h = (h + 1) & dt.slotMask
-			}
-		}
-	}
-	return dt, nil
-}
-
-// buildDirect installs the dense direct index when every key is
-// integer-class and the key range is tight enough.
-func (dt *dimTable) buildDirect() {
-	n := dt.kv.Len()
-	if n == 0 || !dt.kv.AllInt() {
-		return
-	}
-	keys := dt.kv.I
-	lo, hi := keys[0], keys[0]
-	for _, k := range keys {
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	// Unsigned difference is overflow-safe for any int64 pair; the span
-	// bound keeps the index allocation proportional to the entry count.
-	span := uint64(hi) - uint64(lo)
-	if span >= uint64(directSpanFactor)*uint64(n) {
-		return
-	}
-	dt.direct = make([]int32, span+1)
-	dt.directMin, dt.directMax = lo, hi
-	for i, k := range keys {
-		if dt.direct[k-lo] == 0 {
-			dt.direct[k-lo] = int32(i + 1) // duplicates: first entry wins
-		}
-	}
-}
-
-// lookupDirect probes the dense index for an integer-class key.
-func (dt *dimTable) lookupDirect(k int64) int {
-	if k < dt.directMin || k > dt.directMax {
-		return -1
-	}
-	return int(dt.direct[k-dt.directMin]) - 1
-}
-
-// entryHash is the slot hash of entry i: the dictionary code's multiply-shift
-// hash on dictionary tables, the key datum's HashKey otherwise.
-func (dt *dimTable) entryHash(i int) uint64 {
-	if dt.strDict != nil {
-		return types.NewInt(int64(dt.codes[i])).HashKey()
-	}
-	return dt.kv.Datum(i).HashKey()
-}
-
-// entryEqual reports key equality of two entries (code compare on
-// dictionary tables).
-func (dt *dimTable) entryEqual(i, j int) bool {
-	if dt.strDict != nil {
-		return dt.codes[i] == dt.codes[j]
-	}
-	return dt.kv.Datum(i).Equal(dt.kv.Datum(j))
-}
-
-// lookup returns the entry index joining key k, or -1. Integer keys — the
-// star-schema common case — compare without the generic Datum path; string
-// keys on dictionary tables resolve to a code once and compare as ints.
-func (dt *dimTable) lookup(k types.Datum) int {
-	if dt.strDict != nil {
-		// Every dim key is a string: a non-string fact key can never
-		// compare equal (Compare orders kinds by class).
-		if k.K != types.KindString {
-			return -1
-		}
-		code, ok := dt.strDict[k.S]
-		if !ok {
-			return -1
-		}
-		return dt.lookupCode(code)
-	}
-	if dt.direct != nil {
-		// Every dim key is integer-class; Compare's numeric promotion means
-		// only numeric fact keys can match, integral floats included.
-		switch k.K {
-		case types.KindInt, types.KindDate, types.KindBool:
-			return dt.lookupDirect(k.I)
-		case types.KindFloat:
-			if f := k.F; f == math.Trunc(f) &&
-				f >= float64(dt.directMin) && f <= float64(dt.directMax) {
-				return dt.lookupDirect(int64(f))
-			}
-			return -1
-		default:
-			return -1
-		}
-	}
-	h := uint32(k.HashKey()) & dt.slotMask
-	for {
-		s := dt.slots[h]
-		if s == 0 {
-			return -1
-		}
-		var eq bool
-		if dt.kv.Kinds[s-1] == types.KindInt && k.K == types.KindInt {
-			eq = dt.kv.I[s-1] == k.I
-		} else {
-			eq = dt.kv.Datum(int(s - 1)).Equal(k)
-		}
-		if eq {
-			return int(s - 1)
-		}
-		h = (h + 1) & dt.slotMask
-	}
-}
-
-// lookupCode probes the slots of a dictionary table for a resolved code.
-func (dt *dimTable) lookupCode(code int32) int {
-	h := uint32(types.NewInt(int64(code)).HashKey()) & dt.slotMask
-	for {
-		s := dt.slots[h]
-		if s == 0 {
-			return -1
-		}
-		if dt.codes[s-1] == code {
-			return int(s - 1)
-		}
-		h = (h + 1) & dt.slotMask
-	}
-}
-
-// lookupInt returns the entry index joining an integer-class key (int, date
-// or bool payload), or -1 — the batch probe fast path: no Datum is built for
-// the fact side. Equality follows Datum.Compare's numeric semantics: int-
-// class entries compare by payload, float entries by promotion.
-func (dt *dimTable) lookupInt(k int64) int {
-	if dt.direct != nil {
-		return dt.lookupDirect(k)
-	}
-	if dt.strDict != nil {
-		return -1 // all dim keys are strings; numeric keys never match
-	}
-	h := uint32(types.NewInt(k).HashKey()) & dt.slotMask
-	for {
-		s := dt.slots[h]
-		if s == 0 {
-			return -1
-		}
-		var eq bool
-		switch dt.kv.Kinds[s-1] {
-		case types.KindInt, types.KindDate, types.KindBool:
-			eq = dt.kv.I[s-1] == k
-		case types.KindFloat:
-			eq = dt.kv.F[s-1] == float64(k)
-		}
-		if eq {
-			return int(s - 1)
-		}
-		h = (h + 1) & dt.slotMask
-	}
+	return &dimTable{idx: idx, spec: spec, tab: tab, cb: tab.Batch()}, nil
 }
 
 // dimState is one worker's replica of a dimension's query state: entry
@@ -1576,6 +1365,7 @@ func (ds *dimState) finishQuery(sub *subscription) {
 func (ds *dimState) processTuples(it *item) {
 	stride, nd := it.stride, it.ndims
 	dt := ds.tab
+	tab := dt.tab
 	es := ds.estride
 	kc := it.cols.Col(dt.spec.FactKeyCol)
 	fastInt := kc.AllInt()
@@ -1593,11 +1383,9 @@ func (ds *dimState) processTuples(it *item) {
 			probes++
 			var ei int
 			if fastInt {
-				ei = dt.lookupInt(ki[r])
-			} else if k := kc.Datum(r); !k.IsNull() {
-				ei = dt.lookup(k)
+				ei = int(tab.FindInt(ki[r]))
 			} else {
-				ei = -1
+				ei = int(tab.Find(kc, r))
 			}
 			if ei >= 0 {
 				w &= ebits[ei] | ^mask
@@ -1623,11 +1411,9 @@ func (ds *dimState) processTuples(it *item) {
 			probes++
 			var ei int
 			if fastInt {
-				ei = dt.lookupInt(ki[r])
-			} else if k := kc.Datum(r); !k.IsNull() {
-				ei = dt.lookup(k)
+				ei = int(tab.FindInt(ki[r]))
 			} else {
-				ei = -1
+				ei = int(tab.Find(kc, r))
 			}
 			if ei >= 0 {
 				bitvec.AndMaskedWords(tw, ds.ebits[ei*es:(ei+1)*es], ds.mask)

@@ -11,10 +11,12 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // starDB builds a small star schema:
@@ -394,6 +396,54 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("case %d: invalid query accepted", i)
 		}
 	}
+}
+
+// A dimension whose join key repeats would make CJOIN (one entry per fact
+// tuple) and the query-centric hash join (one row per equal entry) disagree,
+// so NewOperator refuses it with a typed error naming the table and key,
+// while the same star through engine.Config{} joins both entries.
+func TestDuplicateDimensionKeyRefused(t *testing.T) {
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
+	mk := func(name string, cols []types.Column, rows ...types.Row) *storage.Table {
+		tab, err := cat.CreateTable(name, types.NewSchema(cols...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.File.Append(rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.File.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	i, s := types.NewInt, types.NewString
+	fact := mk("f", []types.Column{{Name: "fk", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}},
+		types.Row{i(1), i(10)}, types.Row{i(2), i(20)})
+	dim := mk("d", []types.Column{{Name: "dk", Kind: types.KindInt}, {Name: "name", Kind: types.KindString}},
+		types.Row{i(1), s("a")}, types.Row{i(2), s("b")}, types.Row{i(1), s("c")})
+
+	base := vec.LiveBatches()
+	_, err := NewOperator(fact, []DimSpec{{Table: dim, FactKeyCol: 0, DimKeyCol: 0}}, Config{})
+	var dup *DuplicateKeyError
+	if !errors.As(err, &dup) {
+		t.Fatalf("NewOperator over a repeated dimension key: %v, want a *DuplicateKeyError", err)
+	}
+	if dup.Table != "d" || dup.Column != "dk" || !dup.Key.Equal(i(1)) {
+		t.Errorf("error names %q.%s = %v, want \"d\".dk = 1", dup.Table, dup.Column, dup.Key)
+	}
+	cat.Pool().EvictFile(dim.File.ID()) // the frame's cached page batch
+	if live := vec.LiveBatches(); live != base {
+		t.Errorf("refused dimension left %d batches out", live-base)
+	}
+
+	q := &plan.StarQuery{Fact: fact, FactCols: []int{1},
+		Dims: []plan.DimJoin{{Table: dim, FactKeyCol: 0, DimKeyCol: 0, PayloadCols: []int{1}}}}
+	res, err := engine.New(cat, engine.Config{}).Execute(context.Background(), q.QueryCentric())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualRows(t, res.Rows, []types.Row{{i(10), s("a")}, {i(10), s("c")}, {i(20), s("b")}})
 }
 
 func TestCancellationMidSweep(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // bareOp builds an operator shell sufficient for driving the worker
@@ -43,53 +44,23 @@ func newDimStateFor(t testing.TB, idx int, spec DimSpec, op *Operator) *dimState
 	return &ds
 }
 
-// refLookup replicates the seed's chained-map probe: first entry in
-// insertion order whose key equals k.
-type refLookup struct {
-	chains map[uint64][]int
-	keys   []types.Datum
-}
-
-func newRefLookup(tab *dimTable) *refLookup {
-	const seed uint64 = 14695981039346656037
-	keys := make([]types.Datum, tab.kv.Len())
-	for i := range keys {
-		keys[i] = tab.kv.Datum(i)
-	}
-	r := &refLookup{chains: make(map[uint64][]int), keys: keys}
-	for i, k := range keys {
-		h := k.Hash(seed)
-		r.chains[h] = append(r.chains[h], i)
-	}
-	return r
-}
-
-func (r *refLookup) lookup(k types.Datum) int {
-	const seed uint64 = 14695981039346656037
-	for _, i := range r.chains[k.Hash(seed)] {
-		if r.keys[i].Equal(k) {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestOpenAddressingMatchesChainedMap checks the open-addressing dimension
-// table against the seed's chained-map semantics: same entry for every
-// present key (first-match on duplicates), miss for every absent key —
-// for integer and string keys alike.
+// TestOpenAddressingMatchesChainedMap checks CJOIN's dimension index
+// through the operator's own build path (pages in, NULL keys left out, every
+// column kept) on sparse integer keys, which take the hashed slots: every
+// present key finds its entry, every absent key misses, integral floats find
+// their integer counterparts and strings match nothing — against a linear
+// scan with Datum.Equal.
 func TestOpenAddressingMatchesChainedMap(t *testing.T) {
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
 	dim, err := cat.CreateTable("d", types.NewSchema(
-		types.Column{Name: "k", Kind: types.KindString},
+		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "v", Kind: types.KindInt},
 	))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate keys (every 7th repeats) and a NULL key that must be skipped.
 	for i := 0; i < 200; i++ {
-		key := types.NewString(fmt.Sprintf("key-%d", i%140))
+		key := types.NewInt(int64(i) * 1_000_003)
 		if i == 13 {
 			key = types.Null
 		}
@@ -100,40 +71,33 @@ func TestOpenAddressingMatchesChainedMap(t *testing.T) {
 	if err := dim.File.Seal(); err != nil {
 		t.Fatal(err)
 	}
-
 	tab, err := newDimTable(0, DimSpec{Table: dim, FactKeyCol: 0, DimKeyCol: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefLookup(tab)
-
-	for i := 0; i < 160; i++ {
-		k := types.NewString(fmt.Sprintf("key-%d", i)) // 140..159 are misses
-		got, want := tab.lookup(k), ref.lookup(k)
-		if got != want {
-			t.Errorf("lookup(%v) = %d, want %d", k, got, want)
+	defer tab.tab.Release()
+	if n := tab.cb.Len(); n != 199 {
+		t.Fatalf("dimension holds %d entries, want 199 (the NULL key left out)", n)
+	}
+	keys := tab.cb.Col(0)
+	scan := func(k types.Datum) int32 {
+		for e := 0; e < keys.Len(); e++ {
+			if keys.Datum(e).Equal(k) {
+				return int32(e)
+			}
 		}
+		return -1
 	}
-	if got := tab.lookup(types.NewInt(5)); got != ref.lookup(types.NewInt(5)) {
-		t.Errorf("cross-kind lookup mismatch: %d", got)
-	}
-
-	// Integer keys through the multiply-shift fast path.
-	cat2 := starDB(t, 500)
-	tab2, err := newDimTable(0, DimSpec{Table: cat2.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref2 := newRefLookup(tab2)
-	for i := -5; i < 30; i++ {
-		k := types.NewInt(int64(i))
-		if got, want := tab2.lookup(k), ref2.lookup(k); got != want {
-			t.Errorf("int lookup(%d) = %d, want %d", i, got, want)
-		}
-		// Integral floats must find the same entry as their int counterpart.
-		f := types.NewFloat(float64(i))
-		if got, want := tab2.lookup(f), ref2.lookup(f); got != want {
-			t.Errorf("float lookup(%v) = %d, want %d", f, got, want)
+	for i := int64(-2); i < 220; i++ {
+		for _, k := range []types.Datum{
+			types.NewInt(i * 1_000_003), types.NewFloat(float64(i * 1_000_003)),
+			types.NewInt(i), types.NewString(fmt.Sprint(i * 1_000_003)),
+		} {
+			var probe vec.Vec
+			probe.AppendDatum(k)
+			if got, want := tab.tab.Find(&probe, 0), scan(k); got != want {
+				t.Errorf("Find(%v) = %d, want %d", k, got, want)
+			}
 		}
 	}
 }

@@ -1,0 +1,309 @@
+// Package dimtab is the process's one join index: the build side of an
+// equi-join, gathered into an entry-aligned column batch and indexed once.
+//
+// CJOIN builds a Table per dimension of its Global Query Plan at NewOperator,
+// and every probe worker reads it concurrently; the query-centric hash join
+// builds one per join from its right input. Both gather rows with Append,
+// index them with Seal and probe the same code.
+//
+// Entry e is row e of the table's batch, in arrival order: the columns the
+// caller keeps, and the join key. A row whose key is NULL is never an entry,
+// and a NULL probe key matches nothing. Equality is Datum.Equal's (integral
+// floats match ints, numbers never match strings), and entries sharing a key
+// chain in arrival order, so Find returns the first and Next walks the rest.
+//
+// Seal builds one of two index forms, sized to the final entry count.
+// Direct: every key is integer-class and the keys span fewer than
+// directSpanFactor × entries values (surrogate and date keys are dense), so
+// direct[k-lo] holds key k's first entry and a probe is one bounds check and
+// one load. Hashed: open-addressing, linear-probing slots, at most half full,
+// holding each distinct key's first entry at the position its vec.HashFold
+// hash names. A sealed Table is immutable and safe for concurrent readers.
+package dimtab
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/types"
+	"repro/internal/vec"
+)
+
+// MaxEntries bounds a table: entries are int32 indexes stored as entry+1.
+const MaxEntries = 1 << 30
+
+// directSpanFactor bounds the direct index's length relative to the entry
+// count.
+const directSpanFactor = 4
+
+// hashChunk is how many keys one vec.HashFold call hashes into a stack
+// buffer.
+const hashChunk = 256
+
+// Table is one join index. Fill it with Append, index it with Seal; after
+// Seal it is read-only until Release.
+type Table struct {
+	key  int   // join key column of the appended batches
+	keep []int // appended-batch columns kept, in entry-batch order
+	kc   int   // the key's column in cb: its place in keep, or len(keep)
+
+	cb  *vec.ColBatch // entry e is row e
+	kv  *vec.Vec      // cb's key column, set by Seal
+	n   int
+	sel []int32 // Append's rows with a non-NULL key
+
+	next []int32 // next entry with an equal key; -1 ends the chain
+	dup  int32   // first entry whose key a later entry repeats; -1 if none
+
+	// Direct form: direct[k-lo] is key k's first entry + 1 (0: none).
+	direct []int32
+	lo     int64
+	// Hashed form: each distinct key's first entry + 1, at the slot the top
+	// bits of its hash name or the first free one after it.
+	slots []int32
+	shift uint
+}
+
+// New returns an empty table over batches whose join key is column key,
+// keeping columns keep of every appended row: column c of Batch is column
+// keep[c], and a key column missing from keep is kept after them.
+func New(key int, keep []int) *Table {
+	kc := slices.Index(keep, key)
+	if kc < 0 {
+		kc = len(keep)
+	}
+	return &Table{key: key, keep: keep, kc: kc, dup: -1, cb: vec.Get(max(len(keep), kc+1))}
+}
+
+// Append gathers the rows sel of cb whose join key is not NULL as the next
+// entries, in order.
+func (t *Table) Append(cb *vec.ColBatch, sel []int32) {
+	if len(sel) == 0 {
+		return
+	}
+	kc := cb.Col(t.key)
+	if !(kc.AllInt() || kc.AllFloat() || kc.AllStr()) {
+		t.sel = t.sel[:0]
+		for _, r := range sel {
+			if kc.Kinds[r] != types.KindNull {
+				t.sel = append(t.sel, r)
+			}
+		}
+		sel = t.sel
+	}
+	for c, src := range t.keep {
+		t.cb.Col(c).AppendGather(cb.Col(src), sel)
+	}
+	if t.kc == len(t.keep) {
+		t.cb.Col(t.kc).AppendGather(kc, sel)
+	}
+	t.n += len(sel)
+}
+
+// Seal indexes the entries, once, after the last Append. It fails when the
+// table holds MaxEntries entries or more; the caller still releases it.
+func (t *Table) Seal() error {
+	if t.n >= MaxEntries {
+		return fmt.Errorf("dimtab: %d entries, at most %d", t.n, MaxEntries-1)
+	}
+	t.cb.Seal(t.n)
+	t.kv = t.cb.Col(t.kc)
+	t.next = make([]int32, t.n)
+	if !t.sealDirect() {
+		t.sealHashed()
+	}
+	return nil
+}
+
+// sealDirect builds the direct form when every key is integer-class and the
+// keys are dense enough, and reports whether it did.
+func (t *Table) sealDirect() bool {
+	if t.n == 0 || !t.kv.AllInt() {
+		return false
+	}
+	keys := t.kv.I[:t.n]
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	// The unsigned difference cannot overflow for any int64 pair.
+	if uint64(hi)-uint64(lo) >= directSpanFactor*uint64(t.n) {
+		return false
+	}
+	t.direct, t.lo = make([]int32, hi-lo+1), lo
+	for e := int32(t.n - 1); e >= 0; e-- {
+		t.prepend(e, &t.direct[keys[e]-lo])
+	}
+	return true
+}
+
+// sealHashed builds the hashed form, hashing the keys with the fold the
+// probe uses.
+func (t *Table) sealHashed() {
+	bits := uint(4)
+	for 1<<bits < 2*t.n {
+		bits++
+	}
+	t.slots, t.shift = make([]int32, 1<<bits), 64-bits
+	all := t.cb.AllSel()
+	var h [hashChunk]uint64
+	var lut []uint64
+	for hi := t.n; hi > 0; hi -= hashChunk {
+		lo := max(hi-hashChunk, 0)
+		hs := h[:hi-lo]
+		clear(hs)
+		lut = vec.HashFold(t.kv, all[lo:hi], hs, lut)
+		for e := hi - 1; e >= lo; e-- {
+			if t.kv.AllInt() {
+				t.prepend(int32(e), t.slotInt(hs[e-lo], t.kv.I[e]))
+			} else {
+				t.prepend(int32(e), t.slot(hs[e-lo], t.kv.Datum(e)))
+			}
+		}
+	}
+}
+
+// prepend makes e the first entry of the chain headed by *head (entry + 1, 0
+// for none). Entries are linked last to first, so every chain ends up in
+// arrival order, and a head already set means a later entry repeats e's key.
+func (t *Table) prepend(e int32, head *int32) {
+	if *head != 0 {
+		t.dup = e
+	}
+	t.next[e] = *head - 1
+	*head = e + 1
+}
+
+// slot returns the slot of key d, which hashes to h: the one holding d's
+// first entry, or the free one where it would go.
+func (t *Table) slot(h uint64, d types.Datum) *int32 {
+	mask := uint64(len(t.slots) - 1)
+	for s := h >> t.shift; ; s = (s + 1) & mask {
+		if e := t.slots[s] - 1; e < 0 || t.keyEq(e, d) {
+			return &t.slots[s]
+		}
+	}
+}
+
+// slotInt is slot for the integer-class key k of a table whose keys are all
+// integer-class: the walk compares raw int64s.
+func (t *Table) slotInt(h uint64, k int64) *int32 {
+	mask, keys := uint64(len(t.slots)-1), t.kv.I
+	s := h >> t.shift
+	for t.slots[s] != 0 && keys[t.slots[s]-1] != k {
+		s = (s + 1) & mask
+	}
+	return &t.slots[s]
+}
+
+// keyEq reports whether entry e's key equals d, which is not NULL: a typed
+// compare when both are strings.
+func (t *Table) keyEq(e int32, d types.Datum) bool {
+	if t.kv.AllStr() && d.K == types.KindString {
+		return t.kv.S[e] == d.S
+	}
+	return t.kv.Datum(int(e)).Equal(d)
+}
+
+// FindInt returns the first entry whose key equals the integer-class key k,
+// or -1.
+func (t *Table) FindInt(k int64) int32 {
+	if d := uint64(k - t.lo); d < uint64(len(t.direct)) {
+		return t.direct[d] - 1
+	}
+	if t.direct != nil {
+		return -1
+	}
+	h := types.HashKeyInt(k) * vec.HashPrime
+	if t.kv.AllInt() {
+		return *t.slotInt(h, k) - 1
+	}
+	return *t.slot(h, types.NewInt(k)) - 1
+}
+
+// Find returns the first entry whose key equals row r of v, or -1. A NULL
+// row matches nothing.
+func (t *Table) Find(v *vec.Vec, r int) int32 {
+	d := v.Datum(r)
+	switch {
+	case d.K == types.KindNull:
+		return -1
+	case d.K != types.KindFloat && d.K != types.KindString:
+		return t.FindInt(d.I)
+	case t.direct != nil:
+		// Every key is integer-class: only an integral float can match.
+		if d.K == types.KindFloat && d.F == math.Trunc(d.F) && math.Abs(d.F) < 1<<63 {
+			return t.FindInt(int64(d.F))
+		}
+		return -1
+	}
+	return *t.slot(d.HashKey()*vec.HashPrime, d) - 1
+}
+
+// Next returns the entry after e with an equal key, in arrival order, or -1.
+func (t *Table) Next(e int32) int32 { return t.next[e] }
+
+// Probe appends one (row, entry) pair to ml and me for every entry equal to
+// each selected row of kc — rows in sel order, each row's entries in arrival
+// order — and returns the extended slices. NULL rows match nothing.
+func (t *Table) Probe(kc *vec.Vec, sel []int32, ml, me []int32) ([]int32, []int32) {
+	switch {
+	case t.n == 0:
+	case t.direct != nil && kc.AllInt():
+		ki := kc.I
+		for _, r := range sel {
+			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
+				for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
+					ml, me = append(ml, r), append(me, e)
+				}
+			}
+		}
+	case t.direct != nil:
+		for _, r := range sel {
+			for e := t.Find(kc, int(r)); e >= 0; e = t.next[e] {
+				ml, me = append(ml, r), append(me, e)
+			}
+		}
+	default:
+		var h [hashChunk]uint64
+		var lut []uint64
+		ints := kc.AllInt() && t.kv.AllInt() // the walk compares raw int64s
+		for len(sel) > 0 {
+			part := sel[:min(len(sel), hashChunk)]
+			sel = sel[len(part):]
+			hs := h[:len(part)]
+			clear(hs)
+			lut = vec.HashFold(kc, part, hs, lut)
+			for i, r := range part {
+				var e int32
+				if ints {
+					e = *t.slotInt(hs[i], kc.I[r]) - 1
+				} else if d := kc.Datum(int(r)); d.K != types.KindNull {
+					e = *t.slot(hs[i], d) - 1
+				} else {
+					continue
+				}
+				for ; e >= 0; e = t.next[e] {
+					ml, me = append(ml, r), append(me, e)
+				}
+			}
+		}
+	}
+	return ml, me
+}
+
+// Len returns the number of entries.
+func (t *Table) Len() int { return t.n }
+
+// Dup returns the first entry whose key a later entry repeats, or -1 when
+// every key is distinct. Valid after Seal.
+func (t *Table) Dup() int32 { return t.dup }
+
+// Batch returns the entries as a sealed column batch: row e is entry e, and
+// column c holds the appended batches' column keep[c]. It is valid until
+// Release.
+func (t *Table) Batch() *vec.ColBatch { return t.cb }
+
+// Release gives the entry batch back to its pool.
+func (t *Table) Release() { t.cb.Release() }

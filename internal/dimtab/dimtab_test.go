@@ -1,0 +1,382 @@
+package dimtab
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/types"
+	"repro/internal/vec"
+)
+
+// keySet is one oracle case: how a build key is drawn, and the index form
+// the keys must take.
+type keySet struct {
+	name   string
+	direct bool
+	key    func(r *rand.Rand) types.Datum
+}
+
+var keySets = []keySet{
+	{"dense ints", true, func(r *rand.Rand) types.Datum { return types.NewInt(int64(100 + r.Intn(300))) }},
+	{"dense dates and NULLs", true, func(r *rand.Rand) types.Datum {
+		if r.Intn(10) == 0 {
+			return types.Null
+		}
+		return types.NewDate(int64(100 + r.Intn(300)))
+	}},
+	{"sparse ints", false, func(r *rand.Rand) types.Datum { return types.NewInt(int64(r.Intn(300)) * 1_000_003) }},
+	{"integral floats and ints", false, func(r *rand.Rand) types.Datum {
+		if k := 100 + r.Intn(300); r.Intn(2) == 0 {
+			return types.NewFloat(float64(k))
+		} else {
+			return types.NewInt(int64(k))
+		}
+	}},
+	{"strings and NULLs", false, func(r *rand.Rand) types.Datum {
+		if r.Intn(10) == 0 {
+			return types.Null
+		}
+		return types.NewString(fmt.Sprintf("key-%d", r.Intn(300)))
+	}},
+	{"every kind", false, func(r *rand.Rand) types.Datum {
+		switch k := 100 + r.Intn(300); r.Intn(5) {
+		case 0:
+			return types.Null
+		case 1:
+			return types.NewFloat(float64(k) / 2)
+		case 2:
+			return types.NewString(fmt.Sprintf("key-%d", k))
+		default:
+			return types.NewInt(int64(k))
+		}
+	}},
+}
+
+// probeCols returns probe keys over every kind, one column per uniformity
+// class (int, float, string) and one column mixing them all with NULLs.
+func probeCols() []*vec.Vec {
+	var ints, floats, strs, mixed vec.Vec
+	for k := int64(95); k < 405; k++ {
+		for _, d := range []types.Datum{types.NewInt(k), types.NewInt(k * 1_000_003), types.NewDate(k)} {
+			ints.AppendDatum(d)
+			mixed.AppendDatum(d)
+		}
+		for _, d := range []types.Datum{types.NewFloat(float64(k)), types.NewFloat(float64(k) + 0.5)} {
+			floats.AppendDatum(d)
+			mixed.AppendDatum(d)
+		}
+		strs.AppendDatum(types.NewString(fmt.Sprintf("key-%d", k)))
+		mixed.AppendDatum(types.NewString(fmt.Sprintf("key-%d", k)))
+		mixed.AppendDatum(types.Null)
+	}
+	return []*vec.Vec{&ints, &floats, &strs, &mixed}
+}
+
+// build appends rows keys in pooled batches of per rows, each under a
+// random selection, and seals the table; column 1 carries the input row's
+// position so the oracle can check arrival order. It returns the table and
+// the keys of the rows it was offered, in arrival order.
+func build(t *testing.T, r *rand.Rand, keys []types.Datum, per int) (*Table, []types.Datum) {
+	t.Helper()
+	tab := New(0, []int{1, 0})
+	var offered []types.Datum
+	for lo := 0; lo < len(keys); lo += per {
+		hi := min(lo+per, len(keys))
+		cb := vec.Get(2)
+		var sel []int32
+		for i := lo; i < hi; i++ {
+			cb.AppendRow(types.Row{keys[i], types.NewInt(int64(len(offered)))})
+			if r.Intn(5) != 0 {
+				sel = append(sel, int32(i-lo))
+				offered = append(offered, keys[i])
+			}
+		}
+		cb.Seal(hi - lo)
+		tab.Append(cb, sel)
+		cb.Release()
+	}
+	if err := tab.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return tab, offered
+}
+
+// naive returns the entries whose key equals d — a linear scan over the
+// offered keys with Datum.Equal, NULL matching nothing — and the entry
+// numbering the table must use (offered rows with a non-NULL key).
+func naive(offered []types.Datum, d types.Datum) []int32 {
+	var out []int32
+	e := int32(0)
+	for _, k := range offered {
+		if k.IsNull() {
+			continue
+		}
+		if !d.IsNull() && k.Equal(d) {
+			out = append(out, e)
+		}
+		e++
+	}
+	return out
+}
+
+// The join index against a naive scan: random key sets of every kind with
+// duplicates, built at 1, 3 and 1 024 rows per Append, probed with int,
+// date, float, string and NULL keys through Find, FindInt, the Next chain
+// and Probe; each case asserts the index form it took, and the first
+// repeated entry Dup reports.
+func TestIndexMatchesNaiveScan(t *testing.T) {
+	probes := probeCols()
+	base := vec.LiveBatches()
+	for ci, ks := range keySets {
+		for _, per := range []int{1, 3, 1024} {
+			r := rand.New(rand.NewSource(int64(ci*10 + per)))
+			keys := make([]types.Datum, 1000)
+			for i := range keys {
+				keys[i] = ks.key(r)
+			}
+			tab, offered := build(t, r, keys, per)
+			name := fmt.Sprintf("%s/per=%d", ks.name, per)
+			if got := tab.direct != nil; got != ks.direct {
+				t.Errorf("%s: direct form = %v, want %v", name, got, ks.direct)
+			}
+			if got := tab.slots != nil; got == ks.direct {
+				t.Errorf("%s: hashed form = %v, want %v", name, got, !ks.direct)
+			}
+
+			// Entries keep arrival order, NULL keys left out.
+			pos := tab.Batch().Col(0)
+			var nonNull []types.Datum
+			for i, k := range offered {
+				if !k.IsNull() {
+					if e := len(nonNull); e >= tab.Len() || pos.I[e] != int64(i) {
+						t.Fatalf("%s: entry %d is not offered row %d", name, e, i)
+					}
+					nonNull = append(nonNull, k)
+				}
+			}
+			if tab.Len() != len(nonNull) {
+				t.Fatalf("%s: %d entries, want %d", name, tab.Len(), len(nonNull))
+			}
+			wantDup := int32(-1)
+			for e := len(nonNull) - 1; e >= 0; e-- {
+				for _, later := range nonNull[e+1:] {
+					if later.Equal(nonNull[e]) {
+						wantDup = int32(e)
+						break
+					}
+				}
+			}
+			if tab.Dup() != wantDup {
+				t.Errorf("%s: Dup = %d, want %d", name, tab.Dup(), wantDup)
+			}
+
+			for _, pc := range probes {
+				var wantRows, wantEnts []int32
+				for row := 0; row < pc.Len(); row++ {
+					d := pc.Datum(row)
+					want := naive(offered, d)
+					var chain []int32
+					for e := tab.Find(pc, row); e >= 0; e = tab.Next(e) {
+						chain = append(chain, e)
+					}
+					if !slices.Equal(chain, want) {
+						t.Fatalf("%s: Find/Next(%v) = %v, want %v", name, d, chain, want)
+					}
+					if d.K == types.KindInt || d.K == types.KindDate {
+						if got := tab.FindInt(d.I); got != first(want) {
+							t.Fatalf("%s: FindInt(%v) = %d, want %d", name, d, got, first(want))
+						}
+					}
+					for _, e := range want {
+						wantRows, wantEnts = append(wantRows, int32(row)), append(wantEnts, e)
+					}
+				}
+				ml, me := tab.Probe(pc, rows(pc.Len()), nil, nil)
+				if !slices.Equal(ml, wantRows) || !slices.Equal(me, wantEnts) {
+					t.Fatalf("%s: Probe pairs differ from the nested loop (%d vs %d pairs)", name, len(ml), len(wantRows))
+				}
+			}
+			tab.Release()
+		}
+	}
+	if live := vec.LiveBatches(); live != base {
+		t.Fatalf("LiveBatches = %d, want baseline %d", live, base)
+	}
+}
+
+// rows returns the selection of every one of n rows.
+func rows(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+func first(es []int32) int32 {
+	if len(es) == 0 {
+		return -1
+	}
+	return es[0]
+}
+
+// An empty build side seals to a table every probe misses.
+func TestEmptyTableMatchesNothing(t *testing.T) {
+	tab := New(0, nil)
+	defer tab.Release()
+	if err := tab.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range probeCols() {
+		if ml, _ := tab.Probe(pc, []int32{0, 1, 2}, nil, nil); len(ml) != 0 {
+			t.Fatalf("empty table matched %d rows", len(ml))
+		}
+	}
+	if tab.FindInt(7) != -1 || tab.Dup() != -1 {
+		t.Fatal("empty table found a key")
+	}
+}
+
+// An int-keyed build gathers into an AllInt key column and a string payload
+// into an AllStr one, so int probes resolve from the raw int64 payloads in
+// both forms. The proof of "no Datum" is structural: the kind tags are
+// stripped from both key columns, so any Vec.Datum call would index out of
+// range.
+func TestTypedPathsLive(t *testing.T) {
+	for _, stride := range []int64{1, 1_000_003} { // direct, hashed
+		build := vec.Get(2)
+		for i := int64(0); i < 100; i++ {
+			build.Col(0).AppendDatum(types.NewInt(i % 50 * stride)) // duplicate keys chain
+			build.Col(1).AppendDatum(types.NewString("p"))
+		}
+		build.Seal(100)
+		tab := New(0, []int{1})
+		tab.Append(build, build.AllSel())
+		build.Release()
+		if err := tab.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if !tab.kv.AllInt() {
+			t.Fatal("int-keyed entry batch is not AllInt: the typed probe path is dead")
+		}
+		if !tab.Batch().Col(0).AllStr() {
+			t.Fatal("string payload column is not AllStr: gathers fall back to per-row appends")
+		}
+		if got := tab.direct != nil; got != (stride == 1) {
+			t.Fatalf("stride %d: direct form = %v", stride, got)
+		}
+
+		kinds := tab.kv.Kinds
+		tab.kv.Kinds = nil
+		probe := vec.Vec{I: []int64{7 * stride, 99 * stride, 49 * stride}} // the zero flags: a valid all-int column
+		ml, me := tab.Probe(&probe, []int32{0, 1, 2}, nil, nil)
+		tab.kv.Kinds = kinds
+		if len(ml) != 4 { // 7 and 49 match two entries each, 99 none
+			t.Fatalf("stride %d: typed probe found %d matches, want 4 (rows %v, entries %v)", stride, len(ml), ml, me)
+		}
+		tab.Release()
+	}
+}
+
+// sharedTables builds one table of each form for the reader tests.
+func sharedTables(t *testing.T) []*Table {
+	t.Helper()
+	r := rand.New(rand.NewSource(3))
+	var tabs []*Table
+	for _, ks := range []keySet{keySets[0], keySets[5]} {
+		keys := make([]types.Datum, 2000)
+		for i := range keys {
+			keys[i] = ks.key(r)
+		}
+		tab, _ := build(t, r, keys, 1024)
+		tabs = append(tabs, tab)
+	}
+	return tabs
+}
+
+// A sealed table is read by many goroutines at once, as CJOIN's probe
+// workers share each dimension: every reader's Find/Next chains and Probe
+// pairs match the ones computed alone (and -race sees no write).
+func TestConcurrentReaders(t *testing.T) {
+	tabs := sharedTables(t)
+	probes := probeCols()
+	type answer struct{ find, rows, ents []int32 }
+	want := make([][]answer, len(tabs))
+	ask := func(tab *Table) []answer {
+		var out []answer
+		for _, pc := range probes {
+			var a answer
+			for row := 0; row < pc.Len(); row++ {
+				for e := tab.Find(pc, row); e >= 0; e = tab.Next(e) {
+					a.find = append(a.find, e)
+				}
+				a.find = append(a.find, -1)
+			}
+			a.rows, a.ents = tab.Probe(pc, rows(pc.Len()), nil, nil)
+			out = append(out, a)
+		}
+		return out
+	}
+	for i, tab := range tabs {
+		want[i] = ask(tab)
+	}
+	const readers = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, readers*len(tabs))
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, tab := range tabs {
+				for j, a := range ask(tab) {
+					w := want[i][j]
+					if !slices.Equal(a.find, w.find) || !slices.Equal(a.rows, w.rows) || !slices.Equal(a.ents, w.ents) {
+						errs <- fmt.Sprintf("table %d probe column %d: concurrent answer differs", i, j)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for _, tab := range tabs {
+		tab.Release()
+	}
+}
+
+// Find, FindInt and a Probe into arenas with room allocate nothing, in
+// either form: CJOIN calls them once per fact tuple and dimension.
+func TestFindZeroAlloc(t *testing.T) {
+	tabs := sharedTables(t)
+	probes := probeCols()
+	ml, me := make([]int32, 0, 1<<16), make([]int32, 0, 1<<16)
+	sels := make([][]int32, len(probes))
+	for j, pc := range probes {
+		sels[j] = rows(pc.Len())
+	}
+	for i, tab := range tabs {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, pc := range probes {
+				for row := 0; row < pc.Len(); row++ {
+					tab.Find(pc, row)
+				}
+			}
+			for k := int64(0); k < 500; k++ {
+				tab.FindInt(k)
+			}
+			for j, pc := range probes {
+				ml, me = tab.Probe(pc, sels[j], ml[:0], me[:0])
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("table %d: lookups allocate %v objects per run, want 0", i, allocs)
+		}
+		tab.Release()
+	}
+}

@@ -44,14 +44,15 @@ func runJoin(t testing.TB, e *Engine, rowRef bool, n *plan.HashJoin, left, right
 
 // BenchmarkHashJoin measures the per-tuple probe cost of the hash join on
 // the exchange's native currency — view batches — across build cardinalities
-// (64 = a tiny dimension, 4096 = an SSB-sized dimension) and probe match
-// rates:
+// (64 = a tiny dimension, 4096 = an SSB-sized dimension), key shapes (dense
+// surrogate keys take the join index's direct form; "-sparse" keys, spread
+// like SSB's yyyymmdd date keys, the hashed one) and probe match rates:
 //
 //   - line=rows: the row-materializing reference operator (map of boxed Row
 //     slices, per-row Datum hashing, Concat per output row) — the baseline
 //     the acceptance criterion compares against.
-//   - line=cols: the columnar joinTable build/probe with AppendGather
-//     output assembly.
+//   - line=cols: the columnar opHashJoin, a dimtab.Table build and probe
+//     with AppendGather output assembly.
 //
 // The ns/tuple metric is the acceptance number: cols must be >= 2x better
 // than rows at dimension-sized build sides. The perf-smoke CI job
@@ -78,12 +79,17 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 	node := plan.NewHashJoin(plan.NewScan(lt), plan.NewScan(rt), 0, 0)
 
-	for _, build := range []int{64, 4096} {
+	for _, shape := range []struct {
+		build  int
+		stride int64 // key i of the build side is i*stride
+		name   string
+	}{{64, 1, "64"}, {4096, 1, "4096"}, {4096, 1_000_003, "4096-sparse"}} {
+		build := shape.build
 		for _, hit := range []int{100, 25} {
 			r := rand.New(rand.NewSource(int64(build*1000 + hit)))
 
-			// Build side: distinct int keys 0..build-1 with a dict payload,
-			// in page-sized view batches like a scanned dimension.
+			// Build side: distinct int keys i*stride, i < build, with a dict
+			// payload, in page-sized view batches like a scanned dimension.
 			var buildCBs []*vec.ColBatch
 			for done := 0; done < build; done += nrows {
 				n := min(nrows, build-done)
@@ -96,7 +102,7 @@ func BenchmarkHashJoin(b *testing.B) {
 				codes := cb.Col(1).BulkI(n)
 				strs := cb.Col(1).BulkS(n)
 				for i := 0; i < n; i++ {
-					cb.Col(0).AppendDatum(types.NewInt(int64(done + i)))
+					cb.Col(0).AppendDatum(types.NewInt(int64(done+i) * shape.stride))
 					codes[i] = int64(i % 16)
 					strs[i] = dict[codes[i]]
 					cb.Col(2).AppendDatum(types.NewInt(int64(i)))
@@ -111,7 +117,7 @@ func BenchmarkHashJoin(b *testing.B) {
 			for bi := range probeCBs {
 				cb := vec.Get(3)
 				for i := 0; i < nrows; i++ {
-					cb.Col(0).AppendDatum(types.NewInt(int64(r.Intn(domain))))
+					cb.Col(0).AppendDatum(types.NewInt(int64(r.Intn(domain)) * shape.stride))
 					cb.Col(1).AppendDatum(types.NewInt(int64(i)))
 					cb.Col(2).AppendDatum(types.NewString("pad"))
 				}
@@ -132,7 +138,7 @@ func BenchmarkHashJoin(b *testing.B) {
 				name    string
 				rowJoin bool
 			}{{"rows", true}, {"cols", false}} {
-				name := fmt.Sprintf("line=%s/build=%d/hit=%d", line.name, build, hit)
+				name := fmt.Sprintf("line=%s/build=%s/hit=%d", line.name, shape.name, hit)
 				b.Run(name, func(b *testing.B) {
 					e := &Engine{cfg: (&Config{}).withDefaults()}
 					b.ReportAllocs()

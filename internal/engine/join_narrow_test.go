@@ -10,38 +10,6 @@ import (
 	"repro/internal/vec"
 )
 
-// The zero Vec is a valid uniform column, so the arenas newJoinTable makes
-// take the typed paths: after building an int-keyed dimension the key arena
-// is AllInt, and the probe resolves every key from the raw int64 payloads.
-// The proof of "no Datum" is structural: the kind tags are stripped from both
-// key columns, so any Vec.Datum call would index out of range.
-func TestJoinTableTypedPathsLive(t *testing.T) {
-	build := vec.Get(2)
-	defer build.Release()
-	for i := 0; i < 100; i++ {
-		build.Col(0).AppendDatum(types.NewInt(int64(i % 50))) // duplicate keys chain
-		build.Col(1).AppendDatum(types.NewString("p"))
-	}
-	build.Seal(100)
-
-	jt := newJoinTable(0, []int{1})
-	var scr joinScratch
-	jt.buildCols(build, build.AllSel(), &scr)
-	if !jt.key.AllInt() {
-		t.Fatal("int-keyed build arena is not AllInt: the typed probe path is dead")
-	}
-	if !jt.out[0].AllStr() {
-		t.Fatal("string payload arena is not AllStr: gathers fall back to per-row appends")
-	}
-
-	jt.key.Kinds = nil
-	probe := vec.Vec{I: []int64{7, 99, 49}} // the zero flags: a valid all-int column
-	jt.probeCols(&probe, []int32{0, 1, 2}, &scr)
-	if len(scr.ml) != 4 { // 7 and 49 match two entries each, 99 none
-		t.Fatalf("typed probe found %d matches, want 4 (rows %v, entries %v)", len(scr.ml), scr.ml, scr.me)
-	}
-}
-
 // joinInputs is one side of an operator-level join case: a literal, or a
 // pooled batch.
 func joinInputs(rows []types.Row, width int, literal bool) []*batch.Batch {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/dimtab"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -235,9 +236,10 @@ func TestColumnarJoinEquivRandom(t *testing.T) {
 }
 
 // NULL join keys must never match in the typed columnar path — pinned at the
-// joinTable level so the NULL→false semantics (the same convention expr
-// predicates and zone maps use) cannot regress behind a uniformity-flag fast
-// path. NULLs appear on both sides, in otherwise-int and mixed columns.
+// join index the operator builds, so the NULL→false semantics (the same
+// convention expr predicates and zone maps use) cannot regress behind a
+// uniformity-flag fast path. NULLs appear on both sides, in otherwise-int
+// columns.
 func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 	build := vec.Get(2)
 	for _, d := range []types.Datum{
@@ -249,11 +251,14 @@ func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 	build.Seal(4)
 	defer build.Release()
 
-	jt := newJoinTable(0, []int{0, 1})
-	var scr joinScratch
-	jt.buildCols(build, build.AllSel(), &scr)
-	if jt.n != 2 {
-		t.Fatalf("NULL build keys inserted: table has %d entries, want 2", jt.n)
+	tab := dimtab.New(0, []int{0, 1})
+	defer tab.Release()
+	tab.Append(build, build.AllSel())
+	if err := tab.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 2 {
+		t.Fatalf("NULL build keys inserted: table has %d entries, want 2", tab.Len())
 	}
 
 	probe := vec.Get(1)
@@ -265,9 +270,9 @@ func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 	probe.Seal(4)
 	defer probe.Release()
 
-	jt.probeCols(probe.Col(0), probe.AllSel(), &scr)
-	if len(scr.ml) != 1 || scr.ml[0] != 1 {
-		t.Fatalf("probe matches = %v (rows) %v (entries), want exactly row 1", scr.ml, scr.me)
+	ml, me := tab.Probe(probe.Col(0), probe.AllSel(), nil, nil)
+	if len(ml) != 1 || ml[0] != 1 {
+		t.Fatalf("probe matches = %v (rows) %v (entries), want exactly row 1", ml, me)
 	}
 }
 

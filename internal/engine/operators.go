@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/dimtab"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
 
-// hashSeed seeds join/group hash chains (FNV-1a offset basis).
+// hashSeed seeds the group tables' key hashes (FNV-1a offset basis).
 const hashSeed uint64 = 14695981039346656037
 
 // runOperator executes the packet's operator to completion, reading inputs
@@ -229,18 +230,18 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 }
 
 // opHashJoin is the columnar hash join (single-column equi-join): the right
-// input builds into a joinTable — key hashes from the shared HashFold
-// kernel, the key and the emitted build columns appended as typed arenas —
-// and each left batch probes in a vectorized loop that resolves matches as
+// input is appended to a dimtab.Table — the join key and the RightOut
+// columns, gathered column-wise — which is sealed once the input ends, and
+// each left batch probes it in one vectorized call that resolves matches as
 // (probe row, build entry) pairs. Output is a pooled ColBatch of exactly the
 // node's output lists: LeftOut gathered from the left batch, RightOut from
-// the build arenas (vec.AppendGather). Columns nothing above the join reads
-// are never copied; a full-width join is the identity lists through the same
-// path. No Row is materialized on either side, duplicate build keys chain in
-// the arena, and NULL join keys never match.
+// the table's entry batch (vec.AppendGather). Columns nothing above the join
+// reads are never copied; a full-width join is the identity lists through
+// the same path. No Row is materialized on either side, duplicate build keys
+// chain in arrival order, and NULL join keys never match.
 func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
-	jt := newJoinTable(n.RightCol, n.RightOut)
-	var scr joinScratch
+	tab := dimtab.New(n.RightCol, n.RightOut)
+	defer tab.Release()
 	// Build phase.
 	for {
 		b, err := right.Next(ctx)
@@ -252,15 +253,21 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 		}
 		t0 := time.Now()
 		cb, sel := b.Cols()
-		jt.buildCols(cb, sel, &scr)
+		tab.Append(cb, sel)
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
+	t0 := time.Now()
+	if err := tab.Seal(); err != nil {
+		return err
+	}
+	st.addBusy(time.Since(t0))
 	// Probe phase. Matches accumulate into a pending output batch reserved
 	// for, and published at, exactly the configured batch size — like the
 	// CJOIN distributor's pending columns — so no output column ever regrows.
 	nl, size := len(n.LeftOut), e.cfg.BatchSize
 	var pend *vec.ColBatch
+	var ml, me []int32 // match arenas: probe row, build entry
 	pendN := 0
 	// A faulted probe-side read (or a detached consumer) returns mid-loop;
 	// the accumulated-but-unflushed output batch must go back to the pool.
@@ -288,14 +295,14 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			return err
 		}
 		t0 := time.Now()
-		if jt.n == 0 { // empty build side: nothing can match, just drain
+		if tab.Len() == 0 { // empty build side: nothing can match, just drain
 			b.Done()
 			st.addBusy(time.Since(t0))
 			continue
 		}
 		cb, sel := b.Cols()
-		jt.probeCols(cb.Col(n.LeftCol), sel, &scr)
-		for ml, me := scr.ml, scr.me; len(ml) > 0; {
+		ml, me = tab.Probe(cb.Col(n.LeftCol), sel, ml[:0], me[:0])
+		for ml, me := ml, me; len(ml) > 0; {
 			if pend == nil {
 				pend = vec.Get(nl + len(n.RightOut))
 				pend.Reserve(size)
@@ -305,7 +312,7 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 				pend.Col(c).AppendGather(cb.Col(lc), ml[:k])
 			}
 			for c := range n.RightOut {
-				pend.Col(nl+c).AppendGather(&jt.out[c], me[:k])
+				pend.Col(nl+c).AppendGather(tab.Batch().Col(c), me[:k])
 			}
 			pendN += k
 			ml, me = ml[k:], me[k:]
