@@ -60,7 +60,9 @@ type (
 	Catalog = storage.Catalog
 	// Table couples a heap file with its shared-scan coordinator.
 	Table = storage.Table
-	// DiskProfile models a simulated disk's latency and bandwidth.
+	// DiskProfile models a simulated disk: the device time of one page read
+	// and one page write on a single queue, so concurrent scans share its
+	// throughput. The zero value is memory-resident storage.
 	DiskProfile = storage.DiskProfile
 
 	// Node is a query plan operator.
@@ -201,8 +203,9 @@ const (
 
 // Config assembles a System.
 type Config struct {
-	// DiskResident selects a latency/bandwidth-modelled disk (HDD profile)
-	// with a partial buffer pool; otherwise the database is memory-resident.
+	// DiskResident selects a latency-modelled disk (HDD profile: 40 µs a
+	// page on one queue) with a partial buffer pool; otherwise the database
+	// is memory-resident.
 	DiskResident bool
 	// Profile overrides the simulated disk profile (nil = HDD profile when
 	// DiskResident, zero-latency otherwise).

@@ -40,7 +40,7 @@ func slowStarDB(t testing.TB, n int, lat time.Duration) *storage.Catalog {
 	t.Helper()
 	src := starDB(t, n)
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{
-		ReadLatency: lat, MaxConcurrent: 1,
+		ReadLatency: lat,
 	}), 4, true)
 	pad := strings.Repeat("g", 60)
 	for _, name := range []string{"lo", "cust", "part"} {
@@ -154,7 +154,7 @@ func runStarAsync(op *Operator, q *plan.StarQuery) func() ([]types.Row, error) {
 // identical pair, and a substantial share of the pairs must actually have
 // folded.
 func TestGraftRandomImpliedPairsConcurrent(t *testing.T) {
-	cat := slowStarDB(t, 3000, 100*time.Microsecond)
+	cat := slowStarDB(t, 3000, 500*time.Microsecond)
 	fold := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
 	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true, DisablePrune: true})
 	r := rand.New(rand.NewSource(31))
@@ -198,7 +198,7 @@ func TestGraftRandomImpliedPairsConcurrent(t *testing.T) {
 // wave of folded pairs keeps the slot arena at its floor — grafted-reader
 // retirement leaks no slots.
 func TestGraftRecycleSlots(t *testing.T) {
-	cat := slowStarDB(t, 3000, 100*time.Microsecond)
+	cat := slowStarDB(t, 3000, 500*time.Microsecond)
 	op := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
 	r := rand.New(rand.NewSource(83))
 
@@ -237,7 +237,7 @@ func TestGraftRecycleSlots(t *testing.T) {
 // column (graft hold) until the graft's own sweep completes, and the
 // graft's result stays complete and correct.
 func TestGraftHostCancelConcurrent(t *testing.T) {
-	cat := slowStarDB(t, 3000, 200*time.Microsecond)
+	cat := slowStarDB(t, 3000, time.Millisecond)
 	fold := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
 	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true, DisablePrune: true})
 	r := rand.New(rand.NewSource(7321))

@@ -37,39 +37,54 @@ type Disk interface {
 type DiskStats struct {
 	PageReads  int64
 	PageWrites int64
+	// DeviceNs is the device time charged to served requests: exactly
+	// PageReads × ReadLatency + PageWrites × WriteLatency on a MemDisk, and
+	// 0 on a disk that models no latency. Unlike wall time it does not move
+	// with the host's scheduler.
+	DeviceNs int64
 }
 
 // DiskProfile models the performance of a simulated disk. The zero value is
 // an infinitely fast disk ("memory-resident" storage).
 type DiskProfile struct {
-	// ReadLatency is charged per page read that reaches the disk.
+	// ReadLatency is the device time of one served page read.
 	ReadLatency time.Duration
-	// WriteLatency is charged per page write.
+	// WriteLatency is the device time of one served page write.
 	WriteLatency time.Duration
-	// MaxConcurrent bounds in-flight requests (the disk's effective queue
-	// depth); <= 0 means unbounded. Concurrent scans past this bound queue,
-	// which is what makes redundant I/O hurt under concurrency.
-	MaxConcurrent int
 }
 
 // HDDProfile approximates the paper's 15kRPM SAS array at a laptop-friendly
-// scale: sequential page reads cost tens of microseconds and only a few
-// requests proceed in parallel. The absolute numbers are scaled down; what
+// scale: 40 µs of device time per page on one queue, a ceiling of 25 000
+// pages/s shared by every scan. The absolute numbers are scaled down; what
 // experiments depend on is that I/O time dominates disk-resident scans and
-// that bandwidth is bounded.
+// that redundant reads by concurrent scans queue behind each other.
 var HDDProfile = DiskProfile{
-	ReadLatency:   40 * time.Microsecond,
-	WriteLatency:  40 * time.Microsecond,
-	MaxConcurrent: 4,
+	ReadLatency:  40 * time.Microsecond,
+	WriteLatency: 40 * time.Microsecond,
 }
 
-// MemDisk is an in-memory Disk with an optional latency/bandwidth model.
-// With the zero profile it doubles as "memory-resident" storage. Its pages are
-// arena pages (arena.Device) that WritePage takes and Close frees; reads and
-// writes copy, so nothing outside the disk ever points into them.
+// minSleep is the host timer's resolution: a shorter sleep lasts about this
+// long anyway, and a longer one is rounded up to a multiple of it. Callers
+// sleep off their debt to the device clock in whole multiples.
+const minSleep = time.Millisecond
+
+// MemDisk is an in-memory Disk with an optional latency model. With the zero
+// profile it doubles as "memory-resident" storage. Its pages are arena pages
+// (arena.Device) that WritePage takes and Close frees; reads and writes copy,
+// so nothing outside the disk ever points into them.
+//
+// The latency model is a device clock: the disk is one queue, and every
+// served request starts when both it and the device are ready and finishes
+// one profile latency later. A caller returns at once while its request
+// finishes less than minSleep from now and otherwise sleeps until it does,
+// to within minSleep, so a sweep runs at the device's rate without a timer
+// per page and concurrent scans share one device's throughput.
 type MemDisk struct {
 	profile DiskProfile
-	sem     chan struct{}
+
+	clock     sync.Mutex
+	busyUntil time.Time
+	deviceNs  atomic.Int64
 
 	mu    sync.RWMutex
 	files [][][]byte
@@ -83,9 +98,6 @@ type MemDisk struct {
 func NewMemDisk(profile DiskProfile) *MemDisk {
 	d := &MemDisk{profile: profile}
 	runtime.SetFinalizer(d, func(d *MemDisk) { d.release(arena.Reclaim) })
-	if profile.MaxConcurrent > 0 {
-		d.sem = make(chan struct{}, profile.MaxConcurrent)
-	}
 	return d
 }
 
@@ -108,36 +120,55 @@ func (d *MemDisk) NumPages(f FileID) (int, error) {
 	return len(d.files[f]), nil
 }
 
-// charge simulates the latency and bandwidth cost of one request.
+// charge queues one served request of the given latency on the device clock
+// and returns once the request finishes less than minSleep from now.
 func (d *MemDisk) charge(latency time.Duration) {
-	if d.sem != nil {
-		d.sem <- struct{}{}
-		defer func() { <-d.sem }()
+	if latency <= 0 {
+		return
 	}
-	if latency > 0 {
-		time.Sleep(latency)
+	d.deviceNs.Add(int64(latency))
+	d.clock.Lock()
+	now := time.Now()
+	start := d.busyUntil
+	if start.Before(now) {
+		start = now
+	}
+	finish := start.Add(latency)
+	d.busyUntil = finish
+	d.clock.Unlock()
+	if owed := finish.Sub(now); owed >= minSleep {
+		time.Sleep(owed.Truncate(minSleep))
 	}
 }
 
-// ReadPage reads page idx of file f into buf.
+// ReadPage reads page idx of file f into buf; only a served read is charged.
 func (d *MemDisk) ReadPage(f FileID, idx int, buf []byte) error {
-	d.charge(d.profile.ReadLatency)
 	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if int(f) >= len(d.files) || idx < 0 || idx >= len(d.files[f]) {
+		d.mu.RUnlock()
 		return fmt.Errorf("storage: read out of range: file %d page %d", f, idx)
 	}
 	copy(buf, d.files[f][idx])
+	d.mu.RUnlock()
 	d.reads.Add(1)
+	d.charge(d.profile.ReadLatency)
 	return nil
 }
 
-// WritePage writes (or appends) a page.
+// WritePage writes (or appends) a page; only a served write is charged.
 func (d *MemDisk) WritePage(f FileID, idx int, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("storage: write of %d bytes, want %d", len(data), PageSize)
 	}
+	if err := d.write(f, idx, data); err != nil {
+		return err
+	}
+	d.writes.Add(1)
 	d.charge(d.profile.WriteLatency)
+	return nil
+}
+
+func (d *MemDisk) write(f FileID, idx int, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(f) >= len(d.files) {
@@ -154,13 +185,12 @@ func (d *MemDisk) WritePage(f FileID, idx int, data []byte) error {
 	default:
 		return fmt.Errorf("storage: write out of range: file %d page %d", f, idx)
 	}
-	d.writes.Add(1)
 	return nil
 }
 
 // Stats returns cumulative I/O counters.
 func (d *MemDisk) Stats() DiskStats {
-	return DiskStats{PageReads: d.reads.Load(), PageWrites: d.writes.Load()}
+	return DiskStats{PageReads: d.reads.Load(), PageWrites: d.writes.Load(), DeviceNs: d.deviceNs.Load()}
 }
 
 // Close frees the in-memory pages; reads and writes fail afterwards.

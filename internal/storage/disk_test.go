@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 )
@@ -77,46 +78,235 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	testDiskRoundTrip(t, d)
 }
 
-func TestMemDiskLatencyIsCharged(t *testing.T) {
-	d := NewMemDisk(DiskProfile{ReadLatency: 2 * time.Millisecond, MaxConcurrent: 1})
-	f, _ := d.CreateFile("t")
-	page := make([]byte, PageSize)
-	if err := d.WritePage(f, 0, page); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	const reads = 5
-	for i := 0; i < reads; i++ {
-		if err := d.ReadPage(f, 0, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if el := time.Since(start); el < reads*2*time.Millisecond {
-		t.Errorf("5 serialized 2ms reads took %v, want >= 10ms", el)
-	}
-}
-
-func TestMemDiskBandwidthSerializes(t *testing.T) {
-	// With MaxConcurrent=1 and 2ms latency, 4 concurrent reads take >= 8ms.
-	d := NewMemDisk(DiskProfile{ReadLatency: 2 * time.Millisecond, MaxConcurrent: 1})
+// newClockDisk returns a MemDisk with one file of one page.
+func newClockDisk(t *testing.T, prof DiskProfile) (*MemDisk, FileID) {
+	t.Helper()
+	d := NewMemDisk(prof)
+	t.Cleanup(func() { d.Close() })
 	f, _ := d.CreateFile("t")
 	if err := d.WritePage(f, 0, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	done := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			buf := make([]byte, PageSize)
-			done <- d.ReadPage(f, 0, buf)
-		}()
+	return d, f
+}
+
+// checkDeviceNs asserts the device clock's invariant: device time is exactly
+// the latency of the requests the disk served.
+func checkDeviceNs(t *testing.T, d *MemDisk) {
+	t.Helper()
+	st := d.Stats()
+	want := st.PageReads*int64(d.profile.ReadLatency) + st.PageWrites*int64(d.profile.WriteLatency)
+	if st.DeviceNs != want {
+		t.Errorf("DeviceNs = %d, want %d reads × %v + %d writes × %v = %d",
+			st.DeviceNs, st.PageReads, d.profile.ReadLatency, st.PageWrites, d.profile.WriteLatency, want)
 	}
-	for i := 0; i < 4; i++ {
-		if err := <-done; err != nil {
+}
+
+// takesDeviceTime runs reads against a fresh disk of the given read latency
+// and asserts the device clock's two promises: DeviceNs is exactly want, and
+// the wall time is want ± 10 %. The clock cannot finish early, so every
+// attempt must reach the lower bound; a noisy host can only make a run
+// late, so the upper bound holds when one of three attempts meets it.
+func takesDeviceTime(t *testing.T, what string, lat, want time.Duration, reads func(d *MemDisk, f FileID)) {
+	t.Helper()
+	var took []time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		d, f := newClockDisk(t, DiskProfile{ReadLatency: lat})
+		start := time.Now()
+		reads(d, f)
+		el := time.Since(start)
+		checkDeviceNs(t, d)
+		if got := d.Stats().DeviceNs; got != int64(want) {
+			t.Fatalf("%s: DeviceNs = %v, want %v", what, time.Duration(got), want)
+		}
+		if el < want*9/10 {
+			t.Fatalf("%s took %v, less than %v of device time - 10 %%", what, el, want)
+		}
+		if el <= want*11/10 {
+			return
+		}
+		took = append(took, el)
+	}
+	t.Errorf("%s took %v in three attempts, want %v ± 10 %%", what, took, want)
+}
+
+// One goroutine's back-to-back reads are charged their full latency each:
+// the sweep takes the device's time, not a timer tick per page.
+func TestMemDiskDeviceClockSequential(t *testing.T) {
+	const lat = 200 * time.Microsecond
+	const n = 200 // 40 ms of device time
+	takesDeviceTime(t, "200 sequential 200µs reads", lat, n*lat, func(d *MemDisk, f FileID) {
+		buf := make([]byte, PageSize)
+		for i := 0; i < n; i++ {
+			if err := d.ReadPage(f, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// A 40 µs page costs 40 µs, not the ~1 ms a per-request timer sleep lasts.
+func TestMemDiskDeviceClockNoTimerPerPage(t *testing.T) {
+	d, f := newClockDisk(t, HDDProfile)
+	buf := make([]byte, PageSize)
+	start := time.Now()
+	for i := 0; i < 100; i++ {
+		if err := d.ReadPage(f, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if el := time.Since(start); el < 8*time.Millisecond {
-		t.Errorf("4 bandwidth-limited reads took %v, want >= 8ms", el)
+	if el := time.Since(start); el >= 40*time.Millisecond {
+		t.Errorf("100 reads of 40µs took %v, want < 40ms (4ms of device time)", el)
+	}
+	checkDeviceNs(t, d)
+}
+
+// The device is one queue: k readers of m pages each take k × m latencies,
+// the same as one reader of k × m pages.
+func TestMemDiskDeviceClockOneQueue(t *testing.T) {
+	const lat = 250 * time.Microsecond
+	const k, m = 4, 40 // 40 ms of device time
+	takesDeviceTime(t, "4 readers × 40 reads of 250µs", lat, k*m*lat, func(d *MemDisk, f FileID) {
+		var wg sync.WaitGroup
+		errs := make(chan error, k)
+		for g := 0; g < k; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, PageSize)
+				for i := 0; i < m; i++ {
+					if err := d.ReadPage(f, 0, buf); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The zero profile is memory: it never advances the clock, so it never
+// sleeps (a caller sleeps only on a debt the clock records).
+func TestMemDiskDeviceClockZeroProfile(t *testing.T) {
+	d, f := newClockDisk(t, DiskProfile{})
+	buf := make([]byte, PageSize)
+	for i := 0; i < 1000; i++ {
+		if err := d.ReadPage(f, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.Stats(); st.DeviceNs != 0 || st.PageReads != 1000 || st.PageWrites != 1 {
+		t.Errorf("stats = %+v, want 1000 reads, 1 write and no device time", st)
+	}
+	if !d.busyUntil.IsZero() {
+		t.Errorf("the zero profile advanced the device clock to %v", d.busyUntil)
+	}
+}
+
+// Only served requests are charged: an out-of-range or unknown-file read and
+// a short, out-of-range or unknown-file write cost no device time.
+func TestMemDiskDeviceClockFailedRequestsAreFree(t *testing.T) {
+	d, f := newClockDisk(t, DiskProfile{ReadLatency: 30 * time.Millisecond, WriteLatency: 50 * time.Millisecond})
+	buf := make([]byte, PageSize)
+	start := time.Now()
+	failing := []error{
+		d.ReadPage(f, 1, buf),
+		d.ReadPage(f, -1, buf),
+		d.ReadPage(FileID(9), 0, buf),
+		d.WritePage(f, 0, buf[:10]),
+		d.WritePage(f, 5, buf),
+		d.WritePage(FileID(9), 0, buf),
+	}
+	for i, err := range failing {
+		if err == nil {
+			t.Fatalf("failing request %d succeeded", i)
+		}
+	}
+	if el := time.Since(start); el >= 30*time.Millisecond {
+		t.Errorf("six failing requests took %v; a failure must not be charged", el)
+	}
+	if err := d.ReadPage(f, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WritePage(f, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if st.PageReads != 1 || st.PageWrites != 2 {
+		t.Fatalf("stats = %+v, want 1 served read and 2 served writes", st)
+	}
+	checkDeviceNs(t, d)
+}
+
+// DeviceNs stays exact under concurrent readers and writers (run with -race).
+func TestMemDiskDeviceClockConcurrentExact(t *testing.T) {
+	d, f := newClockDisk(t, DiskProfile{ReadLatency: 3 * time.Microsecond, WriteLatency: 7 * time.Microsecond})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, PageSize)
+			for i := 0; i < 300; i++ {
+				var err error
+				switch {
+				case g%2 == 0:
+					err = d.WritePage(f, 0, buf)
+				case i%10 == 0:
+					_ = d.ReadPage(f, 99, buf) // fails, free
+				default:
+					err = d.ReadPage(f, 0, buf)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := d.Stats()
+	if st.PageWrites != 1+4*300 || st.PageReads != 4*270 {
+		t.Errorf("stats = %+v, want %d writes and %d reads", st, 1+4*300, 4*270)
+	}
+	checkDeviceNs(t, d)
+}
+
+// FaultDisk passes the device clock through, and an injected fault never
+// reaches the MemDisk, so it charges nothing.
+func TestFaultDiskPassesDeviceNs(t *testing.T) {
+	const lat = 40 * time.Microsecond
+	inner, f := newClockDisk(t, DiskProfile{ReadLatency: lat, WriteLatency: lat})
+	fd := NewFaultDisk(inner)
+	buf := make([]byte, PageSize)
+	if err := fd.ReadPage(f, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	fd.FailNextReads(3)
+	for i := 0; i < 3; i++ {
+		if err := fd.ReadPage(f, 0, buf); err == nil {
+			t.Fatal("armed read succeeded")
+		}
+	}
+	fd.PoisonPage(f, 0)
+	if err := fd.ReadPage(f, 0, buf); err == nil {
+		t.Fatal("poisoned read succeeded")
+	}
+	fd.Heal()
+	fd.FailWritesAfter(0)
+	if err := fd.WritePage(f, 0, buf); err == nil {
+		t.Fatal("armed write succeeded")
+	}
+	st := fd.Stats()
+	if st != inner.Stats() {
+		t.Errorf("FaultDisk stats %+v differ from the MemDisk's %+v", st, inner.Stats())
+	}
+	if st.PageReads != 1 || st.PageWrites != 1 || st.DeviceNs != int64(2*lat) {
+		t.Errorf("stats = %+v, want one read and one write = %v of device time", st, 2*lat)
 	}
 }

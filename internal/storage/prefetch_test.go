@@ -66,7 +66,7 @@ func TestPrefetchOfMissingPageIsSilent(t *testing.T) {
 }
 
 func TestScanWithPrefetchDeliversEverything(t *testing.T) {
-	disk := NewMemDisk(DiskProfile{ReadLatency: 100 * time.Microsecond, MaxConcurrent: 4})
+	disk := NewMemDisk(DiskProfile{ReadLatency: 100 * time.Microsecond})
 	c := NewCatalog(disk, 16, true)
 	tbl := loadNumbered(t, c, "t", 20000)
 	tbl.ScanGroup().SetPrefetch(true)
@@ -79,14 +79,18 @@ func TestScanWithPrefetchDeliversEverything(t *testing.T) {
 	}
 }
 
+// The device is one queue, so readahead cannot overlap one page's device
+// time with another's: what it hides is the decode of the current page
+// behind the read of the next. A sweep with or without it takes at least
+// the device time its reads were charged, less the debt under minSleep the
+// last read may leave unslept, and readahead must not make it much slower.
 func TestPrefetchHidesDiskLatency(t *testing.T) {
-	// Sequential scan over a latency-modelled disk: with readahead the next
-	// page loads while the current one is decoded, so the sweep is faster.
-	mk := func(prefetch bool) time.Duration {
-		disk := NewMemDisk(DiskProfile{ReadLatency: 150 * time.Microsecond, MaxConcurrent: 4})
+	mk := func(prefetch bool) (el, device time.Duration) {
+		disk := NewMemDisk(DiskProfile{ReadLatency: 150 * time.Microsecond})
 		c := NewCatalog(disk, 16, true)
 		tbl := loadNumbered(t, c, "t", 30000)
 		tbl.ScanGroup().SetPrefetch(prefetch)
+		base := disk.Stats().DeviceNs
 		start := time.Now()
 		cur := tbl.Attach()
 		defer cur.Close()
@@ -99,13 +103,20 @@ func TestPrefetchHidesDiskLatency(t *testing.T) {
 			}
 			cb.Release()
 		}
-		return time.Since(start)
+		return time.Since(start), time.Duration(disk.Stats().DeviceNs - base)
 	}
-	without := mk(false)
-	with := mk(true)
-	// Generous bound to avoid flakiness; the typical improvement is ~2x.
-	if with > without {
-		t.Logf("prefetch did not help this run: with=%v without=%v (timing-sensitive, not fatal)", with, without)
+	without, devWithout := mk(false)
+	with, devWith := mk(true)
+	for _, r := range []struct {
+		what       string
+		el, device time.Duration
+	}{{"without prefetch", without, devWithout}, {"with prefetch", with, devWith}} {
+		if r.device == 0 {
+			t.Fatalf("sweep %s charged no device time", r.what)
+		}
+		if r.el < r.device-minSleep {
+			t.Errorf("sweep %s took %v, under its %v of device time", r.what, r.el, r.device)
+		}
 	}
 	if with > without*3/2 {
 		t.Errorf("prefetch made the scan much slower: with=%v without=%v", with, without)

@@ -175,9 +175,10 @@ func TestScanExhaustedCursorNotALeader(t *testing.T) {
 // Clustered concurrent shared scans must cost roughly one disk sweep, not k.
 // The savings are a disk-resident phenomenon: scanners cluster because the
 // leader is I/O bound while trailers catch up from the buffer pool, so the
-// test models a disk with latency.
+// test models a disk with latency: 500 µs a page, so the leader owes the
+// device clock a sleep every two pages even when it runs alone on one core.
 func TestSharedScansSaveDiskReads(t *testing.T) {
-	disk := NewMemDisk(DiskProfile{ReadLatency: 200 * time.Microsecond, MaxConcurrent: 2})
+	disk := NewMemDisk(DiskProfile{ReadLatency: 500 * time.Microsecond})
 	c := NewCatalog(disk, 8, true) // pool much smaller than table
 	tbl := loadNumbered(t, c, "t", 50000)
 	npages := tbl.File.NumPages()
@@ -228,7 +229,7 @@ func drain(cur *ScanCursor) error {
 // decodes hides disk latency on a sequential sweep.
 func BenchmarkScanPrefetch(b *testing.B) {
 	for _, prefetch := range []bool{false, true} {
-		disk := NewMemDisk(DiskProfile{ReadLatency: 100 * time.Microsecond, MaxConcurrent: 4})
+		disk := NewMemDisk(DiskProfile{ReadLatency: 100 * time.Microsecond})
 		tbl := loadNumbered(b, NewCatalog(disk, 16, true), "t", 10000)
 		tbl.ScanGroup().SetPrefetch(prefetch)
 		b.Run(fmt.Sprintf("prefetch=%v", prefetch), func(b *testing.B) {
