@@ -252,7 +252,7 @@ func NewSystem(cfg Config) *System {
 		pool = 2048
 	}
 	disk := storage.NewMemDisk(profile)
-	return &System{cat: storage.NewCatalog(disk, pool, true), disk: disk,
+	return &System{cat: storage.NewCatalog(disk, pool), disk: disk,
 		gqpCfg: cfg.CJoin, noCache: cfg.DisableResultCache}
 }
 

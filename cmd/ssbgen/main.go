@@ -38,7 +38,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-	cat := storage.NewCatalog(disk, 1024, true)
+	cat := storage.NewCatalog(disk, 1024)
 
 	if *useTPCH {
 		tbl, err := tpch.Generate(cat, *sf, *seed)

@@ -44,7 +44,7 @@ func admissionQueries(cat *storage.Catalog) []*plan.StarQuery {
 // TestVectorizedAdmissionMatchesScalar drives admitQuery (vectorized over
 // the dimension table's cached column batch) against a row-at-a-time
 // reference: for every query and every dimension entry, the entry bitmap
-// bit must equal the compiled scalar predicate's verdict.
+// bit must equal the interpreted predicate's verdict.
 func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 	cat := starDB(t, 500)
 	op := bareOp(t, cat)
@@ -65,16 +65,16 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 				}
 				continue
 			}
-			// Scalar reference: the query's dimension predicate compiled
-			// row-at-a-time, as admission evaluated it before vectorization.
-			var pred func(types.Row) bool
+			// Scalar reference: the query's dimension predicate interpreted
+			// row-at-a-time by Eval.
+			var pred expr.Expr
 			for k, d := range q.Dims {
 				if sub.dimIdx[k] == di && d.Pred != nil {
-					pred = expr.Compile(d.Pred)
+					pred = d.Pred
 				}
 			}
 			for i, r := range ds.tab.cb.Rows() {
-				want := pred == nil || pred(r)
+				want := pred == nil || pred.Eval(r).Bool()
 				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id)
 				if got != want {
 					t.Fatalf("query %d dim %d entry %d (%v): admitted=%v, scalar predicate=%v",

@@ -332,17 +332,15 @@ type subscription struct {
 	// raw predicate expressions so admission can prove implication
 	// (expr.Subsumes) and dimension equality (expr.Equal) against running
 	// queries. A grafted query shares its host's bitmap slot: hostSub points
-	// at the host, and residual (the compiled leftover of its fact
+	// at the host, and residual (the vectorized leftover of its fact
 	// predicate, nil when the predicates match exactly) is evaluated by the
-	// distributor per routed tuple over the scratch row residRow, filled
-	// from the fact page's columns residCols.
+	// distributor per routed tuple over a one-row selection of the fact
+	// page's batch.
 	factPredE expr.Expr
 	dimPredE  []expr.Expr // per operator dimension; nil = unconstrained
 
-	hostSub   *subscription
-	residual  func(types.Row) bool
-	residCols []int
-	residRow  types.Row
+	hostSub  *subscription
+	residual expr.VecPred
 
 	// Host-side graft bookkeeping. grafts is distributor-owned (live
 	// grafted readers fed from this query's bits); graftsLeft and finished
@@ -818,9 +816,7 @@ func (op *Operator) scan(fanIn chan<- *item) {
 			sub.hostSub = h
 			sub.id = h.id
 			if re := expr.Residual(h.factPredE, sub.factPredE); re != nil {
-				sub.residual = expr.Compile(re)
-				sub.residCols = expr.ColSet(re, nil)
-				sub.residRow = make(types.Row, op.fact.Schema.Len())
+				sub.residual = expr.CompileVec(re)
 			}
 			h.graftsLeft++
 			op.stats.grafted.Add(1)
@@ -1611,6 +1607,10 @@ type distributor struct {
 	// cur is the item being processed, tracked so the panic-recovery path
 	// can release its page-batch reference instead of leaking it.
 	cur *item
+
+	// sel1 and scr are residualMatch's one-row selection and kernel scratch.
+	sel1 [1]int32
+	scr  vec.Scratch
 }
 
 // enqueue accepts one item from the fan-in, processing it immediately when
@@ -1801,9 +1801,9 @@ func (d *distributor) routeAll(sub *subscription, it *item, ti int) {
 }
 
 // residualMatch evaluates a graft's residual fact predicate over the
-// tuple, filling only the referenced columns of the scratch row. A
-// panicking residual fails the graft alone (reported false: the graft
-// receives no further tuples and retires on the scanner's next tick).
+// tuple's row of the page batch, as a one-row selection. A panicking
+// residual fails the graft alone (reported false: the graft receives no
+// further tuples and retires on the scanner's next tick).
 func (d *distributor) residualMatch(g *subscription, it *item, ti int) (match bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1812,11 +1812,8 @@ func (d *distributor) residualMatch(g *subscription, it *item, ti int) (match bo
 			match = false
 		}
 	}()
-	r := int(it.rowIdx[ti])
-	for _, c := range g.residCols {
-		g.residRow[c] = it.cols.Col(c).Datum(r)
-	}
-	return g.residual(g.residRow)
+	d.sel1[0] = it.rowIdx[ti]
+	return len(g.residual(it.cols, d.sel1[:], d.sel1[:], &d.scr)) == 1
 }
 
 // process handles one tick: admissions, tuple routing, retirements.

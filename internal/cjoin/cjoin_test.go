@@ -29,7 +29,7 @@ import (
 // row (ck = 10, pk = 20) to exercise probe misses.
 func starDB(t testing.TB, n int) *storage.Catalog {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 512, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 512)
 
 	lo, err := cat.CreateTable("lo", types.NewSchema(
 		types.Column{Name: "lo_id", Kind: types.KindInt},
@@ -403,7 +403,7 @@ func TestRunValidation(t *testing.T) {
 // so NewOperator refuses it with a typed error naming the table and key,
 // while the same star through engine.Config{} joins both entries.
 func TestDuplicateDimensionKeyRefused(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 	mk := func(name string, cols []types.Column, rows ...types.Row) *storage.Table {
 		tab, err := cat.CreateTable(name, types.NewSchema(cols...))
 		if err != nil {
@@ -557,7 +557,7 @@ func TestCloseFailsActiveQueries(t *testing.T) {
 }
 
 func TestEmptyFactTable(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 	lo, _ := cat.CreateTable("lo", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "fk", Kind: types.KindInt},

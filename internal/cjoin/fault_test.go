@@ -48,7 +48,7 @@ func faultStar(t *testing.T, n int) (*storage.Catalog, *storage.FaultDisk) {
 func faultStarProf(t *testing.T, n int, prof storage.DiskProfile) (*storage.Catalog, *storage.FaultDisk) {
 	t.Helper()
 	fd := storage.NewFaultDisk(storage.NewMemDisk(prof))
-	cat := storage.NewCatalog(fd, 4, true)
+	cat := storage.NewCatalog(fd, 4)
 
 	lo, err := cat.CreateTable("lo", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},

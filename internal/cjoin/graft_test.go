@@ -2,6 +2,7 @@ package cjoin
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -41,7 +42,7 @@ func slowStarDB(t testing.TB, n int, lat time.Duration) *storage.Catalog {
 	src := starDB(t, n)
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{
 		ReadLatency: lat,
-	}), 4, true)
+	}), 4)
 	pad := strings.Repeat("g", 60)
 	for _, name := range []string{"lo", "cust", "part"} {
 		from := src.MustTable(name)
@@ -282,13 +283,125 @@ func TestGraftHostCancelConcurrent(t *testing.T) {
 	}
 }
 
+// randPadAtom draws a fact predicate over slowStarDB's per-row pad column,
+// which every fact page stores dictionary-encoded: a string range (the pads
+// whose row number starts with digit d then 0-4) or a string set, with
+// members both present on the table and absent from it.
+func randPadAtom(r *rand.Rand) expr.Expr {
+	pad := strings.Repeat("g", 60)
+	if r.Intn(2) == 0 {
+		lo := pad + strconv.Itoa(1+r.Intn(9))
+		return expr.NewBetween(expr.C(4, "pad"), expr.Str(lo), expr.Str(lo+"5"))
+	}
+	set := []types.Datum{types.NewString(pad + "none")}
+	for i := 0; i < 12; i++ {
+		set = append(set, types.NewString(pad+strconv.Itoa(r.Intn(3000))))
+	}
+	return expr.NewIn(expr.C(4, "pad"), set...)
+}
+
+// TestGraftResidualOverDictColumn folds (p, p AND s) pairs whose residual s
+// is a range or set over the dictionary-encoded pad column, so the
+// distributor evaluates it with the dictionary kernels over one-row
+// selections of the page batch. Both streams must match a DisableFold
+// operator running the identical pair.
+func TestGraftResidualOverDictColumn(t *testing.T) {
+	cat := slowStarDB(t, 3000, 500*time.Microsecond)
+	cb, err := cat.MustTable("lo").File.PageCols(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := cb.Col(4).HasDict()
+	cb.Release()
+	if !dict {
+		t.Fatal("the fact table's pad column is not dictionary-encoded; the test covers nothing")
+	}
+	fold := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
+	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true, DisablePrune: true})
+	r := rand.New(rand.NewSource(417))
+
+	const waves = 30
+	candTotal := 0
+	for wave := 0; wave < waves; wave++ {
+		p := randFoldAtom(r)
+		dims := graftDims(cat, r)
+		host := &plan.StarQuery{Fact: cat.MustTable("lo"), FactPred: p, FactCols: []int{0, 4}, Dims: dims}
+		cand := &plan.StarQuery{Fact: cat.MustTable("lo"),
+			FactPred: expr.NewAnd(p, randPadAtom(r)), FactCols: []int{0, 4}, Dims: dims}
+
+		base := fold.Stats().Admitted
+		hostWait := runStarAsync(fold, host)
+		waitAdmitted(t, fold, base+1)
+		candWait := runStarAsync(fold, cand)
+		hostRows, err := hostWait()
+		if err != nil {
+			t.Fatalf("wave %d host: %v", wave, err)
+		}
+		candRows, err := candWait()
+		if err != nil {
+			t.Fatalf("wave %d candidate: %v", wave, err)
+		}
+		mustEqualRows(t, hostRows, runStar(t, nofold, host))
+		mustEqualRows(t, candRows, runStar(t, nofold, cand))
+		candTotal += len(candRows)
+	}
+	st := fold.Stats()
+	if st.Grafted == 0 || candTotal == 0 {
+		t.Fatalf("%d pairs grafted, %d candidate rows; the string residual path was not exercised", st.Grafted, candTotal)
+	}
+	t.Logf("grafted %d of %d pairs, %d candidate rows", st.Grafted, waves, candTotal)
+}
+
+// TestGraftResidualPanicFailsGraftAlone: a graft whose residual panics (a
+// column past the 5-column fact table) fails alone with a *PanicError that
+// PanicFailures counts, while its host completes and matches a DisableFold
+// operator.
+func TestGraftResidualPanicFailsGraftAlone(t *testing.T) {
+	cat := slowStarDB(t, 3000, time.Millisecond)
+	fold := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
+	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true, DisablePrune: true})
+	lo := cat.MustTable("lo")
+	dims := []plan.DimJoin{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}}
+	p := expr.NewCmp(expr.LT, expr.C(0, "lo_id"), expr.Int(2500))
+	host := &plan.StarQuery{Fact: lo, FactPred: p, FactCols: []int{0, 3}, Dims: dims}
+	cand := &plan.StarQuery{Fact: lo, FactCols: []int{0, 3}, Dims: dims,
+		FactPred: expr.NewAnd(p, expr.NewCmp(expr.EQ, expr.C(9, "nope"), expr.Int(1)))}
+	want := runStar(t, nofold, host)
+
+	for wave := 0; wave < 8; wave++ {
+		before := fold.Stats()
+		hostWait := runStarAsync(fold, host)
+		waitAdmitted(t, fold, before.Admitted+1)
+		candWait := runStarAsync(fold, cand)
+		hostRows, err := hostWait()
+		if err != nil {
+			t.Fatalf("wave %d host: %v", wave, err)
+		}
+		mustEqualRows(t, hostRows, want)
+		_, err = candWait()
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("wave %d graft err = %v, want *PanicError", wave, err)
+		}
+		after := fold.Stats()
+		if after.PanicFailures == before.PanicFailures {
+			t.Fatalf("wave %d: the graft's panic was not counted in PanicFailures", wave)
+		}
+		if after.Grafted > before.Grafted {
+			return
+		}
+		t.Logf("wave %d did not fold (host finished first)", wave)
+	}
+	t.Fatal("no wave grafted; the residual panic path was not exercised")
+}
+
 // TestFoldConcurrentTemplates runs the full 13-template SSB battery — two
 // identical instances per template, all concurrent — on a folding operator
 // and checks every result stream against a DisableFold operator. Identical
 // templates fold with a nil residual, and cross-template subsumption may
 // fold more; either way the streams must be identical.
 func TestFoldConcurrentTemplates(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 2048, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 2048)
 	db, err := ssb.Generate(cat, 0.01, 11)
 	if err != nil {
 		t.Fatal(err)

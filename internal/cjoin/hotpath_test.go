@@ -51,7 +51,7 @@ func newDimStateFor(t testing.TB, idx int, spec DimSpec, op *Operator) *dimState
 // their integer counterparts and strings match nothing — against a linear
 // scan with Datum.Equal.
 func TestOpenAddressingMatchesChainedMap(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 	dim, err := cat.CreateTable("d", types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "v", Kind: types.KindInt},

@@ -19,7 +19,7 @@ import (
 // dimension chain.
 func ssbStar(t testing.TB, sf float64) (*ssb.DB, []DimSpec) {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 4096, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 4096)
 	db, err := ssb.Generate(cat, sf, 42)
 	if err != nil {
 		t.Fatal(err)

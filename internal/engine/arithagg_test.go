@@ -124,7 +124,7 @@ func findAggregate(t *testing.T, n plan.Node) *plan.Aggregate {
 // equal the row path over the same data: as written, and with sum / avg / min / max /
 // count over the arithmetic argument, grouped as written and global.
 func TestAggregateArithStaysColumnar(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 1<<12, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 1<<12)
 	db, err := ssb.Generate(cat, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 //	dept(dk int, region string)                          5 rows
 func testDB(t *testing.T, n int) *storage.Catalog {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256)
 
 	sales, err := cat.CreateTable("sales", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},

@@ -20,7 +20,7 @@ import (
 func faultEngineDB(t *testing.T, n int) (*storage.Catalog, *storage.FaultDisk) {
 	t.Helper()
 	fd := storage.NewFaultDisk(storage.NewMemDisk(storage.DiskProfile{}))
-	cat := storage.NewCatalog(fd, 8, true)
+	cat := storage.NewCatalog(fd, 8)
 
 	sales, err := cat.CreateTable("sales", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},

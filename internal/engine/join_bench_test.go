@@ -60,7 +60,7 @@ func runJoin(t testing.TB, e *Engine, rowRef bool, n *plan.HashJoin, left, right
 // probing allocates output shells and arena growth, never per row).
 func BenchmarkHashJoin(b *testing.B) {
 	const nrows, nbatches = 1024, 32
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32)
 	lt, err := cat.CreateTable("bl", types.NewSchema(
 		types.Column{Name: "lk", Kind: types.KindInt},
 		types.Column{Name: "lv", Kind: types.KindInt},
@@ -188,7 +188,7 @@ func (w *footprintWriter) Close(err error) {}
 // it fills. retained/filled is the gated metric (perf-smoke: <= 1.25).
 func BenchmarkJoinOutputFootprint(b *testing.B) {
 	const nrows, nbatches, build = 1024, 32, 2556
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32)
 	dim, err := cat.CreateTable("dim", types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "s1", Kind: types.KindString},

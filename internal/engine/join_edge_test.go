@@ -13,7 +13,7 @@ import (
 // Join edge cases: duplicate keys on the build side (one probe row matches
 // several build rows), NULL join keys (never match), and empty inputs.
 func TestHashJoinDuplicateBuildKeys(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32)
 	left, err := cat.CreateTable("l", types.NewSchema(
 		types.Column{Name: "lk", Kind: types.KindInt},
 		types.Column{Name: "lv", Kind: types.KindString},

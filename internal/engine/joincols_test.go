@@ -75,7 +75,7 @@ type joinCase struct {
 func buildJoinCase(t *testing.T, r *rand.Rand) joinCase {
 	t.Helper()
 	class := r.Intn(4)
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 
 	mkTable := func(name string, nrows int) (*storage.Table, []types.Row) {
 		schema := types.NewSchema(
@@ -279,7 +279,7 @@ func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 // End-to-end pin of the same invariant through the engine: NULL keys on both
 // sides of a plan produce no joined rows beyond the non-NULL matches.
 func TestHashJoinNullKeysEndToEnd(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32)
 	mk := func(name string) *storage.Table {
 		tab, err := cat.CreateTable(name, types.NewSchema(
 			types.Column{Name: name + "k", Kind: types.KindInt},

@@ -149,7 +149,7 @@ func TestScanPushdownSharingRespectsPredicates(t *testing.T) {
 func faultDB(t *testing.T, n int) (*storage.Catalog, *storage.FaultDisk) {
 	t.Helper()
 	fd := storage.NewFaultDisk(storage.NewMemDisk(storage.DiskProfile{}))
-	cat := storage.NewCatalog(fd, 4, true)
+	cat := storage.NewCatalog(fd, 4)
 	tbl, err := cat.CreateTable("sales", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "pad", Kind: types.KindString},

@@ -98,7 +98,7 @@ func TestResultCacheEviction(t *testing.T) {
 // to (scans see all flushed pages as of attach time).
 func growDB(t *testing.T, r *rand.Rand, n int) *storage.Catalog {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256)
 	tbl, err := cat.CreateTable("facts", types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "v", Kind: types.KindFloat},
@@ -225,7 +225,7 @@ func TestResultCacheHitZeroAlloc(t *testing.T) {
 // BenchmarkResultCacheHit is the CI-gated hot path: repeat-template answer
 // straight from the cache. Must stay 0 allocs/op.
 func BenchmarkResultCacheHit(b *testing.B) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256)
 	tbl, err := cat.CreateTable("sales", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "dept", Kind: types.KindInt},

@@ -12,9 +12,8 @@ import (
 // provides the evaluation's temporaries and must be owned by the calling
 // goroutine. The returned slice aliases out.
 //
-// A VecPred is exactly equivalent to the scalar Compile closure (and hence
-// to Eval(row).Bool()) row by row: r is in the result iff the scalar
-// predicate holds on row r.
+// A VecPred is exactly equivalent to Eval(row).Bool() row by row: r is in
+// the result iff the predicate holds on row r.
 type VecPred func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32
 
 // CompileVec translates a predicate into a vectorized kernel. The shapes
@@ -22,8 +21,8 @@ type VecPred func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32
 // const, const), In(col, literals), Cmp(col, col) and their And/Or/Not
 // combinations — get typed-slice loops over homogeneous columns (with
 // per-row Datum fallbacks on mixed columns); any other shape falls back to
-// materializing one scratch row at a time through the scalar Compile
-// closure, so CompileVec is total and equivalent by construction.
+// materializing one scratch row at a time through Eval, so CompileVec is
+// total and equivalent by construction.
 func CompileVec(e Expr) VecPred {
 	switch x := e.(type) {
 	case Cmp:
@@ -88,22 +87,74 @@ func CompileVec(e Expr) VecPred {
 	}
 }
 
-// vecFallback evaluates the scalar compiled closure over one materialized
-// scratch row at a time — the total fallback for shapes without a kernel.
+// vecFallback evaluates Eval over one materialized scratch row at a time —
+// the total fallback for shapes without a kernel.
 func vecFallback(e Expr) VecPred {
-	f := Compile(e)
 	return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 		row := scr.Row(b.NumCols())
 		k := 0
 		for _, r := range sel {
 			b.MaterializeRow(int(r), row)
-			if f(row) {
+			if e.Eval(row).Bool() {
 				out[k] = r
 				k++
 			}
 		}
 		return out[:k]
 	}
+}
+
+// intClass reports whether a kind compares through the int64 payload.
+func intClass(k types.Kind) bool {
+	return k == types.KindInt || k == types.KindDate || k == types.KindBool
+}
+
+// cmpHolds reports whether a three-way comparison result satisfies op.
+func cmpHolds(op CmpOp, cv int) bool {
+	switch op {
+	case EQ:
+		return cv == 0
+	case NE:
+		return cv != 0
+	case LT:
+		return cv < 0
+	case LE:
+		return cv <= 0
+	case GT:
+		return cv > 0
+	default:
+		return cv >= 0
+	}
+}
+
+// mirror maps op to the operator with swapped operands: a op b == b mirror(op) a.
+func mirror(op CmpOp) CmpOp {
+	switch op {
+	case LT:
+		return GT
+	case LE:
+		return GE
+	case GT:
+		return LT
+	case GE:
+		return LE
+	default: // EQ, NE are symmetric
+		return op
+	}
+}
+
+// inSlow is the interpreted membership scan, shared by the fallback paths so
+// mixed-kind rows keep Eval's exact cross-kind Equal semantics.
+func inSlow(v types.Datum, set []types.Datum) bool {
+	if v.IsNull() {
+		return false
+	}
+	for _, d := range set {
+		if v.Equal(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // cmpIntLoop filters sel by I[r] op ki with the operator hoisted out of the
@@ -273,8 +324,7 @@ func floatCv(a, b float64) int {
 }
 
 // compileVecCmpColConst builds the kernel for col op const with typed loops
-// for homogeneous columns and the scalar closure's exact semantics per row
-// otherwise.
+// for homogeneous columns and Eval's exact semantics per row otherwise.
 func compileVecCmpColConst(op CmpOp, idx int, kd types.Datum) VecPred {
 	if kd.IsNull() {
 		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
@@ -382,8 +432,7 @@ func compileVecBetween(bt Between) VecPred {
 		return vecFallback(bt)
 	}
 	if lo.D.IsNull() || hi.D.IsNull() {
-		// The scalar generic path yields false for every row when a bound
-		// is NULL.
+		// Eval yields false for every row when a bound is NULL.
 		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 			return out[:0]
 		}

@@ -29,6 +29,86 @@ func testBatch(n int) (*vec.ColBatch, []types.Row) {
 	return b, rows
 }
 
+// compileTestRows covers every kind in every column position the predicates
+// reference, including NULLs, integral floats and cross-kind comparisons.
+func compileTestRows() []types.Row {
+	r := rand.New(rand.NewSource(99))
+	rows := []types.Row{
+		{types.Null, types.Null, types.Null},
+		{types.NewInt(0), types.NewString(""), types.NewFloat(0)},
+		{types.NewInt(42), types.NewString("ASIA"), types.NewFloat(42)},
+		{types.NewFloat(41.5), types.NewString("EUROPE"), types.NewInt(-7)},
+		{types.NewBool(true), types.NewString("zzz"), types.NewBool(false)},
+		{types.DateFromYMD(1997, 5, 1), types.NewString("AMERICA"), types.DateFromYMD(1993, 1, 1)},
+		{types.NewString("17"), types.NewInt(17), types.NewFloat(2.5)},
+	}
+	for i := 0; i < 40; i++ {
+		rows = append(rows, types.Row{
+			types.NewInt(int64(r.Intn(100) - 50)),
+			types.NewString(fmt.Sprintf("s-%d", r.Intn(10))),
+			types.NewFloat(float64(r.Intn(2000))/10 - 100),
+		})
+	}
+	return rows
+}
+
+// compileTestExprs covers every predicate shape: each kernel's col/const,
+// mirrored, col/col and NULL variants, the shapes without a kernel, and
+// boolean combinations.
+func compileTestExprs() []Expr {
+	var ps []Expr
+	for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+		ps = append(ps,
+			NewCmp(op, C(0, "a"), Int(42)),
+			NewCmp(op, C(0, "a"), Float(41.5)),
+			NewCmp(op, C(0, "a"), Float(42)), // integral float const
+			NewCmp(op, C(1, "b"), Str("EUROPE")),
+			NewCmp(op, Int(42), C(0, "a")), // mirrored const-col
+			NewCmp(op, C(0, "a"), C(2, "c")),
+			NewCmp(op, C(0, "a"), Const{D: types.Null}),
+			NewCmp(op, C(0, "a"), Date(1995, 6, 15)),
+			NewCmp(op, NewArith(Add, C(0, "a"), Int(1)), Int(10)),   // generic fallback
+			NewCmp(op, C(2, "c"), NewArith(Mul, C(0, "a"), Int(2))), // col vs expression
+			NewCmp(op, Int(1), Float(1)),                            // const vs const
+		)
+	}
+	ps = append(ps,
+		NewBetween(C(0, "a"), Int(-10), Int(40)),
+		NewBetween(C(0, "a"), Date(1993, 1, 1), Date(1998, 1, 1)),
+		NewBetween(C(0, "a"), Float(-10.5), Float(40.5)),
+		NewBetween(C(2, "c"), Int(0), Int(100)),
+		NewBetween(NewArith(Mul, C(2, "c"), Int(2)), Int(0), Int(50)),
+		NewBetween(C(0, "a"), Int(10), Const{D: types.Null}),
+		NewIn(C(1, "b"), types.NewString("ASIA"), types.NewString("EUROPE")),
+		NewIn(C(0, "a"), types.NewInt(42), types.NewInt(-7), types.NewInt(0)),
+		NewIn(C(0, "a"), types.NewInt(17), types.NewString("17")), // mixed set
+		NewIn(C(2, "c"), types.NewFloat(42), types.NewInt(2)),
+		NewIn(C(0, "a")), // empty set
+		// Shapes without a kernel, evaluated through the Eval fallback.
+		NewBetween(C(0, "a"), C(2, "c"), Int(50)),                                    // column bound
+		NewIn(NewArith(Add, C(0, "a"), Int(1)), types.NewInt(43), types.NewFloat(1)), // non-column operand
+		NewArith(Add, C(0, "a"), Int(1)),                                             // non-predicate node
+		Const{D: types.NewBool(true)},
+		Const{D: types.NewBool(false)},
+		Const{D: types.NewInt(1)}, // non-bool const is false
+		C(0, "a"),                 // non-bool column is false
+	)
+	// Boolean combinations of a few base predicates.
+	base := []Expr{
+		NewCmp(GE, C(0, "a"), Int(0)),
+		NewIn(C(1, "b"), types.NewString("s-1"), types.NewString("s-2")),
+		NewBetween(C(2, "c"), Float(-50), Float(50)),
+	}
+	ps = append(ps,
+		NewAnd(base...),
+		NewOr(base...),
+		Not{E: base[0]},
+		NewAnd(base[0], Not{E: base[1]}),
+		NewOr(Not{E: base[2]}, NewAnd(base[0], base[1])),
+	)
+	return ps
+}
+
 // ssbPreds are the predicate shapes that dominate the workload templates.
 func ssbPreds() []Expr {
 	return []Expr{
@@ -50,26 +130,47 @@ func ssbPreds() []Expr {
 	}
 }
 
-// TestCompileVecMatchesCompile checks every SSB-shaped kernel against the
-// scalar closure row by row.
-func TestCompileVecMatchesCompile(t *testing.T) {
-	b, rows := testBatch(512)
-	defer b.Release()
+// checkVecMatchesEval asserts CompileVec(e) over b selects exactly the rows
+// on which e.Eval holds.
+func checkVecMatchesEval(t *testing.T, e Expr, b *vec.ColBatch, rows []types.Row) {
+	t.Helper()
 	var scr vec.Scratch
 	out := make([]int32, b.Len())
-	for _, e := range ssbPreds() {
-		scalar := Compile(e)
-		sel := CompileVec(e)(b, b.AllSel(), out, &scr)
-		j := 0
-		for i, row := range rows {
-			inSel := j < len(sel) && sel[j] == int32(i)
-			if inSel {
-				j++
-			}
-			if want := scalar(row); inSel != want {
-				t.Errorf("%s: row %d: vectorized=%v scalar=%v", e.Signature(), i, inSel, want)
-			}
+	sel := CompileVec(e)(b, b.AllSel(), out, &scr)
+	j := 0
+	for i, row := range rows {
+		inSel := j < len(sel) && sel[j] == int32(i)
+		if inSel {
+			j++
 		}
+		if want := e.Eval(row).Bool(); inSel != want {
+			t.Errorf("%s on row %d %s: vectorized=%v interpreted=%v", e.Signature(), i, row, inSel, want)
+		}
+	}
+	if j != len(sel) {
+		t.Errorf("%s: out-of-range or unordered selection %v", e.Signature(), sel)
+	}
+}
+
+// TestCompileVecMatchesEval is the compiled-predicate equivalence oracle:
+// the SSB shapes over a homogeneous batch take the typed kernels, and every
+// shape over mixed-kind rows takes the per-row Datum paths or the Eval
+// fallback; either way the selection must equal Eval row by row.
+func TestCompileVecMatchesEval(t *testing.T) {
+	b, rows := testBatch(512)
+	defer b.Release()
+	for _, e := range ssbPreds() {
+		checkVecMatchesEval(t, e, b, rows)
+	}
+	mixedRows := compileTestRows()
+	mixed := vec.Get(3)
+	defer mixed.Release()
+	for _, r := range mixedRows {
+		mixed.AppendRow(r)
+	}
+	mixed.Seal(len(mixedRows))
+	for _, e := range compileTestExprs() {
+		checkVecMatchesEval(t, e, mixed, mixedRows)
 	}
 }
 
@@ -94,9 +195,9 @@ func TestVecKernelsZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkCompileVecBetween measures the hottest kernel (int BETWEEN) per
-// 512-row batch against the scalar closure.
+// 512-row batch.
 func BenchmarkCompileVecBetween(b *testing.B) {
-	cb, rows := testBatch(512)
+	cb, _ := testBatch(512)
 	defer cb.Release()
 	e := NewBetween(C(0, "qty"), Int(10), Int(25))
 	b.Run("vectorized", func(b *testing.B) {
@@ -106,15 +207,6 @@ func BenchmarkCompileVecBetween(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			vp(cb, cb.AllSel(), out, &scr)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		p := Compile(e)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, r := range rows {
-				_ = p(r)
-			}
 		}
 	})
 }

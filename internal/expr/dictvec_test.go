@@ -73,7 +73,7 @@ func dictPreds() []Expr {
 
 // TestDictKernelsMatchScalarAndPlain checks the encoded-data fast paths:
 // for every dictionary predicate shape, evaluating over the dictionary-
-// coded batch, the plain string batch and the scalar closure all agree row
+// coded batch, the plain string batch and Eval on each row all agree row
 // by row.
 func TestDictKernelsMatchScalarAndPlain(t *testing.T) {
 	vals := []string{"alpha", "beta", "delta", "gamma", "omega", "zeta"}
@@ -85,7 +85,6 @@ func TestDictKernelsMatchScalarAndPlain(t *testing.T) {
 	outP := make([]int32, pb.Len())
 	for _, e := range dictPreds() {
 		vp := CompileVec(e)
-		scalar := Compile(e)
 		selD := vp(db, db.AllSel(), outD, &scr)
 		selP := vp(pb, pb.AllSel(), outP, &scr)
 		if len(selD) != len(selP) {
@@ -102,7 +101,7 @@ func TestDictKernelsMatchScalarAndPlain(t *testing.T) {
 			if inSel {
 				j++
 			}
-			if want := scalar(row); inSel != want {
+			if want := e.Eval(row).Bool(); inSel != want {
 				t.Errorf("%s: row %d (%q): dict=%v scalar=%v", e.Signature(), i, row[0].S, inSel, want)
 			}
 		}
@@ -110,8 +109,7 @@ func TestDictKernelsMatchScalarAndPlain(t *testing.T) {
 }
 
 // TestDictKernelsSingleEntryDict pins the degenerate single-value column
-// (code width zero on disk): every comparison still agrees with the scalar
-// closure.
+// (code width zero on disk): every comparison still agrees with Eval.
 func TestDictKernelsSingleEntryDict(t *testing.T) {
 	db, pb, rows := dictBatch(64, []string{"only"}, 3)
 	defer db.Release()
@@ -126,7 +124,6 @@ func TestDictKernelsSingleEntryDict(t *testing.T) {
 		NewIn(C(0, "s"), types.NewString("only")),
 		NewIn(C(0, "s"), types.NewString("other")),
 	} {
-		scalar := Compile(e)
 		sel := CompileVec(e)(db, db.AllSel(), out, &scr)
 		j := 0
 		for i, row := range rows {
@@ -134,7 +131,7 @@ func TestDictKernelsSingleEntryDict(t *testing.T) {
 			if inSel {
 				j++
 			}
-			if want := scalar(row); inSel != want {
+			if want := e.Eval(row).Bool(); inSel != want {
 				t.Errorf("%s: row %d: dict=%v scalar=%v", e.Signature(), i, inSel, want)
 			}
 		}

@@ -17,7 +17,7 @@ import (
 // blocks, 3 = string padding (forces multiple pages).
 func buildPruneTable(t *testing.T, r *rand.Rand) *storage.Table {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 	tbl, err := cat.CreateTable("p", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindString},
@@ -125,14 +125,13 @@ func TestPruningEquivalenceProperty(t *testing.T) {
 	hf := tbl.File
 	for trial := 0; trial < 300; trial++ {
 		pred := randPred(r, 2)
-		rowPred := expr.Compile(pred)
 		prune := expr.CompilePrune(pred)
 		var withPrune, withoutPrune int
 		for idx := 0; idx < hf.NumPages(); idx++ {
 			rows := pageRows(t, hf, idx)
 			surviving := 0
 			for _, row := range rows {
-				if rowPred(row) {
+				if pred.Eval(row).Bool() {
 					surviving++
 				}
 			}

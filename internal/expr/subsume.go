@@ -645,39 +645,3 @@ func Residual(p, q Expr) Expr {
 	}
 	return NewAnd(rest...)
 }
-
-// ColSet appends the distinct column indexes referenced by e to dst.
-func ColSet(e Expr, dst []int) []int {
-	switch n := e.(type) {
-	case nil:
-	case Col:
-		for _, c := range dst {
-			if c == n.Idx {
-				return dst
-			}
-		}
-		dst = append(dst, n.Idx)
-	case Const:
-	case Cmp:
-		dst = ColSet(n.L, dst)
-		dst = ColSet(n.R, dst)
-	case Between:
-		dst = ColSet(n.E, dst)
-		dst = ColSet(n.Lo, dst)
-		dst = ColSet(n.Hi, dst)
-	case In:
-		dst = ColSet(n.E, dst)
-	case And:
-		dst = ColSet(n.L, dst)
-		dst = ColSet(n.R, dst)
-	case Or:
-		dst = ColSet(n.L, dst)
-		dst = ColSet(n.R, dst)
-	case Not:
-		dst = ColSet(n.E, dst)
-	case Arith:
-		dst = ColSet(n.L, dst)
-		dst = ColSet(n.R, dst)
-	}
-	return dst
-}

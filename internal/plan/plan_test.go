@@ -11,7 +11,7 @@ import (
 
 func testTables(t *testing.T) (*storage.Table, *storage.Table) {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32)
 	fact, err := cat.CreateTable("fact", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "fk", Kind: types.KindInt},
@@ -159,7 +159,7 @@ func TestJoinOutputListsAreIdentity(t *testing.T) {
 // so far — nothing else — and a dimension that only filters is an existence
 // probe.
 func TestQueryCentricCarriesOnlyLiveColumns(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32)
 	mkTable := func(name string, cols ...string) *storage.Table {
 		sc := make([]types.Column, len(cols))
 		for i, c := range cols {

@@ -26,7 +26,7 @@ import (
 // few pages.
 func testCatalog(t *testing.T, rows int) *storage.Catalog {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256)
 	facts, err := cat.CreateTable("facts", types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "v", Kind: types.KindInt},

@@ -13,7 +13,7 @@ import (
 
 func genDB(t *testing.T, sf float64) (*storage.Catalog, *DB) {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 2048, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 2048)
 	db, err := Generate(cat, sf, 3)
 	if err != nil {
 		t.Fatal(err)

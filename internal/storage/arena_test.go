@@ -141,7 +141,7 @@ func TestBorrowedColumnsWithNullsAndLongPages(t *testing.T) {
 func TestBorrowedColumnsNeverAliasedByCopies(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
-	cat := NewCatalog(disk, 4, true)
+	cat := NewCatalog(disk, 4)
 	tbl := intTable(t, cat, 3000)
 	cb, err := tbl.File.PageCols(0)
 	if err != nil {
@@ -225,7 +225,7 @@ func TestBorrowedColumnCopiesBeforeWrite(t *testing.T) {
 func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
-	cat := NewCatalog(disk, 8, true)
+	cat := NewCatalog(disk, 8)
 	tbl := intTable(t, cat, 20000)
 	np := tbl.File.NumPages()
 	for p := 0; p < np; p++ { // fill the pool, decode one column of each page
@@ -313,7 +313,7 @@ func TestPoolCloseReportsPinnedFrames(t *testing.T) {
 func TestPoolCloseRacesReaders(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
-	cat := NewCatalog(disk, 6, true)
+	cat := NewCatalog(disk, 6)
 	tbl := intTable(t, cat, 20000)
 	np := tbl.File.NumPages()
 	var wg sync.WaitGroup
@@ -360,7 +360,7 @@ func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 	live := vec.LiveBatches()
 	var np int
 	func() {
-		cat := NewCatalog(NewMemDisk(DiskProfile{}), 2, true)
+		cat := NewCatalog(NewMemDisk(DiskProfile{}), 2)
 		tbl := intTable(t, cat, 20000)
 		np = tbl.File.NumPages()
 		held, err := tbl.File.PageCols(0)

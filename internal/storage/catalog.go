@@ -18,7 +18,7 @@ type Table struct {
 // Attach starts a (shared) circular scan of the table.
 func (t *Table) Attach() *ScanCursor { return t.group.Attach() }
 
-// ScanGroup exposes the scan coordinator (for stats and ablation toggles).
+// ScanGroup exposes the scan coordinator (for its stats).
 func (t *Table) ScanGroup() *ScanGroup { return t.group }
 
 // NumRows returns the table cardinality.
@@ -30,21 +30,18 @@ type Catalog struct {
 	disk Disk
 	pool *BufferPool
 
-	mu          sync.Mutex
-	tables      map[string]*Table
-	sharedScans bool
+	mu     sync.Mutex
+	tables map[string]*Table
 }
 
 // NewCatalog creates a database over the given disk with a buffer pool of
-// poolPages frames. sharedScans controls whether table scans use circular
-// attachment (the paper's systems always do; the toggle exists for the
-// ablation bench).
-func NewCatalog(disk Disk, poolPages int, sharedScans bool) *Catalog {
+// poolPages frames. Every table scan attaches circularly to its table's
+// in-progress sweep, as in both of the paper's systems.
+func NewCatalog(disk Disk, poolPages int) *Catalog {
 	return &Catalog{
-		disk:        disk,
-		pool:        NewBufferPool(disk, poolPages),
-		tables:      make(map[string]*Table),
-		sharedScans: sharedScans,
+		disk:   disk,
+		pool:   NewBufferPool(disk, poolPages),
+		tables: make(map[string]*Table),
 	}
 }
 
@@ -65,7 +62,7 @@ func (c *Catalog) CreateTable(name string, schema *types.Schema) (*Table, error)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Name: name, Schema: schema, File: hf, group: NewScanGroup(hf, c.sharedScans)}
+	t := &Table{Name: name, Schema: schema, File: hf, group: NewScanGroup(hf)}
 	c.tables[name] = t
 	return t, nil
 }

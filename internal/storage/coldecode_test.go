@@ -58,7 +58,7 @@ func randSchemaRows(r *rand.Rand) (*types.Schema, []types.Row) {
 // survives the reader's own reference being dropped (the frame holds one).
 func TestFrameSharesOneDecode(t *testing.T) {
 	disk := NewMemDisk(DiskProfile{})
-	cat := NewCatalog(disk, 8, true)
+	cat := NewCatalog(disk, 8)
 	tbl, err := cat.CreateTable("t", types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "s", Kind: types.KindString},
@@ -110,7 +110,7 @@ func TestFrameSharesOneDecode(t *testing.T) {
 func TestLazyColumnsSurviveEviction(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
-	cat := NewCatalog(disk, 1, true) // one frame: every other page evicts
+	cat := NewCatalog(disk, 1) // one frame: every other page evicts
 	tbl, err := cat.CreateTable("t", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindInt},

@@ -17,7 +17,7 @@ import (
 func faultCatalog(t *testing.T, poolPages, rows int) (*Catalog, *FaultDisk, *Table) {
 	t.Helper()
 	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
-	c := NewCatalog(fd, poolPages, true)
+	c := NewCatalog(fd, poolPages)
 	tbl, err := c.CreateTable("orders", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "pad", Kind: types.KindString},
@@ -188,7 +188,7 @@ func TestCorruptPageQuarantinesPermanently(t *testing.T) {
 // a hole in the file.
 func TestWriteFaultFailsFlushAndIsCounted(t *testing.T) {
 	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
-	c := NewCatalog(fd, 2, true)
+	c := NewCatalog(fd, 2)
 	tbl, err := c.CreateTable("w", types.NewSchema(types.Column{Name: "v", Kind: types.KindInt}))
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
 
 func TestFaultTargetingIsPerFile(t *testing.T) {
 	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
-	c := NewCatalog(fd, 8, true)
+	c := NewCatalog(fd, 8)
 	mk := func(name string) *Table {
 		tbl, err := c.CreateTable(name, types.NewSchema(
 			types.Column{Name: "v", Kind: types.KindInt}))
@@ -353,7 +353,7 @@ func TestFetchRetryZeroAlloc(t *testing.T) {
 // allocs/op.
 func BenchmarkFetchRetryDisarmed(b *testing.B) {
 	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
-	c := NewCatalog(fd, 8, true)
+	c := NewCatalog(fd, 8)
 	tbl, err := c.CreateTable("bench", types.NewSchema(
 		types.Column{Name: "v", Kind: types.KindInt}))
 	if err != nil {
@@ -394,7 +394,7 @@ func BenchmarkFetchRetryDisarmed(b *testing.B) {
 // directory offset instead.)
 func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
-	c := NewCatalog(fd, 4, true)
+	c := NewCatalog(fd, 4)
 	tbl, err := c.CreateTable("orders", types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "pad", Kind: types.KindString},

@@ -12,7 +12,7 @@ import (
 
 func newTestCatalog(t *testing.T, poolPages int) *Catalog {
 	t.Helper()
-	return NewCatalog(NewMemDisk(DiskProfile{}), poolPages, true)
+	return NewCatalog(NewMemDisk(DiskProfile{}), poolPages)
 }
 
 var kvSchema = types.NewSchema(

@@ -83,7 +83,7 @@ func TestDecodePageColsV2StringsO1Alloc(t *testing.T) {
 func TestLoadAllocsPerPage(t *testing.T) {
 	disk := NewMemDisk(DiskProfile{})
 	defer disk.Close()
-	cat := NewCatalog(disk, 4, true)
+	cat := NewCatalog(disk, 4)
 	tbl, err := cat.CreateTable("t", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindInt},

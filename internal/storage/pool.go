@@ -174,10 +174,9 @@ type BufferPool struct {
 	hand   int
 	closed bool
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
-	prefetched atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 
 	decoded atomic.Int64
 	// colsDecoded is its own object: page sources count into it, and a source
@@ -209,8 +208,6 @@ type BufferPool struct {
 	// flush, so entries never go stale.
 	zmu   sync.RWMutex
 	zones map[pageKey][]ZoneMap
-
-	prefetchGate chan struct{}
 }
 
 // NewBufferPool creates a pool of at most npages frames over the given disk.
@@ -222,15 +219,14 @@ func NewBufferPool(disk Disk, npages int) *BufferPool {
 	bufs := new(frameBufs)
 	runtime.SetFinalizer(bufs, (*frameBufs).reclaim)
 	return &BufferPool{
-		disk:         disk,
-		capacity:     npages,
-		bufs:         bufs,
-		colsDecoded:  new(atomic.Int64),
-		table:        make(map[pageKey]*Frame),
-		zones:        make(map[pageKey][]ZoneMap),
-		prefetchGate: make(chan struct{}, 4),
-		retryMax:     DefaultFetchRetries,
-		retryBase:    DefaultRetryBackoff,
+		disk:        disk,
+		capacity:    npages,
+		bufs:        bufs,
+		colsDecoded: new(atomic.Int64),
+		table:       make(map[pageKey]*Frame),
+		zones:       make(map[pageKey][]ZoneMap),
+		retryMax:    DefaultFetchRetries,
+		retryBase:   DefaultRetryBackoff,
 	}
 }
 
@@ -565,37 +561,6 @@ func (p *BufferPool) victimLocked() (*Frame, error) {
 	}
 	return nil, ErrNoFreeFrames
 }
-
-// Prefetch requests page (f, idx) in the background so a subsequent Fetch
-// hits the pool. It never blocks the caller: when the prefetch gate is
-// saturated the request is simply dropped (readahead is best-effort). The
-// single-flight machinery in Fetch guarantees a concurrent demand fetch of
-// the same page coalesces with the prefetch rather than reading twice.
-func (p *BufferPool) Prefetch(f FileID, idx int) {
-	p.mu.Lock()
-	_, cached := p.table[pageKey{file: f, idx: idx}]
-	p.mu.Unlock()
-	if cached {
-		return
-	}
-	select {
-	case p.prefetchGate <- struct{}{}:
-	default:
-		return // gate saturated; skip
-	}
-	go func() {
-		defer func() { <-p.prefetchGate }()
-		fr, err := p.Fetch(f, idx)
-		if err != nil {
-			return // best-effort: demand fetches will surface the error
-		}
-		p.prefetched.Add(1)
-		p.Unpin(fr)
-	}()
-}
-
-// Prefetched returns the number of completed background prefetches.
-func (p *BufferPool) Prefetched() int64 { return p.prefetched.Load() }
 
 // Contains reports whether the page is currently cached (testing hook).
 func (p *BufferPool) Contains(f FileID, idx int) bool {

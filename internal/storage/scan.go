@@ -13,16 +13,7 @@ import (
 // cursors hit buffer-pool-resident pages and k concurrent scans cost roughly
 // one disk sweep instead of k.
 type ScanGroup struct {
-	hf       *HeapFile
-	shared   bool
-	prefetch bool
-
-	// demandFirst orders each pruning cursor's fetches demand-first: pages
-	// that are both relevant (not zone-pruned) and pool-resident are served
-	// before cold ones, which move to the tail of the sweep. A selective
-	// query riding behind a 100%-selectivity sweep consumes the resident
-	// pages it needs and detaches without waiting for the full circle.
-	demandFirst bool
+	hf *HeapFile
 
 	mu      sync.Mutex
 	cursors map[*ScanCursor]struct{}
@@ -33,50 +24,9 @@ type ScanGroup struct {
 	pruned       int64 // pages skipped by zone-map pruning
 }
 
-// NewScanGroup creates a scan coordinator for hf. If shared is false every
-// cursor starts at page zero (the query-centric baseline for the shared-scan
-// ablation).
-func NewScanGroup(hf *HeapFile, shared bool) *ScanGroup {
-	return &ScanGroup{hf: hf, shared: shared, cursors: make(map[*ScanCursor]struct{})}
-}
-
-// SetShared toggles shared-scan behaviour (ablation hook; affects future
-// attaches only).
-func (g *ScanGroup) SetShared(v bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.shared = v
-}
-
-// SetPrefetch toggles scan readahead: cursors request their next page in
-// the background while the current page is being processed, hiding disk
-// latency on sequential sweeps.
-func (g *ScanGroup) SetPrefetch(v bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.prefetch = v
-}
-
-// prefetchOn reads the toggle under the group lock.
-func (g *ScanGroup) prefetchOn() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.prefetch
-}
-
-// SetDemandFirst toggles demand-first fetch ordering for pruning cursors
-// (enabled by disk-resident environments; affects future NextColsPruned
-// calls).
-func (g *ScanGroup) SetDemandFirst(v bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.demandFirst = v
-}
-
-func (g *ScanGroup) demandFirstOn() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.demandFirst
+// NewScanGroup creates a scan coordinator for hf.
+func NewScanGroup(hf *HeapFile) *ScanGroup {
+	return &ScanGroup{hf: hf, cursors: make(map[*ScanCursor]struct{})}
 }
 
 func (g *ScanGroup) notePruned() {
@@ -95,7 +45,8 @@ type ScanCursor struct {
 	served    int64 // pages delivered, used to find the most advanced cursor
 
 	// deferred holds relevant-but-cold pages pushed to the tail of the
-	// sweep by demand-first ordering; each page is deferred at most once.
+	// sweep by NextColsPruned's demand-first ordering; each page is deferred
+	// at most once.
 	deferred []int
 }
 
@@ -106,7 +57,7 @@ func (g *ScanGroup) Attach() *ScanCursor {
 	defer g.mu.Unlock()
 	g.attaches++
 	start := 0
-	if g.shared && n > 0 {
+	if n > 0 {
 		// Join the most advanced in-progress sweep, if any.
 		var lead *ScanCursor
 		for c := range g.cursors {
@@ -144,16 +95,12 @@ func (c *ScanCursor) Next() (idx int, ok bool) {
 }
 
 // NextCols fetches the next page's columnar batch and reports the page
-// index, or ok=false at end of sweep. With readahead enabled the cursor's
-// following page is requested in the background before this one is decoded.
-// The caller owns one reference on the batch and must Release it.
+// index, or ok=false at end of sweep. The caller owns one reference on the
+// batch and must Release it.
 func (c *ScanCursor) NextCols() (cb *vec.ColBatch, idx int, ok bool, err error) {
 	idx, ok = c.Next()
 	if !ok {
 		return nil, 0, false, nil
-	}
-	if c.numPages > 1 && c.group.prefetchOn() {
-		c.group.hf.Prefetch((idx + 1) % c.numPages)
 	}
 	cb, err = c.group.hf.PageCols(idx)
 	if err != nil {
@@ -167,16 +114,16 @@ func (c *ScanCursor) NextCols() (cb *vec.ColBatch, idx int, ok bool, err error) 
 // zones slice means "unknown" and the check is not consulted.
 type PageCheck func(zones []ZoneMap) bool
 
-// NextColsPruned is NextCols with zone-map pruning and (when the group has
-// demand-first ordering enabled) demand-first fetch ordering. Pages whose
-// zone maps cannot satisfy check are skipped without being fetched or
-// decoded; under demand-first ordering, relevant pages that are not
-// pool-resident are pushed to the tail of the sweep so resident pages are
-// consumed first. Every non-pruned page is still delivered exactly once.
-// A nil check only applies the ordering.
+// NextColsPruned is NextCols with zone-map pruning and demand-first fetch
+// ordering. Pages whose zone maps cannot satisfy check are skipped without
+// being fetched or decoded. Relevant pages that are not pool-resident are
+// pushed to the tail of the sweep so resident pages are consumed first: a
+// selective query riding behind a full sweep consumes the resident pages it
+// needs and detaches without waiting for the full circle. Every non-pruned
+// page is still delivered exactly once. A nil check only applies the
+// ordering.
 func (c *ScanCursor) NextColsPruned(check PageCheck) (cb *vec.ColBatch, idx int, ok bool, err error) {
 	hf := c.group.hf
-	demandFirst := c.group.demandFirstOn()
 	for {
 		idx, ok = c.Next()
 		inSweep := ok
@@ -195,16 +142,9 @@ func (c *ScanCursor) NextColsPruned(check PageCheck) (cb *vec.ColBatch, idx int,
 				continue
 			}
 		}
-		if inSweep && demandFirst && !hf.PageResident(idx) {
+		if inSweep && !hf.PageResident(idx) {
 			c.deferred = append(c.deferred, idx)
 			continue
-		}
-		if c.group.prefetchOn() {
-			if !inSweep && len(c.deferred) > 0 {
-				hf.Prefetch(c.deferred[0])
-			} else if inSweep && c.numPages > 1 {
-				hf.Prefetch((idx + 1) % c.numPages)
-			}
 		}
 		cb, err = hf.PageCols(idx)
 		if err != nil {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -117,27 +116,6 @@ func TestScanSharedAttachStartsAtLeader(t *testing.T) {
 	}
 }
 
-func TestScanUnsharedStartsAtZero(t *testing.T) {
-	disk := NewMemDisk(DiskProfile{})
-	c := NewCatalog(disk, 64, false) // shared scans disabled
-	tbl := loadNumbered(t, c, "t", 20000)
-
-	lead := tbl.Attach()
-	defer lead.Close()
-	lead.Next()
-	lead.Next()
-	follower := tbl.Attach()
-	defer follower.Close()
-	idx, ok := follower.Next()
-	if !ok || idx != 0 {
-		t.Errorf("unshared follower first page = %d, want 0", idx)
-	}
-	st := tbl.ScanGroup().Stats()
-	if st.AttachedShared != 0 {
-		t.Errorf("unshared group recorded shared attaches: %+v", st)
-	}
-}
-
 func TestScanDetachedCursorNotALeader(t *testing.T) {
 	c := newTestCatalog(t, 64)
 	tbl := loadNumbered(t, c, "t", 20000)
@@ -179,7 +157,7 @@ func TestScanExhaustedCursorNotALeader(t *testing.T) {
 // device clock a sleep every two pages even when it runs alone on one core.
 func TestSharedScansSaveDiskReads(t *testing.T) {
 	disk := NewMemDisk(DiskProfile{ReadLatency: 500 * time.Microsecond})
-	c := NewCatalog(disk, 8, true) // pool much smaller than table
+	c := NewCatalog(disk, 8) // pool much smaller than table
 	tbl := loadNumbered(t, c, "t", 50000)
 	npages := tbl.File.NumPages()
 	if npages <= 16 {
@@ -210,34 +188,5 @@ func TestSharedScansSaveDiskReads(t *testing.T) {
 	// k*npages. Require meaningful sharing: < half of independent cost.
 	if reads >= int64(k*npages/2) {
 		t.Errorf("shared scans issued %d reads for %d pages x %d scanners (no sharing evident)", reads, npages, k)
-	}
-}
-
-// drain sweeps the cursor to the end, releasing every page.
-func drain(cur *ScanCursor) error {
-	defer cur.Close()
-	for {
-		cb, _, ok, err := cur.NextCols()
-		if err != nil || !ok {
-			return err
-		}
-		cb.Release()
-	}
-}
-
-// Ablation: scan readahead — prefetching the next page while the current one
-// decodes hides disk latency on a sequential sweep.
-func BenchmarkScanPrefetch(b *testing.B) {
-	for _, prefetch := range []bool{false, true} {
-		disk := NewMemDisk(DiskProfile{ReadLatency: 100 * time.Microsecond})
-		tbl := loadNumbered(b, NewCatalog(disk, 16, true), "t", 10000)
-		tbl.ScanGroup().SetPrefetch(prefetch)
-		b.Run(fmt.Sprintf("prefetch=%v", prefetch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := drain(tbl.Attach()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

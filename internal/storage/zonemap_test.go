@@ -134,7 +134,6 @@ func TestNextColsPrunedDemandFirst(t *testing.T) {
 		}
 		cb.Release()
 	}
-	tbl.ScanGroup().SetDemandFirst(true)
 	cur := tbl.Attach()
 	defer cur.Close()
 	var order []int

@@ -11,7 +11,7 @@ import (
 
 func genLineitem(t *testing.T, sf float64) (*storage.Catalog, *storage.Table) {
 	t.Helper()
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 1024, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 1024)
 	tbl, err := Generate(cat, sf, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestGenerateCardinality(t *testing.T) {
 }
 
 func TestGenerateRejectsTinyScaleFactor(t *testing.T) {
-	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 	if _, err := Generate(cat, 0, 1); err == nil {
 		t.Error("sf=0 must fail")
 	}
@@ -145,8 +145,8 @@ func TestQ1SignatureStableForSameDelta(t *testing.T) {
 }
 
 func TestGenerateDeterministicPerSeed(t *testing.T) {
-	cat1 := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256, true)
-	cat2 := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256, true)
+	cat1 := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256)
+	cat2 := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 256)
 	t1, err := Generate(cat1, 0.0005, 7)
 	if err != nil {
 		t.Fatal(err)

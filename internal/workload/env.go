@@ -95,7 +95,7 @@ func newCatalog(factRows int, res Residency, poolPages int, fault bool) (*storag
 		fd = storage.NewFaultDisk(disk)
 		d = fd
 	}
-	return storage.NewCatalog(d, poolPages, true), disk, fd, poolPages
+	return storage.NewCatalog(d, poolPages), disk, fd, poolPages
 }
 
 // EnvConfig parameterizes an environment beyond the positional basics:
@@ -153,11 +153,6 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 		cjoin.Config{Workers: cfg.Workers, DisablePrune: cfg.NoPrune, DisableFold: cfg.NoFold})
 	if err != nil {
 		return nil, fmt.Errorf("workload: start cjoin: %w", err)
-	}
-	if cfg.Residency == DiskResident {
-		// Disk-resident sweeps benefit from demand-first ordering: pruning
-		// cursors consume resident relevant pages before paying for cold ones.
-		db.Lineorder.ScanGroup().SetDemandFirst(true)
 	}
 	return &Env{Cat: cat, Disk: disk, Fault: fd, SSB: db, CJoin: op,
 		Residency: cfg.Residency, PoolPages: pool}, nil
