@@ -296,6 +296,148 @@ func TestPanicPredicateFailsOnlyOwningQuery(t *testing.T) {
 	mustEqualRows(t, runStar(t, op, good), want)
 }
 
+// TestDistributorPanicAbortsCleanly drives a panic inside the distributor's
+// merge: a query carrying a fact column the table does not have passes
+// admission and panics in route on its first tuple. The distributor aborts
+// the operator: the bad query fails with a typed PanicError, every
+// concurrent query ends complete or typed, and after Close the live-batch
+// gauge, the recycler, the arena and the goroutine count are back at their
+// baselines — the shutdown pass recycled whatever the reorder ring held.
+func TestDistributorPanicAbortsCleanly(t *testing.T) {
+	const n, healthy = 20000, 4
+	goroutinesBefore := runtime.NumGoroutine()
+	balanced := arenaBalance(t)
+	cat, _ := faultStar(t, n)
+	lo, d := cat.MustTable("lo"), cat.MustTable("d")
+	cat.Pool().EvictFile(lo.File.ID())
+	cat.Pool().EvictFile(d.File.ID())
+	liveBefore, bytesBefore := vec.LiveBatches(), vec.PoolStats().BytesOut
+	op, err := NewOperator(lo, []DimSpec{{Table: d, FactKeyCol: 1, DimKeyCol: 0}},
+		Config{BatchSize: 128, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	query := func(factCol int) *plan.StarQuery {
+		return &plan.StarQuery{
+			Fact: lo, FactCols: []int{factCol},
+			Dims: []plan.DimJoin{{Table: d, FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}},
+		}
+	}
+	run := func(q *plan.StarQuery) (int, error) {
+		got := 0
+		err := op.Run(context.Background(), q, func(b *batch.Batch) error {
+			got += b.Len()
+			b.Done()
+			return nil
+		})
+		return got, err
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, healthy)
+	rows := make([]int, healthy)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rows[i], errs[i] = run(query(0))
+		}(i)
+	}
+	_, badErr := run(query(9))
+	wg.Wait()
+
+	var pe *PanicError
+	if !errors.As(badErr, &pe) {
+		t.Errorf("bad query err = %v, want *PanicError", badErr)
+	}
+	for i, err := range errs {
+		switch {
+		case err == nil && rows[i] != n:
+			t.Errorf("healthy query %d: nil error with %d of %d rows", i, rows[i], n)
+		case err != nil && !errors.As(err, &pe) && !errors.Is(err, ErrClosed):
+			t.Errorf("healthy query %d: untyped error %v", i, err)
+		}
+	}
+	if _, err := run(query(0)); !errors.Is(err, ErrClosed) {
+		t.Errorf("query after the abort: err = %v, want ErrClosed", err)
+	}
+
+	op.Close()
+	cat.Pool().EvictFile(lo.File.ID())
+	cat.Pool().EvictFile(d.File.ID())
+	if live := vec.LiveBatches(); live != liveBefore {
+		t.Errorf("leaked batch refs: LiveBatches = %d, baseline %d", live, liveBefore)
+	}
+	if out := vec.PoolStats().BytesOut; out != bytesBefore {
+		t.Errorf("leaked payload arrays: %d bytes out, baseline %d", out, bytesBefore)
+	}
+	balanced(cat)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutinesBefore+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > goroutinesBefore+2 {
+		t.Errorf("leaked goroutines: %d running, started with %d", g, goroutinesBefore)
+	}
+}
+
+// TestDistributorShutdownRecyclesParkedItems makes the merge panic while the
+// reorder ring holds two out-of-order ticks, one of them parking an
+// admission. run's shutdown pass must register the parked admission, fail
+// that query with the panic, and release the page-batch reference of every
+// item it held: the one being processed and the two parked.
+func TestDistributorShutdownRecyclesParkedItems(t *testing.T) {
+	cat := starDB(t, 100)
+	op, err := NewOperator(cat.MustTable("lo"),
+		[]DimSpec{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	liveBefore := vec.LiveBatches()
+
+	parked := &subscription{out: make(chan *batch.Batch, 1), cancelCh: make(chan struct{})}
+	in := make(chan *item, 3)
+	for _, seq := range []int64{1, 2, 0} {
+		it := op.getItem()
+		it.seq = seq
+		it.cols = vec.Get(1)
+		switch seq {
+		case 1:
+			it.pre = append(it.pre, ctlMsg{kind: ctlAdmit, sub: parked})
+		case 0:
+			// A retirement of a query that does not exist: the distributor
+			// dereferences it and panics.
+			it.post = append(it.post, ctlMsg{kind: ctlFinish})
+		}
+		in <- it
+	}
+	close(in)
+	if got := vec.LiveBatches(); got != liveBefore+3 {
+		t.Fatalf("LiveBatches = %d with three items in flight, want %d", got, liveBefore+3)
+	}
+
+	d := &distributor{op: op, in: in}
+	op.wg.Add(1)
+	d.run()
+
+	select {
+	case _, ok := <-parked.out:
+		if ok {
+			t.Error("parked query received a batch, want its output closed")
+		}
+	default:
+		t.Error("parked query's output is still open")
+	}
+	var pe *PanicError
+	if !errors.As(parked.err, &pe) {
+		t.Errorf("parked query err = %v, want *PanicError", parked.err)
+	}
+	if live := vec.LiveBatches(); live != liveBefore {
+		t.Errorf("leaked batch refs: LiveBatches = %d, baseline %d", live, liveBefore)
+	}
+}
+
 // countStar runs q to completion, releasing every delivered batch, and
 // returns the row count. The chaos test balances the live-batch gauge, so
 // it cannot use runStar, whose collector retains the delivered batches.

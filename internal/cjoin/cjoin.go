@@ -89,8 +89,6 @@ type Config struct {
 	BatchSize int
 	// QueueLen is the per-worker input queue depth, in fact pages. Default: 4.
 	QueueLen int
-	// OutBuffer is the per-query output channel depth, in batches. Default: 4.
-	OutBuffer int
 	// Workers is the number of parallel probe pipelines the fact stream is
 	// partitioned across. Default: runtime.GOMAXPROCS(0).
 	Workers int
@@ -106,6 +104,9 @@ type Config struct {
 	DisableFold bool
 }
 
+// outBuffer is the per-query output channel depth, in batches.
+const outBuffer = 4
+
 // MaxWorkers bounds Config.Workers; a larger value is almost certainly a
 // bug (e.g. a row count passed in the wrong field) and would only burn
 // memory on idle replicas.
@@ -119,8 +120,6 @@ func (c Config) normalize() (Config, error) {
 		return c, fmt.Errorf("cjoin: BatchSize %d is negative", c.BatchSize)
 	case c.QueueLen < 0:
 		return c, fmt.Errorf("cjoin: QueueLen %d is negative", c.QueueLen)
-	case c.OutBuffer < 0:
-		return c, fmt.Errorf("cjoin: OutBuffer %d is negative", c.OutBuffer)
 	case c.Workers < 0:
 		return c, fmt.Errorf("cjoin: Workers %d is negative", c.Workers)
 	case c.Workers > MaxWorkers:
@@ -131,9 +130,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.QueueLen == 0 {
 		c.QueueLen = 4
-	}
-	if c.OutBuffer == 0 {
-		c.OutBuffer = 4
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -662,7 +658,7 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	}
 	sub := &subscription{
 		q:          q,
-		out:        make(chan *batch.Batch, op.cfg.OutBuffer),
+		out:        make(chan *batch.Batch, outBuffer),
 		cancelCh:   make(chan struct{}),
 		dimIdx:     make([]int, len(q.Dims)),
 		dimRef:     make([]bool, len(op.specs)),
@@ -1009,6 +1005,7 @@ func (op *Operator) scan(fanIn chan<- *item) {
 					select {
 					case w.in <- wmsg{it: it}:
 					case <-op.closeCh:
+						op.putItem(it)
 						return
 					}
 				}
@@ -1533,20 +1530,21 @@ func (w *worker) run() {
 	defer w.op.wg.Done()
 	defer w.op.prodWG.Done()
 	// A worker panic (outside the per-predicate containment in annotate)
-	// aborts the operator; the recovery path releases the in-flight item
-	// and drains the queue so no page-batch reference leaks. The drain
-	// terminates because the scanner observes closeCh and closes w.in.
+	// aborts the operator. Whichever way the worker exits, it releases the
+	// in-flight item and drains the queue so no page-batch reference leaks.
+	// The drain terminates because the scanner observes closeCh and closes
+	// w.in (on a normal exit w.in is already closed and empty).
 	defer func() {
 		if r := recover(); r != nil {
 			w.op.abort(r)
-			if w.cur != nil {
-				w.op.putItem(w.cur)
-				w.cur = nil
-			}
-			for msg := range w.in {
-				if msg.it != nil {
-					w.op.putItem(msg.it)
-				}
+		}
+		if w.cur != nil {
+			w.op.putItem(w.cur)
+			w.cur = nil
+		}
+		for msg := range w.in {
+			if msg.it != nil {
+				w.op.putItem(msg.it)
 			}
 		}
 	}()
@@ -1580,10 +1578,8 @@ func (w *worker) run() {
 		case w.out <- it:
 			w.cur = nil
 		case <-w.op.closeCh:
-			// Undeliverable: release the item's page reference rather than
-			// stranding it (the distributor will never see this seq).
-			w.cur = nil
-			w.op.putItem(it)
+			// Undeliverable (the distributor will never see this seq): the
+			// deferred drain releases it with the rest of the queue.
 			return
 		}
 	}
@@ -1673,6 +1669,16 @@ func (d *distributor) deliver(sub *subscription) {
 	case <-d.op.closeCh:
 		b.Done()
 		sub.cut = true
+	}
+}
+
+// discard releases sub's undelivered output. A query failed at shutdown gets
+// its error, not a last partial batch: a route that panicked may have left
+// the pending columns uneven, or allocated them without a row.
+func (d *distributor) discard(sub *subscription) {
+	if sub.pendCols != nil {
+		sub.pendCols.Release()
+		sub.pendCols, sub.pendN = nil, 0
 	}
 }
 
@@ -1914,7 +1920,7 @@ func (d *distributor) run() {
 				continue
 			}
 			g.err = cause
-			d.deliver(g)
+			d.discard(g)
 			close(g.out)
 			g.closed = true
 		}
@@ -1922,7 +1928,7 @@ func (d *distributor) run() {
 			continue
 		}
 		sub.err = cause
-		d.deliver(sub)
+		d.discard(sub)
 		close(sub.out)
 		sub.closed = true
 	}
@@ -1930,8 +1936,8 @@ func (d *distributor) run() {
 
 // merge runs the sequence merge until the fan-in closes. A distributor
 // panic (a kernel acting on corrupted routing state) aborts the operator
-// rather than the process; the in-flight item's reference is released and
-// run's drain handles the rest.
+// rather than the process; the in-flight item's reference is released here,
+// and run's drain and shutdown pass handle the fan-in and the reorder ring.
 func (d *distributor) merge() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1940,19 +1946,6 @@ func (d *distributor) merge() {
 				d.op.putItem(d.cur)
 				d.cur = nil
 			}
-			for _, it := range d.ring {
-				if it != nil {
-					// Parked items: register their admissions so the
-					// shutdown pass fails those queries, then recycle.
-					for _, c := range it.pre {
-						if c.kind == ctlAdmit {
-							d.register(c.sub)
-						}
-					}
-					d.op.putItem(it)
-				}
-			}
-			d.ring = nil
 		}
 	}()
 	for it := range d.in {

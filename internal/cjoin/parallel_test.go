@@ -187,7 +187,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{BatchSize: -1},
 		{QueueLen: -4},
-		{OutBuffer: -2},
 		{Workers: -1},
 		{Workers: MaxWorkers + 1},
 	}
@@ -201,7 +200,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BatchSize <= 0 || cfg.QueueLen <= 0 || cfg.OutBuffer <= 0 || cfg.Workers <= 0 {
+	if cfg.BatchSize <= 0 || cfg.QueueLen <= 0 || cfg.Workers <= 0 {
 		t.Errorf("normalize left a zero field: %+v", cfg)
 	}
 }

@@ -247,19 +247,23 @@ func drain(ctx context.Context, root plan.Node, r Reader) (*Result, error) {
 }
 
 // dispatch instantiates (or SP-shares) the packet for node and returns the
-// reader delivering its output. Packets wait on gate before producing.
+// reader delivering its output. Packets wait on gate before producing. Only a
+// stage with SP on computes the node's fingerprint, its registry key.
 func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struct{}) (Reader, error) {
 	st := e.stage(node.Kind())
-	sig := node.Signature()
+	var fp expr.Fp
+	if st.sp {
+		fp = plan.Fingerprint(node)
+	}
 
 	var primary Reader
 	mk := func() *Packet {
-		p, r := newPacket(node, st, sig, e.cfg.Model, e.cfg.FIFOCapacity, e.cfg.SPLMaxPages)
+		p, r := newPacket(node, st, fp, e.cfg.Model, e.cfg.FIFOCapacity, e.cfg.SPLMaxPages)
 		primary = r
 		return p
 	}
 
-	host, fresh := st.lookupOrRegister(sig, mk)
+	host, fresh := st.lookupOrRegister(fp, mk)
 	if host != nil {
 		if r, ok := host.addConsumer(); ok {
 			st.spAttached.Add(1)
@@ -269,7 +273,7 @@ func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struc
 		// arrivals can share with us.
 		st.spMissed.Add(1)
 		fresh = mk()
-		st.register(sig, fresh)
+		st.register(fp, fresh)
 	}
 
 	inputs := make([]Reader, 0, 2)
@@ -277,7 +281,7 @@ func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struc
 		cr, err := e.dispatch(ctx, child, gate)
 		if err != nil {
 			fresh.close(err)
-			st.unregister(sig, fresh)
+			st.unregister(fp, fresh)
 			for _, in := range inputs {
 				in.Close()
 			}
@@ -305,7 +309,7 @@ func (e *Engine) run(ctx context.Context, p *Packet, inputs []Reader, gate <-cha
 
 	cleanup := func(err error) {
 		p.close(err)
-		st.unregister(p.sig, p)
+		st.unregister(p.fp, p)
 		for _, in := range inputs {
 			in.Close()
 		}

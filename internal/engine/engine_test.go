@@ -437,6 +437,79 @@ func TestDifferentPredicatesDoNotShare(t *testing.T) {
 	}
 }
 
+// spShape parameterises a scan → filter → join → project → aggregate → sort
+// → limit plan; each field is a parameter the plan's fingerprint covers.
+type spShape struct {
+	hi        int64 // filter: dept < hi
+	leftKey   int   // join: sales column probed against dept.dk
+	projName  string
+	groupName string
+	aggFunc   plan.AggFunc
+	aggName   string
+	desc      bool
+	limit     int
+}
+
+func (s spShape) build(cat *storage.Catalog) plan.Node {
+	f := plan.NewFilter(plan.NewScan(cat.MustTable("sales")),
+		expr.NewCmp(expr.LT, expr.C(1, "dept"), expr.Int(s.hi)))
+	j := plan.NewHashJoin(f, plan.NewScan(cat.MustTable("dept")), s.leftKey, 0)
+	p := plan.NewProject(j, []plan.ProjCol{
+		{Name: "region", Kind: types.KindString, Expr: expr.C(5, "region")},
+		{Name: s.projName, Kind: types.KindFloat, Expr: expr.C(2, "amount")},
+	})
+	a := plan.NewAggregate(p,
+		[]plan.GroupCol{{Name: s.groupName, Kind: types.KindString, Expr: expr.C(0, "region")}},
+		[]plan.AggSpec{{Func: s.aggFunc, Arg: expr.C(1, s.projName), Name: s.aggName, ArgKind: types.KindFloat}})
+	return plan.NewLimit(plan.NewSort(a, []plan.SortKey{{Col: 1, Desc: s.desc}}), s.limit)
+}
+
+// SP finds common sub-plans by plan.Fingerprint: two plans built separately
+// from the same parameters share the root packet, and changing any one
+// fingerprinted parameter anywhere in the tree keeps the roots apart.
+func TestSPSharesExactlyByFingerprint(t *testing.T) {
+	cat := testDB(t, 1000)
+	base := spShape{hi: 3, leftKey: 1, projName: "amt", groupName: "region",
+		aggFunc: plan.AggSum, aggName: "total", limit: 3}
+	variants := map[string]func(s *spShape){
+		"identical":        func(s *spShape) {},
+		"filter predicate": func(s *spShape) { s.hi = 4 },
+		"join key":         func(s *spShape) { s.leftKey = 0 },
+		"project name":     func(s *spShape) { s.projName = "amount" },
+		"group name":       func(s *spShape) { s.groupName = "r" },
+		"agg func":         func(s *spShape) { s.aggFunc = plan.AggMax },
+		"agg name":         func(s *spShape) { s.aggName = "sum" },
+		"sort direction":   func(s *spShape) { s.desc = true },
+		"limit N":          func(s *spShape) { s.limit = 2 },
+	}
+	solo := newTestEngine(cat, Config{})
+	for _, model := range []SPModel{SPPush, SPPull} {
+		for name, edit := range variants {
+			t.Run(model.String()+"/"+name, func(t *testing.T) {
+				v := base
+				edit(&v)
+				e := newTestEngine(cat, Config{SP: true, Model: model})
+				res, err := e.ExecuteBatch(context.Background(), []plan.Node{base.build(cat), v.build(cat)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := int64(0)
+				if v == base {
+					want = 1
+				}
+				if got := e.StageStatsFor(plan.KindLimit).SPAttached; got != want {
+					t.Errorf("limit stage attached %d, want %d", got, want)
+				}
+				ref, err := solo.Execute(context.Background(), v.build(cat))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqualRows(t, res[1].Rows, ref.Rows)
+			})
+		}
+	}
+}
+
 func TestMixedBatchSharesPerPlanGroup(t *testing.T) {
 	cat := testDB(t, 2000)
 	e := newTestEngine(cat, Config{SP: true, Model: SPPull})

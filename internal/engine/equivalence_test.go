@@ -91,9 +91,8 @@ func TestSPEquivalenceProperty(t *testing.T) {
 			p := randomPlan(cat, r)
 			roots = append(roots, p)
 			if r.Intn(2) == 0 {
-				// Re-generate an identical plan (same RNG state trick: clone
-				// by signature — easiest is to just reuse p, which shares
-				// the node; dispatch treats each root independently).
+				// An identical plan: reuse p, which shares the node;
+				// dispatch treats each root independently.
 				roots = append(roots, p)
 			}
 		}

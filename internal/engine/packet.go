@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/batch"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/spl"
 )
@@ -36,7 +37,7 @@ func (m SPModel) String() string {
 type Packet struct {
 	node  plan.Node
 	stage *Stage
-	sig   string
+	fp    expr.Fp // SP registry key; zero when the stage does not share
 	model SPModel
 
 	mu      sync.Mutex
@@ -64,8 +65,8 @@ func (p *Packet) close(err error) {
 }
 
 // newPacket builds a packet and its primary consumer endpoint.
-func newPacket(node plan.Node, stage *Stage, sig string, model SPModel, fifoCap, splMax int) (*Packet, Reader) {
-	p := &Packet{node: node, stage: stage, sig: sig, model: model}
+func newPacket(node plan.Node, stage *Stage, fp expr.Fp, model SPModel, fifoCap, splMax int) (*Packet, Reader) {
+	p := &Packet{node: node, stage: stage, fp: fp, model: model}
 	if model == SPPull {
 		p.list = spl.New(splMax)
 		r, err := p.list.NewReader()

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/plan"
 )
 
@@ -12,14 +13,14 @@ import (
 // original system each stage owns a worker pool and a queue of packets; here
 // packets run on goroutines, and the stage keeps the run-time state that
 // matters for sharing — the in-flight packet registry keyed by sub-plan
-// signature, which is how Simultaneous Pipelining detects common sub-plans
-// among concurrent queries.
+// fingerprint (plan.Fingerprint), which is how Simultaneous Pipelining
+// detects common sub-plans among concurrent queries.
 type Stage struct {
 	kind plan.Kind
 	sp   bool // SP enabled for this stage
 
 	mu       sync.Mutex
-	inflight map[string]*Packet
+	inflight map[expr.Fp]*Packet
 
 	executed   atomic.Int64 // packets run by this stage
 	spAttached atomic.Int64 // satellites attached to a host packet
@@ -31,52 +32,52 @@ type Stage struct {
 }
 
 func newStage(kind plan.Kind, sp bool) *Stage {
-	return &Stage{kind: kind, sp: sp, inflight: make(map[string]*Packet)}
+	return &Stage{kind: kind, sp: sp, inflight: make(map[expr.Fp]*Packet)}
 }
 
 // Kind returns the operator kind this stage runs.
 func (s *Stage) Kind() plan.Kind { return s.kind }
 
 // lookupOrRegister returns (host, nil) when an in-flight packet with the
-// same signature exists, otherwise registers p (when SP is on) and returns
+// same fingerprint exists, otherwise registers p (when SP is on) and returns
 // (nil, p). Callers must attempt attachment to the returned host and fall
 // back to dispatching their own packet if the window has closed.
-func (s *Stage) lookupOrRegister(sig string, mk func() *Packet) (host, fresh *Packet) {
+func (s *Stage) lookupOrRegister(fp expr.Fp, mk func() *Packet) (host, fresh *Packet) {
 	if !s.sp {
 		return nil, mk()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h, ok := s.inflight[sig]; ok {
+	if h, ok := s.inflight[fp]; ok {
 		return h, nil
 	}
 	p := mk()
-	s.inflight[sig] = p
+	s.inflight[fp] = p
 	return nil, p
 }
 
 // register inserts a packet built after a failed attach (window closed). It
 // only installs p if no other packet holds the slot.
-func (s *Stage) register(sig string, p *Packet) {
+func (s *Stage) register(fp expr.Fp, p *Packet) {
 	if !s.sp {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.inflight[sig]; !ok {
-		s.inflight[sig] = p
+	if _, ok := s.inflight[fp]; !ok {
+		s.inflight[fp] = p
 	}
 }
 
 // unregister removes p from the in-flight table if it still owns its slot.
-func (s *Stage) unregister(sig string, p *Packet) {
+func (s *Stage) unregister(fp expr.Fp, p *Packet) {
 	if !s.sp {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.inflight[sig] == p {
-		delete(s.inflight, sig)
+	if s.inflight[fp] == p {
+		delete(s.inflight, fp)
 	}
 }
 

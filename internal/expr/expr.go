@@ -1,11 +1,12 @@
 // Package expr implements the scalar expression language used by selection
 // predicates, join keys and aggregate arguments.
 //
-// Every expression carries a canonical Signature used by the Simultaneous
-// Pipelining (SP) registry to detect common sub-plans at run time: two plan
-// nodes are shareable only if their expression trees (and children) have
-// identical signatures — the paper's "identical predicates" requirement for
-// reactive sharing.
+// Every expression has a structural Fingerprint, which plan.Fingerprint folds
+// into the key the Simultaneous Pipelining (SP) registry detects common
+// sub-plans by: two plan nodes are shareable only if their expression trees
+// (and children) are structurally identical — the paper's "identical
+// predicates" requirement for reactive sharing. Signature renders an
+// expression for Explain and diagnostics.
 package expr
 
 import (
@@ -19,7 +20,8 @@ import (
 type Expr interface {
 	// Eval computes the expression over the given row.
 	Eval(row types.Row) types.Datum
-	// Signature returns a canonical encoding of the expression tree.
+	// Signature returns a canonical rendering of the expression tree, for
+	// display and diagnostics.
 	Signature() string
 }
 

@@ -19,7 +19,7 @@ import (
 //	HashJoin lo_orderdate = d_datekey → [lo_revenue lo_partkey lo_suppkey | d_year]
 //
 // The output is for humans (examples, demo server, debugging); plan
-// identity for SP uses Signature, not Explain.
+// identity for SP and the result cache is Fingerprint, not Explain.
 func Explain(n Node) string {
 	var sb strings.Builder
 	explain(&sb, n, "", true, true)

@@ -1,15 +1,18 @@
 package plan
 
 import (
+	"fmt"
+
 	"repro/internal/expr"
 	"repro/internal/storage"
 )
 
 // Fingerprint returns a 128-bit structural fingerprint of a plan tree — the
-// exact-template matching key of the engine's materialized result cache.
-// Unlike Signature it is allocation-free to compute, comparable, and covers
-// output column names and kinds (two plans with equal fingerprints produce
-// byte-identical results including headers, given identical table contents).
+// key under which SP finds an in-flight common sub-plan and the
+// exact-template matching key of the engine's materialized result cache. It
+// is allocation-free to compute, comparable, and covers output column names
+// and kinds (two plans with equal fingerprints produce byte-identical results
+// including headers, given identical table contents).
 func Fingerprint(n Node) expr.Fp {
 	h := expr.NewFpHasher()
 	addNode(&h, n)
@@ -76,11 +79,9 @@ func addNode(h *expr.FpHasher, n Node) {
 	case *CJoin:
 		addStar(h, v.Star)
 	default:
-		// Unknown extension node: canonical signature fallback.
-		h.Str(n.Signature())
-		for _, c := range n.Children() {
-			addNode(h, c)
-		}
+		// Every Node is defined in this package, and the engine refuses to
+		// run any other.
+		panic(fmt.Sprintf("plan: Fingerprint of unknown node %T", n))
 	}
 }
 

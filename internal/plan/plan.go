@@ -1,18 +1,17 @@
 // Package plan defines the operator trees executed by the QPipe engine and
 // the star-query descriptors consumed by the CJOIN operator.
 //
-// Every node carries a canonical Signature covering the node, its parameters
-// and its whole subtree. Signatures are the run-time common-sub-plan
-// detection key of Simultaneous Pipelining: two packets are shareable iff
-// their nodes' signatures are equal, which per package expr implies
+// A plan's one identity is its Fingerprint, a 128-bit hash covering the node,
+// its parameters and its whole subtree. Fingerprints are the run-time
+// common-sub-plan detection key of Simultaneous Pipelining: two packets are
+// shareable iff their nodes' fingerprints are equal, which implies
 // structurally identical predicates — the paper's "common sub-plans with
-// identical predicates" requirement.
+// identical predicates" requirement. The result cache keys on the same
+// value.
 package plan
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -67,8 +66,6 @@ type Node interface {
 	Schema() *types.Schema
 	// Children returns the input sub-plans.
 	Children() []Node
-	// Signature canonically encodes the node and its subtree.
-	Signature() string
 }
 
 // ---------------------------------------------------------------------------
@@ -101,14 +98,6 @@ func (s *Scan) Schema() *types.Schema { return s.Table.Schema }
 // Children returns nil (scans are leaves).
 func (s *Scan) Children() []Node { return nil }
 
-// Signature encodes the table identity and any pushed predicate.
-func (s *Scan) Signature() string {
-	if s.Pred == nil {
-		return "scan(" + s.Table.Name + ")"
-	}
-	return "scan(" + s.Table.Name + "," + s.Pred.Signature() + ")"
-}
-
 // ---------------------------------------------------------------------------
 // Filter
 
@@ -129,11 +118,6 @@ func (f *Filter) Schema() *types.Schema { return f.Input.Schema() }
 
 // Children returns the single input.
 func (f *Filter) Children() []Node { return []Node{f.Input} }
-
-// Signature encodes the predicate and subtree.
-func (f *Filter) Signature() string {
-	return "filter(" + f.Pred.Signature() + "," + f.Input.Signature() + ")"
-}
 
 // ---------------------------------------------------------------------------
 // Project
@@ -169,22 +153,6 @@ func (p *Project) Schema() *types.Schema { return p.schema }
 
 // Children returns the single input.
 func (p *Project) Children() []Node { return []Node{p.Input} }
-
-// Signature encodes the projection expressions and subtree.
-func (p *Project) Signature() string {
-	var sb strings.Builder
-	sb.WriteString("project([")
-	for i, c := range p.Cols {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(c.Expr.Signature())
-	}
-	sb.WriteString("],")
-	sb.WriteString(p.Input.Signature())
-	sb.WriteByte(')')
-	return sb.String()
-}
 
 // ---------------------------------------------------------------------------
 // HashJoin
@@ -243,37 +211,6 @@ func (j *HashJoin) Schema() *types.Schema { return j.schema }
 
 // Children returns left and right inputs.
 func (j *HashJoin) Children() []Node { return []Node{j.Left, j.Right} }
-
-// Signature encodes key positions, the carried columns and both subtrees:
-// two joins that differ only in what they emit produce different streams and
-// must not share.
-func (j *HashJoin) Signature() string {
-	var sb strings.Builder
-	sb.WriteString("join(")
-	sb.WriteString(strconv.Itoa(j.LeftCol))
-	sb.WriteByte('=')
-	sb.WriteString(strconv.Itoa(j.RightCol))
-	sb.WriteString(",[")
-	writeCols(&sb, j.LeftOut)
-	sb.WriteByte('|')
-	writeCols(&sb, j.RightOut)
-	sb.WriteString("],")
-	sb.WriteString(j.Left.Signature())
-	sb.WriteByte(',')
-	sb.WriteString(j.Right.Signature())
-	sb.WriteByte(')')
-	return sb.String()
-}
-
-// writeCols writes column positions separated by ';'.
-func writeCols(sb *strings.Builder, cols []int) {
-	for i, c := range cols {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(strconv.Itoa(c))
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Aggregate
@@ -359,36 +296,6 @@ func (a *Aggregate) Schema() *types.Schema { return a.schema }
 // Children returns the single input.
 func (a *Aggregate) Children() []Node { return []Node{a.Input} }
 
-// Signature encodes grouping, aggregates and subtree.
-func (a *Aggregate) Signature() string {
-	var sb strings.Builder
-	sb.WriteString("agg([")
-	for i, g := range a.GroupBy {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(g.Expr.Signature())
-	}
-	sb.WriteString("],[")
-	for i, ag := range a.Aggs {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(ag.Func.String())
-		sb.WriteByte('(')
-		if ag.Arg != nil {
-			sb.WriteString(ag.Arg.Signature())
-		} else {
-			sb.WriteByte('*')
-		}
-		sb.WriteByte(')')
-	}
-	sb.WriteString("],")
-	sb.WriteString(a.Input.Signature())
-	sb.WriteByte(')')
-	return sb.String()
-}
-
 // ---------------------------------------------------------------------------
 // Sort
 
@@ -416,25 +323,6 @@ func (s *Sort) Schema() *types.Schema { return s.Input.Schema() }
 // Children returns the single input.
 func (s *Sort) Children() []Node { return []Node{s.Input} }
 
-// Signature encodes the sort keys and subtree.
-func (s *Sort) Signature() string {
-	var sb strings.Builder
-	sb.WriteString("sort([")
-	for i, k := range s.Keys {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(strconv.Itoa(k.Col))
-		if k.Desc {
-			sb.WriteString("d")
-		}
-	}
-	sb.WriteString("],")
-	sb.WriteString(s.Input.Signature())
-	sb.WriteByte(')')
-	return sb.String()
-}
-
 // ---------------------------------------------------------------------------
 // Limit
 
@@ -457,8 +345,3 @@ func (l *Limit) Schema() *types.Schema { return l.Input.Schema() }
 
 // Children returns the single input.
 func (l *Limit) Children() []Node { return []Node{l.Input} }
-
-// Signature encodes the cap and subtree.
-func (l *Limit) Signature() string {
-	return "limit(" + strconv.Itoa(l.N) + "," + l.Input.Signature() + ")"
-}

@@ -35,17 +35,17 @@ func testTables(t *testing.T) (*storage.Table, *storage.Table) {
 	return fact, dim
 }
 
-func TestScanSignatures(t *testing.T) {
+func TestScanFingerprints(t *testing.T) {
 	fact, dim := testTables(t)
-	if NewScan(fact).Signature() == NewScan(dim).Signature() {
+	if Fingerprint(NewScan(fact)) == Fingerprint(NewScan(dim)) {
 		t.Error("scans of different tables must differ")
 	}
-	if NewScan(fact).Signature() != NewScan(fact).Signature() {
+	if Fingerprint(NewScan(fact)) != Fingerprint(NewScan(fact)) {
 		t.Error("scans of the same table must match")
 	}
 	p := expr.Eq(expr.C(0, "id"), expr.Int(1))
-	if NewScanFiltered(fact, p).Signature() == NewScan(fact).Signature() {
-		t.Error("pushed predicate must change the scan signature")
+	if Fingerprint(NewScanFiltered(fact, p)) == Fingerprint(NewScan(fact)) {
+		t.Error("pushed predicate must change the scan fingerprint")
 	}
 }
 
@@ -96,30 +96,53 @@ func TestNodeKindsAndSchemas(t *testing.T) {
 	}
 }
 
-func TestSignatureIncorporatesEveryParameter(t *testing.T) {
+// Every parameter of every node kind is part of the fingerprint: SP shares a
+// packet, and the result cache serves a result, only for an exact match.
+func TestFingerprintIncorporatesEveryParameter(t *testing.T) {
 	fact, dim := testTables(t)
 	scan := NewScan(fact)
-	base := NewSort(NewHashJoin(scan, NewScan(dim), 1, 0), []SortKey{{Col: 0}}).Signature()
+	pred := expr.Eq(expr.C(0, "id"), expr.Int(1))
+	proj := func(name string, kind types.Kind, e expr.Expr) Node {
+		return NewProject(scan, []ProjCol{{Name: name, Kind: kind, Expr: e}})
+	}
+	agg := func(g GroupCol, a AggSpec) Node { return NewAggregate(scan, []GroupCol{g}, []AggSpec{a}) }
+	group := GroupCol{Name: "fk", Kind: types.KindInt, Expr: expr.C(1, "fk")}
+	minV := AggSpec{Func: AggMin, Arg: expr.C(2, "v"), Name: "lo", ArgKind: types.KindFloat}
+	sortJoin := func(lk, rk int, key SortKey) Node {
+		return NewSort(NewHashJoin(scan, NewScan(dim), lk, rk), []SortKey{key})
+	}
 
-	variants := []Node{
-		NewSort(NewHashJoin(scan, NewScan(dim), 0, 0), []SortKey{{Col: 0}}),             // join key
-		NewSort(NewHashJoin(scan, NewScan(dim), 1, 1), []SortKey{{Col: 0}}),             // right key
-		NewSort(NewHashJoin(scan, NewScan(dim), 1, 0), []SortKey{{Col: 1}}),             // sort col
-		NewSort(NewHashJoin(scan, NewScan(dim), 1, 0), []SortKey{{Col: 0, Desc: true}}), // direction
+	cases := []struct {
+		name      string
+		base, alt Node
+	}{
+		{"filter predicate", NewFilter(scan, pred), NewFilter(scan, expr.Eq(expr.C(0, "id"), expr.Int(2)))},
+		{"filter input", NewFilter(scan, pred), NewFilter(NewScan(dim), pred)},
+		{"project name", proj("x", types.KindInt, expr.C(0, "id")), proj("y", types.KindInt, expr.C(0, "id"))},
+		{"project kind", proj("x", types.KindInt, expr.C(0, "id")), proj("x", types.KindFloat, expr.C(0, "id"))},
+		{"project expr", proj("x", types.KindInt, expr.C(0, "id")), proj("x", types.KindInt, expr.C(1, "fk"))},
+		{"join left key", sortJoin(1, 0, SortKey{Col: 0}), sortJoin(0, 0, SortKey{Col: 0})},
+		{"join right key", sortJoin(1, 0, SortKey{Col: 0}), sortJoin(1, 1, SortKey{Col: 0})},
+		{"sort column", sortJoin(1, 0, SortKey{Col: 0}), sortJoin(1, 0, SortKey{Col: 1})},
+		{"sort direction", sortJoin(1, 0, SortKey{Col: 0}), sortJoin(1, 0, SortKey{Col: 0, Desc: true})},
+		{"group name", agg(group, minV), agg(GroupCol{Name: "g", Kind: group.Kind, Expr: group.Expr}, minV)},
+		{"group expr", agg(group, minV), agg(GroupCol{Name: "fk", Kind: group.Kind, Expr: expr.C(0, "id")}, minV)},
+		{"agg func", agg(group, minV), agg(group, AggSpec{Func: AggMax, Arg: minV.Arg, Name: "lo", ArgKind: types.KindFloat})},
+		{"agg name", agg(group, minV), agg(group, AggSpec{Func: AggMin, Arg: minV.Arg, Name: "hi", ArgKind: types.KindFloat})},
+		{"agg arg", agg(group, minV), agg(group, AggSpec{Func: AggMin, Arg: expr.C(0, "id"), Name: "lo", ArgKind: types.KindFloat})},
+		{"agg arg kind", agg(group, minV), agg(group, AggSpec{Func: AggMin, Arg: minV.Arg, Name: "lo", ArgKind: types.KindInt})},
+		{"limit N", NewLimit(scan, 5), NewLimit(scan, 6)},
 	}
-	for i, v := range variants {
-		if v.Signature() == base {
-			t.Errorf("variant %d did not change the signature", i)
+	for _, c := range cases {
+		if Fingerprint(c.base) == Fingerprint(c.alt) {
+			t.Errorf("%s did not change the fingerprint", c.name)
 		}
-	}
-	if NewLimit(scan, 5).Signature() == NewLimit(scan, 6).Signature() {
-		t.Error("limit count must change the signature")
 	}
 }
 
 // Two joins that differ only in what they carry up produce different
-// streams: both the SP key and the result-cache key must tell them apart,
-// and the all-columns constructor is exactly the identity lists.
+// streams: the fingerprint, the SP and result-cache key, must tell them
+// apart, and the all-columns constructor is exactly the identity lists.
 func TestJoinOutputListsAreIdentity(t *testing.T) {
 	fact, dim := testTables(t)
 	mk := func(leftOut, rightOut []int) *HashJoin {
@@ -127,8 +150,8 @@ func TestJoinOutputListsAreIdentity(t *testing.T) {
 	}
 	base := mk([]int{0, 2}, []int{1})
 	same := mk([]int{0, 2}, []int{1})
-	if base.Signature() != same.Signature() || Fingerprint(base) != Fingerprint(same) {
-		t.Error("identical output lists must give identical signature and fingerprint")
+	if Fingerprint(base) != Fingerprint(same) {
+		t.Error("identical output lists must give identical fingerprints")
 	}
 	if got := base.Schema().String(); got != "(id:int,v:float,name:string)" {
 		t.Errorf("narrowed join schema = %s", got)
@@ -139,16 +162,13 @@ func TestJoinOutputListsAreIdentity(t *testing.T) {
 		"right list":       mk([]int{0, 2}, nil),
 		"moved across '|'": mk([]int{0}, []int{0, 1}),
 	} {
-		if v.Signature() == base.Signature() {
-			t.Errorf("%s: signature did not change", name)
-		}
 		if Fingerprint(v) == Fingerprint(base) {
 			t.Errorf("%s: fingerprint did not change", name)
 		}
 	}
 	full := NewHashJoin(NewScan(fact), NewScan(dim), 1, 0)
 	ident := mk([]int{0, 1, 2}, []int{0, 1})
-	if full.Signature() != ident.Signature() || Fingerprint(full) != Fingerprint(ident) ||
+	if Fingerprint(full) != Fingerprint(ident) ||
 		full.Schema().String() != ident.Schema().String() {
 		t.Error("NewHashJoin must be the identity output lists")
 	}
@@ -201,7 +221,7 @@ func TestQueryCentricCarriesOnlyLiveColumns(t *testing.T) {
 	}
 }
 
-func TestStarQuerySignatureAndSchema(t *testing.T) {
+func TestStarQueryFingerprintAndSchema(t *testing.T) {
 	fact, dim := testTables(t)
 	mk := func(pred expr.Expr) *StarQuery {
 		return &StarQuery{
@@ -217,8 +237,8 @@ func TestStarQuerySignatureAndSchema(t *testing.T) {
 	}
 	a := mk(nil)
 	b := mk(expr.Eq(expr.C(0, "id"), expr.Int(1)))
-	if a.Signature() == b.Signature() {
-		t.Error("fact predicate must change the star signature")
+	if Fingerprint(NewCJoin(a)) == Fingerprint(NewCJoin(b)) {
+		t.Error("fact predicate must change the star fingerprint")
 	}
 	out := a.OutputSchema()
 	if out.Len() != 3 || out.Cols[2].Name != "name" {
@@ -228,8 +248,21 @@ func TestStarQuerySignatureAndSchema(t *testing.T) {
 	if cj.Kind() != KindCJoin || cj.Schema().Len() != 3 || len(cj.Children()) != 0 {
 		t.Error("CJoin node shape wrong")
 	}
-	if cj.Signature() == NewCJoin(b).Signature() {
-		t.Error("CJoin signatures must track the star query")
+	if Fingerprint(cj) != Fingerprint(NewCJoin(mk(nil))) {
+		t.Error("CJoin fingerprints of equal star queries must match")
+	}
+	for name, edit := range map[string]func(q *StarQuery){
+		"fact columns":  func(q *StarQuery) { q.FactCols = []int{0} },
+		"fact key":      func(q *StarQuery) { q.Dims[0].FactKeyCol = 0 },
+		"dim key":       func(q *StarQuery) { q.Dims[0].DimKeyCol = 1 },
+		"dim predicate": func(q *StarQuery) { q.Dims[0].Pred = nil },
+		"dim payload":   func(q *StarQuery) { q.Dims[0].PayloadCols = nil },
+	} {
+		v := mk(nil)
+		edit(v)
+		if Fingerprint(NewCJoin(v)) == Fingerprint(cj) {
+			t.Errorf("%s did not change the star fingerprint", name)
+		}
 	}
 }
 

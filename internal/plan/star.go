@@ -2,8 +2,6 @@ package plan
 
 import (
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -51,37 +49,6 @@ func (q *StarQuery) OutputSchema() *types.Schema {
 	return types.NewSchema(cols...)
 }
 
-// Signature canonically encodes the whole star query.
-func (q *StarQuery) Signature() string {
-	var sb strings.Builder
-	sb.WriteString("star(")
-	sb.WriteString(q.Fact.Name)
-	sb.WriteByte(',')
-	if q.FactPred != nil {
-		sb.WriteString(q.FactPred.Signature())
-	}
-	sb.WriteString(",[")
-	writeCols(&sb, q.FactCols)
-	sb.WriteByte(']')
-	for _, d := range q.Dims {
-		sb.WriteString(",dim(")
-		sb.WriteString(d.Table.Name)
-		sb.WriteByte(',')
-		sb.WriteString(strconv.Itoa(d.FactKeyCol))
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Itoa(d.DimKeyCol))
-		sb.WriteByte(',')
-		if d.Pred != nil {
-			sb.WriteString(d.Pred.Signature())
-		}
-		sb.WriteString(",[")
-		writeCols(&sb, d.PayloadCols)
-		sb.WriteString("])")
-	}
-	sb.WriteByte(')')
-	return sb.String()
-}
-
 // CJoin is the plan node that evaluates a star query on the shared CJOIN
 // stage (the Global Query Plan). Its output schema is StarQuery.OutputSchema.
 type CJoin struct {
@@ -100,10 +67,6 @@ func (c *CJoin) Schema() *types.Schema { return c.schema }
 
 // Children returns nil: the scan and joins happen inside the shared pipeline.
 func (c *CJoin) Children() []Node { return nil }
-
-// Signature encodes the star query; identical star sub-plans therefore SP-
-// share a single CJOIN packet (Figure 2).
-func (c *CJoin) Signature() string { return "cjoin(" + c.Star.Signature() + ")" }
 
 // QueryCentric expands the star query into the equivalent query-centric
 // plan: scan(fact) → filter → chain of hash-joins against filtered dimension

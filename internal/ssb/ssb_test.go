@@ -4,9 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/expr"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -149,12 +152,15 @@ func TestPlanFlavorsShareStarSchema(t *testing.T) {
 	}
 }
 
+// starFp is the identity Pool dedupes instances by.
+func starFp(in Instance) expr.Fp { return plan.Fingerprint(plan.NewCJoin(in.Star)) }
+
 func TestInstantiateDeterministicPerSeed(t *testing.T) {
 	_, db := genDB(t, 0.0002)
 	for _, tpl := range AllTemplates {
 		a := Instantiate(db, tpl, rand.New(rand.NewSource(33)))
 		b := Instantiate(db, tpl, rand.New(rand.NewSource(33)))
-		if a.Signature() != b.Signature() {
+		if starFp(a) != starFp(b) {
 			t.Errorf("%s: same seed produced different instances", tpl)
 		}
 	}
@@ -166,12 +172,101 @@ func TestPoolProducesDistinctPlans(t *testing.T) {
 	if len(pool) != 8 {
 		t.Fatalf("pool size = %d, want 8", len(pool))
 	}
-	sigs := map[string]bool{}
+	fps := map[expr.Fp]bool{}
 	for _, in := range pool {
-		sigs[in.Signature()] = true
+		fps[starFp(in)] = true
 	}
-	if len(sigs) != 8 {
-		t.Errorf("pool has %d distinct signatures, want 8", len(sigs))
+	if len(fps) != 8 {
+		t.Errorf("pool has %d distinct fingerprints, want 8", len(fps))
+	}
+}
+
+// starPreds renders the predicates an instance was drawn with, in plan order.
+func starPreds(in Instance) string {
+	var parts []string
+	if in.Star.FactPred != nil {
+		parts = append(parts, in.Star.FactPred.Signature())
+	}
+	for _, d := range in.Star.Dims {
+		if d.Pred != nil {
+			parts = append(parts, d.Table.Name+":"+d.Pred.Signature())
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestPoolPicksPinnedInstances pins the instances Pool draws, in order, for a
+// few templates and seeds. The pins were recorded when Pool deduped by a
+// star signature string, so they also check that the fingerprint groups
+// instances the same way: the Q2.1 pools at seeds 4 and 7 and the Q3.2 pool
+// skip duplicate draws, so the dedupe key decides what they hold. The
+// benchmark's pool phase and curve IV draw their queries from Pool.
+func TestPoolPicksPinnedInstances(t *testing.T) {
+	_, db := genDB(t, 0.0002)
+	cases := []struct {
+		tpl  Template
+		n    int
+		seed int64
+		want []string
+	}{
+		{Q2_1, 8, 4, []string{
+			"part:eq(col(2),string:MFGR#52) supplier:eq(col(3),string:EUROPE)",
+			"part:eq(col(2),string:MFGR#13) supplier:eq(col(3),string:ASIA)",
+			"part:eq(col(2),string:MFGR#54) supplier:eq(col(3),string:AMERICA)",
+			"part:eq(col(2),string:MFGR#23) supplier:eq(col(3),string:AMERICA)",
+			"part:eq(col(2),string:MFGR#14) supplier:eq(col(3),string:AFRICA)",
+			"part:eq(col(2),string:MFGR#15) supplier:eq(col(3),string:AMERICA)",
+			"part:eq(col(2),string:MFGR#53) supplier:eq(col(3),string:MIDDLE EAST)",
+			"part:eq(col(2),string:MFGR#23) supplier:eq(col(3),string:AFRICA)",
+		}},
+		{Q2_1, 8, 7, []string{
+			"part:eq(col(2),string:MFGR#21) supplier:eq(col(3),string:EUROPE)",
+			"part:eq(col(2),string:MFGR#43) supplier:eq(col(3),string:EUROPE)",
+			"part:eq(col(2),string:MFGR#33) supplier:eq(col(3),string:ASIA)",
+			"part:eq(col(2),string:MFGR#24) supplier:eq(col(3),string:AMERICA)",
+			"part:eq(col(2),string:MFGR#11) supplier:eq(col(3),string:AMERICA)",
+			"part:eq(col(2),string:MFGR#13) supplier:eq(col(3),string:ASIA)",
+			"part:eq(col(2),string:MFGR#51) supplier:eq(col(3),string:MIDDLE EAST)",
+			"part:eq(col(2),string:MFGR#12) supplier:eq(col(3),string:AMERICA)",
+		}},
+		{Q2_1, 4, 1, []string{
+			"part:eq(col(2),string:MFGR#23) supplier:eq(col(3),string:ASIA)",
+			"part:eq(col(2),string:MFGR#52) supplier:eq(col(3),string:EUROPE)",
+			"part:eq(col(2),string:MFGR#11) supplier:eq(col(3),string:AMERICA)",
+			"part:eq(col(2),string:MFGR#15) supplier:eq(col(3),string:AMERICA)",
+		}},
+		{Q1_1, 3, 5, []string{
+			"and(between(col(8),int:5,int:7),lt(col(6),int:22)) date:eq(col(3),int:1994)",
+			"and(between(col(8),int:4,int:6),lt(col(6),int:20)) date:eq(col(3),int:1992)",
+			"and(between(col(8),int:6,int:8),lt(col(6),int:23)) date:eq(col(3),int:1997)",
+		}},
+		{Q3_2, 8, 2, []string{
+			"customer:eq(col(2),string:INDIA) supplier:eq(col(2),string:INDIA) date:between(col(3),int:1993,int:1998)",
+			"customer:eq(col(2),string:ROMANIA) supplier:eq(col(2),string:ROMANIA) date:between(col(3),int:1992,int:1997)",
+			"customer:eq(col(2),string:MOZAMBIQUE) supplier:eq(col(2),string:MOZAMBIQUE) date:between(col(3),int:1996,int:2001)",
+			"customer:eq(col(2),string:ARGENTINA) supplier:eq(col(2),string:ARGENTINA) date:between(col(3),int:1996,int:2001)",
+			"customer:eq(col(2),string:CHINA) supplier:eq(col(2),string:CHINA) date:between(col(3),int:1996,int:2001)",
+			"customer:eq(col(2),string:EGYPT) supplier:eq(col(2),string:EGYPT) date:between(col(3),int:1994,int:1999)",
+			"customer:eq(col(2),string:ETHIOPIA) supplier:eq(col(2),string:ETHIOPIA) date:between(col(3),int:1994,int:1999)",
+			"customer:eq(col(2),string:SAUDI ARABIA) supplier:eq(col(2),string:SAUDI ARABIA) date:between(col(3),int:1994,int:1999)",
+		}},
+		{Q4_2, 3, 9, []string{
+			"customer:eq(col(3),string:AMERICA) supplier:eq(col(3),string:AMERICA) part:in(col(1),[string:MFGR#1;string:MFGR#3]) date:in(col(3),[int:1997;int:1998])",
+			"customer:eq(col(3),string:AFRICA) supplier:eq(col(3),string:AFRICA) part:in(col(1),[string:MFGR#4;string:MFGR#2]) date:in(col(3),[int:1992;int:1993])",
+			"customer:eq(col(3),string:AFRICA) supplier:eq(col(3),string:AFRICA) part:in(col(1),[string:MFGR#3;string:MFGR#3]) date:in(col(3),[int:1996;int:1997])",
+		}},
+	}
+	for _, c := range cases {
+		pool := Pool(db, c.tpl, c.n, c.seed)
+		if len(pool) != len(c.want) {
+			t.Errorf("Pool(%s, %d, %d) drew %d instances, want %d", c.tpl, c.n, c.seed, len(pool), len(c.want))
+			continue
+		}
+		for i, in := range pool {
+			if got := starPreds(in); got != c.want[i] {
+				t.Errorf("Pool(%s, %d, %d)[%d] = %s, want %s", c.tpl, c.n, c.seed, i, got, c.want[i])
+			}
+		}
 	}
 }
 

@@ -63,10 +63,6 @@ func (in Instance) Plan(useGQP bool) plan.Node {
 	return in.Build(in.Star.QueryCentric())
 }
 
-// Signature identifies the full plan shape (used to count distinct plans in
-// a pool; strategy-independent).
-func (in Instance) Signature() string { return in.Star.Signature() }
-
 // ---------------------------------------------------------------------------
 // Template instantiation
 
@@ -489,20 +485,20 @@ func DateWindowPool(db *DB, selPct, nPlans int, seed int64) []Instance {
 }
 
 // Pool pre-generates nPlans distinct instances of the template (distinct by
-// star signature). Clients drawing queries from a small pool produce many
-// common sub-plans; a large pool has few — the "number of possible different
-// plans" axis of Scenario IV.
+// the fingerprint of their star join). Clients drawing queries from a small
+// pool produce many common sub-plans; a large pool has few — the "number of
+// possible different plans" axis of Scenario IV.
 func Pool(db *DB, t Template, nPlans int, seed int64) []Instance {
 	r := rand.New(rand.NewSource(seed))
-	seen := make(map[string]bool, nPlans)
+	seen := make(map[expr.Fp]bool, nPlans)
 	var out []Instance
 	for attempts := 0; len(out) < nPlans && attempts < nPlans*100; attempts++ {
 		in := Instantiate(db, t, r)
-		sig := in.Signature()
-		if seen[sig] {
+		fp := plan.Fingerprint(plan.NewCJoin(in.Star))
+		if seen[fp] {
 			continue
 		}
-		seen[sig] = true
+		seen[fp] = true
 		out = append(out, in)
 	}
 	return out

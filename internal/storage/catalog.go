@@ -18,9 +18,6 @@ type Table struct {
 // Attach starts a (shared) circular scan of the table.
 func (t *Table) Attach() *ScanCursor { return t.group.Attach() }
 
-// ScanGroup exposes the scan coordinator (for its stats).
-func (t *Table) ScanGroup() *ScanGroup { return t.group }
-
 // NumRows returns the table cardinality.
 func (t *Table) NumRows() int { return t.File.NumRows() }
 

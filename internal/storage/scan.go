@@ -17,22 +17,11 @@ type ScanGroup struct {
 
 	mu      sync.Mutex
 	cursors map[*ScanCursor]struct{}
-	// attaches counts Attach calls; attachShared counts those that joined an
-	// in-progress sweep (reported by the harness as shared-scan hits).
-	attaches     int64
-	attachShared int64
-	pruned       int64 // pages skipped by zone-map pruning
 }
 
 // NewScanGroup creates a scan coordinator for hf.
 func NewScanGroup(hf *HeapFile) *ScanGroup {
 	return &ScanGroup{hf: hf, cursors: make(map[*ScanCursor]struct{})}
-}
-
-func (g *ScanGroup) notePruned() {
-	g.mu.Lock()
-	g.pruned++
-	g.mu.Unlock()
 }
 
 // ScanCursor delivers every page of the file exactly once, starting at the
@@ -55,7 +44,6 @@ func (g *ScanGroup) Attach() *ScanCursor {
 	n := g.hf.NumPages()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.attaches++
 	start := 0
 	if n > 0 {
 		// Join the most advanced in-progress sweep, if any.
@@ -67,7 +55,6 @@ func (g *ScanGroup) Attach() *ScanCursor {
 		}
 		if lead != nil {
 			start = lead.next
-			g.attachShared++
 		}
 	}
 	c := &ScanCursor{group: g, numPages: n, next: start, remaining: n}
@@ -138,7 +125,6 @@ func (c *ScanCursor) NextColsPruned(check PageCheck) (cb *vec.ColBatch, idx int,
 		if check != nil {
 			if z := hf.PageZones(idx); z != nil && !check(z) {
 				hf.NotePruned()
-				c.group.notePruned()
 				continue
 			}
 		}
@@ -160,18 +146,4 @@ func (c *ScanCursor) Close() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	delete(g.cursors, c)
-}
-
-// ScanGroupStats reports sharing effectiveness counters.
-type ScanGroupStats struct {
-	Attaches       int64
-	AttachedShared int64
-	PagesPruned    int64 // pages skipped by zone-map pruning across cursors
-}
-
-// Stats returns cumulative attach counters.
-func (g *ScanGroup) Stats() ScanGroupStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return ScanGroupStats{Attaches: g.attaches, AttachedShared: g.attachShared, PagesPruned: g.pruned}
 }

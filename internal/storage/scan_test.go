@@ -93,10 +93,6 @@ func TestScanAttachMidSweepStillSeesEverything(t *testing.T) {
 	if len(seen) != 20000 {
 		t.Fatalf("late-attached cursor saw %d rows, want 20000", len(seen))
 	}
-	st := tbl.ScanGroup().Stats()
-	if st.Attaches != 2 || st.AttachedShared != 1 {
-		t.Errorf("stats = %+v, want 2 attaches / 1 shared", st)
-	}
 }
 
 func TestScanSharedAttachStartsAtLeader(t *testing.T) {

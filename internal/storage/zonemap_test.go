@@ -114,8 +114,8 @@ func TestNextColsPrunedExactlyOnce(t *testing.T) {
 			t.Fatalf("page %d delivered %d times, want %d (seen %v)", p, seen[p], want, seen)
 		}
 	}
-	if got := tbl.ScanGroup().Stats().PagesPruned; got != 1 {
-		t.Fatalf("PagesPruned = %d, want 1", got)
+	if got := c.Pool().DecodeStats().Pruned; got != 1 {
+		t.Fatalf("DecodeStats.Pruned = %d, want 1", got)
 	}
 }
 

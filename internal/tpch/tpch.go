@@ -125,7 +125,7 @@ func Generate(cat *storage.Catalog, sf float64, seed int64) (*storage.Table, err
 //	ORDER BY l_returnflag, l_linestatus
 //
 // delta is the query's single parameter (60..120 in the spec, 90 by
-// default). Identical deltas yield identical plan signatures, which is what
+// default). Identical deltas yield identical plan fingerprints, which is what
 // Scenario I relies on when it submits identical Q1 instances.
 func Q1Plan(lineitem *storage.Table, delta int) plan.Node {
 	cutoffDay := types.DateFromYMD(1998, 12, 1).I - int64(delta)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -133,14 +134,14 @@ func TestQ1PlanAgainstNaive(t *testing.T) {
 
 func TestQ1SignatureStableForSameDelta(t *testing.T) {
 	_, tbl := genLineitem(t, 0.0005)
-	a := Q1Plan(tbl, 90).Signature()
-	b := Q1Plan(tbl, 90).Signature()
-	c := Q1Plan(tbl, 60).Signature()
+	a := plan.Fingerprint(Q1Plan(tbl, 90))
+	b := plan.Fingerprint(Q1Plan(tbl, 90))
+	c := plan.Fingerprint(Q1Plan(tbl, 60))
 	if a != b {
-		t.Error("identical Q1 instances must share a signature (SP prerequisite)")
+		t.Error("identical Q1 instances must share a fingerprint (SP prerequisite)")
 	}
 	if a == c {
-		t.Error("different deltas must not share a signature")
+		t.Error("different deltas must not share a fingerprint")
 	}
 }
 

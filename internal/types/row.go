@@ -125,7 +125,7 @@ func (s *Schema) Project(idxs []int) *Schema {
 	return NewSchema(cols...)
 }
 
-// String renders "name:kind" pairs, used in diagnostics and signatures.
+// String renders "name:kind" pairs, used in diagnostics.
 func (s *Schema) String() string {
 	parts := make([]string, len(s.Cols))
 	for i, c := range s.Cols {

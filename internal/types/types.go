@@ -265,7 +265,7 @@ func (d Datum) HashKey() uint64 {
 	}
 }
 
-// String renders the datum for display and for canonical plan signatures.
+// String renders the datum for display and for expression signatures.
 func (d Datum) String() string {
 	switch d.K {
 	case KindNull:
@@ -289,7 +289,7 @@ func (d Datum) String() string {
 	}
 }
 
-// SigString renders the datum unambiguously for plan signatures (kind-tagged
+// SigString renders the datum unambiguously for expression signatures (kind-tagged
 // so that int 1 and bool true do not collide).
 func (d Datum) SigString() string {
 	return d.K.String() + ":" + d.String()
