@@ -3,6 +3,7 @@ package ssb
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/storage"
@@ -94,18 +95,22 @@ func generateDate(cat *storage.Catalog) (*storage.Table, []int64, error) {
 		return nil, nil, err
 	}
 	var keys []int64
+	var yearMonth string // "Jan1992": formatted on the first of each month
 	day := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
 	end := time.Date(1998, 12, 31, 0, 0, 0, 0, time.UTC)
 	for !day.After(end) {
 		key := int64(day.Year()*10000 + int(day.Month())*100 + day.Day())
 		keys = append(keys, key)
+		if day.Day() == 1 {
+			yearMonth = day.Month().String()[:3] + strconv.Itoa(day.Year())
+		}
 		row := types.Row{
 			types.NewInt(key),
 			types.NewString(day.Weekday().String()),
 			types.NewString(day.Month().String()),
 			types.NewInt(int64(day.Year())),
 			types.NewInt(int64(day.Year()*100 + int(day.Month()))),
-			types.NewString(day.Month().String()[:3] + fmt.Sprintf("%d", day.Year())),
+			types.NewString(yearMonth),
 			types.NewInt(int64((day.YearDay()-1)/7 + 1)),
 		}
 		if err := tbl.File.Append(row); err != nil {
@@ -165,15 +170,29 @@ func generatePart(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table, er
 	if err != nil {
 		return nil, err
 	}
+	// The part hierarchy's 5 manufacturers, 25 categories and 1 000 brands,
+	// formatted once: MFGR#m, MFGR#mc and MFGR#mcbb.
+	var mfgrs [5]string
+	var cats [5 * 5]string
+	var brands [5 * 5 * 40]string
+	for m := range mfgrs {
+		mfgrs[m] = fmt.Sprintf("MFGR#%d", m+1)
+		for c := 0; c < 5; c++ {
+			cats[m*5+c] = fmt.Sprintf("MFGR#%d%d", m+1, c+1)
+			for b := 0; b < 40; b++ {
+				brands[(m*5+c)*40+b] = fmt.Sprintf("MFGR#%d%d%02d", m+1, c+1, b+1)
+			}
+		}
+	}
 	for i := 1; i <= n; i++ {
-		mfgr := 1 + r.Intn(5)
-		pcat := 1 + r.Intn(5)
-		brand := 1 + r.Intn(40)
+		mfgr := r.Intn(5)
+		cat := mfgr*5 + r.Intn(5)
+		brand := cat*40 + r.Intn(40)
 		row := types.Row{
 			types.NewInt(int64(i)),
-			types.NewString(fmt.Sprintf("MFGR#%d", mfgr)),
-			types.NewString(fmt.Sprintf("MFGR#%d%d", mfgr, pcat)),
-			types.NewString(fmt.Sprintf("MFGR#%d%d%02d", mfgr, pcat, brand)),
+			types.NewString(mfgrs[mfgr]),
+			types.NewString(cats[cat]),
+			types.NewString(brands[brand]),
 			types.NewString(Colors[r.Intn(len(Colors))]),
 			types.NewInt(int64(1 + r.Intn(50))),
 		}
@@ -193,9 +212,10 @@ func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts G
 		return nil, err
 	}
 	// Append copies values into the page being built, so one chunk of datums
-	// serves every chunk of rows: 600 bytes of garbage per row would otherwise
-	// be most of what the collector sees while loading, now that the device's
-	// pages are not in its heap.
+	// serves every chunk of rows, each row's twelve datums written in place:
+	// 600 bytes of garbage per row would otherwise be most of what the
+	// collector sees while loading, now that the device's pages are not in
+	// its heap.
 	const chunk = 4096
 	width := tbl.Schema.Len()
 	datums := make([]types.Datum, chunk*width)
@@ -216,20 +236,18 @@ func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts G
 			orderDate = db.DateKeys[i*len(db.DateKeys)/n]
 		}
 		row := types.Row(datums[len(buf)*width : (len(buf)+1)*width])
-		copy(row, types.Row{
-			types.NewInt(order),
-			types.NewInt(int64(line)),
-			types.NewInt(1 + r.Int63n(int64(db.NCust))),
-			types.NewInt(1 + r.Int63n(int64(db.NPart))),
-			types.NewInt(1 + r.Int63n(int64(db.NSupp))),
-			types.NewInt(orderDate),
-			types.NewInt(qty),
-			types.NewInt(price),
-			types.NewInt(disc),
-			types.NewInt(revenue),
-			types.NewInt(price * int64(40+r.Intn(30)) / 100 / 4),
-			types.NewInt(int64(r.Intn(9))),
-		})
+		row[0] = types.NewInt(order)
+		row[1] = types.NewInt(int64(line))
+		row[2] = types.NewInt(1 + r.Int63n(int64(db.NCust)))
+		row[3] = types.NewInt(1 + r.Int63n(int64(db.NPart)))
+		row[4] = types.NewInt(1 + r.Int63n(int64(db.NSupp)))
+		row[5] = types.NewInt(orderDate)
+		row[6] = types.NewInt(qty)
+		row[7] = types.NewInt(price)
+		row[8] = types.NewInt(disc)
+		row[9] = types.NewInt(revenue)
+		row[10] = types.NewInt(price * int64(40+r.Intn(30)) / 100 / 4)
+		row[11] = types.NewInt(int64(r.Intn(9)))
 		line--
 		buf = append(buf, row)
 		if len(buf) == chunk {

@@ -215,168 +215,235 @@ func dictCodeWidth(n int) int {
 // lengths all fit a page, so three bytes always cover them).
 const uvarUB3 = 3
 
-// colBuilder accumulates one column of the page being built, tracking enough
-// incremental state to bound the column's encoded size after every row.
+// colClass is the value class every non-NULL row of a column belongs to,
+// which picks the column's segment encoding. A column starts in classNull and
+// takes the class of its first value; a value of any other class makes it
+// classRaw for the rest of the page. NULLs never change the class (the kind
+// runs carry them).
+type colClass uint8
+
+const (
+	classNull  colClass = iota // no value yet: encInt over an empty frame
+	classInt                   // int, date and bool rows: encInt
+	classFloat                 // encFloat
+	classStr                   // encDict
+	classRaw                   // mixed value classes: encRaw
+)
+
+// classOf is the class of a datum of kind k (classNull for NULL).
+func classOf(k types.Kind) colClass {
+	switch k {
+	case types.KindNull:
+		return classNull
+	case types.KindInt, types.KindDate, types.KindBool:
+		return classInt
+	case types.KindFloat:
+		return classFloat
+	case types.KindString:
+		return classStr
+	}
+	panic(fmt.Sprintf("storage: cannot encode kind %v", k))
+}
+
+// colState is what a column's size bound depends on.
+type colState struct {
+	class      colClass
+	minI, maxI int64 // frame of reference over the int-class rows (classInt)
+	nruns      int   // kind runs
+	ndict      int   // dictionary entries (classStr)
+	dictBytes  int   // encoded size of the dictionary region (classStr)
+	maxStrLen  int   // longest dictionary entry (classStr; zone-map size bound)
+	rawBytes   int   // raw datum-stream size of every row (classRaw)
+}
+
+// sizeUB bounds the encoded size of the column's segment for n rows under the
+// encoding encode will choose for this state. Every uvarint is charged its
+// page-bounded maximum, so the exact encoding never exceeds the bound.
+func (s *colState) sizeUB(n int) int {
+	switch s.class {
+	case classNull, classInt:
+		return intSegUB(n, s.nruns, uint64(s.maxI)-uint64(s.minI))
+	case classFloat:
+		return 1 + runsUB(s.nruns) + n*8
+	case classStr:
+		return 1 + runsUB(s.nruns) + uvarUB3 + uvarUB3 + s.dictBytes + 1 + n*dictCodeWidth(s.ndict)
+	}
+	return 1 + s.rawBytes
+}
+
+// runsUB bounds a kind-run header of nruns runs.
+func runsUB(nruns int) int { return uvarUB3 + nruns*(1+uvarUB3) }
+
+// intSegUB bounds an encInt segment of n rows in nruns kind runs whose frame
+// of reference spans span.
+func intSegUB(n, nruns int, span uint64) int {
+	return 1 + runsUB(nruns) + 8 + 1 + n*forWidth(span)
+}
+
+// colBuilder accumulates one column of the page being built. Its colState
+// bounds the column's encoded size after every row; admitting a row stages
+// the state with the row in next and commit applies it, so a row that does
+// not fit is refused with nothing to roll back.
 type colBuilder struct {
-	kinds  []types.Kind
-	ints   []int64
-	floats []float64
-	strs   []string
+	kinds []types.Kind
+	vals  []uint64         // int payload or float bits by row, up to the last such row
+	strs  []string         // string by row, up to the last string row (nil until one)
+	dict  map[string]int32 // distinct strings (codes assigned at encode)
 
-	// Candidate validity: a typed encoding applies while every non-NULL row
-	// belongs to its value class. NULLs never invalidate a candidate (the
-	// kind runs carry them).
-	intOK   bool
-	floatOK bool
-	strOK   bool
+	colState
+	lastKind types.Kind // kind of the last staged row
 
-	haveInt    bool  // at least one int-class row seen
-	minI, maxI int64 // frame of reference over int-class rows
-
-	dict      map[string]int32 // distinct strings (codes assigned at finish)
-	dictBytes int              // encoded size of the dictionary region
-	maxStrLen int              // longest dictionary entry (zone-map size bound)
-
-	nruns    int // kind runs so far
-	lastKind types.Kind
-
-	rawBytes int // exact raw datum-stream size of every row so far
+	next    colState // the state with the row being admitted
+	general bool     // next differs from colState beyond the frame and the runs
 }
 
 func (c *colBuilder) reset() {
-	c.kinds = c.kinds[:0]
-	c.ints = c.ints[:0]
-	c.floats = c.floats[:0]
 	clear(c.strs)
-	c.strs = c.strs[:0]
-	c.intOK, c.floatOK, c.strOK = true, true, true
-	c.haveInt = false
-	c.minI, c.maxI = 0, 0
 	clear(c.dict)
-	c.dictBytes = 0
-	c.maxStrLen = 0
-	c.nruns = 0
-	c.rawBytes = 0
+	*c = colBuilder{kinds: c.kinds[:0], vals: c.vals[:0], strs: c.strs[:0], dict: c.dict}
 }
 
-// colProspect is the would-be state of a column after appending one more
-// datum, computed without mutating the builder so a row that does not fit
-// is rejected with no rollback.
-type colProspect struct {
-	intOK, floatOK, strOK bool
-	haveInt               bool
-	minI, maxI            int64
-	ndict                 int
-	dictBytes             int
-	maxStrLen             int
-	nruns                 int
-	rawBytes              int
-	dictAdd               bool // d.S joins the dictionary on commit
-}
-
-// prospect computes the column state after appending d.
-func (c *colBuilder) prospect(d types.Datum) colProspect {
-	p := colProspect{
-		intOK: c.intOK, floatOK: c.floatOK, strOK: c.strOK,
-		haveInt: c.haveInt, minI: c.minI, maxI: c.maxI,
-		ndict: len(c.dict), dictBytes: c.dictBytes, maxStrLen: c.maxStrLen,
-		nruns: c.nruns, rawBytes: c.rawBytes + datumEncSize(d),
+// stage returns the column's bound — segment and zone entry — with d staged
+// as row n, and stages the state commit applies. The common datum, a value of
+// the column's settled class or a NULL that adds no dictionary entry, reads
+// and stages only the frame of reference and the run count; the first value,
+// a class change, dictionary growth and a raw column take stageGeneral.
+func (c *colBuilder) stage(d *types.Datum, n int) int {
+	nruns := c.nruns
+	if nruns == 0 || d.K != c.lastKind {
+		nruns++
 	}
-	if c.nruns == 0 || d.K != c.lastKind {
-		p.nruns++
-	}
-	switch d.K {
-	case types.KindInt, types.KindDate, types.KindBool:
-		p.floatOK, p.strOK = false, false
-		if !p.haveInt {
-			p.haveInt, p.minI, p.maxI = true, d.I, d.I
-		} else {
-			if d.I < p.minI {
-				p.minI = d.I
-			}
-			if d.I > p.maxI {
-				p.maxI = d.I
-			}
+	lo, hi := c.minI, c.maxI
+	switch c.class {
+	case classInt:
+		if kindsInt&(1<<d.K) == 0 {
+			return c.stageGeneral(d, n, nruns)
 		}
-	case types.KindFloat:
-		p.intOK, p.strOK = false, false
-	case types.KindString:
-		p.intOK, p.floatOK = false, false
-		if _, ok := c.dict[d.S]; !ok {
-			p.dictAdd = true
-			p.ndict++
-			p.dictBytes += uvarintSize(uint64(len(d.S))) + len(d.S)
-			if len(d.S) > p.maxStrLen {
-				p.maxStrLen = len(d.S)
-			}
+		if d.K != types.KindNull {
+			lo, hi = min(lo, d.I), max(hi, d.I)
 		}
-	case types.KindNull:
-		// NULLs ride in the kind runs of any encoding.
-	}
-	return p
-}
-
-// sizeUB bounds the encoded size of the column for n rows under the
-// encoding finish() will choose for this state. Every uvarint is charged
-// its page-bounded maximum, so the exact encoding never exceeds the bound.
-func (p colProspect) sizeUB(n int) int {
-	runs := uvarUB3 + p.nruns*(1+uvarUB3)
-	switch {
-	case p.intOK:
-		span := uint64(p.maxI) - uint64(p.minI)
-		return 1 + runs + 8 + 1 + n*forWidth(span)
-	case p.floatOK:
-		return 1 + runs + n*8
-	case p.strOK:
-		return 1 + runs + uvarUB3 + uvarUB3 + p.dictBytes + 1 + n*dictCodeWidth(p.ndict)
+	case classFloat:
+		if kindsFloat&(1<<d.K) == 0 {
+			return c.stageGeneral(d, n, nruns)
+		}
+	case classStr:
+		if d.K == types.KindString {
+			if _, ok := c.dict[d.S]; !ok {
+				return c.stageGeneral(d, n, nruns)
+			}
+		} else if d.K != types.KindNull {
+			return c.stageGeneral(d, n, nruns)
+		}
 	default:
-		return 1 + p.rawBytes
+		return c.stageGeneral(d, n, nruns)
+	}
+	if c.general { // a refused row staged more than the frame and the runs
+		c.next, c.general = c.colState, false
+	}
+	c.next.minI, c.next.maxI, c.next.nruns = lo, hi, nruns
+	if c.class == classInt { // the common column, its bound inlined
+		return intSegUB(n, nruns, uint64(hi)-uint64(lo)) + intZoneUB
+	}
+	return c.next.sizeUB(n) + c.next.zoneUB()
+}
+
+// stageGeneral is stage for the datum that changes more than the frame and
+// the run count.
+func (c *colBuilder) stageGeneral(d *types.Datum, n, nruns int) int {
+	s := c.colState
+	s.nruns = nruns
+	switch dc := classOf(d.K); {
+	case dc == classNull:
+	case s.class == classNull || s.class == dc: // a first value or a new string
+		switch dc {
+		case classInt:
+			s.minI, s.maxI = d.I, d.I
+		case classStr:
+			if _, ok := c.dict[d.S]; !ok {
+				s.ndict++
+				s.dictBytes += uvarintSize(uint64(len(d.S))) + len(d.S)
+				s.maxStrLen = max(s.maxStrLen, len(d.S))
+			}
+		}
+		s.class = dc
+	default:
+		s.class = classRaw
+	}
+	if s.class == classRaw {
+		if c.class != classRaw {
+			s.rawBytes = c.rawSize() // the fallback: size what is staged
+		}
+		s.rawBytes += datumEncSize(*d)
+	}
+	c.next, c.general = s, true
+	return s.sizeUB(n) + s.zoneUB()
+}
+
+// commit applies the state stage staged for d and stores d.
+func (c *colBuilder) commit(d *types.Datum) {
+	if c.general {
+		if c.next.ndict != c.ndict {
+			if c.dict == nil {
+				c.dict = make(map[string]int32)
+			}
+			c.dict[d.S] = 0
+		}
+		c.colState, c.general = c.next, false
+	} else {
+		c.minI, c.maxI, c.nruns = c.next.minI, c.next.maxI, c.next.nruns
+	}
+	row := len(c.kinds)
+	c.kinds = append(c.kinds, d.K)
+	c.lastKind = d.K
+	switch d.K {
+	case types.KindInt, types.KindDate, types.KindBool:
+		c.vals = appendAt(c.vals, row, uint64(d.I))
+	case types.KindFloat:
+		c.vals = appendAt(c.vals, row, math.Float64bits(d.F))
+	case types.KindString:
+		c.strs = appendAt(c.strs, row, d.S)
 	}
 }
 
-// commit applies a prospect and stores the datum's payload.
-func (c *colBuilder) commit(d types.Datum, p colProspect) {
-	c.intOK, c.floatOK, c.strOK = p.intOK, p.floatOK, p.strOK
-	c.haveInt, c.minI, c.maxI = p.haveInt, p.minI, p.maxI
-	c.nruns, c.lastKind = p.nruns, d.K
-	c.rawBytes = p.rawBytes
-	c.dictBytes = p.dictBytes
-	c.maxStrLen = p.maxStrLen
-	if p.dictAdd {
-		if c.dict == nil {
-			c.dict = make(map[string]int32)
-		}
-		c.dict[d.S] = 0
+// appendAt appends v to s as element i, zero-filling the elements before it
+// that s does not cover yet.
+func appendAt[T any](s []T, i int, v T) []T {
+	if len(s) < i {
+		s = append(s, make([]T, i-len(s))...)
 	}
-	c.kinds = append(c.kinds, d.K)
-	var i int64
-	var f float64
-	var s string
-	switch d.K {
+	return append(s, v)
+}
+
+// datum rebuilds staged row i.
+func (c *colBuilder) datum(i int) types.Datum {
+	switch k := c.kinds[i]; k {
 	case types.KindInt, types.KindDate, types.KindBool:
-		i = d.I
+		return types.Datum{K: k, I: int64(c.vals[i])}
 	case types.KindFloat:
-		f = d.F
+		return types.Datum{K: k, F: math.Float64frombits(c.vals[i])}
 	case types.KindString:
-		s = d.S
+		return types.Datum{K: k, S: c.strs[i]}
 	}
-	c.ints = append(c.ints, i)
-	c.floats = append(c.floats, f)
-	c.strs = append(c.strs, s)
+	return types.Null
+}
+
+// rawSize is the raw datum-stream size of the staged rows.
+func (c *colBuilder) rawSize() int {
+	n := 0
+	for i := range c.kinds {
+		n += datumEncSize(c.datum(i))
+	}
+	return n
 }
 
 // appendKindRuns encodes the column's kind/null run header.
-func appendKindRuns(buf []byte, kinds []types.Kind) []byte {
-	nruns := 0
-	for i := 0; i < len(kinds); {
-		j := i + 1
-		for j < len(kinds) && kinds[j] == kinds[i] {
-			j++
-		}
-		nruns++
-		i = j
+func (c *colBuilder) appendKindRuns(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(c.nruns))
+	if c.nruns == 1 { // a homogeneous column
+		buf = append(buf, byte(c.lastKind))
+		return binary.AppendUvarint(buf, uint64(len(c.kinds)))
 	}
-	buf = binary.AppendUvarint(buf, uint64(nruns))
+	kinds := c.kinds
 	for i := 0; i < len(kinds); {
 		j := i + 1
 		for j < len(kinds) && kinds[j] == kinds[i] {
@@ -389,52 +456,73 @@ func appendKindRuns(buf []byte, kinds []types.Kind) []byte {
 	return buf
 }
 
+// appendWords appends one little-endian word of width bytes per row: the
+// row's payload minus base, or 0 for a row whose kind is not in the set.
+func (c *colBuilder) appendWords(buf []byte, set uint8, base uint64, width int) []byte {
+	if width == 0 {
+		return buf
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, len(c.kinds)*width)[:start+len(c.kinds)*width]
+	out := buf[start:]
+	if c.nruns == 1 && set&(1<<c.lastKind) != 0 { // every row has a payload
+		vals := c.vals[:len(c.kinds)]
+		switch width {
+		case 1:
+			for i, v := range vals {
+				out[i] = byte(v - base)
+			}
+		case 2:
+			for i, v := range vals {
+				binary.LittleEndian.PutUint16(out[2*i:], uint16(v-base))
+			}
+		case 4:
+			for i, v := range vals {
+				binary.LittleEndian.PutUint32(out[4*i:], uint32(v-base))
+			}
+		default:
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(out[8*i:], v-base)
+			}
+		}
+		return buf
+	}
+	for i, k := range c.kinds {
+		var w uint64
+		if set&(1<<k) != 0 {
+			w = c.vals[i] - base
+		}
+		switch width {
+		case 1:
+			out[i] = byte(w)
+		case 2:
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(w))
+		case 4:
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(w))
+		default:
+			binary.LittleEndian.PutUint64(out[8*i:], w)
+		}
+	}
+	return buf
+}
+
 // encode appends the column's chosen segment encoding.
 func (c *colBuilder) encode(buf []byte) []byte {
-	switch {
-	case c.intOK:
+	switch c.class {
+	case classNull, classInt:
 		buf = append(buf, encInt)
-		buf = appendKindRuns(buf, c.kinds)
-		min := c.minI
-		if !c.haveInt {
-			min = 0
-		}
+		buf = c.appendKindRuns(buf)
 		width := forWidth(uint64(c.maxI) - uint64(c.minI))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(min))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.minI))
 		buf = append(buf, byte(width))
-		for i, k := range c.kinds {
-			var delta uint64
-			switch k {
-			case types.KindInt, types.KindDate, types.KindBool:
-				delta = uint64(c.ints[i]) - uint64(min)
-			}
-			switch width {
-			case 0:
-			case 1:
-				buf = append(buf, byte(delta))
-			case 2:
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(delta))
-			case 4:
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(delta))
-			default:
-				buf = binary.LittleEndian.AppendUint64(buf, delta)
-			}
-		}
-		return buf
-	case c.floatOK:
+		return c.appendWords(buf, kindsInt&^(1<<types.KindNull), uint64(c.minI), width)
+	case classFloat:
 		buf = append(buf, encFloat)
-		buf = appendKindRuns(buf, c.kinds)
-		for i, k := range c.kinds {
-			var bits uint64
-			if k == types.KindFloat {
-				bits = math.Float64bits(c.floats[i])
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, bits)
-		}
-		return buf
-	case c.strOK:
+		buf = c.appendKindRuns(buf)
+		return c.appendWords(buf, 1<<types.KindFloat, 0, 8)
+	case classStr:
 		buf = append(buf, encDict)
-		buf = appendKindRuns(buf, c.kinds)
+		buf = c.appendKindRuns(buf)
 		entries := make([]string, 0, len(c.dict))
 		for s := range c.dict {
 			entries = append(entries, s)
@@ -467,32 +555,20 @@ func (c *colBuilder) encode(buf []byte) []byte {
 		return buf
 	default:
 		buf = append(buf, encRaw)
-		for i, k := range c.kinds {
-			var d types.Datum
-			switch k {
-			case types.KindInt, types.KindDate, types.KindBool:
-				d = types.Datum{K: k, I: c.ints[i]}
-			case types.KindFloat:
-				d = types.Datum{K: k, F: c.floats[i]}
-			case types.KindString:
-				d = types.Datum{K: k, S: c.strs[i]}
-			default:
-				d = types.Null
-			}
-			buf = appendDatum(buf, d)
+		for i := range c.kinds {
+			buf = appendDatum(buf, c.datum(i))
 		}
 		return buf
 	}
 }
 
 // pageBuilder accumulates rows column-wise and packs them into a
-// column-major page. Row admission is governed by an incremental size upper
-// bound, so finish() always fits in PageSize.
+// column-major page. A row is admitted while the sum of the columns' size
+// bounds with it staged fits PageSize, so finish() always fits.
 type pageBuilder struct {
-	cols      []colBuilder
-	rows      int
-	buf       []byte        // encode scratch, reused across pages
-	prospects []colProspect // tryAppend scratch, reused across rows
+	cols []colBuilder
+	rows int
+	buf  []byte // encode scratch, reused across pages
 }
 
 func newPageBuilder() *pageBuilder {
@@ -509,27 +585,18 @@ func (b *pageBuilder) tryAppend(r types.Row) bool {
 		// First row of a page fixes the width (heap files are
 		// schema-checked, so every row of a file has the same width).
 		b.cols = append(b.cols, make([]colBuilder, len(r)-len(b.cols))...)
-		for i := range b.cols {
-			if b.cols[i].kinds == nil {
-				b.cols[i].reset()
-			}
-		}
 	}
-	if cap(b.prospects) < len(r) {
-		b.prospects = make([]colProspect, len(r))
-	}
-	prospects := b.prospects[:len(r)]
+	cols := b.cols[:len(r)]
 	total := pageFixedHeader + 4*len(r)
 	n := b.rows + 1
-	for i, d := range r {
-		prospects[i] = b.cols[i].prospect(d)
-		total += prospects[i].sizeUB(n) + prospects[i].zoneUB()
+	for i := range r {
+		total += cols[i].stage(&r[i], n)
 		if total > PageSize {
 			return false
 		}
 	}
-	for i, d := range r {
-		b.cols[i].commit(d, prospects[i])
+	for i := range r {
+		cols[i].commit(&r[i])
 	}
 	b.rows++
 	return true

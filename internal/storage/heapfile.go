@@ -113,7 +113,7 @@ func (h *HeapFile) Seal() error {
 		}
 	}
 	h.sealed = true
-	h.builder = nil // four payload arrays per column, of no use to a frozen file
+	h.builder = nil // a kind and a payload array per column, of no use to a frozen file
 	h.version.Add(1)
 	return nil
 }

@@ -128,3 +128,85 @@ func TestCatalogMustTablePanics(t *testing.T) {
 	}()
 	c.MustTable("missing")
 }
+
+// BenchmarkHeapFileAppend times bulk load: one op is one Append of a
+// 4096-row chunk, the chunk the generators hand over, into a heap file on a
+// zero-latency MemDisk, so the cost is row admission, staging and page
+// encoding. shape=lineorder is the SSB fact table's twelve int columns;
+// shape=mixed is an int key, a float and a 25-value string column.
+func BenchmarkHeapFileAppend(b *testing.B) {
+	const chunk = 4096
+	nations := make([]string, 25)
+	for i := range nations {
+		nations[i] = "NATION#" + strconv.Itoa(i)
+	}
+	shapes := []struct {
+		name   string
+		schema *types.Schema
+		row    func(r *rand.Rand, i int) types.Row
+	}{
+		{"lineorder", types.NewSchema(func() []types.Column {
+			cols := make([]types.Column, 12)
+			for i := range cols {
+				cols[i] = types.Column{Name: "c" + strconv.Itoa(i), Kind: types.KindInt}
+			}
+			return cols
+		}()...), func(r *rand.Rand, i int) types.Row {
+			qty := int64(1 + r.Intn(50))
+			price := int64(90000+r.Intn(1000000)) * qty / 25
+			disc := int64(r.Intn(11))
+			return types.Row{
+				types.NewInt(int64(i / 4)), types.NewInt(int64(1 + i%4)),
+				types.NewInt(1 + r.Int63n(3000)), types.NewInt(1 + r.Int63n(20000)), types.NewInt(1 + r.Int63n(200)),
+				types.NewInt(int64(19920101 + r.Intn(7)*10000 + r.Intn(12)*100 + r.Intn(28))),
+				types.NewInt(qty), types.NewInt(price), types.NewInt(disc), types.NewInt(price * (100 - disc) / 100),
+				types.NewInt(price * int64(40+r.Intn(30)) / 100 / 4), types.NewInt(int64(r.Intn(9))),
+			}
+		}},
+		{"mixed", types.NewSchema(
+			types.Column{Name: "k", Kind: types.KindInt},
+			types.Column{Name: "f", Kind: types.KindFloat},
+			types.Column{Name: "s", Kind: types.KindString},
+		), func(r *rand.Rand, i int) types.Row {
+			return types.Row{types.NewInt(int64(i)), types.NewFloat(r.NormFloat64() * 1e3), types.NewString(nations[r.Intn(len(nations))])}
+		}},
+	}
+	for _, sh := range shapes {
+		b.Run("shape="+sh.name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			rows := make([]types.Row, chunk)
+			for i := range rows {
+				rows[i] = sh.row(r, i)
+			}
+			var disk *MemDisk
+			var file *HeapFile
+			fresh := func() { // keep what the disk holds bounded
+				if disk != nil {
+					disk.Close()
+				}
+				disk = NewMemDisk(DiskProfile{})
+				tbl, err := NewCatalog(disk, 4).CreateTable("t", sh.schema)
+				if err != nil {
+					b.Fatal(err)
+				}
+				file = tbl.File
+			}
+			fresh()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if file.NumPages() >= 256 {
+					b.StopTimer()
+					fresh()
+					b.StartTimer()
+				}
+				if err := file.Append(rows...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			disk.Close()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk*sh.schema.Len()), "ns/datum")
+		})
+	}
+}

@@ -46,11 +46,11 @@ func (z ZoneMap) Unknown() bool { return z.Flags&(ZoneInt|ZoneStr) == 0 }
 // string bounds come from a linear scan over the distinct entries.
 func (c *colBuilder) zone() ZoneMap {
 	var z ZoneMap
-	switch {
-	case c.intOK && c.haveInt:
+	switch c.class {
+	case classInt:
 		z.Flags = ZoneInt
 		z.MinI, z.MaxI = c.minI, c.maxI
-	case c.strOK && len(c.dict) > 0:
+	case classStr:
 		first := true
 		for s := range c.dict {
 			if first {
@@ -66,10 +66,10 @@ func (c *colBuilder) zone() ZoneMap {
 			}
 		}
 		z.Flags = ZoneStr
-	case c.intOK && c.floatOK && c.strOK && len(c.kinds) > 0:
-		// No typed value survived any candidate check and nothing was
-		// appended to the dictionary: every row is NULL.
-		z.Flags = ZoneNullOnly
+	case classNull:
+		if len(c.kinds) > 0 {
+			z.Flags = ZoneNullOnly
+		}
 	}
 	return z
 }
@@ -90,18 +90,23 @@ func appendZone(buf []byte, z ZoneMap) []byte {
 	return buf
 }
 
+// intZoneUB is the size of an int-class zone entry: flags, min and max.
+const intZoneUB = 1 + 16
+
 // zoneUB bounds the on-page size of the column's zone entry for the size
-// accounting: the flags byte, the int bounds, and two length-prefixed
-// strings no longer than the longest dictionary entry seen so far.
-func (p colProspect) zoneUB() int {
-	ub := 1
-	if p.intOK {
-		ub += 16
+// accounting: the flags byte, the int bounds while the column may take them,
+// and two length-prefixed strings no longer than the longest dictionary entry
+// while it may take those.
+func (s *colState) zoneUB() int {
+	switch s.class {
+	case classNull:
+		return intZoneUB + 2*uvarUB3
+	case classInt:
+		return intZoneUB
+	case classStr:
+		return 1 + 2*(uvarUB3+s.maxStrLen)
 	}
-	if p.strOK {
-		ub += 2 * (uvarUB3 + p.maxStrLen)
-	}
-	return ub
+	return 1
 }
 
 // readZone parses one zone entry, returning the entry and remaining bytes.
