@@ -77,8 +77,9 @@ type (
 
 	// CJoinOperator is a running CJOIN pipeline (Global Query Plan).
 	CJoinOperator = cjoin.Operator
-	// CJoinConfig tunes the GQP (batch sizes, queue depths, and Workers —
-	// the number of parallel probe pipelines, defaulting to GOMAXPROCS).
+	// CJoinConfig tunes the GQP (the output batch size, Workers — the number
+	// of parallel probe pipelines, defaulting to GOMAXPROCS — and the prune
+	// and fold ablation toggles).
 	CJoinConfig = cjoin.Config
 	// CJoinDimSpec fixes one dimension of the GQP chain.
 	CJoinDimSpec = cjoin.DimSpec

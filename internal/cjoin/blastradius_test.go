@@ -383,9 +383,10 @@ func TestDistributorPanicAbortsCleanly(t *testing.T) {
 
 // TestDistributorShutdownRecyclesParkedItems makes the merge panic while the
 // reorder ring holds two out-of-order ticks, one of them parking an
-// admission. run's shutdown pass must register the parked admission, fail
-// that query with the panic, and release the page-batch reference of every
-// item it held: the one being processed and the two parked.
+// admission. run's shutdown pass must fail the parked query, which the
+// scanner registered as open when it admitted it, with the panic, and
+// release the page-batch reference of every item it held: the one being
+// processed and the two parked.
 func TestDistributorShutdownRecyclesParkedItems(t *testing.T) {
 	cat := starDB(t, 100)
 	op, err := NewOperator(cat.MustTable("lo"),
@@ -397,6 +398,9 @@ func TestDistributorShutdownRecyclesParkedItems(t *testing.T) {
 	liveBefore := vec.LiveBatches()
 
 	parked := &subscription{out: make(chan *batch.Batch, 1), cancelCh: make(chan struct{})}
+	op.openMu.Lock()
+	op.open[parked] = struct{}{} // as the scanner's admit does
+	op.openMu.Unlock()
 	in := make(chan *item, 3)
 	for _, seq := range []int64{1, 2, 0} {
 		it := op.getItem()
@@ -404,11 +408,11 @@ func TestDistributorShutdownRecyclesParkedItems(t *testing.T) {
 		it.cols = vec.Get(1)
 		switch seq {
 		case 1:
-			it.pre = append(it.pre, ctlMsg{kind: ctlAdmit, sub: parked})
+			it.ep = &epoch{ctl: []ctlMsg{{kind: ctlAdmit, sub: parked}}}
 		case 0:
 			// A retirement of a query that does not exist: the distributor
 			// dereferences it and panics.
-			it.post = append(it.post, ctlMsg{kind: ctlFinish})
+			it.ep = &epoch{ctl: []ctlMsg{{kind: ctlFinish}}}
 		}
 		in <- it
 	}

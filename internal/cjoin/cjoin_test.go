@@ -631,3 +631,18 @@ func TestRandomQueriesMatchNaive(t *testing.T) {
 	}
 
 }
+
+// TestDistributorBusyIsPartOfBusy: the distributor's busy time is reported
+// on its own, and counted inside Busy rather than on top of it.
+func TestDistributorBusyIsPartOfBusy(t *testing.T) {
+	cat := starDB(t, 4000)
+	op := newOp(t, cat)
+	runStar(t, op, asiaEuropeQuery(cat, 3, 20))
+	st := op.Stats()
+	if st.TuplesRouted == 0 {
+		t.Fatal("the query routed no tuples")
+	}
+	if st.DistributorBusy <= 0 || st.DistributorBusy > st.Busy {
+		t.Fatalf("DistributorBusy = %v, Busy = %v; want 0 < DistributorBusy <= Busy", st.DistributorBusy, st.Busy)
+	}
+}

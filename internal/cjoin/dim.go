@@ -1,0 +1,170 @@
+package cjoin
+
+import (
+	"fmt"
+
+	"repro/internal/bitvec"
+	"repro/internal/dimtab"
+	"repro/internal/expr"
+	"repro/internal/types"
+	"repro/internal/vec"
+)
+
+// dimTable is the shared half of one dimension of the chain: the
+// dimension's rows as a dimtab.Table keeping every column, built once by
+// NewOperator and probed concurrently by every worker through Find. cb is
+// the table's entry batch (row e is entry e, columns in schema order):
+// admission evaluates each query's vectorized dimension predicate over it,
+// and the distributor routes payload columns out of it. Operator.Close
+// releases it.
+type dimTable struct {
+	idx  int
+	spec DimSpec
+	tab  *dimtab.Table
+	cb   *vec.ColBatch
+}
+
+// DuplicateKeyError is NewOperator's refusal of a dimension whose join key
+// repeats: CJOIN joins a fact tuple to one dimension entry, while the
+// query-centric hash join emits a row per equal entry, so the two lines
+// would answer the star differently.
+type DuplicateKeyError struct {
+	Table  string      // dimension table
+	Column string      // its join key column
+	Key    types.Datum // a repeated key
+}
+
+func (e *DuplicateKeyError) Error() string {
+	return fmt.Sprintf("cjoin: dimension %q repeats join key %s = %v", e.Table, e.Column, e.Key)
+}
+
+func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
+	hf, schema := spec.Table.File, spec.Table.Schema
+	all := make([]int, schema.Len())
+	for i := range all {
+		all[i] = i
+	}
+	tab := dimtab.New(spec.DimKeyCol, all)
+	for p, np := 0, hf.NumPages(); p < np; p++ {
+		page, err := hf.PageCols(p)
+		if err != nil {
+			tab.Release()
+			return nil, fmt.Errorf("cjoin: build hash table for %q: %w", spec.Table.Name, err)
+		}
+		tab.Append(page, page.AllSel())
+		page.Release()
+	}
+	if err := tab.Seal(); err != nil {
+		tab.Release()
+		return nil, fmt.Errorf("cjoin: dimension %q: %w", spec.Table.Name, err)
+	}
+	if e := tab.Dup(); e >= 0 {
+		err := &DuplicateKeyError{Table: spec.Table.Name, Column: schema.Cols[spec.DimKeyCol].Name,
+			Key: tab.Batch().Col(spec.DimKeyCol).Datum(int(e))}
+		tab.Release()
+		return nil, err
+	}
+	return &dimTable{idx: idx, spec: spec, tab: tab, cb: tab.Batch()}, nil
+}
+
+// dimState is one worker's replica of a dimension's query state: entry
+// bitmaps recording which queries' dimension predicates each entry
+// satisfies, and the stage mask of queries referencing the dimension; the
+// worker changes it only as it applies epochs, so it needs no lock. Entry
+// bitmaps live in one contiguous arena — entry i owns
+// ebits[i*estride:(i+1)*estride) — so admission and retirement sweep a flat
+// array instead of chasing per-entry pointers.
+type dimState struct {
+	tab *dimTable
+	op  *Operator
+
+	ebits   []uint64 // entry bitmap arena
+	estride int      // words per entry bitmap
+	mask    []uint64 // queries referencing this dimension
+
+	scratch  vec.Scratch // admission-predicate temporaries, replica-owned
+	admitSel []int32     // admission selection buffer, sized to the table
+}
+
+func newDimState(tab *dimTable, op *Operator) dimState {
+	return dimState{
+		tab:     tab,
+		op:      op,
+		estride: 1,
+		ebits:   make([]uint64, tab.cb.Len()),
+		mask:    make([]uint64, 1),
+	}
+}
+
+// growTo makes slot id addressable in the entry bitmap arena and the stage
+// mask, re-striding the arena when the query population outgrows it.
+func (ds *dimState) growTo(id int) {
+	need := id/64 + 1
+	if need > ds.estride {
+		n := ds.tab.cb.Len()
+		nb := make([]uint64, n*need)
+		for i := 0; i < n; i++ {
+			copy(nb[i*need:], ds.ebits[i*ds.estride:(i+1)*ds.estride])
+		}
+		ds.ebits, ds.estride = nb, need
+	}
+	for need > len(ds.mask) {
+		ds.mask = append(ds.mask, 0)
+	}
+}
+
+// admitQuery installs the query's bits in this replica: entry bitmaps for
+// every dimension tuple satisfying its predicate, and the stage mask. A
+// query with a dimension predicate is evaluated vectorized over the table's
+// cached column batch — one kernel sweep instead of one compiled-closure
+// call per entry; a predicate-free query marks every entry directly.
+func (ds *dimState) admitQuery(sub *subscription) {
+	if !sub.dimRef[ds.tab.idx] {
+		return // bits outside the mask pass through unchanged
+	}
+	ds.growTo(sub.id)
+	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
+	ds.mask[w] |= bit
+	es := ds.estride
+	if vp := sub.dimPredVec[ds.tab.idx]; vp != nil {
+		all := ds.tab.cb.AllSel()
+		if cap(ds.admitSel) < len(all) {
+			ds.admitSel = make([]int32, len(all))
+		}
+		for _, i := range ds.safeDimSel(sub, vp, all) {
+			ds.ebits[int(i)*es+w] |= bit
+		}
+		return
+	}
+	for i := 0; i < ds.tab.cb.Len(); i++ {
+		ds.ebits[i*es+w] |= bit
+	}
+}
+
+// safeDimSel runs sub's vectorized dimension predicate over the table's
+// cached column batch, converting a panic into a typed failure of sub alone
+// (its bits simply stay clear on this replica — it retires before
+// delivering anything).
+func (ds *dimState) safeDimSel(sub *subscription, vp expr.VecPred, all []int32) (out []int32) {
+	defer func() {
+		if r := recover(); r != nil {
+			ds.op.stats.panicFailures.Add(1)
+			sub.fail(&PanicError{Recovered: r})
+			out = nil
+		}
+	}()
+	return vp(ds.tab.cb, all, ds.admitSel[:len(all)], &ds.scratch)
+}
+
+// finishQuery removes the query's bits from this replica.
+func (ds *dimState) finishQuery(sub *subscription) {
+	if !bitvec.GetWord(ds.mask, sub.id) {
+		return
+	}
+	bitvec.ClearWord(ds.mask, sub.id)
+	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
+	es := ds.estride
+	for i := 0; i < ds.tab.cb.Len(); i++ {
+		ds.ebits[i*es+w] &^= bit
+	}
+}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"repro/internal/ssb"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // newOpCfg is newOp with an explicit config (fold toggles, worker counts).
@@ -39,10 +42,16 @@ func newOpCfg(t testing.TB, cat *storage.Catalog, cfg Config) *Operator {
 // two — far too fast to graft against).
 func slowStarDB(t testing.TB, n int, lat time.Duration) *storage.Catalog {
 	t.Helper()
+	return slowStarDBPool(t, n, lat, 4)
+}
+
+// slowStarDBPool is slowStarDB over a buffer pool of the given frame count.
+func slowStarDBPool(t testing.TB, n int, lat time.Duration, frames int) *storage.Catalog {
+	t.Helper()
 	src := starDB(t, n)
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{
 		ReadLatency: lat,
-	}), 4)
+	}), frames)
 	pad := strings.Repeat("g", 60)
 	for _, name := range []string{"lo", "cust", "part"} {
 		from := src.MustTable(name)
@@ -456,4 +465,92 @@ func TestFoldConcurrentTemplates(t *testing.T) {
 		mustEqualRows(t, got[i], want)
 	}
 	t.Logf("fold stats: %+v", fold.Stats())
+}
+
+// TestCloseFailsGraftOfHeldHost closes the operator while a graft sweeps on
+// over a host that has already finished and holds its bits for it: the
+// graft's emit blocks only once the host's Run has returned. The graft's Run
+// must fail with ErrClosed, and the page batches and the pipeline's
+// goroutines must all be given back.
+func TestCloseFailsGraftOfHeldHost(t *testing.T) {
+	cat := slowStarDB(t, 3000, time.Millisecond)
+	lo := cat.MustTable("lo")
+	dims := []plan.DimJoin{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}}
+	p := expr.NewCmp(expr.LT, expr.C(0, "lo_id"), expr.Int(2500))
+	host := &plan.StarQuery{Fact: lo, FactPred: p, FactCols: []int{0}, Dims: dims}
+	graft := &plan.StarQuery{Fact: lo, FactCols: []int{0}, Dims: dims,
+		FactPred: expr.NewAnd(p, expr.NewCmp(expr.GE, expr.C(3, "lo_rev"), expr.Float(0)))}
+	evict := func() {
+		for _, name := range []string{"lo", "cust", "part"} {
+			cat.Pool().EvictFile(cat.MustTable(name).File.ID())
+		}
+	}
+
+	for attempt := 0; attempt < 8; attempt++ {
+		evict()
+		liveBefore, goroutinesBefore := vec.LiveBatches(), runtime.NumGoroutine()
+		op := newOpCfg(t, cat, Config{BatchSize: 16, DisablePrune: true})
+
+		// The graft is admitted once the host has had a page's worth of
+		// rows, so its sweep wraps past the host's end by a few pages.
+		var hostRows atomic.Int64
+		var hostReturned atomic.Bool
+		hostDone := make(chan error, 1)
+		go func() {
+			err := op.Run(context.Background(), host, func(b *batch.Batch) error {
+				hostRows.Add(int64(b.Len()))
+				b.Done()
+				return nil
+			})
+			hostReturned.Store(true)
+			hostDone <- err
+		}()
+		for hostRows.Load() < 300 && !hostReturned.Load() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		blocked, release := make(chan struct{}), make(chan struct{})
+		graftDone := make(chan error, 1)
+		go func() {
+			var once sync.Once
+			graftDone <- op.Run(context.Background(), graft, func(b *batch.Batch) error {
+				b.Done()
+				if hostReturned.Load() {
+					once.Do(func() { close(blocked) })
+					<-release
+				}
+				return nil
+			})
+		}()
+		if err := <-hostDone; err != nil {
+			t.Fatalf("attempt %d host: %v", attempt, err)
+		}
+		select {
+		case <-blocked:
+		case err := <-graftDone:
+			t.Fatalf("attempt %d: the graft finished (err %v) before the host's Run returned", attempt, err)
+		}
+		grafted := op.Stats().Grafted == 1
+		op.Close()
+		close(release)
+		if err := <-graftDone; !errors.Is(err, ErrClosed) {
+			t.Fatalf("attempt %d: graft err = %v, want ErrClosed", attempt, err)
+		}
+
+		evict()
+		if live := vec.LiveBatches(); live != liveBefore {
+			t.Errorf("attempt %d: leaked batch refs: LiveBatches = %d, baseline %d", attempt, live, liveBefore)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > goroutinesBefore && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > goroutinesBefore {
+			t.Errorf("attempt %d: leaked goroutines: %d running, started with %d", attempt, g, goroutinesBefore)
+		}
+		if grafted {
+			return
+		}
+		t.Logf("attempt %d did not fold (the host finished first)", attempt)
+	}
+	t.Fatal("no attempt folded; the held-host shutdown path was not exercised")
 }

@@ -86,7 +86,7 @@ func TestParallelConcurrentTemplatesMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(op1.Close)
-	op4, err := NewOperator(db.Lineorder, specs, Config{Workers: 4, QueueLen: 2})
+	op4, err := NewOperator(db.Lineorder, specs, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,6 @@ func TestConfigValidation(t *testing.T) {
 	specs := []DimSpec{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0}}
 	bad := []Config{
 		{BatchSize: -1},
-		{QueueLen: -4},
 		{Workers: -1},
 		{Workers: MaxWorkers + 1},
 	}
@@ -200,7 +199,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BatchSize <= 0 || cfg.QueueLen <= 0 || cfg.Workers <= 0 {
+	if cfg.BatchSize <= 0 || cfg.Workers <= 0 {
 		t.Errorf("normalize left a zero field: %+v", cfg)
 	}
 }

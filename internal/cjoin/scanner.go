@@ -1,0 +1,418 @@
+package cjoin
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"repro/internal/storage"
+	"repro/internal/vec"
+)
+
+// ctlKind discriminates control messages.
+type ctlKind uint8
+
+const (
+	ctlAdmit ctlKind = iota
+	ctlFinish
+	// ctlRelease frees a host query's bitmap slot and dimension bits once
+	// its last grafted reader has finished.
+	ctlRelease
+)
+
+// ctlMsg is one control message of an epoch, for one query.
+type ctlMsg struct {
+	kind ctlKind
+	sub  *subscription
+}
+
+// epoch is a control tick: messages every worker and the distributor apply
+// in order at the tick's position in the fact stream. It is immutable once
+// published.
+type epoch struct {
+	ctl []ctlMsg
+}
+
+// wmsg is one tick on a worker's input queue: a control epoch or a fact
+// page. Per-queue FIFO order is sequence order, so a worker always applies
+// an epoch at the same stream position as its peers.
+type wmsg struct {
+	ep *epoch
+	it *item
+}
+
+// item is the unit flowing into the distributor: one tick of the fact
+// stream. Data ticks carry a page's surviving tuples; control ticks carry
+// the tick's epoch. seq is the tick's global sequence number — the
+// distributor processes items in strict seq order.
+//
+// Tuples live in flat arenas so a page costs zero steady-state allocations:
+// tuple i is row rowIdx[i] of the page's column batch cols, its query bitmap
+// is the word slice words[i*stride:(i+1)*stride], and its joined entry for
+// dimension j is dimEnt[rowIdx[i]*ndims+j] — an index into that dimension
+// table's entry-aligned column batch, so the distributor routes dimension
+// payloads with typed column copies instead of boxing datums. dimEnt is
+// indexed by the tuple's page row, which never changes, so the probe loop's
+// in-place compaction moves only rowIdx and the bitmap words as tuples die,
+// never the joined entries. A dimEnt slot is only ever read for a (tuple,
+// query) pair whose bit survived that dimension's probe, which implies the
+// probe hit and wrote the slot on the current page — so stale slots from a
+// recycled item are never observed and need not be cleared.
+type item struct {
+	seq  int64
+	page int    // fact page index of a data tick (zone-map lookup key)
+	ep   *epoch // a control tick's epoch; nil on data ticks
+
+	// cols is the decoded fact page (data ticks), shared from the buffer
+	// pool's columnar cache. The item owns one reference, released when the
+	// distributor recycles the item.
+	cols *vec.ColBatch
+
+	n      int      // live tuples
+	stride int      // bitmap words per tuple
+	ndims  int      // dimension slots per tuple
+	rowIdx []int32  // rowIdx[:n]: live tuple i → row index in cols
+	dimEnt []int32  // dimEnt[r*ndims+j]: joined entry of dim j for page row r
+	words  []uint64 // words[i*stride:(i+1)*stride]: tuple i's bitmap
+}
+
+// ensure sizes the arenas for n tuples with the given bitmap stride.
+func (it *item) ensure(n, stride, ndims int) {
+	it.stride, it.ndims = stride, ndims
+	if cap(it.rowIdx) < n {
+		it.rowIdx = make([]int32, n)
+	} else {
+		it.rowIdx = it.rowIdx[:n]
+	}
+	if cap(it.dimEnt) < n*ndims {
+		it.dimEnt = make([]int32, n*ndims)
+	} else {
+		it.dimEnt = it.dimEnt[:n*ndims]
+	}
+	if cap(it.words) < n*stride {
+		it.words = make([]uint64, n*stride)
+	} else {
+		it.words = it.words[:n*stride]
+	}
+}
+
+// getItem takes a recycled pipeline item from the pool.
+func (op *Operator) getItem() *item {
+	if v := op.itemPool.Get(); v != nil {
+		return v.(*item)
+	}
+	return &item{}
+}
+
+// putItem recycles an item after the distributor is done with it. The epoch
+// is dropped so pooled items do not pin retired subscriptions across idle
+// periods, and the item's reference on the page batch is released back to
+// the columnar cache's pool. The dimension-entry arena is left as is: stale
+// slots are plain indices into tables that live for the operator's
+// lifetime, and the probe loop never reads a slot it did not write on the
+// current page.
+func (op *Operator) putItem(it *item) {
+	if it.cols != nil {
+		it.cols.Release()
+		it.cols = nil
+	}
+	it.ep = nil
+	it.seq = 0
+	it.n = 0
+	op.itemPool.Put(it)
+}
+
+// scanner is the pipeline head: the circular fact scan, the active query
+// list, the tick sequence and the bitmap slots, all owned by the scanner
+// goroutine.
+type scanner struct {
+	op     *Operator
+	fanIn  chan<- *item
+	active []*subscription
+	npages int
+	pos    int   // next fact page of the circular scan
+	seq    int64 // sequence number of the next tick
+	wi     int   // next worker to deal a page to
+	slots  int   // bitmap slots ever allocated
+	free   []int // freed slots, reused first to keep bitmaps narrow
+}
+
+// scan runs the scanner until the operator closes: an admission tick for
+// the queries waiting to join, one fact page, and a retirement tick for the
+// queries whose sweep ended, in turn. Fact pages are dealt round-robin to
+// the probe workers; control ticks are broadcast to every worker (so all
+// replicas switch bitmaps at the same stream position) and sent once to the
+// distributor (which orders them against the data ticks by sequence number).
+func (op *Operator) scan(fanIn chan<- *item) {
+	defer op.wg.Done()
+	defer op.prodWG.Done()
+	defer func() {
+		for _, w := range op.workers {
+			close(w.in)
+		}
+	}()
+	// Last defer runs first: a scanner panic aborts the operator (queries
+	// fail with the cause) but never takes the process down.
+	defer func() {
+		if r := recover(); r != nil {
+			op.abort(r)
+		}
+	}()
+	s := &scanner{op: op, fanIn: fanIn, npages: op.fact.File.NumPages()}
+	for s.admissions() && s.page() && s.retirements() {
+	}
+}
+
+// admissions admits every query waiting to join on one admission tick,
+// blocking first while no query is active. It reports false once the
+// operator closes.
+func (s *scanner) admissions() bool {
+	var ctl []ctlMsg
+	if len(s.active) == 0 {
+		select {
+		case sub := <-s.op.admitCh:
+			ctl = append(ctl, s.admit(sub))
+		case <-s.op.closeCh:
+			return false
+		}
+	}
+	for {
+		select {
+		case sub := <-s.op.admitCh:
+			ctl = append(ctl, s.admit(sub))
+		default:
+			return len(ctl) == 0 || s.broadcast(ctl)
+		}
+	}
+}
+
+// page advances the circular scan by one page: it skips a page no active
+// query can match (the union prune), hands a page the pool cannot read to
+// pageFailed, and deals any other page to a worker. A skipped page still
+// consumes one tick of every active sweep (retirements decrements pagesLeft
+// unconditionally): it contributes zero tuples to every query, exactly as
+// if it had been fetched and annotated. It reports false once the operator
+// closes.
+func (s *scanner) page() bool {
+	op := s.op
+	if s.npages == 0 {
+		return true
+	}
+	at := s.pos
+	if s.pruned(at) {
+		s.pos = (at + 1) % s.npages
+		op.stats.pagesPruned.Add(1)
+		op.fact.File.NotePruned()
+		return true
+	}
+	t0 := time.Now()
+	cb, err := op.fact.File.PageCols(at)
+	op.addBusy(time.Since(t0))
+	if err != nil {
+		return s.pageFailed(at, err)
+	}
+	s.pos = (at + 1) % s.npages
+	op.stats.pagesScanned.Add(1)
+	op.stats.factTuplesIn.Add(int64(cb.Len()))
+
+	it := op.getItem()
+	it.seq = s.seq
+	s.seq++
+	it.cols = cb
+	it.page = at
+	// Deal the page round-robin, but skip workers whose queues are full so
+	// one slow worker cannot head-of-line block the rest — the
+	// distributor's sequence merge makes any assignment correct. Only when
+	// every queue is full does the scanner block (on the round-robin
+	// choice), which is the backpressure path.
+	nw := len(op.workers)
+	for k := 0; k < nw; k++ {
+		select {
+		case op.workers[(s.wi+k)%nw].in <- wmsg{it: it}:
+			s.wi = (s.wi + k + 1) % nw
+			return true
+		default:
+		}
+	}
+	w := op.workers[s.wi]
+	s.wi = (s.wi + 1) % nw
+	select {
+	case w.in <- wmsg{it: it}:
+		return true
+	case <-op.closeCh:
+		op.putItem(it)
+		return false
+	}
+}
+
+// pruned reports whether no active query can match page at's zone maps, so
+// the page need not be fetched.
+func (s *scanner) pruned(at int) bool {
+	if s.op.cfg.DisablePrune {
+		return false
+	}
+	zones := s.op.fact.File.PageZones(at)
+	if zones == nil {
+		return false
+	}
+	for _, sub := range s.active {
+		if !sub.canceled.Load() && (sub.prune == nil || s.op.safePrune(sub, zones)) {
+			return false
+		}
+	}
+	return true
+}
+
+// pageFailed retires the queries a fact page read failure takes down, on one
+// retirement tick. A quarantined page (a *storage.PageError) is
+// blast-radius contained: only the queries whose zone checks cannot exclude
+// the page fail — they would have consumed its tuples — and every query the
+// page prunes away sweeps on, the page costing it one tick like a pruned
+// page. An unclassified read failure fails every active query, and the page
+// is read again for the next query to arrive. It reports false once the
+// operator closes.
+func (s *scanner) pageFailed(at int, err error) bool {
+	var pe *storage.PageError
+	quarantined := errors.As(err, &pe)
+	var zones []storage.ZoneMap
+	if quarantined {
+		zones = s.op.fact.File.PageZones(at)
+		s.pos = (at + 1) % s.npages
+		s.op.stats.pagesQuarantined.Add(1)
+	}
+	var ctl []ctlMsg
+	remaining := s.active[:0]
+	for _, sub := range s.active {
+		if quarantined && (sub.canceled.Load() ||
+			sub.prune != nil && zones != nil && !s.op.safePrune(sub, zones)) {
+			remaining = append(remaining, sub)
+			continue
+		}
+		sub.err = err
+		if quarantined {
+			s.op.stats.pageFailures.Add(1)
+		}
+		ctl = s.retire(sub, ctl)
+	}
+	s.active = remaining
+	return len(ctl) == 0 || s.broadcast(ctl)
+}
+
+// retirements retires, on one retirement tick, every query whose sweep
+// ended with the last page, that canceled (or failed asynchronously), or
+// whose deadline has passed. The tick follows the sweep's last page, so
+// every worker and the distributor see that page first. time.Now is
+// consulted only while a deadline-bearing query is active — deadline-free
+// sweeps pay nothing. It reports false once the operator closes.
+func (s *scanner) retirements() bool {
+	var ctl []ctlMsg
+	var now time.Time
+	remaining := s.active[:0]
+	for _, sub := range s.active {
+		if s.npages > 0 {
+			sub.pagesLeft--
+		}
+		canceled := sub.canceled.Load()
+		if canceled {
+			// fail() wrote the cause before raising the flag; a plain
+			// consumer cancellation leaves it nil.
+			sub.err = sub.failCause
+		}
+		expired := false
+		if !canceled && sub.pagesLeft > 0 && !sub.deadline.IsZero() {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			if !now.Before(sub.deadline) {
+				expired = true
+				sub.err = context.DeadlineExceeded
+				s.op.stats.deadlineExpired.Add(1)
+			}
+		}
+		if sub.pagesLeft <= 0 || canceled || expired {
+			ctl = s.retire(sub, ctl)
+		} else {
+			remaining = append(remaining, sub)
+		}
+	}
+	s.active = remaining
+	return len(ctl) == 0 || s.broadcast(ctl)
+}
+
+// retire appends the messages retiring sub to ctl. A host whose grafts are
+// still sweeping keeps its bits (holdBits); its release follows the last
+// graft's finish. Hosts precede their grafts in active, so a host and its
+// last graft finishing on the same tick emit finish(host), finish(graft),
+// release(host), in that order. The slot whose use these messages end goes
+// back to the free list here: ctl is published before the next admission
+// tick.
+func (s *scanner) retire(sub *subscription, ctl []ctlMsg) []ctlMsg {
+	sub.finished = true
+	ctl = append(ctl, ctlMsg{kind: ctlFinish, sub: sub})
+	h := sub.hostSub
+	if h == nil {
+		sub.holdBits = sub.graftsLeft > 0
+		if !sub.holdBits {
+			s.free = append(s.free, sub.id)
+		}
+		return ctl
+	}
+	h.graftsLeft--
+	if h.graftsLeft == 0 && h.finished {
+		s.free = append(s.free, h.id)
+		ctl = append(ctl, ctlMsg{kind: ctlRelease, sub: h})
+	}
+	return ctl
+}
+
+// slot takes a bitmap slot for a new host, a freed one first.
+func (s *scanner) slot() int {
+	if n := len(s.free); n > 0 {
+		id := s.free[n-1]
+		s.free = s.free[:n-1]
+		return id
+	}
+	s.slots++
+	s.op.stats.slotHighWater.Store(int64(s.slots))
+	return s.slots - 1
+}
+
+// broadcast publishes one control tick: its epoch to every worker, and an
+// item carrying the same epoch to the distributor. ctl must be freshly
+// allocated: slow workers may still be reading the epoch while the scanner
+// moves on. It reports false once the operator closes.
+func (s *scanner) broadcast(ctl []ctlMsg) bool {
+	ep := &epoch{ctl: ctl}
+	for _, w := range s.op.workers {
+		select {
+		case w.in <- wmsg{ep: ep}:
+		case <-s.op.closeCh:
+			return false
+		}
+	}
+	it := s.op.getItem()
+	it.seq = s.seq
+	s.seq++
+	it.ep = ep
+	select {
+	case s.fanIn <- it:
+		return true
+	case <-s.op.closeCh:
+		return false
+	}
+}
+
+// safePrune evaluates sub's compiled zone check, converting a panic into a
+// typed failure of sub alone. It reports false on panic — the caller treats
+// the page as unmatchable for sub, which is harmless: the query is already
+// failed and retires on the scanner's next tick.
+func (op *Operator) safePrune(sub *subscription, zones []storage.ZoneMap) (match bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			op.stats.panicFailures.Add(1)
+			sub.fail(&PanicError{Recovered: r})
+			match = false
+		}
+	}()
+	return sub.prune(zones)
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -114,7 +115,7 @@ func TestParallelStressAdmitCancelRetire(t *testing.T) {
 	op, err := NewOperator(cat.MustTable("lo"), []DimSpec{
 		{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0},
 		{Table: cat.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0},
-	}, Config{BatchSize: 64, Workers: 4, QueueLen: 2})
+	}, Config{BatchSize: 64, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,5 +289,42 @@ func TestOperatorCloseReleasesDimensionBatches(t *testing.T) {
 	evict()
 	if live := vec.LiveBatches(); live != before {
 		t.Fatalf("LiveBatches = %d after Close, want %d (before NewOperator)", live, before)
+	}
+}
+
+// TestConcurrentWavesReuseEverySlot: waves of 1 500 concurrent queries, each
+// on a bitmap slot of its own (fold and prune off), reuse the slots the
+// previous wave freed, so the slot high water stays at one wave's width.
+// Freed slots once travelled back to the scanner over a bounded channel that
+// dropped the overflow, and every later page paid for the lost slots in
+// wider bitmaps.
+func TestConcurrentWavesReuseEverySlot(t *testing.T) {
+	const waves, width = 3, 1500
+	cat := slowStarDBPool(t, 10000, 100*time.Microsecond, 8)
+	lo := cat.MustTable("lo")
+	t.Logf("fact table: %d pages", lo.File.NumPages())
+	op := newOpCfg(t, cat, Config{DisableFold: true, DisablePrune: true})
+	none := &plan.StarQuery{Fact: lo, FactCols: []int{0},
+		FactPred: expr.NewCmp(expr.LT, expr.C(0, "lo_id"), expr.Int(0))}
+	for wave := 1; wave <= waves; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < width; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := op.Run(context.Background(), none, func(b *batch.Batch) error {
+					b.Done()
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		hw := op.Stats().SlotHighWater
+		t.Logf("wave %d: SlotHighWater = %d", wave, hw)
+		if hw > width {
+			t.Errorf("wave %d: SlotHighWater = %d, want <= %d (freed slots were lost)", wave, hw, width)
+		}
 	}
 }
