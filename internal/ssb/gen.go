@@ -94,31 +94,27 @@ func generateDate(cat *storage.Catalog) (*storage.Table, []int64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var keys []int64
-	var yearMonth string // "Jan1992": formatted on the first of each month
-	day := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
+	start := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
 	end := time.Date(1998, 12, 31, 0, 0, 0, 0, time.UTC)
-	for !day.After(end) {
+	n := int(end.Sub(start)/(24*time.Hour)) + 1
+	keys := make([]int64, n)
+	var yearMonth string // "Jan1992": formatted on the first of each month
+	err = tbl.File.Load(n, func(i int, row types.Row) {
+		day := start.AddDate(0, 0, i)
 		key := int64(day.Year()*10000 + int(day.Month())*100 + day.Day())
-		keys = append(keys, key)
+		keys[i] = key
 		if day.Day() == 1 {
 			yearMonth = day.Month().String()[:3] + strconv.Itoa(day.Year())
 		}
-		row := types.Row{
-			types.NewInt(key),
-			types.NewString(day.Weekday().String()),
-			types.NewString(day.Month().String()),
-			types.NewInt(int64(day.Year())),
-			types.NewInt(int64(day.Year()*100 + int(day.Month()))),
-			types.NewString(yearMonth),
-			types.NewInt(int64((day.YearDay()-1)/7 + 1)),
-		}
-		if err := tbl.File.Append(row); err != nil {
-			return nil, nil, err
-		}
-		day = day.AddDate(0, 0, 1)
-	}
-	if err := tbl.File.Seal(); err != nil {
+		row[0] = types.NewInt(key)
+		row[1] = types.NewString(day.Weekday().String())
+		row[2] = types.NewString(day.Month().String())
+		row[3] = types.NewInt(int64(day.Year()))
+		row[4] = types.NewInt(int64(day.Year()*100 + int(day.Month())))
+		row[5] = types.NewString(yearMonth)
+		row[6] = types.NewInt(int64((day.YearDay()-1)/7 + 1))
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	return tbl, keys, nil
@@ -129,20 +125,14 @@ func generateCustomer(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i <= n; i++ {
+	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
 		ni := r.Intn(len(Nations))
-		row := types.Row{
-			types.NewInt(int64(i)),
-			types.NewString(CityOf(Nations[ni], r.Intn(10))),
-			types.NewString(Nations[ni]),
-			types.NewString(nationRegion[ni]),
-			types.NewString(MktSegments[r.Intn(len(MktSegments))]),
-		}
-		if err := tbl.File.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, tbl.File.Seal()
+		row[0] = types.NewInt(int64(i + 1))
+		row[1] = types.NewString(CityOf(Nations[ni], r.Intn(10)))
+		row[2] = types.NewString(Nations[ni])
+		row[3] = types.NewString(nationRegion[ni])
+		row[4] = types.NewString(MktSegments[r.Intn(len(MktSegments))])
+	})
 }
 
 func generateSupplier(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table, error) {
@@ -150,19 +140,13 @@ func generateSupplier(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i <= n; i++ {
+	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
 		ni := r.Intn(len(Nations))
-		row := types.Row{
-			types.NewInt(int64(i)),
-			types.NewString(CityOf(Nations[ni], r.Intn(10))),
-			types.NewString(Nations[ni]),
-			types.NewString(nationRegion[ni]),
-		}
-		if err := tbl.File.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, tbl.File.Seal()
+		row[0] = types.NewInt(int64(i + 1))
+		row[1] = types.NewString(CityOf(Nations[ni], r.Intn(10)))
+		row[2] = types.NewString(Nations[ni])
+		row[3] = types.NewString(nationRegion[ni])
+	})
 }
 
 func generatePart(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table, error) {
@@ -184,23 +168,17 @@ func generatePart(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table, er
 			}
 		}
 	}
-	for i := 1; i <= n; i++ {
+	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
 		mfgr := r.Intn(5)
 		cat := mfgr*5 + r.Intn(5)
 		brand := cat*40 + r.Intn(40)
-		row := types.Row{
-			types.NewInt(int64(i)),
-			types.NewString(mfgrs[mfgr]),
-			types.NewString(cats[cat]),
-			types.NewString(brands[brand]),
-			types.NewString(Colors[r.Intn(len(Colors))]),
-			types.NewInt(int64(1 + r.Intn(50))),
-		}
-		if err := tbl.File.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, tbl.File.Seal()
+		row[0] = types.NewInt(int64(i + 1))
+		row[1] = types.NewString(mfgrs[mfgr])
+		row[2] = types.NewString(cats[cat])
+		row[3] = types.NewString(brands[brand])
+		row[4] = types.NewString(Colors[r.Intn(len(Colors))])
+		row[5] = types.NewInt(int64(1 + r.Intn(50)))
+	})
 }
 
 func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts GenOptions) (*storage.Table, error) {
@@ -211,18 +189,9 @@ func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts G
 	if err != nil {
 		return nil, err
 	}
-	// Append copies values into the page being built, so one chunk of datums
-	// serves every chunk of rows, each row's twelve datums written in place:
-	// 600 bytes of garbage per row would otherwise be most of what the
-	// collector sees while loading, now that the device's pages are not in
-	// its heap.
-	const chunk = 4096
-	width := tbl.Schema.Len()
-	datums := make([]types.Datum, chunk*width)
-	buf := make([]types.Row, 0, chunk)
 	line := 0
 	order := int64(0)
-	for i := 0; i < n; i++ {
+	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
 		if line == 0 {
 			order++
 			line = 1 + r.Intn(7)
@@ -235,7 +204,6 @@ func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts G
 		if opts.DateClustered {
 			orderDate = db.DateKeys[i*len(db.DateKeys)/n]
 		}
-		row := types.Row(datums[len(buf)*width : (len(buf)+1)*width])
 		row[0] = types.NewInt(order)
 		row[1] = types.NewInt(int64(line))
 		row[2] = types.NewInt(1 + r.Int63n(int64(db.NCust)))
@@ -249,18 +217,5 @@ func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts G
 		row[10] = types.NewInt(price * int64(40+r.Intn(30)) / 100 / 4)
 		row[11] = types.NewInt(int64(r.Intn(9)))
 		line--
-		buf = append(buf, row)
-		if len(buf) == chunk {
-			if err := tbl.File.Append(buf...); err != nil {
-				return nil, err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if err := tbl.File.Append(buf...); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, tbl.File.Seal()
+	})
 }

@@ -316,7 +316,9 @@ func TestPageBuilderAdmissionOracle(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
-		gens := make([]*colGen, 1+r.Intn(8))
+		// Up to 20 columns: past the SSB fact table's twelve, and past any
+		// fixed-size per-row scratch the builder might keep.
+		gens := make([]*colGen, 1+r.Intn(20))
 		for i := range gens {
 			gens[i] = newColGen(r)
 		}

@@ -283,7 +283,8 @@ func intSegUB(n, nruns int, span uint64) int {
 // colBuilder accumulates one column of the page being built. Its colState
 // bounds the column's encoded size after every row; admitting a row stages
 // the state with the row in next and commit applies it, so a row that does
-// not fit is refused with nothing to roll back.
+// not fit is refused with nothing to roll back. The settled int datum
+// (settledInt) skips both: tryAppend stages its frame and stores it.
 type colBuilder struct {
 	kinds []types.Kind
 	vals  []uint64         // int payload or float bits by row, up to the last such row
@@ -307,7 +308,10 @@ func (c *colBuilder) reset() {
 // as row n, and stages the state commit applies. The common datum, a value of
 // the column's settled class or a NULL that adds no dictionary entry, reads
 // and stages only the frame of reference and the run count; the first value,
-// a class change, dictionary growth and a raw column take stageGeneral.
+// a class change, dictionary growth and a raw column take stageGeneral. The
+// settled int datum never gets here (tryAppend admits it inline), so a
+// refused row may leave general set past admitted ones: the next stage
+// resets next from colState before staging into it.
 func (c *colBuilder) stage(d *types.Datum, n int) int {
 	nruns := c.nruns
 	if nruns == 0 || d.K != c.lastKind {
@@ -341,9 +345,6 @@ func (c *colBuilder) stage(d *types.Datum, n int) int {
 		c.next, c.general = c.colState, false
 	}
 	c.next.minI, c.next.maxI, c.next.nruns = lo, hi, nruns
-	if c.class == classInt { // the common column, its bound inlined
-		return intSegUB(n, nruns, uint64(hi)-uint64(lo)) + intZoneUB
-	}
 	return c.next.sizeUB(n) + c.next.zoneUB()
 }
 
@@ -562,21 +563,34 @@ func (c *colBuilder) encode(buf []byte) []byte {
 	}
 }
 
+// settledInt reports whether d is the builder's most common datum: a value of
+// the kind of the last row of a settled int-class column. It adds no kind run
+// and moves only the frame of reference, so tryAppend admits it inline.
+func (c *colBuilder) settledInt(d *types.Datum) bool {
+	return c.class == classInt && d.K == c.lastKind && d.K != types.KindNull
+}
+
 // pageBuilder accumulates rows column-wise and packs them into a
 // column-major page. A row is admitted while the sum of the columns' size
 // bounds with it staged fits PageSize, so finish() always fits.
 type pageBuilder struct {
-	cols []colBuilder
-	rows int
-	buf  []byte // encode scratch, reused across pages
+	cols   []colBuilder
+	frames []frame // the row being admitted: each settled int column's frame
+	rows   int
+	buf    []byte // encode scratch, reused across pages
 }
+
+// frame is a column's frame of reference with one datum staged.
+type frame struct{ lo, hi int64 }
 
 func newPageBuilder() *pageBuilder {
 	return &pageBuilder{buf: make([]byte, 0, PageSize)}
 }
 
 // tryAppend stages r into the page; it returns false (leaving the page
-// unchanged) if the encoded page would overflow PageSize.
+// unchanged) if the encoded page would overflow PageSize. A settled int datum
+// stages only its frame, in b.frames, and is stored here when the row fits;
+// every other datum goes through stage and commit.
 func (b *pageBuilder) tryAppend(r types.Row) bool {
 	if b.rows >= maxPageRows {
 		return false
@@ -585,18 +599,33 @@ func (b *pageBuilder) tryAppend(r types.Row) bool {
 		// First row of a page fixes the width (heap files are
 		// schema-checked, so every row of a file has the same width).
 		b.cols = append(b.cols, make([]colBuilder, len(r)-len(b.cols))...)
+		b.frames = make([]frame, len(b.cols))
 	}
-	cols := b.cols[:len(r)]
+	cols, frames := b.cols[:len(r)], b.frames[:len(r)]
 	total := pageFixedHeader + 4*len(r)
 	n := b.rows + 1
 	for i := range r {
-		total += cols[i].stage(&r[i], n)
+		c, d := &cols[i], &r[i]
+		if c.settledInt(d) {
+			lo, hi := min(c.minI, d.I), max(c.maxI, d.I)
+			frames[i] = frame{lo, hi}
+			total += intSegUB(n, c.nruns, uint64(hi)-uint64(lo)) + intZoneUB
+		} else {
+			total += c.stage(d, n)
+		}
 		if total > PageSize {
 			return false
 		}
 	}
 	for i := range r {
-		cols[i].commit(&r[i])
+		c, d := &cols[i], &r[i]
+		if c.settledInt(d) {
+			c.minI, c.maxI = frames[i].lo, frames[i].hi
+			c.kinds = append(c.kinds, d.K)
+			c.vals = append(c.vals, uint64(d.I)) // the last row had a payload too
+		} else {
+			c.commit(d)
+		}
 	}
 	b.rows++
 	return true

@@ -53,12 +53,23 @@ func (h *HeapFile) Schema() *types.Schema { return h.schema }
 func (h *HeapFile) ID() FileID { return h.id }
 
 // Append bulk-loads rows, flushing full pages to disk. Not valid after Seal.
+// The version moves whenever a row was admitted, even if a later one fails:
+// pages the call flushed before the failure are already visible to scans.
 func (h *HeapFile) Append(rows ...types.Row) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.sealed {
 		return fmt.Errorf("storage: append to sealed heap file")
 	}
+	before := h.numRows
+	err := h.appendLocked(rows)
+	if h.numRows > before {
+		h.version.Add(1)
+	}
+	return err
+}
+
+func (h *HeapFile) appendLocked(rows []types.Row) error {
 	for _, r := range rows {
 		if len(r) != h.schema.Len() {
 			return fmt.Errorf("storage: row width %d, schema width %d", len(r), h.schema.Len())
@@ -76,11 +87,74 @@ func (h *HeapFile) Append(rows ...types.Row) error {
 		}
 		h.numRows++
 	}
-	if len(rows) > 0 {
-		h.version.Add(1)
-	}
 	return nil
 }
+
+// Load bulk-loads n rows and seals the file: the one bulk-load path. fill(i,
+// row) writes row i in place; Load calls it on the caller's goroutine for i =
+// 0, 1, …, n-1 in order, so a generator drawing from one random source draws
+// exactly as a serial loop would. The rows are recycled chunks of
+// loadChunkRows rows, and a second goroutine appends each full chunk in order
+// while the caller fills the next. Load returns the first Append or Seal
+// error, stops calling fill within a chunk or two of an Append failing, and
+// returns only after its goroutine has exited.
+func (h *HeapFile) Load(n int, fill func(i int, row types.Row)) error {
+	width := h.schema.Len()
+	// Every chunk is either free, being filled or queued for the appender,
+	// so neither channel ever holds more than loadChunks.
+	free := make(chan []types.Row, loadChunks)
+	full := make(chan []types.Row, loadChunks)
+	chunkRows := min(loadChunkRows, n)
+	for k := 0; k < loadChunks && k*chunkRows < n; k++ {
+		datums := make([]types.Datum, chunkRows*width)
+		rows := make([]types.Row, chunkRows)
+		for j := range rows {
+			rows[j] = datums[j*width : (j+1)*width : (j+1)*width]
+		}
+		free <- rows
+	}
+	failed := make(chan struct{}) // closed by the appender on its error
+	done := make(chan struct{})
+	var err error
+	go func() {
+		defer close(done)
+		for rows := range full {
+			if err = h.Append(rows...); err != nil {
+				close(failed)
+				return
+			}
+			free <- rows
+		}
+	}()
+	func() {
+		defer func() { close(full); <-done }() // also when fill panics
+		for i := 0; i < n; {
+			var rows []types.Row
+			select {
+			case rows = <-free:
+			case <-failed:
+				return
+			}
+			rows = rows[:min(chunkRows, n-i)]
+			for j, row := range rows {
+				fill(i+j, row)
+			}
+			i += len(rows)
+			full <- rows
+		}
+	}()
+	if err != nil {
+		return err
+	}
+	return h.Seal()
+}
+
+// The load pipeline's chunks: loadChunkRows rows each, loadChunks of them in
+// flight (about 1.5 MB for the twelve-column SSB fact table).
+const (
+	loadChunkRows = 1024
+	loadChunks    = 3
+)
 
 // Version returns the content version counter: it changes whenever rows
 // are appended or the file is sealed, never otherwise. Lock-free.

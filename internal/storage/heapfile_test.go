@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -100,6 +103,128 @@ func TestHeapFileSealIdempotent(t *testing.T) {
 	}
 }
 
+// loadRow is row i of the Load tests: unique strings, so the rows cross
+// pages every ~1 500 rows.
+func loadRow(i int) types.Row {
+	return types.Row{types.NewInt(int64(i)), types.NewString(strings.Repeat("x", i%30) + strconv.Itoa(i))}
+}
+
+// filePages reads every page of f from the disk.
+func filePages(t *testing.T, d Disk, f *HeapFile) [][]byte {
+	t.Helper()
+	pages := make([][]byte, f.NumPages())
+	for i := range pages {
+		pages[i] = make([]byte, PageSize)
+		if err := d.ReadPage(f.ID(), i, pages[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pages
+}
+
+// Load writes the pages one Append of the same rows writes, calls fill once
+// per row in row order, and seals the file, at row counts around the chunk.
+func TestHeapFileLoadMatchesAppend(t *testing.T) {
+	for _, n := range []int{0, 1, loadChunkRows - 1, loadChunkRows, 3*loadChunkRows + 17, 10 * loadChunkRows} {
+		c := newTestCatalog(t, 4)
+		serial, _ := c.CreateTable("serial", kvSchema)
+		loaded, _ := c.CreateTable("loaded", kvSchema)
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = loadRow(i)
+		}
+		if err := serial.File.Append(rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := serial.File.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		err := loaded.File.Load(n, func(i int, row types.Row) {
+			if i != next {
+				t.Fatalf("n=%d: fill(%d), want fill(%d)", n, i, next)
+			}
+			next++
+			copy(row, loadRow(i))
+		})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if next != n || loaded.File.NumRows() != n {
+			t.Fatalf("n=%d: fill called %d times, %d rows loaded", n, next, loaded.File.NumRows())
+		}
+		want, got := filePages(t, c.Disk(), serial.File), filePages(t, c.Disk(), loaded.File)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: Load wrote %d pages, Append %d, or their bytes differ", n, len(got), len(want))
+		}
+		if err := loaded.File.Append(loadRow(0)); err == nil {
+			t.Fatalf("n=%d: Load left the file unsealed", n)
+		}
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to base: a
+// goroutine that signalled its exit may still be counted for a moment.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines, %d before the load", n, base)
+	}
+}
+
+// A write fault in the middle of a Load is returned, stops fill and leaves no
+// goroutine behind; the file keeps the pages written before the fault.
+func TestHeapFileLoadFaultStopsFill(t *testing.T) {
+	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
+	c := NewCatalog(fd, 4)
+	tbl, _ := c.CreateTable("t", kvSchema)
+	base := runtime.NumGoroutine()
+	const n = 100 * loadChunkRows
+	fd.FailWritesAfter(2)
+	filled := 0
+	err := tbl.File.Load(n, func(i int, row types.Row) {
+		filled++
+		copy(row, loadRow(i))
+	})
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("Load = %v, want the injected write error", err)
+	}
+	if got := tbl.File.NumPages(); got != 2 {
+		t.Errorf("NumPages = %d, want the 2 pages written before the fault", got)
+	}
+	if filled >= n {
+		t.Errorf("fill ran for all %d rows after the fault", n)
+	}
+	waitGoroutines(t, base)
+}
+
+// Append moves the version when it admitted a row, even if a later flush of
+// the same call fails: the page it flushed first is visible to scans.
+func TestHeapFileAppendFaultStillBumpsVersion(t *testing.T) {
+	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
+	c := NewCatalog(fd, 4)
+	tbl, _ := c.CreateTable("t", kvSchema)
+	rows := make([]types.Row, 10*loadChunkRows)
+	for i := range rows {
+		rows[i] = loadRow(i)
+	}
+	before := tbl.File.Version()
+	fd.FailWritesAfter(1)
+	if err := tbl.File.Append(rows...); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Append = %v, want the injected write error on the second flush", err)
+	}
+	if tbl.File.NumPages() != 1 {
+		t.Fatalf("NumPages = %d, want 1", tbl.File.NumPages())
+	}
+	if tbl.File.Version() == before {
+		t.Error("Version did not move, yet a page of the failed Append was flushed")
+	}
+}
+
 func TestCatalogDuplicateTable(t *testing.T) {
 	c := newTestCatalog(t, 4)
 	if _, err := c.CreateTable("t", kvSchema); err != nil {
@@ -129,8 +254,8 @@ func TestCatalogMustTablePanics(t *testing.T) {
 	c.MustTable("missing")
 }
 
-// BenchmarkHeapFileAppend times bulk load: one op is one Append of a
-// 4096-row chunk, the chunk the generators hand over, into a heap file on a
+// BenchmarkHeapFileAppend times bulk load's admitting side: one op is one
+// Append of 4096 rows, four of Load's chunks, into a heap file on a
 // zero-latency MemDisk, so the cost is row admission, staging and page
 // encoding. shape=lineorder is the SSB fact table's twelve int columns;
 // shape=mixed is an int key, a float and a 25-value string column.

@@ -61,9 +61,7 @@ func Generate(cat *storage.Catalog, sf float64, seed int64) (*storage.Table, err
 	endDay := types.DateFromYMD(1998, 12, 1).I
 	cutoff := types.DateFromYMD(1995, 6, 17).I
 
-	const chunk = 4096
-	buf := make([]types.Row, 0, chunk)
-	for i := 0; i < n; i++ {
+	err = tbl.File.Load(n, func(_ int, row types.Row) {
 		qty := int64(1 + r.Intn(50))
 		price := float64(90000+r.Intn(1500000)) / 100 * float64(qty) / 25
 		disc := float64(r.Intn(11)) / 100
@@ -85,28 +83,15 @@ func Generate(cat *storage.Catalog, sf float64, seed int64) (*storage.Table, err
 				rf = "N"
 			}
 		}
-		buf = append(buf, types.Row{
-			types.NewInt(qty),
-			types.NewFloat(price),
-			types.NewFloat(disc),
-			types.NewFloat(tax),
-			types.NewString(rf),
-			types.NewString(ls),
-			types.NewDate(ship),
-		})
-		if len(buf) == chunk {
-			if err := tbl.File.Append(buf...); err != nil {
-				return nil, err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if err := tbl.File.Append(buf...); err != nil {
-			return nil, err
-		}
-	}
-	if err := tbl.File.Seal(); err != nil {
+		row[0] = types.NewInt(qty)
+		row[1] = types.NewFloat(price)
+		row[2] = types.NewFloat(disc)
+		row[3] = types.NewFloat(tax)
+		row[4] = types.NewString(rf)
+		row[5] = types.NewString(ls)
+		row[6] = types.NewDate(ship)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return tbl, nil

@@ -1,0 +1,75 @@
+package workload
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/ssb"
+	"repro/internal/storage"
+	"repro/internal/tpch"
+)
+
+// A write fault while a generator loads its fact table fails the generator
+// with the injected error and leaks nothing: the loader's goroutine is gone
+// once the generator returns, and the failed table holds exactly the k pages
+// written before the fault.
+func TestGenerateFaultLeaksNothing(t *testing.T) {
+	const sf, k = 0.01, 5
+	// faulted runs gen on a fresh disk whose writes fail from the skip+k-th
+	// on, and returns the catalog it loaded into.
+	faulted := func(t *testing.T, skip int, gen func(*storage.Catalog) error) *storage.Catalog {
+		t.Helper()
+		disk := storage.NewMemDisk(storage.DiskProfile{})
+		t.Cleanup(func() { disk.Close() })
+		fd := storage.NewFaultDisk(disk)
+		cat := storage.NewCatalog(fd, 4)
+		base := runtime.NumGoroutine()
+		fd.FailWritesAfter(int64(skip + k))
+		if err := gen(cat); !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("generate = %v, want the injected write error", err)
+		}
+		// A goroutine that signalled its exit may still be counted a moment.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%d goroutines after the failed load, %d before", n, base)
+		}
+		return cat
+	}
+
+	t.Run("ssb", func(t *testing.T) {
+		// The four dimension tables load first: count their pages on a clean
+		// disk, so the fault lands k pages into lineorder.
+		clean := storage.NewMemDisk(storage.DiskProfile{})
+		db, err := ssb.Generate(storage.NewCatalog(clean, 4), sf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims := 0
+		for _, tbl := range []*storage.Table{db.Date, db.Customer, db.Supplier, db.Part} {
+			dims += tbl.File.NumPages()
+		}
+		clean.Close()
+		cat := faulted(t, dims, func(cat *storage.Catalog) error {
+			_, err := ssb.GenerateOpts(cat, sf, 1, ssb.GenOptions{})
+			return err
+		})
+		if n := cat.MustTable("lineorder").File.NumPages(); n != k {
+			t.Errorf("lineorder has %d pages, want the %d written before the fault", n, k)
+		}
+	})
+
+	t.Run("tpch", func(t *testing.T) {
+		cat := faulted(t, 0, func(cat *storage.Catalog) error {
+			_, err := tpch.Generate(cat, sf, 1)
+			return err
+		})
+		if n := cat.MustTable("lineitem").File.NumPages(); n != k {
+			t.Errorf("lineitem has %d pages, want the %d written before the fault", n, k)
+		}
+	})
+}
