@@ -1,8 +1,8 @@
 // Package repro is a from-scratch Go reproduction of "Reactive and Proactive
 // Sharing Across Concurrent Analytical Queries" (Psaroudakis et al., SIGMOD
 // 2014): the QPipe staged execution engine with Simultaneous Pipelining
-// (reactive sharing, push-based over FIFOs or pull-based over Shared Pages
-// Lists), the CJOIN operator evaluating a Global Query Plan with shared
+// (reactive sharing over Shared Pages Lists, push-based with a copy per
+// satellite or pull-based from one shared list), the CJOIN operator evaluating a Global Query Plan with shared
 // scans / selections / hash-joins (proactive sharing), their integration
 // (SP applied on top of the GQP), and the storage and workload substrates
 // required to regenerate the paper's demonstration as curves over its five
@@ -134,7 +134,7 @@ const (
 // Sharing models.
 const (
 	// SPPush is the original push-based SP (producer copies pages into every
-	// satellite FIFO).
+	// satellite's own list).
 	SPPush = engine.SPPush
 	// SPPull is pull-based SP over the Shared Pages List.
 	SPPull = engine.SPPull

@@ -1,7 +1,7 @@
 // Package batch defines the unit of data flow between operators: a page of
 // rows. QPipe exchanges data between packets page-at-a-time rather than
 // tuple-at-a-time; batches are those pages. The push-based SP model copies
-// batches into each satellite's FIFO (the serialization point the paper
+// batches into each satellite's own list (the serialization point the paper
 // identifies), while the pull-based SPL shares a single immutable batch among
 // all consumers.
 //

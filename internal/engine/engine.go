@@ -2,8 +2,10 @@
 // operator is a stage, every query plan is decomposed into packets wired by
 // page-based buffers, and Simultaneous Pipelining (SP) detects common
 // sub-plans among in-flight packets at run time, evaluating one and serving
-// the rest from its output — push-based over FIFOs (the original model) or
-// pull-based over Shared Pages Lists.
+// the rest from its output. Every edge between packets is a Shared Pages List
+// (internal/spl): under push SP each consumer has its own and the producer
+// copies every page into each satellite's (the original model), under pull
+// SP all consumers read one.
 package engine
 
 import (
@@ -33,17 +35,14 @@ type StarRunner interface {
 type Config struct {
 	// BatchSize is the number of rows per exchanged batch (page).
 	BatchSize int
-	// FIFOCapacity is the per-FIFO batch capacity in the push model.
-	FIFOCapacity int
-	// SPLMaxPages bounds unreclaimed pages per Shared Pages List.
-	SPLMaxPages int
 
 	// SP master-switches Simultaneous Pipelining.
 	SP bool
 	// SPStages selects the stages allowed to share; nil means every stage
 	// (when SP is true). Keys are plan kinds.
 	SPStages map[plan.Kind]bool
-	// Model selects push-based (FIFO copy) or pull-based (SPL) sharing.
+	// Model selects push-based sharing (a list per consumer, a column copy
+	// per satellite) or pull-based sharing (one list all consumers read).
 	Model SPModel
 
 	// Star runs CJoin nodes on the shared Global Query Plan; nil disables
@@ -68,12 +67,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.BatchSize <= 0 {
 		out.BatchSize = batch.DefaultCapacity
-	}
-	if out.FIFOCapacity <= 0 {
-		out.FIFOCapacity = 8
-	}
-	if out.SPLMaxPages <= 0 {
-		out.SPLMaxPages = 64
 	}
 	return out
 }
@@ -258,7 +251,7 @@ func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struc
 
 	var primary Reader
 	mk := func() *Packet {
-		p, r := newPacket(node, st, fp, e.cfg.Model, e.cfg.FIFOCapacity, e.cfg.SPLMaxPages)
+		p, r := newPacket(node, st, fp, e.cfg.Model)
 		primary = r
 		return p
 	}
@@ -273,7 +266,7 @@ func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struc
 		// arrivals can share with us.
 		st.spMissed.Add(1)
 		fresh = mk()
-		st.register(fp, fresh)
+		st.register(fp, host, fresh)
 	}
 
 	inputs := make([]Reader, 0, 2)
@@ -300,12 +293,9 @@ func (e *Engine) run(ctx context.Context, p *Packet, inputs []Reader, gate <-cha
 	st.active.Add(1)
 	defer st.active.Add(-1)
 
-	// Pull-model readers block on a condition variable, so deliver context
-	// cancellation by closing the packet's list.
-	var stopAfter func() bool
-	if p.model == SPPull {
-		stopAfter = context.AfterFunc(ctx, func() { p.close(ctx.Err()) })
-	}
+	// A producer blocked on a full list waits on a condition variable, so
+	// deliver context cancellation by closing the packet's lists.
+	stopAfter := context.AfterFunc(ctx, func() { p.close(ctx.Err()) })
 
 	cleanup := func(err error) {
 		p.close(err)
@@ -313,9 +303,7 @@ func (e *Engine) run(ctx context.Context, p *Packet, inputs []Reader, gate <-cha
 		for _, in := range inputs {
 			in.Close()
 		}
-		if stopAfter != nil {
-			stopAfter()
-		}
+		stopAfter()
 	}
 
 	select {

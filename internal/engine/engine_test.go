@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -534,11 +535,23 @@ func TestMixedBatchSharesPerPlanGroup(t *testing.T) {
 	}
 }
 
+// mustOutgrowLists fails the test unless the sales table has more pages than
+// twice the given list depth, so a streaming packet over it cannot finish
+// into its buffer before its consumer reads: the backpressure a test relies
+// on is there by size, not by timing.
+func mustOutgrowLists(t *testing.T, cat *storage.Catalog, depth int) {
+	t.Helper()
+	if n := cat.MustTable("sales").File.NumPages(); n <= 2*depth {
+		t.Fatalf("sales has %d pages, want more than %d", n, 2*depth)
+	}
+}
+
 func TestStaggeredSubmissionMissesPushWindow(t *testing.T) {
-	cat := testDB(t, 3000)
-	// Tiny batches and a 1-deep FIFO keep the streaming filter packet alive
-	// (blocked on a full FIFO) long after it emitted its first batch.
-	e := newTestEngine(cat, Config{SP: true, Model: SPPush, BatchSize: 16, FIFOCapacity: 1})
+	cat := testDB(t, 20000)
+	// A table several lists deep keeps the streaming filter packet alive
+	// (blocked on a full list) long after it emitted its first batch.
+	mustOutgrowLists(t, cat, fifoDepth)
+	e := newTestEngine(cat, Config{SP: true, Model: SPPush, BatchSize: 16})
 	ctx := context.Background()
 
 	mkPlan := func() plan.Node {
@@ -578,6 +591,63 @@ func TestStaggeredSubmissionMissesPushWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualRows(t, rows1, res2.Rows)
+}
+
+// TestMissedWindowTakesOverSlot: a packet dispatched after its host's push
+// window closed takes over the host's SP slot, so the next identical query
+// attaches to it instead of missing against the stale host too.
+func TestMissedWindowTakesOverSlot(t *testing.T) {
+	cat := testDB(t, 20000)
+	mustOutgrowLists(t, cat, fifoDepth) // the host stays in flight, blocked
+	e := newTestEngine(cat, Config{SP: true, Model: SPPush, BatchSize: 16})
+	ctx := context.Background()
+	mkPlan := func() plan.Node {
+		return plan.NewFilter(plan.NewScan(cat.MustTable("sales")), expr.NewCmp(expr.GE, expr.C(0, "id"), expr.Int(0)))
+	}
+	r1, err := e.dispatch(ctx, mkPlan(), closedGate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r1.Next(ctx) // the host emitted: its window is closed
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Behind a shut gate neither later packet emits before both dispatched.
+	gate := make(chan struct{})
+	r2, err := e.dispatch(ctx, mkPlan(), gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3, err := e.dispatch(ctx, mkPlan(), gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	fs := e.StageStatsFor(plan.KindFilter)
+	if fs.SPMissed != 1 || fs.SPAttached != 1 {
+		t.Errorf("filter stage missed %d and attached %d, want 1 and 1", fs.SPMissed, fs.SPAttached)
+	}
+	// Push consumers of one packet block each other: drain all three at once.
+	results := make([]*Result, 3)
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for i, r := range []Reader{r1, r2, r3} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = drain(ctx, mkPlan(), r)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows1 := append(append([]types.Row{}, first.RowsView()...), results[0].Rows...)
+	first.Done()
+	mustEqualRows(t, results[1].Rows, rows1)
+	mustEqualRows(t, results[2].Rows, rows1)
 }
 
 func TestCancellationPropagates(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/spl"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -81,7 +82,9 @@ func trimFloat(f float64) string { return strconv.FormatFloat(f, 'e', 8, 64) }
 // batches mixing identical and distinct plans are executed with SP off,
 // push-SP and pull-SP, and every query's result must agree across modes.
 func TestSPEquivalenceProperty(t *testing.T) {
-	cat := testDB(t, 4000)
+	cat := testDB(t, 80000)
+	// Deeper than a shared list, so both models run under backpressure.
+	mustOutgrowLists(t, cat, spl.DefaultMaxPages)
 	ctx := context.Background()
 	for round := 0; round < 6; round++ {
 		r := rand.New(rand.NewSource(int64(round) * 101))
@@ -102,7 +105,7 @@ func TestSPEquivalenceProperty(t *testing.T) {
 			t.Fatalf("round %d baseline: %v", round, err)
 		}
 		for _, model := range []SPModel{SPPush, SPPull} {
-			e := newTestEngine(cat, Config{SP: true, Model: model, FIFOCapacity: 2, BatchSize: 64})
+			e := newTestEngine(cat, Config{SP: true, Model: model, BatchSize: 64})
 			results, err := e.ExecuteBatch(ctx, roots)
 			if err != nil {
 				t.Fatalf("round %d %v: %v", round, model, err)
@@ -124,11 +127,12 @@ func TestSPEquivalenceProperty(t *testing.T) {
 }
 
 // Mixed-strategy sanity: the same queries interleaved in one batch under
-// pull-SP with tiny buffers must complete without deadlock and agree with
-// each other.
+// pull-SP over a table deeper than a shared list must complete without
+// deadlock and agree with each other.
 func TestSPBackpressureNoDeadlock(t *testing.T) {
-	cat := testDB(t, 8000)
-	e := newTestEngine(cat, Config{SP: true, Model: SPPull, SPLMaxPages: 2, BatchSize: 32, FIFOCapacity: 1})
+	cat := testDB(t, 80000)
+	mustOutgrowLists(t, cat, spl.DefaultMaxPages)
+	e := newTestEngine(cat, Config{SP: true, Model: SPPull, BatchSize: 32})
 	ctx := context.Background()
 	var roots []plan.Node
 	for i := 0; i < 12; i++ {

@@ -46,10 +46,10 @@ func TestLimitCancelsUpstreamScan(t *testing.T) {
 	cat := testDB(t, 60000)
 	tbl := cat.MustTable("sales")
 	npages := tbl.File.NumPages()
-	if npages < 50 {
-		t.Fatalf("table too small for this test: %d pages", npages)
-	}
-	e := newTestEngine(cat, Config{FIFOCapacity: 2})
+	// The scan runs at most a list ahead of the limit, which half the
+	// table must exceed with room to spare.
+	mustOutgrowLists(t, cat, 2*fifoDepth)
+	e := newTestEngine(cat, Config{})
 	before := cat.Pool().Stats()
 	res, err := e.Execute(context.Background(), plan.NewLimit(plan.NewScan(tbl), 10))
 	if err != nil {

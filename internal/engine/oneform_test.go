@@ -231,22 +231,40 @@ func TestAggregateEmitsReservedBatches(t *testing.T) {
 	}
 }
 
+// pushTestBatch is a 100-row three-column batch (int, float, string) whose
+// selection keeps rows 10–89.
+func pushTestBatch() *batch.Batch {
+	cb := vec.Get(3)
+	for i := 0; i < 100; i++ {
+		cb.AppendRow(types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i) / 4), types.NewString(fmt.Sprint("s", i%7))})
+	}
+	cb.Seal(100)
+	return batch.FromView(cb, cb.AllSel()[10:90])
+}
+
 // TestPushCloneSharesNoArray: the push model's satellite copy is a column
 // copy — no tag or payload array shared with the original the first consumer
 // reads, or with another satellite's copy — counted once per satellite.
 func TestPushCloneSharesNoArray(t *testing.T) {
 	ctx := context.Background()
 	base := vec.LiveBatches()
-	var copies atomic.Int64
-	m := newMultiFIFO(4, &copies)
-	host, sats := m.addConsumer(), []*fifo{m.addConsumer(), m.addConsumer()}
-	cb := vec.Get(3)
-	for i := 0; i < 100; i++ {
-		cb.AppendRow(types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i) / 4), types.NewString(fmt.Sprint("s", i%7))})
+	st := newStage(plan.KindScan, true)
+	p, host := newPacket(nil, st, expr.Fp{}, SPPush)
+	var sats []Reader
+	for range 2 {
+		r, ok := p.addConsumer()
+		if !ok {
+			t.Fatal("the push window must be open before the first emission")
+		}
+		sats = append(sats, r)
 	}
-	cb.Seal(100)
-	if err := m.Put(ctx, batch.FromView(cb, cb.AllSel()[10:90])); err != nil {
+	in := pushTestBatch()
+	cb, _ := in.Cols()
+	if err := p.writer().Put(ctx, in); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := p.addConsumer(); ok {
+		t.Fatal("the push window must close at the first emission")
 	}
 	orig, err := host.Next(ctx)
 	if err != nil {
@@ -281,16 +299,90 @@ func TestPushCloneSharesNoArray(t *testing.T) {
 		}
 		defer c.Done()
 	}
-	if n := copies.Load(); n != int64(len(sats)) {
+	if n := st.Stats().Copies; n != int64(len(sats)) {
 		t.Errorf("copies = %d, want one per satellite (%d)", n, len(sats))
 	}
 	orig.Done()
-	m.Close(nil)
+	p.writer().Close(nil)
+	for _, r := range append(sats, host) {
+		r.Close()
+	}
 	t.Cleanup(func() {
 		if live := vec.LiveBatches(); live != base {
 			t.Errorf("LiveBatches = %d, want %d", live, base)
 		}
 	})
+}
+
+// TestPushSatelliteDetachWakesProducer: a push producer blocked on a
+// satellite's full list wakes when that satellite detaches, copies nothing
+// more for it and serves the primary to the end; every batch comes back.
+func TestPushSatelliteDetachWakesProducer(t *testing.T) {
+	ctx := context.Background()
+	base := vec.LiveBatches()
+	st := newStage(plan.KindScan, true)
+	p, host := newPacket(nil, st, expr.Fp{}, SPPush)
+	sat, ok := p.addConsumer()
+	if !ok {
+		t.Fatal("the push window must be open before the first emission")
+	}
+	const n = 3 * fifoDepth
+	var put atomic.Int64
+	produced := make(chan error, 1)
+	go func() {
+		w := p.writer()
+		for range n {
+			if err := w.Put(ctx, pushTestBatch()); err != nil {
+				w.Close(err)
+				produced <- err
+				return
+			}
+			put.Add(1)
+		}
+		w.Close(nil)
+		produced <- nil
+	}()
+	got := make(chan int, 1)
+	go func() {
+		k := 0
+		for {
+			b, err := host.Next(ctx)
+			if err != nil {
+				break
+			}
+			k++
+			b.Done()
+		}
+		host.Close()
+		got <- k
+	}()
+
+	// The satellite reads nothing, so its list fills and the producer blocks
+	// on it: after fifoDepth batches, the next one is stuck mid-fan-out.
+	for deadline := time.Now().Add(5 * time.Second); put.Load() < fifoDepth || p.lists[1].Retained() < fifoDepth; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("producer put %d batches, satellite list holds %d", put.Load(), p.lists[1].Retained())
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if k := put.Load(); k != fifoDepth {
+		t.Fatalf("producer put %d batches past a full %d-page list", k, fifoDepth)
+	}
+	sat.Close()
+
+	if err := <-produced; err != nil {
+		t.Fatalf("producer failed after the satellite detached: %v", err)
+	}
+	if k := <-got; k != n {
+		t.Errorf("primary read %d batches, want %d", k, n)
+	}
+	// The batch in flight at the detach was copied already; none after it.
+	if c := st.Stats().Copies; c != fifoDepth+1 {
+		t.Errorf("copies = %d, want %d", c, fifoDepth+1)
+	}
+	if live := vec.LiveBatches(); live != base {
+		t.Errorf("LiveBatches = %d, want %d", live, base)
+	}
 }
 
 // TestOneFormLeakOracle: every batch is pooled now, so LiveBatches sees what

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"context"
 	"sync"
 
-	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/spl"
@@ -14,8 +12,9 @@ import (
 type SPModel uint8
 
 const (
-	// SPPush is the original push-based model: the producer copies every
-	// output page into every satellite's FIFO (serialization point).
+	// SPPush is the original push-based model: every consumer has its own
+	// list and the producer copies every output page into each satellite's
+	// (serialization point).
 	SPPush SPModel = iota
 	// SPPull is the improved pull-based model over the Shared Pages List:
 	// the producer appends each page once and consumers pull concurrently.
@@ -30,6 +29,10 @@ func (m SPModel) String() string {
 	return "push(FIFO)"
 }
 
+// fifoDepth is the page bound of a list that serves one consumer: a private
+// edge, or one consumer of a push-SP packet (the original QPipe FIFO depth).
+const fifoDepth = 8
+
 // Packet is the unit of work of one operator of one query. When SP is
 // active a packet can serve several queries: the first becomes the host and
 // later arrivals attach as satellites, receiving the host's output instead
@@ -42,44 +45,48 @@ type Packet struct {
 
 	mu      sync.Mutex
 	emitted bool // a batch has been produced (closes the push window)
+	closed  bool
+	err     error // the close cause, for a push consumer attached after close
 
-	// Exactly one of the two is used, by model.
-	multi *multiFIFO
-	list  *spl.List
-
-	consumers int // attached consumers (including the primary)
-
-	closeOnce sync.Once
+	// lists are the packet's output buffers: under pull SP one shared list
+	// every consumer reads, otherwise one list per consumer, the primary's
+	// first. A list is added only before the first emission.
+	lists []*spl.List
 }
 
 // close ends the packet's output stream exactly once (the operator's normal
 // completion and the context-cancellation AfterFunc may race here).
 func (p *Packet) close(err error) {
-	p.closeOnce.Do(func() {
-		if p.model == SPPull {
-			p.list.Close(err)
-			return
-		}
-		p.multi.Close(err)
-	})
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.closed, p.err = true, err
+	lists := p.lists
+	p.mu.Unlock()
+	for _, l := range lists {
+		l.Close(err)
+	}
 }
 
 // newPacket builds a packet and its primary consumer endpoint.
-func newPacket(node plan.Node, stage *Stage, fp expr.Fp, model SPModel, fifoCap, splMax int) (*Packet, Reader) {
-	p := &Packet{node: node, stage: stage, fp: fp, model: model}
-	if model == SPPull {
-		p.list = spl.New(splMax)
-		r, err := p.list.NewReader()
-		if err != nil {
-			// Impossible: nothing has been appended yet.
-			panic("engine: fresh SPL rejected its first reader")
-		}
-		p.consumers = 1
-		return p, &splReader{r: r}
+func newPacket(node plan.Node, stage *Stage, fp expr.Fp, model SPModel) (*Packet, Reader) {
+	depth := fifoDepth // a private edge, or the primary's list under push SP
+	if stage.sp && model == SPPull {
+		depth = spl.DefaultMaxPages
 	}
-	p.multi = newMultiFIFO(fifoCap, &stage.copies)
-	p.consumers = 1
-	return p, p.multi.addConsumer()
+	p := &Packet{node: node, stage: stage, fp: fp, model: model, lists: []*spl.List{spl.New(depth)}}
+	return p, firstReader(p.lists[0])
+}
+
+// firstReader attaches the one consumer a fresh list can never refuse.
+func firstReader(l *spl.List) Reader {
+	r, err := l.NewReader()
+	if err != nil {
+		panic("engine: fresh SPL rejected its first reader") // nothing was appended yet
+	}
+	return &splReader{r: r}
 }
 
 // addConsumer attaches a satellite, returning ok=false when the sharing
@@ -91,47 +98,22 @@ func (p *Packet) addConsumer() (Reader, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.model == SPPull {
-		r, err := p.list.NewReader()
+		r, err := p.lists[0].NewReader()
 		if err != nil {
 			return nil, false
 		}
-		p.consumers++
 		return &splReader{r: r}, true
 	}
 	if p.emitted {
 		return nil, false
 	}
-	p.consumers++
-	return p.multi.addConsumer(), true
-}
-
-// Consumers returns the number of queries served by this packet.
-func (p *Packet) Consumers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.consumers
+	l := spl.New(fifoDepth)
+	if p.closed {
+		l.Close(p.err) // the stream ended empty: the satellite sees its end at once
+	}
+	p.lists = append(p.lists, l)
+	return firstReader(l), true
 }
 
 // writer returns the producer endpoint used by the operator goroutine.
 func (p *Packet) writer() Writer { return packetWriter{p: p} }
-
-// packetWriter marks the sharing window closed on first emission and
-// forwards to the model-specific buffer.
-type packetWriter struct{ p *Packet }
-
-// Put publishes a batch, closing the push-model sharing window first.
-func (w packetWriter) Put(ctx context.Context, b *batch.Batch) error {
-	p := w.p
-	p.mu.Lock()
-	if !p.emitted {
-		p.emitted = true
-	}
-	p.mu.Unlock()
-	if p.model == SPPull {
-		return splWriter{list: p.list}.Put(ctx, b)
-	}
-	return p.multi.Put(ctx, b)
-}
-
-// Close ends the stream for all consumers.
-func (w packetWriter) Close(err error) { w.p.close(err) }

@@ -56,15 +56,13 @@ func (s *Stage) lookupOrRegister(fp expr.Fp, mk func() *Packet) (host, fresh *Pa
 	return nil, p
 }
 
-// register inserts a packet built after a failed attach (window closed). It
-// only installs p if no other packet holds the slot.
-func (s *Stage) register(fp expr.Fp, p *Packet) {
-	if !s.sp {
-		return
-	}
+// register installs p, built after host refused it (window closed), in the
+// slot host held, so later arrivals share with p rather than miss against
+// host again. A slot another packet took meanwhile is left alone.
+func (s *Stage) register(fp expr.Fp, host, p *Packet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.inflight[fp]; !ok {
+	if cur, ok := s.inflight[fp]; !ok || cur == host {
 		s.inflight[fp] = p
 	}
 }

@@ -31,6 +31,13 @@ func (c Class) String() string {
 	return "long"
 }
 
+// shortPageFrac is the zone-map page-coverage threshold at or below which a
+// query is classified short.
+const shortPageFrac = 0.3
+
+// sampleZonePages bounds how many pages the classifier samples per estimate.
+const sampleZonePages = 64
+
 // classifyCacheMax bounds the fingerprint → class cache; at the bound the
 // cache is dropped wholesale (templated workloads re-fill it immediately).
 const classifyCacheMax = 8192
@@ -43,16 +50,12 @@ type classified struct {
 
 // classifier assigns latency classes, memoized by plan fingerprint.
 type classifier struct {
-	shortFrac float64 // coverage threshold separating short from long
-	sample    int     // pages sampled per estimate
-
 	mu    sync.Mutex
 	cache map[expr.Fp]classified
 }
 
-func newClassifier(shortFrac float64, sample int) *classifier {
-	return &classifier{shortFrac: shortFrac, sample: sample,
-		cache: make(map[expr.Fp]classified)}
+func newClassifier() *classifier {
+	return &classifier{cache: make(map[expr.Fp]classified)}
 }
 
 // classify returns the plan's latency class and its coverage estimate.
@@ -67,7 +70,7 @@ func (c *classifier) classify(root plan.Node) (Class, float64) {
 
 	frac := c.estimate(root)
 	class := ClassLong
-	if frac <= c.shortFrac {
+	if frac <= shortPageFrac {
 		class = ClassShort
 	}
 
@@ -99,10 +102,7 @@ func (c *classifier) estimate(root plan.Node) float64 {
 	if pages == 0 {
 		return 1.0
 	}
-	sample := c.sample
-	if sample <= 0 || sample > pages {
-		sample = pages
-	}
+	sample := min(sampleZonePages, pages)
 	matches := 0
 	for i := 0; i < sample; i++ {
 		idx := i * pages / sample

@@ -61,14 +61,6 @@ type Config struct {
 	// arrivals are shed. Default QueueDepth/2.
 	HighWater int
 
-	// ShortPageFrac is the zone-map page-coverage threshold at or below
-	// which a query is classified short. Default 0.3.
-	ShortPageFrac float64
-
-	// SampleZonePages bounds how many pages the classifier samples per
-	// estimate. Default 64; <0 samples every page.
-	SampleZonePages int
-
 	// CJoin and Pool, when set, contribute their counters to Stats.
 	CJoin *cjoin.Operator
 	Pool  *storage.BufferPool
@@ -89,12 +81,6 @@ func (c Config) withDefaults() Config {
 		if c.HighWater < 1 {
 			c.HighWater = 1
 		}
-	}
-	if c.ShortPageFrac <= 0 {
-		c.ShortPageFrac = 0.3
-	}
-	if c.SampleZonePages == 0 {
-		c.SampleZonePages = 64
 	}
 	return c
 }
@@ -138,7 +124,7 @@ func NewGateway(exec Executor, cfg Config) *Gateway {
 	g := &Gateway{
 		cfg:   cfg,
 		exec:  exec,
-		cls:   newClassifier(cfg.ShortPageFrac, cfg.SampleZonePages),
+		cls:   newClassifier(),
 		start: time.Now(),
 	}
 	g.state[ClassShort] = &classState{slots: cfg.ShortSlots,

@@ -3,10 +3,13 @@
 // paper, introduced in the authors' VLDB 2013 work).
 //
 // In the push-based model the single producer copies every result page into
-// every consumer's FIFO — a serialization point whose cost grows with the
-// number of consumers. The SPL instead lets the producer append each
+// every satellite's own buffer — a serialization point whose cost grows with
+// the number of consumers. The SPL instead lets the producer append each
 // immutable page exactly once; consumers pull at their own pace with only a
 // short critical section, so adding consumers adds no work to the producer.
+// The engine uses the List as its only exchange buffer: a push-SP packet or
+// a private edge gives each consumer a List of its own, a pull-SP packet
+// shares one List among all of them.
 //
 // Pages are released once every attached consumer has read past them
 // (watermark reclamation), and the producer blocks when the list holds

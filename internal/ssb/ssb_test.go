@@ -276,7 +276,7 @@ func TestParametricSelectivity(t *testing.T) {
 	total := db.Lineorder.NumRows()
 
 	selRows := func(qmax int64) int {
-		in := Parametric(db, qmax)
+		in := ParametricWindow(db, qmax, 0)
 		// Count star-output rows (before aggregation).
 		res, err := e.Execute(context.Background(), in.Star.QueryCentric())
 		if err != nil {

@@ -337,32 +337,6 @@ func q4Instance(db *DB, t Template, p q4Params) Instance {
 // ---------------------------------------------------------------------------
 // Scenario controls
 
-// Parametric builds the controlled-selectivity query of Scenario III:
-// revenue by year over fact rows with lo_quantity <= quantityMax. The fact
-// selectivity is quantityMax/50 (2% steps), matching the GUI's selectivity
-// slider.
-func Parametric(db *DB, quantityMax int64) Instance {
-	star := &plan.StarQuery{
-		Fact:     db.Lineorder,
-		FactPred: expr.NewCmp(expr.LE, expr.C(LOQuantity, "lo_quantity"), expr.Int(quantityMax)),
-		FactCols: []int{LORevenue},
-		Dims: []plan.DimJoin{{
-			Table: db.Date, FactKeyCol: LOOrderDate, DimKeyCol: DDateKey, PayloadCols: []int{DYear},
-		}},
-	}
-	return Instance{
-		Name: fmt.Sprintf("param(sel=%d%%)", quantityMax*2),
-		Star: star,
-		Build: func(out plan.Node) plan.Node {
-			s := out.Schema()
-			return plan.NewAggregate(out,
-				[]plan.GroupCol{{Name: "d_year", Kind: types.KindInt, Expr: expr.C(s.MustColIndex("d_year"), "d_year")}},
-				[]plan.AggSpec{{Func: plan.AggSum,
-					Arg: expr.C(s.MustColIndex("lo_revenue"), "lo_revenue"), Name: "revenue"}})
-		},
-	}
-}
-
 // ParametricWindow is the Scenario III workhorse: revenue by year over fact
 // rows with lo_quantity BETWEEN start+1 AND start+width. Selectivity is
 // width/50 regardless of start, so instances at the same selectivity can
