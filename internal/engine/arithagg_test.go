@@ -121,8 +121,9 @@ func findAggregate(t *testing.T, n plan.Node) *plan.Aggregate {
 // TPC-H Q1 — the real plan nodes, over their real inputs repacked as view
 // batches — allocate per batch and per group rather than per row (a fallback
 // to RowsView allocates one row per tuple and breaks the bound some 250×), and
-// equal the row path over the same data: as written, and with sum / avg / min / max /
-// count over the arithmetic argument, grouped as written and global.
+// equal the reference whose keys and arguments are Eval's (rowPath) over the
+// same data: as written, and with sum / avg / min / max / count over the
+// arithmetic argument, grouped as written and global.
 func TestAggregateArithStaysColumnar(t *testing.T) {
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 1<<12)
 	db, err := ssb.Generate(cat, 0.01, 5)

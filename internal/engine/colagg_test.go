@@ -60,20 +60,19 @@ func runAggregate(t testing.TB, n *plan.Aggregate, batches []*batch.Batch) []typ
 	return w.rows
 }
 
-// rowOnly hides an expression from the columnar compilers (expr.ColRefs,
-// expr.CompileNum) so that an operator built over it takes its row-by-row path.
+// rowOnly hides an expression from the typed loops of expr.CompileNum, so
+// that its kernel evaluates it row by row through Eval.
 type rowOnly struct{ expr.Expr }
 
-// rowPath returns n folded by opAggregate's row-by-row path: its group-by
-// expressions hidden (arguments stay plain column references, read in place),
-// or its arguments hidden when it has no group-by.
+// rowPath returns n with every group-by key and aggregate argument hidden:
+// the reference whose keys and arguments are Eval's, row by row.
 func rowPath(n *plan.Aggregate) *plan.Aggregate {
 	groupBy, aggs := slices.Clone(n.GroupBy), slices.Clone(n.Aggs)
 	for i := range groupBy {
 		groupBy[i].Expr = rowOnly{groupBy[i].Expr}
 	}
 	for i := range aggs {
-		if len(groupBy) == 0 && aggs[i].Arg != nil {
+		if aggs[i].Arg != nil {
 			aggs[i].Arg = rowOnly{aggs[i].Arg}
 		}
 	}
@@ -150,7 +149,7 @@ func buildRandomBatch(r *rand.Rand, nrows, ncols int, styles []colStyle) *vec.Co
 
 // canonical renders result rows order-insensitively with float rounding (the
 // columnar global path folds batch-locally, so float sums may differ in the
-// last few bits from the row path's strict per-row order).
+// last few bits from a reference's strict per-row order).
 func canonical(rows []types.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -174,9 +173,9 @@ func canonical(rows []types.Row) []string {
 // TestGroupedAggregateColsMatchesRows is the result-equivalence property
 // test of the vectorized grouped-aggregation path: over random plans
 // (random group-by arity, NULL-bearing keys, int/float/string/dict columns,
-// random selections) the columnar path must produce exactly the groups and
-// aggregates the row-by-row path produces over the same rows — the two share
-// one group table, and the row path is what non-uniform batches take.
+// random selections) it must produce exactly the groups and aggregates of the
+// reference — the same plan with every key and argument evaluated by Eval row
+// by row (rowPath) over literal batches of the same rows.
 func TestGroupedAggregateColsMatchesRows(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -250,10 +249,10 @@ func TestGroupedAggregateColsMatchesRows(t *testing.T) {
 	}
 }
 
-// TestHashFoldMatchesHashKey pins the columnar hash kernels to the row
-// path's fold: for every column shape, HashFold must produce exactly
-// (h ^ Datum.HashKey) * prime per row — the property that lets one group
-// table serve both paths.
+// TestHashFoldMatchesHashKey pins HashFold's typed arms to its per-datum
+// arm: for every column shape, HashFold must produce exactly
+// (h ^ Datum.HashKey) * prime per row — a key column uniform in one batch and
+// mixed in the next feeds one group table.
 func TestHashFoldMatchesHashKey(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -311,13 +310,12 @@ func TestAggregateColsSteadyStateZeroAlloc(t *testing.T) {
 		{Func: plan.AggCount, Name: "c"},
 	}
 	args := []*vec.Vec{cb.Col(2), nil}
-	groupIdx := []int{0, 1}
+	keys := []*vec.Vec{cb.Col(0), cb.Col(1)}
 	gt := newGroupTable(len(aggs))
 	var scr aggScratch
-	key := make(types.Row, len(groupIdx))
-	aggregateCols(gt, aggs, args, groupIdx, cb, sel, key, &scr) // warm
+	aggregateCols(gt, aggs, args, keys, sel, &scr) // warm
 	allocs := testing.AllocsPerRun(100, func() {
-		aggregateCols(gt, aggs, args, groupIdx, cb, sel, key, &scr)
+		aggregateCols(gt, aggs, args, keys, sel, &scr)
 	})
 	if allocs != 0 {
 		t.Fatalf("aggregateCols steady state allocates %v per run, want 0", allocs)

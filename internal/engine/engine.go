@@ -107,43 +107,24 @@ type Result struct {
 	Rows   []types.Row
 }
 
-// closedGate is a pre-opened start gate for individually submitted queries.
+// Execute runs one plan to completion and materializes its result: the
+// one-root form of ExecuteBatch. With the result cache enabled, an exact
+// repeat of a previously executed template (same fingerprint, unchanged
+// tables) returns the shared materialization without dispatching any packet.
+func (e *Engine) Execute(ctx context.Context, root plan.Node) (*Result, error) {
+	var res [1]*Result
+	if err := e.execute(ctx, []plan.Node{root}, res[:]); err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// closedGate is a pre-opened start gate for a streamed query.
 var closedGate = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
 	return ch
 }()
-
-// Execute runs one plan to completion and materializes its result. With the
-// result cache enabled, an exact repeat of a previously executed template
-// (same fingerprint, unchanged tables) returns the shared materialization
-// without dispatching any packet.
-func (e *Engine) Execute(ctx context.Context, root plan.Node) (*Result, error) {
-	var fp expr.Fp
-	var snap cacheSnap
-	if e.cache != nil {
-		fp = plan.Fingerprint(root)
-		if res, ok := e.cache.get(fp); ok {
-			return res, nil
-		}
-		// Snapshot table versions before dispatch: a concurrent append
-		// mid-execution leaves the stored entry stale, so the next lookup
-		// invalidates instead of serving a torn read.
-		snap = snapshotTables(root)
-	}
-	r, err := e.dispatch(ctx, root, closedGate)
-	if err != nil {
-		return nil, err
-	}
-	res, err := drain(ctx, root, r)
-	// Only complete, uncanceled results may populate the cache: a drain
-	// racing its context's cancellation can return nil error with a
-	// truncated row set, which must never be served to repeat templates.
-	if err == nil && ctx.Err() == nil && e.cache != nil {
-		e.cache.put(fp, res, snap.files, snap.vers)
-	}
-	return res, err
-}
 
 // Stream runs one plan and returns the reader delivering its output batches
 // as they are produced, without materializing the result. The caller owns the
@@ -162,64 +143,84 @@ func (e *Engine) Stream(ctx context.Context, root plan.Node) (Reader, error) {
 // every common sub-plan is registered before any sharing window can close.
 func (e *Engine) ExecuteBatch(ctx context.Context, roots []plan.Node) ([]*Result, error) {
 	results := make([]*Result, len(roots))
-	var fps []expr.Fp
-	var snaps []cacheSnap
-	if e.cache != nil {
-		fps = make([]expr.Fp, len(roots))
-		snaps = make([]cacheSnap, len(roots))
-		for i, root := range roots {
-			fps[i] = plan.Fingerprint(root)
-			if res, ok := e.cache.get(fps[i]); ok {
+	if err := e.execute(ctx, roots, results); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// execute runs roots to completion into results, one per root. Roots the
+// result cache answers are served from it; the rest are dispatched behind one
+// gate, drained concurrently, and stored in the cache only after a clean,
+// uncanceled drain. A run the cache answers entirely allocates nothing.
+func (e *Engine) execute(ctx context.Context, roots []plan.Node, results []*Result) error {
+	type query struct {
+		i    int
+		fp   expr.Fp
+		snap cacheSnap
+		r    Reader
+		res  *Result
+		err  error
+	}
+	var qs []query // the roots the cache did not answer
+	for i, root := range roots {
+		q := query{i: i}
+		if e.cache != nil {
+			q.fp = plan.Fingerprint(root)
+			if res, ok := e.cache.get(q.fp); ok {
 				results[i] = res
-			} else {
-				snaps[i] = snapshotTables(root)
+				continue
 			}
+			// Snapshot table versions before dispatch: a concurrent append
+			// mid-execution leaves the stored entry stale, so the next lookup
+			// invalidates instead of serving a torn read.
+			q.snap = snapshotTables(root)
 		}
+		if qs == nil {
+			qs = make([]query, 0, len(roots)-i)
+		}
+		qs = append(qs, q)
+	}
+	if len(qs) == 0 {
+		return nil
 	}
 
 	gate := make(chan struct{})
-	readers := make([]Reader, len(roots))
-	for i, root := range roots {
-		if results[i] != nil {
-			continue // served from the result cache
-		}
-		r, err := e.dispatch(ctx, root, gate)
+	for j := range qs {
+		r, err := e.dispatch(ctx, roots[qs[j].i], gate)
 		if err != nil {
 			close(gate)
-			for _, prev := range readers[:i] {
-				if prev != nil {
-					prev.Close()
-				}
+			for _, prev := range qs[:j] {
+				prev.r.Close()
 			}
-			return nil, err
+			return err
 		}
-		readers[i] = r
+		qs[j].r = r
 	}
 	close(gate)
 
-	errs := make([]error, len(roots))
 	var wg sync.WaitGroup
-	for i := range roots {
-		if readers[i] == nil {
-			continue
-		}
+	for j := range qs {
 		wg.Add(1)
-		go func(i int) {
+		go func(q *query, root plan.Node) {
 			defer wg.Done()
-			results[i], errs[i] = drain(ctx, roots[i], readers[i])
-			// Failed or canceled queries never populate the cache.
-			if errs[i] == nil && ctx.Err() == nil && e.cache != nil {
-				e.cache.put(fps[i], results[i], snaps[i].files, snaps[i].vers)
+			q.res, q.err = drain(ctx, root, q.r)
+			// A drain racing its context's cancellation can return nil error
+			// with a truncated row set, which must never be served to repeat
+			// templates.
+			if q.err == nil && ctx.Err() == nil && e.cache != nil {
+				e.cache.put(q.fp, q.res, q.snap.files, q.snap.vers)
 			}
-		}(i)
+		}(&qs[j], roots[qs[j].i])
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, q := range qs {
+		if q.err != nil {
+			return q.err
 		}
+		results[q.i] = q.res
 	}
-	return results, nil
+	return nil
 }
 
 // drain materializes a root reader: where a query's rows are built, once.

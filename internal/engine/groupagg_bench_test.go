@@ -17,9 +17,10 @@ import (
 // low-cardinality key) and on a two-key variant with a dictionary-coded
 // string key:
 //
-//   - line=rows: the row-by-row path (each row read into a scratch row)
-//     through the open-addressing groupTable.
-//   - line=cols: the vectorized path (aggregateCols).
+//   - line=rows: every key and argument evaluated by expr.CompileNum's
+//     row-by-row fallback (each row read into a scratch row and Eval'd),
+//     then the same column folds.
+//   - line=cols: plain column keys and argument, read in place.
 //   - line=cols-arith: the same with an arithmetic argument, SUM(v*g) — the
 //     SSB Q1.x / Q4.x shape, evaluated by the expr.CompileNum kernel.
 //

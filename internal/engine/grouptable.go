@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -9,7 +8,7 @@ import (
 
 // groupTable is the hash table of a grouped aggregate: an open-addressing,
 // power-of-two, linear-probing slot array over flat parallel entry stores
-// (one hash, one cloned key row and naggs accumulators per group). It
+// (one hash, one key row and naggs accumulators per group). It
 // replaces the map[uint64][]*aggGroup chains: resolving a row's group is a
 // slot probe plus a 64-bit hash compare, with the full key comparison run
 // only on hash matches, and the accumulators of all groups live in one
@@ -60,11 +59,15 @@ func (g *groupTable) grow() {
 	g.slots, g.mask = ns, mask
 }
 
-// insert appends a new entry for (h, key) at slot s, cloning the key. The
-// slot array doubles at 3/4 load.
-func (g *groupTable) insert(s uint32, h uint64, key types.Row) int32 {
+// insert appends a new entry for (h, row r of the key vectors) at slot s,
+// materializing the key. The slot array doubles at 3/4 load.
+func (g *groupTable) insert(s uint32, h uint64, keys []*vec.Vec, r int32) int32 {
 	e := int32(len(g.keys))
-	g.keys = append(g.keys, key.Clone())
+	key := make(types.Row, len(keys))
+	for j, v := range keys {
+		key[j] = v.Datum(int(r))
+	}
+	g.keys = append(g.keys, key)
 	g.hashes = append(g.hashes, h)
 	for i := 0; i < g.naggs; i++ {
 		g.accs = append(g.accs, aggAcc{})
@@ -76,30 +79,12 @@ func (g *groupTable) insert(s uint32, h uint64, key types.Row) int32 {
 	return e
 }
 
-// findOrAdd resolves the pre-hashed key, inserting a new group — with a
-// cloned key — on first sight.
-func (g *groupTable) findOrAdd(h uint64, key types.Row) int32 {
-	s := uint32(h) & g.mask
-	for {
-		se := g.slots[s]
-		if se == 0 {
-			return g.insert(s, h, key)
-		}
-		e := se - 1
-		if g.hashes[e] == h && g.keys[e].Equal(key) {
-			return e
-		}
-		s = (s + 1) & g.mask
-	}
-}
-
-// rowMatches reports whether entry e's key equals row r of the group-by
-// columns — Datum.Compare equality evaluated in place against the column
-// payloads, so resolving a row needs no key materialization.
-func (g *groupTable) rowMatches(e int32, cb *vec.ColBatch, groupIdx []int, r int32) bool {
+// rowMatches reports whether entry e's key equals row r of the key vectors —
+// Datum.Compare equality evaluated in place against the column payloads, so
+// resolving a row needs no key materialization.
+func (g *groupTable) rowMatches(e int32, keys []*vec.Vec, r int32) bool {
 	key := g.keys[e]
-	for j, gi := range groupIdx {
-		v := cb.Col(gi)
+	for j, v := range keys {
 		kd := key[j]
 		switch {
 		case v.AllInt() && (kd.K == types.KindInt || kd.K == types.KindDate || kd.K == types.KindBool):
@@ -119,21 +104,18 @@ func (g *groupTable) rowMatches(e int32, cb *vec.ColBatch, groupIdx []int, r int
 	return true
 }
 
-// findOrAddCols resolves the pre-hashed group key of row r against the
-// group-by columns, materializing the key (into the caller's scratch row)
-// only when a new group is inserted.
-func (g *groupTable) findOrAddCols(h uint64, cb *vec.ColBatch, groupIdx []int, r int32, key types.Row) int32 {
+// findOrAdd resolves the pre-hashed group key of row r of the key vectors,
+// inserting a new group on first sight. With no key vectors it is the one
+// group of a global aggregate.
+func (g *groupTable) findOrAdd(h uint64, keys []*vec.Vec, r int32) int32 {
 	s := uint32(h) & g.mask
 	for {
 		se := g.slots[s]
 		if se == 0 {
-			for j, gi := range groupIdx {
-				key[j] = cb.Col(gi).Datum(int(r))
-			}
-			return g.insert(s, h, key)
+			return g.insert(s, h, keys, r)
 		}
 		e := se - 1
-		if g.hashes[e] == h && g.rowMatches(e, cb, groupIdx, r) {
+		if g.hashes[e] == h && g.rowMatches(e, keys, r) {
 			return e
 		}
 		s = (s + 1) & g.mask
@@ -189,39 +171,22 @@ type aggScratch struct {
 	lut    []uint64
 }
 
-// evalArgs evaluates every aggregate's argument kernel over the selection
-// into args (nil stays nil: COUNT(*)). It reports false, before any
-// accumulator has been touched, when some argument cannot be evaluated
-// columnar for this batch.
-func evalArgs(kernels []*expr.VecNum, cb *vec.ColBatch, sel []int32, args []*vec.Vec) bool {
-	for j, k := range kernels {
-		if k == nil {
-			continue
-		}
-		v, ok := k.Eval(cb, sel)
-		if !ok {
-			return false
-		}
-		args[j] = v
-	}
-	return true
-}
-
-// aggregateCols is the vectorized grouped-aggregation kernel: fold the
-// group-by columns into per-row hashes (multiply-shift over int payloads,
+// aggregateCols is the vectorized grouped-aggregation kernel: fold the key
+// vectors into per-row hashes (multiply-shift over int payloads,
 // per-dictionary-entry hashing for dictionary-coded strings), resolve each
 // row's group through the open-addressing table with a consecutive-run
-// shortcut, then fold each aggregate's argument vector (args[j], indexed like
-// cb's columns; nil for COUNT(*)) column-wise.
-func aggregateCols(gt *groupTable, aggs []plan.AggSpec, args []*vec.Vec, groupIdx []int, cb *vec.ColBatch, sel []int32, key types.Row, scr *aggScratch) {
+// shortcut, then fold each aggregate's argument vector (args[j]; nil for
+// COUNT(*)) column-wise. Key and argument vectors are indexed like the
+// batch's columns and read at the rows of sel.
+func aggregateCols(gt *groupTable, aggs []plan.AggSpec, args, keys []*vec.Vec, sel []int32, scr *aggScratch) {
 	nrows := len(sel)
 	if nrows == 0 {
 		return
 	}
 	naggs := gt.naggs
-	if len(groupIdx) == 0 {
+	if len(keys) == 0 {
 		// Global aggregate: a single group, whole-column folds.
-		e := gt.findOrAdd(hashSeed, key)
+		e := gt.findOrAdd(hashSeed, nil, 0)
 		accs := gt.entryAccs(e)
 		for j, spec := range aggs {
 			if args[j] == nil {
@@ -240,19 +205,19 @@ func aggregateCols(gt *groupTable, aggs []plan.AggSpec, args []*vec.Vec, groupId
 	for i := range h {
 		h[i] = hashSeed
 	}
-	for _, gi := range groupIdx {
-		scr.lut = vec.HashFold(cb.Col(gi), sel, h, scr.lut)
+	for _, v := range keys {
+		scr.lut = vec.HashFold(v, sel, h, scr.lut)
 	}
 	ents := scr.ents[:nrows]
 	prevEnt := int32(-1)
 	var prevH uint64
 	for i, r := range sel {
 		hi := h[i]
-		if prevEnt >= 0 && hi == prevH && gt.rowMatches(prevEnt, cb, groupIdx, r) {
+		if prevEnt >= 0 && hi == prevH && gt.rowMatches(prevEnt, keys, r) {
 			ents[i] = prevEnt
 			continue
 		}
-		ent := gt.findOrAddCols(hi, cb, groupIdx, r, key)
+		ent := gt.findOrAdd(hi, keys, r)
 		ents[i] = ent
 		prevEnt, prevH = ent, hi
 	}

@@ -181,16 +181,17 @@ func (e *Engine) opFilter(ctx context.Context, n *plan.Filter, in Reader, w Writ
 // opProject computes the output expressions for every row. When every
 // output is a plain column reference the projection is zero-copy: a derived
 // column batch remaps the columns in place (vec.ProjectCols) and is
-// republished under the input's selection. Otherwise each selected row is
-// read into one reused scratch row, evaluated, and appended to a pooled
-// batch of the input's row count.
+// republished under the input's selection. Otherwise each output column is
+// its compiled kernel's result (expr.CompileNum) gathered over the selection
+// into a pooled batch of the selected row count.
 func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Writer, st *Stage) error {
 	exprs := make([]expr.Expr, len(n.Cols))
+	kernels := make([]*expr.VecNum, len(n.Cols))
 	for i, c := range n.Cols {
 		exprs[i] = c.Expr
+		kernels[i] = expr.CompileNum(c.Expr)
 	}
 	colIdx, colsOnly := expr.ColRefs(exprs)
-	var scr vec.Scratch
 	for {
 		b, err := in.Next(ctx)
 		if err == io.EOF {
@@ -206,14 +207,10 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 		case colsOnly:
 			nb = batch.FromView(vec.ProjectCols(cb, colIdx), sel)
 		case len(sel) > 0:
-			out := vec.Get(len(n.Cols))
+			out := vec.Get(len(kernels))
 			out.Reserve(len(sel))
-			row := scr.Row(cb.NumCols())
-			for _, r := range sel {
-				cb.MaterializeRow(int(r), row)
-				for j, c := range n.Cols {
-					out.Col(j).AppendDatum(c.Expr.Eval(row))
-				}
+			for j, k := range kernels {
+				out.Col(j).AppendGather(k.Eval(cb, sel), sel)
 			}
 			out.Seal(len(sel))
 			nb = batch.FromView(out, nil)
@@ -339,8 +336,8 @@ type aggAcc struct {
 	seen  bool
 }
 
-// updateDatum folds one evaluated argument into the accumulator (shared by
-// the row path and the columnar path's per-row arms).
+// updateDatum folds one evaluated argument into the accumulator: the per-row
+// arm of the column folds.
 func (a *aggAcc) updateDatum(spec plan.AggSpec, v types.Datum) {
 	if v.IsNull() {
 		return
@@ -420,45 +417,29 @@ func (a *aggAcc) result(spec plan.AggSpec) types.Datum {
 
 // opAggregate is a hash group-by over the open-addressing groupTable.
 // Output group order is unspecified; plans that need an order add a Sort
-// node above. When every aggregate argument is a Col / Const / Arith tree (or
-// COUNT(*)) and every group-by key a plain column reference, view batches run
-// fully vectorized (aggregateCols): the argument kernels (expr.CompileNum)
-// evaluate into reusable vectors — a plain column is its own result —
-// followed by column-wise key hashing, in-place group resolution and batched
-// accumulator folds, and dictionary-coded group columns hash each distinct
-// string once per page instead of once per row. Other plans, and batches
-// whose operand columns are not uniform, take the same table row by row —
-// each selected row read into one reused scratch row — with identical
-// hashing, so the two paths accumulate consistently. Groups are emitted as
-// pooled batches of at most BatchSize rows.
+// node above. Every group-by key and aggregate argument is a compiled kernel
+// (expr.CompileNum) evaluated over the batch's selection into a vector — a
+// plain column is its own result — and aggregateCols folds them column-wise:
+// key hashing, in-place group resolution and one accumulator fold per
+// (aggregate, batch); dictionary-coded group columns hash each distinct
+// string once per page instead of once per row. Groups are emitted as pooled
+// batches of at most BatchSize rows.
 func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, w Writer, st *Stage) error {
-	naggs := len(n.Aggs)
+	naggs, nkeys := len(n.Aggs), len(n.GroupBy)
 	gt := newGroupTable(naggs)
-	kernels := make([]*expr.VecNum, naggs) // nil for COUNT(*)
-	args := make([]*vec.Vec, naggs)
-	argCol := make([]int, naggs) // a plain column argument's position, else -1
-	groupExprs := make([]expr.Expr, len(n.GroupBy))
+	keyKernels := make([]*expr.VecNum, nkeys)
 	for i, g := range n.GroupBy {
-		groupExprs[i] = g.Expr
+		keyKernels[i] = expr.CompileNum(g.Expr)
 	}
-	groupIdx, columnar := expr.ColRefs(groupExprs)
+	argKernels := make([]*expr.VecNum, naggs) // nil for COUNT(*)
 	for i, spec := range n.Aggs {
-		argCol[i] = -1
-		if spec.Arg == nil {
-			continue
+		if spec.Arg != nil {
+			argKernels[i] = expr.CompileNum(spec.Arg)
 		}
-		if c, ok := spec.Arg.(expr.Col); ok {
-			argCol[i] = c.Idx
-		}
-		k, ok := expr.CompileNum(spec.Arg)
-		columnar = columnar && ok
-		kernels[i] = k
 	}
+	keys := make([]*vec.Vec, nkeys)
+	args := make([]*vec.Vec, naggs)
 	var scr aggScratch
-	// One scratch key reused across rows; it is cloned only when a new group
-	// materializes, so grouping allocates per group, not per row.
-	key := make(types.Row, len(n.GroupBy))
-	var rowScr vec.Scratch
 	for {
 		b, err := in.Next(ctx)
 		if err == io.EOF {
@@ -469,45 +450,22 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 		}
 		t0 := time.Now()
 		cb, sel := b.Cols()
-		if columnar && evalArgs(kernels, cb, sel, args) {
-			aggregateCols(gt, n.Aggs, args, groupIdx, cb, sel, key, &scr)
-		} else {
-			// Row by row; plain column references are read in place.
-			r := rowScr.Row(cb.NumCols())
-			for _, ri := range sel {
-				cb.MaterializeRow(int(ri), r)
-				h := hashSeed
-				for i := range key {
-					if groupIdx != nil {
-						key[i] = r[groupIdx[i]]
-					} else {
-						key[i] = n.GroupBy[i].Expr.Eval(r)
-					}
-					h = (h ^ key[i].HashKey()) * vec.HashPrime
-				}
-				accs := gt.entryAccs(gt.findOrAdd(h, key))
-				for i := range n.Aggs {
-					switch c := argCol[i]; {
-					case n.Aggs[i].Arg == nil:
-						accs[i].count++
-					case c >= 0:
-						accs[i].updateDatum(n.Aggs[i], r[c])
-					default:
-						accs[i].updateDatum(n.Aggs[i], n.Aggs[i].Arg.Eval(r))
-					}
-				}
+		for i, k := range keyKernels {
+			keys[i] = k.Eval(cb, sel)
+		}
+		for i, k := range argKernels {
+			if k != nil {
+				args[i] = k.Eval(cb, sel)
 			}
 		}
+		aggregateCols(gt, n.Aggs, args, keys, sel, &scr)
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
-	// A global aggregate over empty input still yields one row. The empty
-	// key hashes to the bare seed on both paths, so this resolves to the same
-	// single group.
-	if gt.len() == 0 && len(n.GroupBy) == 0 {
-		gt.findOrAdd(hashSeed, nil)
+	// A global aggregate over empty input still yields one row.
+	if gt.len() == 0 && nkeys == 0 {
+		gt.findOrAdd(hashSeed, nil, 0)
 	}
-	nkeys := len(n.GroupBy)
 	return emit(ctx, w, nkeys+naggs, gt.len(), e.cfg.BatchSize, func(cb *vec.ColBatch, lo, hi int) {
 		for g := lo; g < hi; g++ {
 			for j, k := range gt.keys[g] {

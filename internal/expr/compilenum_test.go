@@ -9,19 +9,23 @@ import (
 	"repro/internal/vec"
 )
 
-// num derives one Col / Const / Arith tree from the byte program, in the
-// style of exprGen.expr: int and float literals (zero included, so Div meets
-// zero divisors), every operator, nesting up to depth.
+// num derives one Arith tree from the byte program, in the style of
+// exprGen.expr: int and float literals (zero included, so Div meets zero
+// divisors), every operator, nesting up to depth, and leaves that are columns,
+// literals of any kind or predicates — non-numeric operands, which CompileNum
+// evaluates row by row.
 func (g *exprGen) num(depth, width int) Expr {
 	b := g.next()
 	if depth <= 0 || b%4 == 0 {
-		switch b % 3 {
-		case 0:
+		switch b % 5 {
+		case 0, 4:
 			return g.col(width)
 		case 1:
 			return Int(int64(int8(g.next())) % 4)
-		default:
+		case 2:
 			return Const{D: g.datum()}
+		default:
+			return g.expr(1, width)
 		}
 	}
 	return NewArith(ArithOp(g.next()%4), g.num(depth-1, width), g.num(depth-1, width))
@@ -30,7 +34,7 @@ func (g *exprGen) num(depth, width int) Expr {
 // numBatch derives a batch whose columns each follow one style drawn from the
 // program: uniform ints, dates, bools or floats (the shapes the kernel
 // computes), ints with NULLs, ints mixed with dates, or anything at all (the
-// shapes it must hand back to the row path).
+// shapes it evaluates row by row).
 func (g *exprGen) numBatch(width, nrows int) *vec.ColBatch {
 	b := vec.Get(width)
 	for c := 0; c < width; c++ {
@@ -85,14 +89,21 @@ func sameDatum(a, b types.Datum) bool {
 	}
 }
 
+// rowEvals counts the batches the nodes of k have evaluated row by row.
+func rowEvals(k *VecNum) int {
+	if k == nil {
+		return 0
+	}
+	return k.rowBatches + rowEvals(k.l) + rowEvals(k.r)
+}
+
 // checkNum holds one kernel evaluation against Eval row by row. It reports
-// whether the kernel computed the batch (true) or handed it back (false).
+// whether every node ran a typed loop (true) or some node evaluated the batch
+// row by row (false).
 func checkNum(t *testing.T, e Expr, k *VecNum, b *vec.ColBatch, sel []int32) bool {
 	t.Helper()
-	v, ok := k.Eval(b, sel)
-	if !ok {
-		return false
-	}
+	before := rowEvals(k)
+	v := k.Eval(b, sel)
 	for _, r := range sel {
 		want := e.Eval(b.Row(int(r)))
 		if got := v.Datum(int(r)); !sameDatum(got, want) {
@@ -110,8 +121,11 @@ func checkNum(t *testing.T, e Expr, k *VecNum, b *vec.ColBatch, sel []int32) boo
 		if v.AllFloat() && k != types.KindFloat {
 			t.Fatalf("%s: result claims AllFloat but row %d is %v", e.Signature(), r, k)
 		}
+		if v.AllStr() && k != types.KindString {
+			t.Fatalf("%s: result claims AllStr but row %d is %v", e.Signature(), r, k)
+		}
 	}
-	return true
+	return rowEvals(k) == before
 }
 
 // narrowed returns every other row of sel, then the first three: the shapes a
@@ -128,42 +142,40 @@ func narrowed(sel []int32) [][]int32 {
 
 // TestCompileNumMatchesArithEval is the differential test of the numeric
 // kernel: over int, date, bool, float, NULL-bearing and mixed-kind columns,
-// all four operators, nested trees with int and float constants, zero
-// divisors and narrowed selections, the kernel either computes exactly
-// Arith.Eval's datum for every selected row or declines the batch — and it
-// must not decline the uniform shapes the aggregate depends on. One kernel is
-// reused across batches of different lengths, as opAggregate reuses it.
+// all four operators, nested trees with int, float, string and predicate
+// operands, zero divisors and narrowed selections, the kernel computes exactly
+// Eval's datum for every selected row, in typed loops or row by row — and the
+// uniform shapes the aggregate depends on must reach the typed loops. One
+// kernel is reused across batches of different lengths, as opAggregate
+// reuses it.
 func TestCompileNumMatchesArithEval(t *testing.T) {
 	const width = 6
 	r := rand.New(rand.NewSource(14))
-	computed, declined := 0, 0
+	typed, byRow := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		prog := make([]byte, 512)
 		r.Read(prog)
 		g := &exprGen{buf: prog}
 		e := g.num(3, width)
-		k, ok := CompileNum(e)
-		if !ok {
-			t.Fatalf("CompileNum rejected a Col/Const/Arith tree: %s", e.Signature())
-		}
+		k := CompileNum(e)
 		for batch := 0; batch < 3; batch++ {
 			b := g.numBatch(width, 4+int(g.next())%12)
 			for _, sel := range narrowed(b.AllSel()) {
 				if checkNum(t, e, k, b, sel) {
-					computed++
+					typed++
 				} else {
-					declined++
+					byRow++
 				}
 			}
 			b.Release()
 		}
 	}
-	if computed < declined/4 {
-		t.Errorf("kernel computed %d batches and declined %d: the generator no longer reaches the typed loops", computed, declined)
+	if typed < byRow/4 {
+		t.Errorf("kernel ran typed loops over %d batches and rows over %d: the generator no longer reaches the typed loops", typed, byRow)
 	}
 
-	// The shapes of SSB Q1.x / Q4.x and TPC-H Q1 must be computed, not
-	// declined, with the result kind Eval gives.
+	// The shapes of SSB Q1.x / Q4.x and TPC-H Q1 must run in typed loops,
+	// with the result kind Eval gives.
 	b := vec.Get(4)
 	defer b.Release()
 	for i := 0; i < 9; i++ {
@@ -185,16 +197,13 @@ func TestCompileNumMatchesArithEval(t *testing.T) {
 		{NewArith(Div, C(0, "i"), Int(2)), types.KindFloat},
 		{Int(7), types.KindInt},
 	} {
-		k, ok := CompileNum(tc.e)
-		if !ok {
-			t.Fatalf("CompileNum rejected %s", tc.e.Signature())
-		}
+		k := CompileNum(tc.e)
 		for _, sel := range narrowed(b.AllSel())[:3] {
 			if !checkNum(t, tc.e, k, b, sel) {
-				t.Errorf("%s: declined a batch of uniform columns", tc.e.Signature())
+				t.Errorf("%s: evaluated a batch of uniform columns row by row", tc.e.Signature())
 				continue
 			}
-			v, _ := k.Eval(b, sel)
+			v := k.Eval(b, sel)
 			if got := v.Kinds[sel[0]]; got != tc.kind {
 				t.Errorf("%s: result kind %v, want %v", tc.e.Signature(), got, tc.kind)
 			}
@@ -204,35 +213,31 @@ func TestCompileNumMatchesArithEval(t *testing.T) {
 	// Div by a column holding zeros: NULL on those rows, a float elsewhere;
 	// the next batch through the same kernel is uniform again.
 	div := NewArith(Div, C(0, "i"), C(1, "z"))
-	k := mustCompileNum(t, div)
+	k := CompileNum(div)
 	if !checkNum(t, div, k, b, b.AllSel()) {
-		t.Fatal("Div over int columns declined")
+		t.Fatal("Div over int columns evaluated row by row")
 	}
-	if v, _ := k.Eval(b, b.AllSel()); v.AllFloat() || !v.Datum(0).IsNull() || v.Datum(1).K != types.KindFloat {
+	if v := k.Eval(b, b.AllSel()); v.AllFloat() || !v.Datum(0).IsNull() || v.Datum(1).K != types.KindFloat {
 		t.Errorf("Div by zero: row 0 = %v, row 1 = %v, AllFloat = %v", v.Datum(0), v.Datum(1), v.AllFloat())
 	}
 	nonzero := []int32{1, 2, 4, 5}
-	if v, _ := k.Eval(b, nonzero); !v.AllFloat() {
+	if v := k.Eval(b, nonzero); !v.AllFloat() {
 		t.Error("a NULL set by one batch leaked into the next batch's uniformity")
 	}
-	// As an operand, a NULL-bearing Div hands the batch back.
-	if _, ok := mustCompileNum(t, NewArith(Add, div, Int(1))).Eval(b, b.AllSel()); ok {
-		t.Error("arithmetic over a NULL-bearing operand must decline")
+	// Arithmetic over a NULL-bearing operand evaluates row by row.
+	if add := NewArith(Add, div, Int(1)); checkNum(t, add, CompileNum(add), b, b.AllSel()) {
+		t.Error("arithmetic over a NULL-bearing operand ran a typed loop")
 	}
 
-	// Anything but Col / Const / Arith is not a numeric tree.
-	if _, ok := CompileNum(NewArith(Add, C(0, "i"), Eq(C(0, "i"), Int(1)))); ok {
-		t.Error("CompileNum accepted a comparison operand")
+	// A comparison operand evaluates row by row; the arithmetic over its
+	// bools promotes to float in a typed loop.
+	cmp := Eq(C(0, "i"), Int(1000))
+	add := NewArith(Add, C(0, "i"), cmp)
+	ka := CompileNum(add)
+	if checkNum(t, add, ka, b, b.AllSel()) || ka.rowBatches != 0 || ka.r.rowBatches != 1 {
+		t.Errorf("Add over a comparison: the comparison must evaluate row by row and the Add run typed (row batches %d, %d)",
+			ka.rowBatches, ka.r.rowBatches)
 	}
-}
-
-func mustCompileNum(t *testing.T, e Expr) *VecNum {
-	t.Helper()
-	k, ok := CompileNum(e)
-	if !ok {
-		t.Fatalf("CompileNum rejected %s", e.Signature())
-	}
-	return k
 }
 
 // TestCompileNumSteadyStateZeroAlloc: once its scratch vectors have grown to
@@ -249,7 +254,7 @@ func TestCompileNumSteadyStateZeroAlloc(t *testing.T) {
 		NewArith(Mul, NewArith(Mul, C(2, "p"), NewArith(Sub, Float(1), C(2, "d"))), NewArith(Add, Int(1), C(0, "t"))),
 		NewArith(Div, C(0, "a"), C(1, "b")),
 	} {
-		k := mustCompileNum(t, e)
+		k := CompileNum(e)
 		sel := b.AllSel()
 		k.Eval(b, sel) // warm
 		if allocs := testing.AllocsPerRun(50, func() { k.Eval(b, sel) }); allocs != 0 {
@@ -269,10 +274,7 @@ func FuzzCompileNum(f *testing.F) {
 		const width = 4
 		g := &exprGen{buf: prog}
 		e := g.num(3, width)
-		k, ok := CompileNum(e)
-		if !ok {
-			t.Fatalf("CompileNum rejected a Col/Const/Arith tree: %s", e.Signature())
-		}
+		k := CompileNum(e)
 		for batch := 0; batch < 2; batch++ {
 			b := g.numBatch(width, 5)
 			for _, sel := range narrowed(b.AllSel()) {

@@ -253,7 +253,8 @@ func HashKeyString(s string) uint64 {
 // tracks it). Strings and non-integral floats fall back to the FNV path of
 // Hash. HashKey delegates to the per-payload HashKeyInt/HashKeyFloat so the
 // columnar kernels hashing raw payload arrays are bit-identical by
-// construction — mixed row and columnar batches feed one group table.
+// construction — uniform and mixed batches of one key column feed one group
+// table.
 func (d Datum) HashKey() uint64 {
 	switch d.K {
 	case KindInt, KindDate, KindBool:

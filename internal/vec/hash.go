@@ -2,13 +2,7 @@ package vec
 
 import "repro/internal/types"
 
-// HashPrime is the FNV-1a multiplier the engine's group-by key fold uses.
-// The columnar fold below must stay bit-identical to the row-at-a-time form
-//
-//	h = (h ^ key[i].HashKey()) * HashPrime
-//
-// because a grouped aggregate folds some batches row by row (operand columns
-// that are not uniform) and both paths feed one group table.
+// HashPrime is the FNV-1a multiplier of HashFold's key fold.
 const HashPrime uint64 = 1099511628211
 
 // HashFold folds one group-by key column into the per-row hash accumulator:
