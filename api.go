@@ -153,14 +153,10 @@ const (
 
 // Workload generation and plan building helpers.
 var (
-	// GenerateSSB loads a Star Schema Benchmark database into a catalog.
-	GenerateSSB = ssb.Generate
 	// InstantiateSSB draws one randomized instance of an SSB template.
 	InstantiateSSB = ssb.Instantiate
 	// SSBPool pre-generates n distinct instances of a template.
 	SSBPool = ssb.Pool
-	// GenerateTPCH loads the TPC-H lineitem table into a catalog.
-	GenerateTPCH = tpch.Generate
 	// Q1Plan builds the TPC-H Q1 plan (curve I's query).
 	Q1Plan = tpch.Q1Plan
 )
@@ -208,17 +204,15 @@ type Config struct {
 	// page on one queue) with a partial buffer pool; otherwise the database
 	// is memory-resident.
 	DiskResident bool
-	// Profile overrides the simulated disk profile (nil = HDD profile when
-	// DiskResident, zero-latency otherwise).
-	Profile *DiskProfile
 	// BufferPoolPages caps the buffer pool (0 = 2048 pages = at most 64 MiB;
 	// a frame is allocated when a page is first fetched into it).
 	BufferPoolPages int
 	// CJoin tunes the CJOIN Global Query Plan started by LoadSSB; the zero
 	// value selects every default (notably Workers = GOMAXPROCS parallel
 	// probe pipelines; CJoin.DisableFold turns off predicate-subsumption
-	// query folding at admission, which is on by default). Invalid values
-	// surface as a LoadSSB error.
+	// query folding at admission, which is on by default, and
+	// CJoin.DisablePrune turns zone-map pruning off in NewEngine's table
+	// scans as well). Invalid values surface as a LoadSSB error.
 	CJoin CJoinConfig
 	// DisableResultCache disables the materialized result cache in engines
 	// built by NewEngine (on by default: exact repeat templates answer
@@ -244,9 +238,6 @@ func NewSystem(cfg Config) *System {
 	profile := storage.DiskProfile{}
 	if cfg.DiskResident {
 		profile = storage.HDDProfile
-	}
-	if cfg.Profile != nil {
-		profile = *cfg.Profile
 	}
 	pool := cfg.BufferPoolPages
 	if pool <= 0 {
@@ -318,12 +309,17 @@ func (s *System) NewGateway(engCfg EngineConfig, svcCfg ServiceConfig) *Gateway 
 }
 
 // NewEngine builds an execution engine over the system, wiring the CJOIN
-// pipeline as the engine's StarRunner when one is running. Unless the
-// system was configured with DisableResultCache, the engine's materialized
-// result cache is enabled — callers must treat results as shared/read-only.
+// pipeline as the engine's StarRunner when one is running. CJoin.DisablePrune
+// turns pruning off in the engine's table scans too, so the ablation covers
+// both. Unless the system was configured with DisableResultCache, the
+// engine's materialized result cache is enabled — callers must treat results
+// as shared/read-only.
 func (s *System) NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Star == nil && s.gqp != nil {
 		cfg.Star = s.gqp
+	}
+	if s.gqpCfg.DisablePrune {
+		cfg.NoPrune = true
 	}
 	if !s.noCache {
 		cfg.ResultCache = true

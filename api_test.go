@@ -109,6 +109,22 @@ func TestSystemDiskResidentProfile(t *testing.T) {
 	}
 }
 
+// TestSystemPruneAblationReachesEngines: CJoin.DisablePrune turns pruning off
+// in the engines' table scans as well as in the CJOIN pipeline, as
+// workload.Env.Engine does.
+func TestSystemPruneAblationReachesEngines(t *testing.T) {
+	sys := NewSystem(Config{CJoin: CJoinConfig{DisablePrune: true}})
+	defer sys.Close()
+	if !sys.NewEngine(EngineConfig{}).Config().NoPrune {
+		t.Error("CJoin.DisablePrune left pruning on in the engine's scans")
+	}
+	on := NewSystem(Config{})
+	defer on.Close()
+	if on.NewEngine(EngineConfig{}).Config().NoPrune {
+		t.Error("a default system built an engine with pruning off")
+	}
+}
+
 // TestSystemCloseReturnsArena: Close gives the buffer pool's frames and the
 // simulated disk's pages back to the arena, from their owners rather than from
 // finalizers.

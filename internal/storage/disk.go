@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,7 +14,9 @@ import (
 type FileID int32
 
 // Disk is the block device abstraction under the buffer pool. Pages are
-// PageSize bytes and addressed by (file, page index).
+// PageSize bytes and addressed by (file, page index). MemDisk is the one
+// device; the interface is what lets a FaultDisk wrap it, which the fault
+// curve and the chaos tests put in its place.
 type Disk interface {
 	// CreateFile allocates a new empty file.
 	CreateFile(name string) (FileID, error)
@@ -208,108 +208,4 @@ func (d *MemDisk) release(free func([]byte)) {
 		}
 	}
 	d.files = nil
-}
-
-// FileDisk stores each heap file as one file in a directory. It exists so
-// the system can run against a real filesystem (cmd/ssbgen writes with it);
-// experiments use MemDisk for repeatability.
-type FileDisk struct {
-	dir string
-
-	mu    sync.Mutex
-	files []*os.File
-	sizes []int
-
-	reads  atomic.Int64
-	writes atomic.Int64
-}
-
-// NewFileDisk creates a disk rooted at dir (created if missing).
-func NewFileDisk(dir string) (*FileDisk, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: create dir: %w", err)
-	}
-	return &FileDisk{dir: dir}, nil
-}
-
-// CreateFile allocates a new file named name.tbl in the disk directory.
-func (d *FileDisk) CreateFile(name string) (FileID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	path := filepath.Join(d.dir, fmt.Sprintf("%s.tbl", name))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("storage: create file: %w", err)
-	}
-	d.files = append(d.files, f)
-	d.sizes = append(d.sizes, 0)
-	return FileID(len(d.files) - 1), nil
-}
-
-// NumPages returns the number of pages in the file.
-func (d *FileDisk) NumPages(f FileID) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(f) >= len(d.files) {
-		return 0, fmt.Errorf("storage: unknown file %d", f)
-	}
-	return d.sizes[f], nil
-}
-
-// ReadPage reads page idx of file f into buf.
-func (d *FileDisk) ReadPage(f FileID, idx int, buf []byte) error {
-	d.mu.Lock()
-	if int(f) >= len(d.files) || idx < 0 || idx >= d.sizes[f] {
-		d.mu.Unlock()
-		return fmt.Errorf("storage: read out of range: file %d page %d", f, idx)
-	}
-	file := d.files[f]
-	d.mu.Unlock()
-	if _, err := file.ReadAt(buf[:PageSize], int64(idx)*PageSize); err != nil {
-		return fmt.Errorf("storage: read page: %w", err)
-	}
-	d.reads.Add(1)
-	return nil
-}
-
-// WritePage writes (or appends) a page.
-func (d *FileDisk) WritePage(f FileID, idx int, data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("storage: write of %d bytes, want %d", len(data), PageSize)
-	}
-	d.mu.Lock()
-	if int(f) >= len(d.files) || idx < 0 || idx > d.sizes[f] {
-		d.mu.Unlock()
-		return fmt.Errorf("storage: write out of range: file %d page %d", f, idx)
-	}
-	file := d.files[f]
-	grow := idx == d.sizes[f]
-	if grow {
-		d.sizes[f]++
-	}
-	d.mu.Unlock()
-	if _, err := file.WriteAt(data, int64(idx)*PageSize); err != nil {
-		return fmt.Errorf("storage: write page: %w", err)
-	}
-	d.writes.Add(1)
-	return nil
-}
-
-// Stats returns cumulative I/O counters.
-func (d *FileDisk) Stats() DiskStats {
-	return DiskStats{PageReads: d.reads.Load(), PageWrites: d.writes.Load()}
-}
-
-// Close closes all underlying files.
-func (d *FileDisk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var first error
-	for _, f := range d.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	d.files = nil
-	return first
 }

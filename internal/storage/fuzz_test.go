@@ -1,0 +1,173 @@
+package storage
+
+import (
+	"math"
+	"math/rand"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/arena"
+	"repro/internal/types"
+	"repro/internal/vec"
+)
+
+// seedRows draws the fuzz seeds' rows: randSchemaRows tables cut to at most
+// 16 rows, so an input the fuzzer finds interesting is small enough to
+// minimise in seconds.
+func seedRows(r *rand.Rand) []types.Row {
+	_, rows := randSchemaRows(r)
+	for len(rows) == 0 {
+		_, rows = randSchemaRows(r)
+	}
+	return rows[:min(len(rows), 16)]
+}
+
+// FuzzOpenPage holds openPage to its promise to validate every byte a column
+// decode reads: any bytes and column count either fail to open, or open into
+// a batch whose every column decodes and whose rows materialise without a
+// panic. The page's capacity is its length, so a read past the end panics
+// too. Releasing the batch gives back every arena page and pooled batch the
+// open took.
+func FuzzOpenPage(f *testing.F) {
+	r := rand.New(rand.NewSource(61))
+	for i := 0; i < 8; i++ {
+		rows := seedRows(r)
+		b := newPageBuilder()
+		for _, row := range rows {
+			b.tryAppend(row)
+		}
+		page := b.finish()
+		f.Add(page[:len(b.buf)], uint8(len(rows[0]))) // without the zero padding
+	}
+	f.Add(newPageBuilder().finish()[:pageFixedHeader], uint8(3)) // the empty page
+	// Give back what earlier tests left to finalizers, so that no finalizer
+	// moves the arena between an input's two snapshots.
+	arena.Settle()
+	f.Fuzz(func(t *testing.T, page []byte, ncols uint8) {
+		pages, batches := arena.Snapshot().PagesInUse, vec.LiveBatches()
+		var decoded atomic.Int64
+		b, _, err := openPage(page[:len(page):len(page)], int(ncols), &decoded)
+		if err == nil {
+			for c := 0; c < int(ncols); c++ {
+				b.Col(c)
+			}
+			_ = b.Rows()
+			b.Release()
+		}
+		if p, l := arena.Snapshot().PagesInUse, vec.LiveBatches(); p != pages || l != batches {
+			t.Fatalf("after Release: %d arena pages and %d batches out, want %d and %d (open err %v)",
+				p, l, pages, batches, err)
+		}
+	})
+}
+
+// FuzzPageRoundTrip puts rows through the page builder and openPage: every
+// datum comes back with its kind and its exact payload, and every zone map the
+// page carries bounds its column. The input is a width and the rows as one
+// raw datum stream (appendDatum's encoding) cut into rows of that width; the
+// rows fill as many pages as they need, and a row larger than a page is
+// dropped, as a heap file refuses it.
+func FuzzPageRoundTrip(f *testing.F) {
+	r := rand.New(rand.NewSource(67))
+	for i := 0; i < 8; i++ {
+		rows := seedRows(r)
+		var stream []byte
+		for _, row := range rows {
+			for _, d := range row {
+				stream = appendDatum(stream, d)
+			}
+		}
+		f.Add(uint8(len(rows[0])-1), stream)
+	}
+	f.Fuzz(func(t *testing.T, width uint8, stream []byte) {
+		ncols := 1 + int(width)%8
+		var rows []types.Row
+		row := make(types.Row, 0, ncols)
+		for {
+			d, rest, err := decodeDatum(stream)
+			if err != nil {
+				break
+			}
+			stream = rest
+			if row = append(row, d); len(row) == ncols {
+				rows = append(rows, row)
+				row = make(types.Row, 0, ncols)
+			}
+		}
+		b := newPageBuilder() // one width, as a heap file's
+		for len(rows) > 0 {
+			n := 0
+			for n < len(rows) && b.tryAppend(rows[n]) {
+				n++
+			}
+			if n == 0 {
+				rows = rows[1:]
+				continue
+			}
+			checkRoundTrip(t, b.finish(), rows[:n])
+			rows = rows[n:]
+		}
+	})
+}
+
+// checkRoundTrip opens a built page and checks it against the rows it holds.
+func checkRoundTrip(t *testing.T, page []byte, rows []types.Row) {
+	t.Helper()
+	ncols := len(rows[0])
+	var decoded atomic.Int64
+	b, _, err := openPage(page, ncols, &decoded)
+	if err != nil {
+		t.Fatalf("a built page of %d rows failed to open: %v", len(rows), err)
+	}
+	defer b.Release()
+	if b.Len() != len(rows) {
+		t.Fatalf("page opened with %d rows, built with %d", b.Len(), len(rows))
+	}
+	zones := ReadPageZones(page)
+	if len(zones) != ncols {
+		t.Fatalf("page carries %d zone maps for %d columns", len(zones), ncols)
+	}
+	for c := 0; c < ncols; c++ {
+		v := b.Col(c)
+		for i, row := range rows {
+			got, want := v.Datum(i), row[c]
+			if !sameDatum(got, want) {
+				t.Fatalf("row %d col %d: got %v (%v), want %v (%v)", i, c, got, got.K, want, want.K)
+			}
+			if !zoneCovers(zones[c], want) {
+				t.Fatalf("row %d col %d: zone map %+v excludes %v (%v)", i, c, zones[c], want, want.K)
+			}
+		}
+	}
+}
+
+// sameDatum is exact equality: the kind, and the payload bit for bit, so a
+// NaN equals itself and -0 differs from 0.
+func sameDatum(a, b types.Datum) bool {
+	if a.K != b.K {
+		return false
+	}
+	switch a.K {
+	case types.KindNull:
+		return true
+	case types.KindFloat:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case types.KindString:
+		return a.S == b.S
+	}
+	return a.I == b.I
+}
+
+// zoneCovers reports whether a zone map admits d: bounds cover every non-NULL
+// value of their class, and a column without bounds never prunes.
+func zoneCovers(z ZoneMap, d types.Datum) bool {
+	switch {
+	case d.K == types.KindNull:
+		return true
+	case z.Flags&ZoneInt != 0:
+		return kindsInt&(1<<d.K) != 0 && z.MinI <= d.I && d.I <= z.MaxI
+	case z.Flags&ZoneStr != 0:
+		return d.K == types.KindString && z.MinS <= d.S && d.S <= z.MaxS
+	}
+	return true
+}

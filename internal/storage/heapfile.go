@@ -18,11 +18,18 @@ type HeapFile struct {
 	id     FileID
 	schema *types.Schema
 
-	mu       sync.Mutex
-	builder  *pageBuilder
-	numPages int
-	numRows  int
-	sealed   bool
+	mu      sync.Mutex
+	builder *pageBuilder
+	numRows int
+	sealed  bool
+
+	// numPages counts the flushed pages and zones holds their zone maps,
+	// indexed by page. Flush writes a page's entry under mu and then
+	// publishes it by bumping numPages, so PageZones — once per page per
+	// query — reads without the lock. A full array is replaced by a larger
+	// copy, never rewritten, and a published entry never changes.
+	numPages atomic.Int64
+	zones    atomic.Pointer[[][]ZoneMap]
 
 	// version counts content mutations (appends, sealing). Readers that
 	// cache derived results (the engine's materialized result cache)
@@ -37,13 +44,15 @@ func NewHeapFile(disk Disk, pool *BufferPool, name string, schema *types.Schema)
 		return nil, err
 	}
 	pool.RegisterFileName(id, name)
-	return &HeapFile{
+	h := &HeapFile{
 		disk:    disk,
 		pool:    pool,
 		id:      id,
 		schema:  schema,
 		builder: newPageBuilder(),
-	}, nil
+	}
+	h.zones.Store(new([][]ZoneMap))
+	return h, nil
 }
 
 // Schema returns the row schema.
@@ -160,16 +169,24 @@ const (
 // are appended or the file is sealed, never otherwise. Lock-free.
 func (h *HeapFile) Version() uint64 { return h.version.Load() }
 
-// flushLocked writes the partially-filled builder page to disk and
-// publishes the page's zone maps to the pool, so pruning works from the
-// first scan without ever fetching the page.
+// flushLocked writes the partially-filled builder page to disk and keeps the
+// zone maps it wrote, so pruning works from the first scan without ever
+// fetching the page.
 func (h *HeapFile) flushLocked() error {
 	page := h.builder.finish()
-	if err := h.disk.WritePage(h.id, h.numPages, page); err != nil {
+	idx := int(h.numPages.Load())
+	if err := h.disk.WritePage(h.id, idx, page); err != nil {
 		return err
 	}
-	h.pool.SetZones(h.id, h.numPages, ReadPageZones(page))
-	h.numPages++
+	zones := h.zones.Load()
+	if idx == len(*zones) { // full: publish a larger copy
+		grown := make([][]ZoneMap, max(64, 2*idx))
+		copy(grown, *zones)
+		zones = &grown
+		h.zones.Store(zones)
+	}
+	(*zones)[idx] = ReadPageZones(page)
+	h.numPages.Add(1)
 	return nil
 }
 
@@ -192,12 +209,8 @@ func (h *HeapFile) Seal() error {
 	return nil
 }
 
-// NumPages returns the number of flushed pages.
-func (h *HeapFile) NumPages() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.numPages
-}
+// NumPages returns the number of flushed pages. Lock-free.
+func (h *HeapFile) NumPages() int { return int(h.numPages.Load()) }
 
 // NumRows returns the number of appended rows (including unflushed ones).
 func (h *HeapFile) NumRows() int {
@@ -206,9 +219,15 @@ func (h *HeapFile) NumRows() int {
 	return h.numRows
 }
 
-// PageZones returns page idx's per-column zone maps, or nil when unknown.
-// Reading zones never touches the disk or decodes the page.
-func (h *HeapFile) PageZones(idx int) []ZoneMap { return h.pool.Zones(h.id, idx) }
+// PageZones returns page idx's per-column zone maps, or nil when unknown (a
+// nil result never prunes). Reading zones takes no lock, never touches the
+// disk and never decodes the page.
+func (h *HeapFile) PageZones(idx int) []ZoneMap {
+	if idx < 0 || idx >= h.NumPages() {
+		return nil
+	}
+	return (*h.zones.Load())[idx] // loaded after numPages: holds entry idx
+}
 
 // PageResident reports whether page idx is currently in the buffer pool
 // (the demand-first scan ordering hook).

@@ -201,13 +201,6 @@ type BufferPool struct {
 	// names maps file ids to table names for PageError attribution.
 	nmu   sync.RWMutex
 	names map[FileID]string
-
-	// Per-page zone maps, keyed like the frame table but never evicted
-	// (a few dozen bytes per page versus a 32KiB frame). Populated by the
-	// heap-file writer at flush time. Page contents are immutable after
-	// flush, so entries never go stale.
-	zmu   sync.RWMutex
-	zones map[pageKey][]ZoneMap
 }
 
 // NewBufferPool creates a pool of at most npages frames over the given disk.
@@ -224,7 +217,6 @@ func NewBufferPool(disk Disk, npages int) *BufferPool {
 		bufs:        bufs,
 		colsDecoded: new(atomic.Int64),
 		table:       make(map[pageKey]*Frame),
-		zones:       make(map[pageKey][]ZoneMap),
 		retryMax:    DefaultFetchRetries,
 		retryBase:   DefaultRetryBackoff,
 	}
@@ -568,25 +560,6 @@ func (p *BufferPool) Contains(f FileID, idx int) bool {
 	defer p.mu.Unlock()
 	_, ok := p.table[pageKey{file: f, idx: idx}]
 	return ok
-}
-
-// SetZones records the zone maps of page (f, idx); called by the heap-file
-// writer at flush time so zones are known before the page is ever fetched.
-func (p *BufferPool) SetZones(f FileID, idx int, zones []ZoneMap) {
-	key := pageKey{file: f, idx: idx}
-	p.zmu.Lock()
-	p.zones[key] = zones
-	p.zmu.Unlock()
-}
-
-// Zones returns the zone maps of page (f, idx), or nil when unknown (a nil
-// result never prunes).
-func (p *BufferPool) Zones(f FileID, idx int) []ZoneMap {
-	key := pageKey{file: f, idx: idx}
-	p.zmu.RLock()
-	z := p.zones[key]
-	p.zmu.RUnlock()
-	return z
 }
 
 // NotePruned counts a page fetch avoided by zone-map pruning (the scan

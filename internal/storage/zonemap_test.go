@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/types"
@@ -161,5 +163,64 @@ func TestNextColsPrunedDemandFirst(t *testing.T) {
 	// The two resident pages must come first (cold pages were deferred).
 	if !(order[0] == 3 && order[1] == 4) {
 		t.Fatalf("resident pages not served first: %v", order)
+	}
+}
+
+// TestPageZonesWhileLoading reads zone maps while a load flushes pages past
+// the first growth of the heap file's zone array: a reader sees every flushed
+// page's zones and nothing for a page not flushed yet, and afterwards every
+// page's zones are the ones on its disk page. Run it with -race.
+func TestPageZonesWhileLoading(t *testing.T) {
+	c := newTestCatalog(t, 4)
+	tbl, err := c.CreateTable("z", types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindInt},
+		types.Column{Name: "pad", Kind: types.KindString},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 100 // more than the zone array's first size
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := tbl.File.NumPages()
+				for idx := 0; idx < n; idx++ {
+					if z := tbl.File.PageZones(idx); len(z) != 2 || z[0].Flags&ZoneInt == 0 || z[0].MinI > z[0].MaxI {
+						t.Errorf("flushed page %d of %d: zones %+v", idx, n, z)
+						return
+					}
+				}
+				// PageZones answers only for a page NumPages already counts.
+				if z := tbl.File.PageZones(n + 1); z != nil && tbl.File.NumPages() <= n+1 {
+					t.Errorf("page %d has zones before it was flushed", n+1)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; tbl.File.NumPages() < pages; i++ {
+		if err := tbl.File.Append(types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("%0220d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	page := make([]byte, PageSize)
+	for idx := 0; idx < tbl.File.NumPages(); idx++ {
+		if err := c.Disk().ReadPage(tbl.File.ID(), idx, page); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tbl.File.PageZones(idx), ReadPageZones(page); !slices.Equal(got, want) {
+			t.Fatalf("page %d: kept zones %+v, on disk %+v", idx, got, want)
+		}
 	}
 }
