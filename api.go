@@ -49,7 +49,9 @@ type (
 	EngineConfig = engine.Config
 	// Result is a materialized query result.
 	Result = engine.Result
-	// SPModel selects push-based (FIFO) or pull-based (SPL) sharing.
+	// SPModel selects push-based sharing (a private 8-page list per consumer,
+	// each page copied into every one) or pull-based sharing (one Shared
+	// Pages List all consumers read).
 	SPModel = engine.SPModel
 	// StageStats snapshots one stage's counters (SP attaches, misses, ...).
 	StageStats = engine.StageStats

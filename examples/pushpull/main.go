@@ -2,9 +2,9 @@
 //
 // The paper's §4.3: sharing a table scan among identical TPC-H Q1 instances
 // with the original push-based model makes the producer copy every page into
-// every consumer's FIFO — a serialization point that grows with concurrency —
-// while the pull-based Shared Pages List appends each page once and lets
-// consumers pull concurrently. This example measures workload response time
+// every consumer's own 8-page list — a serialization point that grows with
+// concurrency — while the pull-based Shared Pages List appends each page once
+// and lets consumers pull concurrently. This example measures workload response time
 // for k simultaneous Q1 instances under query-centric execution, push-SP and
 // pull-SP, and prints the page-copy counters that explain the difference.
 //
@@ -36,7 +36,7 @@ func main() {
 		cfg   repro.EngineConfig
 	}{
 		{"query-centric", repro.EngineConfig{}},
-		{"push-SP(FIFO)", repro.EngineConfig{SP: true, Model: repro.SPPush, SPStages: scanOnly}},
+		{"push-SP(copy)", repro.EngineConfig{SP: true, Model: repro.SPPush, SPStages: scanOnly}},
 		{"pull-SP(SPL)", repro.EngineConfig{SP: true, Model: repro.SPPull, SPStages: scanOnly}},
 	}
 

@@ -3,7 +3,6 @@ package cjoin
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,61 +19,65 @@ type routeCol struct {
 	col int
 }
 
-// subscription is one admitted query. The package doc names the goroutine
-// that owns each field.
-type subscription struct {
-	q       *plan.StarQuery
+// slot is one bitmap slot of the Global Query Plan: the bit the workers
+// annotate and probe, and the predicates that produce it. Every query reads
+// one slot; a folded query reads a slot a running query opened. The package
+// doc names the goroutine that owns each field.
+type slot struct {
+	id int // bitmap bit
+
 	factVec expr.VecPred    // vectorized fact predicate (nil = every fact row qualifies)
 	prune   expr.PruneCheck // page-level can-match check (nil = every page)
-	dimIdx  []int           // operator dim index per q.Dims entry
 
 	// Per-operator-dimension admission plan, applied by every worker
-	// replica: dimRef[d] reports whether the query references dimension d;
+	// replica: dimRef[d] reports whether the slot references dimension d;
 	// dimPredVec[d] is its vectorized dimension predicate (nil = every
 	// dimension row qualifies), evaluated over the dimension table's cached
-	// column batch at admission time.
+	// column batch when the slot opens.
 	dimRef     []bool
 	dimPredVec []expr.VecPred
+
+	// The raw predicates, so admission can fold a query onto the slot:
+	// expr.Subsumes proves implication of factPred, expr.Equal equality of
+	// dimPred.
+	factPred expr.Expr
+	dimPred  []expr.Expr // per operator dimension; nil = unconstrained
+
+	live    int             // readers the scanner has not retired
+	readers []*subscription // readers whose output the distributor keeps open
+
+	// failed is the first panic of one of the slot's predicates: every
+	// reader retires with it.
+	failed atomic.Pointer[PanicError]
+}
+
+// fail records the slot's first panic. Safe from any pipeline goroutine.
+func (sl *slot) fail(r any) { sl.failed.CompareAndSwap(nil, &PanicError{Recovered: r}) }
+
+// subscription is one admitted query: a reader of one slot. The package doc
+// names the goroutine that owns each field.
+type subscription struct {
+	q    *plan.StarQuery
+	slot *slot
+	// prune is the query's own page-level check (nil = every page): its
+	// blast radius on a quarantined page.
+	prune expr.PruneCheck
+	// residual is the vectorized part of the query's fact predicate its
+	// slot's does not cover (nil = none), evaluated by the distributor per
+	// routed tuple over a one-row selection of the fact page's batch.
+	residual expr.VecPred
 
 	// Precomputed distributor route: output width and flat column map,
 	// derived once at subscription time instead of per routed tuple.
 	outWidth int
 	route    []routeCol
 
-	id        int // bitmap slot
 	pagesLeft int // fact pages remaining in this query's sweep
-
-	// Fold (predicate-subsumption graft) state. factPredE/dimPredE keep the
-	// raw predicate expressions so admission can prove implication
-	// (expr.Subsumes) and dimension equality (expr.Equal) against running
-	// queries. A grafted query shares its host's bitmap slot: hostSub points
-	// at the host, and residual (the vectorized leftover of its fact
-	// predicate, nil when the predicates match exactly) is evaluated by the
-	// distributor per routed tuple over a one-row selection of the fact
-	// page's batch.
-	factPredE expr.Expr
-	dimPredE  []expr.Expr // per operator dimension; nil = unconstrained
-
-	hostSub  *subscription
-	residual expr.VecPred
-
-	// Host side of a fold: grafts are the live grafted readers fed from this
-	// query's bits, graftsLeft how many have not finished their sweep;
-	// holdBits marks a host finished while grafts still read its bits, and
-	// closed a host whose own delivery has ended. Whether a canceled host
-	// must keep annotating for live grafts is tracked per worker
-	// (worker.held), because only epoch-ordered state is safe to consult
-	// against in-flight pages.
-	grafts     []*subscription
-	graftsLeft int
-	finished   bool
-	holdBits   bool
-	closed     bool
 
 	// deadline is the query's context deadline (zero = none); the scanner
 	// retires past-deadline queries between pages through the epoch
-	// protocol, so a stuck or slow consumer never holds its bitmap slot
-	// beyond its budget.
+	// protocol, so a stuck or slow consumer never holds its slot beyond its
+	// budget.
 	deadline time.Time
 
 	out      chan *batch.Batch
@@ -82,10 +85,9 @@ type subscription struct {
 	canceled atomic.Bool
 	err      error // set before out is closed
 
-	// Asynchronous failure (a panicking compiled predicate, observed on a
-	// worker or the distributor), promoted to err at retirement.
-	failOnce  sync.Once
-	failCause error
+	// failed is the first panic of the query's own residual or zone check,
+	// promoted to err at retirement.
+	failed atomic.Pointer[PanicError]
 
 	// Routed tuples are appended column-wise into a pooled ColBatch and
 	// delivered as a batch over it, so the engine's grouped aggregation
@@ -98,14 +100,38 @@ type subscription struct {
 	cut bool
 }
 
-// fail marks the subscription failed with cause, exactly once. Safe from any
-// pipeline goroutine: the cause write happens-before the canceled flag it is
-// observed through, and the scanner retires the query on its next tick.
-func (s *subscription) fail(cause error) {
-	s.failOnce.Do(func() {
-		s.failCause = cause
-		s.canceled.Store(true)
-	})
+// fail marks the query failed with its first panic. Safe from any pipeline
+// goroutine: the cause is stored before the canceled flag it is observed
+// through, and the scanner retires the query on its next tick.
+func (s *subscription) fail(r any) {
+	s.failed.CompareAndSwap(nil, &PanicError{Recovered: r})
+	s.canceled.Store(true)
+}
+
+// cause is the panic the query retires with: its slot's, else its own; nil
+// when neither failed.
+func (s *subscription) cause() error {
+	if pe := s.slot.failed.Load(); pe != nil {
+		return pe
+	}
+	if pe := s.failed.Load(); pe != nil {
+		return pe
+	}
+	return nil
+}
+
+// failer is what a compiled predicate belongs to: the slot whose bits it
+// produces, or the query whose residual or blast radius it decides.
+type failer interface{ fail(r any) }
+
+// contain is deferred around every call of a compiled predicate: it turns a
+// panic into a typed failure of f, so the process and every query reading
+// another slot survive. The call returns its zero result.
+func (op *Operator) contain(f failer) {
+	if r := recover(); r != nil {
+		op.stats.panicFailures.Add(1)
+		f.fail(r)
+	}
 }
 
 // abandon cancels the query from its consumer's side, then drains its
@@ -163,24 +189,22 @@ func (op *Operator) Run(ctx context.Context, q *plan.StarQuery, emit func(*batch
 }
 
 // newSubscription validates the query against the operator's chain and
-// precomputes everything the pipeline needs per tuple: the compiled fact and
-// dimension predicates (shared read-only by every worker replica) and the
+// precomputes everything the pipeline needs per tuple: the slot the query
+// opens unless it folds onto a running one, with its compiled fact and
+// dimension predicates (shared read-only by every worker replica), and the
 // distributor's output row layout.
 func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	if q.Fact != op.fact {
 		return nil, fmt.Errorf("cjoin: query fact table %q does not match GQP fact table %q",
 			q.Fact.Name, op.fact.Name)
 	}
-	sub := &subscription{
-		q:          q,
-		out:        make(chan *batch.Batch, outBuffer),
-		cancelCh:   make(chan struct{}),
-		dimIdx:     make([]int, len(q.Dims)),
+	sl := &slot{
 		dimRef:     make([]bool, len(op.specs)),
 		dimPredVec: make([]expr.VecPred, len(op.specs)),
-		factPredE:  q.FactPred,
-		dimPredE:   make([]expr.Expr, len(op.specs)),
+		factPred:   q.FactPred,
+		dimPred:    make([]expr.Expr, len(op.specs)),
 	}
+	dimIdx := make([]int, len(q.Dims))
 	for i, d := range q.Dims {
 		idx, ok := op.byName[d.Table.Name]
 		if !ok {
@@ -191,18 +215,25 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 			return nil, fmt.Errorf("cjoin: dimension %q join keys (%d=%d) do not match GQP chain (%d=%d)",
 				d.Table.Name, d.FactKeyCol, d.DimKeyCol, spec.FactKeyCol, spec.DimKeyCol)
 		}
-		sub.dimIdx[i] = idx
-		sub.dimRef[idx] = true
-		sub.dimPredE[idx] = d.Pred
+		dimIdx[i] = idx
+		sl.dimRef[idx] = true
+		sl.dimPred[idx] = d.Pred
 		if d.Pred != nil {
-			sub.dimPredVec[idx] = expr.CompileVec(d.Pred)
+			sl.dimPredVec[idx] = expr.CompileVec(d.Pred)
 		}
 	}
 	if q.FactPred != nil {
-		sub.factVec = expr.CompileVec(q.FactPred)
+		sl.factVec = expr.CompileVec(q.FactPred)
 		if !op.cfg.DisablePrune {
-			sub.prune = expr.CompilePrune(q.FactPred)
+			sl.prune = expr.CompilePrune(q.FactPred)
 		}
+	}
+	sub := &subscription{
+		q:        q,
+		slot:     sl,
+		prune:    sl.prune,
+		out:      make(chan *batch.Batch, outBuffer),
+		cancelCh: make(chan struct{}),
 	}
 	sub.outWidth = len(q.FactCols)
 	for _, d := range q.Dims {
@@ -214,71 +245,65 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	}
 	for i, d := range q.Dims {
 		for _, c := range d.PayloadCols {
-			sub.route = append(sub.route, routeCol{dim: sub.dimIdx[i], col: c})
+			sub.route = append(sub.route, routeCol{dim: dimIdx[i], col: c})
 		}
 	}
 	return sub, nil
 }
 
 // admit places sub in the plan at the scanner's current position and
-// returns its admission message. The query grafts onto a running host that
-// subsumes it, or takes a bitmap slot of its own; either way it joins the
-// active list and the registry of open queries.
+// returns its admission message. The query reads a live slot whose
+// predicates its own imply (a fold), or opens the slot newSubscription
+// built for it; either way it joins the active list and the registry of
+// open queries.
 func (s *scanner) admit(sub *subscription) ctlMsg {
-	if h := s.graftHost(sub); h != nil {
-		// Fold: share the host's bitmap slot; the distributor applies the
-		// residual predicate per routed tuple. Compiling here is fine —
-		// admission is off the per-page hot path.
-		sub.hostSub = h
-		sub.id = h.id
-		if re := expr.Residual(h.factPredE, sub.factPredE); re != nil {
+	opens := true
+	if sl := s.foldSlot(sub.slot); sl != nil {
+		// The distributor applies the residual predicate per routed tuple.
+		// Compiling here is fine: admission is off the per-page hot path.
+		if re := expr.Residual(sl.factPred, sub.q.FactPred); re != nil {
 			sub.residual = expr.CompileVec(re)
 		}
-		h.graftsLeft++
+		sub.slot, opens = sl, false
 		s.op.stats.grafted.Add(1)
 	} else {
-		sub.id = s.slot()
+		sub.slot.id = s.slotID()
 	}
+	sub.slot.live++
 	sub.pagesLeft = s.npages
 	s.active = append(s.active, sub)
 	s.op.openMu.Lock()
 	s.op.open[sub] = struct{}{}
 	s.op.openMu.Unlock()
 	s.op.stats.admitted.Add(1)
-	return ctlMsg{kind: ctlAdmit, sub: sub}
+	return ctlMsg{kind: ctlAdmit, sub: sub, slotEdge: opens}
 }
 
-// graftHost returns a running query that sub can fold onto: an ungrafted,
-// uncanceled host over the same dimension set with structurally equal
-// dimension predicates whose fact predicate is implied by sub's
-// (expr.Subsumes is conservative, so a nil answer only costs a fresh
-// bitmap slot, never correctness).
-func (s *scanner) graftHost(sub *subscription) *subscription {
+// foldSlot returns a live slot that cand's query can read instead of
+// opening cand: one that has not failed, over the same dimension set with
+// structurally equal dimension predicates, whose fact predicate cand's
+// implies (expr.Subsumes is conservative, so a nil answer only costs a
+// fresh slot, never correctness).
+func (s *scanner) foldSlot(cand *slot) *slot {
 	if s.op.cfg.DisableFold {
 		return nil
 	}
-	for _, h := range s.active {
-		if h.hostSub != nil || h.canceled.Load() {
-			continue
+	for _, r := range s.active {
+		sl := r.slot
+		if sl.failed.Load() == nil && sameDims(sl, cand) && expr.Subsumes(sl.factPred, cand.factPred) {
+			return sl
 		}
-		if !sameDims(h, sub) {
-			continue
-		}
-		if !expr.Subsumes(h.factPredE, sub.factPredE) {
-			continue
-		}
-		return h
 	}
 	return nil
 }
 
-// sameDims reports whether two queries constrain the dimension chain
+// sameDims reports whether two slots constrain the dimension chain
 // identically: same referenced dimensions, structurally equal predicates.
-// The shared bitmap already folds in the host's dimension semijoins, so a
-// graft is only sound when they coincide exactly.
-func sameDims(a, b *subscription) bool {
+// A slot's bits already fold in its dimension semijoins, so a fold is only
+// sound when they coincide exactly.
+func sameDims(a, b *slot) bool {
 	for d := range a.dimRef {
-		if a.dimRef[d] != b.dimRef[d] || !expr.Equal(a.dimPredE[d], b.dimPredE[d]) {
+		if a.dimRef[d] != b.dimRef[d] || !expr.Equal(a.dimPred[d], b.dimPred[d]) {
 			return false
 		}
 	}

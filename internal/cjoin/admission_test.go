@@ -41,7 +41,7 @@ func admissionQueries(cat *storage.Catalog) []*plan.StarQuery {
 	}
 }
 
-// TestVectorizedAdmissionMatchesScalar drives admitQuery (vectorized over
+// TestVectorizedAdmissionMatchesScalar drives addSlot (vectorized over
 // the dimension table's cached column batch) against a row-at-a-time
 // reference: for every query and every dimension entry, the entry bitmap
 // bit must equal the interpreted predicate's verdict.
@@ -53,13 +53,14 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		sub.id = qi % 3 // exercise different slots and words
+		sl := sub.slot
+		sl.id = qi % 3 // exercise different slots and words
 		for di, spec := range op.specs {
 			ds := newDimStateFor(t, di, spec, op)
-			ds.admitQuery(sub)
-			if !sub.dimRef[di] {
+			ds.addSlot(sl)
+			if !sl.dimRef[di] {
 				for i := 0; i < ds.tab.cb.Len(); i++ {
-					if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
+					if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sl.id) {
 						t.Fatalf("query %d dim %d: bit set on unreferenced dimension", qi, di)
 					}
 				}
@@ -68,23 +69,23 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 			// Scalar reference: the query's dimension predicate interpreted
 			// row-at-a-time by Eval.
 			var pred expr.Expr
-			for k, d := range q.Dims {
-				if sub.dimIdx[k] == di && d.Pred != nil {
+			for _, d := range q.Dims {
+				if op.byName[d.Table.Name] == di && d.Pred != nil {
 					pred = d.Pred
 				}
 			}
 			for i, r := range ds.tab.cb.Rows() {
 				want := pred == nil || pred.Eval(r).Bool()
-				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id)
+				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sl.id)
 				if got != want {
 					t.Fatalf("query %d dim %d entry %d (%v): admitted=%v, scalar predicate=%v",
 						qi, di, i, r, got, want)
 				}
 			}
 			// Retirement must clear exactly this query's bits.
-			ds.finishQuery(sub)
+			ds.dropSlot(sl)
 			for i := 0; i < ds.tab.cb.Len(); i++ {
-				if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
+				if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sl.id) {
 					t.Fatalf("query %d dim %d entry %d: bit survives retirement", qi, di, i)
 				}
 			}
@@ -129,7 +130,7 @@ func BenchmarkColdDecodeAnnotate(b *testing.B) {
 	cat := starDB(b, 4000)
 	op := bareOp(b, cat)
 	w := bareWorker(op)
-	subs := testSubs(b, op, cat)
+	slots := testSlots(b, op, cat)
 	ncols := op.fact.Schema.Len()
 
 	pages := rawPages(b, cat, op.fact)
@@ -152,7 +153,7 @@ func BenchmarkColdDecodeAnnotate(b *testing.B) {
 				b.Fatal(err)
 			}
 			it.cols = cb
-			w.annotate(it, subs, len(subs))
+			w.annotate(it, slots, len(slots))
 			it.cols = nil
 			cb.Release()
 		}

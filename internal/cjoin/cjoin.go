@@ -4,31 +4,48 @@
 //
 // The plan is data-parallel: one scanner drives the circular scan of the
 // fact table and deals fact pages round-robin to Config.Workers probe
-// workers; each worker annotates its pages with query bitmaps (bit q is set
-// iff the tuple satisfies query q's fact-table predicate) and probes them
+// workers; each worker annotates its pages with slot bitmaps (bit s is set
+// iff the tuple satisfies slot s's fact-table predicate) and probes them
 // through the whole dimension chain; a distributor merges the worker streams
-// back into scan order and routes each surviving joined tuple to every query
-// whose bit survived.
+// back into scan order and routes each surviving joined tuple to the readers
+// of every slot whose bit survived.
 //
 //	            ┌→ worker 0 (annotate → probe dim₁..dimₖ) ─┐
 //	scanner ────┼→ worker 1 (annotate → probe dim₁..dimₖ) ─┼→ distributor
 //	            └→ …                                       ─┘   (seq merge)
 //
 // The code is split by role, one file each: cjoin.go (the operator, its
-// configuration and counters), admission.go (subscriptions, Run, and
-// admission with the fold-host lookup), scanner.go (the circular scan, its
-// ticks, bitmap slots and retirement), worker.go (annotate and probe),
-// dim.go (dimension tables and their per-worker replicas) and
-// distributor.go (sequence merge, routing, delivery and shutdown).
+// configuration and counters), admission.go (slots, subscriptions, Run, and
+// admission with the fold lookup), scanner.go (the circular scan, its ticks,
+// slot ids and retirement), worker.go (annotate and probe), dim.go
+// (dimension tables and their per-worker replicas) and distributor.go
+// (sequence merge, routing, delivery and shutdown).
 //
 // Each dimension is split in two. Its rows and their join index are one
 // dimtab.Table — the index the query-centric hash join builds too — built
 // once at NewOperator and probed immutably by every worker (a direct array
 // over dense integer keys, hashed slots otherwise); a dimension whose join
 // key repeats is refused with a DuplicateKeyError, since CJOIN joins a fact
-// tuple to one entry. The per-entry query bitmaps — the only state that
+// tuple to one entry. The per-entry slot bitmaps — the only state that
 // changes as queries come and go — are replicated per worker so the probe
 // hot path never takes a lock.
+//
+// # Slots and readers
+//
+// The unit the plan shares is a slot: one bit of the bitmap, and the fact
+// predicate, zone check and dimension predicates that produce it. Every
+// query is a reader of one slot. A query opens a slot of its own unless
+// folding finds a live slot it can read: one over the same dimensions with
+// equal dimension predicates, whose fact predicate the query's implies
+// (expr.Subsumes, after GraftDB). Such a reader keeps the part of its fact
+// predicate the slot does not cover as a residual, which the distributor
+// applies per routed tuple. A slot is annotated from the tick that opens it
+// to the tick that closes it, whichever of its readers are canceled.
+//
+// A panic in a slot's fact predicate, zone check or dimension predicate
+// fails the slot, and every reader retires with its *PanicError. A panic in
+// a reader's own residual or zone check fails that reader alone. Folding
+// never joins a failed slot.
 //
 // # Epoch protocol
 //
@@ -39,63 +56,63 @@
 //   - a data tick: one fact page, dealt to exactly one worker, which
 //     annotates and probes it and forwards it to the distributor;
 //   - an admission tick: an epoch of ctlAdmit messages;
-//   - a retirement tick: an epoch of ctlFinish and ctlRelease messages.
+//   - a retirement tick: an epoch of ctlFinish messages.
 //
 // An epoch is immutable once published. It is broadcast to every worker and
 // sent once to the distributor, as an item carrying the same *epoch. Each
-// worker receives its ticks in sequence order (one FIFO queue), so every
-// replica switches its query bitmaps at the same point of the fact stream;
-// the distributor processes ticks in strict sequence order, parking
+// worker receives its ticks in sequence order (one queue), so every replica
+// switches its slot bitmaps at the same point of the fact stream; the
+// distributor processes ticks in strict sequence order, parking
 // out-of-order arrivals in a reorder ring. A query's admission tick precedes
 // the first page of its sweep and its finish tick follows the last, so the
 // query sees each fact tuple exactly once, and its batches in scan order.
 //
-// A folded query (a graft) shares its host's bitmap slot. A host whose
-// grafts are still sweeping gets its ctlFinish — its own delivery ends —
-// but keeps its bits; the ctlRelease after its last graft's ctlFinish ends
-// the slot's use.
-//
-// The scanner owns bitmap slots. It returns a slot to its free list as it
-// publishes the tick that ends the slot's use: the ctlFinish of a host with
-// no live grafts, otherwise the ctlRelease. Every worker and the distributor
-// apply that tick before any later admission tick, so a later admission may
-// reuse the slot.
+// A ctlAdmit that opens a slot, and the ctlFinish of its last reader, which
+// closes it, say so (ctlMsg.slotEdge). Workers add and drop slots on those
+// two edges only; the distributor adds and removes a reader on every
+// admission and finish, and indexes a slot by id while it is open. The
+// scanner counts each slot's live readers and returns the id to its free
+// list as it publishes the closing ctlFinish. Every worker and the
+// distributor apply that tick before any later admission tick, so a later
+// admission may reuse the id.
 //
 // Shutdown fails one registry, Operator.open. The scanner adds a query to it
 // at admission, and the distributor removes the query where it closes the
 // query's output. Once the fan-in has drained, the distributor fails every
 // query left with the shutdown cause.
 //
-// Each field of a subscription has one owner:
+// Each field of a slot and a subscription has one owner:
 //
-//   - newSubscription fixes q, the compiled predicates (factVec, prune,
-//     dimPredVec, factPredE, dimPredE), dimIdx, dimRef, outWidth and route,
-//     and Run fixes deadline, before the query is sent to the scanner; out
-//     and cancelCh are made there too. All of them are read-only after.
-//   - The scanner writes id, hostSub and residual at admission, before it
+//   - newSubscription fixes the query's own fields (q, prune, outWidth,
+//     route) and a slot's predicates (factVec, prune, dimRef, dimPredVec,
+//     factPred, dimPred), and Run fixes deadline, before the query is sent
+//     to the scanner; out and cancelCh are made there too. All of them are
+//     read-only after.
+//   - The scanner writes slot (the fold's slot replaces the one built) and
+//     residual at admission, and the id of a slot it opens, before it
 //     publishes the admission tick; they are read-only after.
-//   - The scanner owns pagesLeft, graftsLeft and finished. It writes
-//     holdBits, and err when the query fails, before it publishes the
-//     query's finish tick; the channel sends of that tick order the writes
-//     before the workers' and the distributor's reads.
-//   - The distributor owns grafts, closed, cut, pendCols and pendN, and err
-//     from the finish tick (or shutdown) on. It closes out, after which Run
-//     reads err.
-//   - canceled is atomic: Run raises it when the consumer leaves, fail when
-//     a compiled predicate panics. fail writes failCause once, before it
-//     raises canceled.
+//   - The scanner owns pagesLeft and a slot's live count. It writes err
+//     when the query fails, before it publishes the query's finish tick; the
+//     channel sends of that tick order the write before the workers' and the
+//     distributor's reads.
+//   - The distributor owns a slot's readers and a query's cut, pendCols and
+//     pendN, and err from the finish tick (or shutdown) on. It closes out,
+//     after which Run reads err.
+//   - canceled and failed are atomic. Run raises canceled when the consumer
+//     leaves; a reader's fail stores failed, then raises canceled. A slot's
+//     fail stores its failed once, from any pipeline goroutine.
 //
-// A worker's replicas (dims, active, nslots, held) belong to the worker; it
-// changes them only when it applies an epoch.
+// A worker's replicas (dims, slots, nslots) belong to the worker; it changes
+// them only when it applies an epoch.
 //
 // # Data path
 //
 // The data path is columnar and allocation-free in steady state per worker:
 // fact pages arrive as typed column batches (vec.ColBatch) shared from the
 // buffer pool's per-frame columnar cache; each worker annotates a page by
-// running every active query's vectorized fact predicate (expr.CompileVec)
-// over the batch into a selection vector and scattering the query's bit into
-// the flat inline bitmap arena; the probe loop reads the join-key column as
+// running every open slot's vectorized fact predicate (expr.CompileVec) over
+// the batch into a selection vector and scattering the slot's bit into the
+// flat inline bitmap arena; the probe loop reads the join-key column as
 // a raw []int64 (the star-schema common case) instead of boxing datums; and
 // the distributor routes surviving tuples by appending fact columns straight
 // from the batch, and dimension payloads from the tables' batches, to each
@@ -140,12 +157,13 @@ type Config struct {
 	// DisablePrune turns off zone-map page pruning in the shared scan (the
 	// pruning-on/off ablation toggle; pruning is on by default).
 	DisablePrune bool
-	// DisableFold turns off predicate-subsumption query folding: with
-	// folding on (the default), a query whose fact predicate is implied by
-	// a running query's — and whose dimension set and predicates match it
-	// exactly — grafts onto that query's bitmap slot instead of taking its
-	// own, and the distributor applies only the residual predicate per
-	// routed tuple.
+	// DisableFold turns off predicate-subsumption query folding, so every
+	// query opens a bitmap slot of its own. With folding on (the default), a
+	// query reads a live slot instead when the slot's fact predicate is
+	// implied by the query's and its dimension set and predicates match the
+	// query's exactly; the distributor applies the query's residual
+	// predicate per routed tuple. A folded query shares the slot's failure:
+	// a panic in the slot's predicates fails every reader.
 	DisableFold bool
 }
 
@@ -187,7 +205,7 @@ type Stats struct {
 	Completed      int64 // queries that finished a full sweep
 	Canceled       int64 // queries canceled mid-sweep
 	Failed         int64 // queries retired with a typed error (page loss, deadline, panic)
-	Grafted        int64 // admissions folded onto a running query's bitmap slot
+	Grafted        int64 // admissions folded onto a live bitmap slot
 	SlotHighWater  int64 // highest bitmap slot count ever allocated
 	PagesScanned   int64 // fact pages read by the circular scan
 	PagesPruned    int64 // fact pages skipped whole: no attached query could match
@@ -201,7 +219,9 @@ type Stats struct {
 	// Fault-isolation counters: quarantined fact pages fail only the
 	// queries whose zone checks cover them, deadlines retire queries
 	// through the epoch protocol, and panicking compiled predicates are
-	// converted into per-query failures at the goroutine boundary.
+	// converted into typed failures of the queries reading the predicate's
+	// slot, or of the one query whose residual it is, at the goroutine
+	// boundary.
 	PagesQuarantined int64 // quarantined-page encounters by the circular sweep
 	PageFailures     int64 // (page, query) failures charged to quarantined pages
 	DeadlineExpired  int64 // queries retired mid-sweep at their deadline

@@ -14,7 +14,7 @@ import (
 // dimension's rows as a dimtab.Table keeping every column, built once by
 // NewOperator and probed concurrently by every worker through Find. cb is
 // the table's entry batch (row e is entry e, columns in schema order):
-// admission evaluates each query's vectorized dimension predicate over it,
+// opening a slot evaluates its vectorized dimension predicate over it,
 // and the distributor routes payload columns out of it. Operator.Close
 // releases it.
 type dimTable struct {
@@ -67,20 +67,20 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 	return &dimTable{idx: idx, spec: spec, tab: tab, cb: tab.Batch()}, nil
 }
 
-// dimState is one worker's replica of a dimension's query state: entry
-// bitmaps recording which queries' dimension predicates each entry
-// satisfies, and the stage mask of queries referencing the dimension; the
-// worker changes it only as it applies epochs, so it needs no lock. Entry
-// bitmaps live in one contiguous arena — entry i owns
-// ebits[i*estride:(i+1)*estride) — so admission and retirement sweep a flat
-// array instead of chasing per-entry pointers.
+// dimState is one worker's replica of a dimension's slot state: entry
+// bitmaps recording which slots' dimension predicates each entry satisfies,
+// and the stage mask of slots referencing the dimension; the worker changes
+// it only as it applies epochs, so it needs no lock. Entry bitmaps live in
+// one contiguous arena — entry i owns ebits[i*estride:(i+1)*estride) — so
+// opening and closing a slot sweep a flat array instead of chasing
+// per-entry pointers.
 type dimState struct {
 	tab *dimTable
 	op  *Operator
 
 	ebits   []uint64 // entry bitmap arena
 	estride int      // words per entry bitmap
-	mask    []uint64 // queries referencing this dimension
+	mask    []uint64 // slots referencing this dimension
 
 	scratch  vec.Scratch // admission-predicate temporaries, replica-owned
 	admitSel []int32     // admission selection buffer, sized to the table
@@ -97,7 +97,7 @@ func newDimState(tab *dimTable, op *Operator) dimState {
 }
 
 // growTo makes slot id addressable in the entry bitmap arena and the stage
-// mask, re-striding the arena when the query population outgrows it.
+// mask, re-striding the arena when the slot population outgrows it.
 func (ds *dimState) growTo(id int) {
 	need := id/64 + 1
 	if need > ds.estride {
@@ -113,25 +113,25 @@ func (ds *dimState) growTo(id int) {
 	}
 }
 
-// admitQuery installs the query's bits in this replica: entry bitmaps for
+// addSlot installs a slot's bits in this replica: entry bitmaps for
 // every dimension tuple satisfying its predicate, and the stage mask. A
-// query with a dimension predicate is evaluated vectorized over the table's
+// slot with a dimension predicate is evaluated vectorized over the table's
 // cached column batch — one kernel sweep instead of one compiled-closure
-// call per entry; a predicate-free query marks every entry directly.
-func (ds *dimState) admitQuery(sub *subscription) {
-	if !sub.dimRef[ds.tab.idx] {
+// call per entry; a predicate-free slot marks every entry directly.
+func (ds *dimState) addSlot(sl *slot) {
+	if !sl.dimRef[ds.tab.idx] {
 		return // bits outside the mask pass through unchanged
 	}
-	ds.growTo(sub.id)
-	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
+	ds.growTo(sl.id)
+	w, bit := sl.id/64, uint64(1)<<(uint(sl.id)&63)
 	ds.mask[w] |= bit
 	es := ds.estride
-	if vp := sub.dimPredVec[ds.tab.idx]; vp != nil {
+	if vp := sl.dimPredVec[ds.tab.idx]; vp != nil {
 		all := ds.tab.cb.AllSel()
 		if cap(ds.admitSel) < len(all) {
 			ds.admitSel = make([]int32, len(all))
 		}
-		for _, i := range ds.safeDimSel(sub, vp, all) {
+		for _, i := range ds.safeDimSel(sl, vp, all) {
 			ds.ebits[int(i)*es+w] |= bit
 		}
 		return
@@ -141,28 +141,21 @@ func (ds *dimState) admitQuery(sub *subscription) {
 	}
 }
 
-// safeDimSel runs sub's vectorized dimension predicate over the table's
-// cached column batch, converting a panic into a typed failure of sub alone
-// (its bits simply stay clear on this replica — it retires before
-// delivering anything).
-func (ds *dimState) safeDimSel(sub *subscription, vp expr.VecPred, all []int32) (out []int32) {
-	defer func() {
-		if r := recover(); r != nil {
-			ds.op.stats.panicFailures.Add(1)
-			sub.fail(&PanicError{Recovered: r})
-			out = nil
-		}
-	}()
+// safeDimSel runs sl's vectorized dimension predicate over the table's
+// cached column batch. A panic fails the slot: its bits stay clear on this
+// replica, and every reader retires with the panic.
+func (ds *dimState) safeDimSel(sl *slot, vp expr.VecPred, all []int32) []int32 {
+	defer ds.op.contain(sl)
 	return vp(ds.tab.cb, all, ds.admitSel[:len(all)], &ds.scratch)
 }
 
-// finishQuery removes the query's bits from this replica.
-func (ds *dimState) finishQuery(sub *subscription) {
-	if !bitvec.GetWord(ds.mask, sub.id) {
+// dropSlot removes a slot's bits from this replica.
+func (ds *dimState) dropSlot(sl *slot) {
+	if !bitvec.GetWord(ds.mask, sl.id) {
 		return
 	}
-	bitvec.ClearWord(ds.mask, sub.id)
-	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
+	bitvec.ClearWord(ds.mask, sl.id)
+	w, bit := sl.id/64, uint64(1)<<(uint(sl.id)&63)
 	es := ds.estride
 	for i := 0; i < ds.tab.cb.Len(); i++ {
 		ds.ebits[i*es+w] &^= bit

@@ -2,6 +2,7 @@ package cjoin
 
 import (
 	mathbits "math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/batch"
@@ -9,16 +10,16 @@ import (
 )
 
 // distributor merges the worker streams back into tick order, fans joined
-// tuples out to the queries named in their bitmaps and retires queries when
-// their finish ticks arrive. Out-of-order arrivals wait in a power-of-two
-// ring indexed by sequence number; subscriptions are indexed by bitmap slot
-// in a flat slice; and output rows are carved out of a per-batch datum
-// arena — so merging and routing a tuple allocates nothing in steady state.
+// tuples out to the readers of the slots named in their bitmaps and retires
+// queries when their finish ticks arrive. Out-of-order arrivals wait in a
+// power-of-two ring indexed by sequence number; slots are indexed by id in
+// a flat slice; and output rows are appended to pooled column batches — so
+// merging and routing a tuple allocates nothing in steady state.
 type distributor struct {
 	op     *Operator
 	in     <-chan *item
-	subs   []*subscription // slot id → active subscription (nil when free)
-	routed int64           // deliveries since the last counter flush
+	slots  []*slot // slot id → open slot (nil when closed)
+	routed int64   // deliveries since the last counter flush
 
 	next int64   // next tick to process
 	ring []*item // reorder buffer; slot = seq & (len-1)
@@ -102,9 +103,6 @@ func (d *distributor) deliver(sub *subscription) {
 // the tuple's joined entry — the whole route loop is typed end to end, no
 // Datum boxing on either kind of column.
 func (d *distributor) route(sub *subscription, it *item, ti int) {
-	if sub.canceled.Load() {
-		return
-	}
 	if sub.pendCols == nil {
 		sub.pendCols = vec.Get(sub.outWidth)
 		sub.pendCols.Reserve(d.op.cfg.BatchSize) // delivered at exactly this size
@@ -126,32 +124,34 @@ func (d *distributor) route(sub *subscription, it *item, ti int) {
 	}
 }
 
-// register indexes an admitted subscription by its bitmap slot; grafted
-// queries hang off their host instead (they share its slot).
-func (d *distributor) register(sub *subscription) {
-	if h := sub.hostSub; h != nil {
-		h.grafts = append(h.grafts, sub)
+// register adds an admitted query to its slot's readers, and indexes the
+// slot by id when the admission opens it.
+func (d *distributor) register(c ctlMsg) {
+	sl := c.sub.slot
+	sl.readers = append(sl.readers, c.sub)
+	if !c.slotEdge {
 		return
 	}
-	for sub.id >= len(d.subs) {
-		d.subs = append(d.subs, nil)
+	for sl.id >= len(d.slots) {
+		d.slots = append(d.slots, nil)
 	}
-	d.subs[sub.id] = sub
+	d.slots[sl.id] = sl
 }
 
 // finish retires a query: flush, close its output, drop it from the open
-// registry, and — unless the query is a host still feeding grafted readers,
-// or itself a graft — unindex its bitmap slot.
-func (d *distributor) finish(sub *subscription) {
+// registry and from its slot's readers, and unindex the slot when the
+// finish closes it. The scanner has already put a closed slot's id back on
+// its free list; the admission tick that reuses it comes later in sequence.
+func (d *distributor) finish(c ctlMsg) {
+	sub := c.sub
 	d.deliver(sub)
-	if sub.err == nil && sub.canceled.Load() && sub.failCause != nil {
-		// Backstop for asynchronous failures (a predicate panic on a worker
-		// replica, typically at admission): the scanner may complete a short
-		// sweep before it ever observes the canceled flag, finishing the
-		// query with a nil error. The finish marker is sequence-ordered
-		// behind every page a worker forwarded for this query, so the
-		// worker's fail() — cause write, then flag — is visible here.
-		sub.err = sub.failCause
+	if sub.err == nil {
+		// Backstop for a failure the scanner did not see (a predicate panic
+		// on a worker replica, typically at admission): it may complete a
+		// short sweep first, finishing the query with a nil error. The
+		// finish tick is sequence-ordered behind every page a worker
+		// forwarded, so the worker's fail is visible here.
+		sub.err = sub.cause()
 	}
 	if sub.err == nil && sub.cut {
 		// The sweep outran Close: the scanner queued this finish before it
@@ -168,63 +168,35 @@ func (d *distributor) finish(sub *subscription) {
 		d.op.stats.completed.Add(1)
 	}
 	close(sub.out)
-	sub.closed = true
 	d.op.openMu.Lock()
 	delete(d.op.open, sub)
 	d.op.openMu.Unlock()
-	if h := sub.hostSub; h != nil {
-		// The slot is the host's; just detach from its graft list.
-		for i, g := range h.grafts {
-			if g == sub {
-				h.grafts = append(h.grafts[:i], h.grafts[i+1:]...)
-				break
-			}
-		}
-		return
-	}
-	if !sub.holdBits {
-		d.release(sub)
+	sl := sub.slot
+	sl.readers = slices.DeleteFunc(sl.readers, func(r *subscription) bool { return r == sub })
+	if c.slotEdge {
+		d.slots[sl.id] = nil
 	}
 }
 
-// release unindexes a host's bitmap slot. The scanner has already put the
-// slot back on its free list; the admission tick that reuses it comes later
-// in sequence.
-func (d *distributor) release(sub *subscription) {
-	d.subs[sub.id] = nil
-}
-
-// routeAll fans one surviving tuple out to the slot's query and every
-// grafted reader whose residual predicate accepts it.
-func (d *distributor) routeAll(sub *subscription, it *item, ti int) {
-	if !sub.closed {
-		d.route(sub, it, ti)
-	}
-	for _, g := range sub.grafts {
-		if g.canceled.Load() {
+// routeAll fans one surviving tuple out to every reader of its slot that is
+// not canceled and whose residual predicate, if any, accepts it.
+func (d *distributor) routeAll(sl *slot, it *item, ti int) {
+	for _, r := range sl.readers {
+		if r.canceled.Load() || r.residual != nil && !d.residualMatch(r, it, ti) {
 			continue
 		}
-		if g.residual != nil && !d.residualMatch(g, it, ti) {
-			continue
-		}
-		d.route(g, it, ti)
+		d.route(r, it, ti)
 	}
 }
 
-// residualMatch evaluates a graft's residual fact predicate over the
+// residualMatch evaluates a reader's residual fact predicate over the
 // tuple's row of the page batch, as a one-row selection. A panicking
-// residual fails the graft alone (reported false: the graft receives no
-// further tuples and retires on the scanner's next tick).
-func (d *distributor) residualMatch(g *subscription, it *item, ti int) (match bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			d.op.stats.panicFailures.Add(1)
-			g.fail(&PanicError{Recovered: r})
-			match = false
-		}
-	}()
+// residual fails that reader alone (reported false: it receives no further
+// tuples and retires on the scanner's next tick).
+func (d *distributor) residualMatch(r *subscription, it *item, ti int) bool {
+	defer d.op.contain(r)
 	d.sel1[0] = it.rowIdx[ti]
-	return len(g.residual(it.cols, d.sel1[:], d.sel1[:], &d.scr)) == 1
+	return len(r.residual(it.cols, d.sel1[:], d.sel1[:], &d.scr)) == 1
 }
 
 // process handles one tick: a control tick's messages in order, or a data
@@ -234,13 +206,10 @@ func (d *distributor) process(it *item) {
 	d.cur = it
 	if it.ep != nil {
 		for _, c := range it.ep.ctl {
-			switch c.kind {
-			case ctlAdmit:
-				d.register(c.sub)
-			case ctlFinish:
-				d.finish(c.sub)
-			case ctlRelease:
-				d.release(c.sub)
+			if c.kind == ctlAdmit {
+				d.register(c)
+			} else {
+				d.finish(c)
 			}
 		}
 	}
@@ -251,9 +220,9 @@ func (d *distributor) process(it *item) {
 			for w != 0 {
 				id := wi*64 + mathbits.TrailingZeros64(w)
 				w &= w - 1
-				if id < len(d.subs) {
-					if sub := d.subs[id]; sub != nil {
-						d.routeAll(sub, it, i)
+				if id < len(d.slots) {
+					if sl := d.slots[id]; sl != nil {
+						d.routeAll(sl, it, i)
 					}
 				}
 			}

@@ -242,10 +242,10 @@ func TestGraftRecycleSlots(t *testing.T) {
 	}
 }
 
-// TestGraftHostCancelConcurrent: canceling the host mid-sweep must not
-// starve its grafted reader — the host keeps annotating the shared bitmap
-// column (graft hold) until the graft's own sweep completes, and the
-// graft's result stays complete and correct.
+// TestGraftHostCancelConcurrent: canceling the slot's opener mid-sweep must
+// not starve the query folded onto its slot — the slot stays annotated until
+// its last reader's sweep completes, and the folded query's result stays
+// complete and correct.
 func TestGraftHostCancelConcurrent(t *testing.T) {
 	cat := slowStarDB(t, 3000, time.Millisecond)
 	fold := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
@@ -467,12 +467,12 @@ func TestFoldConcurrentTemplates(t *testing.T) {
 	t.Logf("fold stats: %+v", fold.Stats())
 }
 
-// TestCloseFailsGraftOfHeldHost closes the operator while a graft sweeps on
-// over a host that has already finished and holds its bits for it: the
-// graft's emit blocks only once the host's Run has returned. The graft's Run
-// must fail with ErrClosed, and the page batches and the pipeline's
+// TestCloseFailsLastReaderOfSlot closes the operator while a folded query
+// sweeps on as the last reader of a slot whose opener has already finished:
+// the folded query's emit blocks only once the opener's Run has returned.
+// Its Run must fail with ErrClosed, and the page batches and the pipeline's
 // goroutines must all be given back.
-func TestCloseFailsGraftOfHeldHost(t *testing.T) {
+func TestCloseFailsLastReaderOfSlot(t *testing.T) {
 	cat := slowStarDB(t, 3000, time.Millisecond)
 	lo := cat.MustTable("lo")
 	dims := []plan.DimJoin{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}}
@@ -552,5 +552,68 @@ func TestCloseFailsGraftOfHeldHost(t *testing.T) {
 		}
 		t.Logf("attempt %d did not fold (the host finished first)", attempt)
 	}
-	t.Fatal("no attempt folded; the held-host shutdown path was not exercised")
+	t.Fatal("no attempt folded; the last-reader shutdown path was not exercised")
+}
+
+// TestFailedSlotFailsEveryReader admits two identical star queries on one
+// tick, so the second folds onto the slot the first opens, while a longer
+// query keeps the scanner busy on a slow disk. When the slot's fact or
+// dimension predicate panics (a column past the table's schema), both
+// readers must fail with the slot's *PanicError: a folded reader never
+// finishes clean, and empty, over a slot that failed.
+func TestFailedSlotFailsEveryReader(t *testing.T) {
+	cat := slowStarDB(t, 3000, time.Millisecond)
+	lo, cust := cat.MustTable("lo"), cat.MustTable("cust")
+	missing := expr.NewCmp(expr.EQ, expr.C(9, "nope"), expr.Int(1))
+	// The long query reads another dimension, so nothing folds onto it.
+	long := &plan.StarQuery{Fact: lo, FactCols: []int{0},
+		Dims: []plan.DimJoin{{Table: cat.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0, PayloadCols: []int{1}}}}
+
+	for _, tc := range []struct {
+		name      string
+		fact, dim expr.Expr
+	}{
+		{"fact", missing, nil},
+		{"dim", expr.NewCmp(expr.LT, expr.C(0, "lo_id"), expr.Int(2500)), missing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op := newOpCfg(t, cat, Config{BatchSize: 64})
+			q := &plan.StarQuery{Fact: lo, FactPred: tc.fact, FactCols: []int{0},
+				Dims: []plan.DimJoin{{Table: cust, FactKeyCol: 1, DimKeyCol: 0, Pred: tc.dim, PayloadCols: []int{1}}}}
+			const trials = 10
+			for trial := 0; trial < trials; trial++ {
+				base := op.Stats().Admitted
+				longWait := runStarAsync(op, long)
+				waitAdmitted(t, op, base+1)
+				var wg sync.WaitGroup
+				errs := make([]error, 2)
+				rows := make([]int, 2)
+				for i := range errs {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						errs[i] = op.Run(context.Background(), q, func(b *batch.Batch) error {
+							rows[i] += b.Len()
+							b.Done()
+							return nil
+						})
+					}(i)
+				}
+				wg.Wait()
+				for i, err := range errs {
+					var pe *PanicError
+					if !errors.As(err, &pe) {
+						t.Fatalf("trial %d query %d: err = %v after %d rows, want *PanicError", trial, i, err, rows[i])
+					}
+				}
+				if _, err := longWait(); err != nil {
+					t.Fatalf("trial %d long query: %v", trial, err)
+				}
+			}
+			if op.Stats().Grafted == 0 {
+				t.Fatalf("no trial folded in %d; the shared failed slot was not exercised", trials)
+			}
+			t.Logf("%d of %d trials folded", op.Stats().Grafted, trials)
+		})
+	}
 }

@@ -110,23 +110,24 @@ func bareWorker(op *Operator) *worker {
 }
 
 // annotatedItem builds a warmed item holding one annotated fact page.
-func annotatedItem(t testing.TB, op *Operator, w *worker, subs []*subscription) *item {
+func annotatedItem(t testing.TB, op *Operator, w *worker, slots []*slot) *item {
 	t.Helper()
 	cb, err := op.fact.File.PageCols(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	it := &item{cols: cb}
-	w.annotate(it, subs, len(subs))
+	w.annotate(it, slots, len(slots))
 	if it.n == 0 {
 		t.Fatal("annotate kept no tuples")
 	}
 	return it
 }
 
-func testSubs(t testing.TB, op *Operator, cat *storage.Catalog) []*subscription {
+// testSlots opens two slots, ids 0 and 1, without starting the pipeline.
+func testSlots(t testing.TB, op *Operator, cat *storage.Catalog) []*slot {
 	t.Helper()
-	subs := make([]*subscription, 0, 2)
+	slots := make([]*slot, 0, 2)
 	for i, q := range []*plan.StarQuery{
 		asiaEuropeQuery(cat, 3, 20),
 		asiaEuropeQuery(cat, 2, 50),
@@ -135,10 +136,10 @@ func testSubs(t testing.TB, op *Operator, cat *storage.Catalog) []*subscription 
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub.id = i
-		subs = append(subs, sub)
+		sub.slot.id = i
+		slots = append(slots, sub.slot)
 	}
-	return subs
+	return slots
 }
 
 // TestAnnotateZeroAllocs locks in the preprocessor's steady-state allocation
@@ -148,11 +149,11 @@ func TestAnnotateZeroAllocs(t *testing.T) {
 	cat := starDB(t, 4000)
 	op := bareOp(t, cat)
 	w := bareWorker(op)
-	subs := testSubs(t, op, cat)
-	it := annotatedItem(t, op, w, subs) // warm-up
+	slots := testSlots(t, op, cat)
+	it := annotatedItem(t, op, w, slots) // warm-up
 
 	allocs := testing.AllocsPerRun(100, func() {
-		w.annotate(it, subs, len(subs))
+		w.annotate(it, slots, len(slots))
 	})
 	if allocs != 0 {
 		t.Errorf("annotate allocates %v objects per page in steady state, want 0", allocs)
@@ -165,12 +166,12 @@ func TestProbePathZeroAllocs(t *testing.T) {
 	cat := starDB(t, 4000)
 	op := bareOp(t, cat)
 	w := bareWorker(op)
-	subs := testSubs(t, op, cat)
-	master := annotatedItem(t, op, w, subs)
+	slots := testSlots(t, op, cat)
+	master := annotatedItem(t, op, w, slots)
 
 	st := newDimStateFor(t, 0, op.specs[0], op)
-	for _, sub := range subs {
-		st.admitQuery(sub)
+	for _, sl := range slots {
+		st.addSlot(sl)
 	}
 	work := &item{cols: master.cols}
 	reload := func() {
@@ -227,12 +228,12 @@ func BenchmarkCJoinProbe(b *testing.B) {
 	cat := starDB(b, 4000)
 	op := bareOp(b, cat)
 	w := bareWorker(op)
-	subs := testSubs(b, op, cat)
-	master := annotatedItem(b, op, w, subs)
+	slots := testSlots(b, op, cat)
+	master := annotatedItem(b, op, w, slots)
 
 	st := newDimStateFor(b, 0, op.specs[0], op)
-	for _, sub := range subs {
-		st.admitQuery(sub)
+	for _, sl := range slots {
+		st.addSlot(sl)
 	}
 	work := &item{cols: master.cols}
 	work.ensure(master.cols.Len(), master.stride, master.ndims)
@@ -254,13 +255,13 @@ func BenchmarkPreprocessAnnotate(b *testing.B) {
 	cat := starDB(b, 4000)
 	op := bareOp(b, cat)
 	w := bareWorker(op)
-	subs := testSubs(b, op, cat)
-	it := annotatedItem(b, op, w, subs)
+	slots := testSlots(b, op, cat)
+	it := annotatedItem(b, op, w, slots)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.annotate(it, subs, len(subs))
+		w.annotate(it, slots, len(slots))
 	}
 	b.ReportMetric(float64(it.cols.Len()), "tuples/op")
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/vec"
 )
@@ -15,15 +16,15 @@ type ctlKind uint8
 const (
 	ctlAdmit ctlKind = iota
 	ctlFinish
-	// ctlRelease frees a host query's bitmap slot and dimension bits once
-	// its last grafted reader has finished.
-	ctlRelease
 )
 
 // ctlMsg is one control message of an epoch, for one query.
 type ctlMsg struct {
 	kind ctlKind
 	sub  *subscription
+	// slotEdge marks a ctlAdmit that opens sub's slot, or a ctlFinish that
+	// closes it (sub is its last reader).
+	slotEdge bool
 }
 
 // epoch is a control tick: messages every worker and the distributor apply
@@ -47,17 +48,17 @@ type wmsg struct {
 // distributor processes items in strict seq order.
 //
 // Tuples live in flat arenas so a page costs zero steady-state allocations:
-// tuple i is row rowIdx[i] of the page's column batch cols, its query bitmap
+// tuple i is row rowIdx[i] of the page's column batch cols, its slot bitmap
 // is the word slice words[i*stride:(i+1)*stride], and its joined entry for
 // dimension j is dimEnt[rowIdx[i]*ndims+j] — an index into that dimension
 // table's entry-aligned column batch, so the distributor routes dimension
 // payloads with typed column copies instead of boxing datums. dimEnt is
 // indexed by the tuple's page row, which never changes, so the probe loop's
 // in-place compaction moves only rowIdx and the bitmap words as tuples die,
-// never the joined entries. A dimEnt slot is only ever read for a (tuple,
-// query) pair whose bit survived that dimension's probe, which implies the
-// probe hit and wrote the slot on the current page — so stale slots from a
-// recycled item are never observed and need not be cleared.
+// never the joined entries. A dimEnt entry is only ever read for a (tuple,
+// slot) pair whose bit survived that dimension's probe, which implies the
+// probe hit and wrote the entry on the current page — so stale entries from
+// a recycled item are never observed and need not be cleared.
 type item struct {
 	seq  int64
 	page int    // fact page index of a data tick (zone-map lookup key)
@@ -123,7 +124,7 @@ func (op *Operator) putItem(it *item) {
 }
 
 // scanner is the pipeline head: the circular fact scan, the active query
-// list, the tick sequence and the bitmap slots, all owned by the scanner
+// list, the tick sequence and the slot ids, all owned by the scanner
 // goroutine.
 type scanner struct {
 	op     *Operator
@@ -133,8 +134,8 @@ type scanner struct {
 	pos    int   // next fact page of the circular scan
 	seq    int64 // sequence number of the next tick
 	wi     int   // next worker to deal a page to
-	slots  int   // bitmap slots ever allocated
-	free   []int // freed slots, reused first to keep bitmaps narrow
+	slots  int   // slot ids ever allocated
+	free   []int // freed slot ids, reused first to keep bitmaps narrow
 }
 
 // scan runs the scanner until the operator closes: an admission tick for
@@ -256,7 +257,11 @@ func (s *scanner) pruned(at int) bool {
 		return false
 	}
 	for _, sub := range s.active {
-		if !sub.canceled.Load() && (sub.prune == nil || s.op.safePrune(sub, zones)) {
+		sl := sub.slot
+		if sub.canceled.Load() || sl.failed.Load() != nil {
+			continue
+		}
+		if sl.prune == nil || s.op.safePrune(sl.prune, zones, sl) {
 			return false
 		}
 	}
@@ -268,9 +273,10 @@ func (s *scanner) pruned(at int) bool {
 // blast-radius contained: only the queries whose zone checks cannot exclude
 // the page fail — they would have consumed its tuples — and every query the
 // page prunes away sweeps on, the page costing it one tick like a pruned
-// page. An unclassified read failure fails every active query, and the page
-// is read again for the next query to arrive. It reports false once the
-// operator closes.
+// page. The check is each query's own, not its slot's: a folded query whose
+// predicate excludes the page survives the slot's opener. An unclassified
+// read failure fails every active query, and the page is read again for the
+// next query to arrive. It reports false once the operator closes.
 func (s *scanner) pageFailed(at int, err error) bool {
 	var pe *storage.PageError
 	quarantined := errors.As(err, &pe)
@@ -284,7 +290,7 @@ func (s *scanner) pageFailed(at int, err error) bool {
 	remaining := s.active[:0]
 	for _, sub := range s.active {
 		if quarantined && (sub.canceled.Load() ||
-			sub.prune != nil && zones != nil && !s.op.safePrune(sub, zones)) {
+			sub.prune != nil && zones != nil && !s.op.safePrune(sub.prune, zones, sub)) {
 			remaining = append(remaining, sub)
 			continue
 		}
@@ -299,11 +305,12 @@ func (s *scanner) pageFailed(at int, err error) bool {
 }
 
 // retirements retires, on one retirement tick, every query whose sweep
-// ended with the last page, that canceled (or failed asynchronously), or
-// whose deadline has passed. The tick follows the sweep's last page, so
-// every worker and the distributor see that page first. time.Now is
-// consulted only while a deadline-bearing query is active — deadline-free
-// sweeps pay nothing. It reports false once the operator closes.
+// ended with the last page, that canceled, whose slot or own predicate
+// failed, or whose deadline has passed. The tick follows the sweep's last
+// page, so every worker and the distributor see that page first. time.Now
+// is consulted only while a deadline-bearing query is active —
+// deadline-free sweeps pay nothing. It reports false once the operator
+// closes.
 func (s *scanner) retirements() bool {
 	var ctl []ctlMsg
 	var now time.Time
@@ -312,14 +319,14 @@ func (s *scanner) retirements() bool {
 		if s.npages > 0 {
 			sub.pagesLeft--
 		}
-		canceled := sub.canceled.Load()
-		if canceled {
-			// fail() wrote the cause before raising the flag; a plain
-			// consumer cancellation leaves it nil.
-			sub.err = sub.failCause
+		cause := sub.cause()
+		stopped := cause != nil || sub.canceled.Load()
+		if stopped {
+			// A plain consumer cancellation leaves err nil.
+			sub.err = cause
 		}
 		expired := false
-		if !canceled && sub.pagesLeft > 0 && !sub.deadline.IsZero() {
+		if !stopped && sub.pagesLeft > 0 && !sub.deadline.IsZero() {
 			if now.IsZero() {
 				now = time.Now()
 			}
@@ -329,7 +336,7 @@ func (s *scanner) retirements() bool {
 				s.op.stats.deadlineExpired.Add(1)
 			}
 		}
-		if sub.pagesLeft <= 0 || canceled || expired {
+		if sub.pagesLeft <= 0 || stopped || expired {
 			ctl = s.retire(sub, ctl)
 		} else {
 			remaining = append(remaining, sub)
@@ -339,34 +346,20 @@ func (s *scanner) retirements() bool {
 	return len(ctl) == 0 || s.broadcast(ctl)
 }
 
-// retire appends the messages retiring sub to ctl. A host whose grafts are
-// still sweeping keeps its bits (holdBits); its release follows the last
-// graft's finish. Hosts precede their grafts in active, so a host and its
-// last graft finishing on the same tick emit finish(host), finish(graft),
-// release(host), in that order. The slot whose use these messages end goes
-// back to the free list here: ctl is published before the next admission
-// tick.
+// retire appends the message retiring sub to ctl. The message of a slot's
+// last reader closes the slot, whose id goes back to the free list here: ctl
+// is published before the next admission tick.
 func (s *scanner) retire(sub *subscription, ctl []ctlMsg) []ctlMsg {
-	sub.finished = true
-	ctl = append(ctl, ctlMsg{kind: ctlFinish, sub: sub})
-	h := sub.hostSub
-	if h == nil {
-		sub.holdBits = sub.graftsLeft > 0
-		if !sub.holdBits {
-			s.free = append(s.free, sub.id)
-		}
-		return ctl
+	sl := sub.slot
+	sl.live--
+	if sl.live == 0 {
+		s.free = append(s.free, sl.id)
 	}
-	h.graftsLeft--
-	if h.graftsLeft == 0 && h.finished {
-		s.free = append(s.free, h.id)
-		ctl = append(ctl, ctlMsg{kind: ctlRelease, sub: h})
-	}
-	return ctl
+	return append(ctl, ctlMsg{kind: ctlFinish, sub: sub, slotEdge: sl.live == 0})
 }
 
-// slot takes a bitmap slot for a new host, a freed one first.
-func (s *scanner) slot() int {
+// slotID takes a bitmap slot id for a slot being opened, a freed one first.
+func (s *scanner) slotID() int {
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -402,17 +395,11 @@ func (s *scanner) broadcast(ctl []ctlMsg) bool {
 	}
 }
 
-// safePrune evaluates sub's compiled zone check, converting a panic into a
-// typed failure of sub alone. It reports false on panic — the caller treats
-// the page as unmatchable for sub, which is harmless: the query is already
-// failed and retires on the scanner's next tick.
-func (op *Operator) safePrune(sub *subscription, zones []storage.ZoneMap) (match bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			op.stats.panicFailures.Add(1)
-			sub.fail(&PanicError{Recovered: r})
-			match = false
-		}
-	}()
-	return sub.prune(zones)
+// safePrune evaluates a compiled zone check, failing f (the slot or query
+// the check belongs to) if it panics. A panic reports false: the page is
+// unmatchable for f, which is harmless, since f's readers retire on the
+// scanner's next tick.
+func (op *Operator) safePrune(prune expr.PruneCheck, zones []storage.ZoneMap, f failer) bool {
+	defer op.contain(f)
+	return prune(zones)
 }

@@ -1,6 +1,7 @@
 package cjoin
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/bitvec"
@@ -18,82 +19,41 @@ type worker struct {
 	out chan<- *item
 
 	dims   []dimState
-	active []*subscription // replica of the scanner's active list
-	nslots int             // high-water bitmap slot count among admitted queries
-
-	// held counts this worker's view of live grafted readers per host: a
-	// graft's ctlAdmit increments, its ctlFinish decrements. Both are
-	// epoch-ordered against every page in this worker's queue, so "does a
-	// graft still consume this host's bits?" is answered correctly for the
-	// page being annotated — a shared flag mutated by the scanner would
-	// race with in-flight pages (the scanner moves on as soon as a page is
-	// queued) and drop annotation of a canceled host's final held pages.
-	held map[*subscription]int
+	slots  []*slot // the open slots, in the order they opened
+	nslots int     // one past the highest slot id ever opened: the bitmap width
 
 	// cur is the data item being processed, tracked so the panic-recovery
 	// path can release its page-batch reference instead of leaking it.
 	cur *item
 
 	scratch vec.Scratch // vectorized-predicate temporaries, worker-owned
-	selBuf  []int32     // per-query selection buffer, sized to the page
+	selBuf  []int32     // per-slot selection buffer, sized to the page
 }
 
-// admit applies one admission to the worker's replicas. Grafted queries
-// are invisible to the workers: they read their host's bits, so admitting
-// them here would double-annotate (and retiring them would clear the
-// host's bits — they share a slot).
-func (w *worker) admit(sub *subscription) {
-	if h := sub.hostSub; h != nil {
-		if w.held == nil {
-			w.held = make(map[*subscription]int)
-		}
-		w.held[h]++
-		return
+// addSlot adds an opened slot to the worker's replicas: annotate produces
+// its bit from here on.
+func (w *worker) addSlot(sl *slot) {
+	if sl.id+1 > w.nslots {
+		w.nslots = sl.id + 1
 	}
-	if sub.id+1 > w.nslots {
-		w.nslots = sub.id + 1
-	}
-	w.active = append(w.active, sub)
+	w.slots = append(w.slots, sl)
 	for i := range w.dims {
-		w.dims[i].admitQuery(sub)
+		w.dims[i].addSlot(sl)
 	}
 }
 
-// retire applies one retirement to the worker's replicas. A host holding
-// its bits for live grafts stays active (annotate keeps producing the
-// shared bitmap column) until its ctlRelease arrives.
-func (w *worker) retire(sub *subscription) {
-	if h := sub.hostSub; h != nil {
-		if n := w.held[h] - 1; n > 0 {
-			w.held[h] = n
-		} else {
-			delete(w.held, h)
-		}
-		return
-	}
-	if sub.holdBits {
-		return
-	}
-	w.drop(sub)
-}
-
-// drop removes a query's bits from this worker's replicas.
-func (w *worker) drop(sub *subscription) {
-	delete(w.held, sub)
-	for i, s := range w.active {
-		if s == sub {
-			w.active = append(w.active[:i], w.active[i+1:]...)
-			break
-		}
-	}
+// dropSlot removes a closed slot's bits from the worker's replicas.
+func (w *worker) dropSlot(sl *slot) {
+	w.slots = slices.DeleteFunc(w.slots, func(o *slot) bool { return o == sl })
 	for i := range w.dims {
-		w.dims[i].finishQuery(sub)
+		w.dims[i].dropSlot(sl)
 	}
 }
 
-// run processes ticks until the scanner closes the queue. Control epochs
-// switch the replicated query bitmaps; data ticks are annotated, probed
-// through the whole chain and forwarded to the distributor.
+// run processes ticks until the scanner closes the queue. Control epochs add
+// and drop slots: a worker acts only on the admission that opens a slot and
+// the finish that closes it. Data ticks are annotated, probed through the
+// whole chain and forwarded to the distributor.
 func (w *worker) run() {
 	defer w.op.wg.Done()
 	defer w.op.prodWG.Done()
@@ -120,13 +80,12 @@ func (w *worker) run() {
 		t0 := time.Now()
 		if msg.ep != nil {
 			for _, c := range msg.ep.ctl {
-				switch c.kind {
-				case ctlAdmit:
-					w.admit(c.sub)
-				case ctlFinish:
-					w.retire(c.sub)
-				case ctlRelease:
-					w.drop(c.sub)
+				switch {
+				case !c.slotEdge:
+				case c.kind == ctlAdmit:
+					w.addSlot(c.sub.slot)
+				default:
+					w.dropSlot(c.sub.slot)
 				}
 			}
 			w.op.addBusy(time.Since(t0))
@@ -134,7 +93,7 @@ func (w *worker) run() {
 		}
 		it := msg.it
 		w.cur = it
-		w.annotate(it, w.active, w.nslots)
+		w.annotate(it, w.slots, w.nslots)
 		for i := range w.dims {
 			w.dims[i].processTuples(it)
 		}
@@ -150,29 +109,23 @@ func (w *worker) run() {
 	}
 }
 
-// safeFactSel runs sub's vectorized fact predicate over the page batch,
-// converting a panic into a typed failure of sub alone; the page then
-// contributes no rows to it, and every other query on the page is untouched.
-func (w *worker) safeFactSel(sub *subscription, cb *vec.ColBatch, all, sel []int32) (out []int32) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.op.stats.panicFailures.Add(1)
-			sub.fail(&PanicError{Recovered: r})
-			out = nil
-		}
-	}()
-	return sub.factVec(cb, all, sel, &w.scratch)
+// safeFactSel runs sl's vectorized fact predicate over the page batch. A
+// panic fails the slot; the page then contributes no rows to it, and every
+// other slot on the page is untouched.
+func (w *worker) safeFactSel(sl *slot, cb *vec.ColBatch, all, sel []int32) []int32 {
+	defer w.op.contain(sl)
+	return sl.factVec(cb, all, sel, &w.scratch)
 }
 
-// annotate fills it with the page's tuples that satisfy at least one active
-// query's fact predicate, writing each survivor's query bitmap into the flat
-// word arena. Each query's vectorized fact predicate runs over the whole
-// column batch into a selection vector (tight typed-slice loops instead of a
-// per-row closure call), and the query's bit is scattered into the bitmap of
+// annotate fills it with the page's tuples that satisfy at least one open
+// slot's fact predicate, writing each survivor's bitmap into the flat word
+// arena. Each slot's vectorized fact predicate runs over the whole column
+// batch into a selection vector (tight typed-slice loops instead of a
+// per-row closure call), and the slot's bit is scattered into the bitmap of
 // every selected row; a final pass compacts the surviving rows. This is the
 // steady-state per-page hot path of every probe worker: it performs no
 // allocations once the worker's buffers have warmed to the page size.
-func (w *worker) annotate(it *item, active []*subscription, nslots int) {
+func (w *worker) annotate(it *item, slots []*slot, nslots int) {
 	cb := it.cols
 	nrows := cb.Len()
 	stride := (nslots + 63) / 64
@@ -187,45 +140,43 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 		w.selBuf = make([]int32, nrows)
 	}
 	sel := w.selBuf[:nrows]
-	// Per-query zone skip: a query whose zone check fails for this page
-	// skips its vectorized annotate pass entirely — its bitmap stays zero
-	// for every row, exactly what evaluating the predicate would produce.
-	// The page itself was fetched because some other attached query can
-	// match it (the scanner's union prune).
+	// Per-slot zone skip: a slot whose zone check fails for this page skips
+	// its vectorized annotate pass entirely — its bit stays zero for every
+	// row, exactly what evaluating the predicate would produce. The page
+	// itself was fetched because some other slot can match it (the
+	// scanner's union prune). A failed slot's bit stays zero too: its
+	// readers retire on the scanner's next tick.
 	var zones []storage.ZoneMap
 	zonesLoaded := false
 	var zskips int64
-	for _, sub := range active {
-		// A canceled host keeps annotating while grafted readers still
-		// consume its bits (this worker's epoch-ordered held count);
-		// canceled queries nothing reads skip.
-		if sub.canceled.Load() && w.held[sub] == 0 {
+	for _, sl := range slots {
+		if sl.failed.Load() != nil {
 			continue
 		}
-		if sub.prune != nil {
+		if sl.prune != nil {
 			if !zonesLoaded {
 				zones = w.op.fact.File.PageZones(it.page)
 				zonesLoaded = true
 			}
-			if zones != nil && !w.op.safePrune(sub, zones) {
+			if zones != nil && !w.op.safePrune(sl.prune, zones, sl) {
 				zskips++
 				continue
 			}
 		}
-		wi, bit := uint(sub.id)>>6, uint64(1)<<(uint(sub.id)&63)
-		if sub.factVec == nil {
+		wi, bit := uint(sl.id)>>6, uint64(1)<<(uint(sl.id)&63)
+		if sl.factVec == nil {
 			for r := 0; r < nrows; r++ {
 				words[r*stride+int(wi)] |= bit
 			}
 			continue
 		}
 		if stride == 1 {
-			for _, r := range w.safeFactSel(sub, cb, all, sel) {
+			for _, r := range w.safeFactSel(sl, cb, all, sel) {
 				words[r] |= bit
 			}
 			continue
 		}
-		for _, r := range w.safeFactSel(sub, cb, all, sel) {
+		for _, r := range w.safeFactSel(sl, cb, all, sel) {
 			words[int(r)*stride+int(wi)] |= bit
 		}
 	}

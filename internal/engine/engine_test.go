@@ -465,6 +465,11 @@ func (s spShape) build(cat *storage.Catalog) plan.Node {
 	return plan.NewLimit(plan.NewSort(a, []plan.SortKey{{Col: 1, Desc: s.desc}}), s.limit)
 }
 
+// spTestName gives each SP model the subtest name it has always run under,
+// so a test's results stay comparable across releases even when the
+// model's display name (SPModel.String) changes.
+var spTestName = map[SPModel]string{SPPush: "push(FIFO)", SPPull: "pull(SPL)"}
+
 // SP finds common sub-plans by plan.Fingerprint: two plans built separately
 // from the same parameters share the root packet, and changing any one
 // fingerprinted parameter anywhere in the tree keeps the roots apart.
@@ -486,7 +491,7 @@ func TestSPSharesExactlyByFingerprint(t *testing.T) {
 	solo := newTestEngine(cat, Config{})
 	for _, model := range []SPModel{SPPush, SPPull} {
 		for name, edit := range variants {
-			t.Run(model.String()+"/"+name, func(t *testing.T) {
+			t.Run(spTestName[model]+"/"+name, func(t *testing.T) {
 				v := base
 				edit(&v)
 				e := newTestEngine(cat, Config{SP: true, Model: model})
@@ -653,7 +658,7 @@ func TestMissedWindowTakesOverSlot(t *testing.T) {
 func TestCancellationPropagates(t *testing.T) {
 	cat := testDB(t, 50000)
 	for _, model := range []SPModel{SPPush, SPPull} {
-		t.Run(model.String(), func(t *testing.T) {
+		t.Run(spTestName[model], func(t *testing.T) {
 			e := newTestEngine(cat, Config{SP: true, Model: model})
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)

@@ -26,7 +26,7 @@ func (m SPModel) String() string {
 	if m == SPPull {
 		return "pull(SPL)"
 	}
-	return "push(FIFO)"
+	return "push(copy)"
 }
 
 // fifoDepth is the page bound of a list that serves one consumer: a private

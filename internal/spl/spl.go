@@ -140,13 +140,6 @@ func (l *List) Close(err error) {
 	l.cond.Broadcast()
 }
 
-// Appended returns the total number of pages ever appended (metrics).
-func (l *List) Appended() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
-
 // Retained returns the number of unreclaimed pages (testing/metrics).
 func (l *List) Retained() int {
 	l.mu.Lock()
