@@ -1,16 +1,18 @@
 // Package arena is the process's one allocator of page-sized buffer memory:
-// the bytes of the simulated device, of the buffer pool's frames and of the
-// columns decoded from them. Those bytes hold no pointers and every one of
-// them is freed by hand at a known point, so on Linux they come from anonymous
-// mappings the collector neither traces nor sizes its heap goal by; under the
-// race detector and on other systems a page is a plain make, with the
-// detector's checking and the collector's safety net intact.
+// the bytes of the simulated device and of the columns decoded from its pages
+// (the buffer pool holds no bytes of its own: it borrows the device's). Those
+// bytes hold no pointers and every one of them is freed by hand at a known
+// point, so on Linux they come from anonymous mappings the collector neither
+// traces nor sizes its heap goal by; under the race detector and on other
+// systems a page is a plain make, with the detector's checking and the
+// collector's safety net intact.
 //
 // Ownership is the whole contract: whoever Takes a page Frees it, exactly
-// once, and touches it no more. A page changes hands without copying (Retag).
-// An owner that the collector finds before it let go gives its pages back from
-// a finalizer through Reclaim, which counts them: Stats.Reclaimed above zero
-// is a leak somebody should fix, not a crash.
+// once, and touches it no more; an owner that lends its pages out (a MemDisk)
+// counts the loans and frees a page at the last. An owner that the collector
+// finds before it let go gives its pages back from a finalizer through
+// Reclaim, which counts them: Stats.Reclaimed above zero is a leak somebody
+// should fix, not a crash.
 //
 // Take and Free are one mutex and a map lookup; there are no size classes and
 // nothing is coalesced. Freed pages beyond a slack of one chunk are handed
@@ -48,22 +50,20 @@ const (
 type Role uint8
 
 const (
-	Device  Role = iota // a page stored on a MemDisk
-	Frame               // the buffer of a buffer-pool frame
-	Held                // a page buffer an evicted frame left to a batch that still decodes from it
+	Device  Role = iota // a page stored on a MemDisk, or lent by it after it left the disk
 	Decoded             // decoded column arrays of an opened page
 	numRoles
 	free = numRoles // in the page table: not in use
 )
 
 // Stats is the arena at one instant: gauges by role, and the count of pages
-// that came back from finalizers rather than from their owners.
+// that came back from finalizers rather than from their owners. A page the
+// buffer pool holds is a device page it borrows, so PagesInUse is
+// PagesDevice + PagesDecoded: no page is counted twice.
 type Stats struct {
 	MappedBytes  int64 `json:"mapped_bytes"` // address space held in chunks (0 where pages are plain allocations)
 	PagesInUse   int64 `json:"pages_in_use"`
 	PagesDevice  int64 `json:"pages_device"`
-	PagesFrames  int64 `json:"pages_frames"`
-	PagesHeld    int64 `json:"pages_held"`
 	PagesDecoded int64 `json:"pages_decoded"`
 	Reclaimed    int64 `json:"reclaimed"`
 }
@@ -95,9 +95,6 @@ func Take(r Role) []byte { return std.Take(r) }
 // Free returns a page Take handed out. The caller must not touch it again;
 // freeing a page that is not in use panics.
 func Free(page []byte) { std.Free(page) }
-
-// Retag moves a page in use to another role: it has changed hands.
-func Retag(page []byte, r Role) { std.Retag(page, r) }
 
 // Reclaim is Free for a finalizer: the page's owner was collected before it
 // let go.
@@ -155,20 +152,6 @@ func (a *Arena) spread(chunk []byte) {
 	}
 }
 
-// inUseKey returns the table key of page and the role it is in use for; a
-// slice that is not a page in use is a bug in the caller.
-func (a *Arena) inUseKey(page []byte, op string) (*byte, Role) {
-	if cap(page) < PageSize {
-		panic("arena: " + op + " of a slice that is not a page")
-	}
-	key := &page[:PageSize][0]
-	r, ok := a.table[key]
-	if !ok || r == free {
-		panic("arena: " + op + " of a page that is not in use")
-	}
-	return key, r
-}
-
 // Free is the package's Free on this arena.
 func (a *Arena) Free(page []byte) { a.put(page, 0) }
 
@@ -178,8 +161,15 @@ func (a *Arena) Reclaim(page []byte) { a.put(page, 1) }
 func (a *Arena) put(page []byte, reclaimed int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	key, r := a.inUseKey(page, "Free")
+	if cap(page) < PageSize { // a slice that is not a page in use is a bug in the caller
+		panic("arena: Free of a slice that is not a page")
+	}
 	page = page[:PageSize]
+	key := &page[0]
+	r, ok := a.table[key]
+	if !ok || r == free {
+		panic("arena: Free of a page that is not in use")
+	}
 	a.inUse[r]--
 	a.reclaimed += reclaimed
 	if mapped && len(a.warm) >= slackPages {
@@ -219,16 +209,6 @@ func (a *Arena) trim() {
 	a.spread(a.chunks[0])
 }
 
-// Retag is the package's Retag on this arena.
-func (a *Arena) Retag(page []byte, r Role) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	key, old := a.inUseKey(page, "Retag")
-	a.table[key] = r
-	a.inUse[old]--
-	a.inUse[r]++
-}
-
 func (a *Arena) pagesInUse() int64 {
 	var n int64
 	for _, c := range a.inUse {
@@ -245,8 +225,6 @@ func (a *Arena) Stats() Stats {
 		MappedBytes:  int64(len(a.chunks)) * chunkSize,
 		PagesInUse:   a.pagesInUse(),
 		PagesDevice:  a.inUse[Device],
-		PagesFrames:  a.inUse[Frame],
-		PagesHeld:    a.inUse[Held],
 		PagesDecoded: a.inUse[Decoded],
 		Reclaimed:    a.reclaimed,
 	}

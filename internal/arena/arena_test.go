@@ -85,7 +85,7 @@ func TestArenaTakeFreeProperty(t *testing.T) {
 	for _, mine := range held {
 		n += int64(len(mine))
 	}
-	if st := a.Stats(); st.PagesInUse != n || st.PagesDevice+st.PagesFrames+st.PagesHeld+st.PagesDecoded != n {
+	if st := a.Stats(); st.PagesInUse != n || st.PagesDevice+st.PagesDecoded != n {
 		t.Fatalf("stats %+v with %d pages held", st, n)
 	}
 	check := func(when string) {
@@ -149,19 +149,17 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestArenaRejectsWhatItDidNotHandOut: a second Free, a Free of foreign
-// memory and a Retag of a free page are bugs in the caller and panic rather
-// than hand one page to two holders later.
+// TestArenaRejectsWhatItDidNotHandOut: a second Free and a Free of foreign
+// memory are bugs in the caller and panic rather than hand one page to two
+// holders later.
 func TestArenaRejectsWhatItDidNotHandOut(t *testing.T) {
 	var a Arena
-	pg := a.Take(Frame)
-	a.Retag(pg, Held)
-	if st := a.Stats(); st.PagesFrames != 0 || st.PagesHeld != 1 {
-		t.Fatalf("after Retag: %+v", st)
+	pg := a.Take(Device)
+	if st := a.Stats(); st.PagesDevice != 1 || st.PagesInUse != 1 {
+		t.Fatalf("after Take: %+v", st)
 	}
 	a.Free(pg[:10]) // any slice that starts the page names it
 	mustPanic(t, "double Free", func() { a.Free(pg) })
-	mustPanic(t, "Retag of a free page", func() { a.Retag(pg, Frame) })
 	mustPanic(t, "Free of foreign memory", func() { a.Free(make([]byte, PageSize)) })
 	mustPanic(t, "Free of a short slice", func() { a.Free(make([]byte, 8)) })
 	if st := a.Stats(); st.PagesInUse != 0 {
@@ -195,7 +193,7 @@ type owner struct {
 func TestArenaReclaimAndSettle(t *testing.T) {
 	var a Arena
 	func() {
-		o := &owner{a: &a, page: a.Take(Held)}
+		o := &owner{a: &a, page: a.Take(Device)}
 		runtime.SetFinalizer(o, func(o *owner) { o.a.Reclaim(o.page) })
 	}()
 	Settle()
@@ -230,11 +228,11 @@ func BenchmarkArenaTakeFree(b *testing.B) {
 	SetPoison(false)
 	defer SetPoison(true)
 	var a Arena
-	keep := a.Take(Frame)
+	keep := a.Take(Device)
 	defer a.Free(keep)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Free(a.Take(Frame))
+		a.Free(a.Take(Device))
 	}
 }

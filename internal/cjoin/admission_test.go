@@ -1,6 +1,7 @@
 package cjoin
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -114,10 +115,12 @@ func rawPages(b *testing.B, cat *storage.Catalog, tbl *storage.Table) [][]byte {
 	np := tbl.File.NumPages()
 	pages := make([][]byte, np)
 	for i := 0; i < np; i++ {
-		pages[i] = make([]byte, storage.PageSize)
-		if err := cat.Disk().ReadPage(tbl.File.ID(), i, pages[i]); err != nil {
+		l, err := cat.Disk().ReadPage(tbl.File.ID(), i)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pages[i] = bytes.Clone(l.Page)
+		l.Release()
 	}
 	return pages
 }

@@ -1,6 +1,7 @@
 package cjoin
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -53,10 +54,12 @@ func TestBlastRadiusOnlyCoveringQueriesFail(t *testing.T) {
 	})
 	t.Run("corrupt-magic", func(t *testing.T) {
 		testBlastRadius(t, func(fd *storage.FaultDisk, f storage.FileID, page int) {
-			buf := make([]byte, storage.PageSize)
-			if err := fd.ReadPage(f, page, buf); err != nil {
+			l, err := fd.ReadPage(f, page)
+			if err != nil {
 				t.Fatal(err)
 			}
+			buf := bytes.Clone(l.Page)
+			l.Release()
 			buf[0], buf[1] = 0, 0
 			if err := fd.WritePage(f, page, buf); err != nil {
 				t.Fatal(err)

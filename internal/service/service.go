@@ -361,7 +361,8 @@ type Stats struct {
 	CJoin         *cjoin.Stats         `json:"cjoin,omitempty"`
 	Storage       *storage.DecodeStats `json:"storage,omitempty"`
 	// PoolPages is the buffer pool's capacity and PoolFrames how many of its
-	// frames (PageSize bytes each) have been materialised so far.
+	// frames have been materialised so far (a frame lends the disk's page and
+	// holds no bytes of its own).
 	PoolPages  int `json:"pool_pages,omitempty"`
 	PoolFrames int `json:"pool_frames,omitempty"`
 }

@@ -17,6 +17,24 @@ func arenaBaseline() arena.Stats {
 	return arena.Snapshot()
 }
 
+// leases counts the leases the disk has outstanding, on the pages its files
+// hold and on pages that left them while lent.
+func (d *MemDisk) leases() int {
+	s := d.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, file := range s.files {
+		for i := range file.refs {
+			n += int(file.refs[i].Load()) - 1
+		}
+	}
+	for _, r := range s.gone {
+		n += int(r)
+	}
+	return n
+}
+
 // intTable loads a table of three fixed-width columns — a = i, b = 3i,
 // f = i/2 — over several pages.
 func intTable(t *testing.T, cat *Catalog, rows int) *Table {
@@ -218,10 +236,11 @@ func TestBorrowedColumnCopiesBeforeWrite(t *testing.T) {
 	}
 }
 
-// TestPoolCloseReleasesFramesAndKeepsHeldBatches: Close frees every frame's
-// buffer and batch reference; a batch a reader still holds keeps decoding its
-// untouched columns from the page buffer it inherited, and frees that at its
-// last Release. Closing twice is harmless and fetches fail afterwards.
+// TestPoolCloseReleasesFramesAndKeepsHeldBatches: Close returns every frame's
+// lease and batch reference; a batch a reader still holds keeps decoding its
+// untouched columns from the lease it inherited, which outlives the disk's
+// Close and is returned, freeing the page, at the batch's last Release.
+// Closing twice is harmless and fetches fail afterwards.
 func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
@@ -242,8 +261,8 @@ func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 	}
 	first := held.Col(0).I[0]
 	st := arena.Snapshot()
-	if got := st.PagesFrames - base.PagesFrames; got != 8 {
-		t.Fatalf("%d frame buffers for a pool of 8", got)
+	if got := disk.leases(); got != 8 {
+		t.Fatalf("%d leases for a pool of 8", got)
 	}
 	if got := st.PagesDevice - base.PagesDevice; got != int64(np) {
 		t.Fatalf("%d device pages for %d written", got, np)
@@ -255,14 +274,17 @@ func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	st = arena.Snapshot()
-	if st.PagesFrames != base.PagesFrames || st.PagesHeld-base.PagesHeld != 1 || st.PagesDecoded-base.PagesDecoded != 1 {
-		t.Fatalf("after Close with one batch held: %+v, baseline %+v", st, base)
+	if got := disk.leases(); got != 1 || st.PagesDevice-base.PagesDevice != int64(np) || st.PagesDecoded-base.PagesDecoded != 1 {
+		t.Fatalf("after Close with one batch held: %d leases, %+v, baseline %+v", got, st, base)
 	}
 	if _, err := cat.Pool().Fetch(tbl.File.ID(), 0); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Fetch after Close: %v", err)
 	}
-	if err := disk.Close(); err != nil { // the device's pages go; the held batch reads its own
+	if err := disk.Close(); err != nil { // every page goes but the one the held batch leases
 		t.Fatal(err)
+	}
+	if st = arena.Snapshot(); disk.leases() != 1 || st.PagesDevice-base.PagesDevice != 1 {
+		t.Fatalf("after the disk's Close: %d leases, %+v, baseline %+v", disk.leases(), st, base)
 	}
 	b, f := held.Col(1), held.Col(2)
 	for i := 0; i < held.Len(); i++ {
@@ -271,13 +293,13 @@ func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 		}
 	}
 	held.Release()
-	if got := arena.Snapshot(); got.PagesInUse != base.PagesInUse || got.Reclaimed != base.Reclaimed {
-		t.Fatalf("arena after Close and Release: %+v, baseline %+v", got, base)
+	if got := arena.Snapshot(); disk.leases() != 0 || got.PagesInUse != base.PagesInUse || got.Reclaimed != base.Reclaimed {
+		t.Fatalf("arena after Close and Release: %d leases, %+v, baseline %+v", disk.leases(), got, base)
 	}
 }
 
 // TestPoolCloseReportsPinnedFrames: a frame pinned across Close is an error —
-// the pool's users should have stopped — and gives its buffer back when its
+// the pool's users should have stopped — and returns its lease when its
 // holder unpins it.
 func TestPoolCloseReportsPinnedFrames(t *testing.T) {
 	base := arenaBaseline()
@@ -292,13 +314,19 @@ func TestPoolCloseReportsPinnedFrames(t *testing.T) {
 	if err := p.Close(); err == nil {
 		t.Fatal("Close with a pinned frame reported nothing")
 	}
-	if got := arena.Snapshot().PagesFrames - base.PagesFrames; got != 1 {
-		t.Fatalf("%d frame buffers left after Close, want the pinned one", got)
+	if got := d.leases(); got != 1 {
+		t.Fatalf("%d leases left after Close, want the pinned frame's", got)
+	}
+	if got := arena.Snapshot().PagesInUse - base.PagesInUse; got != 4 {
+		t.Fatalf("%d pages in use for 4 on the disk", got)
 	}
 	if fr.Data()[0] != 2 {
 		t.Fatal("pinned frame's bytes changed under its holder")
 	}
 	p.Unpin(fr)
+	if got := d.leases(); got != 0 {
+		t.Fatalf("%d leases left after the last Unpin", got)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +381,15 @@ func TestPoolCloseRacesReaders(t *testing.T) {
 }
 
 // TestArenaReclaimsWhatNobodyReleased: a disk, a pool and a held batch that
-// are dropped without Close or Release give their pages back from finalizers,
-// and are counted as reclaimed.
+// are dropped without Close or Release give their pages and leases back from
+// finalizers, in whatever order those run, and are counted as reclaimed.
 func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 	base := arenaBaseline()
 	live := vec.LiveBatches()
 	var np int
 	func() {
-		cat := NewCatalog(NewMemDisk(DiskProfile{}), 2)
+		disk := NewMemDisk(DiskProfile{})
+		cat := NewCatalog(disk, 2)
 		tbl := intTable(t, cat, 20000)
 		np = tbl.File.NumPages()
 		held, err := tbl.File.PageCols(0)
@@ -368,7 +397,7 @@ func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 			t.Fatal(err)
 		}
 		held.Col(0)
-		for p := 1; p < 4; p++ { // evict page 0: its buffer goes to the held batch
+		for p := 1; p < 4; p++ { // evict page 0: its lease goes to the held batch
 			cb, err := tbl.File.PageCols(p)
 			if err != nil {
 				t.Fatal(err)
@@ -376,8 +405,8 @@ func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 			cb.Col(1)
 			cb.Release()
 		}
-		if st := arena.Snapshot(); st.PagesHeld-base.PagesHeld != 1 || st.PagesFrames-base.PagesFrames != 2 {
-			t.Fatalf("before the leak: %+v, baseline %+v", st, base)
+		if st := arena.Snapshot(); disk.leases() != 3 || st.PagesDevice-base.PagesDevice != int64(np) {
+			t.Fatalf("before the leak: %d leases (want the held batch's and two frames'), %+v, baseline %+v", disk.leases(), st, base)
 		}
 	}()
 	arena.Settle()
@@ -385,9 +414,10 @@ func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 	if st.PagesInUse != base.PagesInUse {
 		t.Errorf("pages in use after the collector ran: %+v, baseline %+v", st, base)
 	}
-	// The device's pages, two frames, the held buffer, and the decoded pages
-	// of the held batch and of the two batches the frames held.
-	if got, want := st.Reclaimed-base.Reclaimed, int64(np+2+1+3); got != want {
+	// The device's pages, each once whoever returned its last reference, and
+	// the decoded pages of the held batch and of the two batches the frames
+	// held.
+	if got, want := st.Reclaimed-base.Reclaimed, int64(np+3); got != want {
 		t.Errorf("Reclaimed rose by %d, want %d", got, want)
 	}
 	if got := vec.LiveBatches() - live; got != 3 {

@@ -105,8 +105,8 @@ func TestFrameSharesOneDecode(t *testing.T) {
 // TestLazyColumnsSurviveEviction: a batch retained past Unpin keeps decoding
 // its untouched columns to the right bytes after its frame was evicted and
 // refilled with another page, and after the pool and the disk were closed —
-// the frame leaves the page buffer to a batch that readers still hold — while
-// a batch nobody else holds gives the buffer back to the frame.
+// the frame leaves its lease on the page to a batch that readers still hold —
+// while the lease under a batch nobody else holds goes back to the disk.
 func TestLazyColumnsSurviveEviction(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
@@ -156,8 +156,8 @@ func TestLazyColumnsSurviveEviction(t *testing.T) {
 	if first != 0 {
 		t.Fatalf("page 0 a[0] = %d", first)
 	}
-	if st := arena.Snapshot(); st.PagesHeld-base.PagesHeld != 1 || st.PagesFrames-base.PagesFrames != 1 {
-		t.Errorf("one held page buffer and one frame expected: %+v, baseline %+v", st, base)
+	if st := arena.Snapshot(); disk.leases() != 2 || st.PagesDevice-base.PagesDevice != int64(np) {
+		t.Errorf("two leases (the held batch's, the frame's) on %d device pages expected: %d leases, %+v, baseline %+v", np, disk.leases(), st, base)
 	}
 	b := held.Col(1)
 	if err := cat.Pool().Close(); err != nil {
@@ -166,7 +166,7 @@ func TestLazyColumnsSurviveEviction(t *testing.T) {
 	if err := disk.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f := held.Col(2) // decoded from the held buffer, after the pool is gone
+	f := held.Col(2) // decoded through the lease the batch inherited, after the pool and the disk are gone
 	for i := 0; i < rows; i++ {
 		if b.I[i] != int64(3*i) || f.F[i] != float64(i)/2 {
 			t.Fatalf("row %d decoded after eviction: b=%d f=%v", i, b.I[i], f.F[i])

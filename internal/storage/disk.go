@@ -22,8 +22,9 @@ type Disk interface {
 	CreateFile(name string) (FileID, error)
 	// NumPages returns the number of pages in the file.
 	NumPages(f FileID) (int, error)
-	// ReadPage reads page idx of file f into buf (len(buf) == PageSize).
-	ReadPage(f FileID, idx int, buf []byte) error
+	// ReadPage lends page idx of file f: the Lease's Page is PageSize bytes
+	// the caller reads, never writes, until it calls Release.
+	ReadPage(f FileID, idx int) (Lease, error)
 	// WritePage writes a page; idx == NumPages(f) appends a new page.
 	WritePage(f FileID, idx int, data []byte) error
 	// Stats returns cumulative I/O counters.
@@ -70,8 +71,12 @@ const minSleep = time.Millisecond
 
 // MemDisk is an in-memory Disk with an optional latency model. With the zero
 // profile it doubles as "memory-resident" storage. Its pages are arena pages
-// (arena.Device) that WritePage takes and Close frees; reads and writes copy,
-// so nothing outside the disk ever points into them.
+// (arena.Device) that WritePage takes when it appends one, and a read lends
+// the page itself rather than a copy: each page counts its references, one
+// for the disk and one per Lease. An overwrite installs a fresh page
+// (copy-on-write), so lent bytes never change, and Close drops the disk's
+// references. A page is freed when its last reference goes, so a lease
+// outlives an overwrite and the disk's Close.
 //
 // The latency model is a device clock: the disk is one queue, and every
 // served request starts when both it and the device are ready and finishes
@@ -86,38 +91,74 @@ type MemDisk struct {
 	busyUntil time.Time
 	deviceNs  atomic.Int64
 
-	mu    sync.RWMutex
-	files [][][]byte
-	names []string
+	store *pageStore
 
 	reads  atomic.Int64
 	writes atomic.Int64
 }
 
+// pageStore is a MemDisk's pages and their reference counts, apart from the
+// disk so that leases, which point here, do not keep the disk reachable: a
+// disk dropped without Close is finalized in the same collection as the pool
+// frames and batch sources that lease from it, whichever finalizer runs first.
+type pageStore struct {
+	mu    sync.RWMutex
+	files []memFile
+	// gone counts the references left on pages no file holds any more —
+	// overwritten while lent, or lent when the disk closed — by page.
+	gone map[*byte]int32
+}
+
+type memFile struct {
+	pages [][]byte
+	refs  []atomic.Int32 // per page: the disk's reference plus one per lease
+}
+
+// A Lease is a page a Disk lent: Page is PageSize bytes that stay as they are,
+// and must not be written, until Release. The zero Lease lends nothing.
+type Lease struct {
+	Page  []byte
+	store *pageStore // nil when Page is the holder's own (FaultDisk's corrupted copy)
+	file  FileID
+	idx   int
+}
+
+// Release returns the lease; Page must not be touched afterwards.
+func (l Lease) Release() { l.release(arena.Free) }
+
+// release returns the lease, handing the page to free if it was the last
+// reference: arena.Reclaim when the holder is a finalizer.
+func (l Lease) release(free func([]byte)) {
+	if l.store != nil {
+		l.store.unref(l, free)
+	}
+}
+
 // NewMemDisk returns an empty in-memory disk with the given profile.
 func NewMemDisk(profile DiskProfile) *MemDisk {
-	d := &MemDisk{profile: profile}
-	runtime.SetFinalizer(d, func(d *MemDisk) { d.release(arena.Reclaim) })
+	d := &MemDisk{profile: profile, store: new(pageStore)}
+	runtime.SetFinalizer(d, func(d *MemDisk) { d.store.close(arena.Reclaim) })
 	return d
 }
 
 // CreateFile allocates a new empty file.
 func (d *MemDisk) CreateFile(name string) (FileID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.files = append(d.files, nil)
-	d.names = append(d.names, name)
-	return FileID(len(d.files) - 1), nil
+	s := d.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.files = append(s.files, memFile{})
+	return FileID(len(s.files) - 1), nil
 }
 
 // NumPages returns the number of pages in the file.
 func (d *MemDisk) NumPages(f FileID) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(f) >= len(d.files) {
+	s := d.store
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if int(f) >= len(s.files) {
 		return 0, fmt.Errorf("storage: unknown file %d", f)
 	}
-	return len(d.files[f]), nil
+	return len(s.files[f].pages), nil
 }
 
 // charge queues one served request of the given latency on the device clock
@@ -141,18 +182,21 @@ func (d *MemDisk) charge(latency time.Duration) {
 	}
 }
 
-// ReadPage reads page idx of file f into buf; only a served read is charged.
-func (d *MemDisk) ReadPage(f FileID, idx int, buf []byte) error {
-	d.mu.RLock()
-	if int(f) >= len(d.files) || idx < 0 || idx >= len(d.files[f]) {
-		d.mu.RUnlock()
-		return fmt.Errorf("storage: read out of range: file %d page %d", f, idx)
+// ReadPage lends page idx of file f; only a served read is charged.
+func (d *MemDisk) ReadPage(f FileID, idx int) (Lease, error) {
+	s := d.store
+	s.mu.RLock()
+	if int(f) >= len(s.files) || idx < 0 || idx >= len(s.files[f].pages) {
+		s.mu.RUnlock()
+		return Lease{}, fmt.Errorf("storage: read out of range: file %d page %d", f, idx)
 	}
-	copy(buf, d.files[f][idx])
-	d.mu.RUnlock()
+	file := &s.files[f]
+	file.refs[idx].Add(1)
+	l := Lease{Page: file.pages[idx], store: s, file: f, idx: idx}
+	s.mu.RUnlock()
 	d.reads.Add(1)
 	d.charge(d.profile.ReadLatency)
-	return nil
+	return l, nil
 }
 
 // WritePage writes (or appends) a page; only a served write is charged.
@@ -160,7 +204,7 @@ func (d *MemDisk) WritePage(f FileID, idx int, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("storage: write of %d bytes, want %d", len(data), PageSize)
 	}
-	if err := d.write(f, idx, data); err != nil {
+	if err := d.store.write(f, idx, data); err != nil {
 		return err
 	}
 	d.writes.Add(1)
@@ -168,24 +212,61 @@ func (d *MemDisk) WritePage(f FileID, idx int, data []byte) error {
 	return nil
 }
 
-func (d *MemDisk) write(f FileID, idx int, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(f) >= len(d.files) {
+func (s *pageStore) write(f FileID, idx int, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if int(f) >= len(s.files) {
 		return fmt.Errorf("storage: unknown file %d", f)
 	}
-	pages := d.files[f]
+	file := &s.files[f]
 	switch {
-	case idx == len(pages):
-		cp := arena.Take(arena.Device)
-		copy(cp, data)
-		d.files[f] = append(pages, cp)
-	case idx >= 0 && idx < len(pages):
-		copy(pages[idx], data)
+	case idx == len(file.pages):
+		file.pages = append(file.pages, arena.Take(arena.Device))
+		file.refs = append(file.refs, atomic.Int32{})
+		file.refs[idx].Store(1)
+	case idx >= 0 && idx < len(file.pages): // leases of the old page keep its bytes
+		s.drop(file.pages[idx], file.refs[idx].Load(), arena.Free)
+		file.pages[idx] = arena.Take(arena.Device)
+		file.refs[idx].Store(1)
 	default:
 		return fmt.Errorf("storage: write out of range: file %d page %d", f, idx)
 	}
+	copy(file.pages[idx], data)
 	return nil
+}
+
+// drop removes the disk's reference from a page no file holds any more,
+// which had refs references: the page is freed now, or at its last lease.
+// The caller holds the write lock.
+func (s *pageStore) drop(page []byte, refs int32, free func([]byte)) {
+	if refs == 1 {
+		free(page)
+		return
+	}
+	if s.gone == nil {
+		s.gone = make(map[*byte]int32)
+	}
+	s.gone[&page[0]] = refs - 1
+}
+
+// unref drops a lease's reference on its page.
+func (s *pageStore) unref(l Lease, free func([]byte)) {
+	s.mu.RLock()
+	if int(l.file) < len(s.files) {
+		if file := &s.files[l.file]; l.idx < len(file.pages) && &file.pages[l.idx][0] == &l.Page[0] {
+			file.refs[l.idx].Add(-1) // the disk's reference remains
+			s.mu.RUnlock()
+			return
+		}
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := &l.Page[0]
+	if s.gone[key]--; s.gone[key] == 0 {
+		delete(s.gone, key)
+		free(l.Page)
+	}
 }
 
 // Stats returns cumulative I/O counters.
@@ -193,19 +274,20 @@ func (d *MemDisk) Stats() DiskStats {
 	return DiskStats{PageReads: d.reads.Load(), PageWrites: d.writes.Load(), DeviceNs: d.deviceNs.Load()}
 }
 
-// Close frees the in-memory pages; reads and writes fail afterwards.
+// Close drops the disk's reference on every page: reads and writes fail
+// afterwards, and a page still lent is freed at its last Release.
 func (d *MemDisk) Close() error {
-	d.release(arena.Free)
+	d.store.close(arena.Free)
 	return nil
 }
 
-func (d *MemDisk) release(free func([]byte)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, pages := range d.files {
-		for _, pg := range pages {
-			free(pg)
+func (s *pageStore) close(free func([]byte)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, file := range s.files {
+		for i, pg := range file.pages {
+			s.drop(pg, file.refs[i].Load(), free)
 		}
 	}
-	d.files = nil
+	s.files = nil
 }

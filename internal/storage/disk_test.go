@@ -7,7 +7,21 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/arena"
 )
+
+// readInto copies page idx of file f into buf and returns the lease at once:
+// the read of a test that keeps or edits a page's bytes.
+func readInto(d Disk, f FileID, idx int, buf []byte) error {
+	l, err := d.ReadPage(f, idx)
+	if err != nil {
+		return err
+	}
+	copy(buf, l.Page)
+	l.Release()
+	return nil
+}
 
 func TestMemDiskRoundTrip(t *testing.T) {
 	d := NewMemDisk(DiskProfile{})
@@ -30,24 +44,24 @@ func TestMemDiskRoundTrip(t *testing.T) {
 		t.Fatalf("NumPages = %d, want 2", n)
 	}
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(f, 1, buf); err != nil {
+	if err := readInto(d, f, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, p1) {
 		t.Error("page 1 contents mismatch")
 	}
-	// Overwrite in place.
+	// Overwrite: a fresh page replaces the old one.
 	if err := d.WritePage(f, 0, p1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := readInto(d, f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, p1) {
 		t.Error("overwritten page 0 mismatch")
 	}
 	// Error paths.
-	if err := d.ReadPage(f, 5, buf); err == nil {
+	if err := readInto(d, f, 5, buf); err == nil {
 		t.Error("read past end must fail")
 	}
 	if err := d.WritePage(f, 7, p0); err == nil {
@@ -56,7 +70,7 @@ func TestMemDiskRoundTrip(t *testing.T) {
 	if err := d.WritePage(f, 0, []byte{1, 2, 3}); err == nil {
 		t.Error("short write must fail")
 	}
-	if err := d.ReadPage(FileID(99), 0, buf); err == nil {
+	if err := readInto(d, FileID(99), 0, buf); err == nil {
 		t.Error("unknown file must fail")
 	}
 	st := d.Stats()
@@ -192,7 +206,7 @@ func TestMemDiskDeviceClockSequential(t *testing.T) {
 	takesDeviceTime(t, "200 sequential 200µs reads", lat, n*lat, func(d *MemDisk, f FileID) {
 		buf := make([]byte, PageSize)
 		for i := 0; i < n; i++ {
-			if err := d.ReadPage(f, 0, buf); err != nil {
+			if err := readInto(d, f, 0, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -205,7 +219,7 @@ func TestMemDiskDeviceClockNoTimerPerPage(t *testing.T) {
 	buf := make([]byte, PageSize)
 	start := time.Now()
 	for i := 0; i < 100; i++ {
-		if err := d.ReadPage(f, 0, buf); err != nil {
+		if err := readInto(d, f, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +243,7 @@ func TestMemDiskDeviceClockOneQueue(t *testing.T) {
 				defer wg.Done()
 				buf := make([]byte, PageSize)
 				for i := 0; i < m; i++ {
-					if err := d.ReadPage(f, 0, buf); err != nil {
+					if err := readInto(d, f, 0, buf); err != nil {
 						errs <- err
 						return
 					}
@@ -250,7 +264,7 @@ func TestMemDiskDeviceClockZeroProfile(t *testing.T) {
 	d, f := newClockDisk(t, DiskProfile{})
 	buf := make([]byte, PageSize)
 	for i := 0; i < 1000; i++ {
-		if err := d.ReadPage(f, 0, buf); err != nil {
+		if err := readInto(d, f, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,9 +283,9 @@ func TestMemDiskDeviceClockFailedRequestsAreFree(t *testing.T) {
 	buf := make([]byte, PageSize)
 	start := time.Now()
 	failing := []error{
-		d.ReadPage(f, 1, buf),
-		d.ReadPage(f, -1, buf),
-		d.ReadPage(FileID(9), 0, buf),
+		readInto(d, f, 1, buf),
+		readInto(d, f, -1, buf),
+		readInto(d, FileID(9), 0, buf),
 		d.WritePage(f, 0, buf[:10]),
 		d.WritePage(f, 5, buf),
 		d.WritePage(FileID(9), 0, buf),
@@ -284,7 +298,7 @@ func TestMemDiskDeviceClockFailedRequestsAreFree(t *testing.T) {
 	if el := time.Since(start); el >= 30*time.Millisecond {
 		t.Errorf("six failing requests took %v; a failure must not be charged", el)
 	}
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := readInto(d, f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WritePage(f, 1, buf); err != nil {
@@ -312,9 +326,9 @@ func TestMemDiskDeviceClockConcurrentExact(t *testing.T) {
 				case g%2 == 0:
 					err = d.WritePage(f, 0, buf)
 				case i%10 == 0:
-					_ = d.ReadPage(f, 99, buf) // fails, free
+					_ = readInto(d, f, 99, buf) // fails, free
 				default:
-					err = d.ReadPage(f, 0, buf)
+					err = readInto(d, f, 0, buf)
 				}
 				if err != nil {
 					t.Error(err)
@@ -338,17 +352,17 @@ func TestFaultDiskPassesDeviceNs(t *testing.T) {
 	inner, f := newClockDisk(t, DiskProfile{ReadLatency: lat, WriteLatency: lat})
 	fd := NewFaultDisk(inner)
 	buf := make([]byte, PageSize)
-	if err := fd.ReadPage(f, 0, buf); err != nil {
+	if err := readInto(fd, f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	fd.FailNextReads(3)
 	for i := 0; i < 3; i++ {
-		if err := fd.ReadPage(f, 0, buf); err == nil {
+		if err := readInto(fd, f, 0, buf); err == nil {
 			t.Fatal("armed read succeeded")
 		}
 	}
 	fd.PoisonPage(f, 0)
-	if err := fd.ReadPage(f, 0, buf); err == nil {
+	if err := readInto(fd, f, 0, buf); err == nil {
 		t.Fatal("poisoned read succeeded")
 	}
 	fd.Heal()
@@ -362,5 +376,62 @@ func TestFaultDiskPassesDeviceNs(t *testing.T) {
 	}
 	if st.PageReads != 1 || st.PageWrites != 1 || st.DeviceNs != int64(2*lat) {
 		t.Errorf("stats = %+v, want one read and one write = %v of device time", st, 2*lat)
+	}
+}
+
+// TestMemDiskRewriteOfLentPageIsCopyOnWrite: WritePage over a lent page
+// installs a fresh one. A batch opened before the rewrite, columns undecoded,
+// still decodes the old values — while its frame is resident and after the
+// frame was evicted — and the old page is freed at its last lease; a fetch
+// after EvictFile sees the new values.
+func TestMemDiskRewriteOfLentPageIsCopyOnWrite(t *testing.T) {
+	base := arenaBaseline()
+	disk := NewMemDisk(DiskProfile{})
+	cat := NewCatalog(disk, 4)
+	tbl := intTable(t, cat, 3000)
+	f, np := tbl.File.ID(), tbl.File.NumPages()
+	old, err := tbl.File.PageCols(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := old.Col(0)
+	next := make([]byte, PageSize)
+	if err := readInto(disk, f, 1, next); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.WritePage(f, 0, next); err != nil {
+		t.Fatal(err)
+	}
+	if got := arena.Snapshot().PagesDevice - base.PagesDevice; got != int64(np+1) {
+		t.Fatalf("%d device pages after rewriting one of %d while lent, want the old one kept", got, np)
+	}
+	b := old.Col(1) // the frame is still resident on the old page
+	cat.Pool().EvictFile(f)
+	fresh, err := tbl.File.PageCols(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(old.Len()); fresh.Col(0).I[0] != want || fresh.Col(1).I[0] != 3*want {
+		t.Fatalf("fetch after EvictFile reads a[0]=%d b[0]=%d, want page 1's %d, %d", fresh.Col(0).I[0], fresh.Col(1).I[0], want, 3*want)
+	}
+	fresh.Release()
+	c := old.Col(2) // decoded after the eviction, from the lease the batch inherited
+	for i := 0; i < old.Len(); i++ {
+		if a.I[i] != int64(i) || b.I[i] != int64(3*i) || c.F[i] != float64(i)/2 {
+			t.Fatalf("row %d of the rewritten page's old batch: %d %d %v", i, a.I[i], b.I[i], c.F[i])
+		}
+	}
+	old.Release()
+	if got := arena.Snapshot().PagesDevice - base.PagesDevice; got != int64(np) || disk.leases() != 1 {
+		t.Fatalf("%d device pages and %d leases after the old batch's Release, want %d and the frame's", got, disk.leases(), np)
+	}
+	if err := cat.Pool().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := arena.Snapshot(); got.PagesInUse != base.PagesInUse || got.Reclaimed != base.Reclaimed {
+		t.Fatalf("arena after Close: %+v, baseline %+v", got, base)
 	}
 }

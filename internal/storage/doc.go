@@ -11,22 +11,25 @@
 // keeps each page's zone maps, pool.go the buffer pool, scan.go the circular
 // scans, disk.go and fault.go the devices.
 //
-// Buffer memory — the in-memory disk's pages, the pool's frame buffers and
-// the fixed-width columns decoded from them — is pages of internal/arena, each
-// with one owner that takes it and frees it. By arena.Role:
+// Buffer memory — the in-memory disk's pages and the fixed-width columns
+// decoded from them — is pages of internal/arena, each with one owner that
+// takes it and frees it. By arena.Role:
 //
-//   - Device: a MemDisk page. WritePage takes it when the page is appended;
-//     the disk's Close frees it.
-//   - Frame: a Frame's buffer. The frame takes it on its first load and keeps
-//     it across evictions; BufferPool.Close (or the last Unpin after it) frees
-//     it.
-//   - Held: a frame buffer evicted, or its pool closed, while readers still
-//     hold the page's batch with columns undecoded. The frame retags it and
-//     gives it, without a copy, to the batch's pageSource, which frees it at
-//     the batch's last Release; that is what lets a batch outlive both.
+//   - Device: a MemDisk page. WritePage takes it when the page is appended,
+//     and takes a fresh one when it overwrites the page. A read lends the
+//     page itself (a Lease), never a copy: the disk counts one reference for
+//     itself and one per lease, and frees the page at its last — Close drops
+//     the disk's own. The pool's frames hold leases, not bytes; a frame
+//     evicted, or its pool closed, while readers still hold the page's batch
+//     with columns undecoded hands its lease to the batch's pageSource, which
+//     returns it at the batch's last Release. That is what lets a batch
+//     outlive its frame, its pool and its disk.
 //   - Decoded: a decoded fixed-width column of an opened page. The page's
 //     pageSource takes it on decode and frees it at the batch's last Release.
 //
+// Lent bytes are never written: a MemDisk overwrite installs a fresh page
+// and a FaultDisk corrupts a private copy.
+//
 // An owner the collector finds before it let go (a disk, a pool or a source
-// never closed) gives its pages back from a finalizer.
+// never closed) gives its pages and leases back from a finalizer.
 package storage

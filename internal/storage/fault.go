@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"sync"
@@ -186,34 +187,39 @@ func (f *FaultDisk) Corrupted() int64 { return f.corrupted.Load() }
 // ReadPage fails while armed and inside the fault window, fails poisoned
 // pages permanently, corrupts bytes while corruption is armed, and otherwise
 // delegates.
-func (f *FaultDisk) ReadPage(file FileID, idx int, buf []byte) error {
+func (f *FaultDisk) ReadPage(file FileID, idx int) (Lease, error) {
 	ord := f.reads.Add(1) - 1
 	if !f.targeted(file) {
-		return f.Disk.ReadPage(file, idx, buf)
+		return f.Disk.ReadPage(file, idx)
 	}
 	if f.Poisoned(file, idx) {
 		f.injected.Add(1)
 		// Permanent: the fetch path quarantines without retrying.
-		return MarkPermanent(ErrInjected)
+		return Lease{}, MarkPermanent(ErrInjected)
 	}
 	if f.armed.Load() && ord >= f.failAfter.Load() && ord < f.failUntil.Load() {
 		f.injected.Add(1)
-		return ErrInjected
+		return Lease{}, ErrInjected
 	}
-	if err := f.Disk.ReadPage(file, idx, buf); err != nil {
-		return err
+	l, err := f.Disk.ReadPage(file, idx)
+	if err != nil {
+		return Lease{}, err
 	}
 	if f.cArmed.Load() {
 		if c := f.creads.Add(1) - 1; c >= f.corruptAfter.Load() {
 			// Flip the page header so the page fails header validation — a
-			// clean model of bit rot that read "successfully".
-			for i := 0; i < len(buf) && i < 18; i++ {
-				buf[i] ^= 0xFF
+			// clean model of bit rot that read "successfully". The lent page
+			// is the device's and other readers': flip a private copy.
+			page := bytes.Clone(l.Page)
+			l.Release()
+			for i := 0; i < len(page) && i < 18; i++ {
+				page[i] ^= 0xFF
 			}
+			l = Lease{Page: page}
 			f.corrupted.Add(1)
 		}
 	}
-	return nil
+	return l, nil
 }
 
 // WritePage fails while the write fault is armed and past the threshold,

@@ -215,7 +215,7 @@ func TestWriteFaultFailsFlushAndIsCounted(t *testing.T) {
 func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
 	c, _, tbl := faultCatalog(t, 4, 3000)
 	good := make([]byte, PageSize)
-	if err := c.Disk().ReadPage(tbl.File.ID(), 1, good); err != nil {
+	if err := readInto(c.Disk(), tbl.File.ID(), 1, good); err != nil {
 		t.Fatal(err)
 	}
 	if cb, err := DecodePageCols(good, 2); err != nil || cb.Len() == 0 {
@@ -415,7 +415,7 @@ func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 	}
 	const ncols, victim = 3, 1
 	good := make([]byte, PageSize)
-	if err := c.Disk().ReadPage(tbl.File.ID(), victim, good); err != nil {
+	if err := readInto(c.Disk(), tbl.File.ID(), victim, good); err != nil {
 		t.Fatal(err)
 	}
 	nrows := int(binary.LittleEndian.Uint16(good[3:5]))

@@ -115,7 +115,7 @@ func filePages(t *testing.T, d Disk, f *HeapFile) [][]byte {
 	pages := make([][]byte, f.NumPages())
 	for i := range pages {
 		pages[i] = make([]byte, PageSize)
-		if err := d.ReadPage(f.ID(), i, pages[i]); err != nil {
+		if err := readInto(d, f.ID(), i, pages[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,17 +39,16 @@ type pageKey struct {
 // frames from Fetch and must Unpin them when done; the page bytes must not
 // be accessed after Unpin.
 //
-// The buffer is an arena page the frame takes when it first loads a page and
-// keeps across evictions. It leaves the frame in two ways: the pool's Close
-// frees it, and an eviction (or Close) that finds readers still holding the
-// page's batch with columns undecoded hands it to the batch's source, which
-// frees it at the batch's last Release; the frame takes a fresh buffer for its
-// next page.
+// A frame holds no bytes of its own: its page is a Lease on the disk's page,
+// taken by the load and returned when the frame is evicted, invalidated or
+// closed — unless readers still hold the page's batch with columns undecoded,
+// when the lease goes to the batch's source instead, which returns it at the
+// batch's last Release.
 type Frame struct {
 	pool    *BufferPool // owning pool (quarantine and decode stats)
-	slot    int         // index in pool.frames and pool.bufs.pages
+	slot    int         // index in pool.frames and pool.leases.held
 	key     pageKey
-	data    []byte // nil between giving the buffer away and the next load
+	lease   Lease // zero from a miss until its read returns, and between residencies
 	pins    int
 	ref     bool
 	valid   bool
@@ -61,37 +60,35 @@ type Frame struct {
 	// shares (circular scans re-read the same resident pages every sweep).
 	// Opening validates the whole page and decodes its dictionary and raw
 	// segments; a fixed-width column is decoded, once, by the first reader
-	// that asks the batch for it, straight from data. The frame owns one
-	// reference; eviction drops it, and leaves data to the batch when other
-	// readers still hold it with columns undecoded (dropDecoded).
+	// that asks the batch for it, straight from the lent page. The frame owns
+	// one reference; eviction drops it, and leaves the lease to the batch when
+	// other readers still hold it with columns undecoded (dropDecoded).
 	decMu  sync.Mutex
 	cb     *vec.ColBatch
 	src    *pageSource // cb's column source (nil for an empty page)
 	decErr error       // sticky decode failure (corrupt page) for this residency
 }
 
-// frameBufs lists the arena pages under a pool's frames, one per frame (nil
-// while the frame has none), for the one purpose of giving them back when the
-// pool is collected without Close: frames point at their pool, so a finalizer
-// on the pool itself would never run.
-type frameBufs struct{ pages [][]byte }
+// frameLeases lists the leases of a pool's frames, one per frame, for the one
+// purpose of returning them when the pool is collected without Close: frames
+// point at their pool, so a finalizer on the pool itself would never run.
+type frameLeases struct{ held []Lease }
 
-func (b *frameBufs) reclaim() {
-	for _, pg := range b.pages {
-		if pg != nil {
-			arena.Reclaim(pg)
-		}
+func (l *frameLeases) reclaim() {
+	for _, lease := range l.held {
+		lease.release(arena.Reclaim)
 	}
 }
 
-// setData gives the frame a buffer, or none.
-func (fr *Frame) setData(page []byte) {
-	fr.data = page
-	fr.pool.bufs.pages[fr.slot] = page
+// setLease gives the frame a page, or none.
+func (fr *Frame) setLease(l Lease) {
+	fr.lease = l
+	fr.pool.leases.held[fr.slot] = l
 }
 
-// Data returns the page bytes. Valid only while the frame is pinned.
-func (fr *Frame) Data() []byte { return fr.data }
+// Data returns the page bytes, which must not be written. Valid only while
+// the frame is pinned.
+func (fr *Frame) Data() []byte { return fr.lease.Page }
 
 // DecodedCols returns the frame's page as a columnar batch, opening it
 // (openPage: validate everything, decode what can fail) on first use per
@@ -104,7 +101,7 @@ func (fr *Frame) Data() []byte { return fr.data }
 func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 	fr.decMu.Lock()
 	if fr.cb == nil && fr.decErr == nil {
-		if fr.cb, fr.src, fr.decErr = openPage(fr.data, ncols, fr.pool.colsDecoded); fr.decErr == nil {
+		if fr.cb, fr.src, fr.decErr = openPage(fr.lease.Page, ncols, fr.pool.colsDecoded); fr.decErr == nil {
 			fr.pool.decoded.Add(1)
 		}
 	}
@@ -120,7 +117,7 @@ func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 }
 
 // PoolStats are cumulative buffer pool counters, plus one gauge: Frames is
-// the number of frames materialised so far (each holds PageSize bytes), at
+// the number of frames materialised so far (each can lend one disk page), at
 // most the capacity Size reports.
 type PoolStats struct {
 	Hits      int64
@@ -152,24 +149,25 @@ type DecodeStats struct {
 }
 
 // BufferPool caches disk pages in at most a fixed number of frames with clock
-// eviction. The capacity is a cap, not a reservation: a frame (and its
-// PageSize bytes) is materialised by the first miss that needs one, so a pool
-// sized generously for a small database holds only what was fetched. Frame
-// buffers are arena pages (arena.Frame): Close gives back every one the pool
-// still owns and drops the frames' references on their batches; batches that
-// readers retained live on, with the page buffers they still decode from. It is
-// safe for concurrent use; a page requested by several scanners at once is
-// read from disk exactly once (single-flight loading) — this is the mechanism
-// through which circular shared scans turn k concurrent table scans into
-// roughly one disk sweep.
+// eviction. The capacity is a cap, not a reservation: a frame is materialised
+// by the first miss that needs one, so a pool sized generously for a small
+// database holds only what was fetched. A frame's page is the disk's, lent
+// (Disk.ReadPage) rather than copied: residency — hits, misses, the clock,
+// device time per miss — is modelled, and the bytes are held once. Close
+// returns every lease the frames hold and drops their references on their
+// batches; batches that readers retained live on, with the leases they still
+// decode from. It is safe for concurrent use; a page requested by several
+// scanners at once is read from disk exactly once (single-flight loading) —
+// this is the mechanism through which circular shared scans turn k concurrent
+// table scans into roughly one disk sweep.
 type BufferPool struct {
 	disk     Disk
 	capacity int
 
 	mu     sync.Mutex
-	frames []*Frame   // materialised frames, in the order the clock visits them
-	bufs   *frameBufs // frames[i]'s buffer
-	free   []*Frame   // the invalid frames (every frame with valid == false)
+	frames []*Frame     // materialised frames, in the order the clock visits them
+	leases *frameLeases // frames[i]'s lease
+	free   []*Frame     // the invalid frames (every frame with valid == false)
 	table  map[pageKey]*Frame
 	hand   int
 	closed bool
@@ -209,12 +207,12 @@ func NewBufferPool(disk Disk, npages int) *BufferPool {
 	if npages < 1 {
 		npages = 1
 	}
-	bufs := new(frameBufs)
-	runtime.SetFinalizer(bufs, (*frameBufs).reclaim)
+	leases := new(frameLeases)
+	runtime.SetFinalizer(leases, (*frameLeases).reclaim)
 	return &BufferPool{
 		disk:        disk,
 		capacity:    npages,
-		bufs:        bufs,
+		leases:      leases,
 		colsDecoded: new(atomic.Int64),
 		table:       make(map[pageKey]*Frame),
 		retryMax:    DefaultFetchRetries,
@@ -280,24 +278,22 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	fr.ref = true
 	fr.loadErr = nil
 	// The frame was unpinned when victimLocked picked it, so no decode
-	// call can be in flight; dropping the cache here is race-free.
-	fr.dropDecoded()
-	if fr.data == nil { // a new frame, or one whose buffer went with its batch
-		fr.setData(arena.Take(arena.Frame))
-	}
+	// call can be in flight; dropping the cache and the lease is race-free.
+	fr.close()
 	ch := make(chan struct{})
 	fr.loading = ch
 	p.table[key] = fr
 	p.misses.Add(1)
 	p.mu.Unlock()
 
-	readErr := p.readPageRetry(f, idx, fr.data)
+	lease, readErr := p.readPageRetry(f, idx)
 	var pageErr *PageError
 	if readErr != nil {
 		pageErr = p.newPageError(f, idx, readErr)
 	}
 
 	p.mu.Lock()
+	fr.setLease(lease)
 	fr.loadErr = nil
 	if pageErr != nil {
 		fr.loadErr = pageErr
@@ -321,14 +317,14 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 // retry budget with jittered exponential backoff. The fault-free path is a
 // single delegated read: no clock, no allocation, no branch beyond the nil
 // check.
-func (p *BufferPool) readPageRetry(f FileID, idx int, buf []byte) error {
-	err := p.disk.ReadPage(f, idx, buf)
+func (p *BufferPool) readPageRetry(f FileID, idx int) (Lease, error) {
+	l, err := p.disk.ReadPage(f, idx)
 	for attempt := 0; err != nil && attempt < p.retryMax && IsTransient(err); attempt++ {
 		p.retries.Add(1)
 		time.Sleep(jitteredBackoff(p.retryBase, attempt))
-		err = p.disk.ReadPage(f, idx, buf)
+		l, err = p.disk.ReadPage(f, idx)
 	}
-	return err
+	return l, err
 }
 
 // jitteredBackoff is full jitter around an exponentially growing base:
@@ -406,27 +402,26 @@ func (p *BufferPool) ClearQuarantine() {
 }
 
 // invalidateLocked retires a frame that has just left the page table without
-// being handed to a new page: its decode cache is dropped and it joins the
-// free list, which victimLocked drains before the pool grows or evicts.
+// being handed to a new page: its decode cache is dropped, its lease returned,
+// and it joins the free list, which victimLocked drains before the pool grows
+// or evicts.
 func (p *BufferPool) invalidateLocked(fr *Frame) {
 	fr.valid = false
-	fr.dropDecoded()
+	fr.close()
 	p.free = append(p.free, fr)
 }
 
 // dropDecoded forgets the frame's decode cache. The frame's reference on the
 // columnar batch is released — readers that retained their own keep the batch
 // alive until they release it, and may yet ask it for a column it decodes
-// from the page bytes: then the buffer goes to the batch's source, which frees
-// it with the batch, and the frame is left without one rather than load the
-// next page over those bytes. The frame is unpinned here, so nobody can be
-// taking a new reference.
+// from the page bytes: then the lease goes to the batch's source, which
+// returns it with the batch, and the frame is left without one. The frame is
+// unpinned here, so nobody can be taking a new reference.
 func (fr *Frame) dropDecoded() {
 	if fr.cb != nil {
 		if fr.cb.SourceShared() {
-			arena.Retag(fr.data, arena.Held)
-			fr.src.held = fr.data // read by the source's Close, after our Release
-			fr.setData(nil)
+			fr.src.lease = fr.lease // read by the source's Close, after our Release
+			fr.setLease(Lease{})
 		}
 		fr.cb.Release()
 		fr.cb, fr.src = nil, nil
@@ -480,18 +475,17 @@ func (p *BufferPool) unpinLocked(fr *Frame) {
 	}
 }
 
-// close releases an unpinned frame's batch reference and buffer for good.
+// close releases an unpinned frame's batch reference and its lease: the
+// frame is evicted, invalidated or closed with its pool.
 func (fr *Frame) close() {
 	fr.dropDecoded()
-	if fr.data != nil {
-		arena.Free(fr.data)
-		fr.setData(nil)
-	}
+	fr.lease.Release()
+	fr.setLease(Lease{})
 }
 
 // Close releases every frame: its reference on its page's batch and its
-// buffer (to the batch's source when readers still hold the batch with columns
-// undecoded, to the arena otherwise). Fetches fail with ErrPoolClosed
+// lease (to the batch's source when readers still hold the batch with columns
+// undecoded, to the disk otherwise). Fetches fail with ErrPoolClosed
 // afterwards; batches handed out earlier stay valid until their holders
 // release them. A frame that is pinned is released by its last Unpin instead,
 // and reported: the pool's users are expected to have stopped. Close is
@@ -536,7 +530,7 @@ func (p *BufferPool) victimLocked() (*Frame, error) {
 	if len(p.frames) < p.capacity {
 		fr := &Frame{pool: p, slot: len(p.frames)}
 		p.frames = append(p.frames, fr)
-		p.bufs.pages = append(p.bufs.pages, nil)
+		p.leases.held = append(p.leases.held, Lease{})
 		return fr, nil
 	}
 	for sweep := 0; sweep < 2*len(p.frames); sweep++ {

@@ -72,25 +72,27 @@ func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
 
 // pageSource is the column source of an opened page: the validated segments
 // the batch has not decoded yet, the page bytes they read, and the memory of
-// the fixed-width columns decoded so far. It owns arena pages and frees them in
-// Close, at the batch's last Release:
+// the fixed-width columns decoded so far. What it owns it gives back in Close,
+// at the batch's last Release:
 //
-//   - pages hold the decoded encInt and encFloat columns — payload, and tags
-//     when the column has NULLs or several kinds — bump-allocated one after
-//     another; the batch's columns borrow them (vec.Vec) and never outlive them;
-//   - held is the page buffer itself, once the frame that read it has been
-//     evicted, or its pool closed, while readers of the batch could still ask
-//     for an undecoded column (dropDecoded). Until then the buffer is the
-//     frame's, and the source must not outlive a rewrite of it.
+//   - pages are arena pages holding the decoded encInt and encFloat columns —
+//     payload, and tags when the column has NULLs or several kinds —
+//     bump-allocated one after another; the batch's columns borrow them
+//     (vec.Vec) and never outlive them;
+//   - lease is the disk's lease on the page bytes, once the frame that held
+//     it has been evicted, or its pool closed, while readers of the batch
+//     could still ask for an undecoded column (dropDecoded). Until then the
+//     lease is the frame's. Lent bytes never change (a write to a lent page
+//     installs a fresh one), so the segments read the same page either way.
 //
-// A source the collector finds before its batch was released gives the pages
-// back from its finalizer.
+// A source the collector finds before its batch was released gives both back
+// from its finalizer.
 type pageSource struct {
 	nrows   int
 	segs    []segment
 	decoded *atomic.Int64 // the pool's ColsDecoded counter
 
-	held  []byte
+	lease Lease
 	pages [][]byte
 	used  int // bytes taken of the last of pages
 }
@@ -154,9 +156,7 @@ func (s *pageSource) Close() {
 func (s *pageSource) reclaim() { s.free(arena.Reclaim) }
 
 func (s *pageSource) free(free func([]byte)) {
-	if s.held != nil {
-		free(s.held)
-	}
+	s.lease.release(free)
 	for _, pg := range s.pages {
 		free(pg)
 	}

@@ -69,7 +69,7 @@ func TestZoneMapsPersistedOnFlush(t *testing.T) {
 
 	// The on-disk header must agree with the flush-time cache.
 	page := make([]byte, PageSize)
-	if err := c.Disk().ReadPage(tbl.File.ID(), 0, page); err != nil {
+	if err := readInto(c.Disk(), tbl.File.ID(), 0, page); err != nil {
 		t.Fatal(err)
 	}
 	disk := ReadPageZones(page)
@@ -216,7 +216,7 @@ func TestPageZonesWhileLoading(t *testing.T) {
 	wg.Wait()
 	page := make([]byte, PageSize)
 	for idx := 0; idx < tbl.File.NumPages(); idx++ {
-		if err := c.Disk().ReadPage(tbl.File.ID(), idx, page); err != nil {
+		if err := readInto(c.Disk(), tbl.File.ID(), idx, page); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := tbl.File.PageZones(idx), ReadPageZones(page); !slices.Equal(got, want) {

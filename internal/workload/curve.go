@@ -426,8 +426,7 @@ func snapshot(env *Env, e *engine.Engine, gw *service.Gateway) map[string]float6
 	// role), batch_bytes_out and batch_bytes_parked.
 	as := arena.Snapshot()
 	m["arena_mapped_bytes"], m["arena_pages_in_use"] = float64(as.MappedBytes), float64(as.PagesInUse)
-	m["arena_pages_device"], m["arena_pages_frames"] = float64(as.PagesDevice), float64(as.PagesFrames)
-	m["arena_pages_held"], m["arena_pages_decoded"] = float64(as.PagesHeld), float64(as.PagesDecoded)
+	m["arena_pages_device"], m["arena_pages_decoded"] = float64(as.PagesDevice), float64(as.PagesDecoded)
 	m["arena_reclaimed"] = float64(as.Reclaimed)
 	if env.Fault != nil {
 		m["injected_reads"] = float64(env.Fault.Injected())

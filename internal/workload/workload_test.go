@@ -131,15 +131,16 @@ func TestGeneratedPagesMatchRecordedDigests(t *testing.T) {
 	got := map[string]string{}
 	digest := func(prefix string, cat *storage.Catalog, tables ...*storage.Table) {
 		t.Helper()
-		page := make([]byte, storage.PageSize)
 		for _, tbl := range tables {
 			h := sha256.New()
 			n := tbl.File.NumPages()
 			for i := 0; i < n; i++ {
-				if err := cat.Disk().ReadPage(tbl.File.ID(), i, page); err != nil {
+				l, err := cat.Disk().ReadPage(tbl.File.ID(), i)
+				if err != nil {
 					t.Fatal(err)
 				}
-				h.Write(page)
+				h.Write(l.Page)
+				l.Release()
 			}
 			got[prefix+"/"+tbl.Name] = fmt.Sprintf("%d:%x", n, h.Sum(nil)[:8])
 		}
@@ -616,8 +617,9 @@ func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 }
 
 // TestEnvCloseLeavesArenaEmpty loads SSB, runs one shared sweep and one
-// query-centric plan, and closes: every page the disk, the pool and the opened
-// batches took is back in the arena, none of them through a finalizer, and —
+// query-centric plan, and closes: every page the disk and the opened batches
+// took, and every lease the pool took on the disk's, is back, none of them
+// through a finalizer, and —
 // when nothing else in the process holds pages, as in the perf-smoke step that
 // runs this test alone — the arena is empty and down to one mapped chunk.
 func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
@@ -636,8 +638,8 @@ func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
 	}
 	mid := arena.Snapshot()
 	if np := int64(env.SSB.Lineorder.File.NumPages()); mid.PagesDevice-before.PagesDevice < np ||
-		mid.PagesFrames-before.PagesFrames < np || mid.PagesDecoded == before.PagesDecoded {
-		t.Errorf("a loaded, swept database should hold device, frame and decoded pages: %+v", mid)
+		env.Cat.Pool().Stats().Frames < int(np) || mid.PagesDecoded == before.PagesDecoded {
+		t.Errorf("a loaded, swept database should hold device and decoded pages, and frames lent the fact table: %+v, %+v", mid, env.Cat.Pool().Stats())
 	}
 	env.Close()
 	env.Close() // idempotent
@@ -647,5 +649,35 @@ func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
 	}
 	if before.PagesInUse == 0 && after.MappedBytes > 2<<20 {
 		t.Errorf("an empty arena keeps %d bytes mapped, want at most one 2 MiB chunk", after.MappedBytes)
+	}
+}
+
+// TestMemoryResidentHoldsEachPageOnce: after a full CJOIN sweep of a
+// memory-resident database, whose pool has a frame for every page, the arena
+// holds the disk's pages and the decoded columns and nothing else — every
+// resident page is the device's, lent to its frame, not a copy of it.
+func TestMemoryResidentHoldsEachPageOnce(t *testing.T) {
+	arena.Settle()
+	before := arena.Snapshot()
+	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	e := env.Engine(engine.Config{})
+	in := ssb.Instantiate(env.SSB, ssb.Q2_1, rand.New(rand.NewSource(3)))
+	if _, err := e.Execute(context.Background(), in.Plan(true)); err != nil {
+		t.Fatal(err)
+	}
+	st, ps := arena.Snapshot(), env.Cat.Pool().Stats()
+	if np := env.SSB.Lineorder.File.NumPages(); ps.Misses < int64(np) || ps.Frames < np {
+		t.Fatalf("the sweep did not make the fact table resident: %+v for %d pages", ps, np)
+	}
+	device, decoded := st.PagesDevice-before.PagesDevice, st.PagesDecoded-before.PagesDecoded
+	if got := st.PagesInUse - before.PagesInUse; got != device+decoded {
+		t.Errorf("%d pages in use, want the %d device and %d decoded pages", got, device, decoded)
+	}
+	if written := env.Disk.Stats().PageWrites; device != written {
+		t.Errorf("%d device pages for the %d pages written: resident pages are not the disk's", device, written)
 	}
 }
