@@ -15,46 +15,39 @@ import (
 	"repro/internal/vec"
 )
 
-// randJoinDatum draws a join-key datum of the given class. Small domains
-// force duplicate build keys and probe hits; class 3 mixes every kind
-// (including NULL) in one column.
-func randJoinDatum(r *rand.Rand, class int) types.Datum {
-	if r.Intn(10) == 0 {
-		return types.Null // ~10% NULL keys in every class
-	}
-	switch class {
-	case 0:
-		return types.NewInt(int64(r.Intn(12)))
-	case 1:
-		// Halves collide with ints half the time, exercising the
-		// cross-kind numeric equality of Datum.Compare.
-		return types.NewFloat(float64(r.Intn(24)) / 2)
-	case 2:
-		return types.NewString(fmt.Sprintf("key-%d", r.Intn(12)))
-	default:
-		switch r.Intn(3) {
-		case 0:
-			return types.NewInt(int64(r.Intn(8)))
-		case 1:
-			return types.NewFloat(float64(r.Intn(16)) / 2)
-		default:
-			return types.NewString(fmt.Sprintf("key-%d", r.Intn(8)))
-		}
-	}
-}
+// joinKinds are the kinds of a join case's key and payload columns.
+var joinKinds = []types.Kind{types.KindInt, types.KindFloat, types.KindString}
 
-// randPayload draws one non-key payload datum.
-func randPayload(r *rand.Rand, i int) types.Datum {
-	switch r.Intn(4) {
-	case 0:
-		return types.NewInt(int64(i))
-	case 1:
-		return types.NewFloat(float64(i) + 0.25)
-	case 2:
-		return types.NewString(fmt.Sprintf("p%d", i))
-	default:
+// randJoinDatum draws a join-key datum of kind k from a domain of n values,
+// so duplicate build keys and probe hits are common; ~10% of keys are NULL.
+// Float keys are halves: the integral ones equal int keys, exercising the
+// cross-kind numeric equality of Datum.Compare.
+func randJoinDatum(r *rand.Rand, k types.Kind, n int) types.Datum {
+	if r.Intn(10) == 0 {
 		return types.Null
 	}
+	switch k {
+	case types.KindInt:
+		return types.NewInt(int64(r.Intn(n)))
+	case types.KindFloat:
+		return types.NewFloat(float64(r.Intn(2*n)) / 2)
+	}
+	return types.NewString(fmt.Sprintf("key-%d", r.Intn(n)))
+}
+
+// randPayload draws one non-key payload datum of kind k, a quarter of them
+// NULL.
+func randPayload(r *rand.Rand, k types.Kind, i int) types.Datum {
+	if r.Intn(4) == 0 {
+		return types.Null
+	}
+	switch k {
+	case types.KindInt:
+		return types.NewInt(int64(i))
+	case types.KindFloat:
+		return types.NewFloat(float64(i) + 0.25)
+	}
+	return types.NewString(fmt.Sprintf("p%d", i))
 }
 
 // joinCase is one randomized join fixture: two sealed tables, the key
@@ -71,17 +64,25 @@ type joinCase struct {
 // cardinalities (including empty build sides), random payload columns, and
 // optional filters so scans publish view batches under real selections.
 // Sorts are mixed in on either side so the operator also sees a sort's own
-// output batches.
+// output batches. Classes 0–2 join keys of one kind (int, float, string);
+// class 3 gives each table a key kind of its own, so int meets float and
+// string meets a number in one join.
 func buildJoinCase(t *testing.T, r *rand.Rand) joinCase {
 	t.Helper()
 	class := r.Intn(4)
+	lk, rk, domain := joinKinds[class%3], joinKinds[class%3], 12
+	if class == 3 {
+		i := r.Intn(3)
+		lk, rk, domain = joinKinds[i], joinKinds[(i+1+r.Intn(2))%3], 8
+	}
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 
-	mkTable := func(name string, nrows int) (*storage.Table, []types.Row) {
+	mkTable := func(name string, nrows int, kk types.Kind) (*storage.Table, []types.Row) {
+		vk := joinKinds[r.Intn(3)]
 		schema := types.NewSchema(
 			types.Column{Name: name + "_sel", Kind: types.KindInt},
-			types.Column{Name: name + "_k", Kind: types.KindInt},
-			types.Column{Name: name + "_v", Kind: types.KindString},
+			types.Column{Name: name + "_k", Kind: kk},
+			types.Column{Name: name + "_v", Kind: vk},
 		)
 		tab, err := cat.CreateTable(name, schema)
 		if err != nil {
@@ -91,8 +92,8 @@ func buildJoinCase(t *testing.T, r *rand.Rand) joinCase {
 		for i := range rows {
 			rows[i] = types.Row{
 				types.NewInt(int64(r.Intn(10))),
-				randJoinDatum(r, class),
-				randPayload(r, i),
+				randJoinDatum(r, kk, domain),
+				randPayload(r, vk, i),
 			}
 		}
 		if nrows > 0 {
@@ -110,8 +111,8 @@ func buildJoinCase(t *testing.T, r *rand.Rand) joinCase {
 	if r.Intn(10) == 0 {
 		nr = 0 // empty build side
 	}
-	left, lrows := mkTable("l", nl)
-	right, rrows := mkTable("r", nr)
+	left, lrows := mkTable("l", nl, lk)
+	right, rrows := mkTable("r", nr, rk)
 
 	filtered := func(tab *storage.Table, rows []types.Row) (plan.Node, []types.Row) {
 		var n plan.Node = plan.NewScan(tab)
@@ -197,7 +198,8 @@ func randOutList(r *rand.Rand, width int) []int {
 // The columnar hash join must agree with a naive nested-loop join — and with
 // the row-materializing reference operator — over random plans covering
 // duplicate build keys, NULL keys on both sides, empty build sides,
-// int/float/string/dict/mixed key columns, random selections, sorted
+// int/float/string/dict key columns, tables keyed by different kinds
+// (integral floats equal ints), random selections, sorted
 // inputs on either side, and random output lists: full width, narrowed,
 // empty (an existence probe, which must still emit one row per match) and
 // lists that drop the key column.

@@ -12,16 +12,16 @@ import (
 
 // buildPruneTable loads a multi-page table whose pages have distinct zone
 // characters: values clustered per block (so zone bounds are narrow), plus
-// NULL-run, all-NULL and mixed-class stretches. Columns: 0 = clustered int
-// (NULL runs), 1 = clustered string, 2 = int that turns mixed-class in some
-// blocks, 3 = string padding (forces multiple pages).
+// NULL-run and all-NULL stretches. Columns: 0 = clustered int (NULL runs),
+// 1 = clustered string, 2 = float (a column without bounds on every page),
+// 3 = string padding (forces multiple pages).
 func buildPruneTable(t *testing.T, r *rand.Rand) *storage.Table {
 	t.Helper()
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
 	tbl, err := cat.CreateTable("p", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindString},
-		types.Column{Name: "c", Kind: types.KindInt},
+		types.Column{Name: "c", Kind: types.KindFloat},
 		types.Column{Name: "pad", Kind: types.KindString},
 	))
 	if err != nil {
@@ -29,7 +29,7 @@ func buildPruneTable(t *testing.T, r *rand.Rand) *storage.Table {
 	}
 	const blocks, rowsPerBlock = 10, 130
 	for blk := 0; blk < blocks; blk++ {
-		flavor := blk % 5 // 0,1 normal; 2 NULL run; 3 all NULL; 4 mixed class
+		flavor := blk % 4 // 0,1 normal; 2 NULL run; 3 all NULL
 		base := int64(blk * 1000)
 		for i := 0; i < rowsPerBlock; i++ {
 			a := types.NewInt(base + r.Int63n(200))
@@ -40,10 +40,7 @@ func buildPruneTable(t *testing.T, r *rand.Rand) *storage.Table {
 				a = types.Null
 			}
 			b := types.NewString(fmt.Sprintf("k%02d-%03d", blk, r.Intn(100)))
-			c := types.NewInt(r.Int63n(500))
-			if flavor == 4 && i%7 == 0 {
-				c = types.NewString("not-an-int") // mixed-class column
-			}
+			c := types.NewFloat(float64(r.Int63n(1000)) / 2)
 			// Unique padding defeats dictionary compression so the table
 			// spans several pages at a modest row count.
 			pad := types.NewString(fmt.Sprintf("%0200d", r.Int63()))
@@ -95,7 +92,7 @@ func randPred(r *rand.Rand, depth int) expr.Expr {
 			set[i] = types.NewInt(r.Int63n(11000))
 		}
 		return expr.NewIn(expr.C(0, "a"), set...)
-	case 5: // cmp on the mixed-class column (must never prune on flavor-4 pages)
+	case 5: // cmp on the float column (unknown zones: must never prune)
 		return expr.NewCmp(op, expr.C(2, "c"), expr.Int(r.Int63n(600)))
 	case 6: // NULL literal: false for every row, pruneNever for every page
 		return expr.NewCmp(op, expr.C(0, "a"), expr.Const{D: types.Null})
@@ -116,8 +113,7 @@ func pageRows(t *testing.T, hf *storage.HeapFile, idx int) []types.Row {
 }
 
 // TestPruningEquivalenceProperty is the pruning ≡ no-pruning property: for
-// random predicates over pages with NULL-run, all-NULL and mixed-class
-// columns, a page whose zone check fails must contribute zero surviving
+// random predicates over pages with NULL-run, all-NULL and float columns, a page whose zone check fails must contribute zero surviving
 // rows, and the surviving multiset with pruning equals the one without.
 func TestPruningEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -155,8 +151,8 @@ func TestPruningEquivalenceProperty(t *testing.T) {
 
 // TestZoneBoundsSound checks the persisted zone maps directly: every non-NULL
 // value on a page falls inside its column's advertised bounds, all-NULL
-// columns carry the null-only flag (no usable bounds), and mixed-class
-// columns report unknown.
+// columns carry the null-only flag (no usable bounds), and float columns
+// report unknown.
 func TestZoneBoundsSound(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	tbl := buildPruneTable(t, r)
@@ -169,15 +165,14 @@ func TestZoneBoundsSound(t *testing.T) {
 		}
 		rows := pageRows(t, hf, idx)
 		for col, z := range zones {
-			allNull, mixed := true, false
-			kinds := map[types.Kind]bool{}
+			allNull, floats := true, false
 			for _, row := range rows {
 				d := row[col]
 				if d.IsNull() {
 					continue
 				}
 				allNull = false
-				kinds[d.K] = true
+				floats = d.K == types.KindFloat
 				if z.Flags&storage.ZoneInt != 0 && d.K == types.KindInt {
 					if d.I < z.MinI || d.I > z.MaxI {
 						t.Fatalf("page %d col %d: value %d outside zone [%d,%d]", idx, col, d.I, z.MinI, z.MaxI)
@@ -189,15 +184,14 @@ func TestZoneBoundsSound(t *testing.T) {
 					}
 				}
 			}
-			mixed = len(kinds) > 1
 			switch {
 			case allNull:
 				if z.Flags&(storage.ZoneInt|storage.ZoneStr) != 0 {
 					t.Fatalf("page %d col %d: all-NULL column advertises bounds (flags %b)", idx, col, z.Flags)
 				}
-			case mixed:
-				if !z.Unknown() && z.Flags&(storage.ZoneInt|storage.ZoneStr) != 0 {
-					t.Fatalf("page %d col %d: mixed-class column advertises bounds (flags %b)", idx, col, z.Flags)
+			case floats:
+				if !z.Unknown() {
+					t.Fatalf("page %d col %d: float column advertises bounds (flags %b)", idx, col, z.Flags)
 				}
 				sawUnknown = true
 			}

@@ -15,11 +15,12 @@ import (
 // The admission oracle: a reference that knows nothing of the builder's
 // incremental state. It folds each staged row into plain per-column facts —
 // the set of non-NULL kinds seen, kind runs, the int-class frame, the distinct
-// strings, the raw datum-stream size — derives each column's encoding from the
-// kinds seen, and charges the size bound the page format has always charged.
-// The builder must admit a row exactly when that bound, with the row staged,
-// fits PageSize, and its page must equal the page the reference writes for the
-// admitted rows.
+// strings — derives each column's encoding from the kinds seen, and charges the
+// size bound the page format has always charged. The builder must admit a row
+// exactly when that bound, with the row staged, fits PageSize, must refuse a
+// row holding a datum of another kind than its column's, naming the first such
+// column its staging reaches, and its page must equal the page the reference
+// writes for the admitted rows.
 
 // refCol is what the reference knows about one column of the staged rows.
 type refCol struct {
@@ -30,7 +31,6 @@ type refCol struct {
 	strs       map[string]bool
 	dictBytes  int // Σ uvarint length + bytes over the distinct strings
 	maxStrLen  int
-	rawBytes   int // the raw datum stream of every row
 }
 
 func (c *refCol) add(d types.Datum) {
@@ -38,7 +38,6 @@ func (c *refCol) add(d types.Datum) {
 		c.nruns++
 	}
 	c.last = d.K
-	c.rawBytes += datumEncSize(d)
 	switch d.K {
 	case types.KindNull:
 		return
@@ -60,7 +59,8 @@ func (c *refCol) add(d types.Datum) {
 	c.seen |= 1 << d.K
 }
 
-// Column classes as the reference derives them from the kinds seen.
+// Column classes as the reference derives them from the kinds seen (a column
+// of no value is all three).
 func (c *refCol) allNull() bool { return c.seen == 0 }
 func (c *refCol) ints() bool    { return c.seen&^kindsInt == 0 }
 func (c *refCol) floats() bool  { return c.seen&^kindsFloat == 0 }
@@ -78,10 +78,8 @@ func (c *refCol) bound(n int) int {
 		seg = 1 + runs + 8 + 1 + n*forWidth(uint64(c.maxI)-uint64(c.minI))
 	case c.floats():
 		seg = 1 + runs + 8*n
-	case c.strings():
+	default: // strings
 		seg = 1 + runs + 3 + 3 + c.dictBytes + 1 + n*dictCodeWidth(len(c.strs))
-	default:
-		seg = 1 + c.rawBytes
 	}
 	zone := 1
 	if c.ints() {
@@ -113,6 +111,16 @@ func (p *refPage) add(r types.Row) int {
 	return total
 }
 
+// prefixBound is the page bound with r staged in its first n columns only:
+// how far the builder's running total gets before it reaches column n.
+func (p *refPage) prefixBound(r types.Row, n int) int {
+	q := &refPage{}
+	for _, a := range p.rows {
+		q.add(a[:n])
+	}
+	return q.add(r[:n]) + 4*(len(r)-n)
+}
+
 // page writes the staged rows from scratch in the page format.
 func (p *refPage) page() []byte {
 	buf := make([]byte, 0, PageSize)
@@ -139,15 +147,15 @@ func (p *refPage) page() []byte {
 			buf = append(buf, ZoneInt)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.minI))
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.maxI))
-		case c.strings():
+		case c.floats():
+			buf = append(buf, 0)
+		default: // strings
 			lo, hi := sorted[i][0], sorted[i][len(sorted[i])-1]
 			buf = append(buf, ZoneStr)
 			buf = binary.AppendUvarint(buf, uint64(len(lo)))
 			buf = append(buf, lo...)
 			buf = binary.AppendUvarint(buf, uint64(len(hi)))
 			buf = append(buf, hi...)
-		default:
-			buf = append(buf, 0)
 		}
 	}
 	for i := range p.cols {
@@ -197,7 +205,7 @@ func (p *refPage) page() []byte {
 			for _, d := range col {
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.F))
 			}
-		case c.strings():
+		default: // strings
 			buf = runs(append(buf, encDict))
 			buf = binary.AppendUvarint(buf, uint64(c.dictBytes))
 			buf = binary.AppendUvarint(buf, uint64(len(sorted[i])))
@@ -216,36 +224,40 @@ func (p *refPage) page() []byte {
 				}
 				buf = putWidth(buf, uint64(k), width)
 			}
-		default:
-			buf = append(buf, encRaw)
-			for _, d := range col {
-				buf = appendDatum(buf, d)
-			}
 		}
 	}
 	return append(buf, make([]byte, PageSize-len(buf))...)
 }
 
-// Value profiles of a generated column.
+// Value profiles of a generated column, each of one kind.
 const (
 	profConst     = iota // one int: delta width 0
 	profIntNarrow        // ints in a 200-wide frame
 	profIntWide          // full-range ints: delta width 8
-	profIntKinds         // int, date and bool: many kind runs, one class
+	profDate             // dates: int-class, of another kind than int
+	profBool
 	profFloat
 	profStrFew  // a handful of short strings, the empty one among them
 	profStrGrow // a dictionary that keeps growing past 256 entries
 	profStrLong // long random strings: the zone bound grows with them
-	profMixed   // any kind: encRaw from the first rows
-	profNull    // NULL only
+	profNull    // NULL only, in a column of any kind
 	numProfiles
 )
 
+// profKind is the kind of a profile's values.
+var profKind = [numProfiles]types.Kind{
+	profConst: types.KindInt, profIntNarrow: types.KindInt, profIntWide: types.KindInt,
+	profDate: types.KindDate, profBool: types.KindBool, profFloat: types.KindFloat,
+	profStrFew: types.KindString, profStrGrow: types.KindString, profStrLong: types.KindString,
+}
+
 var fewStrings = []string{"", "ASIA", "EUROPE", "AFRICA", "AMERICA", "MIDDLE EAST"}
 
-// colGen draws one column: a profile, NULL runs, and possibly a switch to a
-// second profile partway through the page (a class change mid-page).
+// colGen draws one column of a declared kind: a profile, NULL runs, and
+// possibly a switch partway through the page to a second profile of the same
+// kind or to NULLs.
 type colGen struct {
+	kind       types.Kind
 	prof, then int
 	switchAt   int // row of the switch, -1 for none
 	nullP      float64
@@ -256,8 +268,18 @@ type colGen struct {
 
 func newColGen(r *rand.Rand) *colGen {
 	g := &colGen{prof: r.Intn(numProfiles), switchAt: -1}
+	g.kind = profKind[g.prof]
+	if g.prof == profNull {
+		g.kind = storedKinds[r.Intn(len(storedKinds))]
+	}
 	if r.Intn(3) == 0 {
-		g.then, g.switchAt = r.Intn(numProfiles), r.Intn(800)
+		var same []int
+		for p := range numProfiles {
+			if p == profNull || profKind[p] == g.kind {
+				same = append(same, p)
+			}
+		}
+		g.then, g.switchAt = same[r.Intn(len(same))], r.Intn(800)
 	}
 	g.nullP = []float64{0, 0, 0.02, 0.2}[r.Intn(4)]
 	return g
@@ -282,13 +304,9 @@ func (g *colGen) next(r *rand.Rand) types.Datum {
 		return types.NewInt(1000 + r.Int63n(200))
 	case profIntWide:
 		return types.NewInt(r.Int63() - r.Int63())
-	case profIntKinds:
-		switch r.Intn(3) {
-		case 0:
-			return types.NewInt(r.Int63n(1 << 20))
-		case 1:
-			return types.NewDate(r.Int63n(30000))
-		}
+	case profDate:
+		return types.NewDate(r.Int63n(30000))
+	case profBool:
 		return types.NewBool(r.Intn(2) == 0)
 	case profFloat:
 		return types.NewFloat(r.NormFloat64() * 1e6)
@@ -303,10 +321,17 @@ func (g *colGen) next(r *rand.Rand) types.Datum {
 			b[i] = byte(r.Intn(256))
 		}
 		return types.NewString(string(b))
-	case profMixed:
-		return randRow(r, 1)[0]
 	}
 	return types.Null
+}
+
+// wrongKind draws a value of another kind than k.
+func wrongKind(r *rand.Rand, k types.Kind) types.Datum {
+	for {
+		if w := storedKinds[r.Intn(len(storedKinds))]; w != k {
+			return randDatum(r, w)
+		}
+	}
 }
 
 func TestPageBuilderAdmissionOracle(t *testing.T) {
@@ -322,7 +347,11 @@ func TestPageBuilderAdmissionOracle(t *testing.T) {
 		for i := range gens {
 			gens[i] = newColGen(r)
 		}
-		b := newPageBuilder()
+		kinds := make([]types.Kind, len(gens))
+		for i, g := range gens {
+			kinds[i] = g.kind
+		}
+		b := newPageBuilder(kinds)
 		for pages := 1 + r.Intn(3); pages > 0; pages-- {
 			limit := math.MaxInt // rows to offer before finishing a short page
 			if r.Intn(2) == 0 {
@@ -340,11 +369,26 @@ func TestPageBuilderAdmissionOracle(t *testing.T) {
 				for i, g := range gens {
 					row[i] = g.next(r)
 				}
+				if r.Intn(100) == 0 {
+					// A datum of another kind: refused with its column, or
+					// as a row too large if the columns before it overflow.
+					// Either way the page stays as it was.
+					bad := r.Intn(len(gens))
+					row[bad] = wrongKind(r, gens[bad].kind)
+					if len(ref.rows) >= maxPageRows || ref.prefixBound(row, bad) > PageSize {
+						bad = -1
+					}
+					if ok, got := b.tryAppend(row); ok || got != bad {
+						t.Fatalf("trial %d: row %d (%v) with a wrong kind: tryAppend = %v, %d, want false, %d",
+							trial, len(ref.rows), row, ok, got, bad)
+					}
+					continue
+				}
 				admitted := ref.rows
 				want := ref.add(row) <= PageSize && len(ref.rows) <= maxPageRows
-				if got := b.tryAppend(row); got != want {
-					t.Fatalf("trial %d: row %d (%v): tryAppend = %v, reference bound says %v",
-						trial, len(admitted), row, got, want)
+				if got, bad := b.tryAppend(row); got != want || bad != -1 {
+					t.Fatalf("trial %d: row %d (%v): tryAppend = %v, %d, reference bound says %v",
+						trial, len(admitted), row, got, bad, want)
 				}
 				if want {
 					continue

@@ -64,10 +64,10 @@ func intTable(t *testing.T, cat *Catalog, rows int) *Table {
 // the batch's source owns, the tags of a single-kind column are the shared
 // run — and the last Release gives every page back.
 func TestBorrowedColumnsLiveInTheArena(t *testing.T) {
-	pb := newPageBuilder()
+	pb := newPageBuilder([]types.Kind{types.KindInt, types.KindDate, types.KindFloat})
 	nrows := 0
 	for ; nrows < 1290; nrows++ { // an SSB fact page's row count
-		if !pb.tryAppend(types.Row{types.NewInt(int64(nrows)), types.NewDate(int64(nrows % 7)), types.NewFloat(0.5)}) {
+		if !pb.admit(types.Row{types.NewInt(int64(nrows)), types.NewDate(int64(nrows % 7)), types.NewFloat(0.5)}) {
 			t.Fatal("page full")
 		}
 	}
@@ -114,13 +114,13 @@ func TestBorrowedColumnsLiveInTheArena(t *testing.T) {
 func TestBorrowedColumnsWithNullsAndLongPages(t *testing.T) {
 	nullAt := func(i int) bool { return i%97 == 0 && i < 1000 }
 	for _, nrows := range []int{700, PageSize/8 + 1, 25000} {
-		pb := newPageBuilder()
+		pb := newPageBuilder([]types.Kind{types.KindInt, types.KindInt})
 		for i := 0; i < nrows; i++ {
 			row := types.Row{types.NewInt(int64(i % 200)), types.NewInt(7)}
 			if nullAt(i) {
 				row[1] = types.Null
 			}
-			if !pb.tryAppend(row) {
+			if !pb.admit(row) {
 				t.Fatalf("%d rows do not fit a page", nrows)
 			}
 		}
@@ -212,9 +212,9 @@ func TestBorrowedColumnsNeverAliasedByCopies(t *testing.T) {
 // one of its rows NULL, copies the tags and the payload out of the shared run
 // and the source's page first.
 func TestBorrowedColumnCopiesBeforeWrite(t *testing.T) {
-	pb := newPageBuilder()
+	pb := newPageBuilder([]types.Kind{types.KindInt})
 	for i := 0; i < 100; i++ {
-		pb.tryAppend(types.Row{types.NewInt(int64(i))})
+		pb.admit(types.Row{types.NewInt(int64(i))})
 	}
 	cb, err := DecodePageCols(pb.finish(), 1)
 	if err != nil {

@@ -43,34 +43,29 @@ func dictCodeWidth(n int) int {
 // lengths all fit a page, so three bytes always cover them).
 const uvarUB3 = 3
 
-// colClass is the value class every non-NULL row of a column belongs to,
-// which picks the column's segment encoding. A column starts in classNull and
-// takes the class of its first value; a value of any other class makes it
-// classRaw for the rest of the page. NULLs never change the class (the kind
-// runs carry them).
+// colClass is the value class of a column's declared kind, which picks the
+// column's segment encoding. A column is in classNull until the page's first
+// value and in its kind's class from then on; NULLs never change the class
+// (the kind runs carry them).
 type colClass uint8
 
 const (
 	classNull  colClass = iota // no value yet: encInt over an empty frame
-	classInt                   // int, date and bool rows: encInt
+	classInt                   // int, date and bool columns: encInt
 	classFloat                 // encFloat
 	classStr                   // encDict
-	classRaw                   // mixed value classes: encRaw
 )
 
-// classOf is the class of a datum of kind k (classNull for NULL).
+// classOf is the class of a column of kind k, one of the kinds a schema may
+// declare (KindInt through KindBool).
 func classOf(k types.Kind) colClass {
 	switch k {
-	case types.KindNull:
-		return classNull
-	case types.KindInt, types.KindDate, types.KindBool:
-		return classInt
 	case types.KindFloat:
 		return classFloat
 	case types.KindString:
 		return classStr
 	}
-	panic(fmt.Sprintf("storage: cannot encode kind %v", k))
+	return classInt
 }
 
 // colState is what a column's size bound depends on.
@@ -81,7 +76,6 @@ type colState struct {
 	ndict      int   // dictionary entries (classStr)
 	dictBytes  int   // encoded size of the dictionary region (classStr)
 	maxStrLen  int   // longest dictionary entry (classStr; zone-map size bound)
-	rawBytes   int   // raw datum-stream size of every row (classRaw)
 }
 
 // sizeUB bounds the encoded size of the column's segment for n rows under the
@@ -89,14 +83,12 @@ type colState struct {
 // page-bounded maximum, so the exact encoding never exceeds the bound.
 func (s *colState) sizeUB(n int) int {
 	switch s.class {
-	case classNull, classInt:
-		return intSegUB(n, s.nruns, uint64(s.maxI)-uint64(s.minI))
 	case classFloat:
 		return 1 + runsUB(s.nruns) + n*8
 	case classStr:
 		return 1 + runsUB(s.nruns) + uvarUB3 + uvarUB3 + s.dictBytes + 1 + n*dictCodeWidth(s.ndict)
 	}
-	return 1 + s.rawBytes
+	return intSegUB(n, s.nruns, uint64(s.maxI)-uint64(s.minI)) // classNull, classInt
 }
 
 // runsUB bounds a kind-run header of nruns runs.
@@ -108,12 +100,14 @@ func intSegUB(n, nruns int, span uint64) int {
 	return 1 + runsUB(nruns) + 8 + 1 + n*forWidth(span)
 }
 
-// colBuilder accumulates one column of the page being built. Its colState
-// bounds the column's encoded size after every row; admitting a row stages
-// the state with the row in next and commit applies it, so a row that does
-// not fit is refused with nothing to roll back. The settled int datum
-// (settledInt) skips both: tryAppend stages its frame and stores it.
+// colBuilder accumulates one column of the page being built: NULLs and
+// values of the column's declared kind, nothing else. Its colState bounds the
+// column's encoded size after every row; admitting a row stages the state
+// with the row in next and commit applies it, so a row that does not fit is
+// refused with nothing to roll back. The settled int datum (settledInt) skips
+// both: tryAppend stages its frame and stores it.
 type colBuilder struct {
+	kind  types.Kind // the column's declared kind
 	kinds []types.Kind
 	vals  []uint64         // int payload or float bits by row, up to the last such row
 	strs  []string         // string by row, up to the last string row (nil until one)
@@ -129,45 +123,34 @@ type colBuilder struct {
 func (c *colBuilder) reset() {
 	clear(c.strs)
 	clear(c.dict)
-	*c = colBuilder{kinds: c.kinds[:0], vals: c.vals[:0], strs: c.strs[:0], dict: c.dict}
+	*c = colBuilder{kind: c.kind, kinds: c.kinds[:0], vals: c.vals[:0], strs: c.strs[:0], dict: c.dict}
 }
 
-// stage returns the column's bound — segment and zone entry — with d staged
-// as row n, and stages the state commit applies. The common datum, a value of
-// the column's settled class or a NULL that adds no dictionary entry, reads
-// and stages only the frame of reference and the run count; the first value,
-// a class change, dictionary growth and a raw column take stageGeneral. The
-// settled int datum never gets here (tryAppend admits it inline), so a
-// refused row may leave general set past admitted ones: the next stage
-// resets next from colState before staging into it.
+// stage returns the column's bound — segment and zone entry — with d, a NULL
+// or a value of the column's kind, staged as row n, and stages the state
+// commit applies. The common datum, a NULL or a value that adds no dictionary
+// entry, reads and stages only the frame of reference and the run count; the
+// page's first value and dictionary growth take stageGeneral. The settled int
+// datum never gets here (tryAppend admits it inline), so a refused row may
+// leave general set past admitted ones: the next stage resets next from
+// colState before staging into it.
 func (c *colBuilder) stage(d *types.Datum, n int) int {
 	nruns := c.nruns
 	if nruns == 0 || d.K != c.lastKind {
 		nruns++
 	}
 	lo, hi := c.minI, c.maxI
-	switch c.class {
-	case classInt:
-		if kindsInt&(1<<d.K) == 0 {
+	if d.K != types.KindNull {
+		switch c.class {
+		case classNull:
 			return c.stageGeneral(d, n, nruns)
-		}
-		if d.K != types.KindNull {
+		case classInt:
 			lo, hi = min(lo, d.I), max(hi, d.I)
-		}
-	case classFloat:
-		if kindsFloat&(1<<d.K) == 0 {
-			return c.stageGeneral(d, n, nruns)
-		}
-	case classStr:
-		if d.K == types.KindString {
+		case classStr:
 			if _, ok := c.dict[d.S]; !ok {
 				return c.stageGeneral(d, n, nruns)
 			}
-		} else if d.K != types.KindNull {
-			return c.stageGeneral(d, n, nruns)
 		}
-	default:
-		return c.stageGeneral(d, n, nruns)
 	}
 	if c.general { // a refused row staged more than the frame and the runs
 		c.next, c.general = c.colState, false
@@ -176,33 +159,22 @@ func (c *colBuilder) stage(d *types.Datum, n int) int {
 	return c.next.sizeUB(n) + c.next.zoneUB()
 }
 
-// stageGeneral is stage for the datum that changes more than the frame and
-// the run count.
+// stageGeneral is stage for the value that changes more than the frame and
+// the run count: the page's first value, or a string the dictionary lacks
+// (every string is, on a page without one yet).
 func (c *colBuilder) stageGeneral(d *types.Datum, n, nruns int) int {
 	s := c.colState
 	s.nruns = nruns
-	switch dc := classOf(d.K); {
-	case dc == classNull:
-	case s.class == classNull || s.class == dc: // a first value or a new string
-		switch dc {
-		case classInt:
-			s.minI, s.maxI = d.I, d.I
-		case classStr:
-			if _, ok := c.dict[d.S]; !ok {
-				s.ndict++
-				s.dictBytes += uvarintSize(uint64(len(d.S))) + len(d.S)
-				s.maxStrLen = max(s.maxStrLen, len(d.S))
-			}
-		}
-		s.class = dc
-	default:
-		s.class = classRaw
+	if s.class == classNull {
+		s.class = classOf(c.kind)
 	}
-	if s.class == classRaw {
-		if c.class != classRaw {
-			s.rawBytes = c.rawSize() // the fallback: size what is staged
-		}
-		s.rawBytes += datumEncSize(*d)
+	switch s.class {
+	case classInt: // the first value: a frame of one
+		s.minI, s.maxI = d.I, d.I
+	case classStr:
+		s.ndict++
+		s.dictBytes += uvarintSize(uint64(len(d.S))) + len(d.S)
+		s.maxStrLen = max(s.maxStrLen, len(d.S))
 	}
 	c.next, c.general = s, true
 	return s.sizeUB(n) + s.zoneUB()
@@ -241,28 +213,6 @@ func appendAt[T any](s []T, i int, v T) []T {
 		s = append(s, make([]T, i-len(s))...)
 	}
 	return append(s, v)
-}
-
-// datum rebuilds staged row i.
-func (c *colBuilder) datum(i int) types.Datum {
-	switch k := c.kinds[i]; k {
-	case types.KindInt, types.KindDate, types.KindBool:
-		return types.Datum{K: k, I: int64(c.vals[i])}
-	case types.KindFloat:
-		return types.Datum{K: k, F: math.Float64frombits(c.vals[i])}
-	case types.KindString:
-		return types.Datum{K: k, S: c.strs[i]}
-	}
-	return types.Null
-}
-
-// rawSize is the raw datum-stream size of the staged rows.
-func (c *colBuilder) rawSize() int {
-	n := 0
-	for i := range c.kinds {
-		n += datumEncSize(c.datum(i))
-	}
-	return n
 }
 
 // appendKindRuns encodes the column's kind/null run header.
@@ -349,7 +299,7 @@ func (c *colBuilder) encode(buf []byte) []byte {
 		buf = append(buf, encFloat)
 		buf = c.appendKindRuns(buf)
 		return c.appendWords(buf, 1<<types.KindFloat, 0, 8)
-	case classStr:
+	default: // classStr
 		buf = append(buf, encDict)
 		buf = c.appendKindRuns(buf)
 		entries := make([]string, 0, len(c.dict))
@@ -382,12 +332,6 @@ func (c *colBuilder) encode(buf []byte) []byte {
 			}
 		}
 		return buf
-	default:
-		buf = append(buf, encRaw)
-		for i := range c.kinds {
-			buf = appendDatum(buf, c.datum(i))
-		}
-		return buf
 	}
 }
 
@@ -411,38 +355,47 @@ type pageBuilder struct {
 // frame is a column's frame of reference with one datum staged.
 type frame struct{ lo, hi int64 }
 
-func newPageBuilder() *pageBuilder {
-	return &pageBuilder{buf: make([]byte, 0, PageSize)}
+// newPageBuilder returns a builder of pages whose columns are of the given
+// kinds, each one a schema may declare.
+func newPageBuilder(kinds []types.Kind) *pageBuilder {
+	b := &pageBuilder{
+		cols:   make([]colBuilder, len(kinds)),
+		frames: make([]frame, len(kinds)),
+		buf:    make([]byte, 0, PageSize),
+	}
+	for i, k := range kinds {
+		b.cols[i].kind = k
+	}
+	return b
 }
 
-// tryAppend stages r into the page; it returns false (leaving the page
-// unchanged) if the encoded page would overflow PageSize. A settled int datum
-// stages only its frame, in b.frames, and is stored here when the row fits;
-// every other datum goes through stage and commit.
-func (b *pageBuilder) tryAppend(r types.Row) bool {
+// tryAppend stages r, a row of the builder's width, into the page and
+// reports whether it did. It refuses r, leaving the page unchanged, when the
+// encoded page would overflow PageSize (bad is -1) or when r[bad] is neither
+// NULL nor of its column's kind. A settled int datum stages only its frame,
+// in b.frames, and is stored here when the row fits; every other datum goes
+// through stage and commit.
+func (b *pageBuilder) tryAppend(r types.Row) (ok bool, bad int) {
 	if b.rows >= maxPageRows {
-		return false
-	}
-	if len(b.cols) < len(r) {
-		// First row of a page fixes the width (heap files are
-		// schema-checked, so every row of a file has the same width).
-		b.cols = append(b.cols, make([]colBuilder, len(r)-len(b.cols))...)
-		b.frames = make([]frame, len(b.cols))
+		return false, -1
 	}
 	cols, frames := b.cols[:len(r)], b.frames[:len(r)]
 	total := pageFixedHeader + 4*len(r)
 	n := b.rows + 1
 	for i := range r {
 		c, d := &cols[i], &r[i]
-		if c.settledInt(d) {
+		switch {
+		case c.settledInt(d): // of the last row's kind, so of the column's
 			lo, hi := min(c.minI, d.I), max(c.maxI, d.I)
 			frames[i] = frame{lo, hi}
 			total += intSegUB(n, c.nruns, uint64(hi)-uint64(lo)) + intZoneUB
-		} else {
+		case d.K != c.kind && d.K != types.KindNull:
+			return false, i
+		default:
 			total += c.stage(d, n)
 		}
 		if total > PageSize {
-			return false
+			return false, -1
 		}
 	}
 	for i := range r {
@@ -456,7 +409,7 @@ func (b *pageBuilder) tryAppend(r types.Row) bool {
 		}
 	}
 	b.rows++
-	return true
+	return true, -1
 }
 
 // finish encodes the staged columns into a PageSize page and resets the

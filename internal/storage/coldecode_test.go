@@ -8,16 +8,35 @@ import (
 	"repro/internal/types"
 )
 
-// randSchemaRows derives a random schema and rows under it. Values mostly
-// match the declared column kind, with occasional NULLs and kind mismatches
-// (the encoding is per-datum tagged, so heterogeneous columns are legal and
-// the columnar decoder must preserve them).
+// storedKinds are the kinds a schema may declare: every kind but NULL.
+var storedKinds = []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindDate, types.KindBool}
+
+// randDatum draws a value of kind k.
+func randDatum(r *rand.Rand, k types.Kind) types.Datum {
+	switch k {
+	case types.KindInt:
+		return types.NewInt(r.Int63n(1 << 40))
+	case types.KindFloat:
+		return types.NewFloat(r.NormFloat64() * 1e6)
+	case types.KindString:
+		b := make([]byte, r.Intn(24))
+		for j := range b {
+			b[j] = byte('a' + r.Intn(26))
+		}
+		return types.NewString(string(b))
+	case types.KindDate:
+		return types.NewDate(r.Int63n(30000))
+	}
+	return types.NewBool(r.Intn(2) == 0)
+}
+
+// randSchemaRows derives a random schema and rows under it: every value is
+// of its column's declared kind, with occasional NULLs.
 func randSchemaRows(r *rand.Rand) (*types.Schema, []types.Row) {
-	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindDate, types.KindBool}
 	ncols := 1 + r.Intn(6)
 	cols := make([]types.Column, ncols)
 	for i := range cols {
-		cols[i] = types.Column{Name: string(rune('a' + i)), Kind: kinds[r.Intn(len(kinds))]}
+		cols[i] = types.Column{Name: string(rune('a' + i)), Kind: storedKinds[r.Intn(len(storedKinds))]}
 	}
 	schema := types.NewSchema(cols...)
 	nrows := r.Intn(400)
@@ -25,32 +44,25 @@ func randSchemaRows(r *rand.Rand) (*types.Schema, []types.Row) {
 	for i := range rows {
 		row := make(types.Row, ncols)
 		for c := range row {
-			k := cols[c].Kind
-			if r.Intn(20) == 0 {
-				k = kinds[r.Intn(len(kinds))] // occasional mixed-kind value
-			}
-			switch {
-			case r.Intn(15) == 0:
+			if r.Intn(15) == 0 {
 				row[c] = types.Null
-			case k == types.KindInt:
-				row[c] = types.NewInt(r.Int63n(1 << 40))
-			case k == types.KindFloat:
-				row[c] = types.NewFloat(r.NormFloat64() * 1e6)
-			case k == types.KindString:
-				b := make([]byte, r.Intn(24))
-				for j := range b {
-					b[j] = byte('a' + r.Intn(26))
-				}
-				row[c] = types.NewString(string(b))
-			case k == types.KindDate:
-				row[c] = types.NewDate(r.Int63n(30000))
-			default:
-				row[c] = types.NewBool(r.Intn(2) == 0)
+			} else {
+				row[c] = randDatum(r, cols[c].Kind)
 			}
 		}
 		rows[i] = row
 	}
 	return schema, rows
+}
+
+// schemaKinds is the column kinds of a schema, as a heap file hands them to
+// its page builder.
+func schemaKinds(s *types.Schema) []types.Kind {
+	kinds := make([]types.Kind, s.Len())
+	for i, c := range s.Cols {
+		kinds[i] = c.Kind
+	}
+	return kinds
 }
 
 // TestFrameSharesOneDecode checks the per-frame columnar cache: every reader

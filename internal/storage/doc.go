@@ -4,12 +4,13 @@
 // repeatable experiments) and a fault-injecting wrapper, and circular shared
 // scans — the storage-layer sharing primitive both QPipe and CJOIN rely on.
 //
-// The files follow the roles: format.go is the page layout and the datum
-// codec both sides of it share, builder.go the page builder (with the zone
-// entries it writes), reader.go the page reader (the directory, validation,
+// The files follow the roles: format.go is the page layout both sides of it
+// share, builder.go the page builder (with the zone entries it writes), reader.go the page reader (the directory, validation,
 // lazy column decode and zone entries), heapfile.go the bulk-load writer that
 // keeps each page's zone maps, pool.go the buffer pool, scan.go the circular
-// scans, disk.go and fault.go the devices.
+// scans, disk.go and fault.go the devices. A heap file's schema is the
+// storage contract: a column holds NULLs and values of its declared kind, and
+// Append refuses any other datum with a *KindError.
 //
 // Buffer memory — the in-memory disk's pages and the fixed-width columns
 // decoded from them — is pages of internal/arena, each with one owner that

@@ -228,12 +228,9 @@ func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
 		edit(p)
 		return p
 	}
-	// A row-major page as format 1 laid it out: a uint16 row count, then the
-	// raw datum stream.
-	rowMajor := binary.LittleEndian.AppendUint16(nil, 2)
-	for _, d := range []types.Datum{types.NewInt(7), types.NewString("a"), types.NewInt(8), types.NewString("b")} {
-		rowMajor = appendDatum(rowMajor, d)
-	}
+	// A row-major page as format 1 laid it out: a uint16 row count, then per
+	// datum a kind tag and its payload (int 7, "a", int 8, "b").
+	rowMajor := []byte{2, 0, 1, 14, 3, 1, 'a', 1, 16, 3, 1, 'b'}
 	cases := map[string][]byte{
 		"empty":           {},
 		"short":           good[:pageFixedHeader-1],

@@ -1,10 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
 	"repro/internal/arena"
 	"repro/internal/types"
 )
@@ -25,10 +21,10 @@ const PageSize = arena.PageSize
 //	then one zone-map entry per column, then one self-contained segment per
 //	column, zero-padded to PageSize.
 //
-// Each segment starts with an encoding tag:
+// A column holds NULLs and values of its declared kind, so one encoding fits
+// every row of it. Each segment starts with that encoding's tag (any other
+// tag, 0 among them, makes the page corrupt):
 //
-//	encRaw:   the raw datum stream — per-datum kind tag + payload — the
-//	          fallback for columns mixing value classes.
 //	encInt:   kind runs, int64 min, delta width ∈ {0,1,2,4,8}, then one
 //	          little-endian unsigned delta of that width per row
 //	          (frame-of-reference; NULL rows store delta 0). Covers int,
@@ -40,9 +36,12 @@ const PageSize = arena.PageSize
 //	          Codes index the sorted dictionary, so code order is string
 //	          order and predicates can compare codes instead of strings.
 //
+// A column of no value on a page (every row NULL) is an encInt segment over
+// an empty frame, whatever its kind.
+//
 // Kind runs are the per-column null/kind header: a uvarint run count
 // followed by (kind byte, uvarint length) pairs covering every row. A
-// homogeneous column — the overwhelmingly common case — is one run.
+// column without NULLs is one run.
 const (
 	pageMagic  = 0xFFFF
 	pageFormat = 3
@@ -56,8 +55,7 @@ const (
 
 // Column segment encodings.
 const (
-	encRaw byte = iota
-	encInt
+	encInt byte = 1 + iota
 	encFloat
 	encDict
 )
@@ -85,8 +83,8 @@ const (
 // entries. Bounds span only non-NULL rows — under the engine's NULL→false
 // predicate semantics a NULL row can never satisfy a pushed-down predicate,
 // so bounds over the non-NULL rows are exactly what a can-match check needs.
-// A column with no flag set is unknown (mixed value classes or floats) and
-// must never prune.
+// A column with no bounds flag set is unknown (a float column, or one whose
+// every row is NULL) and must never prune.
 
 // ZoneMap flag bits.
 const (
@@ -110,50 +108,6 @@ type ZoneMap struct {
 // never rule a page out).
 func (z ZoneMap) Unknown() bool { return z.Flags&(ZoneInt|ZoneStr) == 0 }
 
-// appendDatum appends the raw encoding of one datum: a kind tag byte, then a
-// kind-specific payload (varint for int/date, 8-byte LE for float, 1 byte
-// for bool, uvarint length + bytes for string, nothing for NULL).
-func appendDatum(buf []byte, d types.Datum) []byte {
-	buf = append(buf, byte(d.K))
-	switch d.K {
-	case types.KindNull:
-	case types.KindInt, types.KindDate:
-		buf = binary.AppendVarint(buf, d.I)
-	case types.KindBool:
-		if d.I != 0 {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	case types.KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.F))
-	case types.KindString:
-		buf = binary.AppendUvarint(buf, uint64(len(d.S)))
-		buf = append(buf, d.S...)
-	default:
-		panic(fmt.Sprintf("storage: cannot encode kind %v", d.K))
-	}
-	return buf
-}
-
-// datumEncSize returns len(appendDatum(nil, d)) without encoding.
-func datumEncSize(d types.Datum) int {
-	switch d.K {
-	case types.KindNull:
-		return 1
-	case types.KindInt, types.KindDate:
-		return 1 + varintSize(d.I)
-	case types.KindBool:
-		return 2
-	case types.KindFloat:
-		return 9
-	case types.KindString:
-		return 1 + uvarintSize(uint64(len(d.S))) + len(d.S)
-	default:
-		panic(fmt.Sprintf("storage: cannot encode kind %v", d.K))
-	}
-}
-
 // uvarintSize is the encoded length of v as a uvarint.
 func uvarintSize(v uint64) int {
 	n := 1
@@ -162,47 +116,4 @@ func uvarintSize(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// varintSize is the encoded length of v as a zigzag varint.
-func varintSize(v int64) int {
-	return uvarintSize(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-// decodeDatum decodes one datum from data, returning it and the remaining
-// bytes.
-func decodeDatum(data []byte) (types.Datum, []byte, error) {
-	if len(data) == 0 {
-		return types.Null, nil, fmt.Errorf("truncated datum")
-	}
-	k := types.Kind(data[0])
-	data = data[1:]
-	switch k {
-	case types.KindNull:
-		return types.Null, data, nil
-	case types.KindInt, types.KindDate:
-		v, n := binary.Varint(data)
-		if n <= 0 {
-			return types.Null, nil, fmt.Errorf("bad varint")
-		}
-		return types.Datum{K: k, I: v}, data[n:], nil
-	case types.KindBool:
-		if len(data) < 1 {
-			return types.Null, nil, fmt.Errorf("truncated bool")
-		}
-		return types.NewBool(data[0] != 0), data[1:], nil
-	case types.KindFloat:
-		if len(data) < 8 {
-			return types.Null, nil, fmt.Errorf("truncated float")
-		}
-		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data))), data[8:], nil
-	case types.KindString:
-		l, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < l {
-			return types.Null, nil, fmt.Errorf("truncated string")
-		}
-		return types.NewString(string(data[n : n+int(l)])), data[n+int(l):], nil
-	default:
-		return types.Null, nil, fmt.Errorf("unknown kind tag %d", k)
-	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -11,15 +12,15 @@ import (
 	"repro/internal/vec"
 )
 
-// seedRows draws the fuzz seeds' rows: randSchemaRows tables cut to at most
-// 16 rows, so an input the fuzzer finds interesting is small enough to
-// minimise in seconds.
-func seedRows(r *rand.Rand) []types.Row {
-	_, rows := randSchemaRows(r)
+// seedRows draws the fuzz seeds' column kinds and rows: randSchemaRows
+// tables cut to at most 16 rows, so an input the fuzzer finds interesting is
+// small enough to minimise in seconds.
+func seedRows(r *rand.Rand) ([]types.Kind, []types.Row) {
+	schema, rows := randSchemaRows(r)
 	for len(rows) == 0 {
-		_, rows = randSchemaRows(r)
+		schema, rows = randSchemaRows(r)
 	}
-	return rows[:min(len(rows), 16)]
+	return schemaKinds(schema), rows[:min(len(rows), 16)]
 }
 
 // FuzzOpenPage holds openPage to its promise to validate every byte a column
@@ -30,16 +31,27 @@ func seedRows(r *rand.Rand) []types.Row {
 // open took.
 func FuzzOpenPage(f *testing.F) {
 	r := rand.New(rand.NewSource(61))
+	var built []byte
 	for i := 0; i < 8; i++ {
-		rows := seedRows(r)
-		b := newPageBuilder()
+		kinds, rows := seedRows(r)
+		b := newPageBuilder(kinds)
 		for _, row := range rows {
-			b.tryAppend(row)
+			b.admit(row)
 		}
 		page := b.finish()
-		f.Add(page[:len(b.buf)], uint8(len(rows[0]))) // without the zero padding
+		built = page[:len(b.buf)] // without the zero padding
+		f.Add(built, uint8(len(kinds)))
 	}
-	f.Add(newPageBuilder().finish()[:pageFixedHeader], uint8(3)) // the empty page
+	f.Add(newPageBuilder(nil).finish()[:pageFixedHeader], uint8(3)) // the empty page
+	// A first segment of tag 0, the encoding of no column: a corrupt page.
+	ncols := binary.LittleEndian.Uint16(built[5:7])
+	tag0 := append([]byte(nil), built...) // built stays a seed as it is
+	tag0[segOffset(tag0, 0)] = 0
+	if b, _, err := openPage(tag0, int(ncols), &uncounted); err == nil {
+		b.Release()
+		f.Fatal("a page whose first segment has tag 0 opened")
+	}
+	f.Add(tag0, uint8(ncols))
 	// Give back what earlier tests left to finalizers, so that no finalizer
 	// moves the arena between an input's two snapshots.
 	arena.Settle()
@@ -63,41 +75,31 @@ func FuzzOpenPage(f *testing.F) {
 
 // FuzzPageRoundTrip puts rows through the page builder and openPage: every
 // datum comes back with its kind and its exact payload, and every zone map the
-// page carries bounds its column. The input is a width and the rows as one
-// raw datum stream (appendDatum's encoding) cut into rows of that width; the
-// rows fill as many pages as they need, and a row larger than a page is
-// dropped, as a heap file refuses it.
+// page carries bounds its column. The input is a width and a stream that
+// fuzzRows decodes into column kinds and rows of that width; the rows fill as
+// many pages as they need, and a row larger than a page is dropped, as a heap
+// file refuses it.
 func FuzzPageRoundTrip(f *testing.F) {
 	r := rand.New(rand.NewSource(67))
 	for i := 0; i < 8; i++ {
-		rows := seedRows(r)
+		kinds, rows := seedRows(r)
 		var stream []byte
+		for _, k := range kinds {
+			stream = append(stream, byte(k-types.KindInt))
+		}
 		for _, row := range rows {
 			for _, d := range row {
-				stream = appendDatum(stream, d)
+				stream = appendFuzzDatum(stream, d)
 			}
 		}
-		f.Add(uint8(len(rows[0])-1), stream)
+		f.Add(uint8(len(kinds)-1), stream)
 	}
 	f.Fuzz(func(t *testing.T, width uint8, stream []byte) {
-		ncols := 1 + int(width)%8
-		var rows []types.Row
-		row := make(types.Row, 0, ncols)
-		for {
-			d, rest, err := decodeDatum(stream)
-			if err != nil {
-				break
-			}
-			stream = rest
-			if row = append(row, d); len(row) == ncols {
-				rows = append(rows, row)
-				row = make(types.Row, 0, ncols)
-			}
-		}
-		b := newPageBuilder() // one width, as a heap file's
+		kinds, rows := fuzzRows(1+int(width)%8, stream)
+		b := newPageBuilder(kinds) // one schema, as a heap file's
 		for len(rows) > 0 {
 			n := 0
-			for n < len(rows) && b.tryAppend(rows[n]) {
+			for n < len(rows) && b.admit(rows[n]) {
 				n++
 			}
 			if n == 0 {
@@ -108,6 +110,81 @@ func FuzzPageRoundTrip(f *testing.F) {
 			rows = rows[n:]
 		}
 	})
+}
+
+// fuzzRows decodes FuzzPageRoundTrip's stream: ncols column kinds, a byte
+// each (storedKinds[b%5]), then datums cut into rows of ncols. A datum is its
+// kind byte and a payload: a varint for int and date, 8 bytes LE for float, a
+// byte for bool, a uvarint length and the bytes for string, nothing for NULL.
+// A datum of another kind than its column's becomes NULL; decoding stops at
+// the first byte that does not start a whole datum.
+func fuzzRows(ncols int, stream []byte) ([]types.Kind, []types.Row) {
+	if len(stream) < ncols {
+		return nil, nil
+	}
+	kinds := make([]types.Kind, ncols)
+	for i, b := range stream[:ncols] {
+		kinds[i] = storedKinds[int(b)%len(storedKinds)]
+	}
+	data := stream[ncols:]
+	var rows []types.Row
+	row := make(types.Row, 0, ncols)
+	for len(data) > 0 {
+		d := types.Datum{K: types.Kind(data[0])}
+		data = data[1:]
+		switch d.K {
+		case types.KindNull:
+		case types.KindInt, types.KindDate:
+			v, n := binary.Varint(data)
+			if n <= 0 {
+				return kinds, rows
+			}
+			d.I, data = v, data[n:]
+		case types.KindBool:
+			if len(data) < 1 {
+				return kinds, rows
+			}
+			d, data = types.NewBool(data[0] != 0), data[1:]
+		case types.KindFloat:
+			if len(data) < 8 {
+				return kinds, rows
+			}
+			d.F, data = math.Float64frombits(binary.LittleEndian.Uint64(data)), data[8:]
+		case types.KindString:
+			l, n := binary.Uvarint(data)
+			if n <= 0 || uint64(len(data)-n) < l {
+				return kinds, rows
+			}
+			d.S, data = string(data[n:n+int(l)]), data[n+int(l):]
+		default:
+			return kinds, rows
+		}
+		if d.K != kinds[len(row)] {
+			d = types.Null
+		}
+		if row = append(row, d); len(row) == ncols {
+			rows = append(rows, row)
+			row = make(types.Row, 0, ncols)
+		}
+	}
+	return kinds, rows
+}
+
+// appendFuzzDatum appends d as fuzzRows reads it.
+func appendFuzzDatum(buf []byte, d types.Datum) []byte {
+	buf = append(buf, byte(d.K))
+	switch d.K {
+	case types.KindInt, types.KindDate:
+		buf = binary.AppendVarint(buf, d.I)
+	case types.KindBool:
+		buf = append(buf, byte(d.I))
+	case types.KindFloat:
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.F))
+	case types.KindString:
+		buf = binary.AppendUvarint(buf, uint64(len(d.S)))
+		buf = append(buf, d.S...)
+	}
+	return buf
 }
 
 // checkRoundTrip opens a built page and checks it against the rows it holds.

@@ -11,11 +11,13 @@ import (
 
 // HeapFile is a table stored as a sequence of pages on a Disk. Rows are
 // appended during bulk load (write-through, bypassing the pool) and read
-// through the buffer pool afterwards.
+// through the buffer pool afterwards. Its schema is the storage contract:
+// every stored datum is NULL or of its column's declared kind.
 type HeapFile struct {
 	disk   Disk
 	pool   *BufferPool
 	id     FileID
+	name   string
 	schema *types.Schema
 
 	mu      sync.Mutex
@@ -37,8 +39,30 @@ type HeapFile struct {
 	version atomic.Uint64
 }
 
-// NewHeapFile creates an empty heap file named name on the disk.
+// KindError is the refusal of a datum that is neither NULL nor of its
+// column's declared kind.
+type KindError struct {
+	Table  string // the heap file's name
+	Column string
+	Want   types.Kind // the column's declared kind
+	Got    types.Kind
+}
+
+func (e *KindError) Error() string {
+	return fmt.Sprintf("storage: table %q column %q is %v, got a %v datum", e.Table, e.Column, e.Want, e.Got)
+}
+
+// NewHeapFile creates an empty heap file named name on the disk. Every
+// column of the schema must be of a kind a page stores: int, float, string,
+// date or bool.
 func NewHeapFile(disk Disk, pool *BufferPool, name string, schema *types.Schema) (*HeapFile, error) {
+	kinds := make([]types.Kind, schema.Len())
+	for i, c := range schema.Cols {
+		if c.Kind < types.KindInt || c.Kind > types.KindBool {
+			return nil, fmt.Errorf("storage: table %q column %q: kind %v cannot be stored", name, c.Name, c.Kind)
+		}
+		kinds[i] = c.Kind
+	}
 	id, err := disk.CreateFile(name)
 	if err != nil {
 		return nil, err
@@ -48,8 +72,9 @@ func NewHeapFile(disk Disk, pool *BufferPool, name string, schema *types.Schema)
 		disk:    disk,
 		pool:    pool,
 		id:      id,
+		name:    name,
 		schema:  schema,
-		builder: newPageBuilder(),
+		builder: newPageBuilder(kinds),
 	}
 	h.zones.Store(new([][]ZoneMap))
 	return h, nil
@@ -62,8 +87,10 @@ func (h *HeapFile) Schema() *types.Schema { return h.schema }
 func (h *HeapFile) ID() FileID { return h.id }
 
 // Append bulk-loads rows, flushing full pages to disk. Not valid after Seal.
-// The version moves whenever a row was admitted, even if a later one fails:
-// pages the call flushed before the failure are already visible to scans.
+// A row holding a datum that is neither NULL nor of its column's kind is
+// refused with a *KindError, and nothing of it is stored. The version moves
+// whenever a row was admitted, even if a later one fails: pages the call
+// flushed before the failure are already visible to scans.
 func (h *HeapFile) Append(rows ...types.Row) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -83,16 +110,19 @@ func (h *HeapFile) appendLocked(rows []types.Row) error {
 		if len(r) != h.schema.Len() {
 			return fmt.Errorf("storage: row width %d, schema width %d", len(r), h.schema.Len())
 		}
-		if !h.builder.tryAppend(r) {
-			if h.builder.empty() {
-				return fmt.Errorf("storage: row larger than page (%d bytes max)", PageSize)
-			}
+		ok, bad := h.builder.tryAppend(r)
+		if !ok && bad < 0 && !h.builder.empty() { // the page is full
 			if err := h.flushLocked(); err != nil {
 				return err
 			}
-			if !h.builder.tryAppend(r) {
-				return fmt.Errorf("storage: row larger than page (%d bytes max)", PageSize)
-			}
+			ok, bad = h.builder.tryAppend(r)
+		}
+		if bad >= 0 {
+			c := h.schema.Cols[bad]
+			return &KindError{Table: h.name, Column: c.Name, Want: c.Kind, Got: r[bad].K}
+		}
+		if !ok {
+			return fmt.Errorf("storage: row larger than page (%d bytes max)", PageSize)
 		}
 		h.numRows++
 	}

@@ -225,6 +225,111 @@ func TestHeapFileAppendFaultStillBumpsVersion(t *testing.T) {
 	}
 }
 
+// A schema a page cannot store is refused before any file is created: a
+// column of KindNull, or of a kind past KindBool.
+func TestCreateTableRefusesUnstorableKinds(t *testing.T) {
+	for _, k := range []types.Kind{types.KindNull, types.KindBool + 1, 0xFF} {
+		t.Run(k.String(), func(t *testing.T) {
+			c := newTestCatalog(t, 4)
+			schema := types.NewSchema(
+				types.Column{Name: "k", Kind: types.KindInt},
+				types.Column{Name: "x", Kind: k},
+			)
+			if _, err := c.CreateTable("t", schema); err == nil || !strings.Contains(err.Error(), `"x"`) {
+				t.Fatalf("CreateTable with a %v column = %v, want an error naming the column", k, err)
+			}
+			if _, ok := c.Table("t"); ok {
+				t.Error("the refused table is in the catalog")
+			}
+			if _, err := NewHeapFile(c.Disk(), c.Pool(), "h", schema); err == nil {
+				t.Errorf("NewHeapFile with a %v column succeeded", k)
+			}
+			if _, err := c.CreateTable("t", kvSchema); err != nil {
+				t.Errorf("the refused table left its name taken: %v", err)
+			}
+		})
+	}
+}
+
+// Append refuses a datum of another kind than its column's with a
+// *KindError naming the table, the column and both kinds. The rows before it
+// in the same call are stored and move the version; nothing of the refused
+// row is, so the next Append and Seal give pages that read back exactly the
+// rows admitted. NULL is accepted in every column. A date in an int column,
+// both carried in the int64 payload, is refused too.
+func TestHeapFileAppendRefusesWrongKind(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "i", Kind: types.KindInt},
+		types.Column{Name: "f", Kind: types.KindFloat},
+		types.Column{Name: "s", Kind: types.KindString},
+		types.Column{Name: "d", Kind: types.KindDate},
+		types.Column{Name: "b", Kind: types.KindBool},
+	)
+	const n, k = 3000, 2000
+	for bad, col := range schema.Cols {
+		t.Run(col.Name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(bad)))
+			rows := make([]types.Row, n)
+			for i := range rows {
+				rows[i] = make(types.Row, schema.Len())
+				for c, cc := range schema.Cols {
+					if r.Intn(10) == 0 {
+						rows[i][c] = types.Null
+					} else {
+						rows[i][c] = randDatum(r, cc.Kind)
+					}
+				}
+			}
+			wrong := wrongKind(r, col.Kind)
+			if col.Kind == types.KindInt {
+				wrong = types.NewDate(7)
+			}
+			rows[k][bad] = wrong
+			tbl, err := newTestCatalog(t, 16).CreateTable("t", schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := tbl.File.Version()
+			err = tbl.File.Append(rows...)
+			var ke *KindError
+			if !errors.As(err, &ke) {
+				t.Fatalf("Append = %v, want a *KindError", err)
+			}
+			if want := (KindError{Table: "t", Column: col.Name, Want: col.Kind, Got: wrong.K}); *ke != want {
+				t.Fatalf("KindError = %+v, want %+v", *ke, want)
+			}
+			if got := tbl.File.NumRows(); got != k {
+				t.Fatalf("NumRows = %d, want the %d rows before the refused one", got, k)
+			}
+			if tbl.File.Version() == before {
+				t.Error("Version did not move, yet the rows before the refused one were admitted")
+			}
+			// A call whose first row is refused admits nothing.
+			v := tbl.File.Version()
+			if err := tbl.File.Append(rows[k:]...); !errors.As(err, &ke) {
+				t.Fatalf("Append from the refused row = %v, want a *KindError", err)
+			}
+			if tbl.File.NumRows() != k || tbl.File.Version() != v {
+				t.Errorf("a refused first row moved NumRows to %d or the version", tbl.File.NumRows())
+			}
+			if err := tbl.File.Append(rows[k+1:]...); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.File.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			want := append(rows[:k:k], rows[k+1:]...)
+			got, err := tbl.File.AllRows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("read back %d rows, want %d (or their values differ)", len(got), len(want))
+			}
+		})
+	}
+}
+
 func TestCatalogDuplicateTable(t *testing.T) {
 	c := newTestCatalog(t, 4)
 	if _, err := c.CreateTable("t", kvSchema); err != nil {

@@ -18,14 +18,14 @@ import (
 // once the batch pool is warm, decoding an int/date/float page allocates
 // nothing.
 func TestDecodePageColsV2IntsZeroAlloc(t *testing.T) {
-	pb := newPageBuilder()
+	pb := newPageBuilder([]types.Kind{types.KindInt, types.KindDate, types.KindFloat})
 	for i := 0; ; i++ {
 		r := types.Row{
 			types.NewInt(int64(i)),
 			types.NewDate(int64(18000 + i%365)),
 			types.NewFloat(float64(i) * 0.5),
 		}
-		if !pb.tryAppend(r) {
+		if !pb.admit(r) {
 			break
 		}
 	}
@@ -47,14 +47,14 @@ func TestDecodePageColsV2IntsZeroAlloc(t *testing.T) {
 // profile: a page's string columns cost a constant number of allocations
 // (the shared region copy per dictionary column), not one per row.
 func TestDecodePageColsV2StringsO1Alloc(t *testing.T) {
-	pb := newPageBuilder()
+	pb := newPageBuilder([]types.Kind{types.KindInt, types.KindString})
 	nrows := 0
 	for i := 0; ; i++ {
 		r := types.Row{
 			types.NewInt(int64(i)),
 			types.NewString(fmt.Sprintf("CITY-%02d", i%40)),
 		}
-		if !pb.tryAppend(r) {
+		if !pb.admit(r) {
 			break
 		}
 		nrows++

@@ -17,16 +17,43 @@ import (
 )
 
 // buildV2Page packs rows through the production builder, failing if any row
-// is rejected.
+// is rejected. Each column is of the kind of its first non-NULL value.
 func buildV2Page(t testing.TB, rows []types.Row) []byte {
 	t.Helper()
-	b := newPageBuilder()
+	b := newPageBuilder(rowKinds(rows))
 	for i, r := range rows {
-		if !b.tryAppend(r) {
+		if !b.admit(r) {
 			t.Fatalf("row %d rejected by page builder", i)
 		}
 	}
 	return b.finish()
+}
+
+// rowKinds is the kind of each column's first non-NULL value in rows
+// (KindInt for a column of NULLs only).
+func rowKinds(rows []types.Row) []types.Kind {
+	kinds := make([]types.Kind, len(rows[0]))
+	for c := range kinds {
+		kinds[c] = types.KindInt
+		for _, r := range rows {
+			if !r[c].IsNull() {
+				kinds[c] = r[c].K
+				break
+			}
+		}
+	}
+	return kinds
+}
+
+// admit is tryAppend for rows of the builder's kinds: it reports whether r
+// fit, and panics on a datum of another kind, which a test never means to
+// offer through it.
+func (b *pageBuilder) admit(r types.Row) bool {
+	ok, bad := b.tryAppend(r)
+	if bad >= 0 {
+		panic(fmt.Sprintf("column %d: a %v datum in a %v column", bad, r[bad].K, b.cols[bad].kind))
+	}
+	return ok
 }
 
 // decodeCheck decodes a page and checks it against want, kind and payload.
@@ -139,10 +166,10 @@ func TestPageV2RoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		runtime.GOMAXPROCS(1 << (trial % 3))
 		schema, rows := randSchemaRows(r)
-		b := newPageBuilder()
+		b := newPageBuilder(schemaKinds(schema))
 		var inPage []types.Row
 		for _, row := range rows {
-			if !b.tryAppend(row) {
+			if !b.admit(row) {
 				break
 			}
 			inPage = append(inPage, row)
@@ -158,8 +185,8 @@ func TestPageV2RoundTripProperty(t *testing.T) {
 
 // TestPageV2TargetedShapes pins the encoding corners: frame-of-reference
 // widths from constant to full 64-bit spans, negative ranges, single-value
-// and fully-unique dictionaries, all-NULL columns, and mixed-kind columns
-// that must fall back to the raw encoding.
+// and fully-unique dictionaries, all-NULL columns, and mixed-kind columns,
+// whose first datum of another kind than the column's the builder refuses.
 func TestPageV2TargetedShapes(t *testing.T) {
 	arena.Settle() // as in TestPageV2RoundTripProperty
 	mk := func(n int, f func(i int) types.Row) []types.Row {
@@ -238,8 +265,25 @@ func TestPageV2TargetedShapes(t *testing.T) {
 			return types.Row{types.NewFloat(float64(i) * 1.5)}
 		}),
 	}
+	mixed := map[string]bool{"mixed-int-date": true, "mixed-classes-raw": true}
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
+			if mixed[name] {
+				kinds := rowKinds(rows)
+				b := newPageBuilder(kinds)
+				var kept []types.Row
+				for i, r := range rows {
+					ok, bad := b.tryAppend(r)
+					if want := r[0].K == kinds[0]; ok != want || !ok && bad != 0 {
+						t.Fatalf("row %d, a %v datum in a %v column: tryAppend = %v, %d", i, r[0].K, kinds[0], ok, bad)
+					}
+					if ok {
+						kept = append(kept, r)
+					}
+				}
+				decodeCheck(t, b.finish(), kept, 1)
+				return
+			}
 			page := buildV2Page(t, rows)
 			decodeCheck(t, page, rows, len(rows[0]))
 			lazyMatchesEager(t, page, len(rows[0]), 1)
@@ -289,9 +333,9 @@ func TestPageV2DictionaryInvariants(t *testing.T) {
 func TestPageV2CorruptionNoPanic(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	schema, rows := randSchemaRows(r)
-	b := newPageBuilder()
+	b := newPageBuilder(schemaKinds(schema))
 	for _, row := range rows {
-		if !b.tryAppend(row) {
+		if !b.admit(row) {
 			break
 		}
 	}
@@ -331,10 +375,10 @@ func BenchmarkDecodePageColsV2Ints(b *testing.B) {
 			break
 		}
 	}
-	pb := newPageBuilder()
+	pb := newPageBuilder([]types.Kind{types.KindInt, types.KindInt, types.KindDate, types.KindFloat})
 	n := 0
 	for _, r := range rows {
-		if !pb.tryAppend(r) {
+		if !pb.admit(r) {
 			break
 		}
 		n++
@@ -362,7 +406,7 @@ func BenchmarkDecodePageColsV2Strings(b *testing.B) {
 		cities[i] = fmt.Sprintf("CITY-%02d-%s", i, strings.Repeat("x", 10))
 	}
 	var rows []types.Row
-	pb := newPageBuilder()
+	pb := newPageBuilder([]types.Kind{types.KindInt, types.KindString, types.KindString})
 	n := 0
 	for i := 0; ; i++ {
 		r := types.Row{
@@ -371,7 +415,7 @@ func BenchmarkDecodePageColsV2Strings(b *testing.B) {
 			types.NewString(cities[(i*13)%len(cities)]),
 		}
 		rows = append(rows, r)
-		if !pb.tryAppend(r) {
+		if !pb.admit(r) {
 			break
 		}
 		n++

@@ -58,8 +58,8 @@ type Frame struct {
 	// The frame's one decoded form: a page is opened at most once per
 	// residency into a pooled ColBatch that every reader of the residency
 	// shares (circular scans re-read the same resident pages every sweep).
-	// Opening validates the whole page and decodes its dictionary and raw
-	// segments; a fixed-width column is decoded, once, by the first reader
+	// Opening validates the whole page and decodes its dictionary segments;
+	// a fixed-width column is decoded, once, by the first reader
 	// that asks the batch for it, straight from the lent page. The frame owns
 	// one reference; eviction drops it, and leaves the lease to the batch when
 	// other readers still hold it with columns undecoded (dropDecoded).
@@ -136,8 +136,8 @@ type DecodeStats struct {
 	Pruned  int64 // page fetches avoided by zone-map pruning
 	Decoded int64 // pages opened (at most once per pool residency)
 
-	// ColsDecoded counts columns materialised: at open for dictionary and
-	// raw segments, on first touch for fixed-width ones. Decode cost per
+	// ColsDecoded counts columns materialised: at open for dictionary
+	// segments, on first touch for fixed-width ones. Decode cost per
 	// decoded column is read against this, not against Decoded × width.
 	ColsDecoded int64
 

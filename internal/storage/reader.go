@@ -168,8 +168,8 @@ func (s *pageSource) free(free func([]byte)) {
 // openPage validates a whole page — header, directory and, per segment, the
 // encoding tag, kind runs, fixed header and payload length — and returns a
 // pooled batch of its rows with one reference held by the caller. Segments
-// whose decode checks every row (encDict, encRaw) are decoded here, so a
-// corrupt page fails now; encInt and encFloat segments cannot fail once
+// whose decode checks every row (encDict) are decoded here, so a corrupt
+// page fails now; encInt and encFloat segments cannot fail once
 // their length is known and are decoded by the first ColBatch.Col that asks
 // (counted in decoded). The batch reads page until its last Release; the
 // source is returned for the frame that may have to leave page to it.
@@ -287,32 +287,27 @@ type segment struct {
 // width, so that a length check is all its decode can fail on.
 func (s segment) fixedWidth() bool { return s.enc == encInt || s.enc == encFloat }
 
-// allowed is the segment's kind set (zero for encRaw, which has no runs).
+// allowed is the segment's kind set.
 func (s segment) allowed() uint8 {
 	switch s.enc {
 	case encInt:
 		return kindsInt
 	case encFloat:
 		return kindsFloat
-	case encDict:
-		return kindsStr
 	}
-	return 0
+	return kindsStr // encDict
 }
 
 // checkSegment validates what can be validated of a segment without
-// decoding it: the encoding tag, for the typed encodings the kind runs, and
-// for the fixed-width ones the header and the payload length — after which
-// decode cannot fail on them.
+// decoding it: the encoding tag, the kind runs, and for the fixed-width
+// encodings the header and the payload length — after which decode cannot
+// fail on them.
 func checkSegment(data []byte, nrows int) (segment, error) {
 	if len(data) < 1 {
 		return segment{}, fmt.Errorf("truncated segment")
 	}
 	s := segment{enc: data[0], data: data[1:]}
-	if s.enc == encRaw {
-		return s, nil
-	}
-	if s.enc > encDict {
+	if s.enc < encInt || s.enc > encDict {
 		return s, fmt.Errorf("unknown segment encoding %d", s.enc)
 	}
 	body, err := decodeKindRuns(s.data, nrows, nil, s.allowed(), nil)
@@ -346,22 +341,10 @@ func checkSegment(data []byte, nrows int) (segment, error) {
 // into arrays of the batch recycler. On a fixed-width segment that passed
 // checkSegment it does not fail.
 func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
-	data := s.data
-	if s.enc == encRaw {
-		for i := 0; i < nrows; i++ {
-			d, rest, err := decodeDatum(data)
-			if err != nil {
-				return err
-			}
-			v.AppendDatum(d)
-			data = rest
-		}
-		return nil
-	}
 	if !s.fixedWidth() || 8*nrows > PageSize {
 		src = nil // the column's arrays are the recycler's: only what fits a page borrows
 	}
-	data, err := decodeKindRuns(data, nrows, v, s.allowed(), src)
+	data, err := decodeKindRuns(s.data, nrows, v, s.allowed(), src)
 	if err != nil {
 		return err
 	}

@@ -55,7 +55,9 @@ func (r Row) String() string {
 	return strings.Join(parts, "|")
 }
 
-// Column describes one schema column.
+// Column describes one schema column. Where rows are stored (a storage heap
+// file) the kind is enforced: every stored datum of the column is NULL or of
+// Kind, which must not be KindNull.
 type Column struct {
 	Name string
 	Kind Kind

@@ -3,12 +3,14 @@ package workload
 import (
 	"errors"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/ssb"
 	"repro/internal/storage"
 	"repro/internal/tpch"
+	"repro/internal/types"
 )
 
 // A write fault while a generator loads its fact table fails the generator
@@ -31,13 +33,7 @@ func TestGenerateFaultLeaksNothing(t *testing.T) {
 			t.Fatalf("generate = %v, want the injected write error", err)
 		}
 		// A goroutine that signalled its exit may still be counted a moment.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > base {
-			t.Errorf("%d goroutines after the failed load, %d before", n, base)
-		}
+		waitGoroutines(t, base)
 		return cat
 	}
 
@@ -72,4 +68,57 @@ func TestGenerateFaultLeaksNothing(t *testing.T) {
 			t.Errorf("lineitem has %d pages, want the %d written before the fault", n, k)
 		}
 	})
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to base: a
+// goroutine that signalled its exit may still be counted a moment.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the failed load, %d before", n, base)
+	}
+}
+
+// A fill that writes a datum of another kind than its column's fails the
+// load with the *storage.KindError Append returns, stops the fill and leaks
+// nothing: the rows before the refused one are stored, and the loader's
+// goroutine is gone once Load returns.
+func TestLoadWrongKindLeaksNothing(t *testing.T) {
+	disk := storage.NewMemDisk(storage.DiskProfile{})
+	t.Cleanup(func() { disk.Close() })
+	tbl, err := storage.NewCatalog(disk, 4).CreateTable("t", types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindInt},
+		types.Column{Name: "v", Kind: types.KindString},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, bad = 100 * 1024, 5000
+	base := runtime.NumGoroutine()
+	filled := 0
+	err = tbl.File.Load(n, func(i int, row types.Row) {
+		filled++
+		row[0], row[1] = types.NewInt(int64(i)), types.NewString("v"+strconv.Itoa(i%50))
+		if i == bad {
+			row[1] = types.NewFloat(0.5)
+		}
+	})
+	var ke *storage.KindError
+	if !errors.As(err, &ke) {
+		t.Fatalf("Load = %v, want a *storage.KindError", err)
+	}
+	if want := (storage.KindError{Table: "t", Column: "v", Want: types.KindString, Got: types.KindFloat}); *ke != want {
+		t.Errorf("KindError = %+v, want %+v", *ke, want)
+	}
+	if got := tbl.File.NumRows(); got != bad {
+		t.Errorf("NumRows = %d, want the %d rows before the refused one", got, bad)
+	}
+	if filled >= n {
+		t.Errorf("fill ran for all %d rows after the refusal", n)
+	}
+	waitGoroutines(t, base)
 }
