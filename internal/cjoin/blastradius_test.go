@@ -73,9 +73,8 @@ func testBlastRadius(t *testing.T, fault func(fd *storage.FaultDisk, f storage.F
 	balanced := arenaBalance(t)
 	cat, fd := faultStar(t, n)
 	lo := cat.MustTable("lo")
-	// The baseline is taken before the operator exists, with no page batch
-	// cached: Close gives the dimension batches back, closing the pool the
-	// page batches.
+	// The baseline is taken before the operator exists, with the pages out
+	// of the pool: Close gives the dimension batches back.
 	cat.Pool().EvictFile(lo.File.ID())
 	cat.Pool().EvictFile(cat.MustTable("d").File.ID())
 	liveBefore := vec.LiveBatches()

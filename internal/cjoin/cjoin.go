@@ -108,12 +108,14 @@
 // # Data path
 //
 // The data path is columnar and allocation-free in steady state per worker:
-// fact pages arrive as typed column batches (vec.ColBatch) shared from the
-// buffer pool's per-frame columnar cache; each worker annotates a page by
-// running every open slot's vectorized fact predicate (expr.CompileVec) over
-// the batch into a selection vector and scattering the slot's bit into the
-// flat inline bitmap arena; the probe loop reads the join-key column as
-// a raw []int64 (the star-schema common case) instead of boxing datums; and
+// fact pages arrive as typed column batches (vec.ColBatch) the scanner opens
+// from the buffer pool's frames, once per page per revolution, whose decoded
+// columns live until the distributor recycles the item; each worker annotates
+// a page by running every open slot's vectorized fact predicate
+// (expr.CompileVec) over the batch into a selection vector and scattering the
+// slot's bit into the flat inline bitmap arena; the probe loop reads the
+// join-key column as a raw []int64 (the star-schema common case) instead of
+// boxing datums; and
 // the distributor routes surviving tuples by appending fact columns straight
 // from the batch, and dimension payloads from the tables' batches, to each
 // query's pooled output batch — no row is built. Each pipeline item owns

@@ -64,9 +64,9 @@ type item struct {
 	page int    // fact page index of a data tick (zone-map lookup key)
 	ep   *epoch // a control tick's epoch; nil on data ticks
 
-	// cols is the decoded fact page (data ticks), shared from the buffer
-	// pool's columnar cache. The item owns one reference, released when the
-	// distributor recycles the item.
+	// cols is the fact page opened from its buffer pool frame (data ticks).
+	// The item owns the one reference, released when the distributor
+	// recycles the item, which frees the page's decoded columns.
 	cols *vec.ColBatch
 
 	n      int      // live tuples
@@ -107,11 +107,10 @@ func (op *Operator) getItem() *item {
 
 // putItem recycles an item after the distributor is done with it. The epoch
 // is dropped so pooled items do not pin retired subscriptions across idle
-// periods, and the item's reference on the page batch is released back to
-// the columnar cache's pool. The dimension-entry arena is left as is: stale
-// slots are plain indices into tables that live for the operator's
-// lifetime, and the probe loop never reads a slot it did not write on the
-// current page.
+// periods, and the item's page batch is released, freeing its decoded
+// columns. The dimension-entry arena is left as is: stale slots are plain
+// indices into tables that live for the operator's lifetime, and the probe
+// loop never reads a slot it did not write on the current page.
 func (op *Operator) putItem(it *item) {
 	if it.cols != nil {
 		it.cols.Release()

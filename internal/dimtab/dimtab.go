@@ -14,11 +14,12 @@
 //
 // Seal builds one of two index forms, sized to the final entry count.
 // Direct: every key is integer-class and the keys span fewer than
-// directSpanFactor × entries values (surrogate and date keys are dense), so
-// direct[k-lo] holds key k's first entry and a probe is one bounds check and
-// one load. Hashed: open-addressing, linear-probing slots, at most half full,
-// holding each distinct key's first entry at the position its vec.HashFold
-// hash names. A sealed Table is immutable and safe for concurrent readers.
+// directSpanFactor × entries values (surrogate keys are dense) or fewer than
+// directMaxSmall (a yyyymmdd date key spans ~24 values per day, but a whole
+// date dimension spans under 65 536), so direct[k-lo] holds key k's first
+// entry and a probe is one bounds check and one load. Hashed:
+// open-addressing, linear-probing slots, at most half full, holding each
+// distinct key's first entry at the position its vec.HashFold hash names. A sealed Table is immutable and safe for concurrent readers.
 package dimtab
 
 import (
@@ -34,8 +35,12 @@ import (
 const MaxEntries = 1 << 30
 
 // directSpanFactor bounds the direct index's length relative to the entry
-// count.
-const directSpanFactor = 4
+// count; directMaxSmall is the length (a 256 KiB index) below which the
+// direct form is built however sparse the keys.
+const (
+	directSpanFactor = 4
+	directMaxSmall   = 1 << 16
+)
 
 // hashChunk is how many keys one vec.HashFold call hashes into a stack
 // buffer.
@@ -128,7 +133,7 @@ func (t *Table) sealDirect() bool {
 		lo, hi = min(lo, k), max(hi, k)
 	}
 	// The unsigned difference cannot overflow for any int64 pair.
-	if uint64(hi)-uint64(lo) >= directSpanFactor*uint64(t.n) {
+	if span := uint64(hi) - uint64(lo); span >= directSpanFactor*uint64(t.n) && span >= directMaxSmall {
 		return false
 	}
 	t.direct, t.lo = make([]int32, hi-lo+1), lo

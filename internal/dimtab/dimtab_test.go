@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -53,6 +54,15 @@ var keySets = []keySet{
 			return types.NewInt(int64(k))
 		}
 	}},
+	// SSB's d_datekey: a day every 8 over 1992–1998 as yyyymmdd, so the keys
+	// span ~24 values per day drawn and under 65 536 in all.
+	{"yyyymmdd dates", true, func(r *rand.Rand) types.Datum { return types.NewDate(yyyymmdd(8 * r.Intn(300))) }},
+}
+
+// yyyymmdd is the date day days after 1992-01-01 as the integer yyyymmdd.
+func yyyymmdd(day int) int64 {
+	d := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, day)
+	return int64(d.Year()*10000 + int(d.Month())*100 + d.Day())
 }
 
 // probeCols returns probe keys over every kind, one column per uniformity
@@ -60,7 +70,7 @@ var keySets = []keySet{
 func probeCols() []*vec.Vec {
 	var ints, floats, strs, mixed vec.Vec
 	for k := int64(95); k < 405; k++ {
-		for _, d := range []types.Datum{types.NewInt(k), types.NewInt(k * 1_000_003), types.NewDate(k)} {
+		for _, d := range []types.Datum{types.NewInt(k), types.NewInt(k * 1_000_003), types.NewDate(k), types.NewDate(yyyymmdd(8 * int(k-100)))} {
 			ints.AppendDatum(d)
 			mixed.AppendDatum(d)
 		}

@@ -249,8 +249,7 @@ func BenchmarkJoinOutputFootprint(b *testing.B) {
 			b.Fatalf("dimension page holds %d rows, want a long page", page.Len())
 		}
 		_ = page.Rows() // every column decoded
-		page.Release()
-		cat.Pool().EvictFile(dim.File.ID()) // the frame's reference: arrays back to the recycler
+		page.Release()  // the only reference: arrays back to the recycler
 		left := make([]*batch.Batch, nbatches)
 		for j, cb := range probeCBs {
 			cb.Retain()

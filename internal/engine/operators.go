@@ -46,7 +46,7 @@ func (e *Engine) runOperator(ctx context.Context, p *Packet, inputs []Reader, w 
 // opScan delivers every row of the table via a circular shared scan, one
 // batch per storage page, applying any pushed-down predicate inside the
 // stage (as QPipe's tscan does). Predicates are evaluated vectorized over
-// the page's columnar cache into a selection vector, and the page is
+// the page's column batch into a selection vector, and the page is
 // published as (column batch, surviving selection) with no row
 // materialization.
 func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) error {

@@ -236,10 +236,11 @@ func TestBorrowedColumnCopiesBeforeWrite(t *testing.T) {
 	}
 }
 
-// TestPoolCloseReleasesFramesAndKeepsHeldBatches: Close returns every frame's
-// lease and batch reference; a batch a reader still holds keeps decoding its
-// untouched columns from the lease it inherited, which outlives the disk's
-// Close and is returned, freeing the page, at the batch's last Release.
+// TestPoolCloseReleasesFramesAndKeepsHeldBatches: the disk's leases are the
+// frames' plus one per open batch. Close returns every frame's lease; a batch
+// a reader still holds keeps decoding its untouched columns from its own
+// lease, which outlives the disk's Close and is returned, freeing the page,
+// at the batch's last Release.
 // Closing twice is harmless and fetches fail afterwards.
 func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 	base := arenaBaseline()
@@ -261,8 +262,8 @@ func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 	}
 	first := held.Col(0).I[0]
 	st := arena.Snapshot()
-	if got := disk.leases(); got != 8 {
-		t.Fatalf("%d leases for a pool of 8", got)
+	if got := disk.leases(); got != 8+1 {
+		t.Fatalf("%d leases for a pool of 8 and one open batch", got)
 	}
 	if got := st.PagesDevice - base.PagesDevice; got != int64(np) {
 		t.Fatalf("%d device pages for %d written", got, np)
@@ -397,7 +398,7 @@ func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 			t.Fatal(err)
 		}
 		held.Col(0)
-		for p := 1; p < 4; p++ { // evict page 0: its lease goes to the held batch
+		for p := 1; p < 4; p++ { // evict page 0: the held batch keeps its own lease
 			cb, err := tbl.File.PageCols(p)
 			if err != nil {
 				t.Fatal(err)
@@ -406,7 +407,7 @@ func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 			cb.Release()
 		}
 		if st := arena.Snapshot(); disk.leases() != 3 || st.PagesDevice-base.PagesDevice != int64(np) {
-			t.Fatalf("before the leak: %d leases (want the held batch's and two frames'), %+v, baseline %+v", disk.leases(), st, base)
+			t.Fatalf("before the leak: %d leases (want two frames' and the held batch's), %+v, baseline %+v", disk.leases(), st, base)
 		}
 	}()
 	arena.Settle()
@@ -415,13 +416,13 @@ func TestArenaReclaimsWhatNobodyReleased(t *testing.T) {
 		t.Errorf("pages in use after the collector ran: %+v, baseline %+v", st, base)
 	}
 	// The device's pages, each once whoever returned its last reference, and
-	// the decoded pages of the held batch and of the two batches the frames
-	// held.
-	if got, want := st.Reclaimed-base.Reclaimed, int64(np+3); got != want {
+	// the decoded page of the held batch: the frames hold no batches, and the
+	// other readers released theirs.
+	if got, want := st.Reclaimed-base.Reclaimed, int64(np+1); got != want {
 		t.Errorf("Reclaimed rose by %d, want %d", got, want)
 	}
-	if got := vec.LiveBatches() - live; got != 3 {
-		t.Errorf("LiveBatches rose by %d, want the three leaked batches", got)
+	if got := vec.LiveBatches() - live; got != 1 {
+		t.Errorf("LiveBatches rose by %d, want the one leaked batch", got)
 	}
 }
 

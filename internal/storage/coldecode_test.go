@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/arena"
@@ -65,10 +66,12 @@ func schemaKinds(s *types.Schema) []types.Kind {
 	return kinds
 }
 
-// TestFrameSharesOneDecode checks the per-frame columnar cache: every reader
-// of one residency gets the same batch from one decode, and the batch
-// survives the reader's own reference being dropped (the frame holds one).
-func TestFrameSharesOneDecode(t *testing.T) {
+// TestFrameHoldsNoDecode: a frame caches its page, not the page's decode.
+// Two readers of one residency open two batches with equal rows (Decoded
+// counts both), and once both are released no decoded page is left in the
+// arena, while the frame stays resident and the page is not read again.
+func TestFrameHoldsNoDecode(t *testing.T) {
+	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
 	cat := NewCatalog(disk, 8)
 	tbl, err := cat.CreateTable("t", types.NewSchema(
@@ -91,34 +94,49 @@ func TestFrameSharesOneDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reads := disk.Stats().PageReads
 	cb2, err := tbl.File.PageCols(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb2 != cb {
-		t.Fatal("two PageCols calls returned different batches for one residency")
+	if cb2 == cb {
+		t.Fatal("two PageCols calls returned one batch: the frame shares a decode")
 	}
-	if d := cat.Pool().DecodeStats().Decoded; d != 1 {
-		t.Fatalf("Decoded = %d, want 1 for one residency", d)
+	if !reflect.DeepEqual(cb.Rows(), cb2.Rows()) {
+		t.Fatal("two readers of one page see different rows")
+	}
+	if d := cat.Pool().DecodeStats().Decoded; d != 2 {
+		t.Fatalf("Decoded = %d, want 2: one open per reader", d)
+	}
+	if got := arena.Snapshot().PagesDecoded - base.PagesDecoded; got != 2 {
+		t.Errorf("two readers' int columns hold %d decoded pages, want 2", got)
 	}
 	cb2.Release()
 	cb.Release()
-	// The frame still holds its own reference: a third reader sees the data.
+	if got := arena.Snapshot().PagesDecoded - base.PagesDecoded; got != 0 {
+		t.Errorf("%d decoded pages left after both readers released", got)
+	}
+	if !cat.Pool().Contains(tbl.File.ID(), 0) {
+		t.Fatal("the frame left the pool with its readers")
+	}
 	cb3, err := tbl.File.PageCols(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cb3.Release()
 	if cb3.Len() != 100 || cb3.Col(0).I[10] != 10 {
-		t.Fatalf("cached batch corrupted after readers released: len=%d", cb3.Len())
+		t.Fatalf("third reader: len=%d", cb3.Len())
+	}
+	if got := disk.Stats().PageReads; got != reads {
+		t.Errorf("page read %d more times while resident", got-reads)
 	}
 }
 
 // TestLazyColumnsSurviveEviction: a batch retained past Unpin keeps decoding
 // its untouched columns to the right bytes after its frame was evicted and
 // refilled with another page, and after the pool and the disk were closed —
-// the frame leaves its lease on the page to a batch that readers still hold —
-// while the lease under a batch nobody else holds goes back to the disk.
+// the batch holds a lease of its own on the page — while the lease under a
+// batch nobody else holds goes back to the disk.
 func TestLazyColumnsSurviveEviction(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})

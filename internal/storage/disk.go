@@ -134,6 +134,15 @@ func (l Lease) release(free func([]byte)) {
 	}
 }
 
+// dup takes one more reference on the leased page: a second lease, returned
+// on its own. The caller holds l.
+func (l Lease) dup() Lease {
+	if l.store != nil {
+		l.store.ref(l)
+	}
+	return l
+}
+
 // NewMemDisk returns an empty in-memory disk with the given profile.
 func NewMemDisk(profile DiskProfile) *MemDisk {
 	d := &MemDisk{profile: profile, store: new(pageStore)}
@@ -249,15 +258,40 @@ func (s *pageStore) drop(page []byte, refs int32, free func([]byte)) {
 	s.gone[&page[0]] = refs - 1
 }
 
+// ref adds a reference to a leased page: on the file's count while the file
+// still holds the page, else on its count in gone. The caller's lease keeps
+// the page counted in one of the two throughout.
+func (s *pageStore) ref(l Lease) {
+	s.mu.RLock()
+	if file := s.current(l); file != nil {
+		file.refs[l.idx].Add(1)
+		s.mu.RUnlock()
+		return
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	s.gone[&l.Page[0]]++
+	s.mu.Unlock()
+}
+
+// current returns the file of a leased page while the file still holds it,
+// nil once the page was overwritten or the disk closed. The caller holds mu.
+func (s *pageStore) current(l Lease) *memFile {
+	if int(l.file) < len(s.files) {
+		if file := &s.files[l.file]; l.idx < len(file.pages) && &file.pages[l.idx][0] == &l.Page[0] {
+			return file
+		}
+	}
+	return nil
+}
+
 // unref drops a lease's reference on its page.
 func (s *pageStore) unref(l Lease, free func([]byte)) {
 	s.mu.RLock()
-	if int(l.file) < len(s.files) {
-		if file := &s.files[l.file]; l.idx < len(file.pages) && &file.pages[l.idx][0] == &l.Page[0] {
-			file.refs[l.idx].Add(-1) // the disk's reference remains
-			s.mu.RUnlock()
-			return
-		}
+	if file := s.current(l); file != nil {
+		file.refs[l.idx].Add(-1) // the disk's reference remains
+		s.mu.RUnlock()
+		return
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()

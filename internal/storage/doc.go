@@ -20,13 +20,15 @@
 //     and takes a fresh one when it overwrites the page. A read lends the
 //     page itself (a Lease), never a copy: the disk counts one reference for
 //     itself and one per lease, and frees the page at its last — Close drops
-//     the disk's own. The pool's frames hold leases, not bytes; a frame
-//     evicted, or its pool closed, while readers still hold the page's batch
-//     with columns undecoded hands its lease to the batch's pageSource, which
-//     returns it at the batch's last Release. That is what lets a batch
-//     outlive its frame, its pool and its disk.
+//     the disk's own. The pool's frames hold leases, not bytes, and a batch
+//     opened from a frame holds a lease of its own (its pageSource takes it
+//     at open and returns it at the batch's last Release). That is what lets
+//     a batch outlive its frame, its pool and its disk.
 //   - Decoded: a decoded fixed-width column of an opened page. The page's
 //     pageSource takes it on decode and frees it at the batch's last Release.
+//     A frame caches its page, never its decode: every reader opens the page
+//     into a batch of its own, so decoded pages exist exactly while some
+//     reader holds a batch.
 //
 // Lent bytes are never written: a MemDisk overwrite installs a fresh page
 // and a FaultDisk corrupts a private copy.

@@ -47,7 +47,7 @@ func FuzzOpenPage(f *testing.F) {
 	ncols := binary.LittleEndian.Uint16(built[5:7])
 	tag0 := append([]byte(nil), built...) // built stays a seed as it is
 	tag0[segOffset(tag0, 0)] = 0
-	if b, _, err := openPage(tag0, int(ncols), &uncounted); err == nil {
+	if b, err := openPage(Lease{Page: tag0}, int(ncols), &uncounted); err == nil {
 		b.Release()
 		f.Fatal("a page whose first segment has tag 0 opened")
 	}
@@ -58,7 +58,7 @@ func FuzzOpenPage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, page []byte, ncols uint8) {
 		pages, batches := arena.Snapshot().PagesInUse, vec.LiveBatches()
 		var decoded atomic.Int64
-		b, _, err := openPage(page[:len(page):len(page)], int(ncols), &decoded)
+		b, err := openPage(Lease{Page: page[:len(page):len(page)]}, int(ncols), &decoded)
 		if err == nil {
 			for c := 0; c < int(ncols); c++ {
 				b.Col(c)
@@ -192,7 +192,7 @@ func checkRoundTrip(t *testing.T, page []byte, rows []types.Row) {
 	t.Helper()
 	ncols := len(rows[0])
 	var decoded atomic.Int64
-	b, _, err := openPage(page, ncols, &decoded)
+	b, err := openPage(Lease{Page: page}, ncols, &decoded)
 	if err != nil {
 		t.Fatalf("a built page of %d rows failed to open: %v", len(rows), err)
 	}

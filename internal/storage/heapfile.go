@@ -266,19 +266,21 @@ func (h *HeapFile) PageResident(idx int) bool { return h.pool.Contains(h.id, idx
 // NotePruned forwards a pruned-page event to the pool's counters.
 func (h *HeapFile) NotePruned() { h.pool.NotePruned() }
 
-// PageCols fetches page idx through the buffer pool and returns its
-// columnar batch, opened once per pool residency and shared between callers:
-// the page is validated in full (a corrupt one fails here, with its
-// quarantined PageError), and a fixed-width column is decoded when a caller's
-// Col first asks for it. The caller owns one reference on the batch, must
-// Release it, and may hold it after the page has left the pool.
+// PageCols fetches page idx through the buffer pool and opens it into a
+// columnar batch of the caller's own: the page is validated in full (a
+// corrupt one fails here, with its quarantined PageError), and a column is
+// decoded when the caller's Col first asks for it. The caller owns
+// the one reference on the batch, must Release it, and may hold it after the
+// page has left the pool; its decoded columns are freed at that Release.
+// Readers of one page are shared above storage (one CJOIN scanner, SP's
+// shared scans), so two callers decode twice.
 func (h *HeapFile) PageCols(idx int) (*vec.ColBatch, error) {
 	fr, err := h.pool.Fetch(h.id, idx)
 	if err != nil {
 		return nil, err
 	}
 	defer h.pool.Unpin(fr)
-	return fr.DecodedCols(h.schema.Len())
+	return h.pool.open(fr, h.schema.Len())
 }
 
 // AllRows reads the whole file as freshly materialized rows (testing and

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -115,7 +117,7 @@ func lazyMatchesEager(t *testing.T, page []byte, ncols int, seed int64) {
 	}
 	defer eager.Release()
 	var touched atomic.Int64
-	lazy, _, err := openPage(page, ncols, &touched)
+	lazy, err := openPage(Lease{Page: page}, ncols, &touched)
 	if err != nil {
 		t.Fatalf("openPage: %v", err)
 	}
@@ -291,6 +293,98 @@ func TestPageV2TargetedShapes(t *testing.T) {
 	}
 }
 
+// TestIntUnpackWidths pins the frame-of-reference unpack at every width: a
+// one-column page of each width 1, 2, 4 and 8 at 1, 7, 8, 9 and 1 290 rows
+// (whole word groups, a tail, both), with the minimum at 0 and at either
+// int64 extreme, with and without NULL runs, decodes to the rows it was built
+// from, eagerly and on first touch. A single row spans nothing: width 0.
+// unpackInts itself must equal the per-value loop on arbitrary payload bytes,
+// where min + offset wraps.
+func TestIntUnpackWidths(t *testing.T) {
+	arena.Settle() // as in TestPageV2RoundTripProperty
+	r := rand.New(rand.NewSource(35))
+	for _, width := range []int{1, 2, 4, 8} {
+		top := uint64(1)<<(8*width) - 1 // the widest offset: 0xFF…
+		minima := []int64{math.MinInt64, 0, math.MaxInt64 - int64(top)}
+		if width == 8 {
+			minima = minima[:1] // the full span: MinInt64 to MaxInt64
+		}
+		for _, n := range []int{1, 7, 8, 9, 1290} {
+			for _, lo := range minima {
+				for _, nulls := range []bool{false, true} {
+					rows := make([]types.Row, n)
+					for i := range rows {
+						off := r.Uint64() & top
+						switch {
+						case i == 0:
+							off = 0
+						case i == 1:
+							off = top
+						case nulls && i%5 < 2:
+							rows[i] = types.Row{types.Null}
+							continue
+						}
+						rows[i] = types.Row{types.NewInt(lo + int64(off))}
+					}
+					name := fmt.Sprintf("width=%d/rows=%d/min=%d/nulls=%v", width, n, lo, nulls)
+					page := buildV2Page(t, rows)
+					want := width
+					if n == 1 {
+						want = 0
+					}
+					if got := intWidth(t, page, n); got != want {
+						t.Fatalf("%s: page took width %d", name, got)
+					}
+					decodeCheck(t, page, rows, 1)
+					lazyMatchesEager(t, page, 1, int64(n))
+				}
+			}
+		}
+	}
+
+	for _, width := range []int{0, 1, 2, 4, 8} {
+		for _, n := range []int{1, 7, 8, 9, 1290} {
+			data := make([]byte, width*n)
+			r.Read(data)
+			for _, lo := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
+				got := make([]int64, n)
+				unpackInts(got, data, lo, width)
+				for i, v := range got {
+					var off uint64
+					switch width {
+					case 1:
+						off = uint64(data[i])
+					case 2:
+						off = uint64(binary.LittleEndian.Uint16(data[2*i:]))
+					case 4:
+						off = uint64(binary.LittleEndian.Uint32(data[4*i:]))
+					case 8:
+						off = binary.LittleEndian.Uint64(data[8*i:])
+					}
+					if want := lo + int64(off); v != want {
+						t.Fatalf("width %d, %d rows, min %d: value %d = %d, want %d", width, n, lo, i, v, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// intWidth is the frame-of-reference width of a one-column int page of nrows
+// rows.
+func intWidth(t *testing.T, page []byte, nrows int) int {
+	t.Helper()
+	seg, err := checkSegment(page[segOffset(page, 0):], nrows)
+	if err != nil || seg.enc != encInt {
+		t.Fatalf("not an int segment: %v", err)
+	}
+	body, err := decodeKindRuns(seg.data, nrows, nil, seg.allowed(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(body[8])
+}
+
 // TestPageV2DictionaryInvariants checks the decoded shape the predicate
 // kernels rely on: string columns come back dictionary-coded with a sorted,
 // duplicate-free dictionary, codes in the int payload, and S[i] equal to
@@ -358,36 +452,57 @@ func TestPageV2CorruptionNoPanic(t *testing.T) {
 
 var sinkCB *vec.ColBatch
 
-// BenchmarkDecodePageColsV2Ints measures the bulk decode of a fully
-// int/date/float page (the SSB fact-table shape) — the near-memcpy path.
-// Steady state must be allocation-free beyond the pooled batch.
+// BenchmarkDecodePageColsV2Ints measures the bulk decode of fixed-width
+// pages in ns per decoded value. shape=mixed is an int/date/float page of
+// frame-of-reference widths 2, 1 and 2 and a float column; shape=lineorder is
+// the SSB fact table's twelve int columns at sf 0.1, of widths 1 (5 columns),
+// 2 (4) and 4 (3). Steady state must be allocation-free beyond the pooled
+// batch.
 func BenchmarkDecodePageColsV2Ints(b *testing.B) {
-	rows := make([]types.Row, 0, 4096)
-	for i := 0; ; i++ {
-		r := types.Row{
-			types.NewInt(int64(i)),
-			types.NewInt(int64(i % 7)),
-			types.NewDate(int64(18000 + i%365)),
-			types.NewFloat(float64(i) * 0.25),
+	b.Run("shape=mixed", func(b *testing.B) {
+		benchDecodePage(b, []types.Kind{types.KindInt, types.KindInt, types.KindDate, types.KindFloat}, func(i int) types.Row {
+			return types.Row{
+				types.NewInt(int64(i)),
+				types.NewInt(int64(i % 7)),
+				types.NewDate(int64(18000 + i%365)),
+				types.NewFloat(float64(i) * 0.25),
+			}
+		})
+	})
+	b.Run("shape=lineorder", func(b *testing.B) {
+		spans := []struct{ lo, span int64 }{
+			{1, 7}, {1, 50}, {0, 11}, {0, 9}, {1, 200}, // width 1
+			{1, 30000}, {1, 20000}, {19920101, 61130}, {1, 60000}, // width 2
+			{90000, 10_000_000}, {100000, 5_000_000}, {1, 120000}, // width 4
 		}
-		rows = append(rows, r)
-		if len(rows) == cap(rows) {
-			break
+		kinds := make([]types.Kind, len(spans))
+		for c := range kinds {
+			kinds[c] = types.KindInt
 		}
-	}
-	pb := newPageBuilder([]types.Kind{types.KindInt, types.KindInt, types.KindDate, types.KindFloat})
+		r := rand.New(rand.NewSource(1))
+		benchDecodePage(b, kinds, func(int) types.Row {
+			row := make(types.Row, len(spans))
+			for c, s := range spans {
+				row[c] = types.NewInt(s.lo + r.Int63n(s.span))
+			}
+			return row
+		})
+	})
+}
+
+// benchDecodePage fills one page with rows row(0), row(1), … and decodes
+// every column of it per op.
+func benchDecodePage(b *testing.B, kinds []types.Kind, row func(i int) types.Row) {
+	pb := newPageBuilder(kinds)
 	n := 0
-	for _, r := range rows {
-		if !pb.admit(r) {
-			break
-		}
+	for pb.admit(row(n)) {
 		n++
 	}
 	page := pb.finish()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb, err := DecodePageCols(page, 4)
+		cb, err := DecodePageCols(page, len(kinds))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,6 +510,7 @@ func BenchmarkDecodePageColsV2Ints(b *testing.B) {
 		cb.Release()
 	}
 	b.ReportMetric(float64(n), "tuples/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*len(kinds)), "ns/value")
 }
 
 // BenchmarkDecodePageColsV2Strings measures the dictionary decode: one

@@ -39,13 +39,13 @@ type pageKey struct {
 // frames from Fetch and must Unpin them when done; the page bytes must not
 // be accessed after Unpin.
 //
-// A frame holds no bytes of its own: its page is a Lease on the disk's page,
-// taken by the load and returned when the frame is evicted, invalidated or
-// closed — unless readers still hold the page's batch with columns undecoded,
-// when the lease goes to the batch's source instead, which returns it at the
-// batch's last Release.
+// A frame holds its page and nothing decoded from it: the page is a Lease on
+// the disk's page, taken by the load and returned when the frame is evicted,
+// invalidated or closed. A reader opens the page into a batch of its own
+// (HeapFile.PageCols), whose source takes a lease of its own, so decoded
+// columns live exactly while some reader holds them.
 type Frame struct {
-	pool    *BufferPool // owning pool (quarantine and decode stats)
+	pool    *BufferPool // owning pool (its lease list)
 	slot    int         // index in pool.frames and pool.leases.held
 	key     pageKey
 	lease   Lease // zero from a miss until its read returns, and between residencies
@@ -54,19 +54,6 @@ type Frame struct {
 	valid   bool
 	loading chan struct{} // non-nil while the page is being read from disk
 	loadErr error
-
-	// The frame's one decoded form: a page is opened at most once per
-	// residency into a pooled ColBatch that every reader of the residency
-	// shares (circular scans re-read the same resident pages every sweep).
-	// Opening validates the whole page and decodes its dictionary segments;
-	// a fixed-width column is decoded, once, by the first reader
-	// that asks the batch for it, straight from the lent page. The frame owns
-	// one reference; eviction drops it, and leaves the lease to the batch when
-	// other readers still hold it with columns undecoded (dropDecoded).
-	decMu  sync.Mutex
-	cb     *vec.ColBatch
-	src    *pageSource // cb's column source (nil for an empty page)
-	decErr error       // sticky decode failure (corrupt page) for this residency
 }
 
 // frameLeases lists the leases of a pool's frames, one per frame, for the one
@@ -90,30 +77,22 @@ func (fr *Frame) setLease(l Lease) {
 // the frame is pinned.
 func (fr *Frame) Data() []byte { return fr.lease.Page }
 
-// DecodedCols returns the frame's page as a columnar batch, opening it
-// (openPage: validate everything, decode what can fail) on first use per
-// residency; a corrupt page fails here, whichever column is corrupt and
-// whichever columns the caller will read. Must be called with the frame
-// pinned. The caller receives its own reference and must Release it; the
-// batch may be retained past Unpin, past the frame's eviction and past the
-// pool's Close, and decodes a column nobody has read yet whenever its Col is
-// first called.
-func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
-	fr.decMu.Lock()
-	if fr.cb == nil && fr.decErr == nil {
-		if fr.cb, fr.src, fr.decErr = openPage(fr.lease.Page, ncols, fr.pool.colsDecoded); fr.decErr == nil {
-			fr.pool.decoded.Add(1)
-		}
-	}
-	if err := fr.decErr; err != nil {
-		fr.decMu.Unlock()
-		// A page that read fine but fails to decode is corrupt on disk:
+// open opens the pinned frame's page into a batch of the caller's own
+// (openPage: validate everything, decode nothing); a corrupt page fails
+// here, whichever column is corrupt and whichever columns the caller will
+// read, and is quarantined. The batch's source takes its own lease on the
+// page, so the batch outlives Unpin, the frame's eviction and the pool's
+// Close, and decodes a column nobody has read yet whenever its Col is first
+// called.
+func (p *BufferPool) open(fr *Frame, ncols int) (*vec.ColBatch, error) {
+	b, err := openPage(fr.lease, ncols, p.colsDecoded)
+	if err != nil {
+		// A page that read fine but fails to open is corrupt on disk:
 		// permanent, quarantined alongside unreadable pages.
-		return nil, fr.pool.quarantine(fr.key, MarkPermanent(err))
+		return nil, p.quarantine(fr.key, MarkPermanent(err))
 	}
-	fr.cb.Retain()
-	fr.decMu.Unlock()
-	return fr.cb, nil
+	p.decoded.Add(1)
+	return b, nil
 }
 
 // PoolStats are cumulative buffer pool counters, plus one gauge: Frames is
@@ -134,10 +113,10 @@ type PoolStats struct {
 type DecodeStats struct {
 	Fetched int64 // demand fetches served (pool hits + disk reads)
 	Pruned  int64 // page fetches avoided by zone-map pruning
-	Decoded int64 // pages opened (at most once per pool residency)
+	Decoded int64 // pages opened: once per reader of a page, not per residency
 
-	// ColsDecoded counts columns materialised: at open for dictionary
-	// segments, on first touch for fixed-width ones. Decode cost per
+	// ColsDecoded counts columns materialised, each on its reader's first
+	// touch (at open for a column past vec.MaxLazyCols). Decode cost per
 	// decoded column is read against this, not against Decoded × width.
 	ColsDecoded int64
 
@@ -153,13 +132,14 @@ type DecodeStats struct {
 // by the first miss that needs one, so a pool sized generously for a small
 // database holds only what was fetched. A frame's page is the disk's, lent
 // (Disk.ReadPage) rather than copied: residency — hits, misses, the clock,
-// device time per miss — is modelled, and the bytes are held once. Close
-// returns every lease the frames hold and drops their references on their
-// batches; batches that readers retained live on, with the leases they still
-// decode from. It is safe for concurrent use; a page requested by several
-// scanners at once is read from disk exactly once (single-flight loading) —
-// this is the mechanism through which circular shared scans turn k concurrent
-// table scans into roughly one disk sweep.
+// device time per miss — is modelled, and the bytes are held once. A frame
+// caches the page, never its decode: each reader opens it into a batch of its
+// own and decodes the columns it reads, as a pool of compressed pages does.
+// Close returns every lease the frames hold; batches that readers retained
+// live on, with leases of their own. It is safe for concurrent use; a page
+// requested by several scanners at once is read from disk exactly once
+// (single-flight loading) — this is the mechanism through which circular
+// shared scans turn k concurrent table scans into roughly one disk sweep.
 type BufferPool struct {
 	disk     Disk
 	capacity int
@@ -178,8 +158,8 @@ type BufferPool struct {
 
 	decoded atomic.Int64
 	// colsDecoded is its own object: page sources count into it, and a source
-	// pointing into the pool would close a cycle (pool, frame, batch, source)
-	// through an object with a finalizer, which the collector never frees.
+	// pointing into the pool would keep the pool, and so its frames' leases,
+	// alive for as long as a batch someone leaked.
 	colsDecoded *atomic.Int64
 	fetched     atomic.Int64
 	pruned      atomic.Int64
@@ -277,8 +257,8 @@ func (p *BufferPool) Fetch(f FileID, idx int) (*Frame, error) {
 	fr.pins = 1
 	fr.ref = true
 	fr.loadErr = nil
-	// The frame was unpinned when victimLocked picked it, so no decode
-	// call can be in flight; dropping the cache and the lease is race-free.
+	// The frame was unpinned when victimLocked picked it, so nobody reads
+	// its page; returning the lease is race-free.
 	fr.close()
 	ch := make(chan struct{})
 	fr.loading = ch
@@ -387,8 +367,9 @@ func (p *BufferPool) Quarantined() int64 { return p.quarCount.Load() }
 // ClearQuarantine forgets every quarantined page — the post-repair hook
 // (media replaced, fault healed). Resident frames of quarantined pages are
 // invalidated when unpinned so stale corrupt bytes do not outlive the
-// quarantine; a pinned frame keeps its sticky decode error until it is
-// naturally evicted.
+// quarantine; a pinned frame stays resident until it is naturally evicted,
+// and a fetch that finds it opens its page afresh (and quarantines it again
+// if it is still corrupt).
 func (p *BufferPool) ClearQuarantine() {
 	p.mu.Lock()
 	for key := range p.quar {
@@ -402,31 +383,12 @@ func (p *BufferPool) ClearQuarantine() {
 }
 
 // invalidateLocked retires a frame that has just left the page table without
-// being handed to a new page: its decode cache is dropped, its lease returned,
-// and it joins the free list, which victimLocked drains before the pool grows
-// or evicts.
+// being handed to a new page: its lease is returned, and it joins the free
+// list, which victimLocked drains before the pool grows or evicts.
 func (p *BufferPool) invalidateLocked(fr *Frame) {
 	fr.valid = false
 	fr.close()
 	p.free = append(p.free, fr)
-}
-
-// dropDecoded forgets the frame's decode cache. The frame's reference on the
-// columnar batch is released — readers that retained their own keep the batch
-// alive until they release it, and may yet ask it for a column it decodes
-// from the page bytes: then the lease goes to the batch's source, which
-// returns it with the batch, and the frame is left without one. The frame is
-// unpinned here, so nobody can be taking a new reference.
-func (fr *Frame) dropDecoded() {
-	if fr.cb != nil {
-		if fr.cb.SourceShared() {
-			fr.src.lease = fr.lease // read by the source's Close, after our Release
-			fr.setLease(Lease{})
-		}
-		fr.cb.Release()
-		fr.cb, fr.src = nil, nil
-	}
-	fr.decErr = nil
 }
 
 // EvictFile drops every unpinned resident frame of file f so subsequent
@@ -475,17 +437,14 @@ func (p *BufferPool) unpinLocked(fr *Frame) {
 	}
 }
 
-// close releases an unpinned frame's batch reference and its lease: the
-// frame is evicted, invalidated or closed with its pool.
+// close returns an unpinned frame's lease: the frame is evicted, invalidated
+// or closed with its pool.
 func (fr *Frame) close() {
-	fr.dropDecoded()
 	fr.lease.Release()
 	fr.setLease(Lease{})
 }
 
-// Close releases every frame: its reference on its page's batch and its
-// lease (to the batch's source when readers still hold the batch with columns
-// undecoded, to the disk otherwise). Fetches fail with ErrPoolClosed
+// Close returns every frame's lease. Fetches fail with ErrPoolClosed
 // afterwards; batches handed out earlier stay valid until their holders
 // release them. A frame that is pinned is released by its last Unpin instead,
 // and reported: the pool's users are expected to have stopped. Close is

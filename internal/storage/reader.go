@@ -55,12 +55,12 @@ func segOffset(page []byte, c int) int {
 // DecodePageCols decodes every row of a page column-wise into a pooled
 // ColBatch of ncols columns, with one reference held by the caller: the
 // eager form of openPage, every column touched before it returns (so the
-// caller may reuse page). Pages decode segment-at-a-time — near-memcpy bulk
-// reads per column, with string columns copied once into a shared per-page
-// buffer whose dictionary entries back the string headers (no per-string
-// allocation).
+// caller may reuse page). Pages decode segment-at-a-time — a word-at-a-time
+// unpack per fixed-width column, with string columns copied once into a
+// shared per-page buffer whose dictionary entries back the string headers
+// (no per-string allocation).
 func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
-	b, _, err := openPage(page, ncols, &uncounted)
+	b, err := openPage(Lease{Page: page}, ncols, &uncounted)
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +79,10 @@ func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
 //     payload, and tags when the column has NULLs or several kinds —
 //     bump-allocated one after another; the batch's columns borrow them
 //     (vec.Vec) and never outlive them;
-//   - lease is the disk's lease on the page bytes, once the frame that held
-//     it has been evicted, or its pool closed, while readers of the batch
-//     could still ask for an undecoded column (dropDecoded). Until then the
-//     lease is the frame's. Lent bytes never change (a write to a lent page
-//     installs a fresh one), so the segments read the same page either way.
+//   - lease is the source's own lease on the page bytes the segments read,
+//     taken at open while the frame was pinned: the batch outlives the
+//     frame's eviction, the pool's Close and the disk's. Lent bytes never
+//     change (a write to a lent page installs a fresh one).
 //
 // A source the collector finds before its batch was released gives both back
 // from its finalizer.
@@ -165,55 +164,45 @@ func (s *pageSource) free(free func([]byte)) {
 	*s = pageSource{segs: s.segs[:0], pages: s.pages[:0]}
 }
 
-// openPage validates a whole page — header, directory and, per segment, the
-// encoding tag, kind runs, fixed header and payload length — and returns a
-// pooled batch of its rows with one reference held by the caller. Segments
-// whose decode checks every row (encDict) are decoded here, so a corrupt
-// page fails now; encInt and encFloat segments cannot fail once
-// their length is known and are decoded by the first ColBatch.Col that asks
-// (counted in decoded). The batch reads page until its last Release; the
-// source is returned for the frame that may have to leave page to it.
-func openPage(page []byte, ncols int, decoded *atomic.Int64) (*vec.ColBatch, *pageSource, error) {
-	nrows, pn, _, err := pageDir(page)
+// openPage validates a whole page — header, directory and every segment in
+// full (checkSegment), so a corrupt page fails now, whichever column is
+// corrupt — and returns a pooled batch of its rows with one reference held by
+// the caller. It decodes nothing but the columns past vec.MaxLazyCols: a
+// column is decoded by the first ColBatch.Col that asks for it (counted in
+// decoded). The batch reads the page until its last Release, under a lease of
+// its own that it takes of page, which the caller holds.
+func openPage(page Lease, ncols int, decoded *atomic.Int64) (*vec.ColBatch, error) {
+	nrows, pn, _, err := pageDir(page.Page)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if nrows == 0 {
 		// An empty page carries no column segments (and no fixed width).
 		b := vec.Get(ncols)
 		b.Seal(0)
-		return b, nil, nil
+		return b, nil
 	}
 	if pn != ncols {
-		return nil, nil, fmt.Errorf("storage: page has %d columns, schema has %d", pn, ncols)
+		return nil, fmt.Errorf("storage: page has %d columns, schema has %d", pn, ncols)
 	}
-	b := vec.Get(ncols)
 	src := sourcePool.Get().(*pageSource)
 	src.nrows, src.decoded = nrows, decoded
 	src.segs = slices.Grow(src.segs[:0], ncols)[:ncols]
-	fail := func(c int, err error) (*vec.ColBatch, *pageSource, error) {
-		b.Release()
-		src.Close()
-		return nil, nil, fmt.Errorf("storage: page column %d: %w", c, err)
-	}
-	var lazy uint64
-	for c := 0; c < ncols; c++ {
-		seg, err := checkSegment(page[segOffset(page, c):], nrows)
+	for c := range src.segs {
+		seg, err := checkSegment(page.Page[segOffset(page.Page, c):], nrows)
 		if err != nil {
-			return fail(c, err)
+			src.Close()
+			return nil, fmt.Errorf("storage: page column %d: %w", c, err)
 		}
 		src.segs[c] = seg
-		if seg.fixedWidth() && c < vec.MaxLazyCols {
-			lazy |= 1 << uint(c)
-			continue
-		}
-		if err := seg.decode(nrows, b.Col(c), src); err != nil {
-			return fail(c, err)
-		}
-		decoded.Add(1)
 	}
-	b.SealSource(nrows, src, lazy)
-	return b, src, nil
+	b := vec.Get(ncols)
+	for c := vec.MaxLazyCols; c < ncols; c++ {
+		src.DecodeCol(c, b.Col(c))
+	}
+	src.lease = page.dup()
+	b.SealSource(nrows, src, uint64(1)<<min(ncols, vec.MaxLazyCols)-1)
+	return b, nil
 }
 
 // decodeKindRuns checks a column's kind/null run header and, when v is not
@@ -284,7 +273,7 @@ type segment struct {
 }
 
 // fixedWidth reports whether every row of the segment has the same payload
-// width, so that a length check is all its decode can fail on.
+// width: only such a column decodes into pages of its source.
 func (s segment) fixedWidth() bool { return s.enc == encInt || s.enc == encFloat }
 
 // allowed is the segment's kind set.
@@ -298,10 +287,10 @@ func (s segment) allowed() uint8 {
 	return kindsStr // encDict
 }
 
-// checkSegment validates what can be validated of a segment without
-// decoding it: the encoding tag, the kind runs, and for the fixed-width
-// encodings the header and the payload length — after which decode cannot
-// fail on them.
+// checkSegment validates a segment in full without decoding it: the encoding
+// tag, the kind runs, the header and the payload length, and for a
+// dictionary its entries and every string row's code — after which decode
+// cannot fail on it.
 func checkSegment(data []byte, nrows int) (segment, error) {
 	if len(data) < 1 {
 		return segment{}, fmt.Errorf("truncated segment")
@@ -331,15 +320,21 @@ func checkSegment(data []byte, nrows int) (segment, error) {
 		if len(body) < nrows*8 {
 			return s, fmt.Errorf("truncated float segment payload")
 		}
+	case encDict:
+		d, err := parseDict(body, nrows)
+		if err == nil {
+			err = d.check(s.data)
+		}
+		return s, err
 	}
 	return s, nil
 }
 
 // decode decodes the segment into v, an empty column of a batch whose source
-// is src: the one decoder behind the open-time and the first-touch path. A
+// is src: the one decoder behind the first-touch and the open-time path. A
 // fixed-width segment decodes into pages of src that v borrows, the others
-// into arrays of the batch recycler. On a fixed-width segment that passed
-// checkSegment it does not fail.
+// into arrays of the batch recycler. It must only be given a segment
+// checkSegment accepted, and then does not fail.
 func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 	if !s.fixedWidth() || 8*nrows > PageSize {
 		src = nil // the column's arrays are the recycler's: only what fits a page borrows
@@ -352,30 +347,7 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 	case encInt:
 		min := int64(binary.LittleEndian.Uint64(data))
 		width := int(data[8])
-		data = data[9:]
-		vi := src.ints(v, nrows)
-		switch width {
-		case 0:
-			for i := range vi {
-				vi[i] = min
-			}
-		case 1:
-			for i := range vi {
-				vi[i] = min + int64(data[i])
-			}
-		case 2:
-			for i := range vi {
-				vi[i] = min + int64(binary.LittleEndian.Uint16(data[2*i:]))
-			}
-		case 4:
-			for i := range vi {
-				vi[i] = min + int64(binary.LittleEndian.Uint32(data[4*i:]))
-			}
-		case 8:
-			for i := range vi {
-				vi[i] = min + int64(binary.LittleEndian.Uint64(data[8*i:]))
-			}
-		}
+		unpackInts(src.ints(v, nrows), data[9:], min, width)
 		return nil
 	case encFloat:
 		vf := src.floats(v, nrows)
@@ -384,65 +356,32 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 		}
 		return nil
 	default: // encDict
-		dictLen, n := binary.Uvarint(data)
-		if n <= 0 {
-			return fmt.Errorf("bad dictionary byte length")
-		}
-		data = data[n:]
-		ndict, n := binary.Uvarint(data)
-		if n <= 0 {
-			return fmt.Errorf("bad dictionary entry count")
-		}
-		data = data[n:]
-		if ndict > uint64(maxPageRows) {
-			return fmt.Errorf("dictionary entry count %d out of range", ndict)
-		}
-		if uint64(len(data)) < dictLen {
-			return fmt.Errorf("truncated dictionary region")
-		}
-		raw := data[:dictLen] // page bytes, only read during this decode
+		d, _ := parseDict(data, nrows) // checkSegment accepted it
 		// One copy of the whole dictionary region: entries become substrings
 		// sharing this immutable buffer, so a page's strings cost one
 		// allocation plus the (recycled) dictionary slice — not one per row,
-		// and nothing references the recyclable frame bytes afterwards.
-		region := string(raw)
-		data = data[dictLen:]
-		dict := v.BulkDict(int(ndict))
+		// and nothing references the lent page bytes afterwards.
+		region := string(d.region)
+		dict := v.BulkDict(d.ndict)
 		pos := 0
 		for i := range dict {
-			l, n := binary.Uvarint(raw[pos:])
-			if n <= 0 || uint64(len(raw)-pos-n) < l {
-				return fmt.Errorf("truncated dictionary entry %d", i)
-			}
+			l, n := binary.Uvarint(d.region[pos:])
 			pos += n
 			dict[i] = region[pos : pos+int(l)]
 			pos += int(l)
 		}
-		if pos != len(region) {
-			return fmt.Errorf("dictionary region has %d trailing bytes", len(region)-pos)
-		}
-		if len(data) < 1 {
-			return fmt.Errorf("truncated code width")
-		}
-		width := int(data[0])
-		data = data[1:]
-		if len(data) < nrows*width {
-			return fmt.Errorf("truncated code payload")
-		}
 		vi := v.BulkI(nrows)
-		switch width {
+		switch d.width {
 		case 0:
 			clear(vi)
 		case 1:
 			for i := range vi {
-				vi[i] = int64(data[i])
+				vi[i] = int64(d.codes[i])
 			}
 		case 2:
 			for i := range vi {
-				vi[i] = int64(binary.LittleEndian.Uint16(data[2*i:]))
+				vi[i] = int64(binary.LittleEndian.Uint16(d.codes[2*i:]))
 			}
-		default:
-			return fmt.Errorf("bad dictionary code width %d", width)
 		}
 		vs := v.BulkS(nrows)
 		for i, kd := range v.Kinds {
@@ -450,13 +389,148 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 				vs[i] = ""
 				continue
 			}
-			code := vi[i]
-			if code < 0 || code >= int64(len(dict)) {
-				return fmt.Errorf("dictionary code %d out of range (%d entries)", code, len(dict))
-			}
-			vs[i] = dict[code]
+			vs[i] = dict[vi[i]]
 		}
 		return nil
+	}
+}
+
+// dictSeg is the body of a dictionary segment, after its kind runs.
+type dictSeg struct {
+	region []byte // the entries: a uvarint length and the bytes, ndict times
+	ndict  int
+	width  int    // code width: 0, 1 or 2
+	codes  []byte // a code of width bytes per row
+}
+
+// parseDict splits a dictionary segment's body and checks its lengths: the
+// region's and the entry count's headers, the code width and the code
+// payload. It neither walks the entries nor reads the codes.
+func parseDict(body []byte, nrows int) (dictSeg, error) {
+	var d dictSeg
+	dictLen, n := binary.Uvarint(body)
+	if n <= 0 {
+		return d, fmt.Errorf("bad dictionary byte length")
+	}
+	body = body[n:]
+	ndict, n := binary.Uvarint(body)
+	if n <= 0 {
+		return d, fmt.Errorf("bad dictionary entry count")
+	}
+	body = body[n:]
+	if ndict > uint64(maxPageRows) {
+		return d, fmt.Errorf("dictionary entry count %d out of range", ndict)
+	}
+	if uint64(len(body)) < dictLen {
+		return d, fmt.Errorf("truncated dictionary region")
+	}
+	d.region, d.ndict, body = body[:dictLen], int(ndict), body[dictLen:]
+	if len(body) < 1 {
+		return d, fmt.Errorf("truncated code width")
+	}
+	d.width, body = int(body[0]), body[1:]
+	if d.width > 2 {
+		return d, fmt.Errorf("bad dictionary code width %d", d.width)
+	}
+	if len(body) < nrows*d.width {
+		return d, fmt.Errorf("truncated code payload")
+	}
+	d.codes = body
+	return d, nil
+}
+
+// check walks a parsed dictionary: its entries must fill the region exactly,
+// and every string row's code, by the segment's validated kind runs, must
+// name an entry.
+func (d dictSeg) check(runs []byte) error {
+	pos := 0
+	for i := 0; i < d.ndict; i++ {
+		l, n := binary.Uvarint(d.region[pos:])
+		if n <= 0 || uint64(len(d.region)-pos-n) < l {
+			return fmt.Errorf("truncated dictionary entry %d", i)
+		}
+		pos += n + int(l)
+	}
+	if pos != len(d.region) {
+		return fmt.Errorf("dictionary region has %d trailing bytes", len(d.region)-pos)
+	}
+	nruns, n := binary.Uvarint(runs)
+	runs = runs[n:]
+	row := 0
+	for ; nruns > 0; nruns-- {
+		k := types.Kind(runs[0])
+		cnt, n := binary.Uvarint(runs[1:])
+		runs = runs[1+n:]
+		if k == types.KindString {
+			for i := row; i < row+int(cnt); i++ {
+				code := 0
+				switch d.width {
+				case 1:
+					code = int(d.codes[i])
+				case 2:
+					code = int(binary.LittleEndian.Uint16(d.codes[2*i:]))
+				}
+				if code >= d.ndict {
+					return fmt.Errorf("dictionary code %d out of range (%d entries)", code, d.ndict)
+				}
+			}
+		}
+		row += int(cnt)
+	}
+	return nil
+}
+
+// unpackInts decodes a frame-of-reference payload: vi[i] is min plus the
+// i-th width-byte little-endian offset of data, wrapping as int64 addition
+// does. Widths 1, 2 and 4 load one word per 8, 4 or 2 values and store the
+// group through an array pointer, so a group costs one load and one bounds
+// check; the values after the last whole group are read one at a time.
+func unpackInts(vi []int64, data []byte, min int64, width int) {
+	i := 0
+	switch width {
+	case 0:
+		for i := range vi {
+			vi[i] = min
+		}
+	case 1:
+		for ; i+8 <= len(vi); i += 8 {
+			w, o := binary.LittleEndian.Uint64(data[i:]), (*[8]int64)(vi[i:])
+			o[0] = min + int64(w&0xff)
+			o[1] = min + int64(w>>8&0xff)
+			o[2] = min + int64(w>>16&0xff)
+			o[3] = min + int64(w>>24&0xff)
+			o[4] = min + int64(w>>32&0xff)
+			o[5] = min + int64(w>>40&0xff)
+			o[6] = min + int64(w>>48&0xff)
+			o[7] = min + int64(w>>56)
+		}
+		for ; i < len(vi); i++ {
+			vi[i] = min + int64(data[i])
+		}
+	case 2:
+		for ; i+4 <= len(vi); i += 4 {
+			w, o := binary.LittleEndian.Uint64(data[2*i:]), (*[4]int64)(vi[i:])
+			o[0] = min + int64(w&0xffff)
+			o[1] = min + int64(w>>16&0xffff)
+			o[2] = min + int64(w>>32&0xffff)
+			o[3] = min + int64(w>>48)
+		}
+		for ; i < len(vi); i++ {
+			vi[i] = min + int64(binary.LittleEndian.Uint16(data[2*i:]))
+		}
+	case 4:
+		for ; i+2 <= len(vi); i += 2 {
+			w, o := binary.LittleEndian.Uint64(data[4*i:]), (*[2]int64)(vi[i:])
+			o[0] = min + int64(w&0xffffffff)
+			o[1] = min + int64(w>>32)
+		}
+		for ; i < len(vi); i++ {
+			vi[i] = min + int64(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+	case 8:
+		for i := range vi {
+			vi[i] = min + int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
 	}
 }
 

@@ -503,9 +503,9 @@ func (v *Vec) Datum(i int) types.Datum {
 
 // ColSource materialises the columns a batch did not decode when it was
 // built. The storage layer opens a page by validating all of it and decoding
-// only the segments whose decode can fail; the fixed-width segments are left
-// to the first reader that asks for the column, through this interface (vec
-// cannot import storage). The source must stay able to decode until Close.
+// none of it; each column is left to the first reader that asks for it,
+// through this interface (vec cannot import storage). The source must stay
+// able to decode until Close.
 type ColSource interface {
 	// DecodeCol fills v, an empty pooled column, with column i. It cannot
 	// fail: whatever could was checked before the batch was sealed. It may
@@ -557,7 +557,7 @@ var shellPool sync.Pool
 // liveBatches gauges batches checked out of the pool (Get/ProjectCols minus
 // final Releases) — the refcount-leak oracle the fault batteries assert on:
 // once every query has completed or failed, the gauge must return to the
-// caller's baseline (page-frame caches excluded by the caller).
+// caller's baseline.
 var liveBatches atomic.Int64
 
 // LiveBatches returns the number of pooled batches currently checked out.
@@ -721,14 +721,6 @@ func (b *ColBatch) SealSource(n int, src ColSource, lazy uint64) {
 	b.allSel = identitySel(n)
 	b.src = src
 	atomic.StoreUint64(&b.pending, lazy)
-}
-
-// SourceShared reports whether a holder other than the caller may still ask
-// the column source for an undecoded column. The caller must hold a
-// reference and be the only way to obtain new ones (a page frame deciding,
-// unpinned, whether its page bytes can be overwritten).
-func (b *ColBatch) SourceShared() bool {
-	return b.refs.Load() > 1 && atomic.LoadUint64(&b.pending) != 0
 }
 
 // Bytes is the batch's footprint: the capacity, in bytes, of the arrays its

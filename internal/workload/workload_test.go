@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
@@ -561,12 +563,14 @@ func BenchmarkPrunedSweep(b *testing.B) {
 	}
 }
 
-// TestFirstTouchDecodesWhatQueriesRead counts what a scan materialises: a
-// query-centric Q2.1 reads lo_orderdate, lo_partkey, lo_suppkey and
-// lo_revenue, so it decodes at most four of lineorder's columns per page
-// (fewer on a page the join chain empties early); and a date predicate that a
-// page's zone map cannot rule out but no row satisfies decodes exactly the
-// date column.
+// TestFirstTouchDecodesWhatQueriesRead counts what a scan materialises of
+// lineorder: a query-centric Q2.1 opens each lineorder page once and reads
+// lo_orderdate, lo_partkey, lo_suppkey and lo_revenue, so it decodes at most
+// four of its columns per page (fewer on a page the join chain empties
+// early); and a date predicate that a page's zone map cannot rule out but no
+// row satisfies decodes exactly the date column. Dimension pages are opened
+// by every query that scans them; Q2.1's are counted by the same star over an
+// empty fact table and left out.
 func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
 	if err != nil {
@@ -575,14 +579,12 @@ func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 	defer env.Close()
 	ctx := context.Background()
 	pool, fact := env.Cat.Pool(), env.SSB.Lineorder
-	// Dimension pages resident and fully decoded, so that the counters below
-	// move for lineorder alone.
-	for _, name := range env.Cat.Tables() {
-		if tbl := env.Cat.MustTable(name); tbl != fact {
-			if _, err := tbl.File.AllRows(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	empty, err := env.Cat.CreateTable("lineorder_empty", fact.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.File.Seal(); err != nil {
+		t.Fatal(err)
 	}
 	e := env.Engine(engine.Config{})
 	run := func(p plan.Node) (pages, cols int64, rows int) {
@@ -597,7 +599,14 @@ func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 	}
 
 	q21 := ssb.Instantiate(env.SSB, ssb.Q2_1, rand.New(rand.NewSource(13)))
+	dims := *q21.Star
+	dims.Fact = empty
+	dimPages, dimCols, _ := run(dims.QueryCentric())
+	if dimPages == 0 {
+		t.Fatal("Q2.1's dimension scans opened no page")
+	}
 	pages, cols, _ := run(q21.Plan(false))
+	pages, cols = pages-dimPages, cols-dimCols
 	if np := int64(fact.File.NumPages()); pages != np {
 		t.Fatalf("Q2.1 opened %d lineorder pages, the table has %d", pages, np)
 	}
@@ -617,9 +626,11 @@ func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 }
 
 // TestEnvCloseLeavesArenaEmpty loads SSB, runs one shared sweep and one
-// query-centric plan, and closes: every page the disk and the opened batches
-// took, and every lease the pool took on the disk's, is back, none of them
-// through a finalizer, and —
+// query-centric plan, and closes. Between queries the device pages and the
+// frames hold the fact table and no decoded page is left: decoded columns
+// live while a query reads them. After Close every page the disk and the
+// opened batches took, and every lease the pool took on the disk's, is back,
+// none of them through a finalizer, and —
 // when nothing else in the process holds pages, as in the perf-smoke step that
 // runs this test alone — the arena is empty and down to one mapped chunk.
 func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
@@ -638,8 +649,8 @@ func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
 	}
 	mid := arena.Snapshot()
 	if np := int64(env.SSB.Lineorder.File.NumPages()); mid.PagesDevice-before.PagesDevice < np ||
-		env.Cat.Pool().Stats().Frames < int(np) || mid.PagesDecoded == before.PagesDecoded {
-		t.Errorf("a loaded, swept database should hold device and decoded pages, and frames lent the fact table: %+v, %+v", mid, env.Cat.Pool().Stats())
+		env.Cat.Pool().Stats().Frames < int(np) || mid.PagesDecoded != before.PagesDecoded {
+		t.Errorf("between queries a swept database should hold device pages, and frames lent the fact table, but no decoded page: %+v, %+v, before %+v", mid, env.Cat.Pool().Stats(), before)
 	}
 	env.Close()
 	env.Close() // idempotent
@@ -649,6 +660,94 @@ func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
 	}
 	if before.PagesInUse == 0 && after.MappedBytes > 2<<20 {
 		t.Errorf("an empty arena keeps %d bytes mapped, want at most one 2 MiB chunk", after.MappedBytes)
+	}
+}
+
+// TestDecodedPagesLiveOnlyInFlight: decoded columns are a reader's, not a
+// frame's. While four concurrent queries sweep a memory-resident fact table
+// through one CJOIN worker, the arena holds decoded pages only for the page
+// batches in the pipeline, and when the queries are done it holds none — a
+// frame that kept its page's decode would leave every page's columns behind.
+func TestDecodedPagesLiveOnlyInFlight(t *testing.T) {
+	env, err := NewSSBEnvCfg(EnvConfig{SF: 0.02, Residency: MemoryResident, Seed: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	fact := env.SSB.Lineorder.File
+	// The decoded pages one page batch can hold: every column decoded, each
+	// of 8 bytes a row, packed whole into PageSize arena pages.
+	maxRows := 0
+	for p := 0; p < fact.NumPages(); p++ {
+		cb, err := fact.PageCols(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxRows = max(maxRows, cb.Len())
+		cb.Release()
+	}
+	perPage := storage.PageSize / (8 * maxRows)
+	perBatch := (fact.Schema().Len() + perPage - 1) / perPage
+	// Page batches alive at once with one worker: the scanner's in hand, the
+	// worker's queue and the one it probes, the fan-in (queue plus one), and
+	// the distributor's in hand, with cjoin's queueLen = 4. One worker keeps
+	// the ticks in order, so the distributor's reorder ring stays empty.
+	const queueLen = 4
+	inFlight := 1 + queueLen + 1 + (queueLen + 1) + 1
+	bound := int64(inFlight * perBatch)
+	if np := int64(fact.NumPages()); bound >= np {
+		t.Fatalf("bound %d does not tell in-flight pages from a decode per fact page (%d pages)", bound, np)
+	}
+
+	e := env.Engine(engine.Config{})
+	r := rand.New(rand.NewSource(9))
+	arena.Settle()
+	base := arena.Snapshot().PagesDecoded
+	var peak, samples atomic.Int64
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			peak.Store(max(peak.Load(), arena.Snapshot().PagesDecoded-base))
+			samples.Add(1)
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for _, tmpl := range []ssb.Template{ssb.Q1_1, ssb.Q2_1, ssb.Q3_2, ssb.Q4_1} {
+			in := ssb.Instantiate(env.SSB, tmpl, r)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := e.Execute(context.Background(), in.Plan(true)); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	<-sampled
+	if got := arena.Snapshot().PagesDecoded - base; got != 0 {
+		t.Errorf("%d decoded pages left after the queries, want none", got)
+	}
+	// On one P the sampler rarely runs between a worker's decode and the
+	// distributor's release, so a peak of 0 is allowed; a sampler that never
+	// ran is not.
+	if p := peak.Load(); p > bound || samples.Load() < 2 {
+		t.Errorf("decoded pages peaked at %d in %d samples during the sweeps, want at most %d (%d batches in flight × %d)", p, samples.Load(), bound, inFlight, perBatch)
 	}
 }
 
