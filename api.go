@@ -81,7 +81,7 @@ type (
 	CJoinOperator = cjoin.Operator
 	// CJoinConfig tunes the GQP (the output batch size, Workers — the number
 	// of parallel probe pipelines, defaulting to GOMAXPROCS — and the prune
-	// and fold ablation toggles).
+	// ablation toggle).
 	CJoinConfig = cjoin.Config
 	// CJoinDimSpec fixes one dimension of the GQP chain.
 	CJoinDimSpec = cjoin.DimSpec
@@ -211,10 +211,9 @@ type Config struct {
 	BufferPoolPages int
 	// CJoin tunes the CJOIN Global Query Plan started by LoadSSB; the zero
 	// value selects every default (notably Workers = GOMAXPROCS parallel
-	// probe pipelines; CJoin.DisableFold turns off predicate-subsumption
-	// query folding at admission, which is on by default, and
-	// CJoin.DisablePrune turns zone-map pruning off in NewEngine's table
-	// scans as well). Invalid values surface as a LoadSSB error.
+	// probe pipelines; CJoin.DisablePrune turns zone-map pruning off in
+	// NewEngine's table scans as well). Invalid values surface as a LoadSSB
+	// error.
 	CJoin CJoinConfig
 	// DisableResultCache disables the materialized result cache in engines
 	// built by NewEngine (on by default: exact repeat templates answer

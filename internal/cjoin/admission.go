@@ -19,53 +19,26 @@ type routeCol struct {
 	col int
 }
 
-// slot is one bitmap slot of the Global Query Plan: the bit the workers
-// annotate and probe, and the predicates that produce it. Every query reads
-// one slot; a folded query reads a slot a running query opened. The package
-// doc names the goroutine that owns each field.
-type slot struct {
+// subscription is one admitted query and the bitmap slot it owns: the bit
+// the workers annotate and probe, the predicates that produce it, and the
+// query's delivery state. The package doc names the goroutine that owns
+// each field.
+type subscription struct {
+	q  *plan.StarQuery
 	id int // bitmap bit
 
-	factVec expr.VecPred    // vectorized fact predicate (nil = every fact row qualifies)
-	prune   expr.PruneCheck // page-level can-match check (nil = every page)
+	factVec expr.VecPred // vectorized fact predicate (nil = every fact row qualifies)
+	// prune is the page-level can-match check (nil = every page): the
+	// query's zone skip, and its blast radius on a quarantined page.
+	prune expr.PruneCheck
 
 	// Per-operator-dimension admission plan, applied by every worker
-	// replica: dimRef[d] reports whether the slot references dimension d;
+	// replica: dimRef[d] reports whether the query references dimension d;
 	// dimPredVec[d] is its vectorized dimension predicate (nil = every
 	// dimension row qualifies), evaluated over the dimension table's cached
 	// column batch when the slot opens.
 	dimRef     []bool
 	dimPredVec []expr.VecPred
-
-	// The raw predicates, so admission can fold a query onto the slot:
-	// expr.Subsumes proves implication of factPred, expr.Equal equality of
-	// dimPred.
-	factPred expr.Expr
-	dimPred  []expr.Expr // per operator dimension; nil = unconstrained
-
-	live    int             // readers the scanner has not retired
-	readers []*subscription // readers whose output the distributor keeps open
-
-	// failed is the first panic of one of the slot's predicates: every
-	// reader retires with it.
-	failed atomic.Pointer[PanicError]
-}
-
-// fail records the slot's first panic. Safe from any pipeline goroutine.
-func (sl *slot) fail(r any) { sl.failed.CompareAndSwap(nil, &PanicError{Recovered: r}) }
-
-// subscription is one admitted query: a reader of one slot. The package doc
-// names the goroutine that owns each field.
-type subscription struct {
-	q    *plan.StarQuery
-	slot *slot
-	// prune is the query's own page-level check (nil = every page): its
-	// blast radius on a quarantined page.
-	prune expr.PruneCheck
-	// residual is the vectorized part of the query's fact predicate its
-	// slot's does not cover (nil = none), evaluated by the distributor per
-	// routed tuple over a one-row selection of the fact page's batch.
-	residual expr.VecPred
 
 	// Precomputed distributor route: output width and flat column map,
 	// derived once at subscription time instead of per routed tuple.
@@ -85,8 +58,8 @@ type subscription struct {
 	canceled atomic.Bool
 	err      error // set before out is closed
 
-	// failed is the first panic of the query's own residual or zone check,
-	// promoted to err at retirement.
+	// failed is the first panic of one of the query's predicates or its
+	// zone check, promoted to err at retirement.
 	failed atomic.Pointer[PanicError]
 
 	// Routed tuples are appended column-wise into a pooled ColBatch and
@@ -108,29 +81,22 @@ func (s *subscription) fail(r any) {
 	s.canceled.Store(true)
 }
 
-// cause is the panic the query retires with: its slot's, else its own; nil
-// when neither failed.
+// cause is the panic the query retires with; nil when none of its
+// predicates failed.
 func (s *subscription) cause() error {
-	if pe := s.slot.failed.Load(); pe != nil {
-		return pe
-	}
 	if pe := s.failed.Load(); pe != nil {
 		return pe
 	}
 	return nil
 }
 
-// failer is what a compiled predicate belongs to: the slot whose bits it
-// produces, or the query whose residual or blast radius it decides.
-type failer interface{ fail(r any) }
-
 // contain is deferred around every call of a compiled predicate: it turns a
-// panic into a typed failure of f, so the process and every query reading
-// another slot survive. The call returns its zero result.
-func (op *Operator) contain(f failer) {
+// panic into a typed failure of the query the predicate belongs to, so the
+// process and every other query survive. The call returns its zero result.
+func (op *Operator) contain(s *subscription) {
 	if r := recover(); r != nil {
 		op.stats.panicFailures.Add(1)
-		f.fail(r)
+		s.fail(r)
 	}
 }
 
@@ -189,20 +155,20 @@ func (op *Operator) Run(ctx context.Context, q *plan.StarQuery, emit func(*batch
 }
 
 // newSubscription validates the query against the operator's chain and
-// precomputes everything the pipeline needs per tuple: the slot the query
-// opens unless it folds onto a running one, with its compiled fact and
-// dimension predicates (shared read-only by every worker replica), and the
-// distributor's output row layout.
+// precomputes everything the pipeline needs per tuple: the compiled fact and
+// dimension predicates of the query's slot (shared read-only by every
+// worker replica), and the distributor's output row layout.
 func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	if q.Fact != op.fact {
 		return nil, fmt.Errorf("cjoin: query fact table %q does not match GQP fact table %q",
 			q.Fact.Name, op.fact.Name)
 	}
-	sl := &slot{
+	sub := &subscription{
+		q:          q,
 		dimRef:     make([]bool, len(op.specs)),
 		dimPredVec: make([]expr.VecPred, len(op.specs)),
-		factPred:   q.FactPred,
-		dimPred:    make([]expr.Expr, len(op.specs)),
+		out:        make(chan *batch.Batch, outBuffer),
+		cancelCh:   make(chan struct{}),
 	}
 	dimIdx := make([]int, len(q.Dims))
 	for i, d := range q.Dims {
@@ -216,24 +182,16 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 				d.Table.Name, d.FactKeyCol, d.DimKeyCol, spec.FactKeyCol, spec.DimKeyCol)
 		}
 		dimIdx[i] = idx
-		sl.dimRef[idx] = true
-		sl.dimPred[idx] = d.Pred
+		sub.dimRef[idx] = true
 		if d.Pred != nil {
-			sl.dimPredVec[idx] = expr.CompileVec(d.Pred)
+			sub.dimPredVec[idx] = expr.CompileVec(d.Pred)
 		}
 	}
 	if q.FactPred != nil {
-		sl.factVec = expr.CompileVec(q.FactPred)
+		sub.factVec = expr.CompileVec(q.FactPred)
 		if !op.cfg.DisablePrune {
-			sl.prune = expr.CompilePrune(q.FactPred)
+			sub.prune = expr.CompilePrune(q.FactPred)
 		}
-	}
-	sub := &subscription{
-		q:        q,
-		slot:     sl,
-		prune:    sl.prune,
-		out:      make(chan *batch.Batch, outBuffer),
-		cancelCh: make(chan struct{}),
 	}
 	sub.outWidth = len(q.FactCols)
 	for _, d := range q.Dims {
@@ -251,61 +209,16 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	return sub, nil
 }
 
-// admit places sub in the plan at the scanner's current position and
-// returns its admission message. The query reads a live slot whose
-// predicates its own imply (a fold), or opens the slot newSubscription
-// built for it; either way it joins the active list and the registry of
-// open queries.
+// admit places sub in the plan at the scanner's current position, opening
+// its bitmap slot, and returns its admission message. The query joins the
+// active list and the registry of open queries.
 func (s *scanner) admit(sub *subscription) ctlMsg {
-	opens := true
-	if sl := s.foldSlot(sub.slot); sl != nil {
-		// The distributor applies the residual predicate per routed tuple.
-		// Compiling here is fine: admission is off the per-page hot path.
-		if re := expr.Residual(sl.factPred, sub.q.FactPred); re != nil {
-			sub.residual = expr.CompileVec(re)
-		}
-		sub.slot, opens = sl, false
-		s.op.stats.grafted.Add(1)
-	} else {
-		sub.slot.id = s.slotID()
-	}
-	sub.slot.live++
+	sub.id = s.slotID()
 	sub.pagesLeft = s.npages
 	s.active = append(s.active, sub)
 	s.op.openMu.Lock()
 	s.op.open[sub] = struct{}{}
 	s.op.openMu.Unlock()
 	s.op.stats.admitted.Add(1)
-	return ctlMsg{kind: ctlAdmit, sub: sub, slotEdge: opens}
-}
-
-// foldSlot returns a live slot that cand's query can read instead of
-// opening cand: one that has not failed, over the same dimension set with
-// structurally equal dimension predicates, whose fact predicate cand's
-// implies (expr.Subsumes is conservative, so a nil answer only costs a
-// fresh slot, never correctness).
-func (s *scanner) foldSlot(cand *slot) *slot {
-	if s.op.cfg.DisableFold {
-		return nil
-	}
-	for _, r := range s.active {
-		sl := r.slot
-		if sl.failed.Load() == nil && sameDims(sl, cand) && expr.Subsumes(sl.factPred, cand.factPred) {
-			return sl
-		}
-	}
-	return nil
-}
-
-// sameDims reports whether two slots constrain the dimension chain
-// identically: same referenced dimensions, structurally equal predicates.
-// A slot's bits already fold in its dimension semijoins, so a fold is only
-// sound when they coincide exactly.
-func sameDims(a, b *slot) bool {
-	for d := range a.dimRef {
-		if a.dimRef[d] != b.dimRef[d] || !expr.Equal(a.dimPred[d], b.dimPred[d]) {
-			return false
-		}
-	}
-	return true
+	return ctlMsg{kind: ctlAdmit, sub: sub}
 }

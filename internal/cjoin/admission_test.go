@@ -2,8 +2,11 @@ package cjoin
 
 import (
 	"bytes"
+	"context"
 	"testing"
+	"time"
 
+	"repro/internal/batch"
 	"repro/internal/bitvec"
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -54,14 +57,13 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		sl := sub.slot
-		sl.id = qi % 3 // exercise different slots and words
+		sub.id = qi % 3 // exercise different slots and words
 		for di, spec := range op.specs {
 			ds := newDimStateFor(t, di, spec, op)
-			ds.addSlot(sl)
-			if !sl.dimRef[di] {
+			ds.addSlot(sub)
+			if !sub.dimRef[di] {
 				for i := 0; i < ds.tab.cb.Len(); i++ {
-					if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sl.id) {
+					if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
 						t.Fatalf("query %d dim %d: bit set on unreferenced dimension", qi, di)
 					}
 				}
@@ -77,16 +79,16 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 			}
 			for i, r := range ds.tab.cb.Rows() {
 				want := pred == nil || pred.Eval(r).Bool()
-				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sl.id)
+				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id)
 				if got != want {
 					t.Fatalf("query %d dim %d entry %d (%v): admitted=%v, scalar predicate=%v",
 						qi, di, i, r, got, want)
 				}
 			}
 			// Retirement must clear exactly this query's bits.
-			ds.dropSlot(sl)
+			ds.dropSlot(sub)
 			for i := 0; i < ds.tab.cb.Len(); i++ {
-				if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sl.id) {
+				if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
 					t.Fatalf("query %d dim %d entry %d: bit survives retirement", qi, di, i)
 				}
 			}
@@ -103,6 +105,68 @@ func TestVectorizedAdmissionEndToEnd(t *testing.T) {
 	for qi, q := range admissionQueries(cat) {
 		mustEqualRows(t, runStar(t, op, q), evalStarNaive(t, q))
 		_ = qi
+	}
+}
+
+// waitAdmitted blocks until the operator has admitted at least n queries.
+func waitAdmitted(t *testing.T, op *Operator, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for op.Stats().Admitted < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d admissions", n)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// runStarAsync starts a query and returns a handle for its rows.
+func runStarAsync(op *Operator, q *plan.StarQuery) func() ([]types.Row, error) {
+	var rows []types.Row
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err = op.Run(context.Background(), q, func(b *batch.Batch) error {
+			rows = append(rows, b.RowsView()...)
+			b.Done()
+			return nil
+		})
+	}()
+	return func() ([]types.Row, error) {
+		<-done
+		return rows, err
+	}
+}
+
+// TestIdenticalQueriesEachOpenABit admits two identical star queries while
+// a long query keeps the scanner busy on a slow disk. Each admission opens a
+// bitmap slot of its own, so the slot high water rises by two, and both
+// results equal the naive evaluator's.
+func TestIdenticalQueriesEachOpenABit(t *testing.T) {
+	cat := slowStarDB(t, 3000, time.Millisecond)
+	op := newOpCfg(t, cat, Config{BatchSize: 64})
+	long := &plan.StarQuery{Fact: cat.MustTable("lo"), FactCols: []int{0},
+		Dims: []plan.DimJoin{{Table: cat.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0, PayloadCols: []int{1}}}}
+	q := asiaEuropeQuery(cat, 3, 20)
+
+	longWait := runStarAsync(op, long)
+	waitAdmitted(t, op, 1)
+	base := op.Stats().SlotHighWater
+	waits := []func() ([]types.Row, error){runStarAsync(op, q), runStarAsync(op, q)}
+	want := evalStarNaive(t, q)
+	for i, wait := range waits {
+		rows, err := wait()
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		mustEqualRows(t, rows, want)
+	}
+	if _, err := longWait(); err != nil {
+		t.Fatalf("long query: %v", err)
+	}
+	if hw := op.Stats().SlotHighWater; hw != base+2 {
+		t.Fatalf("SlotHighWater = %d, want %d: two identical queries must each open a bit", hw, base+2)
 	}
 }
 

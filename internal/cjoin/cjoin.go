@@ -5,21 +5,21 @@
 // The plan is data-parallel: one scanner drives the circular scan of the
 // fact table and deals fact pages round-robin to Config.Workers probe
 // workers; each worker annotates its pages with slot bitmaps (bit s is set
-// iff the tuple satisfies slot s's fact-table predicate) and probes them
-// through the whole dimension chain; a distributor merges the worker streams
-// back into scan order and routes each surviving joined tuple to the readers
-// of every slot whose bit survived.
+// iff the tuple satisfies the fact-table predicate of the query owning slot
+// s) and probes them through the whole dimension chain; a distributor merges
+// the worker streams back into scan order and routes each surviving joined
+// tuple to every query whose bit survived.
 //
 //	            ┌→ worker 0 (annotate → probe dim₁..dimₖ) ─┐
 //	scanner ────┼→ worker 1 (annotate → probe dim₁..dimₖ) ─┼→ distributor
 //	            └→ …                                       ─┘   (seq merge)
 //
 // The code is split by role, one file each: cjoin.go (the operator, its
-// configuration and counters), admission.go (slots, subscriptions, Run, and
-// admission with the fold lookup), scanner.go (the circular scan, its ticks,
-// slot ids and retirement), worker.go (annotate and probe), dim.go
-// (dimension tables and their per-worker replicas) and distributor.go
-// (sequence merge, routing, delivery and shutdown).
+// configuration and counters), admission.go (subscriptions, Run and
+// admission), scanner.go (the circular scan, its ticks, slot ids and
+// retirement), worker.go (annotate and probe), dim.go (dimension tables and
+// their per-worker replicas) and distributor.go (sequence merge, routing,
+// delivery and shutdown).
 //
 // Each dimension is split in two. Its rows and their join index are one
 // dimtab.Table — the index the query-centric hash join builds too — built
@@ -30,22 +30,14 @@
 // changes as queries come and go — are replicated per worker so the probe
 // hot path never takes a lock.
 //
-// # Slots and readers
+// # Slots
 //
-// The unit the plan shares is a slot: one bit of the bitmap, and the fact
-// predicate, zone check and dimension predicates that produce it. Every
-// query is a reader of one slot. A query opens a slot of its own unless
-// folding finds a live slot it can read: one over the same dimensions with
-// equal dimension predicates, whose fact predicate the query's implies
-// (expr.Subsumes, after GraftDB). Such a reader keeps the part of its fact
-// predicate the slot does not cover as a residual, which the distributor
-// applies per routed tuple. A slot is annotated from the tick that opens it
-// to the tick that closes it, whichever of its readers are canceled.
-//
-// A panic in a slot's fact predicate, zone check or dimension predicate
-// fails the slot, and every reader retires with its *PanicError. A panic in
-// a reader's own residual or zone check fails that reader alone. Folding
-// never joins a failed slot.
+// Every admitted query owns one slot: one bit of the bitmap, produced by
+// the query's fact predicate, zone check and dimension predicates. Its
+// admission opens the slot and its retirement closes it, so the plan shares
+// the scan and the probes, never a bit. A panic in one of a query's
+// predicates or its zone check fails that query alone, with its
+// *PanicError.
 //
 // # Epoch protocol
 //
@@ -67,42 +59,36 @@
 // the first page of its sweep and its finish tick follows the last, so the
 // query sees each fact tuple exactly once, and its batches in scan order.
 //
-// A ctlAdmit that opens a slot, and the ctlFinish of its last reader, which
-// closes it, say so (ctlMsg.slotEdge). Workers add and drop slots on those
-// two edges only; the distributor adds and removes a reader on every
-// admission and finish, and indexes a slot by id while it is open. The
-// scanner counts each slot's live readers and returns the id to its free
-// list as it publishes the closing ctlFinish. Every worker and the
-// distributor apply that tick before any later admission tick, so a later
-// admission may reuse the id.
+// A ctlAdmit opens its query's slot and a ctlFinish closes it: workers add
+// the slot's bits on the one and drop them on the other, and the
+// distributor indexes the query by slot id in between. The scanner returns
+// the id to its free list as it publishes the ctlFinish. Every worker and
+// the distributor apply that tick before any later admission tick, so a
+// later admission may reuse the id.
 //
 // Shutdown fails one registry, Operator.open. The scanner adds a query to it
 // at admission, and the distributor removes the query where it closes the
 // query's output. Once the fan-in has drained, the distributor fails every
 // query left with the shutdown cause.
 //
-// Each field of a slot and a subscription has one owner:
+// Each field of a subscription has one owner:
 //
-//   - newSubscription fixes the query's own fields (q, prune, outWidth,
-//     route) and a slot's predicates (factVec, prune, dimRef, dimPredVec,
-//     factPred, dimPred), and Run fixes deadline, before the query is sent
-//     to the scanner; out and cancelCh are made there too. All of them are
-//     read-only after.
-//   - The scanner writes slot (the fold's slot replaces the one built) and
-//     residual at admission, and the id of a slot it opens, before it
-//     publishes the admission tick; they are read-only after.
-//   - The scanner owns pagesLeft and a slot's live count. It writes err
-//     when the query fails, before it publishes the query's finish tick; the
-//     channel sends of that tick order the write before the workers' and the
-//     distributor's reads.
-//   - The distributor owns a slot's readers and a query's cut, pendCols and
-//     pendN, and err from the finish tick (or shutdown) on. It closes out,
-//     after which Run reads err.
+//   - newSubscription fixes q, the predicates (factVec, prune, dimRef,
+//     dimPredVec), outWidth and route, and Run fixes deadline, before the
+//     query is sent to the scanner; out and cancelCh are made there too. All
+//     of them are read-only after.
+//   - The scanner writes id at admission, before it publishes the admission
+//     tick; it is read-only after.
+//   - The scanner owns pagesLeft. It writes err when the query fails,
+//     before it publishes the query's finish tick; the channel sends of that
+//     tick order the write before the workers' and the distributor's reads.
+//   - The distributor owns cut, pendCols and pendN, and err from the finish
+//     tick (or shutdown) on. It closes out, after which Run reads err.
 //   - canceled and failed are atomic. Run raises canceled when the consumer
-//     leaves; a reader's fail stores failed, then raises canceled. A slot's
-//     fail stores its failed once, from any pipeline goroutine.
+//     leaves; fail stores failed once, then raises canceled, from any
+//     pipeline goroutine.
 //
-// A worker's replicas (dims, slots, nslots) belong to the worker; it changes
+// A worker's replicas (dims, subs, nslots) belong to the worker; it changes
 // them only when it applies an epoch.
 //
 // # Data path
@@ -159,14 +145,6 @@ type Config struct {
 	// DisablePrune turns off zone-map page pruning in the shared scan (the
 	// pruning-on/off ablation toggle; pruning is on by default).
 	DisablePrune bool
-	// DisableFold turns off predicate-subsumption query folding, so every
-	// query opens a bitmap slot of its own. With folding on (the default), a
-	// query reads a live slot instead when the slot's fact predicate is
-	// implied by the query's and its dimension set and predicates match the
-	// query's exactly; the distributor applies the query's residual
-	// predicate per routed tuple. A folded query shares the slot's failure:
-	// a panic in the slot's predicates fails every reader.
-	DisableFold bool
 }
 
 // outBuffer is the per-query output channel depth, in batches.
@@ -207,7 +185,6 @@ type Stats struct {
 	Completed      int64 // queries that finished a full sweep
 	Canceled       int64 // queries canceled mid-sweep
 	Failed         int64 // queries retired with a typed error (page loss, deadline, panic)
-	Grafted        int64 // admissions folded onto a live bitmap slot
 	SlotHighWater  int64 // highest bitmap slot count ever allocated
 	PagesScanned   int64 // fact pages read by the circular scan
 	PagesPruned    int64 // fact pages skipped whole: no attached query could match
@@ -220,10 +197,9 @@ type Stats struct {
 	TuplesRouted   int64 // (tuple, query) deliveries by the distributor
 	// Fault-isolation counters: quarantined fact pages fail only the
 	// queries whose zone checks cover them, deadlines retire queries
-	// through the epoch protocol, and panicking compiled predicates are
-	// converted into typed failures of the queries reading the predicate's
-	// slot, or of the one query whose residual it is, at the goroutine
-	// boundary.
+	// through the epoch protocol, and a panicking compiled predicate is
+	// converted into a typed failure of the query it belongs to, at the
+	// goroutine boundary.
 	PagesQuarantined int64 // quarantined-page encounters by the circular sweep
 	PageFailures     int64 // (page, query) failures charged to quarantined pages
 	DeadlineExpired  int64 // queries retired mid-sweep at their deadline
@@ -235,6 +211,12 @@ type Stats struct {
 	// DistributorBusy is the distributor's part of Busy (included in Busy,
 	// not added to it): merging ticks, routing tuples, retiring queries.
 	DistributorBusy time.Duration
+
+	// Grafted counted admissions folded onto another query's bitmap slot.
+	//
+	// Deprecated: every admission opens a slot of its own, so Grafted is
+	// always 0.
+	Grafted int64
 }
 
 // PanicError is the typed failure a query receives when its compiled
@@ -280,7 +262,7 @@ type Operator struct {
 	stats struct {
 		admitted, completed, canceled        atomic.Int64
 		failed                               atomic.Int64
-		grafted, slotHighWater               atomic.Int64
+		slotHighWater                        atomic.Int64
 		pagesScanned, pagesPruned, zoneSkips atomic.Int64
 		factTuplesIn, droppedAtScan          atomic.Int64
 		probes, probeMisses, droppedInChain  atomic.Int64
@@ -387,7 +369,6 @@ func (op *Operator) Stats() Stats {
 		Completed:      op.stats.completed.Load(),
 		Canceled:       op.stats.canceled.Load(),
 		Failed:         op.stats.failed.Load(),
-		Grafted:        op.stats.grafted.Load(),
 		SlotHighWater:  op.stats.slotHighWater.Load(),
 		PagesScanned:   op.stats.pagesScanned.Load(),
 		PagesPruned:    op.stats.pagesPruned.Load(),

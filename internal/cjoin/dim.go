@@ -113,25 +113,25 @@ func (ds *dimState) growTo(id int) {
 	}
 }
 
-// addSlot installs a slot's bits in this replica: entry bitmaps for
+// addSlot installs a query's slot bits in this replica: entry bitmaps for
 // every dimension tuple satisfying its predicate, and the stage mask. A
-// slot with a dimension predicate is evaluated vectorized over the table's
-// cached column batch — one kernel sweep instead of one compiled-closure
-// call per entry; a predicate-free slot marks every entry directly.
-func (ds *dimState) addSlot(sl *slot) {
-	if !sl.dimRef[ds.tab.idx] {
+// dimension predicate is evaluated vectorized over the table's cached
+// column batch — one kernel sweep instead of one compiled-closure call per
+// entry; a predicate-free reference marks every entry directly.
+func (ds *dimState) addSlot(sub *subscription) {
+	if !sub.dimRef[ds.tab.idx] {
 		return // bits outside the mask pass through unchanged
 	}
-	ds.growTo(sl.id)
-	w, bit := sl.id/64, uint64(1)<<(uint(sl.id)&63)
+	ds.growTo(sub.id)
+	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
 	ds.mask[w] |= bit
 	es := ds.estride
-	if vp := sl.dimPredVec[ds.tab.idx]; vp != nil {
+	if vp := sub.dimPredVec[ds.tab.idx]; vp != nil {
 		all := ds.tab.cb.AllSel()
 		if cap(ds.admitSel) < len(all) {
 			ds.admitSel = make([]int32, len(all))
 		}
-		for _, i := range ds.safeDimSel(sl, vp, all) {
+		for _, i := range ds.safeDimSel(sub, vp, all) {
 			ds.ebits[int(i)*es+w] |= bit
 		}
 		return
@@ -141,21 +141,21 @@ func (ds *dimState) addSlot(sl *slot) {
 	}
 }
 
-// safeDimSel runs sl's vectorized dimension predicate over the table's
-// cached column batch. A panic fails the slot: its bits stay clear on this
-// replica, and every reader retires with the panic.
-func (ds *dimState) safeDimSel(sl *slot, vp expr.VecPred, all []int32) []int32 {
-	defer ds.op.contain(sl)
+// safeDimSel runs sub's vectorized dimension predicate over the table's
+// cached column batch. A panic fails the query: its bits stay clear on this
+// replica, and it retires with the panic.
+func (ds *dimState) safeDimSel(sub *subscription, vp expr.VecPred, all []int32) []int32 {
+	defer ds.op.contain(sub)
 	return vp(ds.tab.cb, all, ds.admitSel[:len(all)], &ds.scratch)
 }
 
-// dropSlot removes a slot's bits from this replica.
-func (ds *dimState) dropSlot(sl *slot) {
-	if !bitvec.GetWord(ds.mask, sl.id) {
+// dropSlot removes a query's slot bits from this replica.
+func (ds *dimState) dropSlot(sub *subscription) {
+	if !bitvec.GetWord(ds.mask, sub.id) {
 		return
 	}
-	bitvec.ClearWord(ds.mask, sl.id)
-	w, bit := sl.id/64, uint64(1)<<(uint(sl.id)&63)
+	bitvec.ClearWord(ds.mask, sub.id)
+	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
 	es := ds.estride
 	for i := 0; i < ds.tab.cb.Len(); i++ {
 		ds.ebits[i*es+w] &^= bit

@@ -2,7 +2,6 @@ package cjoin
 
 import (
 	mathbits "math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/batch"
@@ -10,16 +9,17 @@ import (
 )
 
 // distributor merges the worker streams back into tick order, fans joined
-// tuples out to the readers of the slots named in their bitmaps and retires
-// queries when their finish ticks arrive. Out-of-order arrivals wait in a
-// power-of-two ring indexed by sequence number; slots are indexed by id in
-// a flat slice; and output rows are appended to pooled column batches — so
-// merging and routing a tuple allocates nothing in steady state.
+// tuples out to the queries whose slots are named in their bitmaps and
+// retires queries when their finish ticks arrive. Out-of-order arrivals wait
+// in a power-of-two ring indexed by sequence number; queries are indexed by
+// slot id in a flat slice; and output rows are appended to pooled column
+// batches — so merging and routing a tuple allocates nothing in steady
+// state.
 type distributor struct {
 	op     *Operator
 	in     <-chan *item
-	slots  []*slot // slot id → open slot (nil when closed)
-	routed int64   // deliveries since the last counter flush
+	subs   []*subscription // slot id → the query that owns it (nil when closed)
+	routed int64           // deliveries since the last counter flush
 
 	next int64   // next tick to process
 	ring []*item // reorder buffer; slot = seq & (len-1)
@@ -27,10 +27,6 @@ type distributor struct {
 	// cur is the item being processed, tracked so the panic-recovery path
 	// can release its page-batch reference instead of leaking it.
 	cur *item
-
-	// sel1 and scr are residualMatch's one-row selection and kernel scratch.
-	sel1 [1]int32
-	scr  vec.Scratch
 }
 
 // enqueue accepts one item from the fan-in, processing it immediately when
@@ -124,26 +120,19 @@ func (d *distributor) route(sub *subscription, it *item, ti int) {
 	}
 }
 
-// register adds an admitted query to its slot's readers, and indexes the
-// slot by id when the admission opens it.
-func (d *distributor) register(c ctlMsg) {
-	sl := c.sub.slot
-	sl.readers = append(sl.readers, c.sub)
-	if !c.slotEdge {
-		return
+// register indexes an admitted query by its slot id.
+func (d *distributor) register(sub *subscription) {
+	for sub.id >= len(d.subs) {
+		d.subs = append(d.subs, nil)
 	}
-	for sl.id >= len(d.slots) {
-		d.slots = append(d.slots, nil)
-	}
-	d.slots[sl.id] = sl
+	d.subs[sub.id] = sub
 }
 
 // finish retires a query: flush, close its output, drop it from the open
-// registry and from its slot's readers, and unindex the slot when the
-// finish closes it. The scanner has already put a closed slot's id back on
-// its free list; the admission tick that reuses it comes later in sequence.
-func (d *distributor) finish(c ctlMsg) {
-	sub := c.sub
+// registry and unindex its slot. The scanner has already put the slot id
+// back on its free list; the admission tick that reuses it comes later in
+// sequence.
+func (d *distributor) finish(sub *subscription) {
 	d.deliver(sub)
 	if sub.err == nil {
 		// Backstop for a failure the scanner did not see (a predicate panic
@@ -171,32 +160,7 @@ func (d *distributor) finish(c ctlMsg) {
 	d.op.openMu.Lock()
 	delete(d.op.open, sub)
 	d.op.openMu.Unlock()
-	sl := sub.slot
-	sl.readers = slices.DeleteFunc(sl.readers, func(r *subscription) bool { return r == sub })
-	if c.slotEdge {
-		d.slots[sl.id] = nil
-	}
-}
-
-// routeAll fans one surviving tuple out to every reader of its slot that is
-// not canceled and whose residual predicate, if any, accepts it.
-func (d *distributor) routeAll(sl *slot, it *item, ti int) {
-	for _, r := range sl.readers {
-		if r.canceled.Load() || r.residual != nil && !d.residualMatch(r, it, ti) {
-			continue
-		}
-		d.route(r, it, ti)
-	}
-}
-
-// residualMatch evaluates a reader's residual fact predicate over the
-// tuple's row of the page batch, as a one-row selection. A panicking
-// residual fails that reader alone (reported false: it receives no further
-// tuples and retires on the scanner's next tick).
-func (d *distributor) residualMatch(r *subscription, it *item, ti int) bool {
-	defer d.op.contain(r)
-	d.sel1[0] = it.rowIdx[ti]
-	return len(r.residual(it.cols, d.sel1[:], d.sel1[:], &d.scr)) == 1
+	d.subs[sub.id] = nil
 }
 
 // process handles one tick: a control tick's messages in order, or a data
@@ -207,9 +171,9 @@ func (d *distributor) process(it *item) {
 	if it.ep != nil {
 		for _, c := range it.ep.ctl {
 			if c.kind == ctlAdmit {
-				d.register(c)
+				d.register(c.sub)
 			} else {
-				d.finish(c)
+				d.finish(c.sub)
 			}
 		}
 	}
@@ -220,9 +184,9 @@ func (d *distributor) process(it *item) {
 			for w != 0 {
 				id := wi*64 + mathbits.TrailingZeros64(w)
 				w &= w - 1
-				if id < len(d.slots) {
-					if sl := d.slots[id]; sl != nil {
-						d.routeAll(sl, it, i)
+				if id < len(d.subs) {
+					if sub := d.subs[id]; sub != nil && !sub.canceled.Load() {
+						d.route(sub, it, i)
 					}
 				}
 			}

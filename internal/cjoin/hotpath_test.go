@@ -110,24 +110,25 @@ func bareWorker(op *Operator) *worker {
 }
 
 // annotatedItem builds a warmed item holding one annotated fact page.
-func annotatedItem(t testing.TB, op *Operator, w *worker, slots []*slot) *item {
+func annotatedItem(t testing.TB, op *Operator, w *worker, subs []*subscription) *item {
 	t.Helper()
 	cb, err := op.fact.File.PageCols(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	it := &item{cols: cb}
-	w.annotate(it, slots, len(slots))
+	w.annotate(it, subs, len(subs))
 	if it.n == 0 {
 		t.Fatal("annotate kept no tuples")
 	}
 	return it
 }
 
-// testSlots opens two slots, ids 0 and 1, without starting the pipeline.
-func testSlots(t testing.TB, op *Operator, cat *storage.Catalog) []*slot {
+// testSlots admits two queries on slots 0 and 1 without starting the
+// pipeline.
+func testSlots(t testing.TB, op *Operator, cat *storage.Catalog) []*subscription {
 	t.Helper()
-	slots := make([]*slot, 0, 2)
+	subs := make([]*subscription, 0, 2)
 	for i, q := range []*plan.StarQuery{
 		asiaEuropeQuery(cat, 3, 20),
 		asiaEuropeQuery(cat, 2, 50),
@@ -136,10 +137,10 @@ func testSlots(t testing.TB, op *Operator, cat *storage.Catalog) []*slot {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub.slot.id = i
-		slots = append(slots, sub.slot)
+		sub.id = i
+		subs = append(subs, sub)
 	}
-	return slots
+	return subs
 }
 
 // TestAnnotateZeroAllocs locks in the preprocessor's steady-state allocation

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/vec"
 )
@@ -22,9 +21,6 @@ const (
 type ctlMsg struct {
 	kind ctlKind
 	sub  *subscription
-	// slotEdge marks a ctlAdmit that opens sub's slot, or a ctlFinish that
-	// closes it (sub is its last reader).
-	slotEdge bool
 }
 
 // epoch is a control tick: messages every worker and the distributor apply
@@ -256,11 +252,10 @@ func (s *scanner) pruned(at int) bool {
 		return false
 	}
 	for _, sub := range s.active {
-		sl := sub.slot
-		if sub.canceled.Load() || sl.failed.Load() != nil {
+		if sub.canceled.Load() {
 			continue
 		}
-		if sl.prune == nil || s.op.safePrune(sl.prune, zones, sl) {
+		if sub.prune == nil || s.op.safePrune(sub, zones) {
 			return false
 		}
 	}
@@ -272,10 +267,9 @@ func (s *scanner) pruned(at int) bool {
 // blast-radius contained: only the queries whose zone checks cannot exclude
 // the page fail — they would have consumed its tuples — and every query the
 // page prunes away sweeps on, the page costing it one tick like a pruned
-// page. The check is each query's own, not its slot's: a folded query whose
-// predicate excludes the page survives the slot's opener. An unclassified
-// read failure fails every active query, and the page is read again for the
-// next query to arrive. It reports false once the operator closes.
+// page. An unclassified read failure fails every active query, and the page
+// is read again for the next query to arrive. It reports false once the
+// operator closes.
 func (s *scanner) pageFailed(at int, err error) bool {
 	var pe *storage.PageError
 	quarantined := errors.As(err, &pe)
@@ -289,7 +283,7 @@ func (s *scanner) pageFailed(at int, err error) bool {
 	remaining := s.active[:0]
 	for _, sub := range s.active {
 		if quarantined && (sub.canceled.Load() ||
-			sub.prune != nil && zones != nil && !s.op.safePrune(sub.prune, zones, sub)) {
+			sub.prune != nil && zones != nil && !s.op.safePrune(sub, zones)) {
 			remaining = append(remaining, sub)
 			continue
 		}
@@ -304,12 +298,11 @@ func (s *scanner) pageFailed(at int, err error) bool {
 }
 
 // retirements retires, on one retirement tick, every query whose sweep
-// ended with the last page, that canceled, whose slot or own predicate
-// failed, or whose deadline has passed. The tick follows the sweep's last
-// page, so every worker and the distributor see that page first. time.Now
-// is consulted only while a deadline-bearing query is active —
-// deadline-free sweeps pay nothing. It reports false once the operator
-// closes.
+// ended with the last page, that canceled or failed, or whose deadline has
+// passed. The tick follows the sweep's last page, so every worker and the
+// distributor see that page first. time.Now is consulted only while a
+// deadline-bearing query is active — deadline-free sweeps pay nothing. It
+// reports false once the operator closes.
 func (s *scanner) retirements() bool {
 	var ctl []ctlMsg
 	var now time.Time
@@ -345,19 +338,16 @@ func (s *scanner) retirements() bool {
 	return len(ctl) == 0 || s.broadcast(ctl)
 }
 
-// retire appends the message retiring sub to ctl. The message of a slot's
-// last reader closes the slot, whose id goes back to the free list here: ctl
-// is published before the next admission tick.
+// retire appends the message retiring sub to ctl, which closes its slot.
+// The slot id goes back to the free list here: ctl is published before the
+// next admission tick.
 func (s *scanner) retire(sub *subscription, ctl []ctlMsg) []ctlMsg {
-	sl := sub.slot
-	sl.live--
-	if sl.live == 0 {
-		s.free = append(s.free, sl.id)
-	}
-	return append(ctl, ctlMsg{kind: ctlFinish, sub: sub, slotEdge: sl.live == 0})
+	s.free = append(s.free, sub.id)
+	return append(ctl, ctlMsg{kind: ctlFinish, sub: sub})
 }
 
-// slotID takes a bitmap slot id for a slot being opened, a freed one first.
+// slotID takes a bitmap slot id for a query being admitted, a freed one
+// first.
 func (s *scanner) slotID() int {
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
@@ -394,11 +384,10 @@ func (s *scanner) broadcast(ctl []ctlMsg) bool {
 	}
 }
 
-// safePrune evaluates a compiled zone check, failing f (the slot or query
-// the check belongs to) if it panics. A panic reports false: the page is
-// unmatchable for f, which is harmless, since f's readers retire on the
-// scanner's next tick.
-func (op *Operator) safePrune(prune expr.PruneCheck, zones []storage.ZoneMap, f failer) bool {
-	defer op.contain(f)
-	return prune(zones)
+// safePrune evaluates sub's compiled zone check, failing sub if it panics.
+// A panic reports false: the page is unmatchable for sub, which is
+// harmless, since sub retires on the scanner's next tick.
+func (op *Operator) safePrune(sub *subscription, zones []storage.ZoneMap) bool {
+	defer op.contain(sub)
+	return sub.prune(zones)
 }

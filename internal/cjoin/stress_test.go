@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,9 +13,72 @@ import (
 	"repro/internal/batch"
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
+
+// newOpCfg is newOp with an explicit config (worker counts, pruning).
+func newOpCfg(t testing.TB, cat *storage.Catalog, cfg Config) *Operator {
+	t.Helper()
+	op, err := NewOperator(cat.MustTable("lo"), []DimSpec{
+		{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0},
+		{Table: cat.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0},
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(op.Close)
+	return op
+}
+
+// slowStarDB rebuilds the starDB tables on a latency-charging disk with a
+// tiny buffer pool, so fact sweeps take long enough that a second admission
+// reliably lands mid-sweep. Pads are unique per row (starDB's constant pad
+// dictionary-encodes into nothing, collapsing the fact table to a page or
+// two — far too fast to admit against).
+func slowStarDB(t testing.TB, n int, lat time.Duration) *storage.Catalog {
+	t.Helper()
+	return slowStarDBPool(t, n, lat, 4)
+}
+
+// slowStarDBPool is slowStarDB over a buffer pool of the given frame count.
+func slowStarDBPool(t testing.TB, n int, lat time.Duration, frames int) *storage.Catalog {
+	t.Helper()
+	src := starDB(t, n)
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{
+		ReadLatency: lat,
+	}), frames)
+	pad := strings.Repeat("g", 60)
+	for _, name := range []string{"lo", "cust", "part"} {
+		from := src.MustTable(name)
+		rows, err := from.File.AllRows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "lo" {
+			for i, r := range rows {
+				nr := append(types.Row(nil), r...)
+				nr[4] = types.NewString(pad + strconv.Itoa(i))
+				rows[i] = nr
+			}
+		}
+		to, err := cat.CreateTable(name, from.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := to.File.Append(rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := to.File.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if np := cat.MustTable("lo").File.NumPages(); np < 5 {
+		t.Fatalf("fact table spans only %d pages; sweeps too short to admit against", np)
+	}
+	return cat
+}
 
 // Stress: many concurrent queries with random predicates, random dim
 // subsets and random mid-flight cancellations. Non-canceled queries must
@@ -293,7 +358,7 @@ func TestOperatorCloseReleasesDimensionBatches(t *testing.T) {
 }
 
 // TestConcurrentWavesReuseEverySlot: waves of 1 500 concurrent queries, each
-// on a bitmap slot of its own (fold and prune off), reuse the slots the
+// on a bitmap slot of its own (prune off), reuse the slots the
 // previous wave freed, so the slot high water stays at one wave's width.
 // Freed slots once travelled back to the scanner over a bounded channel that
 // dropped the overflow, and every later page paid for the lost slots in
@@ -303,7 +368,7 @@ func TestConcurrentWavesReuseEverySlot(t *testing.T) {
 	cat := slowStarDBPool(t, 10000, 100*time.Microsecond, 8)
 	lo := cat.MustTable("lo")
 	t.Logf("fact table: %d pages", lo.File.NumPages())
-	op := newOpCfg(t, cat, Config{DisableFold: true, DisablePrune: true})
+	op := newOpCfg(t, cat, Config{DisablePrune: true})
 	none := &plan.StarQuery{Fact: lo, FactCols: []int{0},
 		FactPred: expr.NewCmp(expr.LT, expr.C(0, "lo_id"), expr.Int(0))}
 	for wave := 1; wave <= waves; wave++ {

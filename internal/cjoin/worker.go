@@ -19,8 +19,8 @@ type worker struct {
 	out chan<- *item
 
 	dims   []dimState
-	slots  []*slot // the open slots, in the order they opened
-	nslots int     // one past the highest slot id ever opened: the bitmap width
+	subs   []*subscription // the queries whose slots are open, in admission order
+	nslots int             // one past the highest slot id ever opened: the bitmap width
 
 	// cur is the data item being processed, tracked so the panic-recovery
 	// path can release its page-batch reference instead of leaking it.
@@ -30,30 +30,30 @@ type worker struct {
 	selBuf  []int32     // per-slot selection buffer, sized to the page
 }
 
-// addSlot adds an opened slot to the worker's replicas: annotate produces
-// its bit from here on.
-func (w *worker) addSlot(sl *slot) {
-	if sl.id+1 > w.nslots {
-		w.nslots = sl.id + 1
+// addSlot opens an admitted query's slot in the worker's replicas: annotate
+// produces its bit from here on.
+func (w *worker) addSlot(sub *subscription) {
+	if sub.id+1 > w.nslots {
+		w.nslots = sub.id + 1
 	}
-	w.slots = append(w.slots, sl)
+	w.subs = append(w.subs, sub)
 	for i := range w.dims {
-		w.dims[i].addSlot(sl)
+		w.dims[i].addSlot(sub)
 	}
 }
 
-// dropSlot removes a closed slot's bits from the worker's replicas.
-func (w *worker) dropSlot(sl *slot) {
-	w.slots = slices.DeleteFunc(w.slots, func(o *slot) bool { return o == sl })
+// dropSlot removes a retired query's bits from the worker's replicas.
+func (w *worker) dropSlot(sub *subscription) {
+	w.subs = slices.DeleteFunc(w.subs, func(o *subscription) bool { return o == sub })
 	for i := range w.dims {
-		w.dims[i].dropSlot(sl)
+		w.dims[i].dropSlot(sub)
 	}
 }
 
-// run processes ticks until the scanner closes the queue. Control epochs add
-// and drop slots: a worker acts only on the admission that opens a slot and
-// the finish that closes it. Data ticks are annotated, probed through the
-// whole chain and forwarded to the distributor.
+// run processes ticks until the scanner closes the queue. Control epochs
+// open a slot per admission and close one per finish. Data ticks are
+// annotated, probed through the whole chain and forwarded to the
+// distributor.
 func (w *worker) run() {
 	defer w.op.wg.Done()
 	defer w.op.prodWG.Done()
@@ -80,12 +80,10 @@ func (w *worker) run() {
 		t0 := time.Now()
 		if msg.ep != nil {
 			for _, c := range msg.ep.ctl {
-				switch {
-				case !c.slotEdge:
-				case c.kind == ctlAdmit:
-					w.addSlot(c.sub.slot)
-				default:
-					w.dropSlot(c.sub.slot)
+				if c.kind == ctlAdmit {
+					w.addSlot(c.sub)
+				} else {
+					w.dropSlot(c.sub)
 				}
 			}
 			w.op.addBusy(time.Since(t0))
@@ -93,7 +91,7 @@ func (w *worker) run() {
 		}
 		it := msg.it
 		w.cur = it
-		w.annotate(it, w.slots, w.nslots)
+		w.annotate(it, w.subs, w.nslots)
 		for i := range w.dims {
 			w.dims[i].processTuples(it)
 		}
@@ -109,12 +107,12 @@ func (w *worker) run() {
 	}
 }
 
-// safeFactSel runs sl's vectorized fact predicate over the page batch. A
-// panic fails the slot; the page then contributes no rows to it, and every
+// safeFactSel runs sub's vectorized fact predicate over the page batch. A
+// panic fails the query; the page then contributes no rows to it, and every
 // other slot on the page is untouched.
-func (w *worker) safeFactSel(sl *slot, cb *vec.ColBatch, all, sel []int32) []int32 {
-	defer w.op.contain(sl)
-	return sl.factVec(cb, all, sel, &w.scratch)
+func (w *worker) safeFactSel(sub *subscription, cb *vec.ColBatch, all, sel []int32) []int32 {
+	defer w.op.contain(sub)
+	return sub.factVec(cb, all, sel, &w.scratch)
 }
 
 // annotate fills it with the page's tuples that satisfy at least one open
@@ -125,7 +123,7 @@ func (w *worker) safeFactSel(sl *slot, cb *vec.ColBatch, all, sel []int32) []int
 // every selected row; a final pass compacts the surviving rows. This is the
 // steady-state per-page hot path of every probe worker: it performs no
 // allocations once the worker's buffers have warmed to the page size.
-func (w *worker) annotate(it *item, slots []*slot, nslots int) {
+func (w *worker) annotate(it *item, subs []*subscription, nslots int) {
 	cb := it.cols
 	nrows := cb.Len()
 	stride := (nslots + 63) / 64
@@ -144,39 +142,39 @@ func (w *worker) annotate(it *item, slots []*slot, nslots int) {
 	// its vectorized annotate pass entirely — its bit stays zero for every
 	// row, exactly what evaluating the predicate would produce. The page
 	// itself was fetched because some other slot can match it (the
-	// scanner's union prune). A failed slot's bit stays zero too: its
-	// readers retire on the scanner's next tick.
+	// scanner's union prune). A failed query's bit stays zero too: it
+	// retires on the scanner's next tick.
 	var zones []storage.ZoneMap
 	zonesLoaded := false
 	var zskips int64
-	for _, sl := range slots {
-		if sl.failed.Load() != nil {
+	for _, sub := range subs {
+		if sub.failed.Load() != nil {
 			continue
 		}
-		if sl.prune != nil {
+		if sub.prune != nil {
 			if !zonesLoaded {
 				zones = w.op.fact.File.PageZones(it.page)
 				zonesLoaded = true
 			}
-			if zones != nil && !w.op.safePrune(sl.prune, zones, sl) {
+			if zones != nil && !w.op.safePrune(sub, zones) {
 				zskips++
 				continue
 			}
 		}
-		wi, bit := uint(sl.id)>>6, uint64(1)<<(uint(sl.id)&63)
-		if sl.factVec == nil {
+		wi, bit := uint(sub.id)>>6, uint64(1)<<(uint(sub.id)&63)
+		if sub.factVec == nil {
 			for r := 0; r < nrows; r++ {
 				words[r*stride+int(wi)] |= bit
 			}
 			continue
 		}
 		if stride == 1 {
-			for _, r := range w.safeFactSel(sl, cb, all, sel) {
+			for _, r := range w.safeFactSel(sub, cb, all, sel) {
 				words[r] |= bit
 			}
 			continue
 		}
-		for _, r := range w.safeFactSel(sl, cb, all, sel) {
+		for _, r := range w.safeFactSel(sub, cb, all, sel) {
 			words[int(r)*stride+int(wi)] |= bit
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // soundness: whenever Subsumes(p, q) reports true, brute-force Eval over
 // random rows (mixing NULL, NaN, strings, and cross-kind numerics) must
 // never find a row satisfying q but not p. Half the programs derive
-// related pairs (q = p AND extra, the graft admission family), half fully
+// related pairs (q = p AND extra), half fully
 // independent trees; both directions are probed. Reflexivity
 // (Subsumes(p, p)) is the only completeness property asserted, since the
 // checker is allowed to be conservative everywhere else.

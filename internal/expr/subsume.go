@@ -6,11 +6,9 @@ import (
 	"repro/internal/types"
 )
 
-// This file implements the predicate implication checker behind query
-// folding: Subsumes(p, q) reports whether every row accepted by q is also
-// accepted by p (q ⇒ p), so a query carrying q can graft onto a running
-// query carrying p and read its bitmap column instead of paying its own
-// sweep. The checker is conservative: it returns true only for shapes it
+// This file implements a predicate implication checker: Subsumes(p, q)
+// reports whether every row accepted by q is also accepted by p (q ⇒ p).
+// The checker is conservative: it returns true only for shapes it
 // can prove under the exact Eval semantics (NULL-rejecting comparisons,
 // class-ordered Datum.Compare), and false for everything else.
 //
@@ -36,7 +34,9 @@ const maxExactInt = int64(1) << 53
 
 // Subsumes reports whether q ⇒ p: every row satisfying q also satisfies p.
 // A nil predicate means TRUE (match everything). The check is conservative —
-// false means "not provable", not "disproved".
+// false means "not provable", not "disproved". Its one caller is
+// the benchmark module's expression layer (benchmark/layers.go), which
+// times it.
 func Subsumes(p, q Expr) bool {
 	if p == nil {
 		return true
@@ -599,49 +599,4 @@ func sameConst(a, b types.Datum) bool {
 	default:
 		return a.I == b.I
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Residual extraction
-
-// Conjuncts appends the flattened conjunctive closure of e to dst.
-func Conjuncts(e Expr, dst []Expr) []Expr {
-	if e == nil {
-		return dst
-	}
-	if a, ok := e.(And); ok {
-		dst = Conjuncts(a.L, dst)
-		return Conjuncts(a.R, dst)
-	}
-	return append(dst, e)
-}
-
-// Residual returns the conjuncts of q not structurally present in p, as a
-// single predicate (nil when q adds nothing beyond p). When Subsumes(p, q)
-// holds, evaluating only the residual on rows already known to satisfy p
-// is equivalent to evaluating q in full — the grafted query's per-tuple
-// work.
-func Residual(p, q Expr) Expr {
-	if q == nil {
-		return nil
-	}
-	qc := Conjuncts(q, nil)
-	pc := Conjuncts(p, nil)
-	rest := qc[:0]
-	for _, c := range qc {
-		dup := false
-		for _, h := range pc {
-			if Equal(c, h) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			rest = append(rest, c)
-		}
-	}
-	if len(rest) == 0 {
-		return nil
-	}
-	return NewAnd(rest...)
 }

@@ -128,10 +128,10 @@ func randRow(r *rand.Rand, width int) types.Row {
 	return row
 }
 
-// TestSubsumesRandomImpliedPairs is the property test behind query folding:
-// 400 random (p, q = p AND extra) pairs must all be provable — this family
-// is exactly what the graft admission path sees — and proven pairs must
-// never disagree with brute-force Eval on random rows (soundness).
+// TestSubsumesRandomImpliedPairs is the checker's completeness property:
+// 400 random (p, q = p AND extra) pairs must all be provable, and proven
+// pairs must never disagree with brute-force Eval on random rows
+// (soundness).
 func TestSubsumesRandomImpliedPairs(t *testing.T) {
 	const width = 4
 	r := rand.New(rand.NewSource(42))
@@ -176,38 +176,6 @@ func TestSubsumesRandomSoundness(t *testing.T) {
 	}
 	if proved == 0 {
 		t.Fatal("checker proved nothing across 2000 random pairs; too conservative to be useful")
-	}
-}
-
-func TestResidual(t *testing.T) {
-	x, y := C(0, "x"), C(1, "y")
-	p := NewAnd(NewBetween(x, Int(1), Int(9)), Eq(y, Str("a")))
-	extra := NewCmp(GT, C(2, "z"), Int(4))
-
-	if r := Residual(p, p); r != nil {
-		t.Errorf("Residual(p, p) = %s, want nil", r.Signature())
-	}
-	if r := Residual(p, NewAnd(NewBetween(x, Int(1), Int(9)), Eq(y, Str("a")), extra)); !Equal(r, extra) {
-		t.Errorf("residual = %v, want the extra conjunct", r)
-	}
-	if r := Residual(nil, extra); !Equal(r, extra) {
-		t.Errorf("Residual(nil, q) = %v, want q", r)
-	}
-	if r := Residual(p, nil); r != nil {
-		t.Errorf("Residual(p, nil) = %v, want nil", r)
-	}
-	// Residual evaluation on p-satisfying rows must agree with full q.
-	q := NewAnd(NewBetween(x, Int(1), Int(9)), Eq(y, Str("a")), extra)
-	res := Residual(p, q)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		row := randRow(r, 3)
-		if !p.Eval(row).Bool() {
-			continue
-		}
-		if res.Eval(row).Bool() != q.Eval(row).Bool() {
-			t.Fatalf("row %s: residual disagrees with q", row)
-		}
 	}
 }
 
@@ -263,9 +231,8 @@ func TestFingerprintAgreesWithEqual(t *testing.T) {
 	}
 }
 
-// TestSubsumesConstantAllocs pins the admission-path checker at zero
-// allocations; CI's perf-smoke job also gates BenchmarkSubsumes at 0
-// allocs/op.
+// TestSubsumesConstantAllocs pins the checker at zero allocations; CI's
+// perf-smoke job also gates BenchmarkSubsumes at 0 allocs/op.
 func TestSubsumesConstantAllocs(t *testing.T) {
 	p := q1Style(100, 400, 1, 3, 25)
 	q := And{L: p, R: NewBetween(C(11, "lo_discount"), Int(2), Int(3))}
@@ -283,7 +250,7 @@ func TestSubsumesConstantAllocs(t *testing.T) {
 }
 
 // BenchmarkSubsumes measures the implication check on an SSB Q1-shaped
-// pair (graft admission's hot case) — gated at 0 allocs/op by CI.
+// pair — gated at 0 allocs/op by CI.
 func BenchmarkSubsumes(b *testing.B) {
 	p := q1Style(100, 400, 1, 3, 25)
 	q := And{L: p, R: NewBetween(C(11, "lo_discount"), Int(2), Int(3))}

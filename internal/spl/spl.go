@@ -15,16 +15,12 @@
 // (watermark reclamation), and the producer blocks when the list holds
 // MaxPages unread pages, which bounds memory and provides backpressure.
 //
-// The SPL is one of two delivery-sharing layers above the CJOIN global
-// plan, and they compose. SP on the CJOIN stage shares *identical* star
-// sub-plans: one admission, satellites pulling the host packet's joined
-// tuples through an SPL. Predicate-subsumption folding (internal/cjoin)
-// shares *implied* predicates inside the operator: a grafted query reads
-// its host's bitmap column and applies only its residual predicate, so it
-// never becomes an SPL producer of its own. A grafted reader's delivery is
-// its host's delivery filtered — which is why grafting needs no SPL
-// machinery, only the refcounted bitmap hold that keeps the host's bits
-// alive until every grafted consumer drains.
+// Above the CJOIN global plan, the SPL is how deliveries are shared. SP on
+// the CJOIN stage shares *identical* star sub-plans: one admission,
+// satellites pulling the host packet's joined tuples through an SPL.
+// Inside the operator (internal/cjoin) every admitted query owns a bitmap
+// slot of its own, so queries share the scan and the probes there but
+// never a delivery.
 package spl
 
 import (

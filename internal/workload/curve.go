@@ -414,7 +414,7 @@ func snapshot(env *Env, e *engine.Engine, gw *service.Gateway) map[string]float6
 	if env.CJoin != nil {
 		cs = env.CJoin.Stats()
 	}
-	m["admits"], m["grafts"] = float64(cs.Admitted), float64(cs.Grafted)
+	m["admits"] = float64(cs.Admitted)
 	m["cjoin_pages_pruned"], m["zone_skips"] = float64(cs.PagesPruned), float64(cs.ZoneSkips)
 	ds := env.Cat.Pool().DecodeStats()
 	m["pages_fetched"], m["pages_pruned"], m["pages_decoded"] = float64(ds.Fetched), float64(ds.Pruned), float64(ds.Decoded)

@@ -206,8 +206,8 @@ func TestOverloadSmoke(t *testing.T) {
 	}
 	// Past capacity, graceful degradation means goodput holds near the
 	// at-capacity point — either the sharing machinery absorbs the extra
-	// arrivals (CJOIN folds identical sweeps, so capacity grows with
-	// concurrency) or the tier sheds the excess with typed errors. Both are
+	// arrivals (CJOIN joins them to the running sweep, so capacity grows
+	// with concurrency) or the tier sheds the excess with typed errors. Both are
 	// "no cliff"; what is forbidden is goodput collapse or untyped failure.
 	if twoX.QPS < 0.5*atCap.QPS {
 		t.Errorf("2x goodput %.1f/s collapsed below half of at-capacity %.1f/s", twoX.QPS, atCap.QPS)

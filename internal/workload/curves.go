@@ -120,17 +120,17 @@ var Curves = []*Curve{
 		},
 	},
 	{
-		Name: "IIr", Title: "query folding and result reuse: hot-set repeats among fresh instances of all 13 templates",
+		Name: "IIr", Title: "result reuse: hot-set repeats among fresh instances of all 13 templates",
 		Axis: "repeat %", X: []float64{0, 25, 50, 75, 90},
 		Lines: []Line{
 			GQP.as("reuse", func(l *Line) { l.Engine.ResultCache = true }),
-			GQP.as("noreuse", func(l *Line) { l.Vary = func(c *EnvConfig) { c.NoFold = true } }),
+			GQP.as("noreuse", nil),
 		},
 		Kind: ClosedLoop, Clients: 8,
 		Env: EnvConfig{Residency: DiskResident},
 		// A hot set of 4 instances (rotating over the templates, the same at
 		// every x) answers a draw with probability x%; otherwise a fresh
-		// instance neither the cache nor folding can trivially reuse.
+		// instance the result cache cannot reuse.
 		Source: func(env *Env, x float64, seed int64) Source {
 			r := rand.New(rand.NewSource(seed + 7))
 			hot := make([]ssb.Instance, 4)
@@ -144,11 +144,10 @@ var Curves = []*Curve{
 				return ssb.Instantiate(env.SSB, ssb.AllTemplates[r.Intn(len(ssb.AllTemplates))], r).Plan(gqp)
 			}
 		},
-		Counters: []string{"completed", "cache_hits", "cache_misses", "grafts", "admits"},
+		Counters: []string{"completed", "cache_hits", "cache_misses", "admits"},
 		Check: func(t *Table) (counters, shape []string) {
 			lo, hi := t.X[0], t.X[len(t.X)-1]
 			t.holds(&counters, "noreuse", "cache_hits", "== 0")
-			t.holds(&counters, "noreuse", "grafts", "== 0")
 			if lo < hi {
 				t.less(&counters, ref{lo, "reuse", "cache_hits/q"}, ref{hi, "reuse", "cache_hits/q"})
 			}
@@ -252,8 +251,8 @@ var Curves = []*Curve{
 		Check: func(t *Table) (counters, shape []string) {
 			t.holds(&counters, "gateway", "untyped", "== 0")
 			t.holds(&counters, "gateway", "completed", "> 0")
-			// Past capacity goodput holds (folding absorbs the excess or the
-			// tier sheds it); what is forbidden is a cliff.
+			// Past capacity goodput holds (the shared sweep admits the excess
+			// or the tier sheds it); what is forbidden is a cliff.
 			at1, ok1 := t.get(1, "gateway", "qps")
 			hi := t.X[len(t.X)-1]
 			if past, ok := t.get(hi, "gateway", "qps"); ok && ok1 && hi > 1 && past < 0.5*at1 {

@@ -114,8 +114,10 @@ type EnvConfig struct {
 	// NoPrune disables zone-map page pruning in both the engine's table
 	// scans and the CJOIN shared scan (the ablation toggle).
 	NoPrune bool
-	// NoFold disables predicate-subsumption query folding at CJOIN
-	// admission (the reuse ablation toggle; folding is on by default).
+	// NoFold has no effect.
+	//
+	// Deprecated: CJOIN no longer folds queries; every admission opens a
+	// bitmap slot of its own.
 	NoFold bool
 	// FaultInjection interposes a storage.FaultDisk (initially disarmed)
 	// between the catalog and the disk, exposed as Env.Fault — the hook
@@ -150,7 +152,7 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 		return nil, fmt.Errorf("workload: generate ssb: %w", err)
 	}
 	op, err := cjoin.NewOperator(db.Lineorder, SSBChain(db),
-		cjoin.Config{Workers: cfg.Workers, DisablePrune: cfg.NoPrune, DisableFold: cfg.NoFold})
+		cjoin.Config{Workers: cfg.Workers, DisablePrune: cfg.NoPrune})
 	if err != nil {
 		return nil, fmt.Errorf("workload: start cjoin: %w", err)
 	}
