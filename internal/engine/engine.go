@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -240,10 +241,23 @@ func drain(ctx context.Context, root plan.Node, r Reader) (*Result, error) {
 	}
 }
 
-// dispatch instantiates (or SP-shares) the packet for node and returns the
-// reader delivering its output. Packets wait on gate before producing. Only a
-// stage with SP on computes the node's fingerprint, its registry key.
-func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struct{}) (Reader, error) {
+// dispatch instantiates (or SP-shares) the packets of one query's plan and
+// returns the reader delivering its output. Packets wait on gate before
+// producing.
+func (e *Engine) dispatch(ctx context.Context, root plan.Node, gate <-chan struct{}) (Reader, error) {
+	var reads []expr.Fp
+	return e.dispatchNode(ctx, &reads, root, gate)
+}
+
+// dispatchNode instantiates (or SP-shares) the packet for node. Only a stage
+// with SP on computes the node's fingerprint, its registry key. *reads holds
+// the shared sub-plans the query already reads, from its own packets or
+// through a host it attached to, and a query never attaches to a host whose
+// sub-plan overlaps them: a second reader of one producer in one plan can
+// wait on the first (a hash join drains its build side while its probe-side
+// reader holds page 0, so the producer blocks on its full list). The query
+// runs a packet of its own instead and leaves the registry as it is.
+func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.Node, gate <-chan struct{}) (Reader, error) {
 	st := e.stage(node.Kind())
 	var fp expr.Fp
 	if st.sp {
@@ -259,20 +273,28 @@ func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struc
 
 	host, fresh := st.lookupOrRegister(fp, mk)
 	if host != nil {
-		if r, ok := host.addConsumer(); ok {
+		sub := e.sharedBelow([]expr.Fp{fp}, node)
+		if slices.ContainsFunc(sub, func(f expr.Fp) bool { return slices.Contains(*reads, f) }) {
+			fresh = mk()
+		} else if r, ok := host.addConsumer(); ok {
 			st.spAttached.Add(1)
+			*reads = append(*reads, sub...)
 			return r, nil
+		} else {
+			// Window closed: run our own packet and take over the slot so
+			// later arrivals can share with us.
+			st.spMissed.Add(1)
+			fresh = mk()
+			st.register(fp, host, fresh)
 		}
-		// Window closed: run our own packet and take over the slot so later
-		// arrivals can share with us.
-		st.spMissed.Add(1)
-		fresh = mk()
-		st.register(fp, host, fresh)
+	}
+	if st.sp {
+		*reads = append(*reads, fp)
 	}
 
 	inputs := make([]Reader, 0, 2)
 	for _, child := range node.Children() {
-		cr, err := e.dispatch(ctx, child, gate)
+		cr, err := e.dispatchNode(ctx, reads, child, gate)
 		if err != nil {
 			fresh.close(err)
 			st.unregister(fp, fresh)
@@ -286,6 +308,18 @@ func (e *Engine) dispatch(ctx context.Context, node plan.Node, gate <-chan struc
 
 	go e.run(ctx, fresh, inputs, gate)
 	return primary, nil
+}
+
+// sharedBelow appends the fingerprint of every node under n whose stage
+// shares: the sub-plans a satellite of n reads through its host.
+func (e *Engine) sharedBelow(dst []expr.Fp, n plan.Node) []expr.Fp {
+	for _, c := range n.Children() {
+		if e.stage(c.Kind()).sp {
+			dst = append(dst, plan.Fingerprint(c))
+		}
+		dst = e.sharedBelow(dst, c)
+	}
+	return dst
 }
 
 // run executes one packet to completion.

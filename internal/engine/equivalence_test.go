@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/spl"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -83,8 +82,8 @@ func trimFloat(f float64) string { return strconv.FormatFloat(f, 'e', 8, 64) }
 // push-SP and pull-SP, and every query's result must agree across modes.
 func TestSPEquivalenceProperty(t *testing.T) {
 	cat := testDB(t, 80000)
-	// Deeper than a shared list, so both models run under backpressure.
-	mustOutgrowLists(t, cat, spl.DefaultMaxPages)
+	// Deeper than the engine's lists, so both models run under backpressure.
+	mustOutgrowLists(t, cat, fifoDepth)
 	ctx := context.Background()
 	for round := 0; round < 6; round++ {
 		r := rand.New(rand.NewSource(int64(round) * 101))
@@ -127,11 +126,11 @@ func TestSPEquivalenceProperty(t *testing.T) {
 }
 
 // Mixed-strategy sanity: the same queries interleaved in one batch under
-// pull-SP over a table deeper than a shared list must complete without
+// pull-SP over a table deeper than the shared list must complete without
 // deadlock and agree with each other.
 func TestSPBackpressureNoDeadlock(t *testing.T) {
 	cat := testDB(t, 80000)
-	mustOutgrowLists(t, cat, spl.DefaultMaxPages)
+	mustOutgrowLists(t, cat, fifoDepth)
 	e := newTestEngine(cat, Config{SP: true, Model: SPPull, BatchSize: 32})
 	ctx := context.Background()
 	var roots []plan.Node

@@ -29,8 +29,10 @@ func (m SPModel) String() string {
 	return "push(copy)"
 }
 
-// fifoDepth is the page bound of a list that serves one consumer: a private
-// edge, or one consumer of a push-SP packet (the original QPipe FIFO depth).
+// fifoDepth is the page bound of every list the engine creates (the original
+// QPipe FIFO depth): a private edge, each consumer's list under push SP and
+// the one shared list under pull SP. It bounds what an edge holds, not the
+// pull-SP sharing window, which stays open while page 0 is unreclaimed.
 const fifoDepth = 8
 
 // Packet is the unit of work of one operator of one query. When SP is
@@ -72,11 +74,7 @@ func (p *Packet) close(err error) {
 
 // newPacket builds a packet and its primary consumer endpoint.
 func newPacket(node plan.Node, stage *Stage, fp expr.Fp, model SPModel) (*Packet, Reader) {
-	depth := fifoDepth // a private edge, or the primary's list under push SP
-	if stage.sp && model == SPPull {
-		depth = spl.DefaultMaxPages
-	}
-	p := &Packet{node: node, stage: stage, fp: fp, model: model, lists: []*spl.List{spl.New(depth)}}
+	p := &Packet{node: node, stage: stage, fp: fp, model: model, lists: []*spl.List{spl.New(fifoDepth)}}
 	return p, firstReader(p.lists[0])
 }
 

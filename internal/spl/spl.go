@@ -12,8 +12,11 @@
 // shares one List among all of them.
 //
 // Pages are released once every attached consumer has read past them
-// (watermark reclamation), and the producer blocks when the list holds
-// MaxPages unread pages, which bounds memory and provides backpressure.
+// (watermark reclamation), and the producer blocks when the list holds its
+// depth of unreclaimed pages (New's maxPages), which bounds memory and
+// provides backpressure. The depth bounds memory only: a consumer can attach
+// while page 0 is unreclaimed, so the sharing window is how long the slowest
+// attached reader stays at page 0, whatever the depth.
 //
 // Above the CJOIN global plan, the SPL is how deliveries are shared. SP on
 // the CJOIN stage shares *identical* star sub-plans: one admission,
@@ -30,9 +33,6 @@ import (
 
 	"repro/internal/batch"
 )
-
-// DefaultMaxPages bounds the number of unreclaimed pages held by a list.
-const DefaultMaxPages = 64
 
 // ErrNoConsumers is returned by Append when every consumer has detached:
 // the producer's work has no audience and it should abort.
@@ -59,10 +59,12 @@ type List struct {
 	attached int // total readers ever attached
 }
 
-// New creates a list; maxPages <= 0 selects DefaultMaxPages.
+// New creates a list that holds at most maxPages unreclaimed pages; the
+// engine passes its one exchange depth. A maxPages below 1 selects 64 pages,
+// the depth the benchmark module's SPL phase measures through New(0).
 func New(maxPages int) *List {
-	if maxPages <= 0 {
-		maxPages = DefaultMaxPages
+	if maxPages < 1 {
+		maxPages = 64
 	}
 	l := &List{maxPages: maxPages, readers: make(map[*Reader]struct{})}
 	l.cond = sync.NewCond(&l.mu)

@@ -404,6 +404,7 @@ func snapshot(env *Env, e *engine.Engine, gw *service.Gateway) map[string]float6
 	es := e.Stats()
 	for _, st := range es.Stages {
 		m["sp_attached"] += float64(st.SPAttached)
+		m["sp_missed"] += float64(st.SPMissed)
 		m["sp_copies"] += float64(st.Copies)
 		if st.Kind == plan.KindCJoin {
 			m["sp_attached_cjoin"] = float64(st.SPAttached)

@@ -102,7 +102,7 @@ var Curves = []*Curve{
 		Source: func(env *Env, _ float64, seed int64) Source {
 			return fromPool(ssb.Pool(env.SSB, ssb.Q2_1, 64, seed))
 		},
-		Counters: []string{"completed", "admits", "sp_attached"},
+		Counters: []string{"completed", "admits", "sp_attached", "sp_missed"},
 		Check: func(t *Table) (counters, shape []string) {
 			t.holds(&counters, PullSP.Label, "admits", "== 0")
 			t.holds(&counters, GQP.Label, "admits", "> 0")
@@ -192,7 +192,7 @@ var Curves = []*Curve{
 		Source: func(env *Env, x float64, seed int64) Source {
 			return fromPool(ssb.Pool(env.SSB, ssb.Q2_1, int(x), seed+int64(x)))
 		},
-		Counters: []string{"completed", "admits", "sp_attached", "sp_attached_cjoin"},
+		Counters: []string{"completed", "admits", "sp_attached", "sp_attached_cjoin", "sp_missed"},
 		Check: func(t *Table) (counters, shape []string) {
 			// With one plan, SP on the CJOIN stage admits one query per round
 			// and serves the rest as satellites of its output.
