@@ -21,9 +21,10 @@
 // their per-worker replicas) and distributor.go (sequence merge, routing,
 // delivery and shutdown).
 //
-// Each dimension is split in two. Its rows and their join index are one
-// dimtab.Table — the index the query-centric hash join builds too — built
-// once at NewOperator and probed immutably by every worker (a direct array
+// Each dimension is split in two. Its rows and their join index are the
+// table's shared dimtab.Index — the one the query-centric hash join probes
+// too — referenced from NewOperator to Close and probed immutably by every
+// worker (a direct array
 // over dense integer keys, hashed slots otherwise); a dimension whose join
 // key repeats is refused with a DuplicateKeyError, since CJOIN joins a fact
 // tuple to one entry. The per-entry slot bitmaps — the only state that
@@ -243,7 +244,7 @@ type Operator struct {
 	admitCh     chan *subscription
 	closeCh     chan struct{}
 	closeOnce   sync.Once
-	releaseOnce sync.Once // the dimension tables' batches, after wg
+	releaseOnce sync.Once // the dimension index references, after wg
 	wg          sync.WaitGroup
 	prodWG      sync.WaitGroup // scanner + workers; gates the fan-in close
 
@@ -273,8 +274,9 @@ type Operator struct {
 	}
 }
 
-// NewOperator validates cfg, builds the shared dimension probe indexes (one
-// scan of each dimension table; a repeated join key fails with a
+// NewOperator validates cfg, takes a reference to each dimension's shared
+// join index (building it with one scan of the dimension table unless some
+// holder already has it; a repeated join key fails with a
 // DuplicateKeyError) and starts the scanner, the probe workers and the
 // distributor.
 func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, error) {
@@ -345,17 +347,18 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 // reader of a dimension table's batch is a pipeline goroutine (admission on
 // the workers' replicas, payload routing in the distributor; a Run past
 // admission only reads its delivery channel), so once they have all exited
-// the batches are released, exactly once.
+// the index references are dropped, exactly once; an index other holders
+// still read outlives the operator.
 func (op *Operator) Close() {
 	op.closeOnce.Do(func() { close(op.closeCh) })
 	op.wg.Wait()
 	op.releaseOnce.Do(func() { releaseTables(op.tables) })
 }
 
-// releaseTables drops the dimension tables' batch references.
+// releaseTables drops the dimension tables' index references.
 func releaseTables(tables []*dimTable) {
 	for _, t := range tables {
-		t.tab.Release()
+		t.ix.Release()
 	}
 }
 

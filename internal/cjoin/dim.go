@@ -1,6 +1,7 @@
 package cjoin
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bitvec"
@@ -10,16 +11,17 @@ import (
 	"repro/internal/vec"
 )
 
-// dimTable is the shared half of one dimension of the chain: the
-// dimension's rows as a dimtab.Table keeping every column, built once by
-// NewOperator and probed concurrently by every worker through Find. cb is
-// the table's entry batch (row e is entry e, columns in schema order):
-// opening a slot evaluates its vectorized dimension predicate over it,
-// and the distributor routes payload columns out of it. Operator.Close
-// releases it.
+// dimTable is the shared half of one dimension of the chain: a reference to
+// the dimension's shared join index (storage.Table.Indexes, every column in
+// schema order), taken by NewOperator and probed concurrently by every
+// worker through Find. cb is the index's entry batch (row e is entry e):
+// opening a slot evaluates its vectorized dimension predicate over it, and
+// the distributor routes payload columns out of it. Operator.Close drops
+// the reference.
 type dimTable struct {
 	idx  int
 	spec DimSpec
+	ix   *dimtab.Index
 	tab  *dimtab.Table
 	cb   *vec.ColBatch
 }
@@ -39,32 +41,19 @@ func (e *DuplicateKeyError) Error() string {
 }
 
 func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
-	hf, schema := spec.Table.File, spec.Table.Schema
-	all := make([]int, schema.Len())
-	for i := range all {
-		all[i] = i
+	t := spec.Table
+	ix, err := t.Indexes.Acquire(context.Background(), t.File, spec.DimKeyCol)
+	if err != nil {
+		return nil, fmt.Errorf("cjoin: build hash table for %q: %w", t.Name, err)
 	}
-	tab := dimtab.New(spec.DimKeyCol, all)
-	for p, np := 0, hf.NumPages(); p < np; p++ {
-		page, err := hf.PageCols(p)
-		if err != nil {
-			tab.Release()
-			return nil, fmt.Errorf("cjoin: build hash table for %q: %w", spec.Table.Name, err)
-		}
-		tab.Append(page, page.AllSel())
-		page.Release()
-	}
-	if err := tab.Seal(); err != nil {
-		tab.Release()
-		return nil, fmt.Errorf("cjoin: dimension %q: %w", spec.Table.Name, err)
-	}
+	tab := ix.Table()
 	if e := tab.Dup(); e >= 0 {
-		err := &DuplicateKeyError{Table: spec.Table.Name, Column: schema.Cols[spec.DimKeyCol].Name,
+		err := &DuplicateKeyError{Table: t.Name, Column: t.Schema.Cols[spec.DimKeyCol].Name,
 			Key: tab.Batch().Col(spec.DimKeyCol).Datum(int(e))}
-		tab.Release()
+		ix.Release()
 		return nil, err
 	}
-	return &dimTable{idx: idx, spec: spec, tab: tab, cb: tab.Batch()}, nil
+	return &dimTable{idx: idx, spec: spec, ix: ix, tab: tab, cb: tab.Batch()}, nil
 }
 
 // dimState is one worker's replica of a dimension's slot state: entry

@@ -1,10 +1,16 @@
 // Package dimtab is the process's one join index: the build side of an
 // equi-join, gathered into an entry-aligned column batch and indexed once.
 //
-// CJOIN builds a Table per dimension of its Global Query Plan at NewOperator,
-// and every probe worker reads it concurrently; the query-centric hash join
-// builds one per join from its right input. Both gather rows with Append,
-// index them with Seal and probe the same code.
+// A stored table's index is shared. Each storage.Table holds a Set, which
+// holds at most one Index per key column at the table's current content
+// version: every column in schema order, built under single flight by the
+// first caller of Acquire and freed when its last holder releases it. CJOIN
+// holds one per dimension for its lifetime; a query-centric hash join whose
+// build side is a filtered scan of a stored table probes the same one,
+// under a Keep of the entries its own predicates select. Only the build is
+// shared: each query still runs its predicates and its operators. Any other
+// build side — a join, a projection — is gathered by that join into a
+// private Table with New and Append and indexed with Seal.
 //
 // Entry e is row e of the table's batch, in arrival order: the columns the
 // caller keeps, and the join key. A row whose key is NULL is never an entry,
@@ -253,21 +259,49 @@ func (t *Table) Next(e int32) int32 { return t.next[e] }
 // each selected row of kc — rows in sel order, each row's entries in arrival
 // order — and returns the extended slices. NULL rows match nothing.
 func (t *Table) Probe(kc *vec.Vec, sel []int32, ml, me []int32) ([]int32, []int32) {
+	return t.ProbeKept(kc, sel, nil, ml, me)
+}
+
+// ProbeKept is Probe returning only entries k keeps; a nil k keeps every
+// entry.
+func (t *Table) ProbeKept(kc *vec.Vec, sel []int32, k *Keep, ml, me []int32) ([]int32, []int32) {
 	switch {
 	case t.n == 0:
 	case t.direct != nil && kc.AllInt():
 		ki := kc.I
-		for _, r := range sel {
-			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
-				for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
-					ml, me = append(ml, r), append(me, e)
+		switch {
+		case k == nil:
+			for _, r := range sel {
+				if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
+					for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
+						ml, me = append(ml, r), append(me, e)
+					}
+				}
+			}
+		case k.key != nil:
+			// Distinct keys: the key's bit decides before the entry load.
+			for _, r := range sel {
+				if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) && k.key[d>>6]&(1<<(d&63)) != 0 {
+					ml, me = append(ml, r), append(me, t.direct[d]-1)
+				}
+			}
+		default:
+			for _, r := range sel {
+				if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
+					for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
+						if k.has(e) {
+							ml, me = append(ml, r), append(me, e)
+						}
+					}
 				}
 			}
 		}
 	case t.direct != nil:
 		for _, r := range sel {
 			for e := t.Find(kc, int(r)); e >= 0; e = t.next[e] {
-				ml, me = append(ml, r), append(me, e)
+				if k.has(e) {
+					ml, me = append(ml, r), append(me, e)
+				}
 			}
 		}
 	default:
@@ -290,13 +324,52 @@ func (t *Table) Probe(kc *vec.Vec, sel []int32, ml, me []int32) ([]int32, []int3
 					continue
 				}
 				for ; e >= 0; e = t.next[e] {
-					ml, me = append(ml, r), append(me, e)
+					if k.has(e) {
+						ml, me = append(ml, r), append(me, e)
+					}
 				}
 			}
 		}
 	}
 	return ml, me
 }
+
+// Keep is a selection of a sealed table's entries: the ones a probe under
+// it returns, as one query's predicate over a shared index picks them. It
+// is a bitset by entry, and for a direct index whose keys are distinct also
+// one by key offset, which the integer probe tests before it loads the
+// entry.
+type Keep struct {
+	t   *Table
+	ent []uint64 // bit e: entry e is kept
+	key []uint64 // distinct direct keys: bit k-lo, key k's entry is kept
+}
+
+// NewKeep returns a selection of none of t's entries. Valid after Seal.
+func (t *Table) NewKeep() *Keep {
+	k := &Keep{t: t, ent: make([]uint64, (t.n+63)/64)}
+	if t.direct != nil && t.dup < 0 {
+		k.key = make([]uint64, (len(t.direct)+63)/64)
+	}
+	return k
+}
+
+// Add keeps entries es.
+func (k *Keep) Add(es []int32) {
+	for _, e := range es {
+		k.ent[e>>6] |= 1 << (uint(e) & 63)
+	}
+	if k.key != nil {
+		keys, lo := k.t.kv.I, k.t.lo
+		for _, e := range es {
+			d := uint64(keys[e] - lo)
+			k.key[d>>6] |= 1 << (d & 63)
+		}
+	}
+}
+
+// has reports whether k keeps entry e; a nil k keeps every entry.
+func (k *Keep) has(e int32) bool { return k == nil || k.ent[e>>6]&(1<<(uint(e)&63)) != 0 }
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.n }

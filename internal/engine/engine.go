@@ -14,6 +14,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
@@ -78,6 +79,8 @@ type Engine struct {
 	cfg    Config
 	stages [plan.KindCJoin + 1]*Stage
 	cache  *resultCache // nil unless Config.ResultCache
+
+	indexJoins atomic.Int64 // hash joins served by a shared index
 }
 
 // New creates an engine over the catalog.
@@ -246,22 +249,26 @@ func drain(ctx context.Context, root plan.Node, r Reader) (*Result, error) {
 // producing.
 func (e *Engine) dispatch(ctx context.Context, root plan.Node, gate <-chan struct{}) (Reader, error) {
 	var reads []expr.Fp
-	return e.dispatchNode(ctx, &reads, root, gate)
+	return e.dispatchNode(ctx, &reads, root, 0, gate)
 }
 
-// dispatchNode instantiates (or SP-shares) the packet for node. Only a stage
-// with SP on computes the node's fingerprint, its registry key. *reads holds
-// the shared sub-plans the query already reads, from its own packets or
-// through a host it attached to, and a query never attaches to a host whose
-// sub-plan overlaps them: a second reader of one producer in one plan can
-// wait on the first (a hash join drains its build side while its probe-side
-// reader holds page 0, so the producer blocks on its full list). The query
-// runs a packet of its own instead and leaves the registry as it is.
-func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.Node, gate <-chan struct{}) (Reader, error) {
+// dispatchNode instantiates (or SP-shares) the packet for node, which sits
+// depth hash-join build sides deep in its plan. Only a stage with SP on
+// computes the node's registry key (spKey), which holds the depth, so a
+// sub-plan shares only with sub-plans at its own build depth: a hash join
+// drains its build side while its probe-side reader waits at page 0, and a
+// packet read both as one query's probe side and another's build side can
+// fill its list for that waiting reader while the reader's join waits on
+// the other query (HashJoin(X, Y) beside HashJoin(Y, X)). *reads holds the
+// keys of the shared sub-plans the query already reads, from its own
+// packets or through a host it attached to, and a query never attaches to
+// a host whose sub-plan overlaps them: it runs a packet of its own instead
+// and leaves the registry as it is.
+func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.Node, depth int, gate <-chan struct{}) (Reader, error) {
 	st := e.stage(node.Kind())
 	var fp expr.Fp
 	if st.sp {
-		fp = plan.Fingerprint(node)
+		fp = spKey(node, depth)
 	}
 
 	var primary Reader
@@ -273,7 +280,7 @@ func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.N
 
 	host, fresh := st.lookupOrRegister(fp, mk)
 	if host != nil {
-		sub := e.sharedBelow([]expr.Fp{fp}, node)
+		sub := e.sharedBelow([]expr.Fp{fp}, node, depth)
 		if slices.ContainsFunc(sub, func(f expr.Fp) bool { return slices.Contains(*reads, f) }) {
 			fresh = mk()
 		} else if r, ok := host.addConsumer(); ok {
@@ -293,8 +300,8 @@ func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.N
 	}
 
 	inputs := make([]Reader, 0, 2)
-	for _, child := range node.Children() {
-		cr, err := e.dispatchNode(ctx, reads, child, gate)
+	for i, child := range packetInputs(node) {
+		cr, err := e.dispatchNode(ctx, reads, child, depth+i, gate)
 		if err != nil {
 			fresh.close(err)
 			st.unregister(fp, fresh)
@@ -310,14 +317,42 @@ func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.N
 	return primary, nil
 }
 
-// sharedBelow appends the fingerprint of every node under n whose stage
-// shares: the sub-plans a satellite of n reads through its host.
-func (e *Engine) sharedBelow(dst []expr.Fp, n plan.Node) []expr.Fp {
-	for _, c := range n.Children() {
-		if e.stage(c.Kind()).sp {
-			dst = append(dst, plan.Fingerprint(c))
+// packetInputs returns the children of n that run as packets: all of them,
+// but for a hash join whose build side its table's shared index serves
+// (plan.HashJoin.IndexedBuild), only the probe side. The second input, when
+// there is one, is a hash join's build side.
+func packetInputs(n plan.Node) []plan.Node {
+	if j, ok := n.(*plan.HashJoin); ok {
+		if _, _, indexed := j.IndexedBuild(); indexed {
+			return []plan.Node{j.Left}
 		}
-		dst = e.sharedBelow(dst, c)
+	}
+	return n.Children()
+}
+
+// spKey is the SP registry key of node at build depth depth: its
+// fingerprint, folded with the depth below the top level.
+func spKey(node plan.Node, depth int) expr.Fp {
+	fp := plan.Fingerprint(node)
+	if depth == 0 {
+		return fp
+	}
+	h := expr.NewFpHasher()
+	h.U64(fp.Hi)
+	h.U64(fp.Lo)
+	h.U64(uint64(depth))
+	return h.Sum()
+}
+
+// sharedBelow appends the registry key of every packet under n, at build
+// depth depth, whose stage shares: the sub-plans a satellite of n reads
+// through its host.
+func (e *Engine) sharedBelow(dst []expr.Fp, n plan.Node, depth int) []expr.Fp {
+	for i, c := range packetInputs(n) {
+		if e.stage(c.Kind()).sp {
+			dst = append(dst, spKey(c, depth+i))
+		}
+		dst = e.sharedBelow(dst, c, depth+i)
 	}
 	return dst
 }
@@ -390,6 +425,13 @@ type EngineStats struct {
 	// taking the process down.
 	OperatorPanics int64
 
+	// IndexJoins counts hash joins that probed their build table's shared
+	// join index instead of building one; IndexBuilds counts the indexes
+	// built over the catalog's tables, by those joins or by CJOIN, failed
+	// builds included.
+	IndexJoins  int64
+	IndexBuilds int64
+
 	// Result-cache counters; all zero when Config.ResultCache is off.
 	CacheHits          int64
 	CacheMisses        int64
@@ -406,6 +448,7 @@ func (e *Engine) Stats() EngineStats {
 		out.Busy += s.Busy
 		out.OperatorPanics += s.Panics
 	}
+	out.IndexJoins, out.IndexBuilds = e.indexJoins.Load(), e.cat.IndexBuilds()
 	if e.cache != nil {
 		out.CacheHits, out.CacheMisses, out.CacheEvictions, out.CacheInvalidations = e.cache.stats()
 	}

@@ -82,8 +82,9 @@ func TestHashJoinNarrowedLists(t *testing.T) {
 }
 
 // A join's output lists are part of its SP identity: queries whose joins
-// differ only in what they carry share the scans below but each run their own
-// join, in both models; identical joins attach.
+// differ only in what they carry share the probe-side scan and the build
+// table's index below but each run their own join, in both models;
+// identical joins attach.
 func TestJoinOutputListsGateSharing(t *testing.T) {
 	cat := testDB(t, 3000)
 	sales, dept := cat.MustTable("sales"), cat.MustTable("dept")
@@ -105,8 +106,11 @@ func TestJoinOutputListsGateSharing(t *testing.T) {
 		if join.Executed != 2 || join.SPAttached != 1 {
 			t.Errorf("%v: join stage %+v, want executed=2 (one per distinct output list) attached=1", model, join)
 		}
-		if scan := e.StageStatsFor(plan.KindScan); scan.Executed != 2 {
-			t.Errorf("%v: scan stage executed = %d, want 2 (both tables shared below the joins)", model, scan.Executed)
+		if scan := e.StageStatsFor(plan.KindScan); scan.Executed != 1 {
+			t.Errorf("%v: scan stage executed = %d, want 1 (sales shared below the joins, dept served by its index)", model, scan.Executed)
+		}
+		if es := e.Stats(); es.IndexJoins != 2 {
+			t.Errorf("%v: %d joins probed dept's shared index, want 2 (one per distinct output list)", model, es.IndexJoins)
 		}
 	}
 }

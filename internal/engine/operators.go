@@ -29,7 +29,11 @@ func (e *Engine) runOperator(ctx context.Context, p *Packet, inputs []Reader, w 
 	case *plan.Project:
 		return e.opProject(ctx, n, inputs[0], w, p.stage)
 	case *plan.HashJoin:
-		return e.opHashJoin(ctx, n, inputs[0], inputs[1], w, p.stage)
+		var right Reader // nil: the build table's shared index serves it
+		if len(inputs) > 1 {
+			right = inputs[1]
+		}
+		return e.opHashJoin(ctx, n, inputs[0], right, w, p.stage)
 	case *plan.Aggregate:
 		return e.opAggregate(ctx, n, inputs[0], w, p.stage)
 	case *plan.Sort:
@@ -226,39 +230,53 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 	}
 }
 
-// opHashJoin is the columnar hash join (single-column equi-join): the right
-// input is appended to a dimtab.Table — the join key and the RightOut
-// columns, gathered column-wise — which is sealed once the input ends, and
-// each left batch probes it in one vectorized call that resolves matches as
-// (probe row, build entry) pairs. Output is a pooled ColBatch of exactly the
-// node's output lists: LeftOut gathered from the left batch, RightOut from
-// the table's entry batch (vec.AppendGather). Columns nothing above the join
-// reads are never copied; a full-width join is the identity lists through
-// the same path. No Row is materialized on either side, duplicate build keys
-// chain in arrival order, and NULL join keys never match.
+// opHashJoin is the columnar hash join (single-column equi-join). Its build
+// side is a dimtab.Table in one of two forms. When the right input is a
+// stored table under selections (plan.HashJoin.IndexedBuild) the engine ran
+// no packet for it (right is nil): the join takes a reference to the
+// table's shared index on RightCol and evaluates the selections once over
+// the index's entry batch into a dimtab.Keep, so it probes the entries its
+// own query selects. Otherwise the right input is appended to a private
+// table — the join key and the RightOut columns, gathered column-wise —
+// sealed once the input ends. Each left batch probes in one vectorized call
+// that resolves matches as (probe row, build entry) pairs. Output is a
+// pooled ColBatch of exactly the node's output lists: LeftOut gathered from
+// the left batch, RightOut from the table's entry batch
+// (vec.AppendGather). Columns nothing above the join reads are never
+// copied; a full-width join is the identity lists through the same path. No
+// Row is materialized on either side, duplicate build keys chain in arrival
+// order, and NULL join keys never match.
 func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
-	tab := dimtab.New(n.RightCol, n.RightOut)
-	defer tab.Release()
-	// Build phase.
-	for {
-		b, err := right.Next(ctx)
-		if err == io.EOF {
-			break
-		}
+	var tab *dimtab.Table
+	var keep *dimtab.Keep
+	var rvecs []*vec.Vec // RightOut's columns of the entry batch
+	kept := 0            // entries a probe can return
+	if right == nil {
+		t, preds, _ := n.IndexedBuild()
+		ix, err := t.Indexes.Acquire(ctx, t.File, n.RightCol)
 		if err != nil {
 			return err
 		}
+		defer ix.Release()
+		e.indexJoins.Add(1)
+		tab = ix.Table()
 		t0 := time.Now()
-		cb, sel := b.Cols()
-		tab.Append(cb, sel)
-		b.Done()
+		keep, kept = selectEntries(tab, preds)
 		st.addBusy(time.Since(t0))
+		for _, c := range n.RightOut {
+			rvecs = append(rvecs, tab.Batch().Col(c))
+		}
+	} else {
+		tab = dimtab.New(n.RightCol, n.RightOut)
+		defer tab.Release()
+		if err := buildPrivate(ctx, tab, right, st); err != nil {
+			return err
+		}
+		kept = tab.Len()
+		for c := range n.RightOut {
+			rvecs = append(rvecs, tab.Batch().Col(c))
+		}
 	}
-	t0 := time.Now()
-	if err := tab.Seal(); err != nil {
-		return err
-	}
-	st.addBusy(time.Since(t0))
 	// Probe phase. Matches accumulate into a pending output batch reserved
 	// for, and published at, exactly the configured batch size — like the
 	// CJOIN distributor's pending columns — so no output column ever regrows.
@@ -292,13 +310,13 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			return err
 		}
 		t0 := time.Now()
-		if tab.Len() == 0 { // empty build side: nothing can match, just drain
+		if kept == 0 { // empty build side: nothing can match, just drain
 			b.Done()
 			st.addBusy(time.Since(t0))
 			continue
 		}
 		cb, sel := b.Cols()
-		ml, me = tab.Probe(cb.Col(n.LeftCol), sel, ml[:0], me[:0])
+		ml, me = tab.ProbeKept(cb.Col(n.LeftCol), sel, keep, ml[:0], me[:0])
 		for ml, me := ml, me; len(ml) > 0; {
 			if pend == nil {
 				pend = vec.Get(nl + len(n.RightOut))
@@ -308,8 +326,8 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			for c, lc := range n.LeftOut {
 				pend.Col(c).AppendGather(cb.Col(lc), ml[:k])
 			}
-			for c := range n.RightOut {
-				pend.Col(nl+c).AppendGather(tab.Batch().Col(c), me[:k])
+			for c, rv := range rvecs {
+				pend.Col(nl+c).AppendGather(rv, me[:k])
 			}
 			pendN += k
 			ml, me = ml[k:], me[k:]
@@ -325,6 +343,58 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
+}
+
+// buildPrivate appends every batch of the build input to tab and seals it.
+func buildPrivate(ctx context.Context, tab *dimtab.Table, right Reader, st *Stage) error {
+	for {
+		b, err := right.Next(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		t0 := time.Now()
+		cb, sel := b.Cols()
+		tab.Append(cb, sel)
+		b.Done()
+		st.addBusy(time.Since(t0))
+	}
+	t0 := time.Now()
+	defer func() { st.addBusy(time.Since(t0)) }()
+	return tab.Seal()
+}
+
+// keepChunk is how many entries of a shared index selectEntries evaluates
+// per kernel call.
+const keepChunk = 1024
+
+// selectEntries evaluates preds, a conjunction, over the entry batch of a
+// shared index, a chunk of entries at a time, and returns the entries they
+// keep and how many; with no predicate that is every entry, as a nil Keep.
+func selectEntries(tab *dimtab.Table, preds []expr.Expr) (*dimtab.Keep, int) {
+	if len(preds) == 0 {
+		return nil, tab.Len()
+	}
+	vps := make([]expr.VecPred, len(preds))
+	for i, p := range preds {
+		vps[i] = expr.CompileVec(p)
+	}
+	keep := tab.NewKeep()
+	cb, all := tab.Batch(), tab.Batch().AllSel()
+	buf := make([]int32, keepChunk)
+	var scr vec.Scratch
+	kept := 0
+	for lo := 0; lo < len(all); lo += keepChunk {
+		sel := all[lo:min(lo+keepChunk, len(all))]
+		for _, vp := range vps {
+			sel = vp(cb, sel, buf[:len(sel)], &scr) // in place after the first
+		}
+		keep.Add(sel)
+		kept += len(sel)
+	}
+	return keep, kept
 }
 
 // aggAcc accumulates one aggregate of one group.

@@ -19,16 +19,28 @@ func allSales(cat *storage.Catalog) plan.Node {
 }
 
 // selfJoin joins the sales table to itself on id through two identical
-// filter sub-plans: the left (probe) input is dispatched first, then the
-// right (build) input, which the hash join drains before it reads the left.
+// filter sub-plans. Its build side is a filtered scan, so the sales table's
+// shared index serves it and only the probe side runs as packets.
 func selfJoin(cat *storage.Catalog) plan.Node {
 	return plan.NewHashJoin(allSales(cat), allSales(cat), 0, 0)
+}
+
+// built hides n from the shared index behind a projection of every column,
+// so a hash join over it builds its own table from packets.
+func built(n plan.Node) plan.Node {
+	sc := n.Schema()
+	cols := make([]plan.ProjCol, sc.Len())
+	for i, c := range sc.Cols {
+		cols[i] = plan.ProjCol{Name: c.Name, Kind: c.Kind, Expr: expr.C(i, c.Name)}
+	}
+	return plan.NewProject(n, cols)
 }
 
 // TestSelfJoinNeverAttachesToItself: a plan whose two join inputs are the
 // same sub-plan runs both. Were the build side a satellite of the probe side,
 // the join would drain it while its probe-side reader held page 0, and the
-// shared producer would block on its full list for good.
+// shared producer would block on its full list for good. The index-served
+// self-join runs no build packet; the built one runs its own.
 func TestSelfJoinNeverAttachesToItself(t *testing.T) {
 	cat := testDB(t, 80000)
 	mustOutgrowLists(t, cat, fifoDepth)
@@ -36,16 +48,19 @@ func TestSelfJoinNeverAttachesToItself(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		root plan.Node
 	}{
-		{"off", Config{}},
-		{"push", Config{SP: true, Model: SPPush}},
-		{"pull", Config{SP: true, Model: SPPull}},
+		{"off", Config{}, selfJoin(cat)},
+		{"push", Config{SP: true, Model: SPPush}, selfJoin(cat)},
+		{"pull", Config{SP: true, Model: SPPull}, selfJoin(cat)},
+		{"built/push", Config{SP: true, Model: SPPush}, plan.NewHashJoin(allSales(cat), built(allSales(cat)), 0, 0)},
+		{"built/pull", Config{SP: true, Model: SPPull}, plan.NewHashJoin(allSales(cat), built(allSales(cat)), 0, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newTestEngine(cat, tc.cfg)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			res, err := e.Execute(ctx, selfJoin(cat))
+			res, err := e.Execute(ctx, tc.root)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,27 +80,42 @@ func TestSelfJoinNeverAttachesToItself(t *testing.T) {
 
 // TestQueryReadsAPacketOnce: a query never reads one producer twice, also
 // when the producer is another query's, directly or below a host it attached
-// to. Only the filter stage shares, and the first query's packets host.
+// to. Only the filter stage shares, and the first query's packets host. A
+// sub-plan shares only at its own build depth, so the cases read sales at
+// one depth twice: through the build sides of two nested joins, each a
+// projection that no shared index serves.
 func TestQueryReadsAPacketOnce(t *testing.T) {
-	cat := testDB(t, 80000)
+	cat := testDB(t, 20000)
 	mustOutgrowLists(t, cat, fifoDepth)
+	sales := cat.MustTable("sales")
 	above := func() plan.Node {
 		return plan.NewFilter(allSales(cat), expr.NewCmp(expr.GE, expr.C(0, "id"), expr.Int(1)))
+	}
+	// join builds b and probes with an unshared scan of sales.
+	join := func(b plan.Node) plan.Node { return plan.NewHashJoin(plan.NewScan(sales), built(b), 0, 0) }
+	// twice joins inner's output to a second build side, one depth as deep.
+	twice := func(inner, b plan.Node) plan.Node {
+		return plan.NewHashJoinOut(inner, built(b), 0, 0, []int{0, 1, 2, 3}, []int{0, 1, 2, 3})
 	}
 	for _, tc := range []struct {
 		name     string
 		roots    []plan.Node
-		executed int64 // filter packets run; one attach in every case
+		executed int64 // filter packets run
+		attached int64
 	}{
-		// The second self-join's probe side attaches to the first's; its
-		// build side runs its own packet rather than read that one again.
-		{"two self-joins", []plan.Node{selfJoin(cat), selfJoin(cat)}, 3},
-		// The join's probe side attaches to the first query's upper filter,
-		// so its build side may not attach to the filter below it.
-		{"host above", []plan.Node{above(), plan.NewHashJoin(above(), allSales(cat), 0, 0)}, 3},
-		// The probe side attaches to the lower filter, so the build side
-		// runs both filters itself.
-		{"host below", []plan.Node{above(), plan.NewHashJoin(allSales(cat), above(), 0, 0)}, 4},
+		// The second query's inner build side attaches to the first's; its
+		// outer build side runs its own packet rather than read that one
+		// again.
+		{"two self-joins", []plan.Node{twice(join(allSales(cat)), allSales(cat)), twice(join(allSales(cat)), allSales(cat))}, 3, 1},
+		// The inner build side attaches to the first query's upper filter,
+		// so the outer one may not attach to the filter below it.
+		{"host above", []plan.Node{join(above()), twice(join(above()), allSales(cat))}, 3, 1},
+		// The inner build side attaches to the lower filter, so the outer
+		// one runs both filters itself.
+		{"host below", []plan.Node{join(above()), twice(join(allSales(cat)), above())}, 4, 1},
+		// Index-served build sides run no packet: the second query's probe
+		// side attaches to the first's.
+		{"index-served self-joins", []plan.Node{selfJoin(cat), selfJoin(cat)}, 1, 1},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		want, err := newTestEngine(cat, Config{}).ExecuteBatch(ctx, tc.roots)
@@ -105,8 +135,63 @@ func TestQueryReadsAPacketOnce(t *testing.T) {
 				for i, res := range results {
 					mustEqualRows(t, res.Rows, want[i].Rows)
 				}
-				if fs := e.StageStatsFor(plan.KindFilter); fs.SPAttached != 1 || fs.Executed != tc.executed {
-					t.Errorf("filter stage attached %d and executed %d, want 1 and %d", fs.SPAttached, fs.Executed, tc.executed)
+				if fs := e.StageStatsFor(plan.KindFilter); fs.SPAttached != tc.attached || fs.Executed != tc.executed {
+					t.Errorf("filter stage attached %d and executed %d, want %d and %d", fs.SPAttached, fs.Executed, tc.attached, tc.executed)
+				}
+			})
+		}
+	}
+}
+
+// TestOppositeRolesDoNotBlock: two queries that join the same two sub-plans
+// in opposite build and probe roles, HashJoin(X, Y) beside HashJoin(Y, X),
+// both finish under either SP model. Were one query's probe side shared with
+// the other's build side, each join would drain a build side whose other
+// reader, the other join's probe side, waits at page 0, and both producers
+// would block on their full lists. Index-served build sides run no packet;
+// built ones share only with sub-plans at their own build depth, also one
+// join deeper, where every filter is below some build side.
+func TestOppositeRolesDoNotBlock(t *testing.T) {
+	cat := testDB(t, 20000)
+	mustOutgrowLists(t, cat, fifoDepth)
+	x := func() plan.Node { return allSales(cat) }
+	y := func() plan.Node {
+		return plan.NewFilter(plan.NewScan(cat.MustTable("sales")), expr.NewCmp(expr.GE, expr.C(0, "id"), expr.Int(1)))
+	}
+	id := func(n plan.Node) plan.Node { return n }
+	nested := func(l, r plan.Node) plan.Node {
+		inner := plan.NewHashJoin(l, built(r), 0, 0)
+		return plan.NewHashJoinOut(plan.NewScan(cat.MustTable("sales")), built(inner), 0, 0, []int{0, 1, 2, 3}, []int{0, 1, 2, 3})
+	}
+	for _, form := range []struct {
+		name string
+		join func(l, r plan.Node) plan.Node
+	}{
+		{"index-served", func(l, r plan.Node) plan.Node { return plan.NewHashJoin(l, id(r), 0, 0) }},
+		{"built", func(l, r plan.Node) plan.Node { return plan.NewHashJoin(l, built(r), 0, 0) }},
+		{"built one join deep", nested},
+	} {
+		roots := []plan.Node{form.join(x(), y()), form.join(y(), x())}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		want, err := newTestEngine(cat, Config{}).ExecuteBatch(ctx, roots)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []SPModel{SPPush, SPPull} {
+			t.Run(form.name+"/"+spTestName[model], func(t *testing.T) {
+				e := newTestEngine(cat, Config{SP: true, Model: model, SPStages: map[plan.Kind]bool{plan.KindFilter: true}})
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				results, err := e.ExecuteBatch(ctx, roots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, res := range results {
+					mustEqualRows(t, res.Rows, want[i].Rows)
+				}
+				if fs := e.StageStatsFor(plan.KindFilter); fs.SPAttached != 0 {
+					t.Errorf("filter stage attached %d, want 0", fs.SPAttached)
 				}
 			})
 		}

@@ -202,6 +202,31 @@ func identityCols(n int) []int {
 	return out
 }
 
+// IndexedBuild reports whether the join's build side is a stored table under
+// selections only — Filter*(Scan(T)) — and if so returns T, whose shared join
+// index on RightCol serves the build (storage.Table.Indexes), and the
+// selections to evaluate over the index's entries: the scan's pushed
+// predicate and every filter's. The right schema is then T's, so RightCol
+// and RightOut name T's columns. Any other build side is built by the join
+// itself.
+func (j *HashJoin) IndexedBuild() (*storage.Table, []expr.Expr, bool) {
+	var preds []expr.Expr
+	for n := j.Right; ; {
+		switch v := n.(type) {
+		case *Filter:
+			preds = append(preds, v.Pred)
+			n = v.Input
+		case *Scan:
+			if v.Pred != nil {
+				preds = append(preds, v.Pred)
+			}
+			return v.Table, preds, true
+		default:
+			return nil, nil, false
+		}
+	}
+}
+
 // Kind returns KindHashJoin.
 func (j *HashJoin) Kind() Kind { return KindHashJoin }
 

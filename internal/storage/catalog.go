@@ -4,15 +4,22 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/dimtab"
 	"repro/internal/types"
 )
 
-// Table couples a heap file with its scan coordinator.
+// Table couples a heap file with its scan coordinator and its shared join
+// indexes.
 type Table struct {
 	Name   string
 	Schema *types.Schema
 	File   *HeapFile
 	group  *ScanGroup
+
+	// Indexes holds the file's join indexes, built once per key column and
+	// content version and shared by CJOIN and every hash join whose build
+	// side is a filtered scan of the table (Indexes.Acquire(ctx, File, key)).
+	Indexes dimtab.Set
 }
 
 // Attach starts a (shared) circular scan of the table.
@@ -79,6 +86,18 @@ func (c *Catalog) MustTable(name string) *Table {
 		panic(fmt.Sprintf("storage: unknown table %q", name))
 	}
 	return t
+}
+
+// IndexBuilds returns how many join indexes have been built over the
+// catalog's tables, failed builds included.
+func (c *Catalog) IndexBuilds() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for _, t := range c.tables {
+		n += t.Indexes.Builds()
+	}
+	return n
 }
 
 // Tables returns all table names (diagnostics).

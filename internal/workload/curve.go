@@ -411,6 +411,7 @@ func snapshot(env *Env, e *engine.Engine, gw *service.Gateway) map[string]float6
 		}
 	}
 	m["cache_hits"], m["cache_misses"] = float64(es.CacheHits), float64(es.CacheMisses)
+	m["index_joins"], m["index_builds"] = float64(es.IndexJoins), float64(es.IndexBuilds)
 	var cs cjoin.Stats
 	if env.CJoin != nil {
 		cs = env.CJoin.Stats()

@@ -569,8 +569,9 @@ func BenchmarkPrunedSweep(b *testing.B) {
 // four of its columns per page (fewer on a page the join chain empties
 // early); and a date predicate that a page's zone map cannot rule out but no
 // row satisfies decodes exactly the date column. Dimension pages are opened
-// by every query that scans them; Q2.1's are counted by the same star over an
-// empty fact table and left out.
+// once per index build, not per query: CJOIN's four builds open each once,
+// and the same star over an empty fact table, whose joins probe those
+// indexes, opens none and builds none.
 func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
 	if err != nil {
@@ -579,6 +580,13 @@ func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 	defer env.Close()
 	ctx := context.Background()
 	pool, fact := env.Cat.Pool(), env.SSB.Lineorder
+	dimPages := 0
+	for _, d := range SSBChain(env.SSB) {
+		dimPages += d.Table.File.NumPages()
+	}
+	if opened := pool.DecodeStats().Decoded; opened != int64(dimPages) || env.Cat.IndexBuilds() != 4 {
+		t.Fatalf("set-up opened %d pages in %d index builds, want the dimensions' %d in 4", opened, env.Cat.IndexBuilds(), dimPages)
+	}
 	empty, err := env.Cat.CreateTable("lineorder_empty", fact.Schema)
 	if err != nil {
 		t.Fatal(err)
@@ -601,17 +609,20 @@ func TestFirstTouchDecodesWhatQueriesRead(t *testing.T) {
 	q21 := ssb.Instantiate(env.SSB, ssb.Q2_1, rand.New(rand.NewSource(13)))
 	dims := *q21.Star
 	dims.Fact = empty
-	dimPages, dimCols, _ := run(dims.QueryCentric())
-	if dimPages == 0 {
-		t.Fatal("Q2.1's dimension scans opened no page")
+	for range 2 {
+		if pages, _, _ := run(dims.QueryCentric()); pages != 0 {
+			t.Fatalf("Q2.1's dimension joins opened %d pages, want 0 (CJOIN's indexes serve them)", pages)
+		}
 	}
 	pages, cols, _ := run(q21.Plan(false))
-	pages, cols = pages-dimPages, cols-dimCols
 	if np := int64(fact.File.NumPages()); pages != np {
 		t.Fatalf("Q2.1 opened %d lineorder pages, the table has %d", pages, np)
 	}
 	if cols == 0 || cols > 4*pages {
 		t.Errorf("Q2.1 decoded %d lineorder columns over %d pages, want at most 4 per page", cols, pages)
+	}
+	if b := env.Cat.IndexBuilds(); b != 4 {
+		t.Errorf("%d index builds after three queries, want CJOIN's 4", b)
 	}
 
 	// 30 February 1995 is inside every page's date range and in no row.
