@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/storage"
-	"repro/internal/types"
 )
 
 // Cardinalities at scale factor 1 (SSB specification; part grows
@@ -52,8 +51,21 @@ func Generate(cat *storage.Catalog, sf float64, seed int64) (*DB, error) {
 
 // GenerateOpts is Generate with layout options.
 func GenerateOpts(cat *storage.Catalog, sf float64, seed int64, opts GenOptions) (*DB, error) {
+	db, r, err := generateDims(cat, sf, seed)
+	if err != nil {
+		return nil, err
+	}
+	if db.Lineorder, err = generateLineorder(cat, db, int(float64(LineorderRowsPerSF)*sf), r, opts); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// generateDims loads the four dimension tables and returns the random source
+// the fact table draws from next.
+func generateDims(cat *storage.Catalog, sf float64, seed int64) (*DB, *rand.Rand, error) {
 	if sf <= 0 {
-		return nil, fmt.Errorf("ssb: scale factor must be positive, got %g", sf)
+		return nil, nil, fmt.Errorf("ssb: scale factor must be positive, got %g", sf)
 	}
 	db := &DB{
 		SF:    sf,
@@ -64,21 +76,18 @@ func GenerateOpts(cat *storage.Catalog, sf float64, seed int64, opts GenOptions)
 	r := rand.New(rand.NewSource(seed))
 	var err error
 	if db.Date, db.DateKeys, err = generateDate(cat); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if db.Customer, err = generateCustomer(cat, db.NCust, r); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if db.Supplier, err = generateSupplier(cat, db.NSupp, r); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if db.Part, err = generatePart(cat, db.NPart, r); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if db.Lineorder, err = generateLineorder(cat, db, int(float64(LineorderRowsPerSF)*sf), r, opts); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return db, r, nil
 }
 
 func maxInt(a, b int) int {
@@ -99,20 +108,20 @@ func generateDate(cat *storage.Catalog) (*storage.Table, []int64, error) {
 	n := int(end.Sub(start)/(24*time.Hour)) + 1
 	keys := make([]int64, n)
 	var yearMonth string // "Jan1992": formatted on the first of each month
-	err = tbl.File.Load(n, func(i int, row types.Row) {
+	err = tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		day := start.AddDate(0, 0, i)
 		key := int64(day.Year()*10000 + int(day.Month())*100 + day.Day())
 		keys[i] = key
 		if day.Day() == 1 {
 			yearMonth = day.Month().String()[:3] + strconv.Itoa(day.Year())
 		}
-		row[0] = types.NewInt(key)
-		row[1] = types.NewString(day.Weekday().String())
-		row[2] = types.NewString(day.Month().String())
-		row[3] = types.NewInt(int64(day.Year()))
-		row[4] = types.NewInt(int64(day.Year()*100 + int(day.Month())))
-		row[5] = types.NewString(yearMonth)
-		row[6] = types.NewInt(int64((day.YearDay()-1)/7 + 1))
+		row.Int(0, key)
+		row.Str(1, day.Weekday().String())
+		row.Str(2, day.Month().String())
+		row.Int(3, int64(day.Year()))
+		row.Int(4, int64(day.Year()*100+int(day.Month())))
+		row.Str(5, yearMonth)
+		row.Int(6, int64((day.YearDay()-1)/7+1))
 	})
 	if err != nil {
 		return nil, nil, err
@@ -125,13 +134,13 @@ func generateCustomer(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table
 	if err != nil {
 		return nil, err
 	}
-	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
+	return tbl, tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		ni := r.Intn(len(Nations))
-		row[0] = types.NewInt(int64(i + 1))
-		row[1] = types.NewString(CityOf(Nations[ni], r.Intn(10)))
-		row[2] = types.NewString(Nations[ni])
-		row[3] = types.NewString(nationRegion[ni])
-		row[4] = types.NewString(MktSegments[r.Intn(len(MktSegments))])
+		row.Int(0, int64(i+1))
+		row.Str(1, CityOf(Nations[ni], r.Intn(10)))
+		row.Str(2, Nations[ni])
+		row.Str(3, nationRegion[ni])
+		row.Str(4, MktSegments[r.Intn(len(MktSegments))])
 	})
 }
 
@@ -140,12 +149,12 @@ func generateSupplier(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table
 	if err != nil {
 		return nil, err
 	}
-	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
+	return tbl, tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		ni := r.Intn(len(Nations))
-		row[0] = types.NewInt(int64(i + 1))
-		row[1] = types.NewString(CityOf(Nations[ni], r.Intn(10)))
-		row[2] = types.NewString(Nations[ni])
-		row[3] = types.NewString(nationRegion[ni])
+		row.Int(0, int64(i+1))
+		row.Str(1, CityOf(Nations[ni], r.Intn(10)))
+		row.Str(2, Nations[ni])
+		row.Str(3, nationRegion[ni])
 	})
 }
 
@@ -168,16 +177,16 @@ func generatePart(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table, er
 			}
 		}
 	}
-	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
+	return tbl, tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		mfgr := r.Intn(5)
 		cat := mfgr*5 + r.Intn(5)
 		brand := cat*40 + r.Intn(40)
-		row[0] = types.NewInt(int64(i + 1))
-		row[1] = types.NewString(mfgrs[mfgr])
-		row[2] = types.NewString(cats[cat])
-		row[3] = types.NewString(brands[brand])
-		row[4] = types.NewString(Colors[r.Intn(len(Colors))])
-		row[5] = types.NewInt(int64(1 + r.Intn(50)))
+		row.Int(0, int64(i+1))
+		row.Str(1, mfgrs[mfgr])
+		row.Str(2, cats[cat])
+		row.Str(3, brands[brand])
+		row.Str(4, Colors[r.Intn(len(Colors))])
+		row.Int(5, int64(1+r.Intn(50)))
 	})
 }
 
@@ -191,7 +200,7 @@ func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts G
 	}
 	line := 0
 	order := int64(0)
-	return tbl, tbl.File.Load(n, func(i int, row types.Row) {
+	return tbl, tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		if line == 0 {
 			order++
 			line = 1 + r.Intn(7)
@@ -204,18 +213,18 @@ func generateLineorder(cat *storage.Catalog, db *DB, n int, r *rand.Rand, opts G
 		if opts.DateClustered {
 			orderDate = db.DateKeys[i*len(db.DateKeys)/n]
 		}
-		row[0] = types.NewInt(order)
-		row[1] = types.NewInt(int64(line))
-		row[2] = types.NewInt(1 + r.Int63n(int64(db.NCust)))
-		row[3] = types.NewInt(1 + r.Int63n(int64(db.NPart)))
-		row[4] = types.NewInt(1 + r.Int63n(int64(db.NSupp)))
-		row[5] = types.NewInt(orderDate)
-		row[6] = types.NewInt(qty)
-		row[7] = types.NewInt(price)
-		row[8] = types.NewInt(disc)
-		row[9] = types.NewInt(revenue)
-		row[10] = types.NewInt(price * int64(40+r.Intn(30)) / 100 / 4)
-		row[11] = types.NewInt(int64(r.Intn(9)))
+		row.Int(0, order)
+		row.Int(1, int64(line))
+		row.Int(2, 1+r.Int63n(int64(db.NCust)))
+		row.Int(3, 1+r.Int63n(int64(db.NPart)))
+		row.Int(4, 1+r.Int63n(int64(db.NSupp)))
+		row.Int(5, orderDate)
+		row.Int(6, qty)
+		row.Int(7, price)
+		row.Int(8, disc)
+		row.Int(9, revenue)
+		row.Int(10, price*int64(40+r.Intn(30))/100/4)
+		row.Int(11, int64(r.Intn(9)))
 		line--
 	})
 }

@@ -111,16 +111,6 @@ func (p *refPage) add(r types.Row) int {
 	return total
 }
 
-// prefixBound is the page bound with r staged in its first n columns only:
-// how far the builder's running total gets before it reaches column n.
-func (p *refPage) prefixBound(r types.Row, n int) int {
-	q := &refPage{}
-	for _, a := range p.rows {
-		q.add(a[:n])
-	}
-	return q.add(r[:n]) + 4*(len(r)-n)
-}
-
 // page writes the staged rows from scratch in the page format.
 func (p *refPage) page() []byte {
 	buf := make([]byte, 0, PageSize)
@@ -357,47 +347,62 @@ func TestPageBuilderAdmissionOracle(t *testing.T) {
 			if r.Intn(2) == 0 {
 				limit = 1 + r.Intn(2000)
 			}
-			retries := r.Intn(4) // rows offered after the first refusal
+			retries := r.Intn(4) // chunks offered after the first refusal
 			ref := &refPage{}
-			var slab []types.Datum // the offered rows, allocated 1024 at a time
-			for offered := 0; offered < limit; offered++ {
-				if len(slab) < len(gens) {
-					slab = make([]types.Datum, 1024*len(gens))
-				}
-				row := types.Row(slab[:len(gens):len(gens)])
-				slab = slab[len(gens):]
-				for i, g := range gens {
-					row[i] = g.next(r)
-				}
-				if r.Intn(100) == 0 {
-					// A datum of another kind: refused with its column, or
-					// as a row too large if the columns before it overflow.
-					// Either way the page stays as it was.
-					bad := r.Intn(len(gens))
-					row[bad] = wrongKind(r, gens[bad].kind)
-					if len(ref.rows) >= maxPageRows || ref.prefixBound(row, bad) > PageSize {
-						bad = -1
+			for offered := 0; offered < limit; {
+				// A chunk of up to 150 rows, admitted a block at a time: the
+				// cut must be the row the reference refuses first.
+				m := min(1+r.Intn(150), limit-offered)
+				ch := newChunk(kinds, m)
+				w := ch.writer()
+				rows := make([]types.Row, 0, m)
+				for ; w.row < m; w.row++ {
+					row := make(types.Row, len(gens))
+					for i, g := range gens {
+						row[i] = g.next(r)
 					}
-					if ok, got := b.tryAppend(row); ok || got != bad {
-						t.Fatalf("trial %d: row %d (%v) with a wrong kind: tryAppend = %v, %d, want false, %d",
-							trial, len(ref.rows), row, ok, got, bad)
+					if r.Intn(100) == 0 {
+						// A datum of another kind: refused with its column,
+						// alone or in a chunk, which ends before its row.
+						bad := r.Intn(len(gens))
+						row[bad] = wrongKind(r, gens[bad].kind)
+						if ok, got := b.offer(row); ok || got != bad {
+							t.Fatalf("trial %d: row %d (%v) with a wrong kind: offer = %v, %d, want false, %d",
+								trial, len(ref.rows), row, ok, got, bad)
+						}
+						for c := range row {
+							w.Set(c, &row[c])
+						}
+						if ch.bad != (refusal{row: w.row, col: bad, got: row[bad].K}) {
+							t.Fatalf("trial %d: chunk refusal %+v, want row %d column %d", trial, ch.bad, w.row, bad)
+						}
+						break
 					}
+					for c := range row {
+						w.Set(c, &row[c])
+					}
+					rows = append(rows, row)
+				}
+				offered += w.row + 1
+				want := 0
+				for ; want < len(rows); want++ {
+					admitted := ref.rows
+					if ref.add(rows[want]) > PageSize || len(ref.rows) > maxPageRows {
+						// The refused row leaves the page as it was: so does
+						// the reference, rebuilt from the rows admitted.
+						ref = &refPage{}
+						for _, a := range admitted {
+							ref.add(a)
+						}
+						break
+					}
+				}
+				if got := b.admitChunk(ch, 0, len(rows)); got != want {
+					t.Fatalf("trial %d: a chunk of %d rows onto %d: admitChunk admitted %d, the reference bound %d",
+						trial, len(rows), len(ref.rows)-want, got, want)
+				}
+				if want == len(rows) {
 					continue
-				}
-				admitted := ref.rows
-				want := ref.add(row) <= PageSize && len(ref.rows) <= maxPageRows
-				if got, bad := b.tryAppend(row); got != want || bad != -1 {
-					t.Fatalf("trial %d: row %d (%v): tryAppend = %v, %d, reference bound says %v",
-						trial, len(admitted), row, got, bad, want)
-				}
-				if want {
-					continue
-				}
-				// The refused row leaves the page as it was: so does the
-				// reference, rebuilt from the rows that were admitted.
-				ref = &refPage{}
-				for _, a := range admitted {
-					ref.add(a)
 				}
 				if retries == 0 {
 					break

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/types"
 )
@@ -100,193 +101,213 @@ func intSegUB(n, nruns int, span uint64) int {
 	return 1 + runsUB(nruns) + 8 + 1 + n*forWidth(span)
 }
 
+// kindRun is a run of rows that are all NULL or all values.
+type kindRun struct {
+	null bool
+	n    int
+}
+
 // colBuilder accumulates one column of the page being built: NULLs and
-// values of the column's declared kind, nothing else. Its colState bounds the
-// column's encoded size after every row; admitting a row stages the state
-// with the row in next and commit applies it, so a row that does not fit is
-// refused with nothing to roll back. The settled int datum (settledInt) skips
-// both: tryAppend stages its frame and stores it.
+// values of the column's declared kind, in the slice of that kind. A NULL
+// row's payload slot holds whatever its chunk held there; the kind runs say
+// which rows are NULL. Its colState bounds the column's encoded size.
 type colBuilder struct {
-	kind  types.Kind // the column's declared kind
-	kinds []types.Kind
-	vals  []uint64         // int payload or float bits by row, up to the last such row
-	strs  []string         // string by row, up to the last string row (nil until one)
-	dict  map[string]int32 // distinct strings (codes assigned at encode)
+	kind types.Kind // the column's declared kind
+	ints []int64    // payload by row: int, date and bool columns
+	flts []float64  // payload by row: float columns
+	ids  []int32    // payload by row: string columns, as the entry's index
+	runs []kindRun
+
+	// A string column's dictionary: its distinct strings in the order they
+	// came, and each one's index there. Codes, the entries' ranks in string
+	// order, are assigned at encode.
+	entries []string
+	dict    map[string]int32
 
 	colState
-	lastKind types.Kind // kind of the last staged row
-
-	next    colState // the state with the row being admitted
-	general bool     // next differs from colState beyond the frame and the runs
+	next colState  // the state with the block being admitted
+	bids [64]int32 // the block's ids (string columns)
 }
 
 func (c *colBuilder) reset() {
-	clear(c.strs)
+	clear(c.entries)
 	clear(c.dict)
-	*c = colBuilder{kind: c.kind, kinds: c.kinds[:0], vals: c.vals[:0], strs: c.strs[:0], dict: c.dict}
+	*c = colBuilder{kind: c.kind, ints: c.ints[:0], flts: c.flts[:0], ids: c.ids[:0],
+		runs: c.runs[:0], entries: c.entries[:0], dict: c.dict}
 }
 
-// stage returns the column's bound — segment and zone entry — with d, a NULL
-// or a value of the column's kind, staged as row n, and stages the state
-// commit applies. The common datum, a NULL or a value that adds no dictionary
-// entry, reads and stages only the frame of reference and the run count; the
-// page's first value and dictionary growth take stageGeneral. The settled int
-// datum never gets here (tryAppend admits it inline), so a refused row may
-// leave general set past admitted ones: the next stage resets next from
-// colState before staging into it.
-func (c *colBuilder) stage(d *types.Datum, n int) int {
-	nruns := c.nruns
-	if nruns == 0 || d.K != c.lastKind {
-		nruns++
+// lastNull reports whether the column's last row is NULL.
+func (c *colBuilder) lastNull() bool { return c.runs[len(c.runs)-1].null }
+
+// fold stages in c.next the column's state with rows [s, e) of cc appended,
+// a block within one word of cc's NULL mask. A string the dictionary lacks
+// is entered at once, past the c.ndict entries of the admitted rows, for
+// unstage to take out again if the block is refused; the block's ids go to
+// c.bids.
+func (c *colBuilder) fold(cc *chunkCol, s, e int) {
+	st := c.colState
+	k := e - s
+	w := cc.nullBits(s, e)
+	if st.nruns == 0 || (w&1 != 0) != c.lastNull() {
+		st.nruns++
 	}
-	lo, hi := c.minI, c.maxI
-	if d.K != types.KindNull {
-		switch c.class {
-		case classNull:
-			return c.stageGeneral(d, n, nruns)
-		case classInt:
-			lo, hi = min(lo, d.I), max(hi, d.I)
-		case classStr:
-			if _, ok := c.dict[d.S]; !ok {
-				return c.stageGeneral(d, n, nruns)
-			}
+	st.nruns += bits.OnesCount64((w ^ w>>1) & lowBits(k-1)) // kind changes within the block
+	if w == lowBits(k) {
+		// NULL only: class and frame unchanged
+		c.next = st
+		return
+	}
+	if st.class == classNull { // the page's first value
+		st.class = classOf(c.kind)
+		if st.class == classInt {
+			v := cc.ints[s+firstNonNull(w, k)]
+			st.minI, st.maxI = v, v
 		}
 	}
-	if c.general { // a refused row staged more than the frame and the runs
-		c.next, c.general = c.colState, false
-	}
-	c.next.minI, c.next.maxI, c.next.nruns = lo, hi, nruns
-	return c.next.sizeUB(n) + c.next.zoneUB()
-}
-
-// stageGeneral is stage for the value that changes more than the frame and
-// the run count: the page's first value, or a string the dictionary lacks
-// (every string is, on a page without one yet).
-func (c *colBuilder) stageGeneral(d *types.Datum, n, nruns int) int {
-	s := c.colState
-	s.nruns = nruns
-	if s.class == classNull {
-		s.class = classOf(c.kind)
-	}
-	switch s.class {
-	case classInt: // the first value: a frame of one
-		s.minI, s.maxI = d.I, d.I
+	switch st.class {
+	case classInt:
+		lo, hi := st.minI, st.maxI
+		if w == 0 {
+			for _, v := range cc.ints[s:e] {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		} else {
+			for j, v := range cc.ints[s:e] {
+				if w>>j&1 == 0 {
+					lo, hi = min(lo, v), max(hi, v)
+				}
+			}
+		}
+		st.minI, st.maxI = lo, hi
 	case classStr:
-		s.ndict++
-		s.dictBytes += uvarintSize(uint64(len(d.S))) + len(d.S)
-		s.maxStrLen = max(s.maxStrLen, len(d.S))
-	}
-	c.next, c.general = s, true
-	return s.sizeUB(n) + s.zoneUB()
-}
-
-// commit applies the state stage staged for d and stores d.
-func (c *colBuilder) commit(d *types.Datum) {
-	if c.general {
-		if c.next.ndict != c.ndict {
-			if c.dict == nil {
-				c.dict = make(map[string]int32)
-			}
-			c.dict[d.S] = 0
+		if c.dict == nil {
+			c.dict = make(map[string]int32)
 		}
-		c.colState, c.general = c.next, false
-	} else {
-		c.minI, c.maxI, c.nruns = c.next.minI, c.next.maxI, c.next.nruns
+		last, id := "", int32(-1) // the last value looked up and its id
+		for j, v := range cc.strs[s:e] {
+			if w>>j&1 != 0 { // a NULL row's id is never read
+				continue
+			}
+			if id >= 0 && v == last {
+				c.bids[j] = id
+				continue
+			}
+			var ok bool
+			if id, ok = c.dict[v]; !ok {
+				id = int32(len(c.entries))
+				c.dict[v] = id
+				c.entries = append(c.entries, v)
+				st.ndict++
+				st.dictBytes += uvarintSize(uint64(len(v))) + len(v)
+				st.maxStrLen = max(st.maxStrLen, len(v))
+			}
+			last, c.bids[j] = v, id
+		}
 	}
-	row := len(c.kinds)
-	c.kinds = append(c.kinds, d.K)
-	c.lastKind = d.K
-	switch d.K {
-	case types.KindInt, types.KindDate, types.KindBool:
-		c.vals = appendAt(c.vals, row, uint64(d.I))
-	case types.KindFloat:
-		c.vals = appendAt(c.vals, row, math.Float64bits(d.F))
-	case types.KindString:
-		c.strs = appendAt(c.strs, row, d.S)
-	}
+	c.next = st
 }
 
-// appendAt appends v to s as element i, zero-filling the elements before it
-// that s does not cover yet.
-func appendAt[T any](s []T, i int, v T) []T {
-	if len(s) < i {
-		s = append(s, make([]T, i-len(s))...)
+// unstage takes out the dictionary entries fold entered for a refused block.
+func (c *colBuilder) unstage() {
+	if c.kind != types.KindString {
+		return
 	}
-	return append(s, v)
+	for _, v := range c.entries[c.ndict:] {
+		delete(c.dict, v)
+	}
+	clear(c.entries[c.ndict:])
+	c.entries = c.entries[:c.ndict]
+}
+
+// commit applies the state fold staged and copies rows [s, e) of cc in.
+func (c *colBuilder) commit(cc *chunkCol, s, e int) {
+	c.colState = c.next
+	switch c.kind {
+	case types.KindFloat:
+		c.flts = append(c.flts, cc.flts[s:e]...)
+	case types.KindString:
+		c.ids = append(c.ids, c.bids[:e-s]...)
+	default:
+		c.ints = append(c.ints, cc.ints[s:e]...)
+	}
+	k := e - s
+	w := cc.nullBits(s, e)
+	for j := 0; j < k; {
+		x := w >> j
+		null := x&1 != 0
+		if null {
+			x = ^x
+		}
+		n := min(bits.TrailingZeros64(x), k-j) // rows of j's kind from j on
+		if len(c.runs) > 0 && c.lastNull() == null {
+			c.runs[len(c.runs)-1].n += n
+		} else {
+			c.runs = append(c.runs, kindRun{null: null, n: n})
+		}
+		j += n
+	}
 }
 
 // appendKindRuns encodes the column's kind/null run header.
 func (c *colBuilder) appendKindRuns(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(c.nruns))
-	if c.nruns == 1 { // a homogeneous column
-		buf = append(buf, byte(c.lastKind))
-		return binary.AppendUvarint(buf, uint64(len(c.kinds)))
-	}
-	kinds := c.kinds
-	for i := 0; i < len(kinds); {
-		j := i + 1
-		for j < len(kinds) && kinds[j] == kinds[i] {
-			j++
+	buf = binary.AppendUvarint(buf, uint64(len(c.runs)))
+	for _, r := range c.runs {
+		k := c.kind
+		if r.null {
+			k = types.KindNull
 		}
-		buf = append(buf, byte(kinds[i]))
-		buf = binary.AppendUvarint(buf, uint64(j-i))
-		i = j
+		buf = append(buf, byte(k))
+		buf = binary.AppendUvarint(buf, uint64(r.n))
 	}
 	return buf
 }
 
-// appendWords appends one little-endian word of width bytes per row: the
-// row's payload minus base, or 0 for a row whose kind is not in the set.
-func (c *colBuilder) appendWords(buf []byte, set uint8, base uint64, width int) []byte {
+// appendRows appends width bytes per row of the page: zeros for a NULL row;
+// put writes a run of value rows [lo, hi) into out.
+func (c *colBuilder) appendRows(buf []byte, rows, width int, put func(out []byte, lo, hi int)) []byte {
 	if width == 0 {
 		return buf
 	}
 	start := len(buf)
-	buf = slices.Grow(buf, len(c.kinds)*width)[:start+len(c.kinds)*width]
+	buf = slices.Grow(buf, rows*width)[:start+rows*width]
 	out := buf[start:]
-	if c.nruns == 1 && set&(1<<c.lastKind) != 0 { // every row has a payload
-		vals := c.vals[:len(c.kinds)]
-		switch width {
-		case 1:
-			for i, v := range vals {
-				out[i] = byte(v - base)
-			}
-		case 2:
-			for i, v := range vals {
-				binary.LittleEndian.PutUint16(out[2*i:], uint16(v-base))
-			}
-		case 4:
-			for i, v := range vals {
-				binary.LittleEndian.PutUint32(out[4*i:], uint32(v-base))
-			}
-		default:
-			for i, v := range vals {
-				binary.LittleEndian.PutUint64(out[8*i:], v-base)
-			}
+	row := 0
+	for _, r := range c.runs {
+		run := out[row*width : (row+r.n)*width]
+		if r.null {
+			clear(run)
+		} else {
+			put(run, row, row+r.n)
 		}
-		return buf
-	}
-	for i, k := range c.kinds {
-		var w uint64
-		if set&(1<<k) != 0 {
-			w = c.vals[i] - base
-		}
-		switch width {
-		case 1:
-			out[i] = byte(w)
-		case 2:
-			binary.LittleEndian.PutUint16(out[2*i:], uint16(w))
-		case 4:
-			binary.LittleEndian.PutUint32(out[4*i:], uint32(w))
-		default:
-			binary.LittleEndian.PutUint64(out[8*i:], w)
-		}
+		row += r.n
 	}
 	return buf
 }
 
-// encode appends the column's chosen segment encoding.
-func (c *colBuilder) encode(buf []byte) []byte {
+// putDeltas writes v - base for each v of vals into out, width bytes each.
+func putDeltas(out []byte, vals []int64, base uint64, width int) {
+	switch width {
+	case 1:
+		for i, v := range vals {
+			out[i] = byte(uint64(v) - base)
+		}
+	case 2:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(uint64(v)-base))
+		}
+	case 4:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(uint64(v)-base))
+		}
+	default:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(out[8*i:], uint64(v)-base)
+		}
+	}
+}
+
+// encode appends the column's chosen segment encoding for its rows rows.
+func (c *colBuilder) encode(buf []byte, rows int) []byte {
 	switch c.class {
 	case classNull, classInt:
 		buf = append(buf, encInt)
@@ -294,122 +315,136 @@ func (c *colBuilder) encode(buf []byte) []byte {
 		width := forWidth(uint64(c.maxI) - uint64(c.minI))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.minI))
 		buf = append(buf, byte(width))
-		return c.appendWords(buf, kindsInt&^(1<<types.KindNull), uint64(c.minI), width)
+		return c.appendRows(buf, rows, width, func(out []byte, lo, hi int) {
+			putDeltas(out, c.ints[lo:hi], uint64(c.minI), width)
+		})
 	case classFloat:
 		buf = append(buf, encFloat)
 		buf = c.appendKindRuns(buf)
-		return c.appendWords(buf, 1<<types.KindFloat, 0, 8)
+		return c.appendRows(buf, rows, 8, func(out []byte, lo, hi int) {
+			for i, v := range c.flts[lo:hi] {
+				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+			}
+		})
 	default: // classStr
 		buf = append(buf, encDict)
 		buf = c.appendKindRuns(buf)
-		entries := make([]string, 0, len(c.dict))
-		for s := range c.dict {
-			entries = append(entries, s)
+		// order lists the entry ids in string order, so code[id] is the rank.
+		order := make([]int32, len(c.entries))
+		for id := range order {
+			order[id] = int32(id)
 		}
-		sort.Strings(entries)
-		for code, s := range entries {
-			c.dict[s] = int32(code)
-		}
+		slices.SortFunc(order, func(a, b int32) int { return strings.Compare(c.entries[a], c.entries[b]) })
+		code := make([]uint16, len(order))
 		buf = binary.AppendUvarint(buf, uint64(c.dictBytes))
-		buf = binary.AppendUvarint(buf, uint64(len(entries)))
-		for _, s := range entries {
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
+		buf = binary.AppendUvarint(buf, uint64(len(order)))
+		for rank, id := range order {
+			code[id] = uint16(rank)
+			buf = binary.AppendUvarint(buf, uint64(len(c.entries[id])))
+			buf = append(buf, c.entries[id]...)
 		}
-		width := dictCodeWidth(len(entries))
+		width := dictCodeWidth(len(order))
 		buf = append(buf, byte(width))
-		for i, k := range c.kinds {
-			var code int32
-			if k == types.KindString {
-				code = c.dict[c.strs[i]]
+		return c.appendRows(buf, rows, width, func(out []byte, lo, hi int) {
+			for i, id := range c.ids[lo:hi] {
+				if width == 1 {
+					out[i] = byte(code[id])
+				} else {
+					binary.LittleEndian.PutUint16(out[2*i:], code[id])
+				}
 			}
-			switch width {
-			case 0:
-			case 1:
-				buf = append(buf, byte(code))
-			default:
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(code))
-			}
-		}
-		return buf
+		})
 	}
-}
-
-// settledInt reports whether d is the builder's most common datum: a value of
-// the kind of the last row of a settled int-class column. It adds no kind run
-// and moves only the frame of reference, so tryAppend admits it inline.
-func (c *colBuilder) settledInt(d *types.Datum) bool {
-	return c.class == classInt && d.K == c.lastKind && d.K != types.KindNull
 }
 
 // pageBuilder accumulates rows column-wise and packs them into a
 // column-major page. A row is admitted while the sum of the columns' size
 // bounds with it staged fits PageSize, so finish() always fits.
 type pageBuilder struct {
-	cols   []colBuilder
-	frames []frame // the row being admitted: each settled int column's frame
-	rows   int
-	buf    []byte // encode scratch, reused across pages
+	cols []colBuilder
+	rows int
+	buf  []byte // encode scratch, reused across pages
 }
-
-// frame is a column's frame of reference with one datum staged.
-type frame struct{ lo, hi int64 }
 
 // newPageBuilder returns a builder of pages whose columns are of the given
 // kinds, each one a schema may declare.
 func newPageBuilder(kinds []types.Kind) *pageBuilder {
-	b := &pageBuilder{
-		cols:   make([]colBuilder, len(kinds)),
-		frames: make([]frame, len(kinds)),
-		buf:    make([]byte, 0, PageSize),
-	}
+	b := &pageBuilder{cols: make([]colBuilder, len(kinds)), buf: make([]byte, 0, PageSize)}
 	for i, k := range kinds {
 		b.cols[i].kind = k
 	}
 	return b
 }
 
-// tryAppend stages r, a row of the builder's width, into the page and
-// reports whether it did. It refuses r, leaving the page unchanged, when the
-// encoded page would overflow PageSize (bad is -1) or when r[bad] is neither
-// NULL nor of its column's kind. A settled int datum stages only its frame,
-// in b.frames, and is stored here when the row fits; every other datum goes
-// through stage and commit.
-func (b *pageBuilder) tryAppend(r types.Row) (ok bool, bad int) {
-	if b.rows >= maxPageRows {
-		return false, -1
-	}
-	cols, frames := b.cols[:len(r)], b.frames[:len(r)]
-	total := pageFixedHeader + 4*len(r)
-	n := b.rows + 1
-	for i := range r {
-		c, d := &cols[i], &r[i]
-		switch {
-		case c.settledInt(d): // of the last row's kind, so of the column's
-			lo, hi := min(c.minI, d.I), max(c.maxI, d.I)
-			frames[i] = frame{lo, hi}
-			total += intSegUB(n, c.nruns, uint64(hi)-uint64(lo)) + intZoneUB
-		case d.K != c.kind && d.K != types.KindNull:
-			return false, i
-		default:
-			total += c.stage(d, n)
+// admitChunk admits rows [s, e) of ch, a chunk of the builder's columns, in
+// order while they fit, and returns the end of the rows admitted: e, or the
+// first row the page has no room for. Its cut is the greedy one — a row is
+// admitted while the sum of the columns' bounds with it staged fits PageSize
+// and the page holds fewer than maxPageRows rows — but it is found a block
+// of up to 64 rows (one word of the NULL masks) at a time: each column folds
+// the block into its state, the bounds are summed once, and the block's
+// payload is copied in. The bound grows with every row except at a column's
+// first value on the page, where classNull gives way to the kind's class and
+// the bound may shrink. So a block is cut before any row holding a first
+// value, which is admitted alone; then a block that fits has every row
+// fitting, and only a block that overflows is walked row by row for the cut.
+func (b *pageBuilder) admitChunk(ch *chunk, s, e int) int {
+	for s < e {
+		end := min(e, (s|63)+1, s+maxPageRows-b.rows)
+		if end <= s {
+			return s // the page holds maxPageRows rows
 		}
-		if total > PageSize {
-			return false, -1
-		}
-	}
-	for i := range r {
-		c, d := &cols[i], &r[i]
-		if c.settledInt(d) {
-			c.minI, c.maxI = frames[i].lo, frames[i].hi
-			c.kinds = append(c.kinds, d.K)
-			c.vals = append(c.vals, uint64(d.I)) // the last row had a payload too
+		if t := b.firstValue(ch, s, end); t == s {
+			end = s + 1
 		} else {
-			c.commit(d)
+			end = t
+		}
+		if !b.try(ch, s, end) {
+			// The walk: the block's last row needs no try, since the block
+			// with every row before it fitting does not fit with it.
+			for end-s > 1 && b.try(ch, s, s+1) {
+				s++
+			}
+			return s
+		}
+		s = end
+	}
+	return s
+}
+
+// firstValue returns the first row of [s, e), a block within one word of
+// the NULL masks, that holds a column's first value on the page, or e.
+func (b *pageBuilder) firstValue(ch *chunk, s, e int) int {
+	for i := range b.cols {
+		if b.cols[i].class == classNull {
+			e = s + firstNonNull(ch.cols[i].nullBits(s, e), e-s)
 		}
 	}
-	b.rows++
-	return true, -1
+	return e
+}
+
+// try admits rows [s, e) of ch if the page's bound with all of them staged
+// fits PageSize, and reports whether it did; a refused block leaves the page
+// as it was.
+func (b *pageBuilder) try(ch *chunk, s, e int) bool {
+	n := b.rows + e - s
+	total := pageFixedHeader + 4*len(b.cols)
+	for i := range b.cols {
+		c := &b.cols[i]
+		c.fold(&ch.cols[i], s, e)
+		total += c.next.sizeUB(n) + c.next.zoneUB()
+		if total > PageSize {
+			for j := range b.cols[:i+1] {
+				b.cols[j].unstage()
+			}
+			return false
+		}
+	}
+	for i := range b.cols {
+		b.cols[i].commit(&ch.cols[i], s, e)
+	}
+	b.rows = n
+	return true
 }
 
 // finish encodes the staged columns into a PageSize page and resets the
@@ -431,7 +466,7 @@ func (b *pageBuilder) finish() []byte {
 	}
 	for i := range b.cols {
 		binary.LittleEndian.PutUint32(buf[dirOff+4*i:], uint32(len(buf)))
-		buf = b.cols[i].encode(buf)
+		buf = b.cols[i].encode(buf, b.rows)
 	}
 	if len(buf) > PageSize {
 		panic(fmt.Sprintf("storage: page overflow (%d bytes, %d rows) — size accounting bug", len(buf), b.rows))
@@ -448,9 +483,8 @@ func (b *pageBuilder) finish() []byte {
 
 func (b *pageBuilder) empty() bool { return b.rows == 0 }
 
-// zone derives the column's zone map from the builder's incremental state.
-// Called before encode(), so the dictionary codes are not assigned yet; the
-// string bounds come from a linear scan over the distinct entries.
+// zone derives the column's zone map from the builder's incremental state:
+// the string bounds from a linear scan over the distinct entries.
 func (c *colBuilder) zone() ZoneMap {
 	var z ZoneMap
 	switch c.class {
@@ -458,23 +492,13 @@ func (c *colBuilder) zone() ZoneMap {
 		z.Flags = ZoneInt
 		z.MinI, z.MaxI = c.minI, c.maxI
 	case classStr:
-		first := true
-		for s := range c.dict {
-			if first {
-				z.MinS, z.MaxS = s, s
-				first = false
-				continue
-			}
-			if s < z.MinS {
-				z.MinS = s
-			}
-			if s > z.MaxS {
-				z.MaxS = s
-			}
+		z.MinS, z.MaxS = c.entries[0], c.entries[0]
+		for _, s := range c.entries[1:] {
+			z.MinS, z.MaxS = min(z.MinS, s), max(z.MaxS, s)
 		}
 		z.Flags = ZoneStr
 	case classNull:
-		if len(c.kinds) > 0 {
+		if len(c.runs) > 0 {
 			z.Flags = ZoneNullOnly
 		}
 	}

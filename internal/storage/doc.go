@@ -5,12 +5,25 @@
 // scans — the storage-layer sharing primitive both QPipe and CJOIN rely on.
 //
 // The files follow the roles: format.go is the page layout both sides of it
-// share, builder.go the page builder (with the zone entries it writes), reader.go the page reader (the directory, validation,
-// lazy column decode and zone entries), heapfile.go the bulk-load writer that
-// keeps each page's zone maps, pool.go the buffer pool, scan.go the circular
-// scans, disk.go and fault.go the devices. A heap file's schema is the
-// storage contract: a column holds NULLs and values of its declared kind, and
-// Append refuses any other datum with a *KindError.
+// share, chunk.go the load chunk and the RowWriter that fills it, builder.go
+// the page builder (with the zone entries it writes), reader.go the page
+// reader (the directory, validation, lazy column decode and zone entries),
+// heapfile.go the bulk-load writer that keeps each page's zone maps, pool.go
+// the buffer pool, scan.go the circular scans, disk.go and fault.go the
+// devices. A heap file's schema is the storage contract: a column holds NULLs
+// and values of its declared kind, and a load refuses any other datum with a
+// *KindError.
+//
+// Bulk load moves 8 bytes a value. Load hands its fill a RowWriter into a
+// chunk of typed columns — an []int64, []float64 or []string chosen by the
+// column's kind, and a NULL mask — and Append writes its Datum rows into the
+// same kind of chunk: there is one admission path. The page builder admits a
+// chunk a block of up to 64 rows at a time: each column folds the block into
+// its state (frame of reference, kind runs, dictionary), the size bounds are
+// summed once and the block's payload is copied in; only the block that
+// overflows the page is walked row by row, and a column's first value on a
+// page, where its bound may shrink, is admitted alone. The cut is the greedy
+// one a row at a time would make, byte for byte.
 //
 // Buffer memory — the in-memory disk's pages and the fixed-width columns
 // decoded from them — is pages of internal/arena, each with one owner that

@@ -22,7 +22,7 @@ func TestPageBuilderPacksAndDecodes(t *testing.T) {
 				row[i] = randDatum(r, k)
 			}
 		}
-		if ok, _ := b.tryAppend(row); !ok {
+		if ok, _ := b.offer(row); !ok {
 			break
 		}
 		want = append(want, row)

@@ -73,12 +73,12 @@ func FuzzOpenPage(f *testing.F) {
 	})
 }
 
-// FuzzPageRoundTrip puts rows through the page builder and openPage: every
-// datum comes back with its kind and its exact payload, and every zone map the
-// page carries bounds its column. The input is a width and a stream that
-// fuzzRows decodes into column kinds and rows of that width; the rows fill as
-// many pages as they need, and a row larger than a page is dropped, as a heap
-// file refuses it.
+// FuzzPageRoundTrip puts rows through the page builder, as one chunk
+// admitted a block at a time, and openPage: every datum comes back with its
+// kind and its exact payload, and every zone map the page carries bounds its
+// column. The input is a width and a stream that fuzzRows decodes into column
+// kinds and rows of that width; the rows fill as many pages as they need, and
+// a row larger than a page is dropped, as a heap file refuses it.
 func FuzzPageRoundTrip(f *testing.F) {
 	r := rand.New(rand.NewSource(67))
 	for i := 0; i < 8; i++ {
@@ -96,18 +96,23 @@ func FuzzPageRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, width uint8, stream []byte) {
 		kinds, rows := fuzzRows(1+int(width)%8, stream)
+		if len(rows) == 0 {
+			return
+		}
 		b := newPageBuilder(kinds) // one schema, as a heap file's
-		for len(rows) > 0 {
-			n := 0
-			for n < len(rows) && b.admit(rows[n]) {
-				n++
-			}
-			if n == 0 {
-				rows = rows[1:]
+		ch := newChunk(kinds, len(rows))
+		w := ch.writer()
+		for ; w.row < len(rows); w.row++ {
+			setRow(&w, rows[w.row])
+		}
+		for s := 0; s < len(rows); {
+			n := b.admitChunk(ch, s, len(rows))
+			if n == s {
+				s++
 				continue
 			}
-			checkRoundTrip(t, b.finish(), rows[:n])
-			rows = rows[n:]
+			checkRoundTrip(t, b.finish(), rows[s:n])
+			s = n
 		}
 	})
 }

@@ -109,6 +109,13 @@ func loadRow(i int) types.Row {
 	return types.Row{types.NewInt(int64(i)), types.NewString(strings.Repeat("x", i%30) + strconv.Itoa(i))}
 }
 
+// setRow writes r through w, datum by datum.
+func setRow(w *RowWriter, r types.Row) {
+	for c := range r {
+		w.Set(c, &r[c])
+	}
+}
+
 // filePages reads every page of f from the disk.
 func filePages(t *testing.T, d Disk, f *HeapFile) [][]byte {
 	t.Helper()
@@ -140,12 +147,12 @@ func TestHeapFileLoadMatchesAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		next := 0
-		err := loaded.File.Load(n, func(i int, row types.Row) {
+		err := loaded.File.Load(n, func(i int, row *RowWriter) {
 			if i != next {
 				t.Fatalf("n=%d: fill(%d), want fill(%d)", n, i, next)
 			}
 			next++
-			copy(row, loadRow(i))
+			setRow(row, loadRow(i))
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -186,9 +193,9 @@ func TestHeapFileLoadFaultStopsFill(t *testing.T) {
 	const n = 100 * loadChunkRows
 	fd.FailWritesAfter(2)
 	filled := 0
-	err := tbl.File.Load(n, func(i int, row types.Row) {
+	err := tbl.File.Load(n, func(i int, row *RowWriter) {
 		filled++
-		copy(row, loadRow(i))
+		setRow(row, loadRow(i))
 	})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Load = %v, want the injected write error", err)
@@ -360,9 +367,9 @@ func TestCatalogMustTablePanics(t *testing.T) {
 }
 
 // BenchmarkHeapFileAppend times bulk load's admitting side: one op is one
-// Append of 4096 rows, four of Load's chunks, into a heap file on a
-// zero-latency MemDisk, so the cost is row admission, staging and page
-// encoding. shape=lineorder is the SSB fact table's twelve int columns;
+// Append of 4096 Datum rows, four of Load's chunks, into a heap file on a
+// zero-latency MemDisk, so the cost is writing the rows into a chunk, block
+// admission and page encoding. shape=lineorder is the SSB fact table's twelve int columns;
 // shape=mixed is an int key, a float and a 25-value string column.
 func BenchmarkHeapFileAppend(b *testing.B) {
 	const chunk = 4096

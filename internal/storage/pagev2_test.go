@@ -47,11 +47,31 @@ func rowKinds(rows []types.Row) []types.Kind {
 	return kinds
 }
 
-// admit is tryAppend for rows of the builder's kinds: it reports whether r
+// offer admits r alone, through a one-row chunk as Append writes one: it
+// reports whether r fit, or the first column holding a datum of another kind
+// than the column's (bad is -1 otherwise). A refused row leaves the page as
+// it was.
+func (b *pageBuilder) offer(r types.Row) (ok bool, bad int) {
+	kinds := make([]types.Kind, len(b.cols))
+	for i := range b.cols {
+		kinds[i] = b.cols[i].kind
+	}
+	ch := newChunk(kinds, 1)
+	w := ch.writer()
+	for c := range r {
+		w.Set(c, &r[c])
+	}
+	if ch.bad.row >= 0 {
+		return false, ch.bad.col
+	}
+	return b.admitChunk(ch, 0, 1) == 1, -1
+}
+
+// admit is offer for rows of the builder's kinds: it reports whether r
 // fit, and panics on a datum of another kind, which a test never means to
 // offer through it.
 func (b *pageBuilder) admit(r types.Row) bool {
-	ok, bad := b.tryAppend(r)
+	ok, bad := b.offer(r)
 	if bad >= 0 {
 		panic(fmt.Sprintf("column %d: a %v datum in a %v column", bad, r[bad].K, b.cols[bad].kind))
 	}
@@ -275,9 +295,9 @@ func TestPageV2TargetedShapes(t *testing.T) {
 				b := newPageBuilder(kinds)
 				var kept []types.Row
 				for i, r := range rows {
-					ok, bad := b.tryAppend(r)
+					ok, bad := b.offer(r)
 					if want := r[0].K == kinds[0]; ok != want || !ok && bad != 0 {
-						t.Fatalf("row %d, a %v datum in a %v column: tryAppend = %v, %d", i, r[0].K, kinds[0], ok, bad)
+						t.Fatalf("row %d, a %v datum in a %v column: offer = %v, %d", i, r[0].K, kinds[0], ok, bad)
 					}
 					if ok {
 						kept = append(kept, r)

@@ -100,11 +100,13 @@ func TestLoadWrongKindLeaksNothing(t *testing.T) {
 	const n, bad = 100 * 1024, 5000
 	base := runtime.NumGoroutine()
 	filled := 0
-	err = tbl.File.Load(n, func(i int, row types.Row) {
+	err = tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		filled++
-		row[0], row[1] = types.NewInt(int64(i)), types.NewString("v"+strconv.Itoa(i%50))
+		row.Int(0, int64(i))
 		if i == bad {
-			row[1] = types.NewFloat(0.5)
+			row.Float(1, 0.5)
+		} else {
+			row.Str(1, "v"+strconv.Itoa(i%50))
 		}
 	})
 	var ke *storage.KindError
