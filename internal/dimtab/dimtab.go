@@ -8,9 +8,9 @@
 // holds one per dimension for its lifetime; a query-centric hash join whose
 // build side is a filtered scan of a stored table probes the same one,
 // under a Keep of the entries its own predicates select. Only the build is
-// shared: each query still runs its predicates and its operators. Any other
-// build side — a join, a projection — is gathered by that join into a
-// private Table with New and Append and indexed with Seal.
+// shared: each query still runs its predicates and its operators. The
+// engine refuses a hash join with any other build side, so New, Append and
+// Seal run only inside the shared index's build.
 //
 // Entry e is row e of the table's batch, in arrival order: the columns the
 // caller keeps, and the join key. A row whose key is NULL is never an entry,

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,6 +144,9 @@ func (e *Engine) Stream(ctx context.Context, root plan.Node) (Reader, error) {
 // runs them concurrently. This models clients coordinating to submit their
 // queries in batches, which maximizes SP opportunities (Scenario IV) because
 // every common sub-plan is registered before any sharing window can close.
+// Every root is checked before the first dispatch: one whose hash join has a
+// build side no shared index serves refuses the whole batch with a
+// *BuildSideError, and nothing starts.
 func (e *Engine) ExecuteBatch(ctx context.Context, roots []plan.Node) ([]*Result, error) {
 	results := make([]*Result, len(roots))
 	if err := e.execute(ctx, roots, results); err != nil {
@@ -158,6 +160,11 @@ func (e *Engine) ExecuteBatch(ctx context.Context, roots []plan.Node) ([]*Result
 // gate, drained concurrently, and stored in the cache only after a clean,
 // uncanceled drain. A run the cache answers entirely allocates nothing.
 func (e *Engine) execute(ctx context.Context, roots []plan.Node, results []*Result) error {
+	for _, root := range roots {
+		if err := checkJoins(root); err != nil {
+			return err
+		}
+	}
 	type query struct {
 		i    int
 		fp   expr.Fp
@@ -191,15 +198,7 @@ func (e *Engine) execute(ctx context.Context, roots []plan.Node, results []*Resu
 
 	gate := make(chan struct{})
 	for j := range qs {
-		r, err := e.dispatch(ctx, roots[qs[j].i], gate)
-		if err != nil {
-			close(gate)
-			for _, prev := range qs[:j] {
-				prev.r.Close()
-			}
-			return err
-		}
-		qs[j].r = r
+		qs[j].r = e.dispatchNode(ctx, roots[qs[j].i], gate)
 	}
 	close(gate)
 
@@ -244,31 +243,63 @@ func drain(ctx context.Context, root plan.Node, r Reader) (*Result, error) {
 	}
 }
 
-// dispatch instantiates (or SP-shares) the packets of one query's plan and
-// returns the reader delivering its output. Packets wait on gate before
-// producing.
-func (e *Engine) dispatch(ctx context.Context, root plan.Node, gate <-chan struct{}) (Reader, error) {
-	var reads []expr.Fp
-	return e.dispatchNode(ctx, &reads, root, 0, gate)
+// BuildSideError refuses a plan holding a hash join whose build side is not
+// a stored table under selections, Filter*(Scan(T)): every join the engine
+// runs probes its build table's shared index (plan.HashJoin.IndexedBuild),
+// and it builds no private table. A refused plan starts nothing.
+type BuildSideError struct {
+	Join *plan.HashJoin
+	Kind plan.Kind // the kind of the build side's first node below its filters
 }
 
-// dispatchNode instantiates (or SP-shares) the packet for node, which sits
-// depth hash-join build sides deep in its plan. Only a stage with SP on
-// computes the node's registry key (spKey), which holds the depth, so a
-// sub-plan shares only with sub-plans at its own build depth: a hash join
-// drains its build side while its probe-side reader waits at page 0, and a
-// packet read both as one query's probe side and another's build side can
-// fill its list for that waiting reader while the reader's join waits on
-// the other query (HashJoin(X, Y) beside HashJoin(Y, X)). *reads holds the
-// keys of the shared sub-plans the query already reads, from its own
-// packets or through a host it attached to, and a query never attaches to
-// a host whose sub-plan overlaps them: it runs a packet of its own instead
-// and leaves the registry as it is.
-func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.Node, depth int, gate <-chan struct{}) (Reader, error) {
+func (e *BuildSideError) Error() string {
+	ls, rs := e.Join.Left.Schema(), e.Join.Right.Schema()
+	return fmt.Sprintf("engine: hash join %s = %s has build side %s, not Filter*(Scan(table))",
+		ls.Cols[e.Join.LeftCol].Name, rs.Cols[e.Join.RightCol].Name, e.Kind)
+}
+
+// checkJoins returns a *BuildSideError for the first hash join in n's
+// packet chain whose build side no shared index serves. It allocates
+// nothing on an accepted plan, so a result-cache hit stays allocation-free.
+func checkJoins(n plan.Node) error {
+	for ; n != nil; n = packetInput(n) {
+		j, ok := n.(*plan.HashJoin)
+		if !ok {
+			continue
+		}
+		b := j.Right
+		for b.Kind() == plan.KindFilter {
+			b = b.(*plan.Filter).Input
+		}
+		if b.Kind() != plan.KindScan {
+			return &BuildSideError{Join: j, Kind: b.Kind()}
+		}
+	}
+	return nil
+}
+
+// dispatch refuses root if a hash join in it has a build side no shared
+// index serves, and otherwise instantiates (or SP-shares) the packets of
+// root and returns the reader delivering its output. Packets wait on gate
+// before producing.
+func (e *Engine) dispatch(ctx context.Context, root plan.Node, gate <-chan struct{}) (Reader, error) {
+	if err := checkJoins(root); err != nil {
+		return nil, err
+	}
+	return e.dispatchNode(ctx, root, gate), nil
+}
+
+// dispatchNode instantiates (or SP-shares) the packet for node and, unless it
+// attached to a host, the packet below it. Only a stage with SP on computes
+// the node's fingerprint, its registry key. Every packet has at most one
+// input (packetInput), so a query's packets form a chain: no chain holds one
+// fingerprint twice, and no operator drains one input while another of its
+// readers waits, so a query attaches wherever the registry offers a host.
+func (e *Engine) dispatchNode(ctx context.Context, node plan.Node, gate <-chan struct{}) Reader {
 	st := e.stage(node.Kind())
 	var fp expr.Fp
 	if st.sp {
-		fp = spKey(node, depth)
+		fp = plan.Fingerprint(node)
 	}
 
 	var primary Reader
@@ -280,85 +311,49 @@ func (e *Engine) dispatchNode(ctx context.Context, reads *[]expr.Fp, node plan.N
 
 	host, fresh := st.lookupOrRegister(fp, mk)
 	if host != nil {
-		sub := e.sharedBelow([]expr.Fp{fp}, node, depth)
-		if slices.ContainsFunc(sub, func(f expr.Fp) bool { return slices.Contains(*reads, f) }) {
-			fresh = mk()
-		} else if r, ok := host.addConsumer(); ok {
+		if r, ok := host.addConsumer(); ok {
 			st.spAttached.Add(1)
-			*reads = append(*reads, sub...)
-			return r, nil
-		} else {
-			// Window closed: run our own packet and take over the slot so
-			// later arrivals can share with us.
-			st.spMissed.Add(1)
-			fresh = mk()
-			st.register(fp, host, fresh)
+			return r
 		}
-	}
-	if st.sp {
-		*reads = append(*reads, fp)
+		// Window closed: run our own packet and take over the slot so later
+		// arrivals can share with us.
+		st.spMissed.Add(1)
+		fresh = mk()
+		st.register(fp, host, fresh)
 	}
 
-	inputs := make([]Reader, 0, 2)
-	for i, child := range packetInputs(node) {
-		cr, err := e.dispatchNode(ctx, reads, child, depth+i, gate)
-		if err != nil {
-			fresh.close(err)
-			st.unregister(fp, fresh)
-			for _, in := range inputs {
-				in.Close()
-			}
-			return nil, err
-		}
-		inputs = append(inputs, cr)
+	var in Reader
+	if child := packetInput(node); child != nil {
+		in = e.dispatchNode(ctx, child, gate)
 	}
-
-	go e.run(ctx, fresh, inputs, gate)
-	return primary, nil
+	go e.run(ctx, fresh, in, gate)
+	return primary
 }
 
-// packetInputs returns the children of n that run as packets: all of them,
-// but for a hash join whose build side its table's shared index serves
-// (plan.HashJoin.IndexedBuild), only the probe side. The second input, when
-// there is one, is a hash join's build side.
-func packetInputs(n plan.Node) []plan.Node {
-	if j, ok := n.(*plan.HashJoin); ok {
-		if _, _, indexed := j.IndexedBuild(); indexed {
-			return []plan.Node{j.Left}
-		}
+// packetInput returns the child of n that runs as a packet: a hash join's
+// probe side, since its build table's shared index serves the build side,
+// the one input of any other operator, and nil for a scan or a CJOIN node.
+// Unlike plan.Node.Children it allocates nothing, which checkJoins needs.
+func packetInput(n plan.Node) plan.Node {
+	switch v := n.(type) {
+	case *plan.HashJoin:
+		return v.Left
+	case *plan.Filter:
+		return v.Input
+	case *plan.Project:
+		return v.Input
+	case *plan.Aggregate:
+		return v.Input
+	case *plan.Sort:
+		return v.Input
+	case *plan.Limit:
+		return v.Input
 	}
-	return n.Children()
-}
-
-// spKey is the SP registry key of node at build depth depth: its
-// fingerprint, folded with the depth below the top level.
-func spKey(node plan.Node, depth int) expr.Fp {
-	fp := plan.Fingerprint(node)
-	if depth == 0 {
-		return fp
-	}
-	h := expr.NewFpHasher()
-	h.U64(fp.Hi)
-	h.U64(fp.Lo)
-	h.U64(uint64(depth))
-	return h.Sum()
-}
-
-// sharedBelow appends the registry key of every packet under n, at build
-// depth depth, whose stage shares: the sub-plans a satellite of n reads
-// through its host.
-func (e *Engine) sharedBelow(dst []expr.Fp, n plan.Node, depth int) []expr.Fp {
-	for i, c := range packetInputs(n) {
-		if e.stage(c.Kind()).sp {
-			dst = append(dst, spKey(c, depth+i))
-		}
-		dst = e.sharedBelow(dst, c, depth+i)
-	}
-	return dst
+	return nil
 }
 
 // run executes one packet to completion.
-func (e *Engine) run(ctx context.Context, p *Packet, inputs []Reader, gate <-chan struct{}) {
+func (e *Engine) run(ctx context.Context, p *Packet, in Reader, gate <-chan struct{}) {
 	st := p.stage
 	st.active.Add(1)
 	defer st.active.Add(-1)
@@ -370,7 +365,7 @@ func (e *Engine) run(ctx context.Context, p *Packet, inputs []Reader, gate <-cha
 	cleanup := func(err error) {
 		p.close(err)
 		st.unregister(p.fp, p)
-		for _, in := range inputs {
+		if in != nil {
 			in.Close()
 		}
 		stopAfter()
@@ -384,7 +379,7 @@ func (e *Engine) run(ctx context.Context, p *Packet, inputs []Reader, gate <-cha
 	}
 
 	st.executed.Add(1)
-	err := e.safeRunOperator(ctx, p, inputs, p.writer())
+	err := e.safeRunOperator(ctx, p, in, p.writer())
 	cleanup(err)
 }
 
@@ -401,14 +396,14 @@ func (e *PanicError) Error() string {
 
 // safeRunOperator runs the packet's operator, converting a panic into a
 // typed error delivered through the packet's normal close path.
-func (e *Engine) safeRunOperator(ctx context.Context, p *Packet, inputs []Reader, w Writer) (err error) {
+func (e *Engine) safeRunOperator(ctx context.Context, p *Packet, in Reader, w Writer) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.stage.panics.Add(1)
 			err = &PanicError{Recovered: r}
 		}
 	}()
-	return e.runOperator(ctx, p, inputs, w)
+	return e.runOperator(ctx, p, in, w)
 }
 
 // EngineStats snapshots every stage's counters plus engine-wide gauges.
@@ -425,10 +420,10 @@ type EngineStats struct {
 	// taking the process down.
 	OperatorPanics int64
 
-	// IndexJoins counts hash joins that probed their build table's shared
-	// join index instead of building one; IndexBuilds counts the indexes
-	// built over the catalog's tables, by those joins or by CJOIN, failed
-	// builds included.
+	// IndexJoins counts the hash joins run, each of which probed its build
+	// table's shared join index; IndexBuilds counts the indexes built over
+	// the catalog's tables, by those joins or by CJOIN, failed builds
+	// included.
 	IndexJoins  int64
 	IndexBuilds int64
 

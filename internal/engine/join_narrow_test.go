@@ -24,11 +24,12 @@ func joinInputs(rows []types.Row, width int, literal bool) []*batch.Batch {
 	return []*batch.Batch{batch.FromView(cb, nil)}
 }
 
-// Operator cases under narrowed output lists, over pooled and literal
-// inputs on either side: NULL keys on both sides never match; duplicate build keys
-// multiply the probe row even when the build side emits nothing (an existence
-// probe is a semi-join only on unique keys); the key column need not be
-// carried; an empty build side yields nothing. Batch refs balance.
+// Operator cases under narrowed output lists, over pooled and literal probe
+// inputs, each probing a stored build table's shared index: NULL keys on
+// both sides never match; duplicate build keys multiply the probe row even
+// when the build side emits nothing (an existence probe is a semi-join only
+// on unique keys); the key column need not be carried; an empty build table
+// yields nothing. Batch refs balance.
 func TestHashJoinNarrowedLists(t *testing.T) {
 	s := types.NewString
 	left := []types.Row{
@@ -44,33 +45,37 @@ func TestHashJoinNarrowedLists(t *testing.T) {
 		{types.Null, s("m")},
 	}
 	cat := testDB(t, 1)
-	scanL, scanR := plan.NewScan(cat.MustTable("dept")), plan.NewScan(cat.MustTable("dept"))
+	scanL := plan.NewScan(cat.MustTable("dept"))
+	stored := func(name string, rows []types.Row) plan.Node {
+		cols := []types.Column{{Name: name + "_k", Kind: types.KindInt}, {Name: name + "_v", Kind: types.KindString}}
+		return plan.NewScan(mustTable(t, cat, name, cols, func(i int) types.Row { return rows[i] }, len(rows), nil))
+	}
+	full, empty := stored("full", right), stored("empty", nil)
 	cases := []struct {
 		name              string
 		leftOut, rightOut []int
+		build             plan.Node
 		right             []types.Row
 		want              []types.Row
 	}{
-		{"existence probe keeps multiplicity", []int{1}, nil, right,
+		{"existence probe keeps multiplicity", []int{1}, nil, full, right,
 			[]types.Row{{s("a")}, {s("a")}, {s("c")}, {s("c")}}},
-		{"key dropped, payload kept", []int{1}, []int{1}, right,
+		{"key dropped, payload kept", []int{1}, []int{1}, full, right,
 			[]types.Row{{s("a"), s("x")}, {s("a"), s("y")}, {s("c"), s("x")}, {s("c"), s("y")}}},
-		{"right only, reordered", nil, []int{1, 0}, right,
+		{"right only, reordered", nil, []int{1, 0}, full, right,
 			[]types.Row{{s("x"), types.NewInt(1)}, {s("y"), types.NewInt(1)}, {s("x"), types.NewInt(1)}, {s("y"), types.NewInt(1)}}},
-		{"empty build side", []int{0, 1}, []int{1}, nil, nil},
+		{"empty build side", []int{0, 1}, []int{1}, empty, nil, nil},
 	}
 	base := vec.LiveBatches()
 	for _, tc := range cases {
-		n := plan.NewHashJoinOut(scanL, scanR, 0, 0, tc.leftOut, tc.rightOut)
-		for _, form := range []struct{ leftLit, rightLit bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		n := plan.NewHashJoinOut(scanL, tc.build, 0, 0, tc.leftOut, tc.rightOut)
+		for _, leftLit := range []bool{false, true} {
 			e := &Engine{cfg: (&Config{BatchSize: 3}).withDefaults()}
 			w := &collectWriter{}
 			err := e.opHashJoin(context.Background(), n,
-				&sliceReader{batches: joinInputs(left, 2, form.leftLit)},
-				&sliceReader{batches: joinInputs(tc.right, 2, form.rightLit)},
-				w, newStage(plan.KindHashJoin, false))
+				&sliceReader{batches: joinInputs(left, 2, leftLit)}, w, newStage(plan.KindHashJoin, false))
 			if err != nil {
-				t.Fatalf("%s %+v: %v", tc.name, form, err)
+				t.Fatalf("%s (literal probe side %v): %v", tc.name, leftLit, err)
 			}
 			mustEqualRows(t, w.rows, tc.want)
 			mustEqualRows(t, refJoin(t, n, left, tc.right), tc.want)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -166,6 +167,23 @@ func naiveJoin(n *plan.HashJoin, lrows, rrows []types.Row) []types.Row {
 	return out
 }
 
+// stripBuildSort returns join with the Sort that buildJoinCase may put on its
+// build side stripped, after asserting that the engine refuses the sorted
+// form with a *BuildSideError naming the sort. A sort does not change which
+// rows join, so the stripped join matches the same naive rows.
+func stripBuildSort(t *testing.T, e *Engine, join *plan.HashJoin) *plan.HashJoin {
+	t.Helper()
+	s, ok := join.Right.(*plan.Sort)
+	if !ok {
+		return join
+	}
+	_, err := e.Execute(context.Background(), join)
+	if bse := (*BuildSideError)(nil); !errors.As(err, &bse) || bse.Kind != plan.KindSort {
+		t.Fatalf("sorted build side: got %v, want a *BuildSideError naming the sort", err)
+	}
+	return plan.NewHashJoinOut(join.Left, s.Input, join.LeftCol, join.RightCol, join.LeftOut, join.RightOut)
+}
+
 // refJoin runs the row-materializing reference operator over literals.
 func refJoin(t *testing.T, n *plan.HashJoin, lrows, rrows []types.Row) []types.Row {
 	t.Helper()
@@ -199,10 +217,10 @@ func randOutList(r *rand.Rand, width int) []int {
 // the row-materializing reference operator — over random plans covering
 // duplicate build keys, NULL keys on both sides, empty build sides,
 // int/float/string/dict key columns, tables keyed by different kinds
-// (integral floats equal ints), random selections, sorted
-// inputs on either side, and random output lists: full width, narrowed,
-// empty (an existence probe, which must still emit one row per match) and
-// lists that drop the key column.
+// (integral floats equal ints), random selections, a sorted probe side, and
+// random output lists: full width, narrowed, empty (an existence probe,
+// which must still emit one row per match) and lists that drop the key
+// column. A sorted build side is refused, then run without its sort.
 func TestColumnarJoinEquivRandom(t *testing.T) {
 	ctx := context.Background()
 	base := vec.LiveBatches()
@@ -214,6 +232,7 @@ func TestColumnarJoinEquivRandom(t *testing.T) {
 		want := naiveJoin(join, jc.lrows, jc.rrows)
 
 		cols := New(jc.cat, Config{BatchSize: 32})
+		join = stripBuildSort(t, cols, join)
 		got, err := cols.Execute(ctx, join)
 		if err != nil {
 			t.Fatalf("round %d: columnar join: %v", round, err)

@@ -418,7 +418,7 @@ func TestOneFormLeakOracle(t *testing.T) {
 		{"join on an aggregate", func() plan.Node {
 			byDept := plan.NewAggregate(scan(), []plan.GroupCol{{Name: "dept", Kind: types.KindInt, Expr: expr.C(1, "dept")}},
 				[]plan.AggSpec{{Func: plan.AggSum, Arg: expr.C(2, "amount"), Name: "total"}})
-			return plan.NewHashJoin(scan(), byDept, 1, 0)
+			return plan.NewHashJoin(byDept, plan.NewScan(dept), 0, 0)
 		}},
 	}
 	const size = 16

@@ -18,28 +18,25 @@ import (
 // hashSeed seeds the group tables' key hashes (FNV-1a offset basis).
 const hashSeed uint64 = 14695981039346656037
 
-// runOperator executes the packet's operator to completion, reading inputs
-// and writing w. A nil return is a normal end of stream.
-func (e *Engine) runOperator(ctx context.Context, p *Packet, inputs []Reader, w Writer) error {
+// runOperator executes the packet's operator to completion, reading its one
+// input in (nil for a scan or a CJOIN node) and writing w. A nil return is a
+// normal end of stream.
+func (e *Engine) runOperator(ctx context.Context, p *Packet, in Reader, w Writer) error {
 	switch n := p.node.(type) {
 	case *plan.Scan:
 		return e.opScan(ctx, n, w, p.stage)
 	case *plan.Filter:
-		return e.opFilter(ctx, n, inputs[0], w, p.stage)
+		return e.opFilter(ctx, n, in, w, p.stage)
 	case *plan.Project:
-		return e.opProject(ctx, n, inputs[0], w, p.stage)
+		return e.opProject(ctx, n, in, w, p.stage)
 	case *plan.HashJoin:
-		var right Reader // nil: the build table's shared index serves it
-		if len(inputs) > 1 {
-			right = inputs[1]
-		}
-		return e.opHashJoin(ctx, n, inputs[0], right, w, p.stage)
+		return e.opHashJoin(ctx, n, in, w, p.stage)
 	case *plan.Aggregate:
-		return e.opAggregate(ctx, n, inputs[0], w, p.stage)
+		return e.opAggregate(ctx, n, in, w, p.stage)
 	case *plan.Sort:
-		return e.opSort(ctx, n, inputs[0], w, p.stage)
+		return e.opSort(ctx, n, in, w, p.stage)
 	case *plan.Limit:
-		return e.opLimit(ctx, n, inputs[0], w, p.stage)
+		return e.opLimit(ctx, n, in, w, p.stage)
 	case *plan.CJoin:
 		return e.opCJoin(ctx, n, w, p.stage)
 	default:
@@ -231,51 +228,36 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 }
 
 // opHashJoin is the columnar hash join (single-column equi-join). Its build
-// side is a dimtab.Table in one of two forms. When the right input is a
-// stored table under selections (plan.HashJoin.IndexedBuild) the engine ran
-// no packet for it (right is nil): the join takes a reference to the
-// table's shared index on RightCol and evaluates the selections once over
-// the index's entry batch into a dimtab.Keep, so it probes the entries its
-// own query selects. Otherwise the right input is appended to a private
-// table — the join key and the RightOut columns, gathered column-wise —
-// sealed once the input ends. Each left batch probes in one vectorized call
-// that resolves matches as (probe row, build entry) pairs. Output is a
-// pooled ColBatch of exactly the node's output lists: LeftOut gathered from
-// the left batch, RightOut from the table's entry batch
-// (vec.AppendGather). Columns nothing above the join reads are never
-// copied; a full-width join is the identity lists through the same path. No
-// Row is materialized on either side, duplicate build keys chain in arrival
-// order, and NULL join keys never match.
-func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
-	var tab *dimtab.Table
-	var keep *dimtab.Keep
-	var rvecs []*vec.Vec // RightOut's columns of the entry batch
-	kept := 0            // entries a probe can return
-	if right == nil {
-		t, preds, _ := n.IndexedBuild()
-		ix, err := t.Indexes.Acquire(ctx, t.File, n.RightCol)
-		if err != nil {
-			return err
-		}
-		defer ix.Release()
-		e.indexJoins.Add(1)
-		tab = ix.Table()
-		t0 := time.Now()
-		keep, kept = selectEntries(tab, preds)
-		st.addBusy(time.Since(t0))
-		for _, c := range n.RightOut {
-			rvecs = append(rvecs, tab.Batch().Col(c))
-		}
-	} else {
-		tab = dimtab.New(n.RightCol, n.RightOut)
-		defer tab.Release()
-		if err := buildPrivate(ctx, tab, right, st); err != nil {
-			return err
-		}
-		kept = tab.Len()
-		for c := range n.RightOut {
-			rvecs = append(rvecs, tab.Batch().Col(c))
-		}
+// side is a stored table under selections (plan.HashJoin.IndexedBuild),
+// which runs no packet: the join takes a reference to the table's shared
+// index on RightCol and evaluates the selections once over the index's
+// entry batch into a dimtab.Keep, so it probes the entries its own query
+// selects. Each left batch probes in one vectorized call that resolves
+// matches as (probe row, build entry) pairs. Output is a pooled ColBatch of
+// exactly the node's output lists: LeftOut gathered from the left batch,
+// RightOut from the index's entry batch (vec.AppendGather). Columns nothing
+// above the join reads are never copied; a full-width join is the identity
+// lists through the same path. No Row is materialized on either side,
+// duplicate build keys chain in table order, and NULL join keys never
+// match.
+func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left Reader, w Writer, st *Stage) error {
+	t, preds, ok := n.IndexedBuild()
+	if !ok { // dispatch refuses such a plan before it starts
+		return checkJoins(n)
+	}
+	ix, err := t.Indexes.Acquire(ctx, t.File, n.RightCol)
+	if err != nil {
+		return err
+	}
+	defer ix.Release()
+	e.indexJoins.Add(1)
+	tab := ix.Table()
+	t0 := time.Now()
+	keep, kept := selectEntries(tab, preds) // kept: entries a probe can return
+	st.addBusy(time.Since(t0))
+	rvecs := make([]*vec.Vec, len(n.RightOut)) // RightOut's columns of the entry batch
+	for i, c := range n.RightOut {
+		rvecs[i] = tab.Batch().Col(c)
 	}
 	// Probe phase. Matches accumulate into a pending output batch reserved
 	// for, and published at, exactly the configured batch size — like the
@@ -343,27 +325,6 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
-}
-
-// buildPrivate appends every batch of the build input to tab and seals it.
-func buildPrivate(ctx context.Context, tab *dimtab.Table, right Reader, st *Stage) error {
-	for {
-		b, err := right.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		cb, sel := b.Cols()
-		tab.Append(cb, sel)
-		b.Done()
-		st.addBusy(time.Since(t0))
-	}
-	t0 := time.Now()
-	defer func() { st.addBusy(time.Since(t0)) }()
-	return tab.Seal()
 }
 
 // keepChunk is how many entries of a shared index selectEntries evaluates

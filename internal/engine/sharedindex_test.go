@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,53 +16,41 @@ import (
 	"repro/internal/vec"
 )
 
-// A join served by its build table's shared index, the same join building a
-// private table, and the naive nested loop agree: the random join cases of
-// the columnar battery (duplicate and NULL keys, int, float and string keys,
-// keys of different kinds, empty build sides) plus a dimension with
-// distinct dense keys, whose selection is a key bitset, probed by int and
-// float keys. Every filtered-scan build side is index-served and counted.
-func TestIndexServedJoinMatchesBuiltAndNaive(t *testing.T) {
+// A join served by its build table's shared index and the naive nested loop
+// agree: the random join cases of the columnar battery (duplicate and NULL
+// keys, int, float and string keys, keys of different kinds, empty build
+// sides; a sorted build side refused, then run without its sort) plus a
+// dimension with distinct dense keys, whose selection is a key bitset,
+// probed by int and float keys. Every join is index-served and counted.
+func TestIndexServedJoinMatchesNaive(t *testing.T) {
 	ctx := context.Background()
 	base := vec.LiveBatches()
 	check := func(name string, cat *storage.Catalog, join *plan.HashJoin, want []types.Row) {
 		t.Helper()
 		e := New(cat, Config{BatchSize: 32})
+		join = stripBuildSort(t, e, join)
 		idx, err := e.Execute(ctx, join)
 		if err != nil {
 			t.Fatalf("%s: index-served join: %v", name, err)
 		}
-		priv := plan.NewHashJoinOut(join.Left, built(join.Right), join.LeftCol, join.RightCol, join.LeftOut, join.RightOut)
-		own, err := e.Execute(ctx, priv)
-		if err != nil {
-			t.Fatalf("%s: private build: %v", name, err)
-		}
 		if len(join.Schema().Cols) == 0 { // zero-width rows carry only their count
-			if len(idx.Rows) != len(want) || len(own.Rows) != len(want) {
-				t.Fatalf("%s: %d and %d zero-width rows, want %d", name, len(idx.Rows), len(own.Rows), len(want))
+			if len(idx.Rows) != len(want) {
+				t.Fatalf("%s: %d zero-width rows, want %d", name, len(idx.Rows), len(want))
 			}
 		} else {
 			mustEqualRows(t, idx.Rows, want)
-			mustEqualRows(t, own.Rows, want)
 		}
-		if _, _, ok := join.IndexedBuild(); ok != (e.Stats().IndexJoins == 1) {
-			t.Fatalf("%s: indexed build %v, but %d index joins", name, ok, e.Stats().IndexJoins)
+		if n := e.Stats().IndexJoins; n != 1 {
+			t.Fatalf("%s: %d index joins, want 1", name, n)
 		}
 		waitStagesIdle(t, e)
 	}
 
-	indexed := 0
 	for round := 0; round < 200; round++ {
 		r := rand.New(rand.NewSource(int64(round)*7919 + 1))
 		jc := buildJoinCase(t, r)
 		join := plan.NewHashJoinOut(jc.leftP, jc.rightP, jc.lkey, jc.rkey, randOutList(r, 3), randOutList(r, 3))
-		if _, _, ok := join.IndexedBuild(); ok {
-			indexed++
-		}
 		check("random case", jc.cat, join, naiveJoin(join, jc.lrows, jc.rrows))
-	}
-	if indexed < 100 {
-		t.Errorf("only %d of 200 random cases had an index-served build side", indexed)
 	}
 
 	// Distinct dense keys 0..499 in shuffled order; probe keys in -10..509
@@ -102,6 +92,79 @@ func TestIndexServedJoinMatchesBuiltAndNaive(t *testing.T) {
 	}
 	if live := vec.LiveBatches(); live != base {
 		t.Fatalf("LiveBatches = %d after the battery, want baseline %d", live, base)
+	}
+}
+
+// TestNonIndexBuildSideIsRefused: a plan holding a hash join whose build side
+// is not Filter*(Scan(T)) is refused with a *BuildSideError naming the node
+// below the build side's filters, through Execute, Stream and ExecuteBatch
+// beside a valid plan. The refused join sits under a root and its build
+// side under a filter, so the check walks the chain. A refused plan starts
+// nothing: no stage runs or attaches a packet, the result cache counts no
+// lookup, and no batch or goroutine outlives the call. The valid plan then
+// runs and shares as before.
+func TestNonIndexBuildSideIsRefused(t *testing.T) {
+	cat := testDB(t, 3000)
+	sales, dept := cat.MustTable("sales"), cat.MustTable("dept")
+	ctx := context.Background()
+	valid := func() plan.Node { return plan.NewHashJoin(allSales(cat), plan.NewScan(dept), 1, 0) }
+	want, err := newTestEngine(cat, Config{}).Execute(ctx, valid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byDept := plan.NewAggregate(plan.NewScan(sales), []plan.GroupCol{{Name: "dept", Kind: types.KindInt, Expr: expr.C(1, "dept")}},
+		[]plan.AggSpec{{Func: plan.AggCount, Name: "n"}})
+	for _, tc := range []struct {
+		kind  plan.Kind
+		build plan.Node // keyed on column 0
+	}{
+		{plan.KindProject, built(plan.NewScan(dept))},
+		{plan.KindSort, plan.NewSort(plan.NewScan(dept), []plan.SortKey{{Col: 0}})},
+		{plan.KindAggregate, byDept},
+		{plan.KindHashJoin, plan.NewHashJoin(plan.NewScan(dept), plan.NewScan(dept), 0, 0)},
+	} {
+		build := plan.NewFilter(tc.build, expr.NewCmp(expr.GE, expr.C(0, "k"), expr.Int(0)))
+		root := plan.NewLimit(plan.NewHashJoin(plan.NewScan(sales), build, 1, 0), 10)
+		for _, path := range []string{"Execute", "Stream", "ExecuteBatch"} {
+			t.Run(tc.kind.String()+"/"+path, func(t *testing.T) {
+				e := newTestEngine(cat, Config{SP: true, Model: SPPull, ResultCache: true})
+				live, routines := vec.LiveBatches(), runtime.NumGoroutine()
+				var err error
+				switch path {
+				case "Execute":
+					_, err = e.Execute(ctx, root)
+				case "Stream":
+					_, err = e.Stream(ctx, root)
+				default:
+					_, err = e.ExecuteBatch(ctx, []plan.Node{valid(), root})
+				}
+				mustRefuse(t, e, err, tc.kind)
+				if !strings.Contains(err.Error(), "build side "+tc.kind.String()) {
+					t.Errorf("%q does not name the %v build side", err, tc.kind)
+				}
+				if es := e.Stats(); es.CacheMisses != 0 || es.CacheHits != 0 || es.IndexJoins != 0 {
+					t.Errorf("refused plan moved counters: %+v", es)
+				}
+				if n := vec.LiveBatches(); n != live {
+					t.Errorf("LiveBatches = %d after the refusal, want %d", n, live)
+				}
+				if n := runtime.NumGoroutine(); n > routines {
+					t.Errorf("%d goroutines after the refusal, want at most %d", n, routines)
+				}
+
+				results, err := e.ExecuteBatch(ctx, []plan.Node{valid(), valid()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, res := range results {
+					mustEqualRows(t, res.Rows, want.Rows)
+				}
+				if js := e.StageStatsFor(plan.KindHashJoin); js.Executed != 1 || js.SPAttached != 1 {
+					t.Errorf("join stage executed %d and attached %d, want 1 and 1", js.Executed, js.SPAttached)
+				}
+				waitStagesIdle(t, e)
+			})
+		}
 	}
 }
 

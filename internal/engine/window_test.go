@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -25,8 +26,8 @@ func selfJoin(cat *storage.Catalog) plan.Node {
 	return plan.NewHashJoin(allSales(cat), allSales(cat), 0, 0)
 }
 
-// built hides n from the shared index behind a projection of every column,
-// so a hash join over it builds its own table from packets.
+// built hides n from the shared index behind a projection of every column:
+// the engine refuses a hash join over it.
 func built(n plan.Node) plan.Node {
 	sc := n.Schema()
 	cols := make([]plan.ProjCol, sc.Len())
@@ -36,11 +37,27 @@ func built(n plan.Node) plan.Node {
 	return plan.NewProject(n, cols)
 }
 
+// mustRefuse asserts that err is the typed refusal of a hash join whose build
+// side holds a node of kind k, and that no stage of e ran a packet.
+func mustRefuse(t *testing.T, e *Engine, err error, k plan.Kind) {
+	t.Helper()
+	var bse *BuildSideError
+	if !errors.As(err, &bse) || bse.Kind != k {
+		t.Fatalf("got %v, want a *BuildSideError naming a %v build side", err, k)
+	}
+	for _, s := range e.Stats().Stages {
+		if s.Executed != 0 || s.SPAttached != 0 {
+			t.Fatalf("refused plan moved the %v stage: executed %d, attached %d", s.Kind, s.Executed, s.SPAttached)
+		}
+	}
+}
+
 // TestSelfJoinNeverAttachesToItself: a plan whose two join inputs are the
-// same sub-plan runs both. Were the build side a satellite of the probe side,
+// same sub-plan runs. Were the build side a satellite of the probe side,
 // the join would drain it while its probe-side reader held page 0, and the
 // shared producer would block on its full list for good. The index-served
-// self-join runs no build packet; the built one runs its own.
+// self-join runs no build packet; the engine refuses the built one before it
+// starts.
 func TestSelfJoinNeverAttachesToItself(t *testing.T) {
 	cat := testDB(t, 80000)
 	mustOutgrowLists(t, cat, fifoDepth)
@@ -61,6 +78,10 @@ func TestSelfJoinNeverAttachesToItself(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			res, err := e.Execute(ctx, tc.root)
+			if _, _, ok := tc.root.(*plan.HashJoin).IndexedBuild(); !ok {
+				mustRefuse(t, e, err, plan.KindProject)
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,11 +100,12 @@ func TestSelfJoinNeverAttachesToItself(t *testing.T) {
 }
 
 // TestQueryReadsAPacketOnce: a query never reads one producer twice, also
-// when the producer is another query's, directly or below a host it attached
-// to. Only the filter stage shares, and the first query's packets host. A
-// sub-plan shares only at its own build depth, so the cases read sales at
-// one depth twice: through the build sides of two nested joins, each a
-// projection that no shared index serves.
+// when the producer is another query's. Every packet has at most one input,
+// so a query's packets form a chain, and the engine needs no guard for it.
+// The cases that read sales twice through the build sides of two nested
+// joins, each a projection no shared index serves, are refused before any
+// packet starts. Index-served build sides run no packet: nested self-joins
+// share wherever their chains agree.
 func TestQueryReadsAPacketOnce(t *testing.T) {
 	cat := testDB(t, 20000)
 	mustOutgrowLists(t, cat, fifoDepth)
@@ -93,42 +115,52 @@ func TestQueryReadsAPacketOnce(t *testing.T) {
 	}
 	// join builds b and probes with an unshared scan of sales.
 	join := func(b plan.Node) plan.Node { return plan.NewHashJoin(plan.NewScan(sales), built(b), 0, 0) }
-	// twice joins inner's output to a second build side, one depth as deep.
+	// twice joins inner's output to a second build side.
 	twice := func(inner, b plan.Node) plan.Node {
 		return plan.NewHashJoinOut(inner, built(b), 0, 0, []int{0, 1, 2, 3}, []int{0, 1, 2, 3})
 	}
+	// nested joins an index-served self-join to sales through its index
+	// again, carrying rightOut of the outer build side.
+	nested := func(rightOut []int) plan.Node {
+		return plan.NewHashJoinOut(selfJoin(cat), allSales(cat), 0, 0, []int{0, 1, 2, 3}, rightOut)
+	}
+	filterOnly := map[plan.Kind]bool{plan.KindFilter: true}
 	for _, tc := range []struct {
 		name     string
 		roots    []plan.Node
+		stages   map[plan.Kind]bool // the stages that share
+		refused  bool
 		executed int64 // filter packets run
 		attached int64
 	}{
-		// The second query's inner build side attaches to the first's; its
-		// outer build side runs its own packet rather than read that one
-		// again.
-		{"two self-joins", []plan.Node{twice(join(allSales(cat)), allSales(cat)), twice(join(allSales(cat)), allSales(cat))}, 3, 1},
-		// The inner build side attaches to the first query's upper filter,
-		// so the outer one may not attach to the filter below it.
-		{"host above", []plan.Node{join(above()), twice(join(above()), allSales(cat))}, 3, 1},
-		// The inner build side attaches to the lower filter, so the outer
-		// one runs both filters itself.
-		{"host below", []plan.Node{join(above()), twice(join(allSales(cat)), above())}, 4, 1},
+		{name: "two self-joins", roots: []plan.Node{twice(join(allSales(cat)), allSales(cat)), twice(join(allSales(cat)), allSales(cat))}, stages: filterOnly, refused: true},
+		{name: "host above", roots: []plan.Node{join(above()), twice(join(above()), allSales(cat))}, stages: filterOnly, refused: true},
+		{name: "host below", roots: []plan.Node{join(above()), twice(join(allSales(cat)), above())}, stages: filterOnly, refused: true},
 		// Index-served build sides run no packet: the second query's probe
 		// side attaches to the first's.
-		{"index-served self-joins", []plan.Node{selfJoin(cat), selfJoin(cat)}, 1, 1},
+		{name: "index-served self-joins", roots: []plan.Node{selfJoin(cat), selfJoin(cat)}, stages: filterOnly, executed: 1, attached: 1},
+		// With the scan, filter and join stages sharing, the second query
+		// runs its own outer join, whose output list differs, and attaches
+		// to the first's inner self-join, which reads the one filter packet.
+		{name: "nested index-served self-joins", roots: []plan.Node{nested([]int{0, 1, 2, 3}), nested([]int{0, 1})},
+			stages: map[plan.Kind]bool{plan.KindScan: true, plan.KindFilter: true, plan.KindHashJoin: true}, executed: 1},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		want, err := newTestEngine(cat, Config{}).ExecuteBatch(ctx, tc.roots)
 		cancel()
-		if err != nil {
+		if err != nil && !tc.refused {
 			t.Fatal(err)
 		}
 		for _, model := range []SPModel{SPPush, SPPull} {
 			t.Run(tc.name+"/"+spTestName[model], func(t *testing.T) {
-				e := newTestEngine(cat, Config{SP: true, Model: model, SPStages: map[plan.Kind]bool{plan.KindFilter: true}})
+				e := newTestEngine(cat, Config{SP: true, Model: model, SPStages: tc.stages})
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()
 				results, err := e.ExecuteBatch(ctx, tc.roots)
+				if tc.refused {
+					mustRefuse(t, e, err, plan.KindProject)
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,9 +180,8 @@ func TestQueryReadsAPacketOnce(t *testing.T) {
 // both finish under either SP model. Were one query's probe side shared with
 // the other's build side, each join would drain a build side whose other
 // reader, the other join's probe side, waits at page 0, and both producers
-// would block on their full lists. Index-served build sides run no packet;
-// built ones share only with sub-plans at their own build depth, also one
-// join deeper, where every filter is below some build side.
+// would block on their full lists. Index-served build sides run no packet,
+// and the engine refuses every other build side before it starts.
 func TestOppositeRolesDoNotBlock(t *testing.T) {
 	cat := testDB(t, 20000)
 	mustOutgrowLists(t, cat, fifoDepth)
@@ -164,18 +195,19 @@ func TestOppositeRolesDoNotBlock(t *testing.T) {
 		return plan.NewHashJoinOut(plan.NewScan(cat.MustTable("sales")), built(inner), 0, 0, []int{0, 1, 2, 3}, []int{0, 1, 2, 3})
 	}
 	for _, form := range []struct {
-		name string
-		join func(l, r plan.Node) plan.Node
+		name    string
+		join    func(l, r plan.Node) plan.Node
+		refused bool
 	}{
-		{"index-served", func(l, r plan.Node) plan.Node { return plan.NewHashJoin(l, id(r), 0, 0) }},
-		{"built", func(l, r plan.Node) plan.Node { return plan.NewHashJoin(l, built(r), 0, 0) }},
-		{"built one join deep", nested},
+		{"index-served", func(l, r plan.Node) plan.Node { return plan.NewHashJoin(l, id(r), 0, 0) }, false},
+		{"built", func(l, r plan.Node) plan.Node { return plan.NewHashJoin(l, built(r), 0, 0) }, true},
+		{"built one join deep", nested, true},
 	} {
 		roots := []plan.Node{form.join(x(), y()), form.join(y(), x())}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		want, err := newTestEngine(cat, Config{}).ExecuteBatch(ctx, roots)
 		cancel()
-		if err != nil {
+		if err != nil && !form.refused {
 			t.Fatal(err)
 		}
 		for _, model := range []SPModel{SPPush, SPPull} {
@@ -184,6 +216,10 @@ func TestOppositeRolesDoNotBlock(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()
 				results, err := e.ExecuteBatch(ctx, roots)
+				if form.refused {
+					mustRefuse(t, e, err, plan.KindProject)
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

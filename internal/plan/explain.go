@@ -14,12 +14,10 @@ import (
 //	   └─ CJoin star(lineorder, dims=[date part supplier])
 //
 // A hash join names its keys, the columns it carries up, left | right, so
-// the plan says what each stage ships, and its form: probing the build
-// table's shared index (HashJoin.IndexedBuild), or building its own from
-// its right input:
+// the plan says what each stage ships, and the build table's shared index it
+// probes (HashJoin.IndexedBuild):
 //
 //	HashJoin lo_orderdate = d_datekey → [lo_revenue lo_partkey lo_suppkey | d_year] via index d_datekey
-//	HashJoin l_orderkey = o_orderkey → [l_quantity | o_date] built
 //
 // The output is for humans (examples, demo server, debugging); plan
 // identity for SP and the result cache is Fingerprint, not Explain.
@@ -75,13 +73,9 @@ func describe(n Node) string {
 		return "Project [" + strings.Join(names, " ") + "]"
 	case *HashJoin:
 		ls, rs := v.Left.Schema(), v.Right.Schema()
-		form := "built"
-		if _, _, ok := v.IndexedBuild(); ok {
-			form = "via index " + rs.Cols[v.RightCol].Name
-		}
-		return fmt.Sprintf("HashJoin %s = %s → [%s | %s] %s",
+		return fmt.Sprintf("HashJoin %s = %s → [%s | %s] via index %s",
 			ls.Cols[v.LeftCol].Name, rs.Cols[v.RightCol].Name,
-			colNames(ls, v.LeftOut), colNames(rs, v.RightOut), form)
+			colNames(ls, v.LeftOut), colNames(rs, v.RightOut), rs.Cols[v.RightCol].Name)
 	case *Aggregate:
 		groups := make([]string, len(v.GroupBy))
 		for i, g := range v.GroupBy {

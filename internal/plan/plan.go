@@ -157,8 +157,10 @@ func (p *Project) Children() []Node { return []Node{p.Input} }
 // ---------------------------------------------------------------------------
 // HashJoin
 
-// HashJoin is a single-column equi-join: the right input is built into a
-// hash table, the left input streams and probes. (Star joins with multiple
+// HashJoin is a single-column equi-join: the left input streams and probes
+// the right input's table through that table's shared join index. The
+// engine runs only a right input of the form IndexedBuild accepts, a stored
+// table under selections, and refuses any other. (Star joins with multiple
 // dimensions are chains of these; the multi-query shared variant is the
 // CJOIN operator.)
 //
@@ -207,8 +209,8 @@ func identityCols(n int) []int {
 // index on RightCol serves the build (storage.Table.Indexes), and the
 // selections to evaluate over the index's entries: the scan's pushed
 // predicate and every filter's. The right schema is then T's, so RightCol
-// and RightOut name T's columns. Any other build side is built by the join
-// itself.
+// and RightOut name T's columns. The engine refuses a join for which it
+// reports false.
 func (j *HashJoin) IndexedBuild() (*storage.Table, []expr.Expr, bool) {
 	var preds []expr.Expr
 	for n := j.Right; ; {

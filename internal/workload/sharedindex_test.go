@@ -10,32 +10,11 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/engine"
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/ssb"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
-
-// privateBuilds is a query-centric chain whose every join builds its own
-// table: each build side goes behind a projection of all its columns, which
-// no shared index serves.
-func privateBuilds(n plan.Node) plan.Node {
-	switch v := n.(type) {
-	case *plan.Project:
-		return plan.NewProject(privateBuilds(v.Input), v.Cols)
-	case *plan.HashJoin:
-		sc := v.Right.Schema()
-		cols := make([]plan.ProjCol, sc.Len())
-		for i, c := range sc.Cols {
-			cols[i] = plan.ProjCol{Name: c.Name, Kind: c.Kind, Expr: expr.C(i, c.Name)}
-		}
-		return plan.NewHashJoinOut(privateBuilds(v.Left), plan.NewProject(v.Right, cols),
-			v.LeftCol, v.RightCol, v.LeftOut, v.RightOut)
-	default:
-		return n
-	}
-}
 
 // naiveStar evaluates a star query's output rows by looking every fact row's
 // keys up in maps of the dimension rows that pass their predicates — every
@@ -89,10 +68,9 @@ func naiveStar(t *testing.T, q *plan.StarQuery) []types.Row {
 }
 
 // Every SSB template, with random parameters: the star's query-centric chain
-// with index-served joins, the same chain building private tables, and a
-// naive map join return the same rows, and every index-served join probes
-// one of CJOIN's four indexes without building another.
-func TestIndexServedChainMatchesPrivateAndNaive(t *testing.T) {
+// with index-served joins and a naive map join return the same rows, and
+// every join probes one of CJOIN's four indexes without building another.
+func TestIndexServedChainMatchesNaive(t *testing.T) {
 	env, err := NewSSBEnv(0.01, MemoryResident, 0, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -106,13 +84,12 @@ func TestIndexServedChainMatchesPrivateAndNaive(t *testing.T) {
 		for range 2 {
 			in := ssb.Instantiate(env.SSB, tpl, r)
 			chain := in.Star.QueryCentric()
-			res, err := e.ExecuteBatch(ctx, []plan.Node{chain, privateBuilds(chain)})
+			res, err := e.Execute(ctx, chain)
 			if err != nil {
 				t.Fatalf("%s: %v", in.Name, err)
 			}
 			want := naiveStar(t, in.Star)
-			mustEqualRows(t, res[0].Rows, want)
-			mustEqualRows(t, res[1].Rows, want)
+			mustEqualRows(t, res.Rows, want)
 			joins += len(in.Star.Dims)
 			if len(want) > 0 {
 				nonEmpty++
