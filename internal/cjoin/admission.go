@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/dimtab"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/vec"
@@ -34,11 +35,10 @@ type subscription struct {
 
 	// Per-operator-dimension admission plan, applied by every worker
 	// replica: dimRef[d] reports whether the query references dimension d;
-	// dimPredVec[d] is its vectorized dimension predicate (nil = every
-	// dimension row qualifies), evaluated over the dimension table's cached
-	// column batch when the slot opens.
-	dimRef     []bool
-	dimPredVec []expr.VecPred
+	// dimKeep[d] holds the entries its predicate on d selects (nil = every
+	// entry), evaluated once at admission (Operator.selectDim).
+	dimRef  []bool
+	dimKeep []*dimtab.Keep
 
 	// Precomputed distributor route: output width and flat column map,
 	// derived once at subscription time instead of per routed tuple.
@@ -155,20 +155,20 @@ func (op *Operator) Run(ctx context.Context, q *plan.StarQuery, emit func(*batch
 }
 
 // newSubscription validates the query against the operator's chain and
-// precomputes everything the pipeline needs per tuple: the compiled fact and
-// dimension predicates of the query's slot (shared read-only by every
-// worker replica), and the distributor's output row layout.
+// precomputes everything the pipeline needs per tuple: the compiled fact
+// predicate and zone check of the query's slot, the dimensions it
+// references, and the distributor's output row layout.
 func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	if q.Fact != op.fact {
 		return nil, fmt.Errorf("cjoin: query fact table %q does not match GQP fact table %q",
 			q.Fact.Name, op.fact.Name)
 	}
 	sub := &subscription{
-		q:          q,
-		dimRef:     make([]bool, len(op.specs)),
-		dimPredVec: make([]expr.VecPred, len(op.specs)),
-		out:        make(chan *batch.Batch, outBuffer),
-		cancelCh:   make(chan struct{}),
+		q:        q,
+		dimRef:   make([]bool, len(op.specs)),
+		dimKeep:  make([]*dimtab.Keep, len(op.specs)),
+		out:      make(chan *batch.Batch, outBuffer),
+		cancelCh: make(chan struct{}),
 	}
 	dimIdx := make([]int, len(q.Dims))
 	for i, d := range q.Dims {
@@ -183,9 +183,6 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 		}
 		dimIdx[i] = idx
 		sub.dimRef[idx] = true
-		if d.Pred != nil {
-			sub.dimPredVec[idx] = expr.CompileVec(d.Pred)
-		}
 	}
 	if q.FactPred != nil {
 		sub.factVec = expr.CompileVec(q.FactPred)
@@ -210,9 +207,15 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 }
 
 // admit places sub in the plan at the scanner's current position, opening
-// its bitmap slot, and returns its admission message. The query joins the
-// active list and the registry of open queries.
+// its bitmap slot and making its dimension selections, and returns its
+// admission message. The query joins the active list and the registry of
+// open queries.
 func (s *scanner) admit(sub *subscription) ctlMsg {
+	t0 := time.Now()
+	for _, t := range s.op.tables {
+		s.op.selectDim(sub, t)
+	}
+	s.op.addBusy(time.Since(t0))
 	sub.id = s.slotID()
 	sub.pagesLeft = s.npages
 	s.active = append(s.active, sub)
@@ -221,4 +224,17 @@ func (s *scanner) admit(sub *subscription) ctlMsg {
 	s.op.openMu.Unlock()
 	s.op.stats.admitted.Add(1)
 	return ctlMsg{kind: ctlAdmit, sub: sub}
+}
+
+// selectDim sets sub's Keep of dimension t to the entries its predicate on
+// t selects, evaluated once (nil without a predicate). A panic fails the
+// query and leaves its Keep nil; annotate never sets a failed query's bit,
+// and the query retires on the scanner's next tick.
+func (op *Operator) selectDim(sub *subscription, t *dimTable) {
+	defer op.contain(sub)
+	for _, d := range sub.q.Dims {
+		if d.Pred != nil && op.byName[d.Table.Name] == t.idx {
+			sub.dimKeep[t.idx], _ = t.tab.Select(expr.CompileVec(d.Pred))
+		}
+	}
 }

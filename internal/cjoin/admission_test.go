@@ -3,6 +3,9 @@ package cjoin
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,10 +48,11 @@ func admissionQueries(cat *storage.Catalog) []*plan.StarQuery {
 	}
 }
 
-// TestVectorizedAdmissionMatchesScalar drives addSlot (vectorized over
-// the dimension table's cached column batch) against a row-at-a-time
-// reference: for every query and every dimension entry, the entry bitmap
-// bit must equal the interpreted predicate's verdict.
+// TestVectorizedAdmissionMatchesScalar drives admission's selection
+// (vectorized over the dimension table's cached column batch) and addSlot
+// against a row-at-a-time reference: for every query and every dimension
+// entry, the entry bitmap bit must equal the interpreted predicate's
+// verdict.
 func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 	cat := starDB(t, 500)
 	op := bareOp(t, cat)
@@ -60,6 +64,7 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 		sub.id = qi % 3 // exercise different slots and words
 		for di, spec := range op.specs {
 			ds := newDimStateFor(t, di, spec, op)
+			op.selectDim(sub, ds.tab)
 			ds.addSlot(sub)
 			if !sub.dimRef[di] {
 				for i := 0; i < ds.tab.cb.Len(); i++ {
@@ -227,4 +232,84 @@ func BenchmarkColdDecodeAnnotate(b *testing.B) {
 	}
 	b.ReportMetric(float64(total), "tuples/op")
 	b.ReportMetric(float64(len(pages)), "pages/op")
+}
+
+// countingPred is a dimension predicate of a shape CompileVec has no kernel
+// for, so it runs through the row-at-a-time fallback: every Eval call is
+// one entry evaluated. It panics when it wraps no predicate.
+type countingPred struct {
+	inner expr.Expr
+	evals *atomic.Int64
+}
+
+func (p countingPred) Eval(row types.Row) types.Datum {
+	p.evals.Add(1)
+	if p.inner == nil {
+		panic("countingPred: no predicate")
+	}
+	return p.inner.Eval(row)
+}
+
+func (p countingPred) Signature() string { return "counting" }
+
+// TestAdmissionEvaluatesOncePerQuery checks that a query's dimension
+// predicate is evaluated once per admission, over the dimension's entries,
+// whatever the number of probe workers that open its slot, and that the
+// rows equal the naive evaluator's. A dimension predicate that panics fails
+// only its query, with a *PanicError, and the healthy query that then
+// reuses its slot id returns exact rows: no bit of the failed slot
+// survives.
+func TestAdmissionEvaluatesOncePerQuery(t *testing.T) {
+	cat := starDB(t, 3000)
+	withCustPred := func(pred expr.Expr) *plan.StarQuery {
+		q := asiaEuropeQuery(cat, 3, 20)
+		q.Dims[0].Pred = pred // cust
+		return q
+	}
+	healthy := asiaEuropeQuery(cat, 3, 20)
+	want := evalStarNaive(t, healthy)
+	newOpWith := func(t *testing.T, workers int) *Operator {
+		op, err := NewOperator(cat.MustTable("lo"), []DimSpec{
+			{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0},
+			{Table: cat.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0},
+		}, Config{BatchSize: 64, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(op.Close)
+		return op
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			op := newOpWith(t, workers)
+			entries := int64(op.tables[0].tab.Len())
+			var evals atomic.Int64
+			rows := runStar(t, op, withCustPred(countingPred{healthy.Dims[0].Pred, &evals}))
+			mustEqualRows(t, rows, want)
+			if got := evals.Load(); got != entries {
+				t.Fatalf("dimension predicate evaluated %d times at %d workers, want %d (once per entry)",
+					got, workers, entries)
+			}
+		})
+	}
+
+	t.Run("panic", func(t *testing.T) {
+		op := newOpWith(t, 2)
+		var evals atomic.Int64
+		err := op.Run(context.Background(), withCustPred(countingPred{nil, &evals}),
+			func(b *batch.Batch) error { b.Done(); return nil })
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("panicking dimension predicate: err = %v, want *PanicError", err)
+		}
+		if evals.Load() != 1 {
+			t.Fatalf("panicking predicate evaluated %d times, want 1", evals.Load())
+		}
+		mustEqualRows(t, runStar(t, op, healthy), want)
+		if st := op.Stats(); st.SlotHighWater != 1 || st.PanicFailures != 1 {
+			t.Fatalf("SlotHighWater = %d, PanicFailures = %d; want the healthy query on the failed one's slot and one panic",
+				st.SlotHighWater, st.PanicFailures)
+		}
+	})
 }

@@ -29,7 +29,9 @@
 // key repeats is refused with a DuplicateKeyError, since CJOIN joins a fact
 // tuple to one entry. The per-entry slot bitmaps — the only state that
 // changes as queries come and go — are replicated per worker so the probe
-// hot path never takes a lock.
+// hot path never takes a lock. A query's dimension predicates are not: the
+// scanner evaluates each once, at admission, into a dimtab.Keep that every
+// worker scatters into its replica.
 //
 // # Slots
 //
@@ -74,12 +76,13 @@
 //
 // Each field of a subscription has one owner:
 //
-//   - newSubscription fixes q, the predicates (factVec, prune, dimRef,
-//     dimPredVec), outWidth and route, and Run fixes deadline, before the
-//     query is sent to the scanner; out and cancelCh are made there too. All
-//     of them are read-only after.
-//   - The scanner writes id at admission, before it publishes the admission
-//     tick; it is read-only after.
+//   - newSubscription fixes q, the fact predicates (factVec, prune), dimRef,
+//     outWidth and route, and Run fixes deadline, before the query is sent
+//     to the scanner; out and cancelCh are made there too. All of them are
+//     read-only after.
+//   - The scanner writes id and the dimension selections (dimKeep) at
+//     admission, before it publishes the admission tick; they are
+//     read-only after.
 //   - The scanner owns pagesLeft. It writes err when the query fails,
 //     before it publishes the query's finish tick; the channel sends of that
 //     tick order the write before the workers' and the distributor's reads.
@@ -344,11 +347,11 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 }
 
 // Close shuts the pipeline down. Active queries receive ErrClosed. Every
-// reader of a dimension table's batch is a pipeline goroutine (admission on
-// the workers' replicas, payload routing in the distributor; a Run past
-// admission only reads its delivery channel), so once they have all exited
-// the index references are dropped, exactly once; an index other holders
-// still read outlives the operator.
+// reader of a dimension table's batch is a pipeline goroutine (admission's
+// selections in the scanner, payload routing in the distributor; Run only
+// sends the query and reads its delivery channel), so once they have all
+// exited the index references are dropped, exactly once; an index other
+// holders still read outlives the operator.
 func (op *Operator) Close() {
 	op.closeOnce.Do(func() { close(op.closeCh) })
 	op.wg.Wait()

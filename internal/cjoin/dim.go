@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/dimtab"
-	"repro/internal/expr"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
@@ -15,9 +14,9 @@ import (
 // the dimension's shared join index (storage.Table.Indexes, every column in
 // schema order), taken by NewOperator and probed concurrently by every
 // worker through Find. cb is the index's entry batch (row e is entry e):
-// opening a slot evaluates its vectorized dimension predicate over it, and
-// the distributor routes payload columns out of it. Operator.Close drops
-// the reference.
+// admission evaluates a query's dimension predicate over it once, and the
+// distributor routes payload columns out of it. Operator.Close drops the
+// reference.
 type dimTable struct {
 	idx  int
 	spec DimSpec
@@ -70,9 +69,6 @@ type dimState struct {
 	ebits   []uint64 // entry bitmap arena
 	estride int      // words per entry bitmap
 	mask    []uint64 // slots referencing this dimension
-
-	scratch  vec.Scratch // admission-predicate temporaries, replica-owned
-	admitSel []int32     // admission selection buffer, sized to the table
 }
 
 func newDimState(tab *dimTable, op *Operator) dimState {
@@ -102,11 +98,9 @@ func (ds *dimState) growTo(id int) {
 	}
 }
 
-// addSlot installs a query's slot bits in this replica: entry bitmaps for
-// every dimension tuple satisfying its predicate, and the stage mask. A
-// dimension predicate is evaluated vectorized over the table's cached
-// column batch — one kernel sweep instead of one compiled-closure call per
-// entry; a predicate-free reference marks every entry directly.
+// addSlot installs a query's slot bits in this replica: the stage mask, and
+// the entry bitmap of every entry the query's Keep of this dimension holds
+// (a reference without predicate, a nil Keep, holds every entry).
 func (ds *dimState) addSlot(sub *subscription) {
 	if !sub.dimRef[ds.tab.idx] {
 		return // bits outside the mask pass through unchanged
@@ -115,30 +109,11 @@ func (ds *dimState) addSlot(sub *subscription) {
 	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
 	ds.mask[w] |= bit
 	es := ds.estride
-	if vp := sub.dimPredVec[ds.tab.idx]; vp != nil {
-		all := ds.tab.cb.AllSel()
-		if cap(ds.admitSel) < len(all) {
-			ds.admitSel = make([]int32, len(all))
-		}
-		for _, i := range ds.safeDimSel(sub, vp, all) {
-			ds.ebits[int(i)*es+w] |= bit
-		}
-		return
-	}
-	for i := 0; i < ds.tab.cb.Len(); i++ {
-		ds.ebits[i*es+w] |= bit
-	}
+	ds.tab.tab.Each(sub.dimKeep[ds.tab.idx], func(e int32) { ds.ebits[int(e)*es+w] |= bit })
 }
 
-// safeDimSel runs sub's vectorized dimension predicate over the table's
-// cached column batch. A panic fails the query: its bits stay clear on this
-// replica, and it retires with the panic.
-func (ds *dimState) safeDimSel(sub *subscription, vp expr.VecPred, all []int32) []int32 {
-	defer ds.op.contain(sub)
-	return vp(ds.tab.cb, all, ds.admitSel[:len(all)], &ds.scratch)
-}
-
-// dropSlot removes a query's slot bits from this replica.
+// dropSlot removes a query's slot bits from this replica: addSlot set them
+// on the entries of the same Keep, and on no other.
 func (ds *dimState) dropSlot(sub *subscription) {
 	if !bitvec.GetWord(ds.mask, sub.id) {
 		return
@@ -146,7 +121,5 @@ func (ds *dimState) dropSlot(sub *subscription) {
 	bitvec.ClearWord(ds.mask, sub.id)
 	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
 	es := ds.estride
-	for i := 0; i < ds.tab.cb.Len(); i++ {
-		ds.ebits[i*es+w] &^= bit
-	}
+	ds.tab.tab.Each(sub.dimKeep[ds.tab.idx], func(e int32) { ds.ebits[int(e)*es+w] &^= bit })
 }

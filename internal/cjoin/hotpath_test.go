@@ -172,6 +172,7 @@ func TestProbePathZeroAllocs(t *testing.T) {
 
 	st := newDimStateFor(t, 0, op.specs[0], op)
 	for _, sl := range slots {
+		op.selectDim(sl, st.tab)
 		st.addSlot(sl)
 	}
 	work := &item{cols: master.cols}
@@ -234,6 +235,7 @@ func BenchmarkCJoinProbe(b *testing.B) {
 
 	st := newDimStateFor(b, 0, op.specs[0], op)
 	for _, sl := range slots {
+		op.selectDim(sl, st.tab)
 		st.addSlot(sl)
 	}
 	work := &item{cols: master.cols}

@@ -8,15 +8,17 @@
 // holds one per dimension for its lifetime; a query-centric hash join whose
 // build side is a filtered scan of a stored table probes the same one,
 // under a Keep of the entries its own predicates select. Only the build is
-// shared: each query still runs its predicates and its operators. The
-// engine refuses a hash join with any other build side, so New, Append and
-// Seal run only inside the shared index's build.
+// shared: each query still evaluates its predicates, once, through Select,
+// and runs its operators. The engine refuses a hash join with any other
+// build side, so New, Append and Seal run only inside the shared index's
+// build.
 //
-// Entry e is row e of the table's batch, in arrival order: the columns the
-// caller keeps, and the join key. A row whose key is NULL is never an entry,
-// and a NULL probe key matches nothing. Equality is Datum.Equal's (integral
-// floats match ints, numbers never match strings), and entries sharing a key
-// chain in arrival order, so Find returns the first and Next walks the rest.
+// Entry e is row e of the table's batch, in arrival order: every column of
+// the appended row, in schema order. A row whose key is NULL is never an
+// entry, and a NULL probe key matches nothing. Equality is Datum.Equal's
+// (integral floats match ints, numbers never match strings), and entries
+// sharing a key chain in arrival order, so Find returns the first and Next
+// walks the rest.
 //
 // Seal builds one of two index forms, sized to the final entry count.
 // Direct: every key is integer-class and the keys span fewer than
@@ -31,7 +33,7 @@ package dimtab
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -55,9 +57,7 @@ const hashChunk = 256
 // Table is one join index. Fill it with Append, index it with Seal; after
 // Seal it is read-only until Release.
 type Table struct {
-	key  int   // join key column of the appended batches
-	keep []int // appended-batch columns kept, in entry-batch order
-	kc   int   // the key's column in cb: its place in keep, or len(keep)
+	key int // join key column
 
 	cb  *vec.ColBatch // entry e is row e
 	kv  *vec.Vec      // cb's key column, set by Seal
@@ -76,15 +76,11 @@ type Table struct {
 	shift uint
 }
 
-// New returns an empty table over batches whose join key is column key,
-// keeping columns keep of every appended row: column c of Batch is column
-// keep[c], and a key column missing from keep is kept after them.
-func New(key int, keep []int) *Table {
-	kc := slices.Index(keep, key)
-	if kc < 0 {
-		kc = len(keep)
-	}
-	return &Table{key: key, keep: keep, kc: kc, dup: -1, cb: vec.Get(max(len(keep), kc+1))}
+// New returns an empty table over batches of ncols columns whose join key
+// is column key. Every appended row is kept whole: column c of Batch is
+// column c of the appended batches, so an empty table still has them all.
+func New(key, ncols int) *Table {
+	return &Table{key: key, dup: -1, cb: vec.Get(ncols)}
 }
 
 // Append gathers the rows sel of cb whose join key is not NULL as the next
@@ -103,11 +99,8 @@ func (t *Table) Append(cb *vec.ColBatch, sel []int32) {
 		}
 		sel = t.sel
 	}
-	for c, src := range t.keep {
-		t.cb.Col(c).AppendGather(cb.Col(src), sel)
-	}
-	if t.kc == len(t.keep) {
-		t.cb.Col(t.kc).AppendGather(kc, sel)
+	for c := range t.cb.NumCols() {
+		t.cb.Col(c).AppendGather(cb.Col(c), sel)
 	}
 	t.n += len(sel)
 }
@@ -119,7 +112,7 @@ func (t *Table) Seal() error {
 		return fmt.Errorf("dimtab: %d entries, at most %d", t.n, MaxEntries-1)
 	}
 	t.cb.Seal(t.n)
-	t.kv = t.cb.Col(t.kc)
+	t.kv = t.cb.Col(t.key)
 	t.next = make([]int32, t.n)
 	if !t.sealDirect() {
 		t.sealHashed()
@@ -371,6 +364,49 @@ func (k *Keep) Add(es []int32) {
 // has reports whether k keeps entry e; a nil k keeps every entry.
 func (k *Keep) has(e int32) bool { return k == nil || k.ent[e>>6]&(1<<(uint(e)&63)) != 0 }
 
+// Each calls f with every entry k keeps, in order; a nil k keeps every
+// entry.
+func (t *Table) Each(k *Keep, f func(e int32)) {
+	if k == nil {
+		for e := range int32(t.n) {
+			f(e)
+		}
+		return
+	}
+	for i, w := range k.ent {
+		for ; w != 0; w &= w - 1 {
+			f(int32(i<<6 + bits.TrailingZeros64(w)))
+		}
+	}
+}
+
+// Pred is a compiled predicate over a column batch, the shape of
+// expr.VecPred: it returns the rows of sel it holds for, written to out.
+type Pred = func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32
+
+// selectChunk is how many entries Select evaluates per kernel call.
+const selectChunk = 1024
+
+// Select evaluates p over the entries, a chunk at a time, and returns the
+// entries it keeps and how many: the one selection a query makes of a
+// shared index, whichever operator probes it. A nil p keeps every entry,
+// as a nil Keep. Valid after Seal.
+func (t *Table) Select(p Pred) (*Keep, int) {
+	if p == nil {
+		return nil, t.n
+	}
+	keep, all, kept := t.NewKeep(), t.cb.AllSel(), 0
+	buf := make([]int32, min(selectChunk, len(all)))
+	var scr vec.Scratch
+	for lo := 0; lo < len(all); lo += selectChunk {
+		sel := all[lo:min(lo+selectChunk, len(all))]
+		sel = p(t.cb, sel, buf[:len(sel)], &scr)
+		keep.Add(sel)
+		kept += len(sel)
+	}
+	return keep, kept
+}
+
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.n }
 
@@ -379,8 +415,7 @@ func (t *Table) Len() int { return t.n }
 func (t *Table) Dup() int32 { return t.dup }
 
 // Batch returns the entries as a sealed column batch: row e is entry e, and
-// column c holds the appended batches' column keep[c]. It is valid until
-// Release.
+// column c holds the appended batches' column c. It is valid until Release.
 func (t *Table) Batch() *vec.ColBatch { return t.cb }
 
 // Release gives the entry batch back to its pool.

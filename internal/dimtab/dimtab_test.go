@@ -91,7 +91,7 @@ func probeCols() []*vec.Vec {
 // the keys of the rows it was offered, in arrival order.
 func build(t *testing.T, r *rand.Rand, keys []types.Datum, per int) (*Table, []types.Datum) {
 	t.Helper()
-	tab := New(0, []int{1, 0})
+	tab := New(0, 2)
 	var offered []types.Datum
 	for lo := 0; lo < len(keys); lo += per {
 		hi := min(lo+per, len(keys))
@@ -157,7 +157,7 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 			}
 
 			// Entries keep arrival order, NULL keys left out.
-			pos := tab.Batch().Col(0)
+			pos := tab.Batch().Col(1)
 			var nonNull []types.Datum
 			for i, k := range offered {
 				if !k.IsNull() {
@@ -235,7 +235,7 @@ func first(es []int32) int32 {
 
 // An empty build side seals to a table every probe misses.
 func TestEmptyTableMatchesNothing(t *testing.T) {
-	tab := New(0, nil)
+	tab := New(0, 1)
 	defer tab.Release()
 	if err := tab.Seal(); err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestTypedPathsLive(t *testing.T) {
 			build.Col(1).AppendDatum(types.NewString("p"))
 		}
 		build.Seal(100)
-		tab := New(0, []int{1})
+		tab := New(0, 2)
 		tab.Append(build, build.AllSel())
 		build.Release()
 		if err := tab.Seal(); err != nil {
@@ -272,7 +272,7 @@ func TestTypedPathsLive(t *testing.T) {
 		if !tab.kv.AllInt() {
 			t.Fatal("int-keyed entry batch is not AllInt: the typed probe path is dead")
 		}
-		if !tab.Batch().Col(0).AllStr() {
+		if !tab.Batch().Col(1).AllStr() {
 			t.Fatal("string payload column is not AllStr: gathers fall back to per-row appends")
 		}
 		if got := tab.direct != nil; got != (stride == 1) {

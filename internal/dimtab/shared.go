@@ -23,11 +23,7 @@ type Source interface {
 // buildIndex indexes every row of src on column key, keeping every column in
 // schema order: the one build loop of a shared index.
 func buildIndex(src Source, key int) (*Table, error) {
-	all := make([]int, src.Schema().Len())
-	for i := range all {
-		all[i] = i
-	}
-	tab := New(key, all)
+	tab := New(key, src.Schema().Len())
 	for p, np := 0, src.NumPages(); p < np; p++ {
 		page, err := src.PageCols(p)
 		if err != nil {

@@ -270,7 +270,7 @@ func TestColumnarJoinNullKeysNeverMatch(t *testing.T) {
 	build.Seal(4)
 	defer build.Release()
 
-	tab := dimtab.New(0, []int{0, 1})
+	tab := dimtab.New(0, 2)
 	defer tab.Release()
 	tab.Append(build, build.AllSel())
 	if err := tab.Seal(); err != nil {

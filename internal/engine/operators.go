@@ -231,9 +231,10 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 // side is a stored table under selections (plan.HashJoin.IndexedBuild),
 // which runs no packet: the join takes a reference to the table's shared
 // index on RightCol and evaluates the selections once over the index's
-// entry batch into a dimtab.Keep, so it probes the entries its own query
-// selects. Each left batch probes in one vectorized call that resolves
-// matches as (probe row, build entry) pairs. Output is a pooled ColBatch of
+// entries into a dimtab.Keep (Table.Select, the selection CJOIN admission
+// makes too), so it probes the entries its own query selects. Each left
+// batch probes in one vectorized call that resolves matches as (probe row,
+// build entry) pairs. Output is a pooled ColBatch of
 // exactly the node's output lists: LeftOut gathered from the left batch,
 // RightOut from the index's entry batch (vec.AppendGather). Columns nothing
 // above the join reads are never copied; a full-width join is the identity
@@ -253,7 +254,11 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left Reader, 
 	e.indexJoins.Add(1)
 	tab := ix.Table()
 	t0 := time.Now()
-	keep, kept := selectEntries(tab, preds) // kept: entries a probe can return
+	var pred dimtab.Pred // the selections' conjunction; nil keeps every entry
+	if len(preds) > 0 {
+		pred = expr.CompileVec(expr.NewAnd(preds...))
+	}
+	keep, kept := tab.Select(pred) // kept: entries a probe can return
 	st.addBusy(time.Since(t0))
 	rvecs := make([]*vec.Vec, len(n.RightOut)) // RightOut's columns of the entry batch
 	for i, c := range n.RightOut {
@@ -325,37 +330,6 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left Reader, 
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
-}
-
-// keepChunk is how many entries of a shared index selectEntries evaluates
-// per kernel call.
-const keepChunk = 1024
-
-// selectEntries evaluates preds, a conjunction, over the entry batch of a
-// shared index, a chunk of entries at a time, and returns the entries they
-// keep and how many; with no predicate that is every entry, as a nil Keep.
-func selectEntries(tab *dimtab.Table, preds []expr.Expr) (*dimtab.Keep, int) {
-	if len(preds) == 0 {
-		return nil, tab.Len()
-	}
-	vps := make([]expr.VecPred, len(preds))
-	for i, p := range preds {
-		vps[i] = expr.CompileVec(p)
-	}
-	keep := tab.NewKeep()
-	cb, all := tab.Batch(), tab.Batch().AllSel()
-	buf := make([]int32, keepChunk)
-	var scr vec.Scratch
-	kept := 0
-	for lo := 0; lo < len(all); lo += keepChunk {
-		sel := all[lo:min(lo+keepChunk, len(all))]
-		for _, vp := range vps {
-			sel = vp(cb, sel, buf[:len(sel)], &scr) // in place after the first
-		}
-		keep.Add(sel)
-		kept += len(sel)
-	}
-	return keep, kept
 }
 
 // aggAcc accumulates one aggregate of one group.
