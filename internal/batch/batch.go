@@ -57,7 +57,9 @@ type Batch struct {
 }
 
 // Of builds a literal batch holding rows (tests and benchmarks): a sealed
-// ColBatch outside the pool, which Retain and Done leave alone.
+// ColBatch outside the pool, which Retain and Done leave alone. Like every
+// column, a literal's column is NULL or of one kind in every row: a row of a
+// second kind panics.
 func Of(rows ...types.Row) *Batch {
 	ncols := 0
 	if len(rows) > 0 {

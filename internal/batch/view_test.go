@@ -76,12 +76,6 @@ func TestCloneOutlivesColumnsAndIsPrivate(t *testing.T) {
 		c1, c2 := b.Clone(), b.Clone()
 		cb1, _ := c1.Cols()
 		cb2, _ := c2.Cols()
-		for i := 0; i < cb.NumCols(); i++ {
-			src, v1, v2 := cb.Col(i), cb1.Col(i), cb2.Col(i)
-			if &v1.Kinds[0] == &v2.Kinds[0] || &v1.Kinds[0] == &src.Kinds[0] {
-				t.Fatalf("column %d: clones alias each other's or the batch's tags", i)
-			}
-		}
 		if &cb1.Col(0).I[0] == &cb2.Col(0).I[0] || &cb1.Col(0).I[0] == &cb.Col(0).I[0] ||
 			&cb1.Col(1).S[0] == &cb2.Col(1).S[0] || &cb1.Col(1).S[0] == &cb.Col(1).S[0] {
 			t.Fatal("clones alias each other's or the batch's payload")
@@ -190,4 +184,19 @@ func TestRowBatchViewAccessors(t *testing.T) {
 	if got := b.RowsView(); got[0][0].I != 9 {
 		t.Fatal("literal changed by Done")
 	}
+}
+
+// TestOfRefusesASecondKind: a literal batch follows the columns' rule, NULL
+// or one kind per column, and panics on a row of another kind.
+func TestOfRefusesASecondKind(t *testing.T) {
+	b := Of(types.Row{types.NewInt(1), types.Null}, types.Row{types.Null, types.NewString("x")})
+	if cb, _ := b.Cols(); cb.Col(0).Kind != types.KindInt || cb.Col(1).Kind != types.KindString {
+		t.Fatalf("column kinds %v, %v", cb.Col(0).Kind, cb.Col(1).Kind)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a float row in an int column did not panic")
+		}
+	}()
+	Of(types.Row{types.NewInt(1)}, types.Row{types.NewFloat(2)})
 }

@@ -226,15 +226,21 @@ func (s *scanner) admit(sub *subscription) ctlMsg {
 	return ctlMsg{kind: ctlAdmit, sub: sub}
 }
 
-// selectDim sets sub's Keep of dimension t to the entries its predicate on
-// t selects, evaluated once (nil without a predicate). A panic fails the
-// query and leaves its Keep nil; annotate never sets a failed query's bit,
-// and the query retires on the scanner's next tick.
+// selectDim sets sub's Keep of dimension t to the entries its predicates on
+// t select, evaluated once (nil without a predicate). A query that names t
+// more than once keeps the entries all its predicates on t hold for: every
+// one of its joins with t reaches the same entry of a fact tuple. A panic
+// fails the query and leaves its Keep nil; annotate never sets a failed
+// query's bit, and the query retires on the scanner's next tick.
 func (op *Operator) selectDim(sub *subscription, t *dimTable) {
 	defer op.contain(sub)
+	var preds []expr.Expr
 	for _, d := range sub.q.Dims {
 		if d.Pred != nil && op.byName[d.Table.Name] == t.idx {
-			sub.dimKeep[t.idx], _ = t.tab.Select(expr.CompileVec(d.Pred))
+			preds = append(preds, d.Pred)
 		}
+	}
+	if len(preds) > 0 {
+		sub.dimKeep[t.idx], _ = t.tab.Select(expr.CompileVec(expr.NewAnd(preds...)))
 	}
 }

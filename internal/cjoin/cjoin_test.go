@@ -446,6 +446,47 @@ func TestDuplicateDimensionKeyRefused(t *testing.T) {
 	mustEqualRows(t, res.Rows, []types.Row{{i(10), s("a")}, {i(10), s("c")}, {i(20), s("b")}})
 }
 
+// A star query may name one dimension twice, each time under a predicate of
+// its own: both joins reach the same entry of a fact tuple, so CJOIN keeps
+// the tuples whose entry satisfies every predicate on that dimension, as the
+// naive evaluator and the query-centric plan of two hash joins do — whether
+// the predicates exclude each other or overlap.
+func TestDimensionNamedTwiceConjoinsPredicates(t *testing.T) {
+	cat := starDB(t, 2000)
+	op := newOp(t, cat)
+	eng := engine.New(cat, engine.Config{})
+	cust := cat.MustTable("cust")
+	for _, tc := range []struct {
+		regions []types.Datum
+		ckAbove int64
+		empty   bool
+	}{
+		{[]types.Datum{types.NewString("ASIA")}, 6, true},                             // ck 1 and 6: none above 6
+		{[]types.Datum{types.NewString("ASIA"), types.NewString("EUROPE")}, 5, false}, // ck 6 and 7
+	} {
+		q := &plan.StarQuery{
+			Fact:     cat.MustTable("lo"),
+			FactCols: []int{0},
+			Dims: []plan.DimJoin{
+				{Table: cust, FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1},
+					Pred: expr.NewIn(expr.C(1, "region"), tc.regions...)},
+				{Table: cust, FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{0},
+					Pred: expr.NewCmp(expr.GT, expr.C(0, "ck"), expr.Int(tc.ckAbove))},
+			},
+		}
+		want := evalStarNaive(t, q)
+		if (len(want) == 0) != tc.empty {
+			t.Fatalf("fixture: the naive evaluator returns %d rows", len(want))
+		}
+		res, err := eng.Execute(context.Background(), q.QueryCentric())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualRows(t, res.Rows, want)
+		mustEqualRows(t, runStar(t, op, q), want)
+	}
+}
+
 func TestCancellationMidSweep(t *testing.T) {
 	cat := starDB(t, 30000)
 	op := newOp(t, cat)

@@ -37,7 +37,7 @@ func BenchmarkDistributorRoute(b *testing.B) {
 	for d := range dict {
 		dict[d] = fmt.Sprintf("nation-%02d", d)
 	}
-	dimCB.Col(0).AppendKindRun(types.KindString, dimEntries)
+	dimCB.Col(0).SetRows(types.KindString, dimEntries)
 	codes := dimCB.Col(0).BulkI(dimEntries)
 	strs := dimCB.Col(0).BulkS(dimEntries)
 	for e := 0; e < dimEntries; e++ {

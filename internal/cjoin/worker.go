@@ -227,7 +227,7 @@ func (ds *dimState) processTuples(it *item) {
 	tab := dt.tab
 	es := ds.estride
 	kc := it.cols.Col(dt.spec.FactKeyCol)
-	fastInt := kc.AllInt()
+	fastInt := kc.Kind.IntClass() && !kc.HasNulls()
 	ki := kc.I
 	var probes, misses, dropped int64
 	n := 0

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -89,14 +90,8 @@ func (t *Table) Append(cb *vec.ColBatch, sel []int32) {
 	if len(sel) == 0 {
 		return
 	}
-	kc := cb.Col(t.key)
-	if !(kc.AllInt() || kc.AllFloat() || kc.AllStr()) {
-		t.sel = t.sel[:0]
-		for _, r := range sel {
-			if kc.Kinds[r] != types.KindNull {
-				t.sel = append(t.sel, r)
-			}
-		}
+	if kc := cb.Col(t.key); kc.HasNulls() {
+		t.sel = kc.DropNulls(sel, slices.Grow(t.sel[:0], len(sel))[:len(sel)])
 		sel = t.sel
 	}
 	for c := range t.cb.NumCols() {
@@ -120,10 +115,10 @@ func (t *Table) Seal() error {
 	return nil
 }
 
-// sealDirect builds the direct form when every key is integer-class and the
-// keys are dense enough, and reports whether it did.
+// sealDirect builds the direct form when the keys are integer-class and
+// dense enough, and reports whether it did.
 func (t *Table) sealDirect() bool {
-	if t.n == 0 || !t.kv.AllInt() {
+	if t.n == 0 || !t.kv.Kind.IntClass() {
 		return false
 	}
 	keys := t.kv.I[:t.n]
@@ -159,7 +154,7 @@ func (t *Table) sealHashed() {
 		clear(hs)
 		lut = vec.HashFold(t.kv, all[lo:hi], hs, lut)
 		for e := hi - 1; e >= lo; e-- {
-			if t.kv.AllInt() {
+			if t.kv.Kind.IntClass() {
 				t.prepend(int32(e), t.slotInt(hs[e-lo], t.kv.I[e]))
 			} else {
 				t.prepend(int32(e), t.slot(hs[e-lo], t.kv.Datum(e)))
@@ -204,7 +199,7 @@ func (t *Table) slotInt(h uint64, k int64) *int32 {
 // keyEq reports whether entry e's key equals d, which is not NULL: a typed
 // compare when both are strings.
 func (t *Table) keyEq(e int32, d types.Datum) bool {
-	if t.kv.AllStr() && d.K == types.KindString {
+	if t.kv.Kind == types.KindString && d.K == types.KindString {
 		return t.kv.S[e] == d.S
 	}
 	return t.kv.Datum(int(e)).Equal(d)
@@ -220,7 +215,7 @@ func (t *Table) FindInt(k int64) int32 {
 		return -1
 	}
 	h := types.HashKeyInt(k) * vec.HashPrime
-	if t.kv.AllInt() {
+	if t.kv.Kind.IntClass() {
 		return *t.slotInt(h, k) - 1
 	}
 	return *t.slot(h, types.NewInt(k)) - 1
@@ -256,67 +251,78 @@ func (t *Table) Probe(kc *vec.Vec, sel []int32, ml, me []int32) ([]int32, []int3
 }
 
 // ProbeKept is Probe returning only entries k keeps; a nil k keeps every
-// entry.
+// entry. It probes sel a chunk at a time, the chunk's NULL rows dropped
+// first when kc has any.
 func (t *Table) ProbeKept(kc *vec.Vec, sel []int32, k *Keep, ml, me []int32) ([]int32, []int32) {
-	switch {
-	case t.n == 0:
-	case t.direct != nil && kc.AllInt():
-		ki := kc.I
+	if t.n == 0 {
+		return ml, me
+	}
+	var nn [hashChunk]int32
+	var h [hashChunk]uint64
+	var lut []uint64
+	for len(sel) > 0 {
+		part := sel[:min(len(sel), hashChunk)]
+		sel = sel[len(part):]
+		if kc.HasNulls() {
+			part = kc.DropNulls(part, nn[:len(part)])
+		}
 		switch {
-		case k == nil:
-			for _, r := range sel {
-				if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
-					for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
+		case t.direct != nil && kc.Kind.IntClass():
+			ml, me = t.probeDirect(kc.I, part, k, ml, me)
+		case t.direct != nil:
+			for _, r := range part {
+				for e := t.Find(kc, int(r)); e >= 0; e = t.next[e] {
+					if k.has(e) {
 						ml, me = append(ml, r), append(me, e)
 					}
 				}
 			}
-		case k.key != nil:
-			// Distinct keys: the key's bit decides before the entry load.
-			for _, r := range sel {
-				if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) && k.key[d>>6]&(1<<(d&63)) != 0 {
-					ml, me = append(ml, r), append(me, t.direct[d]-1)
-				}
-			}
 		default:
-			for _, r := range sel {
-				if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
-					for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
-						if k.has(e) {
-							ml, me = append(ml, r), append(me, e)
-						}
-					}
-				}
-			}
-		}
-	case t.direct != nil:
-		for _, r := range sel {
-			for e := t.Find(kc, int(r)); e >= 0; e = t.next[e] {
-				if k.has(e) {
-					ml, me = append(ml, r), append(me, e)
-				}
-			}
-		}
-	default:
-		var h [hashChunk]uint64
-		var lut []uint64
-		ints := kc.AllInt() && t.kv.AllInt() // the walk compares raw int64s
-		for len(sel) > 0 {
-			part := sel[:min(len(sel), hashChunk)]
-			sel = sel[len(part):]
 			hs := h[:len(part)]
 			clear(hs)
 			lut = vec.HashFold(kc, part, hs, lut)
+			ints := kc.Kind.IntClass() && t.kv.Kind.IntClass() // the walk compares raw int64s
 			for i, r := range part {
 				var e int32
 				if ints {
 					e = *t.slotInt(hs[i], kc.I[r]) - 1
-				} else if d := kc.Datum(int(r)); d.K != types.KindNull {
-					e = *t.slot(hs[i], d) - 1
 				} else {
-					continue
+					e = *t.slot(hs[i], kc.Datum(int(r))) - 1
 				}
 				for ; e >= 0; e = t.next[e] {
+					if k.has(e) {
+						ml, me = append(ml, r), append(me, e)
+					}
+				}
+			}
+		}
+	}
+	return ml, me
+}
+
+// probeDirect is ProbeKept's loop over a direct index for the integer-class
+// keys ki at the rows sel, none of them NULL.
+func (t *Table) probeDirect(ki []int64, sel []int32, k *Keep, ml, me []int32) ([]int32, []int32) {
+	switch {
+	case k == nil:
+		for _, r := range sel {
+			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
+				for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
+					ml, me = append(ml, r), append(me, e)
+				}
+			}
+		}
+	case k.key != nil:
+		// Distinct keys: the key's bit decides before the entry load.
+		for _, r := range sel {
+			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) && k.key[d>>6]&(1<<(d&63)) != 0 {
+				ml, me = append(ml, r), append(me, t.direct[d]-1)
+			}
+		}
+	default:
+		for _, r := range sel {
+			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
+				for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
 					if k.has(e) {
 						ml, me = append(ml, r), append(me, e)
 					}

@@ -29,30 +29,18 @@ var keySets = []keySet{
 		return types.NewDate(int64(100 + r.Intn(300)))
 	}},
 	{"sparse ints", false, func(r *rand.Rand) types.Datum { return types.NewInt(int64(r.Intn(300)) * 1_000_003) }},
-	{"integral floats and ints", false, func(r *rand.Rand) types.Datum {
-		if k := 100 + r.Intn(300); r.Intn(2) == 0 {
-			return types.NewFloat(float64(k))
-		} else {
-			return types.NewInt(int64(k))
-		}
-	}},
+	{"integral floats", false, func(r *rand.Rand) types.Datum { return types.NewFloat(float64(100 + r.Intn(300))) }},
 	{"strings and NULLs", false, func(r *rand.Rand) types.Datum {
 		if r.Intn(10) == 0 {
 			return types.Null
 		}
 		return types.NewString(fmt.Sprintf("key-%d", r.Intn(300)))
 	}},
-	{"every kind", false, func(r *rand.Rand) types.Datum {
-		switch k := 100 + r.Intn(300); r.Intn(5) {
-		case 0:
+	{"halves and NULLs", false, func(r *rand.Rand) types.Datum {
+		if r.Intn(5) == 0 {
 			return types.Null
-		case 1:
-			return types.NewFloat(float64(k) / 2)
-		case 2:
-			return types.NewString(fmt.Sprintf("key-%d", k))
-		default:
-			return types.NewInt(int64(k))
 		}
+		return types.NewFloat(float64(100+r.Intn(300)) / 2)
 	}},
 	// SSB's d_datekey: a day every 8 over 1992–1998 as yyyymmdd, so the keys
 	// span ~24 values per day drawn and under 65 536 in all.
@@ -65,24 +53,24 @@ func yyyymmdd(day int) int64 {
 	return int64(d.Year()*10000 + int(d.Month())*100 + d.Day())
 }
 
-// probeCols returns probe keys over every kind, one column per uniformity
-// class (int, float, string) and one column mixing them all with NULLs.
+// probeCols returns probe keys over every kind, one column each of ints,
+// dates, floats and strings, and columns of ints and of strings with NULLs.
 func probeCols() []*vec.Vec {
-	var ints, floats, strs, mixed vec.Vec
+	var ints, dates, floats, strs, intNulls, strNulls vec.Vec
 	for k := int64(95); k < 405; k++ {
-		for _, d := range []types.Datum{types.NewInt(k), types.NewInt(k * 1_000_003), types.NewDate(k), types.NewDate(yyyymmdd(8 * int(k-100)))} {
-			ints.AppendDatum(d)
-			mixed.AppendDatum(d)
-		}
-		for _, d := range []types.Datum{types.NewFloat(float64(k)), types.NewFloat(float64(k) + 0.5)} {
-			floats.AppendDatum(d)
-			mixed.AppendDatum(d)
-		}
+		ints.AppendDatum(types.NewInt(k))
+		ints.AppendDatum(types.NewInt(k * 1_000_003))
+		dates.AppendDatum(types.NewDate(k))
+		dates.AppendDatum(types.NewDate(yyyymmdd(8 * int(k-100))))
+		floats.AppendDatum(types.NewFloat(float64(k)))
+		floats.AppendDatum(types.NewFloat(float64(k) + 0.5))
 		strs.AppendDatum(types.NewString(fmt.Sprintf("key-%d", k)))
-		mixed.AppendDatum(types.NewString(fmt.Sprintf("key-%d", k)))
-		mixed.AppendDatum(types.Null)
+		intNulls.AppendDatum(types.NewInt(k))
+		intNulls.AppendDatum(types.Null)
+		strNulls.AppendDatum(types.Null)
+		strNulls.AppendDatum(types.NewString(fmt.Sprintf("key-%d", k)))
 	}
-	return []*vec.Vec{&ints, &floats, &strs, &mixed}
+	return []*vec.Vec{&ints, &dates, &floats, &strs, &intNulls, &strNulls}
 }
 
 // build appends rows keys in pooled batches of per rows, each under a
@@ -250,11 +238,9 @@ func TestEmptyTableMatchesNothing(t *testing.T) {
 	}
 }
 
-// An int-keyed build gathers into an AllInt key column and a string payload
-// into an AllStr one, so int probes resolve from the raw int64 payloads in
-// both forms. The proof of "no Datum" is structural: the kind tags are
-// stripped from both key columns, so any Vec.Datum call would index out of
-// range.
+// An int-keyed build gathers into an int key column and a string payload
+// into a string one, so int probes resolve from the raw int64 payloads in
+// both forms: the probe's arm follows from the two key columns' kinds.
 func TestTypedPathsLive(t *testing.T) {
 	for _, stride := range []int64{1, 1_000_003} { // direct, hashed
 		build := vec.Get(2)
@@ -269,21 +255,21 @@ func TestTypedPathsLive(t *testing.T) {
 		if err := tab.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		if !tab.kv.AllInt() {
-			t.Fatal("int-keyed entry batch is not AllInt: the typed probe path is dead")
+		if tab.kv.Kind != types.KindInt {
+			t.Fatalf("int-keyed entry batch has kind %v: the typed probe path is dead", tab.kv.Kind)
 		}
-		if !tab.Batch().Col(1).AllStr() {
-			t.Fatal("string payload column is not AllStr: gathers fall back to per-row appends")
+		if k := tab.Batch().Col(1).Kind; k != types.KindString {
+			t.Fatalf("string payload column has kind %v", k)
 		}
 		if got := tab.direct != nil; got != (stride == 1) {
 			t.Fatalf("stride %d: direct form = %v", stride, got)
 		}
 
-		kinds := tab.kv.Kinds
-		tab.kv.Kinds = nil
-		probe := vec.Vec{I: []int64{7 * stride, 99 * stride, 49 * stride}} // the zero flags: a valid all-int column
+		var probe vec.Vec
+		for _, k := range []int64{7, 99, 49} {
+			probe.AppendDatum(types.NewInt(k * stride))
+		}
 		ml, me := tab.Probe(&probe, []int32{0, 1, 2}, nil, nil)
-		tab.kv.Kinds = kinds
 		if len(ml) != 4 { // 7 and 49 match two entries each, 99 none
 			t.Fatalf("stride %d: typed probe found %d matches, want 4 (rows %v, entries %v)", stride, len(ml), ml, me)
 		}

@@ -80,7 +80,7 @@ func rowPath(n *plan.Aggregate) *plan.Aggregate {
 }
 
 // ---------------------------------------------------------------------------
-// Random column batches mixing int, float, string, dictionary-coded and
+// Random column batches of int, float, string, dictionary-coded and
 // NULL-bearing columns.
 
 // colStyle picks how one column of the random batch is generated.
@@ -91,7 +91,10 @@ const (
 	styleFloat
 	styleStr
 	styleDict
-	styleMixed // mixed kinds with NULLs — defeats every uniformity flag
+	styleIntNulls   // ints and NULLs
+	styleFloatNulls // floats and NULLs
+	styleDictNulls  // dictionary-coded strings and NULLs, as a page decodes them
+	styleNull       // NULLs only
 	numStyles
 )
 
@@ -121,25 +124,45 @@ func buildRandomBatch(r *rand.Rand, nrows, ncols int, styles []colStyle) *vec.Co
 			for d := range dict {
 				dict[d] = fmt.Sprintf("brand-%02d", d)
 			}
-			v.AppendKindRun(types.KindString, nrows)
+			v.SetRows(types.KindString, nrows)
 			codes := v.BulkI(nrows)
 			strs := v.BulkS(nrows)
 			for i := range codes {
 				codes[i] = int64(r.Intn(ndict))
 				strs[i] = dict[codes[i]]
 			}
-		case styleMixed:
+		case styleIntNulls:
 			for i := 0; i < nrows; i++ {
-				switch r.Intn(4) {
-				case 0:
+				if r.Intn(3) == 0 {
 					v.AppendDatum(types.Null)
-				case 1:
+				} else {
 					v.AppendDatum(types.NewInt(int64(r.Intn(5))))
-				case 2:
-					v.AppendDatum(types.NewFloat(float64(r.Intn(5))))
-				default:
-					v.AppendDatum(types.NewString(strings.Repeat("x", r.Intn(3))))
 				}
+			}
+		case styleFloatNulls:
+			for i := 0; i < nrows; i++ {
+				if r.Intn(3) == 0 {
+					v.AppendDatum(types.Null)
+				} else {
+					v.AppendDatum(types.NewFloat(float64(r.Intn(5)) / 2))
+				}
+			}
+		case styleDictNulls:
+			dict := v.BulkDict(3)
+			copy(dict, []string{"", "x", "xx"})
+			v.SetRows(types.KindString, nrows)
+			codes := v.BulkI(nrows)
+			strs := v.BulkS(nrows)
+			for i := range codes {
+				codes[i] = int64(r.Intn(3))
+				strs[i] = dict[codes[i]]
+				if r.Intn(4) == 0 {
+					v.SetNulls(i, i+1)
+				}
+			}
+		case styleNull:
+			for i := 0; i < nrows; i++ {
+				v.AppendDatum(types.Null)
 			}
 		}
 	}
@@ -249,10 +272,10 @@ func TestGroupedAggregateColsMatchesRows(t *testing.T) {
 	}
 }
 
-// TestHashFoldMatchesHashKey pins HashFold's typed arms to its per-datum
-// arm: for every column shape, HashFold must produce exactly
-// (h ^ Datum.HashKey) * prime per row — a key column uniform in one batch and
-// mixed in the next feeds one group table.
+// TestHashFoldMatchesHashKey pins HashFold's typed arms to Datum.HashKey:
+// for every column shape, HashFold must produce exactly
+// (h ^ Datum.HashKey) * prime per row — a key column with NULLs in one batch,
+// without them in the next and NULL only in a third feeds one group table.
 func TestHashFoldMatchesHashKey(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {

@@ -64,7 +64,7 @@ func randomViews(r *rand.Rand, styles []colStyle) ([]*batch.Batch, []types.Row) 
 		for c := range styles {
 			if r.Intn(3) == 0 { // NULL-bearing
 				for i := 0; i < nrows; i += r.Intn(5) + 1 {
-					cb.Col(c).SetNull(i)
+					cb.Col(c).SetNulls(i, i+1)
 				}
 			}
 		}
@@ -95,7 +95,7 @@ func randomStyles(r *rand.Rand, ncols int) []colStyle {
 
 // TestProjectMatchesEval is the differential test of opProject: over random
 // output expressions (arithmetic, comparisons, IN, AND, literals and column
-// references) on int, float, string, dictionary, mixed and NULL-bearing
+// references) on int, float, string, dictionary, NULL-bearing and NULL-only
 // columns under random selections, every output row is exactly Eval's over
 // the input row, and every batch goes back to the pool.
 func TestProjectMatchesEval(t *testing.T) {
@@ -190,7 +190,7 @@ func naiveAggregate(n *plan.Aggregate, rows []types.Row) []types.Row {
 // TestComputedGroupKeyMatchesNaive: a grouped aggregate whose keys are
 // expressions — arithmetic over a column, or any random expression — groups
 // exactly as the naive map-based reference does, over int, float, string,
-// dictionary, mixed and NULL-bearing columns under random selections.
+// dictionary, NULL-bearing and NULL-only columns under random selections.
 func TestComputedGroupKeyMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	base := vec.LiveBatches()

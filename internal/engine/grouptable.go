@@ -80,23 +80,30 @@ func (g *groupTable) insert(s uint32, h uint64, keys []*vec.Vec, r int32) int32 
 }
 
 // rowMatches reports whether entry e's key equals row r of the key vectors —
-// Datum.Compare equality evaluated in place against the column payloads, so
-// resolving a row needs no key materialization.
+// evaluated in place against the column payloads, so resolving a row needs
+// no key materialization. A key column and the keys taken from it share one
+// kind, so its payload decides; NULL equals NULL only.
 func (g *groupTable) rowMatches(e int32, keys []*vec.Vec, r int32) bool {
 	key := g.keys[e]
 	for j, v := range keys {
-		kd := key[j]
-		switch {
-		case v.AllInt() && (kd.K == types.KindInt || kd.K == types.KindDate || kd.K == types.KindBool):
-			if v.I[r] != kd.I {
+		kd := &key[j]
+		if kd.K == types.KindNull || v.IsNull(int(r)) {
+			if kd.K != types.KindNull || !v.IsNull(int(r)) {
 				return false
 			}
-		case v.AllStr() && kd.K == types.KindString:
+			continue
+		}
+		switch v.Kind {
+		case types.KindFloat:
+			if f := v.F[r]; f < kd.F || f > kd.F { // Compare's float order: NaN equals all
+				return false
+			}
+		case types.KindString:
 			if v.S[r] != kd.S {
 				return false
 			}
 		default:
-			if !kd.Equal(v.Datum(int(r))) {
+			if v.I[r] != kd.I {
 				return false
 			}
 		}
@@ -124,50 +131,53 @@ func (g *groupTable) findOrAdd(h uint64, keys []*vec.Vec, r int32) int32 {
 
 // updateColGrouped folds one aggregate argument column into the resolved
 // groups' accumulators: one typed loop per (aggregate, batch) instead of a
-// per-row dispatch. ents[i] is the group entry of row sel[i]. Semantics are
-// exactly updateDatum's, which the default arm delegates to.
-func (g *groupTable) updateColGrouped(spec plan.AggSpec, j int, v *vec.Vec, sel []int32, ents []int32) {
+// per-row dispatch. ents[r] is the group entry of row r of sel; nn is a
+// buffer for sel with the column's NULL rows dropped. Semantics are exactly
+// updateDatum's.
+func (g *groupTable) updateColGrouped(spec plan.AggSpec, j int, v *vec.Vec, sel, ents, nn []int32) {
+	if v.HasNulls() {
+		sel = v.DropNulls(sel, nn)
+	}
 	naggs := g.naggs
 	accs := g.accs
 	switch {
-	case (spec.Func == plan.AggSum || spec.Func == plan.AggAvg) && v.AllInt():
-		vi := v.I
-		for i, r := range sel {
-			a := &accs[int(ents[i])*naggs+j]
-			a.sum += float64(vi[r])
+	case spec.Func == plan.AggMin || spec.Func == plan.AggMax:
+		for _, r := range sel {
+			accs[int(ents[r])*naggs+j].updateDatum(spec, v.Datum(int(r)))
+		}
+	case spec.Func == plan.AggCount || v.Kind == types.KindString:
+		for _, r := range sel { // a string adds 0 to a sum, as Datum.Float reads it
+			a := &accs[int(ents[r])*naggs+j]
 			a.count++
 			a.seen = true
 		}
-	case (spec.Func == plan.AggSum || spec.Func == plan.AggAvg) && v.AllFloat():
+	case v.Kind == types.KindFloat:
 		vf := v.F
-		for i, r := range sel {
-			a := &accs[int(ents[i])*naggs+j]
+		for _, r := range sel {
+			a := &accs[int(ents[r])*naggs+j]
 			a.sum += vf[r]
 			a.count++
 			a.seen = true
 		}
-	case spec.Func == plan.AggCount:
-		kinds := v.Kinds
-		for i, r := range sel {
-			if kinds[r] != types.KindNull {
-				a := &accs[int(ents[i])*naggs+j]
-				a.count++
-				a.seen = true
-			}
-		}
 	default:
-		for i, r := range sel {
-			accs[int(ents[i])*naggs+j].updateDatum(spec, v.Datum(int(r)))
+		vi := v.I
+		for _, r := range sel {
+			a := &accs[int(ents[r])*naggs+j]
+			a.sum += float64(vi[r])
+			a.count++
+			a.seen = true
 		}
 	}
 }
 
 // aggScratch holds the reusable per-operator temporaries of the vectorized
-// grouped path: the per-row hash accumulator, the resolved entry vector and
-// the dictionary-hash lookup buffer.
+// grouped path: the per-row hash accumulator, the resolved entry of each
+// row, the selection without an argument's NULL rows and the
+// dictionary-hash lookup buffer.
 type aggScratch struct {
 	hashes []uint64
 	ents   []int32
+	nn     []int32
 	lut    []uint64
 }
 
@@ -184,6 +194,11 @@ func aggregateCols(gt *groupTable, aggs []plan.AggSpec, args, keys []*vec.Vec, s
 		return
 	}
 	naggs := gt.naggs
+	if cap(scr.nn) < nrows {
+		scr.hashes = make([]uint64, nrows)
+		scr.nn = make([]int32, nrows)
+	}
+	nn := scr.nn[:nrows]
 	if len(keys) == 0 {
 		// Global aggregate: a single group, whole-column folds.
 		e := gt.findOrAdd(hashSeed, nil, 0)
@@ -193,13 +208,13 @@ func aggregateCols(gt *groupTable, aggs []plan.AggSpec, args, keys []*vec.Vec, s
 				accs[j].count += int64(nrows)
 				continue
 			}
-			accs[j].updateCol(spec, args[j], sel)
+			accs[j].updateCol(spec, args[j], sel, nn)
 		}
 		return
 	}
-	if cap(scr.hashes) < nrows {
-		scr.hashes = make([]uint64, nrows)
-		scr.ents = make([]int32, nrows)
+	rows := int(sel[nrows-1]) + 1 // ents is indexed by row
+	if cap(scr.ents) < rows {
+		scr.ents = make([]int32, rows)
 	}
 	h := scr.hashes[:nrows]
 	for i := range h {
@@ -208,27 +223,27 @@ func aggregateCols(gt *groupTable, aggs []plan.AggSpec, args, keys []*vec.Vec, s
 	for _, v := range keys {
 		scr.lut = vec.HashFold(v, sel, h, scr.lut)
 	}
-	ents := scr.ents[:nrows]
+	ents := scr.ents[:rows]
 	prevEnt := int32(-1)
 	var prevH uint64
 	for i, r := range sel {
 		hi := h[i]
 		if prevEnt >= 0 && hi == prevH && gt.rowMatches(prevEnt, keys, r) {
-			ents[i] = prevEnt
+			ents[r] = prevEnt
 			continue
 		}
 		ent := gt.findOrAdd(hi, keys, r)
-		ents[i] = ent
+		ents[r] = ent
 		prevEnt, prevH = ent, hi
 	}
 	for j, spec := range aggs {
 		if args[j] == nil {
 			accs := gt.accs
-			for _, ent := range ents {
-				accs[int(ent)*naggs+j].count++
+			for _, r := range sel {
+				accs[int(ents[r])*naggs+j].count++
 			}
 			continue
 		}
-		gt.updateColGrouped(spec, j, args[j], sel, ents)
+		gt.updateColGrouped(spec, j, args[j], sel, ents, nn)
 	}
 }

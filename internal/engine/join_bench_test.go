@@ -94,7 +94,7 @@ func BenchmarkHashJoin(b *testing.B) {
 				for d := range dict {
 					dict[d] = fmt.Sprintf("nation-%02d", d)
 				}
-				cb.Col(1).AppendKindRun(types.KindString, n)
+				cb.Col(1).SetRows(types.KindString, n)
 				codes := cb.Col(1).BulkI(n)
 				strs := cb.Col(1).BulkS(n)
 				for i := 0; i < n; i++ {

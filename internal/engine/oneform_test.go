@@ -31,7 +31,7 @@ func (w *shapeWriter) Put(ctx context.Context, b *batch.Batch) error {
 	c := 0
 	for i := range cb.NumCols() {
 		v := cb.Col(i)
-		c = max(c, cap(v.Kinds), cap(v.I), cap(v.F), cap(v.S))
+		c = max(c, cap(v.I), cap(v.F), cap(v.S))
 	}
 	w.lens, w.held, w.caps = append(w.lens, len(sel)), append(w.held, cb.Len()), append(w.caps, c)
 	w.rows = append(w.rows, b.RowsView()...)
@@ -68,13 +68,10 @@ func sig(r types.Row) string {
 }
 
 // sortKeyDatum draws a key of one class from a small domain, so keys repeat,
-// with NULLs in every class; class 4 mixes the other four in one column.
+// with NULLs in every class; class 4 is a column of NULLs.
 func sortKeyDatum(r *rand.Rand, class int) types.Datum {
-	if r.Intn(7) == 0 {
+	if r.Intn(7) == 0 || class == 4 {
 		return types.Null
-	}
-	if class == 4 {
-		class = r.Intn(4)
 	}
 	switch class {
 	case 0:
@@ -91,7 +88,7 @@ func sortKeyDatum(r *rand.Rand, class int) types.Datum {
 // TestSortMatchesStableReference pins opSort's output order, which recorded
 // result digests depend on: over random multi-batch inputs (pooled batches
 // under random selections, and literals) with many duplicate keys, NULLs and
-// int/float/date/string/mixed key columns, sorted on 1–3 keys with mixed
+// int/float/date/string/NULL-only key columns, sorted on 1–3 keys with mixed
 // Desc at BatchSize 1, 3 and 1024, the output equals sort.SliceStable over
 // the materialized input row for row — ties keep arrival order, and a unique
 // trailing id makes any other tie order visible. Every batch comes back.
@@ -282,7 +279,7 @@ func TestPushCloneSharesNoArray(t *testing.T) {
 		}
 		ccb, _ := c.Cols()
 		for _, o := range seen {
-			if &ccb.Col(0).Kinds[0] == &o.Col(0).Kinds[0] || &ccb.Col(0).I[0] == &o.Col(0).I[0] ||
+			if &ccb.Col(0).I[0] == &o.Col(0).I[0] ||
 				&ccb.Col(1).F[0] == &o.Col(1).F[0] || &ccb.Col(2).S[0] == &o.Col(2).S[0] {
 				t.Fatal("a satellite's copy shares an array with the original or another copy")
 			}
@@ -438,9 +435,6 @@ func TestOneFormLeakOracle(t *testing.T) {
 			}
 		}
 		if err := vec.CheckIdentity(); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if err := vec.CheckKindRuns(); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 	}

@@ -364,33 +364,34 @@ func (a *aggAcc) updateDatum(spec plan.AggSpec, v types.Datum) {
 }
 
 // updateCol folds a whole column selection into the accumulator: one batch-
-// sized update per aggregate instead of one interface call per row. Sum and
-// avg over homogeneous numeric columns run as tight typed loops; everything
-// else folds per-row datums through updateDatum (identical semantics, no
-// expression dispatch).
-func (a *aggAcc) updateCol(spec plan.AggSpec, v *vec.Vec, sel []int32) {
+// sized update per aggregate instead of one interface call per row, its NULL
+// rows dropped into nn first. Sum, avg and count run as typed loops, min and
+// max through updateDatum (identical semantics, no expression dispatch).
+func (a *aggAcc) updateCol(spec plan.AggSpec, v *vec.Vec, sel, nn []int32) {
+	if v.HasNulls() {
+		sel = v.DropNulls(sel, nn)
+	}
+	s := 0.0
 	switch {
-	case (spec.Func == plan.AggSum || spec.Func == plan.AggAvg) && v.AllInt():
-		s := 0.0
-		for _, r := range sel {
-			s += float64(v.I[r])
-		}
-		a.sum += s
-		a.count += int64(len(sel))
-		a.seen = a.seen || len(sel) > 0
-	case (spec.Func == plan.AggSum || spec.Func == plan.AggAvg) && v.AllFloat():
-		s := 0.0
-		for _, r := range sel {
-			s += v.F[r]
-		}
-		a.sum += s
-		a.count += int64(len(sel))
-		a.seen = a.seen || len(sel) > 0
-	default:
+	case spec.Func == plan.AggMin || spec.Func == plan.AggMax:
 		for _, r := range sel {
 			a.updateDatum(spec, v.Datum(int(r)))
 		}
+		return
+	case spec.Func == plan.AggCount || v.Kind == types.KindString:
+		// a string adds 0 to a sum, as Datum.Float reads it
+	case v.Kind == types.KindFloat:
+		for _, r := range sel {
+			s += v.F[r]
+		}
+	default:
+		for _, r := range sel {
+			s += float64(v.I[r])
+		}
 	}
+	a.sum += s
+	a.count += int64(len(sel))
+	a.seen = a.seen || len(sel) > 0
 }
 
 func (a *aggAcc) result(spec plan.AggSpec) types.Datum {

@@ -7,12 +7,13 @@ import (
 
 // VecNum is a compiled expression — the value-producing counterpart of
 // VecPred: Eval computes the expression for the selected rows of a column
-// batch. Col / Const / Arith trees over uniform operands run in typed loops,
+// batch. Col / Const / Arith trees over numeric operands run in typed loops,
 // so an aggregate argument like lo_extendedprice*lo_discount never boxes a
-// row; any other shape, and an Arith node whose operands are not uniform over
-// the selection, evaluates its own Eval row by row. Every node but a column
-// reference owns the scratch vector it evaluates into, reused from batch to
-// batch; a VecNum therefore belongs to one goroutine.
+// row, and a row NULL in an operand is NULL in the result; any other shape,
+// and an Arith node with an operand of strings or NULLs only, evaluates its
+// own Eval row by row. Every node but a column reference owns the scratch
+// vector it evaluates into, reused from batch to batch; a VecNum therefore
+// belongs to one goroutine.
 type VecNum struct {
 	// An Arith node has l and r (and e, its row-by-row form); a leaf is a
 	// literal (lit non-nil), a column, or any other expression (e non-nil).
@@ -39,7 +40,7 @@ func CompileNum(e Expr) *VecNum {
 	case Const:
 		k := &VecNum{lit: &x.D}
 		k.out.AppendDatum(x.D)
-		k.cls = classOf(&k.out, []int32{0})
+		k.cls = classOf(&k.out)
 		return k
 	case Arith:
 		return &VecNum{op: x.Op, l: CompileNum(x.L), r: CompileNum(x.R), e: x}
@@ -62,13 +63,13 @@ func (k *VecNum) Eval(b *vec.ColBatch, sel []int32) *vec.Vec {
 	return v
 }
 
-// numClass says how Arith.Eval reads every selected row of an operand.
+// numClass says how Arith.Eval reads the non-NULL rows of an operand.
 type numClass uint8
 
 const (
-	numOther    numClass = iota // not uniform over the selection, or not numeric
+	numOther    numClass = iota // strings, or NULLs only
 	numInt                      // KindInt: the I payload, integer arithmetic
-	numPromoted                 // dates or bools, no KindInt: float64 of the I payload
+	numPromoted                 // dates or bools: float64 of the I payload
 	numFloat                    // floats: the F payload
 )
 
@@ -85,17 +86,17 @@ func (k *VecNum) eval(b *vec.ColBatch, sel []int32) (*vec.Vec, numClass) {
 		return k.rows(b, sel)
 	default:
 		v := b.Col(k.col)
-		return v, classOf(v, sel)
+		return v, classOf(v)
 	}
 }
 
 // rows evaluates the node's expression row by row over sel into its scratch
 // vector — the one reference the typed loops are held to. A row outside sel
-// takes the value of the next selected row, so the uniformity flags describe
-// exactly the selected rows.
+// takes the value of the next selected row, so the vector has a NULL row only
+// where a selected row is NULL.
 func (k *VecNum) rows(b *vec.ColBatch, sel []int32) (*vec.Vec, numClass) {
 	k.rowBatches++
-	k.out.ResetRun(types.KindInt, 0) // empty, capacity kept
+	k.out.ResetRun(types.KindNull, 0) // empty, capacity kept
 	if cap(k.row) < b.NumCols() {
 		k.row = make(types.Row, b.NumCols())
 	}
@@ -107,28 +108,17 @@ func (k *VecNum) rows(b *vec.ColBatch, sel []int32) (*vec.Vec, numClass) {
 			k.out.AppendDatum(d)
 		}
 	}
-	return &k.out, classOf(&k.out, sel)
+	return &k.out, classOf(&k.out)
 }
 
-// classOf classifies a column over a selection. AllInt admits dates and bools,
-// which Arith.Eval promotes to float, so the kind tags decide.
-func classOf(v *vec.Vec, sel []int32) numClass {
-	if v.AllFloat() {
-		return numFloat
-	}
-	if !v.AllInt() {
-		return numOther
-	}
-	ints := 0
-	for _, r := range sel {
-		if v.Kinds[r] == types.KindInt {
-			ints++
-		}
-	}
-	switch ints {
-	case len(sel):
+// classOf classifies a column by its kind.
+func classOf(v *vec.Vec) numClass {
+	switch {
+	case v.Kind == types.KindInt:
 		return numInt
-	case 0:
+	case v.Kind == types.KindFloat:
+		return numFloat
+	case v.Kind.IntClass():
 		return numPromoted
 	}
 	return numOther
@@ -176,13 +166,14 @@ func (k *VecNum) arith(b *vec.ColBatch, sel []int32) (*vec.Vec, numClass) {
 				o[r] = li[r] * ri[r]
 			}
 		}
+		k.out.OrNulls(lv)
+		k.out.OrNulls(rv)
 		return &k.out, numInt
 	}
 	lf := floats(lv, lc, sel, &k.lf)
 	rf := floats(rv, rc, sel, &k.rf)
 	k.out.ResetRun(types.KindFloat, b.Len())
 	o := k.out.F
-	cls := numFloat
 	switch k.op {
 	case Add:
 		for _, r := range sel {
@@ -199,13 +190,13 @@ func (k *VecNum) arith(b *vec.ColBatch, sel []int32) (*vec.Vec, numClass) {
 	default:
 		for _, r := range sel {
 			if rf[r] == 0 {
-				// NULL-bearing: a valid result, but no longer a uniform operand.
-				k.out.SetNull(int(r))
-				cls = numOther
+				k.out.SetNulls(int(r), int(r)+1)
 				continue
 			}
 			o[r] = lf[r] / rf[r]
 		}
 	}
-	return &k.out, cls
+	k.out.OrNulls(lv)
+	k.out.OrNulls(rv)
+	return &k.out, numFloat
 }

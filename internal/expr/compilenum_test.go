@@ -32,13 +32,15 @@ func (g *exprGen) num(depth, width int) Expr {
 }
 
 // numBatch derives a batch whose columns each follow one style drawn from the
-// program: uniform ints, dates, bools or floats (the shapes the kernel
-// computes), ints with NULLs, ints mixed with dates, or anything at all (the
-// shapes it evaluates row by row).
+// program: ints, dates, bools or floats without NULLs, ints or dates with
+// NULLs (the shapes the kernel computes), or a kind drawn from the program —
+// strings and a column of NULLs among them, the shapes it evaluates row by
+// row — NULL or of that kind in each row.
 func (g *exprGen) numBatch(width, nrows int) *vec.ColBatch {
 	b := vec.Get(width)
 	for c := 0; c < width; c++ {
 		style := g.next() % 7
+		kind := g.datum().K // style 6
 		for i := 0; i < nrows; i++ {
 			v := int64(int8(g.next())) % 5
 			var d types.Datum
@@ -57,12 +59,14 @@ func (g *exprGen) numBatch(width, nrows int) *vec.ColBatch {
 					d = types.Null
 				}
 			case 5:
-				d = types.NewInt(v)
+				d = types.NewDate(v)
 				if v%2 == 0 {
-					d = types.NewDate(v)
+					d = types.Null
 				}
 			default:
-				d = g.datum()
+				if kind != types.KindNull {
+					d = g.datumOf(kind)
+				}
 			}
 			b.Col(c).AppendDatum(d)
 		}
@@ -111,18 +115,11 @@ func checkNum(t *testing.T, e Expr, k *VecNum, b *vec.ColBatch, sel []int32) boo
 				e.Signature(), r, b.Row(int(r)), got, got.K, want, want.K)
 		}
 	}
-	// The uniformity flags steer the aggregate's typed folds: they must
-	// describe the selected rows.
+	// A NULL row holds the zero value, which the group-by hash relies on.
 	for _, r := range sel {
-		k := v.Kinds[r]
-		if v.AllInt() && k != types.KindInt && k != types.KindDate && k != types.KindBool {
-			t.Fatalf("%s: result claims AllInt but row %d is %v", e.Signature(), r, k)
-		}
-		if v.AllFloat() && k != types.KindFloat {
-			t.Fatalf("%s: result claims AllFloat but row %d is %v", e.Signature(), r, k)
-		}
-		if v.AllStr() && k != types.KindString {
-			t.Fatalf("%s: result claims AllStr but row %d is %v", e.Signature(), r, k)
+		if v.IsNull(int(r)) && v.Kind != types.KindNull && v.Kind != types.KindString &&
+			(v.Kind == types.KindFloat && v.F[r] != 0 || v.Kind != types.KindFloat && v.I[r] != 0) {
+			t.Fatalf("%s: NULL row %d holds a payload", e.Signature(), r)
 		}
 	}
 	return rowEvals(k) == before
@@ -141,7 +138,8 @@ func narrowed(sel []int32) [][]int32 {
 }
 
 // TestCompileNumMatchesArithEval is the differential test of the numeric
-// kernel: over int, date, bool, float, NULL-bearing and mixed-kind columns,
+// kernel: over int, date, bool, float, string, NULL-bearing and all-NULL
+// columns,
 // all four operators, nested trees with int, float, string and predicate
 // operands, zero divisors and narrowed selections, the kernel computes exactly
 // Eval's datum for every selected row, in typed loops or row by row — and the
@@ -204,29 +202,30 @@ func TestCompileNumMatchesArithEval(t *testing.T) {
 				continue
 			}
 			v := k.Eval(b, sel)
-			if got := v.Kinds[sel[0]]; got != tc.kind {
+			if got := v.Kind; got != tc.kind {
 				t.Errorf("%s: result kind %v, want %v", tc.e.Signature(), got, tc.kind)
 			}
 		}
 	}
 
 	// Div by a column holding zeros: NULL on those rows, a float elsewhere;
-	// the next batch through the same kernel is uniform again.
+	// the next batch through the same kernel has no NULL.
 	div := NewArith(Div, C(0, "i"), C(1, "z"))
 	k := CompileNum(div)
 	if !checkNum(t, div, k, b, b.AllSel()) {
 		t.Fatal("Div over int columns evaluated row by row")
 	}
-	if v := k.Eval(b, b.AllSel()); v.AllFloat() || !v.Datum(0).IsNull() || v.Datum(1).K != types.KindFloat {
-		t.Errorf("Div by zero: row 0 = %v, row 1 = %v, AllFloat = %v", v.Datum(0), v.Datum(1), v.AllFloat())
+	if v := k.Eval(b, b.AllSel()); v.Kind != types.KindFloat || !v.Datum(0).IsNull() || v.Datum(1).K != types.KindFloat {
+		t.Errorf("Div by zero: kind %v, row 0 = %v, row 1 = %v", v.Kind, v.Datum(0), v.Datum(1))
 	}
 	nonzero := []int32{1, 2, 4, 5}
-	if v := k.Eval(b, nonzero); !v.AllFloat() {
-		t.Error("a NULL set by one batch leaked into the next batch's uniformity")
+	if v := k.Eval(b, nonzero); v.HasNulls() {
+		t.Error("a NULL set by one batch leaked into the next batch")
 	}
-	// Arithmetic over a NULL-bearing operand evaluates row by row.
-	if add := NewArith(Add, div, Int(1)); checkNum(t, add, CompileNum(add), b, b.AllSel()) {
-		t.Error("arithmetic over a NULL-bearing operand ran a typed loop")
+	// Arithmetic over a NULL-bearing operand runs a typed loop, NULL where
+	// the operand is.
+	if add := NewArith(Add, div, Int(1)); !checkNum(t, add, CompileNum(add), b, b.AllSel()) {
+		t.Error("arithmetic over a NULL-bearing operand evaluated row by row")
 	}
 
 	// A comparison operand evaluates row by row; the arithmetic over its

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"cmp"
+
 	"repro/internal/types"
 	"repro/internal/vec"
 )
@@ -19,10 +21,10 @@ type VecPred func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32
 // CompileVec translates a predicate into a vectorized kernel. The shapes
 // that dominate the SSB/TPC-H hot loops — Cmp(col, const), Between(col,
 // const, const), In(col, literals), Cmp(col, col) and their And/Or/Not
-// combinations — get typed-slice loops over homogeneous columns (with
-// per-row Datum fallbacks on mixed columns); any other shape falls back to
-// materializing one scratch row at a time through Eval, so CompileVec is
-// total and equivalent by construction.
+// combinations — get one typed-slice loop per column kind, run over the
+// selection without the column's NULL rows (which no comparison keeps); any
+// other shape falls back to materializing one scratch row at a time through
+// Eval, so CompileVec is total and equivalent by construction.
 func CompileVec(e Expr) VecPred {
 	switch x := e.(type) {
 	case Cmp:
@@ -66,21 +68,18 @@ func CompileVec(e Expr) VecPred {
 				return out[:len(sel)]
 			}
 		}
-		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
-			return out[:0]
-		}
+		return none
 	case Col:
 		idx := x.Idx
 		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 			v := b.Col(idx)
-			k := 0
-			for _, r := range sel {
-				if v.Kinds[r] == types.KindBool && v.I[r] != 0 {
-					out[k] = r
-					k++
-				}
+			if v.Kind != types.KindBool {
+				return out[:0]
 			}
-			return out[:k]
+			if v.HasNulls() {
+				sel = v.DropNulls(sel, out)
+			}
+			return cmpIntLoop(NE, v.I, 0, sel, out)
 		}
 	default:
 		return vecFallback(e)
@@ -102,11 +101,6 @@ func vecFallback(e Expr) VecPred {
 		}
 		return out[:k]
 	}
-}
-
-// intClass reports whether a kind compares through the int64 payload.
-func intClass(k types.Kind) bool {
-	return k == types.KindInt || k == types.KindDate || k == types.KindBool
 }
 
 // cmpHolds reports whether a three-way comparison result satisfies op.
@@ -141,20 +135,6 @@ func mirror(op CmpOp) CmpOp {
 	default: // EQ, NE are symmetric
 		return op
 	}
-}
-
-// inSlow is the interpreted membership scan, shared by the fallback paths so
-// mixed-kind rows keep Eval's exact cross-kind Equal semantics.
-func inSlow(v types.Datum, set []types.Datum) bool {
-	if v.IsNull() {
-		return false
-	}
-	for _, d := range set {
-		if v.Equal(d) {
-			return true
-		}
-	}
-	return false
 }
 
 // cmpIntLoop filters sel by I[r] op ki with the operator hoisted out of the
@@ -290,29 +270,10 @@ func cmpDictLoop(op CmpOp, v *vec.Vec, ks string, sel, out []int32) []int32 {
 	}
 }
 
-// cmpStrLoop is cmpIntLoop for homogeneous string columns.
-func cmpStrLoop(op CmpOp, vs []string, ks string, sel, out []int32) []int32 {
-	k := 0
-	for _, r := range sel {
-		var cv int
-		switch {
-		case vs[r] < ks:
-			cv = -1
-		case vs[r] > ks:
-			cv = 1
-		}
-		if cmpHolds(op, cv) {
-			out[k] = r
-			k++
-		}
-	}
-	return out[:k]
-}
-
-// floatCv is the three-way float comparison Compare uses (NaN compares
-// equal to everything it is neither below nor above, exactly as Compare's
-// switch does).
-func floatCv(a, b float64) int {
+// threeWay is the three-way comparison Compare uses within a kind class (a
+// float NaN compares equal to everything it is neither below nor above,
+// exactly as Compare's switch does).
+func threeWay[T cmp.Ordered](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -323,56 +284,73 @@ func floatCv(a, b float64) int {
 	}
 }
 
-// compileVecCmpColConst builds the kernel for col op const with typed loops
-// for homogeneous columns and Eval's exact semantics per row otherwise.
-func compileVecCmpColConst(op CmpOp, idx int, kd types.Datum) VecPred {
-	if kd.IsNull() {
-		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
-			return out[:0]
+// cmpConstLoop filters sel by vs[r] op kv for a float or string column.
+func cmpConstLoop[T cmp.Ordered](op CmpOp, vs []T, kv T, sel, out []int32) []int32 {
+	k := 0
+	for _, r := range sel {
+		if cmpHolds(op, threeWay(vs[r], kv)) {
+			out[k] = r
+			k++
 		}
 	}
-	kIsInt := intClass(kd.K)
+	return out[:k]
+}
+
+// cmpColsLoop filters sel by a[r] op b[r] for two columns of one class.
+func cmpColsLoop[T cmp.Ordered](op CmpOp, a, b []T, sel, out []int32) []int32 {
+	k := 0
+	for _, r := range sel {
+		if cmpHolds(op, threeWay(a[r], b[r])) {
+			out[k] = r
+			k++
+		}
+	}
+	return out[:k]
+}
+
+// none is the kernel of a predicate no row satisfies.
+func none(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 { return out[:0] }
+
+// compileVecCmpColConst builds the kernel for col op const: a typed loop for
+// each column kind the constant compares with by value, and for a constant
+// of the other class (numbers sort before strings) one comparison for every
+// row.
+func compileVecCmpColConst(op CmpOp, idx int, kd types.Datum) VecPred {
+	if kd.IsNull() {
+		return none
+	}
+	kIsInt := kd.K.IntClass()
 	return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 		v := b.Col(idx)
+		if v.HasNulls() {
+			sel = v.DropNulls(sel, out)
+		}
 		switch {
-		case v.AllInt() && kIsInt:
+		case v.Kind.IntClass() && kIsInt:
 			return cmpIntLoop(op, v.I, kd.I, sel, out)
-		case v.AllInt() && kd.K == types.KindFloat:
+		case v.Kind.IntClass() && kd.K == types.KindFloat:
 			// Compare promotes mixed numeric operands to float.
 			vi, kf := v.I, kd.F
 			k := 0
 			for _, r := range sel {
-				if cmpHolds(op, floatCv(float64(vi[r]), kf)) {
+				if cmpHolds(op, threeWay(float64(vi[r]), kf)) {
 					out[k] = r
 					k++
 				}
 			}
 			return out[:k]
-		case v.AllFloat() && (kIsInt || kd.K == types.KindFloat):
-			vf, kf := v.F, kd.Float()
-			k := 0
-			for _, r := range sel {
-				if cmpHolds(op, floatCv(vf[r], kf)) {
-					out[k] = r
-					k++
-				}
-			}
-			return out[:k]
-		case v.AllStr() && kd.K == types.KindString:
+		case v.Kind == types.KindFloat && (kIsInt || kd.K == types.KindFloat):
+			return cmpConstLoop(op, v.F, kd.Float(), sel, out)
+		case v.Kind == types.KindString && kd.K == types.KindString:
 			if v.HasDict() {
 				return cmpDictLoop(op, v, kd.S, sel, out)
 			}
-			return cmpStrLoop(op, v.S, kd.S, sel, out)
-		default:
-			k := 0
-			for _, r := range sel {
-				d := v.Datum(int(r))
-				if !d.IsNull() && cmpHolds(op, d.Compare(kd)) {
-					out[k] = r
-					k++
-				}
+			return cmpConstLoop(op, v.S, kd.S, sel, out)
+		default: // every row left is of v.Kind, in another class than kd
+			if cmpHolds(op, types.Datum{K: v.Kind}.Compare(kd)) {
+				return out[:copy(out, sel)]
 			}
-			return out[:k]
+			return out[:0]
 		}
 	}
 }
@@ -386,28 +364,25 @@ func compileVecCmp(c Cmp) VecPred {
 			op, li, ri := c.Op, col.Idx, rcol.Idx
 			return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 				lv, rv := b.Col(li), b.Col(ri)
-				if lv.AllInt() && rv.AllInt() {
-					lvi, rvi := lv.I, rv.I
-					k := 0
-					for _, r := range sel {
-						var cv int
-						switch {
-						case lvi[r] < rvi[r]:
-							cv = -1
-						case lvi[r] > rvi[r]:
-							cv = 1
-						}
-						if cmpHolds(op, cv) {
-							out[k] = r
-							k++
-						}
-					}
-					return out[:k]
+				if lv.HasNulls() {
+					sel = lv.DropNulls(sel, out)
 				}
+				if rv.HasNulls() {
+					sel = rv.DropNulls(sel, out)
+				}
+				switch {
+				case lv.Kind.IntClass() && rv.Kind.IntClass():
+					return cmpColsLoop(op, lv.I, rv.I, sel, out)
+				case lv.Kind == types.KindFloat && rv.Kind == types.KindFloat:
+					return cmpColsLoop(op, lv.F, rv.F, sel, out)
+				case lv.Kind == types.KindString && rv.Kind == types.KindString:
+					return cmpColsLoop(op, lv.S, rv.S, sel, out)
+				}
+				// Columns of two kinds (an int and a float column, a number
+				// and a string column) compare row by row.
 				k := 0
 				for _, r := range sel {
-					ld, rd := lv.Datum(int(r)), rv.Datum(int(r))
-					if !ld.IsNull() && !rd.IsNull() && cmpHolds(op, ld.Compare(rd)) {
+					if cmpHolds(op, lv.Datum(int(r)).Compare(rv.Datum(int(r)))) {
 						out[k] = r
 						k++
 					}
@@ -432,18 +407,20 @@ func compileVecBetween(bt Between) VecPred {
 		return vecFallback(bt)
 	}
 	if lo.D.IsNull() || hi.D.IsNull() {
-		// Eval yields false for every row when a bound is NULL.
-		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
-			return out[:0]
-		}
+		return none // Eval yields false for every row when a bound is NULL
 	}
 	idx, loD, hiD := col.Idx, lo.D, hi.D
-	intBounds := intClass(loD.K) && intClass(hiD.K)
+	intBounds := loD.K.IntClass() && hiD.K.IntClass()
 	strBounds := loD.K == types.KindString && hiD.K == types.KindString
+	// Any other column and bounds: Between is exactly col >= lo AND col <= hi.
+	ge, le := compileVecCmpColConst(GE, idx, loD), compileVecCmpColConst(LE, idx, hiD)
 	return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 		v := b.Col(idx)
+		if v.HasNulls() {
+			sel = v.DropNulls(sel, out)
+		}
 		switch {
-		case v.AllInt() && intBounds:
+		case v.Kind.IntClass() && intBounds:
 			vi, loI, hiI := v.I, loD.I, hiD.I
 			if loI > hiI {
 				return out[:0]
@@ -461,7 +438,7 @@ func compileVecBetween(bt Between) VecPred {
 				k += c
 			}
 			return out[:k]
-		case v.AllStr() && strBounds:
+		case v.Kind == types.KindString && strBounds:
 			if v.HasDict() {
 				// lo <= s <= hi  ⇔  lowerBound(lo) <= code < upperBound(hi).
 				loC := int64(dictLowerBound(v.Dict, loD.S))
@@ -492,15 +469,8 @@ func compileVecBetween(bt Between) VecPred {
 			}
 			return out[:k]
 		default:
-			k := 0
-			for _, r := range sel {
-				d := v.Datum(int(r))
-				if !d.IsNull() && d.Compare(loD) >= 0 && d.Compare(hiD) <= 0 {
-					out[k] = r
-					k++
-				}
-			}
-			return out[:k]
+			ls := ge(b, sel, out, scr)
+			return le(b, ls, ls, scr)
 		}
 	}
 }
@@ -510,15 +480,16 @@ func compileVecIn(in In) VecPred {
 	if !okCol || len(in.Set) == 0 {
 		return vecFallback(in)
 	}
+	// In is exactly the disjunction of its members' equalities: the kernel
+	// for a column whose kind the set's typed form does not cover.
+	eqs := make([]Expr, len(in.Set))
 	allInt, allStr := true, true
-	for _, d := range in.Set {
-		if !intClass(d.K) {
-			allInt = false
-		}
-		if d.K != types.KindString {
-			allStr = false
-		}
+	for i, d := range in.Set {
+		eqs[i] = Eq(col, Const{D: d})
+		allInt = allInt && d.K.IntClass()
+		allStr = allStr && d.K == types.KindString
 	}
+	anyEq := CompileVec(NewOr(eqs...))
 	idx, set := col.Idx, in.Set
 	switch {
 	case allInt:
@@ -528,26 +499,16 @@ func compileVecIn(in In) VecPred {
 		}
 		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 			v := b.Col(idx)
-			k := 0
-			if v.AllInt() {
-				vi := v.I
-				for _, r := range sel {
-					if _, ok := ints[vi[r]]; ok {
-						out[k] = r
-						k++
-					}
-				}
-				return out[:k]
+			if !v.Kind.IntClass() {
+				return anyEq(b, sel, out, scr)
 			}
+			if v.HasNulls() {
+				sel = v.DropNulls(sel, out)
+			}
+			vi := v.I
+			k := 0
 			for _, r := range sel {
-				d := v.Datum(int(r))
-				var keep bool
-				if intClass(d.K) {
-					_, keep = ints[d.I]
-				} else {
-					keep = inSlow(d, set)
-				}
-				if keep {
+				if _, ok := ints[vi[r]]; ok {
 					out[k] = r
 					k++
 				}
@@ -561,8 +522,14 @@ func compileVecIn(in In) VecPred {
 		}
 		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
 			v := b.Col(idx)
+			if v.Kind != types.KindString {
+				return anyEq(b, sel, out, scr)
+			}
+			if v.HasNulls() {
+				sel = v.DropNulls(sel, out)
+			}
 			k := 0
-			if v.AllStr() && v.HasDict() {
+			if v.HasDict() {
 				// Translate the set to dictionary codes once per page;
 				// membership is then a scan of a handful of ints per row
 				// (set members absent from the page's dictionary drop out).
@@ -586,37 +553,9 @@ func compileVecIn(in In) VecPred {
 				scr.Drop()
 				return out[:k]
 			}
-			if v.AllStr() {
-				vs := v.S
-				for _, r := range sel {
-					if _, ok := strs[vs[r]]; ok {
-						out[k] = r
-						k++
-					}
-				}
-				return out[:k]
-			}
+			vs := v.S
 			for _, r := range sel {
-				d := v.Datum(int(r))
-				var keep bool
-				if d.K == types.KindString {
-					_, keep = strs[d.S]
-				} else {
-					keep = inSlow(d, set)
-				}
-				if keep {
-					out[k] = r
-					k++
-				}
-			}
-			return out[:k]
-		}
-	default:
-		return func(b *vec.ColBatch, sel, out []int32, scr *vec.Scratch) []int32 {
-			v := b.Col(idx)
-			k := 0
-			for _, r := range sel {
-				if inSlow(v.Datum(int(r)), set) {
+				if _, ok := strs[vs[r]]; ok {
 					out[k] = r
 					k++
 				}
@@ -624,4 +563,5 @@ func compileVecIn(in In) VecPred {
 			return out[:k]
 		}
 	}
+	return anyEq
 }

@@ -29,25 +29,45 @@ func testBatch(n int) (*vec.ColBatch, []types.Row) {
 	return b, rows
 }
 
-// compileTestRows covers every kind in every column position the predicates
-// reference, including NULLs, integral floats and cross-kind comparisons.
-func compileTestRows() []types.Row {
+// compileTestLayouts are the column kinds compileTestExprs runs over: every
+// kind in every column position the predicates reference, so each kernel
+// meets each column kind and constants of its own and of other classes.
+var compileTestLayouts = [][3]types.Kind{
+	{types.KindInt, types.KindString, types.KindFloat},
+	{types.KindFloat, types.KindInt, types.KindDate},
+	{types.KindDate, types.KindBool, types.KindString},
+	{types.KindString, types.KindFloat, types.KindInt},
+	{types.KindBool, types.KindDate, types.KindFloat},
+	{types.KindNull, types.KindNull, types.KindNull},
+}
+
+// compileTestRows builds rows of one layout: each column NULL or of its
+// kind, with the values the predicates' constants hit (42, 41.5, "EUROPE",
+// integral floats, dates around the constants) among random ones. The first
+// row is all NULL.
+func compileTestRows(layout [3]types.Kind) []types.Row {
 	r := rand.New(rand.NewSource(99))
-	rows := []types.Row{
-		{types.Null, types.Null, types.Null},
-		{types.NewInt(0), types.NewString(""), types.NewFloat(0)},
-		{types.NewInt(42), types.NewString("ASIA"), types.NewFloat(42)},
-		{types.NewFloat(41.5), types.NewString("EUROPE"), types.NewInt(-7)},
-		{types.NewBool(true), types.NewString("zzz"), types.NewBool(false)},
-		{types.DateFromYMD(1997, 5, 1), types.NewString("AMERICA"), types.DateFromYMD(1993, 1, 1)},
-		{types.NewString("17"), types.NewInt(17), types.NewFloat(2.5)},
+	value := func(k types.Kind) types.Datum {
+		if r.Intn(8) == 0 {
+			return types.Null
+		}
+		switch k {
+		case types.KindInt:
+			return types.NewInt([]int64{0, 42, -7, 17, 2, int64(r.Intn(100) - 50)}[r.Intn(6)])
+		case types.KindFloat:
+			return types.NewFloat([]float64{0, 42, 41.5, 2.5, -7, float64(r.Intn(2000))/10 - 100}[r.Intn(6)])
+		case types.KindString:
+			return types.NewString([]string{"", "ASIA", "EUROPE", "zzz", "17", fmt.Sprintf("s-%d", r.Intn(10))}[r.Intn(6)])
+		case types.KindDate:
+			return types.DateFromYMD(1992+r.Intn(8), 1+r.Intn(12), 1)
+		case types.KindBool:
+			return types.NewBool(r.Intn(2) == 0)
+		}
+		return types.Null
 	}
-	for i := 0; i < 40; i++ {
-		rows = append(rows, types.Row{
-			types.NewInt(int64(r.Intn(100) - 50)),
-			types.NewString(fmt.Sprintf("s-%d", r.Intn(10))),
-			types.NewFloat(float64(r.Intn(2000))/10 - 100),
-		})
+	rows := []types.Row{{types.Null, types.Null, types.Null}}
+	for i := 0; i < 60; i++ {
+		rows = append(rows, types.Row{value(layout[0]), value(layout[1]), value(layout[2])})
 	}
 	return rows
 }
@@ -81,7 +101,7 @@ func compileTestExprs() []Expr {
 		NewBetween(C(0, "a"), Int(10), Const{D: types.Null}),
 		NewIn(C(1, "b"), types.NewString("ASIA"), types.NewString("EUROPE")),
 		NewIn(C(0, "a"), types.NewInt(42), types.NewInt(-7), types.NewInt(0)),
-		NewIn(C(0, "a"), types.NewInt(17), types.NewString("17")), // mixed set
+		NewIn(C(0, "a"), types.NewInt(17), types.NewString("17")), // set of two classes
 		NewIn(C(2, "c"), types.NewFloat(42), types.NewInt(2)),
 		NewIn(C(0, "a")), // empty set
 		// Shapes without a kernel, evaluated through the Eval fallback.
@@ -153,24 +173,27 @@ func checkVecMatchesEval(t *testing.T, e Expr, b *vec.ColBatch, rows []types.Row
 }
 
 // TestCompileVecMatchesEval is the compiled-predicate equivalence oracle:
-// the SSB shapes over a homogeneous batch take the typed kernels, and every
-// shape over mixed-kind rows takes the per-row Datum paths or the Eval
-// fallback; either way the selection must equal Eval row by row.
+// the SSB shapes over an SSB-shaped batch, and every shape over NULL-bearing
+// columns of every kind layout, through the typed kernels, the per-row
+// comparison of two columns of different kinds or the Eval fallback; either
+// way the selection must equal Eval row by row.
 func TestCompileVecMatchesEval(t *testing.T) {
 	b, rows := testBatch(512)
 	defer b.Release()
 	for _, e := range ssbPreds() {
 		checkVecMatchesEval(t, e, b, rows)
 	}
-	mixedRows := compileTestRows()
-	mixed := vec.Get(3)
-	defer mixed.Release()
-	for _, r := range mixedRows {
-		mixed.AppendRow(r)
-	}
-	mixed.Seal(len(mixedRows))
-	for _, e := range compileTestExprs() {
-		checkVecMatchesEval(t, e, mixed, mixedRows)
+	for _, layout := range compileTestLayouts {
+		rows := compileTestRows(layout)
+		cb := vec.Get(3)
+		for _, r := range rows {
+			cb.AppendRow(r)
+		}
+		cb.Seal(len(rows))
+		for _, e := range compileTestExprs() {
+			checkVecMatchesEval(t, e, cb, rows)
+		}
+		cb.Release()
 	}
 }
 

@@ -26,7 +26,7 @@ func dictBatch(n int, vals []string, seed int64) (dict, plain *vec.ColBatch, row
 	dict = vec.Get(2)
 	plain = vec.Get(2)
 	dv, pv := dict.Col(0), plain.Col(0)
-	dv.AppendKindRun(types.KindString, n)
+	dv.SetRows(types.KindString, n)
 	di := dv.BulkI(n)
 	ds := dv.BulkS(n)
 	d := dv.BulkDict(len(sorted))

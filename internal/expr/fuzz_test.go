@@ -109,13 +109,53 @@ func (g *exprGen) row(width int) types.Row {
 	return row
 }
 
+// datumOf derives one row of a column of kind k: a value of k from the
+// pool datum draws from (NaN and integral floats included), or NULL.
+func (g *exprGen) datumOf(k types.Kind) types.Datum {
+	b := g.next()
+	v := int64(int8(g.next()))
+	if b%8 == 6 {
+		return types.Null
+	}
+	switch k {
+	case types.KindFloat:
+		switch {
+		case b%8 == 7:
+			return types.NewFloat(math.NaN())
+		case b%2 == 0:
+			return types.NewFloat(float64(v))
+		}
+		return types.NewFloat(float64(v) + 0.5)
+	case types.KindString:
+		return types.NewString(string(rune('a' + byte(v)%26)))
+	case types.KindDate:
+		return types.NewDate(v)
+	case types.KindBool:
+		return types.NewBool(v%2 == 0)
+	}
+	return types.NewInt(v)
+}
+
+// rowOf derives a row of columns of the given kinds (NULL or a value each);
+// a column of kind KindNull holds NULLs only.
+func (g *exprGen) rowOf(kinds []types.Kind) types.Row {
+	row := make(types.Row, len(kinds))
+	for i, k := range kinds {
+		if k != types.KindNull {
+			row[i] = g.datumOf(k)
+		}
+	}
+	return row
+}
+
 // FuzzCompileEval checks the compilation contract — the vectorized kernel
 // is exactly equivalent to the interpreted Eval(row).Bool() — on random
 // predicate trees over random rows, covering the hand-specialized kernels
-// (Cmp col/const both ways, Between, In with int and string sets, the
-// homogeneous-column typed loops) and the interpreted fallback alike. It
-// builds a small batch of derived rows (mixing kinds so columns are rarely
-// homogeneous) and compares the selection vector against per-row Eval.
+// (Cmp col/const both ways, Between, In with int and string sets, the typed
+// loops of every column kind) and the interpreted fallback alike. It builds
+// a small batch of derived rows — the first row's values give each column
+// its kind (a NULL, a column of NULLs), the others are NULL or of that kind
+// — and compares the selection vector against per-row Eval.
 func FuzzCompileEval(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{6, 0, 3, 200, 17, 5, 2, 9, 42, 42, 42, 0, 0, 0, 0, 1})
@@ -129,9 +169,13 @@ func FuzzCompileEval(f *testing.F) {
 		const nrows = 5
 		rows := make([]types.Row, 0, nrows)
 		rows = append(rows, g.row(width))
+		kinds := make([]types.Kind, width)
+		for i, d := range rows[0] {
+			kinds[i] = d.K
+		}
 		e := g.expr(4, width)
 		for i := 1; i < nrows; i++ {
-			rows = append(rows, g.row(width))
+			rows = append(rows, g.rowOf(kinds))
 		}
 		b := vec.Get(width)
 		defer b.Release()

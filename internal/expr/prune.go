@@ -93,7 +93,7 @@ func pruneCmpColConst(op CmpOp, idx int, k types.Datum) PruneCheck {
 	if k.IsNull() {
 		return pruneNever
 	}
-	if intClass(k.K) {
+	if k.K.IntClass() {
 		ki := k.I
 		return func(z []storage.ZoneMap) bool {
 			zm := zoneAt(z, idx)
@@ -147,7 +147,7 @@ func pruneBetween(idx int, lo, hi types.Datum) PruneCheck {
 	if lo.IsNull() || hi.IsNull() {
 		return pruneNever
 	}
-	if intClass(lo.K) && intClass(hi.K) {
+	if lo.K.IntClass() && hi.K.IntClass() {
 		loI, hiI := lo.I, hi.I
 		return func(z []storage.ZoneMap) bool {
 			zm := zoneAt(z, idx)
@@ -176,7 +176,7 @@ func pruneIn(idx int, set []types.Datum) PruneCheck {
 	}
 	allInt, allStr := true, true
 	for _, d := range set {
-		if !intClass(d.K) {
+		if !d.K.IntClass() {
 			allInt = false
 		}
 		if d.K != types.KindString {

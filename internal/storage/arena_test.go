@@ -61,8 +61,8 @@ func intTable(t *testing.T, cat *Catalog, rows int) *Table {
 
 // TestBorrowedColumnsLiveInTheArena: the fixed-width columns of an opened page
 // take nothing from the batch recycler — payloads are ranges of arena pages
-// the batch's source owns, the tags of a single-kind column are the shared
-// run — and the last Release gives every page back.
+// the batch's source owns, and a column without NULLs has no mask — and the
+// last Release gives every page back.
 func TestBorrowedColumnsLiveInTheArena(t *testing.T) {
 	pb := newPageBuilder([]types.Kind{types.KindInt, types.KindDate, types.KindFloat})
 	nrows := 0
@@ -87,16 +87,12 @@ func TestBorrowedColumnsLiveInTheArena(t *testing.T) {
 	if got, want := cb.Bytes(), int64(3*8*nrows); got != want {
 		t.Errorf("Bytes() = %d, want the borrowed payloads' %d", got, want)
 	}
-	k0, k1 := cb.Col(0).Kinds, cb.Col(1).Kinds
-	if len(k0) != nrows || cap(k0) != nrows || k0[0] != types.KindInt || k1[nrows-1] != types.KindDate {
-		t.Fatalf("tags: len %d cap %d", len(k0), cap(k0))
+	if c0, c1 := cb.Col(0), cb.Col(1); c0.Kind != types.KindInt || c1.Kind != types.KindDate || c0.HasNulls() || c1.HasNulls() {
+		t.Fatalf("columns of kinds %v and %v, NULLs %v and %v", c0.Kind, c1.Kind, c0.HasNulls(), c1.HasNulls())
 	}
 	other, err := DecodePageCols(page, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if &other.Col(0).Kinds[0] != &k0[0] {
-		t.Error("two single-kind int columns do not share one kind run")
 	}
 	if &other.Col(0).I[0] == &cb.Col(0).I[0] {
 		t.Error("two batches share one payload")
@@ -109,8 +105,10 @@ func TestBorrowedColumnsLiveInTheArena(t *testing.T) {
 }
 
 // TestBorrowedColumnsWithNullsAndLongPages: a column with NULLs borrows its
-// tags as well; a page of more rows than an arena page holds int64s for falls
-// back to the recycler, column by column, and decodes to the same values.
+// payload as well and takes only its NULL mask, a bit a row, from the
+// recycler; a page of more rows than an arena page holds int64s for falls
+// back to the recycler, column by column, and decodes to the same values,
+// a NULL row holding 0.
 func TestBorrowedColumnsWithNullsAndLongPages(t *testing.T) {
 	nullAt := func(i int) bool { return i%97 == 0 && i < 1000 }
 	for _, nrows := range []int{700, PageSize/8 + 1, 25000} {
@@ -133,15 +131,15 @@ func TestBorrowedColumnsWithNullsAndLongPages(t *testing.T) {
 		if got := arena.Snapshot().PagesDecoded - a0.PagesDecoded; (got > 0) != borrowed {
 			t.Errorf("%d rows: %d arena pages taken, borrowed should be %v", nrows, got, borrowed)
 		}
-		if got := vec.PoolStats().BytesOut - p0.BytesOut; (got == 0) != borrowed {
+		if got := vec.PoolStats().BytesOut - p0.BytesOut; (got < 8*int64(nrows)) != borrowed {
 			t.Errorf("%d rows: %d recycler bytes taken, borrowed should be %v", nrows, got, borrowed)
 		}
 		a, b := cb.Col(0), cb.Col(1)
-		if !a.AllInt() || b.AllInt() {
-			t.Fatalf("%d rows: uniformity flags wrong", nrows)
+		if a.Kind != types.KindInt || a.HasNulls() || b.Kind != types.KindInt || !b.HasNulls() {
+			t.Fatalf("%d rows: kinds %v and %v, NULLs %v and %v", nrows, a.Kind, b.Kind, a.HasNulls(), b.HasNulls())
 		}
 		for i := 0; i < nrows; i++ {
-			if a.I[i] != int64(i%200) || nullAt(i) != (b.Kinds[i] == types.KindNull) || (!nullAt(i) && b.I[i] != 7) {
+			if a.I[i] != int64(i%200) || nullAt(i) != b.IsNull(i) || (nullAt(i) && b.I[i] != 0) || (!nullAt(i) && b.I[i] != 7) {
 				t.Fatalf("%d rows: row %d decoded wrong", nrows, i)
 			}
 		}
@@ -208,9 +206,8 @@ func TestBorrowedColumnsNeverAliasedByCopies(t *testing.T) {
 	out.Release()
 }
 
-// TestBorrowedColumnCopiesBeforeWrite: appending to a page column, or setting
-// one of its rows NULL, copies the tags and the payload out of the shared run
-// and the source's page first.
+// TestBorrowedColumnCopiesBeforeWrite: appending to a page column, a value
+// or a NULL, copies its payload out of the source's page first.
 func TestBorrowedColumnCopiesBeforeWrite(t *testing.T) {
 	pb := newPageBuilder([]types.Kind{types.KindInt})
 	for i := 0; i < 100; i++ {
@@ -222,16 +219,10 @@ func TestBorrowedColumnCopiesBeforeWrite(t *testing.T) {
 	}
 	defer cb.Release()
 	v := cb.Col(0)
-	shared, payload := &v.Kinds[0], &v.I[0]
-	v.SetNull(3)
-	if &v.Kinds[0] == shared {
-		t.Fatal("SetNull wrote through the shared kind run")
-	}
-	if err := vec.CheckKindRuns(); err != nil {
-		t.Fatal(err)
-	}
-	v.AppendDatum(types.NewInt(100))
-	if &v.I[0] == payload || v.Len() != 101 || v.I[100] != 100 || v.I[42] != 42 || v.Kinds[3] != types.KindNull {
+	payload := &v.I[0]
+	v.AppendDatum(types.Null)
+	v.AppendDatum(types.NewInt(101))
+	if &v.I[0] == payload || v.Len() != 102 || v.I[101] != 101 || v.I[42] != 42 || !v.IsNull(100) || v.IsNull(3) {
 		t.Fatalf("append to a borrowed column: len %d", v.Len())
 	}
 }

@@ -2,7 +2,8 @@
 // with heap files, a pinning buffer pool with clock eviction, a disk interface
 // with one in-memory implementation (a latency model on one device clock, for
 // repeatable experiments) and a fault-injecting wrapper, and circular shared
-// scans — the storage-layer sharing primitive both QPipe and CJOIN rely on.
+// scans — QPipe's storage-layer sharing primitive. (CJOIN's scanner runs a
+// circular scan of its own over HeapFile.PageCols and attaches no cursor.)
 //
 // The files follow the roles: format.go is the page layout both sides of it
 // share, chunk.go the load chunk and the RowWriter that fills it, builder.go

@@ -384,7 +384,8 @@ func BenchmarkFetchRetryDisarmed(b *testing.B) {
 // TestSegmentFaultInUnreadColumnFailsAtFetch: first-touch decode must not
 // move a fault. A segment corrupted in a column the reader never asks for —
 // truncated fixed-width payload, bad width byte, a kind run of a foreign
-// kind, an out-of-range dictionary code — still fails the fetch, for every
+// kind, runs of two kinds in one column, an out-of-range dictionary code —
+// still fails the fetch, for every
 // reader, with the page's one permanent, quarantined PageError; nothing is
 // opened or decoded, and the sibling pages are untouched. (CorruptReadsAfter
 // flips the header, so these rewrite the stored page at the segment's
@@ -403,6 +404,9 @@ func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 	pad := strings.Repeat("p", 120)
 	for i := 0; i < 3000; i++ {
 		row := types.Row{types.NewInt(int64(i)), types.NewString(pad + strconv.Itoa(i)), types.NewInt(int64(7 * i))}
+		if i%10 == 3 {
+			row[2] = types.Null // tail's kind runs alternate int and NULL
+		}
 		if err := tbl.File.Append(row); err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +424,7 @@ func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 	// follows its kind runs.
 	segAt := func(p []byte, col int, allowed uint8) (off, body int) {
 		off = int(binary.LittleEndian.Uint32(p[pageFixedHeader+4*col:]))
-		rest, err := decodeKindRuns(p[off+1:], nrows, nil, allowed, nil)
+		_, _, rest, err := decodeKindRuns(p[off+1:], nrows, allowed, nil)
 		if err != nil {
 			t.Fatalf("fixture column %d: %v", col, err)
 		}
@@ -448,6 +452,10 @@ func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 			off, _ := segAt(p, 0, kindsInt)
 			_, n := binary.Uvarint(p[off+1:]) // run count, then the first run's kind byte
 			p[off+1+n] = byte(types.KindString)
+		}},
+		{"two-kinds-in-one-column", "kind runs name int and date", 0, func(p []byte) {
+			off, _ := segAt(p, 2, kindsInt)
+			setSecondValueRun(p[off+1:], types.KindDate)
 		}},
 		{"dictionary-code-out-of-range", "out of range", 0, func(p []byte) {
 			_, body := segAt(p, 1, kindsStr)

@@ -52,6 +52,7 @@ func FuzzOpenPage(f *testing.F) {
 		f.Fatal("a page whose first segment has tag 0 opened")
 	}
 	f.Add(tag0, uint8(ncols))
+	f.Add(twoKindPage(), uint8(1)) // a column of ints and dates: corrupt
 	// Give back what earlier tests left to finalizers, so that no finalizer
 	// moves the arena between an input's two snapshots.
 	arena.Settle()

@@ -99,18 +99,18 @@ func decodeCheck(t *testing.T, page []byte, want []types.Row, ncols int) {
 	}
 }
 
-// sameVec reports whether two decoded columns are the same vector: tags,
-// uniformity, dictionary, and the payload of every row's own kind.
+// sameVec reports whether two decoded columns are the same vector: kind,
+// rows, NULL rows, dictionary, and every row's payload (a dictionary
+// column's codes too).
 func sameVec(a, b *vec.Vec) bool {
-	if !slices.Equal(a.Kinds, b.Kinds) || !slices.Equal(a.Dict, b.Dict) ||
-		a.AllInt() != b.AllInt() || a.AllFloat() != b.AllFloat() || a.AllStr() != b.AllStr() {
+	if a.Kind != b.Kind || a.Len() != b.Len() || a.HasNulls() != b.HasNulls() || !slices.Equal(a.Dict, b.Dict) {
 		return false
 	}
-	for i := range a.Kinds {
+	for i := range a.Len() {
 		if da, db := a.Datum(i), b.Datum(i); da.K != db.K || !da.Equal(db) {
 			return false
 		}
-		if a.HasDict() && a.Kinds[i] == types.KindString && a.I[i] != b.I[i] {
+		if a.HasDict() && a.I[i] != b.I[i] {
 			return false
 		}
 	}
@@ -398,11 +398,63 @@ func intWidth(t *testing.T, page []byte, nrows int) int {
 	if err != nil || seg.enc != encInt {
 		t.Fatalf("not an int segment: %v", err)
 	}
-	body, err := decodeKindRuns(seg.data, nrows, nil, seg.allowed(), nil)
+	_, _, body, err := decodeKindRuns(seg.data, nrows, seg.allowed(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return int(body[8])
+}
+
+// setSecondValueRun rewrites the kind of the first value run that follows a
+// NULL run in the kind-run header at the start of seg: a column of two kinds.
+func setSecondValueRun(seg []byte, k types.Kind) {
+	nruns, pos := binary.Uvarint(seg)
+	null := false
+	for ; nruns > 0; nruns-- {
+		switch types.Kind(seg[pos]) {
+		case types.KindNull:
+			null = true
+		default:
+			if null {
+				seg[pos] = byte(k)
+				return
+			}
+		}
+		_, n := binary.Uvarint(seg[pos+1:])
+		pos += 1 + n
+	}
+	panic("no value run after a NULL run")
+}
+
+// twoKindPage is a one-column page of ints with a NULL run between two runs
+// of values, the second rewritten to dates, cut to the bytes the builder
+// wrote: a column of two kinds, which no builder writes.
+func twoKindPage() []byte {
+	b := newPageBuilder([]types.Kind{types.KindInt})
+	for i := 0; i < 30; i++ {
+		d := types.NewInt(int64(i))
+		if i >= 10 && i < 15 {
+			d = types.Null
+		}
+		b.admit(types.Row{d})
+	}
+	page := b.finish()[:len(b.buf)]
+	setSecondValueRun(page[segOffset(page, 0)+1:], types.KindDate)
+	return page
+}
+
+// TestTwoKindsInOneColumnRefused: a segment whose kind runs name two
+// non-NULL kinds — int and date share the int encoding — is a corrupt page:
+// a column holds one kind.
+func TestTwoKindsInOneColumnRefused(t *testing.T) {
+	b, err := DecodePageCols(twoKindPage(), 1)
+	if err == nil {
+		b.Release()
+		t.Fatal("a column of ints and dates decoded")
+	}
+	if !strings.Contains(err.Error(), "kind runs name int and date") {
+		t.Fatalf("err = %v, want the two kinds named", err)
+	}
 }
 
 // TestPageV2DictionaryInvariants checks the decoded shape the predicate
@@ -421,8 +473,8 @@ func TestPageV2DictionaryInvariants(t *testing.T) {
 	}
 	defer cb.Release()
 	v := cb.Col(0)
-	if !v.HasDict() || !v.AllStr() {
-		t.Fatalf("string column not dictionary-coded: dict=%d allStr=%v", len(v.Dict), v.AllStr())
+	if !v.HasDict() || v.Kind != types.KindString {
+		t.Fatalf("string column not dictionary-coded: dict=%d kind=%v", len(v.Dict), v.Kind)
 	}
 	if len(v.Dict) != 4 {
 		t.Fatalf("dictionary has %d entries, want 4 distinct", len(v.Dict))

@@ -75,9 +75,8 @@ func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
 // the fixed-width columns decoded so far. What it owns it gives back in Close,
 // at the batch's last Release:
 //
-//   - pages are arena pages holding the decoded encInt and encFloat columns —
-//     payload, and tags when the column has NULLs or several kinds —
-//     bump-allocated one after another; the batch's columns borrow them
+//   - pages are arena pages holding the decoded encInt and encFloat
+//     columns' payloads, bump-allocated one after another; the batch's columns borrow them
 //     (vec.Vec) and never outlive them;
 //   - lease is the source's own lease on the page bytes the segments read,
 //     taken at open while the frame was pinned: the batch outlives the
@@ -205,64 +204,59 @@ func openPage(page Lease, ncols int, decoded *atomic.Int64) (*vec.ColBatch, erro
 	return b, nil
 }
 
-// decodeKindRuns checks a column's kind/null run header and, when v is not
-// nil, applies it to v, an empty column; it returns the remaining bytes. Runs
-// must cover exactly nrows rows, and every run's kind must be in the allowed
+// decodeKindRuns checks a column's kind/null run header and returns the
+// column's kind, whether some run is NULL, and the bytes after the header.
+// Runs must cover exactly nrows rows, every run's kind must be in the allowed
 // set (a bit per Kind value) — the typed segment payloads only cover their own
-// value class, so a foreign kind in the header would break the Vec payload
-// invariant. A header of one run — the common case — gives v no tag array of
-// its own (vec.SetKindRun); several runs are written into tags borrowed from
-// src when it is not nil, else into an array of the recycler's.
-func decodeKindRuns(data []byte, nrows int, v *vec.Vec, allowed uint8, src *pageSource) ([]byte, error) {
+// value class — and the runs may name one non-NULL kind only: a column holds
+// one kind, so a header naming two is a corrupt page. The kind is KindNull
+// when every run is NULL. When null is not nil it is called with the rows
+// [lo, hi) of every NULL run.
+func decodeKindRuns(data []byte, nrows int, allowed uint8, null func(lo, hi int)) (types.Kind, bool, []byte, error) {
+	kind, nulls := types.KindNull, false
 	nruns, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, fmt.Errorf("bad kind-run count")
+		return kind, false, nil, fmt.Errorf("bad kind-run count")
 	}
 	data = data[n:]
-	var tags []types.Kind
-	if v != nil && nruns > 1 && src != nil {
-		tags = arena.As[types.Kind](src.alloc(nrows))
-	}
 	total := 0
 	for i := uint64(0); i < nruns; i++ {
 		if len(data) < 1 {
-			return nil, fmt.Errorf("truncated kind run")
+			return kind, false, nil, fmt.Errorf("truncated kind run")
 		}
 		k := types.Kind(data[0])
 		if k > types.KindBool || allowed&(1<<k) == 0 {
-			return nil, fmt.Errorf("kind %d not valid for this segment encoding", k)
+			return kind, false, nil, fmt.Errorf("kind %d not valid for this segment encoding", k)
 		}
 		data = data[1:]
 		cnt, n := binary.Uvarint(data)
 		if n <= 0 {
-			return nil, fmt.Errorf("bad kind-run length")
+			return kind, false, nil, fmt.Errorf("bad kind-run length")
 		}
 		data = data[n:]
 		if cnt > uint64(nrows) {
-			return nil, fmt.Errorf("kind run of %d rows, page has %d", cnt, nrows)
+			return kind, false, nil, fmt.Errorf("kind run of %d rows, page has %d", cnt, nrows)
 		}
 		if total += int(cnt); total > nrows {
-			return nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
+			return kind, false, nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
 		}
 		switch {
-		case v == nil:
-		case nruns == 1:
-			v.SetKindRun(k, int(cnt))
-		case tags != nil:
-			for i := total - int(cnt); i < total; i++ {
-				tags[i] = k
+		case k == types.KindNull:
+			nulls = true
+			if null != nil {
+				null(total-int(cnt), total)
 			}
-		default:
-			v.AppendKindRun(k, int(cnt))
+		case cnt == 0:
+		case kind == types.KindNull:
+			kind = k
+		case k != kind:
+			return kind, false, nil, fmt.Errorf("kind runs name %v and %v in one column", kind, k)
 		}
 	}
 	if total != nrows {
-		return nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
+		return kind, false, nil, fmt.Errorf("kind runs cover %d rows, page has %d", total, nrows)
 	}
-	if tags != nil {
-		v.BorrowKinds(tags[:nrows])
-	}
-	return data, nil
+	return kind, nulls, data, nil
 }
 
 // segment is one column segment of a page whose encoding tag checkSegment
@@ -299,7 +293,7 @@ func checkSegment(data []byte, nrows int) (segment, error) {
 	if s.enc < encInt || s.enc > encDict {
 		return s, fmt.Errorf("unknown segment encoding %d", s.enc)
 	}
-	body, err := decodeKindRuns(s.data, nrows, nil, s.allowed(), nil)
+	_, _, body, err := decodeKindRuns(s.data, nrows, s.allowed(), nil)
 	if err != nil {
 		return s, err
 	}
@@ -333,28 +327,29 @@ func checkSegment(data []byte, nrows int) (segment, error) {
 // decode decodes the segment into v, an empty column of a batch whose source
 // is src: the one decoder behind the first-touch and the open-time path. A
 // fixed-width segment decodes into pages of src that v borrows, the others
-// into arrays of the batch recycler. It must only be given a segment
-// checkSegment accepted, and then does not fail.
+// into arrays of the batch recycler; a column of NULLs decodes no payload,
+// and the NULL runs are marked last, zeroing the payload under them. It must
+// only be given a segment checkSegment accepted, and then does not fail.
 func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 	if !s.fixedWidth() || 8*nrows > PageSize {
 		src = nil // the column's arrays are the recycler's: only what fits a page borrows
 	}
-	data, err := decodeKindRuns(s.data, nrows, v, s.allowed(), src)
+	kind, nulls, data, err := decodeKindRuns(s.data, nrows, s.allowed(), nil)
 	if err != nil {
 		return err
 	}
-	switch s.enc {
-	case encInt:
+	v.SetRows(kind, nrows)
+	switch {
+	case kind == types.KindNull:
+	case s.enc == encInt:
 		min := int64(binary.LittleEndian.Uint64(data))
 		width := int(data[8])
 		unpackInts(src.ints(v, nrows), data[9:], min, width)
-		return nil
-	case encFloat:
+	case s.enc == encFloat:
 		vf := src.floats(v, nrows)
 		for i := range vf {
 			vf[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
-		return nil
 	default: // encDict
 		d, _ := parseDict(data, nrows) // checkSegment accepted it
 		// One copy of the whole dictionary region: entries become substrings
@@ -383,16 +378,18 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 				vi[i] = int64(binary.LittleEndian.Uint16(d.codes[2*i:]))
 			}
 		}
-		vs := v.BulkS(nrows)
-		for i, kd := range v.Kinds {
-			if kd != types.KindString {
-				vs[i] = ""
-				continue
-			}
-			vs[i] = dict[vi[i]]
+		if nulls { // a NULL row's code need not name an entry: 0 does
+			decodeKindRuns(s.data, nrows, s.allowed(), func(lo, hi int) { clear(vi[lo:hi]) })
 		}
-		return nil
+		vs := v.BulkS(nrows)
+		for i, c := range vi {
+			vs[i] = dict[c]
+		}
 	}
+	if nulls {
+		decodeKindRuns(s.data, nrows, s.allowed(), v.SetNulls)
+	}
+	return nil
 }
 
 // dictSeg is the body of a dictionary segment, after its kind runs.

@@ -6,9 +6,11 @@ import (
 	"repro/internal/vec"
 )
 
-// ScanGroup coordinates circular shared scans over one heap file — the
-// storage-layer sharing primitive of both QPipe and CJOIN ("both techniques
-// use shared scans", §1). A cursor attaching while other scans are active
+// ScanGroup coordinates circular shared scans over one heap file — QPipe's
+// storage-layer sharing primitive (the paper's "both techniques use shared
+// scans", §1: CJOIN shares its scan too, but its scanner runs one circular
+// scan of its own over HeapFile.PageCols and attaches no cursor here). A
+// cursor attaching while other scans are active
 // starts at the position of the most advanced active cursor, so trailing
 // cursors hit buffer-pool-resident pages and k concurrent scans cost roughly
 // one disk sweep instead of k.

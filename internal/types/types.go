@@ -49,6 +49,10 @@ func (k Kind) String() string {
 	}
 }
 
+// IntClass reports whether k's payload is the integer one: int, date and
+// bool.
+func (k Kind) IntClass() bool { return k == KindInt || k == KindDate || k == KindBool }
+
 // Datum is a single typed value. It is a small value type (no pointers except
 // the string header) so rows can be copied with copy() and compared without
 // allocation.
@@ -106,7 +110,7 @@ func (d Datum) Bool() bool { return d.K == KindBool && d.I != 0 }
 func (d Datum) Int() int64 { return d.I }
 
 // Float returns the value as float64, converting integers; useful for
-// aggregate arithmetic over mixed int/float columns.
+// aggregate arithmetic over int and float operands.
 func (d Datum) Float() float64 {
 	if d.K == KindFloat {
 		return d.F
@@ -253,8 +257,8 @@ func HashKeyString(s string) uint64 {
 // tracks it). Strings and non-integral floats fall back to the FNV path of
 // Hash. HashKey delegates to the per-payload HashKeyInt/HashKeyFloat so the
 // columnar kernels hashing raw payload arrays are bit-identical by
-// construction — uniform and mixed batches of one key column feed one group
-// table.
+// construction — the typed hash of a column batch and the hash of a key
+// datum meet in one group table.
 func (d Datum) HashKey() uint64 {
 	switch d.K {
 	case KindInt, KindDate, KindBool:

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/types"
 )
 
 // Payload arrays are recycled one by one, not as part of the batch that last
@@ -57,10 +55,10 @@ type park[T any] struct {
 }
 
 var (
-	kindPark  = park[types.Kind]{elem: 1}
 	intPark   = park[int64]{elem: 8}
 	floatPark = park[float64]{elem: 8}
 	strPark   = park[string]{elem: 16, wipe: true}
+	maskPark  = park[uint64]{elem: 8} // NULL masks
 
 	// bytesOut gauges the payload capacity held by the columns of checked-out
 	// batches; bytesParked what the parks hold for reuse.
@@ -139,21 +137,21 @@ type gcTick struct{ _ *int }
 func init() {
 	var onGC func(*gcTick)
 	onGC = func(t *gcTick) {
-		kindPark.age()
 		intPark.age()
 		floatPark.age()
 		strPark.age()
+		maskPark.age()
 		runtime.SetFinalizer(t, onGC)
 	}
 	runtime.SetFinalizer(&gcTick{}, onGC)
 }
 
 // extend returns s at length n for a caller about to write s[from:n]; rows
-// between the old length and from — the gap a mixed column leaves in a
-// payload it has not used for a while — are zeroed. When s is too short, a
-// pooled column swaps it for a recycled array big enough for n, for the rows
-// reserved in the column's tag array, and for twice what it had (so row-at-a-
-// time appends stay amortised); a free-standing column grows on the heap.
+// between the old length and from — the rows of a column of NULLs that takes
+// a kind, a mask's new words — are zeroed. When s is too short, a pooled
+// column swaps it for a recycled array big enough for n, for the rows
+// reserved for the column, and for twice what it had (so row-at-a-time
+// appends stay amortised); a free-standing column grows on the heap.
 func extend[T any](p *park[T], s []T, from, n, rows int, pooled bool) []T {
 	if n > cap(s) {
 		if pooled {

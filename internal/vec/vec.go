@@ -4,14 +4,16 @@
 // (expr.CompileVec), the storage layer's columnar page cache and the CJOIN
 // annotate/probe loops.
 //
-// A Vec is the struct-of-arrays form of a []types.Datum column: one kind tag
-// per row plus typed payload arrays that exist only for the kinds the column
-// actually holds. Homogeneous columns — the overwhelmingly common case — are
-// summarized by uniformity flags (AllInt, AllFloat, AllStr) so kernels can
-// run tight typed-slice loops and fall back to per-row Datum reconstruction
-// only on mixed or NULL-bearing columns. Integer-class kinds (int, date,
-// bool) share the int64 payload exactly as types.Datum does, so date
-// predicates vectorize as int64 range checks.
+// A Vec is one column of one kind, the storage contract of a schema column:
+// every row is NULL or of the column's Kind. It holds a row count, a NULL
+// mask (empty when no row is NULL) and the one payload array of its kind,
+// covering every row: I for int-class kinds (int, date, bool share the int64
+// payload exactly as types.Datum does, so date predicates vectorize as int64
+// range checks), F for floats, S for strings. A NULL row holds the zero value
+// there. Appending a non-NULL value of another kind panics, like releasing a
+// batch once too often: no table, expression or operator makes such a
+// column. So every kernel has one typed loop per kind, and drops a column's
+// NULL rows from its selection first (DropNulls) when the mask is not empty.
 //
 // Selection-vector convention: a selection is an ascending []int32 of row
 // indexes into the batch. Kernels take an input selection and write the
@@ -24,11 +26,11 @@
 // ColBatches are reference-counted: the storage layer caches one per
 // resident page frame (one ref), hands extra refs to readers
 // (HeapFile.PageCols), and the last Release empties the batch. What is
-// pooled is the parts, not the batch as it grew: every payload array goes
-// back to a recycler that files it by element type and size class
-// (recycle.go), the empty shell to a pool of shells, and the next use of
-// either — any width, any row count — takes arrays of exactly the classes it
-// fills. A column holds only the arrays its current use wrote, Get(ncols)
+// pooled is the parts, not the batch as it grew: every payload array and
+// NULL mask goes back to a recycler that files it by element type and size
+// class (recycle.go), the empty shell to a pool of shells, and the next use
+// of either — any width, any row count — takes arrays of exactly the classes
+// it fills. A column holds only the arrays its current use wrote, Get(ncols)
 // hides no columns behind the ones asked for, Reserve and AppendGather size
 // to the rows reserved for this use, and refilling the same shape allocates
 // nothing. ColBatch.Bytes is the footprint of one batch, PoolStats the
@@ -41,17 +43,14 @@
 // decode runs once, under the batch's lock.
 //
 // Not every array of a column is the column's own. The source may lend a
-// column its tags and payload (BorrowKinds, BorrowI, BorrowF): storage decodes
-// fixed-width page columns into memory it owns outside the recycler, and frees
-// it when the batch closes the source at its last Release — after the columns
-// are cleared, so nothing of the shell that goes back to the pool points
-// there. And a single-kind column has no tag array at all: Kinds is a prefix
-// of one read-only run per kind that the whole process shares (SetKindRun,
-// CheckKindRuns). Borrowed and shared arrays are never grown in place, never
-// handed to the recycler and not counted in PoolStats; a column that is
-// written (an append, SetNull) copies them first. The rule for readers is the
-// one that already held: a column's arrays are valid while a reference on its
-// batch is.
+// column its payload (BorrowI, BorrowF): storage decodes fixed-width page
+// columns into memory it owns outside the recycler, and frees it when the
+// batch closes the source at its last Release — after the columns are
+// cleared, so nothing of the shell that goes back to the pool points there.
+// Borrowed arrays are never grown in place, never handed to the recycler and
+// not counted in PoolStats; a column that is appended to copies them first.
+// The rule for readers is the one that already held: a column's arrays are
+// valid while a reference on its batch is.
 //
 // Strings are stored as Go string headers ([]string), not offsets into
 // recyclable buffers, so rows materialized from a batch stay valid after the
@@ -65,113 +64,126 @@ package vec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/types"
 )
 
-// Non-uniformity flags. A flag is set once some appended row is outside the
-// corresponding kind class; NULL sets all three. The zero value means "no
-// row has broken uniformity", so a zero Vec — a fresh make([]Vec, n) element
-// as much as a pooled one — is valid and takes the typed paths.
-const (
-	flagNonInt uint8 = 1 << iota // some row is not int-class (int, date, bool)
-	flagNonFloat
-	flagNonStr
-	flagMixed = flagNonInt | flagNonFloat | flagNonStr
-)
-
-// Vec is one typed column: per-row kind tags plus payload arrays allocated
-// lazily for the kinds the column holds. For row i, Kinds[i] selects the
-// payload: I[i] for int-class kinds, F[i] for floats, S[i] for strings,
-// nothing for NULL.
+// Vec is one typed column: NULL or Kind in every row. Row i is NULL when bit
+// i of the NULL mask is set; otherwise its value is I[i] for int-class kinds,
+// F[i] for floats and S[i] for strings.
 //
 // A Vec is a column of a pooled ColBatch, whose arrays come from and go back
-// to the recycler (recycle.go), or free-standing (a join's build arena, a
-// kernel's result vector), whose arrays live on the heap and are reused by
-// reset. Either may hold arrays that are not its own (ext): the tag array of a
-// single-kind column is a prefix of one read-only run the process shares, and
-// a fixed-width column decoded from a page borrows its tags and payload from
-// memory the batch's ColSource owns and frees when the batch is released. A
-// foreign array is never grown in place and never recycled; a column about to
-// be written copies it first.
+// to the recycler (recycle.go), or free-standing (a kernel's result vector),
+// whose arrays live on the heap and are reused by reset. A fixed-width column
+// decoded from a page borrows its payload (ext) from memory the batch's
+// ColSource owns and frees when the batch is released; a borrowed array is
+// never grown in place and never recycled, and a column about to be appended
+// to copies it first.
 type Vec struct {
-	Kinds []types.Kind
-	I     []int64
-	F     []float64
-	S     []string
+	// Kind is the column's one non-NULL kind: KindNull until it holds a
+	// non-NULL row, and then the payload the column keeps.
+	Kind types.Kind
+	I    []int64
+	F    []float64
+	S    []string
 
 	// Dict, when non-empty, marks a dictionary-coded string column (the
 	// on-disk page format decodes string columns this way): Dict is the
 	// page's sorted, duplicate-free dictionary, I[i] holds row i's code and
-	// S[i] == Dict[I[i]] for every string row. Because the dictionary is
-	// sorted, code order is string order, so predicate kernels translate a
-	// string constant to a code bound once per page and compare ints.
+	// S[i] == Dict[I[i]] for every non-NULL row (a NULL row has code 0).
+	// Because the dictionary is sorted, code order is string order, so
+	// predicate kernels translate a string constant to a code bound once per
+	// page and compare ints.
 	Dict []string
 
-	flags  uint8
-	ext    uint8 // which arrays are foreign (ext* bits)
-	pooled bool  // column of a pooled batch: its own arrays are the recycler's
+	n        int      // rows
+	nulls    []uint64 // bit i: row i is NULL; empty when no row is
+	reserved int      // rows ColBatch.Reserve made room for
+	ext      uint8    // which arrays are borrowed (ext* bits)
+	pooled   bool     // column of a pooled batch: its own arrays are the recycler's
 }
 
-// Foreign-array bits of Vec.ext.
+// Borrowed-array bits of Vec.ext.
 const (
-	extKindRun uint8 = 1 << iota // Kinds is a prefix of the shared run of its kind
-	extKinds                     // Kinds is borrowed from the batch's source
-	extI                         // I is borrowed
-	extF                         // F is borrowed
+	extI uint8 = 1 << iota // I is borrowed
+	extF                   // F is borrowed
 )
 
 // HasDict reports whether the column is dictionary-coded (codes in I, sorted
 // dictionary in Dict).
 func (v *Vec) HasDict() bool { return len(v.Dict) > 0 }
 
-// Len returns the number of rows appended.
-func (v *Vec) Len() int { return len(v.Kinds) }
+// Len returns the number of rows.
+func (v *Vec) Len() int { return v.n }
 
-// AllInt reports whether every row is integer-class (int, date or bool) —
-// the precondition for the int64 kernels. Implies no NULLs.
-func (v *Vec) AllInt() bool { return v.flags&flagNonInt == 0 }
+// HasNulls reports whether some row is NULL.
+func (v *Vec) HasNulls() bool { return len(v.nulls) != 0 }
 
-// AllFloat reports whether every row is a float. Implies no NULLs.
-func (v *Vec) AllFloat() bool { return v.flags&flagNonFloat == 0 }
+// IsNull reports whether row i is NULL.
+func (v *Vec) IsNull(i int) bool {
+	return len(v.nulls) != 0 && v.nulls[i>>6]>>(uint(i)&63)&1 != 0
+}
 
-// AllStr reports whether every row is a string. Implies no NULLs.
-func (v *Vec) AllStr() bool { return v.flags&flagNonStr == 0 }
+// DropNulls writes the rows of sel that are not NULL into out and returns
+// them, reading the mask a word at a time: the rows of a word with no NULL
+// bit are copied through. out may alias sel. Kernels call it only when
+// HasNulls.
+func (v *Vec) DropNulls(sel, out []int32) []int32 {
+	k := 0
+	for i := 0; i < len(sel); {
+		wi := sel[i] >> 6
+		j := i + 1
+		for j < len(sel) && sel[j]>>6 == wi {
+			j++
+		}
+		if w := v.nulls[wi]; w == 0 {
+			k += copy(out[k:], sel[i:j])
+		} else {
+			for _, r := range sel[i:j] {
+				out[k] = r
+				k += int(^w >> (uint(r) & 63) & 1)
+			}
+		}
+		i = j
+	}
+	return out[:k]
+}
 
-// reset empties a free-standing vector for reuse, retaining payload
-// capacity. Strings and dictionary entries are cleared so the vector does
-// not pin page data alive.
+// words is the number of mask words covering n rows.
+func words(n int) int { return (n + 63) >> 6 }
+
+// reset empties a free-standing vector for reuse, retaining array capacity.
+// Strings and dictionary entries are cleared so the vector does not pin page
+// data alive.
 func (v *Vec) reset() {
 	v.dropForeign()
-	v.Kinds = v.Kinds[:0]
+	v.Kind, v.n = types.KindNull, 0
 	v.I = v.I[:0]
 	v.F = v.F[:0]
 	clear(v.S)
 	v.S = v.S[:0]
 	clear(v.Dict)
 	v.Dict = v.Dict[:0]
-	v.flags = 0
+	v.nulls = v.nulls[:0]
 }
 
 // release hands a pooled column's arrays back to the recycler and leaves the
 // zero Vec.
 func (v *Vec) release() {
 	v.dropForeign()
-	kindPark.put(v.Kinds)
 	intPark.put(v.I)
 	floatPark.put(v.F)
 	strPark.put(v.S)
 	strPark.put(v.Dict)
+	maskPark.put(v.nulls)
 	*v = Vec{}
 }
 
 // dropForeign forgets the arrays that are not the column's own.
 func (v *Vec) dropForeign() {
-	if v.ext&(extKindRun|extKinds) != 0 {
-		v.Kinds = nil
-	}
 	if v.ext&extI != 0 {
 		v.I = nil
 	}
@@ -181,14 +193,11 @@ func (v *Vec) dropForeign() {
 	v.ext = 0
 }
 
-// own replaces every foreign array by a copy of the column's own: the slow
-// path of whatever is about to write the column.
+// own replaces every borrowed array by a copy of the column's own: the slow
+// path of whatever is about to append to the column.
 func (v *Vec) own() {
 	if v.ext == 0 {
 		return
-	}
-	if v.ext&(extKindRun|extKinds) != 0 {
-		v.Kinds = owned(&kindPark, v.Kinds, v.pooled)
 	}
 	if v.ext&extI != 0 {
 		v.I = owned(&intPark, v.I, v.pooled)
@@ -200,141 +209,148 @@ func (v *Vec) own() {
 }
 
 // bytes is the capacity-based footprint of the arrays the column holds, its
-// own and borrowed; the shared kind runs are nobody's.
+// own and borrowed.
 func (v *Vec) bytes() int64 {
-	n := intPark.elem*int64(cap(v.I)) + floatPark.elem*int64(cap(v.F)) +
-		strPark.elem*int64(cap(v.S)+cap(v.Dict))
-	if v.ext&extKindRun == 0 {
-		n += kindPark.elem * int64(cap(v.Kinds))
-	}
-	return n
+	return intPark.elem*int64(cap(v.I)) + floatPark.elem*int64(cap(v.F)) +
+		strPark.elem*int64(cap(v.S)+cap(v.Dict)) + maskPark.elem*int64(cap(v.nulls))
 }
 
-// room makes the tag array (roomK) or a payload array (roomI, roomF, roomS)
-// exactly n long with capacity for row n, so the append that follows stays in
-// place: the slow path of the per-row appends, which test for it inline. It
-// pads a payload the column has not used for a while (no-op on homogeneous
-// columns, where every payload write lands at the end of its array) and
-// grows a pooled column's payload to the rows its tag array has room for, so
-// a reserved batch never regrows a column.
-func (v *Vec) roomK(n int) {
-	v.own()
-	v.Kinds = extend(&kindPark, v.Kinds, n, n+1, 0, v.pooled)[:n]
-}
-
+// room makes a payload array (roomI, roomF, roomS) n long with capacity for
+// row n, so the append that follows stays in place: the slow path of the
+// per-row appends, which test for it inline. A pooled column's array grows
+// to the rows reserved for it, so a reserved batch never regrows a column.
 func (v *Vec) roomI(n int) {
 	v.own()
-	v.I = extend(&intPark, v.I, n, n+1, cap(v.Kinds), v.pooled)[:n]
+	v.I = extend(&intPark, v.I, n, n+1, v.reserved, v.pooled)[:n]
 }
 
 func (v *Vec) roomF(n int) {
 	v.own()
-	v.F = extend(&floatPark, v.F, n, n+1, cap(v.Kinds), v.pooled)[:n]
+	v.F = extend(&floatPark, v.F, n, n+1, v.reserved, v.pooled)[:n]
 }
 
 func (v *Vec) roomS(n int) {
-	v.S = extend(&strPark, v.S, n, n+1, cap(v.Kinds), v.pooled)[:n]
+	v.S = extend(&strPark, v.S, n, n+1, v.reserved, v.pooled)[:n]
 }
 
-// AppendDatum appends one value, routing the payload to its typed array and
-// updating the uniformity flags.
-func (v *Vec) AppendDatum(d types.Datum) {
-	i := len(v.Kinds)
-	if i == cap(v.Kinds) {
-		v.roomK(i)
+// adopt makes k, a non-NULL kind, the column's kind. A column of NULLs takes
+// it, its rows getting k's payload at the zero value; a column of another
+// kind refuses it.
+func (v *Vec) adopt(k types.Kind) {
+	if v.Kind == k {
+		return
 	}
-	v.Kinds = append(v.Kinds, d.K)
-	switch d.K {
-	case types.KindInt, types.KindDate, types.KindBool:
-		v.flags |= flagNonFloat | flagNonStr
-		if len(v.I) != i || i == cap(v.I) {
-			v.roomI(i)
-		}
-		v.I = append(v.I, d.I)
+	if v.Kind != types.KindNull {
+		panic(fmt.Sprintf("vec: a %v value appended to a %v column", k, v.Kind))
+	}
+	v.Kind = k
+	switch n := v.n; k {
 	case types.KindFloat:
-		v.flags |= flagNonInt | flagNonStr
-		if len(v.F) != i || i == cap(v.F) {
+		v.F = extend(&floatPark, v.F, n, n, v.reserved, v.pooled)
+	case types.KindString:
+		v.S = extend(&strPark, v.S, n, n, v.reserved, v.pooled)
+	default:
+		v.I = extend(&intPark, v.I, n, n, v.reserved, v.pooled)
+	}
+}
+
+// growNulls makes the NULL mask cover the column's rows.
+func (v *Vec) growNulls() {
+	if w := words(v.n); len(v.nulls) < w {
+		v.nulls = extend(&maskPark, v.nulls, w, w, words(v.reserved), v.pooled)
+	}
+}
+
+// AppendDatum appends one value, NULL or of the column's kind; a value of
+// another kind panics.
+func (v *Vec) AppendDatum(d types.Datum) {
+	if d.K == types.KindNull {
+		d = types.Null
+	} else {
+		v.adopt(d.K)
+	}
+	i := v.n
+	switch v.Kind {
+	case types.KindNull:
+	case types.KindFloat:
+		if i == cap(v.F) {
 			v.roomF(i)
 		}
 		v.F = append(v.F, d.F)
 	case types.KindString:
-		v.flags |= flagNonInt | flagNonFloat
-		if len(v.S) != i || i == cap(v.S) {
+		if i == cap(v.S) {
 			v.roomS(i)
 		}
 		v.S = append(v.S, d.S)
-	default: // NULL
-		v.flags = flagMixed
+	default:
+		if i == cap(v.I) {
+			v.roomI(i)
+		}
+		v.I = append(v.I, d.I)
+	}
+	v.n++
+	if d.K == types.KindNull {
+		v.SetNulls(i, i+1)
+	} else if len(v.nulls) != 0 {
+		v.growNulls()
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Bulk builders. The columnar page decoder fills vectors segment-at-a-time:
-// kind tags arrive as runs and payloads as whole typed arrays, so a page
-// decode is a handful of tight loops instead of per-datum appends.
+// the kind and NULL runs arrive in the segment header and payloads as whole
+// typed arrays, so a page decode is a handful of tight loops instead of
+// per-datum appends.
 
-// AppendKindRun appends n copies of kind k to the tag array, updating the
-// uniformity flags once for the whole run. Payload arrays are not touched;
-// the caller follows up with BulkI/BulkF/BulkS fills that cover every row.
-func (v *Vec) AppendKindRun(k types.Kind, n int) {
-	if n <= 0 {
+// SetRows makes v, an empty column, n rows of kind k (KindNull: n NULL rows
+// to mark with SetNulls) for a decoder to fill: k's payload through
+// BulkI/BulkF/BulkS or BorrowI/BorrowF, covering every row, then the NULL
+// runs through SetNulls.
+func (v *Vec) SetRows(k types.Kind, n int) { v.Kind, v.n = k, n }
+
+// SetNulls makes rows [lo, hi) NULL, zeroing their payload. It writes the
+// column in place, borrowed payload included: it is for whoever fills the
+// column (a decoder, a kernel's result vector), never for a reader.
+func (v *Vec) SetNulls(lo, hi int) {
+	if lo >= hi {
 		return
 	}
-	v.noteKind(k)
-	v.own()
-	n0 := len(v.Kinds)
-	v.Kinds = extend(&kindPark, v.Kinds, n0, n0+n, 0, v.pooled)
-	for i := n0; i < n0+n; i++ {
-		v.Kinds[i] = k
-	}
-}
-
-// noteKind folds one row's kind into the uniformity flags.
-func (v *Vec) noteKind(k types.Kind) {
-	switch k {
-	case types.KindInt, types.KindDate, types.KindBool:
-		v.flags |= flagNonFloat | flagNonStr
+	switch v.Kind {
+	case types.KindNull:
 	case types.KindFloat:
-		v.flags |= flagNonInt | flagNonStr
+		clear(v.F[lo:hi])
 	case types.KindString:
-		v.flags |= flagNonInt | flagNonFloat
-	default: // NULL
-		v.flags = flagMixed
+		clear(v.S[lo:hi])
+		if v.HasDict() {
+			clear(v.I[lo:hi])
+		}
+	default:
+		clear(v.I[lo:hi])
+	}
+	v.growNulls()
+	for lo < hi {
+		w := lo >> 6
+		end := min(hi, (w+1)<<6)
+		v.nulls[w] |= (^uint64(0) >> uint(64-(end-lo))) << (uint(lo) & 63)
+		lo = end
 	}
 }
 
-// SetKindRun tags every one of n rows of v, an empty column, with kind k
-// without giving the column a tag array of its own: Kinds becomes a prefix of
-// the run of k's that every single-kind column in the process shares. Nothing
-// may write through it (CheckKindRuns); a column that is appended to or has a
-// row set NULL copies its tags first. A column longer than the shared runs
-// gets its own array.
-func (v *Vec) SetKindRun(k types.Kind, n int) {
-	if n <= 0 {
-		return
+// OrNulls makes NULL every row of v that is NULL in src: the NULL rows of a
+// row-wise function of src.
+func (v *Vec) OrNulls(src *Vec) {
+	for wi, w := range src.nulls[:min(len(src.nulls), words(v.n))] {
+		for ; w != 0; w &= w - 1 {
+			if i := wi<<6 + bits.TrailingZeros64(w); i < v.n {
+				v.SetNulls(i, i+1)
+			}
+		}
 	}
-	if len(v.Kinds) != 0 || n > maxSharedSel || int(k) >= len(kindRuns) {
-		v.AppendKindRun(k, n)
-		return
-	}
-	v.noteKind(k)
-	v.Kinds = kindRuns[k]()[:n:n]
-	v.ext |= extKindRun
 }
 
-// BorrowKinds makes tags, which the caller has filled, the tag array of v, an
-// empty column, without copying. The array stays the lender's: the batch's
-// ColSource, which must keep it until the batch closes it.
-func (v *Vec) BorrowKinds(tags []types.Kind) {
-	for _, k := range tags {
-		v.noteKind(k)
-	}
-	v.Kinds = tags[:len(tags):len(tags)]
-	v.ext |= extKinds
-}
-
-// BorrowI makes p the int payload of v, on BorrowKinds's terms, and returns
-// it for the caller to fill.
+// BorrowI makes p the int payload of v, an empty column, without copying,
+// and returns it for the caller to fill. The array stays the lender's: the
+// batch's ColSource, which must keep it until the batch closes it.
 func (v *Vec) BorrowI(p []int64) []int64 {
 	v.I = p[:len(p):len(p)]
 	v.ext |= extI
@@ -349,8 +365,7 @@ func (v *Vec) BorrowF(p []float64) []float64 {
 }
 
 // BulkI resizes the int payload to n rows (reusing capacity) and returns it
-// for direct fills. Every row must be covered by the fill, so the Vec
-// invariant — the payload array for a row's kind covers its index — holds.
+// for direct fills. Every row must be covered by the fill.
 func (v *Vec) BulkI(n int) []int64 {
 	v.own()
 	v.I = sized(&intPark, v.I, n, v.pooled)
@@ -377,121 +392,127 @@ func (v *Vec) BulkDict(n int) []string {
 	return v.Dict
 }
 
-// ResetRun makes v a column of n rows all tagged with the numeric kind k,
+// ResetRun makes v a column of n rows of the numeric kind k and no NULLs,
 // reusing capacity, with the kind's payload array sized to n for direct fills
 // (contents unspecified until written) — the shape of a kernel's reusable
 // result vector. A fill need only cover the rows its consumer reads.
+// ResetRun(KindNull, 0) empties v for appends.
 func (v *Vec) ResetRun(k types.Kind, n int) {
 	v.reset()
-	v.AppendKindRun(k, n)
-	if k == types.KindFloat {
+	v.SetRows(k, n)
+	switch {
+	case k == types.KindFloat:
 		v.BulkF(n)
-	} else {
+	case k != types.KindNull:
 		v.BulkI(n)
 	}
 }
 
-// SetNull overwrites row i with NULL; the column stops being uniform.
-func (v *Vec) SetNull(i int) {
-	v.own()
-	v.Kinds[i] = types.KindNull
-	v.flags = flagMixed
-}
-
-// AppendFrom appends row i of src as the next row of v: a typed payload
-// copy with no Datum boxing, used by the CJOIN distributor to route fact
-// columns straight between batches. Dictionary coding does not propagate;
-// dictionary rows append as plain string rows (the string headers already
-// point into the source page's immutable buffer).
+// AppendFrom appends row i of src, a column of v's kind or NULLs, as the
+// next row of v: a typed payload copy with no Datum boxing, used by the CJOIN
+// distributor to route columns straight between batches. Dictionary coding
+// does not propagate; dictionary rows append as plain string rows (the string
+// headers already point into the source page's immutable buffer).
 func (v *Vec) AppendFrom(src *Vec, i int) {
-	k := src.Kinds[i]
-	n := len(v.Kinds)
-	if n == cap(v.Kinds) {
-		v.roomK(n)
+	if src.IsNull(i) {
+		v.AppendDatum(types.Null)
+		return
 	}
-	v.Kinds = append(v.Kinds, k)
-	switch k {
-	case types.KindInt, types.KindDate, types.KindBool:
-		v.flags |= flagNonFloat | flagNonStr
-		if len(v.I) != n || n == cap(v.I) {
-			v.roomI(n)
-		}
-		v.I = append(v.I, src.I[i])
+	v.adopt(src.Kind)
+	n := v.n
+	switch v.Kind {
 	case types.KindFloat:
-		v.flags |= flagNonInt | flagNonStr
-		if len(v.F) != n || n == cap(v.F) {
+		if n == cap(v.F) {
 			v.roomF(n)
 		}
 		v.F = append(v.F, src.F[i])
 	case types.KindString:
-		v.flags |= flagNonInt | flagNonFloat
-		if len(v.S) != n || n == cap(v.S) {
+		if n == cap(v.S) {
 			v.roomS(n)
 		}
 		v.S = append(v.S, src.S[i])
-	default: // NULL
-		v.flags = flagMixed
+	default:
+		if n == cap(v.I) {
+			v.roomI(n)
+		}
+		v.I = append(v.I, src.I[i])
+	}
+	v.n++
+	if len(v.nulls) != 0 {
+		v.growNulls()
 	}
 }
 
-// AppendGather appends rows idxs of src to v in order: the bulk form of
-// AppendFrom with the kind dispatch hoisted out of the loop. Homogeneous
-// source columns (the common case — a join's build arena or a scanned page
-// column) copy payloads in one tight typed loop; mixed or NULL-bearing
-// columns fall back to per-row AppendFrom. Dictionary coding does not
-// propagate, exactly as in AppendFrom.
+// AppendGather appends rows idxs of src, a column of v's kind or NULLs, to v
+// in order: the bulk form of AppendFrom, one typed payload loop for the
+// column's kind, and the NULL bits carried over only when src has any.
+// Dictionary coding does not propagate, exactly as in AppendFrom.
 //
-// Room for the whole gather is reserved once up front, and the payload array
-// is sized to the tag array's capacity, so a batch whose tags were reserved
-// for its final row count (ColBatch.Reserve) never regrows a column.
+// Room for the whole gather is reserved once up front, at least the rows the
+// column was reserved for (ColBatch.Reserve), so a batch reserved for its
+// final row count never regrows a column.
 func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 	if len(idxs) == 0 {
 		return
 	}
 	v.own()
-	n := len(v.Kinds)
+	if src.Kind != types.KindNull {
+		v.adopt(src.Kind)
+	}
+	n := v.n
 	end := n + len(idxs)
-	switch {
-	case src.AllInt():
-		v.flags |= flagNonFloat | flagNonStr
-		v.Kinds = extend(&kindPark, v.Kinds, n, end, 0, v.pooled)
-		v.I = extend(&intPark, v.I, n, end, cap(v.Kinds), v.pooled)
-		dk, di, sk, si := v.Kinds[n:], v.I[n:], src.Kinds, src.I
-		for j, r := range idxs {
-			dk[j] = sk[r] // int, date and bool share the payload, not the tag
-			di[j] = si[r]
+	from := n // a source of NULLs leaves zeroes from n to end
+	if src.Kind == types.KindNull {
+		from = end
+	}
+	switch v.Kind {
+	case types.KindNull:
+	case types.KindFloat:
+		v.F = extend(&floatPark, v.F, from, end, v.reserved, v.pooled)
+		if from == n {
+			df, sf := v.F[n:], src.F
+			for j, r := range idxs {
+				df[j] = sf[r]
+			}
 		}
-	case src.AllFloat():
-		v.flags |= flagNonInt | flagNonStr
-		v.Kinds = extend(&kindPark, v.Kinds, n, end, 0, v.pooled)
-		v.F = extend(&floatPark, v.F, n, end, cap(v.Kinds), v.pooled)
-		dk, df, sf := v.Kinds[n:], v.F[n:], src.F
-		for j, r := range idxs {
-			dk[j] = types.KindFloat
-			df[j] = sf[r]
-		}
-	case src.AllStr():
-		v.flags |= flagNonInt | flagNonFloat
-		v.Kinds = extend(&kindPark, v.Kinds, n, end, 0, v.pooled)
-		v.S = extend(&strPark, v.S, n, end, cap(v.Kinds), v.pooled)
-		dk, ds, ss := v.Kinds[n:], v.S[n:], src.S
-		for j, r := range idxs {
-			dk[j] = types.KindString
-			ds[j] = ss[r]
+	case types.KindString:
+		v.S = extend(&strPark, v.S, from, end, v.reserved, v.pooled)
+		if from == n {
+			ds, ss := v.S[n:], src.S
+			for j, r := range idxs {
+				ds[j] = ss[r]
+			}
 		}
 	default:
-		for _, r := range idxs {
-			v.AppendFrom(src, int(r))
+		v.I = extend(&intPark, v.I, from, end, v.reserved, v.pooled)
+		if from == n {
+			di, si := v.I[n:], src.I
+			for j, r := range idxs {
+				di[j] = si[r]
+			}
 		}
+	}
+	v.n = end
+	switch {
+	case src.HasNulls():
+		v.growNulls()
+		for j, r := range idxs {
+			if src.IsNull(int(r)) { // its payload is the zero value already
+				i := n + j
+				v.nulls[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+	case len(v.nulls) != 0:
+		v.growNulls()
 	}
 }
 
-// Datum reconstructs row i as a types.Datum. The payload array for the
-// row's kind is guaranteed to cover index i by construction.
+// Datum reconstructs row i as a types.Datum.
 func (v *Vec) Datum(i int) types.Datum {
-	switch k := v.Kinds[i]; k {
-	case types.KindNull:
+	if v.IsNull(i) {
 		return types.Null
+	}
+	switch k := v.Kind; k {
 	case types.KindFloat:
 		return types.Datum{K: k, F: v.F[i]}
 	case types.KindString:
@@ -683,15 +704,13 @@ func (b *ColBatch) decode(i int) {
 	b.mu.Unlock()
 }
 
-// Reserve makes room for n rows in every column's tag array. Appends and
-// gathers size a payload array to its tag array, so this one call sizes a
-// fresh output batch for its final row count whatever kinds arrive.
+// Reserve sizes every column for n rows: appends and gathers grow a payload
+// array or NULL mask to at least the rows reserved, so this one call sizes a
+// fresh output batch for its final row count whatever kind each column
+// turns out to hold.
 func (b *ColBatch) Reserve(n int) {
 	for i := range b.cols {
-		v := &b.cols[i]
-		v.own()
-		l := len(v.Kinds)
-		v.Kinds = extend(&kindPark, v.Kinds, l, max(l, n), 0, v.pooled)[:l]
+		b.cols[i].reserved = n
 	}
 }
 
@@ -773,35 +792,6 @@ func CheckIdentity() error {
 	for i, r := range sharedSel() {
 		if r != int32(i) {
 			return fmt.Errorf("vec: shared identity selection overwritten: sel[%d] = %d", i, r)
-		}
-	}
-	return nil
-}
-
-// kindRuns are the process's read-only runs of one kind each, maxSharedSel
-// long and built on first use: the tag arrays of single-kind columns.
-var kindRuns = func() (runs [types.KindBool + 1]func() []types.Kind) {
-	for k := range runs {
-		runs[k] = sync.OnceValue(func() []types.Kind {
-			run := make([]types.Kind, maxSharedSel)
-			for i := range run {
-				run[i] = types.Kind(k)
-			}
-			return run
-		})
-	}
-	return runs
-}()
-
-// CheckKindRuns verifies that nothing has written through the Kinds of a
-// single-kind column: every shared run must still hold its one kind. Test
-// batteries call it after driving the kernels.
-func CheckKindRuns() error {
-	for k, run := range kindRuns {
-		for i, got := range run() {
-			if got != types.Kind(k) {
-				return fmt.Errorf("vec: shared run of kind %v overwritten: tag[%d] = %v", types.Kind(k), i, got)
-			}
 		}
 	}
 	return nil

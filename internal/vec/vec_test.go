@@ -3,6 +3,7 @@ package vec
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,67 +12,123 @@ import (
 	"repro/internal/types"
 )
 
-// randDatum mixes every kind, NULL included.
-func randDatum(r *rand.Rand) types.Datum {
-	switch r.Intn(7) {
-	case 0:
-		return types.NewInt(r.Int63n(100) - 50)
-	case 1:
-		return types.NewFloat(r.Float64()*100 - 50)
-	case 2:
-		return types.NewString(string(rune('a' + r.Intn(26))))
-	case 3:
-		return types.NewDate(r.Int63n(20000))
-	case 4:
-		return types.NewBool(r.Intn(2) == 0)
-	case 5:
+// columnKinds are the kinds a column may declare.
+var columnKinds = []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindDate, types.KindBool}
+
+// randKind draws a column's kind.
+func randKind(r *rand.Rand) types.Kind { return columnKinds[r.Intn(len(columnKinds))] }
+
+// randDatum draws one row of a column of kind k: a value of k, or NULL.
+func randDatum(r *rand.Rand, k types.Kind) types.Datum {
+	if r.Intn(6) == 0 {
 		return types.Null
+	}
+	switch k {
+	case types.KindInt:
+		return types.NewInt(r.Int63n(100) - 50)
+	case types.KindFloat:
+		if r.Intn(2) == 0 {
+			return types.NewFloat(float64(r.Int63n(50))) // integral float
+		}
+		return types.NewFloat(r.Float64()*100 - 50)
+	case types.KindString:
+		return types.NewString(string(rune('a' + r.Intn(26))))
+	case types.KindDate:
+		return types.NewDate(r.Int63n(20000))
 	default:
-		return types.NewFloat(float64(r.Int63n(50))) // integral float
+		return types.NewBool(r.Intn(2) == 0)
 	}
 }
 
 // TestAppendDatumRoundTrip checks Vec's single storage contract: Datum(i)
-// returns exactly what AppendDatum stored, for homogeneous and mixed
-// columns alike.
+// returns exactly what AppendDatum stored, the column's kind is the one
+// non-NULL kind it was given (KindNull until then), and IsNull and
+// DropNulls name exactly the NULL rows.
 func TestAppendDatumRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		var v Vec // the zero value is a valid empty column
+		k := randKind(r)
 		n := 1 + r.Intn(200)
 		in := make([]types.Datum, n)
+		kind, nulls := types.KindNull, false
 		for i := range in {
-			in[i] = randDatum(r)
+			in[i] = randDatum(r, k)
+			if trial%5 == 0 && i < n/2 {
+				in[i] = types.Null // a run of NULLs before the first value
+			}
 			v.AppendDatum(in[i])
-		}
-		for i, want := range in {
-			if got := v.Datum(i); !got.Equal(want) || got.K != want.K {
-				t.Fatalf("trial %d: Datum(%d) = %v (%v), want %v (%v)", trial, i, got, got.K, want, want.K)
+			if in[i].IsNull() {
+				nulls = true
+			} else {
+				kind = k
+			}
+			if v.Kind != kind || v.HasNulls() != nulls {
+				t.Fatalf("trial %d row %d: kind %v, nulls %v; want %v, %v", trial, i, v.Kind, v.HasNulls(), kind, nulls)
 			}
 		}
-		allInt, allFloat, allStr := true, true, true
-		for _, d := range in {
-			if d.K != types.KindInt && d.K != types.KindDate && d.K != types.KindBool {
-				allInt = false
-			}
-			if d.K != types.KindFloat {
-				allFloat = false
-			}
-			if d.K != types.KindString {
-				allStr = false
+		sel := make([]int32, 0, n)
+		for i := 0; i < n; i += 1 + r.Intn(3) {
+			sel = append(sel, int32(i))
+		}
+		var want []int32
+		for i, d := range in {
+			if got := v.Datum(i); !got.Equal(d) || got.K != d.K || v.IsNull(i) != d.IsNull() {
+				t.Fatalf("trial %d: Datum(%d) = %v (%v), want %v (%v)", trial, i, got, got.K, d, d.K)
 			}
 		}
-		if v.AllInt() != allInt || v.AllFloat() != allFloat || v.AllStr() != allStr {
-			t.Fatalf("trial %d: flags (%v,%v,%v), want (%v,%v,%v)",
-				trial, v.AllInt(), v.AllFloat(), v.AllStr(), allInt, allFloat, allStr)
+		for _, i := range sel {
+			if !in[i].IsNull() {
+				want = append(want, i)
+			}
+		}
+		if nulls {
+			got := v.DropNulls(sel, sel) // in place
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: DropNulls kept %v, want %v", trial, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: DropNulls kept %v, want %v", trial, got, want)
+				}
+			}
 		}
 	}
 }
 
+// TestSecondKindPanics: a column holds one non-NULL kind. Appending a value
+// of another kind panics and names both — date is not int, though they share
+// the payload — whether the column took its kind from a value, after NULLs,
+// or from a gathered column; FromRows follows the same rule.
+func TestSecondKindPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "date") || !strings.Contains(msg, "int") {
+				t.Errorf("%s: panic %q, want one naming date and int", name, msg)
+			}
+		}()
+		f()
+	}
+	var v Vec
+	v.AppendDatum(types.Null)
+	v.AppendDatum(types.NewInt(1))
+	v.AppendDatum(types.Null) // NULL fits any column
+	mustPanic("AppendDatum", func() { v.AppendDatum(types.NewDate(1)) })
+	var dates Vec
+	dates.AppendDatum(types.NewDate(3))
+	mustPanic("AppendFrom", func() { v.AppendFrom(&dates, 0) })
+	mustPanic("AppendGather", func() { v.AppendGather(&dates, []int32{0}) })
+	mustPanic("FromRows", func() {
+		FromRows(1, []types.Row{{types.NewInt(1)}, {types.Null}, {types.NewDate(2)}})
+	})
+}
+
 // TestAppendGatherMatchesAppendFrom checks the bulk gather against the
-// per-row form over homogeneous and mixed sources, into fresh and non-empty
-// destinations, and that a batch reserved for its final row count is filled
-// without regrowing a column.
+// per-row form over every kind of source, with and without NULLs and of
+// NULLs only, into a destination whose first row is NULL, and that a batch
+// reserved for its final row count is filled without regrowing a column.
 func TestAppendGatherMatchesAppendFrom(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	srcs := map[string]func(i int) types.Datum{
@@ -79,7 +136,8 @@ func TestAppendGatherMatchesAppendFrom(t *testing.T) {
 		"date":  func(i int) types.Datum { return types.NewDate(int64(i)) },
 		"float": func(i int) types.Datum { return types.NewFloat(float64(i) / 2) },
 		"str":   func(i int) types.Datum { return types.NewString(string(rune('a' + i%26))) },
-		"mixed": func(int) types.Datum { return randDatum(r) },
+		"nulls": func(int) types.Datum { return randDatum(r, types.KindFloat) },
+		"null":  func(int) types.Datum { return types.Null },
 	}
 	for name, gen := range srcs {
 		var src Vec
@@ -96,16 +154,16 @@ func TestAppendGatherMatchesAppendFrom(t *testing.T) {
 		got.AppendDatum(types.Null) // a non-empty, NULL-bearing destination
 		want.AppendDatum(types.Null)
 		got.AppendGather(&src, idxs[:100])
-		capK, capI, capF, capS := cap(got.Kinds), cap(got.I), cap(got.F), cap(got.S)
+		capI, capF, capS, capN := cap(got.I), cap(got.F), cap(got.S), cap(got.nulls)
 		got.AppendGather(&src, idxs[100:])
-		if name != "mixed" && (cap(got.Kinds) != capK || cap(got.I) != capI || cap(got.F) != capF || cap(got.S) != capS) {
+		if cap(got.I) != capI || cap(got.F) != capF || cap(got.S) != capS || cap(got.nulls) != capN {
 			t.Errorf("%s: a reserved column regrew during the gather", name)
 		}
 		for _, i := range idxs {
 			want.AppendFrom(&src, int(i))
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: gathered %d rows, want %d", name, got.Len(), want.Len())
+		if got.Len() != want.Len() || got.Kind != src.Kind || want.Kind != src.Kind {
+			t.Fatalf("%s: gathered %d rows of %v, want %d of %v", name, got.Len(), got.Kind, want.Len(), src.Kind)
 		}
 		for i := 0; i < want.Len(); i++ {
 			if g, w := got.Datum(i), want.Datum(i); g.K != w.K || !g.Equal(w) {
@@ -114,6 +172,39 @@ func TestAppendGatherMatchesAppendFrom(t *testing.T) {
 		}
 		b.Seal(got.Len())
 		b.Release()
+	}
+}
+
+// TestSetNullsAndOrNulls: SetNulls marks exactly its rows NULL across word
+// boundaries and zeroes their payload; OrNulls carries a column's NULL rows
+// over to a row-wise result, shorter or longer than it.
+func TestSetNullsAndOrNulls(t *testing.T) {
+	var v Vec
+	v.ResetRun(types.KindInt, 200)
+	for i := range v.I {
+		v.I[i] = int64(i) + 1
+	}
+	v.SetNulls(60, 130)
+	v.SetNulls(199, 200)
+	for i := 0; i < 200; i++ {
+		null := (i >= 60 && i < 130) || i == 199
+		if v.IsNull(i) != null || (v.I[i] == 0) != null {
+			t.Fatalf("row %d: null %v, payload %d", i, v.IsNull(i), v.I[i])
+		}
+	}
+	var w Vec
+	w.ResetRun(types.KindFloat, 150)
+	w.OrNulls(&v)
+	for i := 0; i < 150; i++ {
+		if w.IsNull(i) != v.IsNull(i) {
+			t.Fatalf("OrNulls: row %d null %v, want %v", i, w.IsNull(i), v.IsNull(i))
+		}
+	}
+	var u Vec
+	u.ResetRun(types.KindInt, 300)
+	u.OrNulls(&v)
+	if !u.IsNull(199) || u.IsNull(200) || u.IsNull(299) {
+		t.Fatal("OrNulls from a shorter column")
 	}
 }
 
@@ -239,18 +330,18 @@ func fillShape(b *ColBatch, rows int, kinds []types.Kind, gather bool, r *rand.R
 			switch k {
 			case types.KindString:
 				src.AppendDatum(types.NewString("s"))
-				filled += int64(rows) * (1 + 16)
+				filled += int64(rows) * 16
 			case types.KindFloat:
 				src.AppendDatum(types.NewFloat(1.5))
-				filled += int64(rows) * (1 + 8)
+				filled += int64(rows) * 8
 			default:
 				src.AppendDatum(types.NewInt(7))
-				filled += int64(rows) * (1 + 8)
+				filled += int64(rows) * 8
 			}
 			v.AppendGather(&src, idxs)
 		case k == types.KindString:
 			ndict := 1 + r.Intn(40)
-			v.AppendKindRun(k, rows)
+			v.SetRows(k, rows)
 			dict, codes, strs := v.BulkDict(ndict), v.BulkI(rows), v.BulkS(rows)
 			for i := range dict {
 				dict[i] = string(rune('a' + i))
@@ -259,15 +350,15 @@ func fillShape(b *ColBatch, rows int, kinds []types.Kind, gather bool, r *rand.R
 				codes[i] = int64(i % ndict)
 				strs[i] = dict[i%ndict]
 			}
-			filled += int64(rows)*(1+8+16) + int64(ndict)*16
+			filled += int64(rows)*(8+16) + int64(ndict)*16
 		case k == types.KindFloat:
-			v.AppendKindRun(k, rows)
+			v.SetRows(k, rows)
 			clear(v.BulkF(rows))
-			filled += int64(rows) * (1 + 8)
+			filled += int64(rows) * 8
 		default:
-			v.AppendKindRun(k, rows)
+			v.SetRows(k, rows)
 			clear(v.BulkI(rows))
-			filled += int64(rows) * (1 + 8)
+			filled += int64(rows) * 8
 		}
 	}
 	b.Seal(rows)
@@ -290,7 +381,7 @@ func TestColBatchRecycleKeepsShape(t *testing.T) {
 	page.Release()
 	out := Get(4)
 	fillShape(out, 1024, int4, true, r)
-	if got, limit := out.Bytes(), int64(1.25*1024*(8+1)*4); got > limit {
+	if got, limit := out.Bytes(), int64(1.25*1024*8*4); got > limit {
 		t.Errorf("1 024-row 4-int join output after a 3 000-row string page holds %d bytes, want <= %d", got, limit)
 	}
 	out.Release()
@@ -406,7 +497,7 @@ func TestAllSelSharedAndWriteCaught(t *testing.T) {
 	// Above the shared length a batch gets a private selection.
 	big := Get(1)
 	defer big.Release()
-	big.Col(0).AppendKindRun(types.KindInt, maxSharedSel+5)
+	big.Col(0).SetRows(types.KindInt, maxSharedSel+5)
 	big.Col(0).BulkI(maxSharedSel + 5)
 	big.Seal(maxSharedSel + 5)
 	if s := big.AllSel(); len(s) != maxSharedSel+5 || s[maxSharedSel+4] != maxSharedSel+4 {
@@ -423,7 +514,7 @@ type countingSource struct {
 
 func (s *countingSource) DecodeCol(i int, v *Vec) {
 	s.decodes[i].Add(1)
-	v.AppendKindRun(types.KindInt, s.n)
+	v.SetRows(types.KindInt, s.n)
 	for j, vi := 0, v.BulkI(s.n); j < s.n; j++ {
 		vi[j] = int64(i)
 	}
@@ -441,11 +532,11 @@ func TestFirstTouchDecodesOncePerColumn(t *testing.T) {
 	src := &countingSource{n: rows}
 	b := Get(8)
 	for _, c := range []int{0, 7} { // eager columns
-		b.Col(c).AppendKindRun(types.KindInt, rows)
+		b.Col(c).SetRows(types.KindInt, rows)
 		clear(b.Col(c).BulkI(rows))
 	}
 	b.SealSource(rows, src, 0b0111_1110)
-	if got := b.Bytes(); got > 2*1.125*rows*9 {
+	if got := b.Bytes(); got > 2*1.125*rows*8 {
 		t.Fatalf("batch with two decoded columns holds %d bytes", got)
 	}
 	var wg sync.WaitGroup
@@ -494,81 +585,13 @@ func TestFirstTouchDecodesOncePerColumn(t *testing.T) {
 	}
 }
 
-// TestKindRunSharedAndWriteCaught: single-kind columns share one read-only
-// run of their kind, cut so that an append cannot reach the rest of it; a
-// column that is written copies its tags first; the recycler neither counts
-// nor parks the shared run; and a kernel that writes through Kinds of such a
-// column is caught by CheckKindRuns.
-func TestKindRunSharedAndWriteCaught(t *testing.T) {
-	base := PoolStats()
-	a, b := Get(1), Get(1)
-	a.Col(0).SetKindRun(types.KindDate, 1000)
-	b.Col(0).SetKindRun(types.KindDate, 40)
-	ka, kb := a.Col(0).Kinds, b.Col(0).Kinds
-	if len(ka) != 1000 || cap(ka) != 1000 || len(kb) != 40 || &ka[0] != &kb[0] || ka[999] != types.KindDate {
-		t.Fatalf("kind runs: len/cap %d/%d and %d/%d, shared=%v", len(ka), cap(ka), len(kb), cap(kb), &ka[0] == &kb[0])
-	}
-	if !a.Col(0).AllInt() || a.Col(0).AllFloat() {
-		t.Fatal("uniformity flags not set by SetKindRun")
-	}
-	if got := PoolStats().BytesOut; got != base.BytesOut {
-		t.Fatalf("shared runs counted as %d recycler bytes", got-base.BytesOut)
-	}
-	if got := a.Col(0).bytes(); got != 0 {
-		t.Fatalf("a column holding only the shared run reports %d bytes", got)
-	}
-	for i, vi := 0, a.Col(0).BulkI(1000); i < 1000; i++ {
-		vi[i] = int64(i)
-	}
-	a.Seal(1000)
-
-	// Writers copy first.
-	b.Col(0).AppendDatum(types.NewDate(7))
-	if k := b.Col(0).Kinds; len(k) != 41 || &k[0] == &kb[0] || k[40] != types.KindDate {
-		t.Fatal("append to a shared-run column did not copy its tags")
-	}
-	c := Get(1)
-	c.Col(0).SetKindRun(types.KindInt, 8)
-	c.Col(0).SetNull(2)
-	if c.Col(0).Kinds[2] != types.KindNull || c.Col(0).Kinds[3] != types.KindInt || c.Col(0).AllInt() {
-		t.Fatal("SetNull on a shared-run column")
-	}
-	if err := CheckKindRuns(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A kernel writing through the tags of a sealed column is a bug.
-	ka[5] = types.KindNull
-	if CheckKindRuns() == nil {
-		t.Error("CheckKindRuns missed a write through a shared run")
-	}
-	ka[5] = types.KindDate // repair for the rest of the process
-	if err := CheckKindRuns(); err != nil {
-		t.Fatal(err)
-	}
-
-	a.Release()
-	b.Release()
-	c.Release()
-	if got := PoolStats(); got.BytesOut != base.BytesOut || got.BatchesOut != base.BatchesOut {
-		t.Fatalf("after the releases: %+v, baseline %+v", got, base)
-	}
-	// The run was not parked: the next column of that class gets its own array.
-	d := Get(1)
-	defer d.Release()
-	d.Col(0).AppendKindRun(types.KindDate, 1000)
-	if &d.Col(0).Kinds[0] == &ka[0] {
-		t.Fatal("the shared run came back out of the recycler")
-	}
-}
-
 // TestPutIgnoresForeignArrays: an array that is not cut to a class is none
 // that take handed out; put neither parks it nor subtracts it from the bytes
 // counted out.
 func TestPutIgnoresForeignArrays(t *testing.T) {
 	base := PoolStats()
 	intPark.put(make([]int64, 100))
-	kindPark.put(make([]types.Kind, 1000)[:10:999])
+	maskPark.put(make([]uint64, 1000)[:10:999])
 	if got := PoolStats(); got.BytesOut != base.BytesOut || got.BytesParked != base.BytesParked {
 		t.Fatalf("put of a non-class array moved the gauges: %+v, baseline %+v", got, base)
 	}
