@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,4 +313,80 @@ func TestAdmissionEvaluatesOncePerQuery(t *testing.T) {
 				st.SlotHighWater, st.PanicFailures)
 		}
 	})
+}
+
+// TestAdmissionAllocatesEntryBitsOnly pins what a query's admission
+// allocates: its subscription and, per dimension it filters, one Select —
+// a Keep of a bit per entry and the kernel's scratch. CJOIN scatters a Keep
+// entry by entry into its own bitmaps and never probes the index under it,
+// so the Keep carries no bitset by key offset. Over a date dimension of
+// yyyymmdd keys (2 557 entries spanning 61 130 key values, a direct index)
+// that bitset alone would be 7.6 KB an admission.
+func TestAdmissionAllocatesEntryBitsOnly(t *testing.T) {
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
+	date, err := cat.CreateTable("date", types.NewSchema(
+		types.Column{Name: "d_datekey", Kind: types.KindInt},
+		types.Column{Name: "d_year", Kind: types.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
+	var keys []int64
+	for ; day.Year() < 1999; day = day.AddDate(0, 0, 1) {
+		key := int64(day.Year()*10000 + int(day.Month())*100 + day.Day())
+		keys = append(keys, key)
+		if err := date.File.Append(types.Row{types.NewInt(key), types.NewInt(int64(day.Year()))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, err := cat.CreateTable("lo", types.NewSchema(types.Column{Name: "lo_datekey", Kind: types.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := lo.File.Append(types.Row{types.NewInt(keys[i%len(keys)])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tbl := range []*storage.Table{date, lo} {
+		if err := tbl.File.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op, err := NewOperator(lo, []DimSpec{{Table: date, FactKeyCol: 0, DimKeyCol: 0}}, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	q := &plan.StarQuery{Fact: lo, FactCols: []int{0}, Dims: []plan.DimJoin{{
+		Table: date, FactKeyCol: 0, DimKeyCol: 0,
+		Pred: expr.NewCmp(expr.EQ, expr.C(1, "d_year"), expr.Int(1994)),
+	}}}
+	admit := func() {
+		sub, err := op.newSubscription(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range op.tables {
+			op.selectDim(sub, tab)
+		}
+		if sub.dimKeep[0] == nil {
+			t.Fatal("no Keep for the filtered dimension")
+		}
+	}
+	admit()
+	const n = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		admit()
+	}
+	runtime.ReadMemStats(&m1)
+	perAdmission := (m1.TotalAlloc - m0.TotalAlloc) / n
+	t.Logf("an admission allocates %d bytes", perAdmission)
+	if perAdmission > 6<<10 {
+		t.Errorf("an admission allocates %d bytes, want at most 6 KiB: a Keep of %d entry bits and no key bitset",
+			perAdmission, len(keys))
+	}
 }

@@ -61,7 +61,7 @@ func TestBlastRadiusOnlyCoveringQueriesFail(t *testing.T) {
 			buf := bytes.Clone(l.Page)
 			l.Release()
 			buf[0], buf[1] = 0, 0
-			if err := fd.WritePage(f, page, buf); err != nil {
+			if err := fd.WritePage(f, page, func(p []byte) { copy(p, buf) }); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -335,9 +335,9 @@ func (t *Table) probeDirect(ki []int64, sel []int32, k *Keep, ml, me []int32) ([
 
 // Keep is a selection of a sealed table's entries: the ones a probe under
 // it returns, as one query's predicate over a shared index picks them. It
-// is a bitset by entry, and for a direct index whose keys are distinct also
-// one by key offset, which the integer probe tests before it loads the
-// entry.
+// is a bitset by entry and, once ProbeKeys added it, for a direct index
+// whose keys are distinct also one by key offset, which the integer probe
+// tests before it loads the entry.
 type Keep struct {
 	t   *Table
 	ent []uint64 // bit e: entry e is kept
@@ -346,11 +346,23 @@ type Keep struct {
 
 // NewKeep returns a selection of none of t's entries. Valid after Seal.
 func (t *Table) NewKeep() *Keep {
-	k := &Keep{t: t, ent: make([]uint64, (t.n+63)/64)}
-	if t.direct != nil && t.dup < 0 {
-		k.key = make([]uint64, (len(t.direct)+63)/64)
+	return &Keep{t: t, ent: make([]uint64, (t.n+63)/64)}
+}
+
+// ProbeKeys adds the bitset by key offset to a Keep of a direct index whose
+// keys are distinct, for a Keep that ProbeKept is to read; a Keep read
+// entry by entry (Each) needs none. A no-op on a nil Keep and on other
+// indexes. Entries added later are added to both bitsets.
+func (k *Keep) ProbeKeys() {
+	if k == nil || k.key != nil || k.t.direct == nil || k.t.dup >= 0 {
+		return
 	}
-	return k
+	k.key = make([]uint64, (len(k.t.direct)+63)/64)
+	keys, lo := k.t.kv.I, k.t.lo
+	k.t.Each(k, func(e int32) {
+		d := uint64(keys[e] - lo)
+		k.key[d>>6] |= 1 << (d & 63)
+	})
 }
 
 // Add keeps entries es.

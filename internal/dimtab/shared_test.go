@@ -36,20 +36,9 @@ func TestProbeKeptMatchesFilteredProbe(t *testing.T) {
 		if distinct := ks.key == nil; distinct != (tab.Dup() < 0) {
 			t.Fatalf("%s: Dup = %d", ks.name, tab.Dup())
 		}
-		for _, share := range []int{0, 3, 10} { // of 10 entries kept
-			k := tab.NewKeep()
-			if got := k.key != nil; got != (ks.key == nil) {
-				t.Fatalf("%s: key bitset = %v, want %v", ks.name, got, ks.key == nil)
-			}
-			kept := make(map[int32]bool)
-			var es []int32
-			for e := int32(0); e < int32(tab.Len()); e++ {
-				if r.Intn(10) < share {
-					es = append(es, e)
-					kept[e] = true
-				}
-			}
-			k.Add(es)
+		// check holds ProbeKept under k to Probe filtered by kept.
+		check := func(k *Keep, kept map[int32]bool, share int) {
+			t.Helper()
 			for _, pc := range probes {
 				all := rows(pc.Len())
 				ml, me := tab.Probe(pc, all, nil, nil)
@@ -61,9 +50,40 @@ func TestProbeKeptMatchesFilteredProbe(t *testing.T) {
 				}
 				gotL, gotE := tab.ProbeKept(pc, all, k, nil, nil)
 				if !slices.Equal(gotL, wantL) || !slices.Equal(gotE, wantE) {
-					t.Fatalf("%s, %d/10 kept: ProbeKept returned %d pairs, the filtered Probe %d", ks.name, share, len(gotL), len(wantL))
+					t.Fatalf("%s, %d/10 kept, key bitset %v: ProbeKept returned %d pairs, the filtered Probe %d",
+						ks.name, share, k.key != nil, len(gotL), len(wantL))
 				}
 			}
+		}
+		for _, share := range []int{0, 3, 10} { // of 10 entries kept
+			k := tab.NewKeep()
+			if k.key != nil {
+				t.Fatalf("%s: a new Keep has a key bitset", ks.name)
+			}
+			kept := make(map[int32]bool)
+			var es []int32
+			for e := int32(0); e < int32(tab.Len()); e++ {
+				if r.Intn(10) < share {
+					es = append(es, e)
+				}
+			}
+			// Half the entries before ProbeKeys, half after: the key
+			// bitset covers both.
+			half := len(es) / 2
+			k.Add(es[:half])
+			for _, e := range es[:half] {
+				kept[e] = true
+			}
+			check(k, kept, share)
+			k.ProbeKeys()
+			if got := k.key != nil; got != (ks.key == nil) {
+				t.Fatalf("%s: key bitset after ProbeKeys = %v, want %v", ks.name, got, ks.key == nil)
+			}
+			k.Add(es[half:])
+			for _, e := range es[half:] {
+				kept[e] = true
+			}
+			check(k, kept, share)
 		}
 		tab.Release()
 	}

@@ -259,6 +259,7 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left Reader, 
 		pred = expr.CompileVec(expr.NewAnd(preds...))
 	}
 	keep, kept := tab.Select(pred) // kept: entries a probe can return
+	keep.ProbeKeys()
 	st.addBusy(time.Since(t0))
 	rvecs := make([]*vec.Vec, len(n.RightOut)) // RightOut's columns of the entry batch
 	for i, c := range n.RightOut {

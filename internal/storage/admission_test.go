@@ -75,11 +75,11 @@ func (c *refCol) bound(n int) int {
 	seg := 0
 	switch {
 	case c.ints():
-		seg = 1 + runs + 8 + 1 + n*forWidth(uint64(c.maxI)-uint64(c.minI))
+		seg = 1 + runs + 8 + 1 + (n*refBits(uint64(c.maxI)-uint64(c.minI))+7)/8
 	case c.floats():
 		seg = 1 + runs + 8*n
 	default: // strings
-		seg = 1 + runs + 3 + 3 + c.dictBytes + 1 + n*dictCodeWidth(len(c.strs))
+		seg = 1 + runs + 3 + 3 + c.dictBytes + 1 + (n*refBits(uint64(max(len(c.strs), 1)-1))+7)/8
 	}
 	zone := 1
 	if c.ints() {
@@ -89,6 +89,32 @@ func (c *refCol) bound(n int) int {
 		zone += 2 * (3 + c.maxStrLen)
 	}
 	return seg + zone
+}
+
+// refBits is the number of bits the reference packs a value of at most v
+// in: the position of v's highest set bit, counted one bit at a time.
+func refBits(v uint64) int {
+	n := 0
+	for ; v > 0; v >>= 1 {
+		n++
+	}
+	return n
+}
+
+// refPack appends the values vals packed at width bits each, set one bit
+// at a time: value i's bit k is bit i×width+k of the payload, least
+// significant first.
+func refPack(buf []byte, vals []uint64, width int) []byte {
+	out := make([]byte, (len(vals)*width+7)/8)
+	for i, v := range vals {
+		for k := 0; k < width; k++ {
+			if v>>k&1 != 0 {
+				at := i*width + k
+				out[at/8] |= 1 << (at % 8)
+			}
+		}
+	}
+	return append(buf, out...)
 }
 
 // refPage is the reference's page: the staged rows and their column facts.
@@ -168,28 +194,23 @@ func (p *refPage) page() []byte {
 			}
 			return buf
 		}
-		putWidth := func(buf []byte, v uint64, width int) []byte {
-			var w [8]byte
-			binary.LittleEndian.PutUint64(w[:], v)
-			return append(buf, w[:width]...)
-		}
 		switch {
 		case c.ints():
 			var lo, hi int64
 			if !c.allNull() {
 				lo, hi = c.minI, c.maxI
 			}
-			width := forWidth(uint64(hi) - uint64(lo))
+			width := refBits(uint64(hi) - uint64(lo))
 			buf = runs(append(buf, encInt))
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(lo))
 			buf = append(buf, byte(width))
-			for _, d := range col {
-				var delta uint64
+			deltas := make([]uint64, len(col))
+			for j, d := range col {
 				if d.K != types.KindNull {
-					delta = uint64(d.I) - uint64(lo)
+					deltas[j] = uint64(d.I) - uint64(lo)
 				}
-				buf = putWidth(buf, delta, width)
 			}
+			buf = refPack(buf, deltas, width)
 		case c.floats():
 			buf = runs(append(buf, encFloat))
 			for _, d := range col {
@@ -205,15 +226,15 @@ func (p *refPage) page() []byte {
 				buf = binary.AppendUvarint(buf, uint64(len(s)))
 				buf = append(buf, s...)
 			}
-			width := dictCodeWidth(len(sorted[i]))
+			width := refBits(uint64(max(len(sorted[i]), 1) - 1))
 			buf = append(buf, byte(width))
-			for _, d := range col {
-				var k int
+			codes := make([]uint64, len(col))
+			for j, d := range col {
 				if d.K == types.KindString {
-					k = code[d.S]
+					codes[j] = uint64(code[d.S])
 				}
-				buf = putWidth(buf, uint64(k), width)
 			}
+			buf = refPack(buf, codes, width)
 		}
 	}
 	return append(buf, make([]byte, PageSize-len(buf))...)
@@ -222,8 +243,9 @@ func (p *refPage) page() []byte {
 // Value profiles of a generated column, each of one kind.
 const (
 	profConst     = iota // one int: delta width 0
-	profIntNarrow        // ints in a 200-wide frame
-	profIntWide          // full-range ints: delta width 8
+	profIntNarrow        // ints in a 200-wide frame: 8 bits
+	profIntWide          // full-range ints: 64 bits
+	profIntBits          // ints in a frame of a width drawn per column, 1 to 63 bits
 	profDate             // dates: int-class, of another kind than int
 	profBool
 	profFloat
@@ -236,7 +258,7 @@ const (
 
 // profKind is the kind of a profile's values.
 var profKind = [numProfiles]types.Kind{
-	profConst: types.KindInt, profIntNarrow: types.KindInt, profIntWide: types.KindInt,
+	profConst: types.KindInt, profIntNarrow: types.KindInt, profIntWide: types.KindInt, profIntBits: types.KindInt,
 	profDate: types.KindDate, profBool: types.KindBool, profFloat: types.KindFloat,
 	profStrFew: types.KindString, profStrGrow: types.KindString, profStrLong: types.KindString,
 }
@@ -254,10 +276,11 @@ type colGen struct {
 	nullRun    int // NULL rows left in the current run
 	seq        int
 	row        int
+	bits       int // profIntBits' frame width
 }
 
 func newColGen(r *rand.Rand) *colGen {
-	g := &colGen{prof: r.Intn(numProfiles), switchAt: -1}
+	g := &colGen{prof: r.Intn(numProfiles), switchAt: -1, bits: 1 + r.Intn(63)}
 	g.kind = profKind[g.prof]
 	if g.prof == profNull {
 		g.kind = storedKinds[r.Intn(len(storedKinds))]
@@ -294,6 +317,8 @@ func (g *colGen) next(r *rand.Rand) types.Datum {
 		return types.NewInt(1000 + r.Int63n(200))
 	case profIntWide:
 		return types.NewInt(r.Int63() - r.Int63())
+	case profIntBits:
+		return types.NewInt(-7 + r.Int63()>>(63-g.bits))
 	case profDate:
 		return types.NewDate(r.Int63n(30000))
 	case profBool:
@@ -412,7 +437,7 @@ func TestPageBuilderAdmissionOracle(t *testing.T) {
 			if len(ref.rows) == 0 {
 				t.Fatalf("trial %d: no row admitted", trial)
 			}
-			got, want := b.finish(), ref.page()
+			got, want := b.page(), ref.page()
 			if !bytes.Equal(got, want) {
 				i := 0
 				for got[i] == want[i] {

@@ -71,7 +71,7 @@ func TestBorrowedColumnsLiveInTheArena(t *testing.T) {
 			t.Fatal("page full")
 		}
 	}
-	page := pb.finish()
+	page := pb.page()
 	a0, p0 := arena.Snapshot(), vec.PoolStats()
 	cb, err := DecodePageCols(page, 3)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestBorrowedColumnsWithNullsAndLongPages(t *testing.T) {
 			}
 		}
 		a0, p0 := arena.Snapshot(), vec.PoolStats()
-		cb, err := DecodePageCols(pb.finish(), 2)
+		cb, err := DecodePageCols(pb.page(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestBorrowedColumnCopiesBeforeWrite(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pb.admit(types.Row{types.NewInt(int64(i))})
 	}
-	cb, err := DecodePageCols(pb.finish(), 1)
+	cb, err := DecodePageCols(pb.page(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPoolCloseReleasesFramesAndKeepsHeldBatches(t *testing.T) {
 	base := arenaBaseline()
 	disk := NewMemDisk(DiskProfile{})
 	cat := NewCatalog(disk, 8)
-	tbl := intTable(t, cat, 20000)
+	tbl := intTable(t, cat, 22000) // 8 pages: the pool holds them all
 	np := tbl.File.NumPages()
 	for p := 0; p < np; p++ { // fill the pool, decode one column of each page
 		cb, err := tbl.File.PageCols(p)

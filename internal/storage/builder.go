@@ -11,33 +11,13 @@ import (
 	"repro/internal/types"
 )
 
-// forWidth returns the frame-of-reference delta width for an unsigned span.
-func forWidth(span uint64) int {
-	switch {
-	case span == 0:
-		return 0
-	case span <= 0xFF:
-		return 1
-	case span <= 0xFFFF:
-		return 2
-	case span <= 0xFFFFFFFF:
-		return 4
-	default:
-		return 8
-	}
-}
+// forWidth returns the frame-of-reference delta width in bits for an
+// unsigned span: the bits of the largest delta.
+func forWidth(span uint64) uint { return uint(bits.Len64(span)) }
 
-// dictCodeWidth returns the per-row code width for a dictionary of n entries.
-func dictCodeWidth(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n <= 1<<8:
-		return 1
-	default:
-		return 2
-	}
-}
+// codeWidth returns the code width in bits for a dictionary of n entries:
+// the bits of the largest code.
+func codeWidth(n int) uint { return uint(bits.Len(uint(max(n, 1) - 1))) }
 
 // uvarUB3 is the upper bound the size accounting charges for any uvarint
 // whose value is at most ~2^21 (run counts, dictionary sizes and byte
@@ -87,7 +67,7 @@ func (s *colState) sizeUB(n int) int {
 	case classFloat:
 		return 1 + runsUB(s.nruns) + n*8
 	case classStr:
-		return 1 + runsUB(s.nruns) + uvarUB3 + uvarUB3 + s.dictBytes + 1 + n*dictCodeWidth(s.ndict)
+		return 1 + runsUB(s.nruns) + uvarUB3 + uvarUB3 + s.dictBytes + 1 + packedLen(n, codeWidth(s.ndict))
 	}
 	return intSegUB(n, s.nruns, uint64(s.maxI)-uint64(s.minI)) // classNull, classInt
 }
@@ -98,7 +78,7 @@ func runsUB(nruns int) int { return uvarUB3 + nruns*(1+uvarUB3) }
 // intSegUB bounds an encInt segment of n rows in nruns kind runs whose frame
 // of reference spans span.
 func intSegUB(n, nruns int, span uint64) int {
-	return 1 + runsUB(nruns) + 8 + 1 + n*forWidth(span)
+	return 1 + runsUB(nruns) + 8 + 1 + packedLen(n, forWidth(span))
 }
 
 // kindRun is a run of rows that are all NULL or all values.
@@ -262,48 +242,27 @@ func (c *colBuilder) appendKindRuns(buf []byte) []byte {
 	return buf
 }
 
-// appendRows appends width bytes per row of the page: zeros for a NULL row;
-// put writes a run of value rows [lo, hi) into out.
-func (c *colBuilder) appendRows(buf []byte, rows, width int, put func(out []byte, lo, hi int)) []byte {
-	if width == 0 {
+// packRows appends the rows rows of column c packed at w bits a row:
+// vals[i] - base for a value row i, 0 for a NULL one. A run is packed at a
+// time.
+func packRows[T int32 | int64](c *colBuilder, buf []byte, rows int, w uint, vals []T, base uint64) []byte {
+	if w == 0 {
 		return buf
 	}
-	start := len(buf)
-	buf = slices.Grow(buf, rows*width)[:start+rows*width]
-	out := buf[start:]
+	start, n := len(buf), packedLen(rows, w)
+	buf = slices.Grow(buf, n)[:start+n]
+	pk := packer{out: buf[start:], w: w}
 	row := 0
 	for _, r := range c.runs {
-		run := out[row*width : (row+r.n)*width]
 		if r.null {
-			clear(run)
+			pk.zeros(r.n)
 		} else {
-			put(run, row, row+r.n)
+			packDeltas(&pk, vals[row:row+r.n], base)
 		}
 		row += r.n
 	}
+	pk.flush()
 	return buf
-}
-
-// putDeltas writes v - base for each v of vals into out, width bytes each.
-func putDeltas(out []byte, vals []int64, base uint64, width int) {
-	switch width {
-	case 1:
-		for i, v := range vals {
-			out[i] = byte(uint64(v) - base)
-		}
-	case 2:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint16(out[2*i:], uint16(uint64(v)-base))
-		}
-	case 4:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(out[4*i:], uint32(uint64(v)-base))
-		}
-	default:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(out[8*i:], uint64(v)-base)
-		}
-	}
 }
 
 // encode appends the column's chosen segment encoding for its rows rows.
@@ -312,20 +271,27 @@ func (c *colBuilder) encode(buf []byte, rows int) []byte {
 	case classNull, classInt:
 		buf = append(buf, encInt)
 		buf = c.appendKindRuns(buf)
-		width := forWidth(uint64(c.maxI) - uint64(c.minI))
+		w := forWidth(uint64(c.maxI) - uint64(c.minI))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.minI))
-		buf = append(buf, byte(width))
-		return c.appendRows(buf, rows, width, func(out []byte, lo, hi int) {
-			putDeltas(out, c.ints[lo:hi], uint64(c.minI), width)
-		})
+		buf = append(buf, byte(w))
+		return packRows(c, buf, rows, w, c.ints, uint64(c.minI))
 	case classFloat:
 		buf = append(buf, encFloat)
 		buf = c.appendKindRuns(buf)
-		return c.appendRows(buf, rows, 8, func(out []byte, lo, hi int) {
-			for i, v := range c.flts[lo:hi] {
-				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		start := len(buf)
+		buf = slices.Grow(buf, 8*rows)[:start+8*rows]
+		out, row := buf[start:], 0
+		for _, r := range c.runs {
+			if r.null {
+				clear(out[8*row : 8*(row+r.n)])
+			} else {
+				for i, v := range c.flts[row : row+r.n] {
+					binary.LittleEndian.PutUint64(out[8*(row+i):], math.Float64bits(v))
+				}
 			}
-		})
+			row += r.n
+		}
+		return buf
 	default: // classStr
 		buf = append(buf, encDict)
 		buf = c.appendKindRuns(buf)
@@ -343,17 +309,20 @@ func (c *colBuilder) encode(buf []byte, rows int) []byte {
 			buf = binary.AppendUvarint(buf, uint64(len(c.entries[id])))
 			buf = append(buf, c.entries[id]...)
 		}
-		width := dictCodeWidth(len(order))
-		buf = append(buf, byte(width))
-		return c.appendRows(buf, rows, width, func(out []byte, lo, hi int) {
-			for i, id := range c.ids[lo:hi] {
-				if width == 1 {
-					out[i] = byte(code[id])
-				} else {
-					binary.LittleEndian.PutUint16(out[2*i:], code[id])
+		w := codeWidth(len(order))
+		buf = append(buf, byte(w))
+		// Each row's id becomes its code, in place: the page is done with
+		// the ids. A NULL row's id is never read.
+		row := 0
+		for _, r := range c.runs {
+			if !r.null {
+				for i, id := range c.ids[row : row+r.n] {
+					c.ids[row+i] = int32(code[id])
 				}
 			}
-		})
+			row += r.n
+		}
+		return packRows(c, buf, rows, w, c.ids, 0)
 	}
 }
 
@@ -363,13 +332,12 @@ func (c *colBuilder) encode(buf []byte, rows int) []byte {
 type pageBuilder struct {
 	cols []colBuilder
 	rows int
-	buf  []byte // encode scratch, reused across pages
 }
 
 // newPageBuilder returns a builder of pages whose columns are of the given
 // kinds, each one a schema may declare.
 func newPageBuilder(kinds []types.Kind) *pageBuilder {
-	b := &pageBuilder{cols: make([]colBuilder, len(kinds)), buf: make([]byte, 0, PageSize)}
+	b := &pageBuilder{cols: make([]colBuilder, len(kinds))}
 	for i, k := range kinds {
 		b.cols[i].kind = k
 	}
@@ -447,12 +415,12 @@ func (b *pageBuilder) try(ch *chunk, s, e int) bool {
 	return true
 }
 
-// finish encodes the staged columns into a PageSize page and resets the
-// builder. The page is the builder's scratch: it is the caller's until the
-// next finish (every Disk.WritePage copies what it is given).
-func (b *pageBuilder) finish() []byte {
+// finish encodes the staged columns into page, PageSize bytes of which it
+// writes every one, resets the builder and returns the encoded length: the
+// rest of the page is zeros.
+func (b *pageBuilder) finish(page []byte) int {
 	ncols := len(b.cols)
-	buf := b.buf[:0]
+	buf := page[:0:PageSize]
 	buf = binary.LittleEndian.AppendUint16(buf, pageMagic)
 	buf = append(buf, pageFormat)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(b.rows))
@@ -471,14 +439,12 @@ func (b *pageBuilder) finish() []byte {
 	if len(buf) > PageSize {
 		panic(fmt.Sprintf("storage: page overflow (%d bytes, %d rows) — size accounting bug", len(buf), b.rows))
 	}
-	page := buf[:PageSize]
-	clear(page[len(buf):]) // what a longer page left behind
-	b.buf = buf
+	clear(page[len(buf):PageSize])
 	for i := range b.cols {
 		b.cols[i].reset()
 	}
 	b.rows = 0
-	return page
+	return len(buf)
 }
 
 func (b *pageBuilder) empty() bool { return b.rows == 0 }

@@ -25,8 +25,11 @@ type Disk interface {
 	// ReadPage lends page idx of file f: the Lease's Page is PageSize bytes
 	// the caller reads, never writes, until it calls Release.
 	ReadPage(f FileID, idx int) (Lease, error)
-	// WritePage writes a page; idx == NumPages(f) appends a new page.
-	WritePage(f FileID, idx int, data []byte) error
+	// WritePage writes a page: fill writes the PageSize bytes of a fresh
+	// page of the device's, which replaces page idx of file f or, when idx
+	// == NumPages(f), is appended. A write that fails may not have called
+	// fill, or may have called it and discarded the page.
+	WritePage(f FileID, idx int, fill func(page []byte)) error
 	// Stats returns cumulative I/O counters.
 	Stats() DiskStats
 	// Close releases resources.
@@ -71,7 +74,7 @@ const minSleep = time.Millisecond
 
 // MemDisk is an in-memory Disk with an optional latency model. With the zero
 // profile it doubles as "memory-resident" storage. Its pages are arena pages
-// (arena.Device) that WritePage takes when it appends one, and a read lends
+// (arena.Device) that WritePage takes and has its caller fill, and a read lends
 // the page itself rather than a copy: each page counts its references, one
 // for the disk and one per Lease. An overwrite installs a fresh page
 // (copy-on-write), so lent bytes never change, and Close drops the disk's
@@ -208,12 +211,14 @@ func (d *MemDisk) ReadPage(f FileID, idx int) (Lease, error) {
 	return l, nil
 }
 
-// WritePage writes (or appends) a page; only a served write is charged.
-func (d *MemDisk) WritePage(f FileID, idx int, data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("storage: write of %d bytes, want %d", len(data), PageSize)
-	}
-	if err := d.store.write(f, idx, data); err != nil {
+// WritePage writes (or appends) a page: fill writes a page the disk takes
+// of the arena and keeps, so the bytes are written once, where they stay.
+// Only a served write is charged.
+func (d *MemDisk) WritePage(f FileID, idx int, fill func(page []byte)) error {
+	page := arena.Take(arena.Device)
+	fill(page)
+	if err := d.store.install(f, idx, page); err != nil {
+		arena.Free(page)
 		return err
 	}
 	d.writes.Add(1)
@@ -221,7 +226,8 @@ func (d *MemDisk) WritePage(f FileID, idx int, data []byte) error {
 	return nil
 }
 
-func (s *pageStore) write(f FileID, idx int, data []byte) error {
+// install makes page, filled, page idx of file f.
+func (s *pageStore) install(f FileID, idx int, page []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if int(f) >= len(s.files) {
@@ -230,17 +236,15 @@ func (s *pageStore) write(f FileID, idx int, data []byte) error {
 	file := &s.files[f]
 	switch {
 	case idx == len(file.pages):
-		file.pages = append(file.pages, arena.Take(arena.Device))
+		file.pages = append(file.pages, page)
 		file.refs = append(file.refs, atomic.Int32{})
-		file.refs[idx].Store(1)
 	case idx >= 0 && idx < len(file.pages): // leases of the old page keep its bytes
 		s.drop(file.pages[idx], file.refs[idx].Load(), arena.Free)
-		file.pages[idx] = arena.Take(arena.Device)
-		file.refs[idx].Store(1)
+		file.pages[idx] = page
 	default:
 		return fmt.Errorf("storage: write out of range: file %d page %d", f, idx)
 	}
-	copy(file.pages[idx], data)
+	file.refs[idx].Store(1)
 	return nil
 }
 

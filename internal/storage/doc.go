@@ -30,11 +30,12 @@
 // decoded from them — is pages of internal/arena, each with one owner that
 // takes it and frees it. By arena.Role:
 //
-//   - Device: a MemDisk page. WritePage takes it when the page is appended,
-//     and takes a fresh one when it overwrites the page. A read lends the
-//     page itself (a Lease), never a copy: the disk counts one reference for
-//     itself and one per lease, and frees the page at its last — Close drops
-//     the disk's own. The pool's frames hold leases, not bytes, and a batch
+//   - Device: a MemDisk page. WritePage takes a fresh one for every write,
+//     has the writer's fill encode into it (the page builder writes its page
+//     there, once) and appends it or replaces the file's page with it. A
+//     read lends the page itself (a Lease), never a copy: the disk counts one
+//     reference for itself and one per lease, and frees the page at its last
+//     — Close drops the disk's own. The pool's frames hold leases, not bytes, and a batch
 //     opened from a frame holds a lease of its own (its pageSource takes it
 //     at open and returns it at the batch's last Release). That is what lets
 //     a batch outlive its frame, its pool and its disk.

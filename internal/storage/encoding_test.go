@@ -30,7 +30,7 @@ func TestPageBuilderPacksAndDecodes(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no rows fit in a page")
 	}
-	page := b.finish()
+	page := b.page()
 	if len(page) != PageSize {
 		t.Fatalf("page size = %d", len(page))
 	}
@@ -49,7 +49,7 @@ func TestPageBuilderPacksAndDecodes(t *testing.T) {
 
 func TestDecodePageEmpty(t *testing.T) {
 	b := newPageBuilder(nil)
-	page := b.finish()
+	page := b.page()
 	cb, err := DecodePageCols(page, 3)
 	if err != nil || cb.Len() != 0 {
 		t.Fatalf("empty page: cb=%v err=%v", cb, err)

@@ -224,11 +224,11 @@ func (f *FaultDisk) ReadPage(file FileID, idx int) (Lease, error) {
 
 // WritePage fails while the write fault is armed and past the threshold,
 // else delegates. Reads and writes arm independently.
-func (f *FaultDisk) WritePage(file FileID, idx int, data []byte) error {
+func (f *FaultDisk) WritePage(file FileID, idx int, fill func(page []byte)) error {
 	ord := f.writes.Add(1) - 1
 	if f.wArmed.Load() && ord >= f.wFailAfter.Load() && f.targeted(file) {
 		f.injectedW.Add(1)
 		return ErrInjected
 	}
-	return f.Disk.WritePage(file, idx, data)
+	return f.Disk.WritePage(file, idx, fill)
 }

@@ -14,7 +14,7 @@ func TestFaultDiskInjectsAndHeals(t *testing.T) {
 	}
 	page := make([]byte, PageSize)
 	for i := 0; i < 4; i++ {
-		if err := fd.WritePage(f, i, page); err != nil {
+		if err := fd.WritePage(f, i, pageOf(page)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestFaultDiskInjectsAndHeals(t *testing.T) {
 		t.Fatalf("healed read: %v", err)
 	}
 	// Writes are never affected.
-	if err := fd.WritePage(f, 0, page); err != nil {
+	if err := fd.WritePage(f, 0, pageOf(page)); err != nil {
 		t.Fatalf("write during/after faults: %v", err)
 	}
 }
@@ -60,7 +60,7 @@ func TestFaultDiskDelegatesMetadata(t *testing.T) {
 	inner := NewMemDisk(DiskProfile{})
 	fd := NewFaultDisk(inner)
 	f, _ := fd.CreateFile("t")
-	if err := fd.WritePage(f, 0, make([]byte, PageSize)); err != nil {
+	if err := fd.WritePage(f, 0, pageOf(make([]byte, PageSize))); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := fd.NumPages(f); err != nil || n != 1 {

@@ -209,7 +209,8 @@ func TestWriteFaultFailsFlushAndIsCounted(t *testing.T) {
 }
 
 // TestRejectedHeaderNeverYieldsRows is the one-format contract: a page whose
-// header is not exactly (magic, format byte 3) is corrupt. It never decodes
+// header is not exactly (magic, format byte 4) is corrupt: a format-3 page of
+// byte-aligned deltas among them. It never decodes
 // to rows — not even to an empty batch — and never publishes zone maps, and
 // read through the pool it is a permanent, quarantined PageError.
 func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
@@ -240,7 +241,7 @@ func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
 		"format-0":        with(func(p []byte) { p[2] = 0 }),
 		"format-1":        with(func(p []byte) { p[2] = 1 }),
 		"format-2":        with(func(p []byte) { p[2] = 2 }),
-		"format-4":        with(func(p []byte) { p[2] = 4 }),
+		"format-3":        with(func(p []byte) { p[2] = 3 }),
 		"format-255":      with(func(p []byte) { p[2] = 0xFF }),
 		"row-major":       append(rowMajor, make([]byte, PageSize-len(rowMajor))...),
 		"all-zero":        make([]byte, PageSize),
@@ -258,7 +259,7 @@ func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
 			}
 			// Through the pool: overwrite page 1 on disk, drop it from the
 			// pool, fetch.
-			if err := c.Disk().WritePage(tbl.File.ID(), 1, page); err != nil {
+			if err := c.Disk().WritePage(tbl.File.ID(), 1, pageOf(page)); err != nil {
 				t.Fatal(err)
 			}
 			c.Pool().ClearQuarantine()
@@ -437,16 +438,16 @@ func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 	}{
 		{"truncated-fixed-width-payload", "truncated int segment payload", 0, func(p []byte) {
 			// tail is the page's last segment: slide it until the page end
-			// cuts five bytes off its payload.
+			// cuts five bytes off its payload of nrows × width bits.
 			off, body := segAt(p, 2, kindsInt)
-			segLen := body - off + 9 + nrows*int(p[body+8])
+			segLen := body - off + 9 + packedLen(nrows, uint(p[body+8]))
 			newOff := PageSize - segLen + 5
 			copy(p[newOff:], p[off:off+segLen-5])
 			binary.LittleEndian.PutUint32(p[pageFixedHeader+4*2:], uint32(newOff))
 		}},
-		{"bad-width-byte", "bad frame-of-reference width 3", 0, func(p []byte) {
+		{"bad-width-byte", "bad frame-of-reference width 65", 0, func(p []byte) {
 			_, body := segAt(p, 2, kindsInt)
-			p[body+8] = 3
+			p[body+8] = 65
 		}},
 		{"foreign-kind-run", "not valid for this segment encoding", 2, func(p []byte) {
 			off, _ := segAt(p, 0, kindsInt)
@@ -462,17 +463,20 @@ func TestSegmentFaultInUnreadColumnFailsAtFetch(t *testing.T) {
 			dictLen, n1 := binary.Uvarint(p[body:])
 			ndict, n2 := binary.Uvarint(p[body+n1:])
 			codes := body + n1 + n2 + int(dictLen)
-			if width := int(p[codes]); width != 1 || ndict >= 0xFF {
+			width := int(p[codes])
+			if width == 0 || ndict >= 1<<width {
 				t.Fatalf("fixture dictionary: %d entries at code width %d", ndict, width)
 			}
-			p[codes+1] = 0xFF
+			for k := 0; k < width; k++ { // row 0's code: all ones, past the last entry
+				p[codes+1+k/8] |= 1 << (k % 8)
+			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			page := append([]byte(nil), good...)
 			tc.edit(page)
-			if err := c.Disk().WritePage(tbl.File.ID(), victim, page); err != nil {
+			if err := c.Disk().WritePage(tbl.File.ID(), victim, pageOf(page)); err != nil {
 				t.Fatal(err)
 			}
 			c.Pool().ClearQuarantine()

@@ -14,7 +14,7 @@ const PageSize = arena.PageSize
 // decodes:
 //
 //	[0:2]  0xFFFF page magic
-//	[2]    format byte (3)
+//	[2]    format byte (4)
 //	[3:5]  uint16 row count
 //	[5:7]  uint16 column count
 //	[7:..] column count × uint32 segment offsets (from the page start)
@@ -25,16 +25,22 @@ const PageSize = arena.PageSize
 // every row of it. Each segment starts with that encoding's tag (any other
 // tag, 0 among them, makes the page corrupt):
 //
-//	encInt:   kind runs, int64 min, delta width ∈ {0,1,2,4,8}, then one
-//	          little-endian unsigned delta of that width per row
-//	          (frame-of-reference; NULL rows store delta 0). Covers int,
-//	          date and bool rows — anything carried in the int64 payload.
+//	encInt:   kind runs, int64 min, delta width w in bits (0–64, the bits
+//	          of max − min), then the rows' deltas from min bit-packed at
+//	          w bits a row (frame-of-reference; NULL rows store delta 0).
+//	          Covers int, date and bool rows — anything carried in the
+//	          int64 payload.
 //	encFloat: kind runs, then one 8-byte little-endian float word per row.
 //	encDict:  kind runs, dictionary byte length, entry count, the sorted
 //	          duplicate-free dictionary (uvarint length + bytes per entry),
-//	          code width ∈ {0,1,2}, then one little-endian code per row.
+//	          code width w in bits (0–16, the bits of entries − 1), then the
+//	          rows' codes bit-packed at w bits a row (NULL rows store 0).
 //	          Codes index the sorted dictionary, so code order is string
 //	          order and predicates can compare codes instead of strings.
+//
+// A bit-packed payload holds row i's value in the w bits at bit offset i×w,
+// least significant bit first, in ceil(rows × w / 8) bytes (packed.go): no
+// block headers and no exceptions, so every row reads alone.
 //
 // A column of no value on a page (every row NULL) is an encInt segment over
 // an empty frame, whatever its kind.
@@ -44,7 +50,7 @@ const PageSize = arena.PageSize
 // column without NULLs is one run.
 const (
 	pageMagic  = 0xFFFF
-	pageFormat = 3
+	pageFormat = 4
 
 	// pageFixedHeader is magic (2) + format (1) + nrows (2) + ncols (2).
 	pageFixedHeader = 7

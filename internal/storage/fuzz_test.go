@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -23,6 +24,46 @@ func seedRows(r *rand.Rand) ([]types.Kind, []types.Row) {
 	return schemaKinds(schema), rows[:min(len(rows), 16)]
 }
 
+// widthTable is a one-column table: its kind and its rows.
+type widthTable struct {
+	kind types.Kind
+	rows []types.Row
+}
+
+// widthTables are the fuzz seeds' one-page tables of every packed width: an
+// int column whose frame takes each delta width 0 to 64 bits, and a string
+// column whose dictionary takes each code width 0 to 13, the widest whose
+// entries a page holds. Each has a NULL row and its frame's or dictionary's
+// both ends.
+func widthTables() []widthTable {
+	r := rand.New(rand.NewSource(71))
+	var tables []widthTable
+	for w := 0; w <= 64; w++ {
+		top := ^uint64(0) >> (64 - w)
+		lo := int64(-5)
+		if w == 64 {
+			lo = math.MinInt64
+		}
+		rows := []types.Row{{types.NewInt(lo)}, {types.Null}, {types.NewInt(int64(uint64(lo) + top))}}
+		for i := 0; i < 6; i++ {
+			rows = append(rows, types.Row{types.NewInt(int64(uint64(lo) + r.Uint64()&top))})
+		}
+		tables = append(tables, widthTable{types.KindInt, rows})
+	}
+	for w := 0; w <= 13; w++ {
+		n := 1
+		if w > 0 {
+			n = 1<<(w-1) + 1 // the fewest entries whose codes take w bits
+		}
+		rows := []types.Row{{types.Null}}
+		for i := 0; i < n; i++ {
+			rows = append(rows, types.Row{types.NewString(fmt.Sprint(i))})
+		}
+		tables = append(tables, widthTable{types.KindString, rows})
+	}
+	return tables
+}
+
 // FuzzOpenPage holds openPage to its promise to validate every byte a column
 // decode reads: any bytes and column count either fail to open, or open into
 // a batch whose every column decodes and whose rows materialise without a
@@ -38,11 +79,19 @@ func FuzzOpenPage(f *testing.F) {
 		for _, row := range rows {
 			b.admit(row)
 		}
-		page := b.finish()
-		built = page[:len(b.buf)] // without the zero padding
+		page := make([]byte, PageSize)
+		built = page[:b.finish(page)] // without the zero padding
 		f.Add(built, uint8(len(kinds)))
 	}
-	f.Add(newPageBuilder(nil).finish()[:pageFixedHeader], uint8(3)) // the empty page
+	for _, tbl := range widthTables() {
+		b := newPageBuilder([]types.Kind{tbl.kind})
+		for _, row := range tbl.rows {
+			b.admit(row)
+		}
+		page := make([]byte, PageSize)
+		f.Add(page[:b.finish(page)], uint8(1))
+	}
+	f.Add(newPageBuilder(nil).page()[:pageFixedHeader], uint8(3)) // the empty page
 	// A first segment of tag 0, the encoding of no column: a corrupt page.
 	ncols := binary.LittleEndian.Uint16(built[5:7])
 	tag0 := append([]byte(nil), built...) // built stays a seed as it is
@@ -95,6 +144,13 @@ func FuzzPageRoundTrip(f *testing.F) {
 		}
 		f.Add(uint8(len(kinds)-1), stream)
 	}
+	for _, tbl := range widthTables() {
+		stream := []byte{byte(tbl.kind - types.KindInt)}
+		for _, row := range tbl.rows {
+			stream = appendFuzzDatum(stream, row[0])
+		}
+		f.Add(uint8(0), stream)
+	}
 	f.Fuzz(func(t *testing.T, width uint8, stream []byte) {
 		kinds, rows := fuzzRows(1+int(width)%8, stream)
 		if len(rows) == 0 {
@@ -112,7 +168,7 @@ func FuzzPageRoundTrip(f *testing.F) {
 				s++
 				continue
 			}
-			checkRoundTrip(t, b.finish(), rows[s:n])
+			checkRoundTrip(t, b.page(), rows[s:n])
 			s = n
 		}
 	})

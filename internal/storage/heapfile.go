@@ -27,6 +27,11 @@ type HeapFile struct {
 	staging *chunk // Append's rows, column by column
 	numRows int
 	sealed  bool
+	// encode is a flush's WritePage fill: it finishes the builder's page
+	// into the disk's and leaves the page's zone maps in encoded. It is made
+	// once, so a flush allocates no closure.
+	encode  func(page []byte)
+	encoded []ZoneMap
 
 	// numPages counts the flushed pages and zones holds their zone maps,
 	// indexed by page. Flush writes a page's entry under mu and then
@@ -79,6 +84,10 @@ func NewHeapFile(disk Disk, pool *BufferPool, name string, schema *types.Schema)
 		schema:  schema,
 		kinds:   kinds,
 		builder: newPageBuilder(kinds),
+	}
+	h.encode = func(page []byte) {
+		h.builder.finish(page)
+		h.encoded = ReadPageZones(page)
 	}
 	h.zones.Store(new([][]ZoneMap))
 	return h, nil
@@ -258,9 +267,8 @@ func (h *HeapFile) Version() uint64 { return h.version.Load() }
 // zone maps it wrote, so pruning works from the first scan without ever
 // fetching the page.
 func (h *HeapFile) flushLocked() error {
-	page := h.builder.finish()
 	idx := int(h.numPages.Load())
-	if err := h.disk.WritePage(h.id, idx, page); err != nil {
+	if err := h.disk.WritePage(h.id, idx, h.encode); err != nil {
 		return err
 	}
 	zones := h.zones.Load()
@@ -270,7 +278,7 @@ func (h *HeapFile) flushLocked() error {
 		zones = &grown
 		h.zones.Store(zones)
 	}
-	(*zones)[idx] = ReadPageZones(page)
+	(*zones)[idx], h.encoded = h.encoded, nil
 	h.numPages.Add(1)
 	return nil
 }

@@ -200,22 +200,30 @@ func TestLoadPathsAgreeAtBoundaries(t *testing.T) {
 		return row
 	})
 
-	// Dictionaries of 256 entries (one-byte codes) and 257 (two-byte), and a
+	// Dictionaries of 256 entries (8-bit codes) and 257 (9-bit), and a
 	// 257th entry arriving when the wider codes no longer fit the page.
 	for _, n := range []int{256, 257} {
 		add(fmt.Sprintf("dict-%d", n), []types.Kind{types.KindString}, 40000, func(i int) types.Row {
 			return types.Row{str(i % n)}
 		})
 	}
+	const at = 15300 // rows 0..at fit at 8-bit codes, not at 9
 	add("dict-257th-at-the-cut", []types.Kind{types.KindInt, types.KindString}, 30000, func(i int) types.Row {
-		if i == 11000 {
+		if i == at {
 			return types.Row{types.NewInt(int64(i % 200)), str(256)}
 		}
 		return types.Row{types.NewInt(int64(i % 200)), str(i % 256)}
 	})
+	ref := &refPage{}
+	for i, row := range cases[len(cases)-1].rows[:at+1] {
+		if fits := ref.add(row) <= PageSize; fits != (i < at) {
+			t.Fatalf("dict-257th-at-the-cut: row %d fits = %v: the 257th entry must arrive as the page's first overflow", i, fits)
+		}
+	}
 
-	// Frame-of-reference spans at each delta width's edge, whole pages of
-	// them and a widening value arriving late in a page.
+	// Frame-of-reference spans at delta width edges (8, 9, 16, 17, 32, 33
+	// and 64 bits), whole pages of them and a widening value arriving late
+	// in a page.
 	for _, span := range []uint64{0xFF, 0x100, 0xFFFF, 0x10000, 0xFFFFFFFF, 0x100000000, math.MaxUint64} {
 		base := int64(-1 << 20)
 		if span == math.MaxUint64 {

@@ -29,7 +29,7 @@ func TestDecodePageColsV2IntsZeroAlloc(t *testing.T) {
 			break
 		}
 	}
-	page := pb.finish()
+	page := pb.page()
 	decode := func() {
 		cb, err := DecodePageCols(page, 3)
 		if err != nil {
@@ -59,7 +59,7 @@ func TestDecodePageColsV2StringsO1Alloc(t *testing.T) {
 		}
 		nrows++
 	}
-	page := pb.finish()
+	page := pb.page()
 	decode := func() {
 		cb, err := DecodePageCols(page, 2)
 		if err != nil {
@@ -76,9 +76,8 @@ func TestDecodePageColsV2StringsO1Alloc(t *testing.T) {
 	}
 }
 
-// TestLoadAllocsPerPage bounds what flushing a page costs: the builder's
-// scratch is the page the disk copies from, the disk's copy is an arena page,
-// and what is left is the page's zone maps and the amortised growth of the
+// TestLoadAllocsPerPage bounds what flushing a page costs: the builder
+// encodes into the arena page the disk keeps, and what is left is the page's zone maps and the amortised growth of the
 // file's page list — a handful of small allocations, not a 32 KiB buffer.
 func TestLoadAllocsPerPage(t *testing.T) {
 	disk := NewMemDisk(DiskProfile{})

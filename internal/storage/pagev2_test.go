@@ -28,7 +28,7 @@ func buildV2Page(t testing.TB, rows []types.Row) []byte {
 			t.Fatalf("row %d rejected by page builder", i)
 		}
 	}
-	return b.finish()
+	return b.page()
 }
 
 // rowKinds is the kind of each column's first non-NULL value in rows
@@ -76,6 +76,13 @@ func (b *pageBuilder) admit(r types.Row) bool {
 		panic(fmt.Sprintf("column %d: a %v datum in a %v column", bad, r[bad].K, b.cols[bad].kind))
 	}
 	return ok
+}
+
+// page finishes the builder into a page of its own.
+func (b *pageBuilder) page() []byte {
+	page := make([]byte, PageSize)
+	b.finish(page)
+	return page
 }
 
 // decodeCheck decodes a page and checks it against want, kind and payload.
@@ -196,7 +203,7 @@ func TestPageV2RoundTripProperty(t *testing.T) {
 			}
 			inPage = append(inPage, row)
 		}
-		page := b.finish()
+		page := b.page()
 		if _, _, _, err := pageDir(page); err != nil {
 			t.Fatalf("trial %d: builder wrote a bad header: %v", trial, err)
 		}
@@ -303,7 +310,7 @@ func TestPageV2TargetedShapes(t *testing.T) {
 						kept = append(kept, r)
 					}
 				}
-				decodeCheck(t, b.finish(), kept, 1)
+				decodeCheck(t, b.page(), kept, 1)
 				return
 			}
 			page := buildV2Page(t, rows)
@@ -313,27 +320,29 @@ func TestPageV2TargetedShapes(t *testing.T) {
 	}
 }
 
-// TestIntUnpackWidths pins the frame-of-reference unpack at every width: a
-// one-column page of each width 1, 2, 4 and 8 at 1, 7, 8, 9 and 1 290 rows
-// (whole word groups, a tail, both), with the minimum at 0 and at either
-// int64 extreme, with and without NULL runs, decodes to the rows it was built
-// from, eagerly and on first touch. A single row spans nothing: width 0.
-// unpackInts itself must equal the per-value loop on arbitrary payload bytes,
-// where min + offset wraps.
+// TestIntUnpackWidths pins the bit-packed frame of reference at every
+// width: a one-column page of each width 0 to 64 bits at 1, 7, 8, 9, 63, 64
+// and 65 rows (whole groups of every size, tails, both) and at a full page,
+// with the minimum at 0 and at either int64 extreme, with and without NULL
+// runs, takes that width and decodes to the rows it was built from, eagerly
+// and on first touch. A single row spans nothing: width 0. unpackInts and
+// packedAt themselves must equal a bit-at-a-time read of arbitrary payload
+// bytes, cut to the payload's length, where min + offset wraps.
 func TestIntUnpackWidths(t *testing.T) {
 	arena.Settle() // as in TestPageV2RoundTripProperty
 	r := rand.New(rand.NewSource(35))
-	for _, width := range []int{1, 2, 4, 8} {
-		top := uint64(1)<<(8*width) - 1 // the widest offset: 0xFF…
+	const fullPage = -1
+	counts := []int{1, 7, 8, 9, 63, 64, 65, fullPage}
+	for width := 0; width <= 64; width++ {
+		top := ^uint64(0) >> (64 - width) // the widest offset
 		minima := []int64{math.MinInt64, 0, math.MaxInt64 - int64(top)}
-		if width == 8 {
+		if width == 64 {
 			minima = minima[:1] // the full span: MinInt64 to MaxInt64
 		}
-		for _, n := range []int{1, 7, 8, 9, 1290} {
+		for _, n := range counts {
 			for _, lo := range minima {
 				for _, nulls := range []bool{false, true} {
-					rows := make([]types.Row, n)
-					for i := range rows {
+					row := func(i int) types.Row {
 						off := r.Uint64() & top
 						switch {
 						case i == 0:
@@ -341,48 +350,55 @@ func TestIntUnpackWidths(t *testing.T) {
 						case i == 1:
 							off = top
 						case nulls && i%5 < 2:
-							rows[i] = types.Row{types.Null}
-							continue
+							return types.Row{types.Null}
 						}
-						rows[i] = types.Row{types.NewInt(lo + int64(off))}
+						return types.Row{types.NewInt(lo + int64(off))}
 					}
-					name := fmt.Sprintf("width=%d/rows=%d/min=%d/nulls=%v", width, n, lo, nulls)
+					var rows []types.Row
+					if n == fullPage {
+						b := newPageBuilder([]types.Kind{types.KindInt})
+						for next := row(0); b.admit(next); next = row(len(rows)) {
+							rows = append(rows, next)
+						}
+					} else {
+						for i := 0; i < n; i++ {
+							rows = append(rows, row(i))
+						}
+					}
+					name := fmt.Sprintf("width=%d/rows=%d/min=%d/nulls=%v", width, len(rows), lo, nulls)
 					page := buildV2Page(t, rows)
 					want := width
-					if n == 1 {
+					if len(rows) == 1 {
 						want = 0
 					}
-					if got := intWidth(t, page, n); got != want {
+					if got := intWidth(t, page, len(rows)); got != want {
 						t.Fatalf("%s: page took width %d", name, got)
 					}
 					decodeCheck(t, page, rows, 1)
-					lazyMatchesEager(t, page, 1, int64(n))
+					lazyMatchesEager(t, page, 1, int64(len(rows)))
 				}
 			}
 		}
 	}
 
-	for _, width := range []int{0, 1, 2, 4, 8} {
-		for _, n := range []int{1, 7, 8, 9, 1290} {
-			data := make([]byte, width*n)
+	for width := uint(0); width <= 64; width++ {
+		for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 1290} {
+			data := make([]byte, packedLen(n, width))
 			r.Read(data)
 			for _, lo := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
 				got := make([]int64, n)
 				unpackInts(got, data, lo, width)
 				for i, v := range got {
 					var off uint64
-					switch width {
-					case 1:
-						off = uint64(data[i])
-					case 2:
-						off = uint64(binary.LittleEndian.Uint16(data[2*i:]))
-					case 4:
-						off = uint64(binary.LittleEndian.Uint32(data[4*i:]))
-					case 8:
-						off = binary.LittleEndian.Uint64(data[8*i:])
+					for k := uint(0); k < width; k++ {
+						at := uint(i)*width + k
+						off |= uint64(data[at/8]>>(at%8)&1) << k
 					}
 					if want := lo + int64(off); v != want {
 						t.Fatalf("width %d, %d rows, min %d: value %d = %d, want %d", width, n, lo, i, v, want)
+					}
+					if at := packedAt(data, i, width); at != off {
+						t.Fatalf("width %d, %d rows: packedAt(%d) = %d, want %d", width, n, i, at, off)
 					}
 				}
 			}
@@ -406,24 +422,26 @@ func intWidth(t *testing.T, page []byte, nrows int) int {
 }
 
 // setSecondValueRun rewrites the kind of the first value run that follows a
-// NULL run in the kind-run header at the start of seg: a column of two kinds.
+// value run and a NULL run in the kind-run header at the start of seg: a
+// column of two kinds, the first value run's and k.
 func setSecondValueRun(seg []byte, k types.Kind) {
 	nruns, pos := binary.Uvarint(seg)
-	null := false
+	value, null := false, false
 	for ; nruns > 0; nruns-- {
 		switch types.Kind(seg[pos]) {
 		case types.KindNull:
-			null = true
+			null = value
 		default:
 			if null {
 				seg[pos] = byte(k)
 				return
 			}
+			value = true
 		}
 		_, n := binary.Uvarint(seg[pos+1:])
 		pos += 1 + n
 	}
-	panic("no value run after a NULL run")
+	panic("no value run after a value run and a NULL run")
 }
 
 // twoKindPage is a one-column page of ints with a NULL run between two runs
@@ -438,7 +456,8 @@ func twoKindPage() []byte {
 		}
 		b.admit(types.Row{d})
 	}
-	page := b.finish()[:len(b.buf)]
+	page := make([]byte, PageSize)
+	page = page[:b.finish(page)]
 	setSecondValueRun(page[segOffset(page, 0)+1:], types.KindDate)
 	return page
 }
@@ -505,7 +524,7 @@ func TestPageV2CorruptionNoPanic(t *testing.T) {
 			break
 		}
 	}
-	page := b.finish()
+	page := b.page()
 	ncols := schema.Len()
 	for trial := 0; trial < 5000; trial++ {
 		corrupt := make([]byte, len(page))
@@ -526,10 +545,11 @@ var sinkCB *vec.ColBatch
 
 // BenchmarkDecodePageColsV2Ints measures the bulk decode of fixed-width
 // pages in ns per decoded value. shape=mixed is an int/date/float page of
-// frame-of-reference widths 2, 1 and 2 and a float column; shape=lineorder is
-// the SSB fact table's twelve int columns at sf 0.1, of widths 1 (5 columns),
-// 2 (4) and 4 (3). Steady state must be allocation-free beyond the pooled
-// batch.
+// frame-of-reference widths 12, 3 and 9 bits and a float column;
+// shape=lineorder is the SSB fact table's twelve int columns at sf 0.1, of 3
+// to 8 bits (5 columns), 15 or 16 (4) and 17 to 24 (3): byte widths 1, 2 and
+// 4 before pages packed bits. Steady state must be allocation-free beyond the
+// pooled batch.
 func BenchmarkDecodePageColsV2Ints(b *testing.B) {
 	b.Run("shape=mixed", func(b *testing.B) {
 		benchDecodePage(b, []types.Kind{types.KindInt, types.KindInt, types.KindDate, types.KindFloat}, func(i int) types.Row {
@@ -543,9 +563,9 @@ func BenchmarkDecodePageColsV2Ints(b *testing.B) {
 	})
 	b.Run("shape=lineorder", func(b *testing.B) {
 		spans := []struct{ lo, span int64 }{
-			{1, 7}, {1, 50}, {0, 11}, {0, 9}, {1, 200}, // width 1
-			{1, 30000}, {1, 20000}, {19920101, 61130}, {1, 60000}, // width 2
-			{90000, 10_000_000}, {100000, 5_000_000}, {1, 120000}, // width 4
+			{1, 7}, {1, 50}, {0, 11}, {0, 9}, {1, 200}, // 3 to 8 bits
+			{1, 30000}, {1, 20000}, {19920101, 61130}, {1, 60000}, // 15 or 16 bits
+			{90000, 10_000_000}, {100000, 5_000_000}, {1, 120000}, // 17 to 24 bits
 		}
 		kinds := make([]types.Kind, len(spans))
 		for c := range kinds {
@@ -570,7 +590,7 @@ func benchDecodePage(b *testing.B, kinds []types.Kind, row func(i int) types.Row
 	for pb.admit(row(n)) {
 		n++
 	}
-	page := pb.finish()
+	page := pb.page()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -609,7 +629,7 @@ func BenchmarkDecodePageColsV2Strings(b *testing.B) {
 		n++
 	}
 	_ = rows
-	page := pb.finish()
+	page := pb.page()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

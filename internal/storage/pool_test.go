@@ -17,7 +17,7 @@ func makeDiskWithPages(t *testing.T, d Disk, n int) FileID {
 	page := make([]byte, PageSize)
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(page, uint32(i))
-		if err := d.WritePage(f, i, page); err != nil {
+		if err := d.WritePage(f, i, pageOf(page)); err != nil {
 			t.Fatal(err)
 		}
 	}

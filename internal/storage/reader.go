@@ -302,13 +302,12 @@ func checkSegment(data []byte, nrows int) (segment, error) {
 		if len(body) < 9 {
 			return s, fmt.Errorf("truncated int segment header")
 		}
-		switch width := int(body[8]); width {
-		case 0, 1, 2, 4, 8:
-			if len(body)-9 < nrows*width {
-				return s, fmt.Errorf("truncated int segment payload")
-			}
-		default:
-			return s, fmt.Errorf("bad frame-of-reference width %d", width)
+		w := uint(body[8])
+		if w > 64 {
+			return s, fmt.Errorf("bad frame-of-reference width %d", w)
+		}
+		if len(body)-9 < packedLen(nrows, w) {
+			return s, fmt.Errorf("truncated int segment payload")
 		}
 	case encFloat:
 		if len(body) < nrows*8 {
@@ -343,8 +342,7 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 	case kind == types.KindNull:
 	case s.enc == encInt:
 		min := int64(binary.LittleEndian.Uint64(data))
-		width := int(data[8])
-		unpackInts(src.ints(v, nrows), data[9:], min, width)
+		unpackInts(src.ints(v, nrows), data[9:], min, uint(data[8]))
 	case s.enc == encFloat:
 		vf := src.floats(v, nrows)
 		for i := range vf {
@@ -366,18 +364,7 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 			pos += int(l)
 		}
 		vi := v.BulkI(nrows)
-		switch d.width {
-		case 0:
-			clear(vi)
-		case 1:
-			for i := range vi {
-				vi[i] = int64(d.codes[i])
-			}
-		case 2:
-			for i := range vi {
-				vi[i] = int64(binary.LittleEndian.Uint16(d.codes[2*i:]))
-			}
-		}
+		unpackInts(vi, d.codes, 0, d.width)
 		if nulls { // a NULL row's code need not name an entry: 0 does
 			decodeKindRuns(s.data, nrows, s.allowed(), func(lo, hi int) { clear(vi[lo:hi]) })
 		}
@@ -396,8 +383,8 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 type dictSeg struct {
 	region []byte // the entries: a uvarint length and the bytes, ndict times
 	ndict  int
-	width  int    // code width: 0, 1 or 2
-	codes  []byte // a code of width bytes per row
+	width  uint   // code width in bits, at most 16
+	codes  []byte // the packed codes, a code of width bits per row
 }
 
 // parseDict splits a dictionary segment's body and checks its lengths: the
@@ -425,11 +412,11 @@ func parseDict(body []byte, nrows int) (dictSeg, error) {
 	if len(body) < 1 {
 		return d, fmt.Errorf("truncated code width")
 	}
-	d.width, body = int(body[0]), body[1:]
-	if d.width > 2 {
+	d.width, body = uint(body[0]), body[1:]
+	if d.width > 16 { // an entry count fits 16 bits
 		return d, fmt.Errorf("bad dictionary code width %d", d.width)
 	}
-	if len(body) < nrows*d.width {
+	if len(body) < packedLen(nrows, d.width) {
 		return d, fmt.Errorf("truncated code payload")
 	}
 	d.codes = body
@@ -460,14 +447,7 @@ func (d dictSeg) check(runs []byte) error {
 		runs = runs[1+n:]
 		if k == types.KindString {
 			for i := row; i < row+int(cnt); i++ {
-				code := 0
-				switch d.width {
-				case 1:
-					code = int(d.codes[i])
-				case 2:
-					code = int(binary.LittleEndian.Uint16(d.codes[2*i:]))
-				}
-				if code >= d.ndict {
+				if code := int(packedAt(d.codes, i, d.width)); code >= d.ndict {
 					return fmt.Errorf("dictionary code %d out of range (%d entries)", code, d.ndict)
 				}
 			}
@@ -475,60 +455,6 @@ func (d dictSeg) check(runs []byte) error {
 		row += int(cnt)
 	}
 	return nil
-}
-
-// unpackInts decodes a frame-of-reference payload: vi[i] is min plus the
-// i-th width-byte little-endian offset of data, wrapping as int64 addition
-// does. Widths 1, 2 and 4 load one word per 8, 4 or 2 values and store the
-// group through an array pointer, so a group costs one load and one bounds
-// check; the values after the last whole group are read one at a time.
-func unpackInts(vi []int64, data []byte, min int64, width int) {
-	i := 0
-	switch width {
-	case 0:
-		for i := range vi {
-			vi[i] = min
-		}
-	case 1:
-		for ; i+8 <= len(vi); i += 8 {
-			w, o := binary.LittleEndian.Uint64(data[i:]), (*[8]int64)(vi[i:])
-			o[0] = min + int64(w&0xff)
-			o[1] = min + int64(w>>8&0xff)
-			o[2] = min + int64(w>>16&0xff)
-			o[3] = min + int64(w>>24&0xff)
-			o[4] = min + int64(w>>32&0xff)
-			o[5] = min + int64(w>>40&0xff)
-			o[6] = min + int64(w>>48&0xff)
-			o[7] = min + int64(w>>56)
-		}
-		for ; i < len(vi); i++ {
-			vi[i] = min + int64(data[i])
-		}
-	case 2:
-		for ; i+4 <= len(vi); i += 4 {
-			w, o := binary.LittleEndian.Uint64(data[2*i:]), (*[4]int64)(vi[i:])
-			o[0] = min + int64(w&0xffff)
-			o[1] = min + int64(w>>16&0xffff)
-			o[2] = min + int64(w>>32&0xffff)
-			o[3] = min + int64(w>>48)
-		}
-		for ; i < len(vi); i++ {
-			vi[i] = min + int64(binary.LittleEndian.Uint16(data[2*i:]))
-		}
-	case 4:
-		for ; i+2 <= len(vi); i += 2 {
-			w, o := binary.LittleEndian.Uint64(data[4*i:]), (*[2]int64)(vi[i:])
-			o[0] = min + int64(w&0xffffffff)
-			o[1] = min + int64(w>>32)
-		}
-		for ; i < len(vi); i++ {
-			vi[i] = min + int64(binary.LittleEndian.Uint32(data[4*i:]))
-		}
-	case 8:
-		for i := range vi {
-			vi[i] = min + int64(binary.LittleEndian.Uint64(data[8*i:]))
-		}
-	}
 }
 
 // readZone parses one zone entry, returning the entry and remaining bytes.

@@ -57,13 +57,20 @@ type Env struct {
 	PoolPages int
 }
 
-// estimatePages over-approximates the page count of a generated database so
-// the buffer pool can be sized before generation. Pages hold an SSB
-// lineorder row in 25.4-25.7 bytes and a TPC-H lineitem row in 29.2-29.5
-// (measured at sf 0.01 and 0.1; TestEstimatePagesTracksGenerator pins both),
-// and the SSB dimensions add about 2% to the fact table.
-func estimatePages(factRows int) int {
-	return factRows*30/storage.PageSize + 16
+// Page bytes per generated fact row, the SSB dimensions included: pages
+// hold an SSB lineorder row in 18.1-19.1 bytes and a TPC-H lineitem row in
+// 26.8-27.3 (measured at sf 0.01 and 0.1; TestEstimatePagesTracksGenerator
+// pins both). The two differ by more than one estimate can cover.
+const (
+	ssbRowBytes  = 19
+	tpchRowBytes = 28
+)
+
+// estimatePages over-approximates the page count of a generated database of
+// factRows fact rows at rowBytes page bytes a row, so the buffer pool can be
+// sized before generation.
+func estimatePages(factRows, rowBytes int) int {
+	return factRows*rowBytes/storage.PageSize + 16
 }
 
 // newCatalog builds the disk+catalog pair for the residency mode. The pool
@@ -72,8 +79,7 @@ func estimatePages(factRows int) int {
 // fits whatever the generator wrote; for disk-resident ones it is a quarter of
 // the estimate (at least 32 frames, so concurrent scans cannot pin them all)
 // and every miss pays the HDD-profile latency.
-func newCatalog(factRows int, res Residency, poolPages int, fault bool) (*storage.Catalog, *storage.MemDisk, *storage.FaultDisk, int) {
-	est := estimatePages(factRows)
+func newCatalog(est int, res Residency, poolPages int, fault bool) (*storage.Catalog, *storage.MemDisk, *storage.FaultDisk, int) {
 	var disk *storage.MemDisk
 	switch res {
 	case DiskResident:
@@ -146,7 +152,7 @@ func NewSSBEnv(sf float64, res Residency, poolPages int, seed int64) (*Env, erro
 // NewSSBEnvCfg is NewSSBEnv with every knob exposed.
 func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 	factRows := int(float64(ssb.LineorderRowsPerSF) * cfg.SF)
-	cat, disk, fd, pool := newCatalog(factRows, cfg.Residency, cfg.PoolPages, cfg.FaultInjection)
+	cat, disk, fd, pool := newCatalog(estimatePages(factRows, ssbRowBytes), cfg.Residency, cfg.PoolPages, cfg.FaultInjection)
 	db, err := ssb.GenerateOpts(cat, cfg.SF, cfg.Seed, ssb.GenOptions{DateClustered: cfg.DateClustered})
 	if err != nil {
 		return nil, fmt.Errorf("workload: generate ssb: %w", err)
@@ -163,7 +169,7 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 // NewTPCHEnv generates the lineitem table for curve I.
 func NewTPCHEnv(sf float64, res Residency, poolPages int, seed int64) (*Env, error) {
 	factRows := int(float64(tpch.LineitemRowsPerSF) * sf)
-	cat, disk, _, pool := newCatalog(factRows, res, poolPages, false)
+	cat, disk, _, pool := newCatalog(estimatePages(factRows, tpchRowBytes), res, poolPages, false)
 	tbl, err := tpch.Generate(cat, sf, seed)
 	if err != nil {
 		return nil, fmt.Errorf("workload: generate tpch: %w", err)

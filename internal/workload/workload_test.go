@@ -114,22 +114,22 @@ func TestTemplateResultsMatchRecordedDigests(t *testing.T) {
 
 // The page builder may change how it admits a row, never what it writes. The
 // digests are sha256 prefixes over every page of every generated table, in
-// page order, recorded from the builder that staged a full would-be column
-// state per datum (33d9e08): any byte that moves — a different cut row, a
-// different encoding choice, a different draw of the generator — fails here.
-// The sf 0.1 fact table, the benchmark's own data and several hundred load
-// chunks long, was recorded from the serial loader (a9371ff) and is skipped
-// under -short.
+// page order, recorded from the first bit-packed page format (format 4),
+// whose decoded rows TestGeneratedRowsMatchRecordedDigests holds to those of
+// the byte-aligned format before it: any byte that moves — a different cut
+// row, a different encoding choice, a different draw of the generator —
+// fails here. The sf 0.1 fact table, the benchmark's own data and several
+// hundred load chunks long, is skipped under -short.
 func TestGeneratedPagesMatchRecordedDigests(t *testing.T) {
 	want := map[string]string{
-		"ssb/date":                "1:f3f1deebae228d62",
-		"ssb/customer":            "1:5bbd2482ce37b74c",
-		"ssb/supplier":            "1:6d8310f71f1101ec",
-		"ssb/part":                "1:2a65592e31e1506e",
-		"ssb/lineorder":           "47:ee683533c62d661a",
-		"ssb-clustered/lineorder": "45:5f9791a1a701ff93",
-		"tpch/lineitem":           "54:5c2e815758d9ec35",
-		"ssb-sf0.1/lineorder":     "465:8c9db03c2ddb35e3",
+		"ssb/date":                "1:63b39356e178ecaf",
+		"ssb/customer":            "1:50ca3c945212bbf2",
+		"ssb/supplier":            "1:2264ff2325441334",
+		"ssb/part":                "1:e6b56af352459d29",
+		"ssb/lineorder":           "31:f4b3e6a0606ee4fb",
+		"ssb-clustered/lineorder": "29:6450a63ee53f3908",
+		"tpch/lineitem":           "50:5be2578566c38e06",
+		"ssb-sf0.1/lineorder":     "324:cde6a73468cca7f2",
 	}
 	got := map[string]string{}
 	digest := func(prefix string, cat *storage.Catalog, tables ...*storage.Table) {
@@ -289,16 +289,16 @@ func TestGeneratedRowsMatchRecordedDigests(t *testing.T) {
 // the database, not all of it), for both schemas at both scales the scenarios
 // and the benchmark use.
 func TestEstimatePagesTracksGenerator(t *testing.T) {
-	check := func(name string, env *Env, factRows int) {
+	check := func(name string, env *Env, factRows, rowBytes int) {
 		t.Helper()
 		pages := 0
 		for _, tbl := range env.Cat.Tables() {
 			pages += env.Cat.MustTable(tbl).File.NumPages()
 		}
-		est := estimatePages(factRows)
+		est := estimatePages(factRows, rowBytes)
 		if est < pages || 2*est > 3*pages {
-			t.Errorf("%s: estimatePages(%d) = %d, generator wrote %d pages; want within [1, 1.5]x",
-				name, factRows, est, pages)
+			t.Errorf("%s: estimatePages(%d, %d) = %d, generator wrote %d pages; want within [1, 1.5]x",
+				name, factRows, rowBytes, est, pages)
 		}
 		if env.PoolPages < pages {
 			t.Errorf("%s: memory-resident pool of %d frames does not cover %d pages", name, env.PoolPages, pages)
@@ -309,13 +309,13 @@ func TestEstimatePagesTracksGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("ssb sf=%v", sf), env, env.SSB.Lineorder.NumRows())
+		check(fmt.Sprintf("ssb sf=%v", sf), env, env.SSB.Lineorder.NumRows(), ssbRowBytes)
 		env.Close()
 		env, err = NewTPCHEnv(sf, MemoryResident, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("tpch sf=%v", sf), env, env.Lineitem.NumRows())
+		check(fmt.Sprintf("tpch sf=%v", sf), env, env.Lineitem.NumRows(), tpchRowBytes)
 		env.Close()
 	}
 }
@@ -775,7 +775,7 @@ func TestEnvCloseLeavesArenaEmpty(t *testing.T) {
 // batches in the pipeline, and when the queries are done it holds none — a
 // frame that kept its page's decode would leave every page's columns behind.
 func TestDecodedPagesLiveOnlyInFlight(t *testing.T) {
-	env, err := NewSSBEnvCfg(EnvConfig{SF: 0.02, Residency: MemoryResident, Seed: 5, Workers: 1})
+	env, err := NewSSBEnvCfg(EnvConfig{SF: 0.03, Residency: MemoryResident, Seed: 5, Workers: 1}) // 93 fact pages
 	if err != nil {
 		t.Fatal(err)
 	}
