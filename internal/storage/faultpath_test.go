@@ -209,9 +209,9 @@ func TestWriteFaultFailsFlushAndIsCounted(t *testing.T) {
 }
 
 // TestRejectedHeaderNeverYieldsRows is the one-format contract: a page whose
-// header is not exactly (magic, format byte 4) is corrupt: a format-3 page of
-// byte-aligned deltas among them. It never decodes
-// to rows — not even to an empty batch — and never publishes zone maps, and
+// header is not exactly (magic, format byte 4) is corrupt, a format-3 page of
+// byte-aligned deltas among them. It never decodes to rows — not even to an
+// empty batch — and never publishes zone maps, and
 // read through the pool it is a permanent, quarantined PageError.
 func TestRejectedHeaderNeverYieldsRows(t *testing.T) {
 	c, _, tbl := faultCatalog(t, 4, 3000)
