@@ -211,7 +211,7 @@ type Config struct {
 	BufferPoolPages int
 	// CJoin tunes the CJOIN Global Query Plan started by LoadSSB; the zero
 	// value selects every default (notably Workers = GOMAXPROCS parallel
-	// probe pipelines; CJoin.DisablePrune turns zone-map pruning off in
+	// probe pipelines; CJoin.NoPrune turns zone-map pruning off in
 	// NewEngine's table scans as well). Invalid values surface as a LoadSSB
 	// error.
 	CJoin CJoinConfig
@@ -310,7 +310,7 @@ func (s *System) NewGateway(engCfg EngineConfig, svcCfg ServiceConfig) *Gateway 
 }
 
 // NewEngine builds an execution engine over the system, wiring the CJOIN
-// pipeline as the engine's StarRunner when one is running. CJoin.DisablePrune
+// pipeline as the engine's StarRunner when one is running. CJoin.NoPrune
 // turns pruning off in the engine's table scans too, so the ablation covers
 // both. Unless the system was configured with DisableResultCache, the
 // engine's materialized result cache is enabled — callers must treat results
@@ -319,7 +319,7 @@ func (s *System) NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Star == nil && s.gqp != nil {
 		cfg.Star = s.gqp
 	}
-	if s.gqpCfg.DisablePrune {
+	if s.gqpCfg.NoPrune {
 		cfg.NoPrune = true
 	}
 	if !s.noCache {

@@ -109,14 +109,14 @@ func TestSystemDiskResidentProfile(t *testing.T) {
 	}
 }
 
-// TestSystemPruneAblationReachesEngines: CJoin.DisablePrune turns pruning off
+// TestSystemPruneAblationReachesEngines: CJoin.NoPrune turns pruning off
 // in the engines' table scans as well as in the CJOIN pipeline, as
 // workload.Env.Engine does.
 func TestSystemPruneAblationReachesEngines(t *testing.T) {
-	sys := NewSystem(Config{CJoin: CJoinConfig{DisablePrune: true}})
+	sys := NewSystem(Config{CJoin: CJoinConfig{NoPrune: true}})
 	defer sys.Close()
 	if !sys.NewEngine(EngineConfig{}).Config().NoPrune {
-		t.Error("CJoin.DisablePrune left pruning on in the engine's scans")
+		t.Error("CJoin.NoPrune left pruning on in the engine's scans")
 	}
 	on := NewSystem(Config{})
 	defer on.Close()

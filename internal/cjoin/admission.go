@@ -33,10 +33,11 @@ type subscription struct {
 	// query's zone skip, and its blast radius on a quarantined page.
 	prune expr.PruneCheck
 
-	// Per-operator-dimension admission plan, applied by every worker
-	// replica: dimRef[d] reports whether the query references dimension d;
-	// dimKeep[d] holds the entries its predicate on d selects (nil = every
-	// entry), evaluated once at admission (Operator.selectDim).
+	// Per-operator-dimension admission plan: dimRef[d] reports whether the
+	// query references dimension d; dimKeep[d] holds the entries its
+	// predicate on d selects (nil = every entry), evaluated once at
+	// admission (Operator.selectDim). The slot's entry bits are set, and on
+	// the id's reuse cleared, on exactly these entries.
 	dimRef  []bool
 	dimKeep []*dimtab.Keep
 
@@ -186,7 +187,7 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	}
 	if q.FactPred != nil {
 		sub.factVec = expr.CompileVec(q.FactPred)
-		if !op.cfg.DisablePrune {
+		if !op.cfg.NoPrune {
 			sub.prune = expr.CompilePrune(q.FactPred)
 		}
 	}
@@ -206,17 +207,25 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	return sub, nil
 }
 
-// admit places sub in the plan at the scanner's current position, opening
-// its bitmap slot and making its dimension selections, and returns its
-// admission message. The query joins the active list and the registry of
-// open queries.
+// admit places sub in the plan at the scanner's current position: it makes
+// the query's dimension selections, opens its bitmap slot and sets the
+// slot's entry bits, and returns its admission message. Setting the bits
+// before the admission tick is safe: no tuple carries the slot's bit until
+// a page dealt after the tick. The query joins the active list and the
+// registry of open queries.
 func (s *scanner) admit(sub *subscription) ctlMsg {
 	t0 := time.Now()
 	for _, t := range s.op.tables {
-		s.op.selectDim(sub, t)
+		s.op.selectDim(sub, t, &s.scr)
+	}
+	if sub.failed.Load() != nil {
+		s.scr = vec.Scratch{} // the panic skipped the selection's Drops
+	}
+	sub.id = s.slotID()
+	for _, t := range s.op.tables {
+		t.writeBits(sub, true)
 	}
 	s.op.addBusy(time.Since(t0))
-	sub.id = s.slotID()
 	sub.pagesLeft = s.npages
 	s.active = append(s.active, sub)
 	s.op.openMu.Lock()
@@ -231,8 +240,9 @@ func (s *scanner) admit(sub *subscription) ctlMsg {
 // more than once keeps the entries all its predicates on t hold for: every
 // one of its joins with t reaches the same entry of a fact tuple. A panic
 // fails the query and leaves its Keep nil; annotate never sets a failed
-// query's bit, and the query retires on the scanner's next tick.
-func (op *Operator) selectDim(sub *subscription, t *dimTable) {
+// query's bit, and the query retires on the scanner's next tick. scr holds
+// the selection's temporaries.
+func (op *Operator) selectDim(sub *subscription, t *dimTable, scr *vec.Scratch) {
 	defer op.contain(sub)
 	var preds []expr.Expr
 	for _, d := range sub.q.Dims {
@@ -241,6 +251,6 @@ func (op *Operator) selectDim(sub *subscription, t *dimTable) {
 		}
 	}
 	if len(preds) > 0 {
-		sub.dimKeep[t.idx], _ = t.tab.Select(expr.CompileVec(expr.NewAnd(preds...)))
+		sub.dimKeep[t.idx], _ = t.tab.Select(expr.CompileVec(expr.NewAnd(preds...)), scr)
 	}
 }

@@ -6,16 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/bitvec"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // admissionQueries covers the admission predicate shapes: string equality
@@ -49,27 +50,63 @@ func admissionQueries(cat *storage.Catalog) []*plan.StarQuery {
 	}
 }
 
-// TestVectorizedAdmissionMatchesScalar drives admission's selection
-// (vectorized over the dimension table's cached column batch) and addSlot
-// against a row-at-a-time reference: for every query and every dimension
-// entry, the entry bitmap bit must equal the interpreted predicate's
-// verdict.
+// entryBit reports slot id's bit in entry e's bitmap of dimension t.
+func entryBit(t *dimTable, e, id int) bool {
+	return id/64 < len(t.bits) && t.bits[id/64][e].Load()&(1<<(uint(id)&63)) != 0
+}
+
+// TestVectorizedAdmissionMatchesScalar drives the scanner's admission
+// (selection vectorized over the dimension table's cached column batch,
+// then the slot's bits set in the shared entry bitmaps) against a
+// row-at-a-time reference: for every query and every dimension entry, the
+// entry bitmap bit must equal the interpreted predicate's verdict. The
+// queries take turns on one slot id in the second bitmap word (64 open
+// slots fill the first): each retires, and the next admission reuses the
+// id, which must clear every bit its last owner set. An id is reused only
+// once the distributor has reached its finish tick.
 func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 	cat := starDB(t, 500)
 	op := bareOp(t, cat)
-	for qi, q := range admissionQueries(cat) {
+	s := &scanner{op: op}
+	admit := func(q *plan.StarQuery) *subscription {
+		t.Helper()
 		sub, err := op.newSubscription(q)
 		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
+			t.Fatal(err)
 		}
-		sub.id = qi % 3 // exercise different slots and words
-		for di, spec := range op.specs {
-			ds := newDimStateFor(t, di, spec, op)
-			op.selectDim(sub, ds.tab)
-			ds.addSlot(sub)
+		s.admit(sub)
+		return sub
+	}
+	// retire publishes sub's finish tick; applied reports whether the
+	// distributor has begun to apply it.
+	retire := func(sub *subscription, applied bool) {
+		s.retire(sub, nil)
+		s.active = slices.DeleteFunc(s.active, func(o *subscription) bool { return o == sub })
+		if applied {
+			op.applied.Store(s.seq)
+		}
+		s.seq++
+	}
+	noDims := &plan.StarQuery{Fact: cat.MustTable("lo"), FactCols: []int{0}}
+	for range 64 {
+		admit(noDims)
+	}
+	const id = 64
+	qs := admissionQueries(cat)
+	for qi, q := range qs {
+		sub := admit(q)
+		if sub.id != id {
+			t.Fatalf("query %d: slot %d, want %d (the retired slot reused)", qi, sub.id, id)
+		}
+		for di, tab := range op.tables {
+			for e := 0; e < tab.cb.Len(); e++ {
+				if tab.bits[0][e].Load() != 0 {
+					t.Fatalf("query %d dim %d entry %d: bits set in the first word, which no query filters", qi, di, e)
+				}
+			}
 			if !sub.dimRef[di] {
-				for i := 0; i < ds.tab.cb.Len(); i++ {
-					if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
+				for e := 0; e < tab.cb.Len(); e++ {
+					if entryBit(tab, e, id) {
 						t.Fatalf("query %d dim %d: bit set on unreferenced dimension", qi, di)
 					}
 				}
@@ -83,20 +120,31 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 					pred = d.Pred
 				}
 			}
-			for i, r := range ds.tab.cb.Rows() {
+			for e, r := range tab.cb.Rows() {
 				want := pred == nil || pred.Eval(r).Bool()
-				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id)
-				if got != want {
+				if got := entryBit(tab, e, id); got != want {
 					t.Fatalf("query %d dim %d entry %d (%v): admitted=%v, scalar predicate=%v",
-						qi, di, i, r, got, want)
+						qi, di, e, r, got, want)
 				}
 			}
-			// Retirement must clear exactly this query's bits.
-			ds.dropSlot(sub)
-			for i := 0; i < ds.tab.cb.Len(); i++ {
-				if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
-					t.Fatalf("query %d dim %d entry %d: bit survives retirement", qi, di, i)
-				}
+		}
+		retire(sub, qi < len(qs)-1)
+	}
+	// The last query's slot is free but its finish tick not yet applied: a
+	// new admission takes a fresh id. Once applied, the id is reused and
+	// every bit of the retired query cleared.
+	last := admit(noDims)
+	if last.id != id+1 {
+		t.Fatalf("admission before the finish tick was applied took slot %d, want fresh %d", last.id, id+1)
+	}
+	op.applied.Store(s.seq - 1)
+	if sub := admit(noDims); sub.id != id {
+		t.Fatalf("admission after the finish tick was applied took slot %d, want %d", sub.id, id)
+	}
+	for di, tab := range op.tables {
+		for e := 0; e < tab.cb.Len(); e++ {
+			if entryBit(tab, e, id) {
+				t.Fatalf("dim %d entry %d: bit survives retirement", di, e)
 			}
 		}
 	}
@@ -203,11 +251,11 @@ func BenchmarkColdDecodeAnnotate(b *testing.B) {
 	cat := starDB(b, 4000)
 	op := bareOp(b, cat)
 	w := bareWorker(op)
-	slots := testSlots(b, op, cat)
+	v := testSlots(b, op, cat)
 	ncols := op.fact.Schema.Len()
 
 	pages := rawPages(b, cat, op.fact)
-	it := &item{}
+	it := &item{view: v}
 	total := 0
 	for _, page := range pages {
 		cb, err := storage.DecodePageCols(page, ncols)
@@ -226,7 +274,7 @@ func BenchmarkColdDecodeAnnotate(b *testing.B) {
 				b.Fatal(err)
 			}
 			it.cols = cb
-			w.annotate(it, slots, len(slots))
+			w.annotate(it)
 			it.cols = nil
 			cb.Release()
 		}
@@ -317,7 +365,8 @@ func TestAdmissionEvaluatesOncePerQuery(t *testing.T) {
 
 // TestAdmissionAllocatesEntryBitsOnly pins what a query's admission
 // allocates: its subscription and, per dimension it filters, one Select —
-// a Keep of a bit per entry and the kernel's scratch. CJOIN scatters a Keep
+// a Keep of a bit per entry; the selection's chunk buffer and the kernel's
+// temporaries come from the scanner's scratch, kept across admissions. CJOIN scatters a Keep
 // entry by entry into its own bitmaps and never probes the index under it,
 // so the Keep carries no bitset by key offset. Over a date dimension of
 // yyyymmdd keys (2 557 entries spanning 61 130 key values, a direct index)
@@ -363,13 +412,14 @@ func TestAdmissionAllocatesEntryBitsOnly(t *testing.T) {
 		Table: date, FactKeyCol: 0, DimKeyCol: 0,
 		Pred: expr.NewCmp(expr.EQ, expr.C(1, "d_year"), expr.Int(1994)),
 	}}}
+	var scr vec.Scratch // the scanner's, kept across admissions
 	admit := func() {
 		sub, err := op.newSubscription(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tab := range op.tables {
-			op.selectDim(sub, tab)
+			op.selectDim(sub, tab, &scr)
 		}
 		if sub.dimKeep[0] == nil {
 			t.Fatal("no Keep for the filtered dimension")
@@ -385,8 +435,8 @@ func TestAdmissionAllocatesEntryBitsOnly(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	perAdmission := (m1.TotalAlloc - m0.TotalAlloc) / n
 	t.Logf("an admission allocates %d bytes", perAdmission)
-	if perAdmission > 6<<10 {
-		t.Errorf("an admission allocates %d bytes, want at most 6 KiB: a Keep of %d entry bits and no key bitset",
+	if perAdmission > 2<<10 {
+		t.Errorf("an admission allocates %d bytes, want at most 2 KiB: a Keep of %d entry bits, no key bitset and no selection buffer",
 			perAdmission, len(keys))
 	}
 }

@@ -1,25 +1,26 @@
-package bitvec
+package cjoin
 
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-// model is a reference implementation backed by a map, used to cross-check
-// the word kernels in property tests.
+// model is a reference bitmap backed by a map, used to cross-check the word
+// kernels in property tests.
 type model map[int]bool
 
 // randomWords builds nwords words and their model: all zero, sparse or dense,
-// so AnyWords meets empty bitmaps too.
+// so anyWords meets empty bitmaps too.
 func randomWords(r *rand.Rand, nwords int) ([]uint64, model) {
 	w := make([]uint64, nwords)
 	m := model{}
 	density := r.Intn(3)
-	for i := 0; i < nwords*wordBits; i++ {
+	for i := 0; i < nwords*64; i++ {
 		if density == 2 && r.Intn(2) == 0 || density == 1 && r.Intn(50) == 0 {
-			w[i/wordBits] |= 1 << uint(i%wordBits)
+			w[i/64] |= 1 << uint(i%64)
 			m[i] = true
 		}
 	}
@@ -27,61 +28,27 @@ func randomWords(r *rand.Rand, nwords int) ([]uint64, model) {
 }
 
 // matches reports whether w holds exactly the model's bits, reading past its
-// end as GetWord does.
+// end as zero.
 func matches(w []uint64, m model) bool {
-	for i := 0; i < (len(w)+2)*wordBits; i++ {
-		if GetWord(w, i) != m[i] {
+	for i := 0; i < (len(w)+2)*64; i++ {
+		if (i/64 < len(w) && w[i/64]&(1<<uint(i%64)) != 0) != m[i] {
 			return false
 		}
 	}
 	return true
 }
 
-func TestSetGetClear(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		w, m := randomWords(r, 1+r.Intn(4))
-		if !matches(w, m) {
-			return false
-		}
-		for k := 0; k < 20; k++ {
-			i := r.Intn((len(w) + 1) * wordBits)
-			ClearWord(w, i)
-			delete(m, i)
-		}
-		return matches(w, m)
+// slotMajor stores entry as entry 1 of two-entry slot-major columns, the
+// layout of dimTable.bits, with entry 0 all ones so a kernel that reads the
+// wrong entry shows.
+func slotMajor(entry []uint64) [][]atomic.Uint64 {
+	cols := make([][]atomic.Uint64, len(entry))
+	for i, w := range entry {
+		cols[i] = make([]atomic.Uint64, 2)
+		cols[i][0].Store(^uint64(0))
+		cols[i][1].Store(w)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestClearBeyondCapacityIsNoop(t *testing.T) {
-	w := []uint64{^uint64(0)}
-	ClearWord(w, 1000) // must not grow or panic
-	if len(w) != 1 || w[0] != ^uint64(0) || GetWord(w, 1000) {
-		t.Errorf("ClearWord beyond capacity changed %v", w)
-	}
-}
-
-// TestSetClearGetWord pins the word boundaries.
-func TestSetClearGetWord(t *testing.T) {
-	w := make([]uint64, 4)
-	for _, i := range []int{0, 63, 64, 200} {
-		w[i/wordBits] |= 1 << uint(i%wordBits)
-	}
-	for _, i := range []int{0, 63, 64, 200} {
-		if !GetWord(w, i) {
-			t.Errorf("bit %d not set", i)
-		}
-	}
-	if GetWord(w, 1) || GetWord(w, 62) || GetWord(w, 65) || GetWord(w, 199) || GetWord(w, 256) {
-		t.Error("unexpected bit set")
-	}
-	ClearWord(w, 63)
-	if GetWord(w, 63) || !GetWord(w, 64) {
-		t.Error("ClearWord(63) must clear bit 63 and only it")
-	}
+	return cols
 }
 
 // TestAndMaskedMatchesModel: dst' = dst AND (entry OR NOT mask), with the
@@ -93,13 +60,13 @@ func TestAndMaskedMatchesModel(t *testing.T) {
 		entry, me := randomWords(r, r.Intn(5))
 		mask, mm := randomWords(r, r.Intn(5))
 		want := model{}
-		for i := 0; i < len(dst)*wordBits; i++ {
+		for i := 0; i < len(dst)*64; i++ {
 			if md[i] && (me[i] || !mm[i]) {
 				want[i] = true
 			}
 		}
 		n := len(dst)
-		AndMaskedWords(dst, entry, mask)
+		andMaskedWords(dst, slotMajor(entry), 1, mask)
 		return len(dst) == n && matches(dst, want)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -120,7 +87,7 @@ func TestAndNotMatchesModel(t *testing.T) {
 			}
 		}
 		n := len(dst)
-		AndNotWords(dst, mask)
+		andNotWords(dst, mask)
 		return len(dst) == n && matches(dst, want)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -128,12 +95,12 @@ func TestAndNotMatchesModel(t *testing.T) {
 	}
 }
 
-// TestCountAndAny: AnyWords reports whether the model counts any bit.
+// TestCountAndAny: anyWords reports whether the model counts any bit.
 func TestCountAndAny(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		w, m := randomWords(r, r.Intn(4))
-		return AnyWords(w) == (len(m) > 0)
+		return anyWords(w) == (len(m) > 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -151,14 +118,14 @@ func TestWordKernelsZeroAlloc(t *testing.T) {
 		entry[i] = uint64(i) * 0x9e3779b97f4a7c15
 		mask[i] = ^uint64(0) >> uint(i)
 	}
+	cols := slotMajor(entry)
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		AndMaskedWords(dst, entry, mask)
-		AndNotWords(dst, mask)
-		if AnyWords(dst) && GetWord(dst, 3) {
+		andMaskedWords(dst, cols, 1, mask)
+		andNotWords(dst, mask)
+		if anyWords(dst) {
 			sink++
 		}
-		ClearWord(dst, 3)
 	})
 	if allocs != 0 {
 		t.Errorf("word kernels allocate %v objects per run, want 0", allocs)
@@ -167,32 +134,34 @@ func TestWordKernelsZeroAlloc(t *testing.T) {
 }
 
 // Ablation: bitmap AND cost per CJOIN probe as the admitted-query population
-// grows (the GQP bookkeeping curve III measures), on the flat word kernels
-// over inline arenas, the CJOIN steady-state representation.
+// grows (the GQP bookkeeping curve III measures), on the word kernels over
+// an inline tuple bitmap and slot-major entry columns, the CJOIN
+// steady-state representation.
 func BenchmarkCJoinBitmapAnd(b *testing.B) {
 	for _, queries := range []int{16, 256, 4096} {
-		nw := (queries + wordBits - 1) / wordBits
+		nw := (queries + 63) / 64
 		tupleW, entryW, maskW := make([]uint64, nw), make([]uint64, nw), make([]uint64, nw)
 		for i := 0; i < queries; i++ {
-			bit := uint64(1) << uint(i%wordBits)
+			bit := uint64(1) << uint(i%64)
 			if i%2 == 0 {
-				tupleW[i/wordBits] |= bit
+				tupleW[i/64] |= bit
 			}
 			if i%3 == 0 {
-				entryW[i/wordBits] |= bit
+				entryW[i/64] |= bit
 			}
 			if i%5 != 0 {
-				maskW[i/wordBits] |= bit
+				maskW[i/64] |= bit
 			}
 		}
+		cols := slotMajor(entryW)
 		b.Run(fmt.Sprintf("impl=words/queries=%d", queries), func(b *testing.B) {
 			work := make([]uint64, len(tupleW))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(work, tupleW)
-				AndMaskedWords(work, entryW, maskW)
-				if !AnyWords(work) {
+				andMaskedWords(work, cols, 1, maskW)
+				if !anyWords(work) {
 					b.Fatal("bitmap unexpectedly empty")
 				}
 			}

@@ -17,21 +17,22 @@
 // The code is split by role, one file each: cjoin.go (the operator, its
 // configuration and counters), admission.go (subscriptions, Run and
 // admission), scanner.go (the circular scan, its ticks, slot ids and
-// retirement), worker.go (annotate and probe), dim.go (dimension tables and
-// their per-worker replicas) and distributor.go (sequence merge, routing,
-// delivery and shutdown).
+// retirement), worker.go (annotate and probe), dim.go (dimension tables,
+// their entry bitmaps and the slot view) and distributor.go (sequence merge,
+// routing, delivery and shutdown).
 //
-// Each dimension is split in two. Its rows and their join index are the
-// table's shared dimtab.Index — the one the query-centric hash join probes
-// too — referenced from NewOperator to Close and probed immutably by every
-// worker (a direct array
-// over dense integer keys, hashed slots otherwise); a dimension whose join
-// key repeats is refused with a DuplicateKeyError, since CJOIN joins a fact
-// tuple to one entry. The per-entry slot bitmaps — the only state that
-// changes as queries come and go — are replicated per worker so the probe
-// hot path never takes a lock. A query's dimension predicates are not: the
-// scanner evaluates each once, at admission, into a dimtab.Keep that every
-// worker scatters into its replica.
+// Each dimension has one state, shared by every worker. Its rows and their
+// join index are the table's shared dimtab.Index — the one the
+// query-centric hash join probes too — referenced from NewOperator to Close
+// and probed immutably by every worker (a direct array over dense integer
+// keys, hashed slots otherwise); a dimension whose join key repeats is
+// refused with a DuplicateKeyError, since CJOIN joins a fact tuple to one
+// entry. Its entry bitmaps — the only state that changes as queries come
+// and go — are one slot-major array per dimension, written by the scanner
+// alone: at admission it evaluates the query's dimension predicates once
+// into a dimtab.Keep per dimension and sets the query's bit on the Keep's
+// entries, as the paper's preprocessor does. Workers read the bits with
+// atomic loads and take no lock.
 //
 // # Slots
 //
@@ -53,28 +54,35 @@
 //   - an admission tick: an epoch of ctlAdmit messages;
 //   - a retirement tick: an epoch of ctlFinish messages.
 //
-// An epoch is immutable once published. It is broadcast to every worker and
-// sent once to the distributor, as an item carrying the same *epoch. Each
-// worker receives its ticks in sequence order (one queue), so every replica
-// switches its slot bitmaps at the same point of the fact stream; the
-// distributor processes ticks in strict sequence order, parking
-// out-of-order arrivals in a reorder ring. A query's admission tick precedes
-// the first page of its sweep and its finish tick follows the last, so the
-// query sees each fact tuple exactly once, and its batches in scan order.
+// An epoch is immutable once published, and goes only to the distributor,
+// which processes ticks in strict sequence order, parking out-of-order
+// arrivals in a reorder ring. With each control tick the scanner also
+// builds an immutable slotView — the open queries, the bitmap width, each
+// dimension's stage mask and its entry bitmap columns — and every page it
+// deals until the next control tick carries that view. A worker annotates
+// and probes a page under the page's view alone, so workers receive pages
+// only and hold no slot state. A query's admission tick precedes the first
+// page of its sweep and its finish tick follows the last, so the query sees
+// each fact tuple exactly once, and its batches in scan order.
 //
-// A ctlAdmit opens its query's slot and a ctlFinish closes it: workers add
-// the slot's bits on the one and drop them on the other, and the
-// distributor indexes the query by slot id in between. The scanner returns
-// the id to its free list as it publishes the ctlFinish. Every worker and
-// the distributor apply that tick before any later admission tick, so a
-// later admission may reuse the id.
+// A ctlAdmit opens its query's slot and a ctlFinish closes it: the
+// distributor indexes the query by slot id in between. The scanner sets
+// the slot's entry bits before it publishes the admission tick, which is
+// safe because no tuple carries the slot's bit until a page dealt after it.
+// It puts a retired slot on its free list with the seq of the finish tick,
+// and reuses the id only once the distributor has begun to apply that tick
+// (Operator.applied): every page dealt before it has been probed, and no
+// later view names the slot. Only then does it clear the old query's bits,
+// through the old query's Keeps. The distributor stores a control tick's
+// seq before it applies the tick, so before it closes a finished query's
+// output: once Run returns, the query's id is free for reuse.
 //
 // Shutdown fails one registry, Operator.open. The scanner adds a query to it
 // at admission, and the distributor removes the query where it closes the
 // query's output. Once the fan-in has drained, the distributor fails every
 // query left with the shutdown cause.
 //
-// Each field of a subscription has one owner:
+// Each field has one owner:
 //
 //   - newSubscription fixes q, the fact predicates (factVec, prune), dimRef,
 //     outWidth and route, and Run fixes deadline, before the query is sent
@@ -85,15 +93,15 @@
 //     read-only after.
 //   - The scanner owns pagesLeft. It writes err when the query fails,
 //     before it publishes the query's finish tick; the channel sends of that
-//     tick order the write before the workers' and the distributor's reads.
+//     tick order the write before the distributor's reads.
 //   - The distributor owns cut, pendCols and pendN, and err from the finish
 //     tick (or shutdown) on. It closes out, after which Run reads err.
 //   - canceled and failed are atomic. Run raises canceled when the consumer
 //     leaves; fail stores failed once, then raises canceled, from any
 //     pipeline goroutine.
-//
-// A worker's replicas (dims, subs, nslots) belong to the worker; it changes
-// them only when it applies an epoch.
+//   - The scanner alone writes the entry bitmaps (dimTable.bits), with
+//     atomic stores, and builds the slot views; a view is read-only once
+//     built. The distributor alone stores Operator.applied.
 //
 // # Data path
 //
@@ -101,17 +109,16 @@
 // fact pages arrive as typed column batches (vec.ColBatch) the scanner opens
 // from the buffer pool's frames, once per page per revolution, whose decoded
 // columns live until the distributor recycles the item; each worker annotates
-// a page by running every open slot's vectorized fact predicate
-// (expr.CompileVec) over the batch into a selection vector and scattering the
-// slot's bit into the flat inline bitmap arena; the probe loop reads the
+// a page by running the vectorized fact predicate (expr.CompileVec) of every
+// slot its view holds over the batch into a selection vector and scattering
+// the slot's bit into the flat inline bitmap arena; the probe loop reads the
 // join-key column as a raw []int64 (the star-schema common case) instead of
-// boxing datums; and
-// the distributor routes surviving tuples by appending fact columns straight
-// from the batch, and dimension payloads from the tables' batches, to each
-// query's pooled output batch — no row is built. Each pipeline item owns
-// flat arenas (one []uint64 bitmap arena where tuple i holds words
-// [i*stride,(i+1)*stride), one joined-dimension-row arena, one live-row
-// index array) recycled through a sync.Pool.
+// boxing datums; and the distributor routes surviving tuples by appending
+// fact columns straight from the batch, and dimension payloads from the
+// tables' batches, to each query's pooled output batch — no row is built.
+// Each pipeline item owns flat arenas (one []uint64 bitmap arena where tuple
+// i holds words [i*stride,(i+1)*stride), one joined-dimension-row arena, one
+// live-row index array) recycled through a sync.Pool.
 package cjoin
 
 import (
@@ -146,9 +153,9 @@ type Config struct {
 	// Workers is the number of parallel probe pipelines the fact stream is
 	// partitioned across. Default: runtime.GOMAXPROCS(0).
 	Workers int
-	// DisablePrune turns off zone-map page pruning in the shared scan (the
+	// NoPrune turns off zone-map page pruning in the shared scan (the
 	// pruning-on/off ablation toggle; pruning is on by default).
-	DisablePrune bool
+	NoPrune bool
 }
 
 // outBuffer is the per-query output channel depth, in batches.
@@ -160,7 +167,7 @@ const queueLen = 4
 
 // MaxWorkers bounds Config.Workers; a larger value is almost certainly a
 // bug (e.g. a row count passed in the wrong field) and would only burn
-// memory on idle replicas.
+// goroutines and queue slots on idle workers.
 const MaxWorkers = 1024
 
 // normalize is the single place configuration defaults live: it validates
@@ -241,7 +248,7 @@ type Operator struct {
 	byName map[string]int
 	cfg    Config
 
-	tables  []*dimTable // shared immutable probe indexes
+	tables  []*dimTable // the dimensions: shared probe indexes and entry bitmaps
 	workers []*worker
 
 	admitCh     chan *subscription
@@ -250,6 +257,11 @@ type Operator struct {
 	releaseOnce sync.Once // the dimension index references, after wg
 	wg          sync.WaitGroup
 	prodWG      sync.WaitGroup // scanner + workers; gates the fan-in close
+
+	// applied is the seq of the last control tick the distributor has
+	// begun to apply: the scanner reuses a retired slot id only once it has
+	// reached the slot's finish tick.
+	applied atomic.Int64
 
 	// open is the registry of admitted queries whose output is still open:
 	// what the distributor's shutdown fails (see the package doc).
@@ -318,16 +330,7 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 	fanIn := make(chan *item, nw*queueLen+nw)
 	op.workers = make([]*worker, nw)
 	for i := range op.workers {
-		w := &worker{
-			op:   op,
-			in:   make(chan wmsg, queueLen),
-			out:  fanIn,
-			dims: make([]dimState, len(dims)),
-		}
-		for j, t := range op.tables {
-			w.dims[j] = newDimState(t, op)
-		}
-		op.workers[i] = w
+		op.workers[i] = &worker{op: op, in: make(chan *item, queueLen), out: fanIn}
 	}
 	dist := &distributor{op: op, in: fanIn}
 

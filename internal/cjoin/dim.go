@@ -3,26 +3,34 @@ package cjoin
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
-	"repro/internal/bitvec"
 	"repro/internal/dimtab"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
 
-// dimTable is the shared half of one dimension of the chain: a reference to
-// the dimension's shared join index (storage.Table.Indexes, every column in
-// schema order), taken by NewOperator and probed concurrently by every
-// worker through Find. cb is the index's entry batch (row e is entry e):
-// admission evaluates a query's dimension predicate over it once, and the
-// distributor routes payload columns out of it. Operator.Close drops the
-// reference.
+// dimTable is one dimension of the chain: a reference to the dimension's
+// shared join index (storage.Table.Indexes, every column in schema order),
+// taken by NewOperator and probed concurrently by every worker through
+// Find, and the dimension's entry bitmaps. cb is the index's entry batch
+// (row e is entry e): admission evaluates a query's dimension predicate
+// over it once, and the distributor routes payload columns out of it.
+// Operator.Close drops the reference.
+//
+// bits holds the entry bitmaps slot-major: bits[w][e] is entry e's word w,
+// the bits of slots 64w…64w+63. The scanner is its only writer, so a
+// plain load and store set or clear a bit (go.mod's go 1.22 predates
+// atomic Or and And); it appends a column when slot ids outgrow the
+// columns, and never moves one, so the column headers a slotView copied
+// stay valid. Workers read the words concurrently with atomic loads.
 type dimTable struct {
 	idx  int
 	spec DimSpec
 	ix   *dimtab.Index
 	tab  *dimtab.Table
 	cb   *vec.ColBatch
+	bits [][]atomic.Uint64
 }
 
 // DuplicateKeyError is NewOperator's refusal of a dimension whose join key
@@ -55,71 +63,57 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 	return &dimTable{idx: idx, spec: spec, ix: ix, tab: tab, cb: tab.Batch()}, nil
 }
 
-// dimState is one worker's replica of a dimension's slot state: entry
-// bitmaps recording which slots' dimension predicates each entry satisfies,
-// and the stage mask of slots referencing the dimension; the worker changes
-// it only as it applies epochs, so it needs no lock. Entry bitmaps live in
-// one contiguous arena — entry i owns ebits[i*estride:(i+1)*estride) — so
-// opening and closing a slot sweep a flat array instead of chasing
-// per-entry pointers.
-type dimState struct {
-	tab *dimTable
-	op  *Operator
-
-	ebits   []uint64 // entry bitmap arena
-	estride int      // words per entry bitmap
-	mask    []uint64 // slots referencing this dimension
-}
-
-func newDimState(tab *dimTable, op *Operator) dimState {
-	return dimState{
-		tab:     tab,
-		op:      op,
-		estride: 1,
-		ebits:   make([]uint64, tab.cb.Len()),
-		mask:    make([]uint64, 1),
-	}
-}
-
-// growTo makes slot id addressable in the entry bitmap arena and the stage
-// mask, re-striding the arena when the slot population outgrows it.
-func (ds *dimState) growTo(id int) {
-	need := id/64 + 1
-	if need > ds.estride {
-		n := ds.tab.cb.Len()
-		nb := make([]uint64, n*need)
-		for i := 0; i < n; i++ {
-			copy(nb[i*need:], ds.ebits[i*ds.estride:(i+1)*ds.estride])
-		}
-		ds.ebits, ds.estride = nb, need
-	}
-	for need > len(ds.mask) {
-		ds.mask = append(ds.mask, 0)
-	}
-}
-
-// addSlot installs a query's slot bits in this replica: the stage mask, and
-// the entry bitmap of every entry the query's Keep of this dimension holds
-// (a reference without predicate, a nil Keep, holds every entry).
-func (ds *dimState) addSlot(sub *subscription) {
-	if !sub.dimRef[ds.tab.idx] {
-		return // bits outside the mask pass through unchanged
-	}
-	ds.growTo(sub.id)
-	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
-	ds.mask[w] |= bit
-	es := ds.estride
-	ds.tab.tab.Each(sub.dimKeep[ds.tab.idx], func(e int32) { ds.ebits[int(e)*es+w] |= bit })
-}
-
-// dropSlot removes a query's slot bits from this replica: addSlot set them
-// on the entries of the same Keep, and on no other.
-func (ds *dimState) dropSlot(sub *subscription) {
-	if !bitvec.GetWord(ds.mask, sub.id) {
+// writeBits sets (or clears) sub's slot bit in the entry bitmap of every
+// entry its Keep of t holds; a nil Keep holds every entry, which also covers
+// a query whose selection panicked. A dimension sub does not reference
+// holds none of its bits. Only the scanner calls it.
+func (t *dimTable) writeBits(sub *subscription, set bool) {
+	if !sub.dimRef[t.idx] {
 		return
 	}
-	bitvec.ClearWord(ds.mask, sub.id)
-	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
-	es := ds.estride
-	ds.tab.tab.Each(sub.dimKeep[ds.tab.idx], func(e int32) { ds.ebits[int(e)*es+w] &^= bit })
+	col, bit := t.bits[sub.id/64], uint64(1)<<(uint(sub.id)&63)
+	t.tab.Each(sub.dimKeep[t.idx], func(e int32) {
+		if set {
+			col[e].Store(col[e].Load() | bit)
+		} else {
+			col[e].Store(col[e].Load() &^ bit)
+		}
+	})
+}
+
+// slotView is the slot state in force between two control ticks: the open
+// queries, in admission order, the bitmap width, and per dimension the stage
+// mask of slots referencing it and the entry bitmap columns. The scanner
+// builds one per control tick, and every page dealt until the next carries
+// it, so a worker reads exactly the slots open when its page was dealt. It
+// is immutable once built.
+type slotView struct {
+	subs   []*subscription
+	nslots int // one past the highest slot id ever opened
+	dims   []viewDim
+}
+
+// viewDim is one dimension's part of a slotView.
+type viewDim struct {
+	mask []uint64          // slots referencing the dimension
+	bits [][]atomic.Uint64 // the dimension's entry bitmap columns (dimTable.bits)
+}
+
+// newView builds the slot view of the open queries subs over tables, nslots
+// slots wide.
+func newView(tables []*dimTable, subs []*subscription, nslots int) *slotView {
+	words := max((nslots+63)/64, 1)
+	v := &slotView{subs: subs, nslots: nslots, dims: make([]viewDim, len(tables))}
+	masks := make([]uint64, len(tables)*words)
+	for d, t := range tables {
+		v.dims[d] = viewDim{mask: masks[d*words : (d+1)*words : (d+1)*words], bits: t.bits}
+	}
+	for _, sub := range subs {
+		for d, ref := range sub.dimRef {
+			if ref {
+				v.dims[d].mask[sub.id/64] |= 1 << (uint(sub.id) & 63)
+			}
+		}
+	}
+	return v
 }

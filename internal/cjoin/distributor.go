@@ -129,17 +129,18 @@ func (d *distributor) register(sub *subscription) {
 }
 
 // finish retires a query: flush, close its output, drop it from the open
-// registry and unindex its slot. The scanner has already put the slot id
-// back on its free list; the admission tick that reuses it comes later in
+// registry and unindex its slot. The scanner has already put the slot on
+// its free list; it reuses the id only once process has stored this tick's
+// seq in applied, and the admission tick that reuses it comes later in
 // sequence.
 func (d *distributor) finish(sub *subscription) {
 	d.deliver(sub)
 	if sub.err == nil {
-		// Backstop for a failure the scanner did not see (a predicate panic
-		// on a worker replica, typically at admission): it may complete a
-		// short sweep first, finishing the query with a nil error. The
-		// finish tick is sequence-ordered behind every page a worker
-		// forwarded, so the worker's fail is visible here.
+		// Backstop for a failure the scanner did not see (a fact predicate
+		// or zone check panic on a worker, typically in the sweep's last
+		// pages): it may complete the sweep first, finishing the query with a
+		// nil error. The finish tick is sequence-ordered behind every page a
+		// worker forwarded, so the worker's fail is visible here.
 		sub.err = sub.cause()
 	}
 	if sub.err == nil && sub.cut {
@@ -164,11 +165,14 @@ func (d *distributor) finish(sub *subscription) {
 }
 
 // process handles one tick: a control tick's messages in order, or a data
-// tick's tuple routing.
+// tick's tuple routing. A control tick's seq is stored in applied before
+// any of its messages is applied, so before a finished query's output is
+// closed: once Run has returned, the scanner may reuse the query's slot id.
 func (d *distributor) process(it *item) {
 	t0 := time.Now()
 	d.cur = it
 	if it.ep != nil {
+		d.op.applied.Store(it.seq)
 		for _, c := range it.ep.ctl {
 			if c.kind == ctlAdmit {
 				d.register(c.sub)

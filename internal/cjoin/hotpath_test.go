@@ -11,9 +11,9 @@ import (
 	"repro/internal/vec"
 )
 
-// bareOp builds an operator shell sufficient for driving the worker
-// annotate path and dimension probe path directly, without starting the
-// pipeline goroutines.
+// bareOp builds an operator shell, its two dimension tables included,
+// sufficient for driving admission, the worker annotate path and the
+// dimension probe path directly, without starting the pipeline goroutines.
 func bareOp(t testing.TB, cat *storage.Catalog) *Operator {
 	t.Helper()
 	cfg, err := Config{}.normalize()
@@ -28,20 +28,17 @@ func bareOp(t testing.TB, cat *storage.Catalog) *Operator {
 		},
 		byName: map[string]int{"cust": 0, "part": 1},
 		cfg:    cfg,
+		open:   make(map[*subscription]struct{}),
 	}
+	for i, spec := range op.specs {
+		tab, err := newDimTable(i, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.tables = append(op.tables, tab)
+	}
+	t.Cleanup(func() { releaseTables(op.tables) })
 	return op
-}
-
-// newDimStateFor builds one worker replica over a freshly built shared
-// probe index.
-func newDimStateFor(t testing.TB, idx int, spec DimSpec, op *Operator) *dimState {
-	t.Helper()
-	tab, err := newDimTable(idx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := newDimState(tab, op)
-	return &ds
 }
 
 // TestOpenAddressingMatchesChainedMap checks CJOIN's dimension index
@@ -102,34 +99,33 @@ func TestOpenAddressingMatchesChainedMap(t *testing.T) {
 	}
 }
 
-// bareWorker builds a worker shell sufficient for driving annotate without
-// starting the pipeline (its dim states stay zero-valued; annotate only
-// reads their count).
-func bareWorker(op *Operator) *worker {
-	return &worker{op: op, dims: make([]dimState, len(op.specs))}
-}
+// bareWorker builds a worker shell sufficient for driving annotate and the
+// probe without starting the pipeline.
+func bareWorker(op *Operator) *worker { return &worker{op: op} }
 
-// annotatedItem builds a warmed item holding one annotated fact page.
-func annotatedItem(t testing.TB, op *Operator, w *worker, subs []*subscription) *item {
+// annotatedItem builds a warmed item holding one fact page annotated under
+// view v.
+func annotatedItem(t testing.TB, op *Operator, w *worker, v *slotView) *item {
 	t.Helper()
 	cb, err := op.fact.File.PageCols(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := &item{cols: cb}
-	w.annotate(it, subs, len(subs))
+	it := &item{cols: cb, view: v}
+	w.annotate(it)
 	if it.n == 0 {
 		t.Fatal("annotate kept no tuples")
 	}
 	return it
 }
 
-// testSlots admits two queries on slots 0 and 1 without starting the
-// pipeline.
-func testSlots(t testing.TB, op *Operator, cat *storage.Catalog) []*subscription {
+// testSlots admits two queries on slots 0 and 1 through the scanner's
+// admission, without starting the pipeline, and returns the slot view the
+// next admission tick would publish.
+func testSlots(t testing.TB, op *Operator, cat *storage.Catalog) *slotView {
 	t.Helper()
-	subs := make([]*subscription, 0, 2)
-	for i, q := range []*plan.StarQuery{
+	s := &scanner{op: op}
+	for _, q := range []*plan.StarQuery{
 		asiaEuropeQuery(cat, 3, 20),
 		asiaEuropeQuery(cat, 2, 50),
 	} {
@@ -137,10 +133,9 @@ func testSlots(t testing.TB, op *Operator, cat *storage.Catalog) []*subscription
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub.id = i
-		subs = append(subs, sub)
+		s.admit(sub)
 	}
-	return subs
+	return newView(op.tables, s.active, s.slots)
 }
 
 // TestAnnotateZeroAllocs locks in the preprocessor's steady-state allocation
@@ -150,11 +145,10 @@ func TestAnnotateZeroAllocs(t *testing.T) {
 	cat := starDB(t, 4000)
 	op := bareOp(t, cat)
 	w := bareWorker(op)
-	slots := testSlots(t, op, cat)
-	it := annotatedItem(t, op, w, slots) // warm-up
+	it := annotatedItem(t, op, w, testSlots(t, op, cat)) // warm-up
 
 	allocs := testing.AllocsPerRun(100, func() {
-		w.annotate(it, slots, len(slots))
+		w.annotate(it)
 	})
 	if allocs != 0 {
 		t.Errorf("annotate allocates %v objects per page in steady state, want 0", allocs)
@@ -167,15 +161,10 @@ func TestProbePathZeroAllocs(t *testing.T) {
 	cat := starDB(t, 4000)
 	op := bareOp(t, cat)
 	w := bareWorker(op)
-	slots := testSlots(t, op, cat)
-	master := annotatedItem(t, op, w, slots)
+	v := testSlots(t, op, cat)
+	master := annotatedItem(t, op, w, v)
 
-	st := newDimStateFor(t, 0, op.specs[0], op)
-	for _, sl := range slots {
-		op.selectDim(sl, st.tab)
-		st.addSlot(sl)
-	}
-	work := &item{cols: master.cols}
+	work := &item{cols: master.cols, view: v}
 	reload := func() {
 		// Mirror annotate: arenas are sized for the page's rows (dims is
 		// indexed by page row), live count set after.
@@ -185,11 +174,11 @@ func TestProbePathZeroAllocs(t *testing.T) {
 		work.n = master.n
 	}
 	reload()
-	st.processTuples(work) // warm-up
+	w.probe(work, op.tables[0], &v.dims[0]) // warm-up
 
 	allocs := testing.AllocsPerRun(100, func() {
 		reload()
-		st.processTuples(work)
+		w.probe(work, op.tables[0], &v.dims[0])
 	})
 	if allocs != 0 {
 		t.Errorf("probe path allocates %v objects per page in steady state, want 0", allocs)
@@ -230,15 +219,10 @@ func BenchmarkCJoinProbe(b *testing.B) {
 	cat := starDB(b, 4000)
 	op := bareOp(b, cat)
 	w := bareWorker(op)
-	slots := testSlots(b, op, cat)
-	master := annotatedItem(b, op, w, slots)
+	v := testSlots(b, op, cat)
+	master := annotatedItem(b, op, w, v)
 
-	st := newDimStateFor(b, 0, op.specs[0], op)
-	for _, sl := range slots {
-		op.selectDim(sl, st.tab)
-		st.addSlot(sl)
-	}
-	work := &item{cols: master.cols}
+	work := &item{cols: master.cols, view: v}
 	work.ensure(master.cols.Len(), master.stride, master.ndims)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -246,7 +230,7 @@ func BenchmarkCJoinProbe(b *testing.B) {
 		copy(work.rowIdx[:master.n], master.rowIdx)
 		copy(work.words[:master.n*master.stride], master.words)
 		work.n = master.n
-		st.processTuples(work)
+		w.probe(work, op.tables[0], &v.dims[0])
 	}
 	b.ReportMetric(float64(master.n), "tuples/op")
 }
@@ -258,13 +242,12 @@ func BenchmarkPreprocessAnnotate(b *testing.B) {
 	cat := starDB(b, 4000)
 	op := bareOp(b, cat)
 	w := bareWorker(op)
-	slots := testSlots(b, op, cat)
-	it := annotatedItem(b, op, w, slots)
+	it := annotatedItem(b, op, w, testSlots(b, op, cat))
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.annotate(it, slots, len(slots))
+		w.annotate(it)
 	}
 	b.ReportMetric(float64(it.cols.Len()), "tuples/op")
 }

@@ -48,7 +48,7 @@ func BenchmarkDistributorRoute(b *testing.B) {
 	dimCB.Seal(dimEntries)
 	defer dimCB.Release()
 
-	// Joined entries per page row, as processTuples leaves them.
+	// Joined entries per page row, as the probe leaves them.
 	dimEnt := make([]int32, nrows*ndims)
 	for r := 0; r < nrows; r++ {
 		dimEnt[r] = int32(r % dimEntries)

@@ -3,6 +3,8 @@ package cjoin
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/storage"
@@ -23,25 +25,17 @@ type ctlMsg struct {
 	sub  *subscription
 }
 
-// epoch is a control tick: messages every worker and the distributor apply
-// in order at the tick's position in the fact stream. It is immutable once
-// published.
+// epoch is a control tick: the messages the distributor applies in order at
+// the tick's position in the fact stream. It is immutable once published.
 type epoch struct {
 	ctl []ctlMsg
 }
 
-// wmsg is one tick on a worker's input queue: a control epoch or a fact
-// page. Per-queue FIFO order is sequence order, so a worker always applies
-// an epoch at the same stream position as its peers.
-type wmsg struct {
-	ep *epoch
-	it *item
-}
-
 // item is the unit flowing into the distributor: one tick of the fact
-// stream. Data ticks carry a page's surviving tuples; control ticks carry
-// the tick's epoch. seq is the tick's global sequence number — the
-// distributor processes items in strict seq order.
+// stream. Data ticks carry a page's surviving tuples and the slot view the
+// page was dealt under; control ticks carry the tick's epoch. seq is the
+// tick's global sequence number — the distributor processes items in strict
+// seq order.
 //
 // Tuples live in flat arenas so a page costs zero steady-state allocations:
 // tuple i is row rowIdx[i] of the page's column batch cols, its slot bitmap
@@ -57,8 +51,9 @@ type wmsg struct {
 // a recycled item are never observed and need not be cleared.
 type item struct {
 	seq  int64
-	page int    // fact page index of a data tick (zone-map lookup key)
-	ep   *epoch // a control tick's epoch; nil on data ticks
+	page int       // fact page index of a data tick (zone-map lookup key)
+	ep   *epoch    // a control tick's epoch; nil on data ticks
+	view *slotView // a data tick's slot view; nil on control ticks
 
 	// cols is the fact page opened from its buffer pool frame (data ticks).
 	// The item owns the one reference, released when the distributor
@@ -102,9 +97,9 @@ func (op *Operator) getItem() *item {
 }
 
 // putItem recycles an item after the distributor is done with it. The epoch
-// is dropped so pooled items do not pin retired subscriptions across idle
-// periods, and the item's page batch is released, freeing its decoded
-// columns. The dimension-entry arena is left as is: stale slots are plain
+// and the view are dropped so pooled items do not pin retired subscriptions
+// across idle periods, and the item's page batch is released, freeing its
+// decoded columns. The dimension-entry arena is left as is: stale slots are plain
 // indices into tables that live for the operator's lifetime, and the probe
 // loop never reads a slot it did not write on the current page.
 func (op *Operator) putItem(it *item) {
@@ -112,33 +107,43 @@ func (op *Operator) putItem(it *item) {
 		it.cols.Release()
 		it.cols = nil
 	}
-	it.ep = nil
+	it.ep, it.view = nil, nil
 	it.seq = 0
 	it.n = 0
 	op.itemPool.Put(it)
 }
 
 // scanner is the pipeline head: the circular fact scan, the active query
-// list, the tick sequence and the slot ids, all owned by the scanner
+// list, the tick sequence, the slot ids and the slot state (the dimensions'
+// entry bitmaps and the current slot view), all owned by the scanner
 // goroutine.
 type scanner struct {
 	op     *Operator
 	fanIn  chan<- *item
 	active []*subscription
+	view   *slotView // the view of the pages dealt since the last control tick
 	npages int
-	pos    int   // next fact page of the circular scan
-	seq    int64 // sequence number of the next tick
-	wi     int   // next worker to deal a page to
-	slots  int   // slot ids ever allocated
-	free   []int // freed slot ids, reused first to keep bitmaps narrow
+	pos    int         // next fact page of the circular scan
+	seq    int64       // sequence number of the next tick
+	wi     int         // next worker to deal a page to
+	slots  int         // slot ids ever allocated
+	free   []freeSlot  // retired slots, in finish-tick order
+	scr    vec.Scratch // admission's selection temporaries
+}
+
+// freeSlot is a retired query's slot: its id and entry bits are reusable
+// once the distributor has begun to apply the query's finish tick, seq.
+type freeSlot struct {
+	sub *subscription
+	seq int64
 }
 
 // scan runs the scanner until the operator closes: an admission tick for
 // the queries waiting to join, one fact page, and a retirement tick for the
 // queries whose sweep ended, in turn. Fact pages are dealt round-robin to
-// the probe workers; control ticks are broadcast to every worker (so all
-// replicas switch bitmaps at the same stream position) and sent once to the
-// distributor (which orders them against the data ticks by sequence number).
+// the probe workers, each with the slot view in force; control ticks go to
+// the distributor (which orders them against the data ticks by sequence
+// number) and install a new view.
 func (op *Operator) scan(fanIn chan<- *item) {
 	defer op.wg.Done()
 	defer op.prodWG.Done()
@@ -177,7 +182,7 @@ func (s *scanner) admissions() bool {
 		case sub := <-s.op.admitCh:
 			ctl = append(ctl, s.admit(sub))
 		default:
-			return len(ctl) == 0 || s.broadcast(ctl)
+			return len(ctl) == 0 || s.publish(ctl)
 		}
 	}
 }
@@ -216,6 +221,7 @@ func (s *scanner) page() bool {
 	s.seq++
 	it.cols = cb
 	it.page = at
+	it.view = s.view
 	// Deal the page round-robin, but skip workers whose queues are full so
 	// one slow worker cannot head-of-line block the rest — the
 	// distributor's sequence merge makes any assignment correct. Only when
@@ -224,7 +230,7 @@ func (s *scanner) page() bool {
 	nw := len(op.workers)
 	for k := 0; k < nw; k++ {
 		select {
-		case op.workers[(s.wi+k)%nw].in <- wmsg{it: it}:
+		case op.workers[(s.wi+k)%nw].in <- it:
 			s.wi = (s.wi + k + 1) % nw
 			return true
 		default:
@@ -233,7 +239,7 @@ func (s *scanner) page() bool {
 	w := op.workers[s.wi]
 	s.wi = (s.wi + 1) % nw
 	select {
-	case w.in <- wmsg{it: it}:
+	case w.in <- it:
 		return true
 	case <-op.closeCh:
 		op.putItem(it)
@@ -244,7 +250,7 @@ func (s *scanner) page() bool {
 // pruned reports whether no active query can match page at's zone maps, so
 // the page need not be fetched.
 func (s *scanner) pruned(at int) bool {
-	if s.op.cfg.DisablePrune {
+	if s.op.cfg.NoPrune {
 		return false
 	}
 	zones := s.op.fact.File.PageZones(at)
@@ -294,15 +300,15 @@ func (s *scanner) pageFailed(at int, err error) bool {
 		ctl = s.retire(sub, ctl)
 	}
 	s.active = remaining
-	return len(ctl) == 0 || s.broadcast(ctl)
+	return len(ctl) == 0 || s.publish(ctl)
 }
 
 // retirements retires, on one retirement tick, every query whose sweep
 // ended with the last page, that canceled or failed, or whose deadline has
-// passed. The tick follows the sweep's last page, so every worker and the
-// distributor see that page first. time.Now is consulted only while a
-// deadline-bearing query is active — deadline-free sweeps pay nothing. It
-// reports false once the operator closes.
+// passed. The tick follows the sweep's last page, so the distributor sees
+// that page first. time.Now is consulted only while a deadline-bearing
+// query is active — deadline-free sweeps pay nothing. It reports false once
+// the operator closes.
 func (s *scanner) retirements() bool {
 	var ctl []ctlMsg
 	var now time.Time
@@ -335,47 +341,55 @@ func (s *scanner) retirements() bool {
 		}
 	}
 	s.active = remaining
-	return len(ctl) == 0 || s.broadcast(ctl)
+	return len(ctl) == 0 || s.publish(ctl)
 }
 
-// retire appends the message retiring sub to ctl, which closes its slot.
-// The slot id goes back to the free list here: ctl is published before the
-// next admission tick.
+// retire appends the message retiring sub to ctl, which closes its slot,
+// and puts the slot on the free list with the seq of the tick ctl is
+// published on: publish comes before the next tick.
 func (s *scanner) retire(sub *subscription, ctl []ctlMsg) []ctlMsg {
-	s.free = append(s.free, sub.id)
+	s.free = append(s.free, freeSlot{sub: sub, seq: s.seq})
 	return append(ctl, ctlMsg{kind: ctlFinish, sub: sub})
 }
 
-// slotID takes a bitmap slot id for a query being admitted, a freed one
-// first.
+// slotID takes a bitmap slot id for a query being admitted. A retired
+// query's id is reused once the distributor has begun to apply its finish
+// tick: every page dealt before that tick has been probed, and no later
+// view names the slot, so its bits are cleared (through the retired
+// query's Keeps) with no reader left. The free list is in finish-tick
+// order, so only its head can be ready. Failing that, a new id is
+// allocated, and a new bitmap column whenever the ids outgrow the columns.
 func (s *scanner) slotID() int {
-	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
-		s.free = s.free[:n-1]
-		return id
+	if len(s.free) > 0 && s.free[0].seq <= s.op.applied.Load() {
+		old := s.free[0].sub
+		s.free[0] = freeSlot{}
+		s.free = s.free[1:]
+		for _, t := range s.op.tables {
+			t.writeBits(old, false)
+		}
+		return old.id
 	}
 	s.slots++
 	s.op.stats.slotHighWater.Store(int64(s.slots))
+	for _, t := range s.op.tables {
+		if len(t.bits) < (s.slots+63)/64 {
+			t.bits = append(t.bits, make([]atomic.Uint64, t.cb.Len()))
+		}
+	}
 	return s.slots - 1
 }
 
-// broadcast publishes one control tick: its epoch to every worker, and an
-// item carrying the same epoch to the distributor. ctl must be freshly
-// allocated: slow workers may still be reading the epoch while the scanner
-// moves on. It reports false once the operator closes.
-func (s *scanner) broadcast(ctl []ctlMsg) bool {
-	ep := &epoch{ctl: ctl}
-	for _, w := range s.op.workers {
-		select {
-		case w.in <- wmsg{ep: ep}:
-		case <-s.op.closeCh:
-			return false
-		}
-	}
+// publish publishes one control tick: an item carrying its epoch to the
+// distributor, and a new slot view, of the queries now active, for the
+// pages dealt after it. ctl must be freshly allocated: the distributor may
+// still be reading it while the scanner moves on. It reports false once the
+// operator closes.
+func (s *scanner) publish(ctl []ctlMsg) bool {
+	s.view = newView(s.op.tables, slices.Clone(s.active), s.slots)
 	it := s.op.getItem()
 	it.seq = s.seq
 	s.seq++
-	it.ep = ep
+	it.ep = &epoch{ctl: ctl}
 	select {
 	case s.fanIn <- it:
 		return true

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,7 +369,7 @@ func TestConcurrentWavesReuseEverySlot(t *testing.T) {
 	cat := slowStarDBPool(t, 10000, 100*time.Microsecond, 8)
 	lo := cat.MustTable("lo")
 	t.Logf("fact table: %d pages", lo.File.NumPages())
-	op := newOpCfg(t, cat, Config{DisablePrune: true})
+	op := newOpCfg(t, cat, Config{NoPrune: true})
 	none := &plan.StarQuery{Fact: lo, FactCols: []int{0},
 		FactPred: expr.NewCmp(expr.LT, expr.C(0, "lo_id"), expr.Int(0))}
 	for wave := 1; wave <= waves; wave++ {
@@ -391,5 +392,100 @@ func TestConcurrentWavesReuseEverySlot(t *testing.T) {
 		if hw > width {
 			t.Errorf("wave %d: SlotHighWater = %d, want <= %d (freed slots were lost)", wave, hw, width)
 		}
+	}
+}
+
+// gatePred is a fact predicate CompileVec has no kernel for, so it runs row
+// by row; it holds for every row. Once armed, the first row it sees blocks
+// until release is closed, holding whichever worker evaluates it in
+// annotate, before the probe, on the page it was dealt.
+type gatePred struct {
+	armed   *atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatePred) Eval(types.Row) types.Datum {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return types.NewBool(true)
+}
+
+func (g gatePred) Signature() string { return "gate" }
+
+// TestGatedWorkerKeepsSlotState holds one of two workers behind a gate on a
+// page of a retiring query's sweep while the other worker carries the rest
+// of the sweep, the query's finish tick goes out and a second query is
+// admitted and swept. The held page was dealt before the second query's
+// admission tick, so it must route nothing to it; it was dealt before the
+// first query's finish tick, so none of the first query's rows on it may be
+// lost, although its slot id is free by then: the id must not be reused,
+// and its bits not cleared, before the held page is probed. A third query
+// then reuses the id and must see none of the old query's bits. Each
+// result equals the naive evaluator's.
+func TestGatedWorkerKeepsSlotState(t *testing.T) {
+	cat := slowStarDB(t, 3000, time.Millisecond)
+	lo, cust := cat.MustTable("lo"), cat.MustTable("cust")
+	op := newOpCfg(t, cat, Config{BatchSize: 64, Workers: 2, NoPrune: true})
+	region := func(fact expr.Expr, r string) *plan.StarQuery {
+		return &plan.StarQuery{Fact: lo, FactPred: fact, FactCols: []int{0, 3},
+			Dims: []plan.DimJoin{{Table: cust, FactKeyCol: 1, DimKeyCol: 0,
+				Pred:        expr.NewCmp(expr.EQ, expr.C(1, "region"), expr.Str(r)),
+				PayloadCols: []int{1}}}}
+	}
+	gate := gatePred{armed: new(atomic.Bool), entered: make(chan struct{}), release: make(chan struct{})}
+	gate.armed.Store(true)
+	released := false
+	defer func() {
+		if !released {
+			close(gate.release)
+		}
+	}()
+
+	retiring := region(gate, "ASIA")
+	retWait := runStarAsync(op, retiring)
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no worker reached the gate")
+	}
+	// The retiring query was admitted on an idle scanner, so its sweep ends
+	// with the fact table's last page scanned; its finish tick follows
+	// before the scanner takes another admission.
+	npages := int64(lo.File.NumPages())
+	deadline := time.Now().Add(20 * time.Second)
+	for op.Stats().PagesScanned < npages {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep stalled at %d of %d pages behind the gate", op.Stats().PagesScanned, npages)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	admitted := region(nil, "EUROPE")
+	admWait := runStarAsync(op, admitted)
+	waitAdmitted(t, op, 2)
+	if st := op.Stats(); st.SlotHighWater != 2 || st.Completed != 0 {
+		t.Fatalf("behind the gate: SlotHighWater = %d, Completed = %d; want a fresh slot and nothing finished",
+			st.SlotHighWater, st.Completed)
+	}
+	close(gate.release)
+	released = true
+
+	for _, c := range []struct {
+		name string
+		q    *plan.StarQuery
+		wait func() ([]types.Row, error)
+	}{{"retiring", retiring, retWait}, {"admitted", admitted, admWait}} {
+		rows, err := c.wait()
+		if err != nil {
+			t.Fatalf("%s query: %v", c.name, err)
+		}
+		mustEqualRows(t, rows, evalStarNaive(t, c.q))
+	}
+	reused := region(nil, "AMERICA")
+	mustEqualRows(t, runStar(t, op, reused), evalStarNaive(t, reused))
+	if hw := op.Stats().SlotHighWater; hw != 2 {
+		t.Fatalf("SlotHighWater = %d after the third query, want 2: a freed id is reused", hw)
 	}
 }

@@ -1,26 +1,22 @@
 package cjoin
 
 import (
-	"slices"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/storage"
 	"repro/internal/vec"
 )
 
 // worker is one partitioned probe pipeline: it annotates its share of the
-// fact stream and probes it through every dimension replica, all within one
+// fact stream and probes it through every dimension, all within one
 // goroutine (no per-dimension hand-off), then forwards the surviving tuples
-// to the distributor.
+// to the distributor. It holds no slot state: each page carries the
+// slotView it was dealt under.
 type worker struct {
 	op  *Operator
-	in  chan wmsg
+	in  chan *item
 	out chan<- *item
-
-	dims   []dimState
-	subs   []*subscription // the queries whose slots are open, in admission order
-	nslots int             // one past the highest slot id ever opened: the bitmap width
 
 	// cur is the data item being processed, tracked so the panic-recovery
 	// path can release its page-batch reference instead of leaking it.
@@ -30,28 +26,7 @@ type worker struct {
 	selBuf  []int32     // per-slot selection buffer, sized to the page
 }
 
-// addSlot opens an admitted query's slot in the worker's replicas: annotate
-// produces its bit from here on.
-func (w *worker) addSlot(sub *subscription) {
-	if sub.id+1 > w.nslots {
-		w.nslots = sub.id + 1
-	}
-	w.subs = append(w.subs, sub)
-	for i := range w.dims {
-		w.dims[i].addSlot(sub)
-	}
-}
-
-// dropSlot removes a retired query's bits from the worker's replicas.
-func (w *worker) dropSlot(sub *subscription) {
-	w.subs = slices.DeleteFunc(w.subs, func(o *subscription) bool { return o == sub })
-	for i := range w.dims {
-		w.dims[i].dropSlot(sub)
-	}
-}
-
-// run processes ticks until the scanner closes the queue. Control epochs
-// open a slot per admission and close one per finish. Data ticks are
+// run processes pages until the scanner closes the queue: each is
 // annotated, probed through the whole chain and forwarded to the
 // distributor.
 func (w *worker) run() {
@@ -70,30 +45,16 @@ func (w *worker) run() {
 			w.op.putItem(w.cur)
 			w.cur = nil
 		}
-		for msg := range w.in {
-			if msg.it != nil {
-				w.op.putItem(msg.it)
-			}
+		for it := range w.in {
+			w.op.putItem(it)
 		}
 	}()
-	for msg := range w.in {
+	for it := range w.in {
 		t0 := time.Now()
-		if msg.ep != nil {
-			for _, c := range msg.ep.ctl {
-				if c.kind == ctlAdmit {
-					w.addSlot(c.sub)
-				} else {
-					w.dropSlot(c.sub)
-				}
-			}
-			w.op.addBusy(time.Since(t0))
-			continue
-		}
-		it := msg.it
 		w.cur = it
-		w.annotate(it, w.subs, w.nslots)
-		for i := range w.dims {
-			w.dims[i].processTuples(it)
+		w.annotate(it)
+		for d, t := range w.op.tables {
+			w.probe(it, t, &it.view.dims[d])
 		}
 		w.op.addBusy(time.Since(t0))
 		select {
@@ -115,22 +76,20 @@ func (w *worker) safeFactSel(sub *subscription, cb *vec.ColBatch, all, sel []int
 	return sub.factVec(cb, all, sel, &w.scratch)
 }
 
-// annotate fills it with the page's tuples that satisfy at least one open
-// slot's fact predicate, writing each survivor's bitmap into the flat word
-// arena. Each slot's vectorized fact predicate runs over the whole column
-// batch into a selection vector (tight typed-slice loops instead of a
-// per-row closure call), and the slot's bit is scattered into the bitmap of
-// every selected row; a final pass compacts the surviving rows. This is the
+// annotate fills it with the page's tuples that satisfy the fact predicate
+// of at least one slot of the page's view, writing each survivor's bitmap
+// into the flat word arena. Each slot's vectorized fact predicate runs over
+// the whole column batch into a selection vector (tight typed-slice loops
+// instead of a per-row closure call), and the slot's bit is scattered into
+// the bitmap of every selected row; a final pass compacts the surviving
+// rows. This is the
 // steady-state per-page hot path of every probe worker: it performs no
 // allocations once the worker's buffers have warmed to the page size.
-func (w *worker) annotate(it *item, subs []*subscription, nslots int) {
+func (w *worker) annotate(it *item) {
 	cb := it.cols
 	nrows := cb.Len()
-	stride := (nslots + 63) / 64
-	if stride == 0 {
-		stride = 1
-	}
-	it.ensure(nrows, stride, len(w.dims))
+	stride := max((it.view.nslots+63)/64, 1)
+	it.ensure(nrows, stride, len(it.view.dims))
 	words := it.words
 	clear(words)
 	all := cb.AllSel()
@@ -147,7 +106,7 @@ func (w *worker) annotate(it *item, subs []*subscription, nslots int) {
 	var zones []storage.ZoneMap
 	zonesLoaded := false
 	var zskips int64
-	for _, sub := range subs {
+	for _, sub := range it.view.subs {
 		if sub.failed.Load() != nil {
 			continue
 		}
@@ -194,7 +153,7 @@ func (w *worker) annotate(it *item, subs []*subscription, nslots int) {
 	} else {
 		for r := 0; r < nrows; r++ {
 			tw := words[r*stride : (r+1)*stride]
-			if !bitvec.AnyWords(tw) {
+			if !anyWords(tw) {
 				dropped++
 				continue
 			}
@@ -214,30 +173,28 @@ func (w *worker) annotate(it *item, subs []*subscription, nslots int) {
 	}
 }
 
-// processTuples probes every live tuple of it against the shared dimension
-// table, folds the matching entry bitmap (or the stage mask, on a miss)
+// probe probes every live tuple of it against dimension t, folds the
+// matching entry bitmap (or the stage mask, on a miss) of the page's view vd
 // into the tuple's inline bitmap, and compacts the item's arenas in place
 // as tuples die. The join-key column is read straight from the page's
 // column batch: integer-class key columns (the star-schema common case)
 // probe from the raw []int64 payload without building a Datum per tuple.
 // This is the steady-state probe hot path: zero allocations per tuple.
-func (ds *dimState) processTuples(it *item) {
+func (w *worker) probe(it *item, t *dimTable, vd *viewDim) {
 	stride, nd := it.stride, it.ndims
-	dt := ds.tab
-	tab := dt.tab
-	es := ds.estride
-	kc := it.cols.Col(dt.spec.FactKeyCol)
+	tab := t.tab
+	kc := it.cols.Col(t.spec.FactKeyCol)
 	fastInt := kc.Kind.IntClass() && !kc.HasNulls()
 	ki := kc.I
 	var probes, misses, dropped int64
 	n := 0
-	if stride == 1 && es == 1 && len(ds.mask) == 1 {
+	if stride == 1 {
 		// Single-word bitmaps — up to 64 concurrent queries, the common
 		// case: the fold is one scalar op, with no per-tuple subslicing.
-		mask, ebits := ds.mask[0], ds.ebits
+		mask, ebits := vd.mask[0], vd.bits[0]
 		words, rowIdx := it.words, it.rowIdx
 		for i := 0; i < it.n; i++ {
-			w := words[i]
+			tw := words[i]
 			r := int(rowIdx[i])
 			probes++
 			var ei int
@@ -247,19 +204,19 @@ func (ds *dimState) processTuples(it *item) {
 				ei = int(tab.Find(kc, r))
 			}
 			if ei >= 0 {
-				w &= ebits[ei] | ^mask
+				tw &= ebits[ei].Load() | ^mask
 			} else {
 				misses++
-				w &^= mask
+				tw &^= mask
 			}
-			if w == 0 {
+			if tw == 0 {
 				dropped++
 				continue
 			}
-			words[n] = w
+			words[n] = tw
 			rowIdx[n] = rowIdx[i]
 			if ei >= 0 {
-				it.dimEnt[r*nd+dt.idx] = int32(ei)
+				it.dimEnt[r*nd+t.idx] = int32(ei)
 			}
 			n++
 		}
@@ -275,12 +232,12 @@ func (ds *dimState) processTuples(it *item) {
 				ei = int(tab.Find(kc, r))
 			}
 			if ei >= 0 {
-				bitvec.AndMaskedWords(tw, ds.ebits[ei*es:(ei+1)*es], ds.mask)
+				andMaskedWords(tw, vd.bits, ei, vd.mask)
 			} else {
 				misses++
-				bitvec.AndNotWords(tw, ds.mask)
+				andNotWords(tw, vd.mask)
 			}
-			if !bitvec.AnyWords(tw) {
+			if !anyWords(tw) {
 				dropped++
 				continue
 			}
@@ -289,19 +246,57 @@ func (ds *dimState) processTuples(it *item) {
 				copy(it.words[n*stride:(n+1)*stride], tw)
 			}
 			if ei >= 0 {
-				it.dimEnt[r*nd+dt.idx] = int32(ei)
+				it.dimEnt[r*nd+t.idx] = int32(ei)
 			}
 			n++
 		}
 	}
 	it.n = n
 	if probes > 0 {
-		ds.op.stats.probes.Add(probes)
+		w.op.stats.probes.Add(probes)
 	}
 	if misses > 0 {
-		ds.op.stats.probeMisses.Add(misses)
+		w.op.stats.probeMisses.Add(misses)
 	}
 	if dropped > 0 {
-		ds.op.stats.droppedInChain.Add(dropped)
+		w.op.stats.droppedInChain.Add(dropped)
+	}
+}
+
+// anyWords reports whether any bit of w is set: the "is this tuple still
+// alive" check after each shared join.
+func anyWords(w []uint64) bool {
+	for _, x := range w {
+		if x != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// andMaskedWords computes dst &= entry | ^mask word-wise, where entry is
+// entry e's bitmap in the slot-major columns cols (word i is cols[i][e]):
+// bits inside mask are filtered through the entry, bits outside mask pass
+// through unchanged. This is the shared hash-join step: mask is the set of
+// queries that reference the dimension, and queries that do not join it
+// keep their bits. Words missing from cols or mask read as zero.
+func andMaskedWords(dst []uint64, cols [][]atomic.Uint64, e int, mask []uint64) {
+	for i := range dst {
+		var ew, mw uint64
+		if i < len(cols) {
+			ew = cols[i][e].Load()
+		}
+		if i < len(mask) {
+			mw = mask[i]
+		}
+		dst[i] &= ew | ^mw
+	}
+}
+
+// andNotWords computes dst &^= mask word-wise, the shared hash-join miss
+// step: every query referencing the dimension loses the tuple.
+func andNotWords(dst, mask []uint64) {
+	for i := range min(len(dst), len(mask)) {
+		dst[i] &^= mask[i]
 	}
 }

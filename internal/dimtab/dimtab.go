@@ -408,20 +408,22 @@ const selectChunk = 1024
 // Select evaluates p over the entries, a chunk at a time, and returns the
 // entries it keeps and how many: the one selection a query makes of a
 // shared index, whichever operator probes it. A nil p keeps every entry,
-// as a nil Keep. Valid after Seal.
-func (t *Table) Select(p Pred) (*Keep, int) {
+// as a nil Keep. The chunk buffer and p's temporaries come from the
+// caller's scr, so a caller that keeps its scratch selects without
+// allocating them again. Valid after Seal.
+func (t *Table) Select(p Pred, scr *vec.Scratch) (*Keep, int) {
 	if p == nil {
 		return nil, t.n
 	}
 	keep, all, kept := t.NewKeep(), t.cb.AllSel(), 0
-	buf := make([]int32, min(selectChunk, len(all)))
-	var scr vec.Scratch
+	buf := scr.Grab(min(selectChunk, len(all)))
 	for lo := 0; lo < len(all); lo += selectChunk {
 		sel := all[lo:min(lo+selectChunk, len(all))]
-		sel = p(t.cb, sel, buf[:len(sel)], &scr)
+		sel = p(t.cb, sel, buf[:len(sel)], scr)
 		keep.Add(sel)
 		kept += len(sel)
 	}
+	scr.Drop()
 	return keep, kept
 }
 

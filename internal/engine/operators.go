@@ -258,7 +258,8 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left Reader, 
 	if len(preds) > 0 {
 		pred = expr.CompileVec(expr.NewAnd(preds...))
 	}
-	keep, kept := tab.Select(pred) // kept: entries a probe can return
+	var scr vec.Scratch
+	keep, kept := tab.Select(pred, &scr) // kept: entries a probe can return
 	keep.ProbeKeys()
 	st.addBusy(time.Since(t0))
 	rvecs := make([]*vec.Vec, len(n.RightOut)) // RightOut's columns of the entry batch

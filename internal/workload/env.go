@@ -158,7 +158,7 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 		return nil, fmt.Errorf("workload: generate ssb: %w", err)
 	}
 	op, err := cjoin.NewOperator(db.Lineorder, SSBChain(db),
-		cjoin.Config{Workers: cfg.Workers, DisablePrune: cfg.NoPrune})
+		cjoin.Config{Workers: cfg.Workers, NoPrune: cfg.NoPrune})
 	if err != nil {
 		return nil, fmt.Errorf("workload: start cjoin: %w", err)
 	}
@@ -185,7 +185,7 @@ func (env *Env) Engine(cfg engine.Config) *engine.Engine {
 		if cfg.Star == nil {
 			cfg.Star = env.CJoin
 		}
-		if env.CJoin.Config().DisablePrune {
+		if env.CJoin.Config().NoPrune {
 			cfg.NoPrune = true
 		}
 	}
