@@ -107,6 +107,36 @@ func TestCountAndAny(t *testing.T) {
 	}
 }
 
+// TestFillWordsRepeatsPattern: fillWords leaves every stride-word tuple of
+// the arena equal to the pattern, whatever the arena held, for strides of
+// one to four words and patterns with and without bits.
+func TestFillWordsRepeatsPattern(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		stride, rows := 1+r.Intn(4), r.Intn(200)
+		pattern := make([]uint64, stride)
+		if r.Intn(3) > 0 {
+			for i := range pattern {
+				pattern[i] = r.Uint64() & r.Uint64()
+			}
+		}
+		words := make([]uint64, rows*stride)
+		for i := range words {
+			words[i] = r.Uint64()
+		}
+		fillWords(words, pattern)
+		for i, w := range words {
+			if w != pattern[i%stride] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWordKernelsZeroAlloc locks in the allocation-free contract of the
 // steady-state kernels.
 func TestWordKernelsZeroAlloc(t *testing.T) {

@@ -405,7 +405,7 @@ func TestDistributorShutdownRecyclesParkedItems(t *testing.T) {
 	op.openMu.Unlock()
 	in := make(chan *item, 3)
 	for _, seq := range []int64{1, 2, 0} {
-		it := op.getItem()
+		it, _ := op.getItem()
 		it.seq = seq
 		it.cols = vec.Get(1)
 		switch seq {

@@ -25,7 +25,10 @@
 // join index are the table's shared dimtab.Index — the one the
 // query-centric hash join probes too — referenced from NewOperator to Close
 // and probed immutably by every worker (a direct array over dense integer
-// keys, hashed slots otherwise); a dimension whose join key repeats is
+// keys, hashed slots otherwise). The index is held at its size: built into
+// columns reserved to the table's row count, its string columns kept as
+// codes over one sorted dictionary of its own, which the distributor
+// decodes as it routes a row. A dimension whose join key repeats is
 // refused with a DuplicateKeyError, since CJOIN joins a fact tuple to one
 // entry. Its entry bitmaps — the only state that changes as queries come
 // and go — are one slot-major array per dimension, written by the scanner
@@ -118,7 +121,23 @@
 // tables' batches, to each query's pooled output batch — no row is built.
 // Each pipeline item owns flat arenas (one []uint64 bitmap arena where tuple
 // i holds words [i*stride,(i+1)*stride), one joined-dimension-row arena, one
-// live-row index array) recycled through a sync.Pool.
+// live-row index array), recycled through the operator's free list.
+//
+// # Items
+//
+// Every tick travels as one item, and the operator holds at most
+// itemBound(w) = 2 + 2·w·(queueLen+1) of them for w workers, so its
+// arenas stay live at the pipeline's size between collections. An item the
+// scanner has made is in exactly one place: the scanner's hand (1), a
+// worker's queue (queueLen each) or its hand (1 each), the fan-in (whose
+// capacity is w·(queueLen+1)), the distributor's hand (1), its reorder ring,
+// or the free list. The queues, hands and fan-in add up to the bound; the
+// ring holds what a slow worker lets the others run ahead, which has no
+// bound of its own, so the free list sets it: it is itemBound deep, the
+// scanner makes an item only while fewer than that exist and otherwise
+// waits for the distributor to give one back, and putItem, with room for
+// every item made, never blocks. A free item keeps its arenas for the
+// operator's lifetime.
 package cjoin
 
 import (
@@ -164,6 +183,12 @@ const outBuffer = 4
 // queueLen is each worker's input queue depth, in ticks: a few pages of
 // slack, so a worker busy on one page does not stall the scanner.
 const queueLen = 4
+
+// itemBound is how many pipeline items an operator of nw workers holds at
+// most (see "Items" in the package doc): the scanner's one in hand, each
+// worker's queue and the one it probes, the fan-in's capacity (the same
+// again) and the distributor's one in hand.
+func itemBound(nw int) int { return 2 + 2*nw*(queueLen+1) }
 
 // MaxWorkers bounds Config.Workers; a larger value is almost certainly a
 // bug (e.g. a row count passed in the wrong field) and would only burn
@@ -273,7 +298,11 @@ type Operator struct {
 	abortMu    sync.Mutex
 	abortCause error
 
-	itemPool sync.Pool
+	// items is the free list of pipeline items, as deep as the pipeline's
+	// in-flight bound (itemBound); made counts the items ever allocated,
+	// which never exceeds it.
+	items chan *item
+	made  atomic.Int64
 
 	stats struct {
 		admitted, completed, canceled        atomic.Int64
@@ -328,6 +357,7 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 	nw := op.cfg.Workers
 	// The fan-in holds every worker's queue plus one item in hand each.
 	fanIn := make(chan *item, nw*queueLen+nw)
+	op.items = make(chan *item, itemBound(nw))
 	op.workers = make([]*worker, nw)
 	for i := range op.workers {
 		op.workers[i] = &worker{op: op, in: make(chan *item, queueLen), out: fanIn}

@@ -39,10 +39,8 @@ func BenchmarkDistributorRoute(b *testing.B) {
 	}
 	dimCB.Col(0).SetRows(types.KindString, dimEntries)
 	codes := dimCB.Col(0).BulkI(dimEntries)
-	strs := dimCB.Col(0).BulkS(dimEntries)
 	for e := 0; e < dimEntries; e++ {
 		codes[e] = int64(e % 25)
-		strs[e] = dict[codes[e]]
 		dimCB.Col(1).AppendDatum(types.NewInt(int64(e)))
 	}
 	dimCB.Seal(dimEntries)

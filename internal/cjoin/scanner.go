@@ -88,20 +88,37 @@ func (it *item) ensure(n, stride, ndims int) {
 	}
 }
 
-// getItem takes a recycled pipeline item from the pool.
-func (op *Operator) getItem() *item {
-	if v := op.itemPool.Get(); v != nil {
-		return v.(*item)
+// getItem takes a pipeline item for the scanner's next tick: a recycled one
+// from the free list, a new one while fewer than the free list's depth have
+// been made, and otherwise the next one the pipeline gives back — so an
+// operator never holds more items than itemBound, however far a fast
+// worker runs ahead of a slow one. It reports false once the operator
+// closes while it waits.
+func (op *Operator) getItem() (*item, bool) {
+	select {
+	case it := <-op.items:
+		return it, true
+	default:
 	}
-	return &item{}
+	if op.made.Load() < int64(cap(op.items)) {
+		op.made.Add(1) // only the scanner makes items
+		return &item{}, true
+	}
+	select {
+	case it := <-op.items:
+		return it, true
+	case <-op.closeCh:
+		return nil, false
+	}
 }
 
 // putItem recycles an item after the distributor is done with it. The epoch
-// and the view are dropped so pooled items do not pin retired subscriptions
+// and the view are dropped so free items do not pin retired subscriptions
 // across idle periods, and the item's page batch is released, freeing its
 // decoded columns. The dimension-entry arena is left as is: stale slots are plain
 // indices into tables that live for the operator's lifetime, and the probe
-// loop never reads a slot it did not write on the current page.
+// loop never reads a slot it did not write on the current page. The free
+// list has room for every item made, so putItem never blocks.
 func (op *Operator) putItem(it *item) {
 	if it.cols != nil {
 		it.cols.Release()
@@ -110,7 +127,7 @@ func (op *Operator) putItem(it *item) {
 	it.ep, it.view = nil, nil
 	it.seq = 0
 	it.n = 0
-	op.itemPool.Put(it)
+	op.items <- it
 }
 
 // scanner is the pipeline head: the circular fact scan, the active query
@@ -216,7 +233,11 @@ func (s *scanner) page() bool {
 	op.stats.pagesScanned.Add(1)
 	op.stats.factTuplesIn.Add(int64(cb.Len()))
 
-	it := op.getItem()
+	it, ok := op.getItem()
+	if !ok {
+		cb.Release()
+		return false
+	}
 	it.seq = s.seq
 	s.seq++
 	it.cols = cb
@@ -386,7 +407,10 @@ func (s *scanner) slotID() int {
 // operator closes.
 func (s *scanner) publish(ctl []ctlMsg) bool {
 	s.view = newView(s.op.tables, slices.Clone(s.active), s.slots)
-	it := s.op.getItem()
+	it, ok := s.op.getItem()
+	if !ok {
+		return false
+	}
 	it.seq = s.seq
 	s.seq++
 	it.ep = &epoch{ctl: ctl}

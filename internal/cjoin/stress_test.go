@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -487,5 +488,55 @@ func TestGatedWorkerKeepsSlotState(t *testing.T) {
 	mustEqualRows(t, runStar(t, op, reused), evalStarNaive(t, reused))
 	if hw := op.Stats().SlotHighWater; hw != 2 {
 		t.Fatalf("SlotHighWater = %d after the third query, want 2: a freed id is reused", hw)
+	}
+}
+
+// TestOperatorItemsBoundedByPipeline checks that an operator makes no more
+// pipeline items than its pipeline holds at once (itemBound), at 1, 2 and 4
+// workers, across rounds of sweeps with a collection between them: a freed
+// item waits on the free list for the next tick rather than going back to
+// the collector. Every other round eight queries run at once behind a
+// consumer held at its first batch, so the distributor stops and every
+// queue behind it fills.
+func TestOperatorItemsBoundedByPipeline(t *testing.T) {
+	cat := slowStarDB(t, 6000, 0)
+	for _, nw := range []int{1, 2, 4} {
+		op := newOpCfg(t, cat, Config{Workers: nw, BatchSize: 64})
+		for round := range 6 {
+			if round%2 == 0 {
+				runStar(t, op, asiaEuropeQuery(cat, 3, float64(round)))
+			} else {
+				gate := make(chan struct{})
+				var wg sync.WaitGroup
+				for i := range 8 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						held := i == 0
+						err := op.Run(context.Background(), asiaEuropeQuery(cat, int64(1+i%4), float64(i)), func(b *batch.Batch) error {
+							if held {
+								<-gate
+								held = false
+							}
+							b.Done()
+							return nil
+						})
+						if err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				time.Sleep(20 * time.Millisecond)
+				close(gate)
+				wg.Wait()
+			}
+			runtime.GC()
+		}
+		made, bound := op.made.Load(), int64(itemBound(nw))
+		t.Logf("workers %d: %d items made, bound %d", nw, made, bound)
+		if made == 0 || made > bound {
+			t.Errorf("workers %d: %d items made, want 1..%d", nw, made, bound)
+		}
+		op.Close()
 	}
 }

@@ -22,8 +22,10 @@ type worker struct {
 	// path can release its page-batch reference instead of leaking it.
 	cur *item
 
-	scratch vec.Scratch // vectorized-predicate temporaries, worker-owned
-	selBuf  []int32     // per-slot selection buffer, sized to the page
+	scratch vec.Scratch     // vectorized-predicate temporaries, worker-owned
+	selBuf  []int32         // per-slot selection buffer, sized to the page
+	pattern []uint64        // a page's starting bitmap: its predicate-free slots
+	preds   []*subscription // a page's slots with a fact predicate to run
 }
 
 // run processes pages until the scanner closes the queue: each is
@@ -78,25 +80,31 @@ func (w *worker) safeFactSel(sub *subscription, cb *vec.ColBatch, all, sel []int
 
 // annotate fills it with the page's tuples that satisfy the fact predicate
 // of at least one slot of the page's view, writing each survivor's bitmap
-// into the flat word arena. Each slot's vectorized fact predicate runs over
-// the whole column batch into a selection vector (tight typed-slice loops
-// instead of a per-row closure call), and the slot's bit is scattered into
-// the bitmap of every selected row; a final pass compacts the surviving
-// rows. This is the
-// steady-state per-page hot path of every probe worker: it performs no
-// allocations once the worker's buffers have warmed to the page size.
+// into the flat word arena. Every row's bitmap starts as the page's
+// pattern, the bits of the slots with no fact predicate, written in the
+// pass that clears the arena. Each other slot's vectorized fact predicate
+// then runs over the whole column batch into a selection vector (tight
+// typed-slice loops instead of a per-row closure call), and the slot's bit
+// is scattered into the bitmap of every selected row; a final pass compacts
+// the surviving rows. This is the steady-state per-page hot path of every
+// probe worker: it performs no allocations once the worker's buffers have
+// warmed to the page size.
 func (w *worker) annotate(it *item) {
 	cb := it.cols
 	nrows := cb.Len()
 	stride := max((it.view.nslots+63)/64, 1)
 	it.ensure(nrows, stride, len(it.view.dims))
 	words := it.words
-	clear(words)
 	all := cb.AllSel()
 	if cap(w.selBuf) < nrows {
 		w.selBuf = make([]int32, nrows)
 	}
 	sel := w.selBuf[:nrows]
+	if cap(w.pattern) < stride {
+		w.pattern = make([]uint64, stride)
+	}
+	pattern := w.pattern[:stride]
+	clear(pattern)
 	// Per-slot zone skip: a slot whose zone check fails for this page skips
 	// its vectorized annotate pass entirely — its bit stays zero for every
 	// row, exactly what evaluating the predicate would produce. The page
@@ -106,6 +114,7 @@ func (w *worker) annotate(it *item) {
 	var zones []storage.ZoneMap
 	zonesLoaded := false
 	var zskips int64
+	preds := w.preds[:0]
 	for _, sub := range it.view.subs {
 		if sub.failed.Load() != nil {
 			continue
@@ -120,13 +129,15 @@ func (w *worker) annotate(it *item) {
 				continue
 			}
 		}
-		wi, bit := uint(sub.id)>>6, uint64(1)<<(uint(sub.id)&63)
 		if sub.factVec == nil {
-			for r := 0; r < nrows; r++ {
-				words[r*stride+int(wi)] |= bit
-			}
-			continue
+			pattern[uint(sub.id)>>6] |= 1 << (uint(sub.id) & 63)
+		} else {
+			preds = append(preds, sub)
 		}
+	}
+	fillWords(words, pattern)
+	for _, sub := range preds {
+		wi, bit := uint(sub.id)>>6, uint64(1)<<(uint(sub.id)&63)
 		if stride == 1 {
 			for _, r := range w.safeFactSel(sub, cb, all, sel) {
 				words[r] |= bit
@@ -137,6 +148,8 @@ func (w *worker) annotate(it *item) {
 			words[int(r)*stride+int(wi)] |= bit
 		}
 	}
+	clear(preds) // pin no subscription past the page
+	w.preds = preds[:0]
 	n := 0
 	var dropped int64
 	if stride == 1 {
@@ -260,6 +273,20 @@ func (w *worker) probe(it *item, t *dimTable, vd *viewDim) {
 	}
 	if dropped > 0 {
 		w.op.stats.droppedInChain.Add(dropped)
+	}
+}
+
+// fillWords sets every len(pattern)-word tuple of words to pattern, whose
+// length divides len(words): a clear when no bit is set, and otherwise the
+// first tuple copied and then doubled.
+func fillWords(words, pattern []uint64) {
+	if !anyWords(pattern) {
+		clear(words)
+		return
+	}
+	n := copy(words, pattern)
+	for n < len(words) {
+		n += copy(words[n:], words[:n])
 	}
 }
 

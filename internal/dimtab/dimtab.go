@@ -20,6 +20,15 @@
 // sharing a key chain in arrival order, so Find returns the first and Next
 // walks the rest.
 //
+// The batch is held at its size, since it lives as long as its holders. A
+// shared index's build reserves every column for its source's row count
+// before the first page (Reserve), so no column is regrown and copied, and
+// keeps every string column as codes over one dictionary of the index's own
+// (vec.Vec.AppendCoded): each page's dictionary is mapped into it, one
+// lookup per entry, and Seal sorts it once and rewrites the codes, so code
+// order is string order for the predicate kernels. The dictionary holds
+// copies of its strings, so the index pins no page's memory.
+//
 // Seal builds one of two index forms, sized to the final entry count.
 // Direct: every key is integer-class and the keys span fewer than
 // directSpanFactor × entries values (surrogate keys are dense) or fewer than
@@ -27,7 +36,8 @@
 // date dimension spans under 65 536), so direct[k-lo] holds key k's first
 // entry and a probe is one bounds check and one load. Hashed:
 // open-addressing, linear-probing slots, at most half full, holding each
-// distinct key's first entry at the position its vec.HashFold hash names. A sealed Table is immutable and safe for concurrent readers.
+// distinct key's first entry at the position its vec.HashFold hash names. A
+// sealed Table is immutable and safe for concurrent readers.
 package dimtab
 
 import (
@@ -75,17 +85,25 @@ type Table struct {
 	// bits of its hash name or the first free one after it.
 	slots []int32
 	shift uint
+
+	coder []vec.Coder // by column: a string column's dictionary until Seal
 }
 
 // New returns an empty table over batches of ncols columns whose join key
 // is column key. Every appended row is kept whole: column c of Batch is
 // column c of the appended batches, so an empty table still has them all.
 func New(key, ncols int) *Table {
-	return &Table{key: key, dup: -1, cb: vec.Get(ncols)}
+	return &Table{key: key, dup: -1, cb: vec.Get(ncols), coder: make([]vec.Coder, ncols)}
 }
 
+// Reserve makes room for n entries in every column before the first
+// Append: a build that appends no more takes each column once at its final
+// size and never regrows and copies one.
+func (t *Table) Reserve(n int) { t.cb.Reserve(n) }
+
 // Append gathers the rows sel of cb whose join key is not NULL as the next
-// entries, in order.
+// entries, in order. A string column is kept as codes over one dictionary
+// of the table's own (vec.Vec.AppendCoded), whatever form cb's column takes.
 func (t *Table) Append(cb *vec.ColBatch, sel []int32) {
 	if len(sel) == 0 {
 		return
@@ -95,17 +113,28 @@ func (t *Table) Append(cb *vec.ColBatch, sel []int32) {
 		sel = t.sel
 	}
 	for c := range t.cb.NumCols() {
-		t.cb.Col(c).AppendGather(cb.Col(c), sel)
+		dst, src := t.cb.Col(c), cb.Col(c)
+		if src.Kind == types.KindString || dst.Kind == types.KindString {
+			dst.AppendCoded(src, sel, &t.coder[c])
+		} else {
+			dst.AppendGather(src, sel)
+		}
 	}
 	t.n += len(sel)
 }
 
-// Seal indexes the entries, once, after the last Append. It fails when the
-// table holds MaxEntries entries or more; the caller still releases it.
+// Seal indexes the entries, once, after the last Append: it sorts each
+// string column's dictionary, so code order is string order, and builds
+// the index. It fails when the table holds MaxEntries entries or more; the
+// caller still releases it.
 func (t *Table) Seal() error {
 	if t.n >= MaxEntries {
 		return fmt.Errorf("dimtab: %d entries, at most %d", t.n, MaxEntries-1)
 	}
+	for c := range t.coder {
+		t.cb.Col(c).SortDict(&t.coder[c])
+	}
+	t.coder, t.sel = nil, nil
 	t.cb.Seal(t.n)
 	t.kv = t.cb.Col(t.key)
 	t.next = make([]int32, t.n)
@@ -200,7 +229,7 @@ func (t *Table) slotInt(h uint64, k int64) *int32 {
 // compare when both are strings.
 func (t *Table) keyEq(e int32, d types.Datum) bool {
 	if t.kv.Kind == types.KindString && d.K == types.KindString {
-		return t.kv.S[e] == d.S
+		return t.kv.Str(int(e)) == d.S
 	}
 	return t.kv.Datum(int(e)).Equal(d)
 }

@@ -11,19 +11,23 @@ import (
 )
 
 // Source is a stored table as a shared index reads it: its pages, each
-// opened into a column batch in schema order, and its content version.
-// storage.HeapFile is one.
+// opened into a column batch in schema order, its row count and its content
+// version. storage.HeapFile is one.
 type Source interface {
 	Schema() *types.Schema
 	NumPages() int
+	NumRows() int
 	PageCols(p int) (*vec.ColBatch, error)
 	Version() uint64
 }
 
 // buildIndex indexes every row of src on column key, keeping every column in
-// schema order: the one build loop of a shared index.
+// schema order: the one build loop of a shared index. The table is reserved
+// for src's row count before the first page, so every column is taken once
+// at its final size and none is regrown and copied.
 func buildIndex(src Source, key int) (*Table, error) {
 	tab := New(key, src.Schema().Len())
+	tab.Reserve(src.NumRows())
 	for p, np := 0, src.NumPages(); p < np; p++ {
 		page, err := src.PageCols(p)
 		if err != nil {

@@ -115,6 +115,16 @@ func (s *pagesSource) NumPages() int {
 	return len(s.pages)
 }
 
+func (s *pagesSource) NumRows() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, p := range s.pages {
+		n += len(p)
+	}
+	return n
+}
+
 func (s *pagesSource) PageCols(p int) (*vec.ColBatch, error) {
 	s.reads.Add(1)
 	if s.gate != nil {

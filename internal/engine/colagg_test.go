@@ -126,10 +126,8 @@ func buildRandomBatch(r *rand.Rand, nrows, ncols int, styles []colStyle) *vec.Co
 			}
 			v.SetRows(types.KindString, nrows)
 			codes := v.BulkI(nrows)
-			strs := v.BulkS(nrows)
 			for i := range codes {
 				codes[i] = int64(r.Intn(ndict))
-				strs[i] = dict[codes[i]]
 			}
 		case styleIntNulls:
 			for i := 0; i < nrows; i++ {
@@ -152,10 +150,8 @@ func buildRandomBatch(r *rand.Rand, nrows, ncols int, styles []colStyle) *vec.Co
 			copy(dict, []string{"", "x", "xx"})
 			v.SetRows(types.KindString, nrows)
 			codes := v.BulkI(nrows)
-			strs := v.BulkS(nrows)
 			for i := range codes {
 				codes[i] = int64(r.Intn(3))
-				strs[i] = dict[codes[i]]
 				if r.Intn(4) == 0 {
 					v.SetNulls(i, i+1)
 				}

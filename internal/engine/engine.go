@@ -80,6 +80,7 @@ type Engine struct {
 	cache  *resultCache // nil unless Config.ResultCache
 
 	indexJoins atomic.Int64 // hash joins served by a shared index
+	selScr     sync.Pool    // *vec.Scratch: a hash join's build-side selection temporaries
 }
 
 // New creates an engine over the catalog.

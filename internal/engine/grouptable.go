@@ -99,7 +99,7 @@ func (g *groupTable) rowMatches(e int32, keys []*vec.Vec, r int32) bool {
 				return false
 			}
 		case types.KindString:
-			if v.S[r] != kd.S {
+			if v.Str(int(r)) != kd.S {
 				return false
 			}
 		default:

@@ -96,11 +96,9 @@ func BenchmarkHashJoin(b *testing.B) {
 				}
 				cb.Col(1).SetRows(types.KindString, n)
 				codes := cb.Col(1).BulkI(n)
-				strs := cb.Col(1).BulkS(n)
 				for i := 0; i < n; i++ {
 					cb.Col(0).AppendDatum(types.NewInt(int64(done+i) * shape.stride))
 					codes[i] = int64(i % 16)
-					strs[i] = dict[codes[i]]
 					cb.Col(2).AppendDatum(types.NewInt(int64(i)))
 				}
 				cb.Seal(n)

@@ -227,6 +227,20 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 	}
 }
 
+// selectBuild evaluates a hash join's build-side predicate over its shared
+// index once (dimtab.Table.Select), with the chunk buffer and temporaries of
+// a scratch the engine's joins share, so a warm join allocates only its
+// Keep.
+func (e *Engine) selectBuild(tab *dimtab.Table, pred dimtab.Pred) (*dimtab.Keep, int) {
+	scr, _ := e.selScr.Get().(*vec.Scratch)
+	if scr == nil {
+		scr = new(vec.Scratch)
+	}
+	keep, kept := tab.Select(pred, scr)
+	e.selScr.Put(scr) // not after a panic: the scratch's stack would stay grabbed
+	return keep, kept
+}
+
 // opHashJoin is the columnar hash join (single-column equi-join). Its build
 // side is a stored table under selections (plan.HashJoin.IndexedBuild),
 // which runs no packet: the join takes a reference to the table's shared
@@ -258,8 +272,7 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left Reader, 
 	if len(preds) > 0 {
 		pred = expr.CompileVec(expr.NewAnd(preds...))
 	}
-	var scr vec.Scratch
-	keep, kept := tab.Select(pred, &scr) // kept: entries a probe can return
+	keep, kept := e.selectBuild(tab, pred) // kept: entries a probe can return
 	keep.ProbeKeys()
 	st.addBusy(time.Since(t0))
 	rvecs := make([]*vec.Vec, len(n.RightOut)) // RightOut's columns of the entry batch

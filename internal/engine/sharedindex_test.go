@@ -341,3 +341,38 @@ func TestFailedIndexBuildFailsOnlyItsQueries(t *testing.T) {
 		t.Fatalf("after repair: %d rows, want 3000", len(res.Rows))
 	}
 }
+
+// TestWarmJoinSelectionReusesScratch checks that a warm index-served join
+// selects its build side without a chunk buffer of its own: the selection
+// (selectBuild, what opHashJoin runs once per join) takes the kernel's
+// temporaries from a scratch the engine's joins share, so over a 3 000-entry
+// dimension it allocates the Keep alone, under the 4 KiB the chunk buffer
+// would take.
+func TestWarmJoinSelectionReusesScratch(t *testing.T) {
+	regions := []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
+	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64)
+	dim := mustTable(t, cat, "cust", []types.Column{{Name: "c_k", Kind: types.KindInt}, {Name: "c_region", Kind: types.KindString}},
+		func(i int) types.Row { return types.Row{types.NewInt(int64(i)), types.NewString(regions[i%5])} }, 3000, nil)
+	ix, err := dim.Indexes.Acquire(context.Background(), dim.File, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Release()
+	e := New(cat, Config{})
+	pred := expr.CompileVec(expr.Eq(expr.C(1, "c_region"), expr.Str("ASIA")))
+	if _, kept := e.selectBuild(ix.Table(), pred); kept != 600 { // warm-up
+		t.Fatalf("selection kept %d entries, want 600", kept)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		e.selectBuild(ix.Table(), pred)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a warm selection over %d entries allocates %d B", ix.Table().Len(), per)
+	if per >= 4096 {
+		t.Errorf("a warm selection allocates %d B, want under 4 KiB", per)
+	}
+}

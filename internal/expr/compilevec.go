@@ -376,7 +376,17 @@ func compileVecCmp(c Cmp) VecPred {
 				case lv.Kind == types.KindFloat && rv.Kind == types.KindFloat:
 					return cmpColsLoop(op, lv.F, rv.F, sel, out)
 				case lv.Kind == types.KindString && rv.Kind == types.KindString:
-					return cmpColsLoop(op, lv.S, rv.S, sel, out)
+					if !lv.HasDict() && !rv.HasDict() {
+						return cmpColsLoop(op, lv.S, rv.S, sel, out)
+					}
+					k := 0
+					for _, r := range sel {
+						if cmpHolds(op, threeWay(lv.Str(int(r)), rv.Str(int(r)))) {
+							out[k] = r
+							k++
+						}
+					}
+					return out[:k]
 				}
 				// Columns of two kinds (an int and a float column, a number
 				// and a string column) compare row by row.

@@ -11,8 +11,8 @@ import (
 )
 
 // dictBatch builds a batch whose string column is dictionary-coded exactly
-// as the v2 page decoder produces it (sorted unique dictionary, codes in
-// the int payload, S[i] == Dict[I[i]]), alongside an identical plain batch
+// as the page decoder produces it (sorted unique dictionary, codes in the
+// int payload, no string headers), alongside an identical plain batch
 // (string headers only). Kernels must treat the two identically.
 func dictBatch(n int, vals []string, seed int64) (dict, plain *vec.ColBatch, rows []types.Row) {
 	r := rand.New(rand.NewSource(seed))
@@ -28,14 +28,12 @@ func dictBatch(n int, vals []string, seed int64) (dict, plain *vec.ColBatch, row
 	dv, pv := dict.Col(0), plain.Col(0)
 	dv.SetRows(types.KindString, n)
 	di := dv.BulkI(n)
-	ds := dv.BulkS(n)
 	d := dv.BulkDict(len(sorted))
 	copy(d, sorted)
 	rows = make([]types.Row, n)
 	for i := 0; i < n; i++ {
 		s := vals[r.Intn(len(vals))]
 		di[i] = code[s]
-		ds[i] = s
 		pv.AppendDatum(types.NewString(s))
 		other := types.NewInt(int64(i))
 		dict.Col(1).AppendDatum(other)
@@ -192,4 +190,73 @@ func BenchmarkDictVsStringCompare(b *testing.B) {
 			vp(pb, pb.AllSel(), out, &scr)
 		}
 	})
+}
+
+// TestDictColsCompareMatchesEval pins the column-to-column string compare
+// over dictionary-coded columns, which hold codes and no string headers: a
+// coded column against a plain one, either way round, and against another
+// coded one (each with a dictionary of its own), under every operator,
+// selects exactly the rows Eval holds for.
+func TestDictColsCompareMatchesEval(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	vals := []string{"alpha", "beta", "delta", "gamma", "omega", ""}
+	const n = 300
+	a, b := make([]string, n), make([]string, n)
+	for i := range a {
+		a[i], b[i] = vals[r.Intn(len(vals))], vals[r.Intn(len(vals)-2)]
+	}
+	var scr vec.Scratch
+	out := make([]int32, n)
+	for _, form := range []struct {
+		name           string
+		codedA, codedB bool
+	}{{"coded vs plain", true, false}, {"plain vs coded", false, true}, {"coded vs coded", true, true}} {
+		cb := vec.Get(2)
+		fillStrings(cb.Col(0), a, form.codedA)
+		fillStrings(cb.Col(1), b, form.codedB)
+		cb.Seal(n)
+		for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+			e := NewCmp(op, C(0, "a"), C(1, "b"))
+			sel := CompileVec(e)(cb, cb.AllSel(), out, &scr)
+			j := 0
+			for i := range n {
+				in := j < len(sel) && sel[j] == int32(i)
+				if in {
+					j++
+				}
+				if want := e.Eval(types.Row{types.NewString(a[i]), types.NewString(b[i])}).Bool(); in != want {
+					t.Fatalf("%s %s row %d (%q, %q): kernel %v, Eval %v", form.name, e.Signature(), i, a[i], b[i], in, want)
+				}
+			}
+		}
+		cb.Release()
+	}
+}
+
+// fillStrings fills v, an empty column, with strs: dictionary-coded as the
+// page decoder leaves it (sorted distinct entries, codes, no string
+// headers), or plain.
+func fillStrings(v *vec.Vec, strs []string, coded bool) {
+	if !coded {
+		for _, s := range strs {
+			v.AppendDatum(types.NewString(s))
+		}
+		return
+	}
+	dict := append([]string(nil), strs...)
+	sort.Strings(dict)
+	k := 0
+	for _, s := range dict {
+		if k == 0 || dict[k-1] != s {
+			dict[k] = s
+			k++
+		}
+	}
+	dict = dict[:k]
+	v.SetRows(types.KindString, len(strs))
+	codes := v.BulkI(len(strs))
+	copy(v.BulkDict(len(dict)), dict)
+	for i, s := range strs {
+		codes[i] = int64(sort.SearchStrings(dict, s))
+	}
 }

@@ -478,8 +478,8 @@ func TestTwoKindsInOneColumnRefused(t *testing.T) {
 
 // TestPageV2DictionaryInvariants checks the decoded shape the predicate
 // kernels rely on: string columns come back dictionary-coded with a sorted,
-// duplicate-free dictionary, codes in the int payload, and S[i] equal to
-// Dict[I[i]].
+// duplicate-free dictionary, codes in the int payload, Dict[I[i]] equal to
+// row i's string, and no string headers.
 func TestPageV2DictionaryInvariants(t *testing.T) {
 	vals := []string{"EUROPE", "ASIA", "EUROPE", "AFRICA", "ASIA", "AMERICA"}
 	rows := make([]types.Row, 120)
@@ -501,13 +501,73 @@ func TestPageV2DictionaryInvariants(t *testing.T) {
 	if !sort.StringsAreSorted(v.Dict) {
 		t.Fatalf("dictionary not sorted: %v", v.Dict)
 	}
+	if len(v.S) != 0 {
+		t.Fatalf("dictionary column holds %d string headers, want none", len(v.S))
+	}
 	for i := range rows {
-		if v.S[i] != v.Dict[v.I[i]] {
-			t.Fatalf("row %d: S=%q, Dict[code %d]=%q", i, v.S[i], v.I[i], v.Dict[v.I[i]])
+		if want := rows[i][0].S; v.Dict[v.I[i]] != want || v.Str(i) != want {
+			t.Fatalf("row %d: Dict[code %d]=%q, Str=%q, want %q", i, v.I[i], v.Dict[v.I[i]], v.Str(i), want)
 		}
 	}
 	if cb.Col(1).HasDict() {
 		t.Fatal("int column claims a dictionary")
+	}
+}
+
+// TestDictColumnHoldsCodesOnly checks that a decoded string column is its
+// codes alone, with no string headers, and that every reader of its rows
+// gets the page's strings back: Str and Datum row by row, and AppendFrom
+// and AppendGather, which write them into a plain column (NULL rows as
+// NULLs holding the zero value).
+func TestDictColumnHoldsCodesOnly(t *testing.T) {
+	vals := []string{"MOROCCO", "BRAZIL", "PERU", "MOROCCO", "CHINA", "PERU", "JAPAN"}
+	rows := make([]types.Row, 300)
+	for i := range rows {
+		s := types.NewString(vals[i%len(vals)])
+		if i%11 == 3 {
+			s = types.Null
+		}
+		rows[i] = types.Row{s, types.NewInt(int64(i))}
+	}
+	cb, err := DecodePageCols(buildV2Page(t, rows), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Release()
+	v := cb.Col(0)
+	if !v.HasDict() || len(v.S) != 0 {
+		t.Fatalf("decoded string column: dictionary of %d entries, %d string headers; want a dictionary and none", len(v.Dict), len(v.S))
+	}
+	all := cb.AllSel()
+	from, gathered := vec.Get(1), vec.Get(1)
+	defer from.Release()
+	defer gathered.Release()
+	for i := range rows {
+		from.Col(0).AppendFrom(v, i)
+	}
+	gathered.Col(0).AppendGather(v, all[:100])
+	gathered.Col(0).AppendGather(v, all[100:])
+	for _, out := range []*vec.Vec{from.Col(0), gathered.Col(0)} {
+		if out.HasDict() || len(out.S) != len(rows) {
+			t.Fatalf("appended column: dictionary of %d entries, %d string headers; want a plain column of %d", len(out.Dict), len(out.S), len(rows))
+		}
+	}
+	for i, r := range rows {
+		want := r[0]
+		if got := v.Datum(i); got.K != want.K || !got.Equal(want) {
+			t.Fatalf("row %d: Datum %v, want %v", i, got, want)
+		}
+		for name, out := range map[string]*vec.Vec{"AppendFrom": from.Col(0), "AppendGather": gathered.Col(0)} {
+			if got := out.Datum(i); got.K != want.K || !got.Equal(want) {
+				t.Fatalf("row %d: %s %v, want %v", i, name, got, want)
+			}
+			if want.IsNull() && out.S[i] != "" {
+				t.Fatalf("row %d: %s wrote %q under a NULL row, want the zero value", i, name, out.S[i])
+			}
+		}
+		if !want.IsNull() && v.Str(i) != want.S {
+			t.Fatalf("row %d: Str %q, want %q", i, v.Str(i), want.S)
+		}
 	}
 }
 

@@ -57,8 +57,9 @@ func segOffset(page []byte, c int) int {
 // eager form of openPage, every column touched before it returns (so the
 // caller may reuse page). Pages decode segment-at-a-time — a word-at-a-time
 // unpack per fixed-width column, with string columns copied once into a
-// shared per-page buffer whose dictionary entries back the string headers
-// (no per-string allocation).
+// shared per-page buffer whose dictionary entries back the string headers,
+// and the rows keep their codes (no per-string allocation, no per-row
+// string header).
 func DecodePageCols(page []byte, ncols int) (*vec.ColBatch, error) {
 	b, err := openPage(Lease{Page: page}, ncols, &uncounted)
 	if err != nil {
@@ -365,13 +366,9 @@ func (s segment) decode(nrows int, v *vec.Vec, src *pageSource) error {
 		}
 		vi := v.BulkI(nrows)
 		unpackInts(vi, d.codes, 0, d.width)
-		if nulls { // a NULL row's code need not name an entry: 0 does
-			decodeKindRuns(s.data, nrows, s.allowed(), func(lo, hi int) { clear(vi[lo:hi]) })
-		}
-		vs := v.BulkS(nrows)
-		for i, c := range vi {
-			vs[i] = dict[c]
-		}
+		// The column is its codes: rows read their string through the
+		// dictionary (Vec.Str). A NULL row's code need not name an entry;
+		// SetNulls below makes it 0, which does.
 	}
 	if nulls {
 		decodeKindRuns(s.data, nrows, s.allowed(), v.SetNulls)

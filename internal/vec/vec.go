@@ -9,11 +9,13 @@
 // mask (empty when no row is NULL) and the one payload array of its kind,
 // covering every row: I for int-class kinds (int, date, bool share the int64
 // payload exactly as types.Datum does, so date predicates vectorize as int64
-// range checks), F for floats, S for strings. A NULL row holds the zero value
-// there. Appending a non-NULL value of another kind panics, like releasing a
-// batch once too often: no table, expression or operator makes such a
-// column. So every kernel has one typed loop per kind, and drops a column's
-// NULL rows from its selection first (DropNulls) when the mask is not empty.
+// range checks), F for floats, S for plain strings, and for a
+// dictionary-coded string column its codes in I (below). A NULL row holds
+// the zero value there (code 0 in a coded column). Appending a non-NULL
+// value of another kind panics, like releasing a batch once too often: no
+// table, expression or operator makes such a column. So every kernel has
+// one typed loop per kind, and drops a column's NULL rows from its
+// selection first (DropNulls) when the mask is not empty.
 //
 // Selection-vector convention: a selection is an ascending []int32 of row
 // indexes into the batch. Kernels take an input selection and write the
@@ -52,14 +54,21 @@
 // The rule for readers is the one that already held: a column's arrays are
 // valid while a reference on its batch is.
 //
-// Strings are stored as Go string headers ([]string), not offsets into
-// recyclable buffers, so rows materialized from a batch stay valid after the
-// batch is recycled — the string contents are immutable heap objects (for
-// columns decoded from a page, substrings of one shared per-page dictionary
-// buffer), and a parked string array is cleared so it pins none of them.
-// Dictionary-coded columns additionally carry the page's sorted dictionary
-// in Dict with per-row codes in I, enabling predicate kernels that compare
-// ints instead of strings.
+// A string column takes one of two forms, with one payload each. A plain
+// column holds Go string headers in S. A dictionary-coded column holds a
+// sorted, duplicate-free dictionary in Dict and each row's code in I, and
+// no S: every column decoded from a page is coded (its page's dictionary),
+// and so is every string column of a join index (one dictionary of the
+// index's own). Predicate kernels compare codes against a constant
+// translated to a code bound; a reader that needs the string takes it
+// through Str, or walks Dict itself. Coding does not propagate: AppendFrom
+// and AppendGather write a coded source's strings into a plain column.
+//
+// Strings are Go string headers, not offsets into recyclable buffers, so
+// rows materialized from a batch stay valid after the batch is recycled —
+// the string contents are immutable heap objects (for columns decoded from a
+// page, substrings of one shared per-page dictionary buffer), and a parked
+// string array is cleared so it pins none of them.
 package vec
 
 import (
@@ -73,7 +82,7 @@ import (
 
 // Vec is one typed column: NULL or Kind in every row. Row i is NULL when bit
 // i of the NULL mask is set; otherwise its value is I[i] for int-class kinds,
-// F[i] for floats and S[i] for strings.
+// F[i] for floats and Str(i) for strings.
 //
 // A Vec is a column of a pooled ColBatch, whose arrays come from and go back
 // to the recycler (recycle.go), or free-standing (a kernel's result vector),
@@ -91,12 +100,12 @@ type Vec struct {
 	S    []string
 
 	// Dict, when non-empty, marks a dictionary-coded string column (the
-	// on-disk page format decodes string columns this way): Dict is the
-	// page's sorted, duplicate-free dictionary, I[i] holds row i's code and
-	// S[i] == Dict[I[i]] for every non-NULL row (a NULL row has code 0).
-	// Because the dictionary is sorted, code order is string order, so
-	// predicate kernels translate a string constant to a code bound once per
-	// page and compare ints.
+	// on-disk page format decodes string columns this way, and a join index
+	// keeps them so): Dict is the sorted, duplicate-free dictionary, I[i]
+	// holds row i's code, row i's string is Dict[I[i]] (a NULL row has code
+	// 0), and S is empty. Because the dictionary is sorted, code order is
+	// string order, so predicate kernels translate a string constant to a
+	// code bound once per column and compare ints.
 	Dict []string
 
 	n        int      // rows
@@ -113,8 +122,17 @@ const (
 )
 
 // HasDict reports whether the column is dictionary-coded (codes in I, sorted
-// dictionary in Dict).
+// dictionary in Dict, no S).
 func (v *Vec) HasDict() bool { return len(v.Dict) > 0 }
+
+// Str returns row i of a string column that is not NULL there: the entry its
+// code names in a dictionary-coded column, S[i] in a plain one.
+func (v *Vec) Str(i int) string {
+	if len(v.Dict) > 0 {
+		return v.Dict[v.I[i]]
+	}
+	return v.S[i]
+}
 
 // Len returns the number of rows.
 func (v *Vec) Len() int { return v.n }
@@ -304,8 +322,9 @@ func (v *Vec) AppendDatum(d types.Datum) {
 
 // SetRows makes v, an empty column, n rows of kind k (KindNull: n NULL rows
 // to mark with SetNulls) for a decoder to fill: k's payload through
-// BulkI/BulkF/BulkS or BorrowI/BorrowF, covering every row, then the NULL
-// runs through SetNulls.
+// BulkI/BulkF or BorrowI/BorrowF (a string column's codes through BulkI and
+// its dictionary through BulkDict), covering every row, then the NULL runs
+// through SetNulls.
 func (v *Vec) SetRows(k types.Kind, n int) { v.Kind, v.n = k, n }
 
 // SetNulls makes rows [lo, hi) NULL, zeroing their payload. It writes the
@@ -320,9 +339,10 @@ func (v *Vec) SetNulls(lo, hi int) {
 	case types.KindFloat:
 		clear(v.F[lo:hi])
 	case types.KindString:
-		clear(v.S[lo:hi])
 		if v.HasDict() {
-			clear(v.I[lo:hi])
+			clear(v.I[lo:hi]) // code 0
+		} else {
+			clear(v.S[lo:hi])
 		}
 	default:
 		clear(v.I[lo:hi])
@@ -379,12 +399,6 @@ func (v *Vec) BulkF(n int) []float64 {
 	return v.F
 }
 
-// BulkS is BulkI for the string payload.
-func (v *Vec) BulkS(n int) []string {
-	v.S = sized(&strPark, v.S, n, v.pooled)
-	return v.S
-}
-
 // BulkDict resizes the dictionary to n entries (reusing capacity) and
 // returns it for direct fills.
 func (v *Vec) BulkDict(n int) []string {
@@ -411,8 +425,9 @@ func (v *Vec) ResetRun(k types.Kind, n int) {
 // AppendFrom appends row i of src, a column of v's kind or NULLs, as the
 // next row of v: a typed payload copy with no Datum boxing, used by the CJOIN
 // distributor to route columns straight between batches. Dictionary coding
-// does not propagate; dictionary rows append as plain string rows (the string
-// headers already point into the source page's immutable buffer).
+// does not propagate: a coded row appends its dictionary entry as a plain
+// string row (the header points into the dictionary's immutable bytes). v
+// must not be dictionary-coded.
 func (v *Vec) AppendFrom(src *Vec, i int) {
 	if src.IsNull(i) {
 		v.AppendDatum(types.Null)
@@ -430,7 +445,7 @@ func (v *Vec) AppendFrom(src *Vec, i int) {
 		if n == cap(v.S) {
 			v.roomS(n)
 		}
-		v.S = append(v.S, src.S[i])
+		v.S = append(v.S, src.Str(i))
 	default:
 		if n == cap(v.I) {
 			v.roomI(n)
@@ -477,8 +492,13 @@ func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 		}
 	case types.KindString:
 		v.S = extend(&strPark, v.S, from, end, v.reserved, v.pooled)
-		if from == n {
-			ds, ss := v.S[n:], src.S
+		if ds := v.S[n:]; from == n && src.HasDict() {
+			dict, codes := src.Dict, src.I
+			for j, r := range idxs {
+				ds[j] = dict[codes[r]]
+			}
+		} else if from == n {
+			ss := src.S
 			for j, r := range idxs {
 				ds[j] = ss[r]
 			}
@@ -497,9 +517,12 @@ func (v *Vec) AppendGather(src *Vec, idxs []int32) {
 	case src.HasNulls():
 		v.growNulls()
 		for j, r := range idxs {
-			if src.IsNull(int(r)) { // its payload is the zero value already
+			if src.IsNull(int(r)) {
 				i := n + j
 				v.nulls[i>>6] |= 1 << (uint(i) & 63)
+				if src.HasDict() { // code 0 names an entry; the zero value is ""
+					v.S[i] = ""
+				}
 			}
 		}
 	case len(v.nulls) != 0:
@@ -516,7 +539,7 @@ func (v *Vec) Datum(i int) types.Datum {
 	case types.KindFloat:
 		return types.Datum{K: k, F: v.F[i]}
 	case types.KindString:
-		return types.Datum{K: k, S: v.S[i]}
+		return types.Datum{K: k, S: v.Str(i)}
 	default:
 		return types.Datum{K: k, I: v.I[i]}
 	}

@@ -3,6 +3,7 @@ package vec
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -342,15 +343,14 @@ func fillShape(b *ColBatch, rows int, kinds []types.Kind, gather bool, r *rand.R
 		case k == types.KindString:
 			ndict := 1 + r.Intn(40)
 			v.SetRows(k, rows)
-			dict, codes, strs := v.BulkDict(ndict), v.BulkI(rows), v.BulkS(rows)
+			dict, codes := v.BulkDict(ndict), v.BulkI(rows)
 			for i := range dict {
 				dict[i] = string(rune('a' + i))
 			}
-			for i := range strs {
+			for i := range codes {
 				codes[i] = int64(i % ndict)
-				strs[i] = dict[i%ndict]
 			}
-			filled += int64(rows)*(8+16) + int64(ndict)*16
+			filled += int64(rows)*8 + int64(ndict)*16
 		case k == types.KindFloat:
 			v.SetRows(k, rows)
 			clear(v.BulkF(rows))
@@ -594,5 +594,93 @@ func TestPutIgnoresForeignArrays(t *testing.T) {
 	maskPark.put(make([]uint64, 1000)[:10:999])
 	if got := PoolStats(); got.BytesOut != base.BytesOut || got.BytesParked != base.BytesParked {
 		t.Fatalf("put of a non-class array moved the gauges: %+v, baseline %+v", got, base)
+	}
+}
+
+// TestAppendCodedMatchesRows builds one coded column, the way a join index
+// keeps a string column, from random sources of every form — a page's
+// dictionary-coded column, a plain column, a column of NULLs — each under a
+// random selection, and checks the sealed column against the rows it was
+// given: every row reads back its string (Str, Datum) or NULL, NULL rows
+// hold code 0, and the dictionary is exactly the strings the rows name,
+// sorted. A column given only NULLs stays a column of NULLs.
+func TestAppendCodedMatchesRows(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	words := []string{"", "ASIA", "EUROPE", "AFRICA", "MIDDLE EAST", "AMERICA", "peru", "PERU"}
+	for round := range 200 {
+		b := Get(1)
+		v, c := b.Col(0), new(Coder)
+		var want []types.Datum
+		nulls := round%7 == 0 // every source NULL
+		for range 1 + r.Intn(5) {
+			n := 1 + r.Intn(40)
+			var src Vec
+			rows := make([]types.Datum, n)
+			for i := range rows {
+				rows[i] = types.NewString(words[r.Intn(len(words))])
+				if nulls || r.Intn(6) == 0 {
+					rows[i] = types.Null
+				}
+			}
+			switch form := r.Intn(3); {
+			case nulls || form == 0:
+				for _, d := range rows {
+					src.AppendDatum(d)
+				}
+			default: // a page's form: sorted dictionary, codes, NULL rows at code 0
+				dict := slices.Clone(words)
+				slices.Sort(dict)
+				dict = slices.Compact(dict)
+				src.SetRows(types.KindString, n)
+				codes := src.BulkI(n)
+				copy(src.BulkDict(len(dict)), dict)
+				for i, d := range rows {
+					if !d.IsNull() {
+						codes[i] = int64(slices.Index(dict, d.S))
+					}
+				}
+				for i, d := range rows {
+					if d.IsNull() {
+						src.SetNulls(i, i+1)
+					}
+				}
+			}
+			var sel []int32
+			for i := range n {
+				if r.Intn(3) != 0 {
+					sel = append(sel, int32(i))
+					want = append(want, rows[i])
+				}
+			}
+			v.AppendCoded(&src, sel, c)
+		}
+		v.SortDict(c)
+		b.Seal(len(want))
+		if nulls && v.Kind != types.KindNull {
+			t.Fatalf("round %d: a column of NULLs coded as %v", round, v.Kind)
+		}
+		var named []string
+		for _, d := range want {
+			if !d.IsNull() {
+				named = append(named, d.S)
+			}
+		}
+		slices.Sort(named)
+		if named = slices.Compact(named); !slices.Equal(v.Dict, named) || len(v.S) != 0 {
+			t.Fatalf("round %d: dictionary %q and %d string headers, want %q and none", round, v.Dict, len(v.S), named)
+		}
+		for i, d := range want {
+			got := v.Datum(i)
+			if got.K != d.K || !got.Equal(d) {
+				t.Fatalf("round %d row %d: %v, want %v", round, i, got, d)
+			}
+			if d.IsNull() && v.HasDict() && v.I[i] != 0 {
+				t.Fatalf("round %d row %d: NULL row holds code %d, want 0", round, i, v.I[i])
+			}
+			if !d.IsNull() && v.Str(i) != d.S {
+				t.Fatalf("round %d row %d: Str %q, want %q", round, i, v.Str(i), d.S)
+			}
+		}
+		b.Release()
 	}
 }
