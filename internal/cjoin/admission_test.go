@@ -77,15 +77,13 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 		s.admit(sub)
 		return sub
 	}
-	// retire publishes sub's finish tick; applied reports whether the
-	// distributor has begun to apply it.
+	// retire retires sub; applied reports whether the distributor has
+	// applied its finish tick, which hands the slot back.
 	retire := func(sub *subscription, applied bool) {
-		s.retire(sub, nil)
 		s.active = slices.DeleteFunc(s.active, func(o *subscription) bool { return o == sub })
 		if applied {
-			op.applied.Store(s.seq)
+			op.handBack(sub)
 		}
-		s.seq++
 	}
 	noDims := &plan.StarQuery{Fact: cat.MustTable("lo"), FactCols: []int{0}}
 	for range 64 {
@@ -93,8 +91,9 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 	}
 	const id = 64
 	qs := admissionQueries(cat)
+	var sub *subscription
 	for qi, q := range qs {
-		sub := admit(q)
+		sub = admit(q)
 		if sub.id != id {
 			t.Fatalf("query %d: slot %d, want %d (the retired slot reused)", qi, sub.id, id)
 		}
@@ -137,7 +136,7 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 	if last.id != id+1 {
 		t.Fatalf("admission before the finish tick was applied took slot %d, want fresh %d", last.id, id+1)
 	}
-	op.applied.Store(s.seq - 1)
+	op.handBack(sub)
 	if sub := admit(noDims); sub.id != id {
 		t.Fatalf("admission after the finish tick was applied took slot %d, want %d", sub.id, id)
 	}

@@ -299,12 +299,12 @@ func TestPanicPredicateFailsOnlyOwningQuery(t *testing.T) {
 }
 
 // TestDistributorPanicAbortsCleanly drives a panic inside the distributor's
-// merge: a query carrying a fact column the table does not have passes
+// tick loop: a query carrying a fact column the table does not have passes
 // admission and panics in route on its first tuple. The distributor aborts
 // the operator: the bad query fails with a typed PanicError, every
 // concurrent query ends complete or typed, and after Close the live-batch
 // gauge, the recycler, the arena and the goroutine count are back at their
-// baselines — the shutdown pass recycled whatever the reorder ring held.
+// baselines — the shutdown pass recycled whatever the pipeline held.
 func TestDistributorPanicAbortsCleanly(t *testing.T) {
 	const n, healthy = 20000, 4
 	goroutinesBefore := runtime.NumGoroutine()
@@ -383,47 +383,57 @@ func TestDistributorPanicAbortsCleanly(t *testing.T) {
 	}
 }
 
-// TestDistributorShutdownRecyclesParkedItems makes the merge panic while the
-// reorder ring holds two out-of-order ticks, one of them parking an
-// admission. run's shutdown pass must fail the parked query, which the
-// scanner registered as open when it admitted it, with the panic, and
-// release the page-batch reference of every item it held: the one being
-// processed and the two parked.
+// TestDistributorShutdownRecyclesParkedItems makes the distributor panic on
+// its first tick while two control ticks wait in the order channel, one of
+// them an admission, two data ticks name pages waiting in the workers'
+// outputs, and a third dealt page waits in an output with no tick naming it.
+// run's shutdown pass must fail the parked query, which the scanner
+// registered as open when it admitted it, with the panic, and release the
+// page-batch reference of every item in the pipeline: the one being
+// processed, the parked control tick and the three pages.
 func TestDistributorShutdownRecyclesParkedItems(t *testing.T) {
 	cat := starDB(t, 100)
-	op, err := NewOperator(cat.MustTable("lo"),
-		[]DimSpec{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0}}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer op.Close()
+	op := bareOp(t, cat)
+	op.closeCh = make(chan struct{})
+	op.items = make(chan *item, itemBound(2))
+	op.workers = []*worker{{op: op, out: make(chan *item, queueLen+1)}, {op: op, out: make(chan *item, queueLen+1)}}
 	liveBefore := vec.LiveBatches()
 
 	parked := &subscription{out: make(chan *batch.Batch, 1), cancelCh: make(chan struct{})}
 	op.openMu.Lock()
 	op.open[parked] = struct{}{} // as the scanner's admit does
 	op.openMu.Unlock()
-	in := make(chan *item, 3)
-	for _, seq := range []int64{1, 2, 0} {
-		it, _ := op.getItem()
-		it.seq = seq
+	newItem := func() *item {
+		it := op.getItem()
 		it.cols = vec.Get(1)
-		switch seq {
-		case 1:
-			it.ep = &epoch{ctl: []ctlMsg{{kind: ctlAdmit, sub: parked}}}
-		case 0:
-			// A retirement of a query that does not exist: the distributor
-			// dereferences it and panics.
-			it.ep = &epoch{ctl: []ctlMsg{{kind: ctlFinish}}}
-		}
-		in <- it
+		return it
 	}
-	close(in)
-	if got := vec.LiveBatches(); got != liveBefore+3 {
-		t.Fatalf("LiveBatches = %d with three items in flight, want %d", got, liveBefore+3)
+	control := func(m ctlMsg) tick {
+		it := newItem()
+		it.ep = &epoch{ctl: []ctlMsg{m}}
+		return tick{ctl: it}
+	}
+	page := func(w int) tick {
+		op.workers[w].out <- newItem()
+		return tick{w: w}
+	}
+	order := make(chan tick, orderLen(2))
+	// A retirement of a query that does not exist: the distributor
+	// dereferences it and panics.
+	order <- control(ctlMsg{kind: ctlFinish})
+	order <- control(ctlMsg{kind: ctlAdmit, sub: parked})
+	order <- page(1)
+	order <- page(0)
+	page(0) // dealt, its tick never sent
+	close(order)
+	for _, w := range op.workers {
+		close(w.out) // as each worker does when it exits
+	}
+	if got := vec.LiveBatches(); got != liveBefore+5 {
+		t.Fatalf("LiveBatches = %d with five items in flight, want %d", got, liveBefore+5)
 	}
 
-	d := &distributor{op: op, in: in}
+	d := &distributor{op: op, order: order}
 	op.wg.Add(1)
 	d.run()
 
@@ -441,6 +451,9 @@ func TestDistributorShutdownRecyclesParkedItems(t *testing.T) {
 	}
 	if live := vec.LiveBatches(); live != liveBefore {
 		t.Errorf("leaked batch refs: LiveBatches = %d, baseline %d", live, liveBefore)
+	}
+	if free := len(op.items); free != 5 {
+		t.Errorf("%d items back on the free list, want all 5", free)
 	}
 }
 

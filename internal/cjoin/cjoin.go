@@ -6,20 +6,22 @@
 // fact table and deals fact pages round-robin to Config.Workers probe
 // workers; each worker annotates its pages with slot bitmaps (bit s is set
 // iff the tuple satisfies the fact-table predicate of the query owning slot
-// s) and probes them through the whole dimension chain; a distributor merges
-// the worker streams back into scan order and routes each surviving joined
-// tuple to every query whose bit survived.
+// s) and probes them through the whole dimension chain; a distributor
+// takes the worker streams in scan order, as the scanner's order channel
+// names them, and routes each surviving joined tuple to every query whose
+// bit survived.
 //
 //	            ┌→ worker 0 (annotate → probe dim₁..dimₖ) ─┐
 //	scanner ────┼→ worker 1 (annotate → probe dim₁..dimₖ) ─┼→ distributor
-//	            └→ …                                       ─┘   (seq merge)
+//	   │        └→ …                                       ─┘      ↑
+//	   └─────────── order: a control item or a worker index ───────┘
 //
 // The code is split by role, one file each: cjoin.go (the operator, its
 // configuration and counters), admission.go (subscriptions, Run and
 // admission), scanner.go (the circular scan, its ticks, slot ids and
 // retirement), worker.go (annotate and probe), dim.go (dimension tables,
-// their entry bitmaps and the slot view) and distributor.go (sequence merge,
-// routing, delivery and shutdown).
+// their entry bitmaps and the slot view) and distributor.go (ordered
+// hand-off, routing, delivery and shutdown).
 //
 // Each dimension has one state, shared by every worker. Its rows and their
 // join index are the table's shared dimtab.Index — the one the
@@ -48,42 +50,48 @@
 //
 // # Epoch protocol
 //
-// Queries are admitted and retired in ticks. The scanner numbers every tick
-// with a global sequence number, in the order it publishes them, and each
-// tick is one of three kinds:
+// Queries are admitted and retired in ticks, and each tick is one of three
+// kinds:
 //
 //   - a data tick: one fact page, dealt to exactly one worker, which
 //     annotates and probes it and forwards it to the distributor;
 //   - an admission tick: an epoch of ctlAdmit messages;
 //   - a retirement tick: an epoch of ctlFinish messages.
 //
-// An epoch is immutable once published, and goes only to the distributor,
-// which processes ticks in strict sequence order, parking out-of-order
-// arrivals in a reorder ring. With each control tick the scanner also
-// builds an immutable slotView — the open queries, the bitmap width, each
-// dimension's stage mask and its entry bitmap columns — and every page it
-// deals until the next control tick carries that view. A worker annotates
-// and probes a page under the page's view alone, so workers receive pages
-// only and hold no slot state. A query's admission tick precedes the first
-// page of its sweep and its finish tick follows the last, so the query sees
-// each fact tuple exactly once, and its batches in scan order.
+// The scanner decides each tick's place in scan order and says so on one
+// ordered channel: for each tick, in order, it sends either the control
+// tick's item itself or the index of the worker it dealt the page to. Each
+// worker forwards its pages on an output of its own, in the order it took
+// them, so the k-th tick that names worker w is w's k-th output: the
+// distributor reads the order channel, takes each data tick from the named
+// worker's output and sees every tick in scan order. An epoch is immutable
+// once published, and goes only to the distributor. With each control tick
+// the scanner also builds an immutable slotView — the open queries, the
+// bitmap width, each dimension's stage mask and its entry bitmap columns —
+// and every page it deals until the next control tick carries that view. A
+// worker annotates and probes a page under the page's view alone, so
+// workers receive pages only and hold no slot state. A query's admission
+// tick precedes the first page of its sweep and its finish tick follows the
+// last, so the query sees each fact tuple exactly once, and its batches in
+// scan order.
 //
 // A ctlAdmit opens its query's slot and a ctlFinish closes it: the
 // distributor indexes the query by slot id in between. The scanner sets
 // the slot's entry bits before it publishes the admission tick, which is
 // safe because no tuple carries the slot's bit until a page dealt after it.
-// It puts a retired slot on its free list with the seq of the finish tick,
-// and reuses the id only once the distributor has begun to apply that tick
-// (Operator.applied): every page dealt before it has been probed, and no
-// later view names the slot. Only then does it clear the old query's bits,
-// through the old query's Keeps. The distributor stores a control tick's
-// seq before it applies the tick, so before it closes a finished query's
-// output: once Run returns, the query's id is free for reuse.
+// When the distributor applies a finish tick, every page dealt before it
+// has been probed (it came out of its worker), and no later view names the
+// slot; so finish hands the slot back to the scanner (Operator.spare)
+// before it closes the query's output, and once Run returns, the query's id
+// is free for reuse. The scanner clears the old query's bits, through the
+// old query's Keeps, before it reuses the id.
 //
 // Shutdown fails one registry, Operator.open. The scanner adds a query to it
 // at admission, and the distributor removes the query where it closes the
-// query's output. Once the fan-in has drained, the distributor fails every
-// query left with the shutdown cause.
+// query's output. A worker that exits before it forwards a page it took
+// closes its output, and the distributor applies no tick from there on.
+// Once the order channel and every worker output have drained, the
+// distributor fails every query left with the shutdown cause.
 //
 // Each field has one owner:
 //
@@ -104,7 +112,8 @@
 //     pipeline goroutine.
 //   - The scanner alone writes the entry bitmaps (dimTable.bits), with
 //     atomic stores, and builds the slot views; a view is read-only once
-//     built. The distributor alone stores Operator.applied.
+//     built. The distributor hands retired slots back through
+//     Operator.spare, under its mutex.
 //
 // # Data path
 //
@@ -126,18 +135,19 @@
 // # Items
 //
 // Every tick travels as one item, and the operator holds at most
-// itemBound(w) = 2 + 2·w·(queueLen+1) of them for w workers, so its
-// arenas stay live at the pipeline's size between collections. An item the
-// scanner has made is in exactly one place: the scanner's hand (1), a
-// worker's queue (queueLen each) or its hand (1 each), the fan-in (whose
-// capacity is w·(queueLen+1)), the distributor's hand (1), its reorder ring,
-// or the free list. The queues, hands and fan-in add up to the bound; the
-// ring holds what a slow worker lets the others run ahead, which has no
-// bound of its own, so the free list sets it: it is itemBound deep, the
-// scanner makes an item only while fewer than that exist and otherwise
-// waits for the distributor to give one back, and putItem, with room for
-// every item made, never blocks. A free item keeps its arenas for the
-// operator's lifetime.
+// itemBound(w) = 2 + cap(order) = 2 + 2·w·(queueLen+1) of them for w
+// workers, so its arenas stay live at the pipeline's size between
+// collections. An item the scanner has made is on the free list or in one
+// of three places: the scanner's hand (1), the distributor's hand (1), or
+// named by a tick in the order channel — the control tick's item itself,
+// or a data tick's page in its worker's queue, hand or output. The order
+// channel is deep enough to name every page the workers can hold (each
+// queueLen in its queue, one in hand and queueLen+1 in its output), so a
+// fast worker still runs up to queueLen+1 pages ahead of a slow one. The
+// scanner takes an item only with none in hand, so the free list is never
+// empty once itemBound items exist: getItem never waits, and putItem, with
+// room for every item made, never blocks. A free item keeps its arenas for
+// the operator's lifetime.
 package cjoin
 
 import (
@@ -184,11 +194,14 @@ const outBuffer = 4
 // slack, so a worker busy on one page does not stall the scanner.
 const queueLen = 4
 
+// orderLen is the order channel's depth for nw workers: a tick for every
+// page the workers can hold, each in its queue, its hand and its output.
+func orderLen(nw int) int { return 2 * nw * (queueLen + 1) }
+
 // itemBound is how many pipeline items an operator of nw workers holds at
-// most (see "Items" in the package doc): the scanner's one in hand, each
-// worker's queue and the one it probes, the fan-in's capacity (the same
-// again) and the distributor's one in hand.
-func itemBound(nw int) int { return 2 + 2*nw*(queueLen+1) }
+// most (see "Items" in the package doc): the scanner's one in hand, the
+// distributor's one in hand, and one for each tick the order channel holds.
+func itemBound(nw int) int { return 2 + orderLen(nw) }
 
 // MaxWorkers bounds Config.Workers; a larger value is almost certainly a
 // bug (e.g. a row count passed in the wrong field) and would only burn
@@ -245,7 +258,7 @@ type Stats struct {
 	// of the CPU-utilisation proxy.
 	Busy time.Duration
 	// DistributorBusy is the distributor's part of Busy (included in Busy,
-	// not added to it): merging ticks, routing tuples, retiring queries.
+	// not added to it): taking ticks, routing tuples, retiring queries.
 	DistributorBusy time.Duration
 
 	// Grafted counted admissions folded onto another query's bitmap slot.
@@ -281,12 +294,12 @@ type Operator struct {
 	closeOnce   sync.Once
 	releaseOnce sync.Once // the dimension index references, after wg
 	wg          sync.WaitGroup
-	prodWG      sync.WaitGroup // scanner + workers; gates the fan-in close
 
-	// applied is the seq of the last control tick the distributor has
-	// begun to apply: the scanner reuses a retired slot id only once it has
-	// reached the slot's finish tick.
-	applied atomic.Int64
+	// spare holds retired queries whose slot ids the scanner may reuse. The
+	// distributor adds a query as it applies the query's finish tick, when
+	// every page dealt before the tick has been probed; slotID takes one.
+	spareMu sync.Mutex
+	spare   []*subscription
 
 	// open is the registry of admitted queries whose output is still open:
 	// what the distributor's shutdown fails (see the package doc).
@@ -355,26 +368,21 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 	}
 
 	nw := op.cfg.Workers
-	// The fan-in holds every worker's queue plus one item in hand each.
-	fanIn := make(chan *item, nw*queueLen+nw)
+	order := make(chan tick, orderLen(nw))
 	op.items = make(chan *item, itemBound(nw))
 	op.workers = make([]*worker, nw)
+	// A worker's output holds its queue and its page in hand, so a worker
+	// that has run ahead of a slower one can empty both before it blocks.
 	for i := range op.workers {
-		op.workers[i] = &worker{op: op, in: make(chan *item, queueLen), out: fanIn}
+		op.workers[i] = &worker{op: op, in: make(chan *item, queueLen), out: make(chan *item, queueLen+1)}
 	}
-	dist := &distributor{op: op, in: fanIn}
+	dist := &distributor{op: op, order: order}
 
-	op.wg.Add(nw + 3) // scanner, workers, fan-in closer, distributor
-	op.prodWG.Add(nw + 1)
-	go op.scan(fanIn)
+	op.wg.Add(nw + 2) // scanner, workers, distributor
+	go op.scan(order)
 	for _, w := range op.workers {
 		go w.run()
 	}
-	go func() {
-		defer op.wg.Done()
-		op.prodWG.Wait()
-		close(fanIn)
-	}()
 	go dist.run()
 	return op, nil
 }
@@ -396,6 +404,24 @@ func releaseTables(tables []*dimTable) {
 	for _, t := range tables {
 		t.ix.Release()
 	}
+}
+
+// handBack puts a retired query's slot on the spare list.
+func (op *Operator) handBack(sub *subscription) {
+	op.spareMu.Lock()
+	op.spare = append(op.spare, sub)
+	op.spareMu.Unlock()
+}
+
+// takeSpare takes a retired query off the spare list, nil when it is empty.
+func (op *Operator) takeSpare() (sub *subscription) {
+	op.spareMu.Lock()
+	if n := len(op.spare); n > 0 {
+		sub, op.spare[n-1] = op.spare[n-1], nil
+		op.spare = op.spare[:n-1]
+	}
+	op.spareMu.Unlock()
+	return sub
 }
 
 // Stats snapshots the operator counters.

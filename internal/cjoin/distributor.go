@@ -8,66 +8,22 @@ import (
 	"repro/internal/vec"
 )
 
-// distributor merges the worker streams back into tick order, fans joined
-// tuples out to the queries whose slots are named in their bitmaps and
-// retires queries when their finish ticks arrive. Out-of-order arrivals wait
-// in a power-of-two ring indexed by sequence number; queries are indexed by
+// distributor takes the ticks in scan order, fans joined tuples out to the
+// queries whose slots are named in their bitmaps and retires queries when
+// their finish ticks arrive. It reads the order channel and takes each data
+// tick from the output of the worker the tick names; queries are indexed by
 // slot id in a flat slice; and output rows are appended to pooled column
-// batches — so merging and routing a tuple allocates nothing in steady
+// batches — so taking and routing a tuple allocates nothing in steady
 // state.
 type distributor struct {
 	op     *Operator
-	in     <-chan *item
+	order  <-chan tick
 	subs   []*subscription // slot id → the query that owns it (nil when closed)
 	routed int64           // deliveries since the last counter flush
-
-	next int64   // next tick to process
-	ring []*item // reorder buffer; slot = seq & (len-1)
 
 	// cur is the item being processed, tracked so the panic-recovery path
 	// can release its page-batch reference instead of leaking it.
 	cur *item
-}
-
-// enqueue accepts one item from the fan-in, processing it immediately when
-// it is the next tick and stashing it otherwise, then drains every ready
-// successor.
-func (d *distributor) enqueue(it *item) {
-	if it.seq != d.next {
-		d.stash(it)
-		return
-	}
-	d.process(it)
-	d.next++
-	for len(d.ring) > 0 {
-		i := int(d.next) & (len(d.ring) - 1)
-		it2 := d.ring[i]
-		if it2 == nil || it2.seq != d.next {
-			return
-		}
-		d.ring[i] = nil
-		d.process(it2)
-		d.next++
-	}
-}
-
-// stash parks an out-of-order item in the reorder ring, growing the ring
-// when the in-flight span outruns it. Distinct in-flight seqs map to
-// distinct slots because the span is always smaller than the ring.
-func (d *distributor) stash(it *item) {
-	if len(d.ring) == 0 {
-		d.ring = make([]*item, 64)
-	}
-	for it.seq-d.next >= int64(len(d.ring)) {
-		grown := make([]*item, len(d.ring)*2)
-		for _, o := range d.ring {
-			if o != nil {
-				grown[int(o.seq)&(len(grown)-1)] = o
-			}
-		}
-		d.ring = grown
-	}
-	d.ring[int(it.seq)&(len(d.ring)-1)] = it
 }
 
 // deliver seals sub's pending columns into a view batch and flushes it to
@@ -128,19 +84,21 @@ func (d *distributor) register(sub *subscription) {
 	d.subs[sub.id] = sub
 }
 
-// finish retires a query: flush, close its output, drop it from the open
-// registry and unindex its slot. The scanner has already put the slot on
-// its free list; it reuses the id only once process has stored this tick's
-// seq in applied, and the admission tick that reuses it comes later in
-// sequence.
+// finish retires a query: flush, hand its slot back to the scanner, close
+// its output, drop it from the open registry and unindex its slot. Ticks
+// are applied in scan order, so every page dealt before the finish tick
+// has been probed: no worker reads the slot's bits again, and the admission
+// tick that reuses the id comes later. The slot goes back before the output
+// closes, so once Run returns the id is free for reuse.
 func (d *distributor) finish(sub *subscription) {
 	d.deliver(sub)
 	if sub.err == nil {
 		// Backstop for a failure the scanner did not see (a fact predicate
 		// or zone check panic on a worker, typically in the sweep's last
 		// pages): it may complete the sweep first, finishing the query with a
-		// nil error. The finish tick is sequence-ordered behind every page a
-		// worker forwarded, so the worker's fail is visible here.
+		// nil error. Every page dealt before the finish tick came out of its
+		// worker before the tick is applied, so the worker's fail is visible
+		// here.
 		sub.err = sub.cause()
 	}
 	if sub.err == nil && sub.cut {
@@ -157,6 +115,7 @@ func (d *distributor) finish(sub *subscription) {
 	} else {
 		d.op.stats.completed.Add(1)
 	}
+	d.op.handBack(sub)
 	close(sub.out)
 	d.op.openMu.Lock()
 	delete(d.op.open, sub)
@@ -165,14 +124,11 @@ func (d *distributor) finish(sub *subscription) {
 }
 
 // process handles one tick: a control tick's messages in order, or a data
-// tick's tuple routing. A control tick's seq is stored in applied before
-// any of its messages is applied, so before a finished query's output is
-// closed: once Run has returned, the scanner may reuse the query's slot id.
+// tick's tuple routing.
 func (d *distributor) process(it *item) {
 	t0 := time.Now()
 	d.cur = it
 	if it.ep != nil {
-		d.op.applied.Store(it.seq)
 		for _, c := range it.ep.ctl {
 			if c.kind == ctlAdmit {
 				d.register(c.sub)
@@ -207,25 +163,25 @@ func (d *distributor) process(it *item) {
 	d.op.putItem(it)
 }
 
-// run merges and processes ticks until every producer has exited and the
-// fan-in closes, then fails every query still open with the shutdown cause
+// run processes ticks in scan order until the scanner closes the order
+// channel, then fails every query still open with the shutdown cause
 // (ErrClosed for an orderly Close, the recovered panic otherwise).
 func (d *distributor) run() {
 	defer d.op.wg.Done()
-	d.merge()
-	// If merge exited via panic the fan-in may still be open: drain it,
-	// recycling items so no page-batch reference leaks. The drain
-	// terminates because abort closed closeCh, which stops the producers.
-	for it := range d.in {
-		d.op.putItem(it)
+	d.applyTicks()
+	// Whichever way applyTicks ended, recycle every item still in the
+	// pipeline so no page-batch reference leaks: the control ticks left in
+	// the order channel and the pages left in the workers' outputs, a dealt
+	// page whose tick never went out among them. The drains terminate: the
+	// scanner closes the order channel and each worker its output as they
+	// exit, and an early end means closeCh is closed, which stops them.
+	for t := range d.order {
+		if t.ctl != nil {
+			d.op.putItem(t.ctl)
+		}
 	}
-	// The fan-in closed after the scanner and every worker exited, so no
-	// tick can arrive and no query can be admitted. Ticks dropped on the way
-	// down may have left sequence gaps: recycle the items parked in the
-	// reorder ring so their page-batch references are not stranded.
-	for i, it := range d.ring {
-		if it != nil {
-			d.ring[i] = nil
+	for _, w := range d.op.workers {
+		for it := range w.out {
 			d.op.putItem(it)
 		}
 	}
@@ -246,11 +202,13 @@ func (d *distributor) run() {
 	clear(d.op.open)
 }
 
-// merge runs the sequence merge until the fan-in closes. A distributor
-// panic (a kernel acting on corrupted routing state) aborts the operator
-// rather than the process; the in-flight item's reference is released here,
-// and run's drain and shutdown pass handle the fan-in and the reorder ring.
-func (d *distributor) merge() {
+// applyTicks processes the ticks the order channel names, in its order,
+// until the channel closes or a worker's output closes before the page a
+// tick names came out: the worker dropped it on the way down, and no later
+// tick may apply. A distributor panic (a kernel acting on corrupted routing
+// state) aborts the operator rather than the process; the in-flight item's
+// reference is released here, and run's shutdown pass handles the rest.
+func (d *distributor) applyTicks() {
 	defer func() {
 		if r := recover(); r != nil {
 			d.op.abort(r)
@@ -260,7 +218,14 @@ func (d *distributor) merge() {
 			}
 		}
 	}()
-	for it := range d.in {
-		d.enqueue(it)
+	for t := range d.order {
+		it := t.ctl
+		if it == nil {
+			var ok bool
+			if it, ok = <-d.op.workers[t.w].out; !ok {
+				return
+			}
+		}
+		d.process(it)
 	}
 }

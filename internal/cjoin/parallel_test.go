@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 	"repro/internal/plan"
@@ -153,21 +155,76 @@ func TestParallelMatchesNaiveOnStarDB(t *testing.T) {
 // TestParallelDeliveryIsOrdered checks per-query ordered delivery: with the
 // fact table carrying a monotonically increasing id, a query selecting every
 // row must receive ids in scan order even when four workers probe pages
-// concurrently.
+// concurrently. In the held case a gate on the query's fact predicate holds
+// one worker on its first page while the other three run ahead, so later
+// pages finish before an earlier one. Either way the operator makes no more
+// items than itemBound.
 func TestParallelDeliveryIsOrdered(t *testing.T) {
-	cat := starDB(t, 12000)
-	op, err := NewOperator(cat.MustTable("lo"), []DimSpec{
-		{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0},
-		{Table: cat.MustTable("part"), FactKeyCol: 2, DimKeyCol: 0},
-	}, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer op.Close()
-	q := &plan.StarQuery{Fact: cat.MustTable("lo"), FactCols: []int{0}}
-	rows := runStar(t, op, q)
-	if len(rows) != 12000 {
-		t.Fatalf("got %d rows, want 12000", len(rows))
+	const n, nw = 12000, 4
+	t.Run("free", func(t *testing.T) {
+		cat := starDB(t, n)
+		op := newOpCfg(t, cat, Config{Workers: nw})
+		q := &plan.StarQuery{Fact: cat.MustTable("lo"), FactCols: []int{0}}
+		mustArriveInScanOrder(t, op, runStar(t, op, q), n)
+	})
+	t.Run("held", func(t *testing.T) {
+		cat := slowStarDB(t, n, 0)
+		lo := cat.MustTable("lo")
+		op := newOpCfg(t, cat, Config{Workers: nw})
+		// Each worker's first page is one of the sweep's first nw pages, so
+		// the held page is one of them: probes beyond all of theirs come
+		// from a later page, probed while the held one waits.
+		if lo.File.NumPages() <= 2*nw {
+			t.Fatalf("%d fact pages: too few for three workers to run ahead", lo.File.NumPages())
+		}
+		var firstRows int64
+		for p := range nw {
+			cb, err := lo.File.PageCols(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstRows += int64(cb.Len())
+			cb.Release()
+		}
+		gate := gatePred{armed: new(atomic.Bool), entered: make(chan struct{}), release: make(chan struct{})}
+		gate.armed.Store(true)
+		released := false
+		defer func() {
+			if !released {
+				close(gate.release)
+			}
+		}()
+		wait := runStarAsync(op, &plan.StarQuery{Fact: lo, FactPred: gate, FactCols: []int{0}})
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no worker reached the gate")
+		}
+		// Every query probes every dimension of the chain.
+		ahead := int64(len(op.tables)) * firstRows
+		deadline := time.Now().Add(10 * time.Second)
+		for op.Stats().Probes <= ahead {
+			if time.Now().After(deadline) {
+				t.Fatalf("behind the held worker: %d probes, want more than %d", op.Stats().Probes, ahead)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(gate.release)
+		released = true
+		rows, err := wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustArriveInScanOrder(t, op, rows, n)
+	})
+}
+
+// mustArriveInScanOrder checks that rows are n rows whose ids strictly
+// increase, and that op made no more items than its pipeline bounds.
+func mustArriveInScanOrder(t *testing.T, op *Operator, rows []types.Row, n int) {
+	t.Helper()
+	if len(rows) != n {
+		t.Fatalf("got %d rows, want %d", len(rows), n)
 	}
 	last := int64(-1)
 	for i, r := range rows {
@@ -176,6 +233,9 @@ func TestParallelDeliveryIsOrdered(t *testing.T) {
 			t.Fatalf("row %d: id %d arrived after id %d (delivery out of scan order)", i, id, last)
 		}
 		last = id
+	}
+	if made, bound := op.made.Load(), int64(itemBound(op.cfg.Workers)); made > bound {
+		t.Errorf("%d items made, bound %d", made, bound)
 	}
 }
 

@@ -33,9 +33,7 @@ type epoch struct {
 
 // item is the unit flowing into the distributor: one tick of the fact
 // stream. Data ticks carry a page's surviving tuples and the slot view the
-// page was dealt under; control ticks carry the tick's epoch. seq is the
-// tick's global sequence number — the distributor processes items in strict
-// seq order.
+// page was dealt under; control ticks carry the tick's epoch.
 //
 // Tuples live in flat arenas so a page costs zero steady-state allocations:
 // tuple i is row rowIdx[i] of the page's column batch cols, its slot bitmap
@@ -50,7 +48,6 @@ type epoch struct {
 // probe hit and wrote the entry on the current page — so stale entries from
 // a recycled item are never observed and need not be cleared.
 type item struct {
-	seq  int64
 	page int       // fact page index of a data tick (zone-map lookup key)
 	ep   *epoch    // a control tick's epoch; nil on data ticks
 	view *slotView // a data tick's slot view; nil on control ticks
@@ -89,26 +86,17 @@ func (it *item) ensure(n, stride, ndims int) {
 }
 
 // getItem takes a pipeline item for the scanner's next tick: a recycled one
-// from the free list, a new one while fewer than the free list's depth have
-// been made, and otherwise the next one the pipeline gives back — so an
-// operator never holds more items than itemBound, however far a fast
-// worker runs ahead of a slow one. It reports false once the operator
-// closes while it waits.
-func (op *Operator) getItem() (*item, bool) {
+// from the free list, or a new one. It never waits: the scanner asks only
+// with no item in hand, and every other item out of the free list is in the
+// distributor's hand or named by a tick in the order channel, so no more
+// than itemBound are ever made (see "Items" in the package doc).
+func (op *Operator) getItem() *item {
 	select {
 	case it := <-op.items:
-		return it, true
+		return it
 	default:
-	}
-	if op.made.Load() < int64(cap(op.items)) {
 		op.made.Add(1) // only the scanner makes items
-		return &item{}, true
-	}
-	select {
-	case it := <-op.items:
-		return it, true
-	case <-op.closeCh:
-		return nil, false
+		return &item{}
 	}
 }
 
@@ -125,49 +113,48 @@ func (op *Operator) putItem(it *item) {
 		it.cols = nil
 	}
 	it.ep, it.view = nil, nil
-	it.seq = 0
 	it.n = 0
 	op.items <- it
 }
 
+// tick is the order channel's record of one tick of the fact stream, in
+// scan order: a control tick's item itself, or, for a data tick (ctl nil),
+// the worker the page was dealt to. A worker is FIFO, so the k-th tick
+// naming worker w is w's k-th output.
+type tick struct {
+	ctl *item
+	w   int
+}
+
 // scanner is the pipeline head: the circular fact scan, the active query
-// list, the tick sequence, the slot ids and the slot state (the dimensions'
+// list, the tick order, the slot ids and the slot state (the dimensions'
 // entry bitmaps and the current slot view), all owned by the scanner
 // goroutine.
 type scanner struct {
 	op     *Operator
-	fanIn  chan<- *item
+	order  chan<- tick
 	active []*subscription
 	view   *slotView // the view of the pages dealt since the last control tick
 	npages int
 	pos    int         // next fact page of the circular scan
-	seq    int64       // sequence number of the next tick
 	wi     int         // next worker to deal a page to
 	slots  int         // slot ids ever allocated
-	free   []freeSlot  // retired slots, in finish-tick order
 	scr    vec.Scratch // admission's selection temporaries
-}
-
-// freeSlot is a retired query's slot: its id and entry bits are reusable
-// once the distributor has begun to apply the query's finish tick, seq.
-type freeSlot struct {
-	sub *subscription
-	seq int64
 }
 
 // scan runs the scanner until the operator closes: an admission tick for
 // the queries waiting to join, one fact page, and a retirement tick for the
 // queries whose sweep ended, in turn. Fact pages are dealt round-robin to
-// the probe workers, each with the slot view in force; control ticks go to
-// the distributor (which orders them against the data ticks by sequence
-// number) and install a new view.
-func (op *Operator) scan(fanIn chan<- *item) {
+// the probe workers, each with the slot view in force; every tick's place
+// in scan order goes on the order channel, and a control tick installs a
+// new view.
+func (op *Operator) scan(order chan<- tick) {
 	defer op.wg.Done()
-	defer op.prodWG.Done()
 	defer func() {
 		for _, w := range op.workers {
 			close(w.in)
 		}
+		close(order)
 	}()
 	// Last defer runs first: a scanner panic aborts the operator (queries
 	// fail with the cause) but never takes the process down.
@@ -176,7 +163,7 @@ func (op *Operator) scan(fanIn chan<- *item) {
 			op.abort(r)
 		}
 	}()
-	s := &scanner{op: op, fanIn: fanIn, npages: op.fact.File.NumPages()}
+	s := &scanner{op: op, order: order, npages: op.fact.File.NumPages()}
 	for s.admissions() && s.page() && s.retirements() {
 	}
 }
@@ -233,37 +220,48 @@ func (s *scanner) page() bool {
 	op.stats.pagesScanned.Add(1)
 	op.stats.factTuplesIn.Add(int64(cb.Len()))
 
-	it, ok := op.getItem()
-	if !ok {
-		cb.Release()
-		return false
-	}
-	it.seq = s.seq
-	s.seq++
+	it := op.getItem()
 	it.cols = cb
 	it.page = at
 	it.view = s.view
 	// Deal the page round-robin, but skip workers whose queues are full so
-	// one slow worker cannot head-of-line block the rest — the
-	// distributor's sequence merge makes any assignment correct. Only when
-	// every queue is full does the scanner block (on the round-robin
-	// choice), which is the backpressure path.
+	// one slow worker cannot head-of-line block the rest: the order channel
+	// records whichever worker takes it. Only when every queue is full does
+	// the scanner block (on the round-robin choice), which is the
+	// backpressure path.
 	nw := len(op.workers)
 	for k := 0; k < nw; k++ {
+		wi := (s.wi + k) % nw
 		select {
-		case op.workers[(s.wi+k)%nw].in <- it:
-			s.wi = (s.wi + k + 1) % nw
-			return true
+		case op.workers[wi].in <- it:
+			s.wi = (wi + 1) % nw
+			return s.send(tick{w: wi})
 		default:
 		}
 	}
-	w := op.workers[s.wi]
-	s.wi = (s.wi + 1) % nw
+	wi := s.wi
+	s.wi = (wi + 1) % nw
 	select {
-	case w.in <- it:
-		return true
+	case op.workers[wi].in <- it:
+		return s.send(tick{w: wi})
 	case <-op.closeCh:
 		op.putItem(it)
+		return false
+	}
+}
+
+// send puts one tick on the order channel. A control tick's item that cannot
+// go out is recycled here; a dealt page the worker forwards regardless, and
+// the distributor's shutdown pass recycles it. It reports false once the
+// operator closes.
+func (s *scanner) send(t tick) bool {
+	select {
+	case s.order <- t:
+		return true
+	case <-s.op.closeCh:
+		if t.ctl != nil {
+			s.op.putItem(t.ctl)
+		}
 		return false
 	}
 }
@@ -318,7 +316,7 @@ func (s *scanner) pageFailed(at int, err error) bool {
 		if quarantined {
 			s.op.stats.pageFailures.Add(1)
 		}
-		ctl = s.retire(sub, ctl)
+		ctl = append(ctl, ctlMsg{kind: ctlFinish, sub: sub})
 	}
 	s.active = remaining
 	return len(ctl) == 0 || s.publish(ctl)
@@ -356,7 +354,7 @@ func (s *scanner) retirements() bool {
 			}
 		}
 		if sub.pagesLeft <= 0 || stopped || expired {
-			ctl = s.retire(sub, ctl)
+			ctl = append(ctl, ctlMsg{kind: ctlFinish, sub: sub})
 		} else {
 			remaining = append(remaining, sub)
 		}
@@ -365,26 +363,12 @@ func (s *scanner) retirements() bool {
 	return len(ctl) == 0 || s.publish(ctl)
 }
 
-// retire appends the message retiring sub to ctl, which closes its slot,
-// and puts the slot on the free list with the seq of the tick ctl is
-// published on: publish comes before the next tick.
-func (s *scanner) retire(sub *subscription, ctl []ctlMsg) []ctlMsg {
-	s.free = append(s.free, freeSlot{sub: sub, seq: s.seq})
-	return append(ctl, ctlMsg{kind: ctlFinish, sub: sub})
-}
-
-// slotID takes a bitmap slot id for a query being admitted. A retired
-// query's id is reused once the distributor has begun to apply its finish
-// tick: every page dealt before that tick has been probed, and no later
-// view names the slot, so its bits are cleared (through the retired
-// query's Keeps) with no reader left. The free list is in finish-tick
-// order, so only its head can be ready. Failing that, a new id is
-// allocated, and a new bitmap column whenever the ids outgrow the columns.
+// slotID takes a bitmap slot id for a query being admitted: a retired
+// query's id once the distributor has handed it back (Operator.spare), its
+// bits cleared first through the retired query's Keeps, and otherwise a new
+// id, with a new bitmap column whenever the ids outgrow the columns.
 func (s *scanner) slotID() int {
-	if len(s.free) > 0 && s.free[0].seq <= s.op.applied.Load() {
-		old := s.free[0].sub
-		s.free[0] = freeSlot{}
-		s.free = s.free[1:]
+	if old := s.op.takeSpare(); old != nil {
 		for _, t := range s.op.tables {
 			t.writeBits(old, false)
 		}
@@ -407,19 +391,9 @@ func (s *scanner) slotID() int {
 // operator closes.
 func (s *scanner) publish(ctl []ctlMsg) bool {
 	s.view = newView(s.op.tables, slices.Clone(s.active), s.slots)
-	it, ok := s.op.getItem()
-	if !ok {
-		return false
-	}
-	it.seq = s.seq
-	s.seq++
+	it := s.op.getItem()
 	it.ep = &epoch{ctl: ctl}
-	select {
-	case s.fanIn <- it:
-		return true
-	case <-s.op.closeCh:
-		return false
-	}
+	return s.send(tick{ctl: it})
 }
 
 // safePrune evaluates sub's compiled zone check, failing sub if it panics.

@@ -11,12 +11,13 @@ import (
 // worker is one partitioned probe pipeline: it annotates its share of the
 // fact stream and probes it through every dimension, all within one
 // goroutine (no per-dimension hand-off), then forwards the surviving tuples
-// to the distributor. It holds no slot state: each page carries the
-// slotView it was dealt under.
+// to the distributor on an output of its own, in the order it took the
+// pages. It holds no slot state: each page carries the slotView it was
+// dealt under.
 type worker struct {
 	op  *Operator
 	in  chan *item
-	out chan<- *item
+	out chan *item
 
 	// cur is the data item being processed, tracked so the panic-recovery
 	// path can release its page-batch reference instead of leaking it.
@@ -33,12 +34,12 @@ type worker struct {
 // distributor.
 func (w *worker) run() {
 	defer w.op.wg.Done()
-	defer w.op.prodWG.Done()
 	// A worker panic (outside the per-predicate containment in annotate)
 	// aborts the operator. Whichever way the worker exits, it releases the
-	// in-flight item and drains the queue so no page-batch reference leaks.
-	// The drain terminates because the scanner observes closeCh and closes
-	// w.in (on a normal exit w.in is already closed and empty).
+	// in-flight item, drains the queue so no page-batch reference leaks, and
+	// closes its output. The drain terminates because the scanner observes
+	// closeCh and closes w.in (on a normal exit w.in is already closed and
+	// empty).
 	defer func() {
 		if r := recover(); r != nil {
 			w.op.abort(r)
@@ -50,6 +51,7 @@ func (w *worker) run() {
 		for it := range w.in {
 			w.op.putItem(it)
 		}
+		close(w.out)
 	}()
 	for it := range w.in {
 		t0 := time.Now()
@@ -63,8 +65,8 @@ func (w *worker) run() {
 		case w.out <- it:
 			w.cur = nil
 		case <-w.op.closeCh:
-			// Undeliverable (the distributor will never see this seq): the
-			// deferred drain releases it with the rest of the queue.
+			// Undeliverable: the deferred drain releases it with the rest of
+			// the queue, and the distributor applies no tick from here on.
 			return
 		}
 	}

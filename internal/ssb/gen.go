@@ -97,7 +97,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// generateDate loads the 1992-1998 calendar (2557 days).
+// generateDate loads the 1992-1998 calendar (2557 days). It steps one
+// calendar date a row and takes weekday and month names from tables, so a
+// row does no time arithmetic; the month's length is looked up on its first
+// day.
 func generateDate(cat *storage.Catalog) (*storage.Table, []int64, error) {
 	tbl, err := cat.CreateTable("date", DateSchema())
 	if err != nil {
@@ -107,27 +110,55 @@ func generateDate(cat *storage.Catalog) (*storage.Table, []int64, error) {
 	end := time.Date(1998, 12, 31, 0, 0, 0, 0, time.UTC)
 	n := int(end.Sub(start)/(24*time.Hour)) + 1
 	keys := make([]int64, n)
+	var weekdays [7]string
+	for d := range weekdays {
+		weekdays[d] = time.Weekday(d).String()
+	}
+	var months [13]string
+	for m := time.January; m <= time.December; m++ {
+		months[m] = m.String()
+	}
+	year, month, mday, yday, wday := start.Year(), start.Month(), start.Day(), start.YearDay(), start.Weekday()
 	var yearMonth string // "Jan1992": formatted on the first of each month
+	var monthLen int
 	err = tbl.File.Load(n, func(i int, row *storage.RowWriter) {
-		day := start.AddDate(0, 0, i)
-		key := int64(day.Year()*10000 + int(day.Month())*100 + day.Day())
-		keys[i] = key
-		if day.Day() == 1 {
-			yearMonth = day.Month().String()[:3] + strconv.Itoa(day.Year())
+		if mday == 1 {
+			yearMonth = months[month][:3] + strconv.Itoa(year)
+			monthLen = time.Date(year, month+1, 0, 0, 0, 0, 0, time.UTC).Day()
 		}
+		key := int64(year*10000 + int(month)*100 + mday)
+		keys[i] = key
 		row.Int(0, key)
-		row.Str(1, day.Weekday().String())
-		row.Str(2, day.Month().String())
-		row.Int(3, int64(day.Year()))
-		row.Int(4, int64(day.Year()*100+int(day.Month())))
+		row.Str(1, weekdays[wday])
+		row.Str(2, months[month])
+		row.Int(3, int64(year))
+		row.Int(4, int64(year*100+int(month)))
 		row.Str(5, yearMonth)
-		row.Int(6, int64((day.YearDay()-1)/7+1))
+		row.Int(6, int64((yday-1)/7+1))
+		wday, yday, mday = (wday+1)%7, yday+1, mday+1
+		if mday > monthLen {
+			mday, month = 1, month+1
+			if month > time.December {
+				year, month, yday = year+1, time.January, 1
+			}
+		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return tbl, keys, nil
 }
+
+// cities holds every SSB city name, CityOf(Nations[n], i) at [n][i].
+var cities = func() [][10]string {
+	cs := make([][10]string, len(Nations))
+	for n, nation := range Nations {
+		for i := range cs[n] {
+			cs[n][i] = CityOf(nation, i)
+		}
+	}
+	return cs
+}()
 
 func generateCustomer(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table, error) {
 	tbl, err := cat.CreateTable("customer", CustomerSchema())
@@ -137,7 +168,7 @@ func generateCustomer(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table
 	return tbl, tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		ni := r.Intn(len(Nations))
 		row.Int(0, int64(i+1))
-		row.Str(1, CityOf(Nations[ni], r.Intn(10)))
+		row.Str(1, cities[ni][r.Intn(10)])
 		row.Str(2, Nations[ni])
 		row.Str(3, nationRegion[ni])
 		row.Str(4, MktSegments[r.Intn(len(MktSegments))])
@@ -152,7 +183,7 @@ func generateSupplier(cat *storage.Catalog, n int, r *rand.Rand) (*storage.Table
 	return tbl, tbl.File.Load(n, func(i int, row *storage.RowWriter) {
 		ni := r.Intn(len(Nations))
 		row.Int(0, int64(i+1))
-		row.Str(1, CityOf(Nations[ni], r.Intn(10)))
+		row.Str(1, cities[ni][r.Intn(10)])
 		row.Str(2, Nations[ni])
 		row.Str(3, nationRegion[ni])
 	})

@@ -795,9 +795,8 @@ func TestDecodedPagesLiveOnlyInFlight(t *testing.T) {
 	perPage := storage.PageSize / (8 * maxRows)
 	perBatch := (fact.Schema().Len() + perPage - 1) / perPage
 	// Page batches alive at once with one worker: the scanner's in hand, the
-	// worker's queue and the one it probes, the fan-in (queue plus one), and
-	// the distributor's in hand, with cjoin's queueLen = 4. One worker keeps
-	// the ticks in order, so the distributor's reorder ring stays empty.
+	// worker's queue, the one it probes and its output (queue plus one), and
+	// the distributor's in hand, with cjoin's queueLen = 4.
 	const queueLen = 4
 	inFlight := 1 + queueLen + 1 + (queueLen + 1) + 1
 	bound := int64(inFlight * perBatch)
