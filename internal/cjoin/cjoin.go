@@ -27,7 +27,8 @@
 // join index are the table's shared dimtab.Index — the one the
 // query-centric hash join probes too — referenced from NewOperator to Close
 // and probed immutably by every worker (a direct array over dense integer
-// keys, hashed slots otherwise). The index is held at its size: built into
+// keys, a rank-indexed bitset over sparser ones, hashed slots otherwise).
+// The index is held at its size: built into
 // columns reserved to the table's row count, its string columns kept as
 // codes over one sorted dictionary of its own, which the distributor
 // decodes as it routes a row. A dimension whose join key repeats is
@@ -128,15 +129,17 @@
 // boxing datums; and the distributor routes surviving tuples by appending
 // fact columns straight from the batch, and dimension payloads from the
 // tables' batches, to each query's pooled output batch — no row is built.
-// Each pipeline item owns flat arenas (one []uint64 bitmap arena where tuple
-// i holds words [i*stride,(i+1)*stride), one joined-dimension-row arena, one
-// live-row index array), recycled through the operator's free list.
+// Each pipeline item owns flat arrays, recycled through the operator's free
+// list: per page row, one []uint64 bitmap arena where tuple i holds words
+// [i*stride,(i+1)*stride) and one live-row index; per survivor, its joined
+// entries, which the worker resolves once the chain is done, only for the
+// dimensions some query of the page's view routes a column from.
 //
 // # Items
 //
 // Every tick travels as one item, and the operator holds at most
 // itemBound(w) = 2 + cap(order) = 2 + 2·w·(queueLen+1) of them for w
-// workers, so its arenas stay live at the pipeline's size between
+// workers, so its arrays stay live at the pipeline's size between
 // collections. An item the scanner has made is on the free list or in one
 // of three places: the scanner's hand (1), the distributor's hand (1), or
 // named by a tick in the order channel — the control tick's item itself,
@@ -146,8 +149,10 @@
 // fast worker still runs up to queueLen+1 pages ahead of a slow one. The
 // scanner takes an item only with none in hand, so the free list is never
 // empty once itemBound items exist: getItem never waits, and putItem, with
-// room for every item made, never blocks. A free item keeps its arenas for
-// the operator's lifetime.
+// room for every item made, never blocks. A free item keeps its arrays for
+// the operator's lifetime: a page's rows of bitmap words and row indexes,
+// and joined entries for the most survivors a page it carried had, so a
+// selective workload holds few entries.
 package cjoin
 
 import (

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,27 +294,54 @@ func TestGQPFigure1b(t *testing.T) {
 	}
 }
 
+// TestConcurrentSweepsShareTheScan holds the first query's sweep behind a
+// gate on its first page until all six queries are admitted, so they share
+// the circular scan however the goroutines are scheduled. While one worker
+// is held the other carries the pages, and the device's latency keeps the
+// scanner from filling the pipeline before the other five arrive: it admits
+// them between pages. No query can finish behind the gate, and the pipeline
+// holds fewer pages than six sweeps one after another.
 func TestConcurrentSweepsShareTheScan(t *testing.T) {
-	cat := starDB(t, 20000)
-	op := newOp(t, cat)
+	cat := slowStarDB(t, 20000, time.Millisecond)
+	op := newOpCfg(t, cat, Config{BatchSize: 64, Workers: 2})
 	npages := int64(cat.MustTable("lo").File.NumPages())
 
 	const k = 6
+	gate := gatePred{armed: new(atomic.Bool), entered: make(chan struct{}), release: make(chan struct{})}
+	gate.armed.Store(true)
+	released := false
+	defer func() {
+		if !released {
+			close(gate.release)
+		}
+	}()
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < k; i++ {
+	start := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			<-start
 			q := asiaEuropeQuery(cat, int64(1+i%4), float64(10*i))
+			if i == 0 {
+				q.FactPred = expr.NewAnd(gate, q.FactPred)
+			}
 			err := op.Run(context.Background(), q, func(*batch.Batch) error { return nil })
 			if err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}()
 	}
-	close(start)
+	start(0)
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no worker reached the gate")
+	}
+	for i := 1; i < k; i++ {
+		start(i)
+	}
+	waitAdmitted(t, op, k)
+	close(gate.release)
+	released = true
 	wg.Wait()
 	st := op.Stats()
 	// Queries submitted together piggyback on the same circular sweep; the

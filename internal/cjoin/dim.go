@@ -82,14 +82,16 @@ func (t *dimTable) writeBits(sub *subscription, set bool) {
 }
 
 // slotView is the slot state in force between two control ticks: the open
-// queries, in admission order, the bitmap width, and per dimension the stage
-// mask of slots referencing it and the entry bitmap columns. The scanner
+// queries, in admission order, the bitmap width, the dimensions some open
+// query routes a column from, and per dimension the stage mask of slots
+// referencing it and the entry bitmap columns. The scanner
 // builds one per control tick, and every page dealt until the next carries
 // it, so a worker reads exactly the slots open when its page was dealt. It
 // is immutable once built.
 type slotView struct {
 	subs   []*subscription
-	nslots int // one past the highest slot id ever opened
+	nslots int   // one past the highest slot id ever opened
+	routed []int // dimensions some query routes a payload column from, ascending
 	dims   []viewDim
 }
 
@@ -108,11 +110,22 @@ func newView(tables []*dimTable, subs []*subscription, nslots int) *slotView {
 	for d, t := range tables {
 		v.dims[d] = viewDim{mask: masks[d*words : (d+1)*words : (d+1)*words], bits: t.bits}
 	}
+	routes := make([]bool, len(tables))
 	for _, sub := range subs {
 		for d, ref := range sub.dimRef {
 			if ref {
 				v.dims[d].mask[sub.id/64] |= 1 << (uint(sub.id) & 63)
 			}
+		}
+		for _, rc := range sub.route {
+			if rc.dim >= 0 {
+				routes[rc.dim] = true
+			}
+		}
+	}
+	for d, r := range routes {
+		if r {
+			v.routed = append(v.routed, d)
 		}
 	}
 	return v

@@ -52,20 +52,20 @@ func (d *distributor) deliver(sub *subscription) {
 // route map precomputed at subscription time: fact columns copy typed
 // payloads straight from the page batch, and dimension payload columns copy
 // typed payloads from the dimension table's entry-aligned column batch at
-// the tuple's joined entry — the whole route loop is typed end to end, no
-// Datum boxing on either kind of column.
+// the entry the worker resolved for tuple ti — the whole route loop is
+// typed end to end, no Datum boxing on either kind of column.
 func (d *distributor) route(sub *subscription, it *item, ti int) {
 	if sub.pendCols == nil {
 		sub.pendCols = vec.Get(sub.outWidth)
 		sub.pendCols.Reserve(d.op.cfg.BatchSize) // delivered at exactly this size
 	}
 	r := int(it.rowIdx[ti])
-	dimBase := r * it.ndims
+	base := ti * it.ndims
 	for ci, rc := range sub.route {
 		if rc.dim < 0 {
 			sub.pendCols.Col(ci).AppendFrom(it.cols.Col(rc.col), r)
 		} else {
-			ei := int(it.dimEnt[dimBase+rc.dim])
+			ei := int(it.ent[base+rc.dim])
 			sub.pendCols.Col(ci).AppendFrom(d.op.tables[rc.dim].cb.Col(rc.col), ei)
 		}
 	}

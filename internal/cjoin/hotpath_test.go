@@ -156,7 +156,8 @@ func TestAnnotateZeroAllocs(t *testing.T) {
 }
 
 // TestProbePathZeroAllocs locks in the join-stage steady state: probing and
-// compacting a full page of tuples allocates nothing.
+// compacting a full page of tuples, and resolving its survivors' entries,
+// allocates nothing.
 func TestProbePathZeroAllocs(t *testing.T) {
 	cat := starDB(t, 4000)
 	op := bareOp(t, cat)
@@ -166,8 +167,8 @@ func TestProbePathZeroAllocs(t *testing.T) {
 
 	work := &item{cols: master.cols, view: v}
 	reload := func() {
-		// Mirror annotate: arenas are sized for the page's rows (dims is
-		// indexed by page row), live count set after.
+		// Mirror annotate: the per-row arrays are sized for the page's
+		// rows, live count set after.
 		work.ensure(master.cols.Len(), master.stride, master.ndims)
 		copy(work.rowIdx, master.rowIdx[:master.n])
 		copy(work.words, master.words[:master.n*master.stride])
@@ -175,10 +176,12 @@ func TestProbePathZeroAllocs(t *testing.T) {
 	}
 	reload()
 	w.probe(work, op.tables[0], &v.dims[0]) // warm-up
+	w.resolve(work)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		reload()
 		w.probe(work, op.tables[0], &v.dims[0])
+		w.resolve(work)
 	})
 	if allocs != 0 {
 		t.Errorf("probe path allocates %v objects per page in steady state, want 0", allocs)

@@ -10,10 +10,11 @@ import (
 
 // BenchmarkDistributorRoute measures the distributor's per-tuple output
 // assembly — the route loop that copies two fact columns and two dimension
-// payload columns for every joined tuple of a page (line=typed): AppendFrom
-// against the page batch and the dimension table's entry-aligned ColBatch at
-// the tuple's joined entry (item.dimEnt), typed end to end. The final numbers
-// of the retired boxed-Datum baseline are in CHANGES.md, PR 15.
+// payload columns for every surviving tuple of a page (line=typed):
+// AppendFrom against the page batch at the survivor's row (item.rowIdx) and
+// the dimension table's entry-aligned ColBatch at the entry the worker
+// resolved for the survivor (item.ent, by survivor), typed end to end. The
+// final numbers of the retired boxed-Datum baseline are in CHANGES.md.
 //
 // Output batches recycle through the vec pool, so steady-state cost is the
 // copy loop itself.
@@ -46,10 +47,14 @@ func BenchmarkDistributorRoute(b *testing.B) {
 	dimCB.Seal(dimEntries)
 	defer dimCB.Release()
 
-	// Joined entries per page row, as the probe leaves them.
-	dimEnt := make([]int32, nrows*ndims)
-	for r := 0; r < nrows; r++ {
-		dimEnt[r] = int32(r % dimEntries)
+	// Every other row survives, and each survivor's joined entry is
+	// resolved by survivor, as the worker leaves them.
+	const survivors = nrows / 2
+	rowIdx := make([]int32, survivors)
+	ent := make([]int32, survivors*ndims)
+	for i := range rowIdx {
+		rowIdx[i] = int32(2 * i)
+		ent[i*ndims] = int32(2 * i % dimEntries)
 	}
 
 	route := []routeCol{{dim: -1, col: 0}, {dim: -1, col: 1}, {dim: 0, col: 0}, {dim: 0, col: 1}}
@@ -59,19 +64,19 @@ func BenchmarkDistributorRoute(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			out := vec.Get(len(route))
-			for r := 0; r < nrows; r++ {
-				dimBase := r * ndims
+			for ti, r := range rowIdx {
+				base := ti * ndims
 				for ci, rc := range route {
 					if rc.dim < 0 {
-						out.Col(ci).AppendFrom(page.Col(rc.col), r)
+						out.Col(ci).AppendFrom(page.Col(rc.col), int(r))
 					} else {
-						out.Col(ci).AppendFrom(dimCB.Col(rc.col), int(dimEnt[dimBase+rc.dim]))
+						out.Col(ci).AppendFrom(dimCB.Col(rc.col), int(ent[base+rc.dim]))
 					}
 				}
 			}
-			out.Seal(nrows)
+			out.Seal(survivors)
 			out.Release()
 		}
-		b.ReportMetric(float64(nrows), "tuples/op")
+		b.ReportMetric(float64(survivors), "tuples/op")
 	})
 }

@@ -35,18 +35,15 @@ type epoch struct {
 // stream. Data ticks carry a page's surviving tuples and the slot view the
 // page was dealt under; control ticks carry the tick's epoch.
 //
-// Tuples live in flat arenas so a page costs zero steady-state allocations:
-// tuple i is row rowIdx[i] of the page's column batch cols, its slot bitmap
-// is the word slice words[i*stride:(i+1)*stride], and its joined entry for
-// dimension j is dimEnt[rowIdx[i]*ndims+j] — an index into that dimension
-// table's entry-aligned column batch, so the distributor routes dimension
-// payloads with typed column copies instead of boxing datums. dimEnt is
-// indexed by the tuple's page row, which never changes, so the probe loop's
-// in-place compaction moves only rowIdx and the bitmap words as tuples die,
-// never the joined entries. A dimEnt entry is only ever read for a (tuple,
-// slot) pair whose bit survived that dimension's probe, which implies the
-// probe hit and wrote the entry on the current page — so stale entries from
-// a recycled item are never observed and need not be cleared.
+// Tuples live in flat arrays so a page costs zero steady-state allocations:
+// tuple i is row rowIdx[i] of the page's column batch cols, and its slot
+// bitmap is the word slice words[i*stride:(i+1)*stride]; the probe loop
+// compacts both in place as tuples die. Once the chain is done, the worker
+// resolves each survivor's joined entry, for every dimension some query of
+// the view routes a column from, into ent[i*ndims+j] — an index into
+// dimension j's entry-aligned column batch, so the distributor routes
+// dimension payloads with typed column copies instead of boxing datums. ent
+// is indexed by survivor, so it holds the page's survivors, not its rows.
 type item struct {
 	page int       // fact page index of a data tick (zone-map lookup key)
 	ep   *epoch    // a control tick's epoch; nil on data ticks
@@ -61,22 +58,17 @@ type item struct {
 	stride int      // bitmap words per tuple
 	ndims  int      // dimension slots per tuple
 	rowIdx []int32  // rowIdx[:n]: live tuple i → row index in cols
-	dimEnt []int32  // dimEnt[r*ndims+j]: joined entry of dim j for page row r
 	words  []uint64 // words[i*stride:(i+1)*stride]: tuple i's bitmap
+	ent    []int32  // ent[i*ndims+j]: survivor i's joined entry of routed dim j
 }
 
-// ensure sizes the arenas for n tuples with the given bitmap stride.
+// ensure sizes the per-row arrays for n tuples with the given bitmap stride.
 func (it *item) ensure(n, stride, ndims int) {
 	it.stride, it.ndims = stride, ndims
 	if cap(it.rowIdx) < n {
 		it.rowIdx = make([]int32, n)
 	} else {
 		it.rowIdx = it.rowIdx[:n]
-	}
-	if cap(it.dimEnt) < n*ndims {
-		it.dimEnt = make([]int32, n*ndims)
-	} else {
-		it.dimEnt = it.dimEnt[:n*ndims]
 	}
 	if cap(it.words) < n*stride {
 		it.words = make([]uint64, n*stride)
@@ -103,10 +95,8 @@ func (op *Operator) getItem() *item {
 // putItem recycles an item after the distributor is done with it. The epoch
 // and the view are dropped so free items do not pin retired subscriptions
 // across idle periods, and the item's page batch is released, freeing its
-// decoded columns. The dimension-entry arena is left as is: stale slots are plain
-// indices into tables that live for the operator's lifetime, and the probe
-// loop never reads a slot it did not write on the current page. The free
-// list has room for every item made, so putItem never blocks.
+// decoded columns. The free list has room for every item made, so putItem
+// never blocks.
 func (op *Operator) putItem(it *item) {
 	if it.cols != nil {
 		it.cols.Release()

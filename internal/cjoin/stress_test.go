@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -538,5 +539,70 @@ func TestOperatorItemsBoundedByPipeline(t *testing.T) {
 			t.Errorf("workers %d: %d items made, want 1..%d", nw, made, bound)
 		}
 		op.Close()
+	}
+}
+
+// TestItemEntriesHeldBySurvivor checks that a pipeline item holds joined
+// entries for a page's survivors, not its rows: after one sweep of a
+// selective query, the largest entry array among the items is the most
+// survivors any page had times the dimension count, far below a page's
+// rows times the dimension count.
+func TestItemEntriesHeldBySurvivor(t *testing.T) {
+	cat := starDB(t, 6000)
+	lo, cust := cat.MustTable("lo"), cat.MustTable("cust")
+	op := newOpCfg(t, cat, Config{Workers: 1, BatchSize: 64, NoPrune: true})
+	q := &plan.StarQuery{Fact: lo, FactCols: []int{0},
+		FactPred: expr.NewCmp(expr.GE, expr.C(3, "lo_rev"), expr.Float(90)),
+		Dims: []plan.DimJoin{{Table: cust, FactKeyCol: 1, DimKeyCol: 0,
+			Pred:        expr.NewCmp(expr.EQ, expr.C(1, "region"), expr.Str("ASIA")),
+			PayloadCols: []int{1}}}}
+	rows := runStar(t, op, q)
+	mustEqualRows(t, rows, evalStarNaive(t, q))
+
+	// Survivors per page: lo_id is the row number.
+	var pageOf []int // by lo_id
+	maxRows := 0
+	for p := range lo.File.NumPages() {
+		cb, err := lo.File.PageCols(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range cb.Len() {
+			pageOf = append(pageOf, p)
+		}
+		maxRows = max(maxRows, cb.Len())
+		cb.Release()
+	}
+	perPage := make([]int, lo.File.NumPages())
+	for _, r := range rows {
+		perPage[pageOf[r[0].I]]++
+	}
+	most := slices.Max(perPage)
+	nd := len(op.tables)
+
+	// Every item comes back to the free list once the sweep's ticks are
+	// applied; take each off it to look, and put it back.
+	made := int(op.made.Load())
+	deadline := time.Now().Add(10 * time.Second)
+	for len(op.items) < made {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d items back on the free list", len(op.items), made)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	held := 0
+	for range made {
+		it := <-op.items
+		held = max(held, cap(it.ent))
+		op.items <- it
+	}
+	t.Logf("%d items: largest entry array %d, most survivors on a page %d of up to %d rows, %d dimensions",
+		made, held, most, maxRows, nd)
+	if most == 0 || 2*most > maxRows {
+		t.Fatalf("most survivors on a page = %d of %d rows: the query is not selective", most, maxRows)
+	}
+	if held != most*nd {
+		t.Errorf("largest entry array holds %d entries, want the most survivors on a page × dimensions = %d (page rows × dimensions = %d)",
+			held, most*nd, maxRows*nd)
 	}
 }

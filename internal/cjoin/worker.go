@@ -60,6 +60,7 @@ func (w *worker) run() {
 		for d, t := range w.op.tables {
 			w.probe(it, t, &it.view.dims[d])
 		}
+		w.resolve(it)
 		w.op.addBusy(time.Since(t0))
 		select {
 		case w.out <- it:
@@ -190,13 +191,13 @@ func (w *worker) annotate(it *item) {
 
 // probe probes every live tuple of it against dimension t, folds the
 // matching entry bitmap (or the stage mask, on a miss) of the page's view vd
-// into the tuple's inline bitmap, and compacts the item's arenas in place
+// into the tuple's inline bitmap, and compacts the item's arrays in place
 // as tuples die. The join-key column is read straight from the page's
 // column batch: integer-class key columns (the star-schema common case)
 // probe from the raw []int64 payload without building a Datum per tuple.
 // This is the steady-state probe hot path: zero allocations per tuple.
 func (w *worker) probe(it *item, t *dimTable, vd *viewDim) {
-	stride, nd := it.stride, it.ndims
+	stride := it.stride
 	tab := t.tab
 	kc := it.cols.Col(t.spec.FactKeyCol)
 	fastInt := kc.Kind.IntClass() && !kc.HasNulls()
@@ -230,9 +231,6 @@ func (w *worker) probe(it *item, t *dimTable, vd *viewDim) {
 			}
 			words[n] = tw
 			rowIdx[n] = rowIdx[i]
-			if ei >= 0 {
-				it.dimEnt[r*nd+t.idx] = int32(ei)
-			}
 			n++
 		}
 	} else {
@@ -260,9 +258,6 @@ func (w *worker) probe(it *item, t *dimTable, vd *viewDim) {
 				it.rowIdx[n] = it.rowIdx[i]
 				copy(it.words[n*stride:(n+1)*stride], tw)
 			}
-			if ei >= 0 {
-				it.dimEnt[r*nd+t.idx] = int32(ei)
-			}
 			n++
 		}
 	}
@@ -275,6 +270,36 @@ func (w *worker) probe(it *item, t *dimTable, vd *viewDim) {
 	}
 	if dropped > 0 {
 		w.op.stats.droppedInChain.Add(dropped)
+	}
+}
+
+// resolve writes each survivor's joined entry into it.ent once the chain is
+// done, looking each key up again, only for the dimensions some query of
+// the page's view routes a column from: the distributor reads no other. A
+// survivor that missed a dimension gets -1 there; every query referencing
+// the dimension lost the tuple's bit, so the distributor never reads it.
+func (w *worker) resolve(it *item) {
+	dims, n, nd := it.view.routed, it.n, it.ndims
+	if len(dims) == 0 || n == 0 {
+		return
+	}
+	if cap(it.ent) < n*nd {
+		it.ent = make([]int32, n*nd)
+	}
+	ent, rows := it.ent[:n*nd], it.rowIdx[:n]
+	for _, d := range dims {
+		t := w.op.tables[d]
+		kc := it.cols.Col(t.spec.FactKeyCol)
+		if kc.Kind.IntClass() && !kc.HasNulls() {
+			ki := kc.I
+			for i, r := range rows {
+				ent[i*nd+d] = t.tab.FindInt(ki[r])
+			}
+		} else {
+			for i, r := range rows {
+				ent[i*nd+d] = t.tab.Find(kc, int(r))
+			}
+		}
 	}
 }
 

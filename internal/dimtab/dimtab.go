@@ -29,15 +29,20 @@
 // order is string order for the predicate kernels. The dictionary holds
 // copies of its strings, so the index pins no page's memory.
 //
-// Seal builds one of two index forms, sized to the final entry count.
-// Direct: every key is integer-class and the keys span fewer than
-// directSpanFactor × entries values (surrogate keys are dense) or fewer than
-// directMaxSmall (a yyyymmdd date key spans ~24 values per day, but a whole
-// date dimension spans under 65 536), so direct[k-lo] holds key k's first
-// entry and a probe is one bounds check and one load. Hashed:
-// open-addressing, linear-probing slots, at most half full, holding each
-// distinct key's first entry at the position its vec.HashFold hash names. A
-// sealed Table is immutable and safe for concurrent readers.
+// Seal builds one of three index forms, sized to the final entry count and
+// held at the density of the keys. Direct: every key is integer-class and
+// the keys span fewer than directSpanFactor × entries values (surrogate keys
+// are dense), so direct[k-lo] holds key k's first entry and a probe is one
+// bounds check and one load. Rank: every key is integer-class and the keys
+// span fewer than rankSpanFactor × entries values (a yyyymmdd date key spans
+// ~24 values per day): a presence bitset over the span, with the count of
+// present keys below each 64-bit word, ranks key k among the distinct keys,
+// and first[rank] holds its first entry, so a probe is a bounds check, a bit
+// test and one popcount. Hashed: open-addressing, linear-probing slots, at
+// most half full, holding each distinct key's first entry at the position
+// its vec.HashFold hash names. The chain of entries after each first one is
+// allocated only when some key repeats. A sealed Table is immutable and
+// safe for concurrent readers.
 package dimtab
 
 import (
@@ -53,12 +58,13 @@ import (
 // MaxEntries bounds a table: entries are int32 indexes stored as entry+1.
 const MaxEntries = 1 << 30
 
-// directSpanFactor bounds the direct index's length relative to the entry
-// count; directMaxSmall is the length (a 256 KiB index) below which the
-// direct form is built however sparse the keys.
+// directSpanFactor and rankSpanFactor bound the key span, relative to the
+// entry count, up to which the direct and the rank form are built: the
+// direct form takes 4 bytes a value of the span, the rank form 16 bytes a
+// 64 values and 4 bytes a distinct key.
 const (
 	directSpanFactor = 4
-	directMaxSmall   = 1 << 16
+	rankSpanFactor   = 64
 )
 
 // hashChunk is how many keys one vec.HashFold call hashes into a stack
@@ -75,12 +81,16 @@ type Table struct {
 	n   int
 	sel []int32 // Append's rows with a non-NULL key
 
-	next []int32 // next entry with an equal key; -1 ends the chain
+	next []int32 // next entry with an equal key, -1 ending the chain; nil while no key repeats
 	dup  int32   // first entry whose key a later entry repeats; -1 if none
 
 	// Direct form: direct[k-lo] is key k's first entry + 1 (0: none).
 	direct []int32
-	lo     int64
+	lo     int64 // the least key, in the direct and the rank form
+	// Rank form: key k is present when bit k-lo of the words is set, and
+	// first[r] is its first entry + 1, r its rank among the distinct keys.
+	words []rankWord
+	first []int32
 	// Hashed form: each distinct key's first entry + 1, at the slot the top
 	// bits of its hash name or the first free one after it.
 	slots []int32
@@ -137,16 +147,22 @@ func (t *Table) Seal() error {
 	t.coder, t.sel = nil, nil
 	t.cb.Seal(t.n)
 	t.kv = t.cb.Col(t.key)
-	t.next = make([]int32, t.n)
-	if !t.sealDirect() {
+	if !t.sealInt() {
 		t.sealHashed()
 	}
 	return nil
 }
 
-// sealDirect builds the direct form when the keys are integer-class and
-// dense enough, and reports whether it did.
-func (t *Table) sealDirect() bool {
+// rankWord is 64 values of the rank form's span: the bit of each present
+// key, and how many keys are present below the word.
+type rankWord struct {
+	set  uint64
+	rank int32
+}
+
+// sealInt builds the direct or the rank form when the keys are
+// integer-class and dense enough, and reports whether it did.
+func (t *Table) sealInt() bool {
 	if t.n == 0 || !t.kv.Kind.IntClass() {
 		return false
 	}
@@ -156,15 +172,50 @@ func (t *Table) sealDirect() bool {
 		lo, hi = min(lo, k), max(hi, k)
 	}
 	// The unsigned difference cannot overflow for any int64 pair.
-	if span := uint64(hi) - uint64(lo); span >= directSpanFactor*uint64(t.n) && span >= directMaxSmall {
+	switch span := uint64(hi) - uint64(lo); {
+	case span < directSpanFactor*uint64(t.n):
+		t.direct, t.lo = make([]int32, span+1), lo
+		for e := int32(t.n - 1); e >= 0; e-- {
+			t.prepend(e, &t.direct[keys[e]-lo])
+		}
+	case span < rankSpanFactor*uint64(t.n):
+		t.words, t.lo = make([]rankWord, span/64+1), lo
+		for _, k := range keys {
+			d := uint64(k - lo)
+			t.words[d>>6].set |= 1 << (d & 63)
+		}
+		var r int32
+		for i := range t.words {
+			t.words[i].rank = r
+			r += int32(bits.OnesCount64(t.words[i].set))
+		}
+		t.first = make([]int32, r)
+		for e := int32(t.n - 1); e >= 0; e-- {
+			t.prepend(e, &t.first[t.rankOf(uint64(keys[e]-lo))])
+		}
+	default:
 		return false
-	}
-	t.direct, t.lo = make([]int32, hi-lo+1), lo
-	for e := int32(t.n - 1); e >= 0; e-- {
-		t.prepend(e, &t.direct[keys[e]-lo])
 	}
 	return true
 }
+
+// rankOf returns the rank, among the distinct keys, of the key at offset d
+// from lo in the rank form, or -1 when no entry has that key.
+func (t *Table) rankOf(d uint64) int32 {
+	i := d >> 6
+	if i >= uint64(len(t.words)) {
+		return -1
+	}
+	w, bit := t.words[i], uint64(1)<<(d&63)
+	if w.set&bit == 0 {
+		return -1
+	}
+	return w.rank + int32(bits.OnesCount64(w.set&(bit-1)))
+}
+
+// intKeys reports whether the table took the direct or the rank form, whose
+// keys are all integer-class.
+func (t *Table) intKeys() bool { return t.direct != nil || t.words != nil }
 
 // sealHashed builds the hashed form, hashing the keys with the fold the
 // probe uses.
@@ -195,11 +246,21 @@ func (t *Table) sealHashed() {
 // prepend makes e the first entry of the chain headed by *head (entry + 1, 0
 // for none). Entries are linked last to first, so every chain ends up in
 // arrival order, and a head already set means a later entry repeats e's key.
+// The chain is made at the first repeat: every entry linked before it ends
+// its own chain.
 func (t *Table) prepend(e int32, head *int32) {
 	if *head != 0 {
 		t.dup = e
+		if t.next == nil {
+			t.next = make([]int32, t.n)
+			for i := range t.next {
+				t.next[i] = -1
+			}
+		}
 	}
-	t.next[e] = *head - 1
+	if t.next != nil {
+		t.next[e] = *head - 1
+	}
 	*head = e + 1
 }
 
@@ -243,6 +304,12 @@ func (t *Table) FindInt(k int64) int32 {
 	if t.direct != nil {
 		return -1
 	}
+	if t.words != nil {
+		if r := t.rankOf(uint64(k - t.lo)); r >= 0 {
+			return t.first[r] - 1
+		}
+		return -1
+	}
 	h := types.HashKeyInt(k) * vec.HashPrime
 	if t.kv.Kind.IntClass() {
 		return *t.slotInt(h, k) - 1
@@ -259,7 +326,7 @@ func (t *Table) Find(v *vec.Vec, r int) int32 {
 		return -1
 	case d.K != types.KindFloat && d.K != types.KindString:
 		return t.FindInt(d.I)
-	case t.direct != nil:
+	case t.intKeys():
 		// Every key is integer-class: only an integral float can match.
 		if d.K == types.KindFloat && d.F == math.Trunc(d.F) && math.Abs(d.F) < 1<<63 {
 			return t.FindInt(int64(d.F))
@@ -270,7 +337,12 @@ func (t *Table) Find(v *vec.Vec, r int) int32 {
 }
 
 // Next returns the entry after e with an equal key, in arrival order, or -1.
-func (t *Table) Next(e int32) int32 { return t.next[e] }
+func (t *Table) Next(e int32) int32 {
+	if t.next == nil {
+		return -1
+	}
+	return t.next[e]
+}
 
 // Probe appends one (row, entry) pair to ml and me for every entry equal to
 // each selected row of kc — rows in sel order, each row's entries in arrival
@@ -298,9 +370,11 @@ func (t *Table) ProbeKept(kc *vec.Vec, sel []int32, k *Keep, ml, me []int32) ([]
 		switch {
 		case t.direct != nil && kc.Kind.IntClass():
 			ml, me = t.probeDirect(kc.I, part, k, ml, me)
-		case t.direct != nil:
+		case t.words != nil && kc.Kind.IntClass():
+			ml, me = t.probeRank(kc.I, part, k, ml, me)
+		case t.intKeys():
 			for _, r := range part {
-				for e := t.Find(kc, int(r)); e >= 0; e = t.next[e] {
+				for e := t.Find(kc, int(r)); e >= 0; e = t.Next(e) {
 					if k.has(e) {
 						ml, me = append(ml, r), append(me, e)
 					}
@@ -318,7 +392,7 @@ func (t *Table) ProbeKept(kc *vec.Vec, sel []int32, k *Keep, ml, me []int32) ([]
 				} else {
 					e = *t.slot(hs[i], kc.Datum(int(r))) - 1
 				}
-				for ; e >= 0; e = t.next[e] {
+				for ; e >= 0; e = t.Next(e) {
 					if k.has(e) {
 						ml, me = append(ml, r), append(me, e)
 					}
@@ -336,22 +410,65 @@ func (t *Table) probeDirect(ki []int64, sel []int32, k *Keep, ml, me []int32) ([
 	case k == nil:
 		for _, r := range sel {
 			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
-				for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
+				for e := t.direct[d] - 1; e >= 0; e = t.Next(e) {
 					ml, me = append(ml, r), append(me, e)
 				}
 			}
 		}
 	case k.key != nil:
-		// Distinct keys: the key's bit decides before the entry load.
+		// Distinct keys: every pair in the span is written and kept when its
+		// key's bit is set, with no branch on the bit.
+		n := len(ml)
+		ml, me = slices.Grow(ml, len(sel))[:n+len(sel)], slices.Grow(me, len(sel))[:n+len(sel)]
 		for _, r := range sel {
-			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) && k.key[d>>6]&(1<<(d&63)) != 0 {
-				ml, me = append(ml, r), append(me, t.direct[d]-1)
+			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
+				ml[n], me[n] = r, t.direct[d]-1
+				n += int(k.key[d>>6] >> (d & 63) & 1)
 			}
 		}
+		ml, me = ml[:n], me[:n]
 	default:
 		for _, r := range sel {
 			if d := uint64(ki[r] - t.lo); d < uint64(len(t.direct)) {
-				for e := t.direct[d] - 1; e >= 0; e = t.next[e] {
+				for e := t.direct[d] - 1; e >= 0; e = t.Next(e) {
+					if k.has(e) {
+						ml, me = append(ml, r), append(me, e)
+					}
+				}
+			}
+		}
+	}
+	return ml, me
+}
+
+// probeRank is ProbeKept's loop over a rank index for the integer-class keys
+// ki at the rows sel, none of them NULL.
+func (t *Table) probeRank(ki []int64, sel []int32, k *Keep, ml, me []int32) ([]int32, []int32) {
+	switch {
+	case k == nil:
+		for _, r := range sel {
+			if rk := t.rankOf(uint64(ki[r] - t.lo)); rk >= 0 {
+				for e := t.first[rk] - 1; e >= 0; e = t.Next(e) {
+					ml, me = append(ml, r), append(me, e)
+				}
+			}
+		}
+	case k.key != nil:
+		// Distinct keys: every present key's pair is written and kept when
+		// its bit is set, with no branch on the bit.
+		n := len(ml)
+		ml, me = slices.Grow(ml, len(sel))[:n+len(sel)], slices.Grow(me, len(sel))[:n+len(sel)]
+		for _, r := range sel {
+			if rk := t.rankOf(uint64(ki[r] - t.lo)); rk >= 0 {
+				ml[n], me[n] = r, t.first[rk]-1
+				n += int(k.key[rk>>6] >> (uint(rk) & 63) & 1)
+			}
+		}
+		ml, me = ml[:n], me[:n]
+	default:
+		for _, r := range sel {
+			if rk := t.rankOf(uint64(ki[r] - t.lo)); rk >= 0 {
+				for e := t.first[rk] - 1; e >= 0; e = t.Next(e) {
 					if k.has(e) {
 						ml, me = append(ml, r), append(me, e)
 					}
@@ -364,13 +481,13 @@ func (t *Table) probeDirect(ki []int64, sel []int32, k *Keep, ml, me []int32) ([
 
 // Keep is a selection of a sealed table's entries: the ones a probe under
 // it returns, as one query's predicate over a shared index picks them. It
-// is a bitset by entry and, once ProbeKeys added it, for a direct index
-// whose keys are distinct also one by key offset, which the integer probe
-// tests before it loads the entry.
+// is a bitset by entry and, once ProbeKeys added it, for a direct or rank
+// index whose keys are distinct also one by key (keyBit), which the integer
+// probe reads at the key's offset or rank, with no branch on the bit.
 type Keep struct {
 	t   *Table
 	ent []uint64 // bit e: entry e is kept
-	key []uint64 // distinct direct keys: bit k-lo, key k's entry is kept
+	key []uint64 // distinct direct or rank keys: bit keyBit(e), e's key is kept
 }
 
 // NewKeep returns a selection of none of t's entries. Valid after Seal.
@@ -378,20 +495,32 @@ func (t *Table) NewKeep() *Keep {
 	return &Keep{t: t, ent: make([]uint64, (t.n+63)/64)}
 }
 
-// ProbeKeys adds the bitset by key offset to a Keep of a direct index whose
+// keyBit returns entry e's bit in a Keep's bitset by key: the key's offset
+// from the least key in the direct form, its rank in the rank form.
+func (t *Table) keyBit(e int32) uint64 {
+	d := uint64(t.kv.I[e] - t.lo)
+	if t.words != nil {
+		return uint64(t.rankOf(d))
+	}
+	return d
+}
+
+// ProbeKeys adds the bitset by key to a Keep of a direct or rank index whose
 // keys are distinct, for a Keep that ProbeKept is to read; a Keep read
 // entry by entry (Each) needs none. A no-op on a nil Keep and on other
 // indexes. Entries added later are added to both bitsets.
 func (k *Keep) ProbeKeys() {
-	if k == nil || k.key != nil || k.t.direct == nil || k.t.dup >= 0 {
+	if k == nil || k.key != nil || !k.t.intKeys() || k.t.dup >= 0 {
 		return
 	}
-	k.key = make([]uint64, (len(k.t.direct)+63)/64)
-	keys, lo := k.t.kv.I, k.t.lo
-	k.t.Each(k, func(e int32) {
-		d := uint64(keys[e] - lo)
-		k.key[d>>6] |= 1 << (d & 63)
-	})
+	k.key = make([]uint64, (len(k.t.direct)+len(k.t.first)+63)/64) // one of the two is empty
+	k.t.Each(k, k.addKey)
+}
+
+// addKey sets entry e's bit in k's bitset by key.
+func (k *Keep) addKey(e int32) {
+	b := k.t.keyBit(e)
+	k.key[b>>6] |= 1 << (b & 63)
 }
 
 // Add keeps entries es.
@@ -400,10 +529,8 @@ func (k *Keep) Add(es []int32) {
 		k.ent[e>>6] |= 1 << (uint(e) & 63)
 	}
 	if k.key != nil {
-		keys, lo := k.t.kv.I, k.t.lo
 		for _, e := range es {
-			d := uint64(keys[e] - lo)
-			k.key[d>>6] |= 1 << (d & 63)
+			k.addKey(e)
 		}
 	}
 }

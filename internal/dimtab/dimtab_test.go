@@ -2,6 +2,7 @@ package dimtab
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -12,39 +13,109 @@ import (
 	"repro/internal/vec"
 )
 
-// keySet is one oracle case: how a build key is drawn, and the index form
-// the keys must take.
+// keySet is one oracle case: how the build key of row i is drawn, the
+// index form the keys must take, and whether they are all distinct.
 type keySet struct {
-	name   string
-	direct bool
-	key    func(r *rand.Rand) types.Datum
+	name     string
+	form     string
+	distinct bool
+	key      func(r *rand.Rand, i int) types.Datum
 }
 
 var keySets = []keySet{
-	{"dense ints", true, func(r *rand.Rand) types.Datum { return types.NewInt(int64(100 + r.Intn(300))) }},
-	{"dense dates and NULLs", true, func(r *rand.Rand) types.Datum {
+	{"dense ints", "direct", false, func(r *rand.Rand, _ int) types.Datum { return types.NewInt(int64(100 + r.Intn(300))) }},
+	{"dense dates and NULLs", "direct", false, func(r *rand.Rand, _ int) types.Datum {
 		if r.Intn(10) == 0 {
 			return types.Null
 		}
 		return types.NewDate(int64(100 + r.Intn(300)))
 	}},
-	{"sparse ints", false, func(r *rand.Rand) types.Datum { return types.NewInt(int64(r.Intn(300)) * 1_000_003) }},
-	{"integral floats", false, func(r *rand.Rand) types.Datum { return types.NewFloat(float64(100 + r.Intn(300))) }},
-	{"strings and NULLs", false, func(r *rand.Rand) types.Datum {
+	{"sparse ints", "hashed", false, func(r *rand.Rand, _ int) types.Datum { return types.NewInt(int64(r.Intn(300)) * 1_000_003) }},
+	{"integral floats", "hashed", false, func(r *rand.Rand, _ int) types.Datum { return types.NewFloat(float64(100 + r.Intn(300))) }},
+	{"strings and NULLs", "hashed", false, func(r *rand.Rand, _ int) types.Datum {
 		if r.Intn(10) == 0 {
 			return types.Null
 		}
 		return types.NewString(fmt.Sprintf("key-%d", r.Intn(300)))
 	}},
-	{"halves and NULLs", false, func(r *rand.Rand) types.Datum {
+	{"halves and NULLs", "hashed", false, func(r *rand.Rand, _ int) types.Datum {
 		if r.Intn(5) == 0 {
 			return types.Null
 		}
 		return types.NewFloat(float64(100+r.Intn(300)) / 2)
 	}},
-	// SSB's d_datekey: a day every 8 over 1992–1998 as yyyymmdd, so the keys
-	// span ~24 values per day drawn and under 65 536 in all.
-	{"yyyymmdd dates", true, func(r *rand.Rand) types.Datum { return types.NewDate(yyyymmdd(8 * r.Intn(300))) }},
+	// SSB's d_datekey, yyyymmdd: every other day from 1992-01-01 for 600
+	// days, so the keys span ~10 700 values for ~800 entries (the SSB date
+	// dimension spans 24 values an entry).
+	{"yyyymmdd dates", "rank", false, func(r *rand.Rand, _ int) types.Datum { return types.NewDate(yyyymmdd(2 * r.Intn(300))) }},
+	// Every 8th day over 1992–1998: ~75 values an entry, past the rank form.
+	{"yyyymmdd dates 8 days apart", "hashed", false, func(r *rand.Rand, _ int) types.Datum {
+		return types.NewDate(yyyymmdd(8 * r.Intn(300)))
+	}},
+	// The rank form's span runs from 4× to 64× the ~800 entries a build
+	// keeps of its 1 000 rows.
+	{"ints over 5× the entries", "rank", false, func(r *rand.Rand, _ int) types.Datum { return types.NewInt(int64(95 + r.Intn(4500))) }},
+	{"ints over 50× the entries", "rank", false, func(r *rand.Rand, _ int) types.Datum { return types.NewInt(int64(95 + 137*r.Intn(300))) }},
+	{"negative ints and NULLs", "rank", false, func(r *rand.Rand, _ int) types.Datum {
+		if r.Intn(10) == 0 {
+			return types.Null
+		}
+		return types.NewInt(int64(-7 * r.Intn(2000)))
+	}},
+	{"ints below the int64 maximum", "rank", false, func(r *rand.Rand, _ int) types.Datum {
+		return types.NewInt(math.MaxInt64 - int64(20*r.Intn(300)))
+	}},
+	{"ints above the int64 minimum", "rank", false, func(r *rand.Rand, _ int) types.Datum {
+		return types.NewInt(math.MinInt64 + int64(20*r.Intn(300)))
+	}},
+	{"ints at both int64 extremes", "hashed", false, func(r *rand.Rand, _ int) types.Datum {
+		if r.Intn(2) == 0 {
+			return types.NewInt(math.MaxInt64 - int64(r.Intn(300)))
+		}
+		return types.NewInt(math.MinInt64 + int64(r.Intn(300)))
+	}},
+	{"distinct dense ints", "direct", true, func(_ *rand.Rand, i int) types.Datum { return types.NewInt(int64(100 + i)) }},
+	{"distinct sparse ints", "rank", true, func(r *rand.Rand, i int) types.Datum { return types.NewInt(int64(20*i + r.Intn(20))) }},
+	{"distinct ints at both int64 extremes", "hashed", true, func(_ *rand.Rand, i int) types.Datum {
+		if i%2 == 0 {
+			return types.NewInt(math.MaxInt64 - int64(i))
+		}
+		return types.NewInt(math.MinInt64 + int64(i))
+	}},
+}
+
+// keySetNamed returns the oracle case called name.
+func keySetNamed(name string) keySet {
+	for _, ks := range keySets {
+		if ks.name == name {
+			return ks
+		}
+	}
+	panic("no key set " + name)
+}
+
+// drawKeys draws n build keys of ks.
+func drawKeys(ks keySet, r *rand.Rand, n int) []types.Datum {
+	keys := make([]types.Datum, n)
+	for i := range keys {
+		keys[i] = ks.key(r, i)
+	}
+	return keys
+}
+
+// formOf names the index form t took.
+func formOf(t *Table) string {
+	switch {
+	case t.direct != nil && t.words == nil && t.slots == nil:
+		return "direct"
+	case t.words != nil && t.direct == nil && t.slots == nil:
+		return "rank"
+	case t.slots != nil && t.direct == nil && t.words == nil:
+		return "hashed"
+	case t.n == 0:
+		return "empty"
+	}
+	return "mixed"
 }
 
 // yyyymmdd is the date day days after 1992-01-01 as the integer yyyymmdd.
@@ -61,7 +132,7 @@ func probeCols() []*vec.Vec {
 		ints.AppendDatum(types.NewInt(k))
 		ints.AppendDatum(types.NewInt(k * 1_000_003))
 		dates.AppendDatum(types.NewDate(k))
-		dates.AppendDatum(types.NewDate(yyyymmdd(8 * int(k-100))))
+		dates.AppendDatum(types.NewDate(yyyymmdd(2 * int(k-100))))
 		floats.AppendDatum(types.NewFloat(float64(k)))
 		floats.AppendDatum(types.NewFloat(float64(k) + 0.5))
 		strs.AppendDatum(types.NewString(fmt.Sprintf("key-%d", k)))
@@ -71,6 +142,30 @@ func probeCols() []*vec.Vec {
 		strNulls.AppendDatum(types.NewString(fmt.Sprintf("key-%d", k)))
 	}
 	return []*vec.Vec{&ints, &dates, &floats, &strs, &intNulls, &strNulls}
+}
+
+// keyProbes returns probe columns drawn from a key set's own keys: the
+// integer keys and their neighbours as ints, with NULLs between them, and
+// as integral and non-integral floats where a float holds them exactly.
+func keyProbes(keys []types.Datum) []*vec.Vec {
+	var ints, intNulls, floats vec.Vec
+	for _, k := range keys {
+		if k.K != types.KindInt && k.K != types.KindDate {
+			continue
+		}
+		for _, d := range []int64{-1, 0, 1} {
+			if v := k.I + d; (d > 0) == (v > k.I) { // no wrap past an extreme
+				ints.AppendDatum(types.NewInt(v))
+			}
+		}
+		intNulls.AppendDatum(types.NewInt(k.I))
+		intNulls.AppendDatum(types.Null)
+		if k.I > -1<<52 && k.I < 1<<52 {
+			floats.AppendDatum(types.NewFloat(float64(k.I)))
+			floats.AppendDatum(types.NewFloat(float64(k.I) + 0.5))
+		}
+	}
+	return []*vec.Vec{&ints, &intNulls, &floats}
 }
 
 // build appends rows keys in pooled batches of per rows, each under a
@@ -120,28 +215,29 @@ func naive(offered []types.Datum, d types.Datum) []int32 {
 	return out
 }
 
-// The join index against a naive scan: random key sets of every kind with
-// duplicates, built at 1, 3 and 1 024 rows per Append, probed with int,
-// date, float, string and NULL keys through Find, FindInt, the Next chain
-// and Probe; each case asserts the index form it took, and the first
-// repeated entry Dup reports.
+// The join index against a naive scan: random key sets of every kind and
+// every form, with and without duplicates (dense, sparse over 4× to 64× the
+// entries, negative, near the int64 extremes), built at 1, 3 and 1 024 rows
+// per Append, probed with int, date, float, string and NULL keys and with
+// the set's own keys as ints and as integral and non-integral floats,
+// through Find, FindInt, the Next chain and Probe; each case asserts the
+// index form it took, the first repeated entry Dup reports, and that a
+// table whose keys are distinct holds no chain.
 func TestIndexMatchesNaiveScan(t *testing.T) {
-	probes := probeCols()
 	base := vec.LiveBatches()
 	for ci, ks := range keySets {
 		for _, per := range []int{1, 3, 1024} {
 			r := rand.New(rand.NewSource(int64(ci*10 + per)))
-			keys := make([]types.Datum, 1000)
-			for i := range keys {
-				keys[i] = ks.key(r)
-			}
+			keys := drawKeys(ks, r, 1000)
+			probes := append(probeCols(), keyProbes(keys)...)
 			tab, offered := build(t, r, keys, per)
 			name := fmt.Sprintf("%s/per=%d", ks.name, per)
-			if got := tab.direct != nil; got != ks.direct {
-				t.Errorf("%s: direct form = %v, want %v", name, got, ks.direct)
+			if got := formOf(tab); got != ks.form {
+				t.Errorf("%s: %s form, want %s", name, got, ks.form)
 			}
-			if got := tab.slots != nil; got == ks.direct {
-				t.Errorf("%s: hashed form = %v, want %v", name, got, !ks.direct)
+			if distinct := tab.Dup() < 0; distinct != ks.distinct || distinct != (tab.next == nil) {
+				t.Errorf("%s: Dup = %d and a chain of %d, want distinct keys %v and a chain only for repeats",
+					name, tab.Dup(), len(tab.next), ks.distinct)
 			}
 
 			// Entries keep arrival order, NULL keys left out.
@@ -240,9 +336,10 @@ func TestEmptyTableMatchesNothing(t *testing.T) {
 
 // An int-keyed build gathers into an int key column and a string payload
 // into a string one, so int probes resolve from the raw int64 payloads in
-// both forms: the probe's arm follows from the two key columns' kinds.
+// every form: the probe's arm follows from the two key columns' kinds.
 func TestTypedPathsLive(t *testing.T) {
-	for _, stride := range []int64{1, 1_000_003} { // direct, hashed
+	forms := map[int64]string{1: "direct", 20: "rank", 1_000_003: "hashed"}
+	for _, stride := range []int64{1, 20, 1_000_003} {
 		build := vec.Get(2)
 		for i := int64(0); i < 100; i++ {
 			build.Col(0).AppendDatum(types.NewInt(i % 50 * stride)) // duplicate keys chain
@@ -261,8 +358,8 @@ func TestTypedPathsLive(t *testing.T) {
 		if k := tab.Batch().Col(1).Kind; k != types.KindString {
 			t.Fatalf("string payload column has kind %v", k)
 		}
-		if got := tab.direct != nil; got != (stride == 1) {
-			t.Fatalf("stride %d: direct form = %v", stride, got)
+		if got := formOf(tab); got != forms[stride] {
+			t.Fatalf("stride %d: %s form, want %s", stride, got, forms[stride])
 		}
 
 		var probe vec.Vec
@@ -277,17 +374,14 @@ func TestTypedPathsLive(t *testing.T) {
 	}
 }
 
-// sharedTables builds one table of each form for the reader tests.
+// sharedTables builds one table of each form for the reader tests: direct,
+// hashed, and rank over keys that repeat and over distinct ones.
 func sharedTables(t *testing.T) []*Table {
 	t.Helper()
 	r := rand.New(rand.NewSource(3))
 	var tabs []*Table
-	for _, ks := range []keySet{keySets[0], keySets[5]} {
-		keys := make([]types.Datum, 2000)
-		for i := range keys {
-			keys[i] = ks.key(r)
-		}
-		tab, _ := build(t, r, keys, 1024)
+	for _, name := range []string{"dense ints", "halves and NULLs", "ints over 50× the entries", "distinct sparse ints"} {
+		tab, _ := build(t, r, drawKeys(keySetNamed(name), r, 2000), 1024)
 		tabs = append(tabs, tab)
 	}
 	return tabs
@@ -347,7 +441,7 @@ func TestConcurrentReaders(t *testing.T) {
 }
 
 // Find, FindInt and a Probe into arenas with room allocate nothing, in
-// either form: CJOIN calls them once per fact tuple and dimension.
+// every form: CJOIN calls them once per fact tuple and dimension.
 func TestFindZeroAlloc(t *testing.T) {
 	tabs := sharedTables(t)
 	probes := probeCols()

@@ -15,28 +15,22 @@ import (
 )
 
 // The probe under a Keep against Probe filtered by the kept entries: every
-// key set of the oracle plus distinct dense keys (the direct form whose Keep
-// tests a key bit before the entry load), each kept at random, probed with
-// every probe column.
+// key set of the oracle, each kept at random, probed with every probe
+// column and the set's own keys, under a nil Keep, a Keep by entry alone
+// and, after ProbeKeys, one whose direct or rank index has distinct keys
+// and so also tests a key bit before the entry load.
 func TestProbeKeptMatchesFilteredProbe(t *testing.T) {
-	sets := append(slices.Clone(keySets), keySet{"distinct dense ints", true, nil})
-	probes := probeCols()
 	base := vec.LiveBatches()
-	for ci, ks := range sets {
+	for ci, ks := range keySets {
 		r := rand.New(rand.NewSource(int64(ci)))
-		keys := make([]types.Datum, 1000)
-		for i := range keys {
-			if ks.key == nil {
-				keys[i] = types.NewInt(int64(100 + i))
-			} else {
-				keys[i] = ks.key(r)
-			}
-		}
+		keys := drawKeys(ks, r, 1000)
+		probes := append(probeCols(), keyProbes(keys)...)
 		tab, _ := build(t, r, keys, 64)
-		if distinct := ks.key == nil; distinct != (tab.Dup() < 0) {
-			t.Fatalf("%s: Dup = %d", ks.name, tab.Dup())
+		if got := formOf(tab); got != ks.form || ks.distinct != (tab.Dup() < 0) {
+			t.Fatalf("%s: %s form, Dup = %d; want %s form, distinct keys %v", ks.name, got, tab.Dup(), ks.form, ks.distinct)
 		}
-		// check holds ProbeKept under k to Probe filtered by kept.
+		// check holds ProbeKept under k to Probe filtered by kept (nil:
+		// every entry).
 		check := func(k *Keep, kept map[int32]bool, share int) {
 			t.Helper()
 			for _, pc := range probes {
@@ -44,17 +38,20 @@ func TestProbeKeptMatchesFilteredProbe(t *testing.T) {
 				ml, me := tab.Probe(pc, all, nil, nil)
 				var wantL, wantE []int32
 				for i := range ml {
-					if kept[me[i]] {
+					if kept == nil || kept[me[i]] {
 						wantL, wantE = append(wantL, ml[i]), append(wantE, me[i])
 					}
 				}
 				gotL, gotE := tab.ProbeKept(pc, all, k, nil, nil)
 				if !slices.Equal(gotL, wantL) || !slices.Equal(gotE, wantE) {
 					t.Fatalf("%s, %d/10 kept, key bitset %v: ProbeKept returned %d pairs, the filtered Probe %d",
-						ks.name, share, k.key != nil, len(gotL), len(wantL))
+						ks.name, share, k != nil && k.key != nil, len(gotL), len(wantL))
 				}
 			}
 		}
+		check(nil, nil, 10)
+		var nilKeep *Keep
+		nilKeep.ProbeKeys()                     // a no-op
 		for _, share := range []int{0, 3, 10} { // of 10 entries kept
 			k := tab.NewKeep()
 			if k.key != nil {
@@ -76,8 +73,8 @@ func TestProbeKeptMatchesFilteredProbe(t *testing.T) {
 			}
 			check(k, kept, share)
 			k.ProbeKeys()
-			if got := k.key != nil; got != (ks.key == nil) {
-				t.Fatalf("%s: key bitset after ProbeKeys = %v, want %v", ks.name, got, ks.key == nil)
+			if got, want := k.key != nil, ks.distinct && ks.form != "hashed"; got != want {
+				t.Fatalf("%s: key bitset after ProbeKeys = %v, want %v", ks.name, got, want)
 			}
 			k.Add(es[half:])
 			for _, e := range es[half:] {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dimtab"
 	"repro/internal/ssb"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -24,6 +25,16 @@ const indexBytesBound = 1.13
 // regrowth made it 3.39 MB).
 const ssbIndexBytes = 1_400_000
 
+// probeBytesPerEntry bounds an index's probe structures (direct array, rank
+// words and first entries, hashed slots, chain) per entry: each form is
+// built only up to the key density at which it stays within it.
+const probeBytesPerEntry = 16
+
+// dateProbeBytes bounds the SSB date index's probe structures: 2 557
+// yyyymmdd keys spanning 61 131 values take the rank form (a direct array
+// over the span held 245 KB).
+const dateProbeBytes = 32 << 10
+
 // filledBytes is what an index's entry batch fills: 8 bytes a row a column
 // (an int, a float or a string's code) and 16 bytes a dictionary entry.
 func filledBytes(b *vec.ColBatch) int64 {
@@ -39,7 +50,7 @@ func filledBytes(b *vec.ColBatch) int64 {
 // no column is regrown across a multi-page build, and every string column
 // kept as its codes over one sorted dictionary of the index's own, with no
 // string headers. It logs the four SSB sf 0.1 dimension indexes and bounds
-// their total.
+// their total, and each one's probe structures at the density of its keys.
 func TestIndexHeldAtItsSize(t *testing.T) {
 	const rows = 20000
 	schema := types.NewSchema(
@@ -113,11 +124,19 @@ func TestIndexHeldAtItsSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := ix.Table().Batch()
-		got, filled := b.Bytes(), filledBytes(b)
-		t.Logf("ssb sf 0.1 %-8s index: %6d entries, %8d B held, %8d B filled (%.3f×)",
-			d.Name, b.Len(), got, filled, float64(got)/float64(filled))
+		tab := ix.Table()
+		b := tab.Batch()
+		got, filled, probe := b.Bytes(), filledBytes(b), dimtab.ProbeBytes(tab)
+		t.Logf("ssb sf 0.1 %-8s index: %6d entries, %8d B held, %8d B filled (%.3f×); %s form, %6d B of probe structures",
+			d.Name, b.Len(), got, filled, float64(got)/float64(filled), dimtab.FormOf(tab), probe)
 		total += got
+		if probe > probeBytesPerEntry*int64(b.Len()) {
+			t.Errorf("%s index: %d B of probe structures for %d entries, want at most %d B an entry",
+				d.Name, probe, b.Len(), probeBytesPerEntry)
+		}
+		if d == db.Date && probe > dateProbeBytes {
+			t.Errorf("date index: %d B of probe structures, want at most %d", probe, dateProbeBytes)
+		}
 		ix.Release()
 	}
 	t.Logf("ssb sf 0.1 four dimension indexes: %d B", total)

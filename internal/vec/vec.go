@@ -23,7 +23,8 @@
 // input — kernels only ever write at or before their read position), so
 // predicate chains evaluate with zero allocation. ColBatch.AllSel returns
 // the identity selection for "every row": a prefix of one slice shared by
-// the whole process, never to be written (or passed as a kernel's output).
+// the whole process and grown to the longest batch sealed, never to be
+// written (or passed as a kernel's output).
 //
 // ColBatches are reference-counted: the storage layer caches one per
 // resident page frame (one ref), hands extra refs to readers
@@ -782,13 +783,18 @@ func (b *ColBatch) Bytes() int64 {
 	return n
 }
 
-// maxSharedSel is the length of the shared identity selection: every page
-// (at most 0xFFFE rows) and every BatchSize-row operator output fits.
+// maxSharedSel bounds the shared identity selection: every page (at most
+// 0xFFFE rows) and every BatchSize-row operator output fits.
 const maxSharedSel = 1 << 16
 
-// sharedSel is the process's one identity selection [0, 1, …), built on
-// first use and never written again.
-var sharedSel = sync.OnceValue(func() []int32 { return newIdentity(maxSharedSel) })
+// sharedSel is the process's one identity selection [0, 1, …), as long as
+// the longest one asked for and never written again. A longer request
+// replaces it with a longer one under sharedMu; batches sealed before keep
+// the one they took.
+var (
+	sharedSel atomic.Pointer[[]int32]
+	sharedMu  sync.Mutex
+)
 
 func newIdentity(n int) []int32 {
 	s := make([]int32, n)
@@ -798,21 +804,36 @@ func newIdentity(n int) []int32 {
 	return s
 }
 
-// identitySel returns [0, 1, …, n-1]: a prefix of the shared selection, or a
-// private slice for a batch longer than it (a whole dimension gathered into
-// one batch).
+// identitySel returns [0, 1, …, n-1]: a prefix of the shared selection,
+// grown to n first if it is shorter, or a private slice for a batch longer
+// than maxSharedSel (a whole dimension gathered into one batch).
 func identitySel(n int) []int32 {
-	if n <= maxSharedSel {
-		return sharedSel()[:n:n]
+	if n > maxSharedSel {
+		return newIdentity(n)
 	}
-	return newIdentity(n)
+	if p := sharedSel.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
+	}
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	p := sharedSel.Load()
+	if p == nil || len(*p) < n {
+		s := newIdentity(n)
+		p = &s
+		sharedSel.Store(p)
+	}
+	return (*p)[:n:n]
 }
 
 // CheckIdentity verifies that nothing has written through an AllSel slice:
 // the shared identity selection must still map every index to itself. Test
 // batteries call it after driving the kernels.
 func CheckIdentity() error {
-	for i, r := range sharedSel() {
+	p := sharedSel.Load()
+	if p == nil {
+		return nil
+	}
+	for i, r := range *p {
 		if r != int32(i) {
 			return fmt.Errorf("vec: shared identity selection overwritten: sel[%d] = %d", i, r)
 		}

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -502,6 +503,73 @@ func TestAllSelSharedAndWriteCaught(t *testing.T) {
 	big.Seal(maxSharedSel + 5)
 	if s := big.AllSel(); len(s) != maxSharedSel+5 || s[maxSharedSel+4] != maxSharedSel+4 {
 		t.Fatalf("private identity selection wrong: len %d", len(s))
+	}
+}
+
+// TestSharedSelGrowsOnDemand: the shared identity selection is as long as
+// the longest batch sealed, not built at maxSharedSel, and a longer batch
+// grows it while the batches sealed before keep a valid selection, also
+// when goroutines seal batches of growing lengths at once.
+func TestSharedSelGrowsOnDemand(t *testing.T) {
+	seal := func(n int) *ColBatch {
+		b := Get(1)
+		b.Col(0).SetRows(types.KindInt, n)
+		b.Col(0).BulkI(n)
+		b.Seal(n)
+		return b
+	}
+	identity := func(b *ColBatch) error {
+		for i, r := range b.AllSel() {
+			if r != int32(i) {
+				return fmt.Errorf("%d-row batch: AllSel()[%d] = %d", b.Len(), i, r)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1 + g; n < 600; n += 4 {
+				b := seal(n)
+				if err := identity(b); err != nil {
+					errs <- err
+					b.Release()
+					return
+				}
+				b.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	short := seal(3)
+	defer short.Release()
+	have := len(*sharedSel.Load())
+	if have >= maxSharedSel {
+		t.Skipf("an earlier test sealed a %d-row batch", have)
+	}
+	long := seal(have + 1)
+	defer long.Release()
+	if got := len(*sharedSel.Load()); got != have+1 {
+		t.Fatalf("shared selection holds %d rows after a %d-row batch, want %d", got, have+1, have+1)
+	}
+	if s := long.AllSel(); &s[0] != &(*sharedSel.Load())[0] {
+		t.Fatal("the longest batch does not share the shared selection")
+	}
+	for _, b := range []*ColBatch{short, long} {
+		if err := identity(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := CheckIdentity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
